@@ -16,7 +16,6 @@ import (
 
 	"lunasolar/ebs"
 	"lunasolar/internal/experiments"
-	"lunasolar/internal/simnet"
 	"lunasolar/internal/writebench"
 )
 
@@ -138,16 +137,12 @@ func BenchmarkSolarWrite4K(b *testing.B)  { benchIO(b, ebs.Solar, true) }
 func BenchmarkSolarRead4K(b *testing.B)   { benchIO(b, ebs.Solar, false) }
 func BenchmarkLunaRead4K(b *testing.B)    { benchIO(b, ebs.Luna, false) }
 
-// benchWritePath4K measures the isolated two-host Solar write path — SA
+// BenchmarkWritePath4K measures the isolated two-host Solar write path — SA
 // ingress, one-touch CRC, scatter-gather framing, fabric transit, receive
-// materialisation — with the data path in either mode. Beyond wall time it
-// reports how many payload memcpys each 4 KiB write costs (copies/op,
-// copied-B/op) straight from the packet pool's copy accounting; the
-// zero-copy run is gated at <= 1 copy per op.
-func benchWritePath4K(b *testing.B, zero bool) {
-	prev := simnet.ZeroCopy()
-	simnet.SetZeroCopy(zero)
-	defer simnet.SetZeroCopy(prev)
+// materialisation. Beyond wall time it reports how many payload memcpys
+// each 4 KiB write costs (copies/op, copied-B/op) straight from the packet
+// pool's copy accounting, gated at <= 1 copy per op.
+func BenchmarkWritePath4K(b *testing.B) {
 	r := writebench.NewRig(1)
 	for i := 0; i < 64; i++ {
 		r.WriteOne() // reach pool/path steady state before measuring
@@ -168,13 +163,10 @@ func benchWritePath4K(b *testing.B, zero bool) {
 	if err := r.Check(); err != nil {
 		b.Fatal(err)
 	}
-	if zero && copies > 1 {
-		b.Fatalf("zero-copy write path made %.2f payload copies/op, want <= 1", copies)
+	if copies > 1 {
+		b.Fatalf("write path made %.2f payload copies/op, want <= 1", copies)
 	}
 }
-
-func BenchmarkWritePath4K(b *testing.B)         { benchWritePath4K(b, true) }
-func BenchmarkWritePath4KCopyPath(b *testing.B) { benchWritePath4K(b, false) }
 
 // benchCoupled runs the partitioned write storm with the given number of
 // window workers and reports the fleet's events/sec. Comparing the

@@ -22,15 +22,14 @@ type ccBenchReport struct {
 
 // writeCCBenchReport runs the incast storm across every controller,
 // asserts zero leaked packets, and writes the matrix.
-func writeCCBenchReport(path string, seed int64, quick bool) error {
-	opts := experiments.Options{Seed: seed, Quick: quick}
+func writeCCBenchReport(path string, opts experiments.Options) error {
 	cells, tab := experiments.IncastMatrix(opts)
 	if leaked := tab.Perf.Leaked(); leaked != 0 {
 		return fmt.Errorf("incast matrix: %d pooled packets leaked", leaked)
 	}
 	rep := ccBenchReport{
 		Schema: "lunasolar.ccmatrix/v1", Bench: "incast",
-		Seed: seed, Quick: quick, Controller: cells,
+		Seed: opts.Seed, Quick: opts.Quick, Controller: cells,
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -36,9 +36,9 @@ type coupledBenchReport struct {
 // writeCoupledBenchReport runs the coupled storm at each worker count,
 // verifies the formatted table is byte-identical to the serial baseline,
 // asserts zero leaked packets, and writes the scaling report.
-func writeCoupledBenchReport(path string, seed int64, quick bool) error {
+func writeCoupledBenchReport(path string, opts experiments.Options) error {
 	rep := coupledBenchReport{
-		Bench: "coupled_storm", Seed: seed, Quick: quick,
+		Bench: "coupled_storm", Seed: opts.Seed, Quick: opts.Quick,
 		Partitions: 4, CPUs: runtime.NumCPU(), Identical: true,
 	}
 	if rep.CPUs < 4 {
@@ -49,7 +49,7 @@ func writeCoupledBenchReport(path string, seed int64, quick bool) error {
 	var baseline string
 	var baseWall time.Duration
 	for _, workers := range []int{1, 2, 4, 8} {
-		opts := experiments.Options{Seed: seed, Quick: quick, CoupledWorkers: workers}
+		opts.CoupledWorkers = workers
 		tab := experiments.CoupledStorm(opts)
 		if leaked := tab.Perf.Leaked(); leaked != 0 {
 			return fmt.Errorf("workers=%d: %d pooled packets leaked", workers, leaked)

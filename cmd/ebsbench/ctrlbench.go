@@ -29,9 +29,7 @@ type ctrlBenchReport struct {
 // enforces the PR gates (zero failed drain I/Os, nothing left to copy
 // behind the drained server, capped-victim p99 within 2x the isolated
 // baseline), and writes the report.
-func writeCtrlBenchReport(path string, seed int64, quick bool) error {
-	opts := experiments.Options{Seed: seed, Quick: quick}
-
+func writeCtrlBenchReport(path string, opts experiments.Options) error {
 	drain, dtab := experiments.DrainCells(opts)
 	if leaked := dtab.Perf.Leaked(); leaked != 0 {
 		return fmt.Errorf("drain: %d pooled packets leaked", leaked)
@@ -62,7 +60,7 @@ func writeCtrlBenchReport(path string, seed int64, quick bool) error {
 	}
 	rep := ctrlBenchReport{
 		Schema: "lunasolar.ctrl/v1", Bench: "ctrlplane",
-		Seed: seed, Quick: quick,
+		Seed: opts.Seed, Quick: opts.Quick,
 		Drain: drain, NoisyNeighbor: noisy,
 		IsolationRatio: capped.VictimP99us / base.VictimP99us,
 		UncappedRatio:  uncapped.VictimP99us / base.VictimP99us,

@@ -66,8 +66,7 @@ func ffQuantilesAgree(h, p experiments.DiurnalPhase) error {
 // fidelity, enforces the differential gate (exact counts and drops, ≤1%
 // quantiles and goodput) and — at full scale — the ≥10× wall-clock
 // speedup at equal simulated time, then writes the report.
-func writeFFBenchReport(path string, seed int64, quick bool) error {
-	opts := experiments.Options{Seed: seed, Quick: quick}
+func writeFFBenchReport(path string, opts experiments.Options) error {
 	packet, err := runDiurnalMode(opts, ebs.FidelityPacket)
 	if err != nil {
 		return err
@@ -105,7 +104,7 @@ func writeFFBenchReport(path string, seed int64, quick bool) error {
 
 	rep := ffBenchReport{
 		Schema: "lunasolar.fluid/v1", Bench: "diurnal",
-		Seed: seed, Quick: quick,
+		Seed: opts.Seed, Quick: opts.Quick,
 		Packet: packet, Hybrid: hybrid,
 	}
 	if hybrid.WallMs > 0 {
@@ -116,7 +115,7 @@ func writeFFBenchReport(path string, seed int64, quick bool) error {
 	}
 	// Quick runs are too short to time meaningfully; the speedup gate holds
 	// at full scale, where the campaign simulates ~150 ms per shard.
-	if !quick && rep.Speedup < 10 {
+	if !opts.Quick && rep.Speedup < 10 {
 		return fmt.Errorf("hybrid speedup %.1fx below the 10x gate (packet %.1fms, hybrid %.1fms)",
 			rep.Speedup, packet.WallMs, hybrid.WallMs)
 	}

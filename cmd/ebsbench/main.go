@@ -24,9 +24,7 @@ import (
 	"lunasolar/ebs"
 	"lunasolar/internal/cc"
 	"lunasolar/internal/experiments"
-	"lunasolar/internal/sim"
 	"lunasolar/internal/sim/runtime"
-	"lunasolar/internal/simnet"
 	"lunasolar/internal/stats"
 )
 
@@ -70,11 +68,8 @@ func main() {
 	workers := flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	coupledWorkers := flag.Int("coupled-workers", 0, "worker count driving a coupled experiment's fabric partitions (0 = GOMAXPROCS, 1 = serial windows; output is identical for every value)")
 	jsonOut := flag.Bool("json", false, "emit one JSON metric row per line instead of tables")
-	noWheel := flag.Bool("no-wheel", false, "force coarse timers onto the plain heap (differential debugging; output must be identical)")
-	copyPath := flag.Bool("copy-path", false, "force the deep-copying data path instead of refcounted slabs (differential debugging; output must be identical)")
-	benchOut := flag.String("bench-out", "", "run the 4 KiB write-path microbenchmark in both data-path modes and write the JSON report here (e.g. BENCH_pr3.json)")
 	coupledBenchOut := flag.String("coupled-bench-out", "", "run the coupled-fabric storm at 1/2/4/8 workers, check byte-identity, and write the scaling report here (e.g. BENCH_pr6.json)")
-	metricsOut := flag.String("metrics-out", "", "enable telemetry and write the merged observability registry of all experiments here (e.g. METRICS.json)")
+	metricsOut := flag.String("metrics-out", "", "write the merged observability registry of all experiments here (e.g. METRICS.json)")
 	metricsFormat := flag.String("metrics-format", "json", "format for -metrics-out: json or openmetrics")
 	ccFlag := flag.String("cc", "static", "congestion controller for every RDMA stack: static, dcqcn, or swift (the CC-matrix experiments sweep all three regardless)")
 	ccBenchOut := flag.String("cc-bench-out", "", "run the incast CC matrix (static/dcqcn/swift) and write the JSON report here (e.g. BENCH_pr7.json)")
@@ -85,24 +80,16 @@ func main() {
 	list := flag.Bool("list", false, "list experiments")
 	flag.Parse()
 
-	if *noWheel {
-		sim.SetCoarseTimers(false)
-	}
-	if *copyPath {
-		simnet.SetZeroCopy(false)
-	}
 	ccKind, ok := cc.ParseKind(*ccFlag)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "ebsbench: unknown -cc %q (static, dcqcn, or swift)\n", *ccFlag)
 		os.Exit(1)
 	}
-	ebs.SetDefaultCC(ccKind)
 	fid, err := ebs.ParseFidelity(*fidelity)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ebsbench: %v\n", err)
 		os.Exit(1)
 	}
-	ebs.SetDefaultFidelity(fid)
 	var prof *profiler
 	if *profileDir != "" {
 		prof, err = startProfile(*profileDir)
@@ -112,63 +99,37 @@ func main() {
 		}
 		defer prof.Stop()
 	}
-	if *metricsOut != "" {
-		if *metricsFormat != "json" && *metricsFormat != "openmetrics" {
-			fmt.Fprintf(os.Stderr, "ebsbench: unknown -metrics-format %q (json or openmetrics)\n", *metricsFormat)
-			os.Exit(1)
-		}
-		simnet.SetTelemetry(true)
+	if *metricsOut != "" && *metricsFormat != "json" && *metricsFormat != "openmetrics" {
+		fmt.Fprintf(os.Stderr, "ebsbench: unknown -metrics-format %q (json or openmetrics)\n", *metricsFormat)
+		os.Exit(1)
 	}
 
-	if *benchOut != "" {
-		if err := writeBenchReport(*benchOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "ebsbench: bench: %v\n", err)
+	opts := experiments.Options{Seed: *seed, Quick: *quick, Workers: *workers,
+		CoupledWorkers: *coupledWorkers, Telemetry: *metricsOut != "", Fidelity: fid, CC: ccKind}
+
+	// Report stages: each flag that names an output file runs its report.
+	reports := 0
+	for _, r := range []struct {
+		name, out string
+		write     func(path string, opts experiments.Options) error
+	}{
+		{"coupled bench", *coupledBenchOut, writeCoupledBenchReport},
+		{"cc bench", *ccBenchOut, writeCCBenchReport},
+		{"ff bench", *ffBenchOut, writeFFBenchReport},
+		{"ctrl bench", *ctrlBenchOut, writeCtrlBenchReport},
+	} {
+		if r.out == "" {
+			continue
+		}
+		if err := r.write(r.out, opts); err != nil {
+			fmt.Fprintf(os.Stderr, "ebsbench: %s: %v\n", r.name, err)
 			prof.Stop()
 			os.Exit(1)
 		}
-		if *exp == "" && !*list && *coupledBenchOut == "" {
-			return
-		}
+		reports++
 	}
-	if *coupledBenchOut != "" {
-		if err := writeCoupledBenchReport(*coupledBenchOut, *seed, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ebsbench: coupled bench: %v\n", err)
-			prof.Stop()
-			os.Exit(1)
-		}
-		if *exp == "" && !*list && *ccBenchOut == "" {
-			return
-		}
-	}
-	if *ccBenchOut != "" {
-		if err := writeCCBenchReport(*ccBenchOut, *seed, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ebsbench: cc bench: %v\n", err)
-			prof.Stop()
-			os.Exit(1)
-		}
-		if *exp == "" && !*list && *ffBenchOut == "" {
-			return
-		}
-	}
-	if *ffBenchOut != "" {
-		if err := writeFFBenchReport(*ffBenchOut, *seed, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ebsbench: ff bench: %v\n", err)
-			prof.Stop()
-			os.Exit(1)
-		}
-		if *exp == "" && !*list && *ctrlBenchOut == "" {
-			return
-		}
-	}
-	if *ctrlBenchOut != "" {
-		if err := writeCtrlBenchReport(*ctrlBenchOut, *seed, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ebsbench: ctrl bench: %v\n", err)
-			prof.Stop()
-			os.Exit(1)
-		}
-		if *exp == "" && !*list {
-			return
-		}
+	if reports > 0 && *exp == "" && !*list {
+		return
 	}
 
 	ids := make([]string, 0, len(registry))
@@ -192,9 +153,6 @@ func main() {
 			os.Exit(0)
 		}
 	}
-
-	opts := experiments.Options{Seed: *seed, Quick: *quick, Workers: *workers,
-		CoupledWorkers: *coupledWorkers, Telemetry: *metricsOut != "", Fidelity: fid}
 
 	// Every experiment shard asserts that its cluster returned all pooled
 	// packets; any leak fails the whole run (after all output is printed).

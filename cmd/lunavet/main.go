@@ -1,6 +1,6 @@
 // Command lunavet runs the internal/lint analysis suite — determinism,
-// maporder, slabown, hotalloc, partown, fluiddet, hatchgate — over the
-// repo's packages and fails on any non-suppressed diagnostic. It is the
+// maporder, slabown, hotalloc, partown, fluiddet — over the repo's
+// packages and fails on any non-suppressed diagnostic. It is the
 // compile-time half of the invariants the runtime gates (leak gate,
 // differential tests, AllocsPerRun) enforce after the fact; see DESIGN.md
 // "Invariants & how they are enforced".
@@ -15,7 +15,7 @@
 // cross-package facts ride in the .vetx files vet threads through the
 // build graph. The standalone form runs the whole suite pipeline in one
 // process: fact collection over every package (dependencies included),
-// per-package checks, then the suite-level completeness hooks.
+// then per-package checks.
 //
 // Findings are machine-readable on demand: -json emits the full report
 // (diagnostics, suppressed findings, suppression inventory), -sarif
@@ -117,9 +117,6 @@ func run(args []string) int {
 			suppressed = append(suppressed, toPosDiag(pr.Pkg.Fset.Position(d.Pos), d))
 		}
 		allows = append(allows, pr.Allows...)
-	}
-	for _, d := range res.Finish {
-		kept = append(kept, toPosDiag(d.Position, d))
 	}
 
 	if *suppressions {

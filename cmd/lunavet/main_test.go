@@ -236,15 +236,14 @@ func TestVettoolExitCodes(t *testing.T) {
 }
 
 func TestVettoolExportsFacts(t *testing.T) {
-	// A hatch marker in a package under hatchgate's scope ("x/ebs" matches
-	// the "ebs" pattern) must come back out through VetxOutput so importers
-	// see it.
+	// A partowned marker must come back out through VetxOutput so
+	// importers see it.
 	src := writeSrc(t, "p.go", `package ebs
 
-//lint:hatch test-knob
-var knobEnabled = false
+//lint:partowned
+type Shard struct{ n int }
 
-func Knob() bool { return knobEnabled }
+func (s *Shard) N() int { return s.n }
 `)
 	vetx := filepath.Join(t.TempDir(), "ebs.vetx")
 	cfg := vetConfig{ID: "x/ebs", Compiler: "gc", ImportPath: "x/ebs",
@@ -262,12 +261,12 @@ func Knob() bool { return knobEnabled }
 	}
 	var found bool
 	for _, f := range facts {
-		if f.Analyzer == "hatchgate" && f.Kind == "hatch" && f.Name == "test-knob" {
+		if f.Analyzer == "partown" && f.Kind == "partowned" && f.Name == "ebs.Shard" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("hatch fact not exported; vetx contents: %s", data)
+		t.Errorf("partowned fact not exported; vetx contents: %s", data)
 	}
 
 	// Round-trip: a fresh fact set seeded from that vetx sees the fact.
@@ -275,7 +274,7 @@ func Knob() bool { return knobEnabled }
 	if err := readVetx(vetx, fs); err != nil {
 		t.Fatalf("readVetx: %v", err)
 	}
-	if !fs.Has("hatchgate", "hatch", "test-knob") {
+	if !fs.Has("partown", "partowned", "ebs.Shard") {
 		t.Errorf("fact lost on the read side")
 	}
 }

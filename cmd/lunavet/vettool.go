@@ -44,9 +44,7 @@ type vetConfig struct {
 // internal/sim is visible when partown analyzes ebs. VetxOnly still
 // parses, type-checks and collects (an upstream package whose facts
 // cannot be extracted must fail the build, not silently export nothing);
-// only the diagnostic pass is skipped. Suite-level Finish hooks (the
-// hatch↔gate pairing) need the whole graph plus _test.go files and run in
-// standalone `lunavet ./...` mode only.
+// only the diagnostic pass is skipped.
 func runVettool(cfgPath string, analyzers []*lint.Analyzer) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {

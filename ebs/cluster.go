@@ -65,30 +65,17 @@ type StorageServer struct {
 	FN    transport.Stack     // the host's frontend-facing stack (diagnostics)
 }
 
-// New builds and wires a cluster. It panics on impossible configurations
-// (construction errors are programming errors in experiment setup).
+// New builds and wires a cluster. It panics with cfg.Validate's error on
+// impossible configurations (construction errors are programming errors in
+// experiment setup).
 //
 //lint:barrier — construction time: partitions exist but no window has run
 func New(cfg Config) *Cluster {
 	if cfg.FN == Solar || cfg.FN == SolarStar {
 		cfg.BareMetal = true
 	}
-	if cfg.ComputeServers <= 0 || cfg.BlockServers <= 0 || cfg.ChunkServers < blockserver.Replicas {
-		panic("ebs: cluster needs computes, block servers, and >=3 chunk servers")
-	}
-	podCap := cfg.Fabric.RacksPerPod * cfg.Fabric.HostsPerRack
-	if cfg.ComputeServers > podCap {
-		panic(fmt.Sprintf("ebs: %d compute servers exceed pod capacity %d", cfg.ComputeServers, podCap))
-	}
-	if cfg.BlockServers+cfg.ChunkServers > podCap {
-		panic(fmt.Sprintf("ebs: %d storage servers exceed pod capacity %d",
-			cfg.BlockServers+cfg.ChunkServers, podCap))
-	}
-	if cfg.CrossDC && (cfg.Fabric.DCs < 2 || cfg.Fabric.DCRouters < 1) {
-		panic("ebs: CrossDC requires >=2 DCs and >=1 DC router in the fabric")
-	}
-	if cfg.Edge && cfg.FN != Solar {
-		panic("ebs: Edge mode integrates the Solar-era DPU; set FN to Solar")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 
 	parts := cfg.CoupledParts

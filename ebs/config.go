@@ -17,10 +17,11 @@
 package ebs
 
 import (
+	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
+	"lunasolar/internal/blockserver"
 	"lunasolar/internal/cc"
 	"lunasolar/internal/chunkserver"
 	"lunasolar/internal/core"
@@ -182,34 +183,9 @@ func ParseFidelity(s string) (Fidelity, error) {
 	return FidelityPacket, fmt.Errorf("unknown fidelity %q (want packet or hybrid)", s)
 }
 
-// defaultCC is the process-wide default for Config.CC — the ebsbench -cc
-// hatch. Like simnet.SetZeroCopy it is flipped once before experiments
-// fan out, never mid-run.
-//
-//lint:hatch cc
-var defaultCC atomic.Int32
-
-// SetDefaultCC sets the controller kind DefaultConfig assigns to Config.CC.
-func SetDefaultCC(k cc.Kind) { defaultCC.Store(int32(k)) }
-
-// DefaultCC returns the process-wide default controller kind.
-func DefaultCC() cc.Kind { return cc.Kind(defaultCC.Load()) }
-
-// defaultFidelity is the process-wide default for Config.Fidelity — the
-// ebsbench -fidelity hatch, flipped once before experiments fan out.
-//
-//lint:hatch fidelity
-var defaultFidelity atomic.Int32
-
-// SetDefaultFidelity sets the mode DefaultConfig assigns to
-// Config.Fidelity.
-func SetDefaultFidelity(f Fidelity) { defaultFidelity.Store(int32(f)) }
-
-// DefaultFidelity returns the process-wide default fidelity mode.
-func DefaultFidelity() Fidelity { return Fidelity(defaultFidelity.Load()) }
-
 // DefaultConfig returns a cluster sized like the Table 2 testbed scaled
-// down: one compute pod and one storage pod in a single DC.
+// down: one compute pod and one storage pod in a single DC. CC and Fidelity
+// are left at their zero values (static window, packet fidelity).
 func DefaultConfig(fn StackKind) Config {
 	fab := simnet.DefaultConfig()
 	fab.RacksPerPod = 4
@@ -225,8 +201,6 @@ func DefaultConfig(fn StackKind) Config {
 		StorageCores:   16,
 		DPU:            dpu.DefaultConfig(),
 		SSD:            chunkserver.DefaultSSD(),
-		CC:             DefaultCC(),
-		Fidelity:       DefaultFidelity(),
 		Seed:           1,
 	}
 	if fn == KernelTCP {
@@ -236,6 +210,47 @@ func DefaultConfig(fn StackKind) Config {
 		cfg.BareMetal = true
 	}
 	return cfg
+}
+
+// Validate reports why cfg cannot be built into a cluster; nil means New
+// accepts it.
+func (cfg Config) Validate() error { return cfg.validate(false) }
+
+// validate is the one place a composition is accepted or rejected. With
+// ctrlPlane set it also applies the control plane's preconditions: it
+// mutates cross-server state synchronously, which is only sound when one
+// engine owns everything.
+func (cfg Config) validate(ctrlPlane bool) error {
+	if cfg.ComputeServers <= 0 || cfg.BlockServers <= 0 || cfg.ChunkServers < blockserver.Replicas {
+		return errors.New("ebs: cluster needs computes, block servers, and >=3 chunk servers")
+	}
+	podCap := cfg.Fabric.RacksPerPod * cfg.Fabric.HostsPerRack
+	if cfg.ComputeServers > podCap {
+		return fmt.Errorf("ebs: %d compute servers exceed pod capacity %d", cfg.ComputeServers, podCap)
+	}
+	if cfg.BlockServers+cfg.ChunkServers > podCap {
+		return fmt.Errorf("ebs: %d storage servers exceed pod capacity %d",
+			cfg.BlockServers+cfg.ChunkServers, podCap)
+	}
+	if cfg.CrossDC && (cfg.Fabric.DCs < 2 || cfg.Fabric.DCRouters < 1) {
+		return errors.New("ebs: CrossDC requires >=2 DCs and >=1 DC router in the fabric")
+	}
+	if cfg.Edge && cfg.FN != Solar {
+		return errors.New("ebs: Edge mode integrates the Solar-era DPU; set FN to Solar")
+	}
+	if cfg.CC > cc.KindSwift {
+		return fmt.Errorf("ebs: unknown congestion controller %d", cfg.CC)
+	}
+	if cfg.Fidelity != FidelityPacket && cfg.Fidelity != FidelityHybrid {
+		return fmt.Errorf("ebs: unknown fidelity %d", cfg.Fidelity)
+	}
+	if ctrlPlane && cfg.CoupledParts > 1 {
+		return errors.New("ebs: control plane requires a serial cluster (CoupledParts <= 1)")
+	}
+	if ctrlPlane && cfg.Edge {
+		return errors.New("ebs: control plane does not support Edge mode")
+	}
+	return nil
 }
 
 // QoS builds a service level with the given IOPS and bandwidth.

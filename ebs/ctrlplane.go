@@ -52,18 +52,13 @@ type ControlPlane struct {
 }
 
 // ControlPlane returns the cluster's management service, creating it on
-// first use. It panics on coupled or Edge clusters: the control plane
-// mutates cross-server state synchronously, which is only sound when one
-// engine owns everything.
+// first use. It panics on coupled or Edge clusters (see Config.validate).
 func (c *Cluster) ControlPlane() *ControlPlane {
 	if c.ctrlPlane != nil {
 		return c.ctrlPlane
 	}
-	if len(c.engines) > 1 {
-		panic("ebs: control plane requires a serial cluster (CoupledParts <= 1)")
-	}
-	if c.cfg.Edge {
-		panic("ebs: control plane does not support Edge mode")
+	if err := c.cfg.validate(true); err != nil {
+		panic(err)
 	}
 	cp := &ControlPlane{
 		c:           c,

@@ -96,14 +96,3 @@ func TestEdgeModeDisksAreLocal(t *testing.T) {
 		}
 	}
 }
-
-func TestEdgeRequiresSolar(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("edge with luna accepted")
-		}
-	}()
-	cfg := smallConfig(Luna)
-	cfg.Edge = true
-	New(cfg)
-}

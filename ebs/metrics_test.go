@@ -12,10 +12,6 @@ import (
 // ExportMetrics on a driven Solar cluster must include per-component
 // latency histograms, network telemetry, and per-path INT summaries.
 func TestClusterExportMetrics(t *testing.T) {
-	prev := simnet.TelemetryEnabled()
-	simnet.SetTelemetry(true)
-	defer simnet.SetTelemetry(prev)
-
 	c := testCluster(t, Solar)
 	vd := c.MustProvision(0, 64<<20, DefaultQoS())
 	data := fill(32<<10, 0x5a)

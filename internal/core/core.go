@@ -172,12 +172,11 @@ type Stack struct {
 	nextEphem  uint16
 	randomizer *sim.Rand
 
-	// Scratch policy for the FPGA CRC engine when the block under the
-	// engine aliases trusted shared memory (zero-copy mode): a datapath
-	// fault must not corrupt the guest's bytes, so it is materialised into
-	// a private pooled slab. crcScratchFn is allocated once here; the slab
-	// it produced (if any) is parked in crcScratchSlab for the caller to
-	// adopt or release.
+	// Scratch policy for the FPGA CRC engine: the block under the engine
+	// aliases trusted shared memory and a datapath fault must not corrupt
+	// the guest's bytes, so it is materialised into a private pooled
+	// slab. crcScratchFn is allocated once here; the slab it produced (if
+	// any) is parked in crcScratchSlab for the caller to adopt or release.
 	crcScratchFn   func([]byte) []byte
 	crcScratchSlab *simnet.Slab
 

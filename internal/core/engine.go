@@ -81,24 +81,21 @@ func (s *Stack) callWrite(dst uint32, req *transport.Message, done func(*transpo
 	issueCPU := s.params.PerRPCIssueCPU
 	s.cores.Submit(issueCPU, func() {
 		pe := s.peerFor(dst)
-		zero := simnet.ZeroCopy()
 		// One-touch CRC metadata from SA ingress: valid only when it covers
 		// exactly the bytes we transmit (no SEC re-encryption here). The
 		// values feed both the trusted aggregate and the engine's cached
-		// input, in both data-path modes, so -copy-path stays byte-identical.
+		// input.
 		carried := req.BlockCRCs
 		if len(carried) != n || s.params.Encrypted {
 			carried = nil
 		}
-		// In zero-copy mode unencrypted blocks ride the caller's buffer by
-		// reference; ioSlab is the shared refcount for all of them.
+		// Unencrypted blocks ride the caller's buffer by reference; ioSlab
+		// is the shared refcount for all of them.
 		var ioSlab *simnet.Slab
-		if zero {
-			if req.Payload != nil {
-				ioSlab = req.Payload.Retain()
-			} else {
-				ioSlab = s.pool.WrapSlab(req.Data)
-			}
+		if req.Payload != nil {
+			ioSlab = req.Payload.Retain()
+		} else {
+			ioSlab = s.pool.WrapSlab(req.Data)
 		}
 		for i := 0; i < n; i++ {
 			lo := i * wire.BlockSize
@@ -107,24 +104,18 @@ func (s *Stack) callWrite(dst uint32, req *transport.Message, done func(*transpo
 				hi = len(req.Data)
 			}
 			orig := req.Data[lo:hi]
-			var paySlab *simnet.Slab // zero-copy: one owned reference to place
+			var paySlab *simnet.Slab // one owned reference to place
 			if s.params.Encrypted {
 				if c := s.ciphers[req.VDisk]; c != nil {
 					// SEC engine: the trusted payload becomes the
 					// ciphertext; CRCs (wire and aggregate) cover it.
-					if zero {
-						paySlab = s.pool.GetSlab(len(orig))
-						enc := paySlab.Bytes()
-						c.EncryptBlock(enc, orig, req.SegmentID, req.LBA+uint64(lo), 0)
-						orig = enc
-					} else {
-						enc := make([]byte, len(orig))
-						c.EncryptBlock(enc, orig, req.SegmentID, req.LBA+uint64(lo), 0)
-						orig = enc
-					}
+					paySlab = s.pool.GetSlab(len(orig))
+					enc := paySlab.Bytes()
+					c.EncryptBlock(enc, orig, req.SegmentID, req.LBA+uint64(lo), 0)
+					orig = enc
 				}
 			}
-			if zero && paySlab == nil {
+			if paySlab == nil {
 				paySlab = ioSlab.Retain()
 			}
 			w.blocks = append(w.blocks, orig)
@@ -135,31 +126,20 @@ func (s *Stack) callWrite(dst uint32, req *transport.Message, done func(*transpo
 			}
 
 			e := s.newOutPkt()
-			var tx []byte
-			var sum uint32
-			if zero {
-				// What streams through the FPGA is the trusted buffer
-				// itself; a datapath fault materialises a private scratch
-				// copy instead of corrupting it (see txCRC).
-				tx = orig
-				var corrupted []byte
-				sum, corrupted = s.txCRC(tx, carriedSum, haveCarried, true)
-				if corrupted != nil {
-					tx = corrupted
-					e.slab = s.crcScratchSlab
-					s.crcScratchSlab = nil
-					// The trusted bytes must outlive the packet: the RPC
-					// adopts the displaced payload reference.
-					w.slabs = append(w.slabs, paySlab)
-				} else {
-					e.slab = paySlab
-				}
+			// What streams through the FPGA is the trusted buffer itself; a
+			// datapath fault materialises a private scratch copy instead of
+			// corrupting it (see txCRC).
+			tx := orig
+			sum, corrupted := s.txCRC(tx, carriedSum, haveCarried)
+			if corrupted != nil {
+				tx = corrupted
+				e.slab = s.crcScratchSlab
+				s.crcScratchSlab = nil
+				// The trusted bytes must outlive the packet: the RPC
+				// adopts the displaced payload reference.
+				w.slabs = append(w.slabs, paySlab)
 			} else {
-				tx = s.pool.GetBuf(len(orig)) // what streams through the FPGA
-				copy(tx, orig)
-				s.pool.CountCopy(len(orig))
-				sum, _ = s.txCRC(tx, carriedSum, haveCarried, false)
-				e.payloadPooled = true
+				e.slab = paySlab
 			}
 
 			// Software CRC aggregation: the CPU folds the trusted per-block
@@ -188,9 +168,7 @@ func (s *Stack) callWrite(dst uint32, req *transport.Message, done func(*transpo
 			e.size = wire.RPCSize + wire.EBSSize + len(tx)
 			w.pkts = append(w.pkts, e)
 		}
-		if ioSlab != nil {
-			ioSlab.Release()
-		}
+		ioSlab.Release()
 
 		// Software integrity pass: one XOR-accumulate per block (or a full
 		// CRC per block when so configured — the ablation knob).
@@ -221,18 +199,14 @@ func (s *Stack) callWrite(dst uint32, req *transport.Message, done func(*transpo
 
 // txCRC runs the outbound CRC stage for one block. carried/haveCarried is
 // the block's one-touch raw CRC from SA ingress, sparing the engine model
-// a host-side byte walk on the fault-free path. With shared set (zero-copy
-// mode) tx aliases trusted memory, so a datapath fault is materialised
-// into a pooled scratch slab — parked in s.crcScratchSlab, corrupted bytes
-// returned — instead of being flipped in place. The fault lottery draws
-// identically either way.
-func (s *Stack) txCRC(tx []byte, carried uint32, haveCarried, shared bool) (uint32, []byte) {
+// a host-side byte walk on the fault-free path. tx aliases trusted memory,
+// so a datapath fault is materialised into a pooled scratch slab — parked
+// in s.crcScratchSlab, corrupted bytes returned — instead of being flipped
+// in place.
+func (s *Stack) txCRC(tx []byte, carried uint32, haveCarried bool) (uint32, []byte) {
 	if s.params.Mode == Offloaded && s.card != nil {
 		// FPGA engine: fault-injectable.
-		if shared {
-			return s.card.ComputeCRCShared(tx, carried, haveCarried, s.crcScratchFn)
-		}
-		return s.card.ComputeCRCShared(tx, carried, haveCarried, scratchSelf)
+		return s.card.ComputeCRCShared(tx, carried, haveCarried, s.crcScratchFn)
 	}
 	// CPUPath/StorageServer: software CRC (trusted), charged to the CPU.
 	s.cores.Submit(s.params.SoftCRCPer4K, nil)
@@ -241,9 +215,6 @@ func (s *Stack) txCRC(tx []byte, carried uint32, haveCarried, shared bool) (uint
 	}
 	return crc.Raw(tx), nil
 }
-
-// scratchSelf lets the DPU fault a private buffer in place (copy-path).
-func scratchSelf(b []byte) []byte { return b }
 
 // --- READ path --------------------------------------------------------------
 
@@ -367,11 +338,9 @@ func (s *Stack) transmitOn(pe *peer, p *path, e *outPkt) {
 }
 
 // buildWire encodes e into a pooled frame addressed down the given path.
-// With a payload slab (zero-copy mode) the frame carries headers only and
-// the block rides as a refcounted fragment — the NIC's gather DMA; each
-// (re)transmission attaches its own reference. On the -copy-path hatch the
-// payload is copied into a flat frame as the seed code did. WireSize is
-// identical either way.
+// The frame carries headers only; a payload block rides as a refcounted
+// fragment of e.slab — the NIC's gather DMA — and each (re)transmission
+// attaches its own reference.
 //
 //lint:hotpath
 func (s *Stack) buildWire(e *outPkt, pathID uint16) *simnet.Packet {
@@ -379,25 +348,12 @@ func (s *Stack) buildWire(e *outPkt, pathID uint16) *simnet.Packet {
 		RPCID: e.key.rpcID, PktID: e.key.pktID,
 		NumPkts: 1, MsgType: e.msgType, Flags: e.flags,
 	}
-	var pkt *simnet.Packet
+	pkt := s.pool.Get(wire.HeadersSize)
+	if err := wire.EncodeHeaders(pkt.Payload, &rpc, &e.ebs); err != nil {
+		panic(err)
+	}
 	if e.slab != nil {
-		pkt = s.pool.Get(wire.HeadersSize)
-		if err := wire.EncodeHeaders(pkt.Payload, &rpc, &e.ebs); err != nil {
-			panic(err)
-		}
 		pkt.AttachFrag(e.slab, e.payload)
-	} else {
-		pkt = s.pool.Get(e.size)
-		if err := rpc.Encode(pkt.Payload); err != nil {
-			panic(err)
-		}
-		if err := e.ebs.Encode(pkt.Payload[wire.RPCSize:]); err != nil {
-			panic(err)
-		}
-		if len(e.payload) > 0 {
-			copy(pkt.Payload[wire.RPCSize+wire.EBSSize:], e.payload)
-			s.pool.CountCopy(len(e.payload))
-		}
 	}
 	pkt.Dst = e.pe.addr
 	pkt.Proto = wire.ProtoUDP

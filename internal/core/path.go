@@ -38,7 +38,7 @@ type path struct {
 
 	sent, acked, failed uint64
 
-	tele pathTelemetry // INT summary, folded while telemetry is enabled
+	tele pathTelemetry // INT summary folded from echoed acks
 }
 
 // outRef is a generation-checked reference into a path's send queue.
@@ -63,22 +63,20 @@ type outPkt struct {
 	payload []byte
 	size    int // wire payload size (headers + data)
 
-	// slab owns the payload bytes in zero-copy mode: every (re)transmitted
-	// frame attaches it as a fragment, and the reference is released when
-	// the packet is recycled. Nil on the -copy-path hatch, where payload is
-	// a pooled deep copy tracked by payloadPooled instead.
+	// slab owns the payload bytes: every (re)transmitted frame attaches it
+	// as a fragment, and the reference is released when the packet is
+	// recycled. Nil on header-only packets (read requests, rejects).
 	slab *simnet.Slab
 
-	owner         *Stack
-	pe            *peer
-	path          *path
-	retx          transport.Retransmitter // per-packet RTO; Consecutive() doubles as the retry count
-	gen           uint32                  // bumped on recycle; validates outRefs
-	payloadPooled bool                    // payload returns to the buffer pool on recycle
-	sentAck       uint64                  // path.ackCount at (re)send, for OOO loss detection
-	sentAt        sim.Time
-	acked         bool
-	firstSend     sim.Time
+	owner     *Stack
+	pe        *peer
+	path      *path
+	retx      transport.Retransmitter // per-packet RTO; Consecutive() doubles as the retry count
+	gen       uint32                  // bumped on recycle; validates outRefs
+	sentAck   uint64                  // path.ackCount at (re)send, for OOO loss detection
+	sentAt    sim.Time
+	acked     bool
+	firstSend sim.Time
 }
 
 type pktKey struct {

@@ -35,16 +35,12 @@ func (s *Stack) newOutPkt() *outPkt {
 const maxRetxExp = 3
 
 // freeOutPkt recycles an acknowledged packet record: the retransmission
-// timer dies, the pooled payload goes back to the buffer pool, and the
-// generation bump turns any surviving outRef into a no-op. The record wipe
-// clears the embedded retransmitter, so it is rebound here.
+// timer dies, the payload slab reference is dropped, and the generation
+// bump turns any surviving outRef into a no-op. The record wipe clears the
+// embedded retransmitter, so it is rebound here.
 func (s *Stack) freeOutPkt(e *outPkt) {
 	e.retx.Disarm()
-	if e.slab != nil {
-		e.slab.Release()
-	} else if e.payloadPooled && e.payload != nil {
-		s.pool.PutBuf(e.payload)
-	}
+	e.slab.Release() // nil (header-only packet) is a no-op
 	gen := e.gen + 1
 	*e = outPkt{owner: s, gen: gen}
 	e.retx.Init(s.eng, nil, maxRetxExp, timerExpired, e)
@@ -89,11 +85,11 @@ func wireTxPCIe(a any) {
 	x.s.card.PCIe.TransferArg(2*x.n, wireTxSend, x)
 }
 
-// getMsg builds a pooled server-side request envelope with a pooled Data
-// buffer of dataLen bytes. The envelope is valid until the handler's reply
-// returns; handlers that need the data longer must copy it (every service
-// in this repo already does).
-func (s *Stack) getMsg(dataLen int) *transport.Message {
+// getMsg builds a pooled server-side request envelope. The envelope (and
+// the payload slab reference a write attaches to it) is valid until the
+// handler's reply returns; handlers that need the data longer must retain
+// or copy it.
+func (s *Stack) getMsg() *transport.Message {
 	var m *transport.Message
 	if n := len(s.freeMsgs); n > 0 {
 		m = s.freeMsgs[n-1]
@@ -102,18 +98,11 @@ func (s *Stack) getMsg(dataLen int) *transport.Message {
 	} else {
 		m = &transport.Message{}
 	}
-	if dataLen > 0 {
-		m.Data = s.pool.GetBuf(dataLen)
-	}
 	return m
 }
 
 func (s *Stack) putMsg(m *transport.Message) {
-	if m.Payload != nil {
-		m.Payload.Release() // m.Data aliases the slab: one release, no PutBuf
-	} else if m.Data != nil {
-		s.pool.PutBuf(m.Data)
-	}
+	m.Payload.Release() // m.Data aliases the slab; nil on reads
 	crcs := m.BlockCRCs
 	*m = transport.Message{}
 	if crcs != nil {

@@ -124,19 +124,12 @@ func (s *Stack) handleWriteBlock(pkt *simnet.Packet, rpc wire.RPC, rest []byte) 
 		pkt.Release()
 		return
 	}
-	var req *transport.Message
-	if frag := pkt.FragSlab(); frag != nil {
-		// Zero-copy: the request references the frame's payload slab; the
-		// retained reference keeps the bytes alive for the block service
-		// (and its replica fan-out) until the envelope is recycled.
-		req = s.getMsg(0)
-		req.Data = payload
-		req.Payload = frag.Retain()
-	} else {
-		req = s.getMsg(len(payload))
-		copy(req.Data, payload)
-		s.pool.CountCopy(len(payload))
-	}
+	// The request references the frame's payload slab; the retained
+	// reference keeps the bytes alive for the block service (and its
+	// replica fan-out) until the envelope is recycled.
+	req := s.getMsg()
+	req.Data = payload
+	req.Payload = pkt.FragSlab().Retain()
 	req.Op = wire.RPCWriteReq
 	req.VDisk = ebs.VDisk
 	req.SegmentID = ebs.SegmentID
@@ -174,7 +167,7 @@ func (s *Stack) handleReadReq(pkt *simnet.Packet, rpc wire.RPC, rest []byte) {
 	if s.handler == nil {
 		return
 	}
-	req := s.getMsg(0)
+	req := s.getMsg()
 	req.Op = wire.RPCReadReq
 	req.VDisk = ebs.VDisk
 	req.SegmentID = ebs.SegmentID
@@ -223,10 +216,10 @@ func (s *Stack) serveReadBlocks(key serveKey, req *transport.Message, resp *tran
 	if len(carried) != n {
 		carried = nil
 	}
-	// Zero-copy: every response block references the service's buffer
-	// through one shared slab instead of a pooled copy per block.
+	// Every response block references the service's buffer through one
+	// shared slab.
 	var ioSlab *simnet.Slab
-	if simnet.ZeroCopy() && n > 0 {
+	if n > 0 {
 		ioSlab = s.pool.WrapSlab(data)
 	}
 	for i := 0; i < n; i++ {
@@ -257,22 +250,13 @@ func (s *Stack) serveReadBlocks(key serveKey, req *transport.Message, resp *tran
 			ServerNS: uint32(resp.ServerWall.Nanoseconds()),
 			SSDNS:    uint32(resp.SSDTime.Nanoseconds()),
 		}
-		if ioSlab != nil {
-			e.payload = block
-			e.slab = ioSlab.Retain()
-		} else {
-			e.payload = s.pool.GetBuf(len(block))
-			copy(e.payload, block)
-			s.pool.CountCopy(len(block))
-			e.payloadPooled = true
-		}
+		e.payload = block
+		e.slab = ioSlab.Retain()
 		e.size = wire.RPCSize + wire.EBSSize + len(block)
 		sv.pkts = append(sv.pkts, e)
 		sv.unacked++
 	}
-	if ioSlab != nil {
-		ioSlab.Release()
-	}
+	ioSlab.Release()
 	for _, e := range sv.pkts {
 		s.sendPkt(pe, e)
 	}
@@ -343,16 +327,12 @@ func (s *Stack) commitReadBlock(pkt *simnet.Packet, rpc wire.RPC, ebs wire.EBS, 
 	var engineSum uint32
 	var scratch *simnet.Slab
 	if s.params.Mode == Offloaded && s.card != nil {
-		// In zero-copy mode the payload fragment aliases the server's
-		// slab (shared with its retransmit queue), so a datapath fault is
-		// materialised into private scratch instead of flipped in place.
-		// Either way the same corrupt bytes reach guest memory below.
-		policy := scratchSelf
-		if pkt.FragSlab() != nil {
-			policy = s.crcScratchFn
-		}
+		// The payload fragment aliases the server's slab (shared with its
+		// retransmit queue), so a datapath fault is materialised into
+		// private scratch instead of flipped in place; the corrupt bytes
+		// reach guest memory below.
 		var corrupted []byte
-		engineSum, corrupted = s.card.ComputeCRCShared(payload, 0, false, policy)
+		engineSum, corrupted = s.card.ComputeCRCShared(payload, 0, false, s.crcScratchFn)
 		if corrupted != nil {
 			payload = corrupted
 			scratch = s.crcScratchSlab
@@ -467,9 +447,7 @@ func (s *Stack) runAck(j *ackJob) {
 		p.maxAckedSeq = e.pathSeq
 	}
 	rttSample := s.eng.Now().Sub(e.sentAt)
-	if simnet.TelemetryEnabled() {
-		foldINT(&p.tele, j.intStack.Hops, ack.ECNMarked)
-	}
+	foldINT(&p.tele, j.intStack.Hops, ack.ECNMarked)
 	if e.retx.Consecutive() == 0 { // Karn: only sample unambiguous transmissions
 		p.observe(rttSample, cc.Feedback{
 			RTT:        rttSample,
@@ -563,10 +541,9 @@ func (s *Stack) repairAndResend(peerAddr uint32, e *outPkt) {
 	if e.msgType == wire.RPCWriteReq {
 		if w := s.writes[e.key.rpcID]; w != nil {
 			orig := w.blocks[e.key.pktID]
-			// In zero-copy mode the payload may BE the trusted buffer (the
-			// rejection was a CRC-value flip, not data corruption) — only
-			// repair bytes when they live elsewhere (a corruption-scratch
-			// slab, or the copy-path's pooled copy; same length either way).
+			// The payload may BE the trusted buffer (the rejection was a
+			// CRC-value flip, not data corruption) — only repair bytes when
+			// they live elsewhere (a corruption-scratch slab, same length).
 			if len(e.payload) == 0 || len(orig) == 0 || &e.payload[0] != &orig[0] {
 				copy(e.payload, orig)
 			}

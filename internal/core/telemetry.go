@@ -12,8 +12,8 @@ import (
 
 // pathTelemetry folds the per-hop INT stacks echoed on a path's acks into
 // a per-path summary (§4.5: per-packet ACKs carry echoed INT, making path
-// condition observable end to end). Updated only while
-// simnet.TelemetryEnabled, off the hot path (ack processing).
+// condition observable end to end). Updated on ack processing; the summary
+// never feeds back into path selection or congestion control.
 type pathTelemetry struct {
 	acksWithINT uint64 // acks that carried a non-empty INT stack
 	ecnAcks     uint64 // acks with the CE echo set

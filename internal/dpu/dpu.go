@@ -143,8 +143,7 @@ func corruptInPlace(b []byte) []byte { return b }
 //
 // The fault lottery and flip positions draw from exactly the same random
 // sequence as ComputeCRC, so a given seed corrupts the same blocks the
-// same way regardless of which entry point — or which data-path mode —
-// the caller uses.
+// same way regardless of which entry point the caller uses.
 func (d *DPU) ComputeCRCShared(data []byte, cached uint32, haveCached bool, scratch func([]byte) []byte) (uint32, []byte) {
 	if d.Cfg.Faults.DataBitFlip > 0 && d.rand.Bernoulli(d.Cfg.Faults.DataBitFlip) {
 		d.dataFlips++

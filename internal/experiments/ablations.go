@@ -101,7 +101,7 @@ func Ablations(opts Options) *Table {
 // ablatePaths measures slow I/Os and write p99 with the given path count
 // and failover setting while both spines silently blackhole 25% of flows.
 func ablatePaths(opts Options, paths int, failover bool) (slow int, p99 time.Duration, _ *ebs.Cluster) {
-	cfg := clusterConfig(ebs.Solar, opts.Seed)
+	cfg := clusterConfig(opts, ebs.Solar)
 	p := ebs.SolarStackParams(ebs.Solar, false)
 	p.NumPaths = paths
 	if !failover {
@@ -171,7 +171,7 @@ func ablateShareNothing(opts Options, locked bool) (gbps, cores float64, eng *si
 // ablateCRC measures sustainable 4K write IOPS on one DPU core with the
 // aggregation strategy vs a full software CRC per block.
 func ablateCRC(opts Options, fullCRC bool) (float64, *ebs.Cluster) {
-	cfg := clusterConfig(ebs.Solar, opts.Seed)
+	cfg := clusterConfig(opts, ebs.Solar)
 	cfg.DPU.CPUCores = 1
 	cfg.ComputeServers = 1
 	p := ebs.SolarStackParams(ebs.Solar, false)
@@ -203,7 +203,7 @@ func ablateCRC(opts Options, fullCRC bool) (float64, *ebs.Cluster) {
 // ablateAddr measures total Addr-table admission wait with depth-64 reads
 // of 64 KiB against the given table capacity.
 func ablateAddr(opts Options, entries int) (time.Duration, *ebs.Cluster) {
-	cfg := clusterConfig(ebs.Solar, opts.Seed)
+	cfg := clusterConfig(opts, ebs.Solar)
 	cfg.ComputeServers = 1
 	cfg.DPU.MaxAddrEntries = entries
 	c := ebs.New(cfg)

@@ -58,9 +58,8 @@ func cellStats(cell *CCCell, c *ebs.Cluster, h *stats.Histogram, bytesMoved int)
 // the responses fan in on the compute ToR's one downlink — the classic
 // storage incast the paper's Solar evolution is built to survive.
 func ccIncastCell(opts Options, kind cc.Kind) (CCCell, *ebs.Cluster) {
-	cfg := ebs.DefaultConfig(ebs.RDMA)
+	cfg := opts.config(ebs.RDMA)
 	cfg.CC = kind
-	cfg.Seed = opts.Seed
 	cfg.ComputeServers = 1
 	cfg.BlockServers = opts.scale(12, 8)
 	cfg.ChunkServers = 4
@@ -164,9 +163,8 @@ func ccWriteStorm(c *ebs.Cluster, vds []*ebs.VDisk, seed int64, wr, depth, count
 // is thinned from fully provisioned to 4:1 oversubscribed, concentrating
 // the inter-pod load on fewer uplinks.
 func ccSpineCell(opts Options, kind cc.Kind, spines int) (CCCell, *ebs.Cluster) {
-	cfg := ebs.DefaultConfig(ebs.RDMA)
+	cfg := opts.config(ebs.RDMA)
 	cfg.CC = kind
-	cfg.Seed = opts.Seed
 	cfg.Fabric.SpinesPerPod = spines
 	cfg.ComputeServers = 8
 	cfg.BlockServers = 4
@@ -213,9 +211,8 @@ func SpineOversub(opts Options) *Table {
 // mice tail shows how well the controller protects latency-sensitive I/O
 // from bandwidth hogs sharing the fabric.
 func ccElephantMiceCell(opts Options, kind cc.Kind) (CCCell, *ebs.Cluster) {
-	cfg := ebs.DefaultConfig(ebs.RDMA)
+	cfg := opts.config(ebs.RDMA)
 	cfg.CC = kind
-	cfg.Seed = opts.Seed
 	c := ebs.New(cfg)
 
 	elephants := []*ebs.VDisk{

@@ -4,33 +4,42 @@ import (
 	"fmt"
 	"testing"
 
-	"lunasolar/ebs"
 	"lunasolar/internal/cc"
 )
 
-// TestCCDefaultHatchIdentity is the -cc hatch's in-process gate, the Go
-// counterpart of `make cc-diff`: naming the default controller explicitly
-// must be byte-identical to leaving the hatch untouched, which pins the
-// hatch default to the static RC baseline. It drives the cliff experiment
-// — the raw-stack path that honors the process-wide default — so a drifted
-// default or broken SetDefaultCC plumbing shows up as output divergence.
-//
-// The test flips the process-wide controller default, so it does not run
-// in parallel with anything else.
-//
-//lint:gate cc
-func TestCCDefaultHatchIdentity(t *testing.T) {
+// TestCliffMixedCCConcurrent runs the cliff experiment — the raw-stack
+// path that takes its controller from Options.CC — under static, DCQCN and
+// Swift as concurrent shards of one process: each must equal its own solo
+// run (one mode in the process at a time), and the three must differ.
+// Modes are plain values, so mixing them across goroutines needs no
+// save/restore.
+func TestCliffMixedCCConcurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster experiment")
 	}
-	prev := ebs.DefaultCC()
-	defer ebs.SetDefaultCC(prev)
-	untouched := RDMACliff(Options{Seed: 7, Quick: true, Workers: 1}).Format()
-	ebs.SetDefaultCC(cc.KindStatic)
-	explicit := RDMACliff(Options{Seed: 7, Quick: true, Workers: 1}).Format()
-	if untouched != explicit {
-		t.Fatalf("explicit -cc static diverged from the untouched default\n--- default ---\n%s\n--- static ---\n%s", untouched, explicit)
+	cliff := func(k cc.Kind) string {
+		return RDMACliff(Options{Seed: 7, Quick: true, CC: k}).Format()
 	}
+	kinds := cc.Kinds()
+	solo := make([]string, len(kinds))
+	for i, k := range kinds {
+		solo[i] = cliff(k)
+		for j := 0; j < i; j++ {
+			if solo[i] == solo[j] {
+				t.Fatalf("-cc %s and -cc %s produced identical cliff tables:\n%s", kinds[j], k, solo[i])
+			}
+		}
+	}
+	t.Run("concurrent", func(t *testing.T) {
+		for i, k := range kinds {
+			t.Run(k.String(), func(t *testing.T) {
+				t.Parallel()
+				if got := cliff(k); got != solo[i] {
+					t.Fatalf("concurrent run diverged from its solo run\n--- solo ---\n%s\n--- concurrent ---\n%s", solo[i], got)
+				}
+			})
+		}
+	})
 }
 
 // TestCCMatrixDeterminism gates the CC-matrix experiments the same way

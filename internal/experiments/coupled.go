@@ -22,7 +22,7 @@ const coupledParts = 4
 // interconnect — which is also the conservative lookahead, so each
 // barrier-to-barrier window is wide enough to keep four partitions busy.
 func coupledConfig(opts Options) ebs.Config {
-	cfg := ebs.DefaultConfig(ebs.Solar)
+	cfg := opts.config(ebs.Solar)
 	cfg.Fabric.RacksPerPod = 8
 	cfg.Fabric.HostsPerRack = 8
 	cfg.Fabric.SpinesPerPod = 4
@@ -32,7 +32,6 @@ func coupledConfig(opts Options) ebs.Config {
 	cfg.ChunkServers = 24
 	cfg.CoupledParts = coupledParts
 	cfg.CoupledWorkers = opts.CoupledWorkers
-	cfg.Seed = opts.Seed
 	return cfg
 }
 

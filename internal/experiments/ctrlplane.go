@@ -44,7 +44,7 @@ type ProvisionStormCell struct {
 // snapshotted and cloned, a fifth deleted — then every surviving volume
 // takes one 4 KiB write to prove the data path works.
 func provisionStormCell(opts Options, fn ebs.StackKind) (ProvisionStormCell, *ebs.Cluster) {
-	c := ebs.New(clusterConfig(fn, opts.Seed))
+	c := ebs.New(clusterConfig(opts, fn))
 	cp := c.ControlPlane()
 	cell := ProvisionStormCell{Stack: fn.String()}
 
@@ -185,7 +185,7 @@ type DrainCell struct {
 // drainCell seeds every segment of two volumes, opens a 4 KiB write storm
 // across both, and drains chunk server 0 one millisecond in.
 func drainCell(opts Options, fn ebs.StackKind) (DrainCell, *ebs.Cluster) {
-	c := ebs.New(clusterConfig(fn, opts.Seed))
+	c := ebs.New(clusterConfig(opts, fn))
 	cp := c.ControlPlane()
 	cell := DrainCell{Stack: fn.String()}
 
@@ -304,7 +304,7 @@ type NoisyCell struct {
 // a closed-loop 64 KiB aggressor on the same compute server. mode selects
 // the aggressor's presence and whether its tenant is rate-capped.
 func noisyCell(opts Options, mode string) (NoisyCell, *ebs.Cluster) {
-	c := ebs.New(clusterConfig(ebs.Solar, opts.Seed))
+	c := ebs.New(clusterConfig(opts, ebs.Solar))
 	cp := c.ControlPlane()
 	cell := NoisyCell{Mode: mode}
 

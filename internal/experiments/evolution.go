@@ -98,7 +98,7 @@ func Fig7(opts Options) *Table {
 // measureMeanLatency runs a light mixed 4 KiB workload and returns the mean
 // of read and write average latency.
 func measureMeanLatency(opts Options, fn ebs.StackKind) (time.Duration, *ebs.Cluster) {
-	c := ebs.New(clusterConfig(fn, opts.Seed))
+	c := ebs.New(clusterConfig(opts, fn))
 	var vds []*ebs.VDisk
 	for i := 0; i < c.Computes(); i++ {
 		vds = append(vds, c.MustProvision(i, 128<<20, ebs.DefaultQoS()))

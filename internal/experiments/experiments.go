@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"lunasolar/ebs"
+	"lunasolar/internal/cc"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/sim/runtime"
 	"lunasolar/internal/simnet"
@@ -45,20 +46,31 @@ type Options struct {
 	// Telemetry, when set, has experiments that support it export each
 	// cluster's observability state (per-component latency histograms,
 	// per-switch counters, per-path INT summaries) into Table.Telemetry,
-	// merged in shard order under per-cell prefixes. It does not flip the
-	// simnet telemetry hatch — callers that want INT counters populated must
-	// also call simnet.SetTelemetry(true); the formatted table is identical
+	// merged in shard order under per-cell prefixes. The counters behind
+	// the export are always counted; the formatted table is identical
 	// either way.
 	Telemetry bool
-	// Fidelity selects the simulation fidelity of experiments that support
-	// hybrid fast-forward (currently Diurnal). The zero value is full
-	// packet fidelity; ebs.FidelityHybrid fluid-fast-forwards quiescent
-	// bulk flows (see internal/simnet/flow.go).
+	// Fidelity selects the simulation fidelity of every cluster the
+	// experiment builds (and of Diurnal's raw fabric). The zero value is
+	// full packet fidelity; ebs.FidelityHybrid fluid-fast-forwards
+	// quiescent bulk flows (see internal/simnet/flow.go).
 	Fidelity ebs.Fidelity
+	// CC selects the congestion controller of every RDMA stack the
+	// experiment builds (ebsbench -cc). The zero value is the static
+	// window; the CC-matrix experiments sweep all three regardless.
+	CC cc.Kind
 }
 
 // DefaultOptions returns the standard configuration.
 func DefaultOptions() Options { return Options{Seed: 1} }
+
+// config returns ebs.DefaultConfig(fn) carrying the run's seed and mode
+// selections — the one place Options reach an ebs.Config.
+func (o Options) config(fn ebs.StackKind) ebs.Config {
+	cfg := ebs.DefaultConfig(fn)
+	cfg.Seed, cfg.CC, cfg.Fidelity = o.Seed, o.CC, o.Fidelity
+	return cfg
+}
 
 // fleet returns a fresh share-nothing fleet for one experiment; its Perf is
 // attached to the experiment's Table so callers can report simulator

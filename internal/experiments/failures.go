@@ -110,12 +110,6 @@ func (hc *hangCounter) finish() int {
 	return hc.slow
 }
 
-// table2Window, when nonzero, overrides Table2's failure window. The wheel
-// differential test shortens the campaign: its property is output equality
-// between timer backends, not the hang counts themselves, and the full
-// window costs minutes per run.
-var table2Window time.Duration
-
 // Table2 regenerates the failure-scenario table: I/Os with no response for
 // one second or longer, Luna vs Solar, across seven network failure
 // scenarios.
@@ -125,9 +119,6 @@ func Table2(opts Options) *Table {
 		Columns: []string{"failure scenario", "LUNA", "SOLAR"},
 	}
 	window := time.Duration(opts.scale(3000, 1500)) * time.Millisecond
-	if table2Window > 0 {
-		window = table2Window
-	}
 	paper := []string{"0", "216", "0", "10/s", "123", "611", "1043"}
 	scenarios := table2Scenarios()
 	stacks := []ebs.StackKind{ebs.Luna, ebs.Solar}
@@ -142,7 +133,7 @@ func Table2(opts Options) *Table {
 	cells := runCells(fleet, len(scenarios)*len(stacks), func(shard int) (cellOut, *ebs.Cluster) {
 		sc := scenarios[shard/len(stacks)]
 		fn := stacks[shard%len(stacks)]
-		c := ebs.New(clusterConfig(fn, opts.Seed))
+		c := ebs.New(clusterConfig(opts, fn))
 		var vds []*ebs.VDisk
 		for ci := 0; ci < c.Computes(); ci++ {
 			vds = append(vds, c.MustProvision(ci, 128<<20, ebs.DefaultQoS()))
@@ -250,7 +241,8 @@ func Fig8(opts Options) *Table {
 		tier := draws[inc].tier
 		rr := sim.NewRand(draws[inc].seed)
 
-		cfg := clusterConfig(ebs.Luna, opts.Seed+int64(inc))
+		cfg := clusterConfig(opts, ebs.Luna)
+		cfg.Seed = opts.Seed + int64(inc)
 		cfg.Fabric.DCs = 2
 		cfg.Fabric.DCRouters = 2
 		cfg.Fabric.PodsPerDC = 1

@@ -63,7 +63,7 @@ func ebsDefaultDPU() (c struct{ PCIeBps float64 }) {
 
 // runFio measures goodput in MB/s for one (stack, cores, blocksize) cell.
 func runFio(opts Options, fn ebs.StackKind, cores int, blockSize int) (float64, *ebs.Cluster) {
-	cfg := clusterConfig(fn, opts.Seed)
+	cfg := clusterConfig(opts, fn)
 	cfg.BareMetal = true
 	cfg.DPU.CPUCores = cores
 	cfg.ComputeServers = 1

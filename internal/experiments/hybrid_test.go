@@ -30,8 +30,6 @@ func withinPct(t *testing.T, name string, got, want, tol float64) {
 // quantiles and goodput — while actually fast-forwarding (analytic
 // completions, fewer events) and actually demoting (the incast wave is
 // engineered to be max-min infeasible in every shard).
-//
-//lint:gate fidelity
 func TestHybridDifferential(t *testing.T) {
 	opts := Options{Seed: 1, Quick: true, Workers: 1}
 	pkt := DiurnalCampaign(opts, ebs.FidelityPacket)
@@ -123,16 +121,15 @@ func TestHybridFidelitySensitivity(t *testing.T) {
 	}
 }
 
-// TestHybridCCMatrixIdentity runs a CC-matrix scenario with the default
-// fidelity flipped to hybrid: ebs clusters carry no bulk flows, so the
+// TestHybridCCMatrixIdentity runs a CC-matrix scenario at hybrid
+// fidelity: ebs clusters carry no bulk flows, so the
 // fluid plane must be a pure bystander — formatted table and metric rows
 // byte-identical to the packet-fidelity run.
 func TestHybridCCMatrixIdentity(t *testing.T) {
 	opts := Options{Seed: 1, Quick: true, Workers: 1}
 	want := renderAll(t, Incast(opts), "incast", opts.Seed)
 
-	ebs.SetDefaultFidelity(ebs.FidelityHybrid)
-	defer ebs.SetDefaultFidelity(ebs.FidelityPacket)
+	opts.Fidelity = ebs.FidelityHybrid
 	got := renderAll(t, Incast(opts), "incast", opts.Seed)
 	if got != want {
 		t.Fatalf("hybrid fidelity perturbed the CC incast matrix:\n--- packet ---\n%s\n--- hybrid ---\n%s", want, got)

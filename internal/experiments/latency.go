@@ -12,8 +12,8 @@ import (
 
 // clusterConfig returns the shared evaluation cluster: 8 compute servers in
 // one pod, 3 block + 5 chunk servers in the other.
-func clusterConfig(fn ebs.StackKind, seed int64) ebs.Config {
-	cfg := ebs.DefaultConfig(fn)
+func clusterConfig(opts Options, fn ebs.StackKind) ebs.Config {
+	cfg := opts.config(fn)
 	cfg.Fabric.RacksPerPod = 2
 	cfg.Fabric.HostsPerRack = 4
 	cfg.Fabric.SpinesPerPod = 2
@@ -21,7 +21,6 @@ func clusterConfig(fn ebs.StackKind, seed int64) ebs.Config {
 	cfg.ComputeServers = 8
 	cfg.BlockServers = 3
 	cfg.ChunkServers = 5
-	cfg.Seed = seed
 	return cfg
 }
 
@@ -76,7 +75,7 @@ func Fig6(opts Options) *Table {
 	fleet := opts.fleet()
 	perStack := runCells(fleet, len(stacks), func(shard int) (shardOut, *ebs.Cluster) {
 		fn := stacks[shard]
-		c := ebs.New(clusterConfig(fn, opts.Seed))
+		c := ebs.New(clusterConfig(opts, fn))
 		var vds []*ebs.VDisk
 		for i := 0; i < c.Computes(); i++ {
 			vds = append(vds, c.MustProvision(i, 256<<20, ebs.DefaultQoS()))
@@ -170,7 +169,7 @@ func Fig15(opts Options) *Table {
 		if cl.heavy {
 			label = "heavy"
 		}
-		cfg := clusterConfig(cl.fn, opts.Seed)
+		cfg := clusterConfig(opts, cl.fn)
 		cfg.BareMetal = true // the Fig. 14/15 testbed is the bare-metal DPU era
 		c := ebs.New(cfg)
 		probe := c.MustProvision(0, 256<<20, ebs.DefaultQoS())

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"lunasolar/ebs"
 	"lunasolar/internal/rdma"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/simnet"
@@ -58,9 +57,7 @@ func runCliff(opts Options, conns, cache int) (avgLat time.Duration, rps, missFr
 
 	params := rdma.DefaultParams()
 	params.QPCacheSize = cache
-	// Honor ebsbench -cc: the process-wide default controller reaches the
-	// raw-stack experiments too, not just ebs.New clusters.
-	params.CC = ebs.DefaultCC()
+	params.CC = opts.CC // -cc reaches the raw-stack experiments too
 
 	serverHost := fab.Host(0, 1, 0, 0)
 	server := rdma.New(eng, serverHost, sim.NewServer(eng, "srv", 32), nil, params)

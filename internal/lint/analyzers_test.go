@@ -44,19 +44,11 @@ func TestFluidDet(t *testing.T) {
 	linttest.Run(t, "testdata/src", []*lint.Analyzer{lint.FluidDet}, "lintdata/internal/simnet/fluiddata")
 }
 
-// TestHatchGate covers the suite-level pairing (ungated hatch, stale
-// gate — diagnostics from the Finish hook, with the gate marker living in
-// a _test.go fixture file) and the local rules (bare marker, unmarked
-// env-var hatch, unmarked doc-word hatch).
-func TestHatchGate(t *testing.T) {
-	linttest.Run(t, "testdata/src", []*lint.Analyzer{lint.HatchGate}, "lintdata/ebs/hatchdata")
-}
-
 // The full suite over the real repo must be clean: every diagnostic the
-// seven analyzers would raise is either fixed or carries a justified
+// six analyzers would raise is either fixed or carries a justified
 // //lint:allow. This runs the same RunSuite pipeline as lunavet — facts,
-// per-package checks, suite-level Finish — so an ungated hatch or a
-// cross-partition access anywhere in the tree fails this test.
+// then per-package checks — so a cross-partition access anywhere in the
+// tree fails this test.
 func TestSuiteOverRepo(t *testing.T) {
 	pkgs, err := lint.Load("../..", []string{"./..."})
 	if err != nil {
@@ -81,9 +73,6 @@ func TestSuiteOverRepo(t *testing.T) {
 			}
 		}
 	}
-	for _, d := range res.Finish {
-		t.Errorf("%s:%d: [%s] %s", d.Position.Filename, d.Position.Line, d.Analyzer, d.Message)
-	}
 	// The suppression inventory is part of the contract: the audited
 	// wall-time allows (and the fluid edge-detect allows) must be present,
 	// and every directive must actually absorb a diagnostic — an unused
@@ -100,18 +89,8 @@ func TestSuiteOverRepo(t *testing.T) {
 			}
 		}
 	}
-	// The five shipped hatches must all be marked and gated: their facts
-	// are how hatchgate sees them, so losing a marker silently would
-	// disable the check.
-	for _, key := range []string{"no-wheel", "copy-path", "telemetry", "cc", "fidelity"} {
-		if !res.Facts.Has("hatchgate", "hatch", key) {
-			t.Errorf("hatch fact %q missing: is the //lint:hatch marker still present?", key)
-		}
-		if !res.Facts.Has("hatchgate", "gate", key) {
-			t.Errorf("gate fact %q missing: is the //lint:gate marker still present?", key)
-		}
-	}
-	// The partition-owned core types must stay marked for the same reason.
+	// The partition-owned core types must stay marked: their facts are how
+	// partown sees them, so losing a marker silently would disable the check.
 	for _, name := range []string{"sim.Engine", "simnet.PacketPool", "trace.Collector"} {
 		if !res.Facts.Has("partown", "partowned", name) {
 			t.Errorf("partowned fact %q missing: is the //lint:partowned marker still present?", name)

@@ -17,16 +17,17 @@ var VirtualTimePackages = []string{
 	"internal/transport",
 }
 
-// Determinism forbids the three ways nondeterminism leaks into virtual
+// Determinism forbids the four ways nondeterminism leaks into virtual
 // time: the wall clock (time.Now and friends — simulated time comes from
 // the engine), the process-global math/rand source (models draw from the
-// cluster's seeded *sim.Rand), and select statements (runtime-random case
+// cluster's seeded *sim.Rand), select statements (runtime-random case
 // choice; engine code is single-threaded per shard and has no business
-// multiplexing channels).
+// multiplexing channels), and the process environment (modes travel as
+// config values, never as os.Getenv knobs).
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "forbid wall-clock reads, global math/rand and select in virtual-time packages " +
-		"so experiment output stays a pure function of (config, seed)",
+	Doc: "forbid wall-clock reads, global math/rand, select and environment reads in " +
+		"virtual-time packages so experiment output stays a pure function of (config, seed)",
 	Run: runDeterminism,
 }
 
@@ -38,6 +39,10 @@ var wallclockFuncs = map[string]bool{
 	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
 	"AfterFunc": true,
 }
+
+// envFuncs are the os package entry points that read the process
+// environment.
+var envFuncs = map[string]bool{"Getenv": true, "LookupEnv": true, "Environ": true}
 
 // globalRandOK are the math/rand package-level functions that merely build
 // seeded generators; everything else at package level draws from (or
@@ -71,6 +76,11 @@ func runDeterminism(pass *Pass) error {
 					if wallclockFuncs[obj.Name()] {
 						pass.Reportf(n.Pos(), "wallclock",
 							"time.%s in a virtual-time package: read the engine clock (sim.Engine.Now) instead", obj.Name())
+					}
+				case "os":
+					if envFuncs[obj.Name()] {
+						pass.Reportf(n.Pos(), "env",
+							"os.%s in a virtual-time package: output must be a pure function of (config, seed); carry the mode on the config", obj.Name())
 					}
 				case "math/rand", "math/rand/v2":
 					if !globalRandOK[obj.Name()] {

@@ -1,10 +1,9 @@
-// Package lint is lunavet's analysis suite: seven analyzers that enforce,
+// Package lint is lunavet's analysis suite: six analyzers that enforce,
 // at analysis time, the invariants the simulator otherwise only catches at
 // run time — bit-identical virtual-time output (determinism, maporder,
 // fluiddet), slab/packet Retain-Release pairing (slabown), allocation-free
-// hot paths (hotalloc), partition ownership of engine/pool/collector state
-// (partown), and hatch↔gate pairing for the differential escape hatches
-// (hatchgate).
+// hot paths (hotalloc), and partition ownership of engine/pool/collector
+// state (partown).
 //
 // The package deliberately depends only on the standard library. The types
 // here mirror golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic)
@@ -14,11 +13,9 @@
 //
 // Facts. An analyzer may declare a Collect hook that runs over every
 // loaded package before any Run, exporting Facts — serializable
-// (kind, name, position) records such as "this type is partition-owned"
-// or "this test gates hatch X". Run sees the whole suite's facts, and a
-// Finish hook runs once after every package for suite-wide completeness
-// checks (a hatch with no gate). In `go vet -vettool` mode the facts ride
-// in the .vetx files vet already threads through the package graph.
+// (kind, name, position) records such as "this type is partition-owned".
+// Run sees the whole suite's facts. In `go vet -vettool` mode the facts
+// ride in the .vetx files vet already threads through the package graph.
 //
 // Suppressions. A diagnostic is suppressed by a comment on the offending
 // line or the line directly above it:
@@ -43,7 +40,7 @@ import (
 
 // An Analyzer describes one analysis: a named check with a Run function
 // that inspects a package and reports diagnostics through the Pass.
-// Collect and Finish are optional fact hooks (see the package comment).
+// Collect is the optional fact hook (see the package comment).
 type Analyzer struct {
 	Name string // short lower-case identifier, e.g. "determinism"
 	Doc  string // one-paragraph description of what it enforces
@@ -52,15 +49,11 @@ type Analyzer struct {
 	// Collect runs over every loaded package (fixtures and dependencies
 	// included) before any Run, exporting facts via Pass.ExportFact.
 	Collect func(*Pass) error
-	// Finish runs once per suite after every package's Run, for
-	// completeness checks over the collected facts. Diagnostics it
-	// returns carry resolved Positions (they may point into any package).
-	Finish func(*FactSet) []Diagnostic
 }
 
 // All returns the full lunavet suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, MapOrder, SlabOwn, HotAlloc, PartOwn, FluidDet, HatchGate}
+	return []*Analyzer{Determinism, MapOrder, SlabOwn, HotAlloc, PartOwn, FluidDet}
 }
 
 // ByName resolves a comma-separated analyzer list ("determinism,slabown").
@@ -86,33 +79,21 @@ func ByName(spec string) ([]*Analyzer, error) {
 
 // A Diagnostic is one finding at a position. Category is the suppression
 // key ("wallclock", "globalrand", ...); it defaults to the analyzer name.
-// Pos is set for diagnostics reported during a package Run; suite-level
-// (Finish) diagnostics carry a resolved Position instead, since their
-// positions may refer to a different package's files.
 type Diagnostic struct {
 	Pos      token.Pos
-	Position token.Position // resolved; authoritative when valid
 	Analyzer string
 	Category string
 	Message  string
 }
 
-// position resolves the diagnostic's location against fset.
-func (d Diagnostic) position(fset *token.FileSet) token.Position {
-	if d.Position.Line > 0 {
-		return d.Position
-	}
-	return fset.Position(d.Pos)
-}
-
 // A Fact is one serializable cross-package record an analyzer's Collect
-// hook exports: a marked type, a declared hatch, a registered gate. Facts
-// carry resolved file/line (not token.Pos) so they survive the trip
-// through a .vetx file between `go vet` invocations.
+// hook exports, e.g. a marked type. Facts carry resolved file/line (not
+// token.Pos) so they survive the trip through a .vetx file between
+// `go vet` invocations.
 type Fact struct {
 	Analyzer string `json:"analyzer"`
-	Kind     string `json:"kind"` // e.g. "partowned", "spanning", "hatch", "gate"
-	Name     string `json:"name"` // qualified name ("sim.Engine") or key ("no-wheel")
+	Kind     string `json:"kind"` // e.g. "partowned", "spanning"
+	Name     string `json:"name"` // qualified name ("sim.Engine")
 	Detail   string `json:"detail,omitempty"`
 	Pkg      string `json:"pkg"`
 	File     string `json:"file"`
@@ -165,7 +146,6 @@ type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	TestFiles []*ast.File // parse-only (no type info); markers and wants
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	Facts     *FactSet // the whole suite's facts (read in Run, written in Collect)
@@ -211,16 +191,6 @@ type AllowInfo struct {
 	Keys          []string `json:"keys"`
 	Justification string   `json:"justification"`
 	Used          int      `json:"used"`
-
-	counter *int // live count, shared with the directive; re-read after Finish
-}
-
-// used returns the directive's final usage count.
-func (a AllowInfo) used() int {
-	if a.counter != nil {
-		return *a.counter
-	}
-	return a.Used
 }
 
 // PkgResult is one package's analysis outcome.
@@ -232,18 +202,15 @@ type PkgResult struct {
 }
 
 // SuiteResult is a whole-suite run: per-package results in input order,
-// plus the suite-level (Finish) diagnostics and the collected facts.
+// plus the collected facts.
 type SuiteResult struct {
-	Pkgs   []*PkgResult
-	Finish []Diagnostic // suite-level diagnostics surviving suppression
-	Facts  *FactSet
+	Pkgs  []*PkgResult
+	Facts *FactSet
 }
 
-// RunSuite executes the full fact/run/finish pipeline over the loaded
-// packages: every analyzer's Collect over every package, then the
-// analyzers over each non-dependency package with the shared fact set,
-// then each Finish hook. Finish diagnostics honor //lint:allow directives
-// at their positions like any other diagnostic.
+// RunSuite executes the fact/run pipeline over the loaded packages: every
+// analyzer's Collect over every package, then the analyzers over each
+// non-dependency package with the shared fact set.
 func RunSuite(pkgs []*Package, analyzers []*Analyzer) (*SuiteResult, error) {
 	fs := NewFactSet()
 	for _, pkg := range pkgs {
@@ -252,49 +219,15 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer) (*SuiteResult, error) {
 		}
 	}
 	res := &SuiteResult{Facts: fs}
-	allAllows := allowSet{}
 	for _, pkg := range pkgs {
 		if pkg.DepOnly {
 			continue
 		}
-		pr, allows, err := analyzePackage(pkg, analyzers, fs)
+		pr, err := analyzePackage(pkg, analyzers, fs)
 		if err != nil {
 			return nil, err
 		}
 		res.Pkgs = append(res.Pkgs, pr)
-		for file, byLine := range allows {
-			if allAllows[file] == nil {
-				allAllows[file] = byLine
-			} else {
-				for line, dirs := range byLine {
-					allAllows[file][line] = append(allAllows[file][line], dirs...)
-				}
-			}
-		}
-	}
-	for _, a := range analyzers {
-		if a.Finish == nil {
-			continue
-		}
-		for _, d := range a.Finish(fs) {
-			if allAllows.covers(d.Position, d) {
-				continue // counted on the directive; inventory shows it
-			}
-			res.Finish = append(res.Finish, d)
-		}
-	}
-	sort.SliceStable(res.Finish, func(i, j int) bool {
-		pi, pj := res.Finish[i].Position, res.Finish[j].Position
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		return pi.Line < pj.Line
-	})
-	// Inventory usage counts are final only after Finish suppression ran.
-	for _, pr := range res.Pkgs {
-		for i := range pr.Allows {
-			pr.Allows[i].Used = pr.Allows[i].used()
-		}
 	}
 	return res, nil
 }
@@ -333,7 +266,7 @@ func Run(pkg *Package, analyzers []*Analyzer) (kept, suppressed []Diagnostic, er
 // RunWithFacts is Run with a caller-provided fact set (which must already
 // include this package's own facts).
 func RunWithFacts(pkg *Package, analyzers []*Analyzer, fs *FactSet) (kept, suppressed []Diagnostic, err error) {
-	pr, _, err := analyzePackage(pkg, analyzers, fs)
+	pr, err := analyzePackage(pkg, analyzers, fs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -345,7 +278,6 @@ func newPass(a *Analyzer, pkg *Package, fs *FactSet) *Pass {
 		Analyzer:  a,
 		Fset:      pkg.Fset,
 		Files:     pkg.Files,
-		TestFiles: pkg.TestFiles,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.TypesInfo,
 		Facts:     fs,
@@ -367,23 +299,20 @@ func protect(a *Analyzer, pkg *Package, fn func() error) (err error) {
 }
 
 // analyzePackage runs the analyzers over one package and applies the
-// suppression directives, returning the result plus the package's
-// directive set (for suite-level Finish suppression).
-func analyzePackage(pkg *Package, analyzers []*Analyzer, fs *FactSet) (*PkgResult, allowSet, error) {
-	files := append([]*ast.File{}, pkg.Files...)
-	files = append(files, pkg.TestFiles...)
-	allows, bad := collectAllows(pkg.Fset, files)
+// suppression directives.
+func analyzePackage(pkg *Package, analyzers []*Analyzer, fs *FactSet) (*PkgResult, error) {
+	allows, bad := collectAllows(pkg.Fset, pkg.Files)
 	var all []Diagnostic
 	for _, a := range analyzers {
 		pass := newPass(a, pkg, fs)
 		if err := protect(a, pkg, func() error { return a.Run(pass) }); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		all = append(all, pass.diags...)
 	}
 	pr := &PkgResult{Pkg: pkg}
 	for _, d := range all {
-		if allows.covers(d.position(pkg.Fset), d) {
+		if allows.covers(pkg.Fset.Position(d.Pos), d) {
 			pr.Suppressed = append(pr.Suppressed, d)
 		} else {
 			pr.Kept = append(pr.Kept, d)
@@ -393,12 +322,12 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, fs *FactSet) (*PkgResul
 	sortDiags(pkg.Fset, pr.Kept)
 	sortDiags(pkg.Fset, pr.Suppressed)
 	pr.Allows = allows.inventory()
-	return pr, allows, nil
+	return pr, nil
 }
 
 func sortDiags(fset *token.FileSet, ds []Diagnostic) {
 	sort.SliceStable(ds, func(i, j int) bool {
-		pi, pj := ds[i].position(fset), ds[j].position(fset)
+		pi, pj := fset.Position(ds[i].Pos), fset.Position(ds[j].Pos)
 		if pi.Filename != pj.Filename {
 			return pi.Filename < pj.Filename
 		}
@@ -571,7 +500,6 @@ func (s allowSet) inventory() []AllowInfo {
 					Keys:          dir.keys,
 					Justification: dir.justification,
 					Used:          *dir.used,
-					counter:       dir.used,
 				})
 			}
 		}

@@ -116,12 +116,7 @@ func TestAllowCoverageAndUsage(t *testing.T) {
 	if len(inv) != 1 {
 		t.Fatalf("inventory size = %d, want 1", len(inv))
 	}
-	if inv[0].used() != 2 {
-		t.Errorf("inventory used() = %d, want 2", inv[0].used())
-	}
-	// The counter is live: later covers show up in used().
-	set.covers(token.Position{Filename: "a.go", Line: 10}, diag)
-	if inv[0].used() != 3 {
-		t.Errorf("inventory used() after extra cover = %d, want 3", inv[0].used())
+	if inv[0].Used != 2 {
+		t.Errorf("inventory Used = %d, want 2", inv[0].Used)
 	}
 }

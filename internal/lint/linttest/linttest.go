@@ -35,12 +35,10 @@ type expectation struct {
 // Run loads the packages matching patterns from the module rooted at dir
 // (conventionally "testdata/src") and checks analyzer output against the
 // fixtures' want comments. The whole suite pipeline runs — Collect over
-// every loaded package (dependencies included), per-package checks, then
-// Finish — so cross-package facts and suite-level diagnostics are
-// exercised exactly as lunavet runs them. Want comments in _test.go
-// fixture files count too (suite-level diagnostics may land on a gate
-// marker in a test); packages loaded only as dependencies contribute
-// facts but their want comments are not checked.
+// every loaded package (dependencies included), then per-package checks —
+// so cross-package facts are exercised exactly as lunavet runs them.
+// Packages loaded only as dependencies contribute facts but their want
+// comments are not checked.
 func Run(t *testing.T, dir string, analyzers []*lint.Analyzer, patterns ...string) {
 	t.Helper()
 	pkgs, err := lint.Load(dir, patterns)
@@ -55,8 +53,7 @@ func Run(t *testing.T, dir string, analyzers []*lint.Analyzer, patterns ...strin
 		t.Fatalf("running suite: %v", err)
 	}
 	// One want map across every checked (non-dependency) package: all
-	// fixture files share the suite's FileSet, and suite-level (Finish)
-	// diagnostics can land in any of them.
+	// fixture files share the suite's FileSet.
 	var files []*ast.File
 	fset := pkgs[0].Fset
 	for _, pkg := range pkgs {
@@ -64,7 +61,6 @@ func Run(t *testing.T, dir string, analyzers []*lint.Analyzer, patterns ...strin
 			continue
 		}
 		files = append(files, pkg.Files...)
-		files = append(files, pkg.TestFiles...)
 	}
 	wants := collectWants(t, fset, files)
 	for _, pr := range res.Pkgs {
@@ -74,12 +70,6 @@ func Run(t *testing.T, dir string, analyzers []*lint.Analyzer, patterns ...strin
 			if !matchWant(wants[key], d.Message) {
 				t.Errorf("%s: unexpected diagnostic [%s] %s", key, d.Analyzer, d.Message)
 			}
-		}
-	}
-	for _, d := range res.Finish {
-		key := fmt.Sprintf("%s:%d", d.Position.Filename, d.Position.Line)
-		if !matchWant(wants[key], d.Message) {
-			t.Errorf("%s: unexpected suite diagnostic [%s] %s", key, d.Analyzer, d.Message)
 		}
 	}
 	reportUnmatched(t, wants)

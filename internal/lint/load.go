@@ -16,32 +16,25 @@ import (
 )
 
 // Package is one loaded, type-checked package ready for analysis.
-// TestFiles are the package's _test.go files, parsed without type
-// information: analyzers never check test code, but fact markers
-// (//lint:gate on a differential test) and suppression directives in
-// tests must still be visible.
 type Package struct {
 	ImportPath string
 	Dir        string
 	DepOnly    bool // loaded only because a target imports it; collect facts, skip checks
 	Fset       *token.FileSet
 	Files      []*ast.File
-	TestFiles  []*ast.File
 	Types      *types.Package
 	TypesInfo  *types.Info
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
-	ImportPath   string
-	Dir          string
-	Export       string
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Standard     bool
-	DepOnly      bool
-	Error        *struct{ Err string }
+	ImportPath string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
+	Error      *struct{ Err string }
 }
 
 // Load type-checks the packages matching patterns (relative to dir) and
@@ -50,17 +43,15 @@ type listPkg struct {
 // data, which the stdlib gc importer then serves to go/types — the same
 // mechanism `go vet` uses, without needing golang.org/x/tools.
 //
-// Non-test files are loaded with full type information; _test.go files
-// are parsed comment-only (no type checking), because the invariants
-// lunavet enforces are about simulation code — tests legitimately use
-// wall clocks, global rand and unordered iteration — but fact markers
-// such as //lint:gate live on test functions. Dependencies of the
-// matched patterns load too, flagged DepOnly: fact collection covers
-// them, diagnostics never target them.
+// Only non-test files are loaded: the invariants lunavet enforces are
+// about simulation code — tests legitimately use wall clocks, global rand
+// and unordered iteration. Dependencies of the matched patterns load too,
+// flagged DepOnly: fact collection covers them, diagnostics never target
+// them.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	args := []string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,TestGoFiles,XTestGoFiles,Standard,DepOnly,Error",
+		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Error",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
@@ -115,28 +106,17 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 
 	var pkgs []*Package
 	for _, p := range targets {
-		parse := func(list []string) ([]*ast.File, error) {
-			var out []*ast.File
-			for _, gf := range list {
-				name := gf
-				if !filepath.IsAbs(name) {
-					name = filepath.Join(p.Dir, gf)
-				}
-				f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-				if err != nil {
-					return nil, fmt.Errorf("parsing %s: %v", name, err)
-				}
-				out = append(out, f)
+		var files []*ast.File
+		for _, gf := range p.GoFiles {
+			name := gf
+			if !filepath.IsAbs(name) {
+				name = filepath.Join(p.Dir, gf)
 			}
-			return out, nil
-		}
-		files, err := parse(p.GoFiles)
-		if err != nil {
-			return nil, err
-		}
-		testFiles, err := parse(append(append([]string{}, p.TestGoFiles...), p.XTestGoFiles...))
-		if err != nil {
-			return nil, err
+			f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+			if err != nil {
+				return nil, fmt.Errorf("parsing %s: %v", name, err)
+			}
+			files = append(files, f)
 		}
 		info := &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
@@ -156,7 +136,6 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 			DepOnly:    p.DepOnly,
 			Fset:       fset,
 			Files:      files,
-			TestFiles:  testFiles,
 			Types:      tpkg,
 			TypesInfo:  info,
 		})

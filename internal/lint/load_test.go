@@ -3,14 +3,13 @@ package lint_test
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"lunasolar/internal/lint"
 )
 
 // The loader feeds everything downstream — analyzers, facts, suppression
-// scanning — so its contract is pinned here: test files parse comment-only,
+// scanning — so its contract is pinned here: matched packages load typed,
 // dependencies arrive DepOnly, file-less packages are skipped, and load
 // failures surface as errors instead of silently analyzing less code.
 
@@ -26,33 +25,15 @@ func TestLoadFixtureModule(t *testing.T) {
 			t.Errorf("%s: packages from one Load must share a FileSet", p.ImportPath)
 		}
 	}
-	hd := byPath["lintdata/ebs/hatchdata"]
-	if hd == nil {
-		t.Fatalf("lintdata/ebs/hatchdata not loaded; got %d packages", len(pkgs))
+	pd := byPath["lintdata/ebs/partdata"]
+	if pd == nil {
+		t.Fatalf("lintdata/ebs/partdata not loaded; got %d packages", len(pkgs))
 	}
-	if hd.DepOnly {
-		t.Errorf("hatchdata matched the pattern; must not be DepOnly")
+	if pd.DepOnly {
+		t.Errorf("partdata matched the pattern; must not be DepOnly")
 	}
-	if hd.Types == nil || hd.TypesInfo == nil {
-		t.Errorf("hatchdata loaded without type information")
-	}
-	// The gate markers live in hatchdata_test.go: the loader must parse it
-	// (comments included) even though tests are never type-checked.
-	if len(hd.TestFiles) == 0 {
-		t.Fatalf("hatchdata has a _test.go file; TestFiles is empty")
-	}
-	var sawGate bool
-	for _, f := range hd.TestFiles {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.HasPrefix(c.Text, "//lint:gate ") {
-					sawGate = true
-				}
-			}
-		}
-	}
-	if !sawGate {
-		t.Errorf("no //lint:gate comment visible in hatchdata's TestFiles; comment parsing regressed")
+	if pd.Types == nil || pd.TypesInfo == nil {
+		t.Errorf("partdata loaded without type information")
 	}
 }
 

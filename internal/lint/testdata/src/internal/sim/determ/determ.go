@@ -5,8 +5,11 @@ package determ
 
 import (
 	"math/rand"
+	"os"
 	"time"
 )
+
+func envKnob() bool { return os.Getenv("KNOB") != "" } // want `os\.Getenv in a virtual-time package`
 
 func wallclock() time.Duration {
 	t0 := time.Now()             // want `time\.Now in a virtual-time package`

@@ -18,10 +18,10 @@ const pktHdrSize = wire.TCPSegSize + wire.RPCSize + wire.EBSSize
 
 // outPkt is one unacknowledged data packet, kept scattered: the RPC+EBS
 // header image lives in a small pooled prefix encoded once at queue time,
-// the chunk is referenced through a slab (shared with the message payload
-// in zero-copy mode, a pooled deep copy behind -copy-path). Every
-// (re)transmission builds its own frame — BTH + header copy + fragment —
-// so nothing the pool reclaims is ever shared with an in-flight frame.
+// the chunk is referenced through a slab shared with the message payload.
+// Every (re)transmission builds its own frame — BTH + header copy +
+// fragment — so nothing the pool reclaims is ever shared with an in-flight
+// frame.
 type outPkt struct {
 	psn    uint32
 	hdr    []byte       // pooled RPC+EBS header image (wire.HeadersSize)
@@ -94,11 +94,10 @@ func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
 
 // sendMessage segments one RPC message into MTU packets and queues them.
 // Each packet's RPC+EBS header image is encoded once into a pooled prefix;
-// the chunk is attached by reference (zero-copy) or as one pooled copy
-// (-copy-path). When the caller supplied per-block one-touch CRCs and the
-// chunking aligns with them — MTU == BlockSize for data, or a single
-// header-only packet carrying a fold — each packet's EBS header carries
-// its block's CRC, flagged with EBSFlagHasCRC.
+// the chunk is attached by reference. When the caller supplied per-block
+// one-touch CRCs and the chunking aligns with them — MTU == BlockSize for
+// data, or a single header-only packet carrying a fold — each packet's EBS
+// header carries its block's CRC, flagged with EBSFlagHasCRC.
 func (q *qp) sendMessage(id uint64, op uint8, req *transport.Message, resp *transport.Response) {
 	var payload []byte
 	var crcs []uint32
@@ -134,10 +133,10 @@ func (q *qp) sendMessage(id uint64, op uint8, req *transport.Message, resp *tran
 	if len(crcs) != numPkts || (len(payload) > 0 && mtu != wire.BlockSize) {
 		crcs = nil // carriage only when packets and CRC entries correspond 1:1
 	}
-	// Zero-copy: chunks reference the message payload through one shared
-	// slab (the caller's, when it already has one) instead of being copied.
+	// Chunks reference the message payload through one shared slab (the
+	// caller's, when it already has one).
 	var ioSlab *simnet.Slab
-	if simnet.ZeroCopy() && len(payload) > 0 {
+	if len(payload) > 0 {
 		if paySlab != nil {
 			ioSlab = paySlab.Retain()
 		} else {
@@ -167,22 +166,13 @@ func (q *qp) sendMessage(id uint64, op uint8, req *transport.Message, resp *tran
 			panic(err)
 		}
 		if len(chunk) > 0 {
-			if ioSlab != nil {
-				p.slab = ioSlab.Retain()
-				p.pay = chunk
-			} else {
-				p.slab = q.s.pool.GetSlab(len(chunk))
-				p.pay = p.slab.Bytes()
-				copy(p.pay, chunk)
-				q.s.pool.CountCopy(len(chunk))
-			}
+			p.slab = ioSlab.Retain()
+			p.pay = chunk
 		}
 		q.sndQueue = append(q.sndQueue, p)
 		q.nextPSN++
 	}
-	if ioSlab != nil {
-		ioSlab.Release()
-	}
+	ioSlab.Release()
 	q.pump()
 }
 
@@ -525,8 +515,8 @@ func (q *qp) packetArrived(bth wire.TCPSeg, rest, chunk []byte, ce bool, hops in
 		q.assembler[rpc.RPCID] = m
 	}
 	// Message reassembly is the receive side's one materialisation: chunks
-	// of a multi-packet message must land contiguously for the handler. It
-	// happens in both data-path modes and is counted as such.
+	// of a multi-packet message must land contiguously for the handler,
+	// and it is counted as a copy.
 	m.payload = append(m.payload, chunk...)
 	if len(chunk) > 0 {
 		q.s.pool.CountCopy(len(chunk))

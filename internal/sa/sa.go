@@ -653,9 +653,7 @@ func (a *Agent) issue(span *trace.Span, vdisk uint32, gen uint32, op uint8,
 			// instead of re-walking the payload. The CRCPer4K cost was
 			// already charged in saBusy (or rides the FPGA pipeline), so
 			// this changes who reads the bytes, not what the simulation
-			// charges. Carriage is deliberately mode-independent — the
-			// -copy-path hatch changes where bytes live, never what
-			// metadata travels — so both modes stay byte-identical.
+			// charges.
 			// Attached only for the offloaded (Solar) stacks, whose wire
 			// format carries a per-block CRC; skipped when the DPU's SEC
 			// engine will re-encrypt: the wire bytes are not ours to hash.

@@ -133,13 +133,12 @@ func (t Timer) Cancel() {
 //
 //lint:partowned
 type Engine struct {
-	now    Time
-	seq    uint64
-	heap   []*Event
-	free   []*Event
-	wheel  wheel
-	coarse bool // ScheduleCoarse uses the wheel (captured from SetCoarseTimers at construction)
-	Rand   *Rand
+	now   Time
+	seq   uint64
+	heap  []*Event
+	free  []*Event
+	wheel wheel
+	Rand  *Rand
 
 	processed uint64
 	busy      atomic.Int32
@@ -157,7 +156,7 @@ const timeMax = Time(math.MaxInt64)
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{Rand: NewRand(seed), coarse: coarseEnabled.Load()}
+	return &Engine{Rand: NewRand(seed)}
 }
 
 // Now returns the current virtual time.

@@ -3,8 +3,6 @@ package sim
 import (
 	"math"
 	"math/bits"
-	"os"
-	"sync/atomic"
 	"time"
 )
 
@@ -17,9 +15,9 @@ import (
 // due tick; a slot is only touched again when virtual time reaches it, at
 // which point its events cascade down a level or move into the heap carrying
 // their original (at, seq) key. Firing therefore always happens from the
-// heap in exact (at, seq) order, so experiment outputs are bit-identical
-// whether the wheel is on or off — the wheel changes the cost of waiting,
-// never the order of firing.
+// heap in exact (at, seq) order: a ScheduleCoarse timer fires exactly when
+// and where the same Schedule call would — the wheel changes the cost of
+// waiting, never the order of firing.
 //
 // Geometry: 4 levels × 64 slots, 4096 ns per tick. Level 0 spans ~262 µs at
 // tick resolution, level 1 ~16.8 ms, level 2 ~1.07 s, level 3 ~68.7 s —
@@ -36,29 +34,6 @@ const (
 	// (heap events have index >= 0, idle events -1).
 	wheelIndex = -2
 )
-
-// coarseEnabled is the package-wide default for new engines: whether
-// ScheduleCoarse uses the wheel (true) or degrades to the heap (false).
-// It exists for the differential regression tests and for bisecting: the
-// two modes must produce bit-identical experiment output. Engines capture
-// the flag at construction, so flipping it mid-run affects only engines
-// created afterwards.
-//
-//lint:hatch no-wheel
-var coarseEnabled atomic.Bool
-
-func init() {
-	coarseEnabled.Store(os.Getenv("LUNASOLAR_NO_WHEEL") == "")
-}
-
-// SetCoarseTimers selects the scheduling class backing ScheduleCoarse for
-// engines created after the call: the timing wheel (true, default) or the
-// plain heap (false). The LUNASOLAR_NO_WHEEL environment variable, if set,
-// flips the initial default to false.
-func SetCoarseTimers(on bool) { coarseEnabled.Store(on) }
-
-// CoarseTimers reports the current package-wide default.
-func CoarseTimers() bool { return coarseEnabled.Load() }
 
 // wheel is the per-engine hierarchical timing wheel. Slots are intrusive
 // doubly-linked event lists (heads only; Events carry the links), with one
@@ -102,7 +77,7 @@ func (e *Engine) scheduleCoarse(t Time, fn func(), afn func(any), arg any) Timer
 	ev.fn = fn
 	ev.afn = afn
 	ev.arg = arg
-	if e.coarse && e.wheel.count == 0 {
+	if e.wheel.count == 0 {
 		// Empty wheel: snap its clock forward so long-idle engines don't
 		// cascade through stale slots. Only new events may snap — during a
 		// cascade the clock must never move backward, or a re-placed event
@@ -116,12 +91,9 @@ func (e *Engine) scheduleCoarse(t Time, fn func(), afn func(any), arg any) Timer
 }
 
 // wheelPlace parks ev in the wheel, or reports false if it belongs in the
-// heap (wheel disabled, or due within the current tick). Used both for new
+// heap (due within the current tick). Used both for new
 // coarse events and for cascading events out of a flushed higher-level slot.
 func (e *Engine) wheelPlace(ev *Event) bool {
-	if !e.coarse {
-		return false
-	}
 	w := &e.wheel
 	evTick := int64(ev.at) >> tickShift
 	if evTick-w.cur < 1 {

@@ -59,10 +59,8 @@ type Port struct {
 	taildrops   uint64
 	sent        uint64
 
-	// Telemetry counters (plain field writes — the hotpath stays
-	// allocation-free either way). ecnMarks counts only while
-	// TelemetryEnabled; maxQueued tracks unconditionally so the CC-matrix
-	// experiments can read queue depth with telemetry off.
+	// Telemetry counters: plain field writes that never feed back into
+	// the simulation (the hotpath stays allocation-free).
 	ecnMarks  uint64
 	maxQueued int
 }
@@ -141,14 +139,11 @@ func (p *Port) Send(pkt *Packet) bool {
 		p.part.countDrop("taildrop")
 		return false
 	}
-	telemetry := telemetryEnabled.Load()
 	// ECN: mark at enqueue if the queue already exceeds the threshold and
 	// the flow is ECN-capable.
 	if p.queuedBytes > p.ecnThresh && pkt.ECN == wire.ECNECT0 {
 		pkt.ECN = wire.ECNCE
-		if telemetry {
-			p.ecnMarks++
-		}
+		p.ecnMarks++
 		p.part.noteFluid(TriggerECN)
 	}
 	// INT: stamp telemetry at enqueue (queue depth seen by this packet).
@@ -162,9 +157,6 @@ func (p *Port) Send(pkt *Packet) bool {
 		})
 	}
 	p.queuedBytes += size
-	// Queue high-water is tracked unconditionally (unlike the counters
-	// above): the CC-matrix experiments report it with telemetry off, and
-	// the compare-and-store is free on the hot path.
 	if p.queuedBytes > p.maxQueued {
 		p.maxQueued = p.queuedBytes
 	}

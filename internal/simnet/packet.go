@@ -49,8 +49,8 @@ type Packet struct {
 
 // WireSize returns the frame's size on the wire in bytes. A zero-copy
 // fragment counts exactly like inlined payload bytes, so frame sizes (and
-// therefore serialization times, buffer occupancy and ECN marks) are
-// identical in both data-path modes.
+// therefore serialization times, buffer occupancy and ECN marks) do not
+// depend on where the bytes live.
 func (p *Packet) WireSize() int { return p.Overhead + len(p.Payload) + len(p.Frag) }
 
 // AttachFrag attaches a zero-copy payload fragment — a subrange of slab s —

@@ -1,34 +1,5 @@
 package simnet
 
-import (
-	"os"
-	"sync/atomic"
-)
-
-// zeroCopyEnabled selects where payload bytes live on the data path. On
-// (the default), stacks share one reference-counted slab per payload:
-// retransmits, multi-path re-injection and the blockserver's replica
-// fan-out all point at the same buffer. Off (the -copy-path escape hatch,
-// or LUNASOLAR_COPY_PATH in the environment), every hop deep-copies as the
-// seed code did. The switch changes only where bytes live — packet sizes,
-// event counts and all experiment output are byte-identical either way,
-// which the copy-path differential test enforces.
-//
-//lint:hatch copy-path
-var zeroCopyEnabled atomic.Bool
-
-func init() {
-	zeroCopyEnabled.Store(os.Getenv("LUNASOLAR_COPY_PATH") == "")
-}
-
-// SetZeroCopy flips the package-wide data-path default. Like
-// sim.SetCoarseTimers it is a process-wide experiment switch, not a
-// per-cluster knob: flip it before building clusters.
-func SetZeroCopy(on bool) { zeroCopyEnabled.Store(on) }
-
-// ZeroCopy reports whether the zero-copy data path is enabled.
-func ZeroCopy() bool { return zeroCopyEnabled.Load() }
-
 // Slab is a reference-counted payload buffer. One slab backs every copy a
 // payload would otherwise need: the sender's record, each in-flight frame
 // (including retransmits), and each replica of a fan-out. The last Release

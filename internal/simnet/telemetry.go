@@ -1,44 +1,21 @@
 package simnet
 
 import (
-	"os"
 	"sort"
-	"sync/atomic"
 
 	"lunasolar/internal/stats"
 )
 
-// telemetryEnabled gates the observability layer's per-hop counters: port
-// ECN-mark counts and queue high-water marks, folded into the metrics
-// registry at export time. Off (the default) the forwarding path skips the
-// counter updates entirely, so disabled-mode output is bit-identical to a
-// build without the feature — the telemetry differential test enforces this
-// the same way the wheel and copy-path hatches are enforced. On, the
-// updates are plain field increments: zero allocations on the
-// //lint:hotpath functions (AllocsPerRun-gated).
-//
-//lint:hatch telemetry
-var telemetryEnabled atomic.Bool
-
-func init() {
-	telemetryEnabled.Store(os.Getenv("LUNASOLAR_TELEMETRY") != "")
-}
-
-// SetTelemetry flips the package-wide telemetry switch. Like SetZeroCopy it
-// is a process-wide experiment switch, not a per-cluster knob: flip it
-// before building clusters.
-func SetTelemetry(on bool) { telemetryEnabled.Store(on) }
-
-// TelemetryEnabled reports whether per-hop telemetry counters are active.
-func TelemetryEnabled() bool { return telemetryEnabled.Load() }
+// Per-hop telemetry: port ECN-mark counts and queue high-water marks are
+// plain field writes on the forwarding path (zero allocations on the
+// //lint:hotpath functions, AllocsPerRun-gated) that never feed back into
+// the simulation; RegisterInto folds them into a metrics registry at export
+// time.
 
 // EcnMarks returns how many packets this port marked CE at enqueue.
-// Counted only while telemetry is enabled.
 func (p *Port) EcnMarks() uint64 { return p.ecnMarks }
 
 // MaxQueuedBytes returns the output queue's high-water mark in bytes.
-// Unlike the gated counters it is tracked unconditionally: the CC-matrix
-// experiments report it with telemetry off.
 func (p *Port) MaxQueuedBytes() int { return p.maxQueued }
 
 // MaxQueuedBytes returns the deepest output-queue high-water mark across

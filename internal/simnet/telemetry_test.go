@@ -7,59 +7,8 @@ import (
 	"lunasolar/internal/stats"
 )
 
-// TestForwardingAllocFreeTelemetry is the telemetry-enabled twin of
-// TestForwardingAllocFree: the per-hop counters must not cost a single
-// allocation on the hotpath.
-func TestForwardingAllocFreeTelemetry(t *testing.T) {
-	prev := TelemetryEnabled()
-	SetTelemetry(true)
-	defer SetTelemetry(prev)
-
-	eng := sim.NewEngine(7)
-	cfg := DefaultConfig()
-	cfg.RacksPerPod = 2
-	cfg.HostsPerRack = 2
-	cfg.SpinesPerPod = 2
-	cfg.CoresPerDC = 2
-	fab := New(eng, cfg)
-
-	a := fab.Host(0, 0, 0, 0)
-	b := fab.Host(0, 1, 0, 0)
-	a.Handler = func(pkt *Packet) { pkt.Release() }
-	b.Handler = func(pkt *Packet) { pkt.Release() }
-
-	send := func() {
-		pkt := a.PacketPool().Get(4096)
-		pkt.Dst = b.Addr()
-		pkt.Proto = 17
-		pkt.SrcPort = 30001
-		pkt.DstPort = 7010
-		pkt.Overhead = EthOverhead
-		pkt.SentAt = eng.Now()
-		if !a.Send(pkt) {
-			pkt.Release()
-		}
-		eng.Run()
-	}
-	for i := 0; i < 64; i++ {
-		send()
-	}
-	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
-		t.Fatalf("telemetry-enabled forwarding allocates %.1f objects per packet, want 0", allocs)
-	}
-	if n := fab.Pool().Outstanding(); n != 0 {
-		t.Fatalf("pool reports %d leaked packets", n)
-	}
-}
-
-// Queue high-water marks are tracked regardless of the telemetry hatch
-// (the CC-matrix experiments read them with telemetry off); the gated
-// counters (ECN marks) freeze when disabled.
+// Queue high-water marks see buildup and never shrink across bursts.
 func TestPortTelemetryCounters(t *testing.T) {
-	prev := TelemetryEnabled()
-	SetTelemetry(true)
-	defer SetTelemetry(prev)
-
 	eng := sim.NewEngine(3)
 	cfg := DefaultConfig()
 	cfg.RacksPerPod = 1
@@ -96,9 +45,7 @@ func TestPortTelemetryCounters(t *testing.T) {
 		t.Fatalf("high-water mark %dB never saw queue buildup from a 32-packet burst", maxq)
 	}
 
-	// Disabled: the high-water mark keeps tracking (it is ungated), so a
-	// deeper burst must raise it.
-	SetTelemetry(false)
+	// A deeper burst must not lower the high-water mark.
 	before := maxq
 	burst(64)
 	maxq = 0
@@ -108,17 +55,13 @@ func TestPortTelemetryCounters(t *testing.T) {
 		}
 	}
 	if maxq < before {
-		t.Fatalf("high-water mark shrank from %d to %d with telemetry disabled", before, maxq)
+		t.Fatalf("high-water mark shrank from %d to %d", before, maxq)
 	}
 }
 
 // Fabric.RegisterInto exports drops-by-reason and per-switch counters with
 // deterministic names.
 func TestFabricRegisterInto(t *testing.T) {
-	prev := TelemetryEnabled()
-	SetTelemetry(true)
-	defer SetTelemetry(prev)
-
 	eng := sim.NewEngine(5)
 	cfg := DefaultConfig()
 	cfg.RacksPerPod = 1

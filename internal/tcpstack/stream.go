@@ -4,15 +4,12 @@ import "lunasolar/internal/simnet"
 
 // span is one framed record on the send stream, kept scattered until frame
 // build: the record header lives in a small pooled prefix, the payload is
-// attached by reference (a shared slab in zero-copy mode, a pooled deep
-// copy behind the -copy-path escape hatch). The old path flattened both
-// into one heap-allocated []byte per record and then copied again into
-// every segment; spans are copied at most once, by the frame gather.
+// attached by reference to a shared slab. Spans are copied at most once,
+// by the frame gather.
 type span struct {
-	hdr       []byte       // pooled record header prefix (wire.RecordHeaderSize)
-	pay       []byte       // payload bytes; subrange of slab when slab != nil
-	slab      *simnet.Slab // reference held until the span is acked away
-	payPooled bool         // pay came from GetBuf (copy-path deep copy)
+	hdr  []byte       // pooled record header prefix (wire.RecordHeaderSize)
+	pay  []byte       // payload bytes: a subrange of slab
+	slab *simnet.Slab // reference held until the span is acked away
 }
 
 func (sp *span) size() int { return len(sp.hdr) + len(sp.pay) }
@@ -64,11 +61,7 @@ func (q *spanQueue) release(pool *simnet.PacketPool, sp *span) {
 	if sp.hdr != nil {
 		pool.PutBuf(sp.hdr)
 	}
-	if sp.slab != nil {
-		sp.slab.Release()
-	} else if sp.payPooled {
-		pool.PutBuf(sp.pay)
-	}
+	sp.slab.Release() // nil (payload-less record) is a no-op
 	*sp = span{}
 }
 

@@ -107,7 +107,7 @@ type Stack struct {
 	// Stats.
 	Retransmits uint64
 	Timeouts    uint64
-	EcnMarks    uint64 // CE-marked segments received (telemetry-gated)
+	EcnMarks    uint64 // CE-marked segments received
 }
 
 type connKey struct {
@@ -228,7 +228,7 @@ func (s *Stack) receive(pkt *simnet.Packet) {
 	}
 	payload := pkt.Payload[wire.TCPSegSize:]
 	ce := pkt.ECN == wire.ECNCE
-	if ce && simnet.TelemetryEnabled() {
+	if ce {
 		s.EcnMarks++
 	}
 
@@ -300,11 +300,9 @@ type record struct {
 const recordHdrSize = wire.RecordHeaderSize
 
 // makeRecordSpan frames one RPC as a stream span: the record header
-// encoded into a pooled prefix, the payload attached by reference. In
-// zero-copy mode the payload shares the message's slab (retaining it) or
-// wraps the caller's buffer without copying; behind -copy-path it is
-// deep-copied into a pooled buffer, reproducing the seed's behaviour minus
-// the per-record heap allocation.
+// encoded into a pooled prefix, the payload attached by reference — it
+// shares the message's slab (retaining it) or wraps the caller's buffer
+// without copying.
 func (s *Stack) makeRecordSpan(id uint64, op uint8, req *transport.Message, resp *transport.Response) span {
 	var payload []byte
 	ebs := wire.EBS{Version: wire.EBSVersion}
@@ -335,19 +333,12 @@ func (s *Stack) makeRecordSpan(id uint64, op uint8, req *transport.Message, resp
 	if len(payload) == 0 {
 		return sp
 	}
-	if simnet.ZeroCopy() {
-		if req != nil && req.Payload != nil {
-			sp.slab = req.Payload.Retain()
-		} else {
-			sp.slab = s.pool.WrapSlab(payload)
-		}
-		sp.pay = payload
-		return sp
+	if req != nil && req.Payload != nil {
+		sp.slab = req.Payload.Retain()
+	} else {
+		sp.slab = s.pool.WrapSlab(payload)
 	}
-	sp.pay = s.pool.GetBuf(len(payload))
-	copy(sp.pay, payload)
-	s.pool.CountCopy(len(payload))
-	sp.payPooled = true
+	sp.pay = payload
 	return sp
 }
 

@@ -27,15 +27,15 @@ type Message struct {
 	ReadLen   int    // READ: bytes requested
 
 	// Payload, when non-nil, is the refcounted slab whose bytes Data
-	// aliases (zero-copy mode). The reference belongs to whoever set the
+	// aliases. The reference belongs to whoever set the
 	// field — a stack receive path or a fan-out layer — and only that
 	// owner releases it; stacks that keep the payload in flight Retain
 	// their own references instead of copying the bytes.
 	Payload *simnet.Slab
 
 	// BlockCRCs carries the raw CRC-32C of each 4 KiB block of Data,
-	// computed once at SA ingress (zero-copy mode only; nil means
-	// "recompute locally", the copy-path behaviour). Downstream stages
+	// computed once at SA ingress (nil means "recompute locally").
+	// Downstream stages
 	// verify by folding these with crc.Combine/XorAggregate instead of
 	// re-walking payload bytes.
 	BlockCRCs []uint32
@@ -50,7 +50,7 @@ type Response struct {
 	Err  error
 
 	// BlockCRCs returns the stored raw CRC-32C per 4 KiB block of Data on
-	// reads (zero-copy mode), so the reader verifies against device
+	// reads, so the reader verifies against device
 	// metadata without the server re-walking the bytes.
 	BlockCRCs []uint32
 
