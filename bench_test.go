@@ -5,13 +5,11 @@
 // results alongside wall-clock cost:
 //
 //	go test -bench=Fig6 -benchmem
-//	go test -bench=. -benchmem                           # all, reduced scale
-//	LUNASOLAR_FULL_BENCH=1 go test -bench=. -timeout 60m # full scale
+//	go test -bench=. -benchmem   # all, reduced scale
 package lunasolar
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"lunasolar/ebs"
@@ -21,12 +19,8 @@ import (
 
 // benchOpts runs the experiment benchmarks at reduced scale so the whole
 // suite fits a default `go test -bench=.` run; full-scale regeneration is
-// cmd/ebsbench's job. Set LUNASOLAR_FULL_BENCH=1 (with a generous -timeout)
-// to benchmark the full-scale experiments instead.
-func benchOpts(b *testing.B) experiments.Options {
-	full := os.Getenv("LUNASOLAR_FULL_BENCH") != ""
-	return experiments.Options{Seed: 1, Quick: !full}
-}
+// cmd/ebsbench's job.
+var benchOpts = experiments.Options{Seed: 1, Quick: true}
 
 // runExperiment executes fn once per b.N and prints the regenerated table
 // on the first iteration. Experiments that run share-nothing shards report
@@ -34,11 +28,10 @@ func benchOpts(b *testing.B) experiments.Options {
 // time, and how many simulated microseconds advance per wall millisecond.
 func runExperiment(b *testing.B, name string, fn func(experiments.Options) *experiments.Table) {
 	b.Helper()
-	opts := benchOpts(b)
 	var events, simMicros, wallMs float64
 	for i := 0; i < b.N; i++ {
-		t := fn(opts)
-		if i == 0 && !benchQuiet {
+		t := fn(benchOpts)
+		if i == 0 {
 			fmt.Printf("\n%s", t.Format())
 		}
 		if t.Perf != nil {
@@ -52,9 +45,6 @@ func runExperiment(b *testing.B, name string, fn func(experiments.Options) *expe
 		b.ReportMetric(simMicros/wallMs, "sim-µs/wall-ms")
 	}
 }
-
-// benchQuiet suppresses table printing (set by profiling runs).
-var benchQuiet = false
 
 func BenchmarkFig3Traffic(b *testing.B)       { runExperiment(b, "fig3", experiments.Fig3) }
 func BenchmarkFig4Diurnal(b *testing.B)       { runExperiment(b, "fig4", experiments.Fig4) }
@@ -73,7 +63,7 @@ func BenchmarkRDMACliff(b *testing.B)         { runExperiment(b, "rdmacliff", ex
 
 // BenchmarkDiurnalPacket/Hybrid run the same campaign at both fidelities;
 // the events/sec and sim-µs/wall-ms ratio between them is the fast-forward
-// payoff BENCH_pr8.json records.
+// payoff (TestHybridDifferential holds the deterministic event-count floor).
 func BenchmarkDiurnalPacket(b *testing.B) { runExperiment(b, "diurnal", experiments.Diurnal) }
 func BenchmarkDiurnalHybrid(b *testing.B) {
 	runExperiment(b, "diurnal", func(opts experiments.Options) *experiments.Table {
@@ -171,10 +161,10 @@ func BenchmarkWritePath4K(b *testing.B) {
 // benchCoupled runs the partitioned write storm with the given number of
 // window workers and reports the fleet's events/sec. Comparing the
 // sub-benchmarks shows the coupled runner's scaling (or, on few-core
-// hosts, its barrier overhead); BENCH_pr6.json records the same sweep
-// with the byte-identity gate attached.
+// hosts, its barrier overhead); TestCoupledDifferential holds the
+// byte-identity gate over the same sweep.
 func benchCoupled(b *testing.B, workers int) {
-	opts := benchOpts(b)
+	opts := benchOpts
 	opts.CoupledWorkers = workers
 	var events, wallMs float64
 	for i := 0; i < b.N; i++ {

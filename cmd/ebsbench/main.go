@@ -13,8 +13,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -61,75 +63,50 @@ var registry = map[string]struct {
 	"noisyneighbor":   {experiments.NoisyNeighbor, "aggressor tenant vs victim on one hypervisor, with/without tenant QoS cap"},
 }
 
-func main() {
-	exp := flag.String("exp", "", "experiment id (fig3..fig15, table1..table3, or 'all')")
-	quick := flag.Bool("quick", false, "reduced scale for a fast run")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	workers := flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	coupledWorkers := flag.Int("coupled-workers", 0, "worker count driving a coupled experiment's fabric partitions (0 = GOMAXPROCS, 1 = serial windows; output is identical for every value)")
-	jsonOut := flag.Bool("json", false, "emit one JSON metric row per line instead of tables")
-	coupledBenchOut := flag.String("coupled-bench-out", "", "run the coupled-fabric storm at 1/2/4/8 workers, check byte-identity, and write the scaling report here (e.g. BENCH_pr6.json)")
-	metricsOut := flag.String("metrics-out", "", "write the merged observability registry of all experiments here (e.g. METRICS.json)")
-	metricsFormat := flag.String("metrics-format", "json", "format for -metrics-out: json or openmetrics")
-	ccFlag := flag.String("cc", "static", "congestion controller for every RDMA stack: static, dcqcn, or swift (the CC-matrix experiments sweep all three regardless)")
-	ccBenchOut := flag.String("cc-bench-out", "", "run the incast CC matrix (static/dcqcn/swift) and write the JSON report here (e.g. BENCH_pr7.json)")
-	ffBenchOut := flag.String("ff-bench-out", "", "run the diurnal campaign at packet and hybrid fidelity, enforce the differential + speedup gates, and write the JSON report here (e.g. BENCH_pr8.json)")
-	ctrlBenchOut := flag.String("ctrl-bench-out", "", "run the drain and noisy-neighbor control-plane scenarios, enforce the zero-failed-I/O and 2x-isolation gates, and write the JSON report here (e.g. BENCH_pr10.json)")
-	fidelity := flag.String("fidelity", "packet", "simulation fidelity for experiments that support it: packet (every frame) or hybrid (fluid fast-forward of quiescent bulk flows)")
-	profileDir := flag.String("profile", "", "write cpu.pprof (whole run) and heap.pprof (at exit) into this directory")
-	list := flag.Bool("list", false, "list experiments")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, validates every selection
+// before any simulation starts, runs the experiments and returns the exit
+// status, so the -profile stop is one defer on every path.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "", "experiment id (fig3..fig15, table1..table3, or 'all')")
+	quick := fs.Bool("quick", false, "reduced scale for a fast run")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	workers := fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	coupledWorkers := fs.Int("coupled-workers", 0, "worker count driving a coupled experiment's fabric partitions (0 = GOMAXPROCS, 1 = serial windows; output is identical for every value)")
+	jsonOut := fs.Bool("json", false, "emit one JSON metric row per line instead of tables")
+	metricsOut := fs.String("metrics-out", "", "write the merged observability registry of all experiments here (e.g. METRICS.json)")
+	metricsFormat := fs.String("metrics-format", "json", "format for -metrics-out: json or openmetrics")
+	ccFlag := fs.String("cc", "static", "congestion controller for every RDMA stack: static, dcqcn, or swift (the CC-matrix experiments sweep all three regardless)")
+	fidelity := fs.String("fidelity", "packet", "simulation fidelity for experiments that support it: packet (every frame) or hybrid (fluid fast-forward of quiescent bulk flows)")
+	profileDir := fs.String("profile", "", "write cpu.pprof (whole run) and heap.pprof (at exit) into this directory")
+	list := fs.Bool("list", false, "list experiments")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	ccKind, ok := cc.ParseKind(*ccFlag)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "ebsbench: unknown -cc %q (static, dcqcn, or swift)\n", *ccFlag)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "ebsbench: unknown -cc %q (static, dcqcn, or swift)\n", *ccFlag)
+		return 1
 	}
 	fid, err := ebs.ParseFidelity(*fidelity)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ebsbench: %v\n", err)
-		os.Exit(1)
-	}
-	var prof *profiler
-	if *profileDir != "" {
-		prof, err = startProfile(*profileDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ebsbench: profile: %v\n", err)
-			os.Exit(1)
-		}
-		defer prof.Stop()
+		fmt.Fprintf(stderr, "ebsbench: %v\n", err)
+		return 1
 	}
 	if *metricsOut != "" && *metricsFormat != "json" && *metricsFormat != "openmetrics" {
-		fmt.Fprintf(os.Stderr, "ebsbench: unknown -metrics-format %q (json or openmetrics)\n", *metricsFormat)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "ebsbench: unknown -metrics-format %q (json or openmetrics)\n", *metricsFormat)
+		return 1
 	}
-
-	opts := experiments.Options{Seed: *seed, Quick: *quick, Workers: *workers,
-		CoupledWorkers: *coupledWorkers, Telemetry: *metricsOut != "", Fidelity: fid, CC: ccKind}
-
-	// Report stages: each flag that names an output file runs its report.
-	reports := 0
-	for _, r := range []struct {
-		name, out string
-		write     func(path string, opts experiments.Options) error
-	}{
-		{"coupled bench", *coupledBenchOut, writeCoupledBenchReport},
-		{"cc bench", *ccBenchOut, writeCCBenchReport},
-		{"ff bench", *ffBenchOut, writeFFBenchReport},
-		{"ctrl bench", *ctrlBenchOut, writeCtrlBenchReport},
-	} {
-		if r.out == "" {
-			continue
-		}
-		if err := r.write(r.out, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "ebsbench: %s: %v\n", r.name, err)
-			prof.Stop()
-			os.Exit(1)
-		}
-		reports++
-	}
-	if reports > 0 && *exp == "" && !*list {
-		return
+	if *exp == "" && (*jsonOut || *metricsOut != "") {
+		fmt.Fprintln(stderr, "ebsbench: -json and -metrics-out need -exp (try -list)")
+		return 2
 	}
 
 	ids := make([]string, 0, len(registry))
@@ -138,6 +115,22 @@ func main() {
 	}
 	sort.Strings(ids)
 
+	// Resolve every requested id before anything runs: a typo must not
+	// cost the experiments listed ahead of it.
+	var sel []string
+	if *exp == "all" {
+		sel = ids
+	} else if *exp != "" {
+		for _, id := range strings.Split(*exp, ",") {
+			id = strings.TrimSpace(id)
+			if _, ok := registry[id]; !ok {
+				fmt.Fprintf(stderr, "unknown experiment %q (try -list)\n", id)
+				return 1
+			}
+			sel = append(sel, id)
+		}
+	}
+
 	if *list || *exp == "" {
 		wid := 0
 		for _, id := range ids {
@@ -145,14 +138,26 @@ func main() {
 				wid = len(id)
 			}
 		}
-		fmt.Println("experiments:")
+		fmt.Fprintln(stdout, "experiments:")
 		for _, id := range ids {
-			fmt.Printf("  %-*s  %s\n", wid, id, registry[id].brief)
+			fmt.Fprintf(stdout, "  %-*s  %s\n", wid, id, registry[id].brief)
 		}
 		if *exp == "" {
-			os.Exit(0)
+			return 0
 		}
 	}
+
+	if *profileDir != "" {
+		prof, err := startProfile(*profileDir)
+		if err != nil {
+			fmt.Fprintf(stderr, "ebsbench: profile: %v\n", err)
+			return 1
+		}
+		defer prof.Stop()
+	}
+
+	opts := experiments.Options{Seed: *seed, Quick: *quick, Workers: *workers,
+		CoupledWorkers: *coupledWorkers, Telemetry: *metricsOut != "", Fidelity: fid, CC: ccKind}
 
 	// Every experiment shard asserts that its cluster returned all pooled
 	// packets; any leak fails the whole run (after all output is printed).
@@ -160,18 +165,18 @@ func main() {
 
 	// Telemetry registries are collected per experiment slot (race-free under
 	// runtime.Map) and merged in run order after the fan-out.
-	var expRegs []*stats.Registry
+	expRegs := make([]*stats.Registry, len(sel))
 
 	// render runs one experiment and returns its full text block, so
 	// concurrent experiments never interleave on stdout.
-	render := func(slot int, id string) string {
-		e, ok := registry[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
-			os.Exit(1)
-		}
+	type block struct {
+		out string
+		err error
+	}
+	render := func(slot int) block {
+		id := sel[slot]
 		start := time.Now()
-		tab := e.fn(opts)
+		tab := registry[id].fn(opts)
 		elapsed := time.Since(start).Round(time.Millisecond)
 		if tab.Telemetry != nil {
 			expRegs[slot] = tab.Telemetry
@@ -181,23 +186,22 @@ func main() {
 			leaked = tab.Perf.Leaked()
 			leakedTotal.Add(int64(leaked))
 		}
+		var b strings.Builder
 		if *jsonOut {
-			var b strings.Builder
-			enc := json.NewEncoder(&b)
-			for _, m := range tab.Metrics(id, *seed) {
-				if err := enc.Encode(m); err != nil {
-					fmt.Fprintf(os.Stderr, "json encode: %v\n", err)
-					os.Exit(1)
-				}
-			}
+			rows := tab.Metrics(id, *seed)
 			if leaked > 0 {
-				enc.Encode(experiments.Metric{
+				rows = append(rows, experiments.Metric{
 					Exp: id, Metric: "leaked_packets", Value: float64(leaked), Unit: "packets", Seed: *seed,
 				})
 			}
-			return b.String()
+			enc := json.NewEncoder(&b)
+			for _, m := range rows {
+				if err := enc.Encode(m); err != nil {
+					return block{err: fmt.Errorf("%s: json encode: %w", id, err)}
+				}
+			}
+			return block{out: b.String()}
 		}
-		var b strings.Builder
 		b.WriteString(tab.Format())
 		if perf := tab.PerfSummary(); perf != "" {
 			fmt.Fprintf(&b, "[%s perf: %s]\n", id, perf)
@@ -206,39 +210,29 @@ func main() {
 			fmt.Fprintf(&b, "[%s LEAK: %d pooled packets never returned]\n", id, leaked)
 		}
 		fmt.Fprintf(&b, "[%s completed in %v]\n\n", id, elapsed)
-		return b.String()
-	}
-
-	var run []string
-	if *exp == "all" {
-		run = ids
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
-			run = append(run, strings.TrimSpace(id))
-		}
+		return block{out: b.String()}
 	}
 
 	// Experiments are independent of each other: fan them out on the same
 	// worker pool and print the buffered blocks in id order.
-	expRegs = make([]*stats.Registry, len(run))
-	outs := runtime.Map(runtime.Runner{Workers: *workers}, len(run), func(i int) string {
-		return render(i, run[i])
-	})
-	for _, out := range outs {
-		fmt.Print(out)
+	for _, b := range runtime.Map(runtime.Runner{Workers: *workers}, len(sel), render) {
+		if b.err != nil {
+			fmt.Fprintf(stderr, "ebsbench: %v\n", b.err)
+			return 1
+		}
+		fmt.Fprint(stdout, b.out)
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, *metricsFormat, expRegs); err != nil {
-			fmt.Fprintf(os.Stderr, "ebsbench: metrics: %v\n", err)
-			prof.Stop()
-			os.Exit(1)
+			fmt.Fprintf(stderr, "ebsbench: metrics: %v\n", err)
+			return 1
 		}
 	}
 	if n := leakedTotal.Load(); n > 0 {
-		fmt.Fprintf(os.Stderr, "ebsbench: %d pooled packets leaked across experiments\n", n)
-		prof.Stop()
-		os.Exit(1)
+		fmt.Fprintf(stderr, "ebsbench: %d pooled packets leaked across experiments\n", n)
+		return 1
 	}
+	return 0
 }
 
 // writeMetrics merges the per-experiment registries in run order (each

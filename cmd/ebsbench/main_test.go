@@ -1,0 +1,70 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"sort"
+	"strings"
+	"testing"
+
+	"lunasolar/internal/experiments"
+)
+
+// TestRun drives the whole command: a bad selection exits before any
+// experiment function is entered; -list and -json keep their shape.
+func TestRun(t *testing.T) {
+	entered := 0
+	fig3 := registry["fig3"]
+	defer func() { registry["fig3"] = fig3 }()
+	counted := fig3
+	counted.fn = func(o experiments.Options) *experiments.Table { entered++; return fig3.fn(o) }
+	registry["fig3"] = counted
+
+	listed := func(t *testing.T, out string) {
+		var got, want []string
+		for _, line := range strings.Split(strings.TrimSpace(out), "\n")[1:] {
+			got = append(got, strings.Fields(line)[0])
+		}
+		for id := range registry {
+			want = append(want, id)
+		}
+		sort.Strings(want)
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("-list names %v, want the sorted registry keys %v", got, want)
+		}
+	}
+	metricRows := func(t *testing.T, out string) {
+		for n, line := range strings.Split(strings.TrimSpace(out), "\n") {
+			var m experiments.Metric
+			if err := json.Unmarshal([]byte(line), &m); err != nil || m.Exp != "fig3" || m.Metric == "" {
+				t.Errorf("-json line %d %q does not decode as a fig3 experiments.Metric (%v)", n, line, err)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		args          string
+		code, entered int
+		stderr        string
+		stdout        func(*testing.T, string)
+	}{
+		{"-exp fig3,typo", 1, 0, `unknown experiment "typo" (try -list)`, nil},
+		{"-exp fig3 -cc bogus", 1, 0, `ebsbench: unknown -cc "bogus" (static, dcqcn, or swift)`, nil},
+		{"-exp fig3 -fidelity bogus", 1, 0, `ebsbench: unknown fidelity "bogus" (want packet or hybrid)`, nil},
+		{"-json", 2, 0, "need -exp", nil},
+		{"-metrics-out unwritten.json", 2, 0, "need -exp", nil},
+		{"-list", 0, 0, "", listed},
+		{"-exp fig3 -json", 0, 1, "", metricRows},
+	} {
+		var stdout, stderr bytes.Buffer
+		entered = 0
+		code := run(strings.Fields(tc.args), &stdout, &stderr)
+		if code != tc.code || entered != tc.entered || !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("ebsbench %s: exit %d, %d experiments entered, stderr %q; want exit %d, %d entered, stderr containing %q",
+				tc.args, code, entered, stderr.String(), tc.code, tc.entered, tc.stderr)
+		}
+		if tc.stdout != nil {
+			tc.stdout(t, stdout.String())
+		}
+	}
+}

@@ -9,12 +9,10 @@ import (
 )
 
 // profiler wraps the -profile flag: a CPU profile spanning the experiment
-// run plus a heap snapshot at stop. Stop is idempotent so it can sit on
-// both the normal path and the early-exit error paths.
+// run plus a heap snapshot at stop.
 type profiler struct {
-	dir     string
-	cpu     *os.File
-	stopped bool
+	dir string
+	cpu *os.File
 }
 
 // startProfile creates dir (if needed) and begins the CPU profile at
@@ -35,12 +33,8 @@ func startProfile(dir string) (*profiler, error) {
 }
 
 // Stop ends the CPU profile and writes dir/heap.pprof (post-GC, so the
-// snapshot shows retained memory, not garbage). Safe to call repeatedly.
+// snapshot shows retained memory, not garbage).
 func (p *profiler) Stop() {
-	if p == nil || p.stopped {
-		return
-	}
-	p.stopped = true
 	pprof.StopCPUProfile()
 	if err := p.cpu.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "ebsbench: profile: %v\n", err)

@@ -22,15 +22,15 @@ import (
 var ccKinds = []cc.Kind{cc.KindStatic, cc.KindDCQCN, cc.KindSwift}
 
 // CCCell is one (scenario, controller) measurement — the unit of the
-// BENCH_pr7.json CC matrix and of the rendered fig-style tables.
+// rendered fig-style tables.
 type CCCell struct {
-	Scenario      string  `json:"scenario"`
-	CC            string  `json:"cc"`
-	Ops           int     `json:"ops"`
-	P50us         float64 `json:"p50_us"`
-	P99us         float64 `json:"p99_us"`
-	MBps          float64 `json:"mb_per_s"`
-	QueueHiWatKiB float64 `json:"queue_hiwater_kib"`
+	Scenario      string
+	CC            string
+	Ops           int
+	P50us         float64
+	P99us         float64
+	MBps          float64
+	QueueHiWatKiB float64
 }
 
 func (c CCCell) row() []string {
@@ -95,8 +95,8 @@ func ccIncastCell(opts Options, kind cc.Kind) (CCCell, *ebs.Cluster) {
 	return cell, c
 }
 
-// IncastMatrix runs the incast storm across every controller.
-func IncastMatrix(opts Options) ([]CCCell, *Table) {
+// incastMatrix runs the incast storm across every controller.
+func incastMatrix(opts Options) ([]CCCell, *Table) {
 	f := opts.fleet()
 	cells := runCells(f, len(ccKinds), func(shard int) (CCCell, *ebs.Cluster) {
 		return ccIncastCell(opts, ccKinds[shard])
@@ -118,7 +118,7 @@ func IncastMatrix(opts Options) ([]CCCell, *Table) {
 
 // Incast is the ebsbench entry point for the incast storm.
 func Incast(opts Options) *Table {
-	_, t := IncastMatrix(opts)
+	_, t := incastMatrix(opts)
 	return t
 }
 

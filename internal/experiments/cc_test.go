@@ -80,7 +80,7 @@ func TestCCMatrixDistinguishable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster experiment")
 	}
-	cells, _ := IncastMatrix(Options{Seed: 7, Quick: true, Workers: 1})
+	cells, _ := incastMatrix(Options{Seed: 7, Quick: true, Workers: 1})
 	if len(cells) != 3 {
 		t.Fatalf("incast matrix has %d cells, want 3", len(cells))
 	}

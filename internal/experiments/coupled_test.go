@@ -37,7 +37,7 @@ func TestCoupledDifferential(t *testing.T) {
 		e := e
 		t.Run(e.id, func(t *testing.T) {
 			var want string
-			for _, workers := range []int{1, 2, 4} {
+			for _, workers := range []int{1, 2, 4, 8} {
 				opts := Options{Seed: 1, Quick: true, CoupledWorkers: workers}
 				tab := e.fn(opts)
 				if leaked := tab.Perf.Leaked(); leaked != 0 {

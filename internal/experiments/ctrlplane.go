@@ -23,19 +23,19 @@ var ctrlStacks = []ebs.StackKind{ebs.Luna, ebs.Solar}
 
 // ProvisionStormCell is one stack's provisioning-storm measurement.
 type ProvisionStormCell struct {
-	Stack     string `json:"stack"`
-	Creates   int    `json:"creates"`
-	Replays   int    `json:"replays"`
-	Resizes   int    `json:"resizes"`
-	Snapshots int    `json:"snapshots"`
-	Clones    int    `json:"clones"`
-	Deletes   int    `json:"deletes"`
-	Errors    int    `json:"errors"`
-	IOErrors  int    `json:"io_errors"`
+	Stack     string
+	Creates   int
+	Replays   int
+	Resizes   int
+	Snapshots int
+	Clones    int
+	Deletes   int
+	Errors    int
+	IOErrors  int
 	// SpreadMax/SpreadMin are the heaviest and lightest block server's
 	// live segment counts after the storm — the placement-balance witness.
-	SpreadMax int `json:"spread_max"`
-	SpreadMin int `json:"spread_min"`
+	SpreadMax int
+	SpreadMin int
 }
 
 // provisionStormCell runs the storm on one stack: tenants t0..t3 create
@@ -170,16 +170,16 @@ func ProvisionStorm(opts Options) *Table {
 // DrainCell is one stack's planned-drain measurement: a chunk server is
 // drained mid-storm; the gate is zero failed foreground I/Os.
 type DrainCell struct {
-	Stack        string  `json:"stack"`
-	IOs          int     `json:"ios"`
-	FailedIOs    int     `json:"failed_ios"`
-	Segments     int     `json:"segments"`
-	BlocksCopied int     `json:"blocks_copied"`
-	MBCopied     float64 `json:"mb_copied"`
-	CopyErrors   int     `json:"copy_errors"`
-	CutoverP50us float64 `json:"cutover_p50_us"`
-	CutoverP99us float64 `json:"cutover_p99_us"`
-	DrainMs      float64 `json:"drain_ms"`
+	Stack        string
+	IOs          int
+	FailedIOs    int
+	Segments     int
+	BlocksCopied int
+	MBCopied     float64
+	CopyErrors   int
+	CutoverP50us float64
+	CutoverP99us float64
+	DrainMs      float64
 }
 
 // drainCell seeds every segment of two volumes, opens a 4 KiB write storm
@@ -257,9 +257,9 @@ func drainCell(opts Options, fn ebs.StackKind) (DrainCell, *ebs.Cluster) {
 	return cell, c
 }
 
-// DrainCells runs the planned drain on both stacks and returns the cells
-// (shared with the -ctrl-bench-out report).
-func DrainCells(opts Options) ([]DrainCell, *Table) {
+// drainCells runs the planned drain on both stacks and returns the cells
+// TestCtrlGates checks next to the table.
+func drainCells(opts Options) ([]DrainCell, *Table) {
 	fleet := opts.fleet()
 	cells := runCells(fleet, len(ctrlStacks), func(shard int) (DrainCell, *ebs.Cluster) {
 		return drainCell(opts, ctrlStacks[shard])
@@ -286,18 +286,18 @@ func DrainCells(opts Options) ([]DrainCell, *Table) {
 
 // Drain is the ebsbench entry point for the planned-drain table.
 func Drain(opts Options) *Table {
-	_, t := DrainCells(opts)
+	_, t := drainCells(opts)
 	return t
 }
 
 // NoisyCell is one noisy-neighbor measurement: the victim's latency with
 // the aggressor absent, capped by tenant QoS, or uncapped.
 type NoisyCell struct {
-	Mode         string  `json:"mode"` // baseline | capped | uncapped
-	VictimOps    int     `json:"victim_ops"`
-	VictimP50us  float64 `json:"victim_p50_us"`
-	VictimP99us  float64 `json:"victim_p99_us"`
-	AggressorOps int     `json:"aggressor_ops"`
+	Mode         string // baseline | capped | uncapped
+	VictimOps    int
+	VictimP50us  float64
+	VictimP99us  float64
+	AggressorOps int
 }
 
 // noisyCell runs the victim's open-loop 4 KiB writes, optionally alongside
@@ -370,9 +370,9 @@ func noisyCell(opts Options, mode string) (NoisyCell, *ebs.Cluster) {
 // noisyModes orders the three noisy-neighbor cells.
 var noisyModes = []string{"baseline", "capped", "uncapped"}
 
-// NoisyNeighborCells runs all three modes and returns the cells (shared
-// with the -ctrl-bench-out report).
-func NoisyNeighborCells(opts Options) ([]NoisyCell, *Table) {
+// noisyNeighborCells runs all three modes and returns the cells
+// TestCtrlGates checks next to the table.
+func noisyNeighborCells(opts Options) ([]NoisyCell, *Table) {
 	fleet := opts.fleet()
 	cells := runCells(fleet, len(noisyModes), func(shard int) (NoisyCell, *ebs.Cluster) {
 		return noisyCell(opts, noisyModes[shard])
@@ -397,6 +397,6 @@ func NoisyNeighborCells(opts Options) ([]NoisyCell, *Table) {
 
 // NoisyNeighbor is the ebsbench entry point for the noisy-neighbor matrix.
 func NoisyNeighbor(opts Options) *Table {
-	_, t := NoisyNeighborCells(opts)
+	_, t := noisyNeighborCells(opts)
 	return t
 }

@@ -19,44 +19,42 @@ import (
 // flows and only the disturbed windows (incast onset, the reboot spike)
 // run packet by packet. The two modes must agree — exactly on drop and
 // completion counts, and within a sliver on completion-time quantiles —
-// which is what TestHybridDifferential and `make ff-diff` check.
+// which is what TestHybridDifferential checks.
 
 // diurnalPhases names the campaign's phases in schedule order.
 var diurnalPhases = []string{"ramp", "plateau", "incast", "spike", "rampdown"}
 
 // DiurnalPhase is one phase's merged measurement.
 type DiurnalPhase struct {
-	Name      string  `json:"phase"`
-	Started   int     `json:"started"`
-	Completed int     `json:"completed"`
-	Fluid     int     `json:"fluid"` // completions delivered analytically
-	P50us     float64 `json:"p50_us"`
-	P90us     float64 `json:"p90_us"`
-	P99us     float64 `json:"p99_us"`
+	Name      string
+	Started   int
+	Completed int
+	Fluid     int // completions delivered analytically
+	P50us     float64
+	P90us     float64
+	P99us     float64
 }
 
 // DiurnalResult is the structured outcome of one campaign run (both
-// shards merged), the unit the differential gate and BENCH_pr8.json
-// consume.
+// shards merged), the unit the differential gate consumes.
 type DiurnalResult struct {
-	Fidelity  string        `json:"fidelity"`
-	Started   int           `json:"started"`
-	Completed int           `json:"completed"`
-	Fluid     int           `json:"fluid"`
-	Drops     uint64        `json:"drops"`
-	Events    uint64        `json:"events"`
-	SimTime   time.Duration `json:"-"`
-	SimUS     float64       `json:"sim_us"`
-	MBps      float64       `json:"mb_per_s"`
+	Fidelity  string
+	Started   int
+	Completed int
+	Fluid     int
+	Drops     uint64
+	Events    uint64
+	SimTime   time.Duration
+	MBps      float64
 	Phases    []DiurnalPhase
 	Overall   DiurnalPhase
 
-	Admitted  uint64 `json:"admitted"`  // transfers that ran (partly) fluid
-	Demotions uint64 `json:"demotions"` // flush-all events
+	Admitted  uint64 // transfers that ran (partly) fluid
+	Demotions uint64 // flush-all events
 
 	// Perf carries the fleet's throughput and leak counters for the runs
-	// behind this result (outside the JSON surface the diff gates compare).
-	Perf *runtime.Perf `json:"-"`
+	// behind this result.
+	Perf *runtime.Perf
 }
 
 // diurnalCell is one shard's raw outcome.
@@ -224,9 +222,9 @@ func quantileExact(lats []time.Duration, q float64) time.Duration {
 	return s[k]
 }
 
-// DiurnalCampaign runs the campaign (two shards, merged in shard order) at
+// diurnalCampaign runs the campaign (two shards, merged in shard order) at
 // the given fidelity and returns the structured result.
-func DiurnalCampaign(opts Options, fid ebs.Fidelity) *DiurnalResult {
+func diurnalCampaign(opts Options, fid ebs.Fidelity) *DiurnalResult {
 	const shards = 2
 	fleet := opts.fleet()
 	cells := runFabricCells(fleet, shards, func(shard int) (diurnalCell, *sim.Engine, *simnet.Fabric) {
@@ -280,14 +278,13 @@ func DiurnalCampaign(opts Options, fid ebs.Fidelity) *DiurnalResult {
 	if simTotal > 0 {
 		res.MBps = float64(bytes) / simTotal.Seconds() / 1e6
 	}
-	res.SimUS = float64(res.SimTime.Nanoseconds()) / 1e3
 	return res
 }
 
 // Diurnal is the ebsbench entry point: it renders the campaign at
 // Options.Fidelity as a per-phase table.
 func Diurnal(opts Options) *Table {
-	res := DiurnalCampaign(opts, opts.Fidelity)
+	res := diurnalCampaign(opts, opts.Fidelity)
 	t := &Table{
 		Title:   fmt.Sprintf("Diurnal bulk campaign (fidelity=%s): ramp → plateau → incast → spine reboot → ramp-down", res.Fidelity),
 		Columns: []string{"phase", "started", "completed", "fluid", "p50(µs)", "p90(µs)", "p99(µs)"},

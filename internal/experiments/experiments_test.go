@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"lunasolar/ebs"
 )
 
 func quickOpts() Options { return Options{Seed: 1, Quick: true} }
@@ -138,8 +140,8 @@ func TestFig14SolarWins(t *testing.T) {
 		t.Skip("cluster experiment")
 	}
 	o := quickOpts()
-	luna1, _ := runFio(o, lunaKind(), 1, 4096)
-	solar1, _ := runFio(o, solarKind(), 1, 4096)
+	luna1, _ := runFio(o, ebs.Luna, 1, 4096)
+	solar1, _ := runFio(o, ebs.Solar, 1, 4096)
 	if solar1 <= luna1 {
 		t.Fatalf("solar (%v) should beat luna (%v) at one core", solar1, luna1)
 	}

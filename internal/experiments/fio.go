@@ -101,14 +101,3 @@ func runFio(opts Options, fn ebs.StackKind, cores int, blockSize int) (float64, 
 	fio.Stop()
 	return float64(gotBytes) / window.Seconds() / 1e6, c
 }
-
-// lunaKind and solarKind keep ebs out of the test file's imports.
-func lunaKind() ebs.StackKind  { return ebs.Luna }
-func solarKind() ebs.StackKind { return ebs.Solar }
-
-// RunFioCell exposes one Fig. 14 cell for ad-hoc probing (stack by name).
-func RunFioCell(opts Options, stack string, cores, blockSize int) float64 {
-	kinds := map[string]ebs.StackKind{"luna": ebs.Luna, "rdma": ebs.RDMA, "solar*": ebs.SolarStar, "solar": ebs.Solar}
-	mbs, _ := runFio(opts, kinds[stack], cores, blockSize)
-	return mbs
-}

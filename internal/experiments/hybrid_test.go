@@ -29,11 +29,18 @@ func withinPct(t *testing.T, name string, got, want, tol float64) {
 // on start, completion and drop counts, and within 1% on completion-time
 // quantiles and goodput — while actually fast-forwarding (analytic
 // completions, fewer events) and actually demoting (the incast wave is
-// engineered to be max-min infeasible in every shard).
+// engineered to be max-min infeasible in every shard). minEventRatio is
+// the deterministic event-count reduction floor (39.8x measured at full
+// scale); the wall-clock payoff is the ratio of the BenchmarkDiurnal* lines.
 func TestHybridDifferential(t *testing.T) {
-	opts := Options{Seed: 1, Quick: true, Workers: 1}
-	pkt := DiurnalCampaign(opts, ebs.FidelityPacket)
-	hyb := DiurnalCampaign(opts, ebs.FidelityHybrid)
+	t.Run("quick", func(t *testing.T) { hybridDifferential(t, true, 3) })
+	t.Run("full", func(t *testing.T) { hybridDifferential(t, false, 30) })
+}
+
+func hybridDifferential(t *testing.T, quick bool, minEventRatio uint64) {
+	opts := Options{Seed: 1, Quick: quick, Workers: 1}
+	pkt := diurnalCampaign(opts, ebs.FidelityPacket)
+	hyb := diurnalCampaign(opts, ebs.FidelityHybrid)
 
 	if l := pkt.Perf.Leaked(); l != 0 {
 		t.Fatalf("packet run leaked %d pooled packets", l)
@@ -50,6 +57,9 @@ func TestHybridDifferential(t *testing.T) {
 	}
 	if hyb.Drops != pkt.Drops {
 		t.Fatalf("drops differ: hybrid %d, packet %d", hyb.Drops, pkt.Drops)
+	}
+	if hyb.SimTime != pkt.SimTime {
+		t.Fatalf("simulated spans differ: hybrid %v, packet %v", hyb.SimTime, pkt.SimTime)
 	}
 	if len(hyb.Phases) != len(pkt.Phases) {
 		t.Fatalf("phase count differs: %d vs %d", len(hyb.Phases), len(pkt.Phases))
@@ -82,8 +92,8 @@ func TestHybridDifferential(t *testing.T) {
 	if hyb.Demotions < 2 {
 		t.Fatalf("hybrid demotions = %d, want >= 2 (one incast flush per shard)", hyb.Demotions)
 	}
-	if hyb.Events*3 >= pkt.Events {
-		t.Fatalf("hybrid processed %d events vs packet %d; want at least a 3x reduction", hyb.Events, pkt.Events)
+	if hyb.Events*minEventRatio >= pkt.Events {
+		t.Fatalf("hybrid processed %d events vs packet %d; want more than a %dx reduction", hyb.Events, pkt.Events, minEventRatio)
 	}
 }
 
@@ -114,8 +124,8 @@ func TestHybridWorkerDeterminism(t *testing.T) {
 // "fix" that would pin the campaign's output regardless of scenario:
 // different seeds must still produce different campaigns in hybrid mode.
 func TestHybridFidelitySensitivity(t *testing.T) {
-	a := DiurnalCampaign(Options{Seed: 1, Quick: true, Workers: 1}, ebs.FidelityHybrid)
-	b := DiurnalCampaign(Options{Seed: 2, Quick: true, Workers: 1}, ebs.FidelityHybrid)
+	a := diurnalCampaign(Options{Seed: 1, Quick: true, Workers: 1}, ebs.FidelityHybrid)
+	b := diurnalCampaign(Options{Seed: 2, Quick: true, Workers: 1}, ebs.FidelityHybrid)
 	if a.Overall.P50us == b.Overall.P50us && a.Overall.P99us == b.Overall.P99us && a.MBps == b.MBps {
 		t.Fatal("seeds 1 and 2 produced identical campaigns; the schedule is not seeded")
 	}
