@@ -14,7 +14,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet lint lint-report staticcheck govulncheck test race bench bench-smoke check
+.PHONY: build vet lint lint-report staticcheck govulncheck test race fuzz-smoke bench bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Ten seconds of real fuzzing per target (`go test` alone only replays the
+# seed corpora). CI runs it; it stays out of `check` so the pre-commit gate
+# does not grow.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCRCCombine$$' -fuzztime 10s ./internal/crc
+	$(GO) test -run '^$$' -fuzz '^FuzzRawMatchesBitwise$$' -fuzztime 10s ./internal/crc
+	$(GO) test -run '^$$' -fuzz '^FuzzFeedback$$' -fuzztime 10s ./internal/cc
 
 # One quick experiment benchmark, the raw event-loop benchmark, the
 # 4 KiB write path, the coupled storm at four window workers, the hybrid

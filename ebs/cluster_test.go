@@ -33,6 +33,28 @@ func fill(n int, seed byte) []byte {
 	return b
 }
 
+// TestEmptyIOCompletesWithError: a zero-length guest I/O must complete
+// exactly once with an error instead of hanging, on both paper stacks.
+func TestEmptyIOCompletesWithError(t *testing.T) {
+	for _, fn := range []StackKind{Luna, Solar} {
+		c := testCluster(t, fn)
+		vd := c.MustProvision(0, 64<<20, DefaultQoS())
+		fired := 0
+		check := func(res IOResult) {
+			fired++
+			if res.Err == nil {
+				t.Errorf("%v: empty I/O succeeded", fn)
+			}
+		}
+		vd.Write(0x8000, nil, check)
+		vd.Read(0x8000, 0, check)
+		c.Run()
+		if fired != 2 {
+			t.Fatalf("%v: %d of 2 empty I/Os completed", fn, fired)
+		}
+	}
+}
+
 func TestWriteReadAllStacks(t *testing.T) {
 	for _, fn := range []StackKind{KernelTCP, Luna, RDMA, Solar, SolarStar} {
 		fn := fn

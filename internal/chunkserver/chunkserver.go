@@ -16,6 +16,7 @@ import (
 	"lunasolar/internal/crc"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/trace"
+	"lunasolar/internal/wire"
 )
 
 // SSDConfig models one physical SSD.
@@ -62,6 +63,9 @@ type Server struct {
 	disk     *sim.Server
 	nextSlot sim.Time // IOPS pacer: next admission slot
 	blocks   map[uint64]map[uint64]blockRec
+	// zero is what unwritten space reads as. Read-only and shared by every
+	// miss, like the stored slices hits hand out uncopied.
+	zero []byte
 
 	writes, reads, crcErrors, misses uint64
 
@@ -82,6 +86,7 @@ func New(eng *sim.Engine, name string, cfg SSDConfig) *Server {
 		rand:   eng.Rand.Fork(),
 		disk:   sim.NewServer(eng, name+"-ssd", cfg.Parallelism),
 		blocks: map[uint64]map[uint64]blockRec{},
+		zero:   make([]byte, wire.BlockSize),
 	}
 }
 
@@ -161,9 +166,9 @@ func (s *Server) ReadBlock(segment, lba uint64, done func(data []byte, rawCRC ui
 			rec, ok := seg[lba]
 			if !ok {
 				// Unwritten space reads as zeros, like a fresh virtual disk.
+				// The raw CRC is linear, so the CRC of zeros is 0.
 				s.misses++
-				zero := make([]byte, 4096)
-				done(zero, crc.Raw(zero), nil)
+				done(s.zero, 0, nil)
 				return
 			}
 			done(rec.data, rec.crc, nil)

@@ -55,15 +55,19 @@ func TestReadUnwrittenReturnsZeros(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := New(eng, "cs0", DefaultSSD())
 	var got []byte
+	var gotCRC uint32
 	s.ReadBlock(9, 0x9000, func(d []byte, c uint32, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = d
+		got, gotCRC = d, c
 	})
 	eng.Run()
 	if len(got) != 4096 {
 		t.Fatalf("len = %d", len(got))
+	}
+	if want := crc.Raw(got); gotCRC != want {
+		t.Fatalf("CRC %08x does not match the returned block (%08x)", gotCRC, want)
 	}
 	for _, b := range got {
 		if b != 0 {

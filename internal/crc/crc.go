@@ -1,6 +1,7 @@
-// Package crc implements the CRC32 machinery EBS relies on for end-to-end
-// data integrity, built from scratch (table generation, slicing-by-8, and
-// GF(2) combine), plus the two properties Solar's design exploits:
+// Package crc holds the CRC-32C properties EBS relies on for end-to-end
+// data integrity. The byte-walking engine is hash/crc32 (hardware CRC32C
+// where the platform has it); this package adds the two things Solar's
+// design exploits on top:
 //
 //  1. A "raw" (zero-init, no final inversion) CRC32 is linear over GF(2):
 //     Raw(a XOR b) == Raw(a) XOR Raw(b) for equal-length inputs. Solar's
@@ -14,219 +15,99 @@
 // ext4, NVMe).
 package crc
 
-// Poly is the reversed Castagnoli polynomial.
-const Poly = 0x82f63b78
+import "hash/crc32"
 
-var (
-	// table[0] is the classic byte-at-a-time table; table[1..7] extend it
-	// for slicing-by-8.
-	table [8][256]uint32
-)
-
-func init() {
-	for i := 0; i < 256; i++ {
-		crc := uint32(i)
-		for j := 0; j < 8; j++ {
-			if crc&1 == 1 {
-				crc = (crc >> 1) ^ Poly
-			} else {
-				crc >>= 1
-			}
-		}
-		table[0][i] = crc
-	}
-	for i := 0; i < 256; i++ {
-		crc := table[0][i]
-		for k := 1; k < 8; k++ {
-			crc = table[0][crc&0xff] ^ (crc >> 8)
-			table[k][i] = crc
-		}
-	}
-}
-
-// update advances a raw (non-inverted) CRC state over p using slicing-by-8.
-func update(crc uint32, p []byte) uint32 {
-	for len(p) >= 8 {
-		crc ^= uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
-		crc = table[7][crc&0xff] ^
-			table[6][(crc>>8)&0xff] ^
-			table[5][(crc>>16)&0xff] ^
-			table[4][(crc>>24)&0xff] ^
-			table[3][p[4]] ^
-			table[2][p[5]] ^
-			table[1][p[6]] ^
-			table[0][p[7]]
-		p = p[8:]
-	}
-	for _, b := range p {
-		crc = table[0][byte(crc)^b] ^ (crc >> 8)
-	}
-	return crc
-}
-
-// Checksum returns the standard CRC-32C of data (init 0xFFFFFFFF, final
-// inversion), matching hash/crc32.Checksum(data, Castagnoli).
-func Checksum(data []byte) uint32 {
-	return update(0xffffffff, data) ^ 0xffffffff
-}
-
-// Update continues a standard CRC-32C from a previous Checksum result.
-func Update(crc uint32, data []byte) uint32 {
-	return update(crc^0xffffffff, data) ^ 0xffffffff
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Raw returns the linear CRC-32C of data: zero initial state and no final
 // inversion. For equal-length blocks, Raw(a⊕b) == Raw(a)⊕Raw(b); this is
 // the form the FPGA CRC engine emits per block and the CPU aggregates.
+// crc32.Update inverts its state on the way in and on the way out, so
+// inverting both again leaves the bare register.
 func Raw(data []byte) uint32 {
-	return update(0, data)
+	return ^crc32.Update(^uint32(0), castagnoli, data)
 }
 
-// RawUpdate continues a raw CRC from a previous Raw result.
-func RawUpdate(crc uint32, data []byte) uint32 {
-	return update(crc, data)
-}
+// combineOp is the GF(2) operator that advances a CRC register across a
+// fixed number of zero bytes, flattened into one 32×32 matrix: op[i] is the
+// image of basis vector e_i. Building it costs one squaring chain; applying
+// it is a single matrix–vector product.
+//
+// The operator is valid for both CRC forms: the raw (zero-init, linear)
+// CRC satisfies Raw(A||B) = M_lenB·Raw(A) ⊕ Raw(B) directly, and the zlib
+// construction makes the same identity hold for the inverted form of
+// hash/crc32.Checksum.
+type combineOp [32]uint32
 
-// gf2MatTimes multiplies matrix m by vector v over GF(2).
-func gf2MatTimes(m *[32]uint32, v uint32) uint32 {
+// times multiplies the operator by the register v over GF(2).
+func (op *combineOp) times(v uint32) uint32 {
 	var sum uint32
 	for i := 0; v != 0; i, v = i+1, v>>1 {
 		if v&1 != 0 {
-			sum ^= m[i]
+			sum ^= op[i]
 		}
 	}
 	return sum
 }
 
-// gf2MatSquare sets sq = m·m over GF(2).
-func gf2MatSquare(sq, m *[32]uint32) {
-	for i := 0; i < 32; i++ {
-		sq[i] = gf2MatTimes(m, m[i])
+// mul returns a·b over GF(2): column i of the product is a applied to
+// column i of b.
+func mul(a, b *combineOp) combineOp {
+	var dst combineOp
+	for i := range dst {
+		dst[i] = a.times(b[i])
 	}
+	return dst
 }
 
-// gf2MatMul sets dst = a·b over GF(2). Column i of the product is a applied
-// to column i of b (m[i] holds the image of basis vector e_i).
-func gf2MatMul(dst, a, b *[32]uint32) {
-	for i := 0; i < 32; i++ {
-		dst[i] = gf2MatTimes(a, b[i])
-	}
-}
-
-// CombineOp is the GF(2) shift operator for a fixed appended length,
-// flattened into a single 32×32 matrix. Building it costs the same
-// squaring chain as one Combine call; applying it afterwards is a single
-// matrix–vector product. The data path memoizes the operator for the fixed
-// 4 KiB block length so per-block CRC folding at the blockserver/DPU
-// boundary never rebuilds the matrices.
-//
-// The operator is valid for both CRC forms: the raw (zero-init, linear)
-// CRC satisfies Raw(A||B) = M_lenB·Raw(A) ⊕ Raw(B) directly, and the zlib
-// construction makes the same identity hold for the inverted Checksum form.
-type CombineOp struct {
-	mat  [32]uint32
-	lenB int64
-}
-
-// MakeCombineOp precomputes the combine operator for appending lenB bytes.
-func MakeCombineOp(lenB int64) CombineOp {
-	op := CombineOp{lenB: lenB}
-	for i := 0; i < 32; i++ {
-		op.mat[i] = 1 << i // identity: lenB <= 0 appends nothing
+// makeCombineOp builds the operator for appending lenB bytes by square-and-
+// multiply over the bits of lenB (the zlib crc32_combine construction
+// specialised to CRC-32C). lenB <= 0 appends nothing: the identity.
+func makeCombineOp(lenB int64) combineOp {
+	var op, sq combineOp
+	for i := range op {
+		op[i] = 1 << i
 	}
 	if lenB <= 0 {
 		return op
 	}
-	var even, odd, tmp [32]uint32
-	shiftSeed(&even, &odd)
-	n := lenB
-	for {
-		gf2MatSquare(&even, &odd)
+	// sq starts as the operator for one zero bit (a right shift that feeds
+	// the reversed polynomial back in); three squarings make it one byte.
+	sq[0] = crc32.Castagnoli
+	for i := 1; i < 32; i++ {
+		sq[i] = 1 << (i - 1)
+	}
+	sq = mul(&sq, &sq)
+	sq = mul(&sq, &sq)
+	sq = mul(&sq, &sq)
+	for n := lenB; n != 0; n >>= 1 {
 		if n&1 != 0 {
-			gf2MatMul(&tmp, &even, &op.mat)
-			op.mat = tmp
+			op = mul(&sq, &op)
 		}
-		n >>= 1
-		if n == 0 {
-			break
-		}
-		gf2MatSquare(&odd, &even)
-		if n&1 != 0 {
-			gf2MatMul(&tmp, &odd, &op.mat)
-			op.mat = tmp
-		}
-		n >>= 1
-		if n == 0 {
-			break
-		}
+		sq = mul(&sq, &sq)
 	}
 	return op
 }
 
-// Len returns the appended length the operator was built for.
-func (op *CombineOp) Len() int64 { return op.lenB }
-
-// Combine folds crcB (over lenB bytes) onto crcA with one matrix–vector
-// product: CRC(A||B) from CRC(A) and CRC(B).
-func (op *CombineOp) Combine(crcA, crcB uint32) uint32 {
-	return gf2MatTimes(&op.mat, crcA) ^ crcB
-}
-
 // blockLen4K is the fixed EBS block length (wire.BlockSize; the literal
-// avoids an import cycle) whose combine operator is memoized at init.
+// avoids an import cycle). Its operator is built once, so per-block CRC
+// folding at the blockserver/DPU boundary never runs the squaring chain.
 const blockLen4K = 4096
 
-var op4K = MakeCombineOp(blockLen4K)
+var op4K = makeCombineOp(blockLen4K)
 
-// shiftSeed initialises the squaring chain: even = operator for two zero
-// bits, odd = operator for four zero bits (zlib crc32_combine seeding).
-func shiftSeed(even, odd *[32]uint32) {
-	// odd = operator for one zero bit.
-	odd[0] = Poly
-	row := uint32(1)
-	for i := 1; i < 32; i++ {
-		odd[i] = row
-		row <<= 1
-	}
-	gf2MatSquare(even, odd)
-	gf2MatSquare(odd, even)
-}
-
-// Combine returns the CRC of the concatenation A||B given crcA =
-// Checksum(A), crcB = Checksum(B), and lenB = len(B). This is the zlib
-// crc32_combine construction specialised to CRC-32C. The fixed 4 KiB block
-// length hits the memoized operator and skips the squaring chain entirely.
+// Combine returns the CRC of the concatenation A||B given the CRCs of A and
+// B (both raw, or both in the inverted hash/crc32.Checksum form) and lenB =
+// len(B). lenB <= 0 appends nothing and returns crcA.
 func Combine(crcA, crcB uint32, lenB int64) uint32 {
 	if lenB <= 0 {
 		return crcA
 	}
 	if lenB == blockLen4K {
-		return op4K.Combine(crcA, crcB)
+		return op4K.times(crcA) ^ crcB
 	}
-	var even, odd [32]uint32
-	shiftSeed(&even, &odd)
-
-	// Apply len2 zero bytes to crcA, 3 bits at a time (len*8 bits).
-	n := lenB
-	for {
-		gf2MatSquare(&even, &odd)
-		if n&1 != 0 {
-			crcA = gf2MatTimes(&even, crcA)
-		}
-		n >>= 1
-		if n == 0 {
-			break
-		}
-		gf2MatSquare(&odd, &even)
-		if n&1 != 0 {
-			crcA = gf2MatTimes(&odd, crcA)
-		}
-		n >>= 1
-		if n == 0 {
-			break
-		}
-	}
-	return crcA ^ crcB
+	op := makeCombineOp(lenB)
+	return op.times(crcA) ^ crcB
 }
 
 // CombineBlocks folds the raw CRCs of consecutive equal-length blocks into
@@ -239,41 +120,14 @@ func CombineBlocks(crcs []uint32, blockLen int64) uint32 {
 	}
 	op := &op4K
 	if blockLen != blockLen4K {
-		fresh := MakeCombineOp(blockLen)
+		fresh := makeCombineOp(blockLen)
 		op = &fresh
 	}
 	agg := crcs[0]
 	for _, c := range crcs[1:] {
-		agg = op.Combine(agg, c)
+		agg = op.times(agg) ^ c
 	}
 	return agg
-}
-
-// XorAggregate folds per-block raw CRCs into the single value Solar's CPU
-// verifies. Blocks must be equal length for the linearity property to make
-// the aggregate meaningful.
-func XorAggregate(rawCRCs []uint32) uint32 {
-	var agg uint32
-	for _, c := range rawCRCs {
-		agg ^= c
-	}
-	return agg
-}
-
-// XorBlocks XORs equal-length blocks together into dst (for verification in
-// tests and the software integrity checker). It panics if lengths differ.
-func XorBlocks(dst []byte, blocks ...[]byte) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, b := range blocks {
-		if len(b) != len(dst) {
-			panic("crc: XorBlocks length mismatch")
-		}
-		for i, v := range b {
-			dst[i] ^= v
-		}
-	}
 }
 
 // Aggregator implements Solar's software-side segment integrity check. The

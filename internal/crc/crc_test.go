@@ -7,37 +7,87 @@ import (
 	"testing/quick"
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// poly is the reversed Castagnoli polynomial, written out here so the
+// reference below shares nothing with the engine under test.
+const poly = 0x82f63b78
 
-func TestChecksumMatchesStdlib(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		n := r.Intn(9000)
-		data := make([]byte, n)
-		r.Read(data)
-		want := crc32.Checksum(data, castagnoli)
-		if got := Checksum(data); got != want {
-			t.Fatalf("len=%d: Checksum = %08x, want %08x", n, got, want)
+// rawBitwise is the bit-at-a-time definition of the raw CRC-32C that Raw
+// is compared against.
+func rawBitwise(p []byte) uint32 {
+	var c uint32
+	for _, b := range p {
+		c ^= uint32(b)
+		for i := 0; i < 8; i++ {
+			c = c>>1 ^ poly&-(c&1)
 		}
 	}
+	return c
 }
 
-func TestChecksumKnownVector(t *testing.T) {
-	// iSCSI test vector: CRC32C("123456789") = 0xE3069283.
-	if got := Checksum([]byte("123456789")); got != 0xe3069283 {
+// checksum is the standard (inverted) CRC-32C, the other form Combine
+// must hold for.
+func checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
+
+// xor returns a⊕b for equal-length a and b.
+func xor(a, b []byte) []byte {
+	x := make([]byte, len(a))
+	for i := range a {
+		x[i] = a[i] ^ b[i]
+	}
+	return x
+}
+
+// FuzzRawMatchesBitwise holds Raw to the bitwise reference over arbitrary
+// lengths and, through p[off:], over every start alignment mod 8, so the
+// head and tail handling of hash/crc32's assembly is exercised.
+func FuzzRawMatchesBitwise(f *testing.F) {
+	pat := make([]byte, 4200)
+	for i := range pat {
+		pat[i] = byte(i*131 + 7)
+	}
+	// The index doubles as the start offset, so each length n is hashed
+	// from a different alignment.
+	for off, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 255, 1024, 4095, 4096, 4097} {
+		f.Add(pat[:off%8+n], uint8(off))
+	}
+	f.Add([]byte("123456789"), uint8(0))
+	f.Fuzz(func(t *testing.T, p []byte, off uint8) {
+		o := int(off % 8)
+		if o > len(p) {
+			o = len(p)
+		}
+		p = p[o:]
+		if got, want := Raw(p), rawBitwise(p); got != want {
+			t.Fatalf("len=%d off=%d: Raw = %08x, bitwise = %08x", len(p), o, got, want)
+		}
+	})
+}
+
+func TestRawKnownVector(t *testing.T) {
+	// iSCSI check value: CRC32C("123456789") = 0xE3069283. By linearity the
+	// standard form is the raw CRC plus the all-ones init shifted across the
+	// message, inverted.
+	msg := []byte("123456789")
+	if got := ^Combine(0xffffffff, Raw(msg), int64(len(msg))); got != 0xe3069283 {
 		t.Fatalf("got %08x", got)
 	}
 }
 
-func TestUpdateIncremental(t *testing.T) {
-	data := []byte("the quick brown fox jumps over the lazy dog")
-	whole := Checksum(data)
-	for split := 0; split <= len(data); split++ {
-		part := Checksum(data[:split])
-		got := Update(part, data[split:])
-		if got != whole {
-			t.Fatalf("split=%d: incremental %08x != whole %08x", split, got, whole)
+// TestRawOfZerosIsZero pins the identity the chunk server's unwritten-space
+// read relies on: a zero register stays zero across zero bytes.
+func TestRawOfZerosIsZero(t *testing.T) {
+	for _, n := range []int{0, 1, 4095, 4096} {
+		if got := Raw(make([]byte, n)); got != 0 {
+			t.Fatalf("Raw(zeros(%d)) = %08x", n, got)
 		}
+	}
+}
+
+func TestRawDoesNotAllocate(t *testing.T) {
+	data := make([]byte, 4096)
+	rand.New(rand.NewSource(8)).Read(data)
+	if n := testing.AllocsPerRun(100, func() { sinkU32 = Raw(data) }); n != 0 {
+		t.Fatalf("Raw(4 KiB) allocates %v times per call", n)
 	}
 }
 
@@ -47,11 +97,9 @@ func TestRawLinearity(t *testing.T) {
 		n := 1 + r.Intn(4096)
 		a := make([]byte, n)
 		b := make([]byte, n)
-		x := make([]byte, n)
 		r.Read(a)
 		r.Read(b)
-		XorBlocks(x, a, b)
-		if Raw(x) != Raw(a)^Raw(b) {
+		if Raw(xor(a, b)) != Raw(a)^Raw(b) {
 			t.Fatalf("linearity violated at len %d", n)
 		}
 	}
@@ -64,9 +112,7 @@ func TestRawLinearityProperty(t *testing.T) {
 			n = len(b)
 		}
 		a, b = a[:n], b[:n]
-		x := make([]byte, n)
-		XorBlocks(x, a, b)
-		return Raw(x) == Raw(a)^Raw(b)
+		return Raw(xor(a, b)) == Raw(a)^Raw(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -74,13 +120,11 @@ func TestRawLinearityProperty(t *testing.T) {
 }
 
 func TestStandardChecksumIsNotLinear(t *testing.T) {
-	// Documents why the aggregation uses Raw, not Checksum: the init/final
-	// inversions break linearity.
+	// Documents why the aggregation uses Raw, not the standard form: the
+	// init/final inversions break linearity.
 	a := []byte{1, 2, 3, 4}
 	b := []byte{5, 6, 7, 8}
-	x := make([]byte, 4)
-	XorBlocks(x, a, b)
-	if Checksum(x) == Checksum(a)^Checksum(b) {
+	if checksum(xor(a, b)) == checksum(a)^checksum(b) {
 		t.Fatal("expected standard CRC to violate XOR linearity")
 	}
 }
@@ -93,8 +137,8 @@ func TestCombine(t *testing.T) {
 		b := make([]byte, lb)
 		r.Read(a)
 		r.Read(b)
-		whole := Checksum(append(append([]byte{}, a...), b...))
-		got := Combine(Checksum(a), Checksum(b), int64(lb))
+		whole := checksum(append(append([]byte{}, a...), b...))
+		got := Combine(checksum(a), checksum(b), int64(lb))
 		if got != whole {
 			t.Fatalf("combine(la=%d, lb=%d) = %08x, want %08x", la, lb, got, whole)
 		}
@@ -102,19 +146,9 @@ func TestCombine(t *testing.T) {
 }
 
 func TestCombineZeroLength(t *testing.T) {
-	a := Checksum([]byte("hello"))
-	if got := Combine(a, Checksum(nil), 0); got != a {
+	a := checksum([]byte("hello"))
+	if got := Combine(a, checksum(nil), 0); got != a {
 		t.Fatalf("combine with empty B changed CRC: %08x", got)
-	}
-}
-
-func TestXorAggregate(t *testing.T) {
-	crcs := []uint32{0xdeadbeef, 0x12345678, 0xdeadbeef}
-	if got := XorAggregate(crcs); got != 0x12345678 {
-		t.Fatalf("got %08x", got)
-	}
-	if got := XorAggregate(nil); got != 0 {
-		t.Fatalf("empty aggregate = %08x", got)
 	}
 }
 
@@ -181,33 +215,12 @@ func TestAggregatorEveryBitPosition(t *testing.T) {
 	}
 }
 
-func TestXorBlocksPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on length mismatch")
-		}
-	}()
-	XorBlocks(make([]byte, 4), make([]byte, 5))
-}
-
-func BenchmarkChecksum4K(b *testing.B) {
+func BenchmarkRaw4K(b *testing.B) {
 	data := make([]byte, 4096)
 	rand.New(rand.NewSource(6)).Read(data)
 	b.SetBytes(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Checksum(data)
-	}
-}
-
-func BenchmarkXorAggregate512Blocks(b *testing.B) {
-	crcs := make([]uint32, 512)
-	r := rand.New(rand.NewSource(7))
-	for i := range crcs {
-		crcs[i] = r.Uint32()
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		XorAggregate(crcs)
+		sinkU32 = Raw(data)
 	}
 }

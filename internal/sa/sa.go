@@ -539,25 +539,29 @@ type Result struct {
 // Write performs a write I/O. done receives the completion record; the
 // span's components follow Fig. 6's attribution.
 func (a *Agent) Write(vdisk uint32, lba uint64, data []byte, done func(Result)) {
-	a.io(vdisk, lba, len(data), data, done)
+	a.io(wire.RPCWriteReq, vdisk, lba, len(data), data, done)
 }
 
 // Read performs a read I/O.
 func (a *Agent) Read(vdisk uint32, lba uint64, size int, done func(Result)) {
-	a.io(vdisk, lba, size, nil, done)
+	a.io(wire.RPCReadReq, vdisk, lba, size, nil, done)
 }
 
-func (a *Agent) io(vdisk uint32, lba uint64, size int, data []byte, done func(Result)) {
+func (a *Agent) io(opCode uint8, vdisk uint32, lba uint64, size int, data []byte, done func(Result)) {
 	if done == nil {
 		done = func(Result) {}
 	}
 	op := "read"
-	opCode := uint8(wire.RPCReadReq)
-	if data != nil {
+	if opCode == wire.RPCWriteReq {
 		op = "write"
-		opCode = wire.RPCWriteReq
 	}
 	span := &trace.Span{Op: op, Size: size}
+	if size <= 0 {
+		// Guest input: an empty I/O has no piece to wait for and would never
+		// complete; a negative read size cannot be buffered.
+		done(Result{Err: fmt.Errorf("sa: vdisk %d %s at %#x: invalid size %d", vdisk, op, lba, size), Span: span})
+		return
+	}
 	pieces, ok := a.split(vdisk, lba, size)
 	if !ok {
 		done(Result{Err: fmt.Errorf("sa: vdisk %d range [%#x,+%d) not provisioned", vdisk, lba, size), Span: span})

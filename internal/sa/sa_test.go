@@ -179,6 +179,42 @@ func TestUnprovisionedErrors(t *testing.T) {
 	}
 }
 
+// TestEmptyOrNegativeIOFailsAtOnce: guest I/Os with no bytes used to reach
+// issue with zero pieces and never complete (a nil write was even sent as
+// a read), and a negative read size panicked in make.
+func TestEmptyOrNegativeIOFailsAtOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   string
+		io   func(a *Agent, done func(Result))
+	}{
+		{"write-empty", "write", func(a *Agent, done func(Result)) { a.Write(1, 0x1000, []byte{}, done) }},
+		{"write-nil", "write", func(a *Agent, done func(Result)) { a.Write(1, 0x1000, nil, done) }},
+		{"read-zero", "read", func(a *Agent, done func(Result)) { a.Read(1, 0x1000, 0, done) }},
+		{"read-negative", "read", func(a *Agent, done func(Result)) { a.Read(1, 0x1000, -4096, done) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, params := range []Params{SoftwareParams(), OffloadedParams()} {
+				eng, a, fn, _ := newAgent(t, params)
+				fired := 0
+				var res Result
+				tc.io(a, func(r Result) { fired++; res = r })
+				eng.Run()
+				if fired != 1 || res.Err == nil {
+					t.Fatalf("offloaded=%v: done fired %d times, err = %v", params.Offloaded, fired, res.Err)
+				}
+				if res.Span == nil || res.Span.Op != tc.op {
+					t.Fatalf("offloaded=%v: span = %+v, want op %q", params.Offloaded, res.Span, tc.op)
+				}
+				if a.IOs != 0 || len(fn.calls) != 0 || a.QoSDelay != 0 {
+					t.Fatalf("offloaded=%v: rejected I/O was admitted: IOs=%d calls=%d QoSDelay=%v",
+						params.Offloaded, a.IOs, len(fn.calls), a.QoSDelay)
+				}
+			}
+		})
+	}
+}
+
 func TestQoSPacing(t *testing.T) {
 	eng, a, _, _ := newAgent(t, OffloadedParams())
 	a.SetQoS(1, QoSSpec{IOPS: 1000, BandwidthBps: 1e9, BurstWindow: time.Millisecond})

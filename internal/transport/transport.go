@@ -36,7 +36,7 @@ type Message struct {
 	// BlockCRCs carries the raw CRC-32C of each 4 KiB block of Data,
 	// computed once at SA ingress (nil means "recompute locally").
 	// Downstream stages
-	// verify by folding these with crc.Combine/XorAggregate instead of
+	// verify by folding these with crc.CombineBlocks instead of
 	// re-walking payload bytes.
 	BlockCRCs []uint32
 }
