@@ -14,7 +14,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet lint lint-report staticcheck govulncheck test race fuzz-smoke bench bench-smoke check
+.PHONY: build vet lint lint-report staticcheck govulncheck test race fuzz-smoke bench bench-compare bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -68,14 +68,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFeedback$$' -fuzztime 10s ./internal/cc
 
 # One quick experiment benchmark, the raw event-loop benchmark, the
-# 4 KiB write path, the coupled storm at four window workers, the hybrid
+# 4 KiB write path (the Solar FN half and its RDMA-into-chunk-server BN
+# twin), the coupled storm at four window workers, the hybrid
 # diurnal campaign, and the CDF lookup benchmark guarding the sort.Search
 # fix: enough to verify the events/sec, sim-µs/wall-ms, copies/op and
 # allocs/op metrics still report. The quick fig6 run exports the merged
 # observability registry (CI publishes METRICS.json) and doubles as its
 # schema smoke test.
 bench-smoke:
-	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K|Coupled4|DiurnalHybrid' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K|BNWrite4K|Coupled4|DiurnalHybrid' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'CDFAt' -benchtime 1x -benchmem ./internal/stats
 	$(GO) run ./cmd/ebsbench -exp fig6 -quick -workers 1 -metrics-out METRICS.json > /dev/null
 	grep -q '"schema": "lunasolar.metrics/v1"' METRICS.json
@@ -84,5 +85,10 @@ bench-smoke:
 # in the benchmark's own report schema (see benchmark/README.md).
 bench:
 	bash benchmark/run.sh -all -out bench_ci.json
+
+# Verdict per (workload, metric) between two reports `benchmark -out` wrote,
+# by the bounds of BENCHMARK.json: make bench-compare BASE=old.json NEW=new.json
+bench-compare:
+	bash benchmark/run.sh -compare $(BASE) $(NEW)
 
 check: build vet lint staticcheck govulncheck race bench-smoke

@@ -158,6 +158,32 @@ func BenchmarkWritePath4K(b *testing.B) {
 	}
 }
 
+// BenchmarkBNWrite4K is the backend twin of BenchmarkWritePath4K: one 4 KiB
+// replica write, RDMA client → RDMA endpoint → chunk-server service and
+// store, over 1 024 LBAs that have all been written once. allocs/op here is
+// what TestBNWritePath4KSteadyState gates; copies/op must stay 0.
+func BenchmarkBNWrite4K(b *testing.B) {
+	r := writebench.NewBNRig(1)
+	r.Warm()
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := r.Snapshot()
+	for i := 0; i < b.N; i++ {
+		r.WriteOne()
+	}
+	b.StopTimer()
+	d := r.Snapshot().Delta(start)
+	b.ReportMetric(float64(d.Copies)/float64(b.N), "copies/op")
+	b.ReportMetric(float64(d.Events)/float64(b.N), "events/op")
+	b.SetBytes(4096)
+	if err := r.Check(); err != nil {
+		b.Fatal(err)
+	}
+	if d.Copies != 0 {
+		b.Fatalf("BN write path made %d payload copies over %d ops, want 0", d.Copies, b.N)
+	}
+}
+
 // benchCoupled runs the partitioned write storm with the given number of
 // window workers and reports the fleet's events/sec. Comparing the
 // sub-benchmarks shows the coupled runner's scaling (or, on few-core

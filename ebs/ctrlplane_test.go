@@ -239,6 +239,73 @@ func TestDrainChunkServerUnderLoad(t *testing.T) {
 	}
 }
 
+// TestDrainUnderOverwriteStorm aims the write storm at the blocks being
+// copied: MigrateRead hands the source's stored slice to the destination's
+// WriteBlock, and the storm overwrites — so the source recycles — that same
+// block before the destination's disk commits. The destination must have
+// taken its copy at the call; a copy deferred to commit time persists
+// whatever the recycled buffer holds by then and fails its CRC.
+func TestDrainUnderOverwriteStorm(t *testing.T) {
+	c := testCluster(t, Solar)
+	cp := c.ControlPlane()
+	vd, err := cp.CreateVolume("c", 0, "", 8<<20, DefaultQoS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hot = 8 // blocks per segment the storm keeps rewriting
+	segs := vd.Size() / sa.SegmentBytes
+	errs, done, issued := 0, 0, 0
+	write := func(seg, blk uint64, seed byte) {
+		issued++
+		vd.Write(seg*sa.SegmentBytes+blk*4096, fill(4096, seed), func(r IOResult) {
+			if r.Err != nil {
+				errs++
+			}
+			done++
+		})
+	}
+	for seg := uint64(0); seg < segs; seg++ {
+		for blk := uint64(0); blk < hot; blk++ {
+			write(seg, blk, byte(seg+blk))
+		}
+	}
+	c.Run()
+
+	var storm func(i int)
+	storm = func(i int) {
+		if i == 1500 {
+			return
+		}
+		write(uint64(i)%segs, uint64(i/int(segs))%hot, byte(i))
+		c.Eng.Schedule(2*time.Microsecond, func() { storm(i + 1) })
+	}
+	var report DrainReport
+	c.Eng.Schedule(100*time.Microsecond, func() {
+		if err := cp.DrainChunkServer(0, func(r DrainReport) { report = r }); err != nil {
+			t.Error(err)
+		}
+	})
+	storm(0)
+	c.Run()
+	if done != issued || errs != 0 {
+		t.Fatalf("done=%d/%d errs=%d", done, issued, errs)
+	}
+	if report.Segments == 0 || report.BlocksCopied == 0 || report.CopyErrors != 0 {
+		t.Fatalf("report: %+v", report)
+	}
+	// The hot blocks still read back whole (reads verify the stored CRCs).
+	// Which overlapping write an LBA ends on is up to the disks' commit
+	// order, so the bytes themselves are not asserted.
+	for seg := uint64(0); seg < segs; seg++ {
+		var rres IOResult
+		vd.Read(seg*sa.SegmentBytes, hot*4096, func(r IOResult) { rres = r })
+		c.Run()
+		if rres.Err != nil {
+			t.Fatal(rres.Err)
+		}
+	}
+}
+
 func TestEvacuateBlockServer(t *testing.T) {
 	c := testCluster(t, Solar)
 	cp := c.ControlPlane()

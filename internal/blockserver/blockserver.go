@@ -94,23 +94,25 @@ func (s *Server) Rejects() uint64 { return s.rejects }
 
 // replicaSet returns the chunk servers for a segment (deterministic by
 // segment ID so all writers agree), unless the control plane pinned an
-// override during a drain.
-func (s *Server) replicaSet(segmentID uint64) []uint32 {
+// override during a drain. The derived set is written into buf — the
+// caller's stack — so the per-I/O lookup does not allocate; an override is
+// returned as stored and must not be modified.
+func (s *Server) replicaSet(segmentID uint64, buf *[Replicas]uint32) []uint32 {
 	if set, ok := s.replicaOverride[segmentID]; ok {
 		return set
 	}
 	base := int(segmentID) % len(s.replicas)
-	out := make([]uint32, Replicas)
-	for i := 0; i < Replicas; i++ {
-		out[i] = s.replicas[(base+i)%len(s.replicas)]
+	for i := range buf {
+		buf[i] = s.replicas[(base+i)%len(s.replicas)]
 	}
-	return out
+	return buf[:]
 }
 
 // ReplicaSet exposes the current chunk replica set of a segment to the
 // control plane (drain planning).
 func (s *Server) ReplicaSet(segmentID uint64) []uint32 {
-	return append([]uint32(nil), s.replicaSet(segmentID)...)
+	var buf [Replicas]uint32
+	return append([]uint32(nil), s.replicaSet(segmentID, &buf)...)
 }
 
 // SetReplicaSet pins a segment's chunk replica set. The control plane
@@ -190,7 +192,8 @@ func (s *Server) Handle(src uint32, req *transport.Message, reply func(*transpor
 // replica's reported commit fold must match it — catching any metadata
 // corruption or desynchronization along the BN path.
 func (s *Server) replicateWrite(t0 sim.Time, req *transport.Message, reply func(*transport.Response)) {
-	set := s.replicaSet(req.SegmentID)
+	var buf [Replicas]uint32
+	set := s.replicaSet(req.SegmentID, &buf)
 	remaining := len(set)
 	var wantFold uint32
 	checkFold := len(req.BlockCRCs) > 0
@@ -230,7 +233,8 @@ func (s *Server) replicateWrite(t0 sim.Time, req *transport.Message, reply func(
 
 // serveRead fetches the range from the primary replica.
 func (s *Server) serveRead(t0 sim.Time, req *transport.Message, reply func(*transport.Response)) {
-	primary := s.replicaSet(req.SegmentID)[0]
+	var buf [Replicas]uint32
+	primary := s.replicaSet(req.SegmentID, &buf)[0]
 	msg := *req
 	s.bn.Call(primary, &msg, func(resp *transport.Response) {
 		reply(&transport.Response{

@@ -115,8 +115,8 @@ func TestReadBack(t *testing.T) {
 
 func TestReplicaSetDeterministic(t *testing.T) {
 	r := newRig(t)
-	a := r.bs.replicaSet(42)
-	b := r.bs.replicaSet(42)
+	a := r.bs.ReplicaSet(42)
+	b := r.bs.ReplicaSet(42)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("replica set not deterministic")

@@ -67,6 +67,13 @@ type Server struct {
 	// miss, like the stored slices hits hand out uncopied.
 	zero []byte
 
+	// freeBlocks recycles the store's block buffers: an overwrite returns
+	// the block it replaces, a CRC-rejected or stale-generation write the
+	// copy it never stored. freeOps recycles the per-operation records.
+	// LIFO slices, like every pool in the tree, so reuse is deterministic.
+	freeBlocks [][]byte
+	freeOps    []*blockOp
+
 	writes, reads, crcErrors, misses uint64
 
 	// rec is the optional flight recorder; CRC rejections — the paper's
@@ -112,68 +119,196 @@ func (s *Server) admissionDelay() time.Duration {
 	return d
 }
 
+// blockOp is one block operation on its way through IOPS admission and the
+// disk: the pooled record that replaces a closure per stage. Exactly one of
+// the three callbacks is set, and it says which operation this is.
+type blockOp struct {
+	s            *Server
+	segment, lba uint64
+	gen          uint32
+	crc          uint32
+	data         []byte // write: the device copy, taken at the call
+
+	onWrite   func(err error)
+	onRead    func(data []byte, rawCRC uint32, err error)
+	onMigrate func(data []byte, rawCRC uint32, gen uint32, err error)
+}
+
+// submit queues an operation behind the IOPS pacer.
+func (s *Server) submit(o *blockOp) {
+	s.eng.ScheduleArg(s.admissionDelay(), opAdmit, o)
+}
+
+func (s *Server) getOp(segment, lba uint64) *blockOp {
+	var o *blockOp
+	if n := len(s.freeOps); n > 0 {
+		o = s.freeOps[n-1]
+		s.freeOps[n-1] = nil
+		s.freeOps = s.freeOps[:n-1]
+	} else {
+		o = &blockOp{s: s}
+	}
+	o.segment, o.lba = segment, lba
+	return o
+}
+
+func (s *Server) putOp(o *blockOp) {
+	*o = blockOp{s: s}
+	s.freeOps = append(s.freeOps, o)
+}
+
+// getBlock returns a buffer of length n for a stored block, recycled when
+// one is free. Only whole-block-capacity buffers circulate.
+func (s *Server) getBlock(n int) []byte {
+	if n > wire.BlockSize {
+		return make([]byte, n)
+	}
+	if k := len(s.freeBlocks); k > 0 {
+		b := s.freeBlocks[k-1]
+		s.freeBlocks[k-1] = nil
+		s.freeBlocks = s.freeBlocks[:k-1]
+		return b[:n]
+	}
+	return make([]byte, n, wire.BlockSize)
+}
+
+func (s *Server) putBlock(b []byte) {
+	if cap(b) == wire.BlockSize {
+		s.freeBlocks = append(s.freeBlocks, b)
+	}
+}
+
+// opAdmit runs when the operation's IOPS slot comes up: it draws the media
+// service time and queues the operation on the disk.
+//
+//lint:hotpath
+func opAdmit(a any) {
+	o := a.(*blockOp)
+	s := o.s
+	// A migrate read always goes to the media; a client read draws its
+	// memory-cache lottery first.
+	median, sigma := s.cfg.NANDReadMedian, s.cfg.ReadSigma
+	if o.onWrite != nil {
+		median, sigma = s.cfg.WriteCacheMedian, s.cfg.WriteSigma
+	} else if o.onRead != nil && s.rand.Bernoulli(s.cfg.CacheHitRate) {
+		median = s.cfg.CacheHitMedian
+	}
+	s.disk.SubmitArg(s.rand.LogNormal(median, sigma), opCommit, o)
+}
+
+// opCommit completes the operation when the disk has served it. The record
+// is recycled before the callback runs, so the callback may issue again.
+//
+//lint:hotpath
+func opCommit(a any) {
+	o := a.(*blockOp)
+	s := o.s
+	switch {
+	case o.onWrite != nil:
+		done, err := o.onWrite, s.commitWrite(o)
+		s.putOp(o)
+		done(err)
+	case o.onRead != nil:
+		done, segment, lba := o.onRead, o.segment, o.lba
+		s.putOp(o)
+		s.reads++
+		rec, ok := s.blocks[segment][lba]
+		if !ok {
+			// Unwritten space reads as zeros, like a fresh virtual disk.
+			// The raw CRC is linear, so the CRC of zeros is 0.
+			s.misses++
+			done(s.zero, 0, nil)
+			return
+		}
+		done(rec.data, rec.crc, nil)
+	default:
+		done, segment, lba := o.onMigrate, o.segment, o.lba
+		s.putOp(o)
+		s.reads++
+		rec, ok := s.blocks[segment][lba]
+		if !ok {
+			s.misses++
+			done(nil, 0, 0, s.migrateMiss(segment, lba))
+			return
+		}
+		done(rec.data, rec.crc, rec.gen, nil)
+	}
+}
+
+// commitWrite verifies and stores a write's device copy. Whatever buffer
+// the store does not keep — the rejected or stale copy, or the block an
+// overwrite replaces — goes back to the free list.
+//
+//lint:hotpath
+func (s *Server) commitWrite(o *blockOp) error {
+	s.writes++
+	if got := crc.Raw(o.data); got != o.crc {
+		s.crcErrors++
+		s.rec.Record(s.eng.Now().Duration(), trace.EvCRCError, o.segment, o.lba)
+		s.putBlock(o.data)
+		return s.crcMismatch(o, got)
+	}
+	seg := s.blocks[o.segment]
+	if seg == nil {
+		seg = s.newSegment(o.segment)
+	}
+	prev, exists := seg[o.lba]
+	if exists && prev.gen > o.gen {
+		// Stale retransmitted generation: keep the newer data but
+		// still acknowledge (idempotent write).
+		s.putBlock(o.data)
+		return nil
+	}
+	if exists {
+		s.putBlock(prev.data)
+	}
+	seg[o.lba] = blockRec{data: o.data, crc: o.crc, gen: o.gen}
+	return nil
+}
+
+func (s *Server) newSegment(segment uint64) map[uint64]blockRec {
+	seg := map[uint64]blockRec{}
+	s.blocks[segment] = seg
+	return seg
+}
+
+func (s *Server) crcMismatch(o *blockOp, got uint32) error {
+	return fmt.Errorf("chunkserver %s: CRC mismatch at seg=%d lba=%#x: got %08x want %08x",
+		s.name, o.segment, o.lba, got, o.crc)
+}
+
+func (s *Server) migrateMiss(segment, lba uint64) error {
+	return fmt.Errorf("chunkserver %s: migrate read miss seg=%d lba=%#x", s.name, segment, lba)
+}
+
 // WriteBlock persists one block. expectCRC is the raw CRC the writer
 // computed over the payload; the chunk server re-checksums on arrival and
 // rejects mismatches (err != nil), which is how production detected the
 // Fig. 11 corruption events. done fires when the block is durable in the
 // write cache.
+//
+// data is copied before WriteBlock returns — the device boundary, the one
+// copy a block must make — into a buffer recycled from the store, so the
+// caller may reuse or release data at once. The copy cannot wait for the
+// commit: a drain hands MigrateRead's stored slice straight to the
+// destination's WriteBlock, and the source may overwrite (and recycle)
+// that block before the destination's disk gets to it.
 func (s *Server) WriteBlock(segment, lba uint64, gen uint32, data []byte, expectCRC uint32, done func(err error)) {
-	stored := append([]byte(nil), data...)
-	admission := s.admissionDelay()
-	s.eng.Schedule(admission, func() {
-		service := s.rand.LogNormal(s.cfg.WriteCacheMedian, s.cfg.WriteSigma)
-		s.disk.Submit(service, func() {
-			s.writes++
-			if got := crc.Raw(stored); got != expectCRC {
-				s.crcErrors++
-				s.rec.Record(s.eng.Now().Duration(), trace.EvCRCError, segment, lba)
-				done(fmt.Errorf("chunkserver %s: CRC mismatch at seg=%d lba=%#x: got %08x want %08x",
-					s.name, segment, lba, got, expectCRC))
-				return
-			}
-			seg := s.blocks[segment]
-			if seg == nil {
-				seg = map[uint64]blockRec{}
-				s.blocks[segment] = seg
-			}
-			prev, exists := seg[lba]
-			if exists && prev.gen > gen {
-				// Stale retransmitted generation: keep the newer data but
-				// still acknowledge (idempotent write).
-				done(nil)
-				return
-			}
-			seg[lba] = blockRec{data: stored, crc: expectCRC, gen: gen}
-			done(nil)
-		})
-	})
+	o := s.getOp(segment, lba)
+	o.gen, o.crc, o.onWrite = gen, expectCRC, done
+	o.data = s.getBlock(len(data))
+	copy(o.data, data)
+	s.submit(o)
 }
 
 // ReadBlock fetches one block. done receives the payload, its stored raw
-// CRC, and an error for missing blocks.
+// CRC, and an error for missing blocks. The payload is the store's own
+// slice, handed out uncopied: it is valid only inside done, because a later
+// overwrite recycles the buffer.
 func (s *Server) ReadBlock(segment, lba uint64, done func(data []byte, rawCRC uint32, err error)) {
-	admission := s.admissionDelay()
-	s.eng.Schedule(admission, func() {
-		var service time.Duration
-		if s.rand.Bernoulli(s.cfg.CacheHitRate) {
-			service = s.rand.LogNormal(s.cfg.CacheHitMedian, s.cfg.ReadSigma)
-		} else {
-			service = s.rand.LogNormal(s.cfg.NANDReadMedian, s.cfg.ReadSigma)
-		}
-		s.disk.Submit(service, func() {
-			s.reads++
-			seg := s.blocks[segment]
-			rec, ok := seg[lba]
-			if !ok {
-				// Unwritten space reads as zeros, like a fresh virtual disk.
-				// The raw CRC is linear, so the CRC of zeros is 0.
-				s.misses++
-				done(s.zero, 0, nil)
-				return
-			}
-			done(rec.data, rec.crc, nil)
-		})
-	})
+	o := s.getOp(segment, lba)
+	o.onRead = done
+	s.submit(o)
 }
 
 // SegmentLBAs returns the sorted LBAs of every block stored for a segment
@@ -208,22 +343,12 @@ func (s *Server) SegmentBytes(segment uint64) uint64 {
 // replica rebuild. It pays the same admission and media costs as a client
 // read — migration traffic contends with foreground I/O on the source —
 // but returns the stored generation so the destination commit preserves
-// write-idempotency ordering.
+// write-idempotency ordering. Like ReadBlock's, the slice is the store's
+// own and valid only inside done.
 func (s *Server) MigrateRead(segment, lba uint64, done func(data []byte, rawCRC uint32, gen uint32, err error)) {
-	admission := s.admissionDelay()
-	s.eng.Schedule(admission, func() {
-		service := s.rand.LogNormal(s.cfg.NANDReadMedian, s.cfg.ReadSigma)
-		s.disk.Submit(service, func() {
-			s.reads++
-			rec, ok := s.blocks[segment][lba]
-			if !ok {
-				s.misses++
-				done(nil, 0, 0, fmt.Errorf("chunkserver %s: migrate read miss seg=%d lba=%#x", s.name, segment, lba))
-				return
-			}
-			done(rec.data, rec.crc, rec.gen, nil)
-		})
-	})
+	o := s.getOp(segment, lba)
+	o.onMigrate = done
+	s.submit(o)
 }
 
 // DropSegment discards a segment's blocks (the final step of draining

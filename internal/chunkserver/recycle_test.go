@@ -1,0 +1,204 @@
+package chunkserver
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"lunasolar/internal/crc"
+	"lunasolar/internal/sim"
+	"lunasolar/internal/transport"
+	"lunasolar/internal/wire"
+)
+
+func loopbackService(t *testing.T) (*sim.Engine, *Server, *transport.Loopback) {
+	t.Helper()
+	eng := sim.NewEngine(1)
+	bn := transport.NewLoopback(func(d time.Duration, fn func()) { eng.Schedule(d, fn) }, time.Microsecond, 7)
+	cs := New(eng, "cs0", DefaultSSD())
+	NewService(eng, cs, bn)
+	return eng, cs, bn
+}
+
+// TestRequestsWithNothingToDoAreAnswered covers the four requests Handle
+// used to drop on the floor (or panic on): with a real transport underneath
+// the caller's pending entry then waited forever.
+func TestRequestsWithNothingToDoAreAnswered(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  transport.Message
+	}{
+		{"write with no data", transport.Message{Op: wire.RPCWriteReq, SegmentID: 1}},
+		{"read of zero bytes", transport.Message{Op: wire.RPCReadReq, SegmentID: 1}},
+		{"read of negative length", transport.Message{Op: wire.RPCReadReq, SegmentID: 1, ReadLen: -4096}},
+		{"unknown op", transport.Message{Op: 0x7f, SegmentID: 1, Data: make([]byte, 4096), ReadLen: 4096}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, cs, bn := loopbackService(t)
+			fired := 0
+			var got error
+			bn.Call(7, &tc.req, func(r *transport.Response) { fired++; got = r.Err })
+			eng.Run()
+			if fired != 1 {
+				t.Fatalf("done fired %d times, want 1", fired)
+			}
+			if got == nil {
+				t.Fatal("request answered without an error")
+			}
+			if w, r, _, _ := cs.Stats(); w+r != 0 {
+				t.Fatalf("store saw %d writes and %d reads, want none", w, r)
+			}
+		})
+	}
+}
+
+// TestWriteCopiesAtTheCall pins the device-store rule: the block is copied
+// before WriteBlock returns, so the caller may scribble over its buffer at
+// once — as a drain does, handing MigrateRead's stored slice to the
+// destination while the source goes on overwriting it. A store that took
+// its copy at commit time would persist the scribble and reject its CRC.
+func TestWriteCopiesAtTheCall(t *testing.T) {
+	eng := sim.NewEngine(1)
+	s := New(eng, "cs0", DefaultSSD())
+	data := bytes.Repeat([]byte{0xA5}, 4096)
+	want := append([]byte(nil), data...)
+	sum := crc.Raw(data)
+	var werr error
+	s.WriteBlock(1, 0, 1, data, sum, func(err error) { werr = err })
+	for i := range data {
+		data[i] = 0x5A // before the disk has committed anything
+	}
+	eng.Run()
+	if werr != nil {
+		t.Fatalf("write rejected: %v", werr)
+	}
+	for i := range data {
+		data[i] = 0x33 // and again once the write has completed
+	}
+	s.ReadBlock(1, 0, func(d []byte, c uint32, err error) {
+		if !bytes.Equal(d, want) || c != sum {
+			t.Errorf("stored block or CRC follows the caller's buffer (crc %08x, want %08x)", c, sum)
+		}
+	})
+	eng.Run()
+}
+
+// TestOverwritesRecycleBlocks: the store owns one buffer per stored block
+// plus whatever is in flight — 1 000 overwrites of one LBA must not grow the
+// free list past that, and the block read back is the last one written.
+func TestOverwritesRecycleBlocks(t *testing.T) {
+	eng := sim.NewEngine(1)
+	s := New(eng, "cs0", DefaultSSD())
+	buf := make([]byte, 4096)
+	for i := 0; i < 1000; i++ {
+		for j := range buf {
+			buf[j] = byte(i + j)
+		}
+		s.WriteBlock(1, 0x4000, uint32(i), buf, crc.Raw(buf), func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if i%8 == 7 {
+			eng.Run() // up to eight overwrites in flight at once
+		}
+	}
+	eng.Run()
+	if n := len(s.freeBlocks); n > 8 {
+		t.Fatalf("free list holds %d blocks after 1000 overwrites of one LBA, want <= 8 (the in-flight depth)", n)
+	}
+	s.ReadBlock(1, 0x4000, func(d []byte, c uint32, err error) {
+		if !bytes.Equal(d, buf) || c != crc.Raw(buf) {
+			t.Error("read does not return the last block written")
+		}
+	})
+	eng.Run()
+}
+
+// TestRejectedAndStaleWritesReturnTheirBuffer: a write the store does not
+// keep must give its device copy back, or every CRC reject and every stale
+// retransmission leaks a block.
+func TestRejectedAndStaleWritesReturnTheirBuffer(t *testing.T) {
+	eng := sim.NewEngine(1)
+	s := New(eng, "cs0", DefaultSSD())
+	cur := bytes.Repeat([]byte{2}, 4096)
+	s.WriteBlock(1, 0, 5, cur, crc.Raw(cur), func(error) {})
+	eng.Run()
+	if n := len(s.freeBlocks); n != 0 {
+		t.Fatalf("free list = %d after a first write, want 0", n)
+	}
+
+	s.WriteBlock(1, 0, 6, cur, 0xdeadbeef, func(err error) {
+		if err == nil {
+			t.Error("CRC mismatch accepted")
+		}
+	})
+	eng.Run()
+	if n := len(s.freeBlocks); n != 1 {
+		t.Fatalf("free list = %d after a CRC-rejected write, want 1", n)
+	}
+
+	old := bytes.Repeat([]byte{1}, 4096)
+	s.WriteBlock(1, 0, 3, old, crc.Raw(old), func(err error) {
+		if err != nil {
+			t.Errorf("stale write should ack idempotently: %v", err)
+		}
+	})
+	eng.Run()
+	if n := len(s.freeBlocks); n != 1 {
+		t.Fatalf("free list = %d after a stale-generation write, want 1 (taken and returned)", n)
+	}
+	s.ReadBlock(1, 0, func(d []byte, c uint32, err error) {
+		if !bytes.Equal(d, cur) {
+			t.Error("a rejected or stale write changed the stored block")
+		}
+	})
+	eng.Run()
+}
+
+// TestResponsesOutliveTheReply: a transport reads the handler's Response
+// after reply has returned (rdma charges the per-message CPU first) and the
+// block server keeps Data and BlockCRCs longer still, so the service must
+// not hand out anything its pooled records reuse. Every response is held
+// here until all requests have been served, then checked.
+func TestResponsesOutliveTheReply(t *testing.T) {
+	eng := sim.NewEngine(1)
+	svc := &Service{eng: eng, cs: New(eng, "cs0", DefaultSSD())}
+
+	const n = 32
+	blocks := make([][]byte, n)
+	writes := make([]*transport.Response, n)
+	for i := range blocks {
+		blocks[i] = bytes.Repeat([]byte{byte(i + 1)}, 4096)
+		i := i
+		req := &transport.Message{Op: wire.RPCWriteReq, SegmentID: 1, LBA: uint64(i) << 12, Gen: 1,
+			Data: blocks[i], BlockCRCs: []uint32{crc.Raw(blocks[i])}}
+		svc.Handle(7, req, func(r *transport.Response) { writes[i] = r })
+		eng.Run()
+	}
+	reads := make([]*transport.Response, n)
+	for i := range reads {
+		i := i
+		req := &transport.Message{Op: wire.RPCReadReq, SegmentID: 1, LBA: uint64(i) << 12, ReadLen: 4096}
+		svc.Handle(7, req, func(r *transport.Response) { reads[i] = r })
+		eng.Run()
+	}
+	// Overwrite everything once more so recycled buffers change hands.
+	for i := range blocks {
+		other := bytes.Repeat([]byte{byte(200 - i)}, 4096)
+		req := &transport.Message{Op: wire.RPCWriteReq, SegmentID: 1, LBA: uint64(i) << 12, Gen: 2,
+			Data: other, BlockCRCs: []uint32{crc.Raw(other)}}
+		svc.Handle(7, req, func(*transport.Response) {})
+		eng.Run()
+	}
+	for i := range blocks {
+		sum := crc.Raw(blocks[i])
+		if w := writes[i]; w == nil || w.Err != nil || len(w.BlockCRCs) != 1 || w.BlockCRCs[0] != sum {
+			t.Fatalf("write %d: response changed after later requests: %+v", i, w)
+		}
+		if r := reads[i]; r == nil || r.Err != nil || !bytes.Equal(r.Data, blocks[i]) ||
+			len(r.BlockCRCs) != 1 || r.BlockCRCs[0] != sum {
+			t.Fatalf("read %d: response changed after the block was overwritten", i)
+		}
+	}
+}

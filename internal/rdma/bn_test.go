@@ -1,0 +1,193 @@
+package rdma
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"lunasolar/internal/chunkserver"
+	"lunasolar/internal/crc"
+	"lunasolar/internal/transport"
+	"lunasolar/internal/wire"
+)
+
+// newBNPair is the backend network in miniature: the client stands in for a
+// block server, the server endpoint fronts a chunk server.
+func newBNPair(t *testing.T) *pair {
+	p := newPair(t, DefaultParams())
+	chunkserver.NewService(p.eng, chunkserver.New(p.eng, "cs0", chunkserver.DefaultSSD()), p.server)
+	return p
+}
+
+func pattern(n int, seed byte) ([]byte, []uint32) {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i*7)
+	}
+	var crcs []uint32
+	for lo := 0; lo < n; lo += wire.BlockSize {
+		crcs = append(crcs, crc.Raw(b[lo:min(lo+wire.BlockSize, n)]))
+	}
+	return b, crcs
+}
+
+// TestRequestByReferenceLeavesNoReference: a one-packet request is handed
+// to the handler as the frame's own slab, a 16-packet one is reassembled;
+// either way every packet and slab reference is back in the pool once the
+// fabric is idle — also when go-back-N has replayed frames whose slab the
+// receiver already holds.
+func TestRequestByReferenceLeavesNoReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		size int
+		drop float64
+	}{
+		{"1-packet", 4 << 10, 0},
+		{"16-packet", 64 << 10, 0},
+		{"1-packet under loss", 4 << 10, 0.1},
+		{"16-packet under loss", 64 << 10, 0.1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newBNPair(t)
+			p.fab.Spine(0, 0, 0).SetDropRate(tc.drop)
+			p.fab.Spine(0, 0, 1).SetDropRate(tc.drop)
+			const n = 40
+			done := 0
+			for i := 0; i < n; i++ {
+				data, crcs := pattern(tc.size, byte(i))
+				req := &transport.Message{Op: wire.RPCWriteReq, SegmentID: 1, LBA: uint64(i) * uint64(tc.size), Gen: 1,
+					Data: data, BlockCRCs: crcs}
+				p.client.Call(p.server.LocalAddr(), req, func(r *transport.Response) {
+					if r.Err != nil {
+						t.Errorf("write %d: %v", i, r.Err)
+					}
+					done++
+				})
+			}
+			p.eng.RunFor(30 * time.Second)
+			if done != n {
+				t.Fatalf("%d of %d writes completed", done, n)
+			}
+			if tc.drop > 0 && p.client.Retransmits == 0 {
+				t.Fatal("loss produced no go-back-N rewind; the case tests nothing")
+			}
+			if out := p.fab.Pool().Outstanding(); out != 0 {
+				t.Fatalf("%d packets/slab references outstanding after drain", out)
+			}
+		})
+	}
+}
+
+// TestResponsesSurviveLaterTraffic: a Response handed to done is the
+// caller's for good — the block server passes Data and BlockCRCs on to the
+// FN, which holds them until its own frames are acknowledged. A response
+// that aliased the frame, or anything a pooled record reuses, would read
+// back as some later message's bytes.
+func TestResponsesSurviveLaterTraffic(t *testing.T) {
+	p := newBNPair(t)
+	dst := p.server.LocalAddr()
+	const n = 16
+	blocks := make([][]byte, n)
+	folds := make([]uint32, n)
+	writes := make([]*transport.Response, n)
+	for i := range blocks {
+		var crcs []uint32
+		blocks[i], crcs = pattern(4096, byte(i+1))
+		folds[i] = crcs[0]
+		i := i
+		p.client.Call(dst, &transport.Message{Op: wire.RPCWriteReq, SegmentID: 1, LBA: uint64(i) << 12, Gen: 1,
+			Data: blocks[i], BlockCRCs: crcs}, func(r *transport.Response) { writes[i] = r })
+		p.eng.Run()
+	}
+	reads := make([]*transport.Response, n)
+	for i := range reads {
+		i := i
+		p.client.Call(dst, &transport.Message{Op: wire.RPCReadReq, SegmentID: 1, LBA: uint64(i) << 12, ReadLen: 4096},
+			func(r *transport.Response) { reads[i] = r })
+		p.eng.Run()
+	}
+	// More traffic on the same QP, both directions, all sizes: every pooled
+	// frame, buffer and job record changes hands several times.
+	for i := 0; i < 64; i++ {
+		data, crcs := pattern(4096<<(i%3), byte(0x80+i))
+		p.client.Call(dst, &transport.Message{Op: wire.RPCWriteReq, SegmentID: 2, LBA: uint64(i) << 14, Gen: 1,
+			Data: data, BlockCRCs: crcs}, func(*transport.Response) {})
+		p.client.Call(dst, &transport.Message{Op: wire.RPCReadReq, SegmentID: 2, LBA: uint64(i) << 14, ReadLen: len(data)},
+			func(*transport.Response) {})
+	}
+	p.eng.Run()
+	for i := range blocks {
+		if w := writes[i]; w == nil || w.Err != nil || len(w.BlockCRCs) != 1 || w.BlockCRCs[0] != folds[i] {
+			t.Fatalf("write %d: response's CRC fold changed under later traffic: %+v", i, w)
+		}
+		if r := reads[i]; r == nil || r.Err != nil || !bytes.Equal(r.Data, blocks[i]) ||
+			len(r.BlockCRCs) != 1 || r.BlockCRCs[0] != folds[i] {
+			t.Fatalf("read %d: response's data or CRC changed under later traffic", i)
+		}
+	}
+}
+
+// TestRequestValidUntilReply: the request a handler sees is the frame's
+// slab and a pooled envelope, both the handler's until its reply returns —
+// however late that is, and whatever else the QP carries in between.
+func TestRequestValidUntilReply(t *testing.T) {
+	p := newPair(t, DefaultParams())
+	type held struct {
+		req   *transport.Message
+		reply func(*transport.Response)
+	}
+	var parked []held
+	p.server.SetHandler(func(src uint32, req *transport.Message, reply func(*transport.Response)) {
+		parked = append(parked, held{req, reply})
+	})
+	const n = 8
+	blocks := make([][]byte, n)
+	done := 0
+	for i := range blocks {
+		var crcs []uint32
+		blocks[i], crcs = pattern(4096, byte(i+1))
+		p.client.Call(p.server.LocalAddr(), &transport.Message{Op: wire.RPCWriteReq, LBA: uint64(i) << 12,
+			Data: blocks[i], BlockCRCs: crcs}, func(*transport.Response) { done++ })
+	}
+	p.eng.Run() // all eight delivered and acknowledged at the transport; none answered
+	if len(parked) != n {
+		t.Fatalf("handler saw %d of %d requests", len(parked), n)
+	}
+	for i, h := range parked {
+		if h.req.LBA != uint64(i)<<12 || !bytes.Equal(h.req.Data, blocks[i]) ||
+			len(h.req.BlockCRCs) != 1 || h.req.BlockCRCs[0] != crc.Raw(blocks[i]) {
+			t.Fatalf("request %d changed while its reply was pending", i)
+		}
+	}
+	for _, h := range parked {
+		h.reply(&transport.Response{})
+	}
+	p.eng.Run()
+	if done != n {
+		t.Fatalf("%d of %d calls completed", done, n)
+	}
+	if out := p.fab.Pool().Outstanding(); out != 0 {
+		t.Fatalf("%d packets/slab references outstanding after the replies", out)
+	}
+}
+
+// TestReplyReadsResponseAfterCPUCharge pins the other half of the handler
+// contract: reply does not snapshot *Response — the stack reads it when the
+// per-message CPU charge has elapsed — so a handler must leave the Response
+// it passed alone (and must not recycle it) once reply returns. What the
+// client sees here is the handler's late scribble, not what it replied.
+func TestReplyReadsResponseAfterCPUCharge(t *testing.T) {
+	p := newPair(t, DefaultParams())
+	p.server.SetHandler(func(src uint32, req *transport.Message, reply func(*transport.Response)) {
+		resp := &transport.Response{Data: []byte("replied")}
+		reply(resp)
+		resp.Data = []byte("scribbled")
+	})
+	var got []byte
+	p.client.Call(p.server.LocalAddr(), &transport.Message{Op: wire.RPCReadReq, ReadLen: 8},
+		func(r *transport.Response) { got = r.Data })
+	p.eng.Run()
+	if string(got) != "scribbled" {
+		t.Fatalf("client saw %q: reply now snapshots the Response — update the handler contract in DESIGN.md and this test", got)
+	}
+}

@@ -1,0 +1,121 @@
+package rdma
+
+import (
+	"time"
+
+	"lunasolar/internal/transport"
+	"lunasolar/internal/wire"
+)
+
+// rpcJob is the pooled record that carries one message across its
+// per-message CPU charge in either direction: an outbound request from Call
+// to the send queue, an inbound message from reassembly to the handler or
+// the pending callback, and — in the same record — the handler's response
+// back to the send queue. It replaces a closure per hop and the heap
+// request envelope, as core's writeJob/readJob do for Solar.
+type rpcJob struct {
+	s  *Stack
+	q  *qp
+	id uint64
+
+	// Outbound: exactly one is set while the job waits to be queued.
+	req  *transport.Message
+	resp *transport.Response
+
+	// Inbound reassembly state; ebs is the first packet's header.
+	ebs      wire.EBS
+	msgType  uint8
+	numPkts  int
+	received int
+	payload  []byte
+	crcs     []uint32 // carried one-touch block CRCs, in PSN order
+
+	// msg is the request envelope handed to the handler, valid — like the
+	// slab behind msg.Data — until reply returns; crc1 backs the CRC list
+	// of a one-packet request. replyFn is bound once per record.
+	msg     transport.Message
+	crc1    [1]uint32
+	replyFn func(*transport.Response)
+}
+
+func (s *Stack) getJob(q *qp, id uint64) *rpcJob {
+	var j *rpcJob
+	if n := len(s.freeJobs); n > 0 {
+		j = s.freeJobs[n-1]
+		s.freeJobs[n-1] = nil
+		s.freeJobs = s.freeJobs[:n-1]
+	} else {
+		j = &rpcJob{s: s}
+		j.replyFn = j.reply
+	}
+	j.q, j.id = q, id
+	return j
+}
+
+// putJob recycles a job, dropping the request slab if reply never ran.
+func (s *Stack) putJob(j *rpcJob) {
+	j.msg.Payload.Release()
+	*j = rpcJob{s: s, replyFn: j.replyFn}
+	s.freeJobs = append(s.freeJobs, j)
+}
+
+func (j *rpcJob) fillRequest(ebs *wire.EBS, data []byte, crcs []uint32) {
+	j.msg = transport.Message{
+		Op: j.msgType, VDisk: ebs.VDisk, SegmentID: ebs.SegmentID,
+		LBA: ebs.LBA, Gen: ebs.Gen, Flags: ebs.Flags &^ wire.EBSFlagHasCRC,
+		ReadLen: int(ebs.BlockLen), Data: data, BlockCRCs: crcs,
+	}
+}
+
+// rpcDeliver hands a complete message up once its CPU charge has elapsed:
+// a request to the handler, a response to its pending callback.
+func rpcDeliver(a any) {
+	j := a.(*rpcJob)
+	s := j.s
+	if isRequest(j.msgType) {
+		if s.handler == nil {
+			s.putJob(j)
+			return
+		}
+		s.handler(j.q.key.peer, &j.msg, j.replyFn)
+		return
+	}
+	id, ebs, payload, crcs := j.id, j.ebs, j.payload, j.crcs
+	s.putJob(j)
+	if done, ok := s.pending[id]; ok {
+		delete(s.pending, id)
+		var rerr error
+		if ebs.Flags&wire.EBSFlagReject != 0 {
+			rerr = transport.ErrNotOwner
+		}
+		done(&transport.Response{
+			Err:        rerr,
+			Data:       payload,
+			BlockCRCs:  crcs,
+			ServerWall: time.Duration(ebs.ServerNS),
+			SSDTime:    time.Duration(ebs.SSDNS),
+		})
+	}
+}
+
+// reply ends the request's life — the envelope and the slab behind its
+// Data go back — and charges the response's CPU. resp is read only when
+// that charge has elapsed, so it must stay valid past this call.
+func (j *rpcJob) reply(resp *transport.Response) {
+	j.msg.Payload.Release()
+	j.msg = transport.Message{}
+	j.resp = resp
+	j.s.cores.SubmitArg(j.s.params.PerRPCCPU, rpcSend, j)
+}
+
+// rpcSend queues a job's outbound message once its CPU charge has elapsed.
+func rpcSend(a any) {
+	j := a.(*rpcJob)
+	q, id, req, resp := j.q, j.id, j.req, j.resp
+	j.s.putJob(j)
+	if req != nil {
+		q.sendMessage(id, req.Op, req, nil)
+	} else {
+		q.sendMessage(id, wire.RPCWriteResp, nil, resp)
+	}
+}

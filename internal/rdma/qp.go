@@ -36,8 +36,11 @@ type qp struct {
 	s   *Stack
 	key qpKey
 
-	// Sender.
-	sndQueue []outPkt // [acked... inflight... unsent]; index 0 has psn sndUna
+	// Sender. The live queue is sndQueue[sndHead:] — [inflight... unsent],
+	// its first entry holding psn sndUna; the slots before sndHead are
+	// retired (wiped) and reclaimed by retire.
+	sndQueue []outPkt
+	sndHead  int
 	sndUna   uint32
 	sndNxt   uint32 // next psn to (re)transmit; within queue bounds
 	sndMax   uint32 // one past the highest psn ever transmitted (>= sndNxt)
@@ -58,20 +61,11 @@ type qp struct {
 	// Receiver.
 	expectPSN uint32
 	nakSent   bool // one NAK per gap (RC behaviour), cleared on in-order
-	assembler map[uint64]*inMsg
+	assembler map[uint64]*rpcJob
 	rxHops    uint8 // fabric hops data packets crossed, echoed on acks
 	lastCNP   sim.Time
 
 	lastRewind sim.Time // rate-limits go-back-N to once per RTT
-}
-
-type inMsg struct {
-	ebs      wire.EBS
-	msgType  uint8
-	numPkts  int
-	received int
-	payload  []byte
-	crcs     []uint32 // carried one-touch block CRCs, in PSN order
 }
 
 func newQP(s *Stack, k qpKey) *qp {
@@ -79,7 +73,7 @@ func newQP(s *Stack, k qpKey) *qp {
 		s:         s,
 		key:       k,
 		rtt:       transport.NewRTT(s.params.MinRTO, s.params.MaxRTO),
-		assembler: map[uint64]*inMsg{},
+		assembler: map[uint64]*rpcJob{},
 		ctrl:      s.newController(),
 	}
 	q.retx.Init(s.eng, q.rtt, -1, qpRTOExpired, q)
@@ -178,6 +172,24 @@ func (q *qp) sendMessage(id uint64, op uint8, req *transport.Message, resp *tran
 
 func (q *qp) inflight() int { return int(q.sndNxt - q.sndUna) }
 
+// unacked returns the live send queue: index 0 holds psn sndUna.
+func (q *qp) unacked() []outPkt { return q.sndQueue[q.sndHead:] }
+
+// retire drops the first n live packets, which the caller has released.
+// The queue slides back to the front of its backing array once the retired
+// prefix is at least as long as what is left, so it neither creeps forward
+// into a re-grow nor pays a full shift per ack; the vacated tail is cleared
+// so it pins no header or slab.
+func (q *qp) retire(n int) {
+	q.sndHead += n
+	if live := len(q.sndQueue) - q.sndHead; live <= q.sndHead {
+		copy(q.sndQueue, q.sndQueue[q.sndHead:])
+		clear(q.sndQueue[q.sndHead:])
+		q.sndQueue = q.sndQueue[:live]
+		q.sndHead = 0
+	}
+}
+
 // pump transmits packets while the controller's window — and, for
 // rate-based controllers, its pacing budget — allows. With the default
 // static controller the window is WindowPkts×MTU and Rate() is 0, which
@@ -189,7 +201,8 @@ func (q *qp) pump() {
 	}
 	for q.inflight() < winPkts {
 		idx := int(q.sndNxt - q.sndUna)
-		if idx >= len(q.sndQueue) {
+		sq := q.unacked()
+		if idx >= len(sq) {
 			break
 		}
 		if rate := q.ctrl.Rate(); rate > 0 {
@@ -198,9 +211,9 @@ func (q *qp) pump() {
 				q.pacer.Arm(now)
 				break
 			}
-			q.pacer.Charge(now, pktHdrSize+len(q.sndQueue[idx].pay), rate)
+			q.pacer.Charge(now, pktHdrSize+len(sq[idx].pay), rate)
 		}
-		psn := q.sndQueue[idx].psn
+		psn := sq[idx].psn
 		if !q.sampleValid {
 			q.samplePSN = psn + 1
 			q.sampleAt = q.s.eng.Now()
@@ -221,70 +234,82 @@ func (q *qp) pump() {
 // ack already retired it.
 func (q *qp) lookup(psn uint32) *outPkt {
 	idx := int(int32(psn - q.sndUna))
-	if idx < 0 || idx >= len(q.sndQueue) {
+	sq := q.unacked()
+	if idx < 0 || idx >= len(sq) {
 		return nil
 	}
-	return &q.sndQueue[idx]
+	return &sq[idx]
 }
 
 // transmit sends the queued packet holding psn, paying cache and PCIe
-// costs. The frame is built only when the NIC actually fires: a cumulative
-// ack racing the cache/PCIe crossing may retire the PSN first, in which
-// case nothing goes out — an RNIC never replays acknowledged PSNs, and the
-// packet's pooled header and payload reference are already reclaimed.
+// costs. With the QP context resident and no PCIe crossing to pay — every
+// BN endpoint — it runs straight through to the NIC; a closure is built
+// only for the wait on a context fetch or a PCIe transfer.
 func (q *qp) transmit(psn uint32) {
-	send := func() {
-		p := q.lookup(psn)
-		if p == nil {
-			return
-		}
-		bth := wire.TCPSeg{
-			SrcPort: q.key.localQPN,
-			DstPort: q.key.remoteQPN,
-			Seq:     psn,
-			Ack:     q.expectPSN,
-			Flags:   wire.TCPFlagACK,
-		}
-		// Every transmission builds its own frame: BTH and header image are
-		// private to the frame, the chunk rides as a refcounted fragment —
-		// the RNIC's gather DMA from registered memory.
-		pkt := q.s.pool.Get(pktHdrSize)
-		if err := bth.Encode(pkt.Payload); err != nil {
-			panic(err)
-		}
-		copy(pkt.Payload[wire.TCPSegSize:], p.hdr)
-		if p.slab != nil {
-			pkt.AttachFrag(p.slab, p.pay)
-		}
-		pkt.Dst = q.key.peer
-		pkt.Proto = Proto
-		pkt.SrcPort = q.key.localQPN
-		pkt.DstPort = q.key.remoteQPN
-		pkt.Overhead = simnet.EthOverhead + wire.IPv4Size
-		pkt.SentAt = q.s.eng.Now()
-		if q.s.params.CC == cc.KindDCQCN {
-			// DCQCN data is ECN-capable: switches CE-mark instead of only
-			// tail-dropping, and the receiver answers marks with CNPs.
-			pkt.ECN = wire.ECNECT0
-		}
-		p.sentAt = pkt.SentAt
-		if !q.s.host.Send(pkt) {
-			pkt.Release()
-		}
+	if q.s.cacheHit(q.key) {
+		q.transmitResident(psn)
+		return
 	}
-	step := func() {
-		p := q.lookup(psn)
-		if p == nil {
-			return
-		}
-		data := len(p.pay)
-		if q.s.pcie != nil && data > 0 {
-			q.s.pcie.Transfer(2*data, send)
-		} else {
-			send()
-		}
+	q.s.cacheMiss(q.key, func() { q.transmitResident(psn) })
+}
+
+func (q *qp) transmitResident(psn uint32) {
+	p := q.lookup(psn)
+	if p == nil {
+		return
 	}
-	q.s.touchCache(q.key, step)
+	if data := len(p.pay); q.s.pcie != nil && data > 0 {
+		q.s.pcie.Transfer(2*data, func() { q.send(psn) })
+		return
+	}
+	q.send(psn)
+}
+
+// send builds and fires the frame for psn. The frame is built only when the
+// NIC actually fires: a cumulative ack racing the cache/PCIe crossing may
+// retire the PSN first, in which case nothing goes out — an RNIC never
+// replays acknowledged PSNs, and the packet's pooled header and payload
+// reference are already reclaimed.
+//
+//lint:hotpath
+func (q *qp) send(psn uint32) {
+	p := q.lookup(psn)
+	if p == nil {
+		return
+	}
+	bth := wire.TCPSeg{
+		SrcPort: q.key.localQPN,
+		DstPort: q.key.remoteQPN,
+		Seq:     psn,
+		Ack:     q.expectPSN,
+		Flags:   wire.TCPFlagACK,
+	}
+	// Every transmission builds its own frame: BTH and header image are
+	// private to the frame, the chunk rides as a refcounted fragment —
+	// the RNIC's gather DMA from registered memory.
+	pkt := q.s.pool.Get(pktHdrSize)
+	if err := bth.Encode(pkt.Payload); err != nil {
+		panic(err)
+	}
+	copy(pkt.Payload[wire.TCPSegSize:], p.hdr)
+	if p.slab != nil {
+		pkt.AttachFrag(p.slab, p.pay)
+	}
+	pkt.Dst = q.key.peer
+	pkt.Proto = Proto
+	pkt.SrcPort = q.key.localQPN
+	pkt.DstPort = q.key.remoteQPN
+	pkt.Overhead = simnet.EthOverhead + wire.IPv4Size
+	pkt.SentAt = q.s.eng.Now()
+	if q.s.params.CC == cc.KindDCQCN {
+		// DCQCN data is ECN-capable: switches CE-mark instead of only
+		// tail-dropping, and the receiver answers marks with CNPs.
+		pkt.ECN = wire.ECNECT0
+	}
+	p.sentAt = pkt.SentAt
+	if !q.s.host.Send(pkt) {
+		pkt.Release()
+	}
 }
 
 // control sends a pure ACK or NAK frame.
@@ -363,7 +388,7 @@ func qpRTOExpired(a any) { a.(*qp).onRTO() }
 
 // onRTO rewinds to the first unacknowledged PSN (go-back-N).
 func (q *qp) onRTO() {
-	if q.inflight() == 0 && int(q.sndNxt-q.sndUna) >= len(q.sndQueue) {
+	if q.inflight() == 0 && int(q.sndNxt-q.sndUna) >= len(q.unacked()) {
 		return
 	}
 	q.retx.RecordTimeout()
@@ -387,8 +412,9 @@ func (q *qp) goBackN() {
 	q.lastRewind = now
 	q.s.Retransmits++
 	q.sampleValid = false // Karn: retransmitted PSNs give no samples
-	for i := 0; i < q.inflight() && i < len(q.sndQueue); i++ {
-		q.sndQueue[i].retxed = true
+	sq := q.unacked()
+	for i := 0; i < q.inflight() && i < len(sq); i++ {
+		sq[i].retxed = true
 	}
 	q.sndNxt = q.sndUna
 	q.pump()
@@ -406,10 +432,12 @@ func (q *qp) releasePkt(p *outPkt) {
 	*p = outPkt{}
 }
 
-// packetArrived processes one inbound frame on this QP. chunk is the data
-// fragment for zero-copy frames (nil for flat or control frames). ce
-// reports a CE mark on the frame; hops is the fabric hop count it crossed.
-func (q *qp) packetArrived(bth wire.TCPSeg, rest, chunk []byte, ce bool, hops int) {
+// packetArrived processes one inbound frame on this QP; bth is the frame's
+// decoded transport header. The caller still owns pkt and releases it when
+// this returns, so anything kept beyond the call is either copied or holds
+// its own reference on the frame's slab.
+func (q *qp) packetArrived(bth wire.TCPSeg, pkt *simnet.Packet) {
+	rest := pkt.Payload[wire.TCPSegSize:]
 	if bth.Flags&wire.TCPFlagECE != 0 {
 		// CNP: a pure congestion signal, carrying no ack or data. Feed the
 		// controller and stop — the payload is the wire.CNP frame.
@@ -434,15 +462,16 @@ func (q *qp) packetArrived(bth wire.TCPSeg, rest, chunk []byte, ce bool, hops in
 		n := int(ack - q.sndUna)
 		acked := 0
 		var delay time.Duration
+		sq := q.unacked()
 		for i := 0; i < n; i++ {
-			p := &q.sndQueue[i]
+			p := &sq[i]
 			acked += pktHdrSize + len(p.pay)
 			if !p.retxed && p.sentAt != 0 {
 				delay = now.Sub(p.sentAt) // newest retired clean sample wins
 			}
 			q.releasePkt(p)
 		}
-		q.sndQueue = q.sndQueue[n:]
+		q.retire(n)
 		q.sndUna = ack
 		if seqLT(q.sndNxt, ack) {
 			q.sndNxt = ack // the ack retired PSNs the rewind meant to resend
@@ -458,7 +487,7 @@ func (q *qp) packetArrived(bth wire.TCPSeg, rest, chunk []byte, ce bool, hops in
 			Delay:      delay,
 			Hops:       int(bth.Window), // receiver-echoed (0 under static)
 		})
-		if q.inflight() > 0 || len(q.sndQueue) > 0 {
+		if q.inflight() > 0 || len(q.unacked()) > 0 {
 			q.retx.Arm()
 			q.pump()
 		} else {
@@ -477,8 +506,8 @@ func (q *qp) packetArrived(bth wire.TCPSeg, rest, chunk []byte, ce bool, hops in
 	}
 	// Data side: record congestion state for the feedback the acks carry.
 	if q.s.ccEnabled() {
-		q.rxHops = uint8(hops)
-		if ce && q.s.params.CC == cc.KindDCQCN {
+		q.rxHops = uint8(64 - int(pkt.TTL)) // Host.Send seeds TTL=64; switches decrement
+		if pkt.ECN == wire.ECNCE && q.s.params.CC == cc.KindDCQCN {
 			q.maybeCNP()
 		}
 	}
@@ -506,33 +535,87 @@ func (q *qp) packetArrived(bth wire.TCPSeg, rest, chunk []byte, ce bool, hops in
 	if err := ebs.Decode(rest[wire.RPCSize:]); err != nil {
 		return
 	}
+	// Zero-copy frames carry the chunk as a fragment; a flat frame has it
+	// inline after the headers.
+	inline := rest[wire.RPCSize+wire.EBSSize:]
+	if isRequest(rpc.MsgType) && rpc.NumPkts == 1 && len(inline) == 0 {
+		q.requestArrived(&rpc, &ebs, pkt)
+		return
+	}
+	chunk := pkt.Frag
 	if chunk == nil {
-		chunk = rest[wire.RPCSize+wire.EBSSize:]
+		chunk = inline
 	}
-	m := q.assembler[rpc.RPCID]
-	if m == nil {
-		m = &inMsg{ebs: ebs, msgType: rpc.MsgType, numPkts: int(rpc.NumPkts)}
-		q.assembler[rpc.RPCID] = m
+	q.reassemble(&rpc, &ebs, chunk)
+}
+
+func isRequest(msgType uint8) bool {
+	return msgType == wire.RPCWriteReq || msgType == wire.RPCReadReq
+}
+
+// requestArrived delivers a one-packet request by reference: Data is the
+// frame's fragment and Payload the slab behind it, retained until the
+// handler's reply returns. Nothing is copied and nothing allocated.
+//
+//lint:hotpath
+func (q *qp) requestArrived(rpc *wire.RPC, ebs *wire.EBS, pkt *simnet.Packet) {
+	j := q.s.getJob(q, rpc.RPCID)
+	j.msgType = rpc.MsgType
+	j.fillRequest(ebs, pkt.Frag, nil)
+	j.msg.Payload = pkt.FragSlab().Retain()
+	if ebs.Flags&wire.EBSFlagHasCRC != 0 {
+		j.crc1[0] = ebs.BlockCRC
+		j.msg.BlockCRCs = j.crc1[:]
 	}
-	// Message reassembly is the receive side's one materialisation: chunks
-	// of a multi-packet message must land contiguously for the handler,
-	// and it is counted as a copy.
-	m.payload = append(m.payload, chunk...)
+	q.s.cores.SubmitArg(q.s.params.PerRPCCPU, rpcDeliver, j)
+}
+
+// reassemble lands one chunk of a response or a multi-packet request. This
+// is the receive side's one materialisation — the chunks must be contiguous
+// for the handler, and a response outlives every pooled record (the block
+// server hands Data and BlockCRCs on to the FN long after done returns) —
+// so the buffers are fresh, sized once from the packet count, and each
+// chunk is counted as a copy.
+func (q *qp) reassemble(rpc *wire.RPC, ebs *wire.EBS, chunk []byte) {
+	j := q.assembler[rpc.RPCID]
+	if j == nil {
+		j = q.s.getJob(q, rpc.RPCID)
+		j.ebs, j.msgType, j.numPkts = *ebs, rpc.MsgType, int(rpc.NumPkts)
+		if j.numPkts > 1 {
+			q.assembler[rpc.RPCID] = j
+		}
+	}
 	if len(chunk) > 0 {
+		if j.payload == nil {
+			size := len(chunk)
+			if j.numPkts > 1 {
+				size = j.numPkts * q.s.params.MTU
+			}
+			j.payload = make([]byte, 0, size)
+		}
+		j.payload = append(j.payload, chunk...)
 		q.s.pool.CountCopy(len(chunk))
 	}
 	// Carried one-touch CRCs arrive in PSN order (strict in-order receiver);
 	// the set is usable only if every packet of the message carried one.
 	if ebs.Flags&wire.EBSFlagHasCRC != 0 {
-		m.crcs = append(m.crcs, ebs.BlockCRC)
-	}
-	m.received++
-	if m.received == m.numPkts {
-		delete(q.assembler, rpc.RPCID)
-		crcs := m.crcs
-		if len(crcs) != m.numPkts {
-			crcs = nil
+		if j.crcs == nil {
+			j.crcs = make([]uint32, 0, j.numPkts)
 		}
-		q.s.deliver(q, rpc.RPCID, m.msgType, m.ebs, m.payload, crcs)
+		j.crcs = append(j.crcs, ebs.BlockCRC)
 	}
+	j.received++
+	if j.received != j.numPkts {
+		return
+	}
+	if j.numPkts > 1 {
+		delete(q.assembler, rpc.RPCID)
+	}
+	if len(j.crcs) != j.numPkts {
+		j.crcs = nil
+	}
+	if isRequest(j.msgType) {
+		j.fillRequest(&j.ebs, j.payload, j.crcs)
+	}
+	q.s.cores.SubmitArg(q.s.params.PerRPCCPU, rpcDeliver, j)
 }

@@ -79,7 +79,9 @@ type Stack struct {
 	params Params
 
 	qps       map[qpKey]*qp
+	clientQP  map[uint32]*qp // peer → the QP Call sends on (remoteQPN == ListenPort)
 	pending   map[uint64]func(*transport.Response)
+	freeJobs  []*rpcJob
 	handler   transport.Handler
 	ids       transport.IDAlloc
 	pool      *simnet.PacketPool
@@ -126,6 +128,7 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, pcie *sim.Channe
 		pcie:     pcie,
 		params:   params,
 		qps:      map[qpKey]*qp{},
+		clientQP: map[uint32]*qp{},
 		pending:  map[uint64]func(*transport.Response){},
 		nextQPN:  40000,
 		ctxFetch: sim.NewServer(eng, "rnic-ctx", 1),
@@ -175,42 +178,51 @@ func (s *Stack) SetHandler(h transport.Handler) { s.handler = h }
 // QPs returns the number of live queue pairs.
 func (s *Stack) QPs() int { return len(s.qps) }
 
-// touchCache reports whether this QP's context is resident; a miss fetches
-// it from host memory (evicting the coldest entry). Fetches serialize
-// through the RNIC's single context engine, so beyond the cache size the
-// fetch bandwidth — not the wire — caps throughput: the §3.1 cliff.
-func (s *Stack) touchCache(k qpKey, then func()) {
-	for i, e := range s.cacheLRU {
+// cacheHit reports whether this QP's context is resident on the NIC, and
+// on a hit moves it to the hot end of the LRU in place.
+//
+//lint:hotpath
+func (s *Stack) cacheHit(k qpKey) bool {
+	lru := s.cacheLRU
+	for i, e := range lru {
 		if e == k {
-			// Move to back (hottest).
-			s.cacheLRU = append(append(s.cacheLRU[:i:i], s.cacheLRU[i+1:]...), k)
-			then()
-			return
+			copy(lru[i:], lru[i+1:])
+			lru[len(lru)-1] = k
+			return true
 		}
 	}
+	return false
+}
+
+// cacheMiss fetches a QP context from host memory, evicting the coldest
+// entry, and then runs then. Fetches serialize through the RNIC's single
+// context engine, so beyond the cache size the fetch bandwidth — not the
+// wire — caps throughput: the §3.1 cliff.
+func (s *Stack) cacheMiss(k qpKey, then func()) {
 	s.CacheMisses++
 	// The context becomes resident only once the fetch completes: packets
 	// arriving for this QP in the meantime miss too and queue behind the
 	// engine — the thrash regime past the cache size.
 	s.ctxFetch.Submit(s.params.CacheMissPenalty, func() {
-		s.cacheLRU = append(s.cacheLRU, k)
-		if len(s.cacheLRU) > s.params.QPCacheSize {
-			s.cacheLRU = s.cacheLRU[1:]
+		if lru := s.cacheLRU; len(lru) < s.params.QPCacheSize {
+			s.cacheLRU = append(lru, k)
+		} else if len(lru) > 0 {
+			copy(lru, lru[1:])
+			lru[len(lru)-1] = k
 		}
 		then()
 	})
 }
 
 func (s *Stack) qpTo(dst uint32) *qp {
-	for k, q := range s.qps {
-		if k.peer == dst && k.remoteQPN == ListenPort {
-			return q
-		}
+	if q := s.clientQP[dst]; q != nil {
+		return q
 	}
 	s.nextQPN++
 	k := qpKey{peer: dst, localQPN: s.nextQPN, remoteQPN: ListenPort}
 	q := newQP(s, k)
 	s.qps[k] = q
+	s.clientQP[dst] = q
 	return q
 }
 
@@ -218,20 +230,15 @@ func (s *Stack) qpTo(dst uint32) *qp {
 func (s *Stack) Call(dst uint32, req *transport.Message, done func(*transport.Response)) {
 	id := s.ids.Next()
 	s.pending[id] = done
-	q := s.qpTo(dst)
-	s.cores.Submit(s.params.PerRPCCPU, func() {
-		q.sendMessage(id, req.Op, req, nil)
-	})
-}
-
-func (s *Stack) reply(q *qp, id uint64, resp *transport.Response) {
-	s.cores.Submit(s.params.PerRPCCPU, func() {
-		q.sendMessage(id, wire.RPCWriteResp, nil, resp)
-	})
+	j := s.getJob(s.qpTo(dst), id)
+	j.req = req
+	s.cores.SubmitArg(s.params.PerRPCCPU, rpcSend, j)
 }
 
 // ReceivePacket feeds one inbound frame into the stack. The stack takes
-// ownership: the frame is released once its bytes are consumed.
+// ownership: the frame is released once packetArrived returns, which keeps
+// a reference on the frame's slab for a request it delivers by reference
+// and copies everything else it needs.
 func (s *Stack) ReceivePacket(pkt *simnet.Packet) {
 	var bth wire.TCPSeg
 	if err := bth.Decode(pkt.Payload); err != nil {
@@ -248,54 +255,28 @@ func (s *Stack) ReceivePacket(pkt *simnet.Packet) {
 		q = newQP(s, k)
 		s.qps[k] = q
 	}
-	rest := pkt.Payload[wire.TCPSegSize:]
-	frag := pkt.Frag // zero-copy frames carry the chunk as a fragment
-	ce := pkt.ECN == wire.ECNCE
-	hops := 64 - int(pkt.TTL) // Host.Send seeds TTL=64; switches decrement
-	// packetArrived copies what it keeps (assembler chunks), so the frame
-	// can be released as soon as it returns.
-	step := func() { q.packetArrived(bth, rest, frag, ce, hops); pkt.Release() }
-	wait := func() { s.touchCache(k, step) }
-	if s.pcie != nil && len(rest)+len(frag) > 0 {
-		s.pcie.Transfer(2*(len(rest)+len(frag)), wait)
-	} else {
-		wait()
+	data := len(pkt.Payload) - wire.TCPSegSize + len(pkt.Frag)
+	if (s.pcie == nil || data == 0) && s.cacheHit(k) {
+		q.packetArrived(bth, pkt)
+		pkt.Release()
+		return
 	}
+	s.receiveSlow(q, bth, pkt, data)
 }
 
-// deliver hands a complete message up: requests to the handler, responses
-// to their pending callback. crcs is the message's carried one-touch CRC
-// list (nil when the sender attached none).
-func (s *Stack) deliver(q *qp, rpcID uint64, msgType uint8, ebs wire.EBS, payload []byte, crcs []uint32) {
-	s.cores.Submit(s.params.PerRPCCPU, func() {
-		switch msgType {
-		case wire.RPCWriteReq, wire.RPCReadReq:
-			if s.handler == nil {
-				return
-			}
-			req := &transport.Message{
-				Op: msgType, VDisk: ebs.VDisk, SegmentID: ebs.SegmentID,
-				LBA: ebs.LBA, Gen: ebs.Gen, Flags: ebs.Flags &^ wire.EBSFlagHasCRC,
-				ReadLen: int(ebs.BlockLen), Data: payload, BlockCRCs: crcs,
-			}
-			s.handler(q.key.peer, req, func(resp *transport.Response) {
-				s.reply(q, rpcID, resp)
-			})
-		default:
-			if done, ok := s.pending[rpcID]; ok {
-				delete(s.pending, rpcID)
-				var rerr error
-				if ebs.Flags&wire.EBSFlagReject != 0 {
-					rerr = transport.ErrNotOwner
-				}
-				done(&transport.Response{
-					Err:        rerr,
-					Data:       payload,
-					BlockCRCs:  crcs,
-					ServerWall: time.Duration(ebs.ServerNS),
-					SSDTime:    time.Duration(ebs.SSDNS),
-				})
-			}
+// receiveSlow is the arrival that has to wait: for the payload's PCIe
+// crossing, a context fetch, or both.
+func (s *Stack) receiveSlow(q *qp, bth wire.TCPSeg, pkt *simnet.Packet, data int) {
+	step := func() { q.packetArrived(bth, pkt); pkt.Release() }
+	if s.pcie == nil || data == 0 {
+		s.cacheMiss(q.key, step)
+		return
+	}
+	s.pcie.Transfer(2*data, func() {
+		if s.cacheHit(q.key) {
+			step()
+		} else {
+			s.cacheMiss(q.key, step)
 		}
 	})
 }

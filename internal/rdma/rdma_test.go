@@ -38,7 +38,8 @@ func echo(src uint32, req *transport.Message, reply func(*transport.Response)) {
 		reply(&transport.Response{Data: make([]byte, req.ReadLen)})
 		return
 	}
-	reply(&transport.Response{Data: req.Data})
+	// req.Data is the frame's slab, valid only until reply returns.
+	reply(&transport.Response{Data: append([]byte(nil), req.Data...)})
 }
 
 func TestRPCRoundTrip(t *testing.T) {
@@ -276,7 +277,8 @@ func TestRewindRateLimitedPerRTT(t *testing.T) {
 	}
 	before := p.client.Retransmits
 	for i := 0; i < 5; i++ { // the NAK burst one gap produces
-		q.packetArrived(wire.TCPSeg{Ack: q.sndUna, Flags: wire.TCPFlagACK | wire.TCPFlagRST}, nil, nil, false, 0)
+		q.packetArrived(wire.TCPSeg{Ack: q.sndUna, Flags: wire.TCPFlagACK | wire.TCPFlagRST},
+			&simnet.Packet{Payload: make([]byte, wire.TCPSegSize)})
 	}
 	if got := p.client.Retransmits - before; got != 1 {
 		t.Fatalf("NAK burst within one RTT caused %d rewinds, want exactly 1", got)
@@ -311,10 +313,10 @@ func TestDCQCNReactsToCNP(t *testing.T) {
 	if line <= 0 {
 		t.Fatalf("DCQCN rate = %v, want line rate before congestion", line)
 	}
-	var frame [wire.CNPSize]byte
+	var frame [wire.TCPSegSize + wire.CNPSize]byte
 	cnp := wire.CNP{QPN: 1, PSN: uint32(q.sndUna), TSNanos: uint64(p.eng.Now())}
-	cnp.Encode(frame[:])
-	q.packetArrived(wire.TCPSeg{Flags: wire.TCPFlagACK | wire.TCPFlagECE}, frame[:], nil, false, 0)
+	cnp.Encode(frame[wire.TCPSegSize:])
+	q.packetArrived(wire.TCPSeg{Flags: wire.TCPFlagACK | wire.TCPFlagECE}, &simnet.Packet{Payload: frame[:]})
 	if got := q.ctrl.Rate(); got >= line {
 		t.Fatalf("rate %v after CNP, want < %v", got, line)
 	}

@@ -106,10 +106,13 @@ func (pp *PacketPool) getSlabHdr() *Slab {
 
 // CountCopy records one payload copy of n bytes on the network data path.
 // Stacks call it at every memcpy a payload crosses (record encode, frame
-// build, receive materialisation, fan-out duplication), so the bench layer
-// can report bytes-copied/op and the zero-copy gate can assert the hot
-// path stopped re-walking bytes. The device-store copy at the chunkserver
-// — the one write the data must make — is deliberately not counted.
+// build, reassembly of a response or a multi-packet request, fan-out
+// duplication), so the bench layer can report bytes-copied/op and the
+// zero-copy gates can assert the hot paths stopped re-walking bytes. A
+// request delivered by reference (Solar's per-block write, a one-packet
+// RDMA request) crosses no memcpy and counts nothing. The device-store copy
+// in chunkserver.WriteBlock — the one write the data must make — is
+// deliberately not counted.
 func (pp *PacketPool) CountCopy(n int) {
 	pp.copies++
 	pp.copiedBytes += uint64(n)

@@ -4,7 +4,9 @@
 // client on one host, storage-server stack on the other, a no-op block
 // service) that isolates the per-block data path the zero-copy work targets
 // — SA ingress, one-touch CRC, scatter-gather framing, fabric transit, and
-// receive-side materialisation — from replication and store costs.
+// receive-side materialisation — from replication and store costs. NewBNRig
+// is its backend-network twin: an RDMA client into a chunk-server service,
+// the half of a write that runs three times per I/O under every FN stack.
 //
 // The harness deliberately allocates nothing per write in steady state:
 // the request message, payload buffer and completion callback are all owned
@@ -16,8 +18,11 @@ import (
 	"fmt"
 	"time"
 
+	"lunasolar/internal/chunkserver"
 	"lunasolar/internal/core"
+	"lunasolar/internal/crc"
 	"lunasolar/internal/dpu"
+	"lunasolar/internal/rdma"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/simnet"
 	"lunasolar/internal/transport"
@@ -28,13 +33,15 @@ import (
 type Rig struct {
 	Eng    *sim.Engine
 	Pool   *simnet.PacketPool
-	client *core.Stack
+	client transport.Client
 	dst    uint32
+	lbas   int // WriteOne cycles over this many block addresses
 
 	payload   []byte
 	msg       transport.Message
 	onDone    func(*transport.Response)
 	completed int
+	failed    int
 	issued    int
 }
 
@@ -44,13 +51,7 @@ var emptyResp transport.Response
 // (Solar) mode — FPGA CRC engine, per-block framing — against a
 // storage-server stack whose handler acknowledges immediately.
 func NewRig(seed int64) *Rig {
-	eng := sim.NewEngine(seed)
-	cfg := simnet.DefaultConfig()
-	cfg.RacksPerPod = 2
-	cfg.HostsPerRack = 2
-	cfg.SpinesPerPod = 2
-	cfg.CoresPerDC = 2
-	fab := simnet.New(eng, cfg)
+	eng, fab := newFabric(seed)
 
 	dcfg := dpu.DefaultConfig()
 	dcfg.Faults = dpu.FaultRates{}
@@ -64,13 +65,46 @@ func NewRig(seed int64) *Rig {
 		reply(&emptyResp)
 	})
 
-	r := &Rig{Eng: eng, Pool: fab.Pool(), client: client, dst: server.LocalAddr()}
+	return newRig(eng, fab, client, server.LocalAddr(), 4096)
+}
+
+// NewBNRig builds the backend-network write path: an RDMA client on one
+// host, and on the other an RDMA endpoint serving a chunk server — the
+// stack pair and service every block-server replica write crosses. Each
+// write carries its block CRC, as every BN write does.
+func NewBNRig(seed int64) *Rig {
+	eng, fab := newFabric(seed)
+	client := rdma.New(eng, fab.Host(0, 0, 0, 0), sim.NewServer(eng, "block-cpu", 4), nil, rdma.DefaultParams())
+	server := rdma.New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "chunk-cpu", 16), nil, rdma.DefaultParams())
+	chunkserver.NewService(eng, chunkserver.New(eng, "rig", chunkserver.DefaultSSD()), server)
+	r := newRig(eng, fab, client, server.LocalAddr(), 1024)
+	r.msg.BlockCRCs = []uint32{crc.Raw(r.payload)}
+	return r
+}
+
+func newFabric(seed int64) (*sim.Engine, *simnet.Fabric) {
+	eng := sim.NewEngine(seed)
+	cfg := simnet.DefaultConfig()
+	cfg.RacksPerPod = 2
+	cfg.HostsPerRack = 2
+	cfg.SpinesPerPod = 2
+	cfg.CoresPerDC = 2
+	return eng, simnet.New(eng, cfg)
+}
+
+func newRig(eng *sim.Engine, fab *simnet.Fabric, client transport.Client, dst uint32, lbas int) *Rig {
+	r := &Rig{Eng: eng, Pool: fab.Pool(), client: client, dst: dst, lbas: lbas}
 	r.payload = make([]byte, wire.BlockSize)
 	for i := range r.payload {
 		r.payload[i] = byte(i * 13)
 	}
 	r.msg = transport.Message{Op: wire.RPCWriteReq, VDisk: 1, SegmentID: 1, Gen: 1, Data: r.payload}
-	r.onDone = func(*transport.Response) { r.completed++ }
+	r.onDone = func(resp *transport.Response) {
+		r.completed++
+		if resp.Err != nil {
+			r.failed++
+		}
+	}
 	return r
 }
 
@@ -78,16 +112,24 @@ func NewRig(seed int64) *Rig {
 // cluster is idle (the write acknowledged, every timer drained).
 func (r *Rig) WriteOne() {
 	r.issued++
-	r.msg.LBA = uint64(r.issued%4096) << 12
+	r.msg.LBA = uint64(r.issued%r.lbas) << 12
 	r.client.Call(r.dst, &r.msg, r.onDone)
 	r.Eng.Run()
+}
+
+// Warm writes every block address of the rig once, and a few more, so the
+// measured writes that follow are overwrites on warm pools.
+func (r *Rig) Warm() {
+	for i := 0; i < r.lbas+64; i++ {
+		r.WriteOne()
+	}
 }
 
 // Check verifies every issued write completed and no pooled packet or slab
 // reference leaked; it returns an error describing the first violation.
 func (r *Rig) Check() error {
-	if r.completed != r.issued {
-		return fmt.Errorf("writebench: %d of %d writes completed", r.completed, r.issued)
+	if r.completed != r.issued || r.failed != 0 {
+		return fmt.Errorf("writebench: %d of %d writes completed, %d with an error", r.completed, r.issued, r.failed)
 	}
 	if n := r.Pool.Outstanding(); n != 0 {
 		return fmt.Errorf("writebench: %d pooled packets/slab refs leaked", n)

@@ -42,3 +42,37 @@ func TestWritePath4KZeroCopySteadyState(t *testing.T) {
 		t.Errorf("write path: %.1f heap allocs/op in steady state, want <= 8", allocs)
 	}
 }
+
+// TestBNWritePath4KSteadyState is the same gate for the backend half of a
+// write — the RDMA hop into a chunk server that every I/O makes three times
+// under every FN stack. Once each of the rig's 1 024 LBAs has been written,
+// a 4 KiB write must cross it without a payload copy on the network path
+// (the request is delivered by reference; the device-store copy is not a
+// network copy and is not counted), without a pool miss, and — the store
+// recycling the block each overwrite replaces — without a payload
+// allocation: what is left is the response the handler and the client each
+// build fresh, and per-call bookkeeping.
+func TestBNWritePath4KSteadyState(t *testing.T) {
+	const ops = 50
+	r := writebench.NewBNRig(1)
+	r.Warm()
+	start := r.Snapshot()
+	for i := 0; i < ops; i++ {
+		r.WriteOne()
+	}
+	d := r.Snapshot().Delta(start)
+	allocs := testing.AllocsPerRun(100, r.WriteOne)
+	if err := r.Check(); err != nil {
+		t.Fatal(err)
+	}
+
+	if d.Copies != 0 {
+		t.Errorf("BN write path: %d payload copies over %d ops, want 0", d.Copies, ops)
+	}
+	if d.PoolMisses != 0 {
+		t.Errorf("BN write path: %d pool misses over %d steady-state ops, want 0", d.PoolMisses, ops)
+	}
+	if allocs > 8 {
+		t.Errorf("BN write path: %.1f heap allocs/op in steady state, want <= 8", allocs)
+	}
+}
