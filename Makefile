@@ -14,7 +14,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet lint lint-report staticcheck govulncheck test race fuzz-smoke bench bench-compare bench-smoke check
+.PHONY: build vet lint staticcheck govulncheck test race fuzz-smoke bench bench-compare bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -22,20 +22,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lunavet: the repo's own analyzers (determinism, maporder, slabown,
-# hotalloc, partown, fluiddet — see internal/lint). Zero non-suppressed
-# diagnostics is a hard gate; suppressions need a justified //lint:allow. Also runnable as `go vet -vettool=$$(go env GOPATH)/bin/lunavet
-# ./...` after `go install ./cmd/lunavet`.
+# lunavet: the repo's own five analyzers (determinism, maporder, slabown,
+# hotalloc, partown — see internal/lint), one mode. Zero non-suppressed
+# diagnostics is a hard gate; a suppression needs a justified //lint:allow
+# that still absorbs a finding.
 lint:
 	$(GO) run ./cmd/lunavet ./...
-
-# Machine-readable lint report: the JSON findings (CI's diff annotations
-# read .diagnostics[].file/.line), the SARIF 2.1.0 log for code-scanning
-# upload, and the //lint:allow inventory (file, keys, justification, usage
-# count — a directive at 0 is drift).
-lint-report:
-	$(GO) run ./cmd/lunavet -json -sarif lunavet.sarif ./... > lunavet.json
-	$(GO) run ./cmd/lunavet -suppressions ./...
 
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -35,23 +37,49 @@ func parseStack(s string) (ebs.StackKind, bool) {
 	return 0, false
 }
 
-func main() {
-	stackName := flag.String("stack", "solar", "fn stack: kernel|luna|rdma|solar|solar*")
-	bs := flag.Int("bs", 4096, "block size in bytes")
-	depth := flag.Int("depth", 32, "outstanding I/Os")
-	readFrac := flag.Float64("read", 1.0, "fraction of reads")
-	cores := flag.Int("cores", 0, "stack CPU cores (0 = stack default)")
-	runtime := flag.Duration("runtime", 100*time.Millisecond, "measurement window (virtual time)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	bareMetal := flag.Bool("baremetal", true, "run the compute stack on a DPU")
-	record := flag.String("record", "", "write the issued I/Os to this trace file")
-	replay := flag.String("replay", "", "replay a trace file instead of the closed loop")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command. Every flag is checked before a cluster is
+// built: workload.NewFio substitutes defaults for non-positive values, so
+// an unchecked `-bs 0` would print bs=0 over a 4 KiB run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebsfio", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	stackName := fs.String("stack", "solar", "fn stack: kernel|luna|rdma|solar|solar*")
+	bs := fs.Int("bs", 4096, "block size in bytes")
+	depth := fs.Int("depth", 32, "outstanding I/Os")
+	readFrac := fs.Float64("read", 1.0, "fraction of reads")
+	cores := fs.Int("cores", 0, "stack CPU cores (0 = stack default)")
+	runtime := fs.Duration("runtime", 100*time.Millisecond, "measurement window (virtual time)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	bareMetal := fs.Bool("baremetal", true, "run the compute stack on a DPU")
+	record := fs.String("record", "", "write the issued I/Os to this trace file")
+	replay := fs.String("replay", "", "replay a trace file instead of the closed loop")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	switch {
+	case *bs <= 0:
+		fmt.Fprintf(stderr, "ebsfio: -bs %d: block size must be positive\n", *bs)
+		return 2
+	case *depth <= 0:
+		fmt.Fprintf(stderr, "ebsfio: -depth %d: queue depth must be positive\n", *depth)
+		return 2
+	case !(*readFrac >= 0 && *readFrac <= 1):
+		fmt.Fprintf(stderr, "ebsfio: -read %v: read fraction must be in [0,1]\n", *readFrac)
+		return 2
+	case *runtime <= 0:
+		fmt.Fprintf(stderr, "ebsfio: -runtime %v: measurement window must be positive\n", *runtime)
+		return 2
+	}
 
 	fn, ok := parseStack(*stackName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown stack %q\n", *stackName)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "unknown stack %q\n", *stackName)
+		return 1
 	}
 
 	cfg := ebs.DefaultConfig(fn)
@@ -103,14 +131,14 @@ func main() {
 	if *replay != "" {
 		f, err := os.Open(*replay)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		recs, err := workload.ReadTrace(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		rp := workload.NewReplayer(c.Eng, recs, issueIO)
 		rp.Start()
@@ -122,7 +150,7 @@ func main() {
 		if len(recs) > 0 {
 			*runtime = recs[len(recs)-1].At
 		}
-		fmt.Printf("replayed %d I/Os from %s\n", rp.Completed, *replay)
+		fmt.Fprintf(stdout, "replayed %d I/Os from %s\n", rp.Completed, *replay)
 	} else {
 		fio := workload.NewFio(c.Eng, workload.FioConfig{
 			Depth: *depth, BlockSize: *bs, ReadFrac: *readFrac, SpanBytes: span,
@@ -142,22 +170,23 @@ func main() {
 	if *record != "" {
 		f, err := os.Create(*record)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if err := workload.WriteTrace(f, recorded); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		f.Close()
-		fmt.Printf("recorded %d I/Os to %s\n", len(recorded), *record)
+		fmt.Fprintf(stdout, "recorded %d I/Os to %s\n", len(recorded), *record)
 	}
 
 	secs := runtime.Seconds()
-	fmt.Printf("stack=%s bs=%d depth=%d read=%.2f window=%v\n", fn, *bs, *depth, *readFrac, *runtime)
-	fmt.Printf("  iops=%.0f  bw=%.1f MB/s  completed=%d\n",
+	fmt.Fprintf(stdout, "stack=%s bs=%d depth=%d read=%.2f window=%v\n", fn, *bs, *depth, *readFrac, *runtime)
+	fmt.Fprintf(stdout, "  iops=%.0f  bw=%.1f MB/s  completed=%d\n",
 		float64(n)/secs, float64(bytes)/secs/1e6, n)
-	fmt.Printf("  lat p50=%v p95=%v p99=%v max=%v\n",
+	fmt.Fprintf(stdout, "  lat p50=%v p95=%v p99=%v max=%v\n",
 		h.Median().Round(100*time.Nanosecond), h.P95().Round(100*time.Nanosecond),
 		h.P99().Round(100*time.Nanosecond), h.Max().Round(100*time.Nanosecond))
+	return 0
 }

@@ -40,15 +40,18 @@ func TestPartOwn(t *testing.T) {
 	linttest.Run(t, "testdata/src", []*lint.Analyzer{lint.PartOwn}, "lintdata/ebs/partdata")
 }
 
-func TestFluidDet(t *testing.T) {
-	linttest.Run(t, "testdata/src", []*lint.Analyzer{lint.FluidDet}, "lintdata/internal/simnet/fluiddata")
+// The flow-level model's two rules — determinism's floateq and maporder's
+// mapfloat — over one fixture.
+func TestFluidRules(t *testing.T) {
+	linttest.Run(t, "testdata/src", []*lint.Analyzer{lint.Determinism, lint.MapOrder}, "lintdata/internal/simnet/fluiddata")
 }
 
 // The full suite over the real repo must be clean: every diagnostic the
-// six analyzers would raise is either fixed or carries a justified
-// //lint:allow. This runs the same RunSuite pipeline as lunavet — facts,
-// then per-package checks — so a cross-partition access anywhere in the
-// tree fails this test.
+// five analyzers would raise is either fixed or carries a justified
+// //lint:allow, and every //lint:allow still absorbs a finding (an unused
+// one is a kept diagnostic). This is lunavet's own Load + RunSuite
+// pipeline, so a cross-partition access anywhere in the tree fails this
+// test.
 func TestSuiteOverRepo(t *testing.T) {
 	pkgs, err := lint.Load("../..", []string{"./..."})
 	if err != nil {
@@ -61,33 +64,17 @@ func TestSuiteOverRepo(t *testing.T) {
 	if err != nil {
 		t.Fatalf("running suite: %v", err)
 	}
-	var allows, used int
+	allows := 0
 	for _, pr := range res.Pkgs {
 		for _, d := range pr.Kept {
 			t.Errorf("%s: [%s] %s", pr.Pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
 		}
-		for _, a := range pr.Allows {
-			allows++
-			if a.Used > 0 {
-				used++
-			}
-		}
+		allows += len(pr.Allows)
 	}
-	// The suppression inventory is part of the contract: the audited
-	// wall-time allows (and the fluid edge-detect allows) must be present,
-	// and every directive must actually absorb a diagnostic — an unused
-	// allow is drift the inventory exists to expose.
-	if allows == 0 {
-		t.Fatalf("no //lint:allow directives found; the audited suppressions should appear in the inventory")
-	}
-	if used != allows {
-		for _, pr := range res.Pkgs {
-			for _, a := range pr.Allows {
-				if a.Used == 0 {
-					t.Errorf("%s:%d: unused //lint:allow %v (%s)", a.File, a.Line, a.Keys, a.Justification)
-				}
-			}
-		}
+	// The audited suppressions — two wall-time reads in sim/runtime, three
+	// fluid edge-detects in simnet — must still be there to be audited.
+	if allows != 5 {
+		t.Errorf("%d //lint:allow directives, want the 5 audited ones", allows)
 	}
 	// The partition-owned core types must stay marked: their facts are how
 	// partown sees them, so losing a marker silently would disable the check.

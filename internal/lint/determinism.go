@@ -2,33 +2,36 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// VirtualTimePackages are the packages whose code must be a pure function
-// of (config, seed): everything that runs under the discrete-event engine.
-// The bench/runtime layer inside them may measure wall time, but only
-// behind an explicit //lint:allow wallclock with a justification.
-var VirtualTimePackages = []string{
-	"internal/sim*", // sim, sim/runtime, simnet
-	"internal/core",
-	"internal/tcpstack",
-	"internal/rdma",
-	"internal/transport",
-}
+// virtualTimePackages are the packages whose code must be a pure function
+// of (config, seed): everything that runs under the discrete-event engine,
+// which is every library package. The bench/runtime layer inside them may
+// measure wall time, but only behind an explicit //lint:allow wallclock
+// with a justification. The commands, examples and the benchmark harness
+// sit outside.
+var virtualTimePackages = []string{"internal", "ebs"}
 
-// Determinism forbids the four ways nondeterminism leaks into virtual
-// time: the wall clock (time.Now and friends — simulated time comes from
-// the engine), the process-global math/rand source (models draw from the
+// fluidPackages is where the flow-level (fluid) model lives: FlowTable,
+// BulkService and any future fluid code land in internal/simnet.
+var fluidPackages = []string{"internal/simnet"}
+
+// Determinism forbids the ways nondeterminism leaks into virtual time:
+// the wall clock (time.Now and friends — simulated time comes from the
+// engine), the process-global math/rand source (models draw from the
 // cluster's seeded *sim.Rand), select statements (runtime-random case
 // choice; engine code is single-threaded per shard and has no business
-// multiplexing channels), and the process environment (modes travel as
-// config values, never as os.Getenv knobs).
+// multiplexing channels), the process environment (modes travel as
+// config values, never as os.Getenv knobs) and, in the fluid packages,
+// float equality: the fast-forward layer feeds computed float64 rates
+// into event times and admission decisions, and == / != on them makes
+// the outcome depend on rounding, which differs across summation
+// orders. The repo's idiom is an epsilon band (alloc[i] >= pace*(1-eps)).
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "forbid wall-clock reads, global math/rand, select and environment reads in " +
-		"virtual-time packages so experiment output stays a pure function of (config, seed)",
-	Run: runDeterminism,
+	Run:  runDeterminism,
 }
 
 // wallclockFuncs are the time package entry points that read or wait on
@@ -54,12 +57,22 @@ var globalRandOK = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) error {
-	if !inScope(pass.Pkg.Path(), VirtualTimePackages) {
+	if !inScope(pass.Pkg.Path(), virtualTimePackages) {
 		return nil
 	}
+	fluid := inScope(pass.Pkg.Path(), fluidPackages)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				// Comparisons against an untyped constant are still flagged:
+				// `rate == 0` looks safe but admission on it is
+				// order-dependent the moment rate is a sum.
+				if fluid && (n.Op == token.EQL || n.Op == token.NEQ) &&
+					(isFloat(pass.TypesInfo.TypeOf(n.X)) || isFloat(pass.TypesInfo.TypeOf(n.Y))) {
+					pass.Reportf(n.OpPos, "floateq",
+						"float equality (%s) in fluid code: rounding makes it order-dependent; compare against an epsilon band", n.Op)
+				}
 			case *ast.SelectStmt:
 				pass.Reportf(n.Pos(), "select",
 					"select in a virtual-time package: case choice is runtime-random; schedule events on the engine instead")
@@ -93,4 +106,12 @@ func runDeterminism(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+func isFloat(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }

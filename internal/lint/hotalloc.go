@@ -23,9 +23,7 @@ import (
 // reslicing, arithmetic and method calls stay silent.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: "report heap-allocation sites (composite literals, append growth, " +
-		"string/byte conversions, closures, fmt) inside //lint:hotpath functions",
-	Run: runHotAlloc,
+	Run:  runHotAlloc,
 }
 
 const hotpathMarker = "//lint:hotpath"

@@ -1,9 +1,9 @@
-// Package lint is lunavet's analysis suite: six analyzers that enforce,
+// Package lint is lunavet's analysis suite: five analyzers that enforce,
 // at analysis time, the invariants the simulator otherwise only catches at
-// run time — bit-identical virtual-time output (determinism, maporder,
-// fluiddet), slab/packet Retain-Release pairing (slabown), allocation-free
-// hot paths (hotalloc), and partition ownership of engine/pool/collector
-// state (partown).
+// run time — bit-identical virtual-time output (determinism, maporder),
+// slab/packet Retain-Release pairing (slabown), allocation-free hot paths
+// (hotalloc), and partition ownership of engine/pool/collector state
+// (partown).
 //
 // The package deliberately depends only on the standard library. The types
 // here mirror golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic)
@@ -11,11 +11,11 @@
 // change, but the repo builds and lints with nothing beyond the Go
 // toolchain — no module downloads, no vendoring.
 //
-// Facts. An analyzer may declare a Collect hook that runs over every
-// loaded package before any Run, exporting Facts — serializable
-// (kind, name, position) records such as "this type is partition-owned".
-// Run sees the whole suite's facts. In `go vet -vettool` mode the facts
-// ride in the .vetx files vet already threads through the package graph.
+// One mode: Load type-checks the packages, RunSuite runs the analyzers
+// over them in one process. An analyzer may declare a Collect hook that
+// runs over every loaded package (dependencies included) before any Run,
+// exporting Facts — (kind, name) records such as "this type is
+// partition-owned". Run sees the whole suite's facts.
 //
 // Suppressions. A diagnostic is suppressed by a comment on the offending
 // line or the line directly above it:
@@ -23,10 +23,9 @@
 //	//lint:allow <key>[,<key>...] — <justification>
 //
 // where <key> is the analyzer name or the diagnostic category (e.g.
-// "wallclock"), and the justification is mandatory: an allow directive
-// with no stated reason is itself reported. The driver counts suppressed
-// diagnostics and publishes the full directive inventory (lunavet
-// -suppressions) so CI can surface drift in the step summary.
+// "wallclock"). The directive is itself checked: one with no stated
+// reason, or one that no longer absorbs any finding, is reported as a
+// diagnostic of the pseudo-analyzer "allow".
 package lint
 
 import (
@@ -43,7 +42,6 @@ import (
 // Collect is the optional fact hook (see the package comment).
 type Analyzer struct {
 	Name string // short lower-case identifier, e.g. "determinism"
-	Doc  string // one-paragraph description of what it enforces
 	Run  func(*Pass) error
 
 	// Collect runs over every loaded package (fixtures and dependencies
@@ -53,28 +51,7 @@ type Analyzer struct {
 
 // All returns the full lunavet suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, MapOrder, SlabOwn, HotAlloc, PartOwn, FluidDet}
-}
-
-// ByName resolves a comma-separated analyzer list ("determinism,slabown").
-// An empty spec means the whole suite.
-func ByName(spec string) ([]*Analyzer, error) {
-	if spec == "" {
-		return All(), nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, name := range strings.Split(spec, ",") {
-		a, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
-		}
-		out = append(out, a)
-	}
-	return out, nil
+	return []*Analyzer{Determinism, MapOrder, SlabOwn, HotAlloc, PartOwn}
 }
 
 // A Diagnostic is one finding at a position. Category is the suppression
@@ -86,59 +63,16 @@ type Diagnostic struct {
 	Message  string
 }
 
-// A Fact is one serializable cross-package record an analyzer's Collect
-// hook exports, e.g. a marked type. Facts carry resolved file/line (not
-// token.Pos) so they survive the trip through a .vetx file between
-// `go vet` invocations.
-type Fact struct {
-	Analyzer string `json:"analyzer"`
-	Kind     string `json:"kind"` // e.g. "partowned", "spanning"
-	Name     string `json:"name"` // qualified name ("sim.Engine")
-	Detail   string `json:"detail,omitempty"`
-	Pkg      string `json:"pkg"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-}
+// A Fact is one cross-package record an analyzer's Collect hook exports,
+// e.g. {"partown", "partowned", "sim.Engine"} for a marked type.
+type Fact struct{ Analyzer, Kind, Name string }
 
-// position converts the fact's resolved file/line into a token.Position
-// usable on a suite-level Diagnostic.
-func (f Fact) position() token.Position {
-	return token.Position{Filename: f.File, Line: f.Line}
-}
+// A FactSet is the suite's collected facts.
+type FactSet map[Fact]bool
 
-// A FactSet indexes the suite's collected facts.
-type FactSet struct {
-	facts []Fact
-}
-
-// NewFactSet returns an empty fact set.
-func NewFactSet() *FactSet { return &FactSet{} }
-
-// Add appends one fact.
-func (fs *FactSet) Add(f Fact) { fs.facts = append(fs.facts, f) }
-
-// All returns every fact in collection order.
-func (fs *FactSet) All() []Fact { return fs.facts }
-
-// Kind returns the facts of one analyzer and kind, in collection order.
-func (fs *FactSet) Kind(analyzer, kind string) []Fact {
-	var out []Fact
-	for _, f := range fs.facts {
-		if f.Analyzer == analyzer && f.Kind == kind {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Has reports whether any fact matches (analyzer, kind, name).
-func (fs *FactSet) Has(analyzer, kind, name string) bool {
-	for _, f := range fs.facts {
-		if f.Analyzer == analyzer && f.Kind == kind && f.Name == name {
-			return true
-		}
-	}
-	return false
+// Has reports whether the fact (analyzer, kind, name) was exported.
+func (fs FactSet) Has(analyzer, kind, name string) bool {
+	return fs[Fact{analyzer, kind, name}]
 }
 
 // A Pass carries one analyzer's view of one type-checked package.
@@ -148,7 +82,7 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	Facts     *FactSet // the whole suite's facts (read in Run, written in Collect)
+	Facts     FactSet // the whole suite's facts (read in Run, written in Collect)
 
 	diags []Diagnostic
 }
@@ -167,24 +101,14 @@ func (p *Pass) Reportf(pos token.Pos, category, format string, args ...any) {
 	})
 }
 
-// ExportFact records a fact at pos for the current analyzer, resolving
-// the position immediately so the fact is self-contained.
-func (p *Pass) ExportFact(kind, name, detail string, pos token.Pos) {
-	position := p.Fset.Position(pos)
-	p.Facts.Add(Fact{
-		Analyzer: p.Analyzer.Name,
-		Kind:     kind,
-		Name:     name,
-		Detail:   detail,
-		Pkg:      p.Pkg.Path(),
-		File:     position.Filename,
-		Line:     position.Line,
-	})
+// ExportFact records a fact for the current analyzer.
+func (p *Pass) ExportFact(kind, name string) {
+	p.Facts[Fact{p.Analyzer.Name, kind, name}] = true
 }
 
-// AllowInfo is one //lint:allow directive for the suppression inventory:
+// AllowInfo is one //lint:allow directive as the JSON report carries it:
 // where it is, what it suppresses, why, and how many diagnostics it
-// actually absorbed in this run (0 = candidate drift).
+// absorbed in this run.
 type AllowInfo struct {
 	File          string   `json:"file"`
 	Line          int      `json:"line"`
@@ -205,25 +129,32 @@ type PkgResult struct {
 // plus the collected facts.
 type SuiteResult struct {
 	Pkgs  []*PkgResult
-	Facts *FactSet
+	Facts FactSet
 }
 
 // RunSuite executes the fact/run pipeline over the loaded packages: every
 // analyzer's Collect over every package, then the analyzers over each
-// non-dependency package with the shared fact set.
+// non-dependency package with the shared fact set. A //lint:allow whose
+// keys belong to an analyzer left out of analyzers absorbs nothing and is
+// reported; lunavet always runs All().
 func RunSuite(pkgs []*Package, analyzers []*Analyzer) (*SuiteResult, error) {
-	fs := NewFactSet()
+	res := &SuiteResult{Facts: FactSet{}}
 	for _, pkg := range pkgs {
-		if err := CollectPackage(pkg, analyzers, fs); err != nil {
-			return nil, err
+		for _, a := range analyzers {
+			if a.Collect == nil {
+				continue
+			}
+			pass := newPass(a, pkg, res.Facts)
+			if err := protect(a, pkg, func() error { return a.Collect(pass) }); err != nil {
+				return nil, err
+			}
 		}
 	}
-	res := &SuiteResult{Facts: fs}
 	for _, pkg := range pkgs {
 		if pkg.DepOnly {
 			continue
 		}
-		pr, err := analyzePackage(pkg, analyzers, fs)
+		pr, err := analyzePackage(pkg, analyzers, res.Facts)
 		if err != nil {
 			return nil, err
 		}
@@ -232,48 +163,7 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer) (*SuiteResult, error) {
 	return res, nil
 }
 
-// CollectPackage runs every analyzer's Collect hook over one package,
-// adding to fs. Analyzer panics come back as errors so a broken Collect
-// cannot silently produce an empty fact set.
-func CollectPackage(pkg *Package, analyzers []*Analyzer, fs *FactSet) error {
-	for _, a := range analyzers {
-		if a.Collect == nil {
-			continue
-		}
-		pass := newPass(a, pkg, fs)
-		if err := protect(a, pkg, func() error { return a.Collect(pass) }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Run executes the given analyzers over one loaded package and returns the
-// surviving diagnostics plus the ones an allow directive suppressed
-// (reported separately so drivers can count them). Facts are collected
-// from this package only — the per-package entry point the vettool path
-// builds on (it seeds the fact set from dependencies' .vetx files via
-// RunWithFacts). Malformed allow directives — no justification after the
-// key list — come back as diagnostics of the pseudo-analyzer "allow".
-func Run(pkg *Package, analyzers []*Analyzer) (kept, suppressed []Diagnostic, err error) {
-	fs := NewFactSet()
-	if err := CollectPackage(pkg, analyzers, fs); err != nil {
-		return nil, nil, err
-	}
-	return RunWithFacts(pkg, analyzers, fs)
-}
-
-// RunWithFacts is Run with a caller-provided fact set (which must already
-// include this package's own facts).
-func RunWithFacts(pkg *Package, analyzers []*Analyzer, fs *FactSet) (kept, suppressed []Diagnostic, err error) {
-	pr, err := analyzePackage(pkg, analyzers, fs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pr.Kept, pr.Suppressed, nil
-}
-
-func newPass(a *Analyzer, pkg *Package, fs *FactSet) *Pass {
+func newPass(a *Analyzer, pkg *Package, fs FactSet) *Pass {
 	return &Pass{
 		Analyzer:  a,
 		Fset:      pkg.Fset,
@@ -285,7 +175,7 @@ func newPass(a *Analyzer, pkg *Package, fs *FactSet) *Pass {
 }
 
 // protect converts an analyzer panic into an error: a crashed analyzer
-// must fail the run (exit 2 in the drivers), never pass it silently.
+// must fail the run (exit 2 in lunavet), never pass it silently.
 func protect(a *Analyzer, pkg *Package, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -299,8 +189,9 @@ func protect(a *Analyzer, pkg *Package, fn func() error) (err error) {
 }
 
 // analyzePackage runs the analyzers over one package and applies the
-// suppression directives.
-func analyzePackage(pkg *Package, analyzers []*Analyzer, fs *FactSet) (*PkgResult, error) {
+// suppression directives. Directives that are malformed or absorbed
+// nothing come back as kept diagnostics of the pseudo-analyzer "allow".
+func analyzePackage(pkg *Package, analyzers []*Analyzer, fs FactSet) (*PkgResult, error) {
 	allows, bad := collectAllows(pkg.Fset, pkg.Files)
 	var all []Diagnostic
 	for _, a := range analyzers {
@@ -310,7 +201,7 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, fs *FactSet) (*PkgResul
 		}
 		all = append(all, pass.diags...)
 	}
-	pr := &PkgResult{Pkg: pkg}
+	pr := &PkgResult{Pkg: pkg, Kept: bad}
 	for _, d := range all {
 		if allows.covers(pkg.Fset.Position(d.Pos), d) {
 			pr.Suppressed = append(pr.Suppressed, d)
@@ -318,10 +209,20 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, fs *FactSet) (*PkgResul
 			pr.Kept = append(pr.Kept, d)
 		}
 	}
-	pr.Kept = append(pr.Kept, bad...)
+	for _, dir := range allows {
+		if dir.Used == 0 {
+			pr.Kept = append(pr.Kept, Diagnostic{
+				Pos:      dir.pos,
+				Analyzer: "allow",
+				Category: "allow",
+				Message: fmt.Sprintf("//lint:allow %s absorbs no finding: delete the directive or fix its key",
+					strings.Join(dir.Keys, ",")),
+			})
+		}
+		pr.Allows = append(pr.Allows, dir.AllowInfo)
+	}
 	sortDiags(pkg.Fset, pr.Kept)
 	sortDiags(pkg.Fset, pr.Suppressed)
-	pr.Allows = allows.inventory()
 	return pr, nil
 }
 
@@ -338,25 +239,22 @@ func sortDiags(fset *token.FileSet, ds []Diagnostic) {
 	})
 }
 
-// allowDirective is one parsed //lint:allow comment. used counts the
-// diagnostics it suppressed this run (pointer-shared across the indexes).
+// allowDirective is one parsed //lint:allow comment; Used counts the
+// diagnostics it suppressed this run.
 type allowDirective struct {
-	keys          []string
-	justification string
-	file          string
-	line          int
-	used          *int
+	AllowInfo
+	pos token.Pos
 }
 
-// allowSet indexes directives by file and line.
-type allowSet map[string]map[int][]*allowDirective
+// allowSet is a package's directives in source order.
+type allowSet []*allowDirective
 
 const allowPrefix = "//lint:allow"
 
 // collectAllows scans every comment in the files for allow directives.
 // Directives missing a justification are returned as diagnostics.
 func collectAllows(fset *token.FileSet, files []*ast.File) (allowSet, []Diagnostic) {
-	set := allowSet{}
+	var set allowSet
 	var bad []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -369,7 +267,6 @@ func collectAllows(fset *token.FileSet, files []*ast.File) (allowSet, []Diagnost
 					continue // e.g. //lint:allowfoo — not ours
 				}
 				keys, justification := parseAllow(rest)
-				pos := fset.Position(c.Pos())
 				if len(keys) == 0 || justification == "" {
 					bad = append(bad, Diagnostic{
 						Pos:      c.Pos(),
@@ -379,17 +276,10 @@ func collectAllows(fset *token.FileSet, files []*ast.File) (allowSet, []Diagnost
 					})
 					continue
 				}
-				byLine := set[pos.Filename]
-				if byLine == nil {
-					byLine = map[int][]*allowDirective{}
-					set[pos.Filename] = byLine
-				}
-				byLine[pos.Line] = append(byLine[pos.Line], &allowDirective{
-					keys:          keys,
-					justification: justification,
-					file:          pos.Filename,
-					line:          pos.Line,
-					used:          new(int),
+				pos := fset.Position(c.Pos())
+				set = append(set, &allowDirective{
+					AllowInfo: AllowInfo{File: pos.Filename, Line: pos.Line, Keys: keys, Justification: justification},
+					pos:       c.Pos(),
 				})
 			}
 		}
@@ -426,15 +316,14 @@ func parseAllow(rest string) (keys []string, justification string) {
 // directly above names the diagnostic's analyzer or category, bumping the
 // matching directive's usage count.
 func (s allowSet) covers(pos token.Position, d Diagnostic) bool {
-	byLine := s[pos.Filename]
-	if byLine == nil {
-		return false
-	}
-	for _, line := range []int{pos.Line, pos.Line - 1} {
-		for _, dir := range byLine[line] {
-			for _, k := range dir.keys {
+	for _, line := range [2]int{pos.Line, pos.Line - 1} {
+		for _, dir := range s {
+			if dir.File != pos.Filename || dir.Line != line {
+				continue
+			}
+			for _, k := range dir.Keys {
 				if k == d.Analyzer || k == d.Category {
-					*dir.used++
+					dir.Used++
 					return true
 				}
 			}
@@ -475,34 +364,4 @@ func inScope(path string, patterns []string) bool {
 		}
 	}
 	return false
-}
-
-// inventory flattens the set into sorted AllowInfo records.
-func (s allowSet) inventory() []AllowInfo {
-	var files []string
-	for f := range s {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	var out []AllowInfo
-	for _, f := range files {
-		byLine := s[f]
-		var lines []int
-		for l := range byLine {
-			lines = append(lines, l)
-		}
-		sort.Ints(lines)
-		for _, l := range lines {
-			for _, dir := range byLine[l] {
-				out = append(out, AllowInfo{
-					File:          dir.file,
-					Line:          dir.line,
-					Keys:          dir.keys,
-					Justification: dir.justification,
-					Used:          *dir.used,
-				})
-			}
-		}
-	}
-	return out
 }

@@ -80,10 +80,11 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 			continue
 		}
 		if p.Error != nil {
-			// A pattern can legitimately match a package with no
+			// A pattern can legitimately match a directory with no
 			// non-test Go files (the repo root holds only benchmarks);
-			// anything else is a real build error the caller must see.
-			if len(p.GoFiles) == 0 {
+			// anything else — a build error, a pattern that names no
+			// package at all — is an error the caller must see.
+			if len(p.GoFiles) == 0 && p.Dir != "" {
 				continue
 			}
 			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)

@@ -18,9 +18,7 @@ import (
 // slice which is sorted later in the same block is recognized and allowed.
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc: "flag range-over-map whose body reaches output-affecting sinks " +
-		"(event queues, trace/stats, printing, appends, float accumulation) without sorting",
-	Run: runMapOrder,
+	Run:  runMapOrder,
 }
 
 // mapSinkMethods are order-sensitive methods on the simulator's output
@@ -141,37 +139,54 @@ func recvTypeName(sig *types.Signature) string {
 // checkMapRangeAssign flags two order-fixing assignment shapes in a map
 // loop body: append into a variable declared outside the loop (unless that
 // variable is sorted later in the enclosing block — the canonical
-// collect-then-sort idiom), and op-assign accumulation into an outer
-// floating-point variable (float addition is not associative, so the sum
-// depends on iteration order).
+// collect-then-sort idiom), and accumulation into an outer floating-point
+// variable, as op-assign (sum += r) or rebinding (sum = sum + r): float
+// addition is not associative, so the sum depends on iteration order.
 func checkMapRangeAssign(pass *Pass, rs *ast.RangeStmt, as *ast.AssignStmt, tail []ast.Stmt) {
 	switch as.Tok {
 	case token.ASSIGN, token.DEFINE:
 		for i, rhs := range as.Rhs {
-			call, ok := rhs.(*ast.CallExpr)
-			if !ok || !isBuiltinAppend(pass, call) || i >= len(as.Lhs) {
-				continue
+			if i >= len(as.Lhs) {
+				break
 			}
 			obj := outerVar(pass, rs, as.Lhs[i])
-			if obj == nil || sortedInTail(pass, tail, obj) {
+			if obj == nil {
 				continue
 			}
-			pass.Reportf(as.Pos(), "maporder",
-				"append to %s inside range over a map fixes random iteration order into the slice; sort it afterwards or iterate sorted keys", obj.Name())
+			if call, ok := rhs.(*ast.CallExpr); ok && isBuiltinAppend(pass, call) {
+				if !sortedInTail(pass, tail, obj) {
+					pass.Reportf(as.Pos(), "maporder",
+						"append to %s inside range over a map fixes random iteration order into the slice; sort it afterwards or iterate sorted keys", obj.Name())
+				}
+			} else if isFloat(obj.Type()) && mentions(pass, rhs, obj) {
+				reportMapFloat(pass, as, obj)
+			}
 		}
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 		if len(as.Lhs) != 1 {
 			return
 		}
-		obj := outerVar(pass, rs, as.Lhs[0])
-		if obj == nil {
-			return
-		}
-		if b, ok := obj.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 {
-			pass.Reportf(as.Pos(), "maporder",
-				"floating-point accumulation into %s depends on map iteration order (float addition is not associative); iterate sorted keys", obj.Name())
+		if obj := outerVar(pass, rs, as.Lhs[0]); obj != nil && isFloat(obj.Type()) {
+			reportMapFloat(pass, as, obj)
 		}
 	}
+}
+
+func reportMapFloat(pass *Pass, as *ast.AssignStmt, obj *types.Var) {
+	pass.Reportf(as.Pos(), "mapfloat",
+		"floating-point accumulation into %s depends on map iteration order (float addition is not associative); iterate sorted keys", obj.Name())
+}
+
+// mentions reports whether expression e uses obj.
+func mentions(pass *Pass, e ast.Expr, obj *types.Var) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
@@ -222,12 +237,7 @@ func sortedInTail(pass *Pass, tail []ast.Stmt, obj *types.Var) bool {
 				return true
 			}
 			for _, arg := range call.Args {
-				ast.Inspect(arg, func(a ast.Node) bool {
-					if id, ok := a.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-						found = true
-					}
-					return !found
-				})
+				found = found || mentions(pass, arg, obj)
 			}
 			return !found
 		})

@@ -46,18 +46,15 @@ import (
 // contract DrainInboxes, PublishCutState and the Cluster drivers already
 // state in prose.
 var PartOwn = &Analyzer{
-	Name: "partown",
-	Doc: "flag reads/writes of partition-owned state (engines, pools, collectors, " +
-		"link state) reached through a spanning structure outside //lint:barrier code; " +
-		"Mailbox/Handoff is the only sanctioned crossing",
+	Name:    "partown",
 	Run:     runPartOwn,
 	Collect: collectPartOwn,
 }
 
-// PartitionPackages is where partitioned execution lives: the fabric and
+// partitionPackages is where partitioned execution lives: the fabric and
 // the cluster wiring above it. The experiment drivers sit above Cluster's
 // barrier-annotated API and are not re-checked.
-var PartitionPackages = []string{"internal/simnet", "ebs"}
+var partitionPackages = []string{"internal/simnet", "ebs"}
 
 const (
 	partownedMarker = "//lint:partowned"
@@ -84,7 +81,7 @@ func collectPartOwn(pass *Pass) error {
 				for _, marker := range []string{partownedMarker, spanningMarker, crossingMarker} {
 					if hasMarker(gd.Doc, marker) || hasMarker(ts.Doc, marker) || hasMarker(ts.Comment, marker) {
 						kind := strings.TrimPrefix(marker, "//lint:")
-						pass.ExportFact(kind, pass.Pkg.Name()+"."+ts.Name.Name, "", ts.Pos())
+						pass.ExportFact(kind, pass.Pkg.Name()+"."+ts.Name.Name)
 					}
 				}
 			}
@@ -113,32 +110,15 @@ func hasMarker(cg *ast.CommentGroup, marker string) bool {
 
 // partTracker is one package's view of the marked-type facts.
 type partTracker struct {
-	pass      *Pass
-	partowned map[string]bool
-	spanning  map[string]bool
-	crossing  map[string]bool
-	tainted   map[*types.Var]bool // locals bound to foreign partition state
+	pass    *Pass
+	tainted map[*types.Var]bool // locals bound to foreign partition state
 }
 
 func runPartOwn(pass *Pass) error {
-	if !inScope(pass.Pkg.Path(), PartitionPackages) {
+	if !inScope(pass.Pkg.Path(), partitionPackages) {
 		return nil
 	}
-	t := &partTracker{
-		pass:      pass,
-		partowned: map[string]bool{},
-		spanning:  map[string]bool{},
-		crossing:  map[string]bool{},
-	}
-	for _, f := range pass.Facts.Kind("partown", "partowned") {
-		t.partowned[f.Name] = true
-	}
-	for _, f := range pass.Facts.Kind("partown", "spanning") {
-		t.spanning[f.Name] = true
-	}
-	for _, f := range pass.Facts.Kind("partown", "crossing") {
-		t.crossing[f.Name] = true
-	}
+	t := &partTracker{pass: pass}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -167,9 +147,12 @@ func typeName(t types.Type) string {
 	return n.Obj().Pkg().Name() + "." + n.Obj().Name()
 }
 
-func (t *partTracker) isPartowned(tt types.Type) bool { return t.partowned[typeName(tt)] }
-func (t *partTracker) isSpanning(tt types.Type) bool  { return t.spanning[typeName(tt)] }
-func (t *partTracker) isCrossing(tt types.Type) bool  { return t.crossing[typeName(tt)] }
+func (t *partTracker) marked(kind string, tt types.Type) bool {
+	return t.pass.Facts.Has("partown", kind, typeName(tt))
+}
+func (t *partTracker) isPartowned(tt types.Type) bool { return t.marked("partowned", tt) }
+func (t *partTracker) isSpanning(tt types.Type) bool  { return t.marked("spanning", tt) }
+func (t *partTracker) isCrossing(tt types.Type) bool  { return t.marked("crossing", tt) }
 
 // elemPartowned reports whether tt is a container (slice, array, map)
 // whose elements are partition-owned.

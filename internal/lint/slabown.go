@@ -28,9 +28,7 @@ import (
 //     (the receiving partition owns it the moment Handoff returns).
 var SlabOwn = &Analyzer{
 	Name: "slabown",
-	Doc: "pair PacketPool.Get/GetBuf/GetSlab/WrapSlab/Retain with exactly one " +
-		"Release/PutBuf/Handoff/Flush on every path, and forbid uses afterwards",
-	Run: runSlabOwn,
+	Run:  runSlabOwn,
 }
 
 // ownState is the per-variable tracking state.

@@ -1,5 +1,6 @@
 // Package bench sits outside the virtual-time scope: identical wall-clock
-// and global-rand calls must produce no determinism diagnostics here.
+// and global-rand calls, and float equality outside the fluid packages,
+// must produce no determinism diagnostics here.
 package bench
 
 import (
@@ -25,4 +26,8 @@ func Either(a, b chan int) int {
 	case v := <-b:
 		return v
 	}
+}
+
+func SameRate(a, b float64) bool {
+	return a == b
 }

@@ -1,7 +1,8 @@
-// Package fluiddata exercises fluiddet: float-rate math in the
-// flow-level model must be order-independent, so float equality and
-// map-range float accumulation are diagnostics, while the epsilon-band
-// and sorted-keys idioms stay silent.
+// Package fluiddata exercises determinism's floateq rule and maporder's
+// mapfloat rule together: float-rate math in the flow-level model must be
+// order-independent, so float equality and map-range float accumulation
+// are diagnostics, while the epsilon-band and sorted-keys idioms stay
+// silent.
 package fluiddata
 
 import "sort"
@@ -29,10 +30,10 @@ func eventTimeNeq(a, b float64) bool {
 func foldRates(rates map[int]float64) (float64, float64) {
 	var sum, total float64
 	for _, r := range rates {
-		sum += r // want `float accumulation into sum while ranging over a map`
+		sum += r // want `floating-point accumulation into sum depends on map iteration order`
 	}
 	for _, r := range rates {
-		total = total + r // want `float accumulation into total while ranging over a map`
+		total = total + r // want `floating-point accumulation into total depends on map iteration order`
 	}
 	return sum, total
 }

@@ -55,6 +55,15 @@ func floatSum(m map[string]float64) float64 {
 	return sum
 }
 
+// The rebinding form is the same accumulation.
+func floatRebind(m map[string]float64) float64 {
+	var sum float64
+	for _, r := range m {
+		sum = sum + r // want `floating-point accumulation into sum`
+	}
+	return sum
+}
+
 // Integer addition commutes: summing counters from a map is fine.
 func intSum(m map[string]int) int {
 	var sum int

@@ -6,7 +6,7 @@ import "time"
 // clock: it measures how fast the simulator itself runs (sim-µs/wall-ms,
 // events/sec) and never feeds the measurement back into virtual time.
 // Funneling every read through these two helpers keeps the suppression
-// surface to exactly two expressions the -suppressions inventory audits.
+// surface to exactly two expressions (TestSuiteOverRepo counts them).
 
 // wallNow stamps the start of a measured region.
 func wallNow() time.Time {
