@@ -1,4 +1,4 @@
-# Repo-wide checks. `make check` is the pre-commit gate: build, vet, the
+# Repo-wide checks. `make check` is the pre-commit gate: build, gofmt, vet, the
 # lunavet analysis suite, the full test suite under the race detector (the
 # parallel runner is the main customer; every differential and scenario
 # gate is a test), and a short benchmark smoke to catch perf-metric
@@ -14,10 +14,16 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet lint staticcheck govulncheck test race fuzz-smoke bench bench-compare bench-smoke check
+.PHONY: build fmt vet lint staticcheck govulncheck test race fuzz-smoke bench bench-compare bench-smoke check
 
 build:
 	$(GO) build ./...
+
+# gofmt prints the files it would rewrite; any name is a failure. The lint
+# fixtures under testdata/ are deliberately odd and not gofmt's business.
+fmt:
+	@out=$$(gofmt -l . | grep -v '/testdata/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -83,4 +89,4 @@ bench:
 bench-compare:
 	bash benchmark/run.sh -compare $(BASE) $(NEW)
 
-check: build vet lint staticcheck govulncheck race bench-smoke
+check: build fmt vet lint staticcheck govulncheck race bench-smoke

@@ -77,6 +77,10 @@ func TestWriteReadAllStacks(t *testing.T) {
 			if wres.Latency <= 0 || rres.Latency <= 0 {
 				t.Fatal("non-positive latency")
 			}
+			if wres.Latency != wres.Span.Total() || rres.Latency != rres.Span.Total() {
+				t.Fatalf("Latency %v/%v is not the span total %v/%v",
+					wres.Latency, rres.Latency, wres.Span.Total(), rres.Span.Total())
+			}
 			// Every component should be populated on writes.
 			if wres.Span.Get(trace.SSD) == 0 || wres.Span.Get(trace.BN) == 0 {
 				t.Fatalf("write span missing components: %v %v",

@@ -258,9 +258,7 @@ func (cp *ControlPlane) MigrateSegment(volID uint32, segIdx int, toAddr uint32) 
 // I/O rejected by the old owner therefore always finds the new mapping
 // when it re-resolves. Reports whether a move actually happened.
 //
-//lint:barrier — serial-only: ControlPlane refuses clusters with more than
-// one engine, so the single engine's own window (or the top-level driver)
-// is the only code that can be here.
+//lint:barrier — serial-only: ControlPlane refuses multi-engine clusters, so only the one engine's window or the top-level driver runs this
 func (cp *ControlPlane) migrateSegmentRef(volID uint32, segIdx int, toAddr uint32) (bool, error) {
 	refs := cp.c.segs.Refs(volID)
 	if segIdx < 0 || segIdx >= len(refs) {
@@ -359,9 +357,7 @@ type DrainReport struct {
 // once every segment has cut over. Segments drain one at a time, so copy
 // traffic is bounded and the event order is deterministic.
 //
-//lint:barrier — serial-only: ControlPlane refuses clusters with more than
-// one engine, so the single engine's own window (or the top-level driver)
-// is the only code that can be here.
+//lint:barrier — serial-only: ControlPlane refuses multi-engine clusters, so only the one engine's window or the top-level driver runs this
 func (cp *ControlPlane) DrainChunkServer(chunkIdx int, done func(DrainReport)) error {
 	if chunkIdx < 0 || chunkIdx >= len(cp.c.chunks) {
 		return fmt.Errorf("ebs: drain chunk server %d of %d", chunkIdx, len(cp.c.chunks))

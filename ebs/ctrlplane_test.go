@@ -367,3 +367,56 @@ func TestTenantQoSIsolation(t *testing.T) {
 		t.Fatal("no tenant delay recorded")
 	}
 }
+
+// TestIOPastEndOfDiskRejected: the segment table maps whole 2 MiB segments,
+// so a 1 MiB disk used to accept I/O up to the 2 MiB boundary. The guest's
+// range is checked against the provisioned size, and a resize moves the
+// limit.
+func TestIOPastEndOfDiskRejected(t *testing.T) {
+	c := testCluster(t, Solar)
+	cp := c.ControlPlane()
+	vd, err := cp.CreateVolume("create-1", 0, "acme", 1<<20, DefaultQoS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		lba  uint64
+		size int
+		read bool
+		ok   bool // before the resize; all succeed after it
+	}{
+		{"last-block", 1<<20 - 4096, 4096, false, true},
+		{"first-past-end", 1 << 20, 4096, false, false},
+		{"straddling", 1<<20 - 4096, 8192, false, false},
+		{"read-past-end", 1<<20 + 4096, 4096, true, false},
+	}
+	run := func(stage string, wantOK func(ok bool) bool) {
+		for _, tc := range cases {
+			fired := 0
+			var res IOResult
+			done := func(r IOResult) { fired++; res = r }
+			if tc.read {
+				vd.Read(tc.lba, tc.size, done)
+			} else {
+				vd.Write(tc.lba, fill(tc.size, 5), done)
+			}
+			c.Run()
+			if fired != 1 || (res.Err == nil) != wantOK(tc.ok) {
+				t.Errorf("%s %s: done fired %d times, err = %v", stage, tc.name, fired, res.Err)
+			}
+		}
+	}
+	run("1 MiB", func(ok bool) bool { return ok })
+	if err := cp.ResizeVolume("resize-1", vd.ID, 3<<20); err != nil {
+		t.Fatal(err)
+	}
+	run("3 MiB", func(bool) bool { return true })
+	// The new limit is the new size, not the mapping's 4 MiB.
+	var res IOResult
+	vd.Write(3<<20, fill(4096, 5), func(r IOResult) { res = r })
+	c.Run()
+	if res.Err == nil {
+		t.Fatal("write past the resized end succeeded")
+	}
+}

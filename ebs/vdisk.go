@@ -2,12 +2,10 @@ package ebs
 
 import (
 	"fmt"
-	"time"
 
 	"lunasolar/internal/core"
 	"lunasolar/internal/sa"
 	"lunasolar/internal/seccrypto"
-	"lunasolar/internal/trace"
 )
 
 // VDisk is a provisioned virtual disk attached to one compute server.
@@ -18,13 +16,11 @@ type VDisk struct {
 	size    uint64
 }
 
-// IOResult is the completion record of one I/O.
-type IOResult struct {
-	Data    []byte // reads
-	Err     error
-	Latency time.Duration
-	Span    *trace.Span
-}
+// IOResult is the completion record of one I/O. Latency comes from the span
+// the agent measures on the disk's own engine; a cluster-level clock read at
+// completion would race with other partitions' windows on a coupled fabric
+// (done may run inside another partition's window).
+type IOResult = sa.Result
 
 // Provision creates a virtual disk of sizeBytes on compute server idx,
 // striping its segments across every block server, and installs its QoS
@@ -100,31 +96,10 @@ func (v *VDisk) Size() uint64 { return v.size }
 // Write issues a write I/O; done runs at completion with the measured
 // latency (excluding QoS policy delay, per the paper's methodology).
 func (v *VDisk) Write(lba uint64, data []byte, done func(IOResult)) {
-	// Latency comes from the span the agent measures on the disk's own
-	// engine; reading this cluster-level clock here would race with other
-	// partitions' windows on a coupled fabric (Write may be issued from a
-	// completion callback running inside another partition's window).
-	v.agent.Write(v.ID, lba, data, func(res sa.Result) {
-		if done != nil {
-			done(IOResult{
-				Err:     res.Err,
-				Latency: res.Span.Total(),
-				Span:    res.Span,
-			})
-		}
-	})
+	v.agent.Write(v.ID, lba, data, done)
 }
 
 // Read issues a read I/O.
 func (v *VDisk) Read(lba uint64, size int, done func(IOResult)) {
-	v.agent.Read(v.ID, lba, size, func(res sa.Result) {
-		if done != nil {
-			done(IOResult{
-				Data:    res.Data,
-				Err:     res.Err,
-				Latency: res.Span.Total(),
-				Span:    res.Span,
-			})
-		}
-	})
+	v.agent.Read(v.ID, lba, size, done)
 }

@@ -27,7 +27,7 @@ var mapSinkMethods = map[string]bool{
 	"Schedule": true, "ScheduleAt": true, "ScheduleArg": true,
 	"ScheduleCoarse": true, "ScheduleCoarseArg": true,
 	"Push": true, "Record": true, "Emit": true,
-	"Add": true, "Inc": true, "Observe": true, "MarkWindow": true,
+	"Add": true, "Observe": true,
 }
 
 // mapSinkPkgs are the packages (by name) owning the event queue, the trace

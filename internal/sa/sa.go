@@ -45,10 +45,13 @@ type SegmentRef struct {
 // diskEntry is one vdisk's mapping plus its generation number. The
 // generation is bumped by every remap/resize, so clients holding a stale
 // routing decision can tell whether a retry against a fresh lookup can
-// make progress.
+// make progress. bytes is the size the guest was sold: the mapping rounds
+// it up to whole segments, and guest I/O must stay below bytes, not below
+// the mapping's end.
 type diskEntry struct {
-	refs []SegmentRef
-	gen  uint32
+	refs  []SegmentRef
+	gen   uint32
+	bytes uint64
 }
 
 // SegmentTable maps (vdisk, LBA) to segments. Entries are populated by the
@@ -79,7 +82,7 @@ func (t *SegmentTable) Provision(vdisk uint32, sizeBytes uint64, servers []uint3
 		t.nextSegID++
 		refs[i] = SegmentRef{Server: servers[i%len(servers)], SegmentID: t.nextSegID}
 	}
-	t.disks[vdisk] = &diskEntry{refs: refs}
+	t.disks[vdisk] = &diskEntry{refs: refs, bytes: sizeBytes}
 	return nil
 }
 
@@ -96,7 +99,8 @@ func (t *SegmentTable) Lookup(vdisk uint32, lba uint64) (SegmentRef, bool) {
 	return e.refs[idx], true
 }
 
-// Size returns the provisioned size of a vdisk in bytes (0 if unknown).
+// Size returns the mapped capacity of a vdisk in bytes — the provisioned
+// size rounded up to whole segments (0 if unknown).
 func (t *SegmentTable) Size(vdisk uint32) uint64 {
 	e, ok := t.disks[vdisk]
 	if !ok {
@@ -167,6 +171,7 @@ func (t *SegmentTable) Grow(vdisk uint32, newSizeBytes uint64, servers []uint32)
 	if len(added) > 0 {
 		e.gen++
 	}
+	e.bytes = max(e.bytes, newSizeBytes)
 	return added, nil
 }
 
@@ -238,10 +243,12 @@ func OffloadedParams() Params {
 // tenantBucket is one tenant's aggregate admission state on this agent:
 // token buckets for IOPS and bytes riding the engine's coarse timer class,
 // layered above the per-disk slot pacing. A nil bucket means that
-// dimension is uncapped.
+// dimension is uncapped. byteBurst is the capacity bytes was created with
+// (the most one Wait may ask of it).
 type tenantBucket struct {
-	iops  *sim.TokenBucket
-	bytes *sim.TokenBucket
+	iops      *sim.TokenBucket
+	bytes     *sim.TokenBucket
+	byteBurst float64
 }
 
 // Agent is one compute server's storage agent.
@@ -262,10 +269,6 @@ type Agent struct {
 	// (never iterated), so ordering cannot leak into the simulation.
 	tenantOf map[uint32]string
 	tenants  map[string]*tenantBucket
-
-	// Recycled BlockCRCs backing arrays (one-touch CRC metadata), so the
-	// steady-state write path does not allocate per RPC.
-	crcLists [][]uint32
 
 	// Stats.
 	IOs         uint64
@@ -302,33 +305,13 @@ func (a *Agent) SetCollector(c *trace.Collector) { a.collector = c }
 // matters.
 func (a *Agent) SetCipher(vdisk uint32, c *seccrypto.BlockCipher) { a.ciphers[vdisk] = c }
 
-// getCRCList returns a recycled BlockCRCs backing array (empty, capacity
-// preserved); putCRCList returns one once its RPC completes.
-func (a *Agent) getCRCList() []uint32 {
-	if n := len(a.crcLists); n > 0 {
-		l := a.crcLists[n-1]
-		a.crcLists[n-1] = nil
-		a.crcLists = a.crcLists[:n-1]
-		return l
+// blockCRCs fills dst with the raw CRC-32C of each 4 KiB block of data (a
+// short tail block hashed at its actual length).
+func blockCRCs(dst []uint32, data []byte) {
+	for i := range dst {
+		off := i * wire.BlockSize
+		dst[i] = crc.Raw(data[off:min(off+wire.BlockSize, len(data))])
 	}
-	return nil
-}
-
-func (a *Agent) putCRCList(l []uint32) {
-	a.crcLists = append(a.crcLists, l[:0])
-}
-
-// appendBlockCRCs appends the raw CRC-32C of each 4 KiB block of data
-// (short tail blocks hashed at their actual length).
-func (a *Agent) appendBlockCRCs(dst []uint32, data []byte) []uint32 {
-	for off := 0; off < len(data); off += wire.BlockSize {
-		end := off + wire.BlockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		dst = append(dst, crc.Raw(data[off:end]))
-	}
-	return dst
 }
 
 // cryptBlocks en/decrypts buf in place, one counter stream per block.
@@ -377,8 +360,8 @@ func (a *Agent) SetTenant(vdisk uint32, tenant string) {
 // positive rate stays uncapped; once capped, an update to <= 0 pauses the
 // bucket — parked I/Os stay parked until a later update raises the rate
 // again (SetRate re-arms their wake timers). Burst capacity is sized at
-// install time from BurstWindow, with floors of one I/O and 4 MiB so a
-// single large I/O always fits within burst.
+// install time from BurstWindow, with floors of one I/O and 4 MiB; an I/O
+// larger than the byte burst draws it in instalments (tenantBytes).
 func (a *Agent) SetTenantQoS(tenant string, spec QoSSpec) {
 	if spec.BurstWindow <= 0 {
 		spec.BurstWindow = 10 * time.Millisecond
@@ -399,6 +382,9 @@ func (a *Agent) SetTenantQoS(tenant string, spec QoSSpec) {
 		byteBurst = 4 << 20
 	}
 	tb.iops = retuneBucket(a.eng, tb.iops, spec.IOPS, iopsBurst)
+	if tb.bytes == nil {
+		tb.byteBurst = byteBurst
+	}
 	tb.bytes = retuneBucket(a.eng, tb.bytes, byteRate, byteBurst)
 }
 
@@ -497,43 +483,58 @@ func (a *Agent) saDelay() time.Duration {
 	return a.rand.LogNormal(a.params.PerIODelay, a.params.Sigma)
 }
 
-// split cuts [lba, lba+size) at segment boundaries, yielding per-segment
-// ranges with their refs. Returns false if any range is unmapped.
-func (a *Agent) split(vdisk uint32, lba uint64, size int) ([]ioPiece, bool) {
-	var out []ioPiece
-	off := 0
-	for off < size {
-		cur := lba + uint64(off)
-		ref, ok := a.segs.Lookup(vdisk, cur)
-		if !ok {
-			return nil, false
-		}
-		segEnd := (cur/SegmentBytes + 1) * SegmentBytes
-		n := size - off
-		if uint64(off)+uint64(n) > uint64(off)+(segEnd-cur) {
-			n = int(segEnd - cur)
-		}
-		out = append(out, ioPiece{ref: ref, lba: cur, off: off, n: n})
-		off += n
-	}
-	if len(out) > 1 {
-		a.Splits++
-	}
-	return out, true
-}
-
-type ioPiece struct {
-	ref SegmentRef
-	lba uint64
-	off int
-	n   int
-}
-
-// Result is the completion record of one I/O.
+// Result is the completion record of one I/O. It stays valid for as long as
+// its holder keeps it: Span points into the I/O's own record, which is
+// never recycled.
 type Result struct {
 	Data []byte // reads only
 	Err  error
-	Span *trace.Span
+	// Latency is Span.Total(): measured on the agent's own engine, QoS
+	// policy delay excluded per the paper's methodology.
+	Latency time.Duration
+	Span    *trace.Span
+}
+
+// ioReq is the one record of a guest I/O, from arrival to completion: the
+// per-request metadata of the §4.6 table pipeline (p4/solar.go's ebs.vdisk,
+// ebs.lba and meta.segidx → segment_id, server), plus what a software agent
+// must remember between events. Every step below is a function of it, so
+// "which stage, which attempt, waiting on what" is read off one value.
+// Deliberately not pooled: Result.Span escapes to the guest.
+type ioReq struct {
+	a     *Agent
+	op    uint8
+	vdisk uint32
+	gen   uint32
+	size  int
+	data  []byte       // write payload
+	done  func(Result) // may be nil
+
+	tb        *tenantBucket // nil: no tenant binding
+	left      float64       // bytes still to draw from tb.bytes
+	admission time.Duration // per-disk pacing wait, reserved at arrival
+	mark      sim.Time      // start of the stage in progress: tenant wait, SA, FN
+	span      trace.Span
+
+	// Assembly of the pieces' responses.
+	buf             []byte // read buffer
+	remaining       int    // pieces not yet settled
+	maxWall, maxSSD time.Duration
+	err             error // first piece error
+
+	first piece
+	more  []*piece // the 2nd.. pieces of a segment-crossing I/O, in LBA order
+}
+
+// piece is the part of an I/O that falls in one segment: one RPC, re-sent
+// when a migration moves the segment under it.
+type piece struct {
+	r       *ioReq
+	msg     transport.Message
+	off, n  int    // range within the I/O's payload or read buffer
+	server  uint32 // block server of the attempt in flight
+	attempt int    // not-owner re-sends so far
+	crc1    [1]uint32
 }
 
 // Write performs a write I/O. done receives the completion record; the
@@ -547,183 +548,226 @@ func (a *Agent) Read(vdisk uint32, lba uint64, size int, done func(Result)) {
 	a.io(wire.RPCReadReq, vdisk, lba, size, nil, done)
 }
 
-func (a *Agent) io(opCode uint8, vdisk uint32, lba uint64, size int, data []byte, done func(Result)) {
-	if done == nil {
-		done = func(Result) {}
+func (a *Agent) io(op uint8, vdisk uint32, lba uint64, size int, data []byte, done func(Result)) {
+	r := &ioReq{a: a, op: op, vdisk: vdisk, size: size, data: data, done: done,
+		left: float64(size), span: trace.Span{Op: "read", Size: size}}
+	if op == wire.RPCWriteReq {
+		r.span.Op = "write"
 	}
-	op := "read"
-	if opCode == wire.RPCWriteReq {
-		op = "write"
-	}
-	span := &trace.Span{Op: op, Size: size}
-	if size <= 0 {
+	e := a.segs.disks[vdisk]
+	switch {
+	case size <= 0:
 		// Guest input: an empty I/O has no piece to wait for and would never
 		// complete; a negative read size cannot be buffered.
-		done(Result{Err: fmt.Errorf("sa: vdisk %d %s at %#x: invalid size %d", vdisk, op, lba, size), Span: span})
-		return
+		r.err = fmt.Errorf("sa: vdisk %d %s at %#x: invalid size %d", vdisk, r.span.Op, lba, size)
+	case e == nil:
+		r.err = fmt.Errorf("sa: vdisk %d range [%#x,+%d) not provisioned", vdisk, lba, size)
+	case lba > e.bytes || uint64(size) > e.bytes-lba:
+		// Guest input: the segment table maps whole segments, so the tail of
+		// a disk's last one would otherwise be readable and writable.
+		r.err = fmt.Errorf("sa: vdisk %d range [%#x,+%d) past the end of a %d-byte disk", vdisk, lba, size, e.bytes)
 	}
-	pieces, ok := a.split(vdisk, lba, size)
-	if !ok {
-		done(Result{Err: fmt.Errorf("sa: vdisk %d range [%#x,+%d) not provisioned", vdisk, lba, size), Span: span})
+	if r.err != nil {
+		r.finish()
 		return
 	}
 	a.IOs++
 	a.gen++
-	gen := a.gen
+	r.gen = a.gen
+	r.split(e, lba)
 
-	admission := a.admit(vdisk, size)
-	// Pacing is latency-tolerant: the admission wait rides the coarse
-	// scheduling class (the instant is exact either way, only the cost of
-	// waiting changes).
-	proceed := func() {
-		a.eng.ScheduleCoarse(admission, func() {
-			start := a.eng.Now()
-			afterSA := func() {
-				saDone := a.eng.Now()
-				span.Add(trace.SA, saDone.Sub(start))
-				a.issue(span, vdisk, gen, opCode, pieces, data, size, saDone, done)
-			}
-			if a.params.Offloaded {
-				// Table lookups ride the FPGA pipeline; no CPU is consumed.
-				a.eng.Schedule(time.Duration(len(pieces))*a.params.OffloadLatency, afterSA)
-			} else {
-				a.cores.Submit(a.saBusy(size), func() {
-					a.eng.Schedule(a.saDelay(), afterSA)
-				})
-			}
-		})
-	}
-	tb := a.tenantBucketFor(vdisk)
-	if tb == nil {
+	r.admission = a.admit(vdisk, size)
+	r.tb = a.tenantBucketFor(vdisk)
+	if r.tb == nil {
 		// No tenant binding: identical event sequence to a tenant-free
 		// build, so existing scenarios stay byte-for-byte unchanged.
-		proceed()
+		r.proceed()
 		return
 	}
 	// Tenant admission layers above the per-disk pacing: one IOPS token,
 	// then the I/O's bytes. Both Waits ride the coarse timer class; a
 	// paused tenant (rate <= 0) parks here until SetTenantQoS raises it.
-	t0 := a.eng.Now()
-	afterBytes := func() {
-		a.TenantDelay += a.eng.Now().Sub(t0)
-		proceed()
-	}
-	afterIOPS := func() {
-		if tb.bytes == nil {
-			afterBytes()
-			return
-		}
-		tb.bytes.Wait(float64(size), afterBytes)
-	}
-	if tb.iops == nil {
-		afterIOPS()
+	r.mark = a.eng.Now()
+	if r.tb.iops == nil {
+		r.tenantBytes()
 		return
 	}
-	tb.iops.Wait(1, afterIOPS)
+	r.tb.iops.Wait(1, r.tenantBytes)
 }
 
-// issue sends one RPC per piece and assembles the completion.
-func (a *Agent) issue(span *trace.Span, vdisk uint32, gen uint32, op uint8,
-	pieces []ioPiece, data []byte, size int, fnStart sim.Time, done func(Result)) {
-	remaining := len(pieces)
-	var buf []byte
-	if op == wire.RPCReadReq {
-		buf = make([]byte, size)
+// split cuts [lba, lba+size) at segment boundaries into first and, for a
+// segment-crossing I/O, more. io has checked the range against the disk's
+// size, so every segment it touches is mapped.
+func (r *ioReq) split(e *diskEntry, lba uint64) {
+	for off := 0; off < r.size; {
+		cur := lba + uint64(off)
+		ref := e.refs[cur/SegmentBytes]
+		n := r.size - off
+		if room := SegmentBytes - cur%SegmentBytes; uint64(n) > room {
+			n = int(room)
+		}
+		p := &r.first
+		if off > 0 {
+			p = new(piece)
+			r.more = append(r.more, p)
+		}
+		*p = piece{r: r, off: off, n: n, server: ref.Server,
+			msg: transport.Message{Op: r.op, VDisk: r.vdisk, SegmentID: ref.SegmentID, LBA: cur, Gen: r.gen}}
+		off += n
 	}
-	var maxWall, maxSSD time.Duration
-	var firstErr error
-	for _, pc := range pieces {
-		pc := pc
-		msg := &transport.Message{
-			Op:        op,
-			VDisk:     vdisk,
-			SegmentID: pc.ref.SegmentID,
-			LBA:       pc.lba,
-			Gen:       gen,
+	r.remaining = 1 + len(r.more)
+	if r.remaining > 1 {
+		r.a.Splits++
+	}
+}
+
+// tenantBytes draws the I/O's bytes from the tenant's byte bucket, then
+// moves on to the disk's own pacing. A bucket refuses a Wait above its
+// burst, and a multi-segment I/O may be larger than that: such an I/O draws
+// burst-sized instalments, re-entering here after each, so the long-run cap
+// still holds. An I/O within burst makes exactly one Wait.
+func (r *ioReq) tenantBytes() {
+	if r.tb.bytes != nil && r.left > 0 {
+		n := min(r.left, r.tb.byteBurst)
+		r.left -= n
+		r.tb.bytes.Wait(n, r.tenantBytes)
+		return
+	}
+	r.a.TenantDelay += r.a.eng.Now().Sub(r.mark)
+	r.proceed()
+}
+
+// proceed waits out the disk's pacing delay. Pacing is latency-tolerant:
+// the admission wait rides the coarse scheduling class (the instant is
+// exact either way, only the cost of waiting changes).
+//
+//lint:hotpath
+func (r *ioReq) proceed() {
+	r.a.eng.ScheduleCoarseArg(r.admission, ioAdmitted, r)
+}
+
+// ioAdmitted starts the SA stage.
+//
+//lint:hotpath
+func ioAdmitted(x any) {
+	r := x.(*ioReq)
+	a := r.a
+	r.mark = a.eng.Now()
+	if a.params.Offloaded {
+		// Table lookups ride the FPGA pipeline; no CPU is consumed.
+		a.eng.ScheduleArg(time.Duration(1+len(r.more))*a.params.OffloadLatency, ioIssue, r)
+		return
+	}
+	a.cores.SubmitArg(a.saBusy(r.size), ioCPUDone, r)
+}
+
+// ioCPUDone adds the software agent's non-busy latency after its CPU time.
+//
+//lint:hotpath
+func ioCPUDone(x any) {
+	r := x.(*ioReq)
+	r.a.eng.ScheduleArg(r.a.saDelay(), ioIssue, r)
+}
+
+// ioIssue closes the SA stage and sends one RPC per piece, in LBA order.
+func ioIssue(x any) {
+	r := x.(*ioReq)
+	now := r.a.eng.Now()
+	r.span.Add(trace.SA, now.Sub(r.mark))
+	r.mark = now
+	if r.op == wire.RPCReadReq {
+		r.buf = make([]byte, r.size)
+	}
+	r.first.issue()
+	for _, p := range r.more {
+		p.issue()
+	}
+}
+
+// issue attaches the piece's payload and makes its first attempt.
+func (p *piece) issue() {
+	r, a := p.r, p.r.a
+	if a.params.Encrypted {
+		p.msg.Flags |= wire.EBSFlagEncrypted
+	}
+	if r.op == wire.RPCWriteReq {
+		p.msg.Data = r.data[p.off : p.off+p.n]
+		if a.params.Encrypted && !a.params.Offloaded {
+			enc := append([]byte(nil), p.msg.Data...)
+			a.cryptBlocks(r.vdisk, p.msg.SegmentID, p.msg.LBA, enc)
+			p.msg.Data = enc
 		}
-		if a.params.Encrypted {
-			msg.Flags |= wire.EBSFlagEncrypted
-		}
-		if op == wire.RPCWriteReq {
-			msg.Data = data[pc.off : pc.off+pc.n]
-			if a.params.Encrypted && !a.params.Offloaded {
-				enc := append([]byte(nil), msg.Data...)
-				a.cryptBlocks(vdisk, pc.ref.SegmentID, pc.lba, enc)
-				msg.Data = enc
+		// One-touch CRC: the per-block raw CRC is computed exactly
+		// once, here at SA ingress, over the bytes that will cross the
+		// wire; every downstream verification folds these values
+		// instead of re-walking the payload. The CRCPer4K cost was
+		// already charged in saBusy (or rides the FPGA pipeline), so
+		// this changes who reads the bytes, not what the simulation
+		// charges.
+		// Attached only for the offloaded (Solar) stacks, whose wire
+		// format carries a per-block CRC; skipped when the DPU's SEC
+		// engine will re-encrypt: the wire bytes are not ours to hash.
+		if a.params.Offloaded && !a.params.Encrypted {
+			p.msg.BlockCRCs = p.crc1[:]
+			if blocks := (p.n + wire.BlockSize - 1) / wire.BlockSize; blocks > 1 {
+				p.msg.BlockCRCs = make([]uint32, blocks)
 			}
-			// One-touch CRC: the per-block raw CRC is computed exactly
-			// once, here at SA ingress, over the bytes that will cross the
-			// wire; every downstream verification folds these values
-			// instead of re-walking the payload. The CRCPer4K cost was
-			// already charged in saBusy (or rides the FPGA pipeline), so
-			// this changes who reads the bytes, not what the simulation
-			// charges.
-			// Attached only for the offloaded (Solar) stacks, whose wire
-			// format carries a per-block CRC; skipped when the DPU's SEC
-			// engine will re-encrypt: the wire bytes are not ours to hash.
-			if a.params.Offloaded && !a.params.Encrypted {
-				msg.BlockCRCs = a.appendBlockCRCs(a.getCRCList(), msg.Data)
-			}
-		} else {
-			msg.ReadLen = pc.n
+			blockCRCs(p.msg.BlockCRCs, p.msg.Data)
 		}
-		var send func(server uint32, attempt int)
-		send = func(server uint32, attempt int) {
-			a.fn.Call(server, msg, func(resp *transport.Response) {
-				// A not-owner rejection means a live migration cut the
-				// segment over while this RPC was in flight. Re-resolve the
-				// (generation-bumped) segment table; if it now points at a
-				// different server, retry there. The CRC list must survive
-				// the retry, so it is recycled only once the piece settles.
-				if resp.Err != nil && errors.Is(resp.Err, transport.ErrNotOwner) && attempt < notOwnerRetries {
-					if ref, ok := a.segs.Lookup(vdisk, pc.lba); ok && ref.Server != server {
-						a.Retries++
-						send(ref.Server, attempt+1)
-						return
-					}
-				}
-				if msg.BlockCRCs != nil {
-					a.putCRCList(msg.BlockCRCs)
-					msg.BlockCRCs = nil
-				}
-				if resp.Err != nil && firstErr == nil {
-					firstErr = resp.Err
-				}
-				if op == wire.RPCReadReq && resp.Data != nil {
-					copy(buf[pc.off:], resp.Data)
-					if a.params.Encrypted && !a.params.Offloaded {
-						a.cryptBlocks(vdisk, pc.ref.SegmentID, pc.lba, buf[pc.off:pc.off+pc.n])
-					}
-				}
-				if resp.ServerWall > maxWall {
-					maxWall = resp.ServerWall
-				}
-				if resp.SSDTime > maxSSD {
-					maxSSD = resp.SSDTime
-				}
-				remaining--
-				if remaining > 0 {
-					return
-				}
-				// All pieces done: attribute.
-				wall := a.eng.Now().Sub(fnStart)
-				fn := wall - maxWall
-				if fn < 0 {
-					fn = 0
-				}
-				bn := maxWall - maxSSD
-				if bn < 0 {
-					bn = 0
-				}
-				span.Add(trace.FN, fn)
-				span.Add(trace.BN, bn)
-				span.Add(trace.SSD, maxSSD)
-				if a.collector != nil {
-					a.collector.Record(span)
-				}
-				done(Result{Data: buf, Err: firstErr, Span: span})
-			})
+	} else {
+		p.msg.ReadLen = p.n
+	}
+	p.send()
+}
+
+// send makes one attempt at the piece's RPC.
+func (p *piece) send() {
+	p.r.a.fn.Call(p.server, &p.msg, p.response)
+}
+
+// response settles one attempt; the last piece to settle completes the I/O.
+func (p *piece) response(resp *transport.Response) {
+	r, a := p.r, p.r.a
+	// A not-owner rejection means a live migration cut the segment over
+	// while this RPC was in flight. Re-resolve the (generation-bumped)
+	// segment table; if it now points at a different server, retry there.
+	if resp.Err != nil && errors.Is(resp.Err, transport.ErrNotOwner) && p.attempt < notOwnerRetries {
+		if ref, ok := a.segs.Lookup(r.vdisk, p.msg.LBA); ok && ref.Server != p.server {
+			a.Retries++
+			p.server = ref.Server
+			p.attempt++
+			p.send()
+			return
 		}
-		send(pc.ref.Server, 0)
+	}
+	if resp.Err != nil && r.err == nil {
+		r.err = resp.Err
+	}
+	if r.op == wire.RPCReadReq && resp.Data != nil {
+		copy(r.buf[p.off:], resp.Data)
+		if a.params.Encrypted && !a.params.Offloaded {
+			a.cryptBlocks(r.vdisk, p.msg.SegmentID, p.msg.LBA, r.buf[p.off:p.off+p.n])
+		}
+	}
+	r.maxWall = max(r.maxWall, resp.ServerWall)
+	r.maxSSD = max(r.maxSSD, resp.SSDTime)
+	r.remaining--
+	if r.remaining > 0 {
+		return
+	}
+	// All pieces done: attribute. Span.Add clamps a negative share to zero.
+	r.span.Add(trace.FN, a.eng.Now().Sub(r.mark)-r.maxWall)
+	r.span.Add(trace.BN, r.maxWall-r.maxSSD)
+	r.span.Add(trace.SSD, r.maxSSD)
+	if a.collector != nil {
+		a.collector.Record(&r.span)
+	}
+	r.finish()
+}
+
+// finish hands the completion record to the guest.
+func (r *ioReq) finish() {
+	if r.done != nil {
+		r.done(Result{Data: r.buf, Err: r.err, Latency: r.span.Total(), Span: &r.span})
 	}
 }

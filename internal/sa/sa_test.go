@@ -1,6 +1,7 @@
 package sa
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -472,17 +473,18 @@ func TestSplitProperty(t *testing.T) {
 		if lba+uint64(size) > 64<<20 {
 			return true
 		}
-		pieces, ok := a.split(1, lba, size)
-		if !ok {
+		r := &ioReq{a: a, vdisk: 1, size: size}
+		r.split(segs.disks[1], lba)
+		if r.remaining != 1+len(r.more) {
 			return false
 		}
 		covered := 0
 		next := lba
-		for _, p := range pieces {
-			if p.lba != next {
+		for _, p := range append([]*piece{&r.first}, r.more...) {
+			if p.msg.LBA != next || p.off != covered {
 				return false
 			}
-			if p.lba/SegmentBytes != (p.lba+uint64(p.n)-1)/SegmentBytes {
+			if p.msg.LBA/SegmentBytes != (p.msg.LBA+uint64(p.n)-1)/SegmentBytes {
 				return false // piece crosses a segment boundary
 			}
 			covered += p.n
@@ -492,5 +494,198 @@ func TestSplitProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// syncFN answers every call at once from one preallocated response, so an
+// I/O's only allocations are the agent's own.
+type syncFN struct {
+	resp  transport.Response
+	calls int
+}
+
+func (f *syncFN) Call(dst uint32, req *transport.Message, done func(*transport.Response)) {
+	f.calls++
+	done(&f.resp)
+}
+
+func newSyncAgent(t *testing.T, params Params) (*sim.Engine, *Agent, *syncFN) {
+	t.Helper()
+	eng := sim.NewEngine(3)
+	fn := &syncFN{resp: transport.Response{ServerWall: 30 * time.Microsecond, SSDTime: 12 * time.Microsecond}}
+	segs := NewSegmentTable()
+	if err := segs.Provision(1, 64<<20, []uint32{0xA1}); err != nil {
+		t.Fatal(err)
+	}
+	return eng, New(eng, sim.NewServer(eng, "cpu", 4), fn, segs, params), fn
+}
+
+// TestIOAllocs gates the request path's allocations: the record and the
+// bound piece.response, plus the read buffer or a multi-block CRC list.
+func TestIOAllocs(t *testing.T) {
+	done := func(Result) {}
+	for _, tc := range []struct {
+		name   string
+		params Params
+		size   int
+		read   bool
+		max    float64
+	}{
+		{"write-4k-offloaded", OffloadedParams(), 4 << 10, false, 2},
+		{"write-64k-software", SoftwareParams(), 64 << 10, false, 2},
+		{"read-4k-software", SoftwareParams(), 4 << 10, true, 3},
+		{"write-32k-offloaded", OffloadedParams(), 32 << 10, false, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, a, fn := newSyncAgent(t, tc.params)
+			payload := make([]byte, tc.size)
+			fn.resp.Data = nil
+			if tc.read {
+				fn.resp.Data = payload
+			}
+			n := 0
+			got := testing.AllocsPerRun(200, func() {
+				n++
+				lba := uint64(n%64) * uint64(tc.size)
+				if tc.read {
+					a.Read(1, lba, tc.size, done)
+				} else {
+					a.Write(1, lba, payload, done)
+				}
+				eng.Run()
+			})
+			if got > tc.max {
+				t.Fatalf("%.1f allocs per I/O, want <= %.0f", got, tc.max)
+			}
+			if fn.calls != n {
+				t.Fatalf("FN saw %d calls for %d I/Os", fn.calls, n)
+			}
+		})
+	}
+}
+
+// TestResultOutlivesLaterIO: a Result may be kept after done returns — its
+// Span, Latency and read Data must not be touched by later I/Os. This is
+// the property that rules out recycling the per-I/O record.
+func TestResultOutlivesLaterIO(t *testing.T) {
+	eng, a, _, _ := newAgent(t, SoftwareParams())
+	data := make([]byte, 8192)
+	for i := range data {
+		data[i] = byte(i * 13)
+	}
+	var wres, rres Result
+	a.Write(1, 0x2000, data, func(r Result) { wres = r })
+	eng.Run()
+	a.Read(1, 0x2000, len(data), func(r Result) { rres = r })
+	eng.Run()
+	if wres.Err != nil || rres.Err != nil {
+		t.Fatalf("errs: %v %v", wres.Err, rres.Err)
+	}
+	wspan, rspan := *wres.Span, *rres.Span
+	for i := 0; i < 1000; i++ {
+		lba := uint64(0x100000 + i<<12)
+		a.Write(1, lba, make([]byte, 4096), nil)
+		a.Read(1, lba, 4096, nil)
+		eng.Run()
+	}
+	if *wres.Span != wspan || *rres.Span != rspan {
+		t.Fatal("a kept Span changed under later I/Os")
+	}
+	if wres.Latency != wspan.Total() || rres.Latency != rspan.Total() || wres.Latency <= 0 || rres.Latency <= 0 {
+		t.Fatalf("Latency %v/%v, Span totals %v/%v", wres.Latency, rres.Latency, wspan.Total(), rspan.Total())
+	}
+	if !bytes.Equal(rres.Data, data) {
+		t.Fatal("kept read Data changed under later I/Os")
+	}
+}
+
+// flippingFN rejects every request as not-owner and moves the segment to
+// the other of two servers each time, so the table always has somewhere
+// new to chase.
+type flippingFN struct {
+	segs  *SegmentTable
+	calls []uint32
+}
+
+func (f *flippingFN) Call(dst uint32, req *transport.Message, done func(*transport.Response)) {
+	f.calls = append(f.calls, dst)
+	if err := f.segs.Remap(req.VDisk, int(req.LBA/SegmentBytes), dst^1); err != nil {
+		panic(err)
+	}
+	done(&transport.Response{Err: fmt.Errorf("released: %w", transport.ErrNotOwner)})
+}
+
+// TestNotOwnerChaseIsBounded: under endless churn a piece is sent once plus
+// notOwnerRetries times, then the rejection surfaces, once.
+func TestNotOwnerChaseIsBounded(t *testing.T) {
+	eng := sim.NewEngine(3)
+	segs := NewSegmentTable()
+	if err := segs.Provision(1, 4<<20, []uint32{0xA0}); err != nil {
+		t.Fatal(err)
+	}
+	fn := &flippingFN{segs: segs}
+	a := New(eng, sim.NewServer(eng, "cpu", 4), fn, segs, OffloadedParams())
+	fired := 0
+	var res Result
+	a.Write(1, 0, make([]byte, 4096), func(r Result) { fired++; res = r })
+	eng.Run()
+	if len(fn.calls) != 1+notOwnerRetries {
+		t.Fatalf("FN saw %d calls %x, want %d", len(fn.calls), fn.calls, 1+notOwnerRetries)
+	}
+	for i, dst := range fn.calls {
+		if want := uint32(0xA0 + i%2); dst != want {
+			t.Fatalf("call %d went to %#x, want %#x", i, dst, want)
+		}
+	}
+	if fired != 1 || !errors.Is(res.Err, transport.ErrNotOwner) {
+		t.Fatalf("done fired %d times, err = %v", fired, res.Err)
+	}
+	if a.Retries != notOwnerRetries {
+		t.Fatalf("Retries = %d, want %d", a.Retries, notOwnerRetries)
+	}
+}
+
+// A nil done is legal on every way out of io: both failure paths and
+// success.
+func TestNilDoneDoesNotPanic(t *testing.T) {
+	eng, a, fn, _ := newAgent(t, SoftwareParams())
+	a.Write(1, 0, nil, nil)                     // invalid size
+	a.Read(1, 64<<20, 4096, nil)                // past the end
+	a.Write(42, 0, make([]byte, 4096), nil)     // unknown disk
+	a.Write(1, 0x3000, make([]byte, 4096), nil) // success
+	eng.Run()
+	if len(fn.calls) != 1 || a.IOs != 1 {
+		t.Fatalf("calls = %d, IOs = %d, want 1 and 1", len(fn.calls), a.IOs)
+	}
+}
+
+// TestTenantBytesAboveBurst: an I/O larger than its tenant's byte burst (a
+// legal multi-segment write; this used to panic in TokenBucket.Wait) draws
+// its bytes in burst-sized instalments, and the tenant's long-run
+// bandwidth cap still holds.
+func TestTenantBytesAboveBurst(t *testing.T) {
+	eng, a, fn, _ := newAgent(t, OffloadedParams())
+	a.SetTenant(1, "t")
+	a.SetTenantQoS("t", QoSSpec{IOPS: 1000, BandwidthBps: 800e6}) // 100 MB/s, 4 MiB burst floor
+	done := 0
+	for i := 0; i < 2; i++ {
+		a.Write(1, uint64(i)*(8<<20), make([]byte, 5<<20), func(r Result) {
+			if r.Err != nil {
+				t.Error(r.Err)
+			}
+			done++
+		})
+	}
+	eng.Run()
+	if done != 2 || len(fn.calls) != 6 {
+		t.Fatalf("done = %d, FN calls = %d; want 2 writes of 3 pieces", done, len(fn.calls))
+	}
+	// 10 MiB against a full 4 MiB bucket refilled at 100 MB/s: the last
+	// byte is admitted no sooner than (10-4) MiB / 100 MB/s = 62.9 ms.
+	if got, floor := eng.Now().Duration(), 62*time.Millisecond; got < floor {
+		t.Fatalf("finished at %v, before the cap allows (%v)", got, floor)
+	}
+	if a.TenantDelay == 0 {
+		t.Fatal("no tenant delay accounted")
 	}
 }

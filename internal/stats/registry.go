@@ -14,11 +14,11 @@ import (
 const SchemaVersion = "lunasolar.metrics/v1"
 
 // Registry names and aggregates metrics for structured export. Every
-// counter, gauge, histogram and time series an experiment wants published
-// is folded in under a slash-separated name ("fig6/solar/write/fn"); the
-// registry then renders the whole set as schema-versioned JSON or
-// OpenMetrics text with fully deterministic ordering (names sorted, field
-// order fixed by struct layout) so exports diff cleanly across runs.
+// counter, gauge and histogram an experiment wants published is folded in
+// under a slash-separated name ("fig6/solar/write/fn"); the registry then
+// renders the whole set as schema-versioned JSON or OpenMetrics text with
+// fully deterministic ordering (names sorted, field order fixed by struct
+// layout) so exports diff cleanly across runs.
 //
 // Registries are single-goroutine objects, like the rest of this package:
 // the share-nothing harness gives each shard its own registry and merges
@@ -27,7 +27,6 @@ type Registry struct {
 	counters map[string]uint64
 	gauges   map[string]float64
 	hists    map[string]*Histogram
-	series   map[string]*TimeSeries
 }
 
 // NewRegistry returns an empty registry.
@@ -36,7 +35,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]uint64),
 		gauges:   make(map[string]float64),
 		hists:    make(map[string]*Histogram),
-		series:   make(map[string]*TimeSeries),
 	}
 }
 
@@ -62,25 +60,6 @@ func (r *Registry) ObserveHistogram(name string, h *Histogram) {
 	dst.Merge(h)
 }
 
-// ObserveSeries folds ts into the named time series bin-by-bin. All
-// observations of one name must share a bin width; a mismatch is a
-// programming error and panics.
-func (r *Registry) ObserveSeries(name string, ts *TimeSeries) {
-	dst, ok := r.series[name]
-	if !ok {
-		dst = NewTimeSeries(ts.binWidth)
-		r.series[name] = dst
-	}
-	if dst.binWidth != ts.binWidth {
-		panic(fmt.Sprintf("stats: series %q bin width %v != %v", name, dst.binWidth, ts.binWidth))
-	}
-	dst.grow(len(ts.bins) - 1)
-	for i := range ts.bins {
-		dst.bins[i] += ts.bins[i]
-		dst.counts[i] += ts.counts[i]
-	}
-}
-
 // Counter returns the named counter's value (0 if absent).
 func (r *Registry) Counter(name string) uint64 { return r.counters[name] }
 
@@ -90,12 +69,9 @@ func (r *Registry) Gauge(name string) float64 { return r.gauges[name] }
 // Histogram returns the named histogram, or nil.
 func (r *Registry) Histogram(name string) *Histogram { return r.hists[name] }
 
-// Series returns the named time series, or nil.
-func (r *Registry) Series(name string) *TimeSeries { return r.series[name] }
-
 // Len returns the total number of registered metrics.
 func (r *Registry) Len() int {
-	return len(r.counters) + len(r.gauges) + len(r.hists) + len(r.series)
+	return len(r.counters) + len(r.gauges) + len(r.hists)
 }
 
 // Merge folds every metric of src into r with prefix prepended to its name.
@@ -110,9 +86,6 @@ func (r *Registry) Merge(src *Registry, prefix string) {
 	}
 	for _, name := range sortedKeysHist(src.hists) {
 		r.ObserveHistogram(prefix+name, src.hists[name])
-	}
-	for _, name := range sortedKeysSeries(src.series) {
-		r.ObserveSeries(prefix+name, src.series[name])
 	}
 }
 
@@ -143,23 +116,13 @@ func sortedKeysHist(m map[string]*Histogram) []string {
 	return ks
 }
 
-func sortedKeysSeries(m map[string]*TimeSeries) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
 // Metric is one exported entry. Exactly the fields for its Type are set:
 // counters and gauges carry Value; histograms carry the count/percentile
-// block (nanosecond units, matching time.Duration); time series carry the
-// bin block. Field order in the JSON is the struct order below and never
-// changes within a schema version.
+// block (nanosecond units, matching time.Duration). Field order in the JSON
+// is the struct order below and never changes within a schema version.
 type Metric struct {
 	Name  string  `json:"name"`
-	Type  string  `json:"type"` // "counter" | "gauge" | "histogram" | "timeseries"
+	Type  string  `json:"type"` // "counter" | "gauge" | "histogram"
 	Value float64 `json:"value,omitempty"`
 
 	Count  uint64  `json:"count,omitempty"`
@@ -170,10 +133,6 @@ type Metric struct {
 	P50Ns  int64   `json:"p50_ns,omitempty"`
 	P95Ns  int64   `json:"p95_ns,omitempty"`
 	P99Ns  int64   `json:"p99_ns,omitempty"`
-
-	BinWidthNs int64     `json:"bin_width_ns,omitempty"`
-	Bins       []float64 `json:"bins,omitempty"`
-	BinCounts  []uint64  `json:"bin_counts,omitempty"`
 }
 
 // Export is the top-level JSON document.
@@ -208,16 +167,6 @@ func (r *Registry) Snapshot() Export {
 			P99Ns:  int64(h.P99()),
 		})
 	}
-	for _, name := range sortedKeysSeries(r.series) {
-		ts := r.series[name]
-		ms = append(ms, Metric{
-			Name:       name,
-			Type:       "timeseries",
-			BinWidthNs: int64(ts.binWidth),
-			Bins:       append([]float64(nil), ts.bins...),
-			BinCounts:  append([]uint64(nil), ts.counts...),
-		})
-	}
 	sort.SliceStable(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
 	return Export{Schema: SchemaVersion, Metrics: ms}
 }
@@ -231,9 +180,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // WriteOpenMetrics writes the export in OpenMetrics text form: counters as
 // _total samples, histograms as summaries with quantile labels (seconds, the
-// OpenMetrics base unit for time), time series as gauge samples labelled by
-// bin. Names are sanitized to the OpenMetrics charset and the output always
-// terminates with "# EOF".
+// OpenMetrics base unit for time). Names are sanitized to the OpenMetrics
+// charset and the output always terminates with "# EOF".
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	snap := r.Snapshot()
 	for _, m := range snap.Metrics {
@@ -261,15 +209,6 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 			}
 			if _, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, m.SumNs/1e9, name, m.Count); err != nil {
 				return err
-			}
-		case "timeseries":
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", name); err != nil {
-				return err
-			}
-			for i, v := range m.Bins {
-				if _, err := fmt.Fprintf(w, "%s{bin=\"%d\"} %g\n", name, i, v); err != nil {
-					return err
-				}
 			}
 		}
 	}

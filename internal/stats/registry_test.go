@@ -22,19 +22,14 @@ func buildRegistry(order []int) *Registry {
 			h.Record(100 * time.Microsecond)
 			h.Record(300 * time.Microsecond)
 			r.ObserveHistogram("fig6/solar/write/fn", h)
-		case 3:
-			ts := NewTimeSeries(time.Second)
-			ts.Add(0, 10)
-			ts.Add(1500*time.Millisecond, 20)
-			r.ObserveSeries("fig6/solar/iops", ts)
 		}
 	}
 	return r
 }
 
 func TestRegistryDeterministicExport(t *testing.T) {
-	a := buildRegistry([]int{0, 1, 2, 3})
-	b := buildRegistry([]int{3, 2, 1, 0})
+	a := buildRegistry([]int{0, 1, 2})
+	b := buildRegistry([]int{2, 1, 0})
 	var ja, jb, oa, ob strings.Builder
 	if err := a.WriteJSON(&ja); err != nil {
 		t.Fatal(err)
@@ -57,7 +52,7 @@ func TestRegistryDeterministicExport(t *testing.T) {
 }
 
 func TestRegistryJSONSchema(t *testing.T) {
-	r := buildRegistry([]int{0, 1, 2, 3})
+	r := buildRegistry([]int{0, 1, 2})
 	var sb strings.Builder
 	if err := r.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
@@ -69,8 +64,8 @@ func TestRegistryJSONSchema(t *testing.T) {
 	if ex.Schema != SchemaVersion {
 		t.Fatalf("schema = %q, want %q", ex.Schema, SchemaVersion)
 	}
-	if len(ex.Metrics) != 4 {
-		t.Fatalf("metrics = %d, want 4", len(ex.Metrics))
+	if len(ex.Metrics) != 3 {
+		t.Fatalf("metrics = %d, want 3", len(ex.Metrics))
 	}
 	// Global name order.
 	for i := 1; i < len(ex.Metrics); i++ {
@@ -89,14 +84,10 @@ func TestRegistryJSONSchema(t *testing.T) {
 		m.MinNs != int64(100*time.Microsecond) || m.MaxNs != int64(300*time.Microsecond) {
 		t.Fatalf("histogram metric = %+v", m)
 	}
-	if m := byName["fig6/solar/iops"]; m.Type != "timeseries" ||
-		m.BinWidthNs != int64(time.Second) || len(m.Bins) != 2 || m.Bins[0] != 10 || m.Bins[1] != 20 {
-		t.Fatalf("timeseries metric = %+v", m)
-	}
 }
 
 func TestRegistryMergeWithPrefix(t *testing.T) {
-	shard0 := buildRegistry([]int{0, 1, 2, 3})
+	shard0 := buildRegistry([]int{0, 1, 2})
 	shard1 := buildRegistry([]int{0, 2})
 	merged := NewRegistry()
 	merged.Merge(shard0, "")
@@ -117,15 +108,10 @@ func TestRegistryMergeWithPrefix(t *testing.T) {
 	if pref.Counter("fig6/solar/retransmits") != 0 {
 		t.Fatal("unprefixed name leaked into prefixed merge")
 	}
-	// Series merge sums bins.
-	merged.Merge(buildRegistry([]int{3}), "")
-	if ts := merged.Series("fig6/solar/iops"); ts == nil || ts.Sum(0) != 20 || ts.Sum(1) != 40 {
-		t.Fatalf("merged series = %+v", ts)
-	}
 }
 
 func TestRegistryOpenMetricsFormat(t *testing.T) {
-	r := buildRegistry([]int{0, 1, 2, 3})
+	r := buildRegistry([]int{0, 1, 2})
 	var sb strings.Builder
 	if err := r.WriteOpenMetrics(&sb); err != nil {
 		t.Fatal(err)
@@ -142,7 +128,6 @@ func TestRegistryOpenMetricsFormat(t *testing.T) {
 		"fig6_solar_write_fn_count 2",
 		"# TYPE fig6_solar_goodput_gbps gauge",
 		"fig6_solar_goodput_gbps 87.5",
-		`fig6_solar_iops{bin="1"} 20`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("OpenMetrics output missing %q:\n%s", want, out)

@@ -253,88 +253,3 @@ func (c *CDF) Quantile(q float64) float64 {
 	}
 	return c.samples[i]
 }
-
-// Counter is a monotonically increasing event counter with a rate helper.
-type Counter struct {
-	n      uint64
-	since  time.Duration
-	marked uint64 // count snapshot at the window mark
-}
-
-// Inc adds delta.
-func (c *Counter) Inc(delta uint64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// MarkWindow records the window start for Rate, snapshotting the current
-// count so Rate measures only events inside the window. Events counted
-// before the mark do not leak into the rate.
-func (c *Counter) MarkWindow(at time.Duration) {
-	c.since = at
-	c.marked = c.n
-}
-
-// Rate returns events/second between the window mark and now: the events
-// counted since MarkWindow divided by the window duration (not the lifetime
-// count, which would overstate the rate after any pre-window activity).
-func (c *Counter) Rate(now time.Duration) float64 {
-	dt := (now - c.since).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return float64(c.n-c.marked) / dt
-}
-
-// TimeSeries accumulates values into fixed-width time bins — hourly traffic
-// (Fig. 3), per-minute IOPS (Fig. 4), quarterly averages (Fig. 7).
-type TimeSeries struct {
-	binWidth time.Duration
-	bins     []float64
-	counts   []uint64
-}
-
-// NewTimeSeries creates a series with the given bin width.
-func NewTimeSeries(binWidth time.Duration) *TimeSeries {
-	return &TimeSeries{binWidth: binWidth}
-}
-
-func (ts *TimeSeries) grow(i int) {
-	for len(ts.bins) <= i {
-		ts.bins = append(ts.bins, 0)
-		ts.counts = append(ts.counts, 0)
-	}
-}
-
-// Add accumulates v into the bin containing time at.
-func (ts *TimeSeries) Add(at time.Duration, v float64) {
-	i := int(at / ts.binWidth)
-	if i < 0 {
-		i = 0
-	}
-	ts.grow(i)
-	ts.bins[i] += v
-	ts.counts[i]++
-}
-
-// Sum returns the accumulated value in bin i.
-func (ts *TimeSeries) Sum(i int) float64 {
-	if i < 0 || i >= len(ts.bins) {
-		return 0
-	}
-	return ts.bins[i]
-}
-
-// Avg returns the mean of values recorded in bin i.
-func (ts *TimeSeries) Avg(i int) float64 {
-	if i < 0 || i >= len(ts.bins) || ts.counts[i] == 0 {
-		return 0
-	}
-	return ts.bins[i] / float64(ts.counts[i])
-}
-
-// Len returns the number of bins touched.
-func (ts *TimeSeries) Len() int { return len(ts.bins) }
-
-// BinWidth returns the configured bin width.
-func (ts *TimeSeries) BinWidth() time.Duration { return ts.binWidth }

@@ -163,40 +163,6 @@ func TestCDFInterleavedAddQuery(t *testing.T) {
 	}
 }
 
-func TestCounterRate(t *testing.T) {
-	var c Counter
-	c.MarkWindow(10 * time.Second)
-	c.Inc(500)
-	if got := c.Rate(15 * time.Second); got != 100 {
-		t.Fatalf("rate = %v, want 100/s", got)
-	}
-	if got := c.Rate(10 * time.Second); got != 0 {
-		t.Fatalf("zero-width window rate = %v", got)
-	}
-}
-
-// Regression: Rate must divide the events counted *inside* the window by
-// the window duration. The old code divided the lifetime count by the
-// window duration, so any Incs before MarkWindow inflated the rate.
-func TestCounterRateExcludesPreWindowEvents(t *testing.T) {
-	var c Counter
-	c.Inc(100_000) // lifetime history before the window
-	c.MarkWindow(10 * time.Second)
-	c.Inc(500)
-	if got := c.Rate(15 * time.Second); got != 100 {
-		t.Fatalf("windowed rate = %v, want 100/s (pre-mark events leaked in)", got)
-	}
-	// Re-marking starts a fresh window from the new snapshot.
-	c.MarkWindow(15 * time.Second)
-	c.Inc(30)
-	if got := c.Rate(18 * time.Second); got != 10 {
-		t.Fatalf("re-marked rate = %v, want 10/s", got)
-	}
-	if c.Value() != 100_530 {
-		t.Fatalf("lifetime value = %d", c.Value())
-	}
-}
-
 // Regression: the histogram's clamp is single-sourced at the 1ns domain
 // floor. The old code clamped negatives to 0 in Record but to 1 in
 // bucketIndex, so Min() could report 0ns while every bucket said 1ns.
@@ -335,61 +301,5 @@ func TestHistogramMergeEdgeCases(t *testing.T) {
 	c.Merge(d)
 	if got := c.Quantile(1); got < 49*time.Millisecond {
 		t.Fatalf("merged max quantile = %v", got)
-	}
-}
-
-func TestTimeSeries(t *testing.T) {
-	ts := NewTimeSeries(time.Hour)
-	ts.Add(30*time.Minute, 5)
-	ts.Add(45*time.Minute, 7)
-	ts.Add(90*time.Minute, 3)
-	if got := ts.Sum(0); got != 12 {
-		t.Fatalf("bin0 sum = %v", got)
-	}
-	if got := ts.Avg(0); got != 6 {
-		t.Fatalf("bin0 avg = %v", got)
-	}
-	if got := ts.Sum(1); got != 3 {
-		t.Fatalf("bin1 sum = %v", got)
-	}
-	if ts.Len() != 2 {
-		t.Fatalf("len = %d", ts.Len())
-	}
-	if got := ts.Sum(99); got != 0 {
-		t.Fatalf("missing bin = %v", got)
-	}
-}
-
-// Bin boundaries: a sample at exactly k*binWidth belongs to bin k (bins are
-// half-open [k*w, (k+1)*w)), one tick before the boundary stays in bin k-1,
-// and negative times clamp into bin 0.
-func TestTimeSeriesBinBoundaries(t *testing.T) {
-	w := time.Hour
-	ts := NewTimeSeries(w)
-	ts.Add(0, 1)                 // exact lower edge of bin 0
-	ts.Add(w-time.Nanosecond, 2) // last tick of bin 0
-	ts.Add(w, 4)                 // exact lower edge of bin 1
-	ts.Add(2*w, 8)               // exact lower edge of bin 2
-	ts.Add(-time.Minute, 16)     // negative clamps to bin 0
-	if got := ts.Sum(0); got != 19 {
-		t.Fatalf("bin0 sum = %v, want 1+2+16", got)
-	}
-	if got := ts.Sum(1); got != 4 {
-		t.Fatalf("bin1 sum = %v", got)
-	}
-	if got := ts.Sum(2); got != 8 {
-		t.Fatalf("bin2 sum = %v", got)
-	}
-	if ts.Len() != 3 {
-		t.Fatalf("len = %d", ts.Len())
-	}
-	if got := ts.Avg(0); got != 19.0/3 {
-		t.Fatalf("bin0 avg = %v", got)
-	}
-	if got := ts.Avg(7); got != 0 {
-		t.Fatalf("untouched bin avg = %v", got)
-	}
-	if got := ts.BinWidth(); got != w {
-		t.Fatalf("bin width = %v", got)
 	}
 }
