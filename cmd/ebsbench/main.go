@@ -78,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	coupledWorkers := fs.Int("coupled-workers", 0, "worker count driving a coupled experiment's fabric partitions (0 = GOMAXPROCS, 1 = serial windows; output is identical for every value)")
 	jsonOut := fs.Bool("json", false, "emit one JSON metric row per line instead of tables")
 	metricsOut := fs.String("metrics-out", "", "write the merged observability registry of all experiments here (e.g. METRICS.json)")
-	metricsFormat := fs.String("metrics-format", "json", "format for -metrics-out: json or openmetrics")
 	ccFlag := fs.String("cc", "static", "congestion controller for every RDMA stack: static, dcqcn, or swift (the CC-matrix experiments sweep all three regardless)")
 	fidelity := fs.String("fidelity", "packet", "simulation fidelity for experiments that support it: packet (every frame) or hybrid (fluid fast-forward of quiescent bulk flows)")
 	profileDir := fs.String("profile", "", "write cpu.pprof (whole run) and heap.pprof (at exit) into this directory")
@@ -98,10 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fid, err := ebs.ParseFidelity(*fidelity)
 	if err != nil {
 		fmt.Fprintf(stderr, "ebsbench: %v\n", err)
-		return 1
-	}
-	if *metricsOut != "" && *metricsFormat != "json" && *metricsFormat != "openmetrics" {
-		fmt.Fprintf(stderr, "ebsbench: unknown -metrics-format %q (json or openmetrics)\n", *metricsFormat)
 		return 1
 	}
 	if *exp == "" && (*jsonOut || *metricsOut != "") {
@@ -207,7 +202,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(&b, "[%s perf: %s]\n", id, perf)
 		}
 		if leaked > 0 {
-			fmt.Fprintf(&b, "[%s LEAK: %d pooled packets never returned]\n", id, leaked)
+			fmt.Fprintf(&b, "[%s LEAK: %d pooled packets or records never returned]\n", id, leaked)
 		}
 		fmt.Fprintf(&b, "[%s completed in %v]\n\n", id, elapsed)
 		return block{out: b.String()}
@@ -223,13 +218,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, b.out)
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, *metricsFormat, expRegs); err != nil {
+		if err := writeMetrics(*metricsOut, expRegs); err != nil {
 			fmt.Fprintf(stderr, "ebsbench: metrics: %v\n", err)
 			return 1
 		}
 	}
 	if n := leakedTotal.Load(); n > 0 {
-		fmt.Fprintf(stderr, "ebsbench: %d pooled packets leaked across experiments\n", n)
+		fmt.Fprintf(stderr, "ebsbench: %d pooled packets or records leaked across experiments\n", n)
 		return 1
 	}
 	return 0
@@ -237,8 +232,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // writeMetrics merges the per-experiment registries in run order (each
 // already carries its experiment prefix, e.g. "fig6/solar/...") and writes
-// the result in the requested format.
-func writeMetrics(path, format string, regs []*stats.Registry) error {
+// the result as JSON.
+func writeMetrics(path string, regs []*stats.Registry) error {
 	merged := stats.NewRegistry()
 	for _, reg := range regs {
 		if reg != nil {
@@ -250,14 +245,8 @@ func writeMetrics(path, format string, regs []*stats.Registry) error {
 		return err
 	}
 	defer f.Close()
-	if format == "openmetrics" {
-		if err := merged.WriteOpenMetrics(f); err != nil {
-			return err
-		}
-	} else {
-		if err := merged.WriteJSON(f); err != nil {
-			return err
-		}
+	if err := merged.WriteJSON(f); err != nil {
+		return err
 	}
 	return f.Close()
 }

@@ -343,13 +343,13 @@ func (c *Cluster) Run() {
 	c.Eng.Run()
 }
 
-// Leaked reports pooled packets checked out of the fabric's packet pools
-// with no event left that could return them — a reference leak in some
-// stack's packet handling. A cluster stopped mid-run (RunFor with I/O
-// still in flight) legitimately holds packets, and so does one with
-// frames parked in a cross-partition mailbox, so the check only applies
-// once every engine has fully drained and the inboxes are empty; Leaked
-// returns 0 otherwise.
+// Leaked reports pooled packets, slab references and records (every
+// sim.Pool bound to one of the engines) checked out with no event left that
+// could return them — a leak in some stack's packet or job handling. A
+// cluster stopped mid-run (RunFor with I/O still in flight) legitimately
+// holds them, and so does one with frames parked in a cross-partition
+// mailbox, so the check only applies once every engine has fully drained
+// and the inboxes are empty; Leaked returns 0 otherwise.
 //
 //lint:barrier — post-drain check only, per the contract above
 func (c *Cluster) Leaked() int {
@@ -361,7 +361,11 @@ func (c *Cluster) Leaked() int {
 	if c.Fabric.InboxPending() != 0 {
 		return 0
 	}
-	return int(c.Fabric.OutstandingAll())
+	n := int(c.Fabric.OutstandingAll())
+	for _, eng := range c.engines {
+		n += eng.PoolOutstanding()
+	}
+	return n
 }
 
 // RunFor advances virtual time by d.

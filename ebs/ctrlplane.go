@@ -2,7 +2,6 @@ package ebs
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"lunasolar/internal/blockserver"
@@ -48,7 +47,6 @@ type ControlPlane struct {
 	BlocksCopied     int
 	BytesCopied      uint64
 	CopyErrors       int
-	CutoverDurations []time.Duration
 }
 
 // ControlPlane returns the cluster's management service, creating it on
@@ -460,7 +458,6 @@ func (cp *ControlPlane) DrainChunkServer(chunkIdx int, done func(DrainReport)) e
 			cp.SegmentsMigrated++
 			cp.BlocksCopied += ds.blocks
 			cp.BytesCopied += ds.bytes
-			cp.CutoverDurations = append(cp.CutoverDurations, took)
 			cp.rec.Record(cp.c.Eng.Now().Duration(), trace.EvCutover, ds.segID, uint64(ds.replace))
 			runSeg(i + 1)
 		}
@@ -520,16 +517,4 @@ func (cp *ControlPlane) pickReplacement(set []uint32, drainAddr uint32, adopted 
 		}
 	}
 	return best
-}
-
-// CutoverP calculates the p-quantile (0..1) of recorded per-segment
-// rebuild latencies, 0 when none have completed.
-func (cp *ControlPlane) CutoverP(p float64) time.Duration {
-	if len(cp.CutoverDurations) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), cp.CutoverDurations...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
 }

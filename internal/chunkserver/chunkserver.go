@@ -69,10 +69,10 @@ type Server struct {
 
 	// freeBlocks recycles the store's block buffers: an overwrite returns
 	// the block it replaces, a CRC-rejected or stale-generation write the
-	// copy it never stored. freeOps recycles the per-operation records.
-	// LIFO slices, like every pool in the tree, so reuse is deterministic.
+	// copy it never stored. A LIFO slice, like every pool in the tree, so
+	// reuse is deterministic. freeOps recycles the per-operation records.
 	freeBlocks [][]byte
-	freeOps    []*blockOp
+	freeOps    *sim.Pool[blockOp]
 
 	writes, reads, crcErrors, misses uint64
 
@@ -94,6 +94,8 @@ func New(eng *sim.Engine, name string, cfg SSDConfig) *Server {
 		disk:   sim.NewServer(eng, name+"-ssd", cfg.Parallelism),
 		blocks: map[uint64]map[uint64]blockRec{},
 		zero:   make([]byte, wire.BlockSize),
+
+		freeOps: sim.NewPool[blockOp](eng),
 	}
 }
 
@@ -140,12 +142,8 @@ func (s *Server) submit(o *blockOp) {
 }
 
 func (s *Server) getOp(segment, lba uint64) *blockOp {
-	var o *blockOp
-	if n := len(s.freeOps); n > 0 {
-		o = s.freeOps[n-1]
-		s.freeOps[n-1] = nil
-		s.freeOps = s.freeOps[:n-1]
-	} else {
+	o := s.freeOps.Get()
+	if o == nil {
 		o = &blockOp{s: s}
 	}
 	o.segment, o.lba = segment, lba
@@ -154,7 +152,7 @@ func (s *Server) getOp(segment, lba uint64) *blockOp {
 
 func (s *Server) putOp(o *blockOp) {
 	*o = blockOp{s: s}
-	s.freeOps = append(s.freeOps, o)
+	s.freeOps.Put(o)
 }
 
 // getBlock returns a buffer of length n for a stored block, recycled when

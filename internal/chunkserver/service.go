@@ -17,12 +17,12 @@ type Service struct {
 	eng *sim.Engine
 	cs  *Server
 
-	freeWrites []*writeReq
+	freeWrites *sim.Pool[writeReq]
 }
 
 // NewService installs the chunk server as bn's request handler.
 func NewService(eng *sim.Engine, cs *Server, bn transport.Stack) *Service {
-	s := &Service{eng: eng, cs: cs}
+	s := &Service{eng: eng, cs: cs, freeWrites: sim.NewPool[writeReq](eng)}
 	bn.SetHandler(s.Handle)
 	return s
 }
@@ -61,10 +61,7 @@ type writeReq struct {
 }
 
 func (s *Service) getWrite() *writeReq {
-	if n := len(s.freeWrites); n > 0 {
-		w := s.freeWrites[n-1]
-		s.freeWrites[n-1] = nil
-		s.freeWrites = s.freeWrites[:n-1]
+	if w := s.freeWrites.Get(); w != nil {
 		return w
 	}
 	w := &writeReq{svc: s}
@@ -125,7 +122,7 @@ func (w *writeReq) onBlock(err error) {
 		resp.BlockCRCs = []uint32{w.fold}
 	}
 	*w = writeReq{svc: s, blockDone: w.blockDone}
-	s.freeWrites = append(s.freeWrites, w)
+	s.freeWrites.Put(w)
 	reply(resp)
 }
 

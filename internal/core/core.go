@@ -151,13 +151,13 @@ type Stack struct {
 	// Hot-path free lists (see pool.go). All are engine-owned: one stack,
 	// one engine, one goroutine at a time.
 	pool          *simnet.PacketPool
-	freePkts      []*outPkt
-	freeTx        []*wireTx
-	freeMsgs      []*transport.Message
-	freeWriteJobs []*writeJob
-	freeReadJobs  []*readJob
-	freeCommits   []*commitJob
-	freeAckJobs   []*ackJob
+	freePkts      *sim.Pool[outPkt]
+	freeTx        *sim.Pool[wireTx]
+	freeMsgs      *sim.Pool[transport.Message]
+	freeWriteJobs *sim.Pool[writeJob]
+	freeReadJobs  *sim.Pool[readJob]
+	freeCommits   *sim.Pool[commitJob]
+	freeAckJobs   *sim.Pool[ackJob]
 
 	writes map[uint64]*outWrite
 	reads  map[uint64]*outRead
@@ -219,6 +219,14 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, card *dpu.DPU, p
 		nextEphem:  30000,
 		randomizer: eng.Rand.Fork(),
 		pool:       host.PacketPool(),
+
+		freePkts:      sim.NewPool[outPkt](eng),
+		freeTx:        sim.NewPool[wireTx](eng),
+		freeMsgs:      sim.NewPool[transport.Message](eng),
+		freeWriteJobs: sim.NewPool[writeJob](eng),
+		freeReadJobs:  sim.NewPool[readJob](eng),
+		freeCommits:   sim.NewPool[commitJob](eng),
+		freeAckJobs:   sim.NewPool[ackJob](eng),
 	}
 	s.crcScratchFn = s.crcScratch
 	if host.Handler == nil {

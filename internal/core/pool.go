@@ -11,19 +11,14 @@ import (
 
 // The Solar hot path runs allocation-free in steady state: outbound packet
 // records, wire frames, acknowledgment jobs and server-side request
-// envelopes all come from stack-owned free lists. Plain LIFO slices (not
-// sync.Pool) keep reuse order deterministic for a fixed seed and share
-// nothing between engines, which is what lets independent shards run on
-// separate goroutines with no coordination.
+// envelopes all come from stack-owned sim.Pools. Each get builds the record
+// on a miss and each put wipes what the record must not carry over.
 
 // newOutPkt takes a packet record from the stack's free list. Records are
 // recycled when their acknowledgment completes; generation counters make
 // stale references (path send-queue entries) detectable.
 func (s *Stack) newOutPkt() *outPkt {
-	if n := len(s.freePkts); n > 0 {
-		e := s.freePkts[n-1]
-		s.freePkts[n-1] = nil
-		s.freePkts = s.freePkts[:n-1]
+	if e := s.freePkts.Get(); e != nil {
 		return e
 	}
 	e := &outPkt{owner: s}
@@ -44,7 +39,7 @@ func (s *Stack) freeOutPkt(e *outPkt) {
 	gen := e.gen + 1
 	*e = outPkt{owner: s, gen: gen}
 	e.retx.Init(s.eng, nil, maxRetxExp, timerExpired, e)
-	s.freePkts = append(s.freePkts, e)
+	s.freePkts.Put(e)
 }
 
 // wireTx carries one fully built frame through the data-path placement
@@ -58,12 +53,8 @@ type wireTx struct {
 }
 
 func (s *Stack) getTx(pkt *simnet.Packet, n int) *wireTx {
-	var x *wireTx
-	if ln := len(s.freeTx); ln > 0 {
-		x = s.freeTx[ln-1]
-		s.freeTx[ln-1] = nil
-		s.freeTx = s.freeTx[:ln-1]
-	} else {
+	x := s.freeTx.Get()
+	if x == nil {
 		x = &wireTx{}
 	}
 	x.s, x.pkt, x.n = s, pkt, n
@@ -74,7 +65,7 @@ func wireTxSend(a any) {
 	x := a.(*wireTx)
 	s, pkt := x.s, x.pkt
 	x.s, x.pkt, x.n = nil, nil, 0
-	s.freeTx = append(s.freeTx, x)
+	s.freeTx.Put(x)
 	if !s.host.Send(pkt) {
 		pkt.Release() // dropped at the NIC: ownership stayed with us
 	}
@@ -90,15 +81,10 @@ func wireTxPCIe(a any) {
 // handler's reply returns; handlers that need the data longer must retain
 // or copy it.
 func (s *Stack) getMsg() *transport.Message {
-	var m *transport.Message
-	if n := len(s.freeMsgs); n > 0 {
-		m = s.freeMsgs[n-1]
-		s.freeMsgs[n-1] = nil
-		s.freeMsgs = s.freeMsgs[:n-1]
-	} else {
-		m = &transport.Message{}
+	if m := s.freeMsgs.Get(); m != nil {
+		return m
 	}
-	return m
+	return &transport.Message{}
 }
 
 func (s *Stack) putMsg(m *transport.Message) {
@@ -108,7 +94,7 @@ func (s *Stack) putMsg(m *transport.Message) {
 	if crcs != nil {
 		m.BlockCRCs = crcs[:0] // keep the backing array across recycles
 	}
-	s.freeMsgs = append(s.freeMsgs, m)
+	s.freeMsgs.Put(m)
 }
 
 // writeJob carries one inbound write block from the wire to the handler and
@@ -126,10 +112,7 @@ type writeJob struct {
 }
 
 func (s *Stack) getWriteJob() *writeJob {
-	if n := len(s.freeWriteJobs); n > 0 {
-		j := s.freeWriteJobs[n-1]
-		s.freeWriteJobs[n-1] = nil
-		s.freeWriteJobs = s.freeWriteJobs[:n-1]
+	if j := s.freeWriteJobs.Get(); j != nil {
 		return j
 	}
 	j := &writeJob{s: s}
@@ -158,7 +141,7 @@ func (j *writeJob) reply(resp *transport.Response) {
 	s.sendAckTimes(j.pkt, j.rpcID, j.pktID, flags, wall, resp.SSDTime)
 	s.putMsg(j.req)
 	j.pkt, j.req = nil, nil
-	s.freeWriteJobs = append(s.freeWriteJobs, j)
+	s.freeWriteJobs.Put(j)
 }
 
 // readJob carries one inbound read request to the handler; the reply
@@ -171,10 +154,7 @@ type readJob struct {
 }
 
 func (s *Stack) getReadJob() *readJob {
-	if n := len(s.freeReadJobs); n > 0 {
-		j := s.freeReadJobs[n-1]
-		s.freeReadJobs[n-1] = nil
-		s.freeReadJobs = s.freeReadJobs[:n-1]
+	if j := s.freeReadJobs.Get(); j != nil {
 		return j
 	}
 	j := &readJob{s: s}
@@ -192,7 +172,7 @@ func (j *readJob) reply(resp *transport.Response) {
 	s.serveReadBlocks(j.key, j.req, resp)
 	s.putMsg(j.req)
 	j.req = nil
-	s.freeReadJobs = append(s.freeReadJobs, j)
+	s.freeReadJobs.Put(j)
 }
 
 // commitJob carries one inbound read-response block through the data-path
@@ -207,10 +187,7 @@ type commitJob struct {
 }
 
 func (s *Stack) getCommit() *commitJob {
-	if n := len(s.freeCommits); n > 0 {
-		j := s.freeCommits[n-1]
-		s.freeCommits[n-1] = nil
-		s.freeCommits = s.freeCommits[:n-1]
+	if j := s.freeCommits.Get(); j != nil {
 		return j
 	}
 	return &commitJob{s: s}
@@ -220,7 +197,7 @@ func commitRun(a any) {
 	j := a.(*commitJob)
 	s, pkt, rpc, ebs, payload := j.s, j.pkt, j.rpc, j.ebs, j.payload
 	j.pkt, j.payload = nil, nil
-	s.freeCommits = append(s.freeCommits, j)
+	s.freeCommits.Put(j)
 	s.commitReadBlock(pkt, rpc, ebs, payload)
 }
 
@@ -241,10 +218,7 @@ type ackJob struct {
 }
 
 func (s *Stack) getAckJob() *ackJob {
-	if n := len(s.freeAckJobs); n > 0 {
-		j := s.freeAckJobs[n-1]
-		s.freeAckJobs[n-1] = nil
-		s.freeAckJobs = s.freeAckJobs[:n-1]
+	if j := s.freeAckJobs.Get(); j != nil {
 		return j
 	}
 	return &ackJob{s: s}
@@ -252,7 +226,7 @@ func (s *Stack) getAckJob() *ackJob {
 
 func (s *Stack) putAckJob(j *ackJob) {
 	j.intStack.Hops = j.intStack.Hops[:0]
-	s.freeAckJobs = append(s.freeAckJobs, j)
+	s.freeAckJobs.Put(j)
 }
 
 func ackJobRun(a any) {

@@ -119,11 +119,5 @@ func (p *Placer) SetDown(addr uint32, down bool) {
 	delete(p.down, addr)
 }
 
-// Down reports whether a node is excluded from placement.
-func (p *Placer) Down(addr uint32) bool { return p.down[addr] }
-
 // Load returns a node's current segment count.
 func (p *Placer) Load(addr uint32) int { return p.load[addr] }
-
-// Nodes returns the placement targets in their sorted order.
-func (p *Placer) Nodes() []Node { return append([]Node(nil), p.nodes...) }

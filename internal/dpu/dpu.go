@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"lunasolar/internal/crc"
-	"lunasolar/internal/seccrypto"
 	"lunasolar/internal/sim"
 )
 
@@ -175,11 +174,6 @@ func (d *DPU) LookupFault() bool {
 		return true
 	}
 	return false
-}
-
-// Encrypt runs the SEC engine (functionally exact AES-CTR).
-func (d *DPU) Encrypt(c *seccrypto.BlockCipher, dst, src []byte, segment, lba uint64, gen uint32) {
-	c.EncryptBlock(dst, src, segment, lba, gen)
 }
 
 // --- Table 3: resource accounting ------------------------------------------

@@ -107,13 +107,14 @@ func runCells[T any](f *runtime.Fleet, n int, job func(shard int) (T, *ebs.Clust
 
 // runFabricCells is runCells for experiments that drive a raw fabric
 // without an ebs.Cluster (the stack microbenchmarks). The same rule
-// applies: a drained engine must have zero packets outstanding; a shard
-// stopped mid-run (RunFor with traffic in flight) is exempt.
+// applies: a drained engine must have zero packets and zero pooled records
+// outstanding; a shard stopped mid-run (RunFor with traffic in flight) is
+// exempt.
 func runFabricCells[T any](f *runtime.Fleet, n int, job func(shard int) (T, *sim.Engine, *simnet.Fabric)) []T {
 	return runtime.Run(f, n, func(shard int) (T, *sim.Engine) {
 		v, eng, fab := job(shard)
 		if eng.Pending() == 0 {
-			f.Perf.ObserveLeaked(int(fab.Pool().Outstanding()))
+			f.Perf.ObserveLeaked(int(fab.Pool().Outstanding()) + eng.PoolOutstanding())
 		}
 		return v, eng
 	})

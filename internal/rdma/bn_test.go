@@ -191,3 +191,29 @@ func TestReplyReadsResponseAfterCPUCharge(t *testing.T) {
 		t.Fatalf("client saw %q: reply now snapshots the Response — update the handler contract in DESIGN.md and this test", got)
 	}
 }
+
+// TestSwallowedReadIsSeenByTheRecordGate is the leak the packet gate cannot
+// see: a handler that swallows a read request — no payload, so no slab is
+// retained for it — and never calls reply. Every frame was acknowledged and
+// released, so the engine drains and the packet pool balances; only the
+// engine's record count still holds the request's rpcJob.
+func TestSwallowedReadIsSeenByTheRecordGate(t *testing.T) {
+	p := newPair(t, DefaultParams())
+	p.server.SetHandler(func(uint32, *transport.Message, func(*transport.Response)) {})
+	answered := false
+	p.client.Call(p.server.LocalAddr(), &transport.Message{Op: wire.RPCReadReq, ReadLen: 4096},
+		func(*transport.Response) { answered = true })
+	p.eng.Run()
+	if answered {
+		t.Fatal("the swallowed request was answered")
+	}
+	if n := p.eng.Pending(); n != 0 {
+		t.Fatalf("%d events pending, want a drained engine", n)
+	}
+	if out := p.fab.Pool().Outstanding(); out != 0 {
+		t.Fatalf("%d packets/slab references outstanding, want 0", out)
+	}
+	if out := p.eng.PoolOutstanding(); out != 1 {
+		t.Fatalf("PoolOutstanding() = %d, want 1: the rpcJob the handler never replied to", out)
+	}
+}

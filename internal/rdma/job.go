@@ -1,8 +1,6 @@
 package rdma
 
 import (
-	"time"
-
 	"lunasolar/internal/transport"
 	"lunasolar/internal/wire"
 )
@@ -39,12 +37,8 @@ type rpcJob struct {
 }
 
 func (s *Stack) getJob(q *qp, id uint64) *rpcJob {
-	var j *rpcJob
-	if n := len(s.freeJobs); n > 0 {
-		j = s.freeJobs[n-1]
-		s.freeJobs[n-1] = nil
-		s.freeJobs = s.freeJobs[:n-1]
-	} else {
+	j := s.freeJobs.Get()
+	if j == nil {
 		j = &rpcJob{s: s}
 		j.replyFn = j.reply
 	}
@@ -56,15 +50,13 @@ func (s *Stack) getJob(q *qp, id uint64) *rpcJob {
 func (s *Stack) putJob(j *rpcJob) {
 	j.msg.Payload.Release()
 	*j = rpcJob{s: s, replyFn: j.replyFn}
-	s.freeJobs = append(s.freeJobs, j)
+	s.freeJobs.Put(j)
 }
 
 func (j *rpcJob) fillRequest(ebs *wire.EBS, data []byte, crcs []uint32) {
-	j.msg = transport.Message{
-		Op: j.msgType, VDisk: ebs.VDisk, SegmentID: ebs.SegmentID,
-		LBA: ebs.LBA, Gen: ebs.Gen, Flags: ebs.Flags &^ wire.EBSFlagHasCRC,
-		ReadLen: int(ebs.BlockLen), Data: data, BlockCRCs: crcs,
-	}
+	j.msg = transport.MessageFromHeader(j.msgType, *ebs, data)
+	j.msg.Flags &^= wire.EBSFlagHasCRC // per-packet carriage, not the request's
+	j.msg.BlockCRCs = crcs
 }
 
 // rpcDeliver hands a complete message up once its CPU charge has elapsed:
@@ -84,17 +76,9 @@ func rpcDeliver(a any) {
 	s.putJob(j)
 	if done, ok := s.pending[id]; ok {
 		delete(s.pending, id)
-		var rerr error
-		if ebs.Flags&wire.EBSFlagReject != 0 {
-			rerr = transport.ErrNotOwner
-		}
-		done(&transport.Response{
-			Err:        rerr,
-			Data:       payload,
-			BlockCRCs:  crcs,
-			ServerWall: time.Duration(ebs.ServerNS),
-			SSDTime:    time.Duration(ebs.SSDNS),
-		})
+		resp := transport.ResponseFromHeader(ebs, payload)
+		resp.BlockCRCs = crcs
+		done(resp)
 	}
 }
 

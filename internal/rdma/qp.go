@@ -1,7 +1,6 @@
 package rdma
 
 import (
-	"errors"
 	"time"
 
 	"lunasolar/internal/cc"
@@ -96,28 +95,17 @@ func (q *qp) sendMessage(id uint64, op uint8, req *transport.Message, resp *tran
 	var payload []byte
 	var crcs []uint32
 	var paySlab *simnet.Slab
-	ebs := wire.EBS{Version: wire.EBSVersion}
+	var ebs wire.EBS
 	if req != nil {
 		payload = req.Data
 		crcs = req.BlockCRCs
 		paySlab = req.Payload
-		ebs.Op = op
-		ebs.VDisk = req.VDisk
-		ebs.SegmentID = req.SegmentID
-		ebs.LBA = req.LBA
-		ebs.Gen = req.Gen
-		ebs.Flags = req.Flags &^ wire.EBSFlagHasCRC
-		ebs.BlockLen = uint32(req.ReadLen)
+		ebs = transport.RequestHeader(req)
+		ebs.Flags &^= wire.EBSFlagHasCRC // set per packet below, never by the caller
 	} else {
 		payload = resp.Data
 		crcs = resp.BlockCRCs
-		ebs.ServerNS = uint32(resp.ServerWall.Nanoseconds())
-		ebs.SSDNS = uint32(resp.SSDTime.Nanoseconds())
-		if resp.Err != nil && errors.Is(resp.Err, transport.ErrNotOwner) {
-			// Ownership rejection survives the wire as a header flag;
-			// the client side rebuilds transport.ErrNotOwner from it.
-			ebs.Flags = wire.EBSFlagReject
-		}
+		ebs = transport.ResponseHeader(resp)
 	}
 	mtu := q.s.params.MTU
 	numPkts := (len(payload) + mtu - 1) / mtu

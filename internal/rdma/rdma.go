@@ -81,7 +81,7 @@ type Stack struct {
 	qps       map[qpKey]*qp
 	clientQP  map[uint32]*qp // peer → the QP Call sends on (remoteQPN == ListenPort)
 	pending   map[uint64]func(*transport.Response)
-	freeJobs  []*rpcJob
+	freeJobs  *sim.Pool[rpcJob]
 	handler   transport.Handler
 	ids       transport.IDAlloc
 	pool      *simnet.PacketPool
@@ -130,6 +130,7 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, pcie *sim.Channe
 		qps:      map[qpKey]*qp{},
 		clientQP: map[uint32]*qp{},
 		pending:  map[uint64]func(*transport.Response){},
+		freeJobs: sim.NewPool[rpcJob](eng),
 		nextQPN:  40000,
 		ctxFetch: sim.NewServer(eng, "rnic-ctx", 1),
 		pool:     host.PacketPool(),
@@ -282,13 +283,3 @@ func (s *Stack) receiveSlow(q *qp, bth wire.TCPSeg, pkt *simnet.Packet, data int
 }
 
 var _ transport.Stack = (*Stack)(nil)
-
-// CtxUtilization reports the context-fetch engine's busy fraction
-// (diagnostics).
-func (s *Stack) CtxUtilization() float64 { return s.ctxFetch.Utilization() }
-
-// CtxServed reports completed context fetches (diagnostics).
-func (s *Stack) CtxServed() uint64 { return s.ctxFetch.Served() }
-
-// CtxQueue reports fetches waiting behind the context engine (diagnostics).
-func (s *Stack) CtxQueue() int { return s.ctxFetch.QueueLen() }

@@ -21,14 +21,12 @@ type Server struct {
 	lastUpd  Time
 	resetAt  Time
 	served   uint64
-	maxQ     int
-	freeDone []*svcDone
+	freeDone *Pool[svcDone]
 }
 
 type serverJob struct {
 	service time.Duration
-	done    func()
-	afn     func(any)
+	fn      func(any)
 	arg     any
 }
 
@@ -36,10 +34,9 @@ type serverJob struct {
 // engine's arg-based event path; nodes are pooled on the Server so
 // steady-state Submit/complete cycles do not allocate.
 type svcDone struct {
-	s    *Server
-	done func()
-	afn  func(any)
-	arg  any
+	s   *Server
+	fn  func(any)
+	arg any
 }
 
 // NewServer creates a pool with the given number of service units.
@@ -47,7 +44,7 @@ func NewServer(eng *Engine, name string, units int) *Server {
 	if units <= 0 {
 		panic("sim: server needs at least one unit")
 	}
-	return &Server{eng: eng, name: name, units: units, lastUpd: eng.Now()}
+	return &Server{eng: eng, name: name, units: units, lastUpd: eng.Now(), freeDone: NewPool[svcDone](eng)}
 }
 
 // Name returns the server's diagnostic name.
@@ -59,14 +56,8 @@ func (s *Server) Units() int { return s.units }
 // QueueLen returns the number of jobs waiting (not in service).
 func (s *Server) QueueLen() int { return len(s.queue) }
 
-// InService returns the number of busy units.
-func (s *Server) InService() int { return s.busy }
-
 // Served returns the number of completed jobs.
 func (s *Server) Served() uint64 { return s.served }
-
-// MaxQueue returns the high-water mark of the wait queue.
-func (s *Server) MaxQueue() int { return s.maxQ }
 
 func (s *Server) account() {
 	now := s.eng.Now()
@@ -89,42 +80,32 @@ func (s *Server) Utilization() float64 {
 // Submit enqueues a job with the given service time; done (may be nil) runs
 // at completion.
 func (s *Server) Submit(service time.Duration, done func()) {
-	s.submit(serverJob{service: service, done: done})
+	s.SubmitArg(service, callFunc, done)
 }
 
 // SubmitArg enqueues a job whose completion calls fn(arg). Like
 // Engine.ScheduleArg, this lets hot paths pass a package-level function and
 // a pooled state value instead of allocating a closure per job.
 func (s *Server) SubmitArg(service time.Duration, fn func(any), arg any) {
-	s.submit(serverJob{service: service, afn: fn, arg: arg})
-}
-
-func (s *Server) submit(j serverJob) {
-	if j.service < 0 {
-		j.service = 0
+	if service < 0 {
+		service = 0
 	}
+	j := serverJob{service: service, fn: fn, arg: arg}
 	if s.busy < s.units {
 		s.start(j)
 		return
 	}
 	s.queue = append(s.queue, j)
-	if len(s.queue) > s.maxQ {
-		s.maxQ = len(s.queue)
-	}
 }
 
 func (s *Server) start(j serverJob) {
 	s.account()
 	s.busy++
-	var d *svcDone
-	if n := len(s.freeDone); n > 0 {
-		d = s.freeDone[n-1]
-		s.freeDone[n-1] = nil
-		s.freeDone = s.freeDone[:n-1]
-	} else {
+	d := s.freeDone.Get()
+	if d == nil {
 		d = &svcDone{s: s}
 	}
-	d.done, d.afn, d.arg = j.done, j.afn, j.arg
+	d.fn, d.arg = j.fn, j.arg
 	s.eng.ScheduleArg(j.service, serverFinish, d)
 }
 
@@ -143,14 +124,10 @@ func serverFinish(x any) {
 		s.queue = s.queue[:len(s.queue)-1]
 		s.start(next)
 	}
-	done, afn, arg := d.done, d.afn, d.arg
-	d.done, d.afn, d.arg = nil, nil, nil
-	s.freeDone = append(s.freeDone, d)
-	if afn != nil {
-		afn(arg)
-	} else if done != nil {
-		done()
-	}
+	fn, arg := d.fn, d.arg
+	d.fn, d.arg = nil, nil
+	s.freeDone.Put(d)
+	fn(arg)
 }
 
 // ResetStats restarts utilization and counter accounting from the current
@@ -159,7 +136,6 @@ func (s *Server) ResetStats() {
 	s.account()
 	s.busyNS = 0
 	s.served = 0
-	s.maxQ = len(s.queue)
 	s.resetAt = s.eng.Now()
 	s.lastUpd = s.eng.Now()
 }
@@ -174,19 +150,9 @@ type Channel struct {
 	bitsPerS float64
 
 	free     Time // when the pipe next becomes idle
-	queued   int
 	xferred  uint64
 	busyNS   int64
 	resetAt2 Time
-	freeDone []*chDone
-}
-
-// chDone is the Channel counterpart of svcDone: a pooled completion node.
-type chDone struct {
-	c    *Channel
-	done func()
-	afn  func(any)
-	arg  any
 }
 
 // NewChannel creates a pipe with the given rate in bits per second.
@@ -211,16 +177,12 @@ func (c *Channel) SerializationDelay(n int) time.Duration {
 // Transfer schedules n bytes through the pipe; done fires when the transfer
 // completes (after any queueing behind earlier transfers).
 func (c *Channel) Transfer(n int, done func()) {
-	c.transfer(n, done, nil, nil)
+	c.TransferArg(n, callFunc, done)
 }
 
 // TransferArg schedules n bytes through the pipe with an arg-based
 // completion; see Engine.ScheduleArg for the allocation rationale.
 func (c *Channel) TransferArg(n int, fn func(any), arg any) {
-	c.transfer(n, nil, fn, arg)
-}
-
-func (c *Channel) transfer(n int, done func(), afn func(any), arg any) {
 	now := c.eng.Now()
 	start := c.free
 	if start < now {
@@ -231,31 +193,7 @@ func (c *Channel) transfer(n int, done func(), afn func(any), arg any) {
 	c.busyNS += int64(ser)
 	c.free = end
 	c.xferred += uint64(n)
-	c.queued++
-	var d *chDone
-	if ln := len(c.freeDone); ln > 0 {
-		d = c.freeDone[ln-1]
-		c.freeDone[ln-1] = nil
-		c.freeDone = c.freeDone[:ln-1]
-	} else {
-		d = &chDone{c: c}
-	}
-	d.done, d.afn, d.arg = done, afn, arg
-	c.eng.AtArg(end, channelFinish, d)
-}
-
-func channelFinish(x any) {
-	d := x.(*chDone)
-	c := d.c
-	c.queued--
-	done, afn, arg := d.done, d.afn, d.arg
-	d.done, d.afn, d.arg = nil, nil, nil
-	c.freeDone = append(c.freeDone, d)
-	if afn != nil {
-		afn(arg)
-	} else if done != nil {
-		done()
-	}
+	c.eng.AtArg(end, fn, arg)
 }
 
 // Backlog returns how far in the future the pipe is already committed.

@@ -42,7 +42,8 @@
 // (with its callback references cleared) to an engine-owned free list, so
 // steady-state scheduling is allocation-free. The arg-based variants
 // (ScheduleArg, AtArg) let hot paths avoid closure allocations entirely by
-// passing a package-level function plus a pooled state value.
+// passing a package-level function plus a pooled state value; Pool is the
+// free list those state values, and the events themselves, are kept on.
 package sim
 
 import (
@@ -77,8 +78,7 @@ type Event struct {
 	at    Time
 	seq   uint64
 	gen   uint64
-	fn    func()
-	afn   func(any)
+	fn    func(any)
 	arg   any
 	index int32 // heap index; -1 when not queued, wheelIndex when parked in the wheel
 	wpos  int32 // wheel position (level<<wheelBits | slot), valid when index == wheelIndex
@@ -136,7 +136,8 @@ type Engine struct {
 	now   Time
 	seq   uint64
 	heap  []*Event
-	free  []*Event
+	free  Pool[Event] // unbound: Pending already counts the events in use
+	pools []*int      // outstanding counts of the pools bound here (NewPool)
 	wheel wheel
 	Rand  *Rand
 
@@ -184,10 +185,7 @@ func (e *Engine) leave() { e.busy.Store(0) }
 const eventBlock = 128
 
 func (e *Engine) alloc() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	if ev := e.free.Get(); ev != nil {
 		return ev
 	}
 	block := make([]Event, eventBlock)
@@ -195,8 +193,9 @@ func (e *Engine) alloc() *Event {
 		block[i].eng = e
 		block[i].index = -1
 	}
+	// The rest of the block goes straight onto the list: nobody got these.
 	for i := eventBlock - 1; i > 0; i-- {
-		e.free = append(e.free, &block[i])
+		e.free.free = append(e.free.free, &block[i])
 	}
 	return &block[0]
 }
@@ -206,24 +205,31 @@ func (e *Engine) alloc() *Event {
 // generation so outstanding Timers become no-ops.
 func (e *Engine) release(ev *Event) {
 	ev.fn = nil
-	ev.afn = nil
 	ev.arg = nil
 	ev.gen++
-	e.free = append(e.free, ev)
+	e.free.Put(ev)
+}
+
+// callFunc is the one adapter between the two callback spellings: the
+// closure forms (Schedule, At, ScheduleCoarse, Server.Submit,
+// Channel.Transfer) box their func() in arg and run it through here, so the
+// scheduler carries a single (fn, arg) shape. A func value is pointer-shaped,
+// so the boxing allocates nothing; a nil closure is a no-op event.
+func callFunc(a any) {
+	if fn := a.(func()); fn != nil {
+		fn()
+	}
 }
 
 // Schedule runs fn after delay d. A negative delay is treated as zero.
 func (e *Engine) Schedule(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.schedule(e.now.Add(d), fn, nil, nil)
+	return e.ScheduleArg(d, callFunc, fn)
 }
 
 // At runs fn at absolute virtual time t. Scheduling in the past is an error
 // in the model; it panics to surface the bug immediately.
 func (e *Engine) At(t Time, fn func()) Timer {
-	return e.schedule(t, fn, nil, nil)
+	return e.AtArg(t, callFunc, fn)
 }
 
 // ScheduleArg runs fn(arg) after delay d. Unlike Schedule it takes a plain
@@ -233,15 +239,11 @@ func (e *Engine) ScheduleArg(d time.Duration, fn func(any), arg any) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return e.schedule(e.now.Add(d), nil, fn, arg)
+	return e.AtArg(e.now.Add(d), fn, arg)
 }
 
 // AtArg runs fn(arg) at absolute virtual time t; see ScheduleArg.
 func (e *Engine) AtArg(t Time, fn func(any), arg any) Timer {
-	return e.schedule(t, nil, fn, arg)
-}
-
-func (e *Engine) schedule(t Time, fn func(), afn func(any), arg any) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -250,7 +252,6 @@ func (e *Engine) schedule(t Time, fn func(), afn func(any), arg any) Timer {
 	ev.at = t
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.afn = afn
 	ev.arg = arg
 	e.push(ev)
 	return Timer{e: ev, gen: ev.gen}
@@ -295,13 +296,9 @@ func (e *Engine) step() bool {
 	ev := e.pop()
 	e.now = ev.at
 	e.processed++
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
+	fn, arg := ev.fn, ev.arg
 	e.release(ev)
-	if afn != nil {
-		afn(arg)
-	} else if fn != nil {
-		fn()
-	}
+	fn(arg)
 	return true
 }
 
@@ -501,16 +498,6 @@ func (r *Rand) Exp(mean time.Duration) time.Duration {
 // the models use this shape: p50 = median, p95 ≈ median·e^(1.64σ).
 func (r *Rand) LogNormal(median time.Duration, sigma float64) time.Duration {
 	return time.Duration(float64(median) * math.Exp(sigma*r.NormFloat64()))
-}
-
-// Pareto samples a bounded Pareto distribution with the given minimum and
-// shape alpha. Used for heavy-tailed flow sizes.
-func (r *Rand) Pareto(min float64, alpha float64) float64 {
-	u := r.Float64()
-	if u == 0 {
-		u = 1e-12
-	}
-	return min / math.Pow(u, 1/alpha)
 }
 
 // Jitter returns d scaled by a uniform factor in [1-f, 1+f].

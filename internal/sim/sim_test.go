@@ -60,10 +60,10 @@ func TestCancelReleasesCallback(t *testing.T) {
 	tm := eng.Schedule(time.Millisecond, func() {})
 	ev := tm.e
 	tm.Cancel()
-	if ev.fn != nil || ev.afn != nil || ev.arg != nil {
+	if ev.fn != nil || ev.arg != nil {
 		t.Fatal("cancelled event still pins its callback")
 	}
-	if len(eng.free) == 0 {
+	if len(eng.free.free) == 0 {
 		t.Fatal("cancelled event not returned to the pool")
 	}
 }
@@ -454,6 +454,30 @@ func TestServerResetStats(t *testing.T) {
 	// Utilization reports average busy units: one unit busy the whole time.
 	if got := srv.Utilization(); got < 0.95 || got > 1.05 {
 		t.Fatalf("post-reset utilization = %v, want ~1 busy unit", got)
+	}
+}
+
+// A nil closure is how callers charge time with nothing to run afterwards
+// (core's per-block CPU): through every closure form it is a no-op that
+// still fires, so it is counted like any other event, job or transfer.
+func TestNilClosureIsANoOpThatStillCounts(t *testing.T) {
+	eng := NewEngine(1)
+	srv := NewServer(eng, "cpu", 1)
+	ch := NewChannel(eng, "pipe", 1e9)
+	eng.Schedule(time.Microsecond, nil)
+	eng.At(Time(2*time.Microsecond), nil)
+	eng.ScheduleCoarse(time.Millisecond, nil)
+	srv.Submit(time.Microsecond, nil)
+	ch.Transfer(1000, nil)
+	eng.Run()
+	if got := eng.Processed(); got != 5 {
+		t.Fatalf("processed %d events, want 5", got)
+	}
+	if srv.Served() != 1 || ch.Transferred() != 1000 {
+		t.Fatalf("served=%d transferred=%d, want 1 and 1000", srv.Served(), ch.Transferred())
+	}
+	if eng.Now() != Time(time.Millisecond) || eng.Pending() != 0 {
+		t.Fatalf("now=%v pending=%d, want the coarse timer's 1ms and a drained queue", eng.Now(), eng.Pending())
 	}
 }
 

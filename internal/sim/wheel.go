@@ -51,10 +51,7 @@ type wheel struct {
 // cancellable, latency-tolerant timers (retransmit, probe, refill); keep
 // Schedule for exact-time simulation events. A negative delay is zero.
 func (e *Engine) ScheduleCoarse(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.scheduleCoarse(e.now.Add(d), fn, nil, nil)
+	return e.ScheduleCoarseArg(d, callFunc, fn)
 }
 
 // ScheduleCoarseArg runs fn(arg) after delay d on the coarse scheduling
@@ -63,10 +60,7 @@ func (e *Engine) ScheduleCoarseArg(d time.Duration, fn func(any), arg any) Timer
 	if d < 0 {
 		d = 0
 	}
-	return e.scheduleCoarse(e.now.Add(d), nil, fn, arg)
-}
-
-func (e *Engine) scheduleCoarse(t Time, fn func(), afn func(any), arg any) Timer {
+	t := e.now.Add(d)
 	if t < e.now {
 		panic("sim: scheduling coarse event before now")
 	}
@@ -75,7 +69,6 @@ func (e *Engine) scheduleCoarse(t Time, fn func(), afn func(any), arg any) Timer
 	ev.at = t
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.afn = afn
 	ev.arg = arg
 	if e.wheel.count == 0 {
 		// Empty wheel: snap its clock forward so long-idle engines don't

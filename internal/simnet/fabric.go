@@ -67,7 +67,6 @@ type Fabric struct {
 	Eng *sim.Engine // partition 0's engine; the only engine of serial fabrics
 	cfg Config
 
-	plan  *PartPlan
 	parts []*fabricPart
 
 	hosts    map[uint32]*Host
@@ -88,8 +87,8 @@ type Fabric struct {
 }
 
 // Pool returns partition 0's engine-owned packet pool — the whole fabric's
-// pool for serial fabrics. Partitioned callers account per partition via
-// OutstandingAll/PartOutstanding.
+// pool for serial fabrics. Partitioned callers sum the partitions with
+// OutstandingAll.
 func (f *Fabric) Pool() *PacketPool { return &f.parts[0].pool }
 
 // New builds the fabric described by cfg on a single engine.
@@ -108,7 +107,6 @@ func build(engs []*sim.Engine, cfg Config, plan *PartPlan) *Fabric {
 	f := &Fabric{
 		Eng:    engs[0],
 		cfg:    cfg,
-		plan:   plan,
 		hosts:  map[uint32]*Host{},
 		byName: map[string]*Switch{},
 	}
@@ -119,6 +117,10 @@ func build(engs []*sim.Engine, cfg Config, plan *PartPlan) *Fabric {
 			eng:   eng,
 			rand:  eng.Rand.Fork(),
 			drops: map[string]uint64{},
+
+			freeXfer: sim.NewPool[linkXfer](eng),
+			freeFwd:  sim.NewPool[swFwd](eng),
+			freeMsg:  sim.NewPool[crossMsg](eng),
 		}
 		ps.inbox.part = ps
 		f.parts = append(f.parts, ps)
@@ -233,14 +235,8 @@ func (f *Fabric) Host(dc, pod, rack, host int) *Host {
 	return h
 }
 
-// HostByAddr returns the host with the given address, or nil.
-func (f *Fabric) HostByAddr(addr uint32) *Host { return f.hosts[addr] }
-
 // Hosts returns all hosts in build order.
 func (f *Fabric) Hosts() []*Host { return f.hostList }
-
-// SwitchByName returns the named switch, or nil.
-func (f *Fabric) SwitchByName(name string) *Switch { return f.byName[name] }
 
 // ToR returns one switch of a rack's ToR pair (idx 0 or 1).
 func (f *Fabric) ToR(dc, pod, rack, idx int) *Switch {

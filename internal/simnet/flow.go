@@ -213,9 +213,6 @@ func (t *FlowTable) Stats() FluidStats {
 	return s
 }
 
-// ActiveFlows returns how many flows are currently fluid.
-func (t *FlowTable) ActiveFlows() int { return len(t.flows) }
-
 // noteFluid records a fidelity trigger on the partition: plain field
 // writes, so the drop/mark/failover paths that call it stay allocation-
 // and lock-free. No-op in pure packet mode.

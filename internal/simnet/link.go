@@ -56,7 +56,6 @@ type Port struct {
 	busyUntil   sim.Time
 	queuedBytes int
 	txBytes     uint64
-	taildrops   uint64
 	sent        uint64
 
 	// Telemetry counters: plain field writes that never feed back into
@@ -88,12 +87,6 @@ func (p *Port) PartIndex() int { return p.part.idx }
 // PropDelay returns the link's propagation delay.
 func (p *Port) PropDelay() time.Duration { return p.propDelay }
 
-// Owner returns the node the port belongs to.
-func (p *Port) Owner() Node { return p.owner }
-
-// Up reports whether the port is administratively and physically up.
-func (p *Port) Up() bool { return p.up }
-
 // SetUp changes the port's link state (both directions of a link fail
 // independently; FailLink takes both down). A transition either way is a
 // fluid fidelity trigger: path capacity just changed.
@@ -105,14 +98,8 @@ func (p *Port) SetUp(up bool) {
 	p.part.noteFluid(TriggerFailover)
 }
 
-// QueuedBytes returns the current output-queue occupancy.
-func (p *Port) QueuedBytes() int { return p.queuedBytes }
-
 // TxBytes returns cumulative bytes serialized out of this port.
 func (p *Port) TxBytes() uint64 { return p.txBytes }
-
-// TailDrops returns packets lost to buffer overflow.
-func (p *Port) TailDrops() uint64 { return p.taildrops }
 
 // RateBps returns the link rate in bits/second.
 func (p *Port) RateBps() float64 { return p.rateBps }
@@ -135,7 +122,6 @@ func (p *Port) Send(pkt *Packet) bool {
 	}
 	size := pkt.WireSize()
 	if p.queuedBytes+size > p.bufBytes {
-		p.taildrops++
 		p.part.countDrop("taildrop")
 		return false
 	}
@@ -276,7 +262,6 @@ type Host struct {
 	Handler func(pkt *Packet)
 	name    string
 
-	rxPackets uint64
 	txPackets uint64
 }
 
@@ -302,14 +287,10 @@ func (h *Host) nodeName() string { return h.name }
 
 // Receive delivers a frame to the registered handler.
 func (h *Host) Receive(pkt *Packet, _ *Port) {
-	h.rxPackets++
 	if h.Handler != nil {
 		h.Handler(pkt)
 	}
 }
-
-// RxPackets returns frames delivered to the host.
-func (h *Host) RxPackets() uint64 { return h.rxPackets }
 
 // TxPackets returns frames the host attempted to send.
 func (h *Host) TxPackets() uint64 { return h.txPackets }

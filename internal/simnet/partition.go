@@ -141,12 +141,12 @@ type fabricPart struct {
 	drops map[string]uint64
 
 	pool     PacketPool
-	freeXfer []*linkXfer
-	freeFwd  []*swFwd
+	freeXfer *sim.Pool[linkXfer]
+	freeFwd  *sim.Pool[swFwd]
 
 	inbox   crossInbox
 	mb      sim.Mailbox
-	freeMsg []*crossMsg
+	freeMsg *sim.Pool[crossMsg]
 	msgSeq  uint64
 
 	// Fluid fast-forward disturb notes (flow.go): plain per-partition
@@ -175,10 +175,7 @@ type crossMsg struct {
 }
 
 func (ps *fabricPart) getMsg() *crossMsg {
-	if n := len(ps.freeMsg); n > 0 {
-		m := ps.freeMsg[n-1]
-		ps.freeMsg[n-1] = nil
-		ps.freeMsg = ps.freeMsg[:n-1]
+	if m := ps.freeMsg.Get(); m != nil {
 		return m
 	}
 	return &crossMsg{}
@@ -186,7 +183,7 @@ func (ps *fabricPart) getMsg() *crossMsg {
 
 func (ps *fabricPart) putMsg(m *crossMsg) {
 	m.pkt, m.from, m.ingress = nil, nil, nil
-	ps.freeMsg = append(ps.freeMsg, m)
+	ps.freeMsg.Put(m)
 }
 
 // crossInbox is a partition's inbound face: the cut-link transmit path
@@ -282,9 +279,6 @@ func (f *Fabric) Engines() []*sim.Engine {
 	return out
 }
 
-// Plan returns the fabric's partition plan.
-func (f *Fabric) Plan() *PartPlan { return f.plan }
-
 // CutPorts returns every port whose link crosses a partition boundary, in
 // build order (both ends of each cut link appear).
 func (f *Fabric) CutPorts() []*Port { return f.cutPorts }
@@ -365,8 +359,3 @@ func (f *Fabric) OutstandingAll() uint64 {
 	}
 	return n
 }
-
-// PartOutstanding returns partition i's outstanding pool references.
-//
-//lint:barrier — leak gate companion to OutstandingAll; post-drain only
-func (f *Fabric) PartOutstanding(i int) uint64 { return f.parts[i].pool.Outstanding() }

@@ -110,10 +110,6 @@ func (pp *PacketPool) put(p *Packet) {
 	pp.pkts = append(pp.pkts, p)
 }
 
-// Gets returns how many packets have been handed out, and News how many of
-// those required a fresh allocation; their ratio is the pool's hit rate.
-func (pp *PacketPool) Gets() uint64 { return pp.gets }
-
 // News returns the number of pool misses (fresh packet allocations).
 func (pp *PacketPool) News() uint64 { return pp.news }
 
@@ -140,10 +136,7 @@ type swFwd struct {
 }
 
 func (ps *fabricPart) getXfer() *linkXfer {
-	if n := len(ps.freeXfer); n > 0 {
-		x := ps.freeXfer[n-1]
-		ps.freeXfer[n-1] = nil
-		ps.freeXfer = ps.freeXfer[:n-1]
+	if x := ps.freeXfer.Get(); x != nil {
 		return x
 	}
 	return &linkXfer{}
@@ -151,14 +144,11 @@ func (ps *fabricPart) getXfer() *linkXfer {
 
 func (ps *fabricPart) putXfer(x *linkXfer) {
 	x.port, x.pkt, x.size = nil, nil, 0
-	ps.freeXfer = append(ps.freeXfer, x)
+	ps.freeXfer.Put(x)
 }
 
 func (ps *fabricPart) getFwd() *swFwd {
-	if n := len(ps.freeFwd); n > 0 {
-		x := ps.freeFwd[n-1]
-		ps.freeFwd[n-1] = nil
-		ps.freeFwd = ps.freeFwd[:n-1]
+	if x := ps.freeFwd.Get(); x != nil {
 		return x
 	}
 	return &swFwd{}
@@ -166,5 +156,5 @@ func (ps *fabricPart) getFwd() *swFwd {
 
 func (ps *fabricPart) putFwd(x *swFwd) {
 	x.sw, x.egress, x.pkt = nil, nil, nil
-	ps.freeFwd = append(ps.freeFwd, x)
+	ps.freeFwd.Put(x)
 }

@@ -2,10 +2,8 @@ package stats
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-	"time"
 )
 
 // SchemaVersion identifies the structured-export format. Consumers (CI
@@ -16,9 +14,9 @@ const SchemaVersion = "lunasolar.metrics/v1"
 // Registry names and aggregates metrics for structured export. Every
 // counter, gauge and histogram an experiment wants published is folded in
 // under a slash-separated name ("fig6/solar/write/fn"); the registry then
-// renders the whole set as schema-versioned JSON or OpenMetrics text with
-// fully deterministic ordering (names sorted, field order fixed by struct
-// layout) so exports diff cleanly across runs.
+// renders the whole set as schema-versioned JSON with fully deterministic
+// ordering (names sorted, field order fixed by struct layout) so exports
+// diff cleanly across runs.
 //
 // Registries are single-goroutine objects, like the rest of this package:
 // the share-nothing harness gives each shard its own registry and merges
@@ -62,9 +60,6 @@ func (r *Registry) ObserveHistogram(name string, h *Histogram) {
 
 // Counter returns the named counter's value (0 if absent).
 func (r *Registry) Counter(name string) uint64 { return r.counters[name] }
-
-// Gauge returns the named gauge's value (0 if absent).
-func (r *Registry) Gauge(name string) float64 { return r.gauges[name] }
 
 // Histogram returns the named histogram, or nil.
 func (r *Registry) Histogram(name string) *Histogram { return r.hists[name] }
@@ -176,64 +171,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// WriteOpenMetrics writes the export in OpenMetrics text form: counters as
-// _total samples, histograms as summaries with quantile labels (seconds, the
-// OpenMetrics base unit for time). Names are sanitized to the OpenMetrics
-// charset and the output always terminates with "# EOF".
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	snap := r.Snapshot()
-	for _, m := range snap.Metrics {
-		name := sanitizeMetricName(m.Name)
-		switch m.Type {
-		case "counter":
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s_total %d\n", name, name, uint64(m.Value)); err != nil {
-				return err
-			}
-		case "gauge":
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", name, name, m.Value); err != nil {
-				return err
-			}
-		case "histogram":
-			if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", name); err != nil {
-				return err
-			}
-			for _, q := range []struct {
-				label string
-				ns    int64
-			}{{"0.5", m.P50Ns}, {"0.95", m.P95Ns}, {"0.99", m.P99Ns}} {
-				if _, err := fmt.Fprintf(w, "%s{quantile=\"%s\"} %g\n", name, q.label, seconds(q.ns)); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, m.SumNs/1e9, name, m.Count); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := io.WriteString(w, "# EOF\n")
-	return err
-}
-
-func seconds(ns int64) float64 { return time.Duration(ns).Seconds() }
-
-// sanitizeMetricName maps a registry name onto the OpenMetrics charset
-// [a-zA-Z_:][a-zA-Z0-9_:]*: slashes, dots and dashes become underscores and
-// a leading digit gains an underscore prefix.
-func sanitizeMetricName(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-		case c >= '0' && c <= '9':
-			// digits are fine except in the leading position
-		default:
-			b[i] = '_'
-		}
-	}
-	if len(b) > 0 && b[0] >= '0' && b[0] <= '9' {
-		return "_" + string(b)
-	}
-	return string(b)
 }

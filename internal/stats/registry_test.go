@@ -30,7 +30,7 @@ func buildRegistry(order []int) *Registry {
 func TestRegistryDeterministicExport(t *testing.T) {
 	a := buildRegistry([]int{0, 1, 2})
 	b := buildRegistry([]int{2, 1, 0})
-	var ja, jb, oa, ob strings.Builder
+	var ja, jb strings.Builder
 	if err := a.WriteJSON(&ja); err != nil {
 		t.Fatal(err)
 	}
@@ -39,15 +39,6 @@ func TestRegistryDeterministicExport(t *testing.T) {
 	}
 	if ja.String() != jb.String() {
 		t.Fatalf("JSON export depends on insertion order:\n%s\nvs\n%s", ja.String(), jb.String())
-	}
-	if err := a.WriteOpenMetrics(&oa); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteOpenMetrics(&ob); err != nil {
-		t.Fatal(err)
-	}
-	if oa.String() != ob.String() {
-		t.Fatal("OpenMetrics export depends on insertion order")
 	}
 }
 
@@ -107,45 +98,5 @@ func TestRegistryMergeWithPrefix(t *testing.T) {
 	}
 	if pref.Counter("fig6/solar/retransmits") != 0 {
 		t.Fatal("unprefixed name leaked into prefixed merge")
-	}
-}
-
-func TestRegistryOpenMetricsFormat(t *testing.T) {
-	r := buildRegistry([]int{0, 1, 2})
-	var sb strings.Builder
-	if err := r.WriteOpenMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasSuffix(out, "# EOF\n") {
-		t.Fatalf("OpenMetrics output must end with # EOF, got:\n%s", out)
-	}
-	for _, want := range []string{
-		"# TYPE fig6_solar_retransmits counter",
-		"fig6_solar_retransmits_total 3",
-		"# TYPE fig6_solar_write_fn summary",
-		`fig6_solar_write_fn{quantile="0.5"}`,
-		"fig6_solar_write_fn_count 2",
-		"# TYPE fig6_solar_goodput_gbps gauge",
-		"fig6_solar_goodput_gbps 87.5",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("OpenMetrics output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "/") {
-		t.Fatal("unsanitized metric name in OpenMetrics output")
-	}
-}
-
-func TestSanitizeMetricName(t *testing.T) {
-	for _, tc := range []struct{ in, want string }{
-		{"fig6/solar.write-fn", "fig6_solar_write_fn"},
-		{"9lives", "_9lives"},
-		{"ok_name:sub", "ok_name:sub"},
-	} {
-		if got := sanitizeMetricName(tc.in); got != tc.want {
-			t.Fatalf("sanitize(%q) = %q, want %q", tc.in, got, tc.want)
-		}
 	}
 }

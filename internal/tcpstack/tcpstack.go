@@ -13,8 +13,6 @@ package tcpstack
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"time"
 
 	"lunasolar/internal/sim"
@@ -99,6 +97,7 @@ type Stack struct {
 
 	handler  transport.Handler
 	conns    map[connKey]*conn
+	clients  map[uint32]*conn // peer → the conn Call sends on (remotePort == ListenPort)
 	pending  map[uint64]func(*transport.Response)
 	ids      transport.IDAlloc
 	pool     *simnet.PacketPool
@@ -128,6 +127,7 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, pcie *sim.Channe
 		cores:    cores,
 		pcie:     pcie,
 		conns:    map[connKey]*conn{},
+		clients:  map[uint32]*conn{},
 		pending:  map[uint64]func(*transport.Response){},
 		pool:     host.PacketPool(),
 		nextPort: 20000,
@@ -154,15 +154,14 @@ func (s *Stack) Params() Params { return s.params }
 func (s *Stack) connTo(dst uint32) *conn {
 	// One persistent connection per peer, like production SA↔block-server
 	// sessions.
-	for k, c := range s.conns {
-		if k.peer == dst && k.remotePort == ListenPort {
-			return c
-		}
+	if c := s.clients[dst]; c != nil {
+		return c
 	}
 	s.nextPort++
 	k := connKey{peer: dst, localPort: s.nextPort, remotePort: ListenPort}
 	c := newConn(s, k)
 	s.conns[k] = c
+	s.clients[dst] = c
 	return c
 }
 
@@ -260,24 +259,15 @@ func (s *Stack) dispatchRecord(c *conn, rec record) {
 				if s.handler == nil {
 					return
 				}
-				req := recordToMessage(rec)
+				req := transport.MessageFromHeader(rec.rpc.MsgType, rec.ebs, rec.payload)
 				id := rec.rpc.RPCID
-				s.handler(c.key.peer, req, func(resp *transport.Response) {
+				s.handler(c.key.peer, &req, func(resp *transport.Response) {
 					s.reply(c, id, resp)
 				})
 			default: // response
 				if done, ok := s.pending[rec.rpc.RPCID]; ok {
 					delete(s.pending, rec.rpc.RPCID)
-					var rerr error
-					if rec.ebs.Flags&wire.EBSFlagReject != 0 {
-						rerr = transport.ErrNotOwner
-					}
-					done(&transport.Response{
-						Err:        rerr,
-						Data:       rec.payload,
-						ServerWall: time.Duration(rec.ebs.ServerNS),
-						SSDTime:    time.Duration(rec.ebs.SSDNS),
-					})
+					done(transport.ResponseFromHeader(rec.ebs, rec.payload))
 				}
 			}
 		})
@@ -305,25 +295,11 @@ const recordHdrSize = wire.RecordHeaderSize
 // without copying.
 func (s *Stack) makeRecordSpan(id uint64, op uint8, req *transport.Message, resp *transport.Response) span {
 	var payload []byte
-	ebs := wire.EBS{Version: wire.EBSVersion}
+	var ebs wire.EBS
 	if req != nil {
-		payload = req.Data
-		ebs.Op = op
-		ebs.VDisk = req.VDisk
-		ebs.SegmentID = req.SegmentID
-		ebs.LBA = req.LBA
-		ebs.Gen = req.Gen
-		ebs.Flags = req.Flags
-		ebs.BlockLen = uint32(req.ReadLen)
+		payload, ebs = req.Data, transport.RequestHeader(req)
 	} else {
-		payload = resp.Data
-		ebs.ServerNS = uint32(resp.ServerWall.Nanoseconds())
-		ebs.SSDNS = uint32(resp.SSDTime.Nanoseconds())
-		if resp.Err != nil && errors.Is(resp.Err, transport.ErrNotOwner) {
-			// Ownership rejection survives the wire as a header flag;
-			// the client side rebuilds transport.ErrNotOwner from it.
-			ebs.Flags = wire.EBSFlagReject
-		}
+		payload, ebs = resp.Data, transport.ResponseHeader(resp)
 	}
 	rpc := wire.RPC{RPCID: id, MsgType: op, NumPkts: 1}
 	sp := span{hdr: s.pool.GetBuf(recordHdrSize)}
@@ -340,19 +316,6 @@ func (s *Stack) makeRecordSpan(id uint64, op uint8, req *transport.Message, resp
 	}
 	sp.pay = payload
 	return sp
-}
-
-func recordToMessage(rec record) *transport.Message {
-	return &transport.Message{
-		Op:        rec.rpc.MsgType,
-		VDisk:     rec.ebs.VDisk,
-		SegmentID: rec.ebs.SegmentID,
-		LBA:       rec.ebs.LBA,
-		Gen:       rec.ebs.Gen,
-		Flags:     rec.ebs.Flags,
-		ReadLen:   int(rec.ebs.BlockLen),
-		Data:      rec.payload,
-	}
 }
 
 // parseRecords consumes complete records from the in-order stream buffer,
@@ -385,17 +348,3 @@ func parseRecords(buf []byte, emit func(record)) []byte {
 }
 
 var _ transport.Stack = (*Stack)(nil)
-
-func (k connKey) String() string {
-	return fmt.Sprintf("%08x:%d->%d", k.peer, k.localPort, k.remotePort)
-}
-
-// DebugState renders per-connection transport state for diagnostics.
-func (s *Stack) DebugState() string {
-	out := fmt.Sprintf("stack %s @%08x: %d conns, retx=%d to=%d\n", s.params.StackName, s.LocalAddr(), len(s.conns), s.Retransmits, s.Timeouts)
-	for k, c := range s.conns {
-		out += fmt.Sprintf("  %v una=%d nxt=%d inflight=%d unsent=%d cwnd=%d dupAcks=%d fastRec=%v timer=%v rcvNxt=%d ooo=%d instream=%d\n",
-			k, c.sndUna, c.sndNxt, c.inflight(), c.unsent(), c.ctrl.Window(), c.dupAcks, c.inFastRec, c.retx.Active(), c.rcvNxt, len(c.ooo), len(c.inStream))
-	}
-	return out
-}

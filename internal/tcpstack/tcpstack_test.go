@@ -323,3 +323,39 @@ func TestSeqWraparound(t *testing.T) {
 		t.Fatal("wraparound compare broken (reverse)")
 	}
 }
+
+// TestOneClientConnPerPeer pins connTo's index: repeated Calls to one peer
+// share one connection, and a host that is both server and client of the
+// same peer — a kernel-era block server, whose FN and BN share the stack —
+// never sends its own requests down the connection that peer opened to it.
+func TestOneClientConnPerPeer(t *testing.T) {
+	p := newPair(t, lunaParams())
+	p.client.SetHandler(echoHandler)
+	p.server.SetHandler(echoHandler)
+	a, b := p.client, p.server
+	done := 0
+	count := func(*transport.Response) { done++ }
+	read := &transport.Message{Op: wire.RPCReadReq, ReadLen: 512}
+	a.Call(b.LocalAddr(), read, count)
+	a.Call(b.LocalAddr(), read, count)
+	p.eng.Run()
+	if a.Conns() != 1 || b.Conns() != 1 {
+		t.Fatalf("two Calls to one peer: %d client-side and %d server-side conns, want 1 and 1", a.Conns(), b.Conns())
+	}
+	inbound := b.conns[connKey{peer: a.LocalAddr(), localPort: ListenPort, remotePort: a.clients[b.LocalAddr()].key.localPort}]
+	if inbound == nil {
+		t.Fatal("server has no inbound conn from the client")
+	}
+	b.Call(a.LocalAddr(), read, count)
+	p.eng.Run()
+	if done != 3 {
+		t.Fatalf("%d of 3 calls completed", done)
+	}
+	out := b.clients[a.LocalAddr()]
+	if out == inbound || out.key.remotePort != ListenPort {
+		t.Fatalf("client conn to the peer is %+v; the inbound conn from it is %+v", out.key, inbound.key)
+	}
+	if a.Conns() != 2 || b.Conns() != 2 {
+		t.Fatalf("after the reverse Call: %d and %d conns, want 2 and 2", a.Conns(), b.Conns())
+	}
+}

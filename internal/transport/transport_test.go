@@ -1,8 +1,12 @@
 package transport
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
+
+	"lunasolar/internal/wire"
 )
 
 func TestRTTFirstSample(t *testing.T) {
@@ -113,5 +117,34 @@ func TestIDAlloc(t *testing.T) {
 			t.Fatalf("duplicate or zero id %d", id)
 		}
 		seen[id] = true
+	}
+}
+
+// The EBS header is the only thing that crosses the wire for a Message or a
+// Response besides payload and CRCs: what goes in must come out, and of the
+// errors only ErrNotOwner survives (as the reject flag).
+func TestHeaderMappingsRoundTrip(t *testing.T) {
+	req := Message{Op: wire.RPCReadReq, VDisk: 7, SegmentID: 9, LBA: 1 << 21, Gen: 3, Flags: wire.EBSFlagHasCRC, ReadLen: 8192}
+	h := RequestHeader(&req)
+	if h.Version != wire.EBSVersion || h.Op != req.Op {
+		t.Fatalf("request header %+v", h)
+	}
+	data := []byte("payload")
+	got := MessageFromHeader(req.Op, h, data)
+	want := req
+	want.Data = data
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip\n got %+v\nwant %+v", got, want)
+	}
+
+	resp := Response{Err: fmt.Errorf("wrapped: %w", ErrNotOwner), ServerWall: 40 * time.Microsecond, SSDTime: 25 * time.Microsecond}
+	rh := ResponseHeader(&resp)
+	back := ResponseFromHeader(rh, data)
+	if back.Err != ErrNotOwner || back.ServerWall != resp.ServerWall || back.SSDTime != resp.SSDTime || string(back.Data) != "payload" {
+		t.Fatalf("response round trip: %+v (header %+v)", back, rh)
+	}
+	other := ResponseHeader(&Response{Err: ErrAdmission})
+	if other.Flags != 0 || ResponseFromHeader(other, nil).Err != nil {
+		t.Fatalf("only ErrNotOwner has a wire form; header %+v", other)
 	}
 }

@@ -28,22 +28,6 @@ func EncodeHeaders(b []byte, rpc *RPC, ebs *EBS) error {
 	return ebs.Encode(b[RPCSize:])
 }
 
-// AppendHeaders appends the encoded RPC and EBS headers to dst and returns
-// the extended slice. Append semantics let callers build into pooled
-// prefixes of any current length without index arithmetic.
-func AppendHeaders(dst []byte, rpc *RPC, ebs *EBS) []byte {
-	n := len(dst)
-	if cap(dst)-n < HeadersSize {
-		grown := make([]byte, n, n+HeadersSize)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:n+HeadersSize]
-	_ = rpc.Encode(dst[n:])
-	_ = ebs.Encode(dst[n+RPCSize:])
-	return dst
-}
-
 // EncodeRecordHeader writes tcpstack's record prefix into
 // b[:RecordHeaderSize]: the total record length (header + payload bytes)
 // followed by the RPC and EBS headers.

@@ -125,14 +125,18 @@ func (r *Rig) Warm() {
 	}
 }
 
-// Check verifies every issued write completed and no pooled packet or slab
-// reference leaked; it returns an error describing the first violation.
+// Check verifies every issued write completed and no pooled packet, slab
+// reference or record leaked; it returns an error describing the first
+// violation.
 func (r *Rig) Check() error {
 	if r.completed != r.issued || r.failed != 0 {
 		return fmt.Errorf("writebench: %d of %d writes completed, %d with an error", r.completed, r.issued, r.failed)
 	}
 	if n := r.Pool.Outstanding(); n != 0 {
 		return fmt.Errorf("writebench: %d pooled packets/slab refs leaked", n)
+	}
+	if n := r.Eng.PoolOutstanding(); n != 0 {
+		return fmt.Errorf("writebench: %d pooled records leaked", n)
 	}
 	return nil
 }
