@@ -124,19 +124,21 @@ func gbps(bps float64) string { return fmt.Sprintf("%.0fG", bps/1e9) }
 // partition owns, how many links are cut, and the lookahead those cut
 // links impose on the conservative window width.
 func printPartitions(cfg simnet.Config, parts int, seed int64) {
-	plan := simnet.PlanPartitions(cfg, parts)
 	engs := make([]*sim.Engine, parts)
 	for i := range engs {
 		engs[i] = sim.NewEngine(seed + int64(i))
 	}
-	fab := simnet.NewPartitioned(engs, cfg, plan)
+	fab := simnet.NewPartitioned(engs, cfg)
 
 	type tally struct{ hosts, tors, spines, cores, dcrs, cutPorts int }
 	sum := make([]tally, parts)
+	ports := 0 // every link has a port at each end
 	for _, h := range fab.Hosts() {
 		sum[h.PartIndex()].hosts++
+		ports += len(h.Ports())
 	}
 	for _, sw := range fab.Switches() {
+		ports += len(sw.Ports())
 		t := &sum[sw.PartIndex()]
 		switch sw.Tier() {
 		case simnet.TierToR:
@@ -160,16 +162,10 @@ func printPartitions(cfg simnet.Config, parts int, seed int64) {
 		fmt.Printf("p%-9d %6d %5d %7d %6d %5d %9d\n", i, t.hosts, t.tors, t.spines, t.cores, t.dcrs, t.cutPorts)
 	}
 	fmt.Printf("\ncut links: %d of %d (each cut link contributes a port on both sides)\n",
-		plan.CutLinks(), totalLinks(cfg))
+		len(fab.CutPorts())/2, ports/2)
 	if la := fab.Lookahead(); la > 0 {
 		fmt.Printf("lookahead: %v (min propagation delay over cut links; the coupled window width)\n", la)
 	} else {
 		fmt.Println("lookahead: none (no cut links; the coupled runner degenerates to a serial run)")
 	}
-}
-
-// totalLinks counts every full-duplex link the fabric build creates.
-func totalLinks(cfg simnet.Config) int {
-	perPod := cfg.SpinesPerPod*cfg.CoresPerDC + cfg.RacksPerPod*(2*cfg.SpinesPerPod+2*cfg.HostsPerRack)
-	return cfg.DCs * (cfg.CoresPerDC*cfg.DCRouters + cfg.PodsPerDC*perPod)
 }

@@ -88,8 +88,7 @@ func New(cfg Config) *Cluster {
 		engines[i] = sim.NewEngine(mixSeed(cfg.Seed, i))
 		collectors[i] = trace.NewCollector()
 	}
-	plan := simnet.PlanPartitions(cfg.Fabric, parts)
-	fab := simnet.NewPartitioned(engines, cfg.Fabric, plan)
+	fab := simnet.NewPartitioned(engines, cfg.Fabric)
 	c := &Cluster{
 		Eng:        engines[0],
 		Fabric:     fab,
@@ -229,8 +228,9 @@ func mixSeed(seed int64, i int) int64 {
 	return seed + int64(i)*0x1f3a8d2c9b47e681
 }
 
+// bnKind is the backend-network stack of the cluster's era.
 func (c *Cluster) bnKind() StackKind {
-	if c.cfg.BN == KernelTCP || c.cfg.FN == KernelTCP {
+	if c.cfg.FN == KernelTCP {
 		return KernelTCP
 	}
 	return RDMA

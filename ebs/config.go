@@ -69,9 +69,9 @@ func (k StackKind) String() string {
 type Config struct {
 	Fabric simnet.Config
 
+	// FN also fixes the backend network by era: a KernelTCP front means a
+	// kernel back; every later era replicates over RDMA.
 	FN StackKind
-	// BN defaults by era: KernelTCP front → kernel back; otherwise RDMA.
-	BN StackKind
 
 	ComputeServers int
 	BlockServers   int
@@ -193,7 +193,6 @@ func DefaultConfig(fn StackKind) Config {
 	cfg := Config{
 		Fabric:         fab,
 		FN:             fn,
-		BN:             RDMA,
 		ComputeServers: 4,
 		BlockServers:   4,
 		ChunkServers:   8,
@@ -202,9 +201,6 @@ func DefaultConfig(fn StackKind) Config {
 		DPU:            dpu.DefaultConfig(),
 		SSD:            chunkserver.DefaultSSD(),
 		Seed:           1,
-	}
-	if fn == KernelTCP {
-		cfg.BN = KernelTCP
 	}
 	if fn == Solar || fn == SolarStar {
 		cfg.BareMetal = true

@@ -13,34 +13,33 @@ import (
 
 // ControlPlane is the cluster's management service: volume lifecycle
 // (create / resize / snapshot / clone / delete) with idempotent request
-// IDs, failure-domain-aware segment placement, live segment migration for
-// unplanned degradations and planned drains, and per-tenant QoS layered
-// above the per-disk pacing. The bookkeeping core lives in internal/ctrl;
-// this type binds it to the live cluster.
+// IDs, failure-domain-aware segment placement (internal/ctrl's Placer),
+// live segment migration for unplanned degradations and planned drains,
+// and per-tenant QoS layered above the per-disk pacing.
+//
+// Each volume fact has one owner: the segment table holds a volume's size
+// and placement, its VDisk the compute binding, and the control plane only
+// which volumes it manages. Every call is synchronous, so between calls a
+// managed volume is live or deleted and nothing else.
 //
 // The control plane runs on the cluster's single engine and is therefore
 // serial-only: management traffic interleaves deterministically with
 // foreground I/O, and scenarios shard whole clusters per worker instead.
 type ControlPlane struct {
 	c      *Cluster
-	svc    *ctrl.Service
 	placer *ctrl.Placer // block-server placement, rack = failure domain
 	rec    *trace.Recorder
 
-	vdisks    map[uint32]*VDisk
-	computeOf map[uint32]int
+	replies map[string]reply // request-ID cache, see once
+	vols    map[uint32]*volume
+	order   []uint32 // creation order, which drains and evacuations walk
+	snaps   []uint64 // snapshot i+1's size: a snapshot is metadata only
+	tenants map[string]sa.QoSSpec
 
 	blockByAddr map[uint32]*blockserver.Server
 	chunkByAddr map[uint32]*chunkserver.Server
 	chunkAddrs  []uint32 // construction order
-	adopted     map[uint32]int
 	draining    map[uint32]bool
-
-	// Staging for the synchronous backend callback: the compute index and
-	// QoS of the create in flight (the ctrl.Backend interface is data-
-	// plane-shaped and does not carry them).
-	curCompute int
-	curQoS     sa.QoSSpec
 
 	// Migration stats.
 	SegmentsMigrated int
@@ -49,26 +48,39 @@ type ControlPlane struct {
 	CopyErrors       int
 }
 
+// volume is one managed virtual disk. A deleted volume stays as a
+// tombstone so replayed or racing requests get a coherent answer.
+type volume struct {
+	vd      *VDisk
+	deleted bool
+}
+
+// reply is a recorded request outcome: the volume or snapshot ID the
+// request produced, and its error.
+type reply struct {
+	id  uint32
+	err error
+}
+
 // ControlPlane returns the cluster's management service, creating it on
-// first use. It panics on coupled or Edge clusters (see Config.validate).
-func (c *Cluster) ControlPlane() *ControlPlane {
+// first use. Coupled and Edge clusters get Config.validate's error.
+func (c *Cluster) ControlPlane() (*ControlPlane, error) {
 	if c.ctrlPlane != nil {
-		return c.ctrlPlane
+		return c.ctrlPlane, nil
 	}
 	if err := c.cfg.validate(true); err != nil {
-		panic(err)
+		return nil, err
 	}
 	cp := &ControlPlane{
 		c:           c,
-		vdisks:      map[uint32]*VDisk{},
-		computeOf:   map[uint32]int{},
+		rec:         trace.NewRecorder(c.cfg.FlightRecorderDepth),
+		replies:     map[string]reply{},
+		vols:        map[uint32]*volume{},
+		tenants:     map[string]sa.QoSSpec{},
 		blockByAddr: map[uint32]*blockserver.Server{},
 		chunkByAddr: map[uint32]*chunkserver.Server{},
-		adopted:     map[uint32]int{},
 		draining:    map[uint32]bool{},
-		rec:         trace.NewRecorder(c.cfg.FlightRecorderDepth),
 	}
-	cp.svc = ctrl.NewService(cpBackend{cp})
 	nodes := make([]ctrl.Node, 0, len(c.blocks))
 	for i, b := range c.blocks {
 		addr := b.Host.Addr()
@@ -80,7 +92,7 @@ func (c *Cluster) ControlPlane() *ControlPlane {
 	}
 	placer, err := ctrl.NewPlacer(nodes)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	cp.placer = placer
 	for _, s := range c.chunks {
@@ -89,143 +101,170 @@ func (c *Cluster) ControlPlane() *ControlPlane {
 		cp.chunkAddrs = append(cp.chunkAddrs, addr)
 	}
 	c.ctrlPlane = cp
-	return cp
+	return cp, nil
 }
 
-// Service exposes the bookkeeping core (volume listings, tenant registry).
-func (cp *ControlPlane) Service() *ctrl.Service { return cp.svc }
-
-// Recorder returns the control plane's flight recorder (nil when the
-// cluster runs without recorders).
-func (cp *ControlPlane) Recorder() *trace.Recorder { return cp.rec }
-
-// cpBackend adapts the control plane to ctrl.Backend. Calls arrive
-// synchronously from inside ctrl.Service methods.
-type cpBackend struct{ cp *ControlPlane }
-
-func (b cpBackend) Provision(tenant string, sizeBytes uint64) (uint32, error) {
-	cp := b.cp
-	nSegs := int((sizeBytes + sa.SegmentBytes - 1) / sa.SegmentBytes)
-	var servers []uint32
-	if nSegs > 0 {
-		placed, err := cp.placer.Place(nSegs)
-		if err != nil {
-			return 0, err
-		}
-		servers = placed
-	} else {
-		// Segmentless volume: the stripe set is irrelevant but must be
-		// non-empty for the segment table.
-		servers = cp.c.BlockServerAddrs()
+// once runs op under a caller-chosen request ID: the first call records
+// op's outcome, success or error, and a replay returns it without running
+// op again. The cache is keyed by the ID alone, one namespace across
+// operation kinds; an empty reqID opts out of it.
+func (cp *ControlPlane) once(reqID string, op func() (uint32, error)) (uint32, error) {
+	if r, ok := cp.replies[reqID]; ok && reqID != "" {
+		return r.id, r.err
 	}
-	vd, err := cp.c.provisionOn(cp.curCompute, sizeBytes, cp.curQoS, servers)
+	id, err := op()
+	if reqID != "" {
+		cp.replies[reqID] = reply{id, err}
+	}
+	return id, err
+}
+
+// live fetches a managed volume that has not been deleted.
+func (cp *ControlPlane) live(id uint32) (*volume, error) {
+	v, ok := cp.vols[id]
+	if !ok {
+		return nil, fmt.Errorf("ebs: unknown volume %d", id)
+	}
+	if v.deleted {
+		return nil, fmt.Errorf("ebs: volume %d is deleted", id)
+	}
+	return v, nil
+}
+
+// place charges n new segments to the placer and returns their servers.
+// With n <= 0 nothing is charged and every block server comes back: the
+// segment table wants a non-empty stripe set even when it maps nothing.
+func (cp *ControlPlane) place(n int) ([]uint32, error) {
+	if n <= 0 {
+		return cp.c.BlockServerAddrs(), nil
+	}
+	return cp.placer.Place(n)
+}
+
+// segments is how many segments sizeBytes maps to.
+func segments(sizeBytes uint64) int {
+	return int((sizeBytes + sa.SegmentBytes - 1) / sa.SegmentBytes)
+}
+
+// create places a new volume's segments, provisions it on compute
+// computeIdx, binds its tenant and records it. sizeBytes 0 is legal (a
+// segmentless volume).
+func (cp *ControlPlane) create(computeIdx int, tenant string, sizeBytes uint64, qos sa.QoSSpec) (uint32, error) {
+	if computeIdx < 0 || computeIdx >= len(cp.c.computes) {
+		return 0, fmt.Errorf("ebs: create volume on compute %d of %d", computeIdx, len(cp.c.computes))
+	}
+	n := segments(sizeBytes)
+	servers, err := cp.place(n)
 	if err != nil {
-		if nSegs > 0 {
+		return 0, fmt.Errorf("ebs: create volume: %w", err)
+	}
+	vd, err := cp.c.provisionOn(computeIdx, sizeBytes, qos, servers)
+	if err != nil {
+		if n > 0 {
 			cp.placer.Release(servers)
 		}
 		return 0, err
 	}
-	id := vd.ID
-	cp.vdisks[id] = vd
-	cp.computeOf[id] = cp.curCompute
-	agent := cp.c.computes[cp.curCompute].Agent
 	if tenant != "" {
-		agent.SetTenant(id, tenant)
-		if spec, ok := cp.svc.TenantQoS(tenant); ok {
-			agent.SetTenantQoS(tenant, spec)
+		vd.agent.SetTenant(vd.ID, tenant)
+		if spec, ok := cp.tenants[tenant]; ok {
+			vd.agent.SetTenantQoS(tenant, spec)
 		}
 	}
-	return id, nil
+	cp.vols[vd.ID] = &volume{vd: vd}
+	cp.order = append(cp.order, vd.ID)
+	return vd.ID, nil
 }
 
-func (b cpBackend) Grow(id uint32, newSizeBytes uint64) error {
-	cp := b.cp
-	have := int(cp.c.segs.Size(id) / sa.SegmentBytes)
-	want := int((newSizeBytes + sa.SegmentBytes - 1) / sa.SegmentBytes)
-	var servers []uint32
-	if want > have {
-		placed, err := cp.placer.Place(want - have)
-		if err != nil {
-			return err
-		}
-		servers = placed
-	} else {
-		servers = cp.c.BlockServerAddrs()
+// vdisk resolves a create or clone outcome to its disk.
+func (cp *ControlPlane) vdisk(id uint32, err error) (*VDisk, error) {
+	if err != nil {
+		return nil, err
 	}
-	if _, err := cp.c.segs.Grow(id, newSizeBytes, servers); err != nil {
-		if want > have {
-			cp.placer.Release(servers)
-		}
-		return err
-	}
-	if vd := cp.vdisks[id]; vd != nil {
-		vd.size = newSizeBytes
-	}
-	return nil
-}
-
-func (b cpBackend) Release(id uint32) error {
-	cp := b.cp
-	refs := cp.c.segs.Refs(id)
-	addrs := make([]uint32, 0, len(refs))
-	for _, r := range refs {
-		addrs = append(addrs, r.Server)
-	}
-	if err := cp.c.segs.Delete(id); err != nil {
-		return err
-	}
-	cp.placer.Release(addrs)
-	if idx, ok := cp.computeOf[id]; ok {
-		cp.c.computes[idx].Agent.ClearQoS(id)
-	}
-	delete(cp.vdisks, id)
-	delete(cp.computeOf, id)
-	return nil
+	return cp.vols[id].vd, nil
 }
 
 // CreateVolume provisions a volume for tenant on compute computeIdx, its
 // segments spread across block-server failure domains. Replays (same
 // reqID) return the original volume without re-provisioning.
 func (cp *ControlPlane) CreateVolume(reqID string, computeIdx int, tenant string, sizeBytes uint64, qos sa.QoSSpec) (*VDisk, error) {
-	if computeIdx < 0 || computeIdx >= len(cp.c.computes) {
-		return nil, fmt.Errorf("ebs: create volume on compute %d of %d", computeIdx, len(cp.c.computes))
-	}
-	cp.curCompute, cp.curQoS = computeIdx, qos
-	id, err := cp.svc.Create(reqID, tenant, sizeBytes)
-	if err != nil {
-		return nil, err
-	}
-	return cp.vdisks[id], nil
+	return cp.vdisk(cp.once(reqID, func() (uint32, error) {
+		return cp.create(computeIdx, tenant, sizeBytes, qos)
+	}))
 }
 
 // ResizeVolume grows a volume; the added segments are placed like a
-// create's. Shrinking is refused.
+// create's. Shrinking is refused (segments under live I/O cannot be
+// unmapped safely).
 func (cp *ControlPlane) ResizeVolume(reqID string, id uint32, newSizeBytes uint64) error {
-	return cp.svc.Resize(reqID, id, newSizeBytes)
+	_, err := cp.once(reqID, func() (uint32, error) {
+		v, err := cp.live(id)
+		if err != nil {
+			return 0, err
+		}
+		if size := v.vd.Size(); newSizeBytes < size {
+			return 0, fmt.Errorf("ebs: volume %d shrink %d -> %d refused", id, size, newSizeBytes)
+		}
+		n := segments(newSizeBytes) - len(cp.c.segs.Refs(id))
+		servers, err := cp.place(n)
+		if err != nil {
+			return 0, fmt.Errorf("ebs: resize volume %d: %w", id, err)
+		}
+		if _, err := cp.c.segs.Grow(id, newSizeBytes, servers); err != nil {
+			if n > 0 {
+				cp.placer.Release(servers)
+			}
+			return 0, fmt.Errorf("ebs: resize volume %d: %w", id, err)
+		}
+		return id, nil
+	})
+	return err
 }
 
-// SnapshotVolume captures volume metadata and returns the snapshot ID.
+// SnapshotVolume captures a volume's size (block data is shared copy-on-
+// write in production; the model keeps snapshots metadata-only) and
+// returns the snapshot ID.
 func (cp *ControlPlane) SnapshotVolume(reqID string, id uint32) (uint32, error) {
-	return cp.svc.Snapshot(reqID, id)
+	return cp.once(reqID, func() (uint32, error) {
+		v, err := cp.live(id)
+		if err != nil {
+			return 0, err
+		}
+		cp.snaps = append(cp.snaps, v.vd.Size())
+		return uint32(len(cp.snaps)), nil
+	})
 }
 
-// CloneVolume provisions a new volume from a snapshot on computeIdx.
+// CloneVolume provisions a new volume of a snapshot's size on computeIdx.
 func (cp *ControlPlane) CloneVolume(reqID string, snapID uint32, computeIdx int, tenant string, qos sa.QoSSpec) (*VDisk, error) {
-	if computeIdx < 0 || computeIdx >= len(cp.c.computes) {
-		return nil, fmt.Errorf("ebs: clone volume on compute %d of %d", computeIdx, len(cp.c.computes))
-	}
-	cp.curCompute, cp.curQoS = computeIdx, qos
-	id, err := cp.svc.Clone(reqID, snapID, tenant)
-	if err != nil {
-		return nil, err
-	}
-	return cp.vdisks[id], nil
+	return cp.vdisk(cp.once(reqID, func() (uint32, error) {
+		if snapID == 0 || int(snapID) > len(cp.snaps) {
+			return 0, fmt.Errorf("ebs: unknown snapshot %d", snapID)
+		}
+		return cp.create(computeIdx, tenant, cp.snaps[snapID-1], qos)
+	}))
 }
 
 // DeleteVolume releases a volume's segments, QoS state, and tenant
-// binding.
+// binding. The record stays as a tombstone.
 func (cp *ControlPlane) DeleteVolume(reqID string, id uint32) error {
-	return cp.svc.Delete(reqID, id)
+	_, err := cp.once(reqID, func() (uint32, error) {
+		v, err := cp.live(id)
+		if err != nil {
+			return 0, err
+		}
+		refs := cp.c.segs.Refs(id)
+		if err := cp.c.segs.Delete(id); err != nil {
+			return 0, fmt.Errorf("ebs: delete volume %d: %w", id, err)
+		}
+		for _, r := range refs {
+			cp.placer.Release([]uint32{r.Server})
+		}
+		v.vd.agent.ClearQoS(id)
+		v.deleted = true
+		return id, nil
+	})
+	return err
 }
 
 // SetTenantQoS registers a tenant's aggregate service level and applies it
@@ -233,16 +272,21 @@ func (cp *ControlPlane) DeleteVolume(reqID string, id uint32) error {
 // I/Os. Enforcement is per hypervisor, like production SA-level QoS: each
 // compute's disks bound to the tenant share that agent's buckets.
 func (cp *ControlPlane) SetTenantQoS(tenant string, spec sa.QoSSpec) {
-	cp.svc.SetTenantQoS(tenant, spec)
+	cp.tenants[tenant] = spec
 	for _, cs := range cp.c.computes {
 		cs.Agent.SetTenantQoS(tenant, spec)
 	}
 }
 
-// MigrateSegment moves one segment of a volume to a caller-chosen block
-// server — the unplanned-degradation path, metadata-only since chunk
-// replicas stay put.
+// MigrateSegment moves one segment of a managed volume to a caller-chosen
+// block server — the unplanned-degradation path, metadata-only since chunk
+// replicas stay put. Like drains and evacuations it refuses volumes the
+// control plane does not manage: their segments were never charged to the
+// placer, so moving one would skew its load.
 func (cp *ControlPlane) MigrateSegment(volID uint32, segIdx int, toAddr uint32) error {
+	if _, err := cp.live(volID); err != nil {
+		return err
+	}
 	moved, err := cp.migrateSegmentRef(volID, segIdx, toAddr)
 	if err == nil && moved {
 		cp.placer.Charge(toAddr)
@@ -282,7 +326,6 @@ func (cp *ControlPlane) migrateSegmentRef(volID uint32, segIdx int, toAddr uint3
 	}
 	from.ReleaseSegment(ref.SegmentID, toAddr)
 	cp.placer.Release([]uint32{ref.Server})
-	cp.adopted[toAddr]++
 	cp.SegmentsMigrated++
 	cp.rec.Record(cp.c.Eng.Now().Duration(), trace.EvCutover, ref.SegmentID, uint64(toAddr))
 	return true, nil
@@ -298,12 +341,11 @@ func (cp *ControlPlane) EvacuateBlockServer(blockIdx int) error {
 	}
 	addr := cp.c.blocks[blockIdx].Host.Addr()
 	cp.placer.SetDown(addr, true)
-	for _, vol := range cp.svc.Volumes() {
-		if vol.State == ctrl.StateDeleted {
+	for _, id := range cp.order {
+		if cp.vols[id].deleted {
 			continue
 		}
-		refs := cp.c.segs.Refs(vol.ID)
-		for i, ref := range refs {
+		for i, ref := range cp.c.segs.Refs(id) {
 			if ref.Server != addr {
 				continue
 			}
@@ -312,7 +354,7 @@ func (cp *ControlPlane) EvacuateBlockServer(blockIdx int) error {
 				return fmt.Errorf("ebs: evacuating block server %d: %w", blockIdx, err)
 			}
 			// Place charged the target; the cutover releases the source.
-			if _, err := cp.migrateSegmentRef(vol.ID, i, target[0]); err != nil {
+			if _, err := cp.migrateSegmentRef(id, i, target[0]); err != nil {
 				return err
 			}
 		}
@@ -370,11 +412,11 @@ func (cp *ControlPlane) DrainChunkServer(chunkIdx int, done func(DrainReport)) e
 	// server, in volume-creation then LBA order — deterministic.
 	var plan []*drainSeg
 	adopted := map[uint32]int{}
-	for _, vol := range cp.svc.Volumes() {
-		if vol.State == ctrl.StateDeleted {
+	for _, id := range cp.order {
+		if cp.vols[id].deleted {
 			continue
 		}
-		for _, ref := range cp.c.segs.Refs(vol.ID) {
+		for _, ref := range cp.c.segs.Refs(id) {
 			owner := cp.blockByAddr[ref.Server]
 			if owner == nil {
 				continue

@@ -2,16 +2,26 @@ package ebs
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
-	"lunasolar/internal/ctrl"
 	"lunasolar/internal/sa"
 )
 
+// controlPlane returns c's control plane, failing the test on an error.
+func controlPlane(t *testing.T, c *Cluster) *ControlPlane {
+	t.Helper()
+	cp, err := c.ControlPlane()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
 func TestControlPlaneLifecycle(t *testing.T) {
 	c := testCluster(t, Solar)
-	cp := c.ControlPlane()
+	cp := controlPlane(t, c)
 
 	vd, err := cp.CreateVolume("create-1", 0, "acme", 8<<20, DefaultQoS())
 	if err != nil {
@@ -79,9 +89,8 @@ func TestControlPlaneLifecycle(t *testing.T) {
 	if rres.Err == nil {
 		t.Fatal("read from deleted volume succeeded")
 	}
-	vol, ok := cp.Service().Volume(vd.ID)
-	if !ok || vol.State != ctrl.StateDeleted {
-		t.Fatalf("deleted record: %+v ok=%v", vol, ok)
+	if vol := cp.vols[vd.ID]; vol == nil || !vol.deleted {
+		t.Fatalf("deleted record: %+v", vol)
 	}
 	// Replayed delete still reports success.
 	if err := cp.DeleteVolume("del-1", vd.ID); err != nil {
@@ -94,7 +103,7 @@ func TestControlPlanePlacementSpreadsRacks(t *testing.T) {
 	cfg.Fabric.HostsPerRack = 2 // 2 block servers land in 2 racks
 	cfg.Fabric.RacksPerPod = 3  // room for 2 block + 4 chunk servers
 	c := New(cfg)
-	cp := c.ControlPlane()
+	cp := controlPlane(t, c)
 	vd, err := cp.CreateVolume("c", 0, "", 8<<20, DefaultQoS())
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +141,7 @@ func driveWrites(c *Cluster, vd *VDisk, count int, interval time.Duration, errs 
 
 func TestMigrateSegmentUnderLoad(t *testing.T) {
 	c := testCluster(t, Solar)
-	cp := c.ControlPlane()
+	cp := controlPlane(t, c)
 	vd, err := cp.CreateVolume("c", 0, "", 8<<20, DefaultQoS())
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +184,7 @@ func TestMigrateSegmentUnderLoad(t *testing.T) {
 
 func TestDrainChunkServerUnderLoad(t *testing.T) {
 	c := testCluster(t, Solar)
-	cp := c.ControlPlane()
+	cp := controlPlane(t, c)
 	vd, err := cp.CreateVolume("c", 0, "", 8<<20, DefaultQoS())
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +256,7 @@ func TestDrainChunkServerUnderLoad(t *testing.T) {
 // whatever the recycled buffer holds by then and fails its CRC.
 func TestDrainUnderOverwriteStorm(t *testing.T) {
 	c := testCluster(t, Solar)
-	cp := c.ControlPlane()
+	cp := controlPlane(t, c)
 	vd, err := cp.CreateVolume("c", 0, "", 8<<20, DefaultQoS())
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +317,7 @@ func TestDrainUnderOverwriteStorm(t *testing.T) {
 
 func TestEvacuateBlockServer(t *testing.T) {
 	c := testCluster(t, Solar)
-	cp := c.ControlPlane()
+	cp := controlPlane(t, c)
 	vd, err := cp.CreateVolume("c", 0, "", 8<<20, DefaultQoS())
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +353,7 @@ func TestEvacuateBlockServer(t *testing.T) {
 
 func TestTenantQoSIsolation(t *testing.T) {
 	c := testCluster(t, Solar)
-	cp := c.ControlPlane()
+	cp := controlPlane(t, c)
 	cp.SetTenantQoS("noisy", sa.QoSSpec{IOPS: 2000, BurstWindow: time.Millisecond})
 	agg, err := cp.CreateVolume("agg", 0, "noisy", 16<<20, QoS(1e6, 100e9))
 	if err != nil {
@@ -374,7 +383,7 @@ func TestTenantQoSIsolation(t *testing.T) {
 // limit.
 func TestIOPastEndOfDiskRejected(t *testing.T) {
 	c := testCluster(t, Solar)
-	cp := c.ControlPlane()
+	cp := controlPlane(t, c)
 	vd, err := cp.CreateVolume("create-1", 0, "acme", 1<<20, DefaultQoS())
 	if err != nil {
 		t.Fatal(err)
@@ -418,5 +427,172 @@ func TestIOPastEndOfDiskRejected(t *testing.T) {
 	c.Run()
 	if res.Err == nil {
 		t.Fatal("write past the resized end succeeded")
+	}
+}
+
+// TestControlPlaneRequestIDs: a replayed request ID returns the original
+// outcome, success or error, without executing again, and lifecycle ops
+// refuse what the lifecycle does not allow.
+func TestControlPlaneRequestIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, c *Cluster, cp *ControlPlane)
+	}{
+		{"replayed create", func(t *testing.T, c *Cluster, cp *ControlPlane) {
+			vd, err := cp.CreateVolume("c1", 0, "acme", 8<<20, DefaultQoS())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The replay's arguments are ignored: the ID alone names the request.
+			again, err := cp.CreateVolume("c1", 1, "other", 16<<20, DefaultQoS())
+			if err != nil || again != vd {
+				t.Fatalf("replayed create = (%p, %v), want (%p, nil)", again, err, vd)
+			}
+			if c.nextVD != 1 || len(cp.order) != 1 || vd.Size() != 8<<20 {
+				t.Fatalf("replay provisioned again: %d vdisks, %d managed, size %d", c.nextVD, len(cp.order), vd.Size())
+			}
+			if other, err := cp.CreateVolume("c2", 0, "acme", 8<<20, DefaultQoS()); err != nil || other == vd {
+				t.Fatalf("distinct request = (%p, %v), want a new volume", other, err)
+			}
+		}},
+		{"failed create", func(t *testing.T, c *Cluster, cp *ControlPlane) {
+			_, err := cp.CreateVolume("c1", 2, "acme", 8<<20, DefaultQoS())
+			if err == nil {
+				t.Fatal("create on compute 2 of 2 succeeded")
+			}
+			if _, again := cp.CreateVolume("c1", 0, "acme", 8<<20, DefaultQoS()); again != err {
+				t.Fatalf("replayed failed create = %v, want the recorded %v", again, err)
+			}
+			for _, addr := range c.BlockServerAddrs() {
+				if cp.placer.Load(addr) != 0 {
+					t.Fatalf("failed create left load %d on %d", cp.placer.Load(addr), addr)
+				}
+			}
+			if c.nextVD != 0 || len(cp.vols) != 0 {
+				t.Fatalf("failed create left a record: %d vdisks, %d managed", c.nextVD, len(cp.vols))
+			}
+		}},
+		{"resize", func(t *testing.T, c *Cluster, cp *ControlPlane) {
+			vd, err := cp.CreateVolume("c1", 0, "acme", 4<<20, DefaultQoS())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cp.ResizeVolume("r1", vd.ID, 8<<20); err != nil {
+				t.Fatal(err)
+			}
+			if err := cp.ResizeVolume("r2", vd.ID, 1<<20); err == nil {
+				t.Fatal("shrink allowed")
+			}
+			if err := cp.ResizeVolume("r1", vd.ID, 64<<20); err != nil {
+				t.Fatalf("replayed resize: %v", err)
+			}
+			if vd.Size() != 8<<20 || len(c.SegmentRefs(vd.ID)) != 4 {
+				t.Fatalf("replayed resize grew the volume: size %d, %d segments", vd.Size(), len(c.SegmentRefs(vd.ID)))
+			}
+		}},
+		{"clone of unknown snapshot", func(t *testing.T, c *Cluster, cp *ControlPlane) {
+			vd, err := cp.CreateVolume("c1", 0, "acme", 6<<20, DefaultQoS())
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := cp.SnapshotVolume("s1", vd.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clone, err := cp.CloneVolume("cl1", snap, 1, "other", DefaultQoS()); err != nil || clone.Size() != 6<<20 {
+				t.Fatalf("clone = (%v, %v), want a 6 MiB volume", clone, err)
+			}
+			for _, unknown := range []uint32{0, snap + 1} {
+				if _, err := cp.CloneVolume(fmt.Sprintf("cl-%d", unknown), unknown, 1, "other", DefaultQoS()); err == nil {
+					t.Fatalf("clone of unknown snapshot %d allowed", unknown)
+				}
+			}
+		}},
+		{"double delete", func(t *testing.T, c *Cluster, cp *ControlPlane) {
+			vd, err := cp.CreateVolume("c1", 0, "acme", 6<<20, DefaultQoS())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cp.DeleteVolume("d1", vd.ID); err != nil {
+				t.Fatal(err)
+			}
+			if err := cp.DeleteVolume("d2", vd.ID); err == nil {
+				t.Fatal("double delete allowed")
+			}
+			if err := cp.DeleteVolume("d1", vd.ID); err != nil {
+				t.Fatalf("replayed delete: %v", err)
+			}
+		}},
+		{"unknown or deleted volume", func(t *testing.T, c *Cluster, cp *ControlPlane) {
+			vd, err := cp.CreateVolume("c1", 0, "acme", 6<<20, DefaultQoS())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cp.DeleteVolume("d1", vd.ID); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []uint32{vd.ID, 999} {
+				if err := cp.ResizeVolume(fmt.Sprintf("r-%d", id), id, 8<<20); err == nil {
+					t.Errorf("resize of volume %d allowed", id)
+				}
+				if _, err := cp.SnapshotVolume(fmt.Sprintf("s-%d", id), id); err == nil {
+					t.Errorf("snapshot of volume %d allowed", id)
+				}
+				if err := cp.DeleteVolume(fmt.Sprintf("d-%d", id), id); err == nil {
+					t.Errorf("delete of volume %d allowed", id)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testCluster(t, Solar)
+			tc.run(t, c, controlPlane(t, c))
+		})
+	}
+}
+
+// TestMigrateSegmentRefusesUnmanagedVolume: a volume the control plane did
+// not create (or has deleted) never charged the placer, so migrating one
+// of its segments used to release load it never held and charge the
+// target, biasing every later placement.
+func TestMigrateSegmentRefusesUnmanagedVolume(t *testing.T) {
+	c := testCluster(t, Solar)
+	cp := controlPlane(t, c)
+	managed, err := cp.CreateVolume("c1", 0, "", 8<<20, DefaultQoS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deleted, err := cp.CreateVolume("c2", 0, "", 8<<20, DefaultQoS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.DeleteVolume("d2", deleted.ID); err != nil {
+		t.Fatal(err)
+	}
+	direct := c.MustProvision(0, 8<<20, DefaultQoS())
+	addrs := c.BlockServerAddrs()
+	loads := func() string { return fmt.Sprint(cp.placer.Load(addrs[0]), cp.placer.Load(addrs[1])) }
+	if got := loads(); got != "2 2" {
+		t.Fatalf("placer loads %s, want 2 2 for the managed volume's four segments", got)
+	}
+	from := c.SegmentRefs(direct.ID)[0].Server
+	to := addrs[0]
+	if to == from {
+		to = addrs[1]
+	}
+	if err := cp.MigrateSegment(direct.ID, 0, to); err == nil {
+		t.Fatal("migrating an unmanaged volume's segment succeeded")
+	}
+	if err := cp.MigrateSegment(deleted.ID, 0, to); err == nil {
+		t.Fatal("migrating a deleted volume's segment succeeded")
+	}
+	if got := loads(); got != "2 2" {
+		t.Fatalf("refused migrations moved placer load to %s", got)
+	}
+	if got := c.SegmentRefs(direct.ID)[0].Server; got != from {
+		t.Fatalf("unmanaged segment moved to %d", got)
+	}
+	if err := cp.MigrateSegment(managed.ID, 0, to); err != nil {
+		t.Fatalf("migrating a managed segment: %v", err)
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Every rejected composition is an error from Config.validate — the one
-// place compositions are judged — and New/ControlPlane panic with exactly
-// that error.
+// place compositions are judged. New panics with exactly that error;
+// ControlPlane returns it.
 func TestValidateRejects(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -39,15 +39,18 @@ func TestValidateRejects(t *testing.T) {
 					t.Fatalf("cluster-only Validate rejected a control-plane precondition: %v", verr)
 				}
 			}
+			if tc.ctrlPlane {
+				if _, cerr := New(cfg).ControlPlane(); cerr == nil || cerr.Error() != err.Error() {
+					t.Fatalf("ControlPlane returned %v, want %v", cerr, err)
+				}
+				return
+			}
 			defer func() {
 				if r := recover(); r == nil || r.(error).Error() != err.Error() {
-					t.Fatalf("constructor panicked with %v, want %v", r, err)
+					t.Fatalf("New panicked with %v, want %v", r, err)
 				}
 			}()
-			c := New(cfg)
-			if tc.ctrlPlane {
-				c.ControlPlane()
-			}
+			New(cfg)
 		})
 	}
 	if err := smallConfig(Solar).validate(true); err != nil {

@@ -13,7 +13,6 @@ type VDisk struct {
 	ID      uint32
 	cluster *Cluster
 	agent   *sa.Agent
-	size    uint64
 }
 
 // IOResult is the completion record of one I/O. Latency comes from the span
@@ -42,19 +41,10 @@ func (c *Cluster) Provision(computeIdx int, sizeBytes uint64, qos sa.QoSSpec) (*
 // provisionOn creates a disk with an explicit segment placement: servers
 // is either the stripe set (legacy round-robin) or, from the control
 // plane, one address per segment chosen by the failure-domain placer.
+// Managed and directly provisioned disks draw IDs from the one cluster
+// counter, and a failed provision gives its ID back.
 func (c *Cluster) provisionOn(computeIdx int, sizeBytes uint64, qos sa.QoSSpec, servers []uint32) (*VDisk, error) {
-	c.nextVD++
-	vd, err := c.provisionWithID(c.nextVD, computeIdx, sizeBytes, qos, servers)
-	if err != nil {
-		c.nextVD--
-	}
-	return vd, err
-}
-
-// provisionWithID creates a disk under a caller-allocated ID (the control
-// plane's ctrl.Service owns the ID space for managed volumes; provisionOn
-// allocates from the cluster counter for direct Provision calls).
-func (c *Cluster) provisionWithID(id uint32, computeIdx int, sizeBytes uint64, qos sa.QoSSpec, servers []uint32) (*VDisk, error) {
+	id := c.nextVD + 1
 	if err := c.segs.Provision(id, sizeBytes, servers); err != nil {
 		return nil, fmt.Errorf("ebs: provision vdisk on compute %d: %w", computeIdx, err)
 	}
@@ -76,7 +66,8 @@ func (c *Cluster) provisionWithID(id uint32, computeIdx int, sizeBytes uint64, q
 			st.SetCipher(id, cipher)
 		}
 	}
-	return &VDisk{ID: id, cluster: c, agent: agent, size: sizeBytes}, nil
+	c.nextVD = id
+	return &VDisk{ID: id, cluster: c, agent: agent}, nil
 }
 
 // MustProvision is Provision for experiment and test setup code, where a
@@ -90,8 +81,9 @@ func (c *Cluster) MustProvision(computeIdx int, sizeBytes uint64, qos sa.QoSSpec
 	return vd
 }
 
-// Size returns the disk's provisioned size in bytes.
-func (v *VDisk) Size() uint64 { return v.size }
+// Size returns the disk's provisioned size in bytes, as the segment table
+// records it (0 once the disk is deleted).
+func (v *VDisk) Size() uint64 { return v.cluster.segs.Size(v.ID) }
 
 // Write issues a write I/O; done runs at completion with the measured
 // latency (excluding QoS policy delay, per the paper's methodology).

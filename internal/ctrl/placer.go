@@ -1,3 +1,8 @@
+// Package ctrl is the volume control plane's placement policy: failure-
+// domain-aware segment placement over the block servers. It is pure
+// deterministic metadata — no engine, no randomness, no map iteration — so
+// a management workload replays identically at any worker count; ebs's
+// ControlPlane drives it from a live cluster.
 package ctrl
 
 import (

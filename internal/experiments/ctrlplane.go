@@ -45,7 +45,10 @@ type ProvisionStormCell struct {
 // takes one 4 KiB write to prove the data path works.
 func provisionStormCell(opts Options, fn ebs.StackKind) (ProvisionStormCell, *ebs.Cluster) {
 	c := ebs.New(clusterConfig(opts, fn))
-	cp := c.ControlPlane()
+	cp, err := c.ControlPlane()
+	if err != nil {
+		panic(err)
+	}
 	cell := ProvisionStormCell{Stack: fn.String()}
 
 	nVols := opts.scale(24, 8)
@@ -186,7 +189,10 @@ type DrainCell struct {
 // across both, and drains chunk server 0 one millisecond in.
 func drainCell(opts Options, fn ebs.StackKind) (DrainCell, *ebs.Cluster) {
 	c := ebs.New(clusterConfig(opts, fn))
-	cp := c.ControlPlane()
+	cp, err := c.ControlPlane()
+	if err != nil {
+		panic(err)
+	}
 	cell := DrainCell{Stack: fn.String()}
 
 	var vds []*ebs.VDisk
@@ -305,7 +311,10 @@ type NoisyCell struct {
 // the aggressor's presence and whether its tenant is rate-capped.
 func noisyCell(opts Options, mode string) (NoisyCell, *ebs.Cluster) {
 	c := ebs.New(clusterConfig(opts, ebs.Solar))
-	cp := c.ControlPlane()
+	cp, err := c.ControlPlane()
+	if err != nil {
+		panic(err)
+	}
 	cell := NoisyCell{Mode: mode}
 
 	// Generous per-disk QoS on both volumes: only the tenant-level cap

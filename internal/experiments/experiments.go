@@ -61,9 +61,6 @@ type Options struct {
 	CC cc.Kind
 }
 
-// DefaultOptions returns the standard configuration.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
 // config returns ebs.DefaultConfig(fn) carrying the run's seed and mode
 // selections — the one place Options reach an ebs.Config.
 func (o Options) config(fn ebs.StackKind) ebs.Config {

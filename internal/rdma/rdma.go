@@ -176,9 +176,6 @@ func (s *Stack) LocalAddr() uint32 { return s.host.Addr() }
 // SetHandler installs the server-side request handler.
 func (s *Stack) SetHandler(h transport.Handler) { s.handler = h }
 
-// QPs returns the number of live queue pairs.
-func (s *Stack) QPs() int { return len(s.qps) }
-
 // cacheHit reports whether this QP's context is resident on the NIC, and
 // on a hit moves it to the hot end of the LRU in place.
 //

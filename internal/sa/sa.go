@@ -45,9 +45,9 @@ type SegmentRef struct {
 // diskEntry is one vdisk's mapping plus its generation number. The
 // generation is bumped by every remap/resize, so clients holding a stale
 // routing decision can tell whether a retry against a fresh lookup can
-// make progress. bytes is the size the guest was sold: the mapping rounds
-// it up to whole segments, and guest I/O must stay below bytes, not below
-// the mapping's end.
+// make progress. bytes is the size the guest was sold and the one record
+// of it: the mapping rounds it up to whole segments, and guest I/O must
+// stay below bytes, not below the mapping's end.
 type diskEntry struct {
 	refs  []SegmentRef
 	gen   uint32
@@ -99,14 +99,14 @@ func (t *SegmentTable) Lookup(vdisk uint32, lba uint64) (SegmentRef, bool) {
 	return e.refs[idx], true
 }
 
-// Size returns the mapped capacity of a vdisk in bytes — the provisioned
-// size rounded up to whole segments (0 if unknown).
+// Size returns a vdisk's provisioned size in bytes, not rounded up to
+// whole segments (0 if unknown).
 func (t *SegmentTable) Size(vdisk uint32) uint64 {
 	e, ok := t.disks[vdisk]
 	if !ok {
 		return 0
 	}
-	return uint64(len(e.refs)) * SegmentBytes
+	return e.bytes
 }
 
 // Generation returns the vdisk's mapping generation: 0 for a never-remapped

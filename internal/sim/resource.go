@@ -53,9 +53,6 @@ func (s *Server) Name() string { return s.name }
 // Units returns the pool size.
 func (s *Server) Units() int { return s.units }
 
-// QueueLen returns the number of jobs waiting (not in service).
-func (s *Server) QueueLen() int { return len(s.queue) }
-
 // Served returns the number of completed jobs.
 func (s *Server) Served() uint64 { return s.served }
 

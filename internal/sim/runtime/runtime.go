@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"lunasolar/internal/sim"
-	"lunasolar/internal/stats"
 )
 
 // Runner fans independent shard functions out over a fixed-size worker
@@ -143,24 +142,6 @@ func (p *Perf) ObserveLeaked(n int) {
 // Leaked returns the total leaked-packet count across observed shards.
 func (p *Perf) Leaked() int { p.mu.Lock(); defer p.mu.Unlock(); return p.leaked }
 
-// Merge folds another Perf in (used when sub-experiments run their own
-// fleets and a caller wants one aggregate).
-func (p *Perf) Merge(o *Perf) {
-	if p == nil || o == nil {
-		return
-	}
-	o.mu.Lock()
-	shards, events, simd, wall, leaked := o.shards, o.events, o.simd, o.wall, o.leaked
-	o.mu.Unlock()
-	p.mu.Lock()
-	p.shards += shards
-	p.events += events
-	p.simd += simd
-	p.wall += wall
-	p.leaked += leaked
-	p.mu.Unlock()
-}
-
 // Shards returns how many shards have been observed.
 func (p *Perf) Shards() int { p.mu.Lock(); defer p.mu.Unlock(); return p.shards }
 
@@ -218,26 +199,4 @@ func Run[T any](f *Fleet, n int, job func(shard int) (T, *sim.Engine)) []T {
 		out[i] = v
 	})
 	return out
-}
-
-// MergeHistograms folds per-shard histograms into a fresh one in shard
-// order, so the aggregate is identical regardless of which worker finished
-// first. Nil entries are skipped.
-func MergeHistograms(parts []*stats.Histogram) *stats.Histogram {
-	out := stats.NewHistogram()
-	for _, h := range parts {
-		if h != nil {
-			out.Merge(h)
-		}
-	}
-	return out
-}
-
-// SumCounts sums per-shard counters in shard order.
-func SumCounts(parts []uint64) uint64 {
-	var total uint64
-	for _, v := range parts {
-		total += v
-	}
-	return total
 }

@@ -36,8 +36,11 @@ func TestMapPreservesShardOrder(t *testing.T) {
 func TestSerialParallelIdenticalMerge(t *testing.T) {
 	run := func(workers int) string {
 		f := &Fleet{Runner: Runner{Workers: workers}}
-		parts := Run(f, 8, shardHistogram)
-		return MergeHistograms(parts).Summary()
+		merged := stats.NewHistogram()
+		for _, h := range Run(f, 8, shardHistogram) {
+			merged.Merge(h)
+		}
+		return merged.Summary()
 	}
 	serial := run(1)
 	parallel := run(4)
@@ -78,10 +81,4 @@ func TestEachPanicPropagates(t *testing.T) {
 
 func TestEachZeroShards(t *testing.T) {
 	Runner{}.Each(0, func(int) { t.Fatal("job called for n=0") })
-}
-
-func TestSumCounts(t *testing.T) {
-	if got := SumCounts([]uint64{1, 2, 3}); got != 6 {
-		t.Fatalf("SumCounts = %d", got)
-	}
 }

@@ -248,7 +248,7 @@ func coupledBulkRun(t *testing.T, parts, workers int, hybrid bool) ([]BulkComple
 	for i := range engs {
 		engs[i] = sim.NewEngine(int64(i + 1))
 	}
-	fab := NewPartitioned(engs, cfg, PlanPartitions(cfg, parts))
+	fab := NewPartitioned(engs, cfg)
 	bulk := NewBulkService(fab)
 	var ft *FlowTable
 	if hybrid {

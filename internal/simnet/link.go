@@ -78,9 +78,6 @@ func (p *Port) peerUp() bool {
 // Peer returns the port at the other end of the link.
 func (p *Port) Peer() *Port { return p.peer }
 
-// Cut reports whether the port's link crosses a partition boundary.
-func (p *Port) Cut() bool { return p.cut }
-
 // PartIndex returns the index of the partition owning the port's node.
 func (p *Port) PartIndex() int { return p.part.idx }
 

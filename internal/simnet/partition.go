@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"time"
 
 	"lunasolar/internal/sim"
@@ -22,8 +21,8 @@ import (
 // lookahead is always a switch-to-switch propagation delay.
 
 // PartPlan is a deterministic assignment of fabric nodes to partitions,
-// computed from the Config alone so tools (cmd/ebstopo) can inspect the
-// split without building a fabric.
+// computed from the Config alone. Which links it cuts, and so the
+// lookahead, is read off the built fabric (CutPorts, Lookahead).
 type PartPlan struct {
 	parts int
 	cfg   Config
@@ -63,66 +62,6 @@ func (pl *PartPlan) CorePart(dc, idx int) int {
 
 // DCRPart returns the partition owning a DC router.
 func (pl *PartPlan) DCRPart(idx int) int { return idx % pl.parts }
-
-// eachLink walks every link the fabric build creates, in build order,
-// reporting the two endpoint partitions and the link's propagation delay.
-// This mirrors fabric construction exactly, so plan-level cut accounting
-// matches the built fabric's cut ports.
-func (pl *PartPlan) eachLink(fn func(partA, partB int, prop time.Duration)) {
-	cfg := pl.cfg
-	for dc := 0; dc < cfg.DCs; dc++ {
-		for c := 0; c < cfg.CoresPerDC; c++ {
-			for d := 0; d < cfg.DCRouters; d++ {
-				fn(pl.CorePart(dc, c), pl.DCRPart(d), cfg.InterDCDelay)
-			}
-		}
-		for pod := 0; pod < cfg.PodsPerDC; pod++ {
-			for sp := 0; sp < cfg.SpinesPerPod; sp++ {
-				for c := 0; c < cfg.CoresPerDC; c++ {
-					fn(pl.SpinePart(dc, pod, sp), pl.CorePart(dc, c), cfg.PropDelay)
-				}
-			}
-			for rack := 0; rack < cfg.RacksPerPod; rack++ {
-				rp := pl.RackPart(dc, pod, rack)
-				for t := 0; t < 2; t++ {
-					for sp := 0; sp < cfg.SpinesPerPod; sp++ {
-						fn(rp, pl.SpinePart(dc, pod, sp), cfg.PropDelay)
-					}
-				}
-				// Hosts attach to their rack's ToR pair: same partition by
-				// construction, never a cut.
-				for hi := 0; hi < cfg.HostsPerRack; hi++ {
-					fn(rp, rp, cfg.PropDelay)
-					fn(rp, rp, cfg.PropDelay)
-				}
-			}
-		}
-	}
-}
-
-// CutLinks returns how many full-duplex links cross partitions.
-func (pl *PartPlan) CutLinks() int {
-	n := 0
-	pl.eachLink(func(a, b int, _ time.Duration) {
-		if a != b {
-			n++
-		}
-	})
-	return n
-}
-
-// Lookahead returns the minimum propagation delay over cut links — the
-// coupled runner's window width — or 0 when no link is cut (single
-// partition, or a degenerate plan where every node landed together).
-func (pl *PartPlan) Lookahead() time.Duration {
-	var min time.Duration
-	pl.eachLink(func(a, b int, prop time.Duration) {
-		if a != b && (min == 0 || prop < min) {
-			min = prop
-		}
-	})
-	return min
-}
 
 // fabricPart is the per-partition slice of fabric state. Everything a
 // packet's hot path touches — pools, free lists, drop counters, the drop
@@ -252,16 +191,10 @@ func (ps *fabricPart) accept(at sim.Time, m *crossMsg) {
 }
 
 // NewPartitioned builds the fabric described by cfg split across the given
-// engines according to plan. Engines, plan and cfg must agree: one engine
-// per partition. A single-engine call is exactly New.
-func NewPartitioned(engs []*sim.Engine, cfg Config, plan *PartPlan) *Fabric {
-	if plan == nil {
-		plan = PlanPartitions(cfg, len(engs))
-	}
-	if len(engs) != plan.Parts() {
-		panic(fmt.Sprintf("simnet: %d engines for a %d-partition plan", len(engs), plan.Parts()))
-	}
-	return build(engs, cfg, plan)
+// engines, one partition per engine, as PlanPartitions(cfg, len(engs))
+// assigns them. A single-engine call is exactly New.
+func NewPartitioned(engs []*sim.Engine, cfg Config) *Fabric {
+	return build(engs, cfg, PlanPartitions(cfg, len(engs)))
 }
 
 // Parts returns the fabric's partition count (1 for serial fabrics).

@@ -20,13 +20,8 @@ type conn struct {
 	s   *Stack
 	key connKey
 
-	ctrl cc.Controller
-	// pacer enforces the controller's Rate() on pump. DCTCP is window-only
-	// (Rate()==0) so the pacer never engages today, but the loop honors the
-	// full Controller contract — a rate-based controller drops in with no
-	// stack change.
-	pacer cc.Pacer
-	rtt   *transport.RTT
+	ctrl *cc.DCTCP // window-only: pump never paces
+	rtt  *transport.RTT
 
 	// Sender state.
 	outQ    spanQueue // bytes [sndUna, sndUna+outQ.len())
@@ -56,24 +51,19 @@ type conn struct {
 
 func newConn(s *Stack, k connKey) *conn {
 	p := s.params
-	var ctrl cc.Controller
-	// Luna runs DCTCP over ECN; the kernel baseline runs plain AIMD (the
-	// same controller never sees marks, so it reduces only on loss).
-	ctrl = cc.NewDCTCP(p.MSS, p.InitCwnd, p.MaxCwnd)
 	c := &conn{
-		s:    s,
-		key:  k,
-		ctrl: ctrl,
+		s:   s,
+		key: k,
+		// Luna runs DCTCP over ECN; the kernel baseline runs plain AIMD
+		// (the same controller never sees marks, so it reduces only on
+		// loss).
+		ctrl: cc.NewDCTCP(p.MSS, p.InitCwnd, p.MaxCwnd),
 		rtt:  transport.NewRTT(p.MinRTO, p.MaxRTO),
 		ooo:  map[uint32][]byte{},
 	}
 	c.retx.Init(s.eng, c.rtt, -1, connRTOExpired, c)
-	c.pacer.Init(s.eng, connPacerFire, c)
 	return c
 }
-
-// connPacerFire resumes the transmit loop when the pacing gap elapses.
-func connPacerFire(a any) { a.(*conn).pump() }
 
 // enqueueRecord appends a framed record span to the send stream and pumps.
 func (c *conn) enqueueRecord(sp span) {
@@ -110,21 +100,13 @@ func (c *conn) gatherStream(dst []byte, seq uint32) {
 	c.outQ.copyOut(dst, rel)
 }
 
-// pump transmits while the congestion window (and any pacing rate) allows.
+// pump transmits while the congestion window allows.
 func (c *conn) pump() {
 	p := c.s.params
 	for c.unsent() > 0 && c.inflight() < c.ctrl.Window() {
 		n := c.unsent()
 		if n > p.MSS {
 			n = p.MSS
-		}
-		if rate := c.ctrl.Rate(); rate > 0 {
-			now := c.s.eng.Now()
-			if !c.pacer.Ready(now) {
-				c.pacer.Arm(now)
-				break
-			}
-			c.pacer.Charge(now, wire.TCPSegSize+n, rate)
 		}
 		seq := c.sndNxt
 		c.sndNxt += uint32(n)
