@@ -65,17 +65,19 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRawMatchesBitwise$$' -fuzztime 10s ./internal/crc
 	$(GO) test -run '^$$' -fuzz '^FuzzFeedback$$' -fuzztime 10s ./internal/cc
 	$(GO) test -run '^$$' -fuzz '^FuzzControlPlaneOps$$' -fuzztime 10s ./ebs
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordReader$$' -fuzztime 10s ./internal/tcpstack
 
 # One quick experiment benchmark, the raw event-loop benchmark, the
-# 4 KiB write path (the Solar FN half and its RDMA-into-chunk-server BN
-# twin), the coupled storm at four window workers, the hybrid
+# 4 KiB write path (the Solar FN half, its RDMA-into-chunk-server BN
+# twin and the Luna tcpstack FN half), the coupled storm at four window
+# workers, the hybrid
 # diurnal campaign, and the CDF lookup benchmark guarding the sort.Search
 # fix: enough to verify the events/sec, sim-µs/wall-ms, copies/op and
 # allocs/op metrics still report. The quick fig6 run exports the merged
 # observability registry (CI publishes METRICS.json) and doubles as its
 # schema smoke test.
 bench-smoke:
-	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K|BNWrite4K|Coupled4|DiurnalHybrid' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K|BNWrite4K|LunaWrite4K|Coupled4|DiurnalHybrid' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'CDFAt' -benchtime 1x -benchmem ./internal/stats
 	$(GO) run ./cmd/ebsbench -exp fig6 -quick -workers 1 -metrics-out METRICS.json > /dev/null
 	grep -q '"schema": "lunasolar.metrics/v1"' METRICS.json

@@ -121,7 +121,6 @@ func benchIO(b *testing.B, fn ebs.StackKind, write bool) {
 }
 
 func BenchmarkKernelWrite4K(b *testing.B) { benchIO(b, ebs.KernelTCP, true) }
-func BenchmarkLunaWrite4K(b *testing.B)   { benchIO(b, ebs.Luna, true) }
 func BenchmarkRDMAWrite4K(b *testing.B)   { benchIO(b, ebs.RDMA, true) }
 func BenchmarkSolarWrite4K(b *testing.B)  { benchIO(b, ebs.Solar, true) }
 func BenchmarkSolarRead4K(b *testing.B)   { benchIO(b, ebs.Solar, false) }
@@ -181,6 +180,32 @@ func BenchmarkBNWrite4K(b *testing.B) {
 	}
 	if d.Copies != 0 {
 		b.Fatalf("BN write path made %d payload copies over %d ops, want 0", d.Copies, b.N)
+	}
+}
+
+// BenchmarkLunaWrite4K is the FN twin for the host-side stack: one 4 KiB
+// write, Luna tcpstack client → tcpstack server that acknowledges at once.
+// allocs/op here is what TestLunaPath4KSteadyState gates; copied-B/op is
+// the stream the frames gather (the block plus two record headers).
+func BenchmarkLunaWrite4K(b *testing.B) {
+	r := writebench.NewLunaRig(1, ebs.LunaStackParams())
+	for i := 0; i < 64; i++ {
+		r.WriteOne()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := r.Snapshot()
+	for i := 0; i < b.N; i++ {
+		r.WriteOne()
+	}
+	b.StopTimer()
+	d := r.Snapshot().Delta(start)
+	b.ReportMetric(float64(d.Copies)/float64(b.N), "copies/op")
+	b.ReportMetric(float64(d.CopiedBytes)/float64(b.N), "copied-B/op")
+	b.ReportMetric(float64(d.Events)/float64(b.N), "events/op")
+	b.SetBytes(4096)
+	if err := r.Check(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -44,9 +44,9 @@ type conn struct {
 	txSegs uint64 // for TSO amortization
 
 	// Receiver state.
-	rcvNxt   uint32
-	ooo      map[uint32][]byte
-	inStream []byte
+	rcvNxt uint32
+	ooo    map[uint32][]byte
+	rx     recordReader
 }
 
 func newConn(s *Stack, k connKey) *conn {
@@ -127,33 +127,21 @@ func (c *conn) pump() {
 
 // transmit sends one segment of n stream bytes starting at seq (data or
 // retransmission). The bytes are gathered from the span queue at frame
-// build, so the event captures only (seq, n) — not a slice that would pin
-// the old flat buffer.
+// build, so the record carries only (seq, n).
+//
+//lint:hotpath
 func (c *conn) transmit(seq uint32, n int, isRetx bool) {
-	p := c.s.params
+	p := &c.s.params
 	cost := p.PerPktTxCPU
 	if p.TSOBatch > 1 {
 		cost = time.Duration(int64(cost) / int64(p.TSOBatch))
 	}
 	cost += c.s.contention()
 	c.txSegs++
-	send := func() {
-		pkt := c.makePacket(seq, n, 0)
-		if !c.s.host.Send(pkt) {
-			pkt.Release()
-		}
-	}
-	step := func() {
-		if c.s.pcie != nil && n > 0 {
-			c.s.pcie.Transfer(2*n, send)
-		} else {
-			send()
-		}
-	}
 	if isRetx {
 		c.s.Retransmits++
 	}
-	c.s.cores.Submit(cost, step)
+	c.s.cores.SubmitArg(cost, txCharged, c.getTx(seq, n, 0))
 }
 
 // makePacket builds the frame (TCP header + n stream bytes from seq) from
@@ -193,19 +181,14 @@ func (c *conn) makePacket(seq uint32, n int, extraFlags uint8) *simnet.Packet {
 }
 
 // sendPureAck acknowledges received data; ece echoes a CE mark.
+//
+//lint:hotpath
 func (c *conn) sendPureAck(ece bool) {
-	p := c.s.params
 	var flags uint8
 	if ece {
 		flags |= wire.TCPFlagECE
 	}
-	cost := p.PerPktTxCPU / 2
-	c.s.cores.Submit(cost, func() {
-		pkt := c.makePacket(c.sndNxt, 0, flags)
-		if !c.s.host.Send(pkt) {
-			pkt.Release()
-		}
-	})
+	c.s.cores.SubmitArg(c.s.params.PerPktTxCPU/2, txCharged, c.getTx(0, 0, flags))
 }
 
 // connRTOExpired adapts the shared retransmitter's expiry to the
@@ -308,11 +291,16 @@ func (c *conn) processAck(hdr wire.TCPSeg, pureAck bool) {
 	}
 }
 
+// processData takes a data segment: in order, its bytes and any buffered
+// segments it makes contiguous go to the record reader; ahead of rcvNxt,
+// it is buffered. Either way it is acknowledged.
+//
+//lint:hotpath
 func (c *conn) processData(seq uint32, payload []byte, ce bool) {
 	switch {
 	case seq == c.rcvNxt:
-		c.inStream = append(c.inStream, payload...)
 		c.rcvNxt += uint32(len(payload))
+		framed := c.readRecords(payload)
 		// Drain contiguous out-of-order segments.
 		for {
 			seg, ok := c.ooo[c.rcvNxt]
@@ -320,22 +308,51 @@ func (c *conn) processData(seq uint32, payload []byte, ce bool) {
 				break
 			}
 			delete(c.ooo, c.rcvNxt)
-			c.inStream = append(c.inStream, seg...)
 			c.rcvNxt += uint32(len(seg))
+			framed = framed && c.readRecords(seg)
 		}
-		c.inStream = parseRecords(c.inStream, func(rec record) {
-			c.s.dispatchRecord(c, rec)
-		})
-	case seqLT(c.rcvNxt, seq):
-		// Out of order: buffer if capacity allows (head-of-line blocking —
-		// the cost Solar's design eliminates).
-		if len(c.ooo) < c.s.params.RxBufferSegs {
-			if _, dup := c.ooo[seq]; !dup {
-				c.ooo[seq] = append([]byte(nil), payload...)
+		// An RTO rewind re-cuts segments from sndUna, so a buffered segment
+		// can start below the new rcvNxt; no drain would ever reach it, and
+		// it would pin its copy and a reassembly slot for good.
+		for start := range c.ooo {
+			if seqLT(start, c.rcvNxt) {
+				delete(c.ooo, start)
 			}
 		}
+	case seqLT(c.rcvNxt, seq):
+		c.bufferOutOfOrder(seq, payload)
 	default:
 		// Old duplicate; re-ack below.
 	}
 	c.sendPureAck(ce)
+}
+
+// readRecords feeds in-order stream bytes to the record reader and
+// dispatches every record they complete, in stream order. It returns false
+// when the framing broke: processData then drops the rest of the bytes it
+// is delivering (a connection would reset in production; the simulation
+// re-frames on retransmit).
+func (c *conn) readRecords(b []byte) bool {
+	for len(b) > 0 {
+		rec, rest, ok, err := c.rx.next(b)
+		if err != nil {
+			return false
+		}
+		if ok {
+			c.s.dispatchRecord(c, rec)
+		}
+		b = rest
+	}
+	return true
+}
+
+// bufferOutOfOrder keeps a copy of a segment that arrived ahead of rcvNxt,
+// if capacity allows (head-of-line blocking — the cost Solar's design
+// eliminates).
+func (c *conn) bufferOutOfOrder(seq uint32, payload []byte) {
+	if len(c.ooo) < c.s.params.RxBufferSegs {
+		if _, dup := c.ooo[seq]; !dup {
+			c.ooo[seq] = append([]byte(nil), payload...)
+		}
+	}
 }

@@ -1,6 +1,12 @@
 package tcpstack
 
-import "lunasolar/internal/simnet"
+import (
+	"encoding/binary"
+	"errors"
+
+	"lunasolar/internal/simnet"
+	"lunasolar/internal/wire"
+)
 
 // span is one framed record on the send stream, kept scattered until frame
 // build: the record header lives in a small pooled prefix, the payload is
@@ -91,4 +97,60 @@ func (q *spanQueue) copyOut(dst []byte, off int) {
 	for ; n < len(dst); n++ {
 		dst[n] = 0
 	}
+}
+
+// recordReader turns the in-order receive stream back into records without
+// buffering the stream: header bytes collect in a fixed array, and when the
+// header is complete the reader makes one buffer of exactly the payload's
+// size and copies segment bytes straight into it. A payload is its record's
+// own memory, never a packet's or a pooled buffer's: a response outlives
+// every record.
+type recordReader struct {
+	hdr  [recordHdrSize]byte
+	nhdr int    // header bytes collected
+	pay  []byte // payload of the record being read, made when its header completes
+	npay int    // payload bytes filled
+}
+
+// errFraming reports a record whose length word or headers do not decode.
+var errFraming = errors.New("tcpstack: corrupt record framing")
+
+// next consumes b up to the end of the record being read and returns the
+// bytes after it; ok reports that the record completed, and rec is then
+// that record. A length shorter than the record header is caught as soon
+// as the length word is in, headers that do not decode when the record
+// completes; either resets the reader and returns errFraming.
+func (r *recordReader) next(b []byte) (rec record, rest []byte, ok bool, err error) {
+	if r.nhdr < len(r.hdr) {
+		n := copy(r.hdr[r.nhdr:], b)
+		r.nhdr += n
+		b = b[n:]
+		if r.nhdr < 4 {
+			return record{}, b, false, nil
+		}
+		total := int(binary.BigEndian.Uint32(r.hdr[:4]))
+		if total < recordHdrSize {
+			*r = recordReader{}
+			return record{}, nil, false, errFraming
+		}
+		if r.nhdr < len(r.hdr) {
+			return record{}, b, false, nil
+		}
+		if total > recordHdrSize {
+			r.pay = make([]byte, total-recordHdrSize)
+		}
+	}
+	n := copy(r.pay[r.npay:], b)
+	r.npay += n
+	if r.npay < len(r.pay) {
+		return record{}, b[n:], false, nil
+	}
+	rec.payload = r.pay
+	rpcErr := rec.rpc.Decode(r.hdr[4:])
+	ebsErr := rec.ebs.Decode(r.hdr[4+wire.RPCSize:])
+	*r = recordReader{}
+	if rpcErr != nil || ebsErr != nil {
+		return record{}, nil, false, errFraming
+	}
+	return rec, b[n:], true, nil
 }

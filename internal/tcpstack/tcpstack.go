@@ -12,7 +12,6 @@
 package tcpstack
 
 import (
-	"encoding/binary"
 	"time"
 
 	"lunasolar/internal/sim"
@@ -102,6 +101,9 @@ type Stack struct {
 	ids      transport.IDAlloc
 	pool     *simnet.PacketPool
 	nextPort uint16
+	freeRx   *sim.Pool[rxSeg]
+	freeTx   *sim.Pool[txSeg]
+	freeJobs *sim.Pool[rpcJob]
 
 	// Stats.
 	Retransmits uint64
@@ -131,6 +133,9 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, pcie *sim.Channe
 		pending:  map[uint64]func(*transport.Response){},
 		pool:     host.PacketPool(),
 		nextPort: 20000,
+		freeRx:   sim.NewPool[rxSeg](eng),
+		freeTx:   sim.NewPool[txSeg](eng),
+		freeJobs: sim.NewPool[rpcJob](eng),
 	}
 	if host.Handler == nil {
 		host.Handler = s.receive
@@ -166,16 +171,15 @@ func (s *Stack) connTo(dst uint32) *conn {
 }
 
 // Call implements transport.Client.
+//
+//lint:hotpath
 func (s *Stack) Call(dst uint32, req *transport.Message, done func(*transport.Response)) {
 	id := s.ids.Next()
 	s.pending[id] = done
-	c := s.connTo(dst)
+	j := s.getJob(s.connTo(dst), id)
+	j.req = req
 	// Per-RPC CPU + non-busy latency, then enqueue on the stream.
-	s.cores.Submit(s.params.PerRPCTxCPU+s.copyCost(len(req.Data)), func() {
-		s.eng.Schedule(s.params.PerRPCTxDelay, func() {
-			c.enqueueRecord(s.makeRecordSpan(id, req.Op, req, nil))
-		})
-	})
+	s.cores.SubmitArg(s.params.PerRPCTxCPU+s.copyCost(len(req.Data)), rpcTxCharged, j)
 }
 
 func (s *Stack) copyCost(payload int) time.Duration {
@@ -183,15 +187,6 @@ func (s *Stack) copyCost(payload int) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(s.params.CopyPer4K) * float64(payload) / 4096)
-}
-
-// reply sends a response record on the server side of an established conn.
-func (s *Stack) reply(c *conn, id uint64, resp *transport.Response) {
-	s.cores.Submit(s.params.PerRPCTxCPU+s.copyCost(len(resp.Data)), func() {
-		s.eng.Schedule(s.params.PerRPCTxDelay, func() {
-			c.enqueueRecord(s.makeRecordSpan(id, wire.RPCWriteResp, nil, resp))
-		})
-	})
 }
 
 // ReceivePacket feeds one inbound frame into the stack; hosts running
@@ -207,8 +202,12 @@ func (s *Stack) contention() time.Duration {
 }
 
 // receive demultiplexes an arriving frame to its connection. The stack
-// takes ownership of the frame; it is released once the segment bytes have
-// been consumed (segmentArrived copies what it keeps).
+// takes ownership of the frame; it is released once the segment has been
+// processed, so whatever the connection keeps it copies: in-order bytes into
+// their record's payload, an out-of-order segment into the reassembly
+// buffer.
+//
+//lint:hotpath
 func (s *Stack) receive(pkt *simnet.Packet) {
 	var hdr wire.TCPSeg
 	if err := hdr.Decode(pkt.Payload); err != nil {
@@ -225,53 +224,34 @@ func (s *Stack) receive(pkt *simnet.Packet) {
 		c = newConn(s, k)
 		s.conns[k] = c
 	}
-	payload := pkt.Payload[wire.TCPSegSize:]
-	ce := pkt.ECN == wire.ECNCE
-	if ce {
+	n := len(pkt.Payload) - wire.TCPSegSize
+	r := s.getRx()
+	r.c, r.pkt, r.hdr, r.ce = c, pkt, hdr, pkt.ECN == wire.ECNCE
+	if r.ce {
 		s.EcnMarks++
 	}
 
 	// Per-packet receive CPU (pure ACKs cost half), then protocol
 	// processing. PCIe crossing for payload-bearing segments.
-	cost := s.params.PerPktRxCPU + s.contention()
-	if len(payload) == 0 {
-		cost /= 2
+	r.cost = s.params.PerPktRxCPU + s.contention()
+	if n == 0 {
+		r.cost /= 2
 	}
-	deliver := func() {
-		s.cores.Submit(cost, func() {
-			c.segmentArrived(hdr, payload, ce)
-			pkt.Release()
-		})
+	if s.pcie != nil && n > 0 {
+		s.pcie.TransferArg(2*n, rxCrossed, r)
+		return
 	}
-	if s.pcie != nil && len(payload) > 0 {
-		s.pcie.Transfer(2*len(payload), deliver)
-	} else {
-		deliver()
-	}
+	s.cores.SubmitArg(r.cost, rxArrived, r)
 }
 
-// dispatchRecord hands one complete record up the stack.
+// dispatchRecord hands one complete record up the stack, after the per-RPC
+// receive charge and latency.
+//
+//lint:hotpath
 func (s *Stack) dispatchRecord(c *conn, rec record) {
-	s.cores.Submit(s.params.PerRPCRxCPU+s.copyCost(len(rec.payload)), func() {
-		s.eng.Schedule(s.params.PerRPCRxDelay, func() {
-			switch rec.rpc.MsgType {
-			case wire.RPCWriteReq, wire.RPCReadReq:
-				if s.handler == nil {
-					return
-				}
-				req := transport.MessageFromHeader(rec.rpc.MsgType, rec.ebs, rec.payload)
-				id := rec.rpc.RPCID
-				s.handler(c.key.peer, &req, func(resp *transport.Response) {
-					s.reply(c, id, resp)
-				})
-			default: // response
-				if done, ok := s.pending[rec.rpc.RPCID]; ok {
-					delete(s.pending, rec.rpc.RPCID)
-					done(transport.ResponseFromHeader(rec.ebs, rec.payload))
-				}
-			}
-		})
-	})
+	j := s.getJob(c, rec.rpc.RPCID)
+	j.rec = rec
+	s.cores.SubmitArg(s.params.PerRPCRxCPU+s.copyCost(len(rec.payload)), rpcRxCharged, j)
 }
 
 // Conns returns the number of live connections (tests).
@@ -316,35 +296,6 @@ func (s *Stack) makeRecordSpan(id uint64, op uint8, req *transport.Message, resp
 	}
 	sp.pay = payload
 	return sp
-}
-
-// parseRecords consumes complete records from the in-order stream buffer,
-// returning the remaining bytes.
-func parseRecords(buf []byte, emit func(record)) []byte {
-	for {
-		if len(buf) < 4 {
-			return buf
-		}
-		total := int(binary.BigEndian.Uint32(buf))
-		if total < recordHdrSize {
-			// Corrupt framing: drop the stream content (connection would
-			// reset in production; the simulation re-frames on retransmit).
-			return nil
-		}
-		if len(buf) < total {
-			return buf
-		}
-		var rec record
-		if err := rec.rpc.Decode(buf[4:]); err != nil {
-			return nil
-		}
-		if err := rec.ebs.Decode(buf[4+wire.RPCSize:]); err != nil {
-			return nil
-		}
-		rec.payload = append([]byte(nil), buf[recordHdrSize:total]...)
-		emit(rec)
-		buf = buf[total:]
-	}
 }
 
 var _ transport.Stack = (*Stack)(nil)

@@ -7,6 +7,7 @@
 // receive-side materialisation — from replication and store costs. NewBNRig
 // is its backend-network twin: an RDMA client into a chunk-server service,
 // the half of a write that runs three times per I/O under every FN stack.
+// NewLunaRig is the FN half of the host-side stacks: tcpstack into tcpstack.
 //
 // The harness deliberately allocates nothing per write in steady state:
 // the request message, payload buffer and completion callback are all owned
@@ -25,6 +26,7 @@ import (
 	"lunasolar/internal/rdma"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/simnet"
+	"lunasolar/internal/tcpstack"
 	"lunasolar/internal/transport"
 	"lunasolar/internal/wire"
 )
@@ -61,11 +63,24 @@ func NewRig(seed int64) *Rig {
 	cp.Mode = core.Offloaded
 	client := core.New(eng, fab.Host(0, 0, 0, 0), card.CPU, card, cp)
 	server := core.New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "storage-cpu", 16), nil, core.ServerParams())
-	server.SetHandler(func(src uint32, req *transport.Message, reply func(*transport.Response)) {
-		reply(&emptyResp)
-	})
+	server.SetHandler(ackAtOnce)
 
 	return newRig(eng, fab, client, server.LocalAddr(), 4096)
+}
+
+// NewLunaRig builds the same write path over tcpstack — the host-side FN
+// stack, Luna or the kernel baseline depending on params — into a server
+// whose handler acknowledges immediately.
+func NewLunaRig(seed int64, params tcpstack.Params) *Rig {
+	eng, fab := newFabric(seed)
+	client := tcpstack.New(eng, fab.Host(0, 0, 0, 0), sim.NewServer(eng, "client-cpu", 4), nil, params)
+	server := tcpstack.New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "server-cpu", 16), nil, params)
+	server.SetHandler(ackAtOnce)
+	return newRig(eng, fab, client, server.LocalAddr(), 4096)
+}
+
+func ackAtOnce(src uint32, req *transport.Message, reply func(*transport.Response)) {
+	reply(&emptyResp)
 }
 
 // NewBNRig builds the backend-network write path: an RDMA client on one

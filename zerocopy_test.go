@@ -3,6 +3,9 @@ package lunasolar
 import (
 	"testing"
 
+	"lunasolar/ebs"
+	"lunasolar/internal/tcpstack"
+	"lunasolar/internal/wire"
 	"lunasolar/internal/writebench"
 )
 
@@ -74,5 +77,54 @@ func TestBNWritePath4KSteadyState(t *testing.T) {
 	}
 	if allocs > 8 {
 		t.Errorf("BN write path: %.1f heap allocs/op in steady state, want <= 8", allocs)
+	}
+}
+
+// TestLunaPath4KSteadyState is the gate for the FN stack that runs on the
+// host — tcpstack, under Luna's preset and the kernel baseline's — from a
+// client into a server that acknowledges at once. In steady state a 4 KiB
+// write makes no pool miss and at most four heap allocations (what remains
+// is the request record's payload, which the receiver materialises, and
+// the response envelope); each stream byte — the block and two record
+// headers — is gathered into a frame exactly once; and the event count,
+// which fixes the simulated timeline, stays what it was before the
+// stack's per-packet closures became pooled records.
+func TestLunaPath4KSteadyState(t *testing.T) {
+	for _, tc := range []struct {
+		params tcpstack.Params
+		events float64
+	}{
+		{ebs.LunaStackParams(), 122},
+		{ebs.KernelStackParams(), 160},
+	} {
+		t.Run(tc.params.StackName, func(t *testing.T) {
+			const ops = 50
+			r := writebench.NewLunaRig(1, tc.params)
+			for i := 0; i < 64; i++ {
+				r.WriteOne()
+			}
+			start := r.Snapshot()
+			for i := 0; i < ops; i++ {
+				r.WriteOne()
+			}
+			d := r.Snapshot().Delta(start)
+			allocs := testing.AllocsPerRun(100, r.WriteOne)
+			if err := r.Check(); err != nil {
+				t.Fatal(err)
+			}
+
+			if d.PoolMisses != 0 {
+				t.Errorf("%d pool misses over %d steady-state ops, want 0", d.PoolMisses, ops)
+			}
+			if allocs > 4 {
+				t.Errorf("%.1f heap allocs/op in steady state, want <= 4", allocs)
+			}
+			if got, want := d.CopiedBytes, uint64(ops*(wire.BlockSize+2*wire.RecordHeaderSize)); got != want {
+				t.Errorf("%d bytes gathered over %d ops, want %d: each stream byte once", got, ops, want)
+			}
+			if got := float64(d.Events) / ops; got != tc.events {
+				t.Errorf("%.2f events/op, want %.0f", got, tc.events)
+			}
+		})
 	}
 }
