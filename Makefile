@@ -69,15 +69,15 @@ fuzz-smoke:
 
 # One quick experiment benchmark, the raw event-loop benchmark, the
 # 4 KiB write path (the Solar FN half, its RDMA-into-chunk-server BN
-# twin and the Luna tcpstack FN half), the coupled storm at four window
-# workers, the hybrid
+# twin and the Luna tcpstack FN half), the Solar 4 KiB read path, the
+# coupled storm at four window workers, the hybrid
 # diurnal campaign, and the CDF lookup benchmark guarding the sort.Search
 # fix: enough to verify the events/sec, sim-µs/wall-ms, copies/op and
 # allocs/op metrics still report. The quick fig6 run exports the merged
 # observability registry (CI publishes METRICS.json) and doubles as its
 # schema smoke test.
 bench-smoke:
-	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K|BNWrite4K|LunaWrite4K|Coupled4|DiurnalHybrid' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K|ReadPath4K|BNWrite4K|LunaWrite4K|Coupled4|DiurnalHybrid' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'CDFAt' -benchtime 1x -benchmem ./internal/stats
 	$(GO) run ./cmd/ebsbench -exp fig6 -quick -workers 1 -metrics-out METRICS.json > /dev/null
 	grep -q '"schema": "lunasolar.metrics/v1"' METRICS.json

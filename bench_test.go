@@ -157,6 +157,30 @@ func BenchmarkWritePath4K(b *testing.B) {
 	}
 }
 
+// BenchmarkReadPath4K is the read twin of BenchmarkWritePath4K: one 4 KiB
+// Solar read from a server that answers at once. allocs/op here is what
+// TestReadPath4KSteadyState gates.
+func BenchmarkReadPath4K(b *testing.B) {
+	r := writebench.NewRig(1)
+	for i := 0; i < 64; i++ {
+		r.ReadOne()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := r.Snapshot()
+	for i := 0; i < b.N; i++ {
+		r.ReadOne()
+	}
+	b.StopTimer()
+	d := r.Snapshot().Delta(start)
+	b.ReportMetric(float64(d.Copies)/float64(b.N), "copies/op")
+	b.ReportMetric(float64(d.Events)/float64(b.N), "events/op")
+	b.SetBytes(4096)
+	if err := r.Check(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkBNWrite4K is the backend twin of BenchmarkWritePath4K: one 4 KiB
 // replica write, RDMA client → RDMA endpoint → chunk-server service and
 // store, over 1 024 LBAs that have all been written once. allocs/op here is

@@ -55,6 +55,26 @@ func TestEmptyIOCompletesWithError(t *testing.T) {
 	}
 }
 
+// TestOversizedSolarReadFails: a Solar read needing more Addr-table entries
+// than the DPU holds completes once with an error instead of hanging, and a
+// read that fits still completes after it.
+func TestOversizedSolarReadFails(t *testing.T) {
+	cfg := smallConfig(Solar)
+	cfg.DPU.MaxAddrEntries = 8
+	c := New(cfg)
+	vd := c.MustProvision(0, 64<<20, DefaultQoS())
+	var big, small []IOResult
+	vd.Read(0, 64<<10, func(res IOResult) { big = append(big, res) })
+	vd.Read(0, 4096, func(res IOResult) { small = append(small, res) })
+	c.Run()
+	if len(big) != 1 || big[0].Err == nil {
+		t.Fatalf("64 KiB read with 8 Addr entries: %d completions, want 1 with an error", len(big))
+	}
+	if len(small) != 1 || small[0].Err != nil {
+		t.Fatalf("4 KiB read after it: %d completions, want 1 without error", len(small))
+	}
+}
+
 func TestWriteReadAllStacks(t *testing.T) {
 	for _, fn := range []StackKind{KernelTCP, Luna, RDMA, Solar, SolarStar} {
 		fn := fn

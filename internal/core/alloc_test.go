@@ -49,7 +49,7 @@ var emptyResp transport.Response
 
 // TestWritePathAllocsPerPacketBounded measures the full Solar write data
 // path (16 blocks + 16 acks per RPC) in steady state. Per-RPC bookkeeping
-// (the outstanding-write record, map inserts) is allowed to allocate; the
+// (the RPC record, map inserts) is allowed to allocate; the
 // per-packet cost must stay near zero, so the amortized figure per packet is
 // required to be below one object.
 func TestWritePathAllocsPerPacketBounded(t *testing.T) {

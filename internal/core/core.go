@@ -159,8 +159,7 @@ type Stack struct {
 	freeCommits   *sim.Pool[commitJob]
 	freeAckJobs   *sim.Pool[ackJob]
 
-	writes map[uint64]*outWrite
-	reads  map[uint64]*outRead
+	rpcs   map[uint64]*rpc        // client RPCs in flight, by RPC ID
 	serves map[serveKey]*outServe // read responses we are sourcing
 	out    map[outKey]*outPkt     // every unacknowledged packet, by peer+ids
 
@@ -211,8 +210,7 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, card *dpu.DPU, p
 		params:     params,
 		peers:      map[uint32]*peer{},
 		ciphers:    map[uint32]*seccrypto.BlockCipher{},
-		writes:     map[uint64]*outWrite{},
-		reads:      map[uint64]*outRead{},
+		rpcs:       map[uint64]*rpc{},
 		serves:     map[serveKey]*outServe{},
 		out:        map[outKey]*outPkt{},
 		addrCap:    addrCap,

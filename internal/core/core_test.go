@@ -8,6 +8,7 @@ import (
 	"lunasolar/internal/dpu"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/simnet"
+	"lunasolar/internal/trace"
 	"lunasolar/internal/transport"
 	"lunasolar/internal/wire"
 )
@@ -413,6 +414,65 @@ func TestAddrTableBackpressure(t *testing.T) {
 	}
 }
 
+// TestOversizedReadFailsAtOnce: a read needing more Addr-table entries than
+// the table holds can never be admitted. It must fail with ErrAdmission
+// instead of queueing forever, and must not wedge the reads behind it.
+func TestOversizedReadFailsAtOnce(t *testing.T) {
+	r := newRig(t, dpu.FaultRates{}, Offloaded)
+	r.client.addrCap = 8
+	var big, small []*transport.Response
+	r.client.Call(r.server.LocalAddr(),
+		&transport.Message{Op: wire.RPCReadReq, LBA: 0, ReadLen: 64 << 10},
+		func(resp *transport.Response) { big = append(big, resp) })
+	r.client.Call(r.server.LocalAddr(),
+		&transport.Message{Op: wire.RPCReadReq, LBA: 0, ReadLen: 4096},
+		func(resp *transport.Response) { small = append(small, resp) })
+	r.eng.RunFor(time.Second)
+	if len(big) != 1 || big[0].Err != transport.ErrAdmission {
+		t.Fatalf("16-block read with 8 entries: %d completions, want 1 with ErrAdmission", len(big))
+	}
+	if len(small) != 1 || small[0].Err != nil || len(small[0].Data) != 4096 {
+		t.Fatalf("1-block read behind it: %d completions, want 1 with data", len(small))
+	}
+	if len(r.client.addrQueue) != 0 || r.client.AddrTableInUse() != 0 {
+		t.Fatalf("addr table: %d queued, %d in use", len(r.client.addrQueue), r.client.AddrTableInUse())
+	}
+}
+
+// TestAdmissionWaitRecorded: every read that waited for Addr-table entries
+// leaves one flight-recorder event naming its RPC and its wait, and the
+// waits add up to the AdmissionWait counter.
+func TestAdmissionWaitRecorded(t *testing.T) {
+	r := newRig(t, dpu.FaultRates{}, Offloaded)
+	r.client.addrCap = 4
+	r.client.SetRecorder(trace.NewRecorder(64))
+	const n = 4 // four blocks each: one fills the table, three wait
+	ids := map[uint64]bool{}
+	for i := 0; i < n; i++ {
+		r.client.Call(r.server.LocalAddr(),
+			&transport.Message{Op: wire.RPCReadReq, LBA: 0, ReadLen: 16 << 10},
+			func(*transport.Response) {})
+	}
+	r.eng.Run()
+	var waits time.Duration
+	for _, ev := range r.client.Recorder().Events() {
+		if ev.Kind != trace.EvAdmissionWait {
+			continue
+		}
+		if ev.Arg1 == 0 || ids[ev.Arg1] || ev.Arg2 == 0 {
+			t.Fatalf("bad admission-wait event %+v", ev)
+		}
+		ids[ev.Arg1] = true
+		waits += time.Duration(ev.Arg2)
+	}
+	if len(ids) != n-1 {
+		t.Fatalf("%d admission-wait events, want %d", len(ids), n-1)
+	}
+	if waits != r.client.AdmissionWait {
+		t.Fatalf("recorded waits sum to %v, AdmissionWait is %v", waits, r.client.AdmissionWait)
+	}
+}
+
 func TestNoConnectionStateAccumulates(t *testing.T) {
 	// After traffic drains, the stack should hold no per-packet state —
 	// the "few maintained states" property.
@@ -428,9 +488,8 @@ func TestNoConnectionStateAccumulates(t *testing.T) {
 			})
 	}
 	r.eng.Run()
-	if len(r.client.out) != 0 || len(r.client.writes) != 0 || len(r.client.reads) != 0 {
-		t.Fatalf("residual state: out=%d writes=%d reads=%d",
-			len(r.client.out), len(r.client.writes), len(r.client.reads))
+	if len(r.client.out) != 0 || len(r.client.rpcs) != 0 {
+		t.Fatalf("residual state: out=%d rpcs=%d", len(r.client.out), len(r.client.rpcs))
 	}
 	if len(r.server.out) != 0 || len(r.server.serves) != 0 {
 		t.Fatalf("server residual state: out=%d serves=%d",

@@ -14,38 +14,52 @@ import (
 // (response blocks use 0..n-1).
 const readReqPktID = 0xffff
 
-// outWrite tracks one WRITE RPC: every block is an independent packet; the
-// RPC completes when each block has its durable ACK.
-type outWrite struct {
-	id     uint64
-	dst    uint32
+// rpc is one client RPC, from Call to its one completion. Every step of it
+// is a function of this record: the issue charge (rpcIssue), Addr-table
+// admission (admitRead), per-block progress (runAck, commitReadBlock), the
+// done charge (complete, rpcDone) and the read integrity re-issue. The
+// first block's entries are inline, so a one-block RPC allocates only the
+// record. It is not pooled: done receives &r.resp, which the caller may
+// keep.
+type rpc struct {
+	s    *Stack
+	id   uint64
+	dst  uint32
+	op   uint8 // wire.RPCWriteReq or wire.RPCReadReq
+	n    int   // blocks
+	got  int   // blocks acknowledged (WRITE) or received (READ)
+	req  *transport.Message
+	done func(*transport.Response)
+	agg  crc.Aggregator
+	// resp is what done receives; its ServerWall/SSDTime accumulate the
+	// distributed-trace maxima over blocks.
+	resp transport.Response
+
+	// WRITE: every block is an independent packet; the RPC completes when
+	// each block has its durable ACK.
 	blocks [][]byte // original (trusted) payloads
 	pkts   []*outPkt
 	// slabs holds payload-slab references the RPC itself must keep alive —
 	// ciphertext slabs whose packet switched to a corruption-scratch slab —
 	// released when the write completes. Empty on the fault-free path.
 	slabs []*simnet.Slab
-	acked int
-	agg   crc.Aggregator
-	done  func(*transport.Response)
 
-	serverWall, ssdTime time.Duration // distributed-trace maxima over blocks
-}
-
-// outRead tracks one READ RPC: the request packet plus the expected
-// response blocks (Fig. 13's Addr table entries).
-type outRead struct {
-	id       uint64
-	dst      uint32
-	msg      *transport.Message
-	total    int
+	// READ: the expected response blocks (Fig. 13's Addr table entries).
 	received []bool
 	buf      []byte
-	agg      crc.Aggregator
-	got      int
-	done     func(*transport.Response)
 
-	serverWall, ssdTime time.Duration
+	block1 [1][]byte
+	pkt1   [1]*outPkt
+	recv1  [1]bool
+}
+
+// inline returns the record's one-entry array as an empty slice when n
+// blocks fit it, and a fresh slice of capacity n otherwise.
+func inline[T any](one *[1]T, n int) []T {
+	if n <= 1 {
+		return one[:0]
+	}
+	return make([]T, 0, n)
 }
 
 // outServe tracks the response blocks this endpoint is sourcing for a
@@ -56,145 +70,213 @@ type outServe struct {
 	unacked int
 }
 
-// Call implements transport.Client.
+// Call implements transport.Client. A write takes its RPC ID at once; a
+// read takes one when the Addr table admits it. A read that needs more
+// entries than the table holds fails at once: FIFO admission would queue it
+// forever, and every later read behind it.
 func (s *Stack) Call(dst uint32, req *transport.Message, done func(*transport.Response)) {
-	switch req.Op {
-	case wire.RPCWriteReq:
-		s.callWrite(dst, req, done)
-	case wire.RPCReadReq:
-		s.callRead(dst, req, done)
+	r := &rpc{s: s, op: req.Op, dst: dst, req: req, done: done, n: splitBlocks(req.ReadLen)}
+	switch {
+	case req.Op == wire.RPCWriteReq:
+		r.n = splitBlocks(len(req.Data))
+		s.issue(r)
+	case req.Op != wire.RPCReadReq || r.n > s.addrCap:
+		r.resp.Err = transport.ErrAdmission
+		done(&r.resp)
+	case r.n <= 0:
+		done(&r.resp)
 	default:
-		done(&transport.Response{Err: transport.ErrAdmission})
+		r.received = inline(&r.recv1, r.n)[:r.n]
+		r.buf = make([]byte, req.ReadLen)
+		s.admitRead(r)
 	}
 }
 
 func splitBlocks(n int) int { return (n + wire.BlockSize - 1) / wire.BlockSize }
 
-// --- WRITE path -------------------------------------------------------------
+// issue gives r a fresh RPC ID and charges the issue CPU; rpcIssue then
+// puts its packets on the wire.
+func (s *Stack) issue(r *rpc) {
+	r.id = s.ids.Next()
+	s.rpcs[r.id] = r
+	s.cores.SubmitArg(s.params.PerRPCIssueCPU, rpcIssue, r)
+}
 
-func (s *Stack) callWrite(dst uint32, req *transport.Message, done func(*transport.Response)) {
-	id := s.ids.Next()
-	n := splitBlocks(len(req.Data))
-	w := &outWrite{id: id, dst: dst, done: done}
-	s.writes[id] = w
-
-	issueCPU := s.params.PerRPCIssueCPU
-	s.cores.Submit(issueCPU, func() {
-		pe := s.peerFor(dst)
-		// One-touch CRC metadata from SA ingress: valid only when it covers
-		// exactly the bytes we transmit (no SEC re-encryption here). The
-		// values feed both the trusted aggregate and the engine's cached
-		// input.
-		carried := req.BlockCRCs
-		if len(carried) != n || s.params.Encrypted {
-			carried = nil
+// rpcIssue runs after the issue charge: a READ sends its request packet; a
+// WRITE becomes one packet per block, folds the software CRC aggregate,
+// rebuilds from the trusted buffers any block the engine disagrees with,
+// and sends them all.
+func rpcIssue(a any) {
+	r := a.(*rpc)
+	s, req, n := r.s, r.req, r.n
+	pe := s.peerFor(r.dst)
+	if r.op == wire.RPCReadReq {
+		e := s.newOutPkt()
+		e.key = pktKey{rpcID: r.id, pktID: readReqPktID}
+		e.msgType = wire.RPCReadReq
+		e.ebs = wire.EBS{
+			Version: wire.EBSVersion, Op: wire.OpRead, Flags: req.Flags,
+			VDisk: req.VDisk, SegmentID: req.SegmentID,
+			LBA: req.LBA, Gen: req.Gen, BlockLen: uint32(req.ReadLen),
 		}
-		// Unencrypted blocks ride the caller's buffer by reference; ioSlab
-		// is the shared refcount for all of them.
-		var ioSlab *simnet.Slab
-		if req.Payload != nil {
-			ioSlab = req.Payload.Retain()
+		e.size = wire.RPCSize + wire.EBSSize
+		s.sendPkt(pe, e)
+		return
+	}
+	r.blocks, r.pkts = inline(&r.block1, n), inline(&r.pkt1, n)
+	// One-touch CRC metadata from SA ingress: valid only when it covers
+	// exactly the bytes we transmit (no SEC re-encryption here). The values
+	// feed both the trusted aggregate and the engine's cached input.
+	carried := req.BlockCRCs
+	if len(carried) != n || s.params.Encrypted {
+		carried = nil
+	}
+	// Unencrypted blocks ride the caller's buffer by reference; ioSlab is
+	// the shared refcount for all of them.
+	var ioSlab *simnet.Slab
+	if req.Payload != nil {
+		ioSlab = req.Payload.Retain()
+	} else {
+		ioSlab = s.pool.WrapSlab(req.Data)
+	}
+	for i := 0; i < n; i++ {
+		lo := i * wire.BlockSize
+		hi := min(lo+wire.BlockSize, len(req.Data))
+		orig := req.Data[lo:hi]
+		var paySlab *simnet.Slab // one owned reference to place
+		if s.params.Encrypted {
+			if c := s.ciphers[req.VDisk]; c != nil {
+				// SEC engine: the trusted payload becomes the ciphertext;
+				// CRCs (wire and aggregate) cover it.
+				paySlab = s.pool.GetSlab(len(orig))
+				enc := paySlab.Bytes()
+				c.EncryptBlock(enc, orig, req.SegmentID, req.LBA+uint64(lo), 0)
+				orig = enc
+			}
+		}
+		if paySlab == nil {
+			paySlab = ioSlab.Retain()
+		}
+		r.blocks = append(r.blocks, orig)
+
+		carriedSum, haveCarried := uint32(0), false
+		if carried != nil {
+			carriedSum, haveCarried = carried[i], true
+		}
+
+		e := s.newOutPkt()
+		// What streams through the FPGA is the trusted buffer itself; a
+		// datapath fault materialises a private scratch copy instead of
+		// corrupting it (see txCRC).
+		tx := orig
+		sum, corrupted := s.txCRC(tx, carriedSum, haveCarried)
+		if corrupted != nil {
+			tx = corrupted
+			e.slab = s.crcScratchSlab
+			s.crcScratchSlab = nil
+			// The trusted bytes must outlive the packet: the RPC adopts the
+			// displaced payload reference.
+			r.slabs = append(r.slabs, paySlab)
 		} else {
-			ioSlab = s.pool.WrapSlab(req.Data)
+			e.slab = paySlab
 		}
-		for i := 0; i < n; i++ {
-			lo := i * wire.BlockSize
-			hi := lo + wire.BlockSize
-			if hi > len(req.Data) {
-				hi = len(req.Data)
-			}
-			orig := req.Data[lo:hi]
-			var paySlab *simnet.Slab // one owned reference to place
-			if s.params.Encrypted {
-				if c := s.ciphers[req.VDisk]; c != nil {
-					// SEC engine: the trusted payload becomes the
-					// ciphertext; CRCs (wire and aggregate) cover it.
-					paySlab = s.pool.GetSlab(len(orig))
-					enc := paySlab.Bytes()
-					c.EncryptBlock(enc, orig, req.SegmentID, req.LBA+uint64(lo), 0)
-					orig = enc
-				}
-			}
-			if paySlab == nil {
-				paySlab = ioSlab.Retain()
-			}
-			w.blocks = append(w.blocks, orig)
 
-			carriedSum, haveCarried := uint32(0), false
-			if carried != nil {
-				carriedSum, haveCarried = carried[i], true
-			}
-
-			e := s.newOutPkt()
-			// What streams through the FPGA is the trusted buffer itself; a
-			// datapath fault materialises a private scratch copy instead of
-			// corrupting it (see txCRC).
-			tx := orig
-			sum, corrupted := s.txCRC(tx, carriedSum, haveCarried)
-			if corrupted != nil {
-				tx = corrupted
-				e.slab = s.crcScratchSlab
-				s.crcScratchSlab = nil
-				// The trusted bytes must outlive the packet: the RPC
-				// adopts the displaced payload reference.
-				w.slabs = append(w.slabs, paySlab)
-			} else {
-				e.slab = paySlab
-			}
-
-			// Software CRC aggregation: the CPU folds the trusted per-block
-			// value (the carried one-touch CRC, or one XOR-accumulate pass
-			// over guest memory) and the engine-reported value.
-			if haveCarried {
-				w.agg.AddExpected(carriedSum)
-			} else {
-				w.agg.AddExpected(crc.Raw(orig))
-			}
-			w.agg.AddBlockCRC(sum)
-
-			flags := req.Flags
-			if i == n-1 {
-				flags |= wire.EBSFlagLastBlock
-			}
-			e.key = pktKey{rpcID: id, pktID: uint16(i)}
-			e.msgType = wire.RPCWriteReq
-			e.ebs = wire.EBS{
-				Version: wire.EBSVersion, Op: wire.OpWrite, Flags: flags,
-				VDisk: req.VDisk, SegmentID: req.SegmentID,
-				LBA: req.LBA + uint64(lo), Gen: req.Gen,
-				BlockLen: uint32(hi - lo), BlockCRC: sum,
-			}
-			e.payload = tx
-			e.size = wire.RPCSize + wire.EBSSize + len(tx)
-			w.pkts = append(w.pkts, e)
+		// Software CRC aggregation: the CPU folds the trusted per-block
+		// value (the carried one-touch CRC, or one XOR-accumulate pass over
+		// guest memory) and the engine-reported value.
+		if haveCarried {
+			r.agg.AddExpected(carriedSum)
+		} else {
+			r.agg.AddExpected(crc.Raw(orig))
 		}
-		ioSlab.Release()
+		r.agg.AddBlockCRC(sum)
 
-		// Software integrity pass: one XOR-accumulate per block (or a full
-		// CRC per block when so configured — the ablation knob).
-		s.cores.Submit(s.aggCost(n), nil)
+		flags := req.Flags
+		if i == n-1 {
+			flags |= wire.EBSFlagLastBlock
+		}
+		e.key = pktKey{rpcID: r.id, pktID: uint16(i)}
+		e.msgType = wire.RPCWriteReq
+		e.ebs = wire.EBS{
+			Version: wire.EBSVersion, Op: wire.OpWrite, Flags: flags,
+			VDisk: req.VDisk, SegmentID: req.SegmentID,
+			LBA: req.LBA + uint64(lo), Gen: req.Gen,
+			BlockLen: uint32(hi - lo), BlockCRC: sum,
+		}
+		e.payload = tx
+		e.size = wire.RPCSize + wire.EBSSize + len(tx)
+		r.pkts = append(r.pkts, e)
+	}
+	ioSlab.Release()
 
-		// Aggregation check before the blocks hit the wire: a mismatch
-		// means the FPGA corrupted data or CRCs; rebuild the affected
-		// blocks in software (full CRC cost) from the trusted buffers.
-		if !w.agg.Verify() {
+	// Software integrity pass: one XOR-accumulate per block (or a full CRC
+	// per block when so configured — the ablation knob).
+	s.cores.Submit(s.aggCost(n), nil)
+
+	// Aggregation check before the blocks hit the wire: a mismatch means
+	// the FPGA corrupted data or CRCs; rebuild the affected blocks in
+	// software (full CRC cost) from the trusted buffers.
+	if !r.agg.Verify() {
+		s.IntegrityHits++
+		s.rec.Record(s.eng.Now().Duration(), trace.EvIntegrityHit, r.id, 0)
+		var fixCPU time.Duration
+		for i, e := range r.pkts {
+			trusted := crc.Raw(r.blocks[i])
+			if crc.Raw(e.payload) != trusted || e.ebs.BlockCRC != trusted {
+				copy(e.payload, r.blocks[i]) // same length: tx was copied from this block
+				e.ebs.BlockCRC = trusted
+				fixCPU += s.params.SoftCRCPer4K
+			}
+		}
+		s.cores.Submit(fixCPU, nil)
+	}
+	for _, e := range r.pkts {
+		s.sendPkt(pe, e)
+	}
+}
+
+// complete is the one place an RPC ends — a write fully acknowledged, a
+// write or read rejected by its server, a read fully received: r leaves
+// the RPC table, a write's adopted slabs are released, and the done charge
+// (plus the aggregate fold for a received read) runs before rpcDone.
+//
+//lint:hotpath
+func (s *Stack) complete(r *rpc, err error) {
+	delete(s.rpcs, r.id)
+	for _, sl := range r.slabs {
+		sl.Release()
+	}
+	r.slabs = nil
+	cost := s.params.PerRPCDoneCPU
+	if err != nil {
+		r.resp = transport.Response{Err: err}
+	} else if r.op == wire.RPCReadReq {
+		cost += s.aggCost(r.n)
+	}
+	s.cores.SubmitArg(cost, rpcDone, r)
+}
+
+// rpcDone verifies a received read's aggregate — a mismatch means the FPGA
+// corrupted at least one block on its way to guest memory, so the read is
+// re-issued with fresh Addr entries and a fresh RPC ID — and otherwise calls
+// done.
+//
+//lint:hotpath
+func rpcDone(a any) {
+	r := a.(*rpc)
+	if r.op == wire.RPCReadReq && r.resp.Err == nil {
+		if !r.agg.Verify() {
+			s := r.s
 			s.IntegrityHits++
-			s.rec.Record(s.eng.Now().Duration(), trace.EvIntegrityHit, id, 0)
-			var fixCPU time.Duration
-			for i, e := range w.pkts {
-				trusted := crc.Raw(w.blocks[i])
-				if crc.Raw(e.payload) != trusted || e.ebs.BlockCRC != trusted {
-					copy(e.payload, w.blocks[i]) // same length: tx was copied from this block
-					e.ebs.BlockCRC = trusted
-					fixCPU += s.params.SoftCRCPer4K
-				}
-			}
-			s.cores.Submit(fixCPU, nil)
+			s.rec.Record(s.eng.Now().Duration(), trace.EvIntegrityHit, r.id, 0)
+			r.agg, r.resp, r.got = crc.Aggregator{}, transport.Response{}, 0
+			clear(r.received)
+			s.admitRead(r)
+			return
 		}
-		for _, e := range w.pkts {
-			s.sendPkt(pe, e)
-		}
-	})
+		r.resp.Data = r.buf
+	}
+	r.done(&r.resp)
 }
 
 // txCRC runs the outbound CRC stage for one block. carried/haveCarried is
@@ -216,60 +298,30 @@ func (s *Stack) txCRC(tx []byte, carried uint32, haveCarried bool) (uint32, []by
 	return crc.Raw(tx), nil
 }
 
-// --- READ path --------------------------------------------------------------
+// --- READ admission ---------------------------------------------------------
 
-func (s *Stack) callRead(dst uint32, req *transport.Message, done func(*transport.Response)) {
-	n := splitBlocks(req.ReadLen)
-	if n == 0 {
-		done(&transport.Response{})
+// admitRead issues r once the Addr table has an entry for each of its
+// blocks; reads queue in FIFO order when it is full.
+func (s *Stack) admitRead(r *rpc) {
+	if len(s.addrQueue) == 0 && s.addrInUse+r.n <= s.addrCap {
+		s.addrInUse += r.n
+		s.issue(r)
 		return
 	}
-	// Addr-table admission: each expected block needs an entry.
-	s.admitRead(n, func() { s.issueRead(dst, req, n, done) })
-}
-
-func (s *Stack) admitRead(n int, issue func()) {
-	if len(s.addrQueue) == 0 && s.addrInUse+n <= s.addrCap {
-		s.addrInUse += n
-		issue()
-		return
-	}
-	s.addrQueue = append(s.addrQueue, addrWaiter{n: n, issue: issue, since: s.eng.Now()})
+	s.addrQueue = append(s.addrQueue, addrWaiter{r: r, since: s.eng.Now()})
 }
 
 func (s *Stack) releaseAddr(n int) {
 	s.addrInUse -= n
-	for len(s.addrQueue) > 0 && s.addrInUse+s.addrQueue[0].n <= s.addrCap {
+	for len(s.addrQueue) > 0 && s.addrInUse+s.addrQueue[0].r.n <= s.addrCap {
 		w := s.addrQueue[0]
 		s.addrQueue = s.addrQueue[1:]
-		s.addrInUse += w.n
-		s.AdmissionWait += s.eng.Now().Sub(w.since)
-		w.issue()
+		s.addrInUse += w.r.n
+		wait := s.eng.Now().Sub(w.since)
+		s.AdmissionWait += wait
+		s.issue(w.r)
+		s.rec.Record(s.eng.Now().Duration(), trace.EvAdmissionWait, w.r.id, uint64(wait))
 	}
-}
-
-func (s *Stack) issueRead(dst uint32, req *transport.Message, n int, done func(*transport.Response)) {
-	id := s.ids.Next()
-	r := &outRead{
-		id: id, dst: dst, msg: req, total: n,
-		received: make([]bool, n),
-		buf:      make([]byte, req.ReadLen),
-		done:     done,
-	}
-	s.reads[id] = r
-	s.cores.Submit(s.params.PerRPCIssueCPU, func() {
-		pe := s.peerFor(dst)
-		e := s.newOutPkt()
-		e.key = pktKey{rpcID: id, pktID: readReqPktID}
-		e.msgType = wire.RPCReadReq
-		e.ebs = wire.EBS{
-			Version: wire.EBSVersion, Op: wire.OpRead, Flags: req.Flags,
-			VDisk: req.VDisk, SegmentID: req.SegmentID,
-			LBA: req.LBA, Gen: req.Gen, BlockLen: uint32(req.ReadLen),
-		}
-		e.size = wire.RPCSize + wire.EBSSize
-		s.sendPkt(pe, e)
-	})
 }
 
 // --- packet transmission ----------------------------------------------------
@@ -304,11 +356,7 @@ func (s *Stack) transmitOn(pe *peer, p *path, e *outPkt) {
 	e.path = p
 	p.seq++
 	e.pathSeq = p.seq
-	e.sentAck = p.ackCount
 	e.sentAt = s.eng.Now()
-	if e.firstSend == 0 {
-		e.firstSend = e.sentAt
-	}
 	p.inflightBytes += e.size
 	p.outstanding = append(p.outstanding, outRef{e: e, gen: e.gen})
 	p.sent++
@@ -346,7 +394,7 @@ func (s *Stack) transmitOn(pe *peer, p *path, e *outPkt) {
 func (s *Stack) buildWire(e *outPkt, pathID uint16) *simnet.Packet {
 	rpc := wire.RPC{
 		RPCID: e.key.rpcID, PktID: e.key.pktID,
-		NumPkts: 1, MsgType: e.msgType, Flags: e.flags,
+		NumPkts: 1, MsgType: e.msgType,
 	}
 	pkt := s.pool.Get(wire.HeadersSize)
 	if err := wire.EncodeHeaders(pkt.Payload, &rpc, &e.ebs); err != nil {

@@ -30,7 +30,6 @@ type path struct {
 
 	inflightBytes int
 	consecTO      int
-	ackCount      uint64
 	lastAckAt     sim.Time // for idle-path probing
 	seq           uint64   // per-path transmission sequence
 	maxAckedSeq   uint64   // highest pathSeq acknowledged
@@ -58,7 +57,6 @@ type outPkt struct {
 	key     pktKey
 	msgType uint8
 	pathSeq uint64 // per-path send sequence, for OOO loss detection
-	flags   uint8  // EBS flags
 	ebs     wire.EBS
 	payload []byte
 	size    int // wire payload size (headers + data)
@@ -68,15 +66,13 @@ type outPkt struct {
 	// recycled. Nil on header-only packets (read requests, rejects).
 	slab *simnet.Slab
 
-	owner     *Stack
-	pe        *peer
-	path      *path
-	retx      transport.Retransmitter // per-packet RTO; Consecutive() doubles as the retry count
-	gen       uint32                  // bumped on recycle; validates outRefs
-	sentAck   uint64                  // path.ackCount at (re)send, for OOO loss detection
-	sentAt    sim.Time
-	acked     bool
-	firstSend sim.Time
+	owner  *Stack
+	pe     *peer
+	path   *path
+	retx   transport.Retransmitter // per-packet RTO; Consecutive() doubles as the retry count
+	gen    uint32                  // bumped on recycle; validates outRefs
+	sentAt sim.Time
+	acked  bool
 }
 
 type pktKey struct {
@@ -98,8 +94,7 @@ type outKey struct {
 
 // addrWaiter is a read waiting for Addr-table capacity.
 type addrWaiter struct {
-	n     int
-	issue func()
+	r     *rpc
 	since sim.Time
 }
 
@@ -171,7 +166,6 @@ func (p *path) observe(rtt time.Duration, fb cc.Feedback) {
 		p.ewma = (7*p.ewma + rtt) / 8
 	}
 	p.consecTO = 0
-	p.ackCount++
 	p.acked++
 	p.ctrl.OnAck(fb)
 }

@@ -224,10 +224,7 @@ func (s *Stack) serveReadBlocks(key serveKey, req *transport.Message, resp *tran
 	}
 	for i := 0; i < n; i++ {
 		lo := i * wire.BlockSize
-		hi := lo + wire.BlockSize
-		if hi > len(data) {
-			hi = len(data)
-		}
+		hi := min(lo+wire.BlockSize, len(data))
 		block := data[lo:hi]
 		var sum uint32
 		if carried != nil {
@@ -279,22 +276,19 @@ func (s *Stack) handleReadBlock(pkt *simnet.Packet, rpc wire.RPC, rest []byte) {
 	if int(ebs.BlockLen) <= len(payload) {
 		payload = payload[:ebs.BlockLen]
 	}
+	r := s.readRPC(rpc.RPCID)
 	if ebs.Flags&wire.EBSFlagReject != 0 {
 		// Server-side ownership rejection: ack the reject (so it stops
 		// retransmitting) and fail the whole read. Duplicate rejects find
 		// the read already gone and just ack.
 		s.sendAck(pkt, rpc.RPCID, rpc.PktID, 0)
-		if r := s.reads[rpc.RPCID]; r != nil {
-			delete(s.reads, r.id)
-			s.releaseAddr(r.total - r.got)
-			s.cores.Submit(s.params.PerRPCDoneCPU, func() {
-				r.done(&transport.Response{Err: transport.ErrNotOwner})
-			})
+		if r != nil {
+			s.releaseAddr(r.n - r.got)
+			s.complete(r, transport.ErrNotOwner)
 		}
 		return
 	}
-	r := s.reads[rpc.RPCID]
-	if r == nil || int(rpc.PktID) >= r.total || r.received[rpc.PktID] {
+	if r == nil || int(rpc.PktID) >= r.n || r.received[rpc.PktID] {
 		// Duplicate or stale: ack so the server stops retransmitting.
 		s.sendAck(pkt, rpc.RPCID, rpc.PktID, 0)
 		return
@@ -313,8 +307,16 @@ func (s *Stack) handleReadBlock(pkt *simnet.Packet, rpc wire.RPC, rest []byte) {
 	}
 }
 
+// readRPC returns the read in flight under id, or nil.
+func (s *Stack) readRPC(id uint64) *rpc {
+	if r := s.rpcs[id]; r != nil && r.op == wire.RPCReadReq {
+		return r
+	}
+	return nil
+}
+
 func (s *Stack) commitReadBlock(pkt *simnet.Packet, rpc wire.RPC, ebs wire.EBS, payload []byte) {
-	r := s.reads[rpc.RPCID]
+	r := s.readRPC(rpc.RPCID)
 	if r == nil || r.received[rpc.PktID] {
 		s.sendAck(pkt, rpc.RPCID, rpc.PktID, 0)
 		return
@@ -343,12 +345,8 @@ func (s *Stack) commitReadBlock(pkt *simnet.Packet, rpc wire.RPC, ebs wire.EBS, 
 	}
 	r.agg.AddExpected(ebs.BlockCRC)
 	r.agg.AddBlockCRC(engineSum)
-	if w := time.Duration(ebs.ServerNS); w > r.serverWall {
-		r.serverWall = w
-	}
-	if d := time.Duration(ebs.SSDNS); d > r.ssdTime {
-		r.ssdTime = d
-	}
+	r.resp.ServerWall = max(r.resp.ServerWall, time.Duration(ebs.ServerNS))
+	r.resp.SSDTime = max(r.resp.SSDTime, time.Duration(ebs.SSDNS))
 
 	// The block's headers and metadata go to the CPU for the integrity
 	// aggregation and congestion update (Fig. 13); the payload does not.
@@ -370,31 +368,14 @@ func (s *Stack) commitReadBlock(pkt *simnet.Packet, rpc wire.RPC, ebs wire.EBS, 
 	s.releaseAddr(1)
 	s.sendAck(pkt, rpc.RPCID, rpc.PktID, 0)
 
-	if r.got == r.total {
-		s.cores.Submit(s.params.PerRPCDoneCPU+s.aggCost(r.total), func() {
-			s.finishRead(r)
-		})
+	if r.got == r.n {
+		s.complete(r, nil)
 	}
 }
 
 // aggCost is the software aggregation cost: one cheap XOR fold per block.
 func (s *Stack) aggCost(blocks int) time.Duration {
 	return time.Duration(int64(s.params.AggXORPer4K) * int64(blocks))
-}
-
-// finishRead verifies the RPC-level aggregate; a mismatch means the FPGA
-// corrupted at least one block on its way to guest memory — the read is
-// reissued (fresh Addr entries, fresh RPC ID).
-func (s *Stack) finishRead(r *outRead) {
-	delete(s.reads, r.id)
-	if r.agg.Verify() {
-		r.done(&transport.Response{Data: r.buf, ServerWall: r.serverWall, SSDTime: r.ssdTime})
-		return
-	}
-	s.IntegrityHits++
-	s.rec.Record(s.eng.Now().Duration(), trace.EvIntegrityHit, r.id, 0)
-	n := r.total
-	s.admitRead(n, func() { s.issueRead(r.dst, r.msg, n, r.done) })
 }
 
 // handleAck decodes a per-packet acknowledgment into a pooled job and
@@ -426,26 +407,14 @@ func (s *Stack) runAck(j *ackJob) {
 		return
 	}
 	if j.rpcFlags&AckFlagReject != 0 {
-		s.rejectPacket(j.src, e)
+		s.rejectPacket(key, e)
 		return
 	}
 	if j.rpcFlags&AckFlagError != 0 {
-		s.repairAndResend(j.src, e)
+		s.repairAndResend(e)
 		return
 	}
-	e.acked = true
-	e.retx.Disarm()
-	delete(s.out, key)
-	pe := s.peerFor(j.src)
-	p := e.path
-	p.lastAckAt = s.eng.Now()
-	p.inflightBytes -= e.size
-	if p.inflightBytes < 0 {
-		p.inflightBytes = 0
-	}
-	if e.pathSeq > p.maxAckedSeq {
-		p.maxAckedSeq = e.pathSeq
-	}
+	p := s.retire(key, e)
 	rttSample := s.eng.Now().Sub(e.sentAt)
 	foldINT(&p.tele, j.intStack.Hops, ack.ECNMarked)
 	if e.retx.Consecutive() == 0 { // Karn: only sample unambiguous transmissions
@@ -459,31 +428,19 @@ func (s *Stack) runAck(j *ackJob) {
 		})
 	} else {
 		p.consecTO = 0
-		p.ackCount++
 		p.acked++
 	}
-	s.earlyRetransmit(pe, p)
-	s.drainBacklog(pe)
+	s.earlyRetransmit(e.pe, p)
+	s.drainBacklog(e.pe)
 
 	switch e.msgType {
 	case wire.RPCWriteReq:
-		if w := s.writes[e.key.rpcID]; w != nil {
-			w.acked++
-			if wall := time.Duration(ack.ServerNS); wall > w.serverWall {
-				w.serverWall = wall
-			}
-			if d := time.Duration(ack.SSDNS); d > w.ssdTime {
-				w.ssdTime = d
-			}
-			if w.acked == len(w.pkts) {
-				delete(s.writes, w.id)
-				for _, sl := range w.slabs {
-					sl.Release()
-				}
-				w.slabs = nil
-				s.cores.Submit(s.params.PerRPCDoneCPU, func() {
-					w.done(&transport.Response{ServerWall: w.serverWall, SSDTime: w.ssdTime})
-				})
+		if w := s.rpcs[e.key.rpcID]; w != nil {
+			w.got++
+			w.resp.ServerWall = max(w.resp.ServerWall, time.Duration(ack.ServerNS))
+			w.resp.SSDTime = max(w.resp.SSDTime, time.Duration(ack.SSDNS))
+			if w.got == w.n {
+				s.complete(w, nil)
 			}
 		}
 	case wire.RPCReadResp:
@@ -504,42 +461,37 @@ func (s *Stack) runAck(j *ackJob) {
 // retransmission), and the first reject observed for a WRITE completes the
 // RPC with transport.ErrNotOwner; sibling packets of the same RPC clean up
 // as their own rejects arrive.
-func (s *Stack) rejectPacket(peerAddr uint32, e *outPkt) {
-	e.acked = true
-	e.retx.Disarm()
-	delete(s.out, outKey{peer: peerAddr, k: e.key})
-	pe := s.peerFor(peerAddr)
-	p := e.path
-	p.lastAckAt = s.eng.Now()
-	p.inflightBytes -= e.size
-	if p.inflightBytes < 0 {
-		p.inflightBytes = 0
-	}
-	if e.pathSeq > p.maxAckedSeq {
-		p.maxAckedSeq = e.pathSeq
-	}
+func (s *Stack) rejectPacket(key outKey, e *outPkt) {
+	s.retire(key, e)
 	if e.msgType == wire.RPCWriteReq {
-		if w := s.writes[e.key.rpcID]; w != nil {
-			delete(s.writes, w.id)
-			for _, sl := range w.slabs {
-				sl.Release()
-			}
-			w.slabs = nil
-			s.cores.Submit(s.params.PerRPCDoneCPU, func() {
-				w.done(&transport.Response{Err: transport.ErrNotOwner})
-			})
+		if w := s.rpcs[e.key.rpcID]; w != nil {
+			s.complete(w, transport.ErrNotOwner)
 		}
 	}
-	s.drainBacklog(pe)
+	s.drainBacklog(e.pe)
 	s.freeOutPkt(e)
+}
+
+// retire takes an acknowledged or rejected packet off its path: no more
+// retransmissions, its window credit returned, its path sequence counted
+// as acknowledged. It returns the path.
+func (s *Stack) retire(key outKey, e *outPkt) *path {
+	e.acked = true
+	e.retx.Disarm()
+	delete(s.out, key)
+	p := e.path
+	p.lastAckAt = s.eng.Now()
+	p.inflightBytes = max(p.inflightBytes-e.size, 0)
+	p.maxAckedSeq = max(p.maxAckedSeq, e.pathSeq)
+	return p
 }
 
 // repairAndResend handles a receiver-side CRC rejection (AckFlagError): the
 // block is rebuilt from the trusted guest buffer with a software CRC and
 // retransmitted.
-func (s *Stack) repairAndResend(peerAddr uint32, e *outPkt) {
+func (s *Stack) repairAndResend(e *outPkt) {
 	if e.msgType == wire.RPCWriteReq {
-		if w := s.writes[e.key.rpcID]; w != nil {
+		if w := s.rpcs[e.key.rpcID]; w != nil {
 			orig := w.blocks[e.key.pktID]
 			// The payload may BE the trusted buffer (the rejection was a
 			// CRC-value flip, not data corruption) — only repair bytes when
@@ -552,7 +504,13 @@ func (s *Stack) repairAndResend(peerAddr uint32, e *outPkt) {
 			s.rec.Record(s.eng.Now().Duration(), trace.EvIntegrityHit, e.key.rpcID, 0)
 		}
 	}
-	s.cores.Submit(s.params.SoftCRCPer4K, func() {
-		s.retransmit(s.peerFor(peerAddr), e)
-	})
+	s.cores.SubmitArg(s.params.SoftCRCPer4K, resendRepaired, outRef{e: e, gen: e.gen})
+}
+
+// resendRepaired retransmits a repaired block after its software CRC
+// charge, unless an acknowledgment recycled the record meanwhile.
+func resendRepaired(a any) {
+	if r := a.(outRef); r.live() {
+		r.e.owner.retransmit(r.e.pe, r.e)
+	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"lunasolar/internal/stats"
@@ -62,7 +62,7 @@ func (s *Stack) PathTelemetry() []PathStat {
 	for a := range s.peers {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	var out []PathStat
 	for _, a := range addrs {
 		pe := s.peers[a]

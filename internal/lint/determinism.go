@@ -10,8 +10,8 @@ import (
 // of (config, seed): everything that runs under the discrete-event engine,
 // which is every library package. The bench/runtime layer inside them may
 // measure wall time, but only behind an explicit //lint:allow wallclock
-// with a justification. The commands, examples and the benchmark harness
-// sit outside.
+// with a justification. The commands and the benchmark harness sit
+// outside.
 var virtualTimePackages = []string{"internal", "ebs"}
 
 // fluidPackages is where the flow-level (fluid) model lives: FlowTable,

@@ -20,21 +20,19 @@ type Event struct {
 // Event kinds recorded by the stacks and chunk servers. Interpretation of
 // Arg1/Arg2 per kind:
 //
-//	EvRetransmit      Arg1=rpcID   Arg2=pktID
-//	EvEarlyRetransmit Arg1=rpcID   Arg2=pktID
-//	EvFailover        Arg1=oldPath Arg2=newPath
-//	EvIntegrityHit    Arg1=rpcID   Arg2=0
-//	EvCRCError        Arg1=diskID  Arg2=blockID
-//	EvAdmissionWait   Arg1=rpcID   Arg2=waitNs
-//	EvCutover         Arg1=segID   Arg2=newAddr
+//	EvRetransmit    Arg1=rpcID   Arg2=pktID
+//	EvFailover      Arg1=oldPath Arg2=newPath
+//	EvIntegrityHit  Arg1=rpcID   Arg2=0
+//	EvCRCError      Arg1=diskID  Arg2=blockID
+//	EvAdmissionWait Arg1=rpcID   Arg2=waitNs
+//	EvCutover       Arg1=segID   Arg2=newAddr
 const (
-	EvRetransmit      = "retransmit"
-	EvEarlyRetransmit = "early-retransmit"
-	EvFailover        = "failover"
-	EvIntegrityHit    = "integrity-hit"
-	EvCRCError        = "crc-error"
-	EvAdmissionWait   = "admission-wait"
-	EvCutover         = "cutover"
+	EvRetransmit    = "retransmit"
+	EvFailover      = "failover"
+	EvIntegrityHit  = "integrity-hit"
+	EvCRCError      = "crc-error"
+	EvAdmissionWait = "admission-wait"
+	EvCutover       = "cutover"
 )
 
 // Recorder is a fixed-depth ring buffer of the last N anomalous events — a

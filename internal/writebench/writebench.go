@@ -8,14 +8,17 @@
 // is its backend-network twin: an RDMA client into a chunk-server service,
 // the half of a write that runs three times per I/O under every FN stack.
 // NewLunaRig is the FN half of the host-side stacks: tcpstack into tcpstack.
+// ReadOne drives the Solar and Luna rigs' read path the same way: the server
+// answers every read with the rig's own block.
 //
-// The harness deliberately allocates nothing per write in steady state:
-// the request message, payload buffer and completion callback are all owned
-// by the Rig, so testing.AllocsPerRun and pool-miss deltas measure the
-// stack, not the driver.
+// The harness deliberately allocates nothing per I/O in steady state: the
+// request messages, payload buffer, read response and completion callback
+// are all owned by the Rig, so testing.AllocsPerRun and pool-miss deltas
+// measure the stack, not the harness.
 package writebench
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -31,17 +34,20 @@ import (
 	"lunasolar/internal/wire"
 )
 
-// Rig is a two-host cluster driving 4 KiB writes client → server.
+// Rig is a two-host cluster driving 4 KiB I/Os client → server.
 type Rig struct {
 	Eng    *sim.Engine
 	Pool   *simnet.PacketPool
 	client transport.Client
 	dst    uint32
-	lbas   int // WriteOne cycles over this many block addresses
+	lbas   int // WriteOne and ReadOne cycle over this many block addresses
 
 	payload   []byte
-	msg       transport.Message
+	msg       transport.Message // the write request
+	rmsg      transport.Message // the read request
+	readResp  transport.Response
 	onDone    func(*transport.Response)
+	onRead    func(*transport.Response)
 	completed int
 	failed    int
 	issued    int
@@ -49,9 +55,9 @@ type Rig struct {
 
 var emptyResp transport.Response
 
-// NewRig builds the two-host write path. The client runs the full Offloaded
-// (Solar) mode — FPGA CRC engine, per-block framing — against a
-// storage-server stack whose handler acknowledges immediately.
+// NewRig builds the two-host Solar path. The client runs the full Offloaded
+// mode — FPGA CRC engine, per-block framing — against a storage-server
+// stack whose handler acknowledges a write, or answers a read, at once.
 func NewRig(seed int64) *Rig {
 	eng, fab := newFabric(seed)
 
@@ -63,9 +69,9 @@ func NewRig(seed int64) *Rig {
 	cp.Mode = core.Offloaded
 	client := core.New(eng, fab.Host(0, 0, 0, 0), card.CPU, card, cp)
 	server := core.New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "storage-cpu", 16), nil, core.ServerParams())
-	server.SetHandler(ackAtOnce)
-
-	return newRig(eng, fab, client, server.LocalAddr(), 4096)
+	r := newRig(eng, fab, client, server.LocalAddr(), 4096)
+	server.SetHandler(r.serve)
+	return r
 }
 
 // NewLunaRig builds the same write path over tcpstack — the host-side FN
@@ -75,11 +81,18 @@ func NewLunaRig(seed int64, params tcpstack.Params) *Rig {
 	eng, fab := newFabric(seed)
 	client := tcpstack.New(eng, fab.Host(0, 0, 0, 0), sim.NewServer(eng, "client-cpu", 4), nil, params)
 	server := tcpstack.New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "server-cpu", 16), nil, params)
-	server.SetHandler(ackAtOnce)
-	return newRig(eng, fab, client, server.LocalAddr(), 4096)
+	r := newRig(eng, fab, client, server.LocalAddr(), 4096)
+	server.SetHandler(r.serve)
+	return r
 }
 
-func ackAtOnce(src uint32, req *transport.Message, reply func(*transport.Response)) {
+// serve acknowledges a write at once and answers a read with the rig's
+// block.
+func (r *Rig) serve(src uint32, req *transport.Message, reply func(*transport.Response)) {
+	if req.Op == wire.RPCReadReq {
+		reply(&r.readResp)
+		return
+	}
 	reply(&emptyResp)
 }
 
@@ -114,9 +127,17 @@ func newRig(eng *sim.Engine, fab *simnet.Fabric, client transport.Client, dst ui
 		r.payload[i] = byte(i * 13)
 	}
 	r.msg = transport.Message{Op: wire.RPCWriteReq, VDisk: 1, SegmentID: 1, Gen: 1, Data: r.payload}
+	r.rmsg = transport.Message{Op: wire.RPCReadReq, VDisk: 1, SegmentID: 1, Gen: 1, ReadLen: wire.BlockSize}
+	r.readResp = transport.Response{Data: r.payload}
 	r.onDone = func(resp *transport.Response) {
 		r.completed++
 		if resp.Err != nil {
+			r.failed++
+		}
+	}
+	r.onRead = func(resp *transport.Response) {
+		r.completed++
+		if resp.Err != nil || !bytes.Equal(resp.Data, r.payload) {
 			r.failed++
 		}
 	}
@@ -132,6 +153,15 @@ func (r *Rig) WriteOne() {
 	r.Eng.Run()
 }
 
+// ReadOne issues a single 4 KiB read and runs the engine until the cluster
+// is idle.
+func (r *Rig) ReadOne() {
+	r.issued++
+	r.rmsg.LBA = uint64(r.issued%r.lbas) << 12
+	r.client.Call(r.dst, &r.rmsg, r.onRead)
+	r.Eng.Run()
+}
+
 // Warm writes every block address of the rig once, and a few more, so the
 // measured writes that follow are overwrites on warm pools.
 func (r *Rig) Warm() {
@@ -140,12 +170,12 @@ func (r *Rig) Warm() {
 	}
 }
 
-// Check verifies every issued write completed and no pooled packet, slab
-// reference or record leaked; it returns an error describing the first
-// violation.
+// Check verifies every issued I/O completed — a read with the served block
+// — and no pooled packet, slab reference or record leaked; it returns an
+// error describing the first violation.
 func (r *Rig) Check() error {
 	if r.completed != r.issued || r.failed != 0 {
-		return fmt.Errorf("writebench: %d of %d writes completed, %d with an error", r.completed, r.issued, r.failed)
+		return fmt.Errorf("writebench: %d of %d I/Os completed, %d failed", r.completed, r.issued, r.failed)
 	}
 	if n := r.Pool.Outstanding(); n != 0 {
 		return fmt.Errorf("writebench: %d pooled packets/slab refs leaked", n)

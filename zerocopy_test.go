@@ -15,7 +15,9 @@ import (
 // most one payload copy per write (the block is CRC'd once at ingress and
 // never duplicated again) and zero payload allocations: every buffer, slab
 // header and packet comes from the engine-owned pool, so the pool-miss
-// counter must not move.
+// counter must not move. The one heap allocation left is the client's RPC
+// record, and the event count, which fixes the simulated timeline, stays
+// what it was before the record replaced the client's closures.
 func TestWritePath4KZeroCopySteadyState(t *testing.T) {
 	const ops = 50
 	r := writebench.NewRig(1)
@@ -38,11 +40,42 @@ func TestWritePath4KZeroCopySteadyState(t *testing.T) {
 	if d.PoolMisses != 0 {
 		t.Errorf("write path: %d pool misses over %d steady-state ops, want 0 payload allocs", d.PoolMisses, ops)
 	}
-	// Per-RPC bookkeeping (the outstanding-write record, timer nodes) may
-	// allocate a handful of small objects; a 4 KiB payload alloc would blow
-	// straight through this bound.
-	if allocs > 8 {
-		t.Errorf("write path: %.1f heap allocs/op in steady state, want <= 8", allocs)
+	if allocs > 1 {
+		t.Errorf("write path: %.1f heap allocs/op in steady state, want <= 1", allocs)
+	}
+	if got := float64(d.Events) / ops; got != 41 {
+		t.Errorf("write path: %.2f events/op, want 41", got)
+	}
+}
+
+// TestReadPath4KSteadyState is the Solar read twin: a 4 KiB read from a
+// server that answers at once with the rig's block. It makes no pool miss;
+// its heap allocations are the client's RPC record and guest buffer and
+// the server's per-read serve state; and its event count stays pinned.
+func TestReadPath4KSteadyState(t *testing.T) {
+	const ops = 50
+	r := writebench.NewRig(1)
+	for i := 0; i < 64; i++ {
+		r.ReadOne()
+	}
+	start := r.Snapshot()
+	for i := 0; i < ops; i++ {
+		r.ReadOne()
+	}
+	d := r.Snapshot().Delta(start)
+	allocs := testing.AllocsPerRun(100, r.ReadOne)
+	if err := r.Check(); err != nil {
+		t.Fatal(err)
+	}
+
+	if d.PoolMisses != 0 {
+		t.Errorf("read path: %d pool misses over %d steady-state ops, want 0", d.PoolMisses, ops)
+	}
+	if allocs > 4 {
+		t.Errorf("read path: %.1f heap allocs/op in steady state, want <= 4", allocs)
+	}
+	if got := float64(d.Events) / ops; got != 78 {
+		t.Errorf("read path: %.2f events/op, want 78", got)
 	}
 }
 
