@@ -77,7 +77,7 @@ fuzz-smoke:
 # observability registry (CI publishes METRICS.json) and doubles as its
 # schema smoke test.
 bench-smoke:
-	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K|ReadPath4K|BNWrite4K|LunaWrite4K|Coupled4|DiurnalHybrid' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K|ReadPath4K|BNWrite4K|BlockServerWrite4K|LunaWrite4K|Coupled4|DiurnalHybrid' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'CDFAt' -benchtime 1x -benchmem ./internal/stats
 	$(GO) run ./cmd/ebsbench -exp fig6 -quick -workers 1 -metrics-out METRICS.json > /dev/null
 	grep -q '"schema": "lunasolar.metrics/v1"' METRICS.json

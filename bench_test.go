@@ -133,94 +133,59 @@ func BenchmarkLunaRead4K(b *testing.B)    { benchIO(b, ebs.Luna, false) }
 // pool's copy accounting, gated at <= 1 copy per op.
 func BenchmarkWritePath4K(b *testing.B) {
 	r := writebench.NewRig(1)
-	for i := 0; i < 64; i++ {
-		r.WriteOne() // reach pool/path steady state before measuring
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := r.Snapshot()
-	for i := 0; i < b.N; i++ {
-		r.WriteOne()
-	}
-	b.StopTimer()
-	d := r.Snapshot().Delta(start)
-	copies := float64(d.Copies) / float64(b.N)
-	b.ReportMetric(copies, "copies/op")
-	b.ReportMetric(float64(d.CopiedBytes)/float64(b.N), "copied-B/op")
-	b.ReportMetric(float64(d.Events)/float64(b.N), "events/op")
-	b.SetBytes(4096)
-	if err := r.Check(); err != nil {
-		b.Fatal(err)
-	}
-	if copies > 1 {
-		b.Fatalf("write path made %.2f payload copies/op, want <= 1", copies)
+	if d := benchRig(b, r, r.WriteOne); d.Copies > uint64(b.N) {
+		b.Fatalf("write path made %d payload copies over %d ops, want <= 1 per op", d.Copies, b.N)
 	}
 }
 
 // BenchmarkReadPath4K is the read twin of BenchmarkWritePath4K: one 4 KiB
-// Solar read from a server that answers at once. allocs/op here is what
-// TestReadPath4KSteadyState gates.
+// Solar read from a server that answers at once.
 func BenchmarkReadPath4K(b *testing.B) {
 	r := writebench.NewRig(1)
-	for i := 0; i < 64; i++ {
-		r.ReadOne()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := r.Snapshot()
-	for i := 0; i < b.N; i++ {
-		r.ReadOne()
-	}
-	b.StopTimer()
-	d := r.Snapshot().Delta(start)
-	b.ReportMetric(float64(d.Copies)/float64(b.N), "copies/op")
-	b.ReportMetric(float64(d.Events)/float64(b.N), "events/op")
-	b.SetBytes(4096)
-	if err := r.Check(); err != nil {
-		b.Fatal(err)
-	}
+	benchRig(b, r, r.ReadOne)
 }
 
 // BenchmarkBNWrite4K is the backend twin of BenchmarkWritePath4K: one 4 KiB
 // replica write, RDMA client → RDMA endpoint → chunk-server service and
-// store, over 1 024 LBAs that have all been written once. allocs/op here is
-// what TestBNWritePath4KSteadyState gates; copies/op must stay 0.
+// store, over 1 024 LBAs that have all been written once; copies/op must
+// stay 0.
 func BenchmarkBNWrite4K(b *testing.B) {
 	r := writebench.NewBNRig(1)
-	r.Warm()
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := r.Snapshot()
-	for i := 0; i < b.N; i++ {
-		r.WriteOne()
-	}
-	b.StopTimer()
-	d := r.Snapshot().Delta(start)
-	b.ReportMetric(float64(d.Copies)/float64(b.N), "copies/op")
-	b.ReportMetric(float64(d.Events)/float64(b.N), "events/op")
-	b.SetBytes(4096)
-	if err := r.Check(); err != nil {
-		b.Fatal(err)
-	}
-	if d.Copies != 0 {
+	if d := benchRig(b, r, r.WriteOne); d.Copies != 0 {
 		b.Fatalf("BN write path made %d payload copies over %d ops, want 0", d.Copies, b.N)
 	}
 }
 
+// BenchmarkBlockServerWrite4K is one 4 KiB write through the whole storage
+// side: RDMA FN → block server → three-replica RDMA BN fan-out → chunk
+// servers.
+func BenchmarkBlockServerWrite4K(b *testing.B) {
+	r := writebench.NewBlockServerRig(1)
+	benchRig(b, r, r.WriteOne)
+}
+
 // BenchmarkLunaWrite4K is the FN twin for the host-side stack: one 4 KiB
-// write, Luna tcpstack client → tcpstack server that acknowledges at once.
-// allocs/op here is what TestLunaPath4KSteadyState gates; copied-B/op is
-// the stream the frames gather (the block plus two record headers).
+// write, Luna tcpstack client → tcpstack server that acknowledges at once;
+// copied-B/op is the stream the frames gather (the block plus two record
+// headers).
 func BenchmarkLunaWrite4K(b *testing.B) {
 	r := writebench.NewLunaRig(1, ebs.LunaStackParams())
+	benchRig(b, r, r.WriteOne)
+}
+
+// benchRig warms r, times op, and reports the rig's data-path counters per
+// op; allocs/op is what the matching steady-state gate in zerocopy_test.go
+// holds.
+func benchRig(b *testing.B, r *writebench.Rig, op func()) writebench.Stats {
+	r.Warm()
 	for i := 0; i < 64; i++ {
-		r.WriteOne()
+		op() // reach pool/path steady state before measuring
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := r.Snapshot()
 	for i := 0; i < b.N; i++ {
-		r.WriteOne()
+		op()
 	}
 	b.StopTimer()
 	d := r.Snapshot().Delta(start)
@@ -231,6 +196,7 @@ func BenchmarkLunaWrite4K(b *testing.B) {
 	if err := r.Check(); err != nil {
 		b.Fatal(err)
 	}
+	return d
 }
 
 // benchCoupled runs the partitioned write storm with the given number of

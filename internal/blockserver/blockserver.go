@@ -8,6 +8,7 @@ package blockserver
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"lunasolar/internal/crc"
@@ -27,10 +28,7 @@ type Params struct {
 
 // DefaultParams returns the standard cost model.
 func DefaultParams() Params {
-	return Params{
-		PerRPCCPU:   2 * time.Microsecond,
-		PerBlockCPU: 400 * time.Nanosecond,
-	}
+	return Params{PerRPCCPU: 2 * time.Microsecond, PerBlockCPU: 400 * time.Nanosecond}
 }
 
 // Server is one block server.
@@ -42,22 +40,11 @@ type Server struct {
 	replicas []uint32 // chunk-server addresses, len >= Replicas
 	params   Params
 
-	// released maps segments this server has handed to another owner
-	// (live migration cutover) to the new owner's address. Requests for a
-	// released segment are rejected with transport.ErrNotOwner so the
-	// storage agent re-resolves and retries. Segments absent from the map
-	// are served normally — block servers are permissive by default, so
-	// clusters that never migrate behave exactly as before.
-	released map[uint64]uint32
+	released        map[uint64]uint32   // segment → new owner; see ReleaseSegment
+	replicaOverride map[uint64][]uint32 // pinned replica sets; see SetReplicaSet
+	free            *sim.Pool[request]
 
-	// replicaOverride pins a segment's chunk replica set, replacing the
-	// deterministic segmentID-derived set — installed by the control
-	// plane when a chunk-server drain rebuilds a replica elsewhere.
-	replicaOverride map[uint64][]uint32
-
-	writes, reads     uint64
-	rejects           uint64 // not-owner rejections after a cutover
-	crcFoldMismatches uint64
+	writes, reads, crcFoldMismatches uint64
 }
 
 // New creates a block server serving requests from fn, replicating over bn
@@ -67,19 +54,19 @@ func New(eng *sim.Engine, name string, fn transport.Stack, bn transport.Client, 
 		return nil, fmt.Errorf("blockserver %s: need >= %d chunk replicas, got %d", name, Replicas, len(replicas))
 	}
 	s := &Server{
-		eng:      eng,
-		name:     name,
-		cores:    cores,
-		bn:       bn,
-		replicas: replicas,
-		params:   params,
+		eng:             eng,
+		name:            name,
+		cores:           cores,
+		bn:              bn,
+		replicas:        replicas,
+		params:          params,
+		free:            sim.NewPool[request](eng),
+		released:        map[uint64]uint32{},
+		replicaOverride: map[uint64][]uint32{},
 	}
 	fn.SetHandler(s.Handle)
 	return s, nil
 }
-
-// Name returns the server's diagnostic name.
-func (s *Server) Name() string { return s.name }
 
 // Stats returns served write and read RPC counts.
 func (s *Server) Stats() (writes, reads uint64) { return s.writes, s.reads }
@@ -87,10 +74,6 @@ func (s *Server) Stats() (writes, reads uint64) { return s.writes, s.reads }
 // CRCFoldMismatches returns how many replica commits reported a CRC fold
 // that disagreed with the request's one-touch metadata.
 func (s *Server) CRCFoldMismatches() uint64 { return s.crcFoldMismatches }
-
-// Rejects returns how many requests were turned away with ErrNotOwner
-// after a segment cutover (each one is a client retry).
-func (s *Server) Rejects() uint64 { return s.rejects }
 
 // replicaSet returns the chunk servers for a segment (deterministic by
 // segment ID so all writers agree), unless the control plane pinned an
@@ -115,17 +98,18 @@ func (s *Server) ReplicaSet(segmentID uint64) []uint32 {
 	return append([]uint32(nil), s.replicaSet(segmentID, &buf)...)
 }
 
-// SetReplicaSet pins a segment's chunk replica set. The control plane
-// calls it at a drain cutover, after the replacement replica has been
-// rebuilt; set[0] must be a survivor holding the full segment, since
-// reads are served from the primary.
+// SetReplicaSet pins a segment's chunk replica set: exactly Replicas
+// distinct chunk servers. The control plane calls it at a drain cutover,
+// after the replacement replica has been rebuilt; set[0] must be a survivor
+// holding the full segment, since reads are served from the primary.
 func (s *Server) SetReplicaSet(segmentID uint64, set []uint32) error {
-	if len(set) < Replicas {
-		return fmt.Errorf("blockserver %s: replica set for segment %d needs >= %d members, got %d",
-			s.name, segmentID, Replicas, len(set))
+	ok := len(set) == Replicas
+	for i := 1; ok && i < len(set); i++ {
+		ok = !slices.Contains(set[:i], set[i])
 	}
-	if s.replicaOverride == nil {
-		s.replicaOverride = map[uint64][]uint32{}
+	if !ok {
+		return fmt.Errorf("blockserver %s: replica set %v for segment %d is not %d distinct members",
+			s.name, set, segmentID, Replicas)
 	}
 	s.replicaOverride[segmentID] = append([]uint32(nil), set...)
 	return nil
@@ -135,9 +119,6 @@ func (s *Server) SetReplicaSet(segmentID uint64, set []uint32) error {
 // request for it is rejected with transport.ErrNotOwner so in-flight
 // clients re-resolve the (generation-bumped) segment table and retry.
 func (s *Server) ReleaseSegment(segmentID uint64, newOwner uint32) {
-	if s.released == nil {
-		s.released = map[uint64]uint32{}
-	}
 	s.released[segmentID] = newOwner
 	delete(s.replicaOverride, segmentID)
 }
@@ -153,96 +134,113 @@ func (s *Server) AdoptSegment(segmentID uint64, set []uint32) error {
 	return nil
 }
 
+// request is one FN request from its CPU charge to its reply: a pooled
+// record whose legs are the BN calls it fans out, one per replica for a
+// write and one to the primary for a read. Every leg passes the FN's req
+// itself, uncopied: req is valid until reply, which runs after the last leg
+// has answered, and each BN stack reads req before its call can be answered.
+type request struct {
+	s         *Server
+	t0        sim.Time
+	req       *transport.Message
+	reply     func(*transport.Response)
+	remaining int // legs still out
+	err       error
+	maxSSD    time.Duration
+	wantFold  uint32
+	checkFold bool
+	legs      [Replicas]leg
+}
+
+// leg is one BN call; done is bound once, when the record is built.
+type leg struct {
+	r     *request
+	chunk uint32
+	done  func(*transport.Response)
+}
+
 // Handle is the FN request handler (exported for tests and for wiring
 // through additional dispatch layers).
 func (s *Server) Handle(src uint32, req *transport.Message, reply func(*transport.Response)) {
-	t0 := s.eng.Now()
-	blocks := (len(req.Data) + wire.BlockSize - 1) / wire.BlockSize
+	r := s.free.Get()
+	if r == nil {
+		r = &request{s: s}
+		for i := range r.legs {
+			r.legs[i].r, r.legs[i].done = r, r.legs[i].complete
+		}
+	}
+	r.t0, r.req, r.reply = s.eng.Now(), req, reply
+	blocks := wire.Blocks(len(req.Data))
 	if req.Op == wire.RPCReadReq {
-		blocks = (req.ReadLen + wire.BlockSize - 1) / wire.BlockSize
+		blocks = wire.Blocks(req.ReadLen)
 	}
-	cost := s.params.PerRPCCPU + time.Duration(blocks)*s.params.PerBlockCPU
-	s.cores.Submit(cost, func() {
-		if newOwner, gone := s.released[req.SegmentID]; gone {
-			s.rejects++
-			reply(&transport.Response{Err: fmt.Errorf(
-				"blockserver %s: segment %d released to %d: %w",
-				s.name, req.SegmentID, newOwner, transport.ErrNotOwner)})
-			return
-		}
-		switch req.Op {
-		case wire.RPCWriteReq:
-			s.writes++
-			s.replicateWrite(t0, req, reply)
-		case wire.RPCReadReq:
-			s.reads++
-			s.serveRead(t0, req, reply)
-		default:
-			reply(&transport.Response{Err: fmt.Errorf("blockserver %s: bad op %d", s.name, req.Op)})
-		}
-	})
+	s.cores.SubmitArg(s.params.PerRPCCPU+time.Duration(blocks)*s.params.PerBlockCPU, serve, r)
 }
 
-// replicateWrite fans the blocks out to all replicas over the BN; the write
-// acknowledges when every replica has committed (step 3→4 in Fig. 2).
-//
-// When the request carries one-touch CRC metadata the commit is
-// cross-checked without touching a single payload byte: the per-block list
-// is folded once with the memoized 4 KiB GF(2) combine operator, and each
-// replica's reported commit fold must match it — catching any metadata
-// corruption or desynchronization along the BN path.
-func (s *Server) replicateWrite(t0 sim.Time, req *transport.Message, reply func(*transport.Response)) {
-	var buf [Replicas]uint32
-	set := s.replicaSet(req.SegmentID, &buf)
-	remaining := len(set)
-	var wantFold uint32
-	checkFold := len(req.BlockCRCs) > 0
-	if checkFold {
-		wantFold = crc.CombineBlocks(req.BlockCRCs, wire.BlockSize)
+// serve runs once the request's CPU charge has elapsed: it rejects the
+// request, or sends a leg to each of the chunk servers it needs.
+func serve(a any) {
+	r := a.(*request)
+	s, req := r.s, r.req
+	legs := 1 // a read is served from the primary
+	switch newOwner, gone := s.released[req.SegmentID]; {
+	case gone:
+		r.finish(&transport.Response{Err: fmt.Errorf("blockserver %s: segment %d released to %d: %w",
+			s.name, req.SegmentID, newOwner, transport.ErrNotOwner)})
+		return
+	case req.Op == wire.RPCWriteReq:
+		// A write acknowledges once every replica has committed (step 3→4
+		// in Fig. 2). Its one-touch CRC list is folded once, with the
+		// memoized 4 KiB GF(2) combine, and every replica's commit fold must
+		// match: a check of the BN path that touches no payload byte.
+		s.writes++
+		if r.checkFold = len(req.BlockCRCs) > 0; r.checkFold {
+			r.wantFold = crc.CombineBlocks(req.BlockCRCs, wire.BlockSize)
+		}
+		legs = Replicas
+	case req.Op == wire.RPCReadReq:
+		s.reads++
+	default:
+		r.finish(&transport.Response{Err: fmt.Errorf("blockserver %s: bad op %d", s.name, req.Op)})
+		return
 	}
-	var maxSSD time.Duration
-	var firstErr error
-	for _, chunk := range set {
-		msg := *req // each replica gets the same payload
-		s.bn.Call(chunk, &msg, func(resp *transport.Response) {
-			if checkFold && resp.Err == nil && len(resp.BlockCRCs) == 1 && resp.BlockCRCs[0] != wantFold {
-				s.crcFoldMismatches++
-				if firstErr == nil {
-					firstErr = fmt.Errorf("blockserver %s: replica %d commit CRC fold mismatch: got %08x want %08x",
-						s.name, chunk, resp.BlockCRCs[0], wantFold)
-				}
-			}
-			if resp.Err != nil && firstErr == nil {
-				firstErr = resp.Err
-			}
-			if resp.SSDTime > maxSSD {
-				maxSSD = resp.SSDTime
-			}
-			remaining--
-			if remaining > 0 {
-				return
-			}
-			reply(&transport.Response{
-				Err:        firstErr,
-				ServerWall: s.eng.Now().Sub(t0),
-				SSDTime:    maxSSD,
-			})
-		})
+	var buf [Replicas]uint32
+	r.remaining = legs
+	for i, chunk := range s.replicaSet(req.SegmentID, &buf)[:legs] {
+		r.legs[i].chunk = chunk
+		s.bn.Call(chunk, req, r.legs[i].done)
 	}
 }
 
-// serveRead fetches the range from the primary replica.
-func (s *Server) serveRead(t0 sim.Time, req *transport.Message, reply func(*transport.Response)) {
-	var buf [Replicas]uint32
-	primary := s.replicaSet(req.SegmentID, &buf)[0]
-	msg := *req
-	s.bn.Call(primary, &msg, func(resp *transport.Response) {
-		reply(&transport.Response{
-			Data:       resp.Data,
-			BlockCRCs:  resp.BlockCRCs, // stored CRCs ride through to the FN
-			Err:        resp.Err,
-			ServerWall: s.eng.Now().Sub(t0),
-			SSDTime:    resp.SSDTime,
-		})
-	})
+// complete folds one leg's response into its request. The last leg answers
+// the request: a read with the primary's data and stored CRCs.
+func (l *leg) complete(resp *transport.Response) {
+	r, s := l.r, l.r.s
+	if r.checkFold && resp.Err == nil && len(resp.BlockCRCs) == 1 && resp.BlockCRCs[0] != r.wantFold {
+		s.crcFoldMismatches++
+		if r.err == nil {
+			r.err = fmt.Errorf("blockserver %s: replica %d commit CRC fold mismatch: got %08x want %08x",
+				s.name, l.chunk, resp.BlockCRCs[0], r.wantFold)
+		}
+	}
+	if r.err == nil {
+		r.err = resp.Err
+	}
+	r.maxSSD = max(r.maxSSD, resp.SSDTime)
+	if r.remaining--; r.remaining > 0 {
+		return
+	}
+	out := &transport.Response{Err: r.err, ServerWall: s.eng.Now().Sub(r.t0), SSDTime: r.maxSSD}
+	if r.req.Op == wire.RPCReadReq {
+		out.Data, out.BlockCRCs = resp.Data, resp.BlockCRCs
+	}
+	r.finish(out)
+}
+
+// finish returns the record to the pool, then replies.
+func (r *request) finish(resp *transport.Response) {
+	s, reply := r.s, r.reply
+	*r = request{s: s, legs: r.legs}
+	s.free.Put(r)
+	reply(resp)
 }

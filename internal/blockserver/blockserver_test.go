@@ -2,10 +2,13 @@ package blockserver
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"lunasolar/internal/chunkserver"
+	"lunasolar/internal/crc"
 	"lunasolar/internal/rdma"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/simnet"
@@ -158,5 +161,117 @@ func TestWriteLatencyDominatedByReplication(t *testing.T) {
 	// FN hop + BN to 3 replicas + SSD write cache: tens of µs.
 	if lat < 20*time.Microsecond || lat > 200*time.Microsecond {
 		t.Fatalf("write latency %v out of plausible range", lat)
+	}
+}
+
+// TestSetReplicaSetNeedsExactlyReplicasDistinct: a write goes to every
+// member of the set, so a set of the wrong size or with a repeated member
+// would store the wrong number of copies.
+func TestSetReplicaSetNeedsExactlyReplicasDistinct(t *testing.T) {
+	r := newRig(t)
+	a, b, c, d := uint32(101), uint32(102), uint32(103), uint32(104)
+	for _, tc := range []struct {
+		name string
+		set  []uint32
+		ok   bool
+	}{
+		{"three distinct", []uint32{a, b, c}, true},
+		{"two members", []uint32{a, b}, false},
+		{"four members", []uint32{a, b, c, d}, false},
+		{"duplicated member", []uint32{a, a, b}, false},
+		{"duplicated last member", []uint32{a, b, b}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := r.bs.ReplicaSet(9)
+			err := r.bs.SetReplicaSet(9, tc.set)
+			if (err == nil) != tc.ok {
+				t.Fatalf("SetReplicaSet(%v) = %v, want ok=%v", tc.set, err, tc.ok)
+			}
+			if err := r.bs.AdoptSegment(9, tc.set); (err == nil) != tc.ok {
+				t.Fatalf("AdoptSegment(%v) = %v, want ok=%v", tc.set, err, tc.ok)
+			}
+			if got := r.bs.ReplicaSet(9); !tc.ok && !slices.Equal(got, before) {
+				t.Fatalf("rejected set %v installed: replica set is now %v", tc.set, got)
+			}
+		})
+	}
+}
+
+// fakeBN is a BN client that commits every replica write a microsecond
+// after the call, reporting the request's CRC fold: a wrong one from the
+// chunk server at bad, and no answer at all from the one at silent.
+type fakeBN struct {
+	eng         *sim.Engine
+	bad, silent uint32
+	answered    []uint32
+}
+
+func (f *fakeBN) Call(dst uint32, req *transport.Message, done func(*transport.Response)) {
+	if dst == f.silent {
+		return
+	}
+	fold := crc.CombineBlocks(req.BlockCRCs, wire.BlockSize)
+	if dst == f.bad {
+		fold = ^fold
+	}
+	f.eng.Schedule(time.Microsecond, func() {
+		f.answered = append(f.answered, dst)
+		done(&transport.Response{BlockCRCs: []uint32{fold}})
+	})
+}
+
+// writeThrough sends one 4 KiB write carrying its block CRC through a block
+// server whose chunk servers are 11, 12 and 13 behind bn, runs the engine
+// dry and returns every response the write got.
+func writeThrough(t *testing.T, bn *fakeBN) (*Server, []*transport.Response) {
+	t.Helper()
+	eng := bn.eng
+	fn := transport.NewLoopback(func(d time.Duration, f func()) { eng.Schedule(d, f) }, time.Microsecond, 1)
+	bs, err := New(eng, "bs", fn, bn, []uint32{11, 12, 13}, sim.NewServer(eng, "cpu", 2), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{3}, wire.BlockSize)
+	var got []*transport.Response
+	bs.Handle(1, &transport.Message{Op: wire.RPCWriteReq, SegmentID: 0, Gen: 1, Data: data,
+		BlockCRCs: []uint32{crc.Raw(data)}}, func(resp *transport.Response) { got = append(got, resp) })
+	eng.Run()
+	return bs, got
+}
+
+// TestReplicaFoldMismatchNamesTheReplica: a replica whose commit fold
+// disagrees with the request's CRC list fails the write, by name, once
+// every replica has answered.
+func TestReplicaFoldMismatchNamesTheReplica(t *testing.T) {
+	bn := &fakeBN{eng: sim.NewEngine(1), bad: 12}
+	bs, got := writeThrough(t, bn)
+	if len(bn.answered) != Replicas {
+		t.Fatalf("%d of %d replicas answered", len(bn.answered), Replicas)
+	}
+	if len(got) != 1 {
+		t.Fatalf("write answered %d times, want 1", len(got))
+	}
+	if err := got[0].Err; err == nil || !strings.Contains(err.Error(), "replica 12 commit CRC fold mismatch") {
+		t.Fatalf("write error = %v, want replica 12's fold mismatch", err)
+	}
+	if n := bs.CRCFoldMismatches(); n != 1 {
+		t.Fatalf("CRCFoldMismatches() = %d, want 1", n)
+	}
+	if n := bn.eng.PoolOutstanding(); n != 0 {
+		t.Fatalf("%d pooled records outstanding after the write, want 0", n)
+	}
+}
+
+// TestUnansweredLegHoldsItsRecord: a write with a replica that never
+// answers is never answered itself, and its record stays checked out — the
+// leak gate's view of a request some server dropped.
+func TestUnansweredLegHoldsItsRecord(t *testing.T) {
+	bn := &fakeBN{eng: sim.NewEngine(1), silent: 13}
+	_, got := writeThrough(t, bn)
+	if len(got) != 0 {
+		t.Fatalf("write with a silent replica answered: %+v", got[0])
+	}
+	if n := bn.eng.PoolOutstanding(); n != 1 {
+		t.Fatalf("PoolOutstanding() = %d once drained, want 1: the unanswered request", n)
 	}
 }

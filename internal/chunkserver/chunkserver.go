@@ -10,7 +10,7 @@ package chunkserver
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"lunasolar/internal/crc"
@@ -99,9 +99,6 @@ func New(eng *sim.Engine, name string, cfg SSDConfig) *Server {
 	}
 }
 
-// Name returns the server's diagnostic name.
-func (s *Server) Name() string { return s.name }
-
 // Stats returns operation counters: writes, reads, CRC rejections, read
 // misses (block never written).
 func (s *Server) Stats() (writes, reads, crcErrors, misses uint64) {
@@ -121,16 +118,26 @@ func (s *Server) admissionDelay() time.Duration {
 	return d
 }
 
+// What a blockOp does at the media.
+const (
+	opWrite   = iota
+	opRead    // a client read: draws the memory-cache lottery
+	opMigrate // a rebuild read: always goes to the media
+)
+
 // blockOp is one block operation on its way through IOPS admission and the
-// disk: the pooled record that replaces a closure per stage. Exactly one of
-// the three callbacks is set, and it says which operation this is.
+// disk: the pooled record that replaces a closure per stage. It completes to
+// exactly one owner: a Service request (req, and the block's index in it —
+// the disk completes blocks out of order), or else the callback of its kind.
 type blockOp struct {
 	s            *Server
+	kind         uint8
 	segment, lba uint64
-	gen          uint32
-	crc          uint32
+	gen, crc     uint32
 	data         []byte // write: the device copy, taken at the call
 
+	req       *request
+	idx       int
 	onWrite   func(err error)
 	onRead    func(data []byte, rawCRC uint32, err error)
 	onMigrate func(data []byte, rawCRC uint32, gen uint32, err error)
@@ -141,12 +148,20 @@ func (s *Server) submit(o *blockOp) {
 	s.eng.ScheduleArg(s.admissionDelay(), opAdmit, o)
 }
 
-func (s *Server) getOp(segment, lba uint64) *blockOp {
+// write takes the operation's device copy of data and submits it.
+func (s *Server) write(o *blockOp, gen uint32, data []byte, expectCRC uint32) {
+	o.gen, o.crc = gen, expectCRC
+	o.data = s.getBlock(len(data))
+	copy(o.data, data)
+	s.submit(o)
+}
+
+func (s *Server) getOp(kind uint8, segment, lba uint64) *blockOp {
 	o := s.freeOps.Get()
 	if o == nil {
 		o = &blockOp{s: s}
 	}
-	o.segment, o.lba = segment, lba
+	o.kind, o.segment, o.lba = kind, segment, lba
 	return o
 }
 
@@ -183,54 +198,56 @@ func (s *Server) putBlock(b []byte) {
 func opAdmit(a any) {
 	o := a.(*blockOp)
 	s := o.s
-	// A migrate read always goes to the media; a client read draws its
-	// memory-cache lottery first.
 	median, sigma := s.cfg.NANDReadMedian, s.cfg.ReadSigma
-	if o.onWrite != nil {
+	if o.kind == opWrite {
 		median, sigma = s.cfg.WriteCacheMedian, s.cfg.WriteSigma
-	} else if o.onRead != nil && s.rand.Bernoulli(s.cfg.CacheHitRate) {
+	} else if o.kind == opRead && s.rand.Bernoulli(s.cfg.CacheHitRate) {
 		median = s.cfg.CacheHitMedian
 	}
 	s.disk.SubmitArg(s.rand.LogNormal(median, sigma), opCommit, o)
 }
 
 // opCommit completes the operation when the disk has served it. The record
-// is recycled before the callback runs, so the callback may issue again.
+// is recycled before the completion runs, so the completion may issue again.
 //
 //lint:hotpath
 func opCommit(a any) {
 	o := a.(*blockOp)
 	s := o.s
-	switch {
-	case o.onWrite != nil:
-		done, err := o.onWrite, s.commitWrite(o)
-		s.putOp(o)
-		done(err)
-	case o.onRead != nil:
-		done, segment, lba := o.onRead, o.segment, o.lba
-		s.putOp(o)
-		s.reads++
-		rec, ok := s.blocks[segment][lba]
-		if !ok {
-			// Unwritten space reads as zeros, like a fresh virtual disk.
-			// The raw CRC is linear, so the CRC of zeros is 0.
-			s.misses++
-			done(s.zero, 0, nil)
-			return
-		}
-		done(rec.data, rec.crc, nil)
-	default:
-		done, segment, lba := o.onMigrate, o.segment, o.lba
-		s.putOp(o)
-		s.reads++
-		rec, ok := s.blocks[segment][lba]
-		if !ok {
-			s.misses++
-			done(nil, 0, 0, s.migrateMiss(segment, lba))
-			return
-		}
-		done(rec.data, rec.crc, rec.gen, nil)
+	var rec blockRec
+	var err error
+	if o.kind == opWrite {
+		err = s.commitWrite(o)
+	} else {
+		rec, err = s.lookup(o)
 	}
+	c := *o
+	s.putOp(o)
+	switch {
+	case c.req != nil:
+		c.req.blockDone(c.idx, rec.data, rec.crc, err)
+	case c.kind == opWrite:
+		c.onWrite(err)
+	case c.kind == opRead:
+		c.onRead(rec.data, rec.crc, err)
+	default:
+		c.onMigrate(rec.data, rec.crc, rec.gen, err)
+	}
+}
+
+// lookup serves a read from the store. To a client, unwritten space reads
+// as zeros, like a fresh virtual disk (the raw CRC is linear, so the CRC of
+// zeros is 0); to a rebuild it is an error.
+func (s *Server) lookup(o *blockOp) (blockRec, error) {
+	s.reads++
+	if rec, ok := s.blocks[o.segment][o.lba]; ok {
+		return rec, nil
+	}
+	s.misses++
+	if o.kind == opMigrate {
+		return blockRec{}, s.migrateMiss(o.segment, o.lba)
+	}
+	return blockRec{data: s.zero}, nil
 }
 
 // commitWrite verifies and stores a write's device copy. Whatever buffer
@@ -292,11 +309,9 @@ func (s *Server) migrateMiss(segment, lba uint64) error {
 // destination's WriteBlock, and the source may overwrite (and recycle)
 // that block before the destination's disk gets to it.
 func (s *Server) WriteBlock(segment, lba uint64, gen uint32, data []byte, expectCRC uint32, done func(err error)) {
-	o := s.getOp(segment, lba)
-	o.gen, o.crc, o.onWrite = gen, expectCRC, done
-	o.data = s.getBlock(len(data))
-	copy(o.data, data)
-	s.submit(o)
+	o := s.getOp(opWrite, segment, lba)
+	o.onWrite = done
+	s.write(o, gen, data, expectCRC)
 }
 
 // ReadBlock fetches one block. done receives the payload, its stored raw
@@ -304,7 +319,7 @@ func (s *Server) WriteBlock(segment, lba uint64, gen uint32, data []byte, expect
 // slice, handed out uncopied: it is valid only inside done, because a later
 // overwrite recycles the buffer.
 func (s *Server) ReadBlock(segment, lba uint64, done func(data []byte, rawCRC uint32, err error)) {
-	o := s.getOp(segment, lba)
+	o := s.getOp(opRead, segment, lba)
 	o.onRead = done
 	s.submit(o)
 }
@@ -321,20 +336,8 @@ func (s *Server) SegmentLBAs(segment uint64) []uint64 {
 	for lba := range seg {
 		out = append(out, lba)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
-}
-
-// SegmentBytes returns how many bytes a segment's stored blocks occupy on
-// this server (drain sizing). Walks the sorted manifest so the result is
-// assembled in a deterministic order.
-func (s *Server) SegmentBytes(segment uint64) uint64 {
-	var n uint64
-	seg := s.blocks[segment]
-	for _, lba := range s.SegmentLBAs(segment) {
-		n += uint64(len(seg[lba].data))
-	}
-	return n
 }
 
 // MigrateRead fetches one block with its stored CRC and generation for a
@@ -344,7 +347,7 @@ func (s *Server) SegmentBytes(segment uint64) uint64 {
 // write-idempotency ordering. Like ReadBlock's, the slice is the store's
 // own and valid only inside done.
 func (s *Server) MigrateRead(segment, lba uint64, done func(data []byte, rawCRC uint32, gen uint32, err error)) {
-	o := s.getOp(segment, lba)
+	o := s.getOp(opMigrate, segment, lba)
 	o.onMigrate = done
 	s.submit(o)
 }

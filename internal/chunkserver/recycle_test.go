@@ -163,7 +163,7 @@ func TestRejectedAndStaleWritesReturnTheirBuffer(t *testing.T) {
 // here until all requests have been served, then checked.
 func TestResponsesOutliveTheReply(t *testing.T) {
 	eng := sim.NewEngine(1)
-	svc := &Service{eng: eng, cs: New(eng, "cs0", DefaultSSD()), freeWrites: sim.NewPool[writeReq](eng)}
+	svc := &Service{eng: eng, cs: New(eng, "cs0", DefaultSSD()), free: sim.NewPool[request](eng)}
 
 	const n = 32
 	blocks := make([][]byte, n)

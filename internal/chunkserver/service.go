@@ -17,12 +17,12 @@ type Service struct {
 	eng *sim.Engine
 	cs  *Server
 
-	freeWrites *sim.Pool[writeReq]
+	free *sim.Pool[request]
 }
 
 // NewService installs the chunk server as bn's request handler.
 func NewService(eng *sim.Engine, cs *Server, bn transport.Stack) *Service {
-	s := &Service{eng: eng, cs: cs, freeWrites: sim.NewPool[writeReq](eng)}
+	s := &Service{eng: eng, cs: cs, free: sim.NewPool[request](eng)}
 	bn.SetHandler(s.Handle)
 	return s
 }
@@ -46,124 +46,123 @@ func (s *Service) Handle(src uint32, req *transport.Message, reply func(*transpo
 	}
 }
 
-// writeReq collects the block commits of one write RPC. Records are pooled
-// and blockDone is bound once per record, so a write costs the store no
-// closure per block.
-type writeReq struct {
+// request is one BN request on its way through the store: a pooled record
+// each of whose blocks rides a blockOp back to blockDone, so the store runs
+// no closure per block or per request.
+type request struct {
 	svc       *Service
 	t0        sim.Time
 	reply     func(*transport.Response)
 	remaining int
 	firstErr  error
-	fold      uint32
-	hasFold   bool
-	blockDone func(err error)
+	// buf is a read's reassembly buffer (nil for a write). crcs is the CRC
+	// list the reply carries when crcsOK: a write's one-entry fold, or a
+	// read's stored per-block CRCs. A one-entry list lives in crc1.
+	buf    []byte
+	crcs   []uint32
+	crcsOK bool
+	crc1   [1]uint32
 }
 
-func (s *Service) getWrite() *writeReq {
-	if w := s.freeWrites.Get(); w != nil {
-		return w
+func (s *Service) get(reply func(*transport.Response), n int) *request {
+	r := s.free.Get()
+	if r == nil {
+		r = &request{svc: s}
 	}
-	w := &writeReq{svc: s}
-	w.blockDone = w.onBlock
-	return w
+	r.t0, r.reply, r.remaining = s.eng.Now(), reply, n
+	return r
 }
 
 func (s *Service) write(req *transport.Message, reply func(*transport.Response)) {
-	n := (len(req.Data) + wire.BlockSize - 1) / wire.BlockSize
-	// One-touch CRC: when the request carries the per-block CRCs
-	// computed at SA ingress, they become the store's expected values —
-	// the device boundary verifies end-to-end against the ingress hash
-	// and the service never re-walks the payload. The reply echoes a
-	// GF(2) fold of the committed list (one Combine per block, no data
-	// bytes touched) for the block server's replica cross-check.
+	n := wire.Blocks(len(req.Data))
+	r := s.get(reply, n)
+	// One-touch CRC: the per-block CRCs computed at SA ingress, when the
+	// request carries them, are the store's expected values, so the service
+	// never re-walks the payload. The reply echoes their GF(2) fold (no data
+	// byte touched) for the block server's replica cross-check.
 	carried := req.BlockCRCs
 	if len(carried) != n {
 		carried = nil
-	}
-	w := s.getWrite()
-	w.t0, w.reply, w.remaining = s.eng.Now(), reply, n
-	if carried != nil {
-		w.fold, w.hasFold = crc.CombineBlocks(carried, wire.BlockSize), true
+	} else {
+		r.crc1[0] = crc.CombineBlocks(carried, wire.BlockSize)
+		r.crcs, r.crcsOK = r.crc1[:], true
 	}
 	// req and its Data are the transport's until reply returns; the store
 	// copies each block at the call, so nothing of req is kept.
 	for i := 0; i < n; i++ {
 		lo := i * wire.BlockSize
-		hi := lo + wire.BlockSize
-		if hi > len(req.Data) {
-			hi = len(req.Data)
-		}
-		block := req.Data[lo:hi]
+		block := req.Data[lo:min(lo+wire.BlockSize, len(req.Data))]
 		expect := uint32(0)
 		if carried != nil {
 			expect = carried[i]
 		} else {
 			expect = crc.Raw(block)
 		}
-		s.cs.WriteBlock(req.SegmentID, req.LBA+uint64(lo), req.Gen, block, expect, w.blockDone)
+		o := s.cs.getOp(opWrite, req.SegmentID, req.LBA+uint64(lo))
+		o.req, o.idx = r, i
+		s.cs.write(o, req.Gen, block, expect)
 	}
-}
-
-// onBlock counts one block commit; the last one answers the RPC. The
-// response is built fresh: the transport reads it after reply returns and
-// the caller keeps BlockCRCs, so it may alias nothing this record reuses.
-func (w *writeReq) onBlock(err error) {
-	if err != nil && w.firstErr == nil {
-		w.firstErr = err
-	}
-	w.remaining--
-	if w.remaining > 0 {
-		return
-	}
-	s, reply := w.svc, w.reply
-	resp := &transport.Response{Err: w.firstErr, SSDTime: s.eng.Now().Sub(w.t0)}
-	if w.hasFold {
-		resp.BlockCRCs = []uint32{w.fold}
-	}
-	*w = writeReq{svc: s, blockDone: w.blockDone}
-	s.freeWrites.Put(w)
-	reply(resp)
 }
 
 func (s *Service) read(req *transport.Message, reply func(*transport.Response)) {
-	t0 := s.eng.Now()
-	n := (req.ReadLen + wire.BlockSize - 1) / wire.BlockSize
-	buf := make([]byte, req.ReadLen)
-	// One-touch CRC, read direction: each block's stored CRC rides back
-	// with the response, so upstream hops (read-serve framing, the
-	// client's commit verify) reuse it instead of re-hashing. The list
-	// is attached only when every block's stored bytes exactly fill its
-	// slot — a short or missing record would desynchronize CRC and data.
-	crcs := make([]uint32, n)
-	crcsOK := true
-	remaining := n
-	var firstErr error
-	for i := 0; i < n; i++ {
-		lo := i * wire.BlockSize
-		i := i
-		s.cs.ReadBlock(req.SegmentID, req.LBA+uint64(lo), func(data []byte, rawCRC uint32, err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			end := (i + 1) * wire.BlockSize
-			if end > len(buf) {
-				end = len(buf)
-			}
-			copy(buf[i*wire.BlockSize:end], data) // data is the store's: valid only here
-			if err != nil || len(data) != end-i*wire.BlockSize {
-				crcsOK = false
-			} else {
-				crcs[i] = rawCRC
-			}
-			remaining--
-			if remaining == 0 {
-				out := crcs
-				if !crcsOK {
-					out = nil
-				}
-				reply(&transport.Response{Data: buf, BlockCRCs: out, Err: firstErr, SSDTime: s.eng.Now().Sub(t0)})
-			}
-		})
+	n := wire.Blocks(req.ReadLen)
+	r := s.get(reply, n)
+	r.buf = make([]byte, req.ReadLen)
+	// One-touch CRC, read direction: the stored CRCs ride back with the
+	// data for upstream hops to reuse, but only when every block's stored
+	// bytes exactly fill its slot; otherwise CRC and data would disagree.
+	r.crcs, r.crcsOK = r.crc1[:], true
+	if n > 1 {
+		r.crcs = make([]uint32, n)
 	}
+	for i := 0; i < n; i++ {
+		o := s.cs.getOp(opRead, req.SegmentID, req.LBA+uint64(i*wire.BlockSize))
+		o.req, o.idx = r, i
+		s.cs.submit(o)
+	}
+}
+
+// blockDone counts block i's completion: a write's commit, or a read's
+// stored bytes, valid only here, which it copies into place. The last block
+// finishes the request.
+func (r *request) blockDone(i int, data []byte, rawCRC uint32, err error) {
+	if err != nil && r.firstErr == nil {
+		r.firstErr = err
+	}
+	if r.buf != nil {
+		lo := i * wire.BlockSize
+		slot := r.buf[lo:min(lo+wire.BlockSize, len(r.buf))]
+		copy(slot, data)
+		r.crcs[i] = rawCRC
+		r.crcsOK = r.crcsOK && err == nil && len(data) == len(slot)
+	}
+	r.remaining--
+	if r.remaining == 0 {
+		r.finish()
+	}
+}
+
+// response is a reply envelope with room for a one-entry CRC list in the
+// same allocation.
+type response struct {
+	transport.Response
+	crc1 [1]uint32
+}
+
+// finish answers the request. The response is built fresh: the transport
+// reads it after reply returns and the caller keeps Data and BlockCRCs, so
+// it may alias nothing this record reuses.
+func (r *request) finish() {
+	s, reply := r.svc, r.reply
+	out := &response{Response: transport.Response{Data: r.buf, Err: r.firstErr, SSDTime: s.eng.Now().Sub(r.t0)}}
+	if r.crcsOK {
+		out.BlockCRCs = r.crcs
+		if len(r.crcs) == 1 {
+			out.crc1 = r.crc1
+			out.BlockCRCs = out.crc1[:]
+		}
+	}
+	*r = request{svc: s}
+	s.free.Put(r)
+	reply(&out.Response)
 }

@@ -75,10 +75,10 @@ type outServe struct {
 // entries than the table holds fails at once: FIFO admission would queue it
 // forever, and every later read behind it.
 func (s *Stack) Call(dst uint32, req *transport.Message, done func(*transport.Response)) {
-	r := &rpc{s: s, op: req.Op, dst: dst, req: req, done: done, n: splitBlocks(req.ReadLen)}
+	r := &rpc{s: s, op: req.Op, dst: dst, req: req, done: done, n: wire.Blocks(req.ReadLen)}
 	switch {
 	case req.Op == wire.RPCWriteReq:
-		r.n = splitBlocks(len(req.Data))
+		r.n = wire.Blocks(len(req.Data))
 		s.issue(r)
 	case req.Op != wire.RPCReadReq || r.n > s.addrCap:
 		r.resp.Err = transport.ErrAdmission
@@ -91,8 +91,6 @@ func (s *Stack) Call(dst uint32, req *transport.Message, done func(*transport.Re
 		s.admitRead(r)
 	}
 }
-
-func splitBlocks(n int) int { return (n + wire.BlockSize - 1) / wire.BlockSize }
 
 // issue gives r a fresh RPC ID and charges the issue CPU; rpcIssue then
 // puts its packets on the wire.

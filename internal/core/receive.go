@@ -208,7 +208,7 @@ func (s *Stack) serveReadBlocks(key serveKey, req *transport.Message, resp *tran
 		return
 	}
 	data := resp.Data
-	n := splitBlocks(len(data))
+	n := wire.Blocks(len(data))
 	// One-touch CRC: the chunk store reports each block's stored CRC with
 	// the read; when the list covers every outgoing block, the server
 	// forwards those values instead of re-walking the payload.

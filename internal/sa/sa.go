@@ -467,7 +467,7 @@ func (a *Agent) admit(vdisk uint32, bytes int) time.Duration {
 
 // saBusy returns the CPU busy time for an I/O of n bytes.
 func (a *Agent) saBusy(bytes int) time.Duration {
-	blocks := (bytes + wire.BlockSize - 1) / wire.BlockSize
+	blocks := wire.Blocks(bytes)
 	busy := a.params.PerIOCPU + time.Duration(blocks)*a.params.CRCPer4K
 	if a.params.Encrypted {
 		busy += time.Duration(blocks) * a.params.CryptoPer4K
@@ -709,7 +709,7 @@ func (p *piece) issue() {
 		// engine will re-encrypt: the wire bytes are not ours to hash.
 		if a.params.Offloaded && !a.params.Encrypted {
 			p.msg.BlockCRCs = p.crc1[:]
-			if blocks := (p.n + wire.BlockSize - 1) / wire.BlockSize; blocks > 1 {
+			if blocks := wire.Blocks(p.n); blocks > 1 {
 				p.msg.BlockCRCs = make([]uint32, blocks)
 			}
 			blockCRCs(p.msg.BlockCRCs, p.msg.Data)

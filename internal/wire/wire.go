@@ -532,6 +532,10 @@ func (s *INTStack) Decode(b []byte) (int, error) {
 // size, the unit of the one-block-one-packet design.
 const BlockSize = 4096
 
+// Blocks returns how many blocks n payload bytes span; the last may be
+// short. n <= 0 spans none.
+func Blocks(n int) int { return (n + BlockSize - 1) / BlockSize }
+
 // JumboFrame is the fabric MTU. The paper uses 4 KiB-payload jumbo frames
 // ("we use 4K bytes instead of 8K bytes for the jumbo frame"); a Solar data
 // packet with all headers comfortably fits.

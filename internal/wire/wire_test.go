@@ -264,3 +264,13 @@ func TestCNPRoundTrip(t *testing.T) {
 		t.Fatal("short CNP buffer decoded")
 	}
 }
+
+func TestBlocks(t *testing.T) {
+	for _, tc := range []struct{ n, want int }{
+		{-BlockSize, 0}, {-1, 0}, {0, 0}, {1, 1}, {BlockSize, 1}, {BlockSize + 1, 2}, {128 << 10, 32},
+	} {
+		if got := Blocks(tc.n); got != tc.want {
+			t.Errorf("Blocks(%d) = %d, want %d", tc.n, got, tc.want)
+		}
+	}
+}

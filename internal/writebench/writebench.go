@@ -7,9 +7,12 @@
 // receive-side materialisation — from replication and store costs. NewBNRig
 // is its backend-network twin: an RDMA client into a chunk-server service,
 // the half of a write that runs three times per I/O under every FN stack.
-// NewLunaRig is the FN half of the host-side stacks: tcpstack into tcpstack.
-// ReadOne drives the Solar and Luna rigs' read path the same way: the server
-// answers every read with the rig's own block.
+// NewBlockServerRig joins the two: an RDMA client into a block server that
+// replicates over the BN into three chunk-server services. NewLunaRig is the
+// FN half of the host-side stacks: tcpstack into tcpstack. ReadOne drives
+// each rig's read path the same way: the Solar and Luna servers answer every
+// read with the rig's own block, and the chunk stores hold it once Warm has
+// written it.
 //
 // The harness deliberately allocates nothing per I/O in steady state: the
 // request messages, payload buffer, read response and completion callback
@@ -22,6 +25,7 @@ import (
 	"fmt"
 	"time"
 
+	"lunasolar/internal/blockserver"
 	"lunasolar/internal/chunkserver"
 	"lunasolar/internal/core"
 	"lunasolar/internal/crc"
@@ -59,7 +63,7 @@ var emptyResp transport.Response
 // mode — FPGA CRC engine, per-block framing — against a storage-server
 // stack whose handler acknowledges a write, or answers a read, at once.
 func NewRig(seed int64) *Rig {
-	eng, fab := newFabric(seed)
+	eng, fab := newFabric(seed, 2)
 
 	dcfg := dpu.DefaultConfig()
 	dcfg.Faults = dpu.FaultRates{}
@@ -78,7 +82,7 @@ func NewRig(seed int64) *Rig {
 // stack, Luna or the kernel baseline depending on params — into a server
 // whose handler acknowledges immediately.
 func NewLunaRig(seed int64, params tcpstack.Params) *Rig {
-	eng, fab := newFabric(seed)
+	eng, fab := newFabric(seed, 2)
 	client := tcpstack.New(eng, fab.Host(0, 0, 0, 0), sim.NewServer(eng, "client-cpu", 4), nil, params)
 	server := tcpstack.New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "server-cpu", 16), nil, params)
 	r := newRig(eng, fab, client, server.LocalAddr(), 4096)
@@ -101,7 +105,7 @@ func (r *Rig) serve(src uint32, req *transport.Message, reply func(*transport.Re
 // stack pair and service every block-server replica write crosses. Each
 // write carries its block CRC, as every BN write does.
 func NewBNRig(seed int64) *Rig {
-	eng, fab := newFabric(seed)
+	eng, fab := newFabric(seed, 2)
 	client := rdma.New(eng, fab.Host(0, 0, 0, 0), sim.NewServer(eng, "block-cpu", 4), nil, rdma.DefaultParams())
 	server := rdma.New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "chunk-cpu", 16), nil, rdma.DefaultParams())
 	chunkserver.NewService(eng, chunkserver.New(eng, "rig", chunkserver.DefaultSSD()), server)
@@ -110,11 +114,36 @@ func NewBNRig(seed int64) *Rig {
 	return r
 }
 
-func newFabric(seed int64) (*sim.Engine, *simnet.Fabric) {
+// NewBlockServerRig builds the whole storage-server side of an I/O: an RDMA
+// FN client into a block server that fans each write out over an RDMA BN to
+// three chunk-server services and reads from the primary. Each write
+// carries its block CRC, so every replica's commit fold is cross-checked.
+func NewBlockServerRig(seed int64) *Rig {
+	eng, fab := newFabric(seed, 4)
+	var chunks []uint32
+	for i := 0; i < blockserver.Replicas; i++ {
+		host := fab.Host(0, 1, 1, i)
+		bn := rdma.New(eng, host, sim.NewServer(eng, "chunk-cpu", 8), nil, rdma.DefaultParams())
+		chunkserver.NewService(eng, chunkserver.New(eng, "rig", chunkserver.DefaultSSD()), bn)
+		chunks = append(chunks, host.Addr())
+	}
+	// One RDMA stack is the block server's FN endpoint and its BN client.
+	host, cores := fab.Host(0, 1, 0, 0), sim.NewServer(eng, "block-cpu", 8)
+	stack := rdma.New(eng, host, cores, nil, rdma.DefaultParams())
+	if _, err := blockserver.New(eng, "rig", stack, stack, chunks, cores, blockserver.DefaultParams()); err != nil {
+		panic(err) // fixed arguments: only a bug can fail this
+	}
+	client := rdma.New(eng, fab.Host(0, 0, 0, 0), sim.NewServer(eng, "client-cpu", 4), nil, rdma.DefaultParams())
+	r := newRig(eng, fab, client, host.Addr(), 1024)
+	r.msg.BlockCRCs = []uint32{crc.Raw(r.payload)}
+	return r
+}
+
+func newFabric(seed int64, hostsPerRack int) (*sim.Engine, *simnet.Fabric) {
 	eng := sim.NewEngine(seed)
 	cfg := simnet.DefaultConfig()
 	cfg.RacksPerPod = 2
-	cfg.HostsPerRack = 2
+	cfg.HostsPerRack = hostsPerRack
 	cfg.SpinesPerPod = 2
 	cfg.CoresPerDC = 2
 	return eng, simnet.New(eng, cfg)
