@@ -144,9 +144,8 @@ type request struct {
 	t0        sim.Time
 	req       *transport.Message
 	reply     func(*transport.Response)
-	remaining int // legs still out
-	err       error
-	maxSSD    time.Duration
+	remaining int                // legs still out
+	resp      transport.Response // the reply: first error, slowest leg's SSDTime, a read's primary data
 	wantFold  uint32
 	checkFold bool
 	legs      [Replicas]leg
@@ -161,13 +160,12 @@ type leg struct {
 
 // Handle is the FN request handler (exported for tests and for wiring
 // through additional dispatch layers).
+//
+//lint:hotpath
 func (s *Server) Handle(src uint32, req *transport.Message, reply func(*transport.Response)) {
 	r := s.free.Get()
 	if r == nil {
-		r = &request{s: s}
-		for i := range r.legs {
-			r.legs[i].r, r.legs[i].done = r, r.legs[i].complete
-		}
+		r = s.newRequest()
 	}
 	r.t0, r.req, r.reply = s.eng.Now(), req, reply
 	blocks := wire.Blocks(len(req.Data))
@@ -177,18 +175,28 @@ func (s *Server) Handle(src uint32, req *transport.Message, reply func(*transpor
 	s.cores.SubmitArg(s.params.PerRPCCPU+time.Duration(blocks)*s.params.PerBlockCPU, serve, r)
 }
 
+// newRequest builds a record for the pool, binding each leg's done once.
+func (s *Server) newRequest() *request {
+	r := &request{s: s}
+	for i := range r.legs {
+		r.legs[i].r, r.legs[i].done = r, r.legs[i].complete
+	}
+	return r
+}
+
 // serve runs once the request's CPU charge has elapsed: it rejects the
 // request, or sends a leg to each of the chunk servers it needs.
+//
+//lint:hotpath
 func serve(a any) {
 	r := a.(*request)
 	s, req := r.s, r.req
-	legs := 1 // a read is served from the primary
-	switch newOwner, gone := s.released[req.SegmentID]; {
-	case gone:
-		r.finish(&transport.Response{Err: fmt.Errorf("blockserver %s: segment %d released to %d: %w",
-			s.name, req.SegmentID, newOwner, transport.ErrNotOwner)})
+	if _, gone := s.released[req.SegmentID]; gone || (req.Op != wire.RPCWriteReq && req.Op != wire.RPCReadReq) {
+		r.reject()
 		return
-	case req.Op == wire.RPCWriteReq:
+	}
+	legs := 1 // a read is served from the primary
+	if req.Op == wire.RPCWriteReq {
 		// A write acknowledges once every replica has committed (step 3→4
 		// in Fig. 2). Its one-touch CRC list is folded once, with the
 		// memoized 4 KiB GF(2) combine, and every replica's commit fold must
@@ -198,11 +206,8 @@ func serve(a any) {
 			r.wantFold = crc.CombineBlocks(req.BlockCRCs, wire.BlockSize)
 		}
 		legs = Replicas
-	case req.Op == wire.RPCReadReq:
+	} else {
 		s.reads++
-	default:
-		r.finish(&transport.Response{Err: fmt.Errorf("blockserver %s: bad op %d", s.name, req.Op)})
-		return
 	}
 	var buf [Replicas]uint32
 	r.remaining = legs
@@ -212,35 +217,60 @@ func serve(a any) {
 	}
 }
 
+// reject answers a request serve does not fan out — one for a segment
+// released to another owner, or with an unknown op — with an error.
+func (r *request) reject() {
+	s, req := r.s, r.req
+	if newOwner, gone := s.released[req.SegmentID]; gone {
+		r.resp.Err = fmt.Errorf("blockserver %s: segment %d released to %d: %w",
+			s.name, req.SegmentID, newOwner, transport.ErrNotOwner)
+	} else {
+		r.resp.Err = fmt.Errorf("blockserver %s: bad op %d", s.name, req.Op)
+	}
+	r.finish()
+}
+
 // complete folds one leg's response into its request. The last leg answers
-// the request: a read with the primary's data and stored CRCs.
+// the request: a read with the primary's data and stored CRCs, which the
+// reply reads before this leg's response goes back to its stack.
+//
+//lint:hotpath
 func (l *leg) complete(resp *transport.Response) {
-	r, s := l.r, l.r.s
+	r := l.r
 	if r.checkFold && resp.Err == nil && len(resp.BlockCRCs) == 1 && resp.BlockCRCs[0] != r.wantFold {
-		s.crcFoldMismatches++
-		if r.err == nil {
-			r.err = fmt.Errorf("blockserver %s: replica %d commit CRC fold mismatch: got %08x want %08x",
-				s.name, l.chunk, resp.BlockCRCs[0], r.wantFold)
-		}
+		l.foldMismatch(resp.BlockCRCs[0])
 	}
-	if r.err == nil {
-		r.err = resp.Err
+	if r.resp.Err == nil {
+		r.resp.Err = resp.Err
 	}
-	r.maxSSD = max(r.maxSSD, resp.SSDTime)
+	r.resp.SSDTime = max(r.resp.SSDTime, resp.SSDTime)
 	if r.remaining--; r.remaining > 0 {
 		return
 	}
-	out := &transport.Response{Err: r.err, ServerWall: s.eng.Now().Sub(r.t0), SSDTime: r.maxSSD}
+	r.resp.ServerWall = r.s.eng.Now().Sub(r.t0)
 	if r.req.Op == wire.RPCReadReq {
-		out.Data, out.BlockCRCs = resp.Data, resp.BlockCRCs
+		r.resp.Data, r.resp.BlockCRCs = resp.Data, resp.BlockCRCs
 	}
-	r.finish(out)
+	r.finish()
 }
 
-// finish returns the record to the pool, then replies.
-func (r *request) finish(resp *transport.Response) {
-	s, reply := r.s, r.reply
+// foldMismatch counts a replica commit whose CRC fold disagrees with the
+// request's one-touch metadata, and fails the request with it.
+func (l *leg) foldMismatch(got uint32) {
+	r, s := l.r, l.r.s
+	s.crcFoldMismatches++
+	if r.resp.Err == nil {
+		r.resp.Err = fmt.Errorf("blockserver %s: replica %d commit CRC fold mismatch: got %08x want %08x",
+			s.name, l.chunk, got, r.wantFold)
+	}
+}
+
+// finish replies from the record, then returns it to the pool.
+//
+//lint:hotpath
+func (r *request) finish() {
+	s := r.s
+	r.reply(&r.resp)
 	*r = request{s: s, legs: r.legs}
 	s.free.Put(r)
-	reply(resp)
 }

@@ -73,12 +73,13 @@ func newRig(t *testing.T) *rig {
 func TestWriteReplicatesToAllChunks(t *testing.T) {
 	r := newRig(t)
 	data := bytes.Repeat([]byte{7}, 8192)
-	var resp *transport.Response
+	var resp transport.Response
+	answered := false
 	r.client.Call(r.bsAddr, &transport.Message{
 		Op: wire.RPCWriteReq, SegmentID: 3, LBA: 0x2000, Gen: 1, Data: data,
-	}, func(rp *transport.Response) { resp = rp })
+	}, func(rp *transport.Response) { resp, answered = *rp, true })
 	r.eng.Run()
-	if resp == nil || resp.Err != nil {
+	if !answered || resp.Err != nil {
 		t.Fatalf("write failed: %+v", resp)
 	}
 	for i, cs := range r.chunks {
@@ -222,8 +223,8 @@ func (f *fakeBN) Call(dst uint32, req *transport.Message, done func(*transport.R
 
 // writeThrough sends one 4 KiB write carrying its block CRC through a block
 // server whose chunk servers are 11, 12 and 13 behind bn, runs the engine
-// dry and returns every response the write got.
-func writeThrough(t *testing.T, bn *fakeBN) (*Server, []*transport.Response) {
+// dry and returns a copy of every response the write got.
+func writeThrough(t *testing.T, bn *fakeBN) (*Server, []transport.Response) {
 	t.Helper()
 	eng := bn.eng
 	fn := transport.NewLoopback(func(d time.Duration, f func()) { eng.Schedule(d, f) }, time.Microsecond, 1)
@@ -232,9 +233,9 @@ func writeThrough(t *testing.T, bn *fakeBN) (*Server, []*transport.Response) {
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte{3}, wire.BlockSize)
-	var got []*transport.Response
+	var got []transport.Response
 	bs.Handle(1, &transport.Message{Op: wire.RPCWriteReq, SegmentID: 0, Gen: 1, Data: data,
-		BlockCRCs: []uint32{crc.Raw(data)}}, func(resp *transport.Response) { got = append(got, resp) })
+		BlockCRCs: []uint32{crc.Raw(data)}}, func(resp *transport.Response) { got = append(got, *resp) })
 	eng.Run()
 	return bs, got
 }

@@ -3,6 +3,7 @@ package chunkserver
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"lunasolar/internal/crc"
 	"lunasolar/internal/sim"
@@ -29,21 +30,28 @@ func NewService(eng *sim.Engine, cs *Server, bn transport.Stack) *Service {
 
 var errEmptyRequest = errors.New("chunkserver: request carries no blocks")
 
-// Handle serves one BN request. A request the store cannot act on — no
-// blocks to write, nothing (or less than nothing) to read, an unknown
-// opcode — is answered at once with an error: the caller's transport holds
-// a pending entry per request and would otherwise wait forever.
+// Handle serves one BN request.
 func (s *Service) Handle(src uint32, req *transport.Message, reply func(*transport.Response)) {
 	switch {
 	case req.Op == wire.RPCWriteReq && len(req.Data) > 0:
 		s.write(req, reply)
 	case req.Op == wire.RPCReadReq && req.ReadLen > 0:
 		s.read(req, reply)
-	case req.Op == wire.RPCWriteReq || req.Op == wire.RPCReadReq:
-		reply(&transport.Response{Err: errEmptyRequest})
 	default:
-		reply(&transport.Response{Err: fmt.Errorf("chunkserver %s: bad op %d", s.cs.name, req.Op)})
+		s.reject(req, reply)
 	}
+}
+
+// reject answers a request the store cannot act on — no blocks to write,
+// nothing (or less than nothing) to read, an unknown opcode — at once with
+// an error: the caller's transport holds a pending entry per request and
+// would otherwise wait forever.
+func (s *Service) reject(req *transport.Message, reply func(*transport.Response)) {
+	err := errEmptyRequest
+	if req.Op != wire.RPCWriteReq && req.Op != wire.RPCReadReq {
+		err = fmt.Errorf("chunkserver %s: bad op %d", s.cs.name, req.Op)
+	}
+	reply(&transport.Response{Err: err})
 }
 
 // request is one BN request on its way through the store: a pooled record
@@ -54,25 +62,26 @@ type request struct {
 	t0        sim.Time
 	reply     func(*transport.Response)
 	remaining int
-	firstErr  error
-	// buf is a read's reassembly buffer (nil for a write). crcs is the CRC
-	// list the reply carries when crcsOK: a write's one-entry fold, or a
-	// read's stored per-block CRCs. A one-entry list lives in crc1.
-	buf    []byte
-	crcs   []uint32
-	crcsOK bool
-	crc1   [1]uint32
+	// resp is the reply, built in place: Err is the first block error, Data
+	// a read's reassembly buffer (nil for a write). Its BlockCRCs are crcs —
+	// a write's one-entry fold, or a read's stored per-block CRCs until a
+	// block fails — whose backing array is kept across recycling.
+	resp transport.Response
+	crcs []uint32
 }
 
 func (s *Service) get(reply func(*transport.Response), n int) *request {
 	r := s.free.Get()
 	if r == nil {
-		r = &request{svc: s}
+		r = &request{svc: s, crcs: make([]uint32, 0, 1)} // room for a write's fold
 	}
 	r.t0, r.reply, r.remaining = s.eng.Now(), reply, n
 	return r
 }
 
+// write hands each block of a write request to the store.
+//
+//lint:hotpath
 func (s *Service) write(req *transport.Message, reply func(*transport.Response)) {
 	n := wire.Blocks(len(req.Data))
 	r := s.get(reply, n)
@@ -84,8 +93,9 @@ func (s *Service) write(req *transport.Message, reply func(*transport.Response))
 	if len(carried) != n {
 		carried = nil
 	} else {
-		r.crc1[0] = crc.CombineBlocks(carried, wire.BlockSize)
-		r.crcs, r.crcsOK = r.crc1[:], true
+		r.crcs = r.crcs[:1]
+		r.crcs[0] = crc.CombineBlocks(carried, wire.BlockSize)
+		r.resp.BlockCRCs = r.crcs
 	}
 	// req and its Data are the transport's until reply returns; the store
 	// copies each block at the call, so nothing of req is kept.
@@ -107,14 +117,12 @@ func (s *Service) write(req *transport.Message, reply func(*transport.Response))
 func (s *Service) read(req *transport.Message, reply func(*transport.Response)) {
 	n := wire.Blocks(req.ReadLen)
 	r := s.get(reply, n)
-	r.buf = make([]byte, req.ReadLen)
+	r.resp.Data = make([]byte, req.ReadLen)
 	// One-touch CRC, read direction: the stored CRCs ride back with the
 	// data for upstream hops to reuse, but only when every block's stored
 	// bytes exactly fill its slot; otherwise CRC and data would disagree.
-	r.crcs, r.crcsOK = r.crc1[:], true
-	if n > 1 {
-		r.crcs = make([]uint32, n)
-	}
+	r.crcs = slices.Grow(r.crcs, n)[:n]
+	r.resp.BlockCRCs = r.crcs
 	for i := 0; i < n; i++ {
 		o := s.cs.getOp(opRead, req.SegmentID, req.LBA+uint64(i*wire.BlockSize))
 		o.req, o.idx = r, i
@@ -125,16 +133,20 @@ func (s *Service) read(req *transport.Message, reply func(*transport.Response)) 
 // blockDone counts block i's completion: a write's commit, or a read's
 // stored bytes, valid only here, which it copies into place. The last block
 // finishes the request.
+//
+//lint:hotpath
 func (r *request) blockDone(i int, data []byte, rawCRC uint32, err error) {
-	if err != nil && r.firstErr == nil {
-		r.firstErr = err
+	if err != nil && r.resp.Err == nil {
+		r.resp.Err = err
 	}
-	if r.buf != nil {
+	if buf := r.resp.Data; buf != nil {
 		lo := i * wire.BlockSize
-		slot := r.buf[lo:min(lo+wire.BlockSize, len(r.buf))]
+		slot := buf[lo:min(lo+wire.BlockSize, len(buf))]
 		copy(slot, data)
 		r.crcs[i] = rawCRC
-		r.crcsOK = r.crcsOK && err == nil && len(data) == len(slot)
+		if err != nil || len(data) != len(slot) {
+			r.resp.BlockCRCs = nil
+		}
 	}
 	r.remaining--
 	if r.remaining == 0 {
@@ -142,27 +154,14 @@ func (r *request) blockDone(i int, data []byte, rawCRC uint32, err error) {
 	}
 }
 
-// response is a reply envelope with room for a one-entry CRC list in the
-// same allocation.
-type response struct {
-	transport.Response
-	crc1 [1]uint32
-}
-
-// finish answers the request. The response is built fresh: the transport
-// reads it after reply returns and the caller keeps Data and BlockCRCs, so
-// it may alias nothing this record reuses.
+// finish answers the request from the record, then recycles it: the
+// response is valid until reply returns.
+//
+//lint:hotpath
 func (r *request) finish() {
-	s, reply := r.svc, r.reply
-	out := &response{Response: transport.Response{Data: r.buf, Err: r.firstErr, SSDTime: s.eng.Now().Sub(r.t0)}}
-	if r.crcsOK {
-		out.BlockCRCs = r.crcs
-		if len(r.crcs) == 1 {
-			out.crc1 = r.crc1
-			out.BlockCRCs = out.crc1[:]
-		}
-	}
-	*r = request{svc: s}
+	s := r.svc
+	r.resp.SSDTime = s.eng.Now().Sub(r.t0)
+	r.reply(&r.resp)
+	*r = request{svc: s, crcs: r.crcs[:0]}
 	s.free.Put(r)
-	reply(&out.Response)
 }

@@ -151,6 +151,7 @@ type Stack struct {
 	// Hot-path free lists (see pool.go). All are engine-owned: one stack,
 	// one engine, one goroutine at a time.
 	pool          *simnet.PacketPool
+	freeRPCs      *sim.Pool[rpc]
 	freePkts      *sim.Pool[outPkt]
 	freeTx        *sim.Pool[wireTx]
 	freeMsgs      *sim.Pool[transport.Message]
@@ -218,6 +219,7 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, card *dpu.DPU, p
 		randomizer: eng.Rand.Fork(),
 		pool:       host.PacketPool(),
 
+		freeRPCs:      sim.NewPool[rpc](eng),
 		freePkts:      sim.NewPool[outPkt](eng),
 		freeTx:        sim.NewPool[wireTx](eng),
 		freeMsgs:      sim.NewPool[transport.Message](eng),

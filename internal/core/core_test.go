@@ -420,13 +420,13 @@ func TestAddrTableBackpressure(t *testing.T) {
 func TestOversizedReadFailsAtOnce(t *testing.T) {
 	r := newRig(t, dpu.FaultRates{}, Offloaded)
 	r.client.addrCap = 8
-	var big, small []*transport.Response
+	var big, small []transport.Response
 	r.client.Call(r.server.LocalAddr(),
 		&transport.Message{Op: wire.RPCReadReq, LBA: 0, ReadLen: 64 << 10},
-		func(resp *transport.Response) { big = append(big, resp) })
+		func(resp *transport.Response) { big = append(big, *resp) })
 	r.client.Call(r.server.LocalAddr(),
 		&transport.Message{Op: wire.RPCReadReq, LBA: 0, ReadLen: 4096},
-		func(resp *transport.Response) { small = append(small, resp) })
+		func(resp *transport.Response) { small = append(small, *resp) })
 	r.eng.RunFor(time.Second)
 	if len(big) != 1 || big[0].Err != transport.ErrAdmission {
 		t.Fatalf("16-block read with 8 entries: %d completions, want 1 with ErrAdmission", len(big))

@@ -18,9 +18,9 @@ const readReqPktID = 0xffff
 // is a function of this record: the issue charge (rpcIssue), Addr-table
 // admission (admitRead), per-block progress (runAck, commitReadBlock), the
 // done charge (complete, rpcDone) and the read integrity re-issue. The
-// first block's entries are inline, so a one-block RPC allocates only the
-// record. It is not pooled: done receives &r.resp, which the caller may
-// keep.
+// first block's entries are inline, so a one-block RPC allocates nothing
+// beyond a read's guest buffer. done receives &r.resp, valid until it
+// returns; the record then goes back to the pool.
 type rpc struct {
 	s    *Stack
 	id   uint64
@@ -75,16 +75,17 @@ type outServe struct {
 // entries than the table holds fails at once: FIFO admission would queue it
 // forever, and every later read behind it.
 func (s *Stack) Call(dst uint32, req *transport.Message, done func(*transport.Response)) {
-	r := &rpc{s: s, op: req.Op, dst: dst, req: req, done: done, n: wire.Blocks(req.ReadLen)}
+	r := s.getRPC()
+	r.op, r.dst, r.req, r.done, r.n = req.Op, dst, req, done, wire.Blocks(req.ReadLen)
 	switch {
 	case req.Op == wire.RPCWriteReq:
 		r.n = wire.Blocks(len(req.Data))
 		s.issue(r)
 	case req.Op != wire.RPCReadReq || r.n > s.addrCap:
 		r.resp.Err = transport.ErrAdmission
-		done(&r.resp)
+		r.finish()
 	case r.n <= 0:
-		done(&r.resp)
+		r.finish()
 	default:
 		r.received = inline(&r.recv1, r.n)[:r.n]
 		r.buf = make([]byte, req.ReadLen)
@@ -274,7 +275,15 @@ func rpcDone(a any) {
 		}
 		r.resp.Data = r.buf
 	}
+	r.finish()
+}
+
+// finish hands the response to done, then recycles the record.
+//
+//lint:hotpath
+func (r *rpc) finish() {
 	r.done(&r.resp)
+	r.s.putRPC(r)
 }
 
 // txCRC runs the outbound CRC stage for one block. carried/haveCarried is

@@ -9,10 +9,10 @@ import (
 	"lunasolar/internal/wire"
 )
 
-// The Solar hot path runs allocation-free in steady state: outbound packet
-// records, wire frames, acknowledgment jobs and server-side request
-// envelopes all come from stack-owned sim.Pools. Each get builds the record
-// on a miss and each put wipes what the record must not carry over.
+// The Solar hot path runs allocation-free in steady state: client RPCs,
+// outbound packet records, wire frames, acknowledgment jobs and server-side
+// request envelopes all come from stack-owned sim.Pools. Each get builds the
+// record on a miss and each put wipes what the record must not carry over.
 
 // newOutPkt takes a packet record from the stack's free list. Records are
 // recycled when their acknowledgment completes; generation counters make
@@ -74,6 +74,21 @@ func wireTxSend(a any) {
 func wireTxPCIe(a any) {
 	x := a.(*wireTx)
 	x.s.card.PCIe.TransferArg(2*x.n, wireTxSend, x)
+}
+
+func (s *Stack) getRPC() *rpc {
+	if r := s.freeRPCs.Get(); r != nil {
+		return r
+	}
+	return &rpc{s: s}
+}
+
+// putRPC recycles a client RPC once done has returned. The wipe drops the
+// caller's req, done and guest buffer and any adopted slabs; the one-block
+// arrays stay in the record.
+func (s *Stack) putRPC(r *rpc) {
+	*r = rpc{s: s}
+	s.freeRPCs.Put(r)
 }
 
 // getMsg builds a pooled server-side request envelope. The envelope (and

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -78,32 +79,37 @@ func TestRequestByReferenceLeavesNoReference(t *testing.T) {
 	}
 }
 
-// TestResponsesSurviveLaterTraffic: a Response handed to done is the
-// caller's for good — the block server passes Data and BlockCRCs on to the
-// FN, which holds them until its own frames are acknowledged. A response
-// that aliased the frame, or anything a pooled record reuses, would read
-// back as some later message's bytes.
+// TestResponsesSurviveLaterTraffic: a response's Data is handed over to
+// done's caller for good — the block server passes a read's Data on to the
+// FN, which holds it until its own frames are acknowledged — while the
+// envelope and its CRC list are the stack's until done returns, so done
+// copies them. Data that aliased the frame, or anything a pooled record
+// reuses, would read back as some later message's bytes.
 func TestResponsesSurviveLaterTraffic(t *testing.T) {
 	p := newBNPair(t)
 	dst := p.server.LocalAddr()
+	keep := func(into *transport.Response) func(*transport.Response) {
+		return func(r *transport.Response) {
+			*into = *r
+			into.BlockCRCs = slices.Clone(r.BlockCRCs)
+		}
+	}
 	const n = 16
 	blocks := make([][]byte, n)
 	folds := make([]uint32, n)
-	writes := make([]*transport.Response, n)
+	writes := make([]transport.Response, n)
 	for i := range blocks {
 		var crcs []uint32
 		blocks[i], crcs = pattern(4096, byte(i+1))
 		folds[i] = crcs[0]
-		i := i
 		p.client.Call(dst, &transport.Message{Op: wire.RPCWriteReq, SegmentID: 1, LBA: uint64(i) << 12, Gen: 1,
-			Data: blocks[i], BlockCRCs: crcs}, func(r *transport.Response) { writes[i] = r })
+			Data: blocks[i], BlockCRCs: crcs}, keep(&writes[i]))
 		p.eng.Run()
 	}
-	reads := make([]*transport.Response, n)
+	reads := make([]transport.Response, n)
 	for i := range reads {
-		i := i
 		p.client.Call(dst, &transport.Message{Op: wire.RPCReadReq, SegmentID: 1, LBA: uint64(i) << 12, ReadLen: 4096},
-			func(r *transport.Response) { reads[i] = r })
+			keep(&reads[i]))
 		p.eng.Run()
 	}
 	// More traffic on the same QP, both directions, all sizes: every pooled
@@ -117,12 +123,12 @@ func TestResponsesSurviveLaterTraffic(t *testing.T) {
 	}
 	p.eng.Run()
 	for i := range blocks {
-		if w := writes[i]; w == nil || w.Err != nil || len(w.BlockCRCs) != 1 || w.BlockCRCs[0] != folds[i] {
-			t.Fatalf("write %d: response's CRC fold changed under later traffic: %+v", i, w)
+		if w := writes[i]; w.Err != nil || len(w.BlockCRCs) != 1 || w.BlockCRCs[0] != folds[i] {
+			t.Fatalf("write %d: response's CRC fold wrong: %+v", i, w)
 		}
-		if r := reads[i]; r == nil || r.Err != nil || !bytes.Equal(r.Data, blocks[i]) ||
+		if r := reads[i]; r.Err != nil || !bytes.Equal(r.Data, blocks[i]) ||
 			len(r.BlockCRCs) != 1 || r.BlockCRCs[0] != folds[i] {
-			t.Fatalf("read %d: response's data or CRC changed under later traffic", i)
+			t.Fatalf("read %d: response's data changed under later traffic, or its CRC was wrong", i)
 		}
 	}
 }
@@ -171,12 +177,12 @@ func TestRequestValidUntilReply(t *testing.T) {
 	}
 }
 
-// TestReplyReadsResponseAfterCPUCharge pins the other half of the handler
-// contract: reply does not snapshot *Response — the stack reads it when the
-// per-message CPU charge has elapsed — so a handler must leave the Response
-// it passed alone (and must not recycle it) once reply returns. What the
-// client sees here is the handler's late scribble, not what it replied.
-func TestReplyReadsResponseAfterCPUCharge(t *testing.T) {
+// TestReplyCopiesTheResponse pins the other half of the handler contract:
+// the stack sends the response once the per-message CPU charge has elapsed,
+// long after reply returns, so reply copies the envelope — a handler may
+// reuse its Response at once. Data is handed over and stays the handler's
+// buffer.
+func TestReplyCopiesTheResponse(t *testing.T) {
 	p := newPair(t, DefaultParams())
 	p.server.SetHandler(func(src uint32, req *transport.Message, reply func(*transport.Response)) {
 		resp := &transport.Response{Data: []byte("replied")}
@@ -187,8 +193,8 @@ func TestReplyReadsResponseAfterCPUCharge(t *testing.T) {
 	p.client.Call(p.server.LocalAddr(), &transport.Message{Op: wire.RPCReadReq, ReadLen: 8},
 		func(r *transport.Response) { got = r.Data })
 	p.eng.Run()
-	if string(got) != "scribbled" {
-		t.Fatalf("client saw %q: reply now snapshots the Response — update the handler contract in DESIGN.md and this test", got)
+	if string(got) != "replied" {
+		t.Fatalf("client saw %q: the stack read the Response after reply returned", got)
 	}
 }
 

@@ -10,15 +10,15 @@ import (
 // to the send queue, an inbound message from reassembly to the handler or
 // the pending callback, and — in the same record — the handler's response
 // back to the send queue. It replaces a closure per hop and the heap
-// request envelope, as core's writeJob/readJob do for Solar.
+// envelopes, as core's writeJob/readJob do for Solar.
 type rpcJob struct {
 	s  *Stack
 	q  *qp
 	id uint64
 
-	// Outbound: exactly one is set while the job waits to be queued.
+	// Outbound: req, or the handler's response, copied by reply.
 	req  *transport.Message
-	resp *transport.Response
+	resp transport.Response
 
 	// Inbound reassembly state; ebs is the first packet's header.
 	ebs      wire.EBS
@@ -26,7 +26,7 @@ type rpcJob struct {
 	numPkts  int
 	received int
 	payload  []byte
-	crcs     []uint32 // carried one-touch block CRCs, in PSN order
+	crcs     []uint32 // block CRCs, carried in PSN order or copied by reply
 
 	// msg is the request envelope handed to the handler, valid — like the
 	// slab behind msg.Data — until reply returns; crc1 backs the CRC list
@@ -49,7 +49,7 @@ func (s *Stack) getJob(q *qp, id uint64) *rpcJob {
 // putJob recycles a job, dropping the request slab if reply never ran.
 func (s *Stack) putJob(j *rpcJob) {
 	j.msg.Payload.Release()
-	*j = rpcJob{s: s, replyFn: j.replyFn}
+	*j = rpcJob{s: s, replyFn: j.replyFn, crcs: j.crcs[:0]}
 	s.freeJobs.Put(j)
 }
 
@@ -60,7 +60,10 @@ func (j *rpcJob) fillRequest(ebs *wire.EBS, data []byte, crcs []uint32) {
 }
 
 // rpcDeliver hands a complete message up once its CPU charge has elapsed:
-// a request to the handler, a response to its pending callback.
+// a request to the handler, a response, built in the job, to its pending
+// callback.
+//
+//lint:hotpath
 func rpcDeliver(a any) {
 	j := a.(*rpcJob)
 	s := j.s
@@ -72,34 +75,42 @@ func rpcDeliver(a any) {
 		s.handler(j.q.key.peer, &j.msg, j.replyFn)
 		return
 	}
-	id, ebs, payload, crcs := j.id, j.ebs, j.payload, j.crcs
-	s.putJob(j)
-	if done, ok := s.pending[id]; ok {
-		delete(s.pending, id)
-		resp := transport.ResponseFromHeader(ebs, payload)
-		resp.BlockCRCs = crcs
-		done(resp)
+	if done, ok := s.pending[j.id]; ok {
+		delete(s.pending, j.id)
+		j.resp = transport.ResponseFromHeader(j.ebs, j.payload)
+		j.resp.BlockCRCs = j.crcs
+		done(&j.resp)
 	}
+	s.putJob(j)
 }
 
 // reply ends the request's life — the envelope and the slab behind its
-// Data go back — and charges the response's CPU. resp is read only when
-// that charge has elapsed, so it must stay valid past this call.
+// Data go back — and charges the CPU of the response, copied to send later.
+//
+//lint:hotpath
 func (j *rpcJob) reply(resp *transport.Response) {
 	j.msg.Payload.Release()
 	j.msg = transport.Message{}
-	j.resp = resp
+	j.resp = *resp
+	j.resp.BlockCRCs = j.keepCRCs(resp.BlockCRCs)
 	j.s.cores.SubmitArg(j.s.params.PerRPCCPU, rpcSend, j)
 }
 
+// keepCRCs copies crcs into the job's own backing array.
+func (j *rpcJob) keepCRCs(crcs []uint32) []uint32 {
+	j.crcs = append(j.crcs[:0], crcs...)
+	return j.crcs
+}
+
 // rpcSend queues a job's outbound message once its CPU charge has elapsed.
+//
+//lint:hotpath
 func rpcSend(a any) {
 	j := a.(*rpcJob)
-	q, id, req, resp := j.q, j.id, j.req, j.resp
-	j.s.putJob(j)
-	if req != nil {
-		q.sendMessage(id, req.Op, req, nil)
+	if j.req != nil {
+		j.q.sendMessage(j.id, j.req.Op, j.req, nil)
 	} else {
-		q.sendMessage(id, wire.RPCWriteResp, nil, resp)
+		j.q.sendMessage(j.id, wire.RPCWriteResp, nil, &j.resp)
 	}
+	j.s.putJob(j)
 }

@@ -560,10 +560,9 @@ func (q *qp) requestArrived(rpc *wire.RPC, ebs *wire.EBS, pkt *simnet.Packet) {
 
 // reassemble lands one chunk of a response or a multi-packet request. This
 // is the receive side's one materialisation — the chunks must be contiguous
-// for the handler, and a response outlives every pooled record (the block
-// server hands Data and BlockCRCs on to the FN long after done returns) —
-// so the buffers are fresh, sized once from the packet count, and each
-// chunk is counted as a copy.
+// for the handler, and a response's Data is handed over to its receiver —
+// so the payload is fresh, sized once from the packet count, and each chunk
+// is counted as a copy. The CRC list is the job's.
 func (q *qp) reassemble(rpc *wire.RPC, ebs *wire.EBS, chunk []byte) {
 	j := q.assembler[rpc.RPCID]
 	if j == nil {
@@ -587,9 +586,6 @@ func (q *qp) reassemble(rpc *wire.RPC, ebs *wire.EBS, chunk []byte) {
 	// Carried one-touch CRCs arrive in PSN order (strict in-order receiver);
 	// the set is usable only if every packet of the message carried one.
 	if ebs.Flags&wire.EBSFlagHasCRC != 0 {
-		if j.crcs == nil {
-			j.crcs = make([]uint32, 0, j.numPkts)
-		}
 		j.crcs = append(j.crcs, ebs.BlockCRC)
 	}
 	j.received++
@@ -600,7 +596,7 @@ func (q *qp) reassemble(rpc *wire.RPC, ebs *wire.EBS, chunk []byte) {
 		delete(q.assembler, rpc.RPCID)
 	}
 	if len(j.crcs) != j.numPkts {
-		j.crcs = nil
+		j.crcs = j.crcs[:0]
 	}
 	if isRequest(j.msgType) {
 		j.fillRequest(&j.ebs, j.payload, j.crcs)

@@ -109,9 +109,9 @@ type rpcJob struct {
 	c  *conn
 	id uint64
 
-	// Outbound: exactly one is set while the job waits to be queued.
+	// Outbound: req, or the handler's response, copied by reply.
 	req  *transport.Message
-	resp *transport.Response
+	resp transport.Response
 
 	// Inbound: the record as the reader completed it.
 	rec record
@@ -138,14 +138,13 @@ func (s *Stack) putJob(j *rpcJob) {
 	s.freeJobs.Put(j)
 }
 
-// reply queues the handler's response on the request's connection. resp is
-// read only when the response's transmit charge has elapsed, so it must stay
-// valid past this call.
+// reply queues a copy of the handler's response on the request's
+// connection, to be framed once its transmit charge has elapsed.
 //
 //lint:hotpath
 func (j *rpcJob) reply(resp *transport.Response) {
 	s := j.c.s
-	j.resp = resp
+	j.resp = *resp
 	s.cores.SubmitArg(s.params.PerRPCTxCPU+s.copyCost(len(resp.Data)), rpcTxCharged, j)
 }
 
@@ -162,13 +161,13 @@ func rpcTxCharged(a any) {
 //lint:hotpath
 func rpcEnqueue(a any) {
 	j := a.(*rpcJob)
-	s, c, id, req, resp := j.c.s, j.c, j.id, j.req, j.resp
-	s.putJob(j)
-	if req != nil {
-		c.enqueueRecord(s.makeRecordSpan(id, req.Op, req, nil))
+	s := j.c.s
+	if j.req != nil {
+		j.c.enqueueRecord(s.makeRecordSpan(j.id, j.req.Op, j.req, nil))
 	} else {
-		c.enqueueRecord(s.makeRecordSpan(id, wire.RPCWriteResp, nil, resp))
+		j.c.enqueueRecord(s.makeRecordSpan(j.id, wire.RPCWriteResp, nil, &j.resp))
 	}
+	s.putJob(j)
 }
 
 // rpcRxCharged waits out the inbound non-busy latency.
@@ -180,7 +179,8 @@ func rpcRxCharged(a any) {
 }
 
 // rpcDeliver hands a record up: a request to the handler, in the job that
-// will carry its response, and a response to its pending callback.
+// will carry its response, and a response, built in the job, to its pending
+// callback.
 //
 //lint:hotpath
 func rpcDeliver(a any) {
@@ -195,11 +195,11 @@ func rpcDeliver(a any) {
 		j.msg = transport.MessageFromHeader(j.rec.rpc.MsgType, j.rec.ebs, j.rec.payload)
 		s.handler(j.c.key.peer, &j.msg, j.replyFn)
 	default: // response
-		id, ebs, payload := j.id, j.rec.ebs, j.rec.payload
-		s.putJob(j)
-		if done, ok := s.pending[id]; ok {
-			delete(s.pending, id)
-			done(transport.ResponseFromHeader(ebs, payload))
+		if done, ok := s.pending[j.id]; ok {
+			delete(s.pending, j.id)
+			j.resp = transport.ResponseFromHeader(j.rec.ebs, j.rec.payload)
+			done(&j.resp)
 		}
+		s.putJob(j)
 	}
 }

@@ -103,8 +103,8 @@ func (q *spanQueue) copyOut(dst []byte, off int) {
 // buffering the stream: header bytes collect in a fixed array, and when the
 // header is complete the reader makes one buffer of exactly the payload's
 // size and copies segment bytes straight into it. A payload is its record's
-// own memory, never a packet's or a pooled buffer's: a response outlives
-// every record.
+// own memory, never a packet's or a pooled buffer's: a response's Data is
+// handed over to its receiver.
 type recordReader struct {
 	hdr  [recordHdrSize]byte
 	nhdr int    // header bytes collected

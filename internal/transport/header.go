@@ -46,8 +46,8 @@ func MessageFromHeader(op uint8, h wire.EBS, data []byte) Message {
 }
 
 // ResponseFromHeader rebuilds the response h carried in front of data.
-func ResponseFromHeader(h wire.EBS, data []byte) *Response {
-	resp := &Response{
+func ResponseFromHeader(h wire.EBS, data []byte) Response {
+	resp := Response{
 		Data:       data,
 		ServerWall: time.Duration(h.ServerNS),
 		SSDTime:    time.Duration(h.SSDNS),

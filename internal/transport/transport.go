@@ -8,6 +8,7 @@ package transport
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"lunasolar/internal/simnet"
@@ -59,7 +60,11 @@ type Response struct {
 }
 
 // Handler processes an inbound request on the server side and must
-// eventually invoke reply exactly once.
+// eventually invoke reply exactly once. Both envelopes are valid until the
+// function they were passed to returns — req until reply, the response until
+// reply (at the client, done) — and whoever needs one or its BlockCRCs later
+// copies them. A response's Data is handed over: the replier never reuses
+// it, the receiver may keep it, and it never aliases a frame.
 type Handler func(src uint32, req *Message, reply func(*Response))
 
 // Client issues RPCs to remote hosts.
@@ -67,7 +72,8 @@ type Client interface {
 	// Call sends req to the host with fabric address dst; done is invoked
 	// when the response arrives. Stacks retry internally — like production
 	// storage stacks they never give up, so a network that heals late
-	// yields a late (not failed) response. Callers measure hang time.
+	// yields a late (not failed) response. Callers measure hang time. The
+	// response is valid until done returns; done may keep its Data.
 	Call(dst uint32, req *Message, done func(*Response))
 }
 
@@ -181,7 +187,7 @@ func NewLoopback(schedule func(time.Duration, func()), latency time.Duration, lo
 }
 
 // Call implements Client: deliver to the local handler after the handover
-// latency.
+// latency, and its response, copied at reply, after another.
 func (l *Loopback) Call(dst uint32, req *Message, done func(*Response)) {
 	l.schedule(l.latency, func() {
 		if l.handler == nil {
@@ -189,7 +195,9 @@ func (l *Loopback) Call(dst uint32, req *Message, done func(*Response)) {
 			return
 		}
 		l.handler(l.local, req, func(resp *Response) {
-			l.schedule(l.latency, func() { done(resp) })
+			out := *resp
+			out.BlockCRCs = slices.Clone(resp.BlockCRCs)
+			l.schedule(l.latency, func() { done(&out) })
 		})
 	})
 }

@@ -78,9 +78,10 @@ func (c *fakeClock) schedule(d time.Duration, fn func()) {
 func TestLoopbackNoHandler(t *testing.T) {
 	clk := &fakeClock{}
 	l := NewLoopback(clk.schedule, time.Microsecond, 42)
-	var resp *Response
-	l.Call(7, &Message{}, func(r *Response) { resp = r })
-	if resp == nil {
+	var resp Response
+	fired := false
+	l.Call(7, &Message{}, func(r *Response) { resp, fired = *r, true })
+	if !fired {
 		t.Fatal("done was not invoked")
 	}
 	if resp.Err != ErrAdmission {
@@ -97,9 +98,10 @@ func TestLoopbackRoundTrip(t *testing.T) {
 		}
 		reply(&Response{Data: []byte{1}})
 	})
-	var resp *Response
-	l.Call(7, &Message{}, func(r *Response) { resp = r })
-	if resp == nil || resp.Err != nil || len(resp.Data) != 1 {
+	var resp Response
+	fired := false
+	l.Call(7, &Message{}, func(r *Response) { resp, fired = *r, true })
+	if !fired || resp.Err != nil || len(resp.Data) != 1 {
 		t.Fatalf("resp = %+v", resp)
 	}
 	// Handover latency is paid in both directions.

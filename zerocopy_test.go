@@ -31,28 +31,30 @@ func lunaRig(p tcpstack.Params) func(int64) *writebench.Rig {
 }
 
 var gates = []gate{
-	// The Solar FN half, into a server that answers at once. A write's one
-	// allocation is the client's RPC record; a read's are that record, the
-	// guest buffer and the server's serve state.
-	{test: "TestWritePath4KZeroCopySteadyState", rig: writebench.NewRig, allocs: 1, events: 41},
-	{test: "TestReadPath4KSteadyState", rig: writebench.NewRig, read: true, allocs: 4, events: 78},
+	// The Solar FN half, into a server that answers at once. A write
+	// allocates nothing; a read allocates the guest buffer and the server's
+	// serve state and its packet list.
+	{test: "TestWritePath4KZeroCopySteadyState", rig: writebench.NewRig, allocs: 0, events: 41},
+	{test: "TestReadPath4KSteadyState", rig: writebench.NewRig, read: true, allocs: 3, events: 78},
 	// The BN hop every I/O makes three times under every FN stack: an RDMA
 	// client into a chunk-server service. The store recycles the block each
-	// overwrite replaces, so what a write allocates is the two response
-	// envelopes; a read adds its buffer and the client's reassembly.
-	{test: "TestBNWritePath4KSteadyState", rig: writebench.NewBNRig, allocs: 3, events: 74},
-	{test: "TestBNReadPath4KSteadyState", rig: writebench.NewBNRig, read: true, allocs: 8, events: 74, copied: wire.BlockSize},
+	// overwrite replaces, so a write allocates nothing; a read allocates the
+	// chunk server's read buffer and the client's reassembly, the two
+	// buffers its Data is handed over in.
+	{test: "TestBNWritePath4KSteadyState", rig: writebench.NewBNRig, allocs: 0, events: 74},
+	{test: "TestBNReadPath4KSteadyState", rig: writebench.NewBNRig, read: true, allocs: 2, events: 74, copied: wire.BlockSize},
 	// The whole storage-server side: RDMA FN into a block server, its
 	// three-replica (or primary) fan-out over the RDMA BN into chunk
-	// servers.
-	{test: "TestBlockServerWrite4KSteadyState", rig: writebench.NewBlockServerRig, allocs: 14, events: 223},
-	{test: "TestBlockServerRead4KSteadyState", rig: writebench.NewBlockServerRig, read: true, allocs: 12, events: 123, copied: 2 * wire.BlockSize},
+	// servers. A write allocates nothing; a read allocates the chunk read
+	// buffer and the two reassemblies, BN and FN.
+	{test: "TestBlockServerWrite4KSteadyState", rig: writebench.NewBlockServerRig, allocs: 0, events: 223},
+	{test: "TestBlockServerRead4KSteadyState", rig: writebench.NewBlockServerRig, read: true, allocs: 3, events: 123, copied: 2 * wire.BlockSize},
 	// The host-side FN stack, tcpstack, under Luna's and the kernel's
 	// presets. What a write allocates is the request record's payload,
-	// which the receiver materialises, and the response envelope; each
-	// stream byte — the block and two record headers — is gathered once.
-	{test: "TestLunaPath4KSteadyState", sub: "luna", rig: lunaRig(ebs.LunaStackParams()), allocs: 4, events: 122, copied: wire.BlockSize + 2*wire.RecordHeaderSize},
-	{test: "TestLunaPath4KSteadyState", sub: "kernel", rig: lunaRig(ebs.KernelStackParams()), allocs: 4, events: 160, copied: wire.BlockSize + 2*wire.RecordHeaderSize},
+	// which the receiver materialises; each stream byte — the block and two
+	// record headers — is gathered once.
+	{test: "TestLunaPath4KSteadyState", sub: "luna", rig: lunaRig(ebs.LunaStackParams()), allocs: 1, events: 122, copied: wire.BlockSize + 2*wire.RecordHeaderSize},
+	{test: "TestLunaPath4KSteadyState", sub: "kernel", rig: lunaRig(ebs.KernelStackParams()), allocs: 1, events: 160, copied: wire.BlockSize + 2*wire.RecordHeaderSize},
 }
 
 // runGates runs every row filed under the calling test.
