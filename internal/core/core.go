@@ -64,7 +64,7 @@ func (m Mode) String() string {
 // Ack flag bits carried in the RPC header of acknowledgment packets.
 const (
 	AckFlagDurable = 1 << 0 // write block persisted (Fig. 12's WRITE response)
-	AckFlagError   = 1 << 1 // receiver-side CRC mismatch: sender must rebuild
+	AckFlagError   = 1 << 1 // the server failed the block: rebuilt if damaged, else the write fails
 	// AckFlagReject: the serving handler refused the request because it no
 	// longer owns the segment (migration cutover raced the I/O). Terminal
 	// for the RPC — retransmitting would loop forever against a server
@@ -150,19 +150,17 @@ type Stack struct {
 
 	// Hot-path free lists (see pool.go). All are engine-owned: one stack,
 	// one engine, one goroutine at a time.
-	pool          *simnet.PacketPool
-	freeRPCs      *sim.Pool[rpc]
-	freePkts      *sim.Pool[outPkt]
-	freeTx        *sim.Pool[wireTx]
-	freeMsgs      *sim.Pool[transport.Message]
-	freeWriteJobs *sim.Pool[writeJob]
-	freeReadJobs  *sim.Pool[readJob]
-	freeCommits   *sim.Pool[commitJob]
-	freeAckJobs   *sim.Pool[ackJob]
+	pool        *simnet.PacketPool
+	freeRPCs    *sim.Pool[rpc]
+	freeServes  *sim.Pool[serve]
+	freePkts    *sim.Pool[outPkt]
+	freeTx      *sim.Pool[wireTx]
+	freeCommits *sim.Pool[commitJob]
+	freeAckJobs *sim.Pool[ackJob]
 
-	rpcs   map[uint64]*rpc        // client RPCs in flight, by RPC ID
-	serves map[serveKey]*outServe // read responses we are sourcing
-	out    map[outKey]*outPkt     // every unacknowledged packet, by peer+ids
+	rpcs   map[uint64]*rpc     // client RPCs in flight, by RPC ID
+	serves map[serveKey]*serve // reads we are answering, until each block is acked
+	out    map[outKey]*outPkt  // every unacknowledged packet, by peer+ids
 
 	// Addr table occupancy (the FPGA table that maps (RPC,pkt) to guest
 	// memory for inbound read blocks). Bounded; reads queue when full.
@@ -212,21 +210,19 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, card *dpu.DPU, p
 		peers:      map[uint32]*peer{},
 		ciphers:    map[uint32]*seccrypto.BlockCipher{},
 		rpcs:       map[uint64]*rpc{},
-		serves:     map[serveKey]*outServe{},
+		serves:     map[serveKey]*serve{},
 		out:        map[outKey]*outPkt{},
 		addrCap:    addrCap,
 		nextEphem:  30000,
 		randomizer: eng.Rand.Fork(),
 		pool:       host.PacketPool(),
 
-		freeRPCs:      sim.NewPool[rpc](eng),
-		freePkts:      sim.NewPool[outPkt](eng),
-		freeTx:        sim.NewPool[wireTx](eng),
-		freeMsgs:      sim.NewPool[transport.Message](eng),
-		freeWriteJobs: sim.NewPool[writeJob](eng),
-		freeReadJobs:  sim.NewPool[readJob](eng),
-		freeCommits:   sim.NewPool[commitJob](eng),
-		freeAckJobs:   sim.NewPool[ackJob](eng),
+		freeRPCs:    sim.NewPool[rpc](eng),
+		freeServes:  sim.NewPool[serve](eng),
+		freePkts:    sim.NewPool[outPkt](eng),
+		freeTx:      sim.NewPool[wireTx](eng),
+		freeCommits: sim.NewPool[commitJob](eng),
+		freeAckJobs: sim.NewPool[ackJob](eng),
 	}
 	s.crcScratchFn = s.crcScratch
 	if host.Handler == nil {

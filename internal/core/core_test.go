@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -494,6 +495,34 @@ func TestNoConnectionStateAccumulates(t *testing.T) {
 	if len(r.server.out) != 0 || len(r.server.serves) != 0 {
 		t.Fatalf("server residual state: out=%d serves=%d",
 			len(r.server.out), len(r.server.serves))
+	}
+}
+
+// TestReadErrorsComplete: a handler that answers a read with an error, with
+// or without data, fails the read with ErrRemote — one data-less terminal
+// packet, acknowledged — and leaves no state or pooled record behind on
+// either side.
+func TestReadErrorsComplete(t *testing.T) {
+	for _, data := range [][]byte{nil, fill(4096, 1)} {
+		r := newRig(t, dpu.FaultRates{}, Offloaded)
+		r.server.SetHandler(func(src uint32, req *transport.Message, reply func(*transport.Response)) {
+			reply(&transport.Response{Err: errors.New("boom"), Data: data})
+		})
+		var errs []error
+		r.client.Call(r.server.LocalAddr(),
+			&transport.Message{Op: wire.RPCReadReq, LBA: 0, ReadLen: 4096},
+			func(resp *transport.Response) { errs = append(errs, resp.Err) })
+		r.eng.RunFor(time.Second)
+		if len(errs) != 1 || errs[0] != transport.ErrRemote {
+			t.Fatalf("with %d bytes of data: read completed with %v, want once with ErrRemote", len(data), errs)
+		}
+		if len(r.client.rpcs) != 0 || len(r.client.out) != 0 || len(r.server.serves) != 0 || len(r.server.out) != 0 {
+			t.Fatalf("residual state: client rpcs=%d out=%d, server serves=%d out=%d",
+				len(r.client.rpcs), len(r.client.out), len(r.server.serves), len(r.server.out))
+		}
+		if n := r.eng.PoolOutstanding(); n != 0 {
+			t.Fatalf("%d pooled records outstanding once drained", n)
+		}
 	}
 }
 

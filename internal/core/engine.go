@@ -62,14 +62,6 @@ func inline[T any](one *[1]T, n int) []T {
 	return make([]T, 0, n)
 }
 
-// outServe tracks the response blocks this endpoint is sourcing for a
-// peer's READ (server side).
-type outServe struct {
-	key     serveKey
-	pkts    []*outPkt
-	unacked int
-}
-
 // Call implements transport.Client. A write takes its RPC ID at once; a
 // read takes one when the Addr table admits it. A read that needs more
 // entries than the table holds fails at once: FIFO admission would queue it

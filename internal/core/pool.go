@@ -10,9 +10,9 @@ import (
 )
 
 // The Solar hot path runs allocation-free in steady state: client RPCs,
-// outbound packet records, wire frames, acknowledgment jobs and server-side
-// request envelopes all come from stack-owned sim.Pools. Each get builds the
-// record on a miss and each put wipes what the record must not carry over.
+// served requests, outbound packet records, wire frames and acknowledgment
+// jobs all come from stack-owned sim.Pools. Each get builds the record on a
+// miss and each put wipes what the record must not carry over.
 
 // newOutPkt takes a packet record from the stack's free list. Records are
 // recycled when their acknowledgment completes; generation counters make
@@ -91,57 +91,66 @@ func (s *Stack) putRPC(r *rpc) {
 	s.freeRPCs.Put(r)
 }
 
-// getMsg builds a pooled server-side request envelope. The envelope (and
-// the payload slab reference a write attaches to it) is valid until the
-// handler's reply returns; handlers that need the data longer must retain
-// or copy it.
-func (s *Stack) getMsg() *transport.Message {
-	if m := s.freeMsgs.Get(); m != nil {
-		return m
-	}
-	return &transport.Message{}
-}
-
-func (s *Stack) putMsg(m *transport.Message) {
-	m.Payload.Release() // m.Data aliases the slab; nil on reads
-	crcs := m.BlockCRCs
-	*m = transport.Message{}
-	if crcs != nil {
-		m.BlockCRCs = crcs[:0] // keep the backing array across recycles
-	}
-	s.freeMsgs.Put(m)
-}
-
-// writeJob carries one inbound write block from the wire to the handler and
-// back out as its durable acknowledgment. The reply closure is built once
-// per node and reused, so the per-block server path does not allocate.
-type writeJob struct {
+// serve is one inbound request on the server side, from its arrival to its
+// retirement: a WRITE block from the wire to the handler and back out as
+// its ACK, or a READ from the wire to the handler and out as one packet per
+// block, retired when the last block is acknowledged. msg is the handler's
+// request envelope, valid — like the payload slab a write retains behind
+// msg.Data — until reply returns; crc1 backs a write's one-entry CRC list.
+// replyFn is bound once, when the record is built.
+type serve struct {
 	s       *Stack
-	pkt     *simnet.Packet // the data packet, held for the INT echo in the ack
-	rpcID   uint64
+	key     serveKey // the requester and its RPC ID
 	pktID   uint16
-	src     uint32
+	pkt     *simnet.Packet // a write's data packet, held for the ACK's INT echo
 	arrived sim.Time
-	req     *transport.Message
+	msg     transport.Message
+	crc1    [1]uint32
 	replyFn func(*transport.Response)
+	unacked int // a read's response blocks not yet acknowledged
 }
 
-func (s *Stack) getWriteJob() *writeJob {
-	if j := s.freeWriteJobs.Get(); j != nil {
-		return j
+func (s *Stack) getServe() *serve {
+	if v := s.freeServes.Get(); v != nil {
+		return v
 	}
-	j := &writeJob{s: s}
-	j.replyFn = j.reply
-	return j
+	v := &serve{s: s}
+	v.replyFn = v.reply
+	return v
 }
 
-func writeJobStart(a any) {
-	j := a.(*writeJob)
-	j.s.handler(j.src, j.req, j.replyFn)
+// putServe recycles a served request, dropping the payload slab reference a
+// write retained (nil on reads).
+func (s *Stack) putServe(v *serve) {
+	v.msg.Payload.Release()
+	*v = serve{s: s, replyFn: v.replyFn}
+	s.freeServes.Put(v)
 }
 
-func (j *writeJob) reply(resp *transport.Response) {
-	s := j.s
+// serveStart hands the request to the handler once its CPU charge has
+// elapsed.
+//
+//lint:hotpath
+func serveStart(a any) {
+	v := a.(*serve)
+	v.s.handler(v.key.peer, &v.msg, v.replyFn)
+}
+
+// reply answers a write with its ACK — durable, or flagged with the error —
+// and recycles the record; it streams a read's response blocks, and the
+// record lives on until runAck has seen each acknowledged.
+//
+//lint:hotpath
+func (v *serve) reply(resp *transport.Response) {
+	s := v.s
+	if v.msg.Op == wire.RPCReadReq {
+		s.serveReadBlocks(v, resp)
+		if v.unacked == 0 {
+			delete(s.serves, v.key)
+			s.putServe(v)
+		}
+		return
+	}
 	flags := uint8(AckFlagDurable)
 	if resp.Err != nil {
 		flags = AckFlagError
@@ -151,43 +160,10 @@ func (j *writeJob) reply(resp *transport.Response) {
 	}
 	wall := resp.ServerWall
 	if wall == 0 {
-		wall = s.eng.Now().Sub(j.arrived)
+		wall = s.eng.Now().Sub(v.arrived)
 	}
-	s.sendAckTimes(j.pkt, j.rpcID, j.pktID, flags, wall, resp.SSDTime)
-	s.putMsg(j.req)
-	j.pkt, j.req = nil, nil
-	s.freeWriteJobs.Put(j)
-}
-
-// readJob carries one inbound read request to the handler; the reply
-// streams the response blocks and recycles the envelope.
-type readJob struct {
-	s       *Stack
-	key     serveKey
-	req     *transport.Message
-	replyFn func(*transport.Response)
-}
-
-func (s *Stack) getReadJob() *readJob {
-	if j := s.freeReadJobs.Get(); j != nil {
-		return j
-	}
-	j := &readJob{s: s}
-	j.replyFn = j.reply
-	return j
-}
-
-func readJobStart(a any) {
-	j := a.(*readJob)
-	j.s.handler(j.key.peer, j.req, j.replyFn)
-}
-
-func (j *readJob) reply(resp *transport.Response) {
-	s := j.s
-	s.serveReadBlocks(j.key, j.req, resp)
-	s.putMsg(j.req)
-	j.req = nil
-	s.freeReadJobs.Put(j)
+	s.sendAckTimes(v.pkt, v.key.rpcID, v.pktID, flags, wall, resp.SSDTime)
+	s.putServe(v)
 }
 
 // commitJob carries one inbound read-response block through the data-path

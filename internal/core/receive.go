@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"bytes"
 	"time"
 
 	"lunasolar/internal/cc"
@@ -105,8 +105,9 @@ func (s *Stack) sendAckTimes(pkt *simnet.Packet, rpcID uint64, pktID uint16, fla
 // handleWriteBlock is the server side of a WRITE: each packet is one
 // self-contained block — the handler is invoked immediately, per block,
 // with no assembly or buffering (the one-block-one-packet property). The
-// request envelope and its data buffer are pooled; they are valid until
-// the handler's reply returns.
+// block is served in one pooled record (see serve).
+//
+//lint:hotpath
 func (s *Stack) handleWriteBlock(pkt *simnet.Packet, rpc wire.RPC, rest []byte) {
 	var ebs wire.EBS
 	if err := ebs.Decode(rest); err != nil {
@@ -126,84 +127,75 @@ func (s *Stack) handleWriteBlock(pkt *simnet.Packet, rpc wire.RPC, rest []byte) 
 	}
 	// The request references the frame's payload slab; the retained
 	// reference keeps the bytes alive for the block service (and its
-	// replica fan-out) until the envelope is recycled.
-	req := s.getMsg()
-	req.Data = payload
-	req.Payload = pkt.FragSlab().Retain()
-	req.Op = wire.RPCWriteReq
-	req.VDisk = ebs.VDisk
-	req.SegmentID = ebs.SegmentID
-	req.LBA = ebs.LBA
-	req.Gen = ebs.Gen
-	req.Flags = ebs.Flags
-	// One-touch CRC: the block's CRC travels with the packet; the block
-	// service folds and forwards it downstream (chunk servers verify it at
-	// the device boundary) instead of re-walking the payload.
-	req.BlockCRCs = append(req.BlockCRCs[:0], ebs.BlockCRC)
+	// replica fan-out) until the record is recycled. One-touch CRC: the
+	// block's CRC travels with the packet; the block service folds and
+	// forwards it downstream (chunk servers verify it at the device
+	// boundary) instead of re-walking the payload.
+	v := s.getServe()
+	v.key, v.pktID = serveKey{peer: pkt.Src, rpcID: rpc.RPCID}, rpc.PktID
+	v.pkt, v.arrived = pkt, s.eng.Now()
+	v.crc1[0] = ebs.BlockCRC
+	v.msg = transport.Message{
+		Op: wire.RPCWriteReq, VDisk: ebs.VDisk, SegmentID: ebs.SegmentID,
+		LBA: ebs.LBA, Gen: ebs.Gen, Flags: ebs.Flags,
+		Data: payload, Payload: pkt.FragSlab().Retain(), BlockCRCs: v.crc1[:],
+	}
 	// Per-block server CPU, then hand to the block service; the durable
 	// ACK (Fig. 12's WRITE response) is sent when it replies. The packet
 	// rides along until then: the ack echoes its INT and timestamps.
-	j := s.getWriteJob()
-	j.pkt, j.rpcID, j.pktID = pkt, rpc.RPCID, rpc.PktID
-	j.src, j.arrived, j.req = pkt.Src, s.eng.Now(), req
-	s.cores.SubmitArg(s.params.PerBlockCPU, writeJobStart, j)
+	s.cores.SubmitArg(s.params.PerBlockCPU, serveStart, v)
 }
 
 // handleReadReq is the server side of a READ: acknowledge the request
 // packet, then stream one packet per block back, each reliably delivered.
+// A stack with no handler acknowledges the request and drops it.
+//
+//lint:hotpath
 func (s *Stack) handleReadReq(pkt *simnet.Packet, rpc wire.RPC, rest []byte) {
 	var ebs wire.EBS
 	if err := ebs.Decode(rest); err != nil {
 		pkt.Release()
 		return
 	}
-	src := pkt.Src
+	key := serveKey{peer: pkt.Src, rpcID: rpc.RPCID}
 	s.sendAck(pkt, rpc.RPCID, rpc.PktID, 0) // consumes pkt
-	key := serveKey{peer: src, rpcID: rpc.RPCID}
-	if _, dup := s.serves[key]; dup {
-		return // retransmitted request; response blocks retransmit themselves
+	if _, dup := s.serves[key]; dup || s.handler == nil {
+		return // a retransmitted request's blocks retransmit themselves
 	}
-	s.serves[key] = &outServe{key: key}
-	if s.handler == nil {
-		return
+	v := s.getServe()
+	v.key = key
+	v.msg = transport.Message{
+		Op: wire.RPCReadReq, VDisk: ebs.VDisk, SegmentID: ebs.SegmentID,
+		LBA: ebs.LBA, Gen: ebs.Gen, Flags: ebs.Flags, ReadLen: int(ebs.BlockLen),
 	}
-	req := s.getMsg()
-	req.Op = wire.RPCReadReq
-	req.VDisk = ebs.VDisk
-	req.SegmentID = ebs.SegmentID
-	req.LBA = ebs.LBA
-	req.Gen = ebs.Gen
-	req.Flags = ebs.Flags
-	req.ReadLen = int(ebs.BlockLen)
-	j := s.getReadJob()
-	j.key, j.req = key, req
-	s.cores.SubmitArg(s.params.PerRPCIssueCPU, readJobStart, j)
+	s.serves[key] = v
+	s.cores.SubmitArg(s.params.PerRPCIssueCPU, serveStart, v)
 }
 
 // serveReadBlocks sends each block of a read response as an independent
-// reliable packet across this endpoint's own paths to the requester.
-func (s *Stack) serveReadBlocks(key serveKey, req *transport.Message, resp *transport.Response) {
-	sv := s.serves[key]
-	if sv == nil {
-		return
-	}
-	pe := s.peerFor(key.peer)
-	if resp.Err != nil && errors.Is(resp.Err, transport.ErrNotOwner) {
-		// Ownership moved mid-flight: a data-less reject packet tells the
-		// client to fail the read now rather than wait forever. It rides
-		// the reliable-delivery machinery like any response block.
+// reliable packet across this endpoint's own paths to the requester,
+// counting it in v.unacked.
+//
+//lint:hotpath
+func (s *Stack) serveReadBlocks(v *serve, resp *transport.Response) {
+	req, pe := &v.msg, s.peerFor(v.key.peer)
+	if resp.Err != nil {
+		// A data-less terminal packet tells the client to fail the read now
+		// rather than wait forever, flagged as the message stacks flag an
+		// error: a reject when ownership moved mid-flight, an error
+		// otherwise. It rides the reliable-delivery machinery like any
+		// response block.
 		e := s.newOutPkt()
-		e.key = pktKey{rpcID: key.rpcID, pktID: 0}
+		e.key = pktKey{rpcID: v.key.rpcID, pktID: 0}
 		e.msgType = wire.RPCReadResp
 		e.ebs = wire.EBS{
 			Version: wire.EBSVersion, Op: wire.OpRead,
-			Flags: wire.EBSFlagReject | wire.EBSFlagLastBlock,
+			Flags: transport.ResponseHeader(resp).Flags | wire.EBSFlagLastBlock,
 			VDisk: req.VDisk, SegmentID: req.SegmentID,
 			LBA: req.LBA, Gen: req.Gen,
 		}
 		e.size = wire.RPCSize + wire.EBSSize
-		sv.pkts = append(sv.pkts, e)
-		sv.unacked++
+		v.unacked++
 		s.sendPkt(pe, e)
 		return
 	}
@@ -237,7 +229,7 @@ func (s *Stack) serveReadBlocks(key serveKey, req *transport.Message, resp *tran
 			flags |= wire.EBSFlagLastBlock
 		}
 		e := s.newOutPkt()
-		e.key = pktKey{rpcID: key.rpcID, pktID: uint16(i)}
+		e.key = pktKey{rpcID: v.key.rpcID, pktID: uint16(i)}
 		e.msgType = wire.RPCReadResp
 		e.ebs = wire.EBS{
 			Version: wire.EBSVersion, Op: wire.OpRead, Flags: flags,
@@ -250,13 +242,10 @@ func (s *Stack) serveReadBlocks(key serveKey, req *transport.Message, resp *tran
 		e.payload = block
 		e.slab = ioSlab.Retain()
 		e.size = wire.RPCSize + wire.EBSSize + len(block)
-		sv.pkts = append(sv.pkts, e)
-		sv.unacked++
-	}
-	ioSlab.Release()
-	for _, e := range sv.pkts {
+		v.unacked++
 		s.sendPkt(pe, e)
 	}
+	ioSlab.Release()
 }
 
 // handleReadBlock is the client side of a READ response: one independent
@@ -277,14 +266,14 @@ func (s *Stack) handleReadBlock(pkt *simnet.Packet, rpc wire.RPC, rest []byte) {
 		payload = payload[:ebs.BlockLen]
 	}
 	r := s.readRPC(rpc.RPCID)
-	if ebs.Flags&wire.EBSFlagReject != 0 {
-		// Server-side ownership rejection: ack the reject (so it stops
-		// retransmitting) and fail the whole read. Duplicate rejects find
-		// the read already gone and just ack.
+	if ebs.Flags&(wire.EBSFlagReject|wire.EBSFlagError) != 0 {
+		// The server failed the read: ack its terminal packet (so it stops
+		// retransmitting) and fail the whole read. Duplicates find the read
+		// already gone and just ack.
 		s.sendAck(pkt, rpc.RPCID, rpc.PktID, 0)
 		if r != nil {
 			s.releaseAddr(r.n - r.got)
-			s.complete(r, transport.ErrNotOwner)
+			s.complete(r, transport.ResponseFromHeader(ebs, nil).Err)
 		}
 		return
 	}
@@ -407,11 +396,11 @@ func (s *Stack) runAck(j *ackJob) {
 		return
 	}
 	if j.rpcFlags&AckFlagReject != 0 {
-		s.rejectPacket(key, e)
+		s.rejectPacket(key, e, transport.ErrNotOwner)
 		return
 	}
 	if j.rpcFlags&AckFlagError != 0 {
-		s.repairAndResend(e)
+		s.repairAndResend(key, e)
 		return
 	}
 	p := s.retire(key, e)
@@ -445,27 +434,27 @@ func (s *Stack) runAck(j *ackJob) {
 		}
 	case wire.RPCReadResp:
 		skey := serveKey{peer: j.src, rpcID: e.key.rpcID}
-		if sv := s.serves[skey]; sv != nil {
-			sv.unacked--
-			if sv.unacked <= 0 {
+		if v := s.serves[skey]; v != nil {
+			if v.unacked--; v.unacked == 0 {
 				delete(s.serves, skey)
+				s.putServe(v)
 			}
 		}
 	}
 	s.freeOutPkt(e)
 }
 
-// rejectPacket handles a terminal server rejection (AckFlagReject): the
-// segment's ownership moved, so retransmitting can never succeed. The
-// packet record is retired like a normal ack (window credit returned, no
-// retransmission), and the first reject observed for a WRITE completes the
-// RPC with transport.ErrNotOwner; sibling packets of the same RPC clean up
-// as their own rejects arrive.
-func (s *Stack) rejectPacket(key outKey, e *outPkt) {
+// rejectPacket handles a terminal server rejection — AckFlagReject (the
+// segment's ownership moved) or an error repairAndResend cannot repair — so
+// retransmitting can never succeed. The packet record is retired like a
+// normal ack (window credit returned, no retransmission), and the first
+// rejection observed for a WRITE completes the RPC with err; sibling
+// packets of the same RPC clean up as their own rejections arrive.
+func (s *Stack) rejectPacket(key outKey, e *outPkt, err error) {
 	s.retire(key, e)
 	if e.msgType == wire.RPCWriteReq {
 		if w := s.rpcs[e.key.rpcID]; w != nil {
-			s.complete(w, transport.ErrNotOwner)
+			s.complete(w, err)
 		}
 	}
 	s.drainBacklog(e.pe)
@@ -486,24 +475,30 @@ func (s *Stack) retire(key outKey, e *outPkt) *path {
 	return p
 }
 
-// repairAndResend handles a receiver-side CRC rejection (AckFlagError): the
-// block is rebuilt from the trusted guest buffer with a software CRC and
-// retransmitted.
-func (s *Stack) repairAndResend(e *outPkt) {
-	if e.msgType == wire.RPCWriteReq {
-		if w := s.rpcs[e.key.rpcID]; w != nil {
-			orig := w.blocks[e.key.pktID]
-			// The payload may BE the trusted buffer (the rejection was a
-			// CRC-value flip, not data corruption) — only repair bytes when
-			// they live elsewhere (a corruption-scratch slab, same length).
-			if len(e.payload) == 0 || len(orig) == 0 || &e.payload[0] != &orig[0] {
-				copy(e.payload, orig)
-			}
-			e.ebs.BlockCRC = crc.Raw(orig)
-			s.IntegrityHits++
-			s.rec.Record(s.eng.Now().Duration(), trace.EvIntegrityHit, e.key.rpcID, 0)
-		}
+// repairAndResend handles a server's rejection of a write block
+// (AckFlagError). A block the FPGA damaged on its way out — its bytes or
+// its CRC differ from the trusted guest buffer — is rebuilt with a software
+// CRC and retransmitted. An intact block has nothing to rebuild: the error
+// is the server's own and a resend would only repeat it, so the write fails
+// with transport.ErrRemote, as a block of an already failed write retires.
+func (s *Stack) repairAndResend(key outKey, e *outPkt) {
+	w := s.rpcs[e.key.rpcID]
+	if w == nil || e.msgType != wire.RPCWriteReq {
+		s.rejectPacket(key, e, transport.ErrRemote)
+		return
 	}
+	orig := w.blocks[e.key.pktID]
+	trusted := crc.Raw(orig)
+	if e.ebs.BlockCRC == trusted && bytes.Equal(e.payload, orig) {
+		s.rejectPacket(key, e, transport.ErrRemote)
+		return
+	}
+	// The payload may BE the trusted buffer (the rejection was a CRC-value
+	// flip, not data corruption); the copy is then a no-op.
+	copy(e.payload, orig)
+	e.ebs.BlockCRC = trusted
+	s.IntegrityHits++
+	s.rec.Record(s.eng.Now().Duration(), trace.EvIntegrityHit, e.key.rpcID, 0)
 	s.cores.SubmitArg(s.params.SoftCRCPer4K, resendRepaired, outRef{e: e, gen: e.gen})
 }
 

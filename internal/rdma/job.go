@@ -10,7 +10,7 @@ import (
 // to the send queue, an inbound message from reassembly to the handler or
 // the pending callback, and — in the same record — the handler's response
 // back to the send queue. It replaces a closure per hop and the heap
-// envelopes, as core's writeJob/readJob do for Solar.
+// envelopes, as core's serve does for Solar.
 type rpcJob struct {
 	s  *Stack
 	q  *qp
@@ -86,6 +86,7 @@ func rpcDeliver(a any) {
 
 // reply ends the request's life — the envelope and the slab behind its
 // Data go back — and charges the CPU of the response, copied to send later.
+// An error crosses the wire alone, without Data or CRCs.
 //
 //lint:hotpath
 func (j *rpcJob) reply(resp *transport.Response) {
@@ -93,6 +94,9 @@ func (j *rpcJob) reply(resp *transport.Response) {
 	j.msg = transport.Message{}
 	j.resp = *resp
 	j.resp.BlockCRCs = j.keepCRCs(resp.BlockCRCs)
+	if resp.Err != nil {
+		j.resp.Data, j.resp.BlockCRCs = nil, nil
+	}
 	j.s.cores.SubmitArg(j.s.params.PerRPCCPU, rpcSend, j)
 }
 

@@ -117,7 +117,7 @@ type rpcJob struct {
 	rec record
 
 	// msg is the request envelope handed to the handler, valid until reply
-	// returns — the contract core.getMsg and rdma's rpcJob give. replyFn is
+	// returns — the contract core's serve and rdma's rpcJob give. replyFn is
 	// bound once per record.
 	msg     transport.Message
 	replyFn func(*transport.Response)
@@ -139,13 +139,17 @@ func (s *Stack) putJob(j *rpcJob) {
 }
 
 // reply queues a copy of the handler's response on the request's
-// connection, to be framed once its transmit charge has elapsed.
+// connection, to be framed once its transmit charge has elapsed. An error
+// crosses the wire alone, without Data.
 //
 //lint:hotpath
 func (j *rpcJob) reply(resp *transport.Response) {
 	s := j.c.s
 	j.resp = *resp
-	s.cores.SubmitArg(s.params.PerRPCTxCPU+s.copyCost(len(resp.Data)), rpcTxCharged, j)
+	if resp.Err != nil {
+		j.resp.Data = nil
+	}
+	s.cores.SubmitArg(s.params.PerRPCTxCPU+s.copyCost(len(j.resp.Data)), rpcTxCharged, j)
 }
 
 // rpcTxCharged waits out the outbound non-busy latency.

@@ -10,7 +10,8 @@ import (
 // The message-oriented stacks (tcpstack, rdma) put one wire.EBS header in
 // front of every Message and Response; these four functions are the only
 // place the two representations are mapped onto each other. Payload bytes
-// and CRC lists travel beside the header and stay with the caller.
+// and CRC lists travel beside the header and stay with the caller. Solar
+// (core) borrows the response pair for the error flags of a failed read.
 
 // RequestHeader returns the EBS header that carries req.
 func RequestHeader(req *Message) wire.EBS {
@@ -28,10 +29,13 @@ func ResponseHeader(resp *Response) wire.EBS {
 		ServerNS: uint32(resp.ServerWall.Nanoseconds()),
 		SSDNS:    uint32(resp.SSDTime.Nanoseconds()),
 	}
-	if errors.Is(resp.Err, ErrNotOwner) {
-		// Ownership rejection survives the wire as a header flag;
-		// ResponseFromHeader rebuilds ErrNotOwner from it.
+	// An error survives the wire as a header flag, from which
+	// ResponseFromHeader rebuilds ErrNotOwner or ErrRemote.
+	switch {
+	case errors.Is(resp.Err, ErrNotOwner):
 		h.Flags = wire.EBSFlagReject
+	case resp.Err != nil:
+		h.Flags = wire.EBSFlagError
 	}
 	return h
 }
@@ -52,8 +56,11 @@ func ResponseFromHeader(h wire.EBS, data []byte) Response {
 		ServerWall: time.Duration(h.ServerNS),
 		SSDTime:    time.Duration(h.SSDNS),
 	}
-	if h.Flags&wire.EBSFlagReject != 0 {
+	switch {
+	case h.Flags&wire.EBSFlagReject != 0:
 		resp.Err = ErrNotOwner
+	case h.Flags&wire.EBSFlagError != 0:
+		resp.Err = ErrRemote
 	}
 	return resp
 }

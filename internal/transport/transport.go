@@ -98,6 +98,10 @@ var ErrAdmission = errors.New("transport: rejected by QoS admission")
 // generation the cutover bumped — and retry against the new location.
 var ErrNotOwner = errors.New("transport: segment not owned by this server")
 
+// ErrRemote is what a client sees for any other server error: the wire
+// carries that the request failed, not why.
+var ErrRemote = errors.New("transport: request failed at the server")
+
 // RTT tracks smoothed RTT and variance per Jacobson/Karels and derives the
 // retransmission timeout.
 type RTT struct {

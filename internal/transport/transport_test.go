@@ -123,8 +123,8 @@ func TestIDAlloc(t *testing.T) {
 }
 
 // The EBS header is the only thing that crosses the wire for a Message or a
-// Response besides payload and CRCs: what goes in must come out, and of the
-// errors only ErrNotOwner survives (as the reject flag).
+// Response besides payload and CRCs: what goes in must come out, ErrNotOwner
+// survives as the reject flag and any other error as ErrRemote.
 func TestHeaderMappingsRoundTrip(t *testing.T) {
 	req := Message{Op: wire.RPCReadReq, VDisk: 7, SegmentID: 9, LBA: 1 << 21, Gen: 3, Flags: wire.EBSFlagHasCRC, ReadLen: 8192}
 	h := RequestHeader(&req)
@@ -146,7 +146,10 @@ func TestHeaderMappingsRoundTrip(t *testing.T) {
 		t.Fatalf("response round trip: %+v (header %+v)", back, rh)
 	}
 	other := ResponseHeader(&Response{Err: ErrAdmission})
-	if other.Flags != 0 || ResponseFromHeader(other, nil).Err != nil {
-		t.Fatalf("only ErrNotOwner has a wire form; header %+v", other)
+	if other.Flags != wire.EBSFlagError || ResponseFromHeader(other, nil).Err != ErrRemote {
+		t.Fatalf("any other error must cross as ErrRemote; header %+v", other)
+	}
+	if ok := ResponseHeader(&Response{}); ok.Flags != 0 || ResponseFromHeader(ok, nil).Err != nil {
+		t.Fatalf("success must cross as success; header %+v", ok)
 	}
 }

@@ -313,11 +313,15 @@ const (
 	// (computed once at ingress), distinguishing a genuine CRC of zero
 	// from "no CRC attached" on transports where carriage is optional.
 	EBSFlagHasCRC = 1 << 2
-	// EBSFlagReject marks a READ response carrying no data: the server no
+	// EBSFlagReject marks a response carrying no data: the server no
 	// longer owns the requested segment (migration cutover). The client
-	// fails the read with transport.ErrNotOwner instead of waiting for
+	// fails the request with transport.ErrNotOwner instead of waiting for
 	// blocks that will never arrive.
 	EBSFlagReject = 1 << 3
+	// EBSFlagError marks a response carrying no data because the server
+	// failed the request for any other reason; the client fails it with
+	// transport.ErrRemote.
+	EBSFlagError = 1 << 4
 )
 
 // EBSSize is the EBS header length.
