@@ -66,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFeedback$$' -fuzztime 10s ./internal/cc
 	$(GO) test -run '^$$' -fuzz '^FuzzControlPlaneOps$$' -fuzztime 10s ./ebs
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordReader$$' -fuzztime 10s ./internal/tcpstack
+	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 10s ./internal/sim
 
 # One quick experiment benchmark, the raw event-loop benchmark, the
 # 4 KiB write path (the Solar FN half, its RDMA-into-chunk-server BN

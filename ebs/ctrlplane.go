@@ -295,7 +295,7 @@ func (cp *ControlPlane) MigrateSegment(volID uint32, segIdx int, toAddr uint32) 
 }
 
 // migrateSegmentRef performs the cutover without touching placement load
-// (callers settle that). Order matters: the new owner adopts, then the
+// (callers account for that). Order matters: the new owner adopts, then the
 // segment table remaps (generation bump), then the old owner releases; an
 // I/O rejected by the old owner therefore always finds the new mapping
 // when it re-resolves. Reports whether a move actually happened.

@@ -8,10 +8,7 @@ import (
 
 // Pacer enforces a rate-based controller's Rate() on a sender's transmit
 // loop. The loop asks Ready before each transmission, Charges the bytes it
-// sends, and Arms a resume callback when it has to stop early. The resume
-// timer rides the engine's coarse timer class — pacing gaps tolerate tick
-// quantization exactly the way RTOs do, and the wheel-on/off byte-identity
-// gate keeps the schedule independent of the wheel. Window-only
+// sends, and Arms a resume callback when it has to stop early. Window-only
 // controllers report Rate()==0 and the loop never consults the pacer, so
 // embedding one is free for DCTCP/HPCC/Swift/static senders.
 type Pacer struct {
@@ -56,5 +53,5 @@ func (p *Pacer) Arm(now sim.Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.timer = p.eng.ScheduleCoarseArg(d, p.fire, p.arg)
+	p.timer = p.eng.ScheduleArg(d, p.fire, p.arg)
 }

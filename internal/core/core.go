@@ -253,9 +253,6 @@ func (s *Stack) LocalAddr() uint32 { return s.host.Addr() }
 // blocks are self-contained, so no request assembly happens in the stack.
 func (s *Stack) SetHandler(h transport.Handler) { s.handler = h }
 
-// Params returns the stack's configuration.
-func (s *Stack) Params() Params { return s.params }
-
 // AddrTableInUse returns current Addr-table occupancy (tests).
 func (s *Stack) AddrTableInUse() int { return s.addrInUse }
 

@@ -19,8 +19,6 @@ func (s *Stack) startProber(pe *peer) {
 		return
 	}
 	interval := s.params.ProbeInterval
-	// Periodic and latency-tolerant: the probe loop rides the coarse
-	// scheduling class so it never costs heap churn.
 	var tick func()
 	tick = func() {
 		for _, p := range pe.paths {
@@ -29,9 +27,9 @@ func (s *Stack) startProber(pe *peer) {
 				s.sendProbe(pe, p)
 			}
 		}
-		s.eng.ScheduleCoarse(interval, tick)
+		s.eng.Schedule(interval, tick)
 	}
-	s.eng.ScheduleCoarse(interval, tick)
+	s.eng.Schedule(interval, tick)
 }
 
 // sendProbe emits one reliable probe on a specific path.

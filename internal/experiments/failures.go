@@ -110,6 +110,17 @@ func (hc *hangCounter) finish() int {
 	return hc.slow
 }
 
+// table2Cell runs one Table 2 cell on c: traffic on vds, a healthy warmup,
+// the failure, then window; it returns the I/Os that hung.
+func table2Cell(c *ebs.Cluster, vds []*ebs.VDisk, sc table2Scenario, window time.Duration) int {
+	hc := newHangCounter(c)
+	hc.start(vds, 4, 2*time.Millisecond)
+	c.RunFor(200 * time.Millisecond) // healthy warmup
+	sc.inject(c)
+	c.RunFor(window)
+	return hc.finish()
+}
+
 // Table2 regenerates the failure-scenario table: I/Os with no response for
 // one second or longer, Luna vs Solar, across seven network failure
 // scenarios.
@@ -138,12 +149,7 @@ func Table2(opts Options) *Table {
 		for ci := 0; ci < c.Computes(); ci++ {
 			vds = append(vds, c.MustProvision(ci, 128<<20, ebs.DefaultQoS()))
 		}
-		hc := newHangCounter(c)
-		hc.start(vds, 4, 2*time.Millisecond)
-		c.RunFor(200 * time.Millisecond) // healthy warmup
-		sc.inject(c)
-		c.RunFor(window)
-		out := cellOut{slow: fmt.Sprintf("%d", hc.finish())}
+		out := cellOut{slow: fmt.Sprintf("%d", table2Cell(c, vds, sc, window))}
 		if opts.Telemetry {
 			out.reg = stats.NewRegistry()
 			c.ExportMetrics(out.reg, "")

@@ -22,10 +22,13 @@ var MapOrder = &Analyzer{
 }
 
 // mapSinkMethods are order-sensitive methods on the simulator's output
-// paths; they count as sinks when declared in one of mapSinkPkgs.
+// paths; they count as sinks when declared in one of mapSinkPkgs. Every
+// sim method that enqueues an event is one.
 var mapSinkMethods = map[string]bool{
-	"Schedule": true, "ScheduleAt": true, "ScheduleArg": true,
-	"ScheduleCoarse": true, "ScheduleCoarseArg": true,
+	"Schedule": true, "ScheduleArg": true, "ScheduleCoarseArg": true,
+	"At": true, "AtArg": true,
+	"Submit": true, "SubmitArg": true,
+	"Transfer": true, "TransferArg": true,
 	"Push": true, "Record": true, "Emit": true,
 	"Add": true, "Observe": true,
 }

@@ -15,6 +15,14 @@ func schedules(e *sim.Engine, m map[int]int64) {
 	}
 }
 
+// Absolute-time and resource forms enqueue events just the same.
+func enqueues(e *sim.Engine, s *sim.Server, m map[int]int64) {
+	for at, d := range m {
+		e.AtArg(int64(at), nil, nil) // want `sim\.Engine\.AtArg inside range over a map`
+		s.SubmitArg(d, nil, nil)     // want `sim\.Server\.SubmitArg inside range over a map`
+	}
+}
+
 func prints(m map[string]int) {
 	for k := range m {
 		fmt.Println(k) // want `fmt\.Println inside range over a map`

@@ -518,7 +518,7 @@ type ioReq struct {
 
 	// Assembly of the pieces' responses.
 	buf             []byte // read buffer
-	remaining       int    // pieces not yet settled
+	remaining       int    // pieces not yet finished
 	maxWall, maxSSD time.Duration
 	err             error // first piece error
 
@@ -585,8 +585,8 @@ func (a *Agent) io(op uint8, vdisk uint32, lba uint64, size int, data []byte, do
 		return
 	}
 	// Tenant admission layers above the per-disk pacing: one IOPS token,
-	// then the I/O's bytes. Both Waits ride the coarse timer class; a
-	// paused tenant (rate <= 0) parks here until SetTenantQoS raises it.
+	// then the I/O's bytes. A paused tenant (rate <= 0) parks here until
+	// SetTenantQoS raises it.
 	r.mark = a.eng.Now()
 	if r.tb.iops == nil {
 		r.tenantBytes()
@@ -637,13 +637,11 @@ func (r *ioReq) tenantBytes() {
 	r.proceed()
 }
 
-// proceed waits out the disk's pacing delay. Pacing is latency-tolerant:
-// the admission wait rides the coarse scheduling class (the instant is
-// exact either way, only the cost of waiting changes).
+// proceed waits out the disk's pacing delay.
 //
 //lint:hotpath
 func (r *ioReq) proceed() {
-	r.a.eng.ScheduleCoarseArg(r.admission, ioAdmitted, r)
+	r.a.eng.ScheduleArg(r.admission, ioAdmitted, r)
 }
 
 // ioAdmitted starts the SA stage.
@@ -725,7 +723,7 @@ func (p *piece) send() {
 	p.r.a.fn.Call(p.server, &p.msg, p.response)
 }
 
-// response settles one attempt; the last piece to settle completes the I/O.
+// response ends one attempt; the last piece to finish completes the I/O.
 func (p *piece) response(resp *transport.Response) {
 	r, a := p.r, p.r.a
 	// A not-owner rejection means a live migration cut the segment over

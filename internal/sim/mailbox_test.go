@@ -121,50 +121,37 @@ func TestRunWindow(t *testing.T) {
 	}
 }
 
-// TestNextEventAt checks the window-planning bound: exact for heap events,
-// a safe lower bound for wheel-parked events, and clamped to now.
+// TestNextEventAt checks the window-planning time: exactly the earliest
+// pending event's, through schedules, cancels and windows.
 func TestNextEventAt(t *testing.T) {
 	e := NewEngine(1)
 	if _, ok := e.NextEventAt(); ok {
 		t.Fatal("empty engine reports a pending event")
 	}
-
-	// Heap events are exact.
-	e.Schedule(300*time.Microsecond, func() {})
-	at, ok := e.NextEventAt()
-	if !ok || at != Time(300*time.Microsecond) {
-		t.Fatalf("heap bound %v ok=%v, want exactly 300µs", at, ok)
-	}
-
-	// A wheel-parked event earlier than the heap head must lower the bound,
-	// and the bound must never be later than the true due time.
-	e.ScheduleCoarse(100*time.Microsecond, func() {})
-	at, ok = e.NextEventAt()
-	if !ok {
-		t.Fatal("bound vanished after coarse schedule")
-	}
-	if at > Time(100*time.Microsecond) {
-		t.Fatalf("bound %v is later than the parked event's due time 100µs", at)
-	}
-
-	// Progress: repeatedly running to the bound plus a small window must
-	// reach and fire the parked event (the settle loop tightens the bound).
-	fired := false
-	e.ScheduleCoarse(50*time.Microsecond, func() { fired = true })
-	for i := 0; i < 100 && !fired; i++ {
-		next, ok := e.NextEventAt()
-		if !ok {
-			t.Fatal("lost the pending events")
+	want := func(d time.Duration) {
+		t.Helper()
+		if at, ok := e.NextEventAt(); !ok || at != Time(d) {
+			t.Fatalf("NextEventAt = %v ok=%v, want exactly %v", at, ok, d)
 		}
-		e.RunWindow(next.Add(time.Microsecond))
-	}
-	if !fired {
-		t.Fatal("bounded windows never reached the wheel-parked event")
 	}
 
-	// The bound clamps to now: a stale wheel slot start must not plan a
-	// window in the past.
-	if at, ok := e.NextEventAt(); ok && at < e.Now() {
-		t.Fatalf("bound %v is before now %v", at, e.Now())
+	e.Schedule(300*time.Microsecond, func() {})
+	want(300 * time.Microsecond)
+	early := e.Schedule(100*time.Microsecond, func() {})
+	want(100 * time.Microsecond)
+	early.Cancel()
+	want(300 * time.Microsecond)
+
+	// A window that ends short of the next event fires nothing and leaves
+	// the time where it was.
+	if n := e.RunWindow(Time(200 * time.Microsecond)); n != 0 {
+		t.Fatalf("window fired %d events before the next one was due", n)
+	}
+	want(300 * time.Microsecond)
+	if n := e.RunWindow(Time(300 * time.Microsecond)); n != 1 {
+		t.Fatalf("window ending at the next event fired %d events, want 1", n)
+	}
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("drained engine reports a pending event")
 	}
 }

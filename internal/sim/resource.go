@@ -163,9 +163,6 @@ func NewChannel(eng *Engine, name string, bitsPerSecond float64) *Channel {
 // Name returns the channel's diagnostic name.
 func (c *Channel) Name() string { return c.name }
 
-// Rate returns the configured rate in bits per second.
-func (c *Channel) Rate() float64 { return c.bitsPerS }
-
 // SerializationDelay returns how long n bytes occupy the pipe.
 func (c *Channel) SerializationDelay(n int) time.Duration {
 	return time.Duration(float64(n*8) / c.bitsPerS * float64(time.Second))
@@ -324,11 +321,10 @@ type tokenWaiter struct {
 
 // Wait runs fn as soon as n tokens can be consumed, taking them. If the
 // bucket already holds them, fn runs synchronously; otherwise the wait is
-// parked on the engine's coarse scheduling class until the computed refill
-// instant — pacing stays exact, only the cost of waiting moves to the
-// timing wheel. Competing waiters re-check on wake and re-arm, so a token
-// claimed by another consumer never admits two I/Os. A paused (rate <= 0)
-// bucket parks the wait with no timer at all; SetRate re-arms it.
+// parked until the computed refill instant. Competing waiters re-check on
+// wake and re-arm, so a token claimed by another consumer never admits two
+// I/Os. A paused (rate <= 0) bucket parks the wait with no timer at all;
+// SetRate re-arms it.
 func (b *TokenBucket) Wait(n float64, fn func()) {
 	if n > b.burst {
 		panic("sim: token bucket wait exceeds burst capacity")
@@ -346,7 +342,7 @@ func (b *TokenBucket) Wait(n float64, fn func()) {
 // leaves it parked without a timer (SetRate is the only way forward).
 func (b *TokenBucket) arm(w *tokenWaiter) {
 	if d := b.Delay(w.n); d < Forever {
-		w.timer = b.eng.ScheduleCoarseArg(d, tokenBucketWake, w)
+		w.timer = b.eng.ScheduleArg(d, tokenBucketWake, w)
 	} else {
 		w.timer = Timer{}
 	}
@@ -377,16 +373,13 @@ func (b *TokenBucket) unpark(w *tokenWaiter) {
 // Waiting returns the number of parked Wait calls (diagnostics).
 func (b *TokenBucket) Waiting() int { return len(b.waiters) }
 
-// Rate returns the refill rate in tokens/second.
-func (b *TokenBucket) Rate() float64 { return b.rate }
-
 // SetRate changes the refill rate (management-plane updates to the QoS
 // table) and re-arms every parked waiter at the instant the new rate
 // implies: a waiter scheduled under the old rate would otherwise wake at a
 // stale time — late after a raise, or in a busy re-check loop after a cut.
 // Waiters are re-armed in arrival order, so admission order is preserved.
 func (b *TokenBucket) SetRate(rate float64) {
-	b.refill() // settle accrued tokens at the old rate first
+	b.refill() // credit accrued tokens at the old rate first
 	b.rate = rate
 	for _, w := range b.waiters {
 		w.timer.Cancel()

@@ -215,6 +215,28 @@ func TestTokenBucketSetRatePreservesWaiterOrder(t *testing.T) {
 	}
 }
 
+// TestTokenBucketWait: a parked wait must admit at the exact refill instants
+// and stay fair under competing waiters.
+func TestTokenBucketWait(t *testing.T) {
+	eng := NewEngine(1)
+	b := NewTokenBucket(eng, 1000, 1) // 1 token/ms, burst 1
+	var admitted []Time
+	for i := 0; i < 5; i++ {
+		b.Wait(1, func() { admitted = append(admitted, eng.Now()) })
+	}
+	eng.Run()
+	if len(admitted) != 5 {
+		t.Fatalf("admitted %d of 5 waiters", len(admitted))
+	}
+	// Burst admits the first synchronously; the rest pace at 1 ms.
+	for i, at := range admitted {
+		want := Time(int64(i) * int64(time.Millisecond))
+		if at != want {
+			t.Fatalf("waiter %d admitted at %v, want %v", i, at, want)
+		}
+	}
+}
+
 // Wait for more than the burst capacity can never be satisfied and stays a
 // loud programming error under the new guards.
 func TestTokenBucketWaitBeyondBurstPanics(t *testing.T) {

@@ -58,7 +58,7 @@ func (c *Coupled) workers() int {
 	return w
 }
 
-// nextEvent returns the earliest pending-event bound across all engines.
+// nextEvent returns the earliest pending event's time across all engines.
 func (c *Coupled) nextEvent() (sim.Time, bool) {
 	var best sim.Time
 	ok := false
@@ -128,9 +128,7 @@ func (c *Coupled) drive(bounded bool, limit sim.Time) {
 			continue
 		}
 		// Idle-skip to the earliest pending event, then run one lookahead
-		// window. next may be a lower bound (wheel slot start); a window
-		// that fires nothing still settles the wheel, so the bound tightens
-		// and the loop always makes progress.
+		// window.
 		end := next.Add(c.Lookahead)
 		if bounded && end > limit {
 			end = limit

@@ -1,19 +1,7 @@
 // Package sim provides the discrete-event simulation kernel used by every
 // other subsystem in this repository: a virtual clock, a cancellable event
-// heap, a hierarchical timing wheel for high-churn timers, FIFO service
-// resources (used to model CPU cores and PCIe channels), token buckets
-// (used by QoS admission), and seeded random distributions.
-//
-// # Scheduling classes
-//
-// The engine exposes two scheduling classes with identical firing
-// semantics and different cost profiles. Schedule/At push into a binary
-// heap and are exact. ScheduleCoarse parks the event in a hierarchical
-// timing wheel — O(1) arm and cancel — and cascades it into the heap
-// before it can fire, carrying its original (time, seq) key, so firing
-// order is identical between the two classes. Use ScheduleCoarse for
-// cancellable, latency-tolerant timers (retransmit, probe, refill) that
-// are usually cancelled before firing; see wheel.go.
+// heap, FIFO service resources (used to model CPU cores and PCIe channels),
+// token buckets (used by QoS admission), and seeded random distributions.
 //
 // All simulated latencies in the repository are measured in virtual time
 // produced by this package, so results are exactly reproducible for a fixed
@@ -80,11 +68,7 @@ type Event struct {
 	gen   uint64
 	fn    func(any)
 	arg   any
-	index int32 // heap index; -1 when not queued, wheelIndex when parked in the wheel
-	wpos  int32 // wheel position (level<<wheelBits | slot), valid when index == wheelIndex
-
-	wnext *Event // intrusive wheel slot list links
-	wprev *Event
+	index int32 // heap index; -1 when not queued
 }
 
 // Timer is a cancellable handle to a scheduled event. The zero Timer is
@@ -118,13 +102,8 @@ func (t Timer) Cancel() {
 	if ev == nil || ev.gen != t.gen || ev.index == -1 {
 		return
 	}
-	eng := ev.eng
-	if ev.index == wheelIndex {
-		eng.wheelRemove(ev)
-	} else {
-		eng.remove(ev)
-	}
-	eng.release(ev)
+	ev.eng.remove(ev)
+	ev.eng.release(ev)
 }
 
 // Engine is a single-threaded discrete-event scheduler. All model code runs
@@ -138,7 +117,6 @@ type Engine struct {
 	heap  []*Event
 	free  Pool[Event] // unbound: Pending already counts the events in use
 	pools []*int      // outstanding counts of the pools bound here (NewPool)
-	wheel wheel
 	Rand  *Rand
 
 	processed uint64
@@ -166,9 +144,8 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events still queued, in the heap or parked
-// in the timing wheel.
-func (e *Engine) Pending() int { return len(e.heap) + e.wheel.count }
+// Pending returns the number of events still queued.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // enter marks the engine as being driven; a second concurrent driver is a
 // share-nothing violation and panics immediately.
@@ -211,10 +188,10 @@ func (e *Engine) release(ev *Event) {
 }
 
 // callFunc is the one adapter between the two callback spellings: the
-// closure forms (Schedule, At, ScheduleCoarse, Server.Submit,
-// Channel.Transfer) box their func() in arg and run it through here, so the
-// scheduler carries a single (fn, arg) shape. A func value is pointer-shaped,
-// so the boxing allocates nothing; a nil closure is a no-op event.
+// closure forms (Schedule, At, Server.Submit, Channel.Transfer) box their
+// func() in arg and run it through here, so the scheduler carries a single
+// (fn, arg) shape. A func value is pointer-shaped, so the boxing allocates
+// nothing; a nil closure is a no-op event.
 func callFunc(a any) {
 	if fn := a.(func()); fn != nil {
 		fn()
@@ -240,6 +217,11 @@ func (e *Engine) ScheduleArg(d time.Duration, fn func(any), arg any) Timer {
 		d = 0
 	}
 	return e.AtArg(e.now.Add(d), fn, arg)
+}
+
+// ScheduleCoarseArg is ScheduleArg, kept because benchmark/layers.go calls it.
+func (e *Engine) ScheduleCoarseArg(d time.Duration, fn func(any), arg any) Timer {
+	return e.ScheduleArg(d, fn, arg)
 }
 
 // AtArg runs fn(arg) at absolute virtual time t; see ScheduleArg.
@@ -275,17 +257,11 @@ func (e *Engine) Step() bool {
 func (e *Engine) SetFastForward(fn func(now, until Time)) { e.ff = fn }
 
 func (e *Engine) step() bool {
-	if e.wheel.count > 0 {
-		e.settle()
-	}
 	if e.ff != nil {
 		if len(e.heap) == 0 {
 			// Open horizon: let the hook materialize whatever completions
-			// it still holds, then settle any wheel timers it armed.
+			// it still holds.
 			e.ff(e.now, timeMax)
-			if e.wheel.count > 0 {
-				e.settle()
-			}
 		} else {
 			e.ff(e.now, e.heap[0].at)
 		}
@@ -316,17 +292,11 @@ func (e *Engine) RunUntil(t Time) {
 	e.enter()
 	defer e.leave()
 	for {
-		if e.wheel.count > 0 {
-			e.settle()
-		}
 		if len(e.heap) == 0 || e.heap[0].at > t {
 			// Bounded horizon: give the hook one chance to schedule events
 			// inside (now, t] before we conclude the window is quiescent.
 			if e.ff != nil {
 				e.ff(e.now, t)
-				if e.wheel.count > 0 {
-					e.settle()
-				}
 				if len(e.heap) > 0 && e.heap[0].at <= t {
 					e.step()
 					continue
@@ -355,28 +325,13 @@ func (e *Engine) RunWindow(until Time) int {
 	return int(e.processed - before)
 }
 
-// NextEventAt returns a lower bound on the next pending event's firing
-// time, or ok == false when nothing is queued. For heap events the bound
-// is exact; for events parked in the timing wheel it is the occupied
-// slot's start time, which is never later than any event in the slot.
-// The bound is safe for window planning: running RunUntil past the bound
-// settles due wheel slots into the heap, so repeated NextEventAt /
-// RunWindow cycles converge on the true time and always make progress.
+// NextEventAt returns the next pending event's firing time, or ok == false
+// when nothing is queued.
 func (e *Engine) NextEventAt() (Time, bool) {
-	var t Time
-	ok := false
-	if len(e.heap) > 0 {
-		t, ok = e.heap[0].at, true
+	if len(e.heap) == 0 {
+		return 0, false
 	}
-	if e.wheel.count > 0 {
-		if due, _, _ := e.wheelNextDue(); !ok || due < t {
-			t, ok = due, true
-		}
-	}
-	if ok && t < e.now {
-		t = e.now
-	}
-	return t, ok
+	return e.heap[0].at, true
 }
 
 // Intrusive binary min-heap ordered by (at, seq). Events carry their own

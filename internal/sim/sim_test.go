@@ -22,18 +22,41 @@ func TestEngineOrdering(t *testing.T) {
 	}
 }
 
+// Events due at one instant fire in scheduling order, whichever form armed
+// them; zero and negative delays clamp to now.
 func TestEngineFIFOAtSameTime(t *testing.T) {
-	eng := NewEngine(1)
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		eng.Schedule(time.Microsecond, func() { got = append(got, i) })
-	}
-	eng.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-time events not FIFO: %v", got)
-		}
+	for _, row := range []struct {
+		name   string
+		delays []time.Duration
+		at     Time
+	}{
+		{"positive", []time.Duration{time.Microsecond}, Time(time.Microsecond)},
+		{"zero-and-negative", []time.Duration{0, -time.Second, -1}, 0},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			eng := NewEngine(1)
+			var got []int
+			for i := 0; i < 10; i++ {
+				d := row.delays[i%len(row.delays)]
+				if i%2 == 0 {
+					eng.Schedule(d, func() { got = append(got, i) })
+				} else {
+					eng.ScheduleArg(d, func(a any) { got = append(got, a.(int)) }, i)
+				}
+			}
+			eng.Run()
+			if len(got) != 10 {
+				t.Fatalf("fired %d of 10 events", len(got))
+			}
+			for i, v := range got {
+				if v != i {
+					t.Fatalf("same-time events not FIFO: %v", got)
+				}
+			}
+			if eng.Now() != row.at {
+				t.Fatalf("clock = %v, want %v", eng.Now(), row.at)
+			}
+		})
 	}
 }
 
@@ -139,6 +162,34 @@ func TestSteadyStateSchedulingAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state schedule/fire allocates %v per cycle, want 0", avg)
+	}
+}
+
+// TestArmCancelRearmAllocs is the pooling gate for the retransmit pattern:
+// timers armed and cancelled before firing, then re-armed, must not
+// allocate once the event pool and heap are warm.
+func TestArmCancelRearmAllocs(t *testing.T) {
+	eng := NewEngine(1)
+	var warm []Timer
+	for i := 0; i < 64; i++ {
+		warm = append(warm, eng.Schedule(time.Millisecond, func() {}))
+	}
+	for _, tm := range warm {
+		tm.Cancel()
+	}
+	tick := func(any) {}
+	avg := testing.AllocsPerRun(200, func() {
+		var tms [32]Timer
+		for i := range tms {
+			tms[i] = eng.ScheduleArg(time.Duration(i+1)*100*time.Microsecond, tick, nil)
+		}
+		for i := range tms {
+			tms[i].Cancel() // armed and disarmed before firing, like an RTO on a healthy path
+		}
+		eng.RunFor(50 * time.Microsecond)
+	})
+	if avg != 0 {
+		t.Fatalf("arm/cancel churn allocates %.2f per cycle, want 0", avg)
 	}
 }
 
@@ -466,7 +517,7 @@ func TestNilClosureIsANoOpThatStillCounts(t *testing.T) {
 	ch := NewChannel(eng, "pipe", 1e9)
 	eng.Schedule(time.Microsecond, nil)
 	eng.At(Time(2*time.Microsecond), nil)
-	eng.ScheduleCoarse(time.Millisecond, nil)
+	eng.Schedule(time.Millisecond, nil)
 	srv.Submit(time.Microsecond, nil)
 	ch.Transfer(1000, nil)
 	eng.Run()
@@ -477,7 +528,7 @@ func TestNilClosureIsANoOpThatStillCounts(t *testing.T) {
 		t.Fatalf("served=%d transferred=%d, want 1 and 1000", srv.Served(), ch.Transferred())
 	}
 	if eng.Now() != Time(time.Millisecond) || eng.Pending() != 0 {
-		t.Fatalf("now=%v pending=%d, want the coarse timer's 1ms and a drained queue", eng.Now(), eng.Pending())
+		t.Fatalf("now=%v pending=%d, want the last event's 1ms and a drained queue", eng.Now(), eng.Pending())
 	}
 }
 

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"encoding/binary"
-	"math"
 	"time"
 
 	"lunasolar/internal/sim"
@@ -213,22 +212,4 @@ func (b *BulkService) Completions() []BulkCompletion {
 		out = append(out, c...)
 	}
 	return out
-}
-
-// Started returns how many transfers have been scheduled.
-func (b *BulkService) Started() uint64 { return b.nextID }
-
-// MBps returns aggregate goodput in MB/s over the given span: total
-// completed payload bytes divided by the span.
-func (b *BulkService) MBps(span time.Duration) float64 {
-	if span <= 0 {
-		return math.NaN()
-	}
-	var bytes int64
-	for _, c := range b.compl {
-		for _, r := range c {
-			bytes += r.Bytes
-		}
-	}
-	return float64(bytes) / span.Seconds() / 1e6
 }

@@ -75,14 +75,8 @@ func (p *Port) peerUp() bool {
 	return p.peer.up
 }
 
-// Peer returns the port at the other end of the link.
-func (p *Port) Peer() *Port { return p.peer }
-
 // PartIndex returns the index of the partition owning the port's node.
 func (p *Port) PartIndex() int { return p.part.idx }
-
-// PropDelay returns the link's propagation delay.
-func (p *Port) PropDelay() time.Duration { return p.propDelay }
 
 // SetUp changes the port's link state (both directions of a link fail
 // independently; FailLink takes both down). A transition either way is a
@@ -94,9 +88,6 @@ func (p *Port) SetUp(up bool) {
 	p.up = up
 	p.part.noteFluid(TriggerFailover)
 }
-
-// TxBytes returns cumulative bytes serialized out of this port.
-func (p *Port) TxBytes() uint64 { return p.txBytes }
 
 // RateBps returns the link rate in bits/second.
 func (p *Port) RateBps() float64 { return p.rateBps }

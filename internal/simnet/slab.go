@@ -28,9 +28,6 @@ func (s *Slab) Bytes() []byte { return s.buf }
 // Len returns the payload length.
 func (s *Slab) Len() int { return len(s.buf) }
 
-// Refs returns the current reference count (for tests and debugging).
-func (s *Slab) Refs() int { return int(s.refs) }
-
 // Retain takes an additional reference and returns s for chaining. Retain
 // on nil returns nil so call sites need not branch on optional payloads.
 func (s *Slab) Retain() *Slab {

@@ -168,9 +168,6 @@ func (s *Switch) Ports() []*Port { return s.ports }
 // Forwarded returns packets successfully enqueued toward a next hop.
 func (s *Switch) Forwarded() uint64 { return s.forwarded }
 
-// Dropped returns packets dropped at this switch (all causes).
-func (s *Switch) Dropped() uint64 { return s.dropped }
-
 // usable reports whether an ECMP member port should be considered: the
 // link must be up, and a hung peer switch is excluded only once the
 // detection delay has elapsed since it failed. Cut ports judge the peer

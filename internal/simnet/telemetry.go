@@ -12,9 +12,6 @@ import (
 // the simulation; RegisterInto folds them into a metrics registry at export
 // time.
 
-// EcnMarks returns how many packets this port marked CE at enqueue.
-func (p *Port) EcnMarks() uint64 { return p.ecnMarks }
-
 // MaxQueuedBytes returns the output queue's high-water mark in bytes.
 func (p *Port) MaxQueuedBytes() int { return p.maxQueued }
 

@@ -152,9 +152,6 @@ func (s *Stack) LocalAddr() uint32 { return s.host.Addr() }
 // SetHandler installs the server-side request handler.
 func (s *Stack) SetHandler(h transport.Handler) { s.handler = h }
 
-// Params returns the stack's cost model (read-only copy).
-func (s *Stack) Params() Params { return s.params }
-
 // connTo returns (creating if needed) the client connection to dst.
 func (s *Stack) connTo(dst uint32) *conn {
 	// One persistent connection per peer, like production SA↔block-server

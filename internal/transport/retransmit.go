@@ -12,10 +12,6 @@ import (
 // estimator — while the policy that runs on expiry (rewind, go-back-N,
 // path failover) stays in the stack's callback.
 //
-// Timers are armed on the engine's coarse scheduling class (the timing
-// wheel): they are re-armed on every ACK and almost never fire, exactly the
-// churn profile the wheel's O(1) arm/cancel is for.
-//
 // A Retransmitter is embedded by value in pooled per-connection/per-packet
 // records; Init rebinds it after a record is recycled. The zero value is
 // inactive.
@@ -56,7 +52,7 @@ func (r *Retransmitter) ArmOn(rtt *RTT) {
 	if r.maxExp >= 0 && exp > r.maxExp {
 		exp = r.maxExp
 	}
-	r.timer = r.eng.ScheduleCoarseArg(rtt.Backoff(exp), retxExpired, r)
+	r.timer = r.eng.ScheduleArg(rtt.Backoff(exp), retxExpired, r)
 }
 
 // retxExpired is the pooled-event trampoline: clear the handle, then hand
