@@ -89,7 +89,12 @@ bench:
 	bash benchmark/run.sh -all -out bench_ci.json
 
 # Verdict per (workload, metric) between two reports `benchmark -out` wrote,
-# by the bounds of BENCHMARK.json: make bench-compare BASE=old.json NEW=new.json
+# by the bounds of BENCHMARK.json: make bench-compare NEW=new.json. BASE
+# defaults to the committed baseline, ledger/base.json (every workload, seeds
+# 1-3: bash benchmark/run.sh -all -runs 3 -out ledger/base.json); a PR that
+# claims a gain refreshes it.
+BASE ?= ledger/base.json
+
 bench-compare:
 	bash benchmark/run.sh -compare $(BASE) $(NEW)
 

@@ -299,9 +299,7 @@ func Diurnal(opts Options) *Table {
 	}
 	t.Rows = append(t.Rows, row(res.Overall))
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("aggregate goodput %.1f MB/s; drops %d (spine-reboot hang drops; missing completions are their lost fins)", res.MBps, res.Drops),
-		fmt.Sprintf("events processed %d over %.1f simulated ms", res.Events, float64(res.SimTime.Microseconds())/1e3),
-	)
+		fmt.Sprintf("aggregate goodput %.1f MB/s; drops %d (spine-reboot hang drops; missing completions are their lost fins)", res.MBps, res.Drops))
 	if res.Fidelity == "hybrid" {
 		t.Notes = append(t.Notes,
 			fmt.Sprintf("fluid: %d transfers admitted, %d completed analytically, %d demotion flushes", res.Admitted, res.Fluid, res.Demotions))

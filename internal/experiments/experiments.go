@@ -136,14 +136,16 @@ type Table struct {
 	Telemetry *stats.Registry
 }
 
-// PerfSummary renders the fleet throughput line, or "" when the experiment
-// ran no simulation shards.
+// PerfSummary renders the simulator's cost — events executed, event rate
+// and simulated time per wall time — or "" when the experiment ran no
+// simulation shards. Event counts are cost, not output: they stay out of
+// the table itself.
 func (t *Table) PerfSummary() string {
 	if t.Perf == nil || t.Perf.Shards() == 0 {
 		return ""
 	}
-	return fmt.Sprintf("%d shards, %.2fM events/sec, %.0f sim-µs per wall-ms",
-		t.Perf.Shards(), t.Perf.EventsPerSec()/1e6, t.Perf.SimMicrosPerWallMs())
+	return fmt.Sprintf("%d shards, %.2fM events, %.2fM events/sec, %.0f sim-µs per wall-ms",
+		t.Perf.Shards(), float64(t.Perf.Events())/1e6, t.Perf.EventsPerSec()/1e6, t.Perf.SimMicrosPerWallMs())
 }
 
 // Format renders the table as aligned text.

@@ -122,6 +122,14 @@ type Engine struct {
 	processed uint64
 	busy      atomic.Int32
 
+	// cur is the running (or, after Step, last run) event's seq, and
+	// math.MaxUint64 between runs: with now it is the cursor a Backlog
+	// settles against.
+	// backlogs lists every Backlog that may hold departures, so
+	// NextEventAt scans only those.
+	cur      uint64
+	backlogs []*Backlog
+
 	// ff is the fast-forward hook (SetFastForward): a chance for an
 	// analytic model — the fluid flow table — to advance state and inject
 	// events before the clock jumps to the next queued event.
@@ -135,7 +143,7 @@ const timeMax = Time(math.MaxInt64)
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{Rand: NewRand(seed)}
+	return &Engine{Rand: NewRand(seed), cur: math.MaxUint64}
 }
 
 // Now returns the current virtual time.
@@ -144,7 +152,8 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events still queued.
+// Pending returns the number of events still queued. Backlog departures
+// are not events and are not counted.
 func (e *Engine) Pending() int { return len(e.heap) }
 
 // enter marks the engine as being driven; a second concurrent driver is a
@@ -240,7 +249,7 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) Timer {
 }
 
 // Step executes the next event, advancing the clock. It returns false when
-// no events remain.
+// no events remain. Backlogs settle against the event Step last ran.
 func (e *Engine) Step() bool {
 	e.enter()
 	defer e.leave()
@@ -271,6 +280,7 @@ func (e *Engine) step() bool {
 	}
 	ev := e.pop()
 	e.now = ev.at
+	e.cur = ev.seq
 	e.processed++
 	fn, arg := ev.fn, ev.arg
 	e.release(ev)
@@ -278,12 +288,20 @@ func (e *Engine) step() bool {
 	return true
 }
 
-// Run executes events until the queue drains.
+// Run executes events until the queue drains. Departures still queued
+// after the last event then leave too, and the clock ends at the last of
+// them, as if each had been an event.
 func (e *Engine) Run() {
 	e.enter()
 	defer e.leave()
 	for e.step() {
 	}
+	for _, b := range e.backlogs {
+		if at, ok := b.last(); ok && at > e.now {
+			e.now = at
+		}
+	}
+	e.cur = math.MaxUint64
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
@@ -309,6 +327,7 @@ func (e *Engine) RunUntil(t Time) {
 	if e.now < t {
 		e.now = t
 	}
+	e.cur = math.MaxUint64
 }
 
 // RunFor executes events for duration d of virtual time from now.
@@ -325,13 +344,31 @@ func (e *Engine) RunWindow(until Time) int {
 	return int(e.processed - before)
 }
 
-// NextEventAt returns the next pending event's firing time, or ok == false
-// when nothing is queued.
+// NextEventAt returns the next pending event's or backlog departure's
+// time, or ok == false when nothing is queued. Departures count because
+// the coupled runner plans its windows, and so its barriers, from this
+// time. Backlogs found empty leave the scan list.
 func (e *Engine) NextEventAt() (Time, bool) {
-	if len(e.heap) == 0 {
-		return 0, false
+	var next Time
+	ok := len(e.heap) > 0
+	if ok {
+		next = e.heap[0].at
 	}
-	return e.heap[0].at, true
+	live := e.backlogs[:0]
+	for _, b := range e.backlogs {
+		at, has := b.next()
+		if !has {
+			b.listed = false
+			continue
+		}
+		live = append(live, b)
+		if !ok || at < next {
+			next, ok = at, true
+		}
+	}
+	clear(e.backlogs[len(live):])
+	e.backlogs = live
+	return next, ok
 }
 
 // Intrusive binary min-heap ordered by (at, seq). Events carry their own

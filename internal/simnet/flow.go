@@ -349,14 +349,14 @@ func (t *FlowTable) eligible(now sim.Time) bool {
 			return false
 		}
 		for _, p := range sw.ports {
-			if !p.up || p.queuedBytes > low {
+			if !p.up || p.q.Queued() > low {
 				return false
 			}
 		}
 	}
 	for _, h := range t.fab.hostList {
 		for _, p := range h.ports {
-			if !p.up || p.queuedBytes > low {
+			if !p.up || p.q.Queued() > low {
 				return false
 			}
 		}

@@ -103,7 +103,7 @@ func TestFluidDemotionConservesBytes(t *testing.T) {
 // not; a down port, a hung switch, and a queue high-water growth each make
 // the fabric ineligible (growth also re-arms the hold-off).
 func TestFluidEligibleLowWaterBoundary(t *testing.T) {
-	_, fab := smallFabric(t)
+	eng, fab := smallFabric(t)
 	ft := fab.EnableFluid(DefaultFluidConfig())
 	now := sim.Time(time.Millisecond)
 	if !ft.eligible(now) {
@@ -111,15 +111,20 @@ func TestFluidEligibleLowWaterBoundary(t *testing.T) {
 	}
 	p := fab.Switches()[0].ports[0]
 
-	p.queuedBytes = ft.cfg.LowWaterBytes
+	// Bytes departing at now are queued before it; once the engine has
+	// run to now they are gone.
+	p.q.Add(now, ft.cfg.LowWaterBytes)
 	if !ft.eligible(now) {
 		t.Fatalf("queue at exactly LowWaterBytes (%d) must stay eligible", ft.cfg.LowWaterBytes)
 	}
-	p.queuedBytes++
+	p.q.Add(now, 1)
 	if ft.eligible(now) {
 		t.Fatal("queue one byte over LowWaterBytes still eligible")
 	}
-	p.queuedBytes = 0
+	eng.RunUntil(now)
+	if q := p.q.Queued(); q != 0 {
+		t.Fatalf("%d bytes still queued past their departure", q)
+	}
 
 	p.up = false
 	if ft.eligible(now) {

@@ -53,10 +53,10 @@ type Port struct {
 	pubPeerAlive    bool
 	pubPeerDownAt   sim.Time
 
-	busyUntil   sim.Time
-	queuedBytes int
-	txBytes     uint64
-	sent        uint64
+	// busyUntil is when the serializer frees up; q holds the frames
+	// serializing until then, each leaving when its last bit is on the wire.
+	busyUntil sim.Time
+	q         *sim.Backlog
 
 	// Telemetry counters: plain field writes that never feed back into
 	// the simulation (the hotpath stays allocation-free).
@@ -109,13 +109,14 @@ func (p *Port) Send(pkt *Packet) bool {
 		return false
 	}
 	size := pkt.WireSize()
-	if p.queuedBytes+size > p.bufBytes {
+	queued := p.q.Queued()
+	if queued+size > p.bufBytes {
 		p.part.countDrop("taildrop")
 		return false
 	}
 	// ECN: mark at enqueue if the queue already exceeds the threshold and
 	// the flow is ECN-capable.
-	if p.queuedBytes > p.ecnThresh && pkt.ECN == wire.ECNECT0 {
+	if queued > p.ecnThresh && pkt.ECN == wire.ECNECT0 {
 		pkt.ECN = wire.ECNCE
 		p.ecnMarks++
 		p.part.noteFluid(TriggerECN)
@@ -124,20 +125,20 @@ func (p *Port) Send(pkt *Packet) bool {
 	if pkt.INT != nil {
 		pkt.INT.Push(wire.INTHop{
 			HopID:   p.hopID,
-			QLenB:   uint32(p.queuedBytes),
-			TxBytes: p.txBytes,
+			QLenB:   uint32(queued),
+			TxBytes: p.q.Gone(),
 			RateMbs: uint32(p.rateBps / 1e6),
 			TSNanos: uint64(eng.Now()),
 		})
 	}
-	p.queuedBytes += size
-	if p.queuedBytes > p.maxQueued {
-		p.maxQueued = p.queuedBytes
+	queued += size
+	if queued > p.maxQueued {
+		p.maxQueued = queued
 	}
 	// Fluid low-water crossing: the queue just grew past the quiescence
 	// threshold, so any analytically-advancing flow must drop back to
 	// packet fidelity (fluidLow is zero in pure packet mode).
-	if lw := p.fab.fluidLow; lw > 0 && p.queuedBytes > lw && p.queuedBytes-size <= lw {
+	if lw := p.fab.fluidLow; lw > 0 && queued > lw && queued-size <= lw {
 		p.part.noteFluid(TriggerQueue)
 	}
 	now := eng.Now()
@@ -148,46 +149,21 @@ func (p *Port) Send(pkt *Packet) bool {
 	ser := p.serialization(size)
 	end := start.Add(ser)
 	p.busyUntil = end
-	p.sent++
+	// The frame leaves the queue at end, in the firing order place an event
+	// scheduled now for end would take; nothing fires for it.
+	p.q.Add(end, size)
 	if p.cut {
-		// Cross-partition link: local transmit accounting stays here (the
-		// queue and serializer are this port's), but the frame itself is
-		// handed — ownership and all — to the peer partition's mailbox,
-		// stamped with its propagation-determined arrival time.
-		x := p.part.getXfer()
-		x.port, x.pkt, x.size = p, nil, size
-		eng.AtArg(end, linkTxDoneCross, x)
+		// Cross-partition link: the queue and serializer stay this port's,
+		// but the frame itself is handed — ownership and all — to the peer
+		// partition's mailbox, stamped with its propagation-determined
+		// arrival time.
 		p.peer.part.inbox.Handoff(pkt, end.Add(p.propDelay), p.part, p.peer)
 		return true
 	}
-	// One pooled transfer node backs both events; the dequeue event always
-	// fires first (same or earlier time, lower sequence), and delivery
-	// returns the node to the pool.
 	x := p.part.getXfer()
-	x.port, x.pkt, x.size = p, pkt, size
-	eng.AtArg(end, linkTxDone, x)
+	x.port, x.pkt = p, pkt
 	eng.AtArg(end.Add(p.propDelay), linkDeliver, x)
 	return true
-}
-
-// linkTxDone models the frame leaving the queue once serialized.
-//
-//lint:hotpath
-func linkTxDone(a any) {
-	x := a.(*linkXfer)
-	x.port.queuedBytes -= x.size
-	x.port.txBytes += uint64(x.size)
-}
-
-// linkTxDoneCross is linkTxDone for cut ports, where no delivery event
-// follows to recycle the transfer node.
-//
-//lint:hotpath
-func linkTxDoneCross(a any) {
-	x := a.(*linkXfer)
-	x.port.queuedBytes -= x.size
-	x.port.txBytes += uint64(x.size)
-	x.port.part.putXfer(x)
 }
 
 // linkDeliver hands the frame to the peer's owner after propagation.
@@ -228,9 +204,9 @@ func crossDeliver(a any) {
 // partitions make both ports cut.
 func connect(f *Fabric, a, b Node, rateBps float64, prop time.Duration, buf, ecn int) (*Port, *Port) {
 	f.hopSeq++
-	pa := &Port{owner: a, fab: f, part: a.partRef(), rateBps: rateBps, propDelay: prop, bufBytes: buf, ecnThresh: ecn, up: true, hopID: f.hopSeq}
+	pa := &Port{owner: a, fab: f, part: a.partRef(), q: sim.NewBacklog(a.partRef().eng), rateBps: rateBps, propDelay: prop, bufBytes: buf, ecnThresh: ecn, up: true, hopID: f.hopSeq}
 	f.hopSeq++
-	pb := &Port{owner: b, fab: f, part: b.partRef(), rateBps: rateBps, propDelay: prop, bufBytes: buf, ecnThresh: ecn, up: true, hopID: f.hopSeq}
+	pb := &Port{owner: b, fab: f, part: b.partRef(), q: sim.NewBacklog(b.partRef().eng), rateBps: rateBps, propDelay: prop, bufBytes: buf, ecnThresh: ecn, up: true, hopID: f.hopSeq}
 	pa.peer, pb.peer = pb, pa
 	if pa.part != pb.part {
 		pa.cut, pb.cut = true, true

@@ -186,7 +186,7 @@ func (ps *fabricPart) accept(at sim.Time, m *crossMsg) {
 	ingress := m.ingress
 	m.from.putMsg(m)
 	x := ps.getXfer()
-	x.port, x.pkt, x.size = ingress, dst, 0
+	x.port, x.pkt = ingress, dst
 	ps.eng.AtArg(at, crossDeliver, x)
 }
 

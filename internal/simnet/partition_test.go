@@ -176,6 +176,41 @@ func TestPartitionDegenerateOverSplit(t *testing.T) {
 }
 
 // walkPorts visits every port of every node in the fabric.
+// TestCutPortDepartureBoundsNextEvent is the coupled runner's barrier
+// gate: a frame still serializing on a cut port when a window ends keeps
+// the sender's NextEventAt at its departure — not at its delivery, which
+// waits in the peer partition's mailbox — so the runner plans the next
+// window, and refreshes cut-port snapshots, from the departure.
+func TestCutPortDepartureBoundsNextEvent(t *testing.T) {
+	f := buildParts(t, partTestConfig(), 2)
+	p := f.CutPorts()[0]
+	eng := p.part.eng
+	hosts := f.Hosts()
+	pkt := mkPkt(hosts[0], hosts[len(hosts)-1], 1000, 4096)
+	size := pkt.WireSize()
+	if !p.Send(pkt) {
+		t.Fatal("send on an idle cut port dropped the frame")
+	}
+	dep := sim.Time(p.serialization(size))
+	eng.RunWindow(dep - 1)
+	if q := p.q.Queued(); q != size {
+		t.Fatalf("%d bytes queued when the window ends mid-serialization, want %d", q, size)
+	}
+	if at, ok := eng.NextEventAt(); !ok || at != dep {
+		t.Fatalf("sender NextEventAt = %v, %v; want the departure at %v", at, ok, dep)
+	}
+	if n := f.InboxPending(); n != 1 {
+		t.Fatalf("%d frames in the peer's mailbox, want the one handed off", n)
+	}
+	eng.RunWindow(dep)
+	if q := p.q.Queued(); q != 0 {
+		t.Fatalf("%d bytes still queued after the departure", q)
+	}
+	if at, ok := eng.NextEventAt(); ok {
+		t.Fatalf("sender NextEventAt = %v after its only frame left", at)
+	}
+}
+
 func walkPorts(f *Fabric, fn func(p *Port)) {
 	for _, h := range f.Hosts() {
 		for _, p := range h.Ports() {

@@ -119,13 +119,11 @@ func (pp *PacketPool) News() uint64 { return pp.news }
 // reference (a Retain without its Release).
 func (pp *PacketPool) Outstanding() uint64 { return pp.gets - pp.puts }
 
-// linkXfer carries one in-flight frame through the port's two scheduled
-// events (serialization done, then delivery); nodes are pooled on the
-// fabric so link transit does not allocate.
+// linkXfer carries one in-flight frame to its delivery event; nodes are
+// pooled on the fabric so link transit does not allocate.
 type linkXfer struct {
 	port *Port
 	pkt  *Packet
-	size int
 }
 
 // swFwd carries one frame through a switch's pipeline-latency event.
@@ -143,7 +141,7 @@ func (ps *fabricPart) getXfer() *linkXfer {
 }
 
 func (ps *fabricPart) putXfer(x *linkXfer) {
-	x.port, x.pkt, x.size = nil, nil, 0
+	x.port, x.pkt = nil, nil
 	ps.freeXfer.Put(x)
 }
 
