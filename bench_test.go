@@ -67,7 +67,7 @@ func BenchmarkRDMACliff(b *testing.B)         { runExperiment(b, "rdmacliff", ex
 func BenchmarkDiurnalPacket(b *testing.B) { runExperiment(b, "diurnal", experiments.Diurnal) }
 func BenchmarkDiurnalHybrid(b *testing.B) {
 	runExperiment(b, "diurnal", func(opts experiments.Options) *experiments.Table {
-		opts.Fidelity = ebs.FidelityHybrid
+		opts.Fidelity = experiments.FidelityHybrid
 		return experiments.Diurnal(opts)
 	})
 }

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lunasolar/ebs"
 	"lunasolar/internal/cc"
 	"lunasolar/internal/experiments"
 	"lunasolar/internal/sim/runtime"
@@ -79,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit one JSON metric row per line instead of tables")
 	metricsOut := fs.String("metrics-out", "", "write the merged observability registry of all experiments here (e.g. METRICS.json)")
 	ccFlag := fs.String("cc", "static", "congestion controller for every RDMA stack: static, dcqcn, or swift (the CC-matrix experiments sweep all three regardless)")
-	fidelity := fs.String("fidelity", "packet", "simulation fidelity for experiments that support it: packet (every frame) or hybrid (fluid fast-forward of quiescent bulk flows)")
+	fidelity := fs.String("fidelity", "packet", "simulation fidelity of the diurnal campaign: packet (every frame) or hybrid (fluid fast-forward of quiescent bulk flows)")
 	profileDir := fs.String("profile", "", "write cpu.pprof (whole run) and heap.pprof (at exit) into this directory")
 	list := fs.Bool("list", false, "list experiments")
 	if err := fs.Parse(args); err != nil {
@@ -94,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ebsbench: unknown -cc %q (static, dcqcn, or swift)\n", *ccFlag)
 		return 1
 	}
-	fid, err := ebs.ParseFidelity(*fidelity)
+	fid, err := experiments.ParseFidelity(*fidelity)
 	if err != nil {
 		fmt.Fprintf(stderr, "ebsbench: %v\n", err)
 		return 1

@@ -108,17 +108,6 @@ func New(cfg Config) *Cluster {
 			},
 		}
 	}
-	if cfg.Fidelity == FidelityHybrid {
-		// Arm the fluid flow table. Serial clusters get the engine's
-		// fast-forward hook from EnableFluid itself; coupled clusters
-		// advance fluid state only at barriers, where every partition is
-		// synchronized.
-		ft := fab.EnableFluid(simnet.DefaultFluidConfig())
-		if c.coupled != nil {
-			c.coupled.FastForward = ft.BarrierAdvance
-		}
-	}
-
 	// Storage hosts: chunk servers first (block servers need their
 	// addresses).
 	storageDC, storagePod := 0, 1

@@ -137,55 +137,13 @@ type Config struct {
 	// between those fixed designs and the RDMA plane's controller.
 	CC cc.Kind
 
-	// Fidelity selects the simulation fidelity. FidelityPacket (the zero
-	// value) simulates every frame; FidelityHybrid arms the fabric's fluid
-	// flow table so eligible bulk flows fast-forward analytically between
-	// disturbances (see internal/simnet/flow.go). RPC traffic is always
-	// packet-level; hybrid only changes how BulkService streams advance.
-	Fidelity Fidelity
-
 	Encrypted bool
 	Seed      int64
 }
 
-// Fidelity is the simulation-fidelity mode of a cluster or experiment.
-type Fidelity int32
-
-// The fidelity modes of the hybrid fast-forward plane.
-const (
-	// FidelityPacket simulates every frame end to end — the bit-exact
-	// baseline every other mode is differenced against.
-	FidelityPacket Fidelity = iota
-	// FidelityHybrid fast-forwards quiescent bulk flows at fluid rates and
-	// demotes back to packets on any disturbance signal.
-	FidelityHybrid
-)
-
-// String names the mode the way ebsbench -fidelity spells it.
-func (f Fidelity) String() string {
-	switch f {
-	case FidelityPacket:
-		return "packet"
-	case FidelityHybrid:
-		return "hybrid"
-	}
-	return fmt.Sprintf("Fidelity(%d)", int32(f))
-}
-
-// ParseFidelity maps an ebsbench -fidelity value to a mode.
-func ParseFidelity(s string) (Fidelity, error) {
-	switch s {
-	case "packet":
-		return FidelityPacket, nil
-	case "hybrid":
-		return FidelityHybrid, nil
-	}
-	return FidelityPacket, fmt.Errorf("unknown fidelity %q (want packet or hybrid)", s)
-}
-
 // DefaultConfig returns a cluster sized like the Table 2 testbed scaled
-// down: one compute pod and one storage pod in a single DC. CC and Fidelity
-// are left at their zero values (static window, packet fidelity).
+// down: one compute pod and one storage pod in a single DC. CC is left at
+// its zero value (static window).
 func DefaultConfig(fn StackKind) Config {
 	fab := simnet.DefaultConfig()
 	fab.RacksPerPod = 4
@@ -236,9 +194,6 @@ func (cfg Config) validate(ctrlPlane bool) error {
 	}
 	if cfg.CC > cc.KindSwift {
 		return fmt.Errorf("ebs: unknown congestion controller %d", cfg.CC)
-	}
-	if cfg.Fidelity != FidelityPacket && cfg.Fidelity != FidelityHybrid {
-		return fmt.Errorf("ebs: unknown fidelity %d", cfg.Fidelity)
 	}
 	if ctrlPlane && cfg.CoupledParts > 1 {
 		return errors.New("ebs: control plane requires a serial cluster (CoupledParts <= 1)")

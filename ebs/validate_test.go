@@ -23,7 +23,6 @@ func TestValidateRejects(t *testing.T) {
 		{"cross-DC on one DC", Solar, func(c *Config) { c.CrossDC = true }, false, "CrossDC requires >=2 DCs"},
 		{"edge on luna", Luna, func(c *Config) { c.Edge = true }, false, "Edge mode integrates the Solar-era DPU"},
 		{"unknown cc", RDMA, func(c *Config) { c.CC = 3 }, false, "unknown congestion controller 3"},
-		{"unknown fidelity", Solar, func(c *Config) { c.Fidelity = 2 }, false, "unknown fidelity 2"},
 		{"control plane on coupled", Solar, func(c *Config) { c.CoupledParts = 2 }, true, "control plane requires a serial cluster"},
 		{"control plane on edge", Solar, func(c *Config) { c.Edge = true }, true, "control plane does not support Edge mode"},
 	} {

@@ -176,7 +176,6 @@ func (p *path) observe(rtt time.Duration, fb cc.Feedback) {
 func (s *Stack) failover(pe *peer, old *path) *path {
 	old.failed++
 	s.PathFailovers++
-	s.host.FluidDisturb(simnet.TriggerFailover)
 	np := s.newPath()
 	s.rec.Record(s.eng.Now().Duration(), trace.EvFailover, uint64(old.id), uint64(np.id))
 	for i, p := range pe.paths {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"lunasolar/ebs"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/sim/runtime"
 	"lunasolar/internal/simnet"
@@ -20,6 +19,42 @@ import (
 // run packet by packet. The two modes must agree — exactly on drop and
 // completion counts, and within a sliver on completion-time quantiles —
 // which is what TestHybridDifferential checks.
+
+// Fidelity is the simulation-fidelity mode of the diurnal campaign's raw
+// fabrics.
+type Fidelity int32
+
+// The fidelity modes of the hybrid fast-forward plane.
+const (
+	// FidelityPacket simulates every frame end to end — the bit-exact
+	// baseline every other mode is differenced against.
+	FidelityPacket Fidelity = iota
+	// FidelityHybrid fast-forwards quiescent bulk flows at fluid rates and
+	// demotes back to packets on any disturbance signal.
+	FidelityHybrid
+)
+
+// String names the mode the way ebsbench -fidelity spells it.
+func (f Fidelity) String() string {
+	switch f {
+	case FidelityPacket:
+		return "packet"
+	case FidelityHybrid:
+		return "hybrid"
+	}
+	return fmt.Sprintf("Fidelity(%d)", int32(f))
+}
+
+// ParseFidelity maps an ebsbench -fidelity value to a mode.
+func ParseFidelity(s string) (Fidelity, error) {
+	switch s {
+	case "packet":
+		return FidelityPacket, nil
+	case "hybrid":
+		return FidelityHybrid, nil
+	}
+	return FidelityPacket, fmt.Errorf("unknown fidelity %q (want packet or hybrid)", s)
+}
 
 // diurnalPhases names the campaign's phases in schedule order.
 var diurnalPhases = []string{"ramp", "plateau", "incast", "spike", "rampdown"}
@@ -75,11 +110,11 @@ type diurnalCell struct {
 // reboot — so the engine's event heap never drains mid-campaign and the
 // wave schedule is identical in both fidelity modes (it is drawn from an
 // independent Rand, never the engine's).
-func diurnalShard(opts Options, fid ebs.Fidelity, shard int) (diurnalCell, *sim.Engine, *simnet.Fabric) {
+func diurnalShard(opts Options, fid Fidelity, shard int) (diurnalCell, *sim.Engine, *simnet.Fabric) {
 	eng := sim.NewEngine(opts.Seed + int64(shard)*7919)
 	fab := simnet.New(eng, simnet.DefaultConfig())
 	bulk := simnet.NewBulkService(fab)
-	if fid == ebs.FidelityHybrid {
+	if fid == FidelityHybrid {
 		fab.EnableFluid(simnet.DefaultFluidConfig())
 	}
 	r := sim.NewRand(opts.Seed*1000003 + int64(shard))
@@ -224,7 +259,7 @@ func quantileExact(lats []time.Duration, q float64) time.Duration {
 
 // diurnalCampaign runs the campaign (two shards, merged in shard order) at
 // the given fidelity and returns the structured result.
-func diurnalCampaign(opts Options, fid ebs.Fidelity) *DiurnalResult {
+func diurnalCampaign(opts Options, fid Fidelity) *DiurnalResult {
 	const shards = 2
 	fleet := opts.fleet()
 	cells := runFabricCells(fleet, shards, func(shard int) (diurnalCell, *sim.Engine, *simnet.Fabric) {

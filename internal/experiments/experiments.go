@@ -50,11 +50,11 @@ type Options struct {
 	// the export are always counted; the formatted table is identical
 	// either way.
 	Telemetry bool
-	// Fidelity selects the simulation fidelity of every cluster the
-	// experiment builds (and of Diurnal's raw fabric). The zero value is
-	// full packet fidelity; ebs.FidelityHybrid fluid-fast-forwards
-	// quiescent bulk flows (see internal/simnet/flow.go).
-	Fidelity ebs.Fidelity
+	// Fidelity selects the diurnal campaign's simulation fidelity (ebsbench
+	// -fidelity); no other experiment reads it. The zero value is full
+	// packet fidelity; FidelityHybrid fluid-fast-forwards quiescent bulk
+	// flows (see internal/simnet/flow.go).
+	Fidelity Fidelity
 	// CC selects the congestion controller of every RDMA stack the
 	// experiment builds (ebsbench -cc). The zero value is the static
 	// window; the CC-matrix experiments sweep all three regardless.
@@ -65,7 +65,7 @@ type Options struct {
 // selections — the one place Options reach an ebs.Config.
 func (o Options) config(fn ebs.StackKind) ebs.Config {
 	cfg := ebs.DefaultConfig(fn)
-	cfg.Seed, cfg.CC, cfg.Fidelity = o.Seed, o.CC, o.Fidelity
+	cfg.Seed, cfg.CC = o.Seed, o.CC
 	return cfg
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"lunasolar/ebs"
 )
 
 // withinPct fails unless got is within tol percent of want (both zero is
@@ -39,8 +37,8 @@ func TestHybridDifferential(t *testing.T) {
 
 func hybridDifferential(t *testing.T, quick bool, minEventRatio uint64) {
 	opts := Options{Seed: 1, Quick: quick, Workers: 1}
-	pkt := diurnalCampaign(opts, ebs.FidelityPacket)
-	hyb := diurnalCampaign(opts, ebs.FidelityHybrid)
+	pkt := diurnalCampaign(opts, FidelityPacket)
+	hyb := diurnalCampaign(opts, FidelityHybrid)
 
 	if l := pkt.Perf.Leaked(); l != 0 {
 		t.Fatalf("packet run leaked %d pooled packets", l)
@@ -103,7 +101,7 @@ func hybridDifferential(t *testing.T, quick bool, minEventRatio uint64) {
 func TestHybridWorkerDeterminism(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 2} {
-		opts := Options{Seed: 1, Quick: true, Workers: workers, Fidelity: ebs.FidelityHybrid}
+		opts := Options{Seed: 1, Quick: true, Workers: workers, Fidelity: FidelityHybrid}
 		tab := Diurnal(opts)
 		if leaked := tab.Perf.Leaked(); leaked != 0 {
 			t.Fatalf("workers=%d: %d pooled packets leaked", workers, leaked)
@@ -124,24 +122,9 @@ func TestHybridWorkerDeterminism(t *testing.T) {
 // "fix" that would pin the campaign's output regardless of scenario:
 // different seeds must still produce different campaigns in hybrid mode.
 func TestHybridFidelitySensitivity(t *testing.T) {
-	a := diurnalCampaign(Options{Seed: 1, Quick: true, Workers: 1}, ebs.FidelityHybrid)
-	b := diurnalCampaign(Options{Seed: 2, Quick: true, Workers: 1}, ebs.FidelityHybrid)
+	a := diurnalCampaign(Options{Seed: 1, Quick: true, Workers: 1}, FidelityHybrid)
+	b := diurnalCampaign(Options{Seed: 2, Quick: true, Workers: 1}, FidelityHybrid)
 	if a.Overall.P50us == b.Overall.P50us && a.Overall.P99us == b.Overall.P99us && a.MBps == b.MBps {
 		t.Fatal("seeds 1 and 2 produced identical campaigns; the schedule is not seeded")
-	}
-}
-
-// TestHybridCCMatrixIdentity runs a CC-matrix scenario at hybrid
-// fidelity: ebs clusters carry no bulk flows, so the
-// fluid plane must be a pure bystander — formatted table and metric rows
-// byte-identical to the packet-fidelity run.
-func TestHybridCCMatrixIdentity(t *testing.T) {
-	opts := Options{Seed: 1, Quick: true, Workers: 1}
-	want := renderAll(t, Incast(opts), "incast", opts.Seed)
-
-	opts.Fidelity = ebs.FidelityHybrid
-	got := renderAll(t, Incast(opts), "incast", opts.Seed)
-	if got != want {
-		t.Fatalf("hybrid fidelity perturbed the CC incast matrix:\n--- packet ---\n%s\n--- hybrid ---\n%s", want, got)
 	}
 }

@@ -33,8 +33,8 @@ import (
 //   - method calls on a foreign partowned value (v.cluster.Eng.Now() —
 //     the PR 8 VDisk.Write race — or pool/collector/rand methods reached
 //     via fab.parts[i] or a range over them);
-//   - writes to a foreign partowned value's fields (publishing link state,
-//     resetting fluid notes);
+//   - writes to a foreign partowned value's fields (publishing link
+//     state);
 //   - passing a foreign partowned value to any call (handing another
 //     partition's collector or pool to code that will touch it).
 //
@@ -313,7 +313,7 @@ func (t *partTracker) checkCall(call *ast.CallExpr) {
 
 // checkWrite flags stores into fields of foreign partowned values.
 func (t *partTracker) checkWrite(lhs ast.Expr) {
-	// Unwrap element stores (ps.fluidTrigN[i]++) down to the selector.
+	// Unwrap element stores (ps.drops[reason]++) down to the selector.
 	for {
 		if ix, ok := lhs.(*ast.IndexExpr); ok {
 			lhs = ix.X

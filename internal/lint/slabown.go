@@ -115,8 +115,8 @@ func (t *slabTracker) acquireKind(call *ast.CallExpr) (string, bool) {
 // up: v.Release(), pool.PutBuf(v), or inbox.Handoff(v, ...) — the
 // cross-partition transfer, matched by method name so the real
 // crossInbox and test fixtures are checked alike. Returns the tracked
-// variable and the verb used in diagnostics ("Release", "Handoff" or
-// "Flush"), or ok=false when the call gives up no plain tracked local.
+// variable and the verb used in diagnostics ("Release" or "Handoff"), or
+// ok=false when the call gives up no plain tracked local.
 func (t *slabTracker) releaseTarget(call *ast.CallExpr, st stateMap) (*types.Var, string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -155,18 +155,6 @@ func (t *slabTracker) releaseTarget(call *ast.CallExpr, st stateMap) (*types.Var
 		}
 		if v, ok := t.trackedArg(call.Args[0], st); ok {
 			return v, "Handoff", true
-		}
-	case "Flush":
-		// Fluid demotion flush (FlowTable.Flush and kin): the flushed
-		// packet re-enters pool ownership, so the caller's reference is
-		// gone — using it afterwards, flushing twice, or flushing after a
-		// Handoff are all ownership bugs. Matched like Handoff: by method
-		// name, ownership in the first argument.
-		if len(call.Args) == 0 {
-			return nil, "", false
-		}
-		if v, ok := t.trackedArg(call.Args[0], st); ok {
-			return v, "Flush", true
 		}
 	}
 	return nil, "", false

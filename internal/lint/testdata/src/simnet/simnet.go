@@ -48,11 +48,3 @@ func (p *Packet) Release() {}
 type Inbox struct{ pending int }
 
 func (ib *Inbox) Handoff(p *Packet, at int64) { ib.pending++ }
-
-// FlowTable models the fluid fast-forward layer's demotion flush: Flush
-// rematerializes an analytic flow's packet back into pool ownership, so
-// the caller's reference is spent — the same contract as Release and
-// Handoff, matched by method name.
-type FlowTable struct{ flushed int }
-
-func (t *FlowTable) Flush(p *Packet) { t.flushed++ }

@@ -381,7 +381,6 @@ func (q *qp) onRTO() {
 	}
 	q.retx.RecordTimeout()
 	q.ctrl.OnTimeout()
-	q.s.host.FluidDisturb(simnet.TriggerLoss)
 	q.goBackN()
 	q.retx.Arm()
 }
@@ -434,7 +433,6 @@ func (q *qp) packetArrived(bth wire.TCPSeg, pkt *simnet.Packet) {
 			return
 		}
 		q.s.CNPsRecv++
-		q.s.host.FluidDisturb(simnet.TriggerCNP)
 		q.ctrl.OnAck(cc.Feedback{CNP: true})
 		q.pump() // rate changed; the pacer re-evaluates
 		return
@@ -484,7 +482,6 @@ func (q *qp) packetArrived(bth wire.TCPSeg, pkt *simnet.Packet) {
 	}
 	if bth.Flags&wire.TCPFlagRST != 0 && ack == q.sndUna && q.inflight() > 0 {
 		// NAK: receiver saw a gap. Rewind immediately.
-		q.s.host.FluidDisturb(simnet.TriggerNAK)
 		q.ctrl.OnLoss()
 		q.goBackN()
 	}

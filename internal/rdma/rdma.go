@@ -51,7 +51,6 @@ type Params struct {
 	CNPInterval     time.Duration // min gap between CNPs per QP (DCQCN)
 	SwiftBaseTarget time.Duration // Swift base target delay
 	SwiftHopScale   time.Duration // Swift extra target per fabric hop
-	SwiftNoPacing   bool          // revert Swift to window-only (no Rate-driven pacer)
 }
 
 // DefaultParams returns the RC model used in the comparisons.
@@ -157,11 +156,7 @@ func (s *Stack) newController() cc.Controller {
 	case cc.KindDCQCN:
 		return cc.NewDCQCN(s.params.MTU, win, s.lineBytes)
 	case cc.KindSwift:
-		sw := cc.NewSwift(s.params.MTU, win, win, s.params.SwiftBaseTarget, s.params.SwiftHopScale, s.lineBytes)
-		if s.params.SwiftNoPacing {
-			sw.SetPacing(false)
-		}
-		return sw
+		return cc.NewSwift(s.params.MTU, win, win, s.params.SwiftBaseTarget, s.params.SwiftHopScale, s.lineBytes)
 	default:
 		return cc.NewStatic(win)
 	}

@@ -341,7 +341,6 @@ func swiftIncastMaxQueue(t *testing.T, noPacing bool) int {
 	p := DefaultParams()
 	p.CC = cc.KindSwift
 	p.SwiftBaseTarget = 200 * time.Microsecond
-	p.SwiftNoPacing = noPacing
 	server := New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "srv", 4), nil, p)
 	server.SetHandler(func(src uint32, req *transport.Message, reply func(*transport.Response)) {
 		reply(&transport.Response{})
@@ -351,6 +350,9 @@ func swiftIncastMaxQueue(t *testing.T, noPacing bool) int {
 	for i := 0; i < senders; i++ {
 		c := New(eng, fab.Host(0, 0, i/4, i%4), sim.NewServer(eng, "cl", 4), nil, p)
 		dst := server.LocalAddr()
+		if noPacing {
+			c.qpTo(dst).ctrl.(*cc.Swift).SetPacing(false)
+		}
 		c.Call(dst, &transport.Message{Op: wire.RPCWriteReq, Data: make([]byte, 4096)},
 			func(*transport.Response) {
 				c.Call(dst, &transport.Message{Op: wire.RPCWriteReq, Data: make([]byte, 1<<20)},

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -39,6 +40,9 @@ type action struct {
 	bl   int
 	size int
 }
+
+// timeMax is the reference's open horizon: Run is run(timeMax).
+const timeMax = Time(math.MaxInt64)
 
 const (
 	doNothing = iota

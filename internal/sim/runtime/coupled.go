@@ -37,14 +37,6 @@ type Coupled struct {
 	// the first), while no engine is being driven: publish cross-partition
 	// state snapshots and drain mailboxes here. May be nil.
 	AtBarrier func()
-
-	// FastForward, if non-nil, runs after AtBarrier with the fleet-wide
-	// next-event bound (ok == false when no event is pending anywhere). An
-	// analytic model — the fluid flow table — may advance state and
-	// schedule events here, the only point where every partition is
-	// guaranteed idle; returning true makes the coordinator recompute the
-	// bound before planning the window.
-	FastForward func(next sim.Time, ok bool) bool
 }
 
 func (c *Coupled) workers() int {
@@ -106,9 +98,6 @@ func (c *Coupled) drive(bounded bool, limit sim.Time) {
 			c.AtBarrier()
 		}
 		next, ok := c.nextEvent()
-		if c.FastForward != nil && c.FastForward(next, ok) {
-			next, ok = c.nextEvent()
-		}
 		if !ok || (bounded && next > limit) {
 			// Quiescent (or nothing left before the horizon): nothing can
 			// generate new cross-partition traffic, so jumping every clock

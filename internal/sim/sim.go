@@ -129,17 +129,7 @@ type Engine struct {
 	// NextEventAt scans only those.
 	cur      uint64
 	backlogs []*Backlog
-
-	// ff is the fast-forward hook (SetFastForward): a chance for an
-	// analytic model — the fluid flow table — to advance state and inject
-	// events before the clock jumps to the next queued event.
-	ff func(now, until Time)
 }
-
-// timeMax is the open-ended fast-forward horizon: "no further event bounds
-// you" — used when the heap drains but the hook may still hold state (fluid
-// flows) whose completions must be materialized as events.
-const timeMax = Time(math.MaxInt64)
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
@@ -256,25 +246,7 @@ func (e *Engine) Step() bool {
 	return e.step()
 }
 
-// SetFastForward installs (or, with nil, removes) the fast-forward hook.
-// Before the engine commits to the next queued event it calls
-// fn(now, until) where until is that event's firing time (or timeMax when
-// the queue is empty); the hook may advance analytic state and schedule
-// new events at any t in [now, until]. The hook must be idempotent for an
-// unchanged (now, until) pair: the engine may call it again without an
-// intervening event when the bound it reported against still holds.
-func (e *Engine) SetFastForward(fn func(now, until Time)) { e.ff = fn }
-
 func (e *Engine) step() bool {
-	if e.ff != nil {
-		if len(e.heap) == 0 {
-			// Open horizon: let the hook materialize whatever completions
-			// it still holds.
-			e.ff(e.now, timeMax)
-		} else {
-			e.ff(e.now, e.heap[0].at)
-		}
-	}
 	if len(e.heap) == 0 {
 		return false
 	}
@@ -309,19 +281,7 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	e.enter()
 	defer e.leave()
-	for {
-		if len(e.heap) == 0 || e.heap[0].at > t {
-			// Bounded horizon: give the hook one chance to schedule events
-			// inside (now, t] before we conclude the window is quiescent.
-			if e.ff != nil {
-				e.ff(e.now, t)
-				if len(e.heap) > 0 && e.heap[0].at <= t {
-					e.step()
-					continue
-				}
-			}
-			break
-		}
+	for len(e.heap) > 0 && e.heap[0].at <= t {
 		e.step()
 	}
 	if e.now < t {

@@ -20,6 +20,7 @@ import (
 //
 // The service claims every host's Handler, so it is for raw-fabric
 // scenarios (no protocol stacks attached), like the diurnal campaign.
+// Hybrid fidelity additionally needs a serial fabric (EnableFluid).
 type BulkService struct {
 	fab    *Fabric
 	nextID uint64
@@ -91,24 +92,11 @@ func (b *BulkService) Transfer(src, dst *Host, bytes int64, chunk int, paceBps f
 
 // bulkStart fires at the transfer's t0 on the source partition's engine:
 // promote to a fluid flow when possible, otherwise pace packets for real.
-// On coupled fabrics the flow is parked on the owning partition and the
-// decision is deferred to the next barrier (BarrierAdvance), since the
-// shared flow table must not be touched mid-window.
 func bulkStart(a any) {
 	f := a.(*fluidFlow)
 	f.t0 = f.src.part.eng.Now()
-	tab := f.svc.fab.fluid
-	switch {
-	case tab == nil:
-		f.next = 0
+	if tab := f.svc.fab.fluid; tab == nil || !tab.admit(f) {
 		bulkSend(f)
-	case f.svc.fab.Parts() == 1:
-		if !tab.Admit(f) {
-			f.next = 0
-			bulkSend(f)
-		}
-	default:
-		f.src.part.fluidPending = append(f.src.part.fluidPending, f)
 	}
 }
 

@@ -21,30 +21,20 @@ package simnet
 // model cannot see (standing queues), so the candidate is refused and
 // every fluid flow is flushed back to packets (TriggerIncast).
 //
-// Demotion triggers are wired into the existing machinery: every drop
-// path (countDrop → TriggerLoss), ECN mark onset (TriggerECN), queue
-// growth past the low-water mark (TriggerQueue), switch hang/repair and
-// link up/down transitions (TriggerFailover), and stack-level signals via
-// Host.FluidDisturb (rdma NAK/CNP, tcp/rdma RTO and fast retransmit,
-// Solar path failover). Triggers are recorded as plain per-partition
-// field writes (notes) so hot paths stay allocation- and lock-free; the
-// notes are folded into the table only at single-threaded points — the
-// engine's fast-forward hook on serial fabrics, the barrier on coupled
-// ones. A fold with a pending note flushes every fluid flow at the note's
-// time: the analytically-sent packet prefix stays delivered (bytes are
-// conserved — the resumed sender continues at exactly the next grid
-// index), the completion event is cancelled, and the remaining packets
-// are paced for real from their original grid positions, where they feel
-// the congestion or failure that triggered the demotion. Re-promotion is
-// blocked for HoldOff after the last note.
+// Demotion triggers are wired into the fabric itself: every drop path
+// (countDrop → TriggerLoss), ECN mark onset (TriggerECN), queue growth
+// past the low-water mark (TriggerQueue), and switch hang/repair and link
+// up/down transitions (TriggerFailover). A trigger flushes every fluid
+// flow where it fires: the analytically-sent packet prefix stays
+// delivered (bytes are conserved — the resumed sender continues at
+// exactly the next grid index), the completion event is cancelled, and
+// the remaining packets are paced for real from their original grid
+// positions, where they feel the congestion or failure that triggered the
+// demotion. Re-promotion is blocked for HoldOff after the last trigger.
 //
-// Coupled fabrics never touch the shared table mid-window: transfer
-// starts park the flow on the owning partition (fluidPending), and
-// BarrierAdvance — installed as runtime.Coupled.FastForward — folds
-// notes, admits pending flows, and materializes due completions only at
-// barriers, where execution is single-threaded by construction. The
-// fabric therefore fast-forwards only across windows in which every
-// partition was eligible at the preceding barrier.
+// Hybrid fidelity is serial only: the table shares its fabric's one
+// engine, so a trigger may touch it from any event, and EnableFluid
+// rejects a partitioned fabric.
 import (
 	"math"
 	"time"
@@ -59,12 +49,10 @@ type FluidTrigger uint8
 // Demotion triggers, in rough order of how locally they are detected.
 const (
 	TriggerNone     FluidTrigger = iota
-	TriggerLoss                  // any packet drop (taildrop, linkdown, hang, rand, blackhole, ttl, ...) or endpoint RTO/fast-retransmit
+	TriggerLoss                  // any packet drop (taildrop, linkdown, hang, rand, blackhole, ttl, ...)
 	TriggerECN                   // a switch marked CE: queues crossed the ECN threshold
 	TriggerQueue                 // an output queue grew past the fluid low-water mark
-	TriggerNAK                   // an RDMA receiver NAKed (go-back-N under way)
-	TriggerCNP                   // a DCQCN congestion notification arrived
-	TriggerFailover              // switch hang/repair, link state change, or an endpoint path failover
+	TriggerFailover              // switch hang/repair or link state change
 	TriggerIncast                // max-min admission found a flow that cannot get its pace rate
 	numFluidTriggers
 )
@@ -79,10 +67,6 @@ func (t FluidTrigger) String() string {
 		return "ecn"
 	case TriggerQueue:
 		return "queue"
-	case TriggerNAK:
-		return "nak"
-	case TriggerCNP:
-		return "cnp"
 	case TriggerFailover:
 		return "failover"
 	case TriggerIncast:
@@ -115,7 +99,7 @@ func DefaultFluidConfig() FluidConfig {
 type FluidStats struct {
 	Admitted  uint64 // transfers that ran (at least partly) as fluid flows
 	Rejected  uint64 // admission attempts refused (ineligible or infeasible)
-	Demotions uint64 // flush-all events (any trigger folding with flows active, or incast at admission)
+	Demotions uint64 // flush-all events (any trigger firing with flows active, incast at admission included)
 	Triggers  [numFluidTriggers]uint64
 }
 
@@ -139,10 +123,9 @@ type fluidFlow struct {
 	rate float64 // max-min share at last admission (diagnostics)
 
 	next int       // next packet index to send when paced for real
-	done sim.Timer // completion event (scheduled eagerly on serial fabrics)
+	done sim.Timer // completion event, scheduled at admission
 
-	fluid   bool // currently advancing analytically
-	tracked bool // still in the table's flow list (cleared when materialized)
+	tracked bool // still in the table's flow list
 }
 
 // finSend returns the fin packet's grid send time.
@@ -166,105 +149,52 @@ func (f *fluidFlow) sentBy(now sim.Time) int {
 	return k
 }
 
-// FlowTable is the fabric's fluid fast-forward state. All methods run at
-// single-threaded points only: inside the owning engine's callbacks on
-// serial fabrics, or on the barrier coordinator on coupled ones.
+// FlowTable is the fabric's fluid fast-forward state. It runs on the
+// fabric's one engine, inside its events.
 type FlowTable struct {
 	fab *Fabric
+	eng *sim.Engine
 	cfg FluidConfig
 
 	flows     []*fluidFlow // active fluid flows, admission order
 	holdUntil sim.Time
 	seenMaxQ  int // last observed Fabric.MaxQueuedBytes high-water
 
-	stats     FluidStats
-	scheduled bool // events were scheduled during the current BarrierAdvance
+	stats FluidStats
 }
 
 // EnableFluid switches the fabric to hybrid fidelity: bulk transfers (see
 // BulkService) may be fast-forwarded analytically while the fabric is
-// quiescent. On a serial fabric the table installs itself as the engine's
-// fast-forward hook; a coupled fabric must additionally wire
-// FlowTable.BarrierAdvance as the coupled runner's FastForward callback.
-//
-//lint:barrier — setup before any window runs; installs the hook, never races one
+// quiescent. Hybrid fidelity is serial only; a partitioned fabric panics.
 func (f *Fabric) EnableFluid(cfg FluidConfig) *FlowTable {
-	t := &FlowTable{fab: f, cfg: cfg, seenMaxQ: f.MaxQueuedBytes()}
+	if len(f.parts) != 1 {
+		panic("simnet: hybrid fidelity needs a serial fabric")
+	}
+	t := &FlowTable{fab: f, eng: f.Eng, cfg: cfg, seenMaxQ: f.MaxQueuedBytes()}
 	f.fluid = t
 	f.fluidLow = cfg.LowWaterBytes
-	if len(f.parts) == 1 {
-		f.parts[0].eng.SetFastForward(t.engineHook)
-	}
 	return t
 }
 
 // Fluid returns the fabric's flow table, or nil in pure packet mode.
 func (f *Fabric) Fluid() *FlowTable { return f.fluid }
 
-// Stats returns the table's activity summary, folding in the
-// per-partition trigger tallies (partition order).
-func (t *FlowTable) Stats() FluidStats {
-	s := t.stats
-	for _, ps := range t.fab.parts {
-		for i, n := range ps.fluidTrigN {
-			s.Triggers[i] += n
-		}
-	}
-	return s
-}
+// Stats returns the table's activity summary.
+func (t *FlowTable) Stats() FluidStats { return t.stats }
 
-// noteFluid records a fidelity trigger on the partition: plain field
-// writes, so the drop/mark/failover paths that call it stay allocation-
-// and lock-free. No-op in pure packet mode.
+// noteFluid reports a fidelity trigger to the flow table; a no-op in pure
+// packet mode.
 func (ps *fabricPart) noteFluid(tr FluidTrigger) {
-	if ps.fab.fluid == nil {
-		return
-	}
-	ps.fluidTrigN[tr]++
-	now := ps.eng.Now()
-	if !ps.fluidNoted {
-		ps.fluidTrig = tr
-		ps.fluidNoteAt = now
-		ps.fluidNoted = true
-	} else if now > ps.fluidNoteAt {
-		ps.fluidNoteAt = now
+	if t := ps.fab.fluid; t != nil {
+		t.trigger(tr)
 	}
 }
 
-// engineHook is the serial-fabric fast-forward hook: before the engine
-// commits to its next event, fold any trigger notes written by the event
-// that just ran, demoting fluid flows at the note's timestamp. Completions
-// are scheduled eagerly at admission on serial fabrics, so folding is the
-// hook's whole job — the clock jump to the next (analytic) event is the
-// heap's.
-func (t *FlowTable) engineHook(now, until sim.Time) {
-	if t.fab.parts[0].fluidNoted {
-		t.fold()
-	}
-}
-
-// fold merges the per-partition trigger notes into the table: bump the
-// hold-off past the latest note and flush every fluid flow at that time.
-// Runs single-threaded (engine hook or barrier) by construction.
-//
-//lint:barrier — engine fast-forward hook or barrier coordinator; never inside a window
-func (t *FlowTable) fold() {
-	noted := false
-	var at sim.Time
-	for _, ps := range t.fab.parts {
-		if ps.fluidNoted {
-			ps.fluidNoted = false
-			ps.fluidTrig = TriggerNone
-			if !noted || ps.fluidNoteAt > at {
-				at = ps.fluidNoteAt
-			}
-			noted = true
-		}
-	}
-	if !noted {
-		return
-	}
-	if hu := at.Add(t.cfg.HoldOff); hu > t.holdUntil {
+// trigger counts tr, re-arms the hold-off from now, and flushes every
+// fluid flow back to packets.
+func (t *FlowTable) trigger(tr FluidTrigger) {
+	t.stats.Triggers[tr]++
+	if hu := t.eng.Now().Add(t.cfg.HoldOff); hu > t.holdUntil {
 		t.holdUntil = hu
 	}
 	if len(t.flows) > 0 {
@@ -277,43 +207,20 @@ func (t *FlowTable) fold() {
 // have passed stay analytically delivered, and the sender resumes pacing
 // real packets at exactly the next grid index. A flow whose packets are
 // all sent keeps its completion event (its fin is analytically in
-// flight). Runs at single-threaded points; at a barrier every engine's
-// clock agrees, so partition 0's now is the flush time.
-//
-//lint:barrier — single-threaded flush point; every engine clock agrees here
+// flight).
 func (t *FlowTable) flushAll() {
-	now := t.fab.parts[0].eng.Now()
+	now := t.eng.Now()
 	t.stats.Demotions++
 	for _, f := range t.flows {
 		f.tracked = false
 		k := f.sentBy(now)
 		if k >= f.n {
-			// Fully sent; the fin is in analytic flight. On serial fabrics
-			// the completion event already exists; on coupled ones it has
-			// not been materialized yet — do it now.
-			if !f.done.Active() {
-				t.materialize(f, now)
-			}
 			continue
 		}
 		f.done.Cancel()
-		f.fluid = false
 		f.svc.resume(f, k, now)
-		t.scheduled = true
 	}
 	t.flows = t.flows[:0]
-}
-
-// materialize schedules the flow's analytic completion as a real event on
-// the destination partition's engine (clamped to its current time — the
-// recorded latency stays analytic either way).
-func (t *FlowTable) materialize(f *fluidFlow, now sim.Time) {
-	at := f.finArrival()
-	if at < now {
-		at = now
-	}
-	f.done = f.dst.part.eng.AtArg(at, fluidDone, f)
-	t.scheduled = true
 }
 
 // remove drops f from the flow list, preserving admission order.
@@ -530,92 +437,27 @@ func (t *FlowTable) feasible(cand *fluidFlow) bool {
 	return ok
 }
 
-// admit attempts to promote f to a fluid flow at the current time. On
-// refusal the caller paces f's packets for real. An infeasible admission
-// with fluid flows active is incast onset: every fluid flow is flushed
-// too, so the contention is simulated at packet fidelity.
-//
-//lint:barrier — reached only from Admit (serial fabric) or BarrierAdvance (coordinator)
-func (t *FlowTable) admit(f *fluidFlow, now sim.Time) bool {
-	if !t.eligible(now) {
-		t.stats.Rejected++
-		return false
-	}
-	if !t.resolvePath(f) {
+// admit tries to promote f, whose transfer starts now, to a fluid flow
+// and, if promoted, schedules its analytic completion, so the engine can
+// jump straight to it. On refusal the caller paces f's packets for real.
+// An infeasible admission with fluid flows active is incast onset: every
+// fluid flow is flushed too, so the contention is simulated at packet
+// fidelity.
+func (t *FlowTable) admit(f *fluidFlow) bool {
+	if !t.eligible(t.eng.Now()) || !t.resolvePath(f) {
 		t.stats.Rejected++
 		return false
 	}
 	if !t.feasible(f) {
 		t.stats.Rejected++
 		if len(t.flows) > 0 {
-			t.fab.parts[0].fluidTrigN[TriggerIncast]++
-			if hu := now.Add(t.cfg.HoldOff); hu > t.holdUntil {
-				t.holdUntil = hu
-			}
-			t.flushAll()
+			t.trigger(TriggerIncast)
 		}
 		return false
 	}
-	f.fluid = true
 	f.tracked = true
 	t.flows = append(t.flows, f)
 	t.stats.Admitted++
+	f.done = t.eng.AtArg(f.finArrival(), fluidDone, f)
 	return true
-}
-
-// Admit is the serial-fabric admission path, called synchronously from
-// the transfer's start event: fold pending notes, then admit and — if
-// promoted — schedule the analytic completion eagerly, so the engine can
-// jump straight to it.
-//
-//lint:barrier — serial fabric only: one engine, no concurrent window
-func (t *FlowTable) Admit(f *fluidFlow) bool {
-	t.fold()
-	now := t.fab.parts[0].eng.Now()
-	if !t.admit(f, now) {
-		return false
-	}
-	t.materialize(f, now)
-	return true
-}
-
-// BarrierAdvance is the coupled-fabric integration point, installed as
-// runtime.Coupled.FastForward and called at every barrier with the
-// runner's next-event horizon. It folds trigger notes (demoting at the
-// barrier time if any fired), admits transfers that started during the
-// last window (partition order, then start order — deterministic for any
-// worker count), and materializes completions due within the upcoming
-// window (all of them when no packet event remains). Returns true if any
-// event was scheduled, so the runner recomputes its horizon.
-//
-//lint:barrier — the coupled runner's barrier callback itself
-func (t *FlowTable) BarrierAdvance(next sim.Time, ok bool) bool {
-	t.scheduled = false
-	t.fold()
-	now := t.fab.parts[0].eng.Now()
-	for _, ps := range t.fab.parts {
-		for _, f := range ps.fluidPending {
-			if t.admit(f, now) {
-				continue
-			}
-			f.svc.resume(f, 0, now)
-			t.scheduled = true
-		}
-		ps.fluidPending = ps.fluidPending[:0]
-	}
-	horizon := sim.Time(math.MaxInt64)
-	if ok {
-		horizon = next.Add(t.fab.Lookahead())
-	}
-	for i := 0; i < len(t.flows); {
-		f := t.flows[i]
-		if f.finArrival() <= horizon {
-			t.materialize(f, now)
-			f.tracked = false
-			t.flows = append(t.flows[:i], t.flows[i+1:]...)
-			continue
-		}
-		i++
-	}
-	return t.scheduled
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"lunasolar/internal/sim"
-	"lunasolar/internal/sim/runtime"
 )
 
 // runBulkOnce drives one 512 KiB transfer over an idle cross-pod path,
@@ -60,20 +59,26 @@ func TestFluidMatchesPacketExactly(t *testing.T) {
 	}
 }
 
-// TestFluidDemotionConservesBytes: a mid-flight stack disturbance (an RDMA
-// NAK note) must flush the fluid flow back to packets with the sent prefix
-// conserved — the transfer still completes with the same bytes and the
-// same latency as packet mode (the path is idle; the resumed sender
+// flapOffPath schedules a link flap at 1.3 ms — mid-flight for the
+// runBulkOnce transfer — on a host port off that transfer's path: two
+// TriggerFailover, the first of which demotes the fluid flow.
+func flapOffPath(eng *sim.Engine, fab *Fabric) {
+	p := fab.Host(0, 0, 1, 1).ports[0]
+	eng.At(sim.Time(1300*time.Microsecond), func() {
+		p.SetUp(false)
+		p.SetUp(true)
+	})
+}
+
+// TestFluidDemotionConservesBytes: a mid-flight disturbance (a link flap
+// off the path) must flush the fluid flow back to packets with the sent
+// prefix conserved — the transfer still completes with the same bytes and
+// the same latency as packet mode (the path is idle; the resumed sender
 // continues on the original grid), and the completion is no longer
 // analytic.
 func TestFluidDemotionConservesBytes(t *testing.T) {
 	pc, _, _ := runBulkOnce(t, false, nil)
-	disturb := func(eng *sim.Engine, fab *Fabric) {
-		eng.At(sim.Time(1300*time.Microsecond), func() {
-			fab.Host(0, 0, 1, 1).FluidDisturb(TriggerNAK)
-		})
-	}
-	hc, _, hFab := runBulkOnce(t, true, disturb)
+	hc, _, hFab := runBulkOnce(t, true, flapOffPath)
 	if len(hc) != 1 {
 		t.Fatalf("hybrid completions = %d, want 1", len(hc))
 	}
@@ -90,8 +95,8 @@ func TestFluidDemotionConservesBytes(t *testing.T) {
 	if s.Admitted != 1 || s.Demotions != 1 {
 		t.Fatalf("stats = %+v, want 1 admitted, 1 demotion", s)
 	}
-	if s.Triggers[TriggerNAK] == 0 {
-		t.Fatalf("NAK trigger not recorded: %+v", s.Triggers)
+	if s.Triggers[TriggerFailover] != 2 {
+		t.Fatalf("failover triggers = %d, want 2 (link down, link up): %+v", s.Triggers[TriggerFailover], s.Triggers)
 	}
 	if n := hFab.Pool().Outstanding(); n != 0 {
 		t.Fatalf("hybrid run leaked %d pooled packets", n)
@@ -239,91 +244,55 @@ func TestFluidIncastDemotion(t *testing.T) {
 	}
 }
 
-// coupledBulkRun drives the diurnal-style bulk schedule over a partitioned
-// fabric with the coupled runner, hybrid or not, and returns the
-// completion list (deterministic order) plus the fabric.
-func coupledBulkRun(t *testing.T, parts, workers int, hybrid bool) ([]BulkCompletion, *Fabric) {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.RacksPerPod = 2
-	cfg.HostsPerRack = 2
-	cfg.SpinesPerPod = 2
-	cfg.CoresPerDC = 2
-	engs := make([]*sim.Engine, parts)
-	for i := range engs {
-		engs[i] = sim.NewEngine(int64(i + 1))
-	}
-	fab := NewPartitioned(engs, cfg)
-	bulk := NewBulkService(fab)
-	var ft *FlowTable
-	if hybrid {
-		ft = fab.EnableFluid(DefaultFluidConfig())
-	}
-
-	r := sim.NewRand(17)
-	hosts := fab.Hosts()
-	for i := 0; i < 12; i++ {
-		src := hosts[r.Intn(len(hosts))]
-		dst := hosts[r.Intn(len(hosts))]
-		if src == dst {
-			dst = hosts[(r.Intn(len(hosts))+1)%len(hosts)]
-			if src == dst {
-				continue
+// TestFluidRunUntilMatchesRun: a trigger demotes fluid flows where it
+// fires, so driving the engine in bounded steps (RunFor) must end exactly
+// like one Run, whatever the step — also when a step ends right after the
+// trigger and the next event is the fluid completion far beyond it.
+func TestFluidRunUntilMatchesRun(t *testing.T) {
+	run := func(step time.Duration) ([]BulkCompletion, FluidStats, uint64) {
+		eng, fab := smallFabric(t)
+		bulk := NewBulkService(fab)
+		ft := fab.EnableFluid(DefaultFluidConfig())
+		bulk.Transfer(fab.Host(0, 0, 0, 0), fab.Host(0, 1, 0, 0), 512<<10, 4096, 5e9, sim.Time(time.Millisecond))
+		flapOffPath(eng, fab)
+		if step == 0 {
+			eng.Run()
+		} else {
+			for eng.Pending() > 0 {
+				eng.RunFor(step)
 			}
 		}
-		at := sim.Time(time.Millisecond).Add(time.Duration(r.Int63n(int64(2 * time.Millisecond))))
-		bulk.Transfer(src, dst, int64(64+r.Intn(192))<<10, 4096, 5e9, at)
+		if n := fab.Pool().Outstanding(); n != 0 {
+			t.Fatalf("step %v: leaked %d pooled packets", step, n)
+		}
+		return bulk.Completions(), ft.Stats(), eng.Processed()
 	}
-
-	c := &runtime.Coupled{
-		Engines:   engs,
-		Lookahead: fab.Lookahead(),
-		Workers:   workers,
-		AtBarrier: func() {
-			fab.PublishCutState()
-			fab.DrainInboxes()
-		},
+	wantC, wantS, wantN := run(0)
+	if len(wantC) != 1 || wantC[0].Fluid || wantS.Demotions != 1 {
+		t.Fatalf("Run: completions %+v, stats %+v; want one demoted transfer", wantC, wantS)
 	}
-	if ft != nil {
-		c.FastForward = ft.BarrierAdvance
+	for _, step := range []time.Duration{time.Microsecond, 37 * time.Microsecond, time.Millisecond} {
+		c, s, n := run(step)
+		if len(c) != len(wantC) || c[0] != wantC[0] {
+			t.Fatalf("step %v: completions %+v, Run %+v", step, c, wantC)
+		}
+		if s != wantS {
+			t.Fatalf("step %v: stats %+v, Run %+v", step, s, wantS)
+		}
+		if n != wantN {
+			t.Fatalf("step %v: %d events processed, Run %d", step, n, wantN)
+		}
 	}
-	c.Run()
-	if n := fab.OutstandingAll(); n != 0 {
-		t.Fatalf("parts=%d workers=%d hybrid=%v: leaked %d pooled packets", parts, workers, hybrid, n)
-	}
-	return bulk.Completions(), fab
 }
 
-// TestCoupledFluidAgreesWithPacket: on a partitioned fabric the fluid
-// plane advances only at barriers (BarrierAdvance as the runner's
-// FastForward), and must agree with the packet-fidelity coupled run on
-// every completion while being byte-identical across worker counts.
-func TestCoupledFluidAgreesWithPacket(t *testing.T) {
-	const parts = 2
-	want, _ := coupledBulkRun(t, parts, 1, false)
-	if len(want) == 0 {
-		t.Fatal("packet-mode coupled run completed nothing")
-	}
-	for _, workers := range []int{1, 2} {
-		got, fab := coupledBulkRun(t, parts, workers, true)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: hybrid completed %d transfers, packet %d", workers, len(got), len(want))
+// TestEnableFluidRejectsPartitionedFabric: hybrid fidelity is serial only,
+// so arming it on a partitioned fabric panics up front.
+func TestEnableFluidRejectsPartitionedFabric(t *testing.T) {
+	fab := NewPartitioned([]*sim.Engine{sim.NewEngine(1), sim.NewEngine(2)}, DefaultConfig())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("EnableFluid on a two-partition fabric did not panic")
 		}
-		fluid := 0
-		for i, c := range got {
-			w := want[i]
-			if c.ID != w.ID || c.Bytes != w.Bytes || c.Lat != w.Lat {
-				t.Fatalf("workers=%d: completion %d differs: hybrid %+v, packet %+v", workers, i, c, w)
-			}
-			if c.Fluid {
-				fluid++
-			}
-		}
-		if fluid == 0 {
-			t.Fatal("coupled hybrid run fast-forwarded nothing")
-		}
-		if s := fab.Fluid().Stats(); s.Admitted == 0 {
-			t.Fatalf("coupled hybrid admitted nothing: %+v", s)
-		}
-	}
+	}()
+	fab.EnableFluid(DefaultFluidConfig())
 }

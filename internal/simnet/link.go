@@ -294,13 +294,6 @@ func (h *Host) Send(pkt *Packet) bool {
 	return false
 }
 
-// FluidDisturb reports a stack-level fidelity signal (retransmit, NAK,
-// CNP, path failover) against the host's partition. No-op in pure packet
-// mode; in hybrid mode it demotes analytically-advancing flows at the
-// next fold point, so endpoint recovery machinery always runs against
-// packet-level state.
-func (h *Host) FluidDisturb(tr FluidTrigger) { h.part.noteFluid(tr) }
-
 // PacketPool returns the packet pool of the host's partition; stacks
 // attached to this host draw from and return to it.
 func (h *Host) PacketPool() *PacketPool { return &h.part.pool }

@@ -87,16 +87,6 @@ type fabricPart struct {
 	mb      sim.Mailbox
 	freeMsg *sim.Pool[crossMsg]
 	msgSeq  uint64
-
-	// Fluid fast-forward disturb notes (flow.go): plain per-partition
-	// fields written by hot-path trigger sites and folded into the flow
-	// table only at single-threaded points (engine hook / barrier), so
-	// coupled windows never contend on shared fluid state.
-	fluidNoted   bool
-	fluidTrig    FluidTrigger // first trigger since the last fold
-	fluidNoteAt  sim.Time     // latest trigger time since the last fold
-	fluidTrigN   [numFluidTriggers]uint64
-	fluidPending []*fluidFlow // transfers started mid-window, admitted at the barrier
 }
 
 func (ps *fabricPart) countDrop(reason string) {

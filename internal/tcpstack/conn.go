@@ -203,7 +203,6 @@ func (c *conn) onRTO() {
 	}
 	c.s.Timeouts++
 	c.s.Retransmits++
-	c.s.host.FluidDisturb(simnet.TriggerLoss)
 	c.retx.RecordTimeout()
 	c.inFastRec = false
 	c.ctrl.OnTimeout()
@@ -283,7 +282,6 @@ func (c *conn) processAck(hdr wire.TCPSeg, pureAck bool) {
 			// Fast retransmit; enter NewReno recovery.
 			c.inFastRec = true
 			c.recover = c.sndNxt
-			c.s.host.FluidDisturb(simnet.TriggerLoss)
 			c.ctrl.OnLoss()
 			c.sampleValid = false
 			c.retransmitHead()
