@@ -205,7 +205,6 @@ func New(cfg Config) *Cluster {
 			Host: host, Cores: cores, DPU: card, Stack: stack, Agent: agent,
 		})
 	}
-	c.wireRecorders()
 	return c
 }
 

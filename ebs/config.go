@@ -108,13 +108,6 @@ type Config struct {
 	// Encrypted are still derived from FN/Encrypted.
 	SolarOverride *core.Params
 
-	// FlightRecorderDepth, when positive, attaches a trace.Recorder of that
-	// depth to every Solar stack and chunk server: a ring buffer of the last
-	// N anomalous events (retransmits, failovers, integrity hits, CRC
-	// rejections), dumped on leak-gate or CRC failure for post-mortem
-	// debugging. Zero (the default) disables recording entirely.
-	FlightRecorderDepth int
-
 	// CoupledParts splits the fabric into that many partitions advanced by
 	// the coupled (conservative time-synchronized) runner; see
 	// internal/simnet/partition.go and internal/sim/runtime/coupled.go.
@@ -195,6 +188,29 @@ func (cfg Config) validate(ctrlPlane bool) error {
 	if cfg.CC > cc.KindSwift {
 		return fmt.Errorf("ebs: unknown congestion controller %d", cfg.CC)
 	}
+	// A zero here builds a server with no units, a channel or link with no
+	// rate, a fabric with no path between pods, or an unpaced SSD. The
+	// stack runs on the DPU (Solar kinds always do; New forces BareMetal)
+	// or on host cores, never both, so only one of the last two counts.
+	dpuResident := cfg.BareMetal || cfg.Edge || cfg.FN == Solar || cfg.FN == SolarStar
+	for _, k := range []struct {
+		name string
+		v    float64
+		used bool
+	}{
+		{"StorageCores", float64(cfg.StorageCores), true},
+		{"SSD.IOPSCap", cfg.SSD.IOPSCap, true},
+		{"Fabric.SpinesPerPod", float64(cfg.Fabric.SpinesPerPod), true},
+		{"Fabric.CoresPerDC", float64(cfg.Fabric.CoresPerDC), true},
+		{"Fabric.HostLinkBps", cfg.Fabric.HostLinkBps, true},
+		{"Fabric.FabricLinkBps", cfg.Fabric.FabricLinkBps, true},
+		{"StackCores", float64(cfg.StackCores), !dpuResident},
+		{"DPU.PCIeBps", cfg.DPU.PCIeBps, dpuResident},
+	} {
+		if k.used && !(k.v > 0) {
+			return fmt.Errorf("ebs: %s must be positive, got %v", k.name, k.v)
+		}
+	}
 	if ctrlPlane && cfg.CoupledParts > 1 {
 		return errors.New("ebs: control plane requires a serial cluster (CoupledParts <= 1)")
 	}
@@ -224,12 +240,11 @@ func DefaultQoS() sa.QoSSpec {
 // storage.
 func KernelStackParams() tcpstack.Params {
 	return tcpstack.Params{
-		StackName: "kernel",
-		MSS:       1448,
-		InitCwnd:  10 * 1448,
-		MaxCwnd:   1 << 20,
-		MinRTO:    200 * time.Millisecond,
-		MaxRTO:    2 * time.Second,
+		MSS:      1448,
+		InitCwnd: 10 * 1448,
+		MaxCwnd:  1 << 20,
+		MinRTO:   200 * time.Millisecond,
+		MaxRTO:   2 * time.Second,
 
 		PerRPCTxCPU: 800 * time.Nanosecond,
 		PerRPCRxCPU: 900 * time.Nanosecond,
@@ -249,13 +264,12 @@ func KernelStackParams() tcpstack.Params {
 // and a millisecond-scale RTO.
 func LunaStackParams() tcpstack.Params {
 	return tcpstack.Params{
-		StackName: "luna",
-		MSS:       4096,
-		InitCwnd:  16 * 4096,
-		MaxCwnd:   1 << 20,
-		MinRTO:    4 * time.Millisecond,
-		MaxRTO:    time.Second,
-		UseECN:    true,
+		MSS:      4096,
+		InitCwnd: 16 * 4096,
+		MaxCwnd:  1 << 20,
+		MinRTO:   4 * time.Millisecond,
+		MaxRTO:   time.Second,
+		UseECN:   true,
 
 		PerRPCTxCPU: 120 * time.Nanosecond,
 		PerRPCRxCPU: 150 * time.Nanosecond,

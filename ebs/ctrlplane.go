@@ -28,7 +28,7 @@ import (
 type ControlPlane struct {
 	c      *Cluster
 	placer *ctrl.Placer // block-server placement, rack = failure domain
-	rec    *trace.Recorder
+	rec    trace.Recorder
 
 	replies map[string]reply // request-ID cache, see once
 	vols    map[uint32]*volume
@@ -73,7 +73,6 @@ func (c *Cluster) ControlPlane() (*ControlPlane, error) {
 	}
 	cp := &ControlPlane{
 		c:           c,
-		rec:         trace.NewRecorder(c.cfg.FlightRecorderDepth),
 		replies:     map[string]reply{},
 		vols:        map[uint32]*volume{},
 		tenants:     map[string]sa.QoSSpec{},

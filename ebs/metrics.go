@@ -41,47 +41,33 @@ func (c *Cluster) ExportMetrics(reg *stats.Registry, prefix string) {
 	}
 }
 
-// wireRecorders attaches per-node flight recorders when the config asks for
-// them. Called at the end of New.
-func (c *Cluster) wireRecorders() {
-	depth := c.cfg.FlightRecorderDepth
-	if depth <= 0 {
-		return
-	}
-	for _, cs := range c.computes {
-		if st, ok := cs.Stack.(*core.Stack); ok {
-			st.SetRecorder(trace.NewRecorder(depth))
-		}
-	}
-	for _, ss := range c.chunks {
-		ss.Chunk.SetRecorder(trace.NewRecorder(depth))
-	}
-}
-
-// DumpFlightRecorders writes every attached recorder's post-mortem listing
-// to w, skipping empty ones. Used when a run trips the packet-leak gate or
-// a CRC failure surfaces. Returns the number of events dumped.
+// DumpFlightRecorders writes the post-mortem listing of every Solar
+// stack's (compute and block server), chunk server's and the control
+// plane's flight recorder to w, skipping empty ones. Used when a run trips
+// the packet-leak gate. Returns the number of events dumped.
 func (c *Cluster) DumpFlightRecorders(w io.Writer) int {
 	total := 0
+	dump := func(rec *trace.Recorder, label string) {
+		if rec.Len() > 0 {
+			rec.Dump(w, label)
+			total += rec.Len()
+		}
+	}
 	for i, cs := range c.computes {
 		if st, ok := cs.Stack.(*core.Stack); ok {
-			if rec := st.Recorder(); rec.Len() > 0 {
-				rec.Dump(w, fmt.Sprintf("compute%d", i))
-				total += rec.Len()
-			}
+			dump(st.Recorder(), fmt.Sprintf("compute%d", i))
+		}
+	}
+	for i, bs := range c.blocks {
+		if st, ok := bs.FN.(*core.Stack); ok {
+			dump(st.Recorder(), fmt.Sprintf("block%d", i))
 		}
 	}
 	for i, ss := range c.chunks {
-		if rec := ss.Chunk.Recorder(); rec.Len() > 0 {
-			rec.Dump(w, fmt.Sprintf("chunk%d", i))
-			total += rec.Len()
-		}
+		dump(ss.Chunk.Recorder(), fmt.Sprintf("chunk%d", i))
 	}
 	if c.ctrlPlane != nil {
-		if rec := c.ctrlPlane.rec; rec.Len() > 0 {
-			rec.Dump(w, "ctrl")
-			total += rec.Len()
-		}
+		dump(&c.ctrlPlane.rec, "ctrl")
 	}
 	return total
 }

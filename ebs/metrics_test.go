@@ -66,12 +66,10 @@ func TestClusterExportMetrics(t *testing.T) {
 	}
 }
 
-// The flight recorder wires into Solar stacks and chunk servers when the
-// config asks for it, and records injected anomalies.
+// Every Solar stack and chunk server records injected anomalies with no
+// configuration.
 func TestClusterFlightRecorder(t *testing.T) {
-	cfg := smallConfig(Solar)
-	cfg.FlightRecorderDepth = 128
-	c := New(cfg)
+	c := New(smallConfig(Solar))
 	vd := c.MustProvision(0, 64<<20, DefaultQoS())
 
 	// Inject loss so Solar retransmits, then let the run drain.
@@ -93,7 +91,7 @@ func TestClusterFlightRecorder(t *testing.T) {
 		t.Fatalf("dump missing retransmit events:\n%s", sb.String())
 	}
 
-	// Depth 0 (default) means no recorders at all.
+	// A healthy cluster records nothing.
 	c2 := testCluster(t, Solar)
 	var sb2 strings.Builder
 	if got := c2.DumpFlightRecorders(&sb2); got != 0 {

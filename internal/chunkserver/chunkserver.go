@@ -76,9 +76,9 @@ type Server struct {
 
 	writes, reads, crcErrors, misses uint64
 
-	// rec is the optional flight recorder; CRC rejections — the paper's
-	// Fig. 11 corruption events — are its marquee customer. Nil-safe.
-	rec *trace.Recorder
+	// rec is the flight recorder; CRC rejections — the paper's Fig. 11
+	// corruption events — are its marquee customer.
+	rec trace.Recorder
 }
 
 // New creates a chunk server.
@@ -363,8 +363,5 @@ func (s *Server) DropSegment(segment uint64) int {
 // Utilization returns the SSD's busy-unit average (diagnostics).
 func (s *Server) Utilization() float64 { return s.disk.Utilization() }
 
-// SetRecorder attaches a flight recorder for CRC-rejection post-mortems.
-func (s *Server) SetRecorder(r *trace.Recorder) { s.rec = r }
-
-// Recorder returns the attached flight recorder (nil when off).
-func (s *Server) Recorder() *trace.Recorder { return s.rec }
+// Recorder returns the server's flight recorder: its last CRC rejections.
+func (s *Server) Recorder() *trace.Recorder { return &s.rec }

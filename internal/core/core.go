@@ -49,18 +49,6 @@ const (
 	StorageServer
 )
 
-func (m Mode) String() string {
-	switch m {
-	case Offloaded:
-		return "solar"
-	case CPUPath:
-		return "solar*"
-	case StorageServer:
-		return "solar-server"
-	}
-	return "?"
-}
-
 // Ack flag bits carried in the RPC header of acknowledgment packets.
 const (
 	AckFlagDurable = 1 << 0 // write block persisted (Fig. 12's WRITE response)
@@ -185,9 +173,8 @@ type Stack struct {
 	IntegrityHits uint64 // corruptions caught by software aggregation
 	AdmissionWait time.Duration
 
-	// rec is the optional flight recorder (see trace.Recorder); nil means
-	// recording off, and every hook is nil-safe.
-	rec *trace.Recorder
+	// rec is the flight recorder (see trace.Recorder).
+	rec trace.Recorder
 }
 
 // New attaches a Solar endpoint to a host. cores is the CPU pool charged
@@ -241,9 +228,6 @@ func (s *Stack) crcScratch(src []byte) []byte {
 	s.crcScratchSlab = sl
 	return b
 }
-
-// Name identifies the stack variant.
-func (s *Stack) Name() string { return s.params.Mode.String() }
 
 // LocalAddr returns the host's fabric address.
 func (s *Stack) LocalAddr() uint32 { return s.host.Addr() }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"lunasolar/internal/crc"
 	"lunasolar/internal/dpu"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/simnet"
@@ -25,7 +26,14 @@ type rig struct {
 
 func newRig(t *testing.T, faults dpu.FaultRates, mode Mode) *rig {
 	t.Helper()
-	eng := sim.NewEngine(11)
+	return newRigSeed(t, 11, faults, mode)
+}
+
+// newRigSeed is newRig on an engine of the given seed, which also seeds
+// the card's fault lottery.
+func newRigSeed(t *testing.T, seed int64, faults dpu.FaultRates, mode Mode) *rig {
+	t.Helper()
+	eng := sim.NewEngine(seed)
 	cfg := simnet.DefaultConfig()
 	cfg.RacksPerPod = 2
 	cfg.HostsPerRack = 2
@@ -327,6 +335,53 @@ func TestWriteIntegrityFPGADataFlip(t *testing.T) {
 	}
 }
 
+// TestWriteRepairAfterServerCRCReject covers the damage the XOR aggregate
+// cannot see: under seed 35 both blocks' CRC flips land on the same bit, so
+// the pre-send check passes and two wrong CRCs reach a server that, like
+// the chunk store, rejects a block whose bytes fail its carried CRC. Each
+// rejection is repaired from the trusted buffer and resent once, and the
+// write completes once, clean.
+func TestWriteRepairAfterServerCRCReject(t *testing.T) {
+	r := newRigSeed(t, 35, dpu.FaultRates{CRCBitFlip: 1}, Offloaded)
+	rejects := 0
+	r.server.SetHandler(func(src uint32, req *transport.Message, reply func(*transport.Response)) {
+		if crc.Raw(req.Data) != req.BlockCRCs[0] {
+			rejects++
+			reply(&transport.Response{Err: errors.New("block CRC mismatch")})
+			return
+		}
+		r.blockService(src, req, reply)
+	})
+	data := fill(8<<10, 5)
+	var errs []error
+	r.client.Call(r.server.LocalAddr(),
+		&transport.Message{Op: wire.RPCWriteReq, LBA: 0, Gen: 1, Data: data},
+		func(resp *transport.Response) { errs = append(errs, resp.Err) })
+	r.eng.Run()
+	if rejects != 2 {
+		t.Fatalf("server rejected %d blocks, want both (the aggregate must miss the paired flips)", rejects)
+	}
+	if len(errs) != 1 || errs[0] != nil {
+		t.Fatalf("write completed with %v, want once with a nil error", errs)
+	}
+	if r.client.IntegrityHits != 2 || r.client.Retransmits != 2 {
+		t.Fatalf("integrity hits %d, retransmits %d; want one repair and one resend per block",
+			r.client.IntegrityHits, r.client.Retransmits)
+	}
+	for off := 0; off < len(data); off += wire.BlockSize {
+		if !bytes.Equal(r.store[uint64(off)], data[off:off+wire.BlockSize]) {
+			t.Fatalf("corrupted block reached storage at %#x", off)
+		}
+	}
+	if len(r.client.rpcs) != 0 || len(r.client.out) != 0 || len(r.server.serves) != 0 {
+		t.Fatalf("residual state: client rpcs=%d out=%d, server serves=%d",
+			len(r.client.rpcs), len(r.client.out), len(r.server.serves))
+	}
+	if n, m := r.eng.PoolOutstanding(), r.fab.Pool().Outstanding(); n != 0 || m != 0 {
+		t.Fatalf("%d pooled records and %d packets outstanding once drained", n, m)
+	}
+}
+
 func TestReadIntegrityRefetch(t *testing.T) {
 	// Corrupt the read path: the client's aggregate check must refetch
 	// until the guest buffer is clean. Use a modest rate so a retry can
@@ -446,7 +501,6 @@ func TestOversizedReadFailsAtOnce(t *testing.T) {
 func TestAdmissionWaitRecorded(t *testing.T) {
 	r := newRig(t, dpu.FaultRates{}, Offloaded)
 	r.client.addrCap = 4
-	r.client.SetRecorder(trace.NewRecorder(64))
 	const n = 4 // four blocks each: one fills the table, three wait
 	ids := map[uint64]bool{}
 	for i := 0; i < n; i++ {

@@ -38,7 +38,7 @@ func Example_integrity() {
 		})
 	}
 	c.Run()
-	crcFlips, dataFlips, _ := c.Compute(0).DPU.InjectedFaults()
+	crcFlips, dataFlips := c.Compute(0).DPU.InjectedFaults()
 	fmt.Printf("wrote %d I/Os through a faulty FPGA: %d datapath corruptions, %d CRC-engine flips injected\n",
 		done, dataFlips, crcFlips)
 

@@ -19,7 +19,6 @@ type pathTelemetry struct {
 	ecnAcks     uint64 // acks with the CE echo set
 	maxQLenB    uint32 // deepest queue any hop reported
 	maxHops     int    // longest INT stack seen (path length)
-	lastRateMbs uint32 // egress rate of the last hop on the latest ack
 }
 
 // foldINT merges one ack's INT echo into the path summary.
@@ -39,7 +38,6 @@ func foldINT(t *pathTelemetry, hops []wire.INTHop, ecnMarked bool) {
 			t.maxQLenB = hops[i].QLenB
 		}
 	}
-	t.lastRateMbs = hops[len(hops)-1].RateMbs
 }
 
 // PathStat is one path's telemetry snapshot.
@@ -52,7 +50,6 @@ type PathStat struct {
 	EcnAcks             uint64
 	MaxQLenB            uint32
 	MaxHops             int
-	LastRateMbs         uint32
 }
 
 // PathTelemetry snapshots every live path's INT summary, ordered by peer
@@ -75,7 +72,6 @@ func (s *Stack) PathTelemetry() []PathStat {
 				EcnAcks:     p.tele.ecnAcks,
 				MaxQLenB:    p.tele.maxQLenB,
 				MaxHops:     p.tele.maxHops,
-				LastRateMbs: p.tele.lastRateMbs,
 			})
 		}
 	}
@@ -110,9 +106,6 @@ func (s *Stack) RegisterInto(reg *stats.Registry, prefix string) {
 	}
 }
 
-// SetRecorder attaches a flight recorder; anomalous events (retransmits,
-// failovers, integrity hits) are recorded nil-safely from then on.
-func (s *Stack) SetRecorder(r *trace.Recorder) { s.rec = r }
-
-// Recorder returns the attached flight recorder (nil when off).
-func (s *Stack) Recorder() *trace.Recorder { return s.rec }
+// Recorder returns the stack's flight recorder: its last anomalous events
+// (retransmits, failovers, integrity hits, admission waits).
+func (s *Stack) Recorder() *trace.Recorder { return &s.rec }

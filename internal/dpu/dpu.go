@@ -38,9 +38,8 @@ type Config struct {
 // FaultRates are per-operation probabilities of hardware error, the §4.4
 // observation that "FPGA is error-prone due to random hardware failures".
 type FaultRates struct {
-	CRCBitFlip   float64 // CRC engine emits a flipped result
-	DataBitFlip  float64 // datapath corrupts the payload before CRC
-	TableBitFlip float64 // a lookup returns a corrupted entry
+	CRCBitFlip  float64 // CRC engine emits a flipped result
+	DataBitFlip float64 // datapath corrupts the payload before CRC
 }
 
 // DefaultConfig returns the ALI-DPU model used across experiments.
@@ -68,7 +67,7 @@ type DPU struct {
 	rand *sim.Rand
 
 	// Fault accounting.
-	crcFlips, dataFlips, tableFlips uint64
+	crcFlips, dataFlips uint64
 }
 
 // New builds a DPU attached to the engine.
@@ -86,9 +85,9 @@ func New(eng *sim.Engine, cfg Config) *DPU {
 }
 
 // InjectedFaults returns how many faults of each class the FPGA injected
-// (CRC flips, datapath flips, table flips).
-func (d *DPU) InjectedFaults() (crcFlips, dataFlips, tableFlips uint64) {
-	return d.crcFlips, d.dataFlips, d.tableFlips
+// (CRC flips, datapath flips).
+func (d *DPU) InjectedFaults() (crcFlips, dataFlips uint64) {
+	return d.crcFlips, d.dataFlips
 }
 
 // PipelineWriteLatency returns the FPGA latency for one outbound data
@@ -165,15 +164,6 @@ func (d *DPU) ComputeCRCShared(data []byte, cached uint32, haveCached bool, scra
 		sum ^= 1 << uint(d.rand.Intn(32))
 	}
 	return sum, nil
-}
-
-// LookupFault reports whether this table lookup hit a corrupted entry.
-func (d *DPU) LookupFault() bool {
-	if d.Cfg.Faults.TableBitFlip > 0 && d.rand.Bernoulli(d.Cfg.Faults.TableBitFlip) {
-		d.tableFlips++
-		return true
-	}
-	return false
 }
 
 // --- Table 3: resource accounting ------------------------------------------

@@ -99,7 +99,7 @@ func CoupledStorm(opts Options) *Table {
 	}
 	driveStorm(opts, vds, perDisk, depth, size)
 	fleet.Perf.ObserveCoupledRun(c.Engines(), func() { c.Run() })
-	fleet.Perf.ObserveLeaked(c.Leaked())
+	observeLeaks(&fleet.Perf, c)
 
 	writes := perDisk * len(vds)
 	t := &Table{
@@ -150,7 +150,7 @@ func CoupledFailover(opts Options) *Table {
 	})
 
 	fleet.Perf.ObserveCoupledRun(c.Engines(), func() { c.Run() })
-	fleet.Perf.ObserveLeaked(c.Leaked())
+	observeLeaks(&fleet.Perf, c)
 
 	writes := perDisk * len(vds)
 	t := &Table{

@@ -91,15 +91,20 @@ func (o Options) scale(full, quick int) int {
 func runCells[T any](f *runtime.Fleet, n int, job func(shard int) (T, *ebs.Cluster)) []T {
 	return runtime.Run(f, n, func(shard int) (T, *sim.Engine) {
 		v, c := job(shard)
-		if c.Leaked() > 0 {
-			// Post-mortem for the leak gate: if the cluster carries flight
-			// recorders, their last-N anomalous events point at the stack
-			// that lost the packet.
-			c.DumpFlightRecorders(os.Stderr)
-		}
-		f.Perf.ObserveLeaked(c.Leaked())
+		observeLeaks(&f.Perf, c)
 		return v, c.Eng
 	})
+}
+
+// observeLeaks folds c's packet-leak count (Cluster.Leaked) into p. On a
+// leak it dumps c's flight recorders to stderr first: their last anomalous
+// events point at the stack that lost the packet.
+func observeLeaks(p *runtime.Perf, c *ebs.Cluster) {
+	n := c.Leaked()
+	if n > 0 {
+		c.DumpFlightRecorders(os.Stderr)
+	}
+	p.ObserveLeaked(n)
 }
 
 // runFabricCells is runCells for experiments that drive a raw fabric

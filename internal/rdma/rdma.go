@@ -162,9 +162,6 @@ func (s *Stack) newController() cc.Controller {
 	}
 }
 
-// Name identifies the stack.
-func (s *Stack) Name() string { return "rdma" }
-
 // LocalAddr returns the host's fabric address.
 func (s *Stack) LocalAddr() uint32 { return s.host.Addr() }
 

@@ -91,9 +91,17 @@ func TestMailboxReusesBatch(t *testing.T) {
 	}
 }
 
+// runWindow drives e through one coupled window, RunUntil(until), and
+// returns how many events fired in it by the Processed delta.
+func runWindow(e *Engine, until Time) int {
+	before := e.Processed()
+	e.RunUntil(until)
+	return int(e.Processed() - before)
+}
+
 // TestRunWindow checks the bounded drive mode: only events inside the
-// window fire, the clock lands exactly on the bound, and the returned
-// count reports the window's firings.
+// window fire, the clock lands exactly on the bound, and the Processed
+// delta reports the window's firings.
 func TestRunWindow(t *testing.T) {
 	e := NewEngine(1)
 	var fired []int
@@ -101,7 +109,7 @@ func TestRunWindow(t *testing.T) {
 		i := i
 		e.Schedule(d*time.Microsecond, func() { fired = append(fired, i) })
 	}
-	if n := e.RunWindow(Time(25 * time.Microsecond)); n != 2 {
+	if n := runWindow(e, Time(25*time.Microsecond)); n != 2 {
 		t.Fatalf("window fired %d events, want 2", n)
 	}
 	if e.Now() != Time(25*time.Microsecond) {
@@ -110,10 +118,10 @@ func TestRunWindow(t *testing.T) {
 	if len(fired) != 2 || fired[0] != 0 || fired[1] != 1 {
 		t.Fatalf("fired %v, want [0 1]", fired)
 	}
-	if n := e.RunWindow(Time(25 * time.Microsecond)); n != 0 {
+	if n := runWindow(e, Time(25*time.Microsecond)); n != 0 {
 		t.Fatalf("empty window fired %d events", n)
 	}
-	if n := e.RunWindow(Time(50 * time.Microsecond)); n != 2 {
+	if n := runWindow(e, Time(50*time.Microsecond)); n != 2 {
 		t.Fatalf("second window fired %d events, want 2", n)
 	}
 	if len(fired) != 4 {
@@ -144,11 +152,11 @@ func TestNextEventAt(t *testing.T) {
 
 	// A window that ends short of the next event fires nothing and leaves
 	// the time where it was.
-	if n := e.RunWindow(Time(200 * time.Microsecond)); n != 0 {
+	if n := runWindow(e, Time(200*time.Microsecond)); n != 0 {
 		t.Fatalf("window fired %d events before the next one was due", n)
 	}
 	want(300 * time.Microsecond)
-	if n := e.RunWindow(Time(300 * time.Microsecond)); n != 1 {
+	if n := runWindow(e, Time(300*time.Microsecond)); n != 1 {
 		t.Fatalf("window ending at the next event fired %d events, want 1", n)
 	}
 	if _, ok := e.NextEventAt(); ok {

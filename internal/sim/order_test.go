@@ -122,10 +122,11 @@ func newFiring(id int, at Time, queued func(bl int) int) firing {
 // FuzzEventOrder drives the engine and refQueue through the same operation
 // sequence — schedule at a delay (top level, or one that schedules a child
 // when it fires), add a departure to one of two backlogs (now, or from an
-// event that fires later), cancel the k-th live timer, RunUntil, RunWindow
-// and Run — and requires identical firings (with the backlogs' queued bytes
-// seen from inside events), live timers, Pending, NextEventAt, Queued and
-// Gone after every operation. Each operation is three bytes: kind, then two
+// event that fires later), cancel the k-th live timer, RunUntil, a counted
+// window (RunUntil plus the Processed delta) and Run — and requires
+// identical firings (with the backlogs' queued bytes seen from inside
+// events), live timers, Pending, NextEventAt, Queued and Gone after every
+// operation. Each operation is three bytes: kind, then two
 // operands. Kinds are weighted toward schedules so the heap grows deep
 // enough for a cancel to have to move an event up.
 func FuzzEventOrder(f *testing.F) {
@@ -235,8 +236,8 @@ func FuzzEventOrder(f *testing.F) {
 			case k < run:
 				end := eng.Now().Add(time.Duration(a) * time.Microsecond)
 				before := len(got)
-				if n := eng.RunWindow(end); n != len(got)-before {
-					t.Fatalf("op %d: RunWindow reported %d events, %d fired", op/3, n, len(got)-before)
+				if n := runWindow(eng, end); n != len(got)-before {
+					t.Fatalf("op %d: window counted %d events, %d fired", op/3, n, len(got)-before)
 				}
 				ref.run(end, fireRef)
 			default:

@@ -37,6 +37,12 @@ type Coupled struct {
 	// the first), while no engine is being driven: publish cross-partition
 	// state snapshots and drain mailboxes here. May be nil.
 	AtBarrier func()
+
+	// openEnd is the end of the window a bounded drive stopped inside (open
+	// is set until a later drive finishes it). Barriers therefore fall at
+	// the same virtual times however the run is sliced.
+	openEnd sim.Time
+	open    bool
 }
 
 func (c *Coupled) workers() int {
@@ -68,7 +74,10 @@ func (c *Coupled) nextEvent() (sim.Time, bool) {
 func (c *Coupled) Run() { c.drive(false, 0) }
 
 // RunUntil drives all partitions to virtual time t: every event with
-// timestamp <= t fires, and every engine's clock ends exactly at t.
+// timestamp <= t fires, and every engine's clock ends exactly at t. A t
+// inside a window leaves the window open, with no barrier at t; the next
+// drive finishes it first, so any sequence of RunUntil calls ends exactly
+// where one Run does.
 func (c *Coupled) RunUntil(t sim.Time) { c.drive(true, t) }
 
 func (c *Coupled) drive(bounded bool, limit sim.Time) {
@@ -90,8 +99,16 @@ func (c *Coupled) drive(bounded bool, limit sim.Time) {
 			return
 		}
 		for _, e := range c.Engines {
-			e.RunWindow(end)
+			e.RunUntil(end)
 		}
+	}
+	if c.open {
+		if bounded && c.openEnd > limit {
+			runTo(limit)
+			return
+		}
+		runTo(c.openEnd)
+		c.open = false
 	}
 	for {
 		if c.AtBarrier != nil {
@@ -120,7 +137,9 @@ func (c *Coupled) drive(bounded bool, limit sim.Time) {
 		// window.
 		end := next.Add(c.Lookahead)
 		if bounded && end > limit {
-			end = limit
+			runTo(limit)
+			c.openEnd, c.open = end, true
+			return
 		}
 		runTo(end)
 	}
@@ -173,7 +192,7 @@ func (p *windowPool) windows(end sim.Time) (panicked any) {
 		if i >= len(p.engines) {
 			return nil
 		}
-		p.engines[i].RunWindow(end)
+		p.engines[i].RunUntil(end)
 	}
 }
 

@@ -10,7 +10,7 @@
 // # Ownership
 //
 // An Engine is share-nothing: it is owned by exactly one goroutine at a
-// time, the one driving Step/Run/RunUntil/RunWindow. Sharing one engine
+// time, the one driving Step/Run/RunUntil/RunFor. Sharing one engine
 // between goroutines is a bug, and the engine detects concurrent drivers
 // with a cheap atomic check and panics. Two execution regimes build on
 // this rule (see sim/runtime):
@@ -18,7 +18,7 @@
 //   - Independent shards: each engine owns a whole model and runs to
 //     completion with no communication (the Runner/Fleet path).
 //   - Coupled partitions: several engines share one model, advance in
-//     bounded windows (RunWindow), and exchange events only between
+//     bounded windows (RunUntil the window's end), and exchange events only between
 //     windows through per-engine Mailboxes drained by a single barrier
 //     coordinator (the Coupled path). Within a window the share-nothing
 //     rule still holds; ownership of an engine transfers between worker
@@ -292,17 +292,6 @@ func (e *Engine) RunUntil(t Time) {
 
 // RunFor executes events for duration d of virtual time from now.
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
-
-// RunWindow is the bounded-horizon drive mode used by coupled partitions:
-// it executes events with timestamps <= until, advances the clock to
-// until, and returns how many events fired in the window. Identical to
-// RunUntil except for the count, which lets a barrier coordinator detect
-// quiescent windows.
-func (e *Engine) RunWindow(until Time) int {
-	before := e.processed
-	e.RunUntil(until)
-	return int(e.processed - before)
-}
 
 // NextEventAt returns the next pending event's or backlog departure's
 // time, or ok == false when nothing is queued. Departures count because

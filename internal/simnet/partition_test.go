@@ -192,7 +192,7 @@ func TestCutPortDepartureBoundsNextEvent(t *testing.T) {
 		t.Fatal("send on an idle cut port dropped the frame")
 	}
 	dep := sim.Time(p.serialization(size))
-	eng.RunWindow(dep - 1)
+	eng.RunUntil(dep - 1)
 	if q := p.q.Queued(); q != size {
 		t.Fatalf("%d bytes queued when the window ends mid-serialization, want %d", q, size)
 	}
@@ -202,7 +202,7 @@ func TestCutPortDepartureBoundsNextEvent(t *testing.T) {
 	if n := f.InboxPending(); n != 1 {
 		t.Fatalf("%d frames in the peer's mailbox, want the one handed off", n)
 	}
-	eng.RunWindow(dep)
+	eng.RunUntil(dep)
 	if q := p.q.Queued(); q != 0 {
 		t.Fatalf("%d bytes still queued after the departure", q)
 	}

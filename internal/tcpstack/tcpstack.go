@@ -25,13 +25,12 @@ const ListenPort = 5010
 
 // Params is the stack cost and protocol model.
 type Params struct {
-	StackName string
-	MSS       int // segment payload bytes (1448 kernel-era, 4096 with jumbo)
-	InitCwnd  int
-	MaxCwnd   int
-	MinRTO    time.Duration
-	MaxRTO    time.Duration
-	UseECN    bool // DCTCP-style marking/echo (Luna); plain AIMD otherwise
+	MSS      int // segment payload bytes (1448 kernel-era, 4096 with jumbo)
+	InitCwnd int
+	MaxCwnd  int
+	MinRTO   time.Duration
+	MaxRTO   time.Duration
+	UseECN   bool // DCTCP-style marking/echo (Luna); plain AIMD otherwise
 
 	// CPU busy time charged to the core pool.
 	PerRPCTxCPU time.Duration // marshalling + socket work per request/response
@@ -142,9 +141,6 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, pcie *sim.Channe
 	}
 	return s
 }
-
-// Name returns the configured stack name.
-func (s *Stack) Name() string { return s.params.StackName }
 
 // LocalAddr returns the host's fabric address.
 func (s *Stack) LocalAddr() uint32 { return s.host.Addr() }

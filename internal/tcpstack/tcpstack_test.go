@@ -16,7 +16,7 @@ import (
 // lunaParams is a fast, ECN-enabled configuration for tests.
 func lunaParams() Params {
 	return Params{
-		StackName: "luna", MSS: 4096, UseECN: true,
+		MSS: 4096, UseECN: true,
 		MinRTO: 2 * time.Millisecond, MaxRTO: 500 * time.Millisecond,
 		PerRPCTxCPU: time.Microsecond, PerRPCRxCPU: time.Microsecond,
 		PerPktTxCPU: 300 * time.Nanosecond, PerPktRxCPU: 300 * time.Nanosecond,
@@ -224,7 +224,7 @@ func TestPinnedFlowStallsOnHungToR(t *testing.T) {
 
 func TestKernelParamsSlower(t *testing.T) {
 	kernel := Params{
-		StackName: "kernel", MSS: 1448,
+		MSS:    1448,
 		MinRTO: 200 * time.Millisecond, MaxRTO: 2 * time.Second,
 		PerRPCTxCPU: 2 * time.Microsecond, PerRPCRxCPU: 2 * time.Microsecond,
 		PerPktTxCPU: time.Microsecond, PerPktRxCPU: time.Microsecond,

@@ -35,76 +35,43 @@ const (
 	EvCutover       = "cutover"
 )
 
-// Recorder is a fixed-depth ring buffer of the last N anomalous events — a
-// flight recorder for post-mortem debugging of injected faults. It is
-// nil-safe (a nil *Recorder drops every Record call) so instrumented code
-// never branches on "is telemetry wired up" beyond the pointer itself, and
+// RecorderDepth is how many events a Recorder retains.
+const RecorderDepth = 64
+
+// Recorder is a ring buffer of the last RecorderDepth anomalous events — a
+// flight recorder for post-mortem debugging of injected faults. Its zero
+// value records, so every stack, chunk server and control plane embeds one
+// by value and instrumented code never asks whether telemetry is wired up.
 // Record never allocates, making it safe on warm paths. Dumped when a run
-// trips the packet-leak gate or a CRC check fails.
+// trips the packet-leak gate.
 type Recorder struct {
-	buf   []Event
-	next  int
+	buf   [RecorderDepth]Event
 	total uint64
 }
 
-// NewRecorder returns a recorder retaining the last depth events. A depth
-// <= 0 returns nil, which is the valid "recording off" recorder.
-func NewRecorder(depth int) *Recorder {
-	if depth <= 0 {
-		return nil
-	}
-	return &Recorder{buf: make([]Event, 0, depth)}
-}
-
 // Record appends one event, overwriting the oldest once the buffer is full.
-// Safe to call on a nil receiver (drops the event).
 func (r *Recorder) Record(at time.Duration, kind string, arg1, arg2 uint64) {
-	if r == nil {
-		return
-	}
-	e := Event{At: at, Kind: kind, Arg1: arg1, Arg2: arg2}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-	}
-	r.next++
-	if r.next == cap(r.buf) {
-		r.next = 0
-	}
+	r.buf[r.total%RecorderDepth] = Event{At: at, Kind: kind, Arg1: arg1, Arg2: arg2}
 	r.total++
 }
 
 // Len returns the number of retained events.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
+func (r *Recorder) Len() int { return int(min(r.total, RecorderDepth)) }
 
 // Total returns the lifetime number of recorded events, including those the
 // ring has since overwritten.
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.total
-}
+func (r *Recorder) Total() uint64 { return r.total }
 
 // Events returns the retained events oldest-first.
 func (r *Recorder) Events() []Event {
-	if r == nil || len(r.buf) == 0 {
+	if r.total == 0 {
 		return nil
 	}
-	out := make([]Event, 0, len(r.buf))
-	if len(r.buf) == cap(r.buf) {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
+	if r.total <= RecorderDepth {
+		return append([]Event(nil), r.buf[:r.total]...)
 	}
-	return out
+	oldest := r.total % RecorderDepth
+	return append(append(make([]Event, 0, RecorderDepth), r.buf[oldest:]...), r.buf[:oldest]...)
 }
 
 // Dump writes a human-readable post-mortem listing, oldest event first.

@@ -9,17 +9,20 @@ import (
 )
 
 func TestRecorderRingOrder(t *testing.T) {
-	r := NewRecorder(4)
-	for i := 0; i < 10; i++ {
+	var r Recorder
+	for i := 0; i < RecorderDepth+6; i++ {
 		r.Record(time.Duration(i)*time.Millisecond, EvRetransmit, uint64(i), 0)
 	}
-	if r.Len() != 4 {
-		t.Fatalf("len = %d, want 4", r.Len())
+	if r.Len() != RecorderDepth {
+		t.Fatalf("len = %d, want %d", r.Len(), RecorderDepth)
 	}
-	if r.Total() != 10 {
-		t.Fatalf("total = %d, want 10", r.Total())
+	if r.Total() != RecorderDepth+6 {
+		t.Fatalf("total = %d, want %d", r.Total(), RecorderDepth+6)
 	}
 	evs := r.Events()
+	if len(evs) != RecorderDepth {
+		t.Fatalf("events = %d, want %d", len(evs), RecorderDepth)
+	}
 	for i, e := range evs {
 		if want := uint64(6 + i); e.Arg1 != want {
 			t.Fatalf("event %d arg1 = %d, want %d (oldest-first after wrap)", i, e.Arg1, want)
@@ -28,7 +31,7 @@ func TestRecorderRingOrder(t *testing.T) {
 }
 
 func TestRecorderPartialFill(t *testing.T) {
-	r := NewRecorder(8)
+	var r Recorder
 	r.Record(time.Millisecond, EvCRCError, 1, 2)
 	r.Record(2*time.Millisecond, EvFailover, 0, 1)
 	evs := r.Events()
@@ -37,20 +40,22 @@ func TestRecorderPartialFill(t *testing.T) {
 	}
 }
 
-func TestRecorderNilSafe(t *testing.T) {
-	var r *Recorder
-	r.Record(0, EvRetransmit, 1, 2) // must not panic
+// The zero value is an empty recorder that is ready to record.
+func TestRecorderZeroValueEmpty(t *testing.T) {
+	var r Recorder
 	if r.Len() != 0 || r.Total() != 0 || r.Events() != nil {
-		t.Fatal("nil recorder not empty")
+		t.Fatal("zero recorder not empty")
 	}
-	if got := NewRecorder(0); got != nil {
-		t.Fatal("depth 0 must return the nil recorder")
+	var sb strings.Builder
+	r.Dump(&sb, "idle")
+	if got, want := sb.String(), "flight recorder idle: 0 retained of 0 total\n"; got != want {
+		t.Fatalf("dump = %q, want %q", got, want)
 	}
 }
 
 func TestRecorderRecordDoesNotAllocate(t *testing.T) {
-	r := NewRecorder(64)
-	// Warm past the append-growth phase.
+	r := &Recorder{}
+	// Wrap the ring once.
 	for i := 0; i < 64; i++ {
 		r.Record(0, EvRetransmit, 0, 0)
 	}
@@ -63,7 +68,7 @@ func TestRecorderRecordDoesNotAllocate(t *testing.T) {
 }
 
 func TestRecorderDump(t *testing.T) {
-	r := NewRecorder(4)
+	var r Recorder
 	r.Record(5*time.Millisecond, EvCRCError, 7, 42)
 	var sb strings.Builder
 	r.Dump(&sb, "bn0")

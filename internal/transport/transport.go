@@ -84,8 +84,6 @@ type Stack interface {
 	SetHandler(Handler)
 	// LocalAddr returns the host's fabric address.
 	LocalAddr() uint32
-	// Name identifies the stack ("kernel", "luna", "rdma", "solar").
-	Name() string
 }
 
 // ErrAdmission is returned when QoS admission rejects an I/O outright
@@ -211,8 +209,5 @@ func (l *Loopback) SetHandler(h Handler) { l.handler = h }
 
 // LocalAddr implements Stack.
 func (l *Loopback) LocalAddr() uint32 { return l.local }
-
-// Name implements Stack.
-func (l *Loopback) Name() string { return "loopback" }
 
 var _ Stack = (*Loopback)(nil)

@@ -1,9 +1,11 @@
 // Package wire defines the on-the-wire formats of the EBS frontend network:
-// IPv4 and UDP headers, Luna's TCP segment header, the RPC header, Solar's
-// EBS header (Figs. 12–13 of the paper: opcode, virtual-disk addressing and
-// per-block CRC carried in every packet), the per-packet ACK, and the
-// in-band network telemetry (INT) stack that HPCC congestion control
-// consumes.
+// Luna's TCP segment header, the RPC header, Solar's EBS header (Figs. 12–13
+// of the paper: opcode, virtual-disk addressing and per-block CRC carried in
+// every packet), the per-packet ACK, the RoCE CNP, and the in-band network
+// telemetry (INT) stack that HPCC congestion control consumes. IPv4 and UDP
+// have no codec: a frame's addressing (hosts, ports, Solar's path ID, ECN)
+// rides on simnet.Packet fields, and the two headers enter only as frame
+// overhead (IPv4Size, UDPSize).
 //
 // All types follow the zero-copy decode/serialize idiom: Encode writes into
 // a caller-supplied slice at a fixed offset layout and Decode reads from one
@@ -26,13 +28,13 @@ var (
 
 var be = binary.BigEndian
 
-// Protocol numbers used by the IPv4 header.
+// IP protocol numbers (simnet.Packet.Proto).
 const (
 	ProtoTCP = 6
 	ProtoUDP = 17
 )
 
-// ECN codepoints (the low two bits of the IPv4 TOS byte).
+// ECN codepoints (simnet.Packet.ECN; the low two bits of the IPv4 TOS byte).
 const (
 	ECNNotECT = 0b00
 	ECNECT0   = 0b10
@@ -42,114 +44,11 @@ const (
 // IPv4Size is the length of the (option-less) IPv4 header.
 const IPv4Size = 20
 
-// IPv4 is a minimal, real-layout IPv4 header. Addresses are 32-bit values;
-// the simulated fabric assigns one per host port.
-type IPv4 struct {
-	TOS      uint8 // includes ECN bits
-	TotalLen uint16
-	ID       uint16
-	TTL      uint8
-	Proto    uint8
-	Src      uint32
-	Dst      uint32
-}
-
-// Encode writes the header into b[:IPv4Size], computing the checksum.
-func (h *IPv4) Encode(b []byte) error {
-	if len(b) < IPv4Size {
-		return ErrShort
-	}
-	b[0] = 0x45 // version 4, IHL 5
-	b[1] = h.TOS
-	be.PutUint16(b[2:], h.TotalLen)
-	be.PutUint16(b[4:], h.ID)
-	be.PutUint16(b[6:], 0x4000) // DF, no fragments
-	b[8] = h.TTL
-	b[9] = h.Proto
-	be.PutUint16(b[10:], 0) // checksum placeholder
-	be.PutUint32(b[12:], h.Src)
-	be.PutUint32(b[16:], h.Dst)
-	be.PutUint16(b[10:], InternetChecksum(b[:IPv4Size]))
-	return nil
-}
-
-// Decode reads the header from b, validating version and checksum.
-func (h *IPv4) Decode(b []byte) error {
-	if len(b) < IPv4Size {
-		return ErrShort
-	}
-	if b[0] != 0x45 {
-		return ErrVersion
-	}
-	if InternetChecksum(b[:IPv4Size]) != 0 {
-		return fmt.Errorf("wire: bad IPv4 checksum")
-	}
-	h.TOS = b[1]
-	h.TotalLen = be.Uint16(b[2:])
-	h.ID = be.Uint16(b[4:])
-	h.TTL = b[8]
-	h.Proto = b[9]
-	h.Src = be.Uint32(b[12:])
-	h.Dst = be.Uint32(b[16:])
-	return nil
-}
-
-// ECN returns the ECN codepoint.
-func (h *IPv4) ECN() uint8 { return h.TOS & 0b11 }
-
-// SetECN sets the ECN codepoint.
-func (h *IPv4) SetECN(v uint8) { h.TOS = (h.TOS &^ 0b11) | (v & 0b11) }
-
-// InternetChecksum computes the RFC 1071 ones-complement checksum of b.
-func InternetChecksum(b []byte) uint16 {
-	var sum uint32
-	for len(b) >= 2 {
-		sum += uint32(be.Uint16(b))
-		b = b[2:]
-	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
-}
-
-// UDPSize is the UDP header length.
+// UDPSize is the UDP header length. Solar uses the UDP source port
+// (simnet.Packet.SrcPort) as its multi-path path ID: ECMP's consistent hash
+// over the 5-tuple sends distinct source ports down distinct, persistent
+// fabric paths.
 const UDPSize = 8
-
-// UDP is the UDP header. Solar uses the source port as the multi-path path
-// identifier: ECMP's consistent hash over the 5-tuple makes distinct source
-// ports take distinct (and persistent) fabric paths.
-type UDP struct {
-	SrcPort uint16 // Solar path ID
-	DstPort uint16
-	Len     uint16 // header + payload
-}
-
-// Encode writes the header into b[:UDPSize].
-func (h *UDP) Encode(b []byte) error {
-	if len(b) < UDPSize {
-		return ErrShort
-	}
-	be.PutUint16(b[0:], h.SrcPort)
-	be.PutUint16(b[2:], h.DstPort)
-	be.PutUint16(b[4:], h.Len)
-	be.PutUint16(b[6:], 0) // checksum unused (storage CRC supersedes it)
-	return nil
-}
-
-// Decode reads the header from b.
-func (h *UDP) Decode(b []byte) error {
-	if len(b) < UDPSize {
-		return ErrShort
-	}
-	h.SrcPort = be.Uint16(b[0:])
-	h.DstPort = be.Uint16(b[2:])
-	h.Len = be.Uint16(b[4:])
-	return nil
-}
 
 // TCPSegSize is the length of the (option-less) TCP segment header used by
 // the kernel and Luna stacks.
@@ -157,10 +56,7 @@ const TCPSegSize = 20
 
 // TCP flag bits.
 const (
-	TCPFlagFIN = 1 << 0
-	TCPFlagSYN = 1 << 1
 	TCPFlagRST = 1 << 2
-	TCPFlagPSH = 1 << 3
 	TCPFlagACK = 1 << 4
 	TCPFlagECE = 1 << 6 // ECN echo, DCTCP-style feedback
 )
@@ -251,7 +147,6 @@ const (
 	RPCReadReq   = 3 // asks for blocks; responses arrive one per packet
 	RPCReadResp  = 4 // carries one data block back
 	RPCAck       = 5 // transport-level per-packet ACK (Solar)
-	RPCNack      = 6 // explicit loss signal (out-of-order detection)
 	RPCProbe     = 7 // path-keepalive / INT probe
 )
 
