@@ -156,12 +156,36 @@ func BenchmarkBNWrite4K(b *testing.B) {
 	}
 }
 
+// BenchmarkBNRead4K is the read twin of BenchmarkBNWrite4K: one 4 KiB read
+// of a written block, the chunk server answering from a pooled read buffer
+// and the client reassembling the one its Data is handed over in.
+func BenchmarkBNRead4K(b *testing.B) {
+	r := writebench.NewBNRig(1)
+	benchRig(b, r, r.ReadOne)
+}
+
+// BenchmarkBNWrite64K is BenchmarkBNWrite4K at 64 KiB: a sixteen-packet
+// request, reassembled into a pooled slab at the chunk server.
+func BenchmarkBNWrite64K(b *testing.B) {
+	r := writebench.NewBNRig(1)
+	r.SetSize(64 << 10)
+	benchRig(b, r, r.WriteOne)
+}
+
 // BenchmarkBlockServerWrite4K is one 4 KiB write through the whole storage
 // side: RDMA FN → block server → three-replica RDMA BN fan-out → chunk
 // servers.
 func BenchmarkBlockServerWrite4K(b *testing.B) {
 	r := writebench.NewBlockServerRig(1)
 	benchRig(b, r, r.WriteOne)
+}
+
+// BenchmarkBlockServerRead4K is the read twin of
+// BenchmarkBlockServerWrite4K: the block server reads from the primary
+// chunk server over the BN and forwards the data over the FN.
+func BenchmarkBlockServerRead4K(b *testing.B) {
+	r := writebench.NewBlockServerRig(1)
+	benchRig(b, r, r.ReadOne)
 }
 
 // BenchmarkLunaWrite4K is the FN twin for the host-side stack: one 4 KiB
@@ -192,7 +216,7 @@ func benchRig(b *testing.B, r *writebench.Rig, op func()) writebench.Stats {
 	b.ReportMetric(float64(d.Copies)/float64(b.N), "copies/op")
 	b.ReportMetric(float64(d.CopiedBytes)/float64(b.N), "copied-B/op")
 	b.ReportMetric(float64(d.Events)/float64(b.N), "events/op")
-	b.SetBytes(4096)
+	b.SetBytes(int64(r.Size()))
 	if err := r.Check(); err != nil {
 		b.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"lunasolar/internal/crc"
 	"lunasolar/internal/sim"
+	"lunasolar/internal/simnet"
 	"lunasolar/internal/transport"
 	"lunasolar/internal/wire"
 )
@@ -157,14 +158,17 @@ func TestRejectedAndStaleWritesReturnTheirBuffer(t *testing.T) {
 }
 
 // TestReadDataOutlivesTheReply: a response is valid until reply returns,
-// but a read's Data is handed over — the block server forwards it to the
-// FN, which holds it until its own frames are acknowledged — so the service
-// must not hand out a buffer its pooled records or the store reuse. Each
-// reply's CRCs and error are checked inside reply; each read's Data is kept
-// until every block has been overwritten, then checked.
+// and a read's Data is a pooled slab that a stack keeps in flight past it —
+// the BN stack holds it until its frames are acknowledged — by retaining the
+// response's Payload. So the service must not hand out a buffer its pooled
+// records or the store reuse while a reference is held. Each reply's CRCs
+// and error are checked inside reply, which retains the slab as a stack
+// does; each read's Data is kept until every block has been overwritten and
+// more reads have drawn from the pool, then checked and released.
 func TestReadDataOutlivesTheReply(t *testing.T) {
 	eng := sim.NewEngine(1)
-	svc := &Service{eng: eng, cs: New(eng, "cs0", DefaultSSD()), free: sim.NewPool[request](eng)}
+	pool := new(simnet.PacketPool)
+	svc := &Service{eng: eng, cs: New(eng, "cs0", DefaultSSD()), pool: pool, free: sim.NewPool[request](eng)}
 	check := func(what string, i int, sum uint32) func(*transport.Response) {
 		return func(r *transport.Response) {
 			if r.Err != nil || len(r.BlockCRCs) != 1 || r.BlockCRCs[0] != sum {
@@ -184,17 +188,22 @@ func TestReadDataOutlivesTheReply(t *testing.T) {
 		eng.Run()
 	}
 	data := make([][]byte, n)
+	slabs := make([]*simnet.Slab, n)
 	for i := range data {
 		req := &transport.Message{Op: wire.RPCReadReq, SegmentID: 1, LBA: uint64(i) << 12, ReadLen: 4096}
 		read := check("read", i, crc.Raw(blocks[i]))
-		svc.Handle(7, req, func(r *transport.Response) { read(r); data[i] = r.Data })
+		svc.Handle(7, req, func(r *transport.Response) { read(r); data[i], slabs[i] = r.Data, r.Payload.Retain() })
 		eng.Run()
 	}
-	// Overwrite everything once more so recycled buffers change hands.
+	// Overwrite everything once more so recycled buffers change hands, and
+	// read it back, drawing every read buffer the pool has free.
 	for i := range blocks {
 		other := bytes.Repeat([]byte{byte(200 - i)}, 4096)
 		req := &transport.Message{Op: wire.RPCWriteReq, SegmentID: 1, LBA: uint64(i) << 12, Gen: 2,
 			Data: other, BlockCRCs: []uint32{crc.Raw(other)}}
+		svc.Handle(7, req, func(*transport.Response) {})
+		eng.Run()
+		req = &transport.Message{Op: wire.RPCReadReq, SegmentID: 1, LBA: uint64(i) << 12, ReadLen: 4096}
 		svc.Handle(7, req, func(*transport.Response) {})
 		eng.Run()
 	}
@@ -202,5 +211,9 @@ func TestReadDataOutlivesTheReply(t *testing.T) {
 		if !bytes.Equal(data[i], blocks[i]) {
 			t.Fatalf("read %d: Data changed after the block was overwritten", i)
 		}
+		slabs[i].Release()
+	}
+	if n := pool.Outstanding(); n != 0 {
+		t.Fatalf("%d read buffer references outstanding once every holder released", n)
 	}
 }

@@ -7,23 +7,26 @@ import (
 
 	"lunasolar/internal/crc"
 	"lunasolar/internal/sim"
+	"lunasolar/internal/simnet"
 	"lunasolar/internal/transport"
 	"lunasolar/internal/wire"
 )
 
 // Service exposes a chunk server over a backend-network transport: it
-// splits write RPCs into blocks for the store, reassembles read ranges, and
-// reports its residence time as the SSD component of the distributed trace.
+// splits write RPCs into blocks for the store, reassembles read ranges into
+// buffers drawn from the BN stack's pool, and reports its residence time as
+// the SSD component of the distributed trace.
 type Service struct {
-	eng *sim.Engine
-	cs  *Server
+	eng  *sim.Engine
+	cs   *Server
+	pool *simnet.PacketPool
 
 	free *sim.Pool[request]
 }
 
 // NewService installs the chunk server as bn's request handler.
 func NewService(eng *sim.Engine, cs *Server, bn transport.Stack) *Service {
-	s := &Service{eng: eng, cs: cs, free: sim.NewPool[request](eng)}
+	s := &Service{eng: eng, cs: cs, pool: bn.Pool(), free: sim.NewPool[request](eng)}
 	bn.SetHandler(s.Handle)
 	return s
 }
@@ -63,7 +66,8 @@ type request struct {
 	reply     func(*transport.Response)
 	remaining int
 	// resp is the reply, built in place: Err is the first block error, Data
-	// a read's reassembly buffer (nil for a write). Its BlockCRCs are crcs —
+	// a read's reassembly buffer (nil for a write), a pooled slab held in
+	// Payload until reply returns. Its BlockCRCs are crcs —
 	// a write's one-entry fold, or a read's stored per-block CRCs until a
 	// block fails — whose backing array is kept across recycling.
 	resp transport.Response
@@ -117,7 +121,8 @@ func (s *Service) write(req *transport.Message, reply func(*transport.Response))
 func (s *Service) read(req *transport.Message, reply func(*transport.Response)) {
 	n := wire.Blocks(req.ReadLen)
 	r := s.get(reply, n)
-	r.resp.Data = make([]byte, req.ReadLen)
+	r.resp.Payload = s.pool.GetSlab(req.ReadLen)
+	r.resp.Data = r.resp.Payload.Bytes()
 	// One-touch CRC, read direction: the stored CRCs ride back with the
 	// data for upstream hops to reuse, but only when every block's stored
 	// bytes exactly fill its slot; otherwise CRC and data would disagree.
@@ -131,8 +136,9 @@ func (s *Service) read(req *transport.Message, reply func(*transport.Response)) 
 }
 
 // blockDone counts block i's completion: a write's commit, or a read's
-// stored bytes, valid only here, which it copies into place. The last block
-// finishes the request.
+// stored bytes, valid only here, which it copies into place — zeros past
+// them, since a recycled buffer holds stale bytes. The last block finishes
+// the request.
 //
 //lint:hotpath
 func (r *request) blockDone(i int, data []byte, rawCRC uint32, err error) {
@@ -142,7 +148,7 @@ func (r *request) blockDone(i int, data []byte, rawCRC uint32, err error) {
 	if buf := r.resp.Data; buf != nil {
 		lo := i * wire.BlockSize
 		slot := buf[lo:min(lo+wire.BlockSize, len(buf))]
-		copy(slot, data)
+		clear(slot[copy(slot, data):])
 		r.crcs[i] = rawCRC
 		if err != nil || len(data) != len(slot) {
 			r.resp.BlockCRCs = nil
@@ -155,13 +161,15 @@ func (r *request) blockDone(i int, data []byte, rawCRC uint32, err error) {
 }
 
 // finish answers the request from the record, then recycles it: the
-// response is valid until reply returns.
+// response is valid until reply returns, and a read's buffer goes back to
+// the pool once every stack that keeps it in flight has let it go.
 //
 //lint:hotpath
 func (r *request) finish() {
 	s := r.svc
 	r.resp.SSDTime = s.eng.Now().Sub(r.t0)
 	r.reply(&r.resp)
+	r.resp.Payload.Release()
 	*r = request{svc: s, crcs: r.crcs[:0]}
 	s.free.Put(r)
 }

@@ -237,6 +237,9 @@ func (s *Stack) LocalAddr() uint32 { return s.host.Addr() }
 // blocks are self-contained, so no request assembly happens in the stack.
 func (s *Stack) SetHandler(h transport.Handler) { s.handler = h }
 
+// Pool returns the host packet pool the stack draws its buffers from.
+func (s *Stack) Pool() *simnet.PacketPool { return s.pool }
+
 // AddrTableInUse returns current Addr-table occupancy (tests).
 func (s *Stack) AddrTableInUse() int { return s.addrInUse }
 

@@ -209,9 +209,13 @@ func (s *Stack) serveReadBlocks(v *serve, resp *transport.Response) {
 		carried = nil
 	}
 	// Every response block references the service's buffer through one
-	// shared slab.
+	// shared slab: the response's own, when the handler drew it from a pool.
 	var ioSlab *simnet.Slab
-	if n > 0 {
+	switch {
+	case n == 0:
+	case resp.Payload != nil:
+		ioSlab = resp.Payload.Retain()
+	default:
 		ioSlab = s.pool.WrapSlab(data)
 	}
 	for i := 0; i < n; i++ {

@@ -29,8 +29,9 @@ type rpcJob struct {
 	crcs     []uint32 // block CRCs, carried in PSN order or copied by reply
 
 	// msg is the request envelope handed to the handler, valid — like the
-	// slab behind msg.Data — until reply returns; crc1 backs the CRC list
-	// of a one-packet request. replyFn is bound once per record.
+	// slab behind msg.Data, held in msg.Payload from the first chunk on —
+	// until reply returns; crc1 backs the CRC list of a one-packet request.
+	// replyFn is bound once per record.
 	msg     transport.Message
 	crc1    [1]uint32
 	replyFn func(*transport.Response)
@@ -46,15 +47,21 @@ func (s *Stack) getJob(q *qp, id uint64) *rpcJob {
 	return j
 }
 
-// putJob recycles a job, dropping the request slab if reply never ran.
+// putJob recycles a job, dropping the request slab if reply never ran and
+// the response slab reply retained.
 func (s *Stack) putJob(j *rpcJob) {
 	j.msg.Payload.Release()
+	j.resp.Payload.Release()
 	*j = rpcJob{s: s, replyFn: j.replyFn, crcs: j.crcs[:0]}
 	s.freeJobs.Put(j)
 }
 
+// fillRequest builds the handler's envelope around data, keeping the slab
+// reference msg.Payload already holds.
 func (j *rpcJob) fillRequest(ebs *wire.EBS, data []byte, crcs []uint32) {
+	slab := j.msg.Payload
 	j.msg = transport.MessageFromHeader(j.msgType, *ebs, data)
+	j.msg.Payload = slab
 	j.msg.Flags &^= wire.EBSFlagHasCRC // per-packet carriage, not the request's
 	j.msg.BlockCRCs = crcs
 }
@@ -67,7 +74,7 @@ func (j *rpcJob) fillRequest(ebs *wire.EBS, data []byte, crcs []uint32) {
 func rpcDeliver(a any) {
 	j := a.(*rpcJob)
 	s := j.s
-	if isRequest(j.msgType) {
+	if wire.IsRequest(j.msgType) {
 		if s.handler == nil {
 			s.putJob(j)
 			return
@@ -85,18 +92,21 @@ func rpcDeliver(a any) {
 }
 
 // reply ends the request's life — the envelope and the slab behind its
-// Data go back — and charges the CPU of the response, copied to send later.
-// An error crosses the wire alone, without Data or CRCs.
+// Data go back — and charges the CPU of the response, copied to send later;
+// a pooled response's slab is retained until the job is recycled. An error
+// crosses the wire alone, without Data or CRCs.
 //
 //lint:hotpath
 func (j *rpcJob) reply(resp *transport.Response) {
-	j.msg.Payload.Release()
-	j.msg = transport.Message{}
 	j.resp = *resp
 	j.resp.BlockCRCs = j.keepCRCs(resp.BlockCRCs)
 	if resp.Err != nil {
-		j.resp.Data, j.resp.BlockCRCs = nil, nil
+		j.resp.Data, j.resp.Payload, j.resp.BlockCRCs = nil, nil, nil
+	} else {
+		j.resp.Payload = resp.Payload.Retain() // before the request's goes: they may be one slab
 	}
+	j.msg.Payload.Release()
+	j.msg = transport.Message{}
 	j.s.cores.SubmitArg(j.s.params.PerRPCCPU, rpcSend, j)
 }
 

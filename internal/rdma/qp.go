@@ -105,6 +105,7 @@ func (q *qp) sendMessage(id uint64, op uint8, req *transport.Message, resp *tran
 	} else {
 		payload = resp.Data
 		crcs = resp.BlockCRCs
+		paySlab = resp.Payload
 		ebs = transport.ResponseHeader(resp)
 	}
 	mtu := q.s.params.MTU
@@ -523,7 +524,7 @@ func (q *qp) packetArrived(bth wire.TCPSeg, pkt *simnet.Packet) {
 	// Zero-copy frames carry the chunk as a fragment; a flat frame has it
 	// inline after the headers.
 	inline := rest[wire.RPCSize+wire.EBSSize:]
-	if isRequest(rpc.MsgType) && rpc.NumPkts == 1 && len(inline) == 0 {
+	if wire.IsRequest(rpc.MsgType) && rpc.NumPkts == 1 && len(inline) == 0 {
 		q.requestArrived(&rpc, &ebs, pkt)
 		return
 	}
@@ -534,10 +535,6 @@ func (q *qp) packetArrived(bth wire.TCPSeg, pkt *simnet.Packet) {
 	q.reassemble(&rpc, &ebs, chunk)
 }
 
-func isRequest(msgType uint8) bool {
-	return msgType == wire.RPCWriteReq || msgType == wire.RPCReadReq
-}
-
 // requestArrived delivers a one-packet request by reference: Data is the
 // frame's fragment and Payload the slab behind it, retained until the
 // handler's reply returns. Nothing is copied and nothing allocated.
@@ -546,8 +543,8 @@ func isRequest(msgType uint8) bool {
 func (q *qp) requestArrived(rpc *wire.RPC, ebs *wire.EBS, pkt *simnet.Packet) {
 	j := q.s.getJob(q, rpc.RPCID)
 	j.msgType = rpc.MsgType
-	j.fillRequest(ebs, pkt.Frag, nil)
 	j.msg.Payload = pkt.FragSlab().Retain()
+	j.fillRequest(ebs, pkt.Frag, nil)
 	if ebs.Flags&wire.EBSFlagHasCRC != 0 {
 		j.crc1[0] = ebs.BlockCRC
 		j.msg.BlockCRCs = j.crc1[:]
@@ -557,9 +554,10 @@ func (q *qp) requestArrived(rpc *wire.RPC, ebs *wire.EBS, pkt *simnet.Packet) {
 
 // reassemble lands one chunk of a response or a multi-packet request. This
 // is the receive side's one materialisation — the chunks must be contiguous
-// for the handler, and a response's Data is handed over to its receiver —
-// so the payload is fresh, sized once from the packet count, and each chunk
-// is counted as a copy. The CRC list is the job's.
+// for the handler — so the payload is sized once from the packet count and
+// each chunk is counted as a copy. A request's payload is a pooled slab in
+// msg.Payload, the handler's until reply returns it; a response's Data is
+// handed over to its receiver, so it is fresh. The CRC list is the job's.
 func (q *qp) reassemble(rpc *wire.RPC, ebs *wire.EBS, chunk []byte) {
 	j := q.assembler[rpc.RPCID]
 	if j == nil {
@@ -575,7 +573,12 @@ func (q *qp) reassemble(rpc *wire.RPC, ebs *wire.EBS, chunk []byte) {
 			if j.numPkts > 1 {
 				size = j.numPkts * q.s.params.MTU
 			}
-			j.payload = make([]byte, 0, size)
+			if wire.IsRequest(j.msgType) {
+				j.msg.Payload = q.s.pool.GetSlab(size)
+				j.payload = j.msg.Payload.Bytes()[:0]
+			} else {
+				j.payload = make([]byte, 0, size)
+			}
 		}
 		j.payload = append(j.payload, chunk...)
 		q.s.pool.CountCopy(len(chunk))
@@ -595,7 +598,7 @@ func (q *qp) reassemble(rpc *wire.RPC, ebs *wire.EBS, chunk []byte) {
 	if len(j.crcs) != j.numPkts {
 		j.crcs = j.crcs[:0]
 	}
-	if isRequest(j.msgType) {
+	if wire.IsRequest(j.msgType) {
 		j.fillRequest(&j.ebs, j.payload, j.crcs)
 	}
 	q.s.cores.SubmitArg(q.s.params.PerRPCCPU, rpcDeliver, j)

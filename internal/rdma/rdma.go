@@ -168,6 +168,9 @@ func (s *Stack) LocalAddr() uint32 { return s.host.Addr() }
 // SetHandler installs the server-side request handler.
 func (s *Stack) SetHandler(h transport.Handler) { s.handler = h }
 
+// Pool returns the host packet pool the stack draws its buffers from.
+func (s *Stack) Pool() *simnet.PacketPool { return s.pool }
+
 // cacheHit reports whether this QP's context is resident on the NIC, and
 // on a hit moves it to the hot end of the LRU in place.
 //

@@ -485,9 +485,14 @@ func (a *Agent) saDelay() time.Duration {
 
 // Result is the completion record of one I/O. It stays valid for as long as
 // its holder keeps it: Span points into the I/O's own record, which is
-// never recycled.
+// never recycled, and Data is the guest's.
 type Result struct {
-	Data []byte // reads only
+	// Data is a read's bytes (nil for a write, or a read that failed
+	// before any piece answered). A read within one segment — nearly every
+	// read — gets the buffer its response arrived in, handed over by the
+	// FN stack; a segment-crossing read gets a buffer the agent assembles
+	// its pieces in.
+	Data []byte
 	Err  error
 	// Latency is Span.Total(): measured on the agent's own engine, QoS
 	// policy delay excluded per the paper's methodology.
@@ -517,7 +522,7 @@ type ioReq struct {
 	span      trace.Span
 
 	// Assembly of the pieces' responses.
-	buf             []byte // read buffer
+	buf             []byte // read buffer: the response's, or assembled across segments
 	remaining       int    // pieces not yet finished
 	maxWall, maxSSD time.Duration
 	err             error // first piece error
@@ -667,13 +672,15 @@ func ioCPUDone(x any) {
 	r.a.eng.ScheduleArg(r.a.saDelay(), ioIssue, r)
 }
 
-// ioIssue closes the SA stage and sends one RPC per piece, in LBA order.
+// ioIssue closes the SA stage and sends one RPC per piece, in LBA order. A
+// segment-crossing read gets the buffer its pieces are assembled in; a
+// one-piece read keeps the one its response brings.
 func ioIssue(x any) {
 	r := x.(*ioReq)
 	now := r.a.eng.Now()
 	r.span.Add(trace.SA, now.Sub(r.mark))
 	r.mark = now
-	if r.op == wire.RPCReadReq {
+	if r.op == wire.RPCReadReq && len(r.more) > 0 {
 		r.buf = make([]byte, r.size)
 	}
 	r.first.issue()
@@ -741,11 +748,8 @@ func (p *piece) response(resp *transport.Response) {
 	if resp.Err != nil && r.err == nil {
 		r.err = resp.Err
 	}
-	if r.op == wire.RPCReadReq && resp.Data != nil {
-		copy(r.buf[p.off:], resp.Data)
-		if a.params.Encrypted && !a.params.Offloaded {
-			a.cryptBlocks(r.vdisk, p.msg.SegmentID, p.msg.LBA, r.buf[p.off:p.off+p.n])
-		}
+	if r.op == wire.RPCReadReq && resp.Err == nil {
+		p.land(resp.Data)
 	}
 	r.maxWall = max(r.maxWall, resp.ServerWall)
 	r.maxSSD = max(r.maxSSD, resp.SSDTime)
@@ -761,6 +765,30 @@ func (p *piece) response(resp *transport.Response) {
 		a.collector.Record(&r.span)
 	}
 	r.finish()
+}
+
+// land places a read piece's response Data, which the FN stack handed
+// over: a one-piece read keeps it as the guest's buffer, a segment-crossing
+// one copies it into its piece's range. Software decryption runs in place.
+// Data that is not exactly the piece's length fails the I/O.
+func (p *piece) land(data []byte) {
+	r, a := p.r, p.r.a
+	if len(data) != p.n {
+		if r.err == nil {
+			r.err = fmt.Errorf("sa: vdisk %d read at %#x: %d-byte response for a %d-byte piece", r.vdisk, p.msg.LBA, len(data), p.n)
+		}
+		return
+	}
+	if r.buf == nil {
+		r.buf = data
+	} else {
+		dst := r.buf[p.off : p.off+p.n]
+		copy(dst, data)
+		data = dst
+	}
+	if a.params.Encrypted && !a.params.Offloaded {
+		a.cryptBlocks(r.vdisk, p.msg.SegmentID, p.msg.LBA, data)
+	}
 }
 
 // finish hands the completion record to the guest.

@@ -521,7 +521,8 @@ func newSyncAgent(t *testing.T, params Params) (*sim.Engine, *Agent, *syncFN) {
 }
 
 // TestIOAllocs gates the request path's allocations: the record and the
-// bound piece.response, plus the read buffer or a multi-block CRC list.
+// bound piece.response, plus a multi-block CRC list. A one-piece read
+// allocates no buffer: the guest gets the response's.
 func TestIOAllocs(t *testing.T) {
 	done := func(Result) {}
 	for _, tc := range []struct {
@@ -533,7 +534,7 @@ func TestIOAllocs(t *testing.T) {
 	}{
 		{"write-4k-offloaded", OffloadedParams(), 4 << 10, false, 2},
 		{"write-64k-software", SoftwareParams(), 64 << 10, false, 2},
-		{"read-4k-software", SoftwareParams(), 4 << 10, true, 3},
+		{"read-4k-software", SoftwareParams(), 4 << 10, true, 2},
 		{"write-32k-offloaded", OffloadedParams(), 32 << 10, false, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -687,5 +688,61 @@ func TestTenantBytesAboveBurst(t *testing.T) {
 	}
 	if a.TenantDelay == 0 {
 		t.Fatal("no tenant delay accounted")
+	}
+}
+
+// lengthFN answers every read after a microsecond with bytes of value 7:
+// delta[LBA] more than the request asked for (fewer when negative).
+type lengthFN struct {
+	eng   *sim.Engine
+	delta map[uint64]int
+}
+
+func (f *lengthFN) Call(dst uint32, req *transport.Message, done func(*transport.Response)) {
+	n := req.ReadLen + f.delta[req.LBA]
+	f.eng.Schedule(time.Microsecond, func() { done(&transport.Response{Data: bytes.Repeat([]byte{7}, n)}) })
+}
+
+// TestReadResponseOfWrongLengthFails: a response must fill its piece
+// exactly. A short one would leave the guest a hole it never wrote; a long
+// one on the first piece of a segment-crossing read would spill into the
+// second's range. Both fail the I/O, on one-piece and two-piece reads; a
+// read answered exactly gets the bytes.
+func TestReadResponseOfWrongLengthFails(t *testing.T) {
+	const first, second = SegmentBytes - 4096, SegmentBytes // the two pieces of an 8 KiB crossing read
+	for _, tc := range []struct {
+		name  string
+		lba   uint64
+		size  int
+		delta map[uint64]int
+	}{
+		{"one piece exact", 0, 8192, nil},
+		{"one piece short", 0, 8192, map[uint64]int{0: -512}},
+		{"one piece long", 0, 8192, map[uint64]int{0: 4096}},
+		{"two pieces exact", first, 8192, nil},
+		{"two pieces, first long", first, 8192, map[uint64]int{first: 4096}},
+		{"two pieces, first short", first, 8192, map[uint64]int{first: -1}},
+		{"two pieces, second short", first, 8192, map[uint64]int{second: -4096}},
+		{"two pieces, second long", first, 8192, map[uint64]int{second: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			segs := NewSegmentTable()
+			if err := segs.Provision(1, 4*SegmentBytes, []uint32{0xA1, 0xA2}); err != nil {
+				t.Fatal(err)
+			}
+			a := New(eng, sim.NewServer(eng, "cpu", 1), &lengthFN{eng: eng, delta: tc.delta}, segs, SoftwareParams())
+			var res *Result
+			a.Read(1, tc.lba, tc.size, func(r Result) { res = &r })
+			eng.Run()
+			switch {
+			case res == nil:
+				t.Fatal("the read never completed")
+			case tc.delta == nil && (res.Err != nil || !bytes.Equal(res.Data, bytes.Repeat([]byte{7}, tc.size))):
+				t.Fatalf("exact responses: Err %v, %d bytes of data", res.Err, len(res.Data))
+			case tc.delta != nil && res.Err == nil:
+				t.Fatalf("a wrong-length response completed the read without an error (%d bytes of data)", len(res.Data))
+			}
+		})
 	}
 }

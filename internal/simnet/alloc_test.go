@@ -49,3 +49,44 @@ func TestForwardingAllocFree(t *testing.T) {
 		t.Fatalf("pool reports %d leaked packets", n)
 	}
 }
+
+// TestLargeBufClasses: a payload above the data class is served from a
+// power-of-two class up to one segment, a released buffer returns to its
+// class (LIFO), and a warm class allocates nothing; above the largest class
+// GetBuf falls back to a plain allocation PutBuf drops.
+func TestLargeBufClasses(t *testing.T) {
+	var pp PacketPool
+	for _, c := range []struct{ n, cap int }{
+		{bufClassData + 1, 8 << 10},
+		{8 << 10, 8 << 10},
+		{8<<10 + 1, 16 << 10},
+		{12 << 10, 16 << 10},
+		{64 << 10, 64 << 10},
+		{128<<10 - 5, 128 << 10},
+		{2 << 20, 2 << 20},
+	} {
+		b := pp.GetBuf(c.n)
+		if len(b) != c.n || cap(b) != c.cap {
+			t.Fatalf("GetBuf(%d): len %d cap %d, want cap %d", c.n, len(b), cap(b), c.cap)
+		}
+		pp.PutBuf(b)
+		if again := pp.GetBuf(c.n); &again[:1][0] != &b[:1][0] {
+			t.Fatalf("GetBuf(%d) after PutBuf did not reuse the buffer", c.n)
+		}
+	}
+	if b := pp.GetBuf(2<<20 + 1); cap(b) != 2<<20+1 {
+		t.Fatalf("above the largest class: cap %d", cap(b))
+	}
+
+	s := pp.GetSlab(64 << 10)
+	s.Release()
+	allocs := testing.AllocsPerRun(100, func() { pp.GetSlab(64 << 10).Release() })
+	if allocs != 0 || pp.Outstanding() != 0 {
+		t.Fatalf("warm 64 KiB slab: %.1f allocs/op, %d outstanding; want 0, 0", allocs, pp.Outstanding())
+	}
+	// A buffer of a capacity that is no class size is not adopted.
+	pp.PutBuf(make([]byte, 12<<10))
+	if b := pp.GetBuf(12 << 10); cap(b) != 16<<10 {
+		t.Fatalf("a 12 KiB-capacity buffer was filed into a class: cap %d", cap(b))
+	}
+}

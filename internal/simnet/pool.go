@@ -1,14 +1,27 @@
 package simnet
 
-import "lunasolar/internal/wire"
+import (
+	"math/bits"
+
+	"lunasolar/internal/wire"
+)
 
 // Payload buffer size classes. Small covers ACKs, probes and control
 // frames; mid covers RDMA/TCP control and partial blocks; data covers a
-// full 4 KiB block plus every header the stacks prepend.
+// full 4 KiB block plus every header the stacks prepend. Above data, the
+// large classes are powers of two from bufLargeMin to bufLargeMax, for
+// multi-block payloads: a request reassembled at its server, a chunk
+// server's read buffer. bufLargeMax is the largest piece a guest I/O is cut
+// into, one 2 MiB segment (sa.SegmentBytes).
 const (
 	bufClassSmall = 256
 	bufClassMid   = 1152
 	bufClassData  = wire.RPCSize + wire.EBSSize + wire.BlockSize + 128
+
+	bufLargeShift = 13 // bufLargeMin is 1 << bufLargeShift
+	bufLargeMin   = 1 << bufLargeShift
+	bufLargeMax   = 2 << 20
+	bufLarge      = 9 // classes bufLargeMin << 0 .. bufLargeMin << 8 == bufLargeMax
 )
 
 // PacketPool is an engine-owned free list of packets and payload buffers.
@@ -30,6 +43,7 @@ type PacketPool struct {
 	small [][]byte
 	mid   [][]byte
 	data  [][]byte
+	large [bufLarge][][]byte
 	slabs []*Slab
 
 	gets, puts, news uint64
@@ -60,18 +74,13 @@ func (pp *PacketPool) Get(n int) *Packet {
 	return p
 }
 
-// GetBuf returns a pooled byte slice of length n. Sizes above the largest
-// class fall back to a plain allocation (and PutBuf will drop them).
+// GetBuf returns a pooled byte slice of length n, drawn from the smallest
+// size class that holds it. A recycled buffer is not cleared: the caller
+// overwrites all n bytes. Sizes above the largest class fall back to a plain
+// allocation (and PutBuf will drop them).
 func (pp *PacketPool) GetBuf(n int) []byte {
-	var list *[][]byte
-	switch {
-	case n <= bufClassSmall:
-		list = &pp.small
-	case n <= bufClassMid:
-		list = &pp.mid
-	case n <= bufClassData:
-		list = &pp.data
-	default:
+	list, size := pp.class(n)
+	if list == nil {
 		return make([]byte, n)
 	}
 	if ln := len(*list); ln > 0 {
@@ -80,27 +89,33 @@ func (pp *PacketPool) GetBuf(n int) []byte {
 		*list = (*list)[:ln-1]
 		return b[:n]
 	}
-	switch list {
-	case &pp.small:
-		return make([]byte, n, bufClassSmall)
-	case &pp.mid:
-		return make([]byte, n, bufClassMid)
-	default:
-		return make([]byte, n, bufClassData)
+	return make([]byte, n, size)
+}
+
+// PutBuf returns a buffer obtained from GetBuf to the free list of its
+// capacity's class. Buffers whose capacity is not a class size are dropped
+// for the garbage collector.
+func (pp *PacketPool) PutBuf(b []byte) {
+	if list, size := pp.class(cap(b)); list != nil && size == cap(b) {
+		*list = append(*list, b)
 	}
 }
 
-// PutBuf returns a buffer obtained from GetBuf. Buffers of unknown
-// capacity are dropped for the garbage collector.
-func (pp *PacketPool) PutBuf(b []byte) {
-	switch cap(b) {
-	case bufClassSmall:
-		pp.small = append(pp.small, b)
-	case bufClassMid:
-		pp.mid = append(pp.mid, b)
-	case bufClassData:
-		pp.data = append(pp.data, b)
+// class returns the free list and buffer capacity of the smallest size
+// class holding n bytes, or nil above the largest class.
+func (pp *PacketPool) class(n int) (*[][]byte, int) {
+	switch {
+	case n <= bufClassSmall:
+		return &pp.small, bufClassSmall
+	case n <= bufClassMid:
+		return &pp.mid, bufClassMid
+	case n <= bufClassData:
+		return &pp.data, bufClassData
+	case n <= bufLargeMax:
+		i := max(0, bits.Len(uint(n-1))-bufLargeShift)
+		return &pp.large[i], bufLargeMin << i
 	}
+	return nil, 0
 }
 
 // put returns a released packet to the free list (called via

@@ -60,6 +60,7 @@ func newConn(s *Stack, k connKey) *conn {
 		ctrl: cc.NewDCTCP(p.MSS, p.InitCwnd, p.MaxCwnd),
 		rtt:  transport.NewRTT(p.MinRTO, p.MaxRTO),
 		ooo:  map[uint32][]byte{},
+		rx:   recordReader{pool: s.pool},
 	}
 	c.retx.Init(s.eng, c.rtt, -1, connRTOExpired, c)
 	return c

@@ -116,9 +116,10 @@ type rpcJob struct {
 	// Inbound: the record as the reader completed it.
 	rec record
 
-	// msg is the request envelope handed to the handler, valid until reply
-	// returns — the contract core's serve and rdma's rpcJob give. replyFn is
-	// bound once per record.
+	// msg is the request envelope handed to the handler, valid — like the
+	// slab behind msg.Data, which msg.Payload takes over from the record —
+	// until reply returns: the contract core's serve and rdma's rpcJob give.
+	// replyFn is bound once per record.
 	msg     transport.Message
 	replyFn func(*transport.Response)
 }
@@ -133,13 +134,20 @@ func (s *Stack) getJob(c *conn, id uint64) *rpcJob {
 	return j
 }
 
+// putJob recycles a job, dropping the slabs it still holds: an undelivered
+// request's, one whose reply never ran, and a pooled response's.
 func (s *Stack) putJob(j *rpcJob) {
+	j.rec.slab.Release()
+	j.msg.Payload.Release()
+	j.resp.Payload.Release()
 	*j = rpcJob{replyFn: j.replyFn}
 	s.freeJobs.Put(j)
 }
 
-// reply queues a copy of the handler's response on the request's
-// connection, to be framed once its transmit charge has elapsed. An error
+// reply ends the request's life — the envelope and the slab behind its
+// Data go back — and queues a copy of the handler's response on the
+// request's connection, to be framed once its transmit charge has elapsed;
+// a pooled response's slab is retained until the job is recycled. An error
 // crosses the wire alone, without Data.
 //
 //lint:hotpath
@@ -147,8 +155,12 @@ func (j *rpcJob) reply(resp *transport.Response) {
 	s := j.c.s
 	j.resp = *resp
 	if resp.Err != nil {
-		j.resp.Data = nil
+		j.resp.Data, j.resp.Payload = nil, nil
+	} else {
+		j.resp.Payload = resp.Payload.Retain() // before the request's goes: they may be one slab
 	}
+	j.msg.Payload.Release()
+	j.msg = transport.Message{}
 	s.cores.SubmitArg(s.params.PerRPCTxCPU+s.copyCost(len(j.resp.Data)), rpcTxCharged, j)
 }
 
@@ -197,6 +209,7 @@ func rpcDeliver(a any) {
 			return
 		}
 		j.msg = transport.MessageFromHeader(j.rec.rpc.MsgType, j.rec.ebs, j.rec.payload)
+		j.msg.Payload, j.rec.slab = j.rec.slab, nil
 		s.handler(j.c.key.peer, &j.msg, j.replyFn)
 	default: // response
 		if done, ok := s.pending[j.id]; ok {

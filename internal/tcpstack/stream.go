@@ -101,15 +101,18 @@ func (q *spanQueue) copyOut(dst []byte, off int) {
 
 // recordReader turns the in-order receive stream back into records without
 // buffering the stream: header bytes collect in a fixed array, and when the
-// header is complete the reader makes one buffer of exactly the payload's
-// size and copies segment bytes straight into it. A payload is its record's
-// own memory, never a packet's or a pooled buffer's: a response's Data is
-// handed over to its receiver.
+// header is complete the reader takes one buffer of exactly the payload's
+// size and copies segment bytes straight into it. A request's payload is a
+// slab from the host's pool, which the record carries to the handler and
+// reply gives back; a response's is a fresh buffer of its own, because its
+// Data is handed over to its receiver. Neither is ever a packet's.
 type recordReader struct {
+	pool *simnet.PacketPool // a request payload's slab comes from here
 	hdr  [recordHdrSize]byte
-	nhdr int    // header bytes collected
-	pay  []byte // payload of the record being read, made when its header completes
-	npay int    // payload bytes filled
+	nhdr int          // header bytes collected
+	pay  []byte       // payload of the record being read, made when its header completes
+	slab *simnet.Slab // pay's slab, for a request
+	npay int          // payload bytes filled
 }
 
 // errFraming reports a record whose length word or headers do not decode.
@@ -117,9 +120,10 @@ var errFraming = errors.New("tcpstack: corrupt record framing")
 
 // next consumes b up to the end of the record being read and returns the
 // bytes after it; ok reports that the record completed, and rec is then
-// that record. A length shorter than the record header is caught as soon
-// as the length word is in, headers that do not decode when the record
-// completes; either resets the reader and returns errFraming.
+// that record, holding the reference on a request payload's slab. A length
+// shorter than the record header is caught as soon as the length word is
+// in, headers that do not decode when the record completes; either resets
+// the reader, dropping the record's slab, and returns errFraming.
 func (r *recordReader) next(b []byte) (rec record, rest []byte, ok bool, err error) {
 	if r.nhdr < len(r.hdr) {
 		n := copy(r.hdr[r.nhdr:], b)
@@ -130,14 +134,20 @@ func (r *recordReader) next(b []byte) (rec record, rest []byte, ok bool, err err
 		}
 		total := int(binary.BigEndian.Uint32(r.hdr[:4]))
 		if total < recordHdrSize {
-			*r = recordReader{}
+			r.reset()
 			return record{}, nil, false, errFraming
 		}
 		if r.nhdr < len(r.hdr) {
 			return record{}, b, false, nil
 		}
-		if total > recordHdrSize {
-			r.pay = make([]byte, total-recordHdrSize)
+		if n := total - recordHdrSize; n > 0 {
+			var rpc wire.RPC
+			if rpc.Decode(r.hdr[4:]) == nil && wire.IsRequest(rpc.MsgType) {
+				r.slab = r.pool.GetSlab(n)
+				r.pay = r.slab.Bytes()
+			} else {
+				r.pay = make([]byte, n)
+			}
 		}
 	}
 	n := copy(r.pay[r.npay:], b)
@@ -145,12 +155,21 @@ func (r *recordReader) next(b []byte) (rec record, rest []byte, ok bool, err err
 	if r.npay < len(r.pay) {
 		return record{}, b[n:], false, nil
 	}
-	rec.payload = r.pay
+	rec.payload, rec.slab = r.pay, r.slab
 	rpcErr := rec.rpc.Decode(r.hdr[4:])
 	ebsErr := rec.ebs.Decode(r.hdr[4+wire.RPCSize:])
-	*r = recordReader{}
+	r.slab = nil
+	r.reset()
 	if rpcErr != nil || ebsErr != nil {
+		rec.slab.Release()
 		return record{}, nil, false, errFraming
 	}
 	return rec, b[n:], true, nil
+}
+
+// reset readies the reader for the next record, dropping the slab of one
+// it was reading.
+func (r *recordReader) reset() {
+	r.slab.Release()
+	*r = recordReader{pool: r.pool}
 }

@@ -148,6 +148,9 @@ func (s *Stack) LocalAddr() uint32 { return s.host.Addr() }
 // SetHandler installs the server-side request handler.
 func (s *Stack) SetHandler(h transport.Handler) { s.handler = h }
 
+// Pool returns the host packet pool the stack draws its buffers from.
+func (s *Stack) Pool() *simnet.PacketPool { return s.pool }
+
 // connTo returns (creating if needed) the client connection to dst.
 func (s *Stack) connTo(dst uint32) *conn {
 	// One persistent connection per peer, like production SA↔block-server
@@ -253,26 +256,29 @@ func (s *Stack) Conns() int { return len(s.conns) }
 // --- stream records -------------------------------------------------------
 
 // record is one framed RPC on the stream:
-// [u32 totalLen][wire.RPC][wire.EBS][payload].
+// [u32 totalLen][wire.RPC][wire.EBS][payload]. A request's payload is
+// pooled: slab holds the reference on it.
 type record struct {
 	rpc     wire.RPC
 	ebs     wire.EBS
 	payload []byte
+	slab    *simnet.Slab
 }
 
 const recordHdrSize = wire.RecordHeaderSize
 
 // makeRecordSpan frames one RPC as a stream span: the record header
 // encoded into a pooled prefix, the payload attached by reference — it
-// shares the message's slab (retaining it) or wraps the caller's buffer
-// without copying.
+// shares the request's or response's slab (retaining it) or wraps the
+// caller's buffer without copying.
 func (s *Stack) makeRecordSpan(id uint64, op uint8, req *transport.Message, resp *transport.Response) span {
 	var payload []byte
+	var slab *simnet.Slab
 	var ebs wire.EBS
 	if req != nil {
-		payload, ebs = req.Data, transport.RequestHeader(req)
+		payload, slab, ebs = req.Data, req.Payload, transport.RequestHeader(req)
 	} else {
-		payload, ebs = resp.Data, transport.ResponseHeader(resp)
+		payload, slab, ebs = resp.Data, resp.Payload, transport.ResponseHeader(resp)
 	}
 	rpc := wire.RPC{RPCID: id, MsgType: op, NumPkts: 1}
 	sp := span{hdr: s.pool.GetBuf(recordHdrSize)}
@@ -282,8 +288,8 @@ func (s *Stack) makeRecordSpan(id uint64, op uint8, req *transport.Message, resp
 	if len(payload) == 0 {
 		return sp
 	}
-	if req != nil && req.Payload != nil {
-		sp.slab = req.Payload.Retain()
+	if slab != nil {
+		sp.slab = slab.Retain()
 	} else {
 		sp.slab = s.pool.WrapSlab(payload)
 	}

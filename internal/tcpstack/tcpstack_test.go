@@ -52,12 +52,15 @@ func newPair(t *testing.T, p Params) *pair {
 	}
 }
 
+// echoHandler answers a write with its own payload, by reference: the
+// request's pooled slab rides back as the response's Payload, which the
+// stack retains past reply.
 func echoHandler(src uint32, req *transport.Message, reply func(*transport.Response)) {
 	if req.Op == wire.RPCReadReq {
 		reply(&transport.Response{Data: make([]byte, req.ReadLen)})
 		return
 	}
-	reply(&transport.Response{Data: req.Data})
+	reply(&transport.Response{Data: req.Data, Payload: req.Payload})
 }
 
 func TestSingleRPCRoundTrip(t *testing.T) {
@@ -296,7 +299,7 @@ func TestParseRecordsPartial(t *testing.T) {
 	rec := encodeRecord(7, []byte("hello"))
 	// Feed in two halves, the cut inside the headers: nothing emitted until
 	// the record is complete, and nothing left over after it.
-	var r recordReader
+	r := recordReader{pool: new(simnet.PacketPool)}
 	got := readPieces(&r, [][]byte{rec[:10]})
 	if len(got) != 0 {
 		t.Fatal("emitted from partial record")
@@ -307,6 +310,10 @@ func TestParseRecordsPartial(t *testing.T) {
 	}
 	if r.nhdr != 0 || r.pay != nil || r.npay != 0 {
 		t.Fatalf("reader holds %d header and %d payload bytes after a complete record", r.nhdr, r.npay)
+	}
+	got[0].slab.Release()
+	if n := r.pool.Outstanding(); n != 0 {
+		t.Fatalf("%d slab references outstanding after the request record was released", n)
 	}
 }
 
@@ -340,10 +347,14 @@ func parseRecords(buf []byte, emit func(record)) []byte {
 	}
 }
 
-// encodeRecord frames one RPC as it travels on the stream.
+// encodeRecord frames one RPC as it travels on the stream: a request for
+// an odd id, whose payload the reader pools, and a response for an even one.
 func encodeRecord(id uint64, payload []byte) []byte {
 	b := make([]byte, recordHdrSize+len(payload))
 	rpc := wire.RPC{RPCID: id, MsgType: wire.RPCWriteReq, NumPkts: 1}
+	if id%2 == 0 {
+		rpc.MsgType = wire.RPCWriteResp
+	}
 	ebs := wire.EBS{Version: wire.EBSVersion, Op: wire.RPCWriteReq, LBA: id << 12, BlockLen: uint32(len(payload))}
 	if err := wire.EncodeRecordHeader(b, len(b), &rpc, &ebs); err != nil {
 		panic(err)
@@ -450,10 +461,21 @@ func splitStream(stream []byte, ends []int, kind, bad, detect int, lens []int) [
 
 // checkReader runs one split stream through the reader and the reference
 // and requires the same records, in the same order, with the same bytes.
+// Every request record holds a reference on a pooled payload; once the
+// harness releases them, none may be outstanding — a corrupt record's
+// included.
 func checkReader(t *testing.T, pieces [][]byte) {
 	t.Helper()
-	var r recordReader
+	r := recordReader{pool: new(simnet.PacketPool)}
 	got, want := readPieces(&r, pieces), parsePieces(pieces)
+	defer func() {
+		for _, rec := range got {
+			rec.slab.Release()
+		}
+		if n := r.pool.Outstanding(); n != 0 {
+			t.Errorf("%d slab references outstanding once every record was released", n)
+		}
+	}()
 	if len(got) != len(want) {
 		t.Fatalf("reader emitted %d records, reference %d", len(got), len(want))
 	}

@@ -50,6 +50,14 @@ type Response struct {
 	Data []byte // READ: payload
 	Err  error
 
+	// Payload, when non-nil, is the refcounted slab whose bytes Data
+	// aliases, as Message.Payload is for a request. It is set only by a
+	// replier that drew Data from its stack's pool (the chunk server's read
+	// buffer); the reference is the replier's, which releases it once reply
+	// returns, so a stack that keeps Data in flight past reply Retains the
+	// slab. An inbound response never carries one: its Data is handed over.
+	Payload *simnet.Slab
+
 	// BlockCRCs returns the stored raw CRC-32C per 4 KiB block of Data on
 	// reads, so the reader verifies against device
 	// metadata without the server re-walking the bytes.
@@ -63,8 +71,13 @@ type Response struct {
 // eventually invoke reply exactly once. Both envelopes are valid until the
 // function they were passed to returns — req until reply, the response until
 // reply (at the client, done) — and whoever needs one or its BlockCRCs later
-// copies them. A response's Data is handed over: the replier never reuses
-// it, the receiver may keep it, and it never aliases a frame.
+// copies them. req.Data, when req.Payload is set, is pooled memory the
+// stack recycles after reply. A response's Data is handed over to the
+// receiver, which may keep it, and never aliases a frame. A replier that
+// answers from its stack's pool sets the response's Payload and releases
+// that reference after reply returns: the stack retains the slab for as
+// long as it keeps the bytes in flight, and the receiver still gets Data of
+// its own.
 type Handler func(src uint32, req *Message, reply func(*Response))
 
 // Client issues RPCs to remote hosts.
@@ -84,6 +97,10 @@ type Stack interface {
 	SetHandler(Handler)
 	// LocalAddr returns the host's fabric address.
 	LocalAddr() uint32
+	// Pool returns the packet pool the stack draws its buffers from — a
+	// handler that answers from pooled memory (Response.Payload) draws
+	// from it.
+	Pool() *simnet.PacketPool
 }
 
 // ErrAdmission is returned when QoS admission rejects an I/O outright
@@ -174,12 +191,14 @@ func (a *IDAlloc) Next() uint64 {
 // Loopback is an in-process transport: Call invokes the local handler after
 // a fixed latency, with no network underneath. It models the paper's §4.8
 // "Integrated EBS with DPU" direction, where the storage agent and the
-// block server share the DPU and the frontend-network hop disappears.
+// block server share the DPU and the frontend-network hop disappears. It
+// owns the pool its handler draws pooled responses from.
 type Loopback struct {
 	schedule func(d time.Duration, fn func())
 	latency  time.Duration
 	local    uint32
 	handler  Handler
+	pool     simnet.PacketPool
 }
 
 // NewLoopback builds a loopback endpoint. schedule is the event-engine hook
@@ -189,7 +208,9 @@ func NewLoopback(schedule func(time.Duration, func()), latency time.Duration, lo
 }
 
 // Call implements Client: deliver to the local handler after the handover
-// latency, and its response, copied at reply, after another.
+// latency, and its response, copied at reply, after another. A pooled
+// response's Data is copied too — the replier recycles the slab once reply
+// returns — so the receiver gets Data of its own, as from every stack.
 func (l *Loopback) Call(dst uint32, req *Message, done func(*Response)) {
 	l.schedule(l.latency, func() {
 		if l.handler == nil {
@@ -199,6 +220,9 @@ func (l *Loopback) Call(dst uint32, req *Message, done func(*Response)) {
 		l.handler(l.local, req, func(resp *Response) {
 			out := *resp
 			out.BlockCRCs = slices.Clone(resp.BlockCRCs)
+			if out.Payload != nil {
+				out.Data, out.Payload = slices.Clone(resp.Data), nil
+			}
 			l.schedule(l.latency, func() { done(&out) })
 		})
 	})
@@ -209,5 +233,8 @@ func (l *Loopback) SetHandler(h Handler) { l.handler = h }
 
 // LocalAddr implements Stack.
 func (l *Loopback) LocalAddr() uint32 { return l.local }
+
+// Pool implements Stack.
+func (l *Loopback) Pool() *simnet.PacketPool { return &l.pool }
 
 var _ Stack = (*Loopback)(nil)

@@ -150,6 +150,12 @@ const (
 	RPCProbe     = 7 // path-keepalive / INT probe
 )
 
+// IsRequest reports whether an RPC message type is a request: a write or a
+// read, the messages a server's handler answers.
+func IsRequest(msgType uint8) bool {
+	return msgType == RPCWriteReq || msgType == RPCReadReq
+}
+
 // RPCSize is the RPC header length.
 const RPCSize = 16
 

@@ -12,7 +12,8 @@
 // FN half of the host-side stacks: tcpstack into tcpstack. ReadOne drives
 // each rig's read path the same way: the Solar and Luna servers answer every
 // read with the rig's own block, and the chunk stores hold it once Warm has
-// written it.
+// written it. Every rig runs 4 KiB I/Os unless SetSize gives it another
+// size (the 64 KiB gates).
 //
 // The harness deliberately allocates nothing per I/O in steady state: the
 // request messages, payload buffer, read response and completion callback
@@ -38,13 +39,15 @@ import (
 	"lunasolar/internal/wire"
 )
 
-// Rig is a two-host cluster driving 4 KiB I/Os client → server.
+// Rig is a two-host cluster driving I/Os of one size — 4 KiB unless
+// SetSize changes it — client → server.
 type Rig struct {
 	Eng    *sim.Engine
 	Pool   *simnet.PacketPool
 	client transport.Client
 	dst    uint32
-	lbas   int // WriteOne and ReadOne cycle over this many block addresses
+	lbas   int  // WriteOne and ReadOne cycle over this many I/O-sized addresses
+	crcs   bool // writes carry their per-block CRCs, as every BN write does
 
 	payload   []byte
 	msg       transport.Message // the write request
@@ -73,7 +76,7 @@ func NewRig(seed int64) *Rig {
 	cp.Mode = core.Offloaded
 	client := core.New(eng, fab.Host(0, 0, 0, 0), card.CPU, card, cp)
 	server := core.New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "storage-cpu", 16), nil, core.ServerParams())
-	r := newRig(eng, fab, client, server.LocalAddr(), 4096)
+	r := newRig(eng, fab, client, server.LocalAddr(), 4096, false)
 	server.SetHandler(r.serve)
 	return r
 }
@@ -85,7 +88,7 @@ func NewLunaRig(seed int64, params tcpstack.Params) *Rig {
 	eng, fab := newFabric(seed, 2)
 	client := tcpstack.New(eng, fab.Host(0, 0, 0, 0), sim.NewServer(eng, "client-cpu", 4), nil, params)
 	server := tcpstack.New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "server-cpu", 16), nil, params)
-	r := newRig(eng, fab, client, server.LocalAddr(), 4096)
+	r := newRig(eng, fab, client, server.LocalAddr(), 4096, false)
 	server.SetHandler(r.serve)
 	return r
 }
@@ -109,9 +112,7 @@ func NewBNRig(seed int64) *Rig {
 	client := rdma.New(eng, fab.Host(0, 0, 0, 0), sim.NewServer(eng, "block-cpu", 4), nil, rdma.DefaultParams())
 	server := rdma.New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "chunk-cpu", 16), nil, rdma.DefaultParams())
 	chunkserver.NewService(eng, chunkserver.New(eng, "rig", chunkserver.DefaultSSD()), server)
-	r := newRig(eng, fab, client, server.LocalAddr(), 1024)
-	r.msg.BlockCRCs = []uint32{crc.Raw(r.payload)}
-	return r
+	return newRig(eng, fab, client, server.LocalAddr(), 1024, true)
 }
 
 // NewBlockServerRig builds the whole storage-server side of an I/O: an RDMA
@@ -134,9 +135,7 @@ func NewBlockServerRig(seed int64) *Rig {
 		panic(err) // fixed arguments: only a bug can fail this
 	}
 	client := rdma.New(eng, fab.Host(0, 0, 0, 0), sim.NewServer(eng, "client-cpu", 4), nil, rdma.DefaultParams())
-	r := newRig(eng, fab, client, host.Addr(), 1024)
-	r.msg.BlockCRCs = []uint32{crc.Raw(r.payload)}
-	return r
+	return newRig(eng, fab, client, host.Addr(), 1024, true)
 }
 
 func newFabric(seed int64, hostsPerRack int) (*sim.Engine, *simnet.Fabric) {
@@ -149,15 +148,11 @@ func newFabric(seed int64, hostsPerRack int) (*sim.Engine, *simnet.Fabric) {
 	return eng, simnet.New(eng, cfg)
 }
 
-func newRig(eng *sim.Engine, fab *simnet.Fabric, client transport.Client, dst uint32, lbas int) *Rig {
-	r := &Rig{Eng: eng, Pool: fab.Pool(), client: client, dst: dst, lbas: lbas}
-	r.payload = make([]byte, wire.BlockSize)
-	for i := range r.payload {
-		r.payload[i] = byte(i * 13)
-	}
-	r.msg = transport.Message{Op: wire.RPCWriteReq, VDisk: 1, SegmentID: 1, Gen: 1, Data: r.payload}
-	r.rmsg = transport.Message{Op: wire.RPCReadReq, VDisk: 1, SegmentID: 1, Gen: 1, ReadLen: wire.BlockSize}
-	r.readResp = transport.Response{Data: r.payload}
+func newRig(eng *sim.Engine, fab *simnet.Fabric, client transport.Client, dst uint32, lbas int, crcs bool) *Rig {
+	r := &Rig{Eng: eng, Pool: fab.Pool(), client: client, dst: dst, lbas: lbas, crcs: crcs}
+	r.msg = transport.Message{Op: wire.RPCWriteReq, VDisk: 1, SegmentID: 1, Gen: 1}
+	r.rmsg = transport.Message{Op: wire.RPCReadReq, VDisk: 1, SegmentID: 1, Gen: 1}
+	r.SetSize(wire.BlockSize)
 	r.onDone = func(resp *transport.Response) {
 		r.completed++
 		if resp.Err != nil {
@@ -173,20 +168,47 @@ func newRig(eng *sim.Engine, fab *simnet.Fabric, client transport.Client, dst ui
 	return r
 }
 
-// WriteOne issues a single 4 KiB write and runs the engine until the
-// cluster is idle (the write acknowledged, every timer drained).
+// SetSize makes the rig's I/Os n bytes, at addresses n bytes apart. The
+// address cycle shrinks as n grows, so a rig's stores never hold more than
+// at 4 KiB. Call it before Warm.
+func (r *Rig) SetSize(n int) {
+	if r.payload != nil {
+		r.lbas = max(1, r.lbas*len(r.payload)/n)
+	}
+	r.payload = make([]byte, n)
+	for i := range r.payload {
+		r.payload[i] = byte(i * 13)
+	}
+	r.msg.Data = r.payload
+	r.msg.BlockCRCs = nil
+	if r.crcs {
+		r.msg.BlockCRCs = make([]uint32, wire.Blocks(n))
+		for i := range r.msg.BlockCRCs {
+			lo := i * wire.BlockSize
+			r.msg.BlockCRCs[i] = crc.Raw(r.payload[lo:min(lo+wire.BlockSize, n)])
+		}
+	}
+	r.rmsg.ReadLen = n
+	r.readResp = transport.Response{Data: r.payload}
+}
+
+// Size returns the rig's I/O size in bytes.
+func (r *Rig) Size() int { return len(r.payload) }
+
+// WriteOne issues a single write and runs the engine until the cluster is
+// idle (the write acknowledged, every timer drained).
 func (r *Rig) WriteOne() {
 	r.issued++
-	r.msg.LBA = uint64(r.issued%r.lbas) << 12
+	r.msg.LBA = uint64(r.issued%r.lbas) * uint64(len(r.payload))
 	r.client.Call(r.dst, &r.msg, r.onDone)
 	r.Eng.Run()
 }
 
-// ReadOne issues a single 4 KiB read and runs the engine until the cluster
-// is idle.
+// ReadOne issues a single read and runs the engine until the cluster is
+// idle.
 func (r *Rig) ReadOne() {
 	r.issued++
-	r.rmsg.LBA = uint64(r.issued%r.lbas) << 12
+	r.rmsg.LBA = uint64(r.issued%r.lbas) * uint64(len(r.payload))
 	r.client.Call(r.dst, &r.rmsg, r.onRead)
 	r.Eng.Run()
 }

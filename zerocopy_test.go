@@ -10,10 +10,10 @@ import (
 )
 
 // gate is one steady-state acceptance row, enforced as a test so it runs on
-// every `go test` (the benchmarks only report). Once its rig is warm, a
-// 4 KiB op must make no pool miss — every packet, buffer and slab header
-// comes from the engine-owned pools — and no more than allocs heap
-// allocations; it must copy exactly copied payload bytes on the network
+// every `go test` (the benchmarks only report). Once its rig is warm, an op
+// of size bytes (4 KiB when zero) must make no pool miss — every packet,
+// buffer and slab header comes from the engine-owned pools — and no more
+// than allocs heap allocations; it must copy exactly copied payload bytes on the network
 // path (the device store's copy is not a network copy); and it must take
 // exactly events engine events. Events are simulator cost, not simulated
 // output: a port's serializer departures take places in the firing order
@@ -22,6 +22,7 @@ import (
 type gate struct {
 	test, sub string // the test, and subtest, the row runs under
 	rig       func(seed int64) *writebench.Rig
+	size      int
 	read      bool
 	allocs    float64
 	events    float64
@@ -40,25 +41,31 @@ var gates = []gate{
 	{test: "TestReadPath4KSteadyState", rig: writebench.NewRig, read: true, allocs: 1, events: 54},
 	// The BN hop every I/O makes three times under every FN stack: an RDMA
 	// client into a chunk-server service. The store recycles the block each
-	// overwrite replaces, so a write allocates nothing; a read allocates the
-	// chunk server's read buffer and the client's reassembly, the two
-	// buffers its Data is handed over in.
+	// overwrite replaces and a multi-packet request lands in a pooled slab,
+	// so a write allocates nothing; the chunk server reads into a pooled
+	// slab too, so a read allocates only the client's reassembly, the buffer
+	// its Data is handed over in.
 	{test: "TestBNWritePath4KSteadyState", rig: writebench.NewBNRig, allocs: 0, events: 50},
-	{test: "TestBNReadPath4KSteadyState", rig: writebench.NewBNRig, read: true, allocs: 2, events: 50, copied: wire.BlockSize},
+	{test: "TestBNReadPath4KSteadyState", rig: writebench.NewBNRig, read: true, allocs: 1, events: 50, copied: wire.BlockSize},
+	{test: "TestBNWrite64KSteadyState", rig: writebench.NewBNRig, size: 64 << 10, allocs: 0, events: 410, copied: 64 << 10},
+	{test: "TestBNRead64KSteadyState", rig: writebench.NewBNRig, size: 64 << 10, read: true, allocs: 1, events: 410, copied: 64 << 10},
 	// The whole storage-server side: RDMA FN into a block server, its
 	// three-replica (or primary) fan-out over the RDMA BN into chunk
-	// servers. A write allocates nothing; a read allocates the chunk read
-	// buffer and the two reassemblies, BN and FN.
+	// servers. A write allocates nothing; a read allocates the two
+	// reassemblies, BN and FN.
 	{test: "TestBlockServerWrite4KSteadyState", rig: writebench.NewBlockServerRig, allocs: 0, events: 151},
-	{test: "TestBlockServerRead4KSteadyState", rig: writebench.NewBlockServerRig, read: true, allocs: 3, events: 83, copied: 2 * wire.BlockSize},
+	{test: "TestBlockServerRead4KSteadyState", rig: writebench.NewBlockServerRig, read: true, allocs: 2, events: 83, copied: 2 * wire.BlockSize},
 	// The host-side FN stack, tcpstack, under Luna's and the kernel's
-	// presets. What a write allocates is the request record's payload, and
-	// a read the response record's, which the receiver materialises; each
-	// stream byte — the block and two record headers — is gathered once.
-	{test: "TestLunaPath4KSteadyState", sub: "luna", rig: lunaRig(ebs.LunaStackParams()), allocs: 1, events: 86, copied: wire.BlockSize + 2*wire.RecordHeaderSize},
-	{test: "TestLunaPath4KSteadyState", sub: "kernel", rig: lunaRig(ebs.KernelStackParams()), allocs: 1, events: 112, copied: wire.BlockSize + 2*wire.RecordHeaderSize},
+	// presets. A write's request record lands in a pooled slab, so it
+	// allocates nothing; a read allocates the response record's payload,
+	// which the receiver materialises. Each stream byte — the payload and
+	// two record headers — is gathered once.
+	{test: "TestLunaPath4KSteadyState", sub: "luna", rig: lunaRig(ebs.LunaStackParams()), allocs: 0, events: 86, copied: wire.BlockSize + 2*wire.RecordHeaderSize},
+	{test: "TestLunaPath4KSteadyState", sub: "kernel", rig: lunaRig(ebs.KernelStackParams()), allocs: 0, events: 112, copied: wire.BlockSize + 2*wire.RecordHeaderSize},
 	{test: "TestLunaRead4KSteadyState", sub: "luna", rig: lunaRig(ebs.LunaStackParams()), read: true, allocs: 1, events: 86, copied: wire.BlockSize + 2*wire.RecordHeaderSize},
 	{test: "TestLunaRead4KSteadyState", sub: "kernel", rig: lunaRig(ebs.KernelStackParams()), read: true, allocs: 1, events: 112, copied: wire.BlockSize + 2*wire.RecordHeaderSize},
+	{test: "TestLunaWrite64KSteadyState", sub: "luna", rig: lunaRig(ebs.LunaStackParams()), size: 64 << 10, allocs: 0, events: 476, copied: 64<<10 + 2*wire.RecordHeaderSize},
+	{test: "TestLunaWrite64KSteadyState", sub: "kernel", rig: lunaRig(ebs.KernelStackParams()), size: 64 << 10, allocs: 0, events: 1230, copied: 64<<10 + 2*wire.RecordHeaderSize},
 }
 
 // runGates runs every row filed under the calling test.
@@ -77,6 +84,9 @@ func runGates(t *testing.T) {
 func (g gate) check(t *testing.T) {
 	const ops = 50
 	r := g.rig(1)
+	if g.size != 0 {
+		r.SetSize(g.size)
+	}
 	op := r.WriteOne
 	if g.read {
 		op = r.ReadOne
@@ -117,3 +127,6 @@ func TestBlockServerWrite4KSteadyState(t *testing.T)  { runGates(t) }
 func TestBlockServerRead4KSteadyState(t *testing.T)   { runGates(t) }
 func TestLunaPath4KSteadyState(t *testing.T)          { runGates(t) }
 func TestLunaRead4KSteadyState(t *testing.T)          { runGates(t) }
+func TestBNWrite64KSteadyState(t *testing.T)          { runGates(t) }
+func TestBNRead64KSteadyState(t *testing.T)           { runGates(t) }
+func TestLunaWrite64KSteadyState(t *testing.T)        { runGates(t) }
