@@ -60,17 +60,7 @@ func BenchmarkTable2Failures(b *testing.B)    { runExperiment(b, "table2", exper
 func BenchmarkTable3Resources(b *testing.B)   { runExperiment(b, "table3", experiments.Table3) }
 func BenchmarkAblations(b *testing.B)         { runExperiment(b, "ablate", experiments.Ablations) }
 func BenchmarkRDMACliff(b *testing.B)         { runExperiment(b, "rdmacliff", experiments.RDMACliff) }
-
-// BenchmarkDiurnalPacket/Hybrid run the same campaign at both fidelities;
-// the events/sec and sim-µs/wall-ms ratio between them is the fast-forward
-// payoff (TestHybridDifferential holds the deterministic event-count floor).
-func BenchmarkDiurnalPacket(b *testing.B) { runExperiment(b, "diurnal", experiments.Diurnal) }
-func BenchmarkDiurnalHybrid(b *testing.B) {
-	runExperiment(b, "diurnal", func(opts experiments.Options) *experiments.Table {
-		opts.Fidelity = experiments.FidelityHybrid
-		return experiments.Diurnal(opts)
-	})
-}
+func BenchmarkDiurnalPacket(b *testing.B)     { runExperiment(b, "diurnal", experiments.Diurnal) }
 
 // benchIO measures simulated 4 KiB write performance per stack: b.N I/Os
 // through a full cluster. Reported metrics: simulated microseconds per I/O

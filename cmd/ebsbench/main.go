@@ -55,7 +55,7 @@ var registry = map[string]struct {
 	"spine-oversub": {experiments.SpineOversub, "write storm through a spine tier thinned 4→1, per CC variant"},
 	"elephantmice":  {experiments.ElephantMice, "1 MiB elephants vs 4 KiB mice sharing the fabric, per CC variant"},
 
-	"diurnal": {experiments.Diurnal, "bulk campaign (ramp→plateau→incast→spine reboot→ramp-down), honors -fidelity"},
+	"diurnal": {experiments.Diurnal, "bulk campaign (ramp→plateau→incast→spine reboot→ramp-down)"},
 
 	"provision-storm": {experiments.ProvisionStorm, "volume-lifecycle storm with duplicated request IDs, per stack"},
 	"drain":           {experiments.Drain, "planned chunk-server drain (copy-then-cutover) under a write storm"},
@@ -78,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit one JSON metric row per line instead of tables")
 	metricsOut := fs.String("metrics-out", "", "write the merged observability registry of all experiments here (e.g. METRICS.json)")
 	ccFlag := fs.String("cc", "static", "congestion controller for every RDMA stack: static, dcqcn, or swift (the CC-matrix experiments sweep all three regardless)")
-	fidelity := fs.String("fidelity", "packet", "simulation fidelity of the diurnal campaign: packet (every frame) or hybrid (fluid fast-forward of quiescent bulk flows)")
 	profileDir := fs.String("profile", "", "write cpu.pprof (whole run) and heap.pprof (at exit) into this directory")
 	list := fs.Bool("list", false, "list experiments")
 	if err := fs.Parse(args); err != nil {
@@ -91,11 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ccKind, ok := cc.ParseKind(*ccFlag)
 	if !ok {
 		fmt.Fprintf(stderr, "ebsbench: unknown -cc %q (static, dcqcn, or swift)\n", *ccFlag)
-		return 1
-	}
-	fid, err := experiments.ParseFidelity(*fidelity)
-	if err != nil {
-		fmt.Fprintf(stderr, "ebsbench: %v\n", err)
 		return 1
 	}
 	if *exp == "" && (*jsonOut || *metricsOut != "") {
@@ -151,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := experiments.Options{Seed: *seed, Quick: *quick, Workers: *workers,
-		CoupledWorkers: *coupledWorkers, Telemetry: *metricsOut != "", Fidelity: fid, CC: ccKind}
+		CoupledWorkers: *coupledWorkers, Telemetry: *metricsOut != "", CC: ccKind}
 
 	// Every experiment shard asserts that its cluster returned all pooled
 	// packets; any leak fails the whole run (after all output is printed).

@@ -23,6 +23,7 @@ func TestParallelRunDeterminism(t *testing.T) {
 		{"provision-storm", ProvisionStorm},
 		{"drain", Drain},
 		{"noisyneighbor", NoisyNeighbor},
+		{"diurnal", Diurnal},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

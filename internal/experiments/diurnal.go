@@ -10,51 +10,11 @@ import (
 	"lunasolar/internal/simnet"
 )
 
-// The diurnal campaign is the hybrid-fidelity showcase: a long background
-// bulk-transfer campaign (compute pod → storage pod) that ramps up, holds
-// a plateau, rides through one engineered incast wave and one spine
-// reboot, and ramps back down. In packet fidelity every frame is
-// simulated; in hybrid fidelity the quiescent phases fast-forward as fluid
-// flows and only the disturbed windows (incast onset, the reboot spike)
-// run packet by packet. The two modes must agree — exactly on drop and
-// completion counts, and within a sliver on completion-time quantiles —
-// which is what TestHybridDifferential checks.
-
-// Fidelity is the simulation-fidelity mode of the diurnal campaign's raw
-// fabrics.
-type Fidelity int32
-
-// The fidelity modes of the hybrid fast-forward plane.
-const (
-	// FidelityPacket simulates every frame end to end — the bit-exact
-	// baseline every other mode is differenced against.
-	FidelityPacket Fidelity = iota
-	// FidelityHybrid fast-forwards quiescent bulk flows at fluid rates and
-	// demotes back to packets on any disturbance signal.
-	FidelityHybrid
-)
-
-// String names the mode the way ebsbench -fidelity spells it.
-func (f Fidelity) String() string {
-	switch f {
-	case FidelityPacket:
-		return "packet"
-	case FidelityHybrid:
-		return "hybrid"
-	}
-	return fmt.Sprintf("Fidelity(%d)", int32(f))
-}
-
-// ParseFidelity maps an ebsbench -fidelity value to a mode.
-func ParseFidelity(s string) (Fidelity, error) {
-	switch s {
-	case "packet":
-		return FidelityPacket, nil
-	case "hybrid":
-		return FidelityHybrid, nil
-	}
-	return FidelityPacket, fmt.Errorf("unknown fidelity %q (want packet or hybrid)", s)
-}
+// The diurnal campaign is a long background bulk-transfer campaign
+// (compute pod → storage pod) on raw fabrics: it ramps up, holds a
+// plateau, rides through one engineered incast wave and one spine reboot,
+// and ramps back down, every frame simulated end to end. It is an
+// extension campaign, not a paper figure.
 
 // diurnalPhases names the campaign's phases in schedule order.
 var diurnalPhases = []string{"ramp", "plateau", "incast", "spike", "rampdown"}
@@ -64,28 +24,18 @@ type DiurnalPhase struct {
 	Name      string
 	Started   int
 	Completed int
-	Fluid     int // completions delivered analytically
 	P50us     float64
 	P90us     float64
 	P99us     float64
 }
 
 // DiurnalResult is the structured outcome of one campaign run (both
-// shards merged), the unit the differential gate consumes.
+// shards merged).
 type DiurnalResult struct {
-	Fidelity  string
-	Started   int
-	Completed int
-	Fluid     int
-	Drops     uint64
-	Events    uint64
-	SimTime   time.Duration
-	MBps      float64
-	Phases    []DiurnalPhase
-	Overall   DiurnalPhase
-
-	Admitted  uint64 // transfers that ran (partly) fluid
-	Demotions uint64 // flush-all events
+	Drops   uint64
+	MBps    float64
+	Phases  []DiurnalPhase
+	Overall DiurnalPhase
 
 	// Perf carries the fleet's throughput and leak counters for the runs
 	// behind this result.
@@ -94,29 +44,21 @@ type DiurnalResult struct {
 
 // diurnalCell is one shard's raw outcome.
 type diurnalCell struct {
-	started   []int                      // per phase
-	lats      map[string][]time.Duration // per phase, completion order
-	fluid     map[string]int             // per phase, analytic completions
-	bytes     int64
-	drops     uint64
-	events    uint64
-	simTime   time.Duration
-	admitted  uint64
-	demotions uint64
+	started []int                      // per phase
+	lats    map[string][]time.Duration // per phase, completion order
+	bytes   int64
+	drops   uint64
+	simTime time.Duration
 }
 
 // diurnalShard builds one shard's fabric and schedule and runs it to
 // completion. Every transfer is scheduled upfront — including the spine
-// reboot — so the engine's event heap never drains mid-campaign and the
-// wave schedule is identical in both fidelity modes (it is drawn from an
-// independent Rand, never the engine's).
-func diurnalShard(opts Options, fid Fidelity, shard int) (diurnalCell, *sim.Engine, *simnet.Fabric) {
+// reboot — so the engine's event heap never drains mid-campaign; the wave
+// schedule is drawn from an independent Rand, never the engine's.
+func diurnalShard(opts Options, shard int) (diurnalCell, *sim.Engine, *simnet.Fabric) {
 	eng := sim.NewEngine(opts.Seed + int64(shard)*7919)
 	fab := simnet.New(eng, simnet.DefaultConfig())
 	bulk := simnet.NewBulkService(fab)
-	if fid == FidelityHybrid {
-		fab.EnableFluid(simnet.DefaultFluidConfig())
-	}
 	r := sim.NewRand(opts.Seed*1000003 + int64(shard))
 
 	cfg := fab.Config()
@@ -132,10 +74,7 @@ func diurnalShard(opts Options, fid Fidelity, shard int) (diurnalCell, *sim.Engi
 		kib       = 1024
 		maxPerDst = 2
 	)
-	cell := diurnalCell{
-		lats:  map[string][]time.Duration{},
-		fluid: map[string]int{},
-	}
+	cell := diurnalCell{lats: map[string][]time.Duration{}}
 	phaseOf := map[uint64]string{}
 	phaseIdx := map[string]int{}
 	for i, p := range diurnalPhases {
@@ -185,9 +124,7 @@ func diurnalShard(opts Options, fid Fidelity, shard int) (diurnalCell, *sim.Engi
 	}
 	// Incast: mid-plateau, three 13G senders converge on one dual-homed
 	// storage host (2×25G). ECMP pins each flow to one of the two host
-	// links, so by pigeonhole some link carries two flows — 26G into 25G —
-	// and the max-min allocation turns infeasible at that admission,
-	// demoting every fluid flow so the contention runs packet by packet.
+	// links, so by pigeonhole some link carries two flows — 26G into 25G.
 	// Even the worst split (all three on one link: 14G overload over the
 	// ~160µs send ≈ 280KB) stays under the 400KB port buffer: queues
 	// build, nothing drops.
@@ -205,15 +142,13 @@ func diurnalShard(opts Options, fid Fidelity, shard int) (diurnalCell, *sim.Engi
 	// and a burst wave launches into the outage. Roughly a quarter of the
 	// burst hashes through the dead spine and is hang-dropped (DetectDelay
 	// far exceeds the outage, so routing never reacts) — those transfers
-	// never complete, identically in both fidelity modes.
+	// never complete.
 	drainEnd := plateauStart + ms(2.5*float64(plateauWaves-1)) + ms(2) // last plateau wave fully sent
 	spikeAt := sim.Time(drainEnd + ms(3))
 	spine := fab.Spine(0, 1, 0)
 	eng.At(spikeAt, func() { fab.RebootSwitch(spine, ms(1.5)) })
 	wave("spike", spikeAt.Add(100*time.Microsecond), opts.scale(8, 4), 128, 128, pace)
-	// Ramp-down: load decays after the spike. The first wave re-baselines
-	// the fabric's queue high-water mark (it runs packet-level); later
-	// waves re-promote to fluid — hybrid's recovery path.
+	// Ramp-down: load decays after the spike.
 	for w, count := 0, plateauCount/2; w < opts.scale(3, 2) && count > 0; w, count = w+1, count/2 {
 		wave("rampdown", spikeAt.Add(ms(2.5)+ms(2*float64(w))), count, 256, 512, pace)
 	}
@@ -224,18 +159,9 @@ func diurnalShard(opts Options, fid Fidelity, shard int) (diurnalCell, *sim.Engi
 		ph := phaseOf[c.ID]
 		cell.lats[ph] = append(cell.lats[ph], c.Lat)
 		cell.bytes += c.Bytes
-		if c.Fluid {
-			cell.fluid[ph]++
-		}
 	}
 	cell.drops = fab.TotalDrops()
-	cell.events = eng.Processed()
 	cell.simTime = eng.Now().Duration()
-	if ft := fab.Fluid(); ft != nil {
-		s := ft.Stats()
-		cell.admitted = s.Admitted
-		cell.demotions = s.Demotions
-	}
 	return cell, eng, fab
 }
 
@@ -257,55 +183,46 @@ func quantileExact(lats []time.Duration, q float64) time.Duration {
 	return s[k]
 }
 
-// diurnalCampaign runs the campaign (two shards, merged in shard order) at
-// the given fidelity and returns the structured result.
-func diurnalCampaign(opts Options, fid Fidelity) *DiurnalResult {
+// diurnalCampaign runs the campaign (two shards, merged in shard order)
+// and returns the structured result.
+func diurnalCampaign(opts Options) *DiurnalResult {
 	const shards = 2
 	fleet := opts.fleet()
 	cells := runFabricCells(fleet, shards, func(shard int) (diurnalCell, *sim.Engine, *simnet.Fabric) {
-		return diurnalShard(opts, fid, shard)
+		return diurnalShard(opts, shard)
 	})
 
-	res := &DiurnalResult{Fidelity: fid.String(), Perf: &fleet.Perf}
+	res := &DiurnalResult{Perf: &fleet.Perf}
 	merged := map[string][]time.Duration{}
 	var all []time.Duration
 	var bytes int64
 	var simTotal time.Duration
 	for _, c := range cells {
-		for i, p := range diurnalPhases {
-			res.Started += c.started[i]
+		for _, p := range diurnalPhases {
 			merged[p] = append(merged[p], c.lats[p]...)
 		}
 		bytes += c.bytes
 		res.Drops += c.drops
-		res.Events += c.events
-		res.Admitted += c.admitted
-		res.Demotions += c.demotions
 		simTotal += c.simTime
-		if c.simTime > res.SimTime {
-			res.SimTime = c.simTime
-		}
 	}
+	total := 0
 	for i, p := range diurnalPhases {
 		lats := merged[p]
-		fluid := 0
 		started := 0
 		for _, c := range cells {
-			fluid += c.fluid[p]
 			started += c.started[i]
 		}
 		res.Phases = append(res.Phases, DiurnalPhase{
-			Name: p, Started: started, Completed: len(lats), Fluid: fluid,
+			Name: p, Started: started, Completed: len(lats),
 			P50us: float64(quantileExact(lats, 0.50).Nanoseconds()) / 1e3,
 			P90us: float64(quantileExact(lats, 0.90).Nanoseconds()) / 1e3,
 			P99us: float64(quantileExact(lats, 0.99).Nanoseconds()) / 1e3,
 		})
 		all = append(all, lats...)
-		res.Completed += len(lats)
-		res.Fluid += fluid
+		total += started
 	}
 	res.Overall = DiurnalPhase{
-		Name: "overall", Started: res.Started, Completed: len(all), Fluid: res.Fluid,
+		Name: "overall", Started: total, Completed: len(all),
 		P50us: float64(quantileExact(all, 0.50).Nanoseconds()) / 1e3,
 		P90us: float64(quantileExact(all, 0.90).Nanoseconds()) / 1e3,
 		P99us: float64(quantileExact(all, 0.99).Nanoseconds()) / 1e3,
@@ -316,18 +233,18 @@ func diurnalCampaign(opts Options, fid Fidelity) *DiurnalResult {
 	return res
 }
 
-// Diurnal is the ebsbench entry point: it renders the campaign at
-// Options.Fidelity as a per-phase table.
+// Diurnal is the ebsbench entry point: it renders the campaign as a
+// per-phase table.
 func Diurnal(opts Options) *Table {
-	res := diurnalCampaign(opts, opts.Fidelity)
+	res := diurnalCampaign(opts)
 	t := &Table{
-		Title:   fmt.Sprintf("Diurnal bulk campaign (fidelity=%s): ramp → plateau → incast → spine reboot → ramp-down", res.Fidelity),
-		Columns: []string{"phase", "started", "completed", "fluid", "p50(µs)", "p90(µs)", "p99(µs)"},
+		Title:   "Diurnal bulk campaign: ramp → plateau → incast → spine reboot → ramp-down",
+		Columns: []string{"phase", "started", "completed", "p50(µs)", "p90(µs)", "p99(µs)"},
 		Perf:    res.Perf,
 	}
 	row := func(p DiurnalPhase) []string {
 		return []string{p.Name, fmt.Sprintf("%d", p.Started), fmt.Sprintf("%d", p.Completed),
-			fmt.Sprintf("%d", p.Fluid), f1(p.P50us), f1(p.P90us), f1(p.P99us)}
+			f1(p.P50us), f1(p.P90us), f1(p.P99us)}
 	}
 	for _, p := range res.Phases {
 		t.Rows = append(t.Rows, row(p))
@@ -335,9 +252,5 @@ func Diurnal(opts Options) *Table {
 	t.Rows = append(t.Rows, row(res.Overall))
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("aggregate goodput %.1f MB/s; drops %d (spine-reboot hang drops; missing completions are their lost fins)", res.MBps, res.Drops))
-	if res.Fidelity == "hybrid" {
-		t.Notes = append(t.Notes,
-			fmt.Sprintf("fluid: %d transfers admitted, %d completed analytically, %d demotion flushes", res.Admitted, res.Fluid, res.Demotions))
-	}
 	return t
 }

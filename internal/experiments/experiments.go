@@ -50,11 +50,6 @@ type Options struct {
 	// the export are always counted; the formatted table is identical
 	// either way.
 	Telemetry bool
-	// Fidelity selects the diurnal campaign's simulation fidelity (ebsbench
-	// -fidelity); no other experiment reads it. The zero value is full
-	// packet fidelity; FidelityHybrid fluid-fast-forwards quiescent bulk
-	// flows (see internal/simnet/flow.go).
-	Fidelity Fidelity
 	// CC selects the congestion controller of every RDMA stack the
 	// experiment builds (ebsbench -cc). The zero value is the static
 	// window; the CC-matrix experiments sweep all three regardless.
@@ -209,25 +204,28 @@ type Metric struct {
 // Metrics flattens the table into metric rows: every numeric cell becomes
 // one row, named by the row's non-numeric label cells plus the column
 // header. Non-numeric cells (labels, "-", compound values) are skipped.
+// When the label cells do not tell the rows apart (fig3's hours, fig14's
+// core counts), the leftmost all-numeric column that does joins the
+// label as "<column>=<cell>" and is not emitted as a value.
 func (t *Table) Metrics(exp string, seed int64) []Metric {
-	var out []Metric
-	for _, row := range t.Rows {
-		var labels []string
-		for i, cell := range row {
-			if i >= len(t.Columns) {
+	key := -1
+	if !t.uniqueNames(key) {
+		for i := range t.Columns {
+			if t.numericColumn(i) && t.uniqueNames(i) {
+				key = i
 				break
-			}
-			if _, err := strconv.ParseFloat(strings.TrimSpace(cell), 64); err != nil {
-				labels = append(labels, strings.TrimSpace(cell))
 			}
 		}
-		name := strings.Join(labels, "/")
+	}
+	var out []Metric
+	for _, row := range t.Rows {
+		name := t.rowName(row, key)
 		for i, cell := range row {
-			if i >= len(t.Columns) {
-				break
+			if i >= len(t.Columns) || i == key {
+				continue
 			}
-			v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
-			if err != nil {
+			v, ok := numeric(cell)
+			if !ok {
 				continue
 			}
 			metric := t.Columns[i]
@@ -238,6 +236,56 @@ func (t *Table) Metrics(exp string, seed int64) []Metric {
 		}
 	}
 	return out
+}
+
+func numeric(cell string) (float64, bool) {
+	v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
+	return v, err == nil
+}
+
+// rowName joins the row's non-numeric cells and, unless key is -1, the
+// key column as "<column>=<cell>", in column order.
+func (t *Table) rowName(row []string, key int) string {
+	var labels []string
+	for i, cell := range row {
+		if i >= len(t.Columns) {
+			break
+		}
+		cell = strings.TrimSpace(cell)
+		if i == key {
+			labels = append(labels, t.Columns[i]+"="+cell)
+		} else if _, ok := numeric(cell); !ok {
+			labels = append(labels, cell)
+		}
+	}
+	return strings.Join(labels, "/")
+}
+
+// uniqueNames reports whether rowName with this key names every row
+// differently.
+func (t *Table) uniqueNames(key int) bool {
+	seen := make(map[string]bool, len(t.Rows))
+	for _, row := range t.Rows {
+		name := t.rowName(row, key)
+		if seen[name] {
+			return false
+		}
+		seen[name] = true
+	}
+	return true
+}
+
+// numericColumn reports whether column i holds a number in every row.
+func (t *Table) numericColumn(i int) bool {
+	for _, row := range t.Rows {
+		if i >= len(row) {
+			return false
+		}
+		if _, ok := numeric(row[i]); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 func us(d time.Duration) string {

@@ -71,10 +71,10 @@ func TestSuiteOverRepo(t *testing.T) {
 		}
 		allows += len(pr.Allows)
 	}
-	// The audited suppressions — two wall-time reads in sim/runtime, three
-	// fluid edge-detects in simnet — must still be there to be audited.
-	if allows != 5 {
-		t.Errorf("%d //lint:allow directives, want the 5 audited ones", allows)
+	// The audited suppressions — two wall-time reads in sim/runtime — must
+	// still be there to be audited.
+	if allows != 2 {
+		t.Errorf("%d //lint:allow directives, want the 2 audited ones", allows)
 	}
 	// The partition-owned core types must stay marked: their facts are how
 	// partown sees them, so losing a marker silently would disable the check.

@@ -14,8 +14,9 @@ import (
 // outside.
 var virtualTimePackages = []string{"internal", "ebs"}
 
-// fluidPackages is where the flow-level (fluid) model lives: FlowTable,
-// BulkService and any future fluid code land in internal/simnet.
+// fluidPackages is where rate arithmetic meets event times: link
+// serialization, BulkService pacing and any future flow-level (fluid)
+// code land in internal/simnet.
 var fluidPackages = []string{"internal/simnet"}
 
 // Determinism forbids the ways nondeterminism leaks into virtual time:
@@ -25,10 +26,10 @@ var fluidPackages = []string{"internal/simnet"}
 // choice; engine code is single-threaded per shard and has no business
 // multiplexing channels), the process environment (modes travel as
 // config values, never as os.Getenv knobs) and, in the fluid packages,
-// float equality: the fast-forward layer feeds computed float64 rates
-// into event times and admission decisions, and == / != on them makes
-// the outcome depend on rounding, which differs across summation
-// orders. The repo's idiom is an epsilon band (alloc[i] >= pace*(1-eps)).
+// float equality: the fabric turns computed float64 rates into event
+// times, and == / != on them makes the outcome depend on rounding, which
+// differs across summation orders. The repo's idiom is an epsilon band
+// (alloc >= want*(1-eps)).
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Run:  runDeterminism,

@@ -8,21 +8,15 @@ import (
 )
 
 // BulkService models open-loop paced host-to-host bulk transfers — the
-// steady-state background traffic of a diurnal campaign — and is the
-// customer of the fluid fast-forward mode (flow.go). A transfer of B
+// steady-state background traffic of a diurnal campaign. A transfer of B
 // bytes is n = ceil(B/chunk) packets sent on the exact grid t0 + k·iv,
 // where iv is the wire size serialized at the pace rate; there is no
 // acking or retransmission, and the receiver records a completion when
-// the final packet (the fin) arrives. With the fabric in hybrid fidelity
-// an eligible transfer never materializes packets at all: the flow table
-// fast-forwards it on the same grid and delivers the completion
-// analytically, bit-equal to packet mode on an uncongested path.
+// the final packet (the fin) arrives.
 //
 // The service claims every host's Handler, so it is for raw-fabric
 // scenarios (no protocol stacks attached), like the diurnal campaign.
-// Hybrid fidelity additionally needs a serial fabric (EnableFluid).
 type BulkService struct {
-	fab    *Fabric
 	nextID uint64
 	compl  [][]BulkCompletion // per destination partition, arrival order
 }
@@ -49,12 +43,25 @@ type BulkCompletion struct {
 	ID    uint64
 	Lat   time.Duration // fin arrival minus t0
 	Bytes int64         // modeled payload bytes
-	Fluid bool          // completed analytically (no packets materialized)
+}
+
+// bulkFlow is one transfer's sender state: packet next of n goes out at
+// t0 + next·iv.
+type bulkFlow struct {
+	id       uint64
+	src, dst *Host
+	chunk    int // modeled payload bytes per packet
+	n        int // packets in the transfer
+
+	t0 sim.Time      // first packet's send time
+	iv time.Duration // pacing grid interval at the pace rate
+
+	next int // next packet index to send
 }
 
 // NewBulkService attaches a bulk sender/receiver to every host of fab.
 func NewBulkService(fab *Fabric) *BulkService {
-	b := &BulkService{fab: fab, compl: make([][]BulkCompletion, fab.Parts())}
+	b := &BulkService{compl: make([][]BulkCompletion, fab.Parts())}
 	for _, h := range fab.hostList {
 		h := h
 		h.Handler = func(pkt *Packet) { b.recv(h, pkt) }
@@ -75,48 +82,30 @@ func (b *BulkService) Transfer(src, dst *Host, bytes int64, chunk int, paceBps f
 	b.nextID++
 	n := int((bytes + int64(chunk) - 1) / int64(chunk))
 	wire := DefaultOverheadUDP + chunk + bulkHdrSize
-	f := &fluidFlow{
+	f := &bulkFlow{
 		id:    id,
 		src:   src,
 		dst:   dst,
-		svc:   b,
 		chunk: chunk,
 		n:     n,
-		wire:  wire,
-		pace:  paceBps,
 		iv:    time.Duration(float64(wire*8) / paceBps * float64(time.Second)),
 	}
 	src.part.eng.AtArg(at, bulkStart, f)
 	return id
 }
 
-// bulkStart fires at the transfer's t0 on the source partition's engine:
-// promote to a fluid flow when possible, otherwise pace packets for real.
+// bulkStart fires at the transfer's t0 on the source partition's engine
+// and sends its first packet.
 func bulkStart(a any) {
-	f := a.(*fluidFlow)
+	f := a.(*bulkFlow)
 	f.t0 = f.src.part.eng.Now()
-	if tab := f.svc.fab.fluid; tab == nil || !tab.admit(f) {
-		bulkSend(f)
-	}
-}
-
-// resume restarts packet pacing at grid index k — the demotion path's
-// byte-conservation point: packets [0, k) stay analytically delivered,
-// packet k is sent at its original grid time (immediately, when the grid
-// time already passed).
-func (b *BulkService) resume(f *fluidFlow, k int, now sim.Time) {
-	f.next = k
-	at := f.t0 + sim.Time(time.Duration(k)*f.iv)
-	if at < now {
-		at = now
-	}
-	f.src.part.eng.AtArg(at, bulkSend, f)
+	bulkSend(f)
 }
 
 // bulkSend transmits the flow's next packet and chains the following one
 // on the pacing grid.
 func bulkSend(a any) {
-	f := a.(*fluidFlow)
+	f := a.(*bulkFlow)
 	eng := f.src.part.eng
 	pool := &f.src.part.pool
 	pkt := pool.Get(bulkHdrSize)
@@ -146,9 +135,8 @@ func bulkSend(a any) {
 }
 
 // recv terminates bulk frames at the receiving host, recording a
-// completion when the fin (last index) arrives. Lost fins mean the
-// transfer never completes — deterministic, and identical in both
-// fidelity modes since fluid flows only run while nothing can drop.
+// completion when the fin (last index) arrives. A lost fin means the
+// transfer never completes.
 func (b *BulkService) recv(h *Host, pkt *Packet) {
 	defer pkt.Release()
 	p := pkt.Payload
@@ -168,23 +156,6 @@ func (b *BulkService) recv(h *Host, pkt *Packet) {
 		Lat:   h.part.eng.Now().Sub(t0),
 		Bytes: int64(n) * int64(chunk),
 	})
-}
-
-// fluidDone is a fluid flow's analytic completion event, running on the
-// destination partition's engine. The recorded latency is the analytic
-// fin arrival (exact even when the event itself was clamped forward).
-func fluidDone(a any) {
-	f := a.(*fluidFlow)
-	b := f.svc
-	b.compl[f.dst.part.idx] = append(b.compl[f.dst.part.idx], BulkCompletion{
-		ID:    f.id,
-		Lat:   f.finArrival().Sub(f.t0),
-		Bytes: int64(f.n) * int64(f.chunk),
-		Fluid: true,
-	})
-	if f.tracked {
-		b.fab.fluid.remove(f)
-	}
 }
 
 // Completions returns every recorded completion, walking destination

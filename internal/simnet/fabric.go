@@ -79,11 +79,6 @@ type Fabric struct {
 
 	hopSeq   uint16
 	cutPorts []*Port
-
-	// Hybrid fidelity (flow.go): nil in pure packet mode. fluidLow caches
-	// the low-water mark so Port.Send's trigger check is two field reads.
-	fluid    *FlowTable
-	fluidLow int
 }
 
 // Pool returns partition 0's engine-owned packet pool — the whole fabric's

@@ -79,15 +79,8 @@ func (p *Port) peerUp() bool {
 func (p *Port) PartIndex() int { return p.part.idx }
 
 // SetUp changes the port's link state (both directions of a link fail
-// independently; FailLink takes both down). A transition either way is a
-// fluid fidelity trigger: path capacity just changed.
-func (p *Port) SetUp(up bool) {
-	if p.up == up {
-		return
-	}
-	p.up = up
-	p.part.noteFluid(TriggerFailover)
-}
+// independently; FailLink takes both down).
+func (p *Port) SetUp(up bool) { p.up = up }
 
 // RateBps returns the link rate in bits/second.
 func (p *Port) RateBps() float64 { return p.rateBps }
@@ -119,7 +112,6 @@ func (p *Port) Send(pkt *Packet) bool {
 	if queued > p.ecnThresh && pkt.ECN == wire.ECNECT0 {
 		pkt.ECN = wire.ECNCE
 		p.ecnMarks++
-		p.part.noteFluid(TriggerECN)
 	}
 	// INT: stamp telemetry at enqueue (queue depth seen by this packet).
 	if pkt.INT != nil {
@@ -134,12 +126,6 @@ func (p *Port) Send(pkt *Packet) bool {
 	queued += size
 	if queued > p.maxQueued {
 		p.maxQueued = queued
-	}
-	// Fluid low-water crossing: the queue just grew past the quiescence
-	// threshold, so any analytically-advancing flow must drop back to
-	// packet fidelity (fluidLow is zero in pure packet mode).
-	if lw := p.fab.fluidLow; lw > 0 && queued > lw && queued-size <= lw {
-		p.part.noteFluid(TriggerQueue)
 	}
 	now := eng.Now()
 	start := p.busyUntil

@@ -89,10 +89,7 @@ type fabricPart struct {
 	msgSeq  uint64
 }
 
-func (ps *fabricPart) countDrop(reason string) {
-	ps.drops[reason]++
-	ps.noteFluid(TriggerLoss)
-}
+func (ps *fabricPart) countDrop(reason string) { ps.drops[reason]++ }
 
 // crossMsg carries one frame across a partition boundary: the sender-pool
 // packet held hostage until the barrier, the sending partition (for node

@@ -119,45 +119,26 @@ func (s *Switch) PartIndex() int { return s.part.idx }
 func (s *Switch) partRef() *fabricPart { return s.part }
 
 // Fail hangs the switch: it stops forwarding but its links stay up.
-// Hanging is a fluid fidelity trigger: paths through this switch are now
-// lossy, so analytic flows must demote.
 func (s *Switch) Fail() {
 	if s.alive {
 		s.alive = false
 		s.downAt = s.part.eng.Now()
-		s.part.noteFluid(TriggerFailover)
 	}
 }
 
-// Repair brings a failed switch back. The capacity change is itself a
-// fluid fidelity trigger (and re-arms the hold-off), so flows observe the
-// restored topology at packet fidelity first.
+// Repair brings a failed switch back and clears its injected loss.
 func (s *Switch) Repair() {
-	//lint:allow floateq — edge-detect against the exact zero these fields are assigned; never derived from arithmetic
-	if !s.alive || s.dropRate != 0 || s.blackholeFrac != 0 {
-		s.part.noteFluid(TriggerFailover)
-	}
 	s.alive = true
 	s.dropRate = 0
 	s.blackholeFrac = 0
 }
 
 // SetDropRate makes the switch drop transiting packets with probability p.
-func (s *Switch) SetDropRate(p float64) {
-	//lint:allow floateq — edge-detect against the exact zero dropRate is assigned; never derived from arithmetic
-	if p > 0 && s.dropRate == 0 {
-		s.part.noteFluid(TriggerLoss)
-	}
-	s.dropRate = p
-}
+func (s *Switch) SetDropRate(p float64) { s.dropRate = p }
 
 // SetBlackhole silently drops the given fraction of flows (selected by
 // hash), modelling a corrupted forwarding entry or failing linecard.
 func (s *Switch) SetBlackhole(frac float64, salt uint32) {
-	//lint:allow floateq — edge-detect against the exact zero blackholeFrac is assigned; never derived from arithmetic
-	if frac > 0 && s.blackholeFrac == 0 {
-		s.part.noteFluid(TriggerLoss)
-	}
 	s.blackholeFrac = frac
 	s.blackholeSalt = salt
 }

@@ -109,3 +109,43 @@ func TestFabricRegisterInto(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxQueuedBytesMonotoneAndResets is the high-water property test: the
+// fabric-wide mark never decreases within a run, and a fresh fabric (a new
+// run) starts back at zero.
+func TestMaxQueuedBytesMonotoneAndResets(t *testing.T) {
+	eng, fab := smallFabric(t)
+	r := sim.NewRand(11)
+	hosts := fab.Hosts()
+	last := fab.MaxQueuedBytes()
+	if last != 0 {
+		t.Fatalf("fresh fabric MaxQueuedBytes = %d, want 0", last)
+	}
+	for round := 0; round < 8; round++ {
+		dst := hosts[r.Intn(len(hosts))]
+		burst := 1 + r.Intn(12)
+		for i := 0; i < burst; i++ {
+			src := hosts[r.Intn(len(hosts))]
+			if src == dst {
+				continue
+			}
+			pkt := mkPkt(src, dst, uint16(1000+r.Intn(500)), 4096)
+			if !src.Send(pkt) {
+				t.Fatal("send failed")
+			}
+		}
+		eng.Run()
+		q := fab.MaxQueuedBytes()
+		if q < last {
+			t.Fatalf("round %d: MaxQueuedBytes fell %d -> %d; high-water mark must be monotone", round, last, q)
+		}
+		last = q
+	}
+	if last == 0 {
+		t.Fatal("bursty traffic never queued a byte; the property test exercised nothing")
+	}
+	_, fresh := smallFabric(t)
+	if q := fresh.MaxQueuedBytes(); q != 0 {
+		t.Fatalf("new fabric MaxQueuedBytes = %d, want 0 (mark must reset across runs)", q)
+	}
+}
