@@ -28,8 +28,8 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lunavet: the repo's own five analyzers (determinism, maporder, slabown,
-# hotalloc, partown — see internal/lint), one mode. Zero non-suppressed
+# lunavet: the repo's own four analyzers (determinism, maporder, slabown,
+# hotalloc — see internal/lint), one mode. Zero non-suppressed
 # diagnostics is a hard gate; a suppression needs a justified //lint:allow
 # that still absorbs a finding.
 lint:
@@ -83,15 +83,14 @@ fuzz-smoke:
 # One quick experiment benchmark, the raw event-loop benchmark, the
 # 4 KiB write path (the Solar FN half, its RDMA-into-chunk-server BN
 # twin and the Luna tcpstack FN half), the 4 KiB read paths (Solar, the
-# BN and the whole block-server side), the 64 KiB BN write, the
-# coupled storm at four window workers, the diurnal bulk
-# campaign, and the CDF lookup benchmark guarding the sort.Search
+# BN and the whole block-server side), the 64 KiB BN write, the diurnal
+# bulk campaign, and the CDF lookup benchmark guarding the sort.Search
 # fix: enough to verify the events/sec, sim-µs/wall-ms, copies/op and
 # allocs/op metrics still report. The quick fig6 run exports the merged
 # observability registry (CI publishes METRICS.json) and doubles as its
 # schema smoke test.
 bench-smoke:
-	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K|ReadPath4K|BNWrite4K|BNRead4K|BNWrite64K|BlockServerWrite4K|BlockServerRead4K|LunaWrite4K|Coupled4|DiurnalPacket' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K|ReadPath4K|BNWrite4K|BNRead4K|BNWrite64K|BlockServerWrite4K|BlockServerRead4K|LunaWrite4K|DiurnalPacket' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'CDFAt' -benchtime 1x -benchmem ./internal/stats
 	$(GO) run ./cmd/ebsbench -exp fig6 -quick -workers 1 -metrics-out METRICS.json > /dev/null
 	grep -q '"schema": "lunasolar.metrics/v1"' METRICS.json

@@ -213,33 +213,6 @@ func benchRig(b *testing.B, r *writebench.Rig, op func()) writebench.Stats {
 	return d
 }
 
-// benchCoupled runs the partitioned write storm with the given number of
-// window workers and reports the fleet's events/sec. Comparing the
-// sub-benchmarks shows the coupled runner's scaling (or, on few-core
-// hosts, its barrier overhead); TestCoupledDifferential holds the
-// byte-identity gate over the same sweep.
-func benchCoupled(b *testing.B, workers int) {
-	opts := benchOpts
-	opts.CoupledWorkers = workers
-	var events, wallMs float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.CoupledStorm(opts)
-		if leaked := t.Perf.Leaked(); leaked != 0 {
-			b.Fatalf("%d pooled packets leaked", leaked)
-		}
-		events += float64(t.Perf.Events())
-		wallMs += float64(t.Perf.WallTime().Nanoseconds()) / 1e6
-	}
-	if wallMs > 0 {
-		b.ReportMetric(events/(wallMs/1e3), "events/sec")
-	}
-}
-
-func BenchmarkCoupled1Worker(b *testing.B)  { benchCoupled(b, 1) }
-func BenchmarkCoupled2Workers(b *testing.B) { benchCoupled(b, 2) }
-func BenchmarkCoupled4Workers(b *testing.B) { benchCoupled(b, 4) }
-func BenchmarkCoupled8Workers(b *testing.B) { benchCoupled(b, 8) }
-
 // BenchmarkSimulatorEventRate measures raw event-loop throughput with a
 // saturating Solar workload — the simulator's own performance envelope.
 func BenchmarkSimulatorEventRate(b *testing.B) {

@@ -48,9 +48,6 @@ var registry = map[string]struct {
 	"ablate":    {experiments.Ablations, "Solar design-choice ablations (paths, CRC, Addr table)"},
 	"rdmacliff": {experiments.RDMACliff, "RDMA connection-scalability cliff (the §3.1 FN rejection)"},
 
-	"coupled":     {experiments.CoupledStorm, "big-pod write storm on one 4-way partitioned fabric"},
-	"coupledfail": {experiments.CoupledFailover, "partitioned-fabric storm through a spine reboot"},
-
 	"incast":        {experiments.Incast, "incast storm: all block servers answer one compute, per CC variant"},
 	"spine-oversub": {experiments.SpineOversub, "write storm through a spine tier thinned 4→1, per CC variant"},
 	"elephantmice":  {experiments.ElephantMice, "1 MiB elephants vs 4 KiB mice sharing the fabric, per CC variant"},
@@ -74,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "reduced scale for a fast run")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	workers := fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	coupledWorkers := fs.Int("coupled-workers", 0, "worker count driving a coupled experiment's fabric partitions (0 = GOMAXPROCS, 1 = serial windows; output is identical for every value)")
 	jsonOut := fs.Bool("json", false, "emit one JSON metric row per line instead of tables")
 	metricsOut := fs.String("metrics-out", "", "write the merged observability registry of all experiments here (e.g. METRICS.json)")
 	ccFlag := fs.String("cc", "static", "congestion controller for every RDMA stack: static, dcqcn, or swift (the CC-matrix experiments sweep all three regardless)")
@@ -145,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := experiments.Options{Seed: *seed, Quick: *quick, Workers: *workers,
-		CoupledWorkers: *coupledWorkers, Telemetry: *metricsOut != "", CC: ccKind}
+		Telemetry: *metricsOut != "", CC: ccKind}
 
 	// Every experiment shard asserts that its cluster returned all pooled
 	// packets; any leak fails the whole run (after all output is printed).

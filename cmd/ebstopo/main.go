@@ -1,14 +1,11 @@
 // Command ebstopo builds a fabric, prints its shape, shows how ECMP spreads
 // Solar's path IDs, and optionally runs a failure drill: hang a switch and
-// watch which flows die and when routing reconverges. With -parts it
-// instead prints how a coupled run would split the fabric: per-partition
-// node counts, the cut links, and the conservative lookahead.
+// watch which flows die and when routing reconverges.
 //
 //	ebstopo
 //	ebstopo -racks 4 -hosts 4 -spines 4 -cores 4
 //	ebstopo -drill tor     # hang a ToR and report flow fates
 //	ebstopo -drill spine
-//	ebstopo -parts 4       # partition assignment + cut-link summary
 package main
 
 import (
@@ -28,7 +25,6 @@ func main() {
 	spines := flag.Int("spines", 2, "spines per pod")
 	cores := flag.Int("cores", 2, "core switches per DC")
 	drill := flag.String("drill", "", "failure drill: tor|spine|core|blackhole")
-	parts := flag.Int("parts", 0, "print the coupled-run partition assignment for this worker count instead of driving traffic")
 	seed := flag.Int64("seed", 1, "seed")
 	flag.Parse()
 
@@ -37,11 +33,6 @@ func main() {
 	cfg.HostsPerRack = *hosts
 	cfg.SpinesPerPod = *spines
 	cfg.CoresPerDC = *cores
-
-	if *parts > 0 {
-		printPartitions(cfg, *parts, *seed)
-		return
-	}
 
 	eng := sim.NewEngine(*seed)
 	fab := simnet.New(eng, cfg)
@@ -118,54 +109,3 @@ func main() {
 }
 
 func gbps(bps float64) string { return fmt.Sprintf("%.0fG", bps/1e9) }
-
-// printPartitions builds the fabric split the requested number of ways and
-// reports what a coupled run would see: which racks/spines/cores each
-// partition owns, how many links are cut, and the lookahead those cut
-// links impose on the conservative window width.
-func printPartitions(cfg simnet.Config, parts int, seed int64) {
-	engs := make([]*sim.Engine, parts)
-	for i := range engs {
-		engs[i] = sim.NewEngine(seed + int64(i))
-	}
-	fab := simnet.NewPartitioned(engs, cfg)
-
-	type tally struct{ hosts, tors, spines, cores, dcrs, cutPorts int }
-	sum := make([]tally, parts)
-	ports := 0 // every link has a port at each end
-	for _, h := range fab.Hosts() {
-		sum[h.PartIndex()].hosts++
-		ports += len(h.Ports())
-	}
-	for _, sw := range fab.Switches() {
-		ports += len(sw.Ports())
-		t := &sum[sw.PartIndex()]
-		switch sw.Tier() {
-		case simnet.TierToR:
-			t.tors++
-		case simnet.TierSpine:
-			t.spines++
-		case simnet.TierCore:
-			t.cores++
-		case simnet.TierDCR:
-			t.dcrs++
-		}
-	}
-	for _, p := range fab.CutPorts() {
-		sum[p.PartIndex()].cutPorts++
-	}
-
-	fmt.Printf("partition plan: %d partitions over %d hosts, %d switches\n",
-		parts, len(fab.Hosts()), len(fab.Switches()))
-	fmt.Printf("%-10s %6s %5s %7s %6s %5s %9s\n", "partition", "hosts", "tors", "spines", "cores", "dcrs", "cut ports")
-	for i, t := range sum {
-		fmt.Printf("p%-9d %6d %5d %7d %6d %5d %9d\n", i, t.hosts, t.tors, t.spines, t.cores, t.dcrs, t.cutPorts)
-	}
-	fmt.Printf("\ncut links: %d of %d (each cut link contributes a port on both sides)\n",
-		len(fab.CutPorts())/2, ports/2)
-	if la := fab.Lookahead(); la > 0 {
-		fmt.Printf("lookahead: %v (min propagation delay over cut links; the coupled window width)\n", la)
-	} else {
-		fmt.Println("lookahead: none (no cut links; the coupled runner degenerates to a serial run)")
-	}
-}

@@ -1,5 +1,5 @@
 // Command lunavet runs the internal/lint analysis suite — determinism,
-// maporder, slabown, hotalloc, partown — over the repo's packages and
+// maporder, slabown, hotalloc — over the repo's packages and
 // fails on any non-suppressed diagnostic. It is the compile-time half of
 // the invariants the runtime gates (leak gate, differential tests,
 // AllocsPerRun) enforce after the fact; see DESIGN.md "Invariants & how
@@ -7,8 +7,7 @@
 //
 //	lunavet [-json] [-dir d] [packages]     e.g. `lunavet ./...`
 //
-// One mode: the whole suite in one process — fact collection over every
-// package (dependencies included), then per-package checks. Findings
+// One mode: the whole suite in one process, package by package. Findings
 // print as `file:line:col: [analyzer] message`; -json emits the full
 // report instead (diagnostics with file/line/column for CI annotations,
 // suppressed findings, and every //lint:allow with how many findings it

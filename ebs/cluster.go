@@ -11,7 +11,6 @@ import (
 	"lunasolar/internal/rdma"
 	"lunasolar/internal/sa"
 	"lunasolar/internal/sim"
-	"lunasolar/internal/sim/runtime"
 	"lunasolar/internal/simnet"
 	"lunasolar/internal/tcpstack"
 	"lunasolar/internal/trace"
@@ -23,27 +22,20 @@ import (
 // traffic crosses the fabric's upper tiers.
 const computePod = 0
 
-// Cluster is a fully wired EBS deployment. It spans every partition of
-// a coupled fabric: reaching engines, pools or collectors through it from
-// partitioned code crosses ownership.
-//
-//lint:spanning
+// Cluster is a fully wired EBS deployment on one engine.
 type Cluster struct {
-	Eng    *sim.Engine // partition 0's engine; the only engine when serial
+	Eng    *sim.Engine
 	Fabric *simnet.Fabric
 	cfg    Config
-
-	engines []*sim.Engine
-	coupled *runtime.Coupled // nil for serial clusters
 
 	computes []*ComputeServer
 	blocks   []*StorageServer
 	chunks   []*StorageServer
 
-	segs       *sa.SegmentTable
-	collectors []*trace.Collector // one per partition, engine-owned like pools
-	nextVD     uint32
-	ctrlPlane  *ControlPlane // lazily built by ControlPlane()
+	segs      *sa.SegmentTable
+	collector *trace.Collector
+	nextVD    uint32
+	ctrlPlane *ControlPlane // lazily built by ControlPlane()
 }
 
 // ComputeServer is one compute host: its agent, stack, and (when
@@ -68,8 +60,6 @@ type StorageServer struct {
 // New builds and wires a cluster. It panics with cfg.Validate's error on
 // impossible configurations (construction errors are programming errors in
 // experiment setup).
-//
-//lint:barrier — construction time: partitions exist but no window has run
 func New(cfg Config) *Cluster {
 	if cfg.FN == Solar || cfg.FN == SolarStar {
 		cfg.BareMetal = true
@@ -78,35 +68,14 @@ func New(cfg Config) *Cluster {
 		panic(err)
 	}
 
-	parts := cfg.CoupledParts
-	if parts < 1 {
-		parts = 1
-	}
-	engines := make([]*sim.Engine, parts)
-	collectors := make([]*trace.Collector, parts)
-	for i := range engines {
-		engines[i] = sim.NewEngine(mixSeed(cfg.Seed, i))
-		collectors[i] = trace.NewCollector()
-	}
-	fab := simnet.NewPartitioned(engines, cfg.Fabric)
+	eng := sim.NewEngine(cfg.Seed)
+	fab := simnet.New(eng, cfg.Fabric)
 	c := &Cluster{
-		Eng:        engines[0],
-		Fabric:     fab,
-		cfg:        cfg,
-		engines:    engines,
-		segs:       sa.NewSegmentTable(),
-		collectors: collectors,
-	}
-	if parts > 1 {
-		c.coupled = &runtime.Coupled{
-			Engines:   engines,
-			Lookahead: fab.Lookahead(),
-			Workers:   cfg.CoupledWorkers,
-			AtBarrier: func() {
-				fab.PublishCutState()
-				fab.DrainInboxes()
-			},
-		}
+		Eng:       eng,
+		Fabric:    fab,
+		cfg:       cfg,
+		segs:      sa.NewSegmentTable(),
+		collector: trace.NewCollector(),
 	}
 	// Storage hosts: chunk servers first (block servers need their
 	// addresses).
@@ -121,19 +90,17 @@ func New(cfg Config) *Cluster {
 	var chunkAddrs []uint32
 	for i := 0; i < cfg.ChunkServers; i++ {
 		host := storageHost(cfg.BlockServers + i)
-		heng := host.Engine()
-		cores := sim.NewServer(heng, fmt.Sprintf("chunk%d-cpu", i), cfg.StorageCores)
-		cs := chunkserver.New(heng, fmt.Sprintf("chunk%d", i), cfg.SSD)
+		cores := sim.NewServer(eng, fmt.Sprintf("chunk%d-cpu", i), cfg.StorageCores)
+		cs := chunkserver.New(eng, fmt.Sprintf("chunk%d", i), cfg.SSD)
 		bn := c.newStack(c.bnKind(), host, cores, nil)
-		chunkserver.NewService(heng, cs, bn)
+		chunkserver.NewService(eng, cs, bn)
 		c.chunks = append(c.chunks, &StorageServer{Host: host, Cores: cores, Chunk: cs})
 		chunkAddrs = append(chunkAddrs, host.Addr())
 	}
 
 	for i := 0; i < cfg.BlockServers && !cfg.Edge; i++ {
 		host := storageHost(i)
-		heng := host.Engine()
-		cores := sim.NewServer(heng, fmt.Sprintf("block%d-cpu", i), cfg.StorageCores)
+		cores := sim.NewServer(eng, fmt.Sprintf("block%d-cpu", i), cfg.StorageCores)
 		var fnStack transport.Stack
 		var bnClient transport.Client
 		if c.bnKind() == cfg.FN {
@@ -148,7 +115,7 @@ func New(cfg Config) *Cluster {
 			c.routeMux(mux, c.bnKind(), bn)
 			fnStack, bnClient = fn, bn
 		}
-		bs, err := blockserver.New(heng, fmt.Sprintf("block%d", i), fnStack, bnClient,
+		bs, err := blockserver.New(eng, fmt.Sprintf("block%d", i), fnStack, bnClient,
 			chunkAddrs, cores, blockserver.DefaultParams())
 		if err != nil {
 			panic(err)
@@ -160,32 +127,31 @@ func New(cfg Config) *Cluster {
 	for i := 0; i < cfg.ComputeServers; i++ {
 		rack := i / cfg.Fabric.HostsPerRack
 		host := fab.Host(0, computePod, rack, i%cfg.Fabric.HostsPerRack)
-		heng := host.Engine()
 		var card *dpu.DPU
 		var cores *sim.Server
 		if cfg.BareMetal || cfg.Edge {
-			card = dpu.New(heng, cfg.DPU)
+			card = dpu.New(eng, cfg.DPU)
 			cores = card.CPU
 		} else {
-			cores = sim.NewServer(heng, fmt.Sprintf("compute%d-stack", i), cfg.StackCores)
+			cores = sim.NewServer(eng, fmt.Sprintf("compute%d-stack", i), cfg.StackCores)
 		}
 
 		if cfg.Edge {
 			// §4.8 integrated mode: SA → in-card handover → local block
 			// server → BN replication to the chunk servers.
 			lo := transport.NewLoopback(func(d time.Duration, fn func()) {
-				heng.Schedule(d, fn)
+				eng.Schedule(d, fn)
 			}, 2*time.Microsecond, host.Addr())
 			bn := c.newStack(RDMA, host, cores, nil)
-			bs, err := blockserver.New(heng, fmt.Sprintf("edge-block%d", i), lo, bn,
+			bs, err := blockserver.New(eng, fmt.Sprintf("edge-block%d", i), lo, bn,
 				chunkAddrs, cores, blockserver.DefaultParams())
 			if err != nil {
 				panic(err)
 			}
 			saParams := sa.OffloadedParams()
 			saParams.Encrypted = cfg.Encrypted
-			agent := sa.New(heng, cores, lo, c.segs, saParams)
-			agent.SetCollector(c.collectors[host.PartIndex()])
+			agent := sa.New(eng, cores, lo, c.segs, saParams)
+			agent.SetCollector(c.collector)
 			c.computes = append(c.computes, &ComputeServer{
 				Host: host, Cores: cores, DPU: card, Stack: lo, Agent: agent,
 			})
@@ -199,21 +165,13 @@ func New(cfg Config) *Cluster {
 			saParams = sa.OffloadedParams()
 		}
 		saParams.Encrypted = cfg.Encrypted
-		agent := sa.New(heng, cores, stack, c.segs, saParams)
-		agent.SetCollector(c.collectors[host.PartIndex()])
+		agent := sa.New(eng, cores, stack, c.segs, saParams)
+		agent.SetCollector(c.collector)
 		c.computes = append(c.computes, &ComputeServer{
 			Host: host, Cores: cores, DPU: card, Stack: stack, Agent: agent,
 		})
 	}
 	return c
-}
-
-// mixSeed derives partition i's engine seed: partition 0 keeps the
-// configured seed (so a one-partition cluster is bit-identical to the
-// serial construction), and higher partitions fan out through a golden-
-// ratio stride.
-func mixSeed(seed int64, i int) int64 {
-	return seed + int64(i)*0x1f3a8d2c9b47e681
 }
 
 // bnKind is the backend-network stack of the cluster's era.
@@ -224,10 +182,9 @@ func (c *Cluster) bnKind() StackKind {
 	return RDMA
 }
 
-// newStack constructs one endpoint of the given kind on host, scheduled on
-// the engine owning the host's partition.
+// newStack constructs one endpoint of the given kind on host.
 func (c *Cluster) newStack(kind StackKind, host *simnet.Host, cores *sim.Server, card *dpu.DPU) transport.Stack {
-	eng := host.Engine()
+	eng := c.Eng
 	var pcie *sim.Channel
 	if card != nil {
 		pcie = card.PCIe
@@ -298,76 +255,31 @@ func (c *Cluster) Chunks() []*StorageServer { return c.chunks }
 // Blocks returns the block-server nodes.
 func (c *Cluster) Blocks() []*StorageServer { return c.blocks }
 
-// Collector returns the cluster-wide trace collector. Coupled clusters
-// keep one collector per partition; the view returned here merges them in
-// partition order, so aggregates are identical for every worker count.
-//
-//lint:barrier — merged view is read between runs, after the final barrier
-func (c *Cluster) Collector() *trace.Collector {
-	if len(c.collectors) == 1 {
-		return c.collectors[0]
-	}
-	merged := trace.NewCollector()
-	for _, col := range c.collectors {
-		merged.Merge(col)
-	}
-	return merged
-}
+// Collector returns the cluster-wide trace collector.
+func (c *Cluster) Collector() *trace.Collector { return c.collector }
 
-// Engines returns the per-partition engines (one entry for serial
-// clusters). Benchmark harnesses sum processed-event counts across them.
-func (c *Cluster) Engines() []*sim.Engine { return c.engines }
+// Engines returns the cluster's engine as a one-entry slice. Benchmark
+// harnesses sum processed-event counts across it.
+func (c *Cluster) Engines() []*sim.Engine { return []*sim.Engine{c.Eng} }
 
-// Run drains all pending events — through the coupled runner's
-// barrier-synchronized windows when the cluster is partitioned, serially
-// otherwise.
-//
-//lint:barrier — top-level driver: owns the engines until it returns
-func (c *Cluster) Run() {
-	if c.coupled != nil {
-		c.coupled.Run()
-		return
-	}
-	c.Eng.Run()
-}
+// Run drains all pending events.
+func (c *Cluster) Run() { c.Eng.Run() }
 
 // Leaked reports pooled packets, slab references and records (every
-// sim.Pool bound to one of the engines) checked out with no event left that
-// could return them — a leak in some stack's packet or job handling. A
-// cluster stopped mid-run (RunFor with I/O still in flight) legitimately
-// holds them, and so does one with frames parked in a cross-partition
-// mailbox, so the check only applies once every engine has fully drained
-// and the inboxes are empty; Leaked returns 0 otherwise.
-//
-//lint:barrier — post-drain check only, per the contract above
+// sim.Pool bound to the engine) checked out with no event left that could
+// return them — a leak in some stack's packet or job handling. A cluster
+// stopped mid-run (RunFor with I/O still in flight) legitimately holds
+// them, so the check only applies once the engine has fully drained;
+// Leaked returns 0 otherwise.
 func (c *Cluster) Leaked() int {
-	for _, eng := range c.engines {
-		if eng.Pending() != 0 {
-			return 0
-		}
-	}
-	if c.Fabric.InboxPending() != 0 {
+	if c.Eng.Pending() != 0 {
 		return 0
 	}
-	n := int(c.Fabric.OutstandingAll())
-	for _, eng := range c.engines {
-		n += eng.PoolOutstanding()
-	}
-	return n
+	return int(c.Fabric.Pool().Outstanding()) + c.Eng.PoolOutstanding()
 }
 
 // RunFor advances virtual time by d.
-//
-//lint:barrier — top-level driver: owns the engines until it returns
-func (c *Cluster) RunFor(d time.Duration) {
-	if c.coupled != nil {
-		c.coupled.RunUntil(c.Eng.Now().Add(d))
-		return
-	}
-	c.Eng.RunFor(d)
-}
+func (c *Cluster) RunFor(d time.Duration) { c.Eng.RunFor(d) }
 
 // Now returns the current virtual time.
-//
-//lint:barrier — read by the driving test between runs, not inside a window
 func (c *Cluster) Now() time.Duration { return c.Eng.Now().Duration() }

@@ -30,6 +30,7 @@ import (
 	"lunasolar/internal/sa"
 	"lunasolar/internal/simnet"
 	"lunasolar/internal/tcpstack"
+	"lunasolar/internal/wire"
 )
 
 // StackKind selects the frontend-network stack generation.
@@ -108,19 +109,6 @@ type Config struct {
 	// Encrypted are still derived from FN/Encrypted.
 	SolarOverride *core.Params
 
-	// CoupledParts splits the fabric into that many partitions advanced by
-	// the coupled (conservative time-synchronized) runner; see
-	// internal/simnet/partition.go and internal/sim/runtime/coupled.go.
-	// 0 or 1 builds the classic serial cluster. The partition count is part
-	// of the scenario: for a fixed CoupledParts, output is byte-identical
-	// for every CoupledWorkers value.
-	CoupledParts int
-
-	// CoupledWorkers bounds the goroutines driving partition windows.
-	// 0 uses GOMAXPROCS; 1 is the serial determinism baseline. Ignored
-	// unless CoupledParts > 1.
-	CoupledWorkers int
-
 	// CC selects the congestion controller every RDMA stack in the cluster
 	// runs — the frontend stack when FN is RDMA, and the backend stacks of
 	// every era that replicates over RC. The zero value (cc.KindStatic) is
@@ -164,40 +152,26 @@ func DefaultConfig(fn StackKind) Config {
 func (cfg Config) Validate() error { return cfg.validate(false) }
 
 // validate is the one place a composition is accepted or rejected. With
-// ctrlPlane set it also applies the control plane's preconditions: it
-// mutates cross-server state synchronously, which is only sound when one
-// engine owns everything.
+// ctrlPlane set it also applies the control plane's preconditions.
 func (cfg Config) validate(ctrlPlane bool) error {
 	if cfg.ComputeServers <= 0 || cfg.BlockServers <= 0 || cfg.ChunkServers < blockserver.Replicas {
 		return errors.New("ebs: cluster needs computes, block servers, and >=3 chunk servers")
 	}
-	podCap := cfg.Fabric.RacksPerPod * cfg.Fabric.HostsPerRack
-	if cfg.ComputeServers > podCap {
-		return fmt.Errorf("ebs: %d compute servers exceed pod capacity %d", cfg.ComputeServers, podCap)
-	}
-	if cfg.BlockServers+cfg.ChunkServers > podCap {
-		return fmt.Errorf("ebs: %d storage servers exceed pod capacity %d",
-			cfg.BlockServers+cfg.ChunkServers, podCap)
-	}
-	if cfg.CrossDC && (cfg.Fabric.DCs < 2 || cfg.Fabric.DCRouters < 1) {
-		return errors.New("ebs: CrossDC requires >=2 DCs and >=1 DC router in the fabric")
-	}
-	if cfg.Edge && cfg.FN != Solar {
-		return errors.New("ebs: Edge mode integrates the Solar-era DPU; set FN to Solar")
-	}
-	if cfg.CC > cc.KindSwift {
-		return fmt.Errorf("ebs: unknown congestion controller %d", cfg.CC)
-	}
 	// A zero here builds a server with no units, a channel or link with no
-	// rate, a fabric with no path between pods, or an unpaced SSD. The
-	// stack runs on the DPU (Solar kinds always do; New forces BareMetal)
-	// or on host cores, never both, so only one of the last two counts.
+	// rate, a fabric with no host or no path between pods, or an unpaced
+	// SSD. The stack runs on the DPU (Solar kinds always do; New forces
+	// BareMetal) or on host cores, never both, so only one of the last two
+	// counts.
 	dpuResident := cfg.BareMetal || cfg.Edge || cfg.FN == Solar || cfg.FN == SolarStar
 	for _, k := range []struct {
 		name string
 		v    float64
 		used bool
 	}{
+		{"Fabric.DCs", float64(cfg.Fabric.DCs), true},
+		{"Fabric.PodsPerDC", float64(cfg.Fabric.PodsPerDC), true},
+		{"Fabric.RacksPerPod", float64(cfg.Fabric.RacksPerPod), true},
+		{"Fabric.HostsPerRack", float64(cfg.Fabric.HostsPerRack), true},
 		{"StorageCores", float64(cfg.StorageCores), true},
 		{"SSD.IOPSCap", cfg.SSD.IOPSCap, true},
 		{"Fabric.SpinesPerPod", float64(cfg.Fabric.SpinesPerPod), true},
@@ -211,8 +185,30 @@ func (cfg Config) validate(ctrlPlane bool) error {
 			return fmt.Errorf("ebs: %s must be positive, got %v", k.name, k.v)
 		}
 	}
-	if ctrlPlane && cfg.CoupledParts > 1 {
-		return errors.New("ebs: control plane requires a serial cluster (CoupledParts <= 1)")
+	// Every frame tail-drops at a port whose buffer cannot hold one.
+	if cfg.Fabric.BufferBytes < wire.JumboFrame {
+		return fmt.Errorf("ebs: Fabric.BufferBytes %d is below one %d B frame", cfg.Fabric.BufferBytes, wire.JumboFrame)
+	}
+	podCap := cfg.Fabric.RacksPerPod * cfg.Fabric.HostsPerRack
+	if cfg.ComputeServers > podCap {
+		return fmt.Errorf("ebs: %d compute servers exceed pod capacity %d", cfg.ComputeServers, podCap)
+	}
+	if cfg.BlockServers+cfg.ChunkServers > podCap {
+		return fmt.Errorf("ebs: %d storage servers exceed pod capacity %d",
+			cfg.BlockServers+cfg.ChunkServers, podCap)
+	}
+	if cfg.CrossDC && (cfg.Fabric.DCs < 2 || cfg.Fabric.DCRouters < 1) {
+		return errors.New("ebs: CrossDC requires >=2 DCs and >=1 DC router in the fabric")
+	}
+	// Storage lives in pod 1 of the compute DC unless CrossDC moves it.
+	if !cfg.CrossDC && cfg.Fabric.PodsPerDC < 2 {
+		return fmt.Errorf("ebs: storage needs a second pod: Fabric.PodsPerDC is %d without CrossDC", cfg.Fabric.PodsPerDC)
+	}
+	if cfg.Edge && cfg.FN != Solar {
+		return errors.New("ebs: Edge mode integrates the Solar-era DPU; set FN to Solar")
+	}
+	if cfg.CC > cc.KindSwift {
+		return fmt.Errorf("ebs: unknown congestion controller %d", cfg.CC)
 	}
 	if ctrlPlane && cfg.Edge {
 		return errors.New("ebs: control plane does not support Edge mode")

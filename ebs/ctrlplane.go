@@ -63,7 +63,7 @@ type reply struct {
 }
 
 // ControlPlane returns the cluster's management service, creating it on
-// first use. Coupled and Edge clusters get Config.validate's error.
+// first use. Edge clusters get Config.validate's error.
 func (c *Cluster) ControlPlane() (*ControlPlane, error) {
 	if c.ctrlPlane != nil {
 		return c.ctrlPlane, nil
@@ -298,8 +298,6 @@ func (cp *ControlPlane) MigrateSegment(volID uint32, segIdx int, toAddr uint32) 
 // segment table remaps (generation bump), then the old owner releases; an
 // I/O rejected by the old owner therefore always finds the new mapping
 // when it re-resolves. Reports whether a move actually happened.
-//
-//lint:barrier — serial-only: ControlPlane refuses multi-engine clusters, so only the one engine's window or the top-level driver runs this
 func (cp *ControlPlane) migrateSegmentRef(volID uint32, segIdx int, toAddr uint32) (bool, error) {
 	refs := cp.c.segs.Refs(volID)
 	if segIdx < 0 || segIdx >= len(refs) {
@@ -395,8 +393,6 @@ type DrainReport struct {
 // gap in production, which the model elides. done fires with the report
 // once every segment has cut over. Segments drain one at a time, so copy
 // traffic is bounded and the event order is deterministic.
-//
-//lint:barrier — serial-only: ControlPlane refuses multi-engine clusters, so only the one engine's window or the top-level driver runs this
 func (cp *ControlPlane) DrainChunkServer(chunkIdx int, done func(DrainReport)) error {
 	if chunkIdx < 0 || chunkIdx >= len(cp.c.chunks) {
 		return fmt.Errorf("ebs: drain chunk server %d of %d", chunkIdx, len(cp.c.chunks))

@@ -32,7 +32,13 @@ func TestValidateRejects(t *testing.T) {
 		{"no spines", Solar, func(c *Config) { c.Fabric.SpinesPerPod = 0 }, false, "Fabric.SpinesPerPod must be positive"},
 		{"no cores", Solar, func(c *Config) { c.Fabric.CoresPerDC = 0 }, false, "Fabric.CoresPerDC must be positive"},
 		{"no SSD IOPS", Luna, func(c *Config) { c.SSD.IOPSCap = 0 }, false, "SSD.IOPSCap must be positive"},
-		{"control plane on coupled", Solar, func(c *Config) { c.CoupledParts = 2 }, true, "control plane requires a serial cluster"},
+		{"no DCs", Solar, func(c *Config) { c.Fabric.DCs = 0 }, false, "Fabric.DCs must be positive"},
+		{"no pods", Luna, func(c *Config) { c.Fabric.PodsPerDC = 0 }, false, "Fabric.PodsPerDC must be positive"},
+		{"no racks", Solar, func(c *Config) { c.Fabric.RacksPerPod = 0 }, false, "Fabric.RacksPerPod must be positive"},
+		{"no hosts per rack", RDMA, func(c *Config) { c.Fabric.HostsPerRack = 0 }, false, "Fabric.HostsPerRack must be positive"},
+		{"one pod without CrossDC", Solar, func(c *Config) { c.Fabric.PodsPerDC = 1 }, false, "storage needs a second pod: Fabric.PodsPerDC is 1 without CrossDC"},
+		{"no port buffer", Solar, func(c *Config) { c.Fabric.BufferBytes = 0 }, false, "Fabric.BufferBytes 0 is below one 9000 B frame"},
+		{"port buffer below a frame", Luna, func(c *Config) { c.Fabric.BufferBytes = 1000 }, false, "Fabric.BufferBytes 1000 is below one 9000 B frame"},
 		{"control plane on edge", Solar, func(c *Config) { c.Edge = true }, true, "control plane does not support Edge mode"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,7 +70,8 @@ func TestValidateRejects(t *testing.T) {
 	if err := smallConfig(Solar).validate(true); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	// Host stack cores matter only off the DPU, PCIe only on it.
+	// Host stack cores matter only off the DPU, PCIe only on it; a second
+	// pod matters only when storage shares the compute DC.
 	for _, tc := range []struct {
 		name   string
 		fn     StackKind
@@ -72,6 +79,10 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"solar without stack cores", Solar, func(c *Config) { c.BareMetal, c.StackCores = false, 0 }},
 		{"luna without PCIe", Luna, func(c *Config) { c.DPU.PCIeBps = 0 }},
+		// Fig 8's cross-DC cell: storage in DC 1's only pod.
+		{"cross-DC with one pod per DC", Luna, func(c *Config) {
+			c.Fabric.DCs, c.Fabric.DCRouters, c.Fabric.PodsPerDC, c.CrossDC = 2, 2, 1, true
+		}},
 	} {
 		cfg := smallConfig(tc.fn)
 		tc.mutate(&cfg)

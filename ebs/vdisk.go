@@ -16,9 +16,7 @@ type VDisk struct {
 }
 
 // IOResult is the completion record of one I/O. Latency comes from the span
-// the agent measures on the disk's own engine; a cluster-level clock read at
-// completion would race with other partitions' windows on a coupled fabric
-// (done may run inside another partition's window).
+// the agent measures.
 type IOResult = sa.Result
 
 // Provision creates a virtual disk of sizeBytes on compute server idx,

@@ -36,13 +36,6 @@ type Options struct {
 	// determinism regression tests). Results are merged in shard order, so
 	// the output is identical for every Workers value.
 	Workers int
-	// CoupledWorkers bounds the goroutines driving the partitions of a
-	// coupled (single-fabric, conservatively time-synchronized) experiment.
-	// 0 uses GOMAXPROCS; 1 forces serial window execution. The partition
-	// count is fixed by each coupled experiment's scenario, so the output is
-	// byte-identical for every CoupledWorkers value — the property the
-	// coupled differential gate checks.
-	CoupledWorkers int
 	// Telemetry, when set, has experiments that support it export each
 	// cluster's observability state (per-component latency histograms,
 	// per-switch counters, per-path INT summaries) into Table.Telemetry,

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"strings"
 	"testing"
 
 	"lunasolar/internal/lint"
@@ -30,16 +31,6 @@ func TestHotAlloc(t *testing.T) {
 	linttest.Run(t, "testdata/src", []*lint.Analyzer{lint.HotAlloc}, "lintdata/hotalloc")
 }
 
-// TestPartOwn's golden fixture replays the PR 8 VDisk.Write race (a dead
-// cross-partition Eng.Now() read) plus the indexed, tainted-local,
-// range-value, field-write and argument forms — and proves the sanctioned
-// shapes (Mailbox, Handoff, //lint:barrier, accessors, receiver-rooted
-// access) stay silent. The marked types live in the sim/simnet/trace
-// stand-ins, so the cross-package fact path is exercised too.
-func TestPartOwn(t *testing.T) {
-	linttest.Run(t, "testdata/src", []*lint.Analyzer{lint.PartOwn}, "lintdata/ebs/partdata")
-}
-
 // The flow-level model's two rules — determinism's floateq and maporder's
 // mapfloat — over one fixture.
 func TestFluidRules(t *testing.T) {
@@ -47,11 +38,10 @@ func TestFluidRules(t *testing.T) {
 }
 
 // The full suite over the real repo must be clean: every diagnostic the
-// five analyzers would raise is either fixed or carries a justified
+// four analyzers would raise is either fixed or carries a justified
 // //lint:allow, and every //lint:allow still absorbs a finding (an unused
 // one is a kept diagnostic). This is lunavet's own Load + RunSuite
-// pipeline, so a cross-partition access anywhere in the tree fails this
-// test.
+// pipeline.
 func TestSuiteOverRepo(t *testing.T) {
 	pkgs, err := lint.Load("../..", []string{"./..."})
 	if err != nil {
@@ -76,11 +66,18 @@ func TestSuiteOverRepo(t *testing.T) {
 	if allows != 2 {
 		t.Errorf("%d //lint:allow directives, want the 2 audited ones", allows)
 	}
-	// The partition-owned core types must stay marked: their facts are how
-	// partown sees them, so losing a marker silently would disable the check.
-	for _, name := range []string{"sim.Engine", "simnet.PacketPool", "trace.Collector"} {
-		if !res.Facts.Has("partown", "partowned", name) {
-			t.Errorf("partowned fact %q missing: is the //lint:partowned marker still present?", name)
+	// The suite reads two directives, //lint:allow and //lint:hotpath; any
+	// other //lint: marker is one no analyzer reads, so it checks nothing.
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if d, ok := strings.CutPrefix(c.Text, "//lint:"); ok &&
+						!strings.HasPrefix(d, "allow") && !strings.HasPrefix(d, "hotpath") {
+						t.Errorf("%s: %s is not a lunavet directive", pkg.Fset.Position(c.Pos()), c.Text)
+					}
+				}
+			}
 		}
 	}
 }

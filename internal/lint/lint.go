@@ -1,9 +1,8 @@
-// Package lint is lunavet's analysis suite: five analyzers that enforce,
+// Package lint is lunavet's analysis suite: four analyzers that enforce,
 // at analysis time, the invariants the simulator otherwise only catches at
 // run time — bit-identical virtual-time output (determinism, maporder),
-// slab/packet Retain-Release pairing (slabown), allocation-free hot paths
-// (hotalloc), and partition ownership of engine/pool/collector state
-// (partown).
+// slab/packet Retain-Release pairing (slabown) and allocation-free hot
+// paths (hotalloc).
 //
 // The package deliberately depends only on the standard library. The types
 // here mirror golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic)
@@ -12,10 +11,7 @@
 // toolchain — no module downloads, no vendoring.
 //
 // One mode: Load type-checks the packages, RunSuite runs the analyzers
-// over them in one process. An analyzer may declare a Collect hook that
-// runs over every loaded package (dependencies included) before any Run,
-// exporting Facts — (kind, name) records such as "this type is
-// partition-owned". Run sees the whole suite's facts.
+// over them in one process.
 //
 // Suppressions. A diagnostic is suppressed by a comment on the offending
 // line or the line directly above it:
@@ -39,19 +35,14 @@ import (
 
 // An Analyzer describes one analysis: a named check with a Run function
 // that inspects a package and reports diagnostics through the Pass.
-// Collect is the optional fact hook (see the package comment).
 type Analyzer struct {
 	Name string // short lower-case identifier, e.g. "determinism"
 	Run  func(*Pass) error
-
-	// Collect runs over every loaded package (fixtures and dependencies
-	// included) before any Run, exporting facts via Pass.ExportFact.
-	Collect func(*Pass) error
 }
 
 // All returns the full lunavet suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, MapOrder, SlabOwn, HotAlloc, PartOwn}
+	return []*Analyzer{Determinism, MapOrder, SlabOwn, HotAlloc}
 }
 
 // A Diagnostic is one finding at a position. Category is the suppression
@@ -63,18 +54,6 @@ type Diagnostic struct {
 	Message  string
 }
 
-// A Fact is one cross-package record an analyzer's Collect hook exports,
-// e.g. {"partown", "partowned", "sim.Engine"} for a marked type.
-type Fact struct{ Analyzer, Kind, Name string }
-
-// A FactSet is the suite's collected facts.
-type FactSet map[Fact]bool
-
-// Has reports whether the fact (analyzer, kind, name) was exported.
-func (fs FactSet) Has(analyzer, kind, name string) bool {
-	return fs[Fact{analyzer, kind, name}]
-}
-
 // A Pass carries one analyzer's view of one type-checked package.
 type Pass struct {
 	Analyzer  *Analyzer
@@ -82,7 +61,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	Facts     FactSet // the whole suite's facts (read in Run, written in Collect)
 
 	diags []Diagnostic
 }
@@ -99,11 +77,6 @@ func (p *Pass) Reportf(pos token.Pos, category, format string, args ...any) {
 		Category: category,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ExportFact records a fact for the current analyzer.
-func (p *Pass) ExportFact(kind, name string) {
-	p.Facts[Fact{p.Analyzer.Name, kind, name}] = true
 }
 
 // AllowInfo is one //lint:allow directive as the JSON report carries it:
@@ -125,53 +98,27 @@ type PkgResult struct {
 	Allows     []AllowInfo
 }
 
-// SuiteResult is a whole-suite run: per-package results in input order,
-// plus the collected facts.
+// SuiteResult is a whole-suite run: per-package results in input order.
 type SuiteResult struct {
-	Pkgs  []*PkgResult
-	Facts FactSet
+	Pkgs []*PkgResult
 }
 
-// RunSuite executes the fact/run pipeline over the loaded packages: every
-// analyzer's Collect over every package, then the analyzers over each
-// non-dependency package with the shared fact set. A //lint:allow whose
-// keys belong to an analyzer left out of analyzers absorbs nothing and is
-// reported; lunavet always runs All().
+// RunSuite runs the analyzers over each non-dependency package. A
+// //lint:allow whose keys belong to an analyzer left out of analyzers
+// absorbs nothing and is reported; lunavet always runs All().
 func RunSuite(pkgs []*Package, analyzers []*Analyzer) (*SuiteResult, error) {
-	res := &SuiteResult{Facts: FactSet{}}
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if a.Collect == nil {
-				continue
-			}
-			pass := newPass(a, pkg, res.Facts)
-			if err := protect(a, pkg, func() error { return a.Collect(pass) }); err != nil {
-				return nil, err
-			}
-		}
-	}
+	res := &SuiteResult{}
 	for _, pkg := range pkgs {
 		if pkg.DepOnly {
 			continue
 		}
-		pr, err := analyzePackage(pkg, analyzers, res.Facts)
+		pr, err := analyzePackage(pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
 		res.Pkgs = append(res.Pkgs, pr)
 	}
 	return res, nil
-}
-
-func newPass(a *Analyzer, pkg *Package, fs FactSet) *Pass {
-	return &Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.TypesInfo,
-		Facts:     fs,
-	}
 }
 
 // protect converts an analyzer panic into an error: a crashed analyzer
@@ -191,11 +138,11 @@ func protect(a *Analyzer, pkg *Package, fn func() error) (err error) {
 // analyzePackage runs the analyzers over one package and applies the
 // suppression directives. Directives that are malformed or absorbed
 // nothing come back as kept diagnostics of the pseudo-analyzer "allow".
-func analyzePackage(pkg *Package, analyzers []*Analyzer, fs FactSet) (*PkgResult, error) {
+func analyzePackage(pkg *Package, analyzers []*Analyzer) (*PkgResult, error) {
 	allows, bad := collectAllows(pkg.Fset, pkg.Files)
 	var all []Diagnostic
 	for _, a := range analyzers {
-		pass := newPass(a, pkg, fs)
+		pass := &Pass{Analyzer: a, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.TypesInfo}
 		if err := protect(a, pkg, func() error { return a.Run(pass) }); err != nil {
 			return nil, err
 		}

@@ -55,7 +55,6 @@ func TestScopeMatch(t *testing.T) {
 		{"lintdata/internal/sim/determ", "internal/sim*", true},
 		{"lintdata/bench", "internal/sim*", false},
 		{"lintdata/internal/simnet/fluiddata", "internal/simnet", true},
-		{"lintdata/ebs/partdata", "ebs", true},
 		{"lunasolar/ebs", "ebs", true},
 		{"lunasolar/ebsx", "ebs", false},
 		{"lunasolar/internal/sa", "internal", true},

@@ -34,11 +34,9 @@ type expectation struct {
 
 // Run loads the packages matching patterns from the module rooted at dir
 // (conventionally "testdata/src") and checks analyzer output against the
-// fixtures' want comments. The whole suite pipeline runs — Collect over
-// every loaded package (dependencies included), then per-package checks —
-// so cross-package facts are exercised exactly as lunavet runs them.
-// Packages loaded only as dependencies contribute facts but their want
-// comments are not checked.
+// fixtures' want comments, through the same RunSuite pipeline lunavet
+// runs. Packages loaded only as dependencies are not analyzed, so their
+// want comments are not checked.
 func Run(t *testing.T, dir string, analyzers []*lint.Analyzer, patterns ...string) {
 	t.Helper()
 	pkgs, err := lint.Load(dir, patterns)

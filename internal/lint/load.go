@@ -19,7 +19,7 @@ import (
 type Package struct {
 	ImportPath string
 	Dir        string
-	DepOnly    bool // loaded only because a target imports it; collect facts, skip checks
+	DepOnly    bool // loaded only because a target imports it; never analyzed
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -46,8 +46,7 @@ type listPkg struct {
 // Only non-test files are loaded: the invariants lunavet enforces are
 // about simulation code — tests legitimately use wall clocks, global rand
 // and unordered iteration. Dependencies of the matched patterns load too,
-// flagged DepOnly: fact collection covers them, diagnostics never target
-// them.
+// flagged DepOnly: diagnostics never target them.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	args := []string{
 		"list", "-e", "-export", "-deps",

@@ -8,7 +8,7 @@ import (
 	"lunasolar/internal/lint"
 )
 
-// The loader feeds everything downstream — analyzers, facts, suppression
+// The loader feeds everything downstream — analyzers and suppression
 // scanning — so its contract is pinned here: matched packages load typed,
 // dependencies arrive DepOnly, file-less packages are skipped, and load
 // failures surface as errors instead of silently analyzing less code.
@@ -25,20 +25,20 @@ func TestLoadFixtureModule(t *testing.T) {
 			t.Errorf("%s: packages from one Load must share a FileSet", p.ImportPath)
 		}
 	}
-	pd := byPath["lintdata/ebs/partdata"]
-	if pd == nil {
-		t.Fatalf("lintdata/ebs/partdata not loaded; got %d packages", len(pkgs))
+	mo := byPath["lintdata/maporder"]
+	if mo == nil {
+		t.Fatalf("lintdata/maporder not loaded; got %d packages", len(pkgs))
 	}
-	if pd.DepOnly {
-		t.Errorf("partdata matched the pattern; must not be DepOnly")
+	if mo.DepOnly {
+		t.Errorf("maporder matched the pattern; must not be DepOnly")
 	}
-	if pd.Types == nil || pd.TypesInfo == nil {
-		t.Errorf("partdata loaded without type information")
+	if mo.Types == nil || mo.TypesInfo == nil {
+		t.Errorf("maporder loaded without type information")
 	}
 }
 
 func TestLoadDepsAreDepOnly(t *testing.T) {
-	pkgs, err := lint.Load("testdata/src", []string{"lintdata/ebs/partdata"})
+	pkgs, err := lint.Load("testdata/src", []string{"lintdata/maporder"})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -46,13 +46,13 @@ func TestLoadDepsAreDepOnly(t *testing.T) {
 	for _, p := range pkgs {
 		depOnly[p.ImportPath] = p.DepOnly
 	}
-	if got, ok := depOnly["lintdata/ebs/partdata"]; !ok || got {
-		t.Errorf("partdata: want loaded with DepOnly=false, got ok=%v DepOnly=%v", ok, got)
+	if got, ok := depOnly["lintdata/maporder"]; !ok || got {
+		t.Errorf("maporder: want loaded with DepOnly=false, got ok=%v DepOnly=%v", ok, got)
 	}
-	// partdata imports the marked stand-ins; they must load as DepOnly so
-	// fact collection sees the //lint:partowned markers without analyzing
-	// (or re-reporting on) dependency code.
-	for _, dep := range []string{"lintdata/sim", "lintdata/simnet", "lintdata/trace"} {
+	// maporder imports the sim and stats stand-ins; they must load as
+	// DepOnly so the suite never analyzes (or re-reports on) dependency
+	// code.
+	for _, dep := range []string{"lintdata/sim", "lintdata/stats"} {
 		if got, ok := depOnly[dep]; !ok || !got {
 			t.Errorf("%s: want loaded with DepOnly=true, got ok=%v DepOnly=%v", dep, ok, got)
 		}

@@ -9,8 +9,8 @@ import (
 // SlabOwn enforces the pool ownership discipline from DESIGN.md ("Payload
 // ownership"): every reference obtained from PacketPool.Get / GetBuf /
 // GetSlab / WrapSlab / Slab.Retain must be given up exactly once —
-// released back to the pool (Release / PutBuf) or handed to another
-// partition's inbox (Handoff) — and never touched afterwards.
+// released back to the pool (Release / PutBuf) — and never touched
+// afterwards.
 //
 // The analysis is intra-procedural and deliberately forgiving: passing a
 // tracked value to another function, storing it anywhere, returning it or
@@ -22,10 +22,7 @@ import (
 //     locally-acquired reference is still held — a leak on that path;
 //   - any use of a reference after its Release — including Retain-after-
 //     Release (a retransmit sharing an already-released frag) and double
-//     Release (the replica fan-out releasing one reference twice);
-//   - the cross-partition analogues: use after a Handoff, and a Handoff
-//     combined with any second Handoff or Release of the same reference
-//     (the receiving partition owns it the moment Handoff returns).
+//     Release (the replica fan-out releasing one reference twice).
 var SlabOwn = &Analyzer{
 	Name: "slabown",
 	Run:  runSlabOwn,
@@ -35,7 +32,6 @@ var SlabOwn = &Analyzer{
 type ownState struct {
 	status     int // stLive, stReleased, stDone
 	kind       string
-	relVerb    string // "Release" or "Handoff": how the reference was given up
 	acquiredAt token.Pos
 	releasedAt token.Pos
 }
@@ -112,56 +108,34 @@ func (t *slabTracker) acquireKind(call *ast.CallExpr) (string, bool) {
 }
 
 // releaseTarget resolves a statement-level call that gives a reference
-// up: v.Release(), pool.PutBuf(v), or inbox.Handoff(v, ...) — the
-// cross-partition transfer, matched by method name so the real
-// crossInbox and test fixtures are checked alike. Returns the tracked
-// variable and the verb used in diagnostics ("Release" or "Handoff"), or
+// up: v.Release() or pool.PutBuf(v). Returns the tracked variable, or
 // ok=false when the call gives up no plain tracked local.
-func (t *slabTracker) releaseTarget(call *ast.CallExpr, st stateMap) (*types.Var, string, bool) {
+func (t *slabTracker) releaseTarget(call *ast.CallExpr, st stateMap) (*types.Var, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return nil, "", false
+		return nil, false
 	}
 	fn, ok := t.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if !ok {
-		return nil, "", false
+		return nil, false
 	}
 	switch fn.Name() {
 	case "Release":
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return nil, "", false
-		}
-		if v, ok := t.pass.TypesInfo.Uses[id].(*types.Var); ok {
-			if _, tracked := st[v]; tracked {
-				return v, "Release", true
-			}
-		}
+		return t.trackedArg(sel.X, st)
 	case "PutBuf":
 		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil || recvTypeName(sig) != "PacketPool" {
-			return nil, "", false
+			return nil, false
 		}
 		if len(call.Args) != 1 {
-			return nil, "", false
+			return nil, false
 		}
-		if v, ok := t.trackedArg(call.Args[0], st); ok {
-			return v, "Release", true
-		}
-	case "Handoff":
-		// Ownership rides in the first argument; the rest (delivery time,
-		// source partition, ingress port) carry no references.
-		if len(call.Args) == 0 {
-			return nil, "", false
-		}
-		if v, ok := t.trackedArg(call.Args[0], st); ok {
-			return v, "Handoff", true
-		}
+		return t.trackedArg(call.Args[0], st)
 	}
-	return nil, "", false
+	return nil, false
 }
 
-// trackedArg resolves an argument expression to a tracked local, if it
-// is a plain identifier for one.
+// trackedArg resolves an expression (a receiver or an argument) to a
+// tracked local, if it is a plain identifier for one.
 func (t *slabTracker) trackedArg(arg ast.Expr, st stateMap) (*types.Var, bool) {
 	id, ok := arg.(*ast.Ident)
 	if !ok {
@@ -191,7 +165,7 @@ func (t *slabTracker) useIdent(id *ast.Ident, st stateMap, escaping bool) {
 	switch s.status {
 	case stReleased:
 		t.pass.Reportf(id.Pos(), "slabown",
-			"use of %s after its %s on line %d", v.Name(), s.relVerb, t.line(s.releasedAt))
+			"use of %s after its Release on line %d", v.Name(), t.line(s.releasedAt))
 		s.status = stDone
 		st[v] = s
 	case stLive:
@@ -287,15 +261,8 @@ func (t *slabTracker) walkStmt(s ast.Stmt, st stateMap) bool {
 
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if v, verb, ok := t.releaseTarget(call, st); ok {
-				t.release(v, call.Pos(), verb, st)
-				if verb == "Handoff" {
-					// The remaining arguments are ordinary expressions and
-					// may touch other tracked references.
-					for _, a := range call.Args[1:] {
-						t.scanExpr(a, st)
-					}
-				}
+			if v, ok := t.releaseTarget(call, st); ok {
+				t.release(v, call.Pos(), st)
 				return false
 			}
 			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
@@ -334,7 +301,7 @@ func (t *slabTracker) walkStmt(s ast.Stmt, st stateMap) bool {
 		return false
 
 	case *ast.DeferStmt:
-		if v, _, ok := t.releaseTarget(s.Call, st); ok {
+		if v, ok := t.releaseTarget(s.Call, st); ok {
 			// defer v.Release() satisfies the obligation for the whole
 			// function; later uses stay valid until return.
 			if e := st[v]; e.status == stLive {
@@ -550,17 +517,16 @@ func (t *slabTracker) acquire(id *ast.Ident, kind string, at token.Pos, st state
 	st[v] = ownState{status: stLive, kind: kind, acquiredAt: at}
 }
 
-func (t *slabTracker) release(v *types.Var, at token.Pos, verb string, st stateMap) {
+func (t *slabTracker) release(v *types.Var, at token.Pos, st stateMap) {
 	e := st[v]
 	switch e.status {
 	case stLive:
 		e.status = stReleased
-		e.relVerb = verb
 		e.releasedAt = at
 		st[v] = e
 	case stReleased:
 		t.pass.Reportf(at, "slabown",
-			"%s released twice (first %s on line %d)", v.Name(), e.relVerb, t.line(e.releasedAt))
+			"%s released twice (first Release on line %d)", v.Name(), t.line(e.releasedAt))
 		e.status = stDone
 		st[v] = e
 	}

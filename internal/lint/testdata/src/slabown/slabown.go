@@ -38,17 +38,6 @@ func okBranchBothRelease(pp *simnet.PacketPool, cond bool) {
 	p.Release()
 }
 
-// Cross-partition transfer: Handoff gives up the reference exactly like a
-// Release does, so a handoff on every path is lint-clean with no allow.
-func okCrossHandoff(pp *simnet.PacketPool, ib *simnet.Inbox, cut bool) {
-	p := pp.Get(64)
-	if cut {
-		ib.Handoff(p, 10)
-		return
-	}
-	p.Release()
-}
-
 func okBufPair(pp *simnet.PacketPool) {
 	b := pp.GetBuf(128)
 	b[0] = 1
@@ -106,27 +95,6 @@ func bufUseAfterPut(pp *simnet.PacketPool) byte {
 	b := pp.GetBuf(128)
 	pp.PutBuf(b)
 	return b[0] // want `use of b after its Release on line \d+`
-}
-
-// PR 6 regression shapes: once a packet crosses the partition boundary the
-// receiving partition owns it — the sender must neither touch it again nor
-// give it up a second time, by either verb.
-func useAfterHandoff(pp *simnet.PacketPool, ib *simnet.Inbox) byte {
-	p := pp.Get(64)
-	ib.Handoff(p, 10)
-	return p.Payload[0] // want `use of p after its Handoff on line \d+`
-}
-
-func doubleHandoff(pp *simnet.PacketPool, a, b *simnet.Inbox) {
-	p := pp.Get(64)
-	a.Handoff(p, 10)
-	b.Handoff(p, 20) // want `p released twice \(first Handoff on line \d+\)`
-}
-
-func handoffThenRelease(pp *simnet.PacketPool, ib *simnet.Inbox) {
-	p := pp.Get(64)
-	ib.Handoff(p, 10)
-	p.Release() // want `p released twice \(first Handoff on line \d+\)`
 }
 
 func retainLeak(pp *simnet.PacketPool, cond bool) {

@@ -15,8 +15,6 @@ package sim
 //
 // Departure times must not decrease (a serializer finishes frames in the
 // order it started them), which is what makes the FIFO a ring.
-//
-//lint:partowned
 type Backlog struct {
 	eng    *Engine
 	ring   []departure // length is zero or a power of two
@@ -24,7 +22,6 @@ type Backlog struct {
 	n      int
 	queued int
 	gone   uint64
-	listed bool // on eng.backlogs, the lists NextEventAt scans
 }
 
 type departure struct {
@@ -34,7 +31,11 @@ type departure struct {
 }
 
 // NewBacklog returns an empty backlog whose departures ride e's firing order.
-func NewBacklog(e *Engine) *Backlog { return &Backlog{eng: e} }
+func NewBacklog(e *Engine) *Backlog {
+	b := &Backlog{eng: e}
+	e.backlogs = append(e.backlogs, b)
+	return b
+}
 
 // Add queues size units that leave at t.
 //
@@ -51,9 +52,6 @@ func (b *Backlog) Add(t Time, size int) {
 	b.ring[(b.head+b.n)&(len(b.ring)-1)] = departure{at: t, seq: e.seq, size: size}
 	b.n++
 	b.queued += size
-	if !b.listed {
-		b.list()
-	}
 }
 
 // Queued returns the units added that have not left yet.
@@ -83,15 +81,6 @@ func (b *Backlog) settle() {
 	}
 }
 
-// next returns the earliest departure still queued.
-func (b *Backlog) next() (Time, bool) {
-	b.settle()
-	if b.n == 0 {
-		return 0, false
-	}
-	return b.ring[b.head].at, true
-}
-
 // last returns the latest departure queued (settled or not).
 func (b *Backlog) last() (Time, bool) {
 	if b.n == 0 {
@@ -106,9 +95,4 @@ func (b *Backlog) grow() {
 		ring[i] = b.ring[(b.head+i)&(len(b.ring)-1)]
 	}
 	b.ring, b.head = ring, 0
-}
-
-func (b *Backlog) list() {
-	b.listed = true
-	b.eng.backlogs = append(b.eng.backlogs, b)
 }

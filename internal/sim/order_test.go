@@ -125,7 +125,7 @@ func newFiring(id int, at Time, queued func(bl int) int) firing {
 // event that fires later), cancel the k-th live timer, RunUntil, a counted
 // window (RunUntil plus the Processed delta) and Run — and requires
 // identical firings (with the backlogs' queued bytes seen from inside
-// events), live timers, Pending, NextEventAt, Queued and Gone after every
+// events), live timers, Pending, Queued and Gone after every
 // operation. Each operation is three bytes: kind, then two
 // operands. Kinds are weighted toward schedules so the heap grows deep
 // enough for a cancel to have to move an event up.
@@ -151,8 +151,8 @@ func FuzzEventOrder(f *testing.F) {
 	// stops, after the window's last event.
 	f.Add([]byte{sched, 5, 0, sched, 5, 0, depart, 4, 0x20, sched, 5, 0, until, 10, 0,
 		sched, 5, 0, depart, 4, 0x41, until, 5, 0, run, 0, 0})
-	// Departures with no event left: NextEventAt must report them, a window
-	// ending short leaves them queued, Run drains them. Then departures
+	// Departures with no event left: a window ending short leaves them
+	// queued, Run drains them. Then departures
 	// added from inside events, at once and later, on both backlogs.
 	f.Add([]byte{depart, 9, 0x10, depart, 2, 0x11, window, 3, 0, depart, 0, 0x30, window, 7, 0, run, 0, 0,
 		depart, 3, 0x02, depart, 3, 0x2b, depart, 0, 0x06, sched, 3, 0, depart, 5, 0xff, until, 20, 0, run, 0, 0})
@@ -278,10 +278,6 @@ func checkAgainstRef(t *testing.T, op int, eng *Engine, bls [2]*Backlog, ref *re
 	}
 	if eng.Pending() != len(refLive) {
 		t.Fatalf("after op %d: Pending = %d, reference holds %d events", op, eng.Pending(), len(refLive))
-	}
-	next, ok := eng.NextEventAt()
-	if ok != (len(ref.q) > 0) || ok && next != ref.q[0].at {
-		t.Fatalf("after op %d: NextEventAt = %v, %v; reference %v", op, next, ok, ref.q)
 	}
 	for bl, b := range bls {
 		if q, g := b.Queued(), b.Gone(); q != ref.queued[bl] || g != ref.gone[bl] {

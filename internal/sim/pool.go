@@ -3,8 +3,8 @@ package sim
 // Pool is the free list every pooled record in the tree sits on: a LIFO of
 // *T owned, like the engine it is bound to, by one goroutine at a time. A
 // plain slice (not sync.Pool) keeps reuse order deterministic for a fixed
-// seed and shares nothing between engines, which is what lets shards and
-// partitions run on separate goroutines with no coordination.
+// seed and shares nothing between engines, which is what lets shards run
+// on separate goroutines with no coordination.
 //
 // The pool knows nothing about T. Get returns nil on a miss and the caller
 // builds the record, doing there whatever is done once per record (owner
@@ -13,8 +13,6 @@ package sim
 //
 // The zero Pool is ready to use and bound to no engine; NewPool's result is
 // also counted by its engine's PoolOutstanding.
-//
-//lint:partowned
 type Pool[T any] struct {
 	free   []*T
 	out    int

@@ -1,26 +1,20 @@
 // Package runtime executes multi-engine simulations in parallel. It is the
-// multi-engine counterpart of the single-engine kernel in internal/sim and
-// supports two regimes:
+// multi-engine counterpart of the single-engine kernel in internal/sim:
+// independent shards (Runner/Fleet/Run), one run-to-complete engine per
+// core with no shared mutable state, mirroring the paper's Luna engine.
+// Each shard builds its own sim.Engine and model inside the shard
+// function; nothing crosses shard boundaries except the shard index and
+// the values returned.
 //
-//   - Independent shards (Runner/Fleet/Run): one run-to-complete engine per
-//     core with no shared mutable state, mirroring the paper's Luna engine.
-//     Each shard builds its own sim.Engine and model inside the shard
-//     function; nothing crosses shard boundaries except the shard index and
-//     the values returned.
-//   - Coupled partitions (Coupled): several engines share one model — the
-//     partitions of a single fabric — and advance in barrier-synchronized
-//     lookahead windows, exchanging events between windows through
-//     per-engine mailboxes (conservative parallel DES; see coupled.go).
+// The rules that make this safe and reproducible:
 //
-// The rules that make both safe and reproducible:
-//
-//   - Within a window or shard, exactly one goroutine drives each engine
-//     (the engines enforce this with an atomic check).
-//   - Results are always delivered in shard/partition order, never
-//     completion order, so aggregates are bit-identical whether the fleet
-//     ran on 1 worker or on GOMAXPROCS workers.
-//   - Seeds derive from the shard or partition index, not from any shared
-//     random stream consumed at run time.
+//   - Exactly one goroutine drives each engine (the engines enforce this
+//     with an atomic check).
+//   - Results are always delivered in shard order, never completion
+//     order, so aggregates are bit-identical whether the fleet ran on 1
+//     worker or on GOMAXPROCS workers.
+//   - Seeds derive from the shard index, not from any shared random
+//     stream consumed at run time.
 package runtime
 
 import (

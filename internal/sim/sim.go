@@ -12,17 +12,9 @@
 // An Engine is share-nothing: it is owned by exactly one goroutine at a
 // time, the one driving Step/Run/RunUntil/RunFor. Sharing one engine
 // between goroutines is a bug, and the engine detects concurrent drivers
-// with a cheap atomic check and panics. Two execution regimes build on
-// this rule (see sim/runtime):
-//
-//   - Independent shards: each engine owns a whole model and runs to
-//     completion with no communication (the Runner/Fleet path).
-//   - Coupled partitions: several engines share one model, advance in
-//     bounded windows (RunUntil the window's end), and exchange events only between
-//     windows through per-engine Mailboxes drained by a single barrier
-//     coordinator (the Coupled path). Within a window the share-nothing
-//     rule still holds; ownership of an engine transfers between worker
-//     goroutines only across barriers.
+// with a cheap atomic check and panics. Parallel runs build on this rule
+// (see sim/runtime): each engine owns a whole model and runs to
+// completion with no communication (the Runner/Fleet path).
 //
 // # Allocation discipline
 //
@@ -109,8 +101,6 @@ func (t Timer) Cancel() {
 // Engine is a single-threaded discrete-event scheduler. All model code runs
 // inside event callbacks on the owning goroutine; see the package comment
 // for the ownership rules.
-//
-//lint:partowned
 type Engine struct {
 	now   Time
 	seq   uint64
@@ -125,8 +115,8 @@ type Engine struct {
 	// cur is the running (or, after Step, last run) event's seq, and
 	// math.MaxUint64 between runs: with now it is the cursor a Backlog
 	// settles against.
-	// backlogs lists every Backlog that may hold departures, so
-	// NextEventAt scans only those.
+	// backlogs lists every Backlog built on the engine, so Run can end
+	// the clock at the last departure.
 	cur      uint64
 	backlogs []*Backlog
 }
@@ -293,33 +283,6 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor executes events for duration d of virtual time from now.
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
-// NextEventAt returns the next pending event's or backlog departure's
-// time, or ok == false when nothing is queued. Departures count because
-// the coupled runner plans its windows, and so its barriers, from this
-// time. Backlogs found empty leave the scan list.
-func (e *Engine) NextEventAt() (Time, bool) {
-	var next Time
-	ok := len(e.heap) > 0
-	if ok {
-		next = e.heap[0].at
-	}
-	live := e.backlogs[:0]
-	for _, b := range e.backlogs {
-		at, has := b.next()
-		if !has {
-			b.listed = false
-			continue
-		}
-		live = append(live, b)
-		if !ok || at < next {
-			next, ok = at, true
-		}
-	}
-	clear(e.backlogs[len(live):])
-	e.backlogs = live
-	return next, ok
-}
-
 // Intrusive binary min-heap ordered by (at, seq). Events carry their own
 // heap index so Cancel can remove them eagerly in O(log n) without the
 // container/heap interface indirection.
@@ -411,9 +374,7 @@ func (e *Engine) siftDown(i int) bool {
 }
 
 // Rand wraps math/rand with the distributions the models need. Each
-// stream belongs to the partition that draws from it.
-//
-//lint:partowned
+// stream belongs to the engine that draws from it.
 type Rand struct {
 	*rand.Rand
 }

@@ -232,6 +232,44 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
+// runWindow drives e to until with RunUntil and returns how many events
+// fired on the way, by the Processed delta.
+func runWindow(e *Engine, until Time) int {
+	before := e.Processed()
+	e.RunUntil(until)
+	return int(e.Processed() - before)
+}
+
+// TestRunWindow checks the bounded drive mode: only events inside the
+// window fire, the clock lands exactly on the bound, and the Processed
+// delta reports the window's firings.
+func TestRunWindow(t *testing.T) {
+	e := NewEngine(1)
+	var fired []int
+	for i, d := range []time.Duration{10, 20, 30, 40} {
+		i := i
+		e.Schedule(d*time.Microsecond, func() { fired = append(fired, i) })
+	}
+	if n := runWindow(e, Time(25*time.Microsecond)); n != 2 {
+		t.Fatalf("window fired %d events, want 2", n)
+	}
+	if e.Now() != Time(25*time.Microsecond) {
+		t.Fatalf("clock at %v after window, want 25µs", e.Now())
+	}
+	if len(fired) != 2 || fired[0] != 0 || fired[1] != 1 {
+		t.Fatalf("fired %v, want [0 1]", fired)
+	}
+	if n := runWindow(e, Time(25*time.Microsecond)); n != 0 {
+		t.Fatalf("empty window fired %d events", n)
+	}
+	if n := runWindow(e, Time(50*time.Microsecond)); n != 2 {
+		t.Fatalf("second window fired %d events, want 2", n)
+	}
+	if len(fired) != 4 {
+		t.Fatalf("fired %v, want all four", fired)
+	}
+}
+
 func TestEngineNestedScheduling(t *testing.T) {
 	eng := NewEngine(1)
 	depth := 0

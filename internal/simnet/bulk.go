@@ -18,8 +18,17 @@ import (
 // scenarios (no protocol stacks attached), like the diurnal campaign.
 type BulkService struct {
 	nextID uint64
-	compl  [][]BulkCompletion // per destination partition, arrival order
+	// compl holds the completions in arrival order, in blocks of
+	// complBlock records. A full block is never grown: a record, once
+	// written, does not move, so a long run frees no large arrays behind
+	// it and its resident memory does not depend on when the Go runtime
+	// returns freed pages to the OS.
+	compl [][]BulkCompletion
 }
+
+// complBlock is the number of records in one block of BulkService.compl
+// (96 KiB).
+const complBlock = 4096
 
 // BulkProto is the IP protocol number bulk frames carry (distinct from
 // TCP, UDP and the RDMA BTH proto so ECMP hashes them as their own
@@ -61,7 +70,7 @@ type bulkFlow struct {
 
 // NewBulkService attaches a bulk sender/receiver to every host of fab.
 func NewBulkService(fab *Fabric) *BulkService {
-	b := &BulkService{compl: make([][]BulkCompletion, fab.Parts())}
+	b := &BulkService{}
 	for _, h := range fab.hostList {
 		h := h
 		h.Handler = func(pkt *Packet) { b.recv(h, pkt) }
@@ -90,15 +99,14 @@ func (b *BulkService) Transfer(src, dst *Host, bytes int64, chunk int, paceBps f
 		n:     n,
 		iv:    time.Duration(float64(wire*8) / paceBps * float64(time.Second)),
 	}
-	src.part.eng.AtArg(at, bulkStart, f)
+	src.fab.Eng.AtArg(at, bulkStart, f)
 	return id
 }
 
-// bulkStart fires at the transfer's t0 on the source partition's engine
-// and sends its first packet.
+// bulkStart fires at the transfer's t0 and sends its first packet.
 func bulkStart(a any) {
 	f := a.(*bulkFlow)
-	f.t0 = f.src.part.eng.Now()
+	f.t0 = f.src.fab.Eng.Now()
 	bulkSend(f)
 }
 
@@ -106,8 +114,8 @@ func bulkStart(a any) {
 // on the pacing grid.
 func bulkSend(a any) {
 	f := a.(*bulkFlow)
-	eng := f.src.part.eng
-	pool := &f.src.part.pool
+	eng := f.src.fab.Eng
+	pool := &f.src.fab.pool
 	pkt := pool.Get(bulkHdrSize)
 	p := pkt.Payload
 	binary.BigEndian.PutUint64(p[0:], f.id)
@@ -151,16 +159,19 @@ func (b *BulkService) recv(h *Host, pkt *Packet) {
 	id := binary.BigEndian.Uint64(p[0:])
 	t0 := sim.Time(binary.BigEndian.Uint64(p[16:]))
 	chunk := binary.BigEndian.Uint32(p[24:])
-	b.compl[h.part.idx] = append(b.compl[h.part.idx], BulkCompletion{
+	if k := len(b.compl); k == 0 || len(b.compl[k-1]) == complBlock {
+		b.compl = append(b.compl, make([]BulkCompletion, 0, complBlock))
+	}
+	last := &b.compl[len(b.compl)-1]
+	*last = append(*last, BulkCompletion{
 		ID:    id,
-		Lat:   h.part.eng.Now().Sub(t0),
+		Lat:   h.fab.Eng.Now().Sub(t0),
 		Bytes: int64(n) * int64(chunk),
 	})
 }
 
-// Completions returns every recorded completion, walking destination
-// partitions in index order and each partition's records in arrival
-// order — deterministic for a fixed seed and any worker count.
+// Completions returns a copy of every recorded completion in arrival
+// order — deterministic for a fixed seed.
 func (b *BulkService) Completions() []BulkCompletion {
 	n := 0
 	for _, c := range b.compl {

@@ -82,3 +82,30 @@ func TestBulkRunForMatchesRun(t *testing.T) {
 		}
 	}
 }
+
+// TestBulkCompletionsSpanBlocks: completions are stored in fixed blocks;
+// more than one block's worth must come back whole and in arrival order,
+// and as a copy the caller may modify without touching the record.
+func TestBulkCompletionsSpanBlocks(t *testing.T) {
+	eng, fab := smallFabric(t)
+	bulk := NewBulkService(fab)
+	const n = complBlock + 3
+	src, dst := fab.Host(0, 0, 0, 0), fab.Host(0, 1, 0, 0)
+	for i := 0; i < n; i++ {
+		bulk.Transfer(src, dst, 4096, 4096, 5e9, sim.Time(time.Duration(i)*10*time.Microsecond))
+	}
+	eng.Run()
+	c := bulk.Completions()
+	if len(c) != n {
+		t.Fatalf("completions = %d, want %d", len(c), n)
+	}
+	for i, r := range c {
+		if r.ID != uint64(i) || r.Bytes != 4096 {
+			t.Fatalf("completion %d = %+v, want ID %d of 4096 bytes", i, r, i)
+		}
+	}
+	c[0].ID = 99
+	if again := bulk.Completions(); again[0].ID != 0 {
+		t.Fatalf("modifying a returned slice changed the record: ID %d", again[0].ID)
+	}
+}

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"lunasolar/internal/sim"
@@ -58,16 +59,19 @@ func DefaultConfig() Config {
 }
 
 // Fabric is a built topology: hosts, switches, links, routing, and the
-// failure-injection surface. A fabric spans one or more partitions (see
-// partition.go); serial fabrics are simply the one-partition case, so the
-// two construction paths share every invariant.
-//
-//lint:spanning
+// failure-injection surface. Everything a packet's hot path touches — the
+// packet pool, the transit free lists, the drop counters and the drop
+// randomness — lives here, owned by the fabric's engine.
 type Fabric struct {
-	Eng *sim.Engine // partition 0's engine; the only engine of serial fabrics
-	cfg Config
+	Eng  *sim.Engine
+	cfg  Config
+	rand *sim.Rand
 
-	parts []*fabricPart
+	drops map[string]uint64
+
+	pool     PacketPool
+	freeXfer *sim.Pool[linkXfer]
+	freeFwd  *sim.Pool[swFwd]
 
 	hosts    map[uint32]*Host
 	hostList []*Host
@@ -77,59 +81,35 @@ type Fabric struct {
 	dcrs     []*Switch
 	byName   map[string]*Switch
 
-	hopSeq   uint16
-	cutPorts []*Port
+	hopSeq uint16
 }
 
-// Pool returns partition 0's engine-owned packet pool — the whole fabric's
-// pool for serial fabrics. Partitioned callers sum the partitions with
-// OutstandingAll.
-func (f *Fabric) Pool() *PacketPool { return &f.parts[0].pool }
+// Pool returns the fabric's engine-owned packet pool.
+func (f *Fabric) Pool() *PacketPool { return &f.pool }
 
-// New builds the fabric described by cfg on a single engine.
+func (f *Fabric) countDrop(reason string) { f.drops[reason]++ }
+
+// New builds the fabric described by cfg on eng.
 func New(eng *sim.Engine, cfg Config) *Fabric {
-	return build([]*sim.Engine{eng}, cfg, PlanPartitions(cfg, 1))
-}
-
-// build wires engines, partitions, ports and pools before any window has
-// run — every partition is still quiescent, so it may touch them all.
-//
-//lint:barrier — construction time: no window has started yet
-func build(engs []*sim.Engine, cfg Config, plan *PartPlan) *Fabric {
 	if cfg.DCs < 1 || cfg.PodsPerDC < 1 || cfg.RacksPerPod < 1 || cfg.HostsPerRack < 1 {
 		panic("simnet: topology dimensions must be >= 1")
 	}
 	f := &Fabric{
-		Eng:    engs[0],
-		cfg:    cfg,
-		hosts:  map[uint32]*Host{},
-		byName: map[string]*Switch{},
+		Eng:      eng,
+		cfg:      cfg,
+		rand:     eng.Rand.Fork(),
+		drops:    map[string]uint64{},
+		freeXfer: sim.NewPool[linkXfer](eng),
+		freeFwd:  sim.NewPool[swFwd](eng),
+		hosts:    map[uint32]*Host{},
+		byName:   map[string]*Switch{},
 	}
-	for i, eng := range engs {
-		ps := &fabricPart{
-			idx:   i,
-			fab:   f,
-			eng:   eng,
-			rand:  eng.Rand.Fork(),
-			drops: map[string]uint64{},
-
-			freeXfer: sim.NewPool[linkXfer](eng),
-			freeFwd:  sim.NewPool[swFwd](eng),
-			freeMsg:  sim.NewPool[crossMsg](eng),
-		}
-		ps.inbox.part = ps
-		f.parts = append(f.parts, ps)
-	}
-	// Build-time randomness (switch salts) always draws from partition 0's
-	// stream, so a one-partition fabric consumes engine randomness exactly
-	// like the pre-partitioning serial build did.
-	salt := func() uint32 { return f.parts[0].rand.Uint32() }
-
+	// Switch salts draw from the fabric's forked stream, in build order.
 	buf, ecn := cfg.BufferBytes, cfg.ECNThresholdBytes
 
 	// DC routers (region tier).
 	for i := 0; i < cfg.DCRouters; i++ {
-		s := newSwitch(f, f.parts[plan.DCRPart(i)], fmt.Sprintf("dcr%d", i), TierDCR, cfg.SwitchLatency, salt())
+		s := newSwitch(f, fmt.Sprintf("dcr%d", i), TierDCR, cfg.SwitchLatency, f.rand.Uint32())
 		f.dcrs = append(f.dcrs, s)
 		f.byName[s.name] = s
 	}
@@ -138,7 +118,7 @@ func build(engs []*sim.Engine, cfg Config, plan *PartPlan) *Fabric {
 		// Cores of this DC.
 		var dcCores []*Switch
 		for c := 0; c < cfg.CoresPerDC; c++ {
-			s := newSwitch(f, f.parts[plan.CorePart(dc, c)], fmt.Sprintf("core-d%d-%d", dc, c), TierCore, cfg.SwitchLatency, salt())
+			s := newSwitch(f, fmt.Sprintf("core-d%d-%d", dc, c), TierCore, cfg.SwitchLatency, f.rand.Uint32())
 			f.cores = append(f.cores, s)
 			f.byName[s.name] = s
 			dcCores = append(dcCores, s)
@@ -157,7 +137,7 @@ func build(engs []*sim.Engine, cfg Config, plan *PartPlan) *Fabric {
 			// Spines of this pod.
 			var podSpines []*Switch
 			for sp := 0; sp < cfg.SpinesPerPod; sp++ {
-				s := newSwitch(f, f.parts[plan.SpinePart(dc, pod, sp)], fmt.Sprintf("spine-d%dp%d-%d", dc, pod, sp), TierSpine, cfg.SwitchLatency, salt())
+				s := newSwitch(f, fmt.Sprintf("spine-d%dp%d-%d", dc, pod, sp), TierSpine, cfg.SwitchLatency, f.rand.Uint32())
 				f.spines = append(f.spines, s)
 				f.byName[s.name] = s
 				podSpines = append(podSpines, s)
@@ -173,11 +153,10 @@ func build(engs []*sim.Engine, cfg Config, plan *PartPlan) *Fabric {
 			}
 
 			for rack := 0; rack < cfg.RacksPerPod; rack++ {
-				rackPart := f.parts[plan.RackPart(dc, pod, rack)]
 				// The ToR pair.
 				pair := make([]*Switch, 2)
 				for t := 0; t < 2; t++ {
-					s := newSwitch(f, rackPart, fmt.Sprintf("tor-d%dp%dr%d-%c", dc, pod, rack, 'a'+t), TierToR, cfg.SwitchLatency, salt())
+					s := newSwitch(f, fmt.Sprintf("tor-d%dp%dr%d-%c", dc, pod, rack, 'a'+t), TierToR, cfg.SwitchLatency, f.rand.Uint32())
 					f.tors = append(f.tors, s)
 					f.byName[s.name] = s
 					pair[t] = s
@@ -196,12 +175,10 @@ func build(engs []*sim.Engine, cfg Config, plan *PartPlan) *Fabric {
 					addr := Addr(dc, pod, rack, hi)
 					h := &Host{
 						fab:  f,
-						part: rackPart,
 						addr: addr,
 						name: fmt.Sprintf("host-d%dp%dr%dh%d", dc, pod, rack, hi),
 					}
-					// Dual-homed: one port to each ToR of the pair; hosts
-					// share their rack's partition, so these links never cut.
+					// Dual-homed: one port to each ToR of the pair.
 					for _, tor := range pair {
 						ph, pt := connect(f, h, tor, cfg.HostLinkBps, cfg.PropDelay, buf, ecn)
 						h.ports = append(h.ports, ph)
@@ -214,7 +191,6 @@ func build(engs []*sim.Engine, cfg Config, plan *PartPlan) *Fabric {
 			}
 		}
 	}
-	f.PublishCutState()
 	return f
 }
 
@@ -262,13 +238,10 @@ func (f *Fabric) Switches() []*Switch {
 	return out
 }
 
-// RebootSwitch hangs sw now and repairs it after d. The repair is
-// scheduled on the switch's owning engine, so failure injection composes
-// with partitioned fabrics (callers already running on that engine, or at
-// setup time before any window starts).
+// RebootSwitch hangs sw now and repairs it after d.
 func (f *Fabric) RebootSwitch(sw *Switch, d time.Duration) {
 	sw.Fail()
-	sw.part.eng.Schedule(d, func() { sw.Repair() })
+	f.Eng.Schedule(d, func() { sw.Repair() })
 }
 
 // FailLink takes both ends of the link attached to p down (link-down
@@ -288,25 +261,14 @@ func (f *Fabric) RepairLink(p *Port) {
 	}
 }
 
-// Drops returns the drop counters by reason, merged across partitions in
-// partition order.
-func (f *Fabric) Drops() map[string]uint64 {
-	out := make(map[string]uint64)
-	for _, ps := range f.parts {
-		for k, v := range ps.drops {
-			out[k] += v
-		}
-	}
-	return out
-}
+// Drops returns a copy of the drop counters by reason.
+func (f *Fabric) Drops() map[string]uint64 { return maps.Clone(f.drops) }
 
-// TotalDrops sums all drop counters across partitions.
+// TotalDrops sums all drop counters.
 func (f *Fabric) TotalDrops() uint64 {
 	var n uint64
-	for _, ps := range f.parts {
-		for _, v := range ps.drops {
-			n += v
-		}
+	for _, v := range f.drops {
+		n += v
 	}
 	return n
 }

@@ -15,21 +15,16 @@ type Node interface {
 	Alive() bool
 	// nodeName is a diagnostic label.
 	nodeName() string
-	// partRef is the partition owning the node (see partition.go).
-	partRef() *fabricPart
 }
 
 // Port is one end of a link. Each port owns the egress direction: a
 // store-and-forward output queue drained by a serializer at the link rate,
 // with tail drop at the buffer limit, ECN marking above the threshold, and
 // INT stamping at enqueue.
-//
-//lint:partowned
 type Port struct {
 	owner Node
 	peer  *Port
 	fab   *Fabric
-	part  *fabricPart // the owner's partition
 
 	id        int // port index on the owner, for diagnostics
 	hopID     uint16
@@ -39,19 +34,6 @@ type Port struct {
 	ecnThresh int
 
 	up bool
-
-	// cut marks a port whose peer lives in another partition. Cut ports
-	// hand frames to the peer partition's mailbox instead of scheduling
-	// delivery locally, and read the published peer-state snapshot below
-	// instead of the live peer (which only the peer's partition may touch
-	// mid-window). Snapshots refresh at every barrier (PublishCutState),
-	// so they lag live state by at most one lookahead — the time any real
-	// link-state signal would need to cross the same wire.
-	cut             bool
-	pubPeerUp       bool
-	pubPeerIsSwitch bool
-	pubPeerAlive    bool
-	pubPeerDownAt   sim.Time
 
 	// busyUntil is when the serializer frees up; q holds the frames
 	// serializing until then, each leaving when its last bit is on the wire.
@@ -63,20 +45,6 @@ type Port struct {
 	ecnMarks  uint64
 	maxQueued int
 }
-
-// peerUp reports whether the link's far end is up, reading the published
-// snapshot on cut ports and live state otherwise.
-//
-//lint:hotpath
-func (p *Port) peerUp() bool {
-	if p.cut {
-		return p.pubPeerUp
-	}
-	return p.peer.up
-}
-
-// PartIndex returns the index of the partition owning the port's node.
-func (p *Port) PartIndex() int { return p.part.idx }
 
 // SetUp changes the port's link state (both directions of a link fail
 // independently; FailLink takes both down).
@@ -96,15 +64,15 @@ func (p *Port) serialization(n int) time.Duration {
 //
 //lint:hotpath
 func (p *Port) Send(pkt *Packet) bool {
-	eng := p.part.eng
-	if !p.up || p.peer == nil || !p.peerUp() {
-		p.part.countDrop("linkdown")
+	eng := p.fab.Eng
+	if !p.up || p.peer == nil || !p.peer.up {
+		p.fab.countDrop("linkdown")
 		return false
 	}
 	size := pkt.WireSize()
 	queued := p.q.Queued()
 	if queued+size > p.bufBytes {
-		p.part.countDrop("taildrop")
+		p.fab.countDrop("taildrop")
 		return false
 	}
 	// ECN: mark at enqueue if the queue already exceeds the threshold and
@@ -138,15 +106,7 @@ func (p *Port) Send(pkt *Packet) bool {
 	// The frame leaves the queue at end, in the firing order place an event
 	// scheduled now for end would take; nothing fires for it.
 	p.q.Add(end, size)
-	if p.cut {
-		// Cross-partition link: the queue and serializer stay this port's,
-		// but the frame itself is handed — ownership and all — to the peer
-		// partition's mailbox, stamped with its propagation-determined
-		// arrival time.
-		p.peer.part.inbox.Handoff(pkt, end.Add(p.propDelay), p.part, p.peer)
-		return true
-	}
-	x := p.part.getXfer()
+	x := p.fab.getXfer()
 	x.port, x.pkt = p, pkt
 	eng.AtArg(end.Add(p.propDelay), linkDeliver, x)
 	return true
@@ -158,46 +118,23 @@ func (p *Port) Send(pkt *Packet) bool {
 func linkDeliver(a any) {
 	x := a.(*linkXfer)
 	p, pkt := x.port, x.pkt
-	p.part.putXfer(x)
+	p.fab.putXfer(x)
 	peer := p.peer
 	if peer.up && peer.owner.Alive() {
 		peer.owner.Receive(pkt, peer)
 	} else {
-		p.part.countDrop("deadpeer")
+		p.fab.countDrop("deadpeer")
 		pkt.Release()
 	}
 }
 
-// crossDeliver is linkDeliver's receiving-partition half: it runs on the
-// ingress port's engine with a receiver-pool packet materialized at the
-// barrier, applying the same liveness rules at the same virtual time as a
-// local delivery would.
-//
-//lint:hotpath
-func crossDeliver(a any) {
-	x := a.(*linkXfer)
-	p, pkt := x.port, x.pkt
-	p.part.putXfer(x)
-	if p.up && p.owner.Alive() {
-		p.owner.Receive(pkt, p)
-	} else {
-		p.part.countDrop("deadpeer")
-		pkt.Release()
-	}
-}
-
-// connect wires two ports as a full-duplex link. Endpoints in different
-// partitions make both ports cut.
+// connect wires two ports as a full-duplex link.
 func connect(f *Fabric, a, b Node, rateBps float64, prop time.Duration, buf, ecn int) (*Port, *Port) {
 	f.hopSeq++
-	pa := &Port{owner: a, fab: f, part: a.partRef(), q: sim.NewBacklog(a.partRef().eng), rateBps: rateBps, propDelay: prop, bufBytes: buf, ecnThresh: ecn, up: true, hopID: f.hopSeq}
+	pa := &Port{owner: a, fab: f, q: sim.NewBacklog(f.Eng), rateBps: rateBps, propDelay: prop, bufBytes: buf, ecnThresh: ecn, up: true, hopID: f.hopSeq}
 	f.hopSeq++
-	pb := &Port{owner: b, fab: f, part: b.partRef(), q: sim.NewBacklog(b.partRef().eng), rateBps: rateBps, propDelay: prop, bufBytes: buf, ecnThresh: ecn, up: true, hopID: f.hopSeq}
+	pb := &Port{owner: b, fab: f, q: sim.NewBacklog(f.Eng), rateBps: rateBps, propDelay: prop, bufBytes: buf, ecnThresh: ecn, up: true, hopID: f.hopSeq}
 	pa.peer, pb.peer = pb, pa
-	if pa.part != pb.part {
-		pa.cut, pb.cut = true, true
-		f.cutPorts = append(f.cutPorts, pa, pb)
-	}
 	return pa, pb
 }
 
@@ -206,7 +143,6 @@ func connect(f *Fabric, a, b Node, rateBps float64, prop time.Duration, buf, ecn
 // receive frames.
 type Host struct {
 	fab     *Fabric
-	part    *fabricPart
 	addr    uint32
 	ports   []*Port
 	Handler func(pkt *Packet)
@@ -220,15 +156,6 @@ func (h *Host) Addr() uint32 { return h.addr }
 
 // Name returns the host's diagnostic name.
 func (h *Host) Name() string { return h.name }
-
-// Engine returns the engine owning the host's partition. Stacks and
-// servers attached to this host must schedule on it.
-func (h *Host) Engine() *sim.Engine { return h.part.eng }
-
-// PartIndex returns the index of the partition owning the host.
-func (h *Host) PartIndex() int { return h.part.idx }
-
-func (h *Host) partRef() *fabricPart { return h.part }
 
 // Alive always reports true: the experiments fail the network, not hosts.
 func (h *Host) Alive() bool { return true }
@@ -260,17 +187,17 @@ func (h *Host) Send(pkt *Packet) bool {
 	// per-packet path allocation-free.
 	up := 0
 	for _, p := range h.ports {
-		if p.up && p.peerUp() {
+		if p.up && p.peer.up {
 			up++
 		}
 	}
 	if up == 0 {
-		h.part.countDrop("hostdark")
+		h.fab.countDrop("hostdark")
 		return false
 	}
 	k := int(FlowHash(pkt, 0x9e3779b9) % uint32(up))
 	for _, p := range h.ports {
-		if p.up && p.peerUp() {
+		if p.up && p.peer.up {
 			if k == 0 {
 				return p.Send(pkt)
 			}
@@ -280,9 +207,9 @@ func (h *Host) Send(pkt *Packet) bool {
 	return false
 }
 
-// PacketPool returns the packet pool of the host's partition; stacks
-// attached to this host draw from and return to it.
-func (h *Host) PacketPool() *PacketPool { return &h.part.pool }
+// PacketPool returns the fabric's packet pool; stacks attached to this
+// host draw from and return to it.
+func (h *Host) PacketPool() *PacketPool { return &h.fab.pool }
 
 // Ports exposes the host's NIC ports (tests and failure drills use this).
 func (h *Host) Ports() []*Port { return h.ports }

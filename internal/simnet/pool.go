@@ -36,8 +36,6 @@ const (
 // the sender when Send reports a local drop. Release on a packet that did
 // not come from a pool is a no-op, so tests and cold paths can keep
 // building packets with struct literals.
-//
-//lint:partowned
 type PacketPool struct {
 	pkts  []*Packet
 	small [][]byte
@@ -148,26 +146,26 @@ type swFwd struct {
 	pkt    *Packet
 }
 
-func (ps *fabricPart) getXfer() *linkXfer {
-	if x := ps.freeXfer.Get(); x != nil {
+func (f *Fabric) getXfer() *linkXfer {
+	if x := f.freeXfer.Get(); x != nil {
 		return x
 	}
 	return &linkXfer{}
 }
 
-func (ps *fabricPart) putXfer(x *linkXfer) {
+func (f *Fabric) putXfer(x *linkXfer) {
 	x.port, x.pkt = nil, nil
-	ps.freeXfer.Put(x)
+	f.freeXfer.Put(x)
 }
 
-func (ps *fabricPart) getFwd() *swFwd {
-	if x := ps.freeFwd.Get(); x != nil {
+func (f *Fabric) getFwd() *swFwd {
+	if x := f.freeFwd.Get(); x != nil {
 		return x
 	}
 	return &swFwd{}
 }
 
-func (ps *fabricPart) putFwd(x *swFwd) {
+func (f *Fabric) putFwd(x *swFwd) {
 	x.sw, x.egress, x.pkt = nil, nil, nil
-	ps.freeFwd.Put(x)
+	f.freeFwd.Put(x)
 }

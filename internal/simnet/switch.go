@@ -50,7 +50,6 @@ type ecmpGroup struct {
 //     path change.
 type Switch struct {
 	fab  *Fabric
-	part *fabricPart
 	name string
 	tier Tier
 	salt uint32
@@ -78,10 +77,9 @@ type Switch struct {
 	rx, forwarded, dropped uint64
 }
 
-func newSwitch(f *Fabric, part *fabricPart, name string, tier Tier, latency time.Duration, salt uint32) *Switch {
+func newSwitch(f *Fabric, name string, tier Tier, latency time.Duration, salt uint32) *Switch {
 	return &Switch{
 		fab:         f,
-		part:        part,
 		name:        name,
 		tier:        tier,
 		salt:        salt,
@@ -109,20 +107,11 @@ func (s *Switch) Tier() Tier { return s.tier }
 // Alive reports whether the switch is forwarding.
 func (s *Switch) Alive() bool { return s.alive }
 
-// Engine returns the engine owning the switch's partition. Failure
-// injection against a partitioned fabric must schedule on it.
-func (s *Switch) Engine() *sim.Engine { return s.part.eng }
-
-// PartIndex returns the index of the partition owning the switch.
-func (s *Switch) PartIndex() int { return s.part.idx }
-
-func (s *Switch) partRef() *fabricPart { return s.part }
-
 // Fail hangs the switch: it stops forwarding but its links stay up.
 func (s *Switch) Fail() {
 	if s.alive {
 		s.alive = false
-		s.downAt = s.part.eng.Now()
+		s.downAt = s.fab.Eng.Now()
 	}
 }
 
@@ -143,32 +132,18 @@ func (s *Switch) SetBlackhole(frac float64, salt uint32) {
 	s.blackholeSalt = salt
 }
 
-// Ports exposes the switch's ports.
-func (s *Switch) Ports() []*Port { return s.ports }
-
 // Forwarded returns packets successfully enqueued toward a next hop.
 func (s *Switch) Forwarded() uint64 { return s.forwarded }
 
 // usable reports whether an ECMP member port should be considered: the
 // link must be up, and a hung peer switch is excluded only once the
-// detection delay has elapsed since it failed. Cut ports judge the peer
-// by its published barrier snapshot — which is also how a real routing
-// process sees a remote neighbour: through announcements that take wire
-// time to arrive.
+// detection delay has elapsed since it failed.
 func (s *Switch) usable(p *Port) bool {
-	if !p.up || p.peer == nil || !p.peerUp() {
+	if !p.up || p.peer == nil || !p.peer.up {
 		return false
 	}
-	if p.cut {
-		if p.pubPeerIsSwitch && !p.pubPeerAlive {
-			if s.part.eng.Now() >= p.pubPeerDownAt.Add(s.fab.cfg.DetectDelay) {
-				return false
-			}
-		}
-		return true
-	}
 	if peer, ok := p.peer.owner.(*Switch); ok && !peer.alive {
-		if s.part.eng.Now() >= peer.downAt.Add(s.fab.cfg.DetectDelay) {
+		if s.fab.Eng.Now() >= peer.downAt.Add(s.fab.cfg.DetectDelay) {
 			return false
 		}
 	}
@@ -230,13 +205,13 @@ func (s *Switch) Receive(pkt *Packet, _ *Port) {
 	s.rx++
 	if !s.alive {
 		s.dropped++
-		s.part.countDrop(s.dropHang)
+		s.fab.countDrop(s.dropHang)
 		pkt.Release()
 		return
 	}
-	if s.dropRate > 0 && s.part.rand.Bernoulli(s.dropRate) {
+	if s.dropRate > 0 && s.fab.rand.Bernoulli(s.dropRate) {
 		s.dropped++
-		s.part.countDrop(s.dropRand)
+		s.fab.countDrop(s.dropRand)
 		pkt.Release()
 		return
 	}
@@ -244,14 +219,14 @@ func (s *Switch) Receive(pkt *Packet, _ *Port) {
 		h := FlowHash(pkt, s.blackholeSalt)
 		if float64(h%10000) < s.blackholeFrac*10000 {
 			s.dropped++
-			s.part.countDrop(s.dropBH)
+			s.fab.countDrop(s.dropBH)
 			pkt.Release()
 			return
 		}
 	}
 	if pkt.TTL == 0 {
 		s.dropped++
-		s.part.countDrop("ttl")
+		s.fab.countDrop("ttl")
 		pkt.Release()
 		return
 	}
@@ -260,14 +235,14 @@ func (s *Switch) Receive(pkt *Packet, _ *Port) {
 	egress := s.pick(g, pkt)
 	if egress == nil {
 		s.dropped++
-		s.part.countDrop(s.dropNoRoute)
+		s.fab.countDrop(s.dropNoRoute)
 		pkt.Release()
 		return
 	}
 	s.forwarded++
-	x := s.part.getFwd()
+	x := s.fab.getFwd()
 	x.sw, x.egress, x.pkt = s, egress, pkt
-	s.part.eng.ScheduleArg(s.latency, switchForward, x)
+	s.fab.Eng.ScheduleArg(s.latency, switchForward, x)
 }
 
 // switchForward completes a transit after the pipeline latency.
@@ -276,9 +251,9 @@ func (s *Switch) Receive(pkt *Packet, _ *Port) {
 func switchForward(a any) {
 	x := a.(*swFwd)
 	s, egress, pkt := x.sw, x.egress, x.pkt
-	s.part.putFwd(x)
+	s.fab.putFwd(x)
 	if !s.alive { // failed while the packet was in the pipeline
-		s.part.countDrop(s.dropHang)
+		s.fab.countDrop(s.dropHang)
 		pkt.Release()
 		return
 	}

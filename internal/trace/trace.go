@@ -75,10 +75,7 @@ func (s *Span) Total() time.Duration {
 }
 
 // Collector aggregates spans into per-component and end-to-end histograms,
-// separately for reads and writes. Each collector belongs to the
-// partition whose agents record into it.
-//
-//lint:partowned
+// separately for reads and writes.
 type Collector struct {
 	read  [numComponents]*stats.Histogram
 	write [numComponents]*stats.Histogram
@@ -108,22 +105,6 @@ func (c *Collector) Record(s *Span) {
 		comps[i].Record(s.parts[i])
 	}
 	e2e.Record(s.Total())
-}
-
-// Merge folds another collector's histograms into c. Coupled clusters
-// keep one collector per partition (collectors are engine-owned, like
-// pools) and merge them in partition order when reporting, so aggregates
-// are identical for every worker count.
-func (c *Collector) Merge(o *Collector) {
-	if o == nil {
-		return
-	}
-	for i := range c.read {
-		c.read[i].Merge(o.read[i])
-		c.write[i].Merge(o.write[i])
-	}
-	c.e2eR.Merge(o.e2eR)
-	c.e2eW.Merge(o.e2eW)
 }
 
 // Component returns the histogram for one component of one op ("read" or
