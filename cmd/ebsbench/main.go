@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lunasolar/internal/cc"
 	"lunasolar/internal/experiments"
 	"lunasolar/internal/sim/runtime"
 	"lunasolar/internal/stats"
@@ -48,10 +47,6 @@ var registry = map[string]struct {
 	"ablate":    {experiments.Ablations, "Solar design-choice ablations (paths, CRC, Addr table)"},
 	"rdmacliff": {experiments.RDMACliff, "RDMA connection-scalability cliff (the §3.1 FN rejection)"},
 
-	"incast":        {experiments.Incast, "incast storm: all block servers answer one compute, per CC variant"},
-	"spine-oversub": {experiments.SpineOversub, "write storm through a spine tier thinned 4→1, per CC variant"},
-	"elephantmice":  {experiments.ElephantMice, "1 MiB elephants vs 4 KiB mice sharing the fabric, per CC variant"},
-
 	"diurnal": {experiments.Diurnal, "bulk campaign (ramp→plateau→incast→spine reboot→ramp-down)"},
 
 	"provision-storm": {experiments.ProvisionStorm, "volume-lifecycle storm with duplicated request IDs, per stack"},
@@ -73,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	jsonOut := fs.Bool("json", false, "emit one JSON metric row per line instead of tables")
 	metricsOut := fs.String("metrics-out", "", "write the merged observability registry of all experiments here (e.g. METRICS.json)")
-	ccFlag := fs.String("cc", "static", "congestion controller for every RDMA stack: static, dcqcn, or swift (the CC-matrix experiments sweep all three regardless)")
 	profileDir := fs.String("profile", "", "write cpu.pprof (whole run) and heap.pprof (at exit) into this directory")
 	list := fs.Bool("list", false, "list experiments")
 	if err := fs.Parse(args); err != nil {
@@ -83,11 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	ccKind, ok := cc.ParseKind(*ccFlag)
-	if !ok {
-		fmt.Fprintf(stderr, "ebsbench: unknown -cc %q (static, dcqcn, or swift)\n", *ccFlag)
-		return 1
-	}
 	if *exp == "" && (*jsonOut || *metricsOut != "") {
 		fmt.Fprintln(stderr, "ebsbench: -json and -metrics-out need -exp (try -list)")
 		return 2
@@ -141,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := experiments.Options{Seed: *seed, Quick: *quick, Workers: *workers,
-		Telemetry: *metricsOut != "", CC: ccKind}
+		Telemetry: *metricsOut != ""}
 
 	// Every experiment shard asserts that its cluster returned all pooled
 	// packets; any leak fails the whole run (after all output is printed).

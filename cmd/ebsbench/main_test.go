@@ -54,7 +54,7 @@ func TestRun(t *testing.T) {
 		stdout        func(*testing.T, string)
 	}{
 		{"-exp fig3,typo", 1, 0, `unknown experiment "typo" (try -list)`, nil},
-		{"-exp fig3 -cc bogus", 1, 0, `ebsbench: unknown -cc "bogus" (static, dcqcn, or swift)`, nil},
+		{"-exp fig3 -cc dcqcn", 2, 0, "flag provided but not defined: -cc", nil},
 		{"-json", 2, 0, "need -exp", nil},
 		{"-metrics-out unwritten.json", 2, 0, "need -exp", nil},
 		{"-list", 0, 0, "", listed},

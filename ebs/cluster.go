@@ -195,9 +195,7 @@ func (c *Cluster) newStack(kind StackKind, host *simnet.Host, cores *sim.Server,
 	case Luna:
 		return tcpstack.New(eng, host, cores, pcie, LunaStackParams())
 	case RDMA:
-		p := RDMAStackParams()
-		p.CC = c.cfg.CC
-		return rdma.New(eng, host, cores, pcie, p)
+		return rdma.New(eng, host, cores, pcie, RDMAStackParams())
 	case Solar, SolarStar:
 		if card != nil {
 			p := SolarStackParams(kind, c.cfg.Encrypted)

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"lunasolar/internal/blockserver"
-	"lunasolar/internal/cc"
 	"lunasolar/internal/chunkserver"
 	"lunasolar/internal/core"
 	"lunasolar/internal/dpu"
@@ -109,15 +108,6 @@ type Config struct {
 	// Encrypted are still derived from FN/Encrypted.
 	SolarOverride *core.Params
 
-	// CC selects the congestion controller every RDMA stack in the cluster
-	// runs — the frontend stack when FN is RDMA, and the backend stacks of
-	// every era that replicates over RC. The zero value (cc.KindStatic) is
-	// the fixed hardware window, byte-identical to clusters built before
-	// the controller was pluggable. The kernel/Luna stacks keep DCTCP and
-	// Solar keeps per-path HPCC regardless: the paper's comparison is
-	// between those fixed designs and the RDMA plane's controller.
-	CC cc.Kind
-
 	Encrypted bool
 	Seed      int64
 }
@@ -154,6 +144,9 @@ func (cfg Config) Validate() error { return cfg.validate(false) }
 // validate is the one place a composition is accepted or rejected. With
 // ctrlPlane set it also applies the control plane's preconditions.
 func (cfg Config) validate(ctrlPlane bool) error {
+	if cfg.FN < KernelTCP || cfg.FN > SolarStar {
+		return fmt.Errorf("ebs: unknown stack kind %d", cfg.FN)
+	}
 	if cfg.ComputeServers <= 0 || cfg.BlockServers <= 0 || cfg.ChunkServers < blockserver.Replicas {
 		return errors.New("ebs: cluster needs computes, block servers, and >=3 chunk servers")
 	}
@@ -206,9 +199,6 @@ func (cfg Config) validate(ctrlPlane bool) error {
 	}
 	if cfg.Edge && cfg.FN != Solar {
 		return errors.New("ebs: Edge mode integrates the Solar-era DPU; set FN to Solar")
-	}
-	if cfg.CC > cc.KindSwift {
-		return fmt.Errorf("ebs: unknown congestion controller %d", cfg.CC)
 	}
 	if ctrlPlane && cfg.Edge {
 		return errors.New("ebs: control plane does not support Edge mode")

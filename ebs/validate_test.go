@@ -22,7 +22,7 @@ func TestValidateRejects(t *testing.T) {
 		{"storage overflows pod", Solar, func(c *Config) { c.ChunkServers = 7 }, false, "9 storage servers exceed pod capacity 8"},
 		{"cross-DC on one DC", Solar, func(c *Config) { c.CrossDC = true }, false, "CrossDC requires >=2 DCs"},
 		{"edge on luna", Luna, func(c *Config) { c.Edge = true }, false, "Edge mode integrates the Solar-era DPU"},
-		{"unknown cc", RDMA, func(c *Config) { c.CC = 3 }, false, "unknown congestion controller 3"},
+		{"unknown stack kind", Luna, func(c *Config) { c.FN = 9 }, false, "unknown stack kind 9"},
 		{"no storage cores", Solar, func(c *Config) { c.StorageCores = 0 }, false, "StorageCores must be positive"},
 		{"no stack cores on luna", Luna, func(c *Config) { c.StackCores = 0 }, false, "StackCores must be positive"},
 		{"no PCIe on solar", Solar, func(c *Config) { c.DPU.PCIeBps = 0 }, false, "DPU.PCIeBps must be positive"},

@@ -1,13 +1,10 @@
-// Package cc implements the congestion controllers every stack runs on the
-// unified control plane: a DCTCP-style ECN-proportional controller for
-// Luna, the INT-driven HPCC controller Solar runs per path ("we use a
-// per-packet ACK to perform a fine-grained congestion control algorithm
-// (e.g., HPCC)", §4.8), and the RDMA plane's selectable family — the
-// fixed-window RC baseline, rate-based DCQCN driven by CNP frames, and
-// delay-based Swift with hop-scaled targets. Window-based controllers
-// bound bytes in flight through Window(); rate-based ones additionally
-// publish a Rate() that senders enforce with a Pacer riding the coarse
-// timer class.
+// Package cc implements the two congestion controllers the paper's stacks
+// run: a DCTCP-style ECN-proportional controller for the kernel and Luna
+// stacks, and the INT-driven HPCC controller Solar runs per path ("we use
+// a per-packet ACK to perform a fine-grained congestion control algorithm
+// (e.g., HPCC)", §4.8). Both bound bytes in flight through Window(). The
+// RDMA backend network keeps the RC hardware's fixed window and runs no
+// controller.
 package cc
 
 import (
@@ -16,40 +13,13 @@ import (
 	"lunasolar/internal/wire"
 )
 
-// Feedback is what an arriving acknowledgment (or congestion notification)
-// tells the controller. Fields a stack cannot measure stay zero; each
-// controller reads only the signals its algorithm is defined on.
+// Feedback is what an arriving acknowledgment tells the controller. Fields
+// a stack cannot measure stay zero; each controller reads only the signals
+// its algorithm is defined on.
 type Feedback struct {
-	RTT        time.Duration
 	AckedBytes int
-	ECNMarked  bool
+	ECNMarked  bool          // DCTCP only
 	INT        []wire.INTHop // per-hop telemetry, HPCC only
-	// Delay is a per-packet delay sample (send to ack arrival, Karn-safe),
-	// for delay-based controllers. Zero when the ack carried no usable
-	// sample; Swift falls back to RTT.
-	Delay time.Duration
-	// CNP marks a standalone congestion-notification frame (DCQCN): no
-	// bytes are acknowledged, the signal is the notification itself.
-	CNP bool
-	// Hops is the fabric hop count the acked packet crossed (echoed by the
-	// receiver), scaling Swift's target delay.
-	Hops int
-}
-
-// Controller adjusts a congestion window in bytes and, for rate-based
-// algorithms, a sending rate the stack's pacer enforces.
-type Controller interface {
-	// OnAck processes one acknowledgment or congestion notification.
-	OnAck(fb Feedback)
-	// OnLoss signals a fast-retransmit-grade loss (duplicate ACK / OOO).
-	OnLoss()
-	// OnTimeout signals an RTO-grade loss.
-	OnTimeout()
-	// Window returns the current congestion window in bytes.
-	Window() int
-	// Rate returns the current sending rate in bytes/second, or 0 for
-	// window-only controllers (no pacing; the window alone governs).
-	Rate() float64
 }
 
 // DCTCP is the ECN-fraction-proportional controller. Alpha is updated once
@@ -75,9 +45,6 @@ func NewDCTCP(mss, initCwnd, maxCwnd int) *DCTCP {
 
 // Window returns the congestion window in bytes.
 func (d *DCTCP) Window() int { return d.cwnd }
-
-// Rate returns 0: DCTCP is window-only.
-func (d *DCTCP) Rate() float64 { return 0 }
 
 // Alpha returns the smoothed marked fraction (for tests and telemetry).
 func (d *DCTCP) Alpha() float64 { return d.alpha }
@@ -179,9 +146,6 @@ func NewHPCC(mss, initCwnd, maxCwnd int, baseRTT time.Duration) *HPCC {
 // Window returns the congestion window in bytes.
 func (h *HPCC) Window() int { return h.cwnd }
 
-// Rate returns 0: HPCC as implemented here is window-only.
-func (h *HPCC) Rate() float64 { return 0 }
-
 // maxUtilization computes max over hops of the normalized inflight estimate
 // U_j = qlen/(B·T) + txRate/B.
 //
@@ -260,27 +224,3 @@ func (h *HPCC) OnTimeout() {
 	h.cwnd = h.mss
 	h.wc = h.cwnd
 }
-
-// Static is a fixed-window controller modelling the RDMA RC baseline's
-// hardware flow control: the window never moves and no rate is paced.
-// DCQCN (CNP-throttled rate control) and Swift are the reactive
-// alternatives the RDMA plane can swap in.
-type Static struct{ win int }
-
-// NewStatic creates a fixed window of win bytes.
-func NewStatic(win int) *Static { return &Static{win: win} }
-
-// Window returns the fixed window.
-func (s *Static) Window() int { return s.win }
-
-// Rate returns 0: the static baseline never paces.
-func (s *Static) Rate() float64 { return 0 }
-
-// OnAck is a no-op.
-func (s *Static) OnAck(Feedback) {}
-
-// OnLoss is a no-op (RC retransmits in hardware).
-func (s *Static) OnLoss() {}
-
-// OnTimeout is a no-op.
-func (s *Static) OnTimeout() {}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"lunasolar/internal/sim"
 	"lunasolar/internal/wire"
 )
 
@@ -127,12 +128,108 @@ func TestHPCCMostCongestedHopDominates(t *testing.T) {
 	}
 }
 
-func TestStatic(t *testing.T) {
-	s := NewStatic(128 * 1024)
-	s.OnAck(Feedback{AckedBytes: mss})
-	s.OnLoss()
-	s.OnTimeout()
-	if s.Window() != 128*1024 {
-		t.Fatalf("static window changed: %d", s.Window())
+func TestHPCCEmptyINTAdditiveIncrease(t *testing.T) {
+	// A probe or handshake ack carries no telemetry; HPCC must not stall
+	// or cut — exactly one gentle additive step.
+	h := NewHPCC(mss, 8*mss, 256*mss, 10*time.Microsecond)
+	before := h.Window()
+	h.OnAck(Feedback{AckedBytes: mss})
+	if h.Window() != before+mss/4 {
+		t.Fatalf("window = %d after empty-INT ack, want %d", h.Window(), before+mss/4)
 	}
+}
+
+// controller is the surface DCTCP and HPCC share, so the property test and
+// the fuzzer can drive both through one loop.
+type controller interface {
+	OnAck(Feedback)
+	OnLoss()
+	OnTimeout()
+	Window() int
+}
+
+// randomFeedback builds an arbitrary but deterministic Feedback from the
+// shared random stream, covering every signal the controllers consume.
+func randomFeedback(rng *sim.Rand) Feedback {
+	fb := Feedback{
+		AckedBytes: rng.Intn(16 * mss),
+		ECNMarked:  rng.Bernoulli(0.3),
+	}
+	if rng.Bernoulli(0.5) {
+		n := 1 + rng.Intn(int(wire.MaxINTHops))
+		for i := 0; i < n; i++ {
+			fb.INT = append(fb.INT, wire.INTHop{
+				HopID: uint16(rng.Intn(4)), QLenB: uint32(rng.Intn(500_000)),
+				TxBytes: uint64(rng.Intn(1 << 30)), RateMbs: 25000,
+				TSNanos: uint64(rng.Intn(1 << 30)),
+			})
+		}
+	}
+	return fb
+}
+
+// checkWindow asserts the bound every controller must hold no matter what
+// feedback it has seen.
+func checkWindow(t *testing.T, name string, c controller, maxCwnd int) {
+	t.Helper()
+	if w := c.Window(); w < mss || w > maxCwnd {
+		t.Fatalf("%s: window %d out of [%d, %d]", name, w, mss, maxCwnd)
+	}
+}
+
+// TestControllerInvariants drives both controllers with arbitrary feedback
+// interleaved with losses and timeouts: windows stay within [MSS, max].
+func TestControllerInvariants(t *testing.T) {
+	const maxCwnd = 64 * mss
+	make := map[string]func() controller{
+		"dctcp": func() controller { return NewDCTCP(mss, 8*mss, maxCwnd) },
+		"hpcc":  func() controller { return NewHPCC(mss, 8*mss, maxCwnd, 10*time.Microsecond) },
+	}
+	for name, mk := range make {
+		rng := sim.NewRand(42)
+		c := mk()
+		for i := 0; i < 20_000; i++ {
+			switch {
+			case rng.Bernoulli(0.01):
+				c.OnLoss()
+			case rng.Bernoulli(0.005):
+				c.OnTimeout()
+			default:
+				c.OnAck(randomFeedback(rng))
+			}
+			checkWindow(t, name, c, maxCwnd)
+		}
+	}
+}
+
+// FuzzFeedback feeds fuzzer-chosen feedback sequences to both controllers
+// and checks the same bound the property test enforces.
+func FuzzFeedback(f *testing.F) {
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(7), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, mix uint8) {
+		const maxCwnd = 64 * mss
+		ctrls := []struct {
+			name string
+			c    controller
+		}{
+			{"dctcp", NewDCTCP(mss, 8*mss, maxCwnd)},
+			{"hpcc", NewHPCC(mss, 8*mss, maxCwnd, 10*time.Microsecond)},
+		}
+		rng := sim.NewRand(seed)
+		for i := 0; i < 500; i++ {
+			fb := randomFeedback(rng)
+			for _, ct := range ctrls {
+				switch {
+				case mix&1 != 0 && i%97 == 0:
+					ct.c.OnLoss()
+				case mix&2 != 0 && i%193 == 0:
+					ct.c.OnTimeout()
+				default:
+					ct.c.OnAck(fb)
+				}
+				checkWindow(t, ct.name, ct.c, maxCwnd)
+			}
+		}
+	})
 }

@@ -25,7 +25,7 @@ type peer struct {
 type path struct {
 	id   uint16
 	rtt  *transport.RTT
-	ctrl cc.Controller
+	ctrl *cc.HPCC
 	ewma time.Duration // EWMA RTT for the "favour the low-RTT path" rule
 
 	inflightBytes int

@@ -411,14 +411,7 @@ func (s *Stack) runAck(j *ackJob) {
 	rttSample := s.eng.Now().Sub(e.sentAt)
 	foldINT(&p.tele, j.intStack.Hops, ack.ECNMarked)
 	if e.retx.Consecutive() == 0 { // Karn: only sample unambiguous transmissions
-		p.observe(rttSample, cc.Feedback{
-			RTT:        rttSample,
-			AckedBytes: e.size,
-			ECNMarked:  ack.ECNMarked,
-			INT:        j.intStack.Hops,
-			Delay:      rttSample, // per-packet sample (Karn-gated above)
-			Hops:       len(j.intStack.Hops),
-		})
+		p.observe(rttSample, cc.Feedback{AckedBytes: e.size, INT: j.intStack.Hops})
 	} else {
 		p.consecTO = 0
 		p.acked++

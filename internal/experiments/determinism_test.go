@@ -17,6 +17,9 @@ func TestParallelRunDeterminism(t *testing.T) {
 	}{
 		{"fig6", Fig6},
 		{"fig8", Fig8},
+		// The raw-stack cliff: per-connection QPs contending for one
+		// NIC's context cache and fetch engine.
+		{"rdmacliff", RDMACliff},
 		// The control-plane scenarios shard serial clusters per cell; the
 		// management traffic must interleave with foreground I/O
 		// identically however many workers simulate the cells.

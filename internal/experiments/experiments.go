@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"lunasolar/ebs"
-	"lunasolar/internal/cc"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/sim/runtime"
 	"lunasolar/internal/simnet"
@@ -43,17 +42,13 @@ type Options struct {
 	// the export are always counted; the formatted table is identical
 	// either way.
 	Telemetry bool
-	// CC selects the congestion controller of every RDMA stack the
-	// experiment builds (ebsbench -cc). The zero value is the static
-	// window; the CC-matrix experiments sweep all three regardless.
-	CC cc.Kind
 }
 
-// config returns ebs.DefaultConfig(fn) carrying the run's seed and mode
-// selections — the one place Options reach an ebs.Config.
+// config returns ebs.DefaultConfig(fn) carrying the run's seed — the one
+// place Options reach an ebs.Config.
 func (o Options) config(fn ebs.StackKind) ebs.Config {
 	cfg := ebs.DefaultConfig(fn)
-	cfg.Seed, cfg.CC = o.Seed, o.CC
+	cfg.Seed = o.Seed
 	return cfg
 }
 

@@ -179,3 +179,35 @@ func TestFig14SolarWins(t *testing.T) {
 		t.Fatalf("solar (%v) should beat luna (%v) at one core", solar1, luna1)
 	}
 }
+
+// TestRDMACliffShape gates the §3.1 cliff: no QP-context misses while the
+// connections fit the NIC cache, misses on every row beyond it, and the
+// aggregate throughput past the cache at most 0.85× the best at or below it.
+func TestRDMACliffShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster experiment")
+	}
+	tab := RDMACliff(quickOpts())
+	var bestFit, bestOver float64
+	for r := range tab.Rows {
+		conns, cache := cellF(t, tab, r, 0), cellF(t, tab, r, 1)
+		krps, misses := cellF(t, tab, r, 3), cellF(t, tab, r, 4)
+		if conns <= cache {
+			if misses != 0 {
+				t.Errorf("%v connections within a %v-QP cache: %v misses/RPC, want 0", conns, cache, misses)
+			}
+			bestFit = max(bestFit, krps)
+		} else {
+			if !(misses > 0) {
+				t.Errorf("%v connections over a %v-QP cache: %v misses/RPC, want > 0", conns, cache, misses)
+			}
+			bestOver = max(bestOver, krps)
+		}
+	}
+	if bestFit == 0 || bestOver == 0 {
+		t.Fatalf("sweep lacks rows on both sides of the cache:\n%s", tab.Format())
+	}
+	if bestOver > 0.85*bestFit {
+		t.Fatalf("past the cache: %v kRPC/s, want <= 0.85 x %v (best within it)\n%s", bestOver, bestFit, tab.Format())
+	}
+}

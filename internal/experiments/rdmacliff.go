@@ -57,7 +57,6 @@ func runCliff(opts Options, conns, cache int) (avgLat time.Duration, rps, missFr
 
 	params := rdma.DefaultParams()
 	params.QPCacheSize = cache
-	params.CC = opts.CC // -cc reaches the raw-stack experiments too
 
 	serverHost := fab.Host(0, 1, 0, 0)
 	server := rdma.New(eng, serverHost, sim.NewServer(eng, "srv", 32), nil, params)

@@ -1,9 +1,6 @@
 package rdma
 
 import (
-	"time"
-
-	"lunasolar/internal/cc"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/simnet"
 	"lunasolar/internal/transport"
@@ -22,15 +19,14 @@ const pktHdrSize = wire.TCPSegSize + wire.RPCSize + wire.EBSSize
 // fragment — so nothing the pool reclaims is ever shared with an in-flight
 // frame.
 type outPkt struct {
-	psn    uint32
-	hdr    []byte       // pooled RPC+EBS header image (wire.HeadersSize)
-	pay    []byte       // chunk bytes; subrange of slab
-	slab   *simnet.Slab // reference held until the packet is acknowledged
-	sentAt sim.Time     // NIC fire time of the latest transmission
-	retxed bool         // Karn: retransmitted PSNs give no delay samples
+	psn  uint32
+	hdr  []byte       // pooled RPC+EBS header image (wire.HeadersSize)
+	pay  []byte       // chunk bytes; subrange of slab
+	slab *simnet.Slab // reference held until the packet is acknowledged
 }
 
-// qp is one reliable-connection queue pair: go-back-N over PSNs.
+// qp is one reliable-connection queue pair: go-back-N over PSNs, with at
+// most params.WindowPkts packets in flight (the RC hardware window).
 type qp struct {
 	s   *Stack
 	key qpKey
@@ -51,18 +47,10 @@ type qp struct {
 	sampleAt    sim.Time
 	sampleValid bool
 
-	// Congestion control: the pluggable controller bounds inflight through
-	// Window() and, for rate-based kinds, paces transmissions through the
-	// pacer. The default static kind reproduces the old hardware window.
-	ctrl  cc.Controller
-	pacer cc.Pacer
-
 	// Receiver.
 	expectPSN uint32
 	nakSent   bool // one NAK per gap (RC behaviour), cleared on in-order
 	assembler map[uint64]*rpcJob
-	rxHops    uint8 // fabric hops data packets crossed, echoed on acks
-	lastCNP   sim.Time
 
 	lastRewind sim.Time // rate-limits go-back-N to once per RTT
 }
@@ -73,15 +61,10 @@ func newQP(s *Stack, k qpKey) *qp {
 		key:       k,
 		rtt:       transport.NewRTT(s.params.MinRTO, s.params.MaxRTO),
 		assembler: map[uint64]*rpcJob{},
-		ctrl:      s.newController(),
 	}
 	q.retx.Init(s.eng, q.rtt, -1, qpRTOExpired, q)
-	q.pacer.Init(s.eng, qpPacerFire, q)
 	return q
 }
-
-// qpPacerFire resumes the transmit loop when the pacing gap elapses.
-func qpPacerFire(a any) { a.(*qp).pump() }
 
 func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
 
@@ -179,28 +162,13 @@ func (q *qp) retire(n int) {
 	}
 }
 
-// pump transmits packets while the controller's window — and, for
-// rate-based controllers, its pacing budget — allows. With the default
-// static controller the window is WindowPkts×MTU and Rate() is 0, which
-// reduces to the old fixed-window loop exactly.
+// pump transmits packets while fewer than WindowPkts are in flight.
 func (q *qp) pump() {
-	winPkts := q.ctrl.Window() / q.s.params.MTU
-	if winPkts < 1 {
-		winPkts = 1
-	}
-	for q.inflight() < winPkts {
+	for q.inflight() < q.s.params.WindowPkts {
 		idx := int(q.sndNxt - q.sndUna)
 		sq := q.unacked()
 		if idx >= len(sq) {
 			break
-		}
-		if rate := q.ctrl.Rate(); rate > 0 {
-			now := q.s.eng.Now()
-			if !q.pacer.Ready(now) {
-				q.pacer.Arm(now)
-				break
-			}
-			q.pacer.Charge(now, pktHdrSize+len(sq[idx].pay), rate)
 		}
 		psn := sq[idx].psn
 		if !q.sampleValid {
@@ -290,12 +258,6 @@ func (q *qp) send(psn uint32) {
 	pkt.DstPort = q.key.remoteQPN
 	pkt.Overhead = simnet.EthOverhead + wire.IPv4Size
 	pkt.SentAt = q.s.eng.Now()
-	if q.s.params.CC == cc.KindDCQCN {
-		// DCQCN data is ECN-capable: switches CE-mark instead of only
-		// tail-dropping, and the receiver answers marks with CNPs.
-		pkt.ECN = wire.ECNECT0
-	}
-	p.sentAt = pkt.SentAt
 	if !q.s.host.Send(pkt) {
 		pkt.Release()
 	}
@@ -314,12 +276,6 @@ func (q *qp) control(nak bool) {
 		Ack:     q.expectPSN,
 		Flags:   flags,
 	}
-	if q.s.ccEnabled() {
-		// Echo the hop count data packets crossed so the sender's
-		// controller can scale its delay target (Swift). The field is
-		// unused (0) under the static baseline, keeping frames identical.
-		bth.Window = uint16(q.rxHops)
-	}
 	pkt := q.s.pool.Get(wire.TCPSegSize)
 	if err := bth.Encode(pkt.Payload); err != nil {
 		panic(err)
@@ -335,42 +291,6 @@ func (q *qp) control(nak bool) {
 	}
 }
 
-// maybeCNP emits one congestion notification toward the data sender,
-// rate-limited per QP so a burst of CE-marked arrivals folds into a single
-// signal (the RNIC's CNP moderation timer).
-func (q *qp) maybeCNP() {
-	now := q.s.eng.Now()
-	if q.lastCNP != 0 && now.Sub(q.lastCNP) < q.s.params.CNPInterval {
-		return
-	}
-	q.lastCNP = now
-	q.s.CNPsSent++
-	bth := wire.TCPSeg{
-		SrcPort: q.key.localQPN,
-		DstPort: q.key.remoteQPN,
-		Seq:     q.nextPSN,
-		Ack:     q.expectPSN,
-		Flags:   wire.TCPFlagACK | wire.TCPFlagECE,
-	}
-	cnp := wire.CNP{QPN: q.key.remoteQPN, PSN: q.expectPSN, TSNanos: uint64(now)}
-	pkt := q.s.pool.Get(wire.TCPSegSize + wire.CNPSize)
-	if err := bth.Encode(pkt.Payload); err != nil {
-		panic(err)
-	}
-	if err := cnp.Encode(pkt.Payload[wire.TCPSegSize:]); err != nil {
-		panic(err)
-	}
-	pkt.Dst = q.key.peer
-	pkt.Proto = Proto
-	pkt.SrcPort = q.key.localQPN
-	pkt.DstPort = q.key.remoteQPN
-	pkt.Overhead = simnet.EthOverhead + wire.IPv4Size
-	pkt.SentAt = now
-	if !q.s.host.Send(pkt) {
-		pkt.Release()
-	}
-}
-
 // qpRTOExpired adapts the shared retransmitter's expiry to the QP's
 // go-back-N policy.
 func qpRTOExpired(a any) { a.(*qp).onRTO() }
@@ -381,7 +301,6 @@ func (q *qp) onRTO() {
 		return
 	}
 	q.retx.RecordTimeout()
-	q.ctrl.OnTimeout()
 	q.goBackN()
 	q.retx.Arm()
 }
@@ -400,10 +319,6 @@ func (q *qp) goBackN() {
 	q.lastRewind = now
 	q.s.Retransmits++
 	q.sampleValid = false // Karn: retransmitted PSNs give no samples
-	sq := q.unacked()
-	for i := 0; i < q.inflight() && i < len(sq); i++ {
-		sq[i].retxed = true
-	}
 	q.sndNxt = q.sndUna
 	q.pump()
 }
@@ -426,18 +341,6 @@ func (q *qp) releasePkt(p *outPkt) {
 // its own reference on the frame's slab.
 func (q *qp) packetArrived(bth wire.TCPSeg, pkt *simnet.Packet) {
 	rest := pkt.Payload[wire.TCPSegSize:]
-	if bth.Flags&wire.TCPFlagECE != 0 {
-		// CNP: a pure congestion signal, carrying no ack or data. Feed the
-		// controller and stop — the payload is the wire.CNP frame.
-		var cnp wire.CNP
-		if cnp.Decode(rest) != nil {
-			return
-		}
-		q.s.CNPsRecv++
-		q.ctrl.OnAck(cc.Feedback{CNP: true})
-		q.pump() // rate changed; the pacer re-evaluates
-		return
-	}
 	// Acknowledgment side (cumulative; NAK flagged with RST). Validity is
 	// bounded by the highest PSN ever transmitted, not sndNxt: a go-back-N
 	// rewind pulls sndNxt below packets the receiver already holds, and its
@@ -447,16 +350,9 @@ func (q *qp) packetArrived(bth wire.TCPSeg, pkt *simnet.Packet) {
 	if seqLT(q.sndUna, ack) && !seqLT(q.sndMax, ack) {
 		now := q.s.eng.Now()
 		n := int(ack - q.sndUna)
-		acked := 0
-		var delay time.Duration
 		sq := q.unacked()
 		for i := 0; i < n; i++ {
-			p := &sq[i]
-			acked += pktHdrSize + len(p.pay)
-			if !p.retxed && p.sentAt != 0 {
-				delay = now.Sub(p.sentAt) // newest retired clean sample wins
-			}
-			q.releasePkt(p)
+			q.releasePkt(&sq[i])
 		}
 		q.retire(n)
 		q.sndUna = ack
@@ -468,12 +364,6 @@ func (q *qp) packetArrived(bth wire.TCPSeg, pkt *simnet.Packet) {
 			q.rtt.Observe(now.Sub(q.sampleAt))
 			q.sampleValid = false
 		}
-		q.ctrl.OnAck(cc.Feedback{
-			RTT:        q.rtt.SRTT(),
-			AckedBytes: acked,
-			Delay:      delay,
-			Hops:       int(bth.Window), // receiver-echoed (0 under static)
-		})
 		if q.inflight() > 0 || len(q.unacked()) > 0 {
 			q.retx.Arm()
 			q.pump()
@@ -483,19 +373,11 @@ func (q *qp) packetArrived(bth wire.TCPSeg, pkt *simnet.Packet) {
 	}
 	if bth.Flags&wire.TCPFlagRST != 0 && ack == q.sndUna && q.inflight() > 0 {
 		// NAK: receiver saw a gap. Rewind immediately.
-		q.ctrl.OnLoss()
 		q.goBackN()
 	}
 
 	if len(rest) == 0 {
 		return
-	}
-	// Data side: record congestion state for the feedback the acks carry.
-	if q.s.ccEnabled() {
-		q.rxHops = uint8(64 - int(pkt.TTL)) // Host.Send seeds TTL=64; switches decrement
-		if pkt.ECN == wire.ECNCE && q.s.params.CC == cc.KindDCQCN {
-			q.maybeCNP()
-		}
 	}
 	// Strict in-order acceptance (go-back-N receiver).
 	if bth.Seq != q.expectPSN {

@@ -14,7 +14,6 @@ package rdma
 import (
 	"time"
 
-	"lunasolar/internal/cc"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/simnet"
 	"lunasolar/internal/transport"
@@ -32,7 +31,7 @@ const ListenPort = 6010
 // Params is the RC model.
 type Params struct {
 	MTU        int // packet payload (4096)
-	WindowPkts int // send window per QP (the inflight bound all controllers inherit)
+	WindowPkts int // send window per QP: the RC hardware's fixed inflight bound
 	MinRTO     time.Duration
 	MaxRTO     time.Duration
 
@@ -40,17 +39,6 @@ type Params struct {
 
 	QPCacheSize      int           // NIC connection-context cache
 	CacheMissPenalty time.Duration // per packet on context miss
-
-	// CC selects the congestion controller every QP runs. The zero value
-	// (cc.KindStatic) is the hardware fixed window — byte-identical to the
-	// stack before controllers were pluggable. KindDCQCN marks data
-	// packets ECT and reacts to receiver CNPs by pacing; KindSwift reacts
-	// to hop-scaled delay by shrinking the window.
-	CC cc.Kind
-
-	CNPInterval     time.Duration // min gap between CNPs per QP (DCQCN)
-	SwiftBaseTarget time.Duration // Swift base target delay
-	SwiftHopScale   time.Duration // Swift extra target per fabric hop
 }
 
 // DefaultParams returns the RC model used in the comparisons.
@@ -63,9 +51,6 @@ func DefaultParams() Params {
 		PerRPCCPU:        700 * time.Nanosecond,
 		QPCacheSize:      5000,
 		CacheMissPenalty: 1500 * time.Nanosecond,
-		CNPInterval:      50 * time.Microsecond,
-		SwiftBaseTarget:  12 * time.Microsecond,
-		SwiftHopScale:    3 * time.Microsecond,
 	}
 }
 
@@ -77,22 +62,19 @@ type Stack struct {
 	pcie   *sim.Channel
 	params Params
 
-	qps       map[qpKey]*qp
-	clientQP  map[uint32]*qp // peer → the QP Call sends on (remoteQPN == ListenPort)
-	pending   map[uint64]func(*transport.Response)
-	freeJobs  *sim.Pool[rpcJob]
-	handler   transport.Handler
-	ids       transport.IDAlloc
-	pool      *simnet.PacketPool
-	nextQPN   uint16
-	cacheLRU  []qpKey     // front = coldest
-	ctxFetch  *sim.Server // serialized context-fetch engine (miss bandwidth)
-	lineBytes float64     // NIC port rate, bytes/s (DCQCN's rate ceiling)
+	qps      map[qpKey]*qp
+	clientQP map[uint32]*qp // peer → the QP Call sends on (remoteQPN == ListenPort)
+	pending  map[uint64]func(*transport.Response)
+	freeJobs *sim.Pool[rpcJob]
+	handler  transport.Handler
+	ids      transport.IDAlloc
+	pool     *simnet.PacketPool
+	nextQPN  uint16
+	cacheLRU []qpKey     // front = coldest
+	ctxFetch *sim.Server // serialized context-fetch engine (miss bandwidth)
 
 	CacheMisses uint64
 	Retransmits uint64
-	CNPsSent    uint64
-	CNPsRecv    uint64
 }
 
 type qpKey struct {
@@ -111,15 +93,6 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, pcie *sim.Channe
 	if params.WindowPkts <= 0 {
 		params.WindowPkts = 32
 	}
-	if params.CNPInterval <= 0 {
-		params.CNPInterval = 50 * time.Microsecond
-	}
-	if params.SwiftBaseTarget <= 0 {
-		params.SwiftBaseTarget = 12 * time.Microsecond
-	}
-	if params.SwiftHopScale <= 0 {
-		params.SwiftHopScale = 3 * time.Microsecond
-	}
 	s := &Stack{
 		eng:      eng,
 		host:     host,
@@ -134,32 +107,10 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, pcie *sim.Channe
 		ctxFetch: sim.NewServer(eng, "rnic-ctx", 1),
 		pool:     host.PacketPool(),
 	}
-	if ports := host.Ports(); len(ports) > 0 {
-		s.lineBytes = ports[0].RateBps() / 8
-	}
 	if host.Handler == nil {
 		host.Handler = s.ReceivePacket
 	}
 	return s
-}
-
-// ccEnabled reports whether a reactive controller (anything beyond the
-// static hardware window) is selected.
-func (s *Stack) ccEnabled() bool { return s.params.CC != cc.KindStatic }
-
-// newController builds one QP's congestion controller from the stack
-// params. Every controller inherits the static baseline's inflight bound
-// (WindowPkts × MTU) so the comparison isolates the reaction policy.
-func (s *Stack) newController() cc.Controller {
-	win := s.params.WindowPkts * s.params.MTU
-	switch s.params.CC {
-	case cc.KindDCQCN:
-		return cc.NewDCQCN(s.params.MTU, win, s.lineBytes)
-	case cc.KindSwift:
-		return cc.NewSwift(s.params.MTU, win, win, s.params.SwiftBaseTarget, s.params.SwiftHopScale, s.lineBytes)
-	default:
-		return cc.NewStatic(win)
-	}
 }
 
 // LocalAddr returns the host's fabric address.

@@ -50,9 +50,6 @@ type Port struct {
 // independently; FailLink takes both down).
 func (p *Port) SetUp(up bool) { p.up = up }
 
-// RateBps returns the link rate in bits/second.
-func (p *Port) RateBps() float64 { return p.rateBps }
-
 // serialization returns how long a frame of n bytes occupies the wire.
 func (p *Port) serialization(n int) time.Duration {
 	return time.Duration(float64(n*8) / p.rateBps * float64(time.Second))

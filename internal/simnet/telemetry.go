@@ -15,22 +15,6 @@ import (
 // MaxQueuedBytes returns the output queue's high-water mark in bytes.
 func (p *Port) MaxQueuedBytes() int { return p.maxQueued }
 
-// MaxQueuedBytes returns the deepest output-queue high-water mark across
-// every switch port in the fabric — the congestion signature the CC-matrix
-// experiments compare per controller. Switches are walked in tier order,
-// so the scan is deterministic (and the max is order-independent anyway).
-func (f *Fabric) MaxQueuedBytes() int {
-	maxq := 0
-	for _, sw := range f.Switches() {
-		for _, p := range sw.ports {
-			if p.maxQueued > maxq {
-				maxq = p.maxQueued
-			}
-		}
-	}
-	return maxq
-}
-
 // RegisterInto exports the fabric's per-hop telemetry into reg:
 // drops-by-reason counters under "<prefix>drops/<reason>", and per-switch
 // forwarding counters, ECN marks (summed over the switch's ports) and queue

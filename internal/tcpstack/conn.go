@@ -20,7 +20,7 @@ type conn struct {
 	s   *Stack
 	key connKey
 
-	ctrl *cc.DCTCP // window-only: pump never paces
+	ctrl *cc.DCTCP
 	rtt  *transport.RTT
 
 	// Sender state.
@@ -265,7 +265,6 @@ func (c *conn) processAck(hdr wire.TCPSeg, pureAck bool) {
 			}
 		}
 		c.ctrl.OnAck(cc.Feedback{
-			RTT:        c.rtt.SRTT(),
 			AckedBytes: acked,
 			ECNMarked:  hdr.Flags&wire.TCPFlagECE != 0,
 		})

@@ -1,11 +1,11 @@
 // Package wire defines the on-the-wire formats of the EBS frontend network:
 // Luna's TCP segment header, the RPC header, Solar's EBS header (Figs. 12–13
 // of the paper: opcode, virtual-disk addressing and per-block CRC carried in
-// every packet), the per-packet ACK, the RoCE CNP, and the in-band network
-// telemetry (INT) stack that HPCC congestion control consumes. IPv4 and UDP
-// have no codec: a frame's addressing (hosts, ports, Solar's path ID, ECN)
-// rides on simnet.Packet fields, and the two headers enter only as frame
-// overhead (IPv4Size, UDPSize).
+// every packet), the per-packet ACK, and the in-band network telemetry
+// (INT) stack that HPCC congestion control consumes. IPv4 and UDP have no
+// codec: a frame's addressing (hosts, ports, Solar's path ID, ECN) rides on
+// simnet.Packet fields, and the two headers enter only as frame overhead
+// (IPv4Size, UDPSize).
 //
 // All types follow the zero-copy decode/serialize idiom: Encode writes into
 // a caller-supplied slice at a fixed offset layout and Decode reads from one
@@ -99,44 +99,6 @@ func (h *TCPSeg) Decode(b []byte) error {
 	h.Ack = be.Uint32(b[8:])
 	h.Flags = b[13]
 	h.Window = be.Uint16(b[14:])
-	return nil
-}
-
-// CNPSize is the congestion-notification payload length.
-const CNPSize = 16
-
-// CNP is the RoCE congestion notification packet the RDMA receiver emits
-// when CE-marked data arrives and DCQCN is the active controller. It rides
-// behind a BTH whose flags carry ACK|ECE (the RDMA stack reuses TCPSeg as
-// its BTH) and tells the sender's rate state machine to decrease. The
-// fields identify the triggering flow for diagnostics; the signal itself
-// is the frame's arrival.
-type CNP struct {
-	QPN     uint16 // sender's queue pair (the one being throttled)
-	PSN     uint32 // receiver's expected PSN when the mark was seen
-	TSNanos uint64 // virtual time the mark was observed
-}
-
-// Encode writes the CNP into b[:CNPSize].
-func (h *CNP) Encode(b []byte) error {
-	if len(b) < CNPSize {
-		return ErrShort
-	}
-	be.PutUint16(b[0:], h.QPN)
-	be.PutUint16(b[2:], 0) // reserved
-	be.PutUint32(b[4:], h.PSN)
-	be.PutUint64(b[8:], h.TSNanos)
-	return nil
-}
-
-// Decode reads the CNP from b.
-func (h *CNP) Decode(b []byte) error {
-	if len(b) < CNPSize {
-		return ErrShort
-	}
-	h.QPN = be.Uint16(b[0:])
-	h.PSN = be.Uint32(b[4:])
-	h.TSNanos = be.Uint64(b[8:])
 	return nil
 }
 

@@ -164,26 +164,6 @@ func BenchmarkEBSEncodeDecode(b *testing.B) {
 	}
 }
 
-func TestCNPRoundTrip(t *testing.T) {
-	f := func(qpn uint16, psn uint32, ts uint64) bool {
-		in := CNP{QPN: qpn, PSN: psn, TSNanos: ts}
-		var b [CNPSize]byte
-		in.Encode(b[:])
-		var out CNP
-		if err := out.Decode(b[:]); err != nil {
-			return false
-		}
-		return in == out
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	var short CNP
-	if err := short.Decode(make([]byte, CNPSize-1)); err == nil {
-		t.Fatal("short CNP buffer decoded")
-	}
-}
-
 func TestBlocks(t *testing.T) {
 	for _, tc := range []struct{ n, want int }{
 		{-BlockSize, 0}, {-1, 0}, {0, 0}, {1, 1}, {BlockSize, 1}, {BlockSize + 1, 2}, {128 << 10, 32},
