@@ -14,7 +14,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build fmt vet lint staticcheck govulncheck test race cover fuzz-smoke bench bench-compare bench-smoke check
+.PHONY: build fmt vet lint staticcheck govulncheck test race cover fuzz-smoke golden bench bench-compare bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,21 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'CDFAt' -benchtime 1x -benchmem ./internal/stats
 	$(GO) run ./cmd/ebsbench -exp fig6 -quick -workers 1 -metrics-out METRICS.json > /dev/null
 	grep -q '"schema": "lunasolar.metrics/v1"' METRICS.json
+
+# The identity artifacts of a behaviour-preserving change: make golden
+# OUT=<dir> writes the quick `-exp all -seed 1` tables (tables.txt, with the
+# wall-clock `completed in` lines dropped and each `perf:` line cut to its
+# shard and event counts), the `-json` rows (rows.jsonl) and the merged
+# registry (METRICS.json). Run it at the parent and at the change, then
+# `diff -r` the two directories. About a minute; not part of `check`.
+golden:
+	@test -n "$(OUT)" || { echo "usage: make golden OUT=<dir>"; exit 2; }
+	@mkdir -p "$(OUT)"
+	$(GO) run ./cmd/ebsbench -exp all -quick -seed 1 -metrics-out "$(OUT)/METRICS.json" > "$(OUT)/tables.raw"
+	grep -v '^\[[^ ]* completed in ' "$(OUT)/tables.raw" \
+		| sed -E 's/^(\[[^ ]* perf: [0-9]+ shards, [0-9.]+M events).*/\1]/' > "$(OUT)/tables.txt"
+	@rm -f "$(OUT)/tables.raw"
+	$(GO) run ./cmd/ebsbench -exp all -quick -seed 1 -json > "$(OUT)/rows.jsonl"
 
 # The wall-cost ledger: every workload of the repository benchmark, once,
 # in the benchmark's own report schema (see benchmark/README.md).

@@ -1,6 +1,7 @@
 // Command ebsfio is a fio-like load generator for the simulated EBS
 // cluster: pick a stack, block size, queue depth and read fraction, and it
-// reports throughput, IOPS and latency percentiles.
+// reports throughput, IOPS and latency percentiles over the I/Os that
+// succeeded. Failed I/Os are counted apart and make it exit 1.
 //
 //	ebsfio -stack solar -bs 4096 -depth 32 -read 1.0 -runtime 100ms
 //	ebsfio -stack luna -bs 65536 -depth 16 -read 0.0 -cores 2
@@ -39,6 +40,9 @@ func parseStack(s string) (ebs.StackKind, bool) {
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// span is the LBA range the closed loop touches and reads prepopulate.
+const span = 16 << 20
+
 // run is the whole command. Every flag is checked before a cluster is
 // built: workload.NewFio substitutes defaults for non-positive values, so
 // an unchecked `-bs 0` would print bs=0 over a 4 KiB run.
@@ -64,6 +68,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *bs <= 0:
 		fmt.Fprintf(stderr, "ebsfio: -bs %d: block size must be positive\n", *bs)
+		return 2
+	case *bs > span:
+		fmt.Fprintf(stderr, "ebsfio: -bs %d: block size exceeds the %d-byte span\n", *bs, span)
 		return 2
 	case *depth <= 0:
 		fmt.Fprintf(stderr, "ebsfio: -depth %d: queue depth must be positive\n", *depth)
@@ -98,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	vd := c.MustProvision(0, 512<<20, ebs.DefaultQoS())
 
 	// Prepopulate the span touched by reads.
-	span := uint64(16 << 20)
 	if *readFrac > 0 {
 		for off := uint64(0); off < span; off += 512 << 10 {
 			vd.Write(off, make([]byte, 512<<10), nil)
@@ -106,9 +112,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		c.Run()
 	}
 
+	// Only successful I/Os count toward latency, IOPS and bandwidth.
 	h := stats.NewHistogram()
+	var n, bytes, failed uint64
+	var firstErr error
 	var recorded []workload.TraceRecord
 	startAt := c.Now()
+	lastDone := startAt
 	issueIO := func(write bool, lba uint64, size int, done func()) {
 		if *record != "" {
 			recorded = append(recorded, workload.TraceRecord{
@@ -116,8 +126,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			})
 		}
 		start := c.Eng.Now()
-		fin := func(ebs.IOResult) {
-			h.Record(c.Eng.Now().Sub(start))
+		fin := func(res ebs.IOResult) {
+			lastDone = c.Now()
+			if res.Err != nil {
+				failed++
+				if firstErr == nil {
+					firstErr = res.Err
+				}
+			} else {
+				h.Record(c.Eng.Now().Sub(start))
+				n++
+				bytes += uint64(size)
+			}
 			done()
 		}
 		if write {
@@ -127,7 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var bytes, n uint64
 	if *replay != "" {
 		f, err := os.Open(*replay)
 		if err != nil {
@@ -143,13 +162,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rp := workload.NewReplayer(c.Eng, recs, issueIO)
 		rp.Start()
 		c.Run()
-		n = uint64(rp.Completed)
-		for _, r := range recs {
-			bytes += uint64(r.Size)
-		}
-		if len(recs) > 0 {
-			*runtime = recs[len(recs)-1].At
-		}
+		// The window runs from the start of the replay to the last
+		// completion, so it includes the last I/O's service time.
+		*runtime = lastDone - startAt
 		fmt.Fprintf(stdout, "replayed %d I/Os from %s\n", rp.Completed, *replay)
 	} else {
 		fio := workload.NewFio(c.Eng, workload.FioConfig{
@@ -159,11 +174,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fio.Start()
 		c.RunFor(warmup)
 		h.Reset()
-		base := fio.Bytes
-		baseN := fio.Completed
+		n, bytes, failed, firstErr = 0, 0, 0, nil
 		c.RunFor(*runtime)
-		bytes = fio.Bytes - base
-		n = fio.Completed - baseN
 		fio.Stop()
 	}
 
@@ -181,12 +193,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "recorded %d I/Os to %s\n", len(recorded), *record)
 	}
 
-	secs := runtime.Seconds()
+	var iops, mbs float64
+	if secs := runtime.Seconds(); secs > 0 {
+		iops, mbs = float64(n)/secs, float64(bytes)/secs/1e6
+	}
 	fmt.Fprintf(stdout, "stack=%s bs=%d depth=%d read=%.2f window=%v\n", fn, *bs, *depth, *readFrac, *runtime)
-	fmt.Fprintf(stdout, "  iops=%.0f  bw=%.1f MB/s  completed=%d\n",
-		float64(n)/secs, float64(bytes)/secs/1e6, n)
+	fmt.Fprintf(stdout, "  iops=%.0f  bw=%.1f MB/s  completed=%d  failed=%d\n", iops, mbs, n, failed)
 	fmt.Fprintf(stdout, "  lat p50=%v p95=%v p99=%v max=%v\n",
 		h.Median().Round(100*time.Nanosecond), h.P95().Round(100*time.Nanosecond),
 		h.P99().Round(100*time.Nanosecond), h.Max().Round(100*time.Nanosecond))
+	if failed > 0 {
+		fmt.Fprintf(stderr, "ebsfio: %d I/Os failed; first: %v\n", failed, firstErr)
+		return 1
+	}
 	return 0
 }

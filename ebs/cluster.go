@@ -98,7 +98,7 @@ func New(cfg Config) *Cluster {
 		chunkAddrs = append(chunkAddrs, host.Addr())
 	}
 
-	for i := 0; i < cfg.BlockServers && !cfg.Edge; i++ {
+	for i := 0; i < cfg.BlockServers; i++ {
 		host := storageHost(i)
 		cores := sim.NewServer(eng, fmt.Sprintf("block%d-cpu", i), cfg.StorageCores)
 		var fnStack transport.Stack
@@ -129,34 +129,11 @@ func New(cfg Config) *Cluster {
 		host := fab.Host(0, computePod, rack, i%cfg.Fabric.HostsPerRack)
 		var card *dpu.DPU
 		var cores *sim.Server
-		if cfg.BareMetal || cfg.Edge {
+		if cfg.BareMetal {
 			card = dpu.New(eng, cfg.DPU)
 			cores = card.CPU
 		} else {
 			cores = sim.NewServer(eng, fmt.Sprintf("compute%d-stack", i), cfg.StackCores)
-		}
-
-		if cfg.Edge {
-			// §4.8 integrated mode: SA → in-card handover → local block
-			// server → BN replication to the chunk servers.
-			lo := transport.NewLoopback(func(d time.Duration, fn func()) {
-				eng.Schedule(d, fn)
-			}, 2*time.Microsecond, host.Addr())
-			bn := c.newStack(RDMA, host, cores, nil)
-			bs, err := blockserver.New(eng, fmt.Sprintf("edge-block%d", i), lo, bn,
-				chunkAddrs, cores, blockserver.DefaultParams())
-			if err != nil {
-				panic(err)
-			}
-			saParams := sa.OffloadedParams()
-			saParams.Encrypted = cfg.Encrypted
-			agent := sa.New(eng, cores, lo, c.segs, saParams)
-			agent.SetCollector(c.collector)
-			c.computes = append(c.computes, &ComputeServer{
-				Host: host, Cores: cores, DPU: card, Stack: lo, Agent: agent,
-			})
-			c.blocks = append(c.blocks, &StorageServer{Host: host, Cores: cores, Block: bs, FN: lo})
-			continue
 		}
 
 		stack := c.newStack(cfg.FN, host, cores, card)
@@ -164,7 +141,6 @@ func New(cfg Config) *Cluster {
 		if cfg.FN == Solar || cfg.FN == SolarStar {
 			saParams = sa.OffloadedParams()
 		}
-		saParams.Encrypted = cfg.Encrypted
 		agent := sa.New(eng, cores, stack, c.segs, saParams)
 		agent.SetCollector(c.collector)
 		c.computes = append(c.computes, &ComputeServer{
@@ -198,11 +174,11 @@ func (c *Cluster) newStack(kind StackKind, host *simnet.Host, cores *sim.Server,
 		return rdma.New(eng, host, cores, pcie, RDMAStackParams())
 	case Solar, SolarStar:
 		if card != nil {
-			p := SolarStackParams(kind, c.cfg.Encrypted)
+			p := SolarStackParams(kind, false)
 			if c.cfg.SolarOverride != nil {
+				mode := p.Mode
 				p = *c.cfg.SolarOverride
-				p.Mode = SolarStackParams(kind, c.cfg.Encrypted).Mode
-				p.Encrypted = c.cfg.Encrypted
+				p.Mode = mode
 			}
 			return core.New(eng, host, cores, card, p)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lunasolar/internal/core"
 	"lunasolar/internal/trace"
 )
 
@@ -156,6 +157,32 @@ func TestCrossSegmentWriteSplits(t *testing.T) {
 	c.Run()
 	if !bytes.Equal(rres.Data, data) {
 		t.Fatal("cross-segment read-back mismatch")
+	}
+}
+
+// TestSolarReadBackSurvivesRetransmission writes 32 KiB over Solar with
+// both pod-0 spines dropping 30 % of packets: the retransmitted blocks must
+// commit, and the read must return the written bytes.
+func TestSolarReadBackSurvivesRetransmission(t *testing.T) {
+	c := testCluster(t, Solar)
+	c.Fabric.Spine(0, 0, 0).SetDropRate(0.3)
+	c.Fabric.Spine(0, 0, 1).SetDropRate(0.3)
+	vd := c.MustProvision(0, 16<<20, DefaultQoS())
+	data := fill(32<<10, 99)
+	var wres, rres IOResult
+	vd.Write(0, data, func(res IOResult) {
+		wres = res
+		vd.Read(0, len(data), func(res IOResult) { rres = res })
+	})
+	c.Run()
+	if wres.Err != nil || rres.Err != nil {
+		t.Fatalf("errs: write %v, read %v", wres.Err, rres.Err)
+	}
+	if !bytes.Equal(rres.Data, data) {
+		t.Fatal("read-back mismatch after retransmission")
+	}
+	if st := c.Compute(0).Stack.(*core.Stack); st.Retransmits == 0 {
+		t.Fatal("no retransmission under 30 % spine loss: the test exercises nothing")
 	}
 }
 

@@ -95,26 +95,17 @@ type Config struct {
 	// Requires Fabric.DCs >= 2 and Fabric.DCRouters >= 1.
 	CrossDC bool
 
-	// Edge enables §4.8's "Integrated EBS with DPU": the storage agent and
-	// block server share each compute server's DPU (an in-card handover
-	// replaces the frontend-network RPC), and the integrated block server
-	// replicates straight to the chunk servers over the backend network.
-	// BlockServers is ignored; each compute hosts its own. Virtual disks
-	// provisioned on a compute are served by that compute's block server.
-	Edge bool
-
 	// SolarOverride, when non-nil, replaces the Solar client parameters
-	// (ablation studies: path counts, CRC strategy, window sizes). Mode and
-	// Encrypted are still derived from FN/Encrypted.
+	// (ablation studies: path counts, CRC strategy, window sizes). Mode is
+	// still derived from FN.
 	SolarOverride *core.Params
 
-	Encrypted bool
-	Seed      int64
+	Seed int64
 }
 
 // DefaultConfig returns a cluster sized like the Table 2 testbed scaled
-// down: one compute pod and one storage pod in a single DC. CC is left at
-// its zero value (static window).
+// down: one compute pod and one storage pod in a single DC. Each stack runs
+// the congestion control the paper pairs it with (see the stack presets).
 func DefaultConfig(fn StackKind) Config {
 	fab := simnet.DefaultConfig()
 	fab.RacksPerPod = 4
@@ -137,13 +128,10 @@ func DefaultConfig(fn StackKind) Config {
 	return cfg
 }
 
-// Validate reports why cfg cannot be built into a cluster; nil means New
-// accepts it.
-func (cfg Config) Validate() error { return cfg.validate(false) }
-
-// validate is the one place a composition is accepted or rejected. With
-// ctrlPlane set it also applies the control plane's preconditions.
-func (cfg Config) validate(ctrlPlane bool) error {
+// Validate is the one place a composition is accepted or rejected: it
+// reports why cfg cannot be built into a cluster, and nil means New accepts
+// it.
+func (cfg Config) Validate() error {
 	if cfg.FN < KernelTCP || cfg.FN > SolarStar {
 		return fmt.Errorf("ebs: unknown stack kind %d", cfg.FN)
 	}
@@ -155,7 +143,7 @@ func (cfg Config) validate(ctrlPlane bool) error {
 	// SSD. The stack runs on the DPU (Solar kinds always do; New forces
 	// BareMetal) or on host cores, never both, so only one of the last two
 	// counts.
-	dpuResident := cfg.BareMetal || cfg.Edge || cfg.FN == Solar || cfg.FN == SolarStar
+	dpuResident := cfg.BareMetal || cfg.FN == Solar || cfg.FN == SolarStar
 	for _, k := range []struct {
 		name string
 		v    float64
@@ -196,12 +184,6 @@ func (cfg Config) validate(ctrlPlane bool) error {
 	// Storage lives in pod 1 of the compute DC unless CrossDC moves it.
 	if !cfg.CrossDC && cfg.Fabric.PodsPerDC < 2 {
 		return fmt.Errorf("ebs: storage needs a second pod: Fabric.PodsPerDC is %d without CrossDC", cfg.Fabric.PodsPerDC)
-	}
-	if cfg.Edge && cfg.FN != Solar {
-		return errors.New("ebs: Edge mode integrates the Solar-era DPU; set FN to Solar")
-	}
-	if ctrlPlane && cfg.Edge {
-		return errors.New("ebs: control plane does not support Edge mode")
 	}
 	return nil
 }
@@ -274,11 +256,15 @@ func LunaStackParams() tcpstack.Params {
 func RDMAStackParams() rdma.Params { return rdma.DefaultParams() }
 
 // SolarStackParams returns the Solar client model for the given placement.
+// encrypted must be false: per-disk encryption is not modelled, and the
+// argument stays only so existing callers keep compiling.
 func SolarStackParams(kind StackKind, encrypted bool) core.Params {
+	if encrypted {
+		panic("ebs: SolarStackParams: per-disk encryption is not modelled")
+	}
 	p := core.DefaultParams()
 	if kind == SolarStar {
 		p.Mode = core.CPUPath
 	}
-	p.Encrypted = encrypted
 	return p
 }

@@ -63,13 +63,10 @@ type reply struct {
 }
 
 // ControlPlane returns the cluster's management service, creating it on
-// first use. Edge clusters get Config.validate's error.
+// first use.
 func (c *Cluster) ControlPlane() (*ControlPlane, error) {
 	if c.ctrlPlane != nil {
 		return c.ctrlPlane, nil
-	}
-	if err := c.cfg.validate(true); err != nil {
-		return nil, err
 	}
 	cp := &ControlPlane{
 		c:           c,

@@ -5,59 +5,44 @@ import (
 	"testing"
 )
 
-// Every rejected composition is an error from Config.validate — the one
-// place compositions are judged. New panics with exactly that error;
-// ControlPlane returns it.
+// Every rejected composition is an error from Config.Validate — the one
+// place compositions are judged. New panics with exactly that error.
 func TestValidateRejects(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		fn        StackKind
-		mutate    func(*Config)
-		ctrlPlane bool
-		want      string
+		name   string
+		fn     StackKind
+		mutate func(*Config)
+		want   string
 	}{
-		{"no computes", Solar, func(c *Config) { c.ComputeServers = 0 }, false, "cluster needs computes"},
-		{"two chunk servers", Solar, func(c *Config) { c.ChunkServers = 2 }, false, ">=3 chunk servers"},
-		{"computes overflow pod", Solar, func(c *Config) { c.ComputeServers = 9 }, false, "9 compute servers exceed pod capacity 8"},
-		{"storage overflows pod", Solar, func(c *Config) { c.ChunkServers = 7 }, false, "9 storage servers exceed pod capacity 8"},
-		{"cross-DC on one DC", Solar, func(c *Config) { c.CrossDC = true }, false, "CrossDC requires >=2 DCs"},
-		{"edge on luna", Luna, func(c *Config) { c.Edge = true }, false, "Edge mode integrates the Solar-era DPU"},
-		{"unknown stack kind", Luna, func(c *Config) { c.FN = 9 }, false, "unknown stack kind 9"},
-		{"no storage cores", Solar, func(c *Config) { c.StorageCores = 0 }, false, "StorageCores must be positive"},
-		{"no stack cores on luna", Luna, func(c *Config) { c.StackCores = 0 }, false, "StackCores must be positive"},
-		{"no PCIe on solar", Solar, func(c *Config) { c.DPU.PCIeBps = 0 }, false, "DPU.PCIeBps must be positive"},
-		{"no PCIe on solar before BareMetal", Solar, func(c *Config) { c.BareMetal, c.DPU.PCIeBps = false, 0 }, false, "DPU.PCIeBps must be positive"},
-		{"no host link rate", RDMA, func(c *Config) { c.Fabric.HostLinkBps = 0 }, false, "Fabric.HostLinkBps must be positive"},
-		{"no fabric link rate", RDMA, func(c *Config) { c.Fabric.FabricLinkBps = 0 }, false, "Fabric.FabricLinkBps must be positive"},
-		{"no spines", Solar, func(c *Config) { c.Fabric.SpinesPerPod = 0 }, false, "Fabric.SpinesPerPod must be positive"},
-		{"no cores", Solar, func(c *Config) { c.Fabric.CoresPerDC = 0 }, false, "Fabric.CoresPerDC must be positive"},
-		{"no SSD IOPS", Luna, func(c *Config) { c.SSD.IOPSCap = 0 }, false, "SSD.IOPSCap must be positive"},
-		{"no DCs", Solar, func(c *Config) { c.Fabric.DCs = 0 }, false, "Fabric.DCs must be positive"},
-		{"no pods", Luna, func(c *Config) { c.Fabric.PodsPerDC = 0 }, false, "Fabric.PodsPerDC must be positive"},
-		{"no racks", Solar, func(c *Config) { c.Fabric.RacksPerPod = 0 }, false, "Fabric.RacksPerPod must be positive"},
-		{"no hosts per rack", RDMA, func(c *Config) { c.Fabric.HostsPerRack = 0 }, false, "Fabric.HostsPerRack must be positive"},
-		{"one pod without CrossDC", Solar, func(c *Config) { c.Fabric.PodsPerDC = 1 }, false, "storage needs a second pod: Fabric.PodsPerDC is 1 without CrossDC"},
-		{"no port buffer", Solar, func(c *Config) { c.Fabric.BufferBytes = 0 }, false, "Fabric.BufferBytes 0 is below one 9000 B frame"},
-		{"port buffer below a frame", Luna, func(c *Config) { c.Fabric.BufferBytes = 1000 }, false, "Fabric.BufferBytes 1000 is below one 9000 B frame"},
-		{"control plane on edge", Solar, func(c *Config) { c.Edge = true }, true, "control plane does not support Edge mode"},
+		{"no computes", Solar, func(c *Config) { c.ComputeServers = 0 }, "cluster needs computes"},
+		{"two chunk servers", Solar, func(c *Config) { c.ChunkServers = 2 }, ">=3 chunk servers"},
+		{"computes overflow pod", Solar, func(c *Config) { c.ComputeServers = 9 }, "9 compute servers exceed pod capacity 8"},
+		{"storage overflows pod", Solar, func(c *Config) { c.ChunkServers = 7 }, "9 storage servers exceed pod capacity 8"},
+		{"cross-DC on one DC", Solar, func(c *Config) { c.CrossDC = true }, "CrossDC requires >=2 DCs"},
+		{"unknown stack kind", Luna, func(c *Config) { c.FN = 9 }, "unknown stack kind 9"},
+		{"no storage cores", Solar, func(c *Config) { c.StorageCores = 0 }, "StorageCores must be positive"},
+		{"no stack cores on luna", Luna, func(c *Config) { c.StackCores = 0 }, "StackCores must be positive"},
+		{"no PCIe on solar", Solar, func(c *Config) { c.DPU.PCIeBps = 0 }, "DPU.PCIeBps must be positive"},
+		{"no PCIe on solar before BareMetal", Solar, func(c *Config) { c.BareMetal, c.DPU.PCIeBps = false, 0 }, "DPU.PCIeBps must be positive"},
+		{"no host link rate", RDMA, func(c *Config) { c.Fabric.HostLinkBps = 0 }, "Fabric.HostLinkBps must be positive"},
+		{"no fabric link rate", RDMA, func(c *Config) { c.Fabric.FabricLinkBps = 0 }, "Fabric.FabricLinkBps must be positive"},
+		{"no spines", Solar, func(c *Config) { c.Fabric.SpinesPerPod = 0 }, "Fabric.SpinesPerPod must be positive"},
+		{"no cores", Solar, func(c *Config) { c.Fabric.CoresPerDC = 0 }, "Fabric.CoresPerDC must be positive"},
+		{"no SSD IOPS", Luna, func(c *Config) { c.SSD.IOPSCap = 0 }, "SSD.IOPSCap must be positive"},
+		{"no DCs", Solar, func(c *Config) { c.Fabric.DCs = 0 }, "Fabric.DCs must be positive"},
+		{"no pods", Luna, func(c *Config) { c.Fabric.PodsPerDC = 0 }, "Fabric.PodsPerDC must be positive"},
+		{"no racks", Solar, func(c *Config) { c.Fabric.RacksPerPod = 0 }, "Fabric.RacksPerPod must be positive"},
+		{"no hosts per rack", RDMA, func(c *Config) { c.Fabric.HostsPerRack = 0 }, "Fabric.HostsPerRack must be positive"},
+		{"one pod without CrossDC", Solar, func(c *Config) { c.Fabric.PodsPerDC = 1 }, "storage needs a second pod: Fabric.PodsPerDC is 1 without CrossDC"},
+		{"no port buffer", Solar, func(c *Config) { c.Fabric.BufferBytes = 0 }, "Fabric.BufferBytes 0 is below one 9000 B frame"},
+		{"port buffer below a frame", Luna, func(c *Config) { c.Fabric.BufferBytes = 1000 }, "Fabric.BufferBytes 1000 is below one 9000 B frame"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig(tc.fn)
 			tc.mutate(&cfg)
-			err := cfg.validate(tc.ctrlPlane)
+			err := cfg.Validate()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("validate = %v, want error containing %q", err, tc.want)
-			}
-			if tc.ctrlPlane {
-				if verr := cfg.Validate(); verr != nil {
-					t.Fatalf("cluster-only Validate rejected a control-plane precondition: %v", verr)
-				}
-			}
-			if tc.ctrlPlane {
-				if _, cerr := New(cfg).ControlPlane(); cerr == nil || cerr.Error() != err.Error() {
-					t.Fatalf("ControlPlane returned %v, want %v", cerr, err)
-				}
-				return
+				t.Fatalf("Validate = %v, want error containing %q", err, tc.want)
 			}
 			defer func() {
 				if r := recover(); r == nil || r.(error).Error() != err.Error() {
@@ -67,7 +52,7 @@ func TestValidateRejects(t *testing.T) {
 			New(cfg)
 		})
 	}
-	if err := smallConfig(Solar).validate(true); err != nil {
+	if err := smallConfig(Solar).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	// Host stack cores matter only off the DPU, PCIe only on it; a second

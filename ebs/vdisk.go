@@ -3,9 +3,7 @@ package ebs
 import (
 	"fmt"
 
-	"lunasolar/internal/core"
 	"lunasolar/internal/sa"
-	"lunasolar/internal/seccrypto"
 )
 
 // VDisk is a provisioned virtual disk attached to one compute server.
@@ -27,13 +25,7 @@ func (c *Cluster) Provision(computeIdx int, sizeBytes uint64, qos sa.QoSSpec) (*
 	if computeIdx < 0 || computeIdx >= len(c.computes) {
 		return nil, fmt.Errorf("ebs: provision on compute %d of %d", computeIdx, len(c.computes))
 	}
-	servers := c.BlockServerAddrs()
-	if c.cfg.Edge {
-		// Integrated mode: this disk's segments live behind the compute's
-		// own block server.
-		servers = []uint32{c.computes[computeIdx].Host.Addr()}
-	}
-	return c.provisionOn(computeIdx, sizeBytes, qos, servers)
+	return c.provisionOn(computeIdx, sizeBytes, qos, c.BlockServerAddrs())
 }
 
 // provisionOn creates a disk with an explicit segment placement: servers
@@ -48,22 +40,6 @@ func (c *Cluster) provisionOn(computeIdx int, sizeBytes uint64, qos sa.QoSSpec, 
 	}
 	agent := c.computes[computeIdx].Agent
 	agent.SetQoS(id, qos)
-	if c.cfg.Encrypted {
-		// Per-disk key, installed both in the software SA and the Solar
-		// SEC engine (whichever path the cluster uses).
-		key := seccrypto.DeriveKey([]byte("cluster-provisioning-secret"), id)
-		cipher, err := seccrypto.New(key)
-		if err != nil {
-			// Roll back the mapping so the ID is not half-provisioned.
-			_ = c.segs.Delete(id)
-			agent.ClearQoS(id)
-			return nil, fmt.Errorf("ebs: provision vdisk %d cipher: %w", id, err)
-		}
-		agent.SetCipher(id, cipher)
-		if st, ok := c.computes[computeIdx].Stack.(*core.Stack); ok {
-			st.SetCipher(id, cipher)
-		}
-	}
 	c.nextVD = id
 	return &VDisk{ID: id, cluster: c, agent: agent}, nil
 }

@@ -8,42 +8,6 @@ import (
 	"lunasolar/internal/wire"
 )
 
-// TestProbeRoundTripAllocFree drives the pure packet path — probe out, ack
-// back, timer armed and cancelled, HPCC and RTT updated — and asserts it is
-// allocation-free in steady state. This is the tightest loop in the
-// simulator: every experiment pays it once per packet.
-func TestProbeRoundTripAllocFree(t *testing.T) {
-	r := newRig(t, dpu.FaultRates{}, Offloaded)
-
-	// One write establishes the peer and its paths.
-	done := false
-	r.client.Call(r.server.LocalAddr(),
-		&transport.Message{Op: wire.RPCWriteReq, LBA: 0, Gen: 1, Data: fill(4096, 1)},
-		func(*transport.Response) { done = true })
-	r.eng.Run()
-	if !done {
-		t.Fatal("warmup write failed")
-	}
-	pe := r.client.peers[r.server.LocalAddr()]
-	if pe == nil || len(pe.paths) == 0 {
-		t.Fatal("no peer paths after warmup")
-	}
-
-	probe := func() {
-		r.client.sendProbe(pe, pe.paths[0])
-		r.eng.Run()
-	}
-	for i := 0; i < 64; i++ {
-		probe()
-	}
-	if allocs := testing.AllocsPerRun(200, probe); allocs != 0 {
-		t.Fatalf("steady-state probe/ack round trip allocates %.1f objects, want 0", allocs)
-	}
-	if n := r.fab.Pool().Outstanding(); n != 0 {
-		t.Fatalf("pool reports %d leaked packets", n)
-	}
-}
-
 // emptyResp is a shared zero response so the handler below never allocates.
 var emptyResp transport.Response
 

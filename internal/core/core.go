@@ -13,7 +13,7 @@
 //     per-packet retransmission, and consecutive timeouts fail a path over
 //     to a fresh source port in well under a second (§4.5, Table 2);
 //   - the whole data path runs in the DPU's FPGA pipeline (QoS/Block/Addr
-//     tables, CRC and SEC engines, DMA), bypassing the card's CPU and
+//     tables, CRC engine, DMA), bypassing the card's CPU and
 //     internal PCIe (Fig. 10c), while the CPU retains only path selection,
 //     congestion control, and the software CRC *aggregation* that guards
 //     against FPGA bit flips (Fig. 11).
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"lunasolar/internal/dpu"
-	"lunasolar/internal/seccrypto"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/simnet"
 	"lunasolar/internal/trace"
@@ -72,13 +71,6 @@ type Params struct {
 	InitCwnd, MaxCwnd int           // per-path HPCC window bounds, bytes
 	BaseRTT           time.Duration // uncongested fabric RTT for HPCC
 
-	// ProbeInterval, when non-zero, enables proactive path probing (§4.5's
-	// stated future work: "make the path selection more explicit with INT
-	// probing"): idle paths receive periodic probe packets whose ACKs echo
-	// INT, keeping RTT estimates fresh and detecting blackholes before any
-	// I/O has to suffer them. Probe timeouts count toward path failover.
-	ProbeInterval time.Duration
-
 	// CPU costs (charged to the DPU CPU in Offloaded/CPUPath modes, or the
 	// storage host's cores in StorageServer mode).
 	PerRPCIssueCPU time.Duration // QoS poll + RPC issue + path selection
@@ -88,8 +80,6 @@ type Params struct {
 	SoftCRCPer4K   time.Duration // full software CRC (CPUPath, fallbacks)
 	AggXORPer4K    time.Duration // XOR-accumulate per block (the cheap
 	// software side of CRC aggregation)
-
-	Encrypted bool
 }
 
 // DefaultParams returns the Solar client model (Offloaded).
@@ -134,7 +124,6 @@ type Stack struct {
 	handler transport.Handler
 	peers   map[uint32]*peer
 	ids     transport.IDAlloc
-	ciphers map[uint32]*seccrypto.BlockCipher // SEC engine keys, per vdisk
 
 	// Hot-path free lists (see pool.go). All are engine-owned: one stack,
 	// one engine, one goroutine at a time.
@@ -167,7 +156,6 @@ type Stack struct {
 	crcScratchSlab *simnet.Slab
 
 	// Stats.
-	Probes        uint64
 	Retransmits   uint64
 	PathFailovers uint64
 	IntegrityHits uint64 // corruptions caught by software aggregation
@@ -195,7 +183,6 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, card *dpu.DPU, p
 		card:       card,
 		params:     params,
 		peers:      map[uint32]*peer{},
-		ciphers:    map[uint32]*seccrypto.BlockCipher{},
 		rpcs:       map[uint64]*rpc{},
 		serves:     map[serveKey]*serve{},
 		out:        map[outKey]*outPkt{},
@@ -242,13 +229,6 @@ func (s *Stack) Pool() *simnet.PacketPool { return s.pool }
 
 // AddrTableInUse returns current Addr-table occupancy (tests).
 func (s *Stack) AddrTableInUse() int { return s.addrInUse }
-
-// SetCipher loads a per-disk key into the SEC engine. With Params.Encrypted
-// set, write blocks are AES-CTR-encrypted on their way through the pipeline
-// and read blocks are decrypted before the DMA into guest memory; counters
-// derive from (segment, LBA) so every block remains independently
-// decryptable in any arrival order.
-func (s *Stack) SetCipher(vdisk uint32, c *seccrypto.BlockCipher) { s.ciphers[vdisk] = c }
 
 // allocPort hands out a fresh ephemeral source port for a path.
 func (s *Stack) allocPort() uint16 {

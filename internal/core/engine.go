@@ -40,8 +40,9 @@ type rpc struct {
 	blocks [][]byte // original (trusted) payloads
 	pkts   []*outPkt
 	// slabs holds payload-slab references the RPC itself must keep alive —
-	// ciphertext slabs whose packet switched to a corruption-scratch slab —
-	// released when the write completes. Empty on the fault-free path.
+	// the caller's buffer, for blocks whose packet switched to a
+	// corruption-scratch slab — released when the write completes. Empty on
+	// the fault-free path.
 	slabs []*simnet.Slab
 
 	// READ: the expected response blocks (Fig. 13's Addr table entries).
@@ -116,14 +117,14 @@ func rpcIssue(a any) {
 	}
 	r.blocks, r.pkts = inline(&r.block1, n), inline(&r.pkt1, n)
 	// One-touch CRC metadata from SA ingress: valid only when it covers
-	// exactly the bytes we transmit (no SEC re-encryption here). The values
-	// feed both the trusted aggregate and the engine's cached input.
+	// exactly the blocks we transmit. The values feed both the trusted
+	// aggregate and the engine's cached input.
 	carried := req.BlockCRCs
-	if len(carried) != n || s.params.Encrypted {
+	if len(carried) != n {
 		carried = nil
 	}
-	// Unencrypted blocks ride the caller's buffer by reference; ioSlab is
-	// the shared refcount for all of them.
+	// Blocks ride the caller's buffer by reference; ioSlab is the shared
+	// refcount for all of them.
 	var ioSlab *simnet.Slab
 	if req.Payload != nil {
 		ioSlab = req.Payload.Retain()
@@ -134,20 +135,7 @@ func rpcIssue(a any) {
 		lo := i * wire.BlockSize
 		hi := min(lo+wire.BlockSize, len(req.Data))
 		orig := req.Data[lo:hi]
-		var paySlab *simnet.Slab // one owned reference to place
-		if s.params.Encrypted {
-			if c := s.ciphers[req.VDisk]; c != nil {
-				// SEC engine: the trusted payload becomes the ciphertext;
-				// CRCs (wire and aggregate) cover it.
-				paySlab = s.pool.GetSlab(len(orig))
-				enc := paySlab.Bytes()
-				c.EncryptBlock(enc, orig, req.SegmentID, req.LBA+uint64(lo), 0)
-				orig = enc
-			}
-		}
-		if paySlab == nil {
-			paySlab = ioSlab.Retain()
-		}
+		paySlab := ioSlab.Retain() // one owned reference to place
 		r.blocks = append(r.blocks, orig)
 
 		carriedSum, haveCarried := uint32(0), false
@@ -369,7 +357,7 @@ func (s *Stack) transmitOn(pe *peer, p *path, e *outPkt) {
 	// CPUPath pays PCIe (×2) and per-block CPU; servers pay per-block CPU.
 	switch {
 	case s.params.Mode == Offloaded && s.card != nil && dataLen > 0:
-		s.eng.ScheduleArg(s.card.PipelineWriteLatency(s.params.Encrypted), wireTxSend, x)
+		s.eng.ScheduleArg(s.card.PipelineWriteLatency(), wireTxSend, x)
 	case s.params.Mode == CPUPath && s.card != nil && dataLen > 0:
 		s.cores.SubmitArg(s.params.PerBlockCPU, wireTxPCIe, x)
 	case dataLen > 0:

@@ -30,7 +30,6 @@ type path struct {
 
 	inflightBytes int
 	consecTO      int
-	lastAckAt     sim.Time // for idle-path probing
 	seq           uint64   // per-path transmission sequence
 	maxAckedSeq   uint64   // highest pathSeq acknowledged
 	outstanding   []outRef // send order; stale/acked entries skipped lazily
@@ -108,7 +107,6 @@ func (s *Stack) peerFor(addr uint32) *peer {
 		p.paths = append(p.paths, s.newPath())
 	}
 	s.peers[addr] = p
-	s.startProber(p)
 	return p
 }
 

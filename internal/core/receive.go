@@ -32,9 +32,6 @@ func (s *Stack) ReceivePacket(pkt *simnet.Packet) {
 		s.handleReadReq(pkt, rpc, rest)
 	case wire.RPCReadResp:
 		s.handleReadBlock(pkt, rpc, rest)
-	case wire.RPCProbe:
-		// Probes need no handler: acknowledge immediately, echoing INT.
-		s.sendAck(pkt, rpc.RPCID, rpc.PktID, 0)
 	default:
 		pkt.Release()
 	}
@@ -228,9 +225,9 @@ func (s *Stack) serveReadBlocks(v *serve, resp *transport.Response) {
 		} else {
 			sum = crc.Raw(block) // trusted: storage-side software CRC
 		}
-		flags := req.Flags & wire.EBSFlagEncrypted
+		var flags uint8
 		if i == n-1 {
-			flags |= wire.EBSFlagLastBlock
+			flags = wire.EBSFlagLastBlock
 		}
 		e := s.newOutPkt()
 		e.key = pktKey{rpcID: v.key.rpcID, pktID: uint16(i)}
@@ -292,7 +289,7 @@ func (s *Stack) handleReadBlock(pkt *simnet.Packet, rpc wire.RPC, rest []byte) {
 	j.pkt, j.rpc, j.ebs, j.payload = pkt, rpc, ebs, payload
 	switch {
 	case s.params.Mode == Offloaded && s.card != nil:
-		s.eng.ScheduleArg(s.card.PipelineReadLatency(s.params.Encrypted), commitRun, j)
+		s.eng.ScheduleArg(s.card.PipelineReadLatency(), commitRun, j)
 	case s.params.Mode == CPUPath && s.card != nil:
 		s.cores.SubmitArg(s.params.PerBlockCPU+s.params.SoftCRCPer4K, commitPCIe, j)
 	default:
@@ -347,12 +344,6 @@ func (s *Stack) commitReadBlock(pkt *simnet.Packet, rpc wire.RPC, ebs wire.EBS, 
 
 	off := int(rpc.PktID) * wire.BlockSize
 	copy(r.buf[off:], payload) // DMA into guest memory
-	if s.params.Encrypted && ebs.Flags&wire.EBSFlagEncrypted != 0 {
-		if c := s.ciphers[ebs.VDisk]; c != nil {
-			blk := r.buf[off : off+len(payload)]
-			c.DecryptBlock(blk, blk, ebs.SegmentID, ebs.LBA, 0)
-		}
-	}
 	r.received[rpc.PktID] = true
 	r.got++
 	if scratch != nil {
@@ -466,7 +457,6 @@ func (s *Stack) retire(key outKey, e *outPkt) *path {
 	e.retx.Disarm()
 	delete(s.out, key)
 	p := e.path
-	p.lastAckAt = s.eng.Now()
 	p.inflightBytes = max(p.inflightBytes-e.size, 0)
 	p.maxAckedSeq = max(p.maxAckedSeq, e.pathSeq)
 	return p

@@ -82,7 +82,6 @@ func (s *Stack) PathTelemetry() []PathStat {
 // reg. Path entries are named "<prefix>peer<addr>/path<slot>/..." in the
 // same deterministic order PathTelemetry uses.
 func (s *Stack) RegisterInto(reg *stats.Registry, prefix string) {
-	reg.AddCounter(prefix+"probes", s.Probes)
 	reg.AddCounter(prefix+"retransmits", s.Retransmits)
 	reg.AddCounter(prefix+"path_failovers", s.PathFailovers)
 	reg.AddCounter(prefix+"integrity_hits", s.IntegrityHits)

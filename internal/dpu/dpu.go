@@ -1,8 +1,8 @@
 // Package dpu models the ALI-DPU: the card's six-core infrastructure CPU,
 // the bandwidth-limited internal PCIe channel that Luna and RDMA must cross
 // twice per byte (Fig. 10), and the FPGA packet/storage pipeline Solar runs
-// on — match-action table lookups (QoS, Block, Addr), the CRC and SEC
-// engines, the DMA engine, and the packet generator — with per-stage
+// on — match-action table lookups (QoS, Block, Addr), the CRC engine, the
+// DMA engine, and the packet generator — with per-stage
 // latencies, genuine LUT/BRAM resource accounting (Table 3), and the bit-flip
 // fault injection that motivates Solar's software CRC aggregation (Fig. 11).
 package dpu
@@ -23,7 +23,6 @@ type Config struct {
 	// FPGA stage latencies, per operation.
 	TableLookup time.Duration // QoS/Block/Addr match-action stage
 	CRCPer4K    time.Duration // CRC engine, per block
-	SECPer4K    time.Duration // crypto engine, per block
 	DMAPer4K    time.Duration // DMA guest memory <-> FPGA, per block
 	PktGen      time.Duration // header assembly / parse
 
@@ -49,7 +48,6 @@ func DefaultConfig() Config {
 		PCIeBps:        70e9,
 		TableLookup:    150 * time.Nanosecond,
 		CRCPer4K:       300 * time.Nanosecond,
-		SECPer4K:       500 * time.Nanosecond,
 		DMAPer4K:       800 * time.Nanosecond,
 		PktGen:         200 * time.Nanosecond,
 		MaxAddrEntries: 20000, // outstanding one-block packets
@@ -91,28 +89,19 @@ func (d *DPU) InjectedFaults() (crcFlips, dataFlips uint64) {
 }
 
 // PipelineWriteLatency returns the FPGA latency for one outbound data
-// block: QoS + Block lookups, DMA fetch, CRC, optional SEC, and PktGen.
-// The pipeline is fully pipelined — latency is charged per block, but
-// throughput is bounded only by the NIC (line rate), which is the point of
-// the offload.
-func (d *DPU) PipelineWriteLatency(encrypted bool) time.Duration {
+// block: QoS + Block lookups, DMA fetch, CRC, and PktGen. The pipeline is
+// fully pipelined — latency is charged per block, but throughput is bounded
+// only by the NIC (line rate), which is the point of the offload.
+func (d *DPU) PipelineWriteLatency() time.Duration {
 	c := d.Cfg
-	lat := 2*c.TableLookup + c.DMAPer4K + c.CRCPer4K + c.PktGen
-	if encrypted {
-		lat += c.SECPer4K
-	}
-	return lat
+	return 2*c.TableLookup + c.DMAPer4K + c.CRCPer4K + c.PktGen
 }
 
 // PipelineReadLatency returns the FPGA latency for one inbound data block:
-// parse, Addr lookup, CRC check, optional SEC, DMA to guest memory.
-func (d *DPU) PipelineReadLatency(encrypted bool) time.Duration {
+// parse, Addr lookup, CRC check, DMA to guest memory.
+func (d *DPU) PipelineReadLatency() time.Duration {
 	c := d.Cfg
-	lat := c.PktGen + c.TableLookup + c.CRCPer4K + c.DMAPer4K
-	if encrypted {
-		lat += c.SECPer4K
-	}
-	return lat
+	return c.PktGen + c.TableLookup + c.CRCPer4K + c.DMAPer4K
 }
 
 // ComputeCRC runs the FPGA CRC engine over a block, applying fault

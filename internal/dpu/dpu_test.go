@@ -17,15 +17,11 @@ func newDPU(faults FaultRates) *DPU {
 
 func TestPipelineLatencies(t *testing.T) {
 	d := newDPU(FaultRates{})
-	w := d.PipelineWriteLatency(false)
-	we := d.PipelineWriteLatency(true)
-	if we <= w {
-		t.Fatal("encryption should add latency")
-	}
+	w := d.PipelineWriteLatency()
 	if w <= 0 || w > 10*time.Microsecond {
 		t.Fatalf("write pipeline latency %v implausible", w)
 	}
-	r := d.PipelineReadLatency(false)
+	r := d.PipelineReadLatency()
 	if r <= 0 || r > 10*time.Microsecond {
 		t.Fatalf("read pipeline latency %v implausible", r)
 	}

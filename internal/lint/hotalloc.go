@@ -11,8 +11,8 @@ import (
 //	//lint:hotpath
 //
 // in their doc comment. These are the per-packet functions the runtime
-// AllocsPerRun gates hold at zero allocations (forwarding, the Solar probe
-// loop, the 4 KiB write path); the analyzer catches a regression at
+// AllocsPerRun gates hold at zero allocations (forwarding, the Solar ack
+// path, the 4 KiB write path); the analyzer catches a regression at
 // review time instead of at the gate, and names the exact expression.
 //
 // Reported shapes: slice/map/chan composite literals and &T{} (heap

@@ -3,7 +3,7 @@
 // two match-action tables of the paper — the Segment Table (virtual-disk
 // LBA → 2 MiB segment on a block server) and the QoS Table (per-disk IOPS
 // and bandwidth service levels) — splits I/Os that cross segment
-// boundaries, runs the per-block CRC/crypto work, and attributes latency to
+// boundaries, runs the per-block CRC work, and attributes latency to
 // the SA/FN/BN/SSD trace components.
 //
 // The same Agent drives every stack: in software mode (kernel TCP, Luna,
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"lunasolar/internal/crc"
-	"lunasolar/internal/seccrypto"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/trace"
 	"lunasolar/internal/transport"
@@ -207,16 +206,13 @@ type Params struct {
 	// Software mode costs. PerIOCPU is CPU busy time charged to cores;
 	// PerIODelay is additional latency that holds no core (lock waits,
 	// scheduling, batching) with a log-normal tail.
-	PerIOCPU    time.Duration
-	PerIODelay  time.Duration
-	CRCPer4K    time.Duration
-	CryptoPer4K time.Duration
-	Sigma       float64
+	PerIOCPU   time.Duration
+	PerIODelay time.Duration
+	CRCPer4K   time.Duration
+	Sigma      float64
 
 	// Offloaded mode: FPGA lookup/pipeline latency attributed to SA.
 	OffloadLatency time.Duration
-
-	Encrypted bool
 }
 
 // SoftwareParams is the software SA used with kernel/Luna/RDMA frontends.
@@ -263,7 +259,6 @@ type Agent struct {
 
 	collector *trace.Collector
 	gen       uint32
-	ciphers   map[uint32]*seccrypto.BlockCipher
 
 	// Tenant QoS: vdisk → tenant name → shared buckets. Lookup-only maps
 	// (never iterated), so ordering cannot leak into the simulation.
@@ -287,7 +282,6 @@ func New(eng *sim.Engine, cores *sim.Server, fn transport.Client, segs *SegmentT
 		fn:       fn,
 		segs:     segs,
 		qos:      map[uint32]*qosState{},
-		ciphers:  map[uint32]*seccrypto.BlockCipher{},
 		tenantOf: map[uint32]string{},
 		tenants:  map[string]*tenantBucket{},
 		params:   params,
@@ -298,34 +292,12 @@ func New(eng *sim.Engine, cores *sim.Server, fn transport.Client, segs *SegmentT
 // SetCollector attaches a trace collector; every completed I/O is recorded.
 func (a *Agent) SetCollector(c *trace.Collector) { a.collector = c }
 
-// SetCipher installs the per-disk encryption key (software SA mode). When
-// set and the agent is configured Encrypted, payloads are genuinely
-// AES-CTR-encrypted per block before hitting the wire and decrypted on
-// read completion, with block-independent counters so arrival order never
-// matters.
-func (a *Agent) SetCipher(vdisk uint32, c *seccrypto.BlockCipher) { a.ciphers[vdisk] = c }
-
 // blockCRCs fills dst with the raw CRC-32C of each 4 KiB block of data (a
 // short tail block hashed at its actual length).
 func blockCRCs(dst []uint32, data []byte) {
 	for i := range dst {
 		off := i * wire.BlockSize
 		dst[i] = crc.Raw(data[off:min(off+wire.BlockSize, len(data))])
-	}
-}
-
-// cryptBlocks en/decrypts buf in place, one counter stream per block.
-func (a *Agent) cryptBlocks(vdisk uint32, segment, lba uint64, buf []byte) {
-	c := a.ciphers[vdisk]
-	if c == nil {
-		return
-	}
-	for off := 0; off < len(buf); off += wire.BlockSize {
-		end := off + wire.BlockSize
-		if end > len(buf) {
-			end = len(buf)
-		}
-		c.EncryptBlock(buf[off:end], buf[off:end], segment, lba+uint64(off), 0)
 	}
 }
 
@@ -469,9 +441,6 @@ func (a *Agent) admit(vdisk uint32, bytes int) time.Duration {
 func (a *Agent) saBusy(bytes int) time.Duration {
 	blocks := wire.Blocks(bytes)
 	busy := a.params.PerIOCPU + time.Duration(blocks)*a.params.CRCPer4K
-	if a.params.Encrypted {
-		busy += time.Duration(blocks) * a.params.CryptoPer4K
-	}
 	return a.rand.Jitter(busy, 0.1)
 }
 
@@ -692,16 +661,8 @@ func ioIssue(x any) {
 // issue attaches the piece's payload and makes its first attempt.
 func (p *piece) issue() {
 	r, a := p.r, p.r.a
-	if a.params.Encrypted {
-		p.msg.Flags |= wire.EBSFlagEncrypted
-	}
 	if r.op == wire.RPCWriteReq {
 		p.msg.Data = r.data[p.off : p.off+p.n]
-		if a.params.Encrypted && !a.params.Offloaded {
-			enc := append([]byte(nil), p.msg.Data...)
-			a.cryptBlocks(r.vdisk, p.msg.SegmentID, p.msg.LBA, enc)
-			p.msg.Data = enc
-		}
 		// One-touch CRC: the per-block raw CRC is computed exactly
 		// once, here at SA ingress, over the bytes that will cross the
 		// wire; every downstream verification folds these values
@@ -710,9 +671,8 @@ func (p *piece) issue() {
 		// this changes who reads the bytes, not what the simulation
 		// charges.
 		// Attached only for the offloaded (Solar) stacks, whose wire
-		// format carries a per-block CRC; skipped when the DPU's SEC
-		// engine will re-encrypt: the wire bytes are not ours to hash.
-		if a.params.Offloaded && !a.params.Encrypted {
+		// format carries a per-block CRC.
+		if a.params.Offloaded {
 			p.msg.BlockCRCs = p.crc1[:]
 			if blocks := wire.Blocks(p.n); blocks > 1 {
 				p.msg.BlockCRCs = make([]uint32, blocks)
@@ -769,10 +729,10 @@ func (p *piece) response(resp *transport.Response) {
 
 // land places a read piece's response Data, which the FN stack handed
 // over: a one-piece read keeps it as the guest's buffer, a segment-crossing
-// one copies it into its piece's range. Software decryption runs in place.
+// one copies it into its piece's range.
 // Data that is not exactly the piece's length fails the I/O.
 func (p *piece) land(data []byte) {
-	r, a := p.r, p.r.a
+	r := p.r
 	if len(data) != p.n {
 		if r.err == nil {
 			r.err = fmt.Errorf("sa: vdisk %d read at %#x: %d-byte response for a %d-byte piece", r.vdisk, p.msg.LBA, len(data), p.n)
@@ -782,12 +742,7 @@ func (p *piece) land(data []byte) {
 	if r.buf == nil {
 		r.buf = data
 	} else {
-		dst := r.buf[p.off : p.off+p.n]
-		copy(dst, data)
-		data = dst
-	}
-	if a.params.Encrypted && !a.params.Offloaded {
-		a.cryptBlocks(r.vdisk, p.msg.SegmentID, p.msg.LBA, data)
+		copy(r.buf[p.off:p.off+p.n], data)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"lunasolar/internal/wire"
 )
 
-// Payload buffer size classes. Small covers ACKs, probes and control
+// Payload buffer size classes. Small covers ACKs and control
 // frames; mid covers RDMA/TCP control and partial blocks; data covers a
 // full 4 KiB block plus every header the stacks prepend. Above data, the
 // large classes are powers of two from bufLargeMin to bufLargeMax, for

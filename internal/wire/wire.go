@@ -109,7 +109,6 @@ const (
 	RPCReadReq   = 3 // asks for blocks; responses arrive one per packet
 	RPCReadResp  = 4 // carries one data block back
 	RPCAck       = 5 // transport-level per-packet ACK (Solar)
-	RPCProbe     = 7 // path-keepalive / INT probe
 )
 
 // IsRequest reports whether an RPC message type is a request: a write or a
@@ -168,9 +167,8 @@ const (
 	OpRead  = 2
 )
 
-// EBS header flags.
+// EBS header flags. Bit 0 is unused.
 const (
-	EBSFlagEncrypted = 1 << 0 // payload passed through the SEC engine
 	EBSFlagLastBlock = 1 << 1 // final block of the I/O
 	// EBSFlagHasCRC marks BlockCRC as carrying one-touch CRC metadata
 	// (computed once at ingress), distinguishing a genuine CRC of zero
