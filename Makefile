@@ -14,7 +14,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build fmt vet lint staticcheck govulncheck test race cover fuzz-smoke golden bench bench-compare bench-smoke check
+.PHONY: build fmt vet lint staticcheck govulncheck test race cover fuzz-smoke golden bench bench-compare ledger-gate bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -124,5 +124,14 @@ BASE ?= ledger/base.json
 
 bench-compare:
 	bash benchmark/run.sh -compare $(BASE) $(NEW)
+
+# The ledger's hard gate on the metrics that are exact counts, not wall
+# time: make ledger-gate NEW=new.json. For every (workload, seed) run in
+# both NEW and BASE it fails when allocs_per_op or alloc_bytes_per_op rises
+# by more than 1 %, or when sim_lat_p50_us, sim_lat_p999_us, sim_kops or
+# op_ok_share differs at all (ledger/gate.jq).
+ledger-gate:
+	@test -n "$(NEW)" || { echo "usage: make ledger-gate NEW=<report> [BASE=<report>]"; exit 2; }
+	jq -n -r --slurpfile base $(BASE) --slurpfile new $(NEW) -f ledger/gate.jq
 
 check: build fmt vet lint staticcheck govulncheck race bench-smoke

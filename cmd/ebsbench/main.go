@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -81,6 +82,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ebsbench: -json and -metrics-out need -exp (try -list)")
 		return 2
 	}
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "ebsbench: -workers %d is negative (0 = GOMAXPROCS, 1 = serial)\n", *workers)
+		return 2
+	}
 
 	ids := make([]string, 0, len(registry))
 	for id := range registry {
@@ -89,7 +94,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sort.Strings(ids)
 
 	// Resolve every requested id before anything runs: a typo must not
-	// cost the experiments listed ahead of it.
+	// cost the experiments listed ahead of it, and a repeated id would run
+	// twice and count twice in -metrics-out.
 	var sel []string
 	if *exp == "all" {
 		sel = ids
@@ -99,6 +105,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if _, ok := registry[id]; !ok {
 				fmt.Fprintf(stderr, "unknown experiment %q (try -list)\n", id)
 				return 1
+			}
+			if slices.Contains(sel, id) {
+				fmt.Fprintf(stderr, "ebsbench: experiment %q given twice in -exp\n", id)
+				return 2
 			}
 			sel = append(sel, id)
 		}

@@ -55,6 +55,8 @@ func TestRun(t *testing.T) {
 	}{
 		{"-exp fig3,typo", 1, 0, `unknown experiment "typo" (try -list)`, nil},
 		{"-exp fig3 -cc dcqcn", 2, 0, "flag provided but not defined: -cc", nil},
+		{"-exp fig3,fig3", 2, 0, `experiment "fig3" given twice`, nil},
+		{"-exp fig3 -workers -3", 2, 0, "-workers -3 is negative", nil},
 		{"-json", 2, 0, "need -exp", nil},
 		{"-metrics-out unwritten.json", 2, 0, "need -exp", nil},
 		{"-list", 0, 0, "", listed},

@@ -6,7 +6,11 @@ import (
 	"time"
 
 	"lunasolar/internal/core"
+	"lunasolar/internal/rdma"
+	"lunasolar/internal/sa"
+	"lunasolar/internal/tcpstack"
 	"lunasolar/internal/trace"
+	"lunasolar/internal/transport"
 )
 
 func smallConfig(fn StackKind) Config {
@@ -160,30 +164,73 @@ func TestCrossSegmentWriteSplits(t *testing.T) {
 	}
 }
 
-// TestSolarReadBackSurvivesRetransmission writes 32 KiB over Solar with
-// both pod-0 spines dropping 30 % of packets: the retransmitted blocks must
-// commit, and the read must return the written bytes.
-func TestSolarReadBackSurvivesRetransmission(t *testing.T) {
-	c := testCluster(t, Solar)
-	c.Fabric.Spine(0, 0, 0).SetDropRate(0.3)
-	c.Fabric.Spine(0, 0, 1).SetDropRate(0.3)
-	vd := c.MustProvision(0, 16<<20, DefaultQoS())
-	data := fill(32<<10, 99)
-	var wres, rres IOResult
-	vd.Write(0, data, func(res IOResult) {
-		wres = res
-		vd.Read(0, len(data), func(res IOResult) { rres = res })
-	})
-	c.Run()
-	if wres.Err != nil || rres.Err != nil {
-		t.Fatalf("errs: write %v, read %v", wres.Err, rres.Err)
+// TestReadBackSurvivesRetransmission: on every FN stack, under 30 % loss
+// on both of pod 0's spines, two interleaved 32 KiB writes — one crossing a
+// segment boundary, so it has two pieces, and the next issued from its done,
+// so it runs on the agent's record the first just recycled — then a
+// read-back of both, issued together from the second write's done. Every
+// I/O completes exactly once, the reads return the written bytes, and the
+// drained cluster holds no pooled record, packet or slab.
+func TestReadBackSurvivesRetransmission(t *testing.T) {
+	for _, fn := range []StackKind{KernelTCP, Luna, RDMA, Solar} {
+		t.Run(fn.String(), func(t *testing.T) {
+			c := testCluster(t, fn)
+			c.Fabric.Spine(0, 0, 0).SetDropRate(0.3)
+			c.Fabric.Spine(0, 0, 1).SetDropRate(0.3)
+			vd := c.MustProvision(0, 16<<20, DefaultQoS())
+			const size = 32 << 10
+			lbas := [2]uint64{sa.SegmentBytes - size/2, sa.SegmentBytes + size}
+			data := [2][]byte{fill(size, 99), fill(size, 7)}
+			var fired [4]int
+			var res [4]IOResult
+			record := func(i int, next func()) func(IOResult) {
+				return func(r IOResult) {
+					fired[i]++
+					res[i] = r
+					if next != nil {
+						next()
+					}
+				}
+			}
+			readBack := func() {
+				vd.Read(lbas[0], size, record(2, nil))
+				vd.Read(lbas[1], size, record(3, nil))
+			}
+			vd.Write(lbas[0], data[0], record(0, func() {
+				vd.Write(lbas[1], data[1], record(1, readBack))
+			}))
+			c.Run()
+			for i, n := range fired {
+				if n != 1 || res[i].Err != nil {
+					t.Fatalf("I/O %d: done fired %d times, err %v", i, n, res[i].Err)
+				}
+			}
+			for i := range data {
+				if !bytes.Equal(res[2+i].Data, data[i]) {
+					t.Fatalf("read-back of range %d at %#x does not match its write", i, lbas[i])
+				}
+			}
+			if n := c.Leaked(); n != 0 {
+				t.Fatalf("%d pooled packets, slab references or records leaked", n)
+			}
+			if retransmits(c.Compute(0).Stack) == 0 {
+				t.Fatal("no retransmission under 30 % spine loss: the test exercises nothing")
+			}
+		})
 	}
-	if !bytes.Equal(rres.Data, data) {
-		t.Fatal("read-back mismatch after retransmission")
+}
+
+// retransmits reads an FN stack's retransmission counter.
+func retransmits(st transport.Stack) uint64 {
+	switch s := st.(type) {
+	case *core.Stack:
+		return s.Retransmits
+	case *tcpstack.Stack:
+		return s.Retransmits
+	case *rdma.Stack:
+		return s.Retransmits
 	}
-	if st := c.Compute(0).Stack.(*core.Stack); st.Retransmits == 0 {
-		t.Fatal("no retransmission under 30 % spine loss: the test exercises nothing")
-	}
+	return 0
 }
 
 func TestStackLatencyOrdering(t *testing.T) {

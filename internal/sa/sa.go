@@ -17,6 +17,7 @@ package sa
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"lunasolar/internal/crc"
@@ -260,6 +261,11 @@ type Agent struct {
 	collector *trace.Collector
 	gen       uint32
 
+	// The I/O records and the 2nd.. pieces of segment-crossing ones, each
+	// back on its pool once its I/O completes.
+	reqs   *sim.Pool[ioReq]
+	pieces *sim.Pool[piece]
+
 	// Tenant QoS: vdisk → tenant name → shared buckets. Lookup-only maps
 	// (never iterated), so ordering cannot leak into the simulation.
 	tenantOf map[uint32]string
@@ -286,6 +292,8 @@ func New(eng *sim.Engine, cores *sim.Server, fn transport.Client, segs *SegmentT
 		tenants:  map[string]*tenantBucket{},
 		params:   params,
 		rand:     eng.Rand.Fork(),
+		reqs:     sim.NewPool[ioReq](eng),
+		pieces:   sim.NewPool[piece](eng),
 	}
 }
 
@@ -452,9 +460,9 @@ func (a *Agent) saDelay() time.Duration {
 	return a.rand.LogNormal(a.params.PerIODelay, a.params.Sigma)
 }
 
-// Result is the completion record of one I/O. It stays valid for as long as
-// its holder keeps it: Span points into the I/O's own record, which is
-// never recycled, and Data is the guest's.
+// Result is the completion record of one I/O. It is self-contained and
+// stays valid for as long as its holder keeps it: Span is a copy, and Data
+// is the guest's. Nothing in it points into the agent's pooled record.
 type Result struct {
 	// Data is a read's bytes (nil for a write, or a read that failed
 	// before any piece answered). A read within one segment — nearly every
@@ -466,15 +474,17 @@ type Result struct {
 	// Latency is Span.Total(): measured on the agent's own engine, QoS
 	// policy delay excluded per the paper's methodology.
 	Latency time.Duration
-	Span    *trace.Span
+	Span    trace.Span
 }
 
 // ioReq is the one record of a guest I/O, from arrival to completion: the
-// per-request metadata of the §4.6 table pipeline (p4/solar.go's ebs.vdisk,
-// ebs.lba and meta.segidx → segment_id, server), plus what a software agent
-// must remember between events. Every step below is a function of it, so
-// "which stage, which attempt, waiting on what" is read off one value.
-// Deliberately not pooled: Result.Span escapes to the guest.
+// per-request metadata of the §4.6 table pipeline (the vdisk and LBA a
+// request carries, and the segment ID and block server the segment table
+// resolves them to), plus what a software agent must remember between
+// events. Every step below is a function of it, so "which stage, which
+// attempt, waiting on what" is read off one value. Records are pooled:
+// finish hands the guest a self-contained Result and recycles the record
+// before done runs.
 type ioReq struct {
 	a     *Agent
 	op    uint8
@@ -498,17 +508,22 @@ type ioReq struct {
 
 	first piece
 	more  []*piece // the 2nd.. pieces of a segment-crossing I/O, in LBA order
+
+	tenantBytesFn func() // bound once per record
 }
 
 // piece is the part of an I/O that falls in one segment: one RPC, re-sent
-// when a migration moves the segment under it.
+// when a migration moves the segment under it. crcs backs the write's
+// per-block CRC list and keeps its array across reuse; responseFn is bound
+// once per record.
 type piece struct {
-	r       *ioReq
-	msg     transport.Message
-	off, n  int    // range within the I/O's payload or read buffer
-	server  uint32 // block server of the attempt in flight
-	attempt int    // not-owner re-sends so far
-	crc1    [1]uint32
+	r          *ioReq
+	msg        transport.Message
+	off, n     int    // range within the I/O's payload or read buffer
+	server     uint32 // block server of the attempt in flight
+	attempt    int    // not-owner re-sends so far
+	crcs       []uint32
+	responseFn func(*transport.Response)
 }
 
 // Write performs a write I/O. done receives the completion record; the
@@ -523,8 +538,9 @@ func (a *Agent) Read(vdisk uint32, lba uint64, size int, done func(Result)) {
 }
 
 func (a *Agent) io(op uint8, vdisk uint32, lba uint64, size int, data []byte, done func(Result)) {
-	r := &ioReq{a: a, op: op, vdisk: vdisk, size: size, data: data, done: done,
-		left: float64(size), span: trace.Span{Op: "read", Size: size}}
+	r := a.getReq()
+	r.op, r.vdisk, r.size, r.data, r.done = op, vdisk, size, data, done
+	r.left, r.span.Op, r.span.Size = float64(size), "read", size
 	if op == wire.RPCWriteReq {
 		r.span.Op = "write"
 	}
@@ -566,7 +582,19 @@ func (a *Agent) io(op uint8, vdisk uint32, lba uint64, size int, data []byte, do
 		r.tenantBytes()
 		return
 	}
-	r.tb.iops.Wait(1, r.tenantBytes)
+	r.tb.iops.Wait(1, r.tenantBytesFn)
+}
+
+// getReq hands out a record finish wiped, or builds one on a pool miss:
+// its callbacks are bound here, once per record.
+func (a *Agent) getReq() *ioReq {
+	r := a.reqs.Get()
+	if r == nil {
+		r = &ioReq{a: a}
+		r.tenantBytesFn = r.tenantBytes
+		r.first.responseFn = r.first.response
+	}
+	return r
 }
 
 // split cuts [lba, lba+size) at segment boundaries into first and, for a
@@ -582,11 +610,14 @@ func (r *ioReq) split(e *diskEntry, lba uint64) {
 		}
 		p := &r.first
 		if off > 0 {
-			p = new(piece)
+			if p = r.a.pieces.Get(); p == nil {
+				p = new(piece)
+				p.responseFn = p.response
+			}
 			r.more = append(r.more, p)
 		}
-		*p = piece{r: r, off: off, n: n, server: ref.Server,
-			msg: transport.Message{Op: r.op, VDisk: r.vdisk, SegmentID: ref.SegmentID, LBA: cur, Gen: r.gen}}
+		p.r, p.off, p.n, p.server = r, off, n, ref.Server
+		p.msg = transport.Message{Op: r.op, VDisk: r.vdisk, SegmentID: ref.SegmentID, LBA: cur, Gen: r.gen}
 		off += n
 	}
 	r.remaining = 1 + len(r.more)
@@ -604,7 +635,7 @@ func (r *ioReq) tenantBytes() {
 	if r.tb.bytes != nil && r.left > 0 {
 		n := min(r.left, r.tb.byteBurst)
 		r.left -= n
-		r.tb.bytes.Wait(n, r.tenantBytes)
+		r.tb.bytes.Wait(n, r.tenantBytesFn)
 		return
 	}
 	r.a.TenantDelay += r.a.eng.Now().Sub(r.mark)
@@ -673,11 +704,10 @@ func (p *piece) issue() {
 		// Attached only for the offloaded (Solar) stacks, whose wire
 		// format carries a per-block CRC.
 		if a.params.Offloaded {
-			p.msg.BlockCRCs = p.crc1[:]
-			if blocks := wire.Blocks(p.n); blocks > 1 {
-				p.msg.BlockCRCs = make([]uint32, blocks)
-			}
-			blockCRCs(p.msg.BlockCRCs, p.msg.Data)
+			blocks := wire.Blocks(p.n)
+			p.crcs = slices.Grow(p.crcs[:0], blocks)[:blocks]
+			blockCRCs(p.crcs, p.msg.Data)
+			p.msg.BlockCRCs = p.crcs
 		}
 	} else {
 		p.msg.ReadLen = p.n
@@ -686,8 +716,10 @@ func (p *piece) issue() {
 }
 
 // send makes one attempt at the piece's RPC.
+//
+//lint:hotpath
 func (p *piece) send() {
-	p.r.a.fn.Call(p.server, &p.msg, p.response)
+	p.r.a.fn.Call(p.server, &p.msg, p.responseFn)
 }
 
 // response ends one attempt; the last piece to finish completes the I/O.
@@ -746,9 +778,25 @@ func (p *piece) land(data []byte) {
 	}
 }
 
-// finish hands the completion record to the guest.
+// finish ends the I/O: it builds the guest's self-contained Result, wipes
+// the pieces and the record — nothing of this I/O may pin the guest's
+// payload, callback or buffer, or carry into the next one — keeping only
+// the bound callbacks and CRC arrays, and returns them to their pools. done
+// runs last, so a done that issues the next I/O at once gets a clean record.
+//
+//lint:hotpath
 func (r *ioReq) finish() {
-	if r.done != nil {
-		r.done(Result{Data: r.buf, Err: r.err, Latency: r.span.Total(), Span: &r.span})
+	a, done := r.a, r.done
+	res := Result{Data: r.buf, Err: r.err, Latency: r.span.Total(), Span: r.span}
+	for i, p := range r.more {
+		*p = piece{crcs: p.crcs, responseFn: p.responseFn}
+		a.pieces.Put(p)
+		r.more[i] = nil
+	}
+	*r = ioReq{a: a, more: r.more[:0], tenantBytesFn: r.tenantBytesFn,
+		first: piece{crcs: r.first.crcs, responseFn: r.first.responseFn}}
+	a.reqs.Put(r)
+	if done != nil {
+		done(res)
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
+	"weak"
 
 	"lunasolar/internal/sim"
 	"lunasolar/internal/trace"
@@ -204,7 +206,7 @@ func TestEmptyOrNegativeIOFailsAtOnce(t *testing.T) {
 				if fired != 1 || res.Err == nil {
 					t.Fatalf("offloaded=%v: done fired %d times, err = %v", params.Offloaded, fired, res.Err)
 				}
-				if res.Span == nil || res.Span.Op != tc.op {
+				if res.Span.Op != tc.op {
 					t.Fatalf("offloaded=%v: span = %+v, want op %q", params.Offloaded, res.Span, tc.op)
 				}
 				if a.IOs != 0 || len(fn.calls) != 0 || a.QoSDelay != 0 {
@@ -520,9 +522,10 @@ func newSyncAgent(t *testing.T, params Params) (*sim.Engine, *Agent, *syncFN) {
 	return eng, New(eng, sim.NewServer(eng, "cpu", 4), fn, segs, params), fn
 }
 
-// TestIOAllocs gates the request path's allocations: the record and the
-// bound piece.response, plus a multi-block CRC list. A one-piece read
-// allocates no buffer: the guest gets the response's.
+// TestIOAllocs gates the request path's allocations: none. The record and
+// its pieces are pooled, their callbacks bound once per record, and a
+// piece's CRC list keeps its array. A one-piece read allocates no buffer:
+// the guest gets the response's.
 func TestIOAllocs(t *testing.T) {
 	done := func(Result) {}
 	for _, tc := range []struct {
@@ -532,10 +535,10 @@ func TestIOAllocs(t *testing.T) {
 		read   bool
 		max    float64
 	}{
-		{"write-4k-offloaded", OffloadedParams(), 4 << 10, false, 2},
-		{"write-64k-software", SoftwareParams(), 64 << 10, false, 2},
-		{"read-4k-software", SoftwareParams(), 4 << 10, true, 2},
-		{"write-32k-offloaded", OffloadedParams(), 32 << 10, false, 3},
+		{"write-4k-offloaded", OffloadedParams(), 4 << 10, false, 0},
+		{"write-64k-software", SoftwareParams(), 64 << 10, false, 0},
+		{"read-4k-software", SoftwareParams(), 4 << 10, true, 0},
+		{"write-32k-offloaded", OffloadedParams(), 32 << 10, false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, a, fn := newSyncAgent(t, tc.params)
@@ -565,9 +568,53 @@ func TestIOAllocs(t *testing.T) {
 	}
 }
 
+// TestRecycledRecordStartsClean: an I/O on a recycled record attributes
+// only its own response's times; the larger server wall and SSD times of
+// the I/O that used the record before must not carry over.
+func TestRecycledRecordStartsClean(t *testing.T) {
+	eng, a, fn := newSyncAgent(t, OffloadedParams())
+	var res Result
+	a.Write(1, 0, make([]byte, 4096), func(r Result) { res = r })
+	eng.Run()
+	fn.resp.ServerWall, fn.resp.SSDTime = 10*time.Microsecond, 4*time.Microsecond
+	a.Write(1, 0, make([]byte, 4096), func(r Result) { res = r })
+	eng.Run()
+	if a.reqs.Misses() != 1 {
+		t.Fatalf("%d record misses for two sequential I/Os, want 1", a.reqs.Misses())
+	}
+	if bn, ssd := res.Span.Get(trace.BN), res.Span.Get(trace.SSD); bn != 6*time.Microsecond || ssd != 4*time.Microsecond {
+		t.Fatalf("second I/O's BN/SSD = %v/%v, want 6µs/4µs", bn, ssd)
+	}
+}
+
+// TestFinishedIOPinsNothing: once a segment-crossing write has completed,
+// the agent's pooled record and pieces no longer reach the guest's payload
+// or callback, so both can be collected.
+func TestFinishedIOPinsNothing(t *testing.T) {
+	eng, a, _ := newSyncAgent(t, OffloadedParams())
+	payload, captured := writeWatched(a)
+	eng.Run()
+	runtime.GC()
+	if payload.Value() != nil || captured.Value() != nil {
+		t.Fatalf("a finished I/O is still reachable: payload %v, callback %v",
+			payload.Value() != nil, captured.Value() != nil)
+	}
+	runtime.KeepAlive(a) // and with it, its pools
+}
+
+// writeWatched issues a segment-crossing write and returns weak pointers to
+// its payload and to a value only its callback holds (64 bytes: the tiny
+// allocator would share a smaller one's block with unrelated values).
+func writeWatched(a *Agent) (weak.Pointer[byte], weak.Pointer[[64]byte]) {
+	data, seen := make([]byte, 8192), new([64]byte)
+	a.Write(1, SegmentBytes-4096, data, func(Result) { seen[0]++ })
+	return weak.Make(&data[0]), weak.Make(seen)
+}
+
 // TestResultOutlivesLaterIO: a Result may be kept after done returns — its
-// Span, Latency and read Data must not be touched by later I/Os. This is
-// the property that rules out recycling the per-I/O record.
+// Span, Latency and read Data must not be touched by later I/Os, which
+// reuse the recycled per-I/O record. This is why Result carries its Span
+// by value.
 func TestResultOutlivesLaterIO(t *testing.T) {
 	eng, a, _, _ := newAgent(t, SoftwareParams())
 	data := make([]byte, 8192)
@@ -582,14 +629,14 @@ func TestResultOutlivesLaterIO(t *testing.T) {
 	if wres.Err != nil || rres.Err != nil {
 		t.Fatalf("errs: %v %v", wres.Err, rres.Err)
 	}
-	wspan, rspan := *wres.Span, *rres.Span
+	wspan, rspan := wres.Span, rres.Span
 	for i := 0; i < 1000; i++ {
 		lba := uint64(0x100000 + i<<12)
 		a.Write(1, lba, make([]byte, 4096), nil)
 		a.Read(1, lba, 4096, nil)
 		eng.Run()
 	}
-	if *wres.Span != wspan || *rres.Span != rspan {
+	if wres.Span != wspan || rres.Span != rspan {
 		t.Fatal("a kept Span changed under later I/Os")
 	}
 	if wres.Latency != wspan.Total() || rres.Latency != rspan.Total() || wres.Latency <= 0 || rres.Latency <= 0 {

@@ -9,11 +9,13 @@
 // the half of a write that runs three times per I/O under every FN stack.
 // NewBlockServerRig joins the two: an RDMA client into a block server that
 // replicates over the BN into three chunk-server services. NewLunaRig is the
-// FN half of the host-side stacks: tcpstack into tcpstack. ReadOne drives
-// each rig's read path the same way: the Solar and Luna servers answer every
-// read with the rig's own block, and the chunk stores hold it once Warm has
-// written it. Every rig runs 4 KiB I/Os unless SetSize gives it another
-// size (the 64 KiB gates).
+// FN half of the host-side stacks: tcpstack into tcpstack. WithAgent puts a
+// storage agent in front of a rig's client, so its I/Os start as guest
+// I/Os, the way every cluster I/O does. ReadOne drives each rig's read path
+// the same way: the Solar and Luna servers answer every read with the rig's
+// own block, and the chunk stores hold it once Warm has written it. Every
+// rig runs 4 KiB I/Os unless SetSize gives it another size (the 64 KiB
+// gates).
 //
 // The harness deliberately allocates nothing per I/O in steady state: the
 // request messages, payload buffer, read response and completion callback
@@ -32,6 +34,7 @@ import (
 	"lunasolar/internal/crc"
 	"lunasolar/internal/dpu"
 	"lunasolar/internal/rdma"
+	"lunasolar/internal/sa"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/simnet"
 	"lunasolar/internal/tcpstack"
@@ -55,6 +58,9 @@ type Rig struct {
 	readResp  transport.Response
 	onDone    func(*transport.Response)
 	onRead    func(*transport.Response)
+	agent     *sa.Agent // nil: I/Os call the client directly
+	onIO      func(sa.Result)
+	onIORead  func(sa.Result)
 	completed int
 	failed    int
 	issued    int
@@ -192,6 +198,34 @@ func (r *Rig) SetSize(n int) {
 	r.readResp = transport.Response{Data: r.payload}
 }
 
+// rigDisk is the one virtual disk WithAgent provisions.
+const rigDisk = 1
+
+// WithAgent puts a storage agent with the given cost model, on cores of its
+// own, in front of the rig's client: WriteOne and ReadOne then issue guest
+// I/Os on one virtual disk whose segments all live on the rig's server. It
+// returns r.
+func (r *Rig) WithAgent(params sa.Params) *Rig {
+	segs := sa.NewSegmentTable()
+	if err := segs.Provision(rigDisk, uint64(r.lbas*len(r.payload)), []uint32{r.dst}); err != nil {
+		panic(err) // a fresh table: only a bug can fail this
+	}
+	r.agent = sa.New(r.Eng, sim.NewServer(r.Eng, "sa-cpu", 4), r.client, segs, params)
+	r.onIO = func(res sa.Result) {
+		r.completed++
+		if res.Err != nil {
+			r.failed++
+		}
+	}
+	r.onIORead = func(res sa.Result) {
+		r.completed++
+		if res.Err != nil || !bytes.Equal(res.Data, r.payload) {
+			r.failed++
+		}
+	}
+	return r
+}
+
 // Size returns the rig's I/O size in bytes.
 func (r *Rig) Size() int { return len(r.payload) }
 
@@ -200,7 +234,11 @@ func (r *Rig) Size() int { return len(r.payload) }
 func (r *Rig) WriteOne() {
 	r.issued++
 	r.msg.LBA = uint64(r.issued%r.lbas) * uint64(len(r.payload))
-	r.client.Call(r.dst, &r.msg, r.onDone)
+	if r.agent != nil {
+		r.agent.Write(rigDisk, r.msg.LBA, r.payload, r.onIO)
+	} else {
+		r.client.Call(r.dst, &r.msg, r.onDone)
+	}
 	r.Eng.Run()
 }
 
@@ -209,7 +247,11 @@ func (r *Rig) WriteOne() {
 func (r *Rig) ReadOne() {
 	r.issued++
 	r.rmsg.LBA = uint64(r.issued%r.lbas) * uint64(len(r.payload))
-	r.client.Call(r.dst, &r.rmsg, r.onRead)
+	if r.agent != nil {
+		r.agent.Read(rigDisk, r.rmsg.LBA, len(r.payload), r.onIORead)
+	} else {
+		r.client.Call(r.dst, &r.rmsg, r.onRead)
+	}
 	r.Eng.Run()
 }
 

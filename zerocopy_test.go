@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lunasolar/ebs"
+	"lunasolar/internal/sa"
 	"lunasolar/internal/tcpstack"
 	"lunasolar/internal/wire"
 	"lunasolar/internal/writebench"
@@ -31,6 +32,15 @@ type gate struct {
 
 func lunaRig(p tcpstack.Params) func(int64) *writebench.Rig {
 	return func(seed int64) *writebench.Rig { return writebench.NewLunaRig(seed, p) }
+}
+
+// The Solar and Luna rigs behind a storage agent, as ebs pairs them.
+func solarSARig(seed int64) *writebench.Rig {
+	return writebench.NewRig(seed).WithAgent(sa.OffloadedParams())
+}
+
+func lunaSARig(seed int64) *writebench.Rig {
+	return writebench.NewLunaRig(seed, ebs.LunaStackParams()).WithAgent(sa.SoftwareParams())
 }
 
 var gates = []gate{
@@ -66,6 +76,14 @@ var gates = []gate{
 	{test: "TestLunaRead4KSteadyState", sub: "kernel", rig: lunaRig(ebs.KernelStackParams()), read: true, allocs: 1, events: 112, copied: wire.BlockSize + 2*wire.RecordHeaderSize},
 	{test: "TestLunaWrite64KSteadyState", sub: "luna", rig: lunaRig(ebs.LunaStackParams()), size: 64 << 10, allocs: 0, events: 476, copied: 64<<10 + 2*wire.RecordHeaderSize},
 	{test: "TestLunaWrite64KSteadyState", sub: "kernel", rig: lunaRig(ebs.KernelStackParams()), size: 64 << 10, allocs: 0, events: 1230, copied: 64<<10 + 2*wire.RecordHeaderSize},
+	// A guest I/O through the storage agent, over the Solar and Luna FN
+	// halves: the agent's record, its pieces and their bound callbacks are
+	// pooled, so it adds no allocation to the stack's. A one-piece read
+	// hands the guest the buffer its response arrived in.
+	{test: "TestSAWrite4KSteadyState", sub: "solar", rig: solarSARig, allocs: 0, events: 31},
+	{test: "TestSAWrite4KSteadyState", sub: "luna", rig: lunaSARig, allocs: 0, events: 89, copied: wire.BlockSize + 2*wire.RecordHeaderSize},
+	{test: "TestSARead4KSteadyState", sub: "solar", rig: solarSARig, read: true, allocs: 1, events: 56},
+	{test: "TestSARead4KSteadyState", sub: "luna", rig: lunaSARig, read: true, allocs: 1, events: 89, copied: wire.BlockSize + 2*wire.RecordHeaderSize},
 }
 
 // runGates runs every row filed under the calling test.
@@ -130,3 +148,5 @@ func TestLunaRead4KSteadyState(t *testing.T)          { runGates(t) }
 func TestBNWrite64KSteadyState(t *testing.T)          { runGates(t) }
 func TestBNRead64KSteadyState(t *testing.T)           { runGates(t) }
 func TestLunaWrite64KSteadyState(t *testing.T)        { runGates(t) }
+func TestSAWrite4KSteadyState(t *testing.T)           { runGates(t) }
+func TestSARead4KSteadyState(t *testing.T)            { runGates(t) }
