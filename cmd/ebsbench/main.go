@@ -143,7 +143,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Telemetry: *metricsOut != ""}
 
 	// Every experiment shard asserts that its cluster returned all pooled
-	// packets; any leak fails the whole run (after all output is printed).
+	// packets and that every read passed workload.Driver's consistency
+	// check; any leak or
+	// mismatch fails the whole run (after all output is printed).
 	var leakedTotal atomic.Int64
 
 	// Telemetry registries are collected per experiment slot (race-free under
@@ -164,10 +166,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if tab.Telemetry != nil {
 			expRegs[slot] = tab.Telemetry
 		}
-		leaked := 0
+		leaked, failed, failErr := 0, 0, error(nil)
 		if tab.Perf != nil {
 			leaked = tab.Perf.Leaked()
-			leakedTotal.Add(int64(leaked))
+			failed, failErr = tab.Perf.Failed()
+			leakedTotal.Add(int64(leaked + failed))
 		}
 		var b strings.Builder
 		if *jsonOut {
@@ -192,6 +195,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if leaked > 0 {
 			fmt.Fprintf(&b, "[%s LEAK: %d pooled packets or records never returned]\n", id, leaked)
 		}
+		if failed > 0 {
+			fmt.Fprintf(&b, "[%s MISMATCH: %d reads returned the wrong block; first: %v]\n", id, failed, failErr)
+		}
 		fmt.Fprintf(&b, "[%s completed in %v]\n\n", id, elapsed)
 		return block{out: b.String()}
 	}
@@ -212,7 +218,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if n := leakedTotal.Load(); n > 0 {
-		fmt.Fprintf(stderr, "ebsbench: %d pooled packets or records leaked across experiments\n", n)
+		fmt.Fprintf(stderr, "ebsbench: %d leaked packets or records and mismatched reads across experiments\n", n)
 		return 1
 	}
 	return 0

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -44,8 +45,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 const span = 16 << 20
 
 // run is the whole command. Every flag is checked before a cluster is
-// built: workload.NewFio substitutes defaults for non-positive values, so
-// an unchecked `-bs 0` would print bs=0 over a 4 KiB run.
+// built, so the header never reports a value the run did not use.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ebsfio", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -103,12 +103,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	c := ebs.New(cfg)
 	vd := c.MustProvision(0, 512<<20, ebs.DefaultQoS())
-
-	// Prepopulate the span touched by reads.
-	if *readFrac > 0 {
-		for off := uint64(0); off < span; off += 512 << 10 {
-			vd.Write(off, make([]byte, 512<<10), nil)
-		}
+	drv := workload.NewDriver(c.Eng)
+	if *readFrac > 0 { // prepopulate the span reads touch
+		drv.Fill(vd.ID, vd, span)
 		c.Run()
 	}
 
@@ -119,32 +116,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var recorded []workload.TraceRecord
 	startAt := c.Now()
 	lastDone := startAt
-	issueIO := func(write bool, lba uint64, size int, done func()) {
+	done := func(io *workload.IO) {
+		lastDone = c.Now()
+		if io.Res.Err != nil {
+			failed++
+			firstErr = cmp.Or(firstErr, io.Res.Err)
+			return
+		}
+		h.Record(c.Eng.Now().Sub(io.Issued))
+		n++
+		bytes += uint64(io.Size)
+	}
+	// issue is every picker's last step: it logs the I/O for -record.
+	issue := func(write bool, lba uint64, size int) (bool, uint64, int, bool) {
 		if *record != "" {
-			recorded = append(recorded, workload.TraceRecord{
-				At: c.Now() - startAt, Write: write, LBA: lba, Size: size,
-			})
+			recorded = append(recorded, workload.TraceRecord{At: c.Now() - startAt, Write: write, LBA: lba, Size: size})
 		}
-		start := c.Eng.Now()
-		fin := func(res ebs.IOResult) {
-			lastDone = c.Now()
-			if res.Err != nil {
-				failed++
-				if firstErr == nil {
-					firstErr = res.Err
-				}
-			} else {
-				h.Record(c.Eng.Now().Sub(start))
-				n++
-				bytes += uint64(size)
-			}
-			done()
-		}
-		if write {
-			vd.Write(lba, make([]byte, size), fin)
-		} else {
-			vd.Read(lba, size, fin)
-		}
+		return write, lba, size, true
 	}
 
 	if *replay != "" {
@@ -159,24 +147,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		rp := workload.NewReplayer(c.Eng, recs, issueIO)
-		rp.Start()
+		// Open-loop at the recorded times, gap by gap.
+		k := 0
+		gap := func() time.Duration { return recs[min(k+1, len(recs)-1)].At - recs[k].At }
+		pick := func(_, i int) (bool, uint64, int, bool) {
+			if k = i; i == len(recs) {
+				return false, 0, 0, false
+			}
+			return issue(recs[i].Write, recs[i].LBA, recs[i].Size)
+		}
+		if len(recs) > 0 {
+			c.Eng.Schedule(recs[0].At, func() { drv.Open(vd.ID, vd, gap, pick, done) })
+		}
 		c.Run()
 		// The window runs from the start of the replay to the last
 		// completion, so it includes the last I/O's service time.
 		*runtime = lastDone - startAt
-		fmt.Fprintf(stdout, "replayed %d I/Os from %s\n", rp.Completed, *replay)
+		fmt.Fprintf(stdout, "replayed %d I/Os from %s\n", n+failed, *replay)
 	} else {
-		fio := workload.NewFio(c.Eng, workload.FioConfig{
-			Depth: *depth, BlockSize: *bs, ReadFrac: *readFrac, SpanBytes: span,
-		}, issueIO)
-		warmup := 5 * time.Millisecond
-		fio.Start()
-		c.RunFor(warmup)
+		rr := c.Eng.Rand.Fork()
+		drv.Closed(vd.ID, vd, *depth, 0, func(_, i int) (bool, uint64, int, bool) {
+			return issue(!rr.Bernoulli(*readFrac), uint64(i)*uint64(*bs)%span, *bs)
+		}, done)
+		c.RunFor(5 * time.Millisecond) // warmup
 		h.Reset()
 		n, bytes, failed, firstErr = 0, 0, 0, nil
 		c.RunFor(*runtime)
-		fio.Stop()
 	}
 
 	if *record != "" {
@@ -204,6 +200,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		h.P99().Round(100*time.Nanosecond), h.Max().Round(100*time.Nanosecond))
 	if failed > 0 {
 		fmt.Fprintf(stderr, "ebsfio: %d I/Os failed; first: %v\n", failed, firstErr)
+		return 1
+	}
+	if bad, err := c.Eng.Failed(); bad > 0 {
+		fmt.Fprintf(stderr, "ebsfio: %d reads returned the wrong block; first: %v\n", bad, err)
 		return 1
 	}
 	return 0

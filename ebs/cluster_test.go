@@ -170,53 +170,72 @@ func TestCrossSegmentWriteSplits(t *testing.T) {
 // so it runs on the agent's record the first just recycled — then a
 // read-back of both, issued together from the second write's done. Every
 // I/O completes exactly once, the reads return the written bytes, and the
-// drained cluster holds no pooled record, packet or slab.
+// drained cluster holds no pooled record, packet or slab. In the second
+// case the guest overwrites each write's buffer inside its done, as the
+// workload driver reuses a slot's buffer: no stack may still read it then,
+// retransmissions included.
 func TestReadBackSurvivesRetransmission(t *testing.T) {
 	for _, fn := range []StackKind{KernelTCP, Luna, RDMA, Solar} {
 		t.Run(fn.String(), func(t *testing.T) {
-			c := testCluster(t, fn)
-			c.Fabric.Spine(0, 0, 0).SetDropRate(0.3)
-			c.Fabric.Spine(0, 0, 1).SetDropRate(0.3)
-			vd := c.MustProvision(0, 16<<20, DefaultQoS())
-			const size = 32 << 10
-			lbas := [2]uint64{sa.SegmentBytes - size/2, sa.SegmentBytes + size}
-			data := [2][]byte{fill(size, 99), fill(size, 7)}
-			var fired [4]int
-			var res [4]IOResult
-			record := func(i int, next func()) func(IOResult) {
-				return func(r IOResult) {
-					fired[i]++
-					res[i] = r
-					if next != nil {
-						next()
-					}
+			for _, scribble := range []bool{false, true} {
+				name := "buffer kept"
+				if scribble {
+					name = "buffer overwritten in done"
 				}
-			}
-			readBack := func() {
-				vd.Read(lbas[0], size, record(2, nil))
-				vd.Read(lbas[1], size, record(3, nil))
-			}
-			vd.Write(lbas[0], data[0], record(0, func() {
-				vd.Write(lbas[1], data[1], record(1, readBack))
-			}))
-			c.Run()
-			for i, n := range fired {
-				if n != 1 || res[i].Err != nil {
-					t.Fatalf("I/O %d: done fired %d times, err %v", i, n, res[i].Err)
-				}
-			}
-			for i := range data {
-				if !bytes.Equal(res[2+i].Data, data[i]) {
-					t.Fatalf("read-back of range %d at %#x does not match its write", i, lbas[i])
-				}
-			}
-			if n := c.Leaked(); n != 0 {
-				t.Fatalf("%d pooled packets, slab references or records leaked", n)
-			}
-			if retransmits(c.Compute(0).Stack) == 0 {
-				t.Fatal("no retransmission under 30 % spine loss: the test exercises nothing")
+				t.Run(name, func(t *testing.T) { readBackUnderLoss(t, fn, scribble) })
 			}
 		})
+	}
+}
+
+func readBackUnderLoss(t *testing.T, fn StackKind, scribble bool) {
+	c := testCluster(t, fn)
+	c.Fabric.Spine(0, 0, 0).SetDropRate(0.3)
+	c.Fabric.Spine(0, 0, 1).SetDropRate(0.3)
+	vd := c.MustProvision(0, 16<<20, DefaultQoS())
+	const size = 32 << 10
+	lbas := [2]uint64{sa.SegmentBytes - size/2, sa.SegmentBytes + size}
+	data := [2][]byte{fill(size, 99), fill(size, 7)}
+	want := [2][]byte{fill(size, 99), fill(size, 7)}
+	var fired [4]int
+	var res [4]IOResult
+	record := func(i int, next func()) func(IOResult) {
+		return func(r IOResult) {
+			fired[i]++
+			res[i] = r
+			if scribble && i < 2 {
+				for j := range data[i] {
+					data[i][j] = 0xee
+				}
+			}
+			if next != nil {
+				next()
+			}
+		}
+	}
+	readBack := func() {
+		vd.Read(lbas[0], size, record(2, nil))
+		vd.Read(lbas[1], size, record(3, nil))
+	}
+	vd.Write(lbas[0], data[0], record(0, func() {
+		vd.Write(lbas[1], data[1], record(1, readBack))
+	}))
+	c.Run()
+	for i, n := range fired {
+		if n != 1 || res[i].Err != nil {
+			t.Fatalf("I/O %d: done fired %d times, err %v", i, n, res[i].Err)
+		}
+	}
+	for i := range want {
+		if !bytes.Equal(res[2+i].Data, want[i]) {
+			t.Fatalf("read-back of range %d at %#x does not match its write", i, lbas[i])
+		}
+	}
+	if n := c.Leaked(); n != 0 {
+		t.Fatalf("%d pooled packets, slab references or records leaked", n)
+	}
+	if retransmits(c.Compute(0).Stack) == 0 {
+		t.Fatal("no retransmission under 30 % spine loss: the test exercises nothing")
 	}
 }
 

@@ -166,6 +166,13 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("ebs: %s must be positive, got %v", k.name, k.v)
 		}
 	}
+	if cfg.Fabric.PropDelay < 0 || cfg.Fabric.InterDCDelay < 0 { // an arrival before its send
+		return fmt.Errorf("ebs: Fabric.PropDelay %v and Fabric.InterDCDelay %v must not be negative", cfg.Fabric.PropDelay, cfg.Fabric.InterDCDelay)
+	}
+	// Solar admits no read without a free Addr-table entry.
+	if (cfg.FN == Solar || cfg.FN == SolarStar) && cfg.DPU.MaxAddrEntries < 1 {
+		return fmt.Errorf("ebs: DPU.MaxAddrEntries must be at least 1, got %d", cfg.DPU.MaxAddrEntries)
+	}
 	// Every frame tail-drops at a port whose buffer cannot hold one.
 	if cfg.Fabric.BufferBytes < wire.JumboFrame {
 		return fmt.Errorf("ebs: Fabric.BufferBytes %d is below one %d B frame", cfg.Fabric.BufferBytes, wire.JumboFrame)

@@ -3,6 +3,7 @@ package ebs
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // Every rejected composition is an error from Config.Validate — the one
@@ -36,6 +37,12 @@ func TestValidateRejects(t *testing.T) {
 		{"one pod without CrossDC", Solar, func(c *Config) { c.Fabric.PodsPerDC = 1 }, "storage needs a second pod: Fabric.PodsPerDC is 1 without CrossDC"},
 		{"no port buffer", Solar, func(c *Config) { c.Fabric.BufferBytes = 0 }, "Fabric.BufferBytes 0 is below one 9000 B frame"},
 		{"port buffer below a frame", Luna, func(c *Config) { c.Fabric.BufferBytes = 1000 }, "Fabric.BufferBytes 1000 is below one 9000 B frame"},
+		{"negative link delay on luna", Luna, func(c *Config) { c.Fabric.PropDelay = -time.Microsecond }, "Fabric.PropDelay -1µs"},
+		{"negative link delay on solar", Solar, func(c *Config) { c.Fabric.PropDelay = -time.Microsecond }, "Fabric.PropDelay -1µs"},
+		{"negative inter-DC delay", Solar, func(c *Config) {
+			c.Fabric.DCs, c.Fabric.DCRouters, c.CrossDC, c.Fabric.InterDCDelay = 2, 2, true, -time.Microsecond
+		}, "Fabric.InterDCDelay -1µs must not be negative"},
+		{"no Addr table on solar", Solar, func(c *Config) { c.DPU.MaxAddrEntries = 0 }, "DPU.MaxAddrEntries must be at least 1, got 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig(tc.fn)
@@ -64,6 +71,8 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"solar without stack cores", Solar, func(c *Config) { c.BareMetal, c.StackCores = false, 0 }},
 		{"luna without PCIe", Luna, func(c *Config) { c.DPU.PCIeBps = 0 }},
+		// Only Solar's data path keeps an Addr table.
+		{"luna on a DPU without an Addr table", Luna, func(c *Config) { c.BareMetal, c.DPU.MaxAddrEntries = true, 0 }},
 		// Fig 8's cross-DC cell: storage in DC 1's only pod.
 		{"cross-DC with one pod per DC", Luna, func(c *Config) {
 			c.Fabric.DCs, c.Fabric.DCRouters, c.Fabric.PodsPerDC, c.CrossDC = 2, 2, 1, true

@@ -9,6 +9,7 @@ import (
 	"lunasolar/internal/sim"
 	"lunasolar/internal/simnet"
 	"lunasolar/internal/stats"
+	"lunasolar/internal/workload"
 )
 
 // Ablations exercises the design choices DESIGN.md calls out, one knob at a
@@ -98,8 +99,9 @@ func Ablations(opts Options) *Table {
 	return t
 }
 
-// ablatePaths measures slow I/Os and write p99 with the given path count
-// and failover setting while both spines silently blackhole 25% of flows.
+// ablatePaths measures hung I/Os (workload.HangThreshold) and write p99
+// with the given path count and failover setting while both spines
+// silently blackhole 25% of flows.
 func ablatePaths(opts Options, paths int, failover bool) (slow int, p99 time.Duration, _ *ebs.Cluster) {
 	cfg := clusterConfig(opts, ebs.Solar)
 	p := ebs.SolarStackParams(ebs.Solar, false)
@@ -109,50 +111,20 @@ func ablatePaths(opts Options, paths int, failover bool) (slow int, p99 time.Dur
 	}
 	cfg.SolarOverride = &p
 	c := ebs.New(cfg)
-	var vds []*ebs.VDisk
-	for i := 0; i < 4; i++ {
-		vds = append(vds, c.MustProvision(i, 64<<20, ebs.DefaultQoS()))
-	}
 	h := stats.NewHistogram()
 	r := sim.NewRand(opts.Seed + 17)
-	stopped := false
-	pending := map[int]sim.Time{}
-	next := 0
-	for _, vd := range vds {
-		vd := vd
-		var issue func()
-		issue = func() {
-			if stopped {
-				return
-			}
-			id := next
-			next++
-			start := c.Eng.Now()
-			pending[id] = start
-			lba := uint64(r.Int63n(int64(vd.Size()-4096))) &^ 4095
-			vd.Write(lba, make([]byte, 4096), func(ebs.IOResult) {
-				delete(pending, id)
-				d := c.Eng.Now().Sub(start)
-				h.Record(d)
-				if d >= time.Second {
-					slow++
-				}
-				c.Eng.Schedule(2*time.Millisecond, issue)
-			})
-		}
-		issue()
+	drv := workload.NewDriver(c.Eng)
+	for i := 0; i < 4; i++ {
+		vd := c.MustProvision(i, 64<<20, ebs.DefaultQoS())
+		drv.Closed(vd.ID, vd, 1, 2*time.Millisecond, func(int, int) (bool, uint64, int, bool) {
+			return true, uint64(r.Int63n(int64(vd.Size()-4096))) &^ 4095, 4096, true
+		}, func(io *workload.IO) { h.Record(c.Eng.Now().Sub(io.Issued)) })
 	}
 	c.RunFor(100 * time.Millisecond)
 	c.Fabric.Spine(0, 0, 0).SetBlackhole(0.25, 777)
 	c.Fabric.Spine(0, 0, 1).SetBlackhole(0.25, 777)
 	c.RunFor(time.Duration(opts.scale(3000, 1500)) * time.Millisecond)
-	stopped = true
-	for _, started := range pending {
-		if c.Eng.Now().Sub(started) >= time.Second {
-			slow++
-		}
-	}
-	return slow, h.P99(), c
+	return drv.Hangs(), h.P99(), c
 }
 
 // ablateShareNothing runs the Table 1-style 50 Gbps stress with 4 cores,
@@ -181,23 +153,15 @@ func ablateCRC(opts Options, fullCRC bool) (float64, *ebs.Cluster) {
 	cfg.SolarOverride = &p
 	c := ebs.New(cfg)
 	vd := c.MustProvision(0, 128<<20, ebs.DefaultQoS())
-	done := 0
-	for s := 0; s < 32; s++ {
-		lba := uint64(s) << 14
-		var issue func()
-		issue = func() {
-			vd.Write(lba, make([]byte, 4096), func(ebs.IOResult) {
-				done++
-				issue()
-			})
-		}
-		issue()
-	}
+	// 32 slots, each rewriting its own block back to back.
+	st := workload.NewDriver(c.Eng).Closed(vd.ID, vd, 32, 0, func(slot, _ int) (bool, uint64, int, bool) {
+		return true, uint64(slot) << 14, 4096, true
+	}, nil)
 	window := time.Duration(opts.scale(60, 20)) * time.Millisecond
 	c.RunFor(5 * time.Millisecond)
-	base := done
+	base := st.Completed
 	c.RunFor(window)
-	return float64(done-base) / window.Seconds(), c
+	return float64(st.Completed-base) / window.Seconds(), c
 }
 
 // ablateAddr measures total Addr-table admission wait with depth-64 reads
@@ -208,23 +172,13 @@ func ablateAddr(opts Options, entries int) (time.Duration, *ebs.Cluster) {
 	cfg.DPU.MaxAddrEntries = entries
 	c := ebs.New(cfg)
 	vd := c.MustProvision(0, 128<<20, ebs.DefaultQoS())
-	for off := uint64(0); off < 8<<20; off += 512 << 10 {
-		vd.Write(off, make([]byte, 512<<10), nil)
-	}
+	drv := workload.NewDriver(c.Eng)
+	drv.Fill(vd.ID, vd, 8<<20)
 	c.Run()
-	done := 0
 	r := sim.NewRand(opts.Seed + 23)
-	for s := 0; s < 64; s++ {
-		var issue func()
-		issue = func() {
-			lba := uint64(r.Int63n(8<<20-64<<10)) &^ 4095
-			vd.Read(lba, 64<<10, func(ebs.IOResult) {
-				done++
-				issue()
-			})
-		}
-		issue()
-	}
+	drv.Closed(vd.ID, vd, 64, 0, func(int, int) (bool, uint64, int, bool) {
+		return false, uint64(r.Int63n(8<<20-64<<10)) &^ 4095, 64 << 10, true
+	}, nil)
 	c.RunFor(time.Duration(opts.scale(40, 15)) * time.Millisecond)
 	st, ok := c.Compute(0).Stack.(*core.Stack)
 	if !ok {

@@ -7,6 +7,7 @@ import (
 	"lunasolar/ebs"
 	"lunasolar/internal/sa"
 	"lunasolar/internal/stats"
+	"lunasolar/internal/workload"
 )
 
 // The control-plane scenarios exercise the volume management service the
@@ -110,22 +111,19 @@ func provisionStormCell(opts Options, fn ebs.StackKind) (ProvisionStormCell, *eb
 
 	// Every surviving volume serves one write — provisioning that cannot
 	// carry I/O is not provisioning.
+	drv := workload.NewDriver(c.Eng)
 	perServer := map[uint32]int{}
 	for i, lv := range live {
 		if i%5 == 4 {
 			continue // deleted above
 		}
-		vd := lv.vd
-		vd.Write(0, make([]byte, 4096), func(r ebs.IOResult) {
-			if r.Err != nil {
-				cell.IOErrors++
-			}
-		})
-		for _, ref := range c.SegmentRefs(vd.ID) {
+		drv.Closed(lv.vd.ID, lv.vd, 1, 0, func(_, n int) (bool, uint64, int, bool) { return true, 0, 4096, n == 0 }, nil)
+		for _, ref := range c.SegmentRefs(lv.vd.ID) {
 			perServer[ref.Server]++
 		}
 	}
 	c.Run()
+	cell.IOErrors = drv.Failed
 	for _, addr := range c.BlockServerAddrs() {
 		n := perServer[addr]
 		if cell.SpreadMax == 0 && cell.SpreadMin == 0 {
@@ -204,42 +202,24 @@ func drainCell(opts Options, fn ebs.StackKind) (DrainCell, *ebs.Cluster) {
 		vds = append(vds, vd)
 	}
 	// Seed one block in every segment so each drained replica has bytes to
-	// rebuild.
-	seed := make([]byte, 4096)
-	for i := range seed {
-		seed[i] = byte(i)
-	}
+	// rebuild, then a storm of sequential 4 KiB writes, one every 10 µs per
+	// volume, while the drain copies and cuts over underneath them.
+	drv := workload.NewDriver(c.Eng)
 	for _, vd := range vds {
-		for off := uint64(0); off < vd.Size(); off += sa.SegmentBytes {
-			vd.Write(off, seed, func(r ebs.IOResult) {
-				if r.Err != nil {
-					cell.FailedIOs++
-				}
-			})
-		}
+		segs := int((vd.Size() + sa.SegmentBytes - 1) / sa.SegmentBytes)
+		drv.Closed(vd.ID, vd, segs, 0, func(_, n int) (bool, uint64, int, bool) {
+			return true, uint64(n) * sa.SegmentBytes, 4096, n < segs
+		}, nil)
 	}
 	c.Run()
 
-	// Open-loop storm: sequential 4 KiB writes on both volumes while the
-	// drain copies and cuts over underneath them.
 	nPerDisk := opts.scale(400, 150)
+	var storm []*workload.Stream
 	for _, vd := range vds {
-		vd := vd
-		var issue func(i int)
-		issue = func(i int) {
-			if i == nPerDisk {
-				return
-			}
-			cell.IOs++
-			lba := (uint64(i) * 4096) % vd.Size()
-			vd.Write(lba, make([]byte, 4096), func(r ebs.IOResult) {
-				if r.Err != nil {
-					cell.FailedIOs++
-				}
-			})
-			c.Eng.Schedule(10*time.Microsecond, func() { issue(i + 1) })
-		}
-		issue(0)
+		storm = append(storm, drv.Open(vd.ID, vd, func() time.Duration { return 10 * time.Microsecond },
+			func(_, n int) (bool, uint64, int, bool) {
+				return true, (uint64(n) * 4096) % vd.Size(), 4096, n < nPerDisk
+			}, nil))
 	}
 	var report ebs.DrainReport
 	c.Eng.Schedule(time.Millisecond, func() {
@@ -249,6 +229,10 @@ func drainCell(opts Options, fn ebs.StackKind) (DrainCell, *ebs.Cluster) {
 	})
 	c.Run()
 
+	for _, st := range storm {
+		cell.IOs += st.Issued
+	}
+	cell.FailedIOs = drv.Failed
 	cell.Segments = report.Segments
 	cell.BlocksCopied = report.BlocksCopied
 	cell.MBCopied = float64(report.BytesCopied) / 1e6
@@ -328,46 +312,34 @@ func noisyCell(opts Options, mode string) (NoisyCell, *ebs.Cluster) {
 		panic(err)
 	}
 
+	drv := workload.NewDriver(c.Eng)
 	window := time.Duration(opts.scale(40, 15)) * time.Millisecond
 	if mode != "baseline" {
 		agg, err := cp.CreateVolume("aggressor", 0, "noisy", 64<<20, diskQoS)
 		if err != nil {
 			panic(err)
 		}
+		// Slot k writes 64 KiB pieces k, k+16, k+32, ... until the window closes.
 		const aggDepth = 16
 		aggSpan := agg.Size() - (64 << 10)
-		for s := 0; s < aggDepth; s++ {
-			s := s
-			var pound func(i int)
-			pound = func(i int) {
-				lba := (uint64(s)*(64<<10) + uint64(i)*aggDepth*(64<<10)) % aggSpan &^ 4095
-				agg.Write(lba, make([]byte, 64<<10), func(r ebs.IOResult) {
-					cell.AggressorOps++
-					if c.Eng.Now().Duration() < window {
-						pound(i + 1)
-					}
-				})
-			}
-			pound(0)
+		for k := uint64(0); k < aggDepth; k++ {
+			drv.Closed(agg.ID, agg, 1, 0, func(_, i int) (bool, uint64, int, bool) {
+				lba := (k*(64<<10) + uint64(i)*aggDepth*(64<<10)) % aggSpan &^ 4095
+				return true, lba, 64 << 10, i == 0 || c.Eng.Now().Duration() < window
+			}, func(*workload.IO) { cell.AggressorOps++ })
 		}
 	}
 
 	h := stats.NewHistogram()
 	victimIOs := opts.scale(300, 100)
-	var issue func(i int)
-	issue = func(i int) {
-		if i == victimIOs {
-			return
-		}
-		lba := (uint64(i) * 4096) % victim.Size()
-		victim.Write(lba, make([]byte, 4096), func(r ebs.IOResult) {
-			if r.Err == nil {
-				h.Record(r.Latency)
+	drv.Open(victim.ID, victim, func() time.Duration { return 100 * time.Microsecond },
+		func(_, n int) (bool, uint64, int, bool) {
+			return true, (uint64(n) * 4096) % victim.Size(), 4096, n < victimIOs
+		}, func(io *workload.IO) {
+			if io.Res.Err == nil {
+				h.Record(io.Res.Latency)
 			}
 		})
-		c.Eng.Schedule(100*time.Microsecond, func() { issue(i + 1) })
-	}
-	issue(0)
 	c.Run()
 
 	cell.VictimOps = int(h.Count())

@@ -99,11 +99,7 @@ func Fig7(opts Options) *Table {
 // of read and write average latency.
 func measureMeanLatency(opts Options, fn ebs.StackKind) (time.Duration, *ebs.Cluster) {
 	c := ebs.New(clusterConfig(opts, fn))
-	var vds []*ebs.VDisk
-	for i := 0; i < c.Computes(); i++ {
-		vds = append(vds, c.MustProvision(i, 128<<20, ebs.DefaultQoS()))
-	}
-	driveMixed(c, vds, opts.scale(400, 80), 0.5, 150*time.Microsecond, 4096)
+	driveMixed(c, 128<<20, opts.scale(400, 80), 150*time.Microsecond)
 	r := c.Collector().E2E("read").Mean()
 	w := c.Collector().E2E("write").Mean()
 	return (r + w) / 2, c

@@ -68,9 +68,9 @@ func (o Options) scale(full, quick int) int {
 
 // runCells runs one share-nothing cluster cell per shard. Each job returns
 // its result plus the cluster it drove; the helper folds the cluster's
-// engine counters and packet-leak count (Cluster.Leaked) into the fleet's
-// Perf, so cmd/ebsbench can assert that every experiment returned all
-// pooled packets.
+// engine counters (failed read checks among them) and packet-leak count
+// (Cluster.Leaked) into the fleet's Perf, so cmd/ebsbench can assert that
+// every experiment returned all pooled packets and read back what it wrote.
 func runCells[T any](f *runtime.Fleet, n int, job func(shard int) (T, *ebs.Cluster)) []T {
 	return runtime.Run(f, n, func(shard int) (T, *sim.Engine) {
 		v, c := job(shard)
@@ -80,11 +80,11 @@ func runCells[T any](f *runtime.Fleet, n int, job func(shard int) (T, *ebs.Clust
 }
 
 // observeLeaks folds c's packet-leak count (Cluster.Leaked) into p. On a
-// leak it dumps c's flight recorders to stderr first: their last anomalous
-// events point at the stack that lost the packet.
+// leak or a failed read check it dumps c's flight recorders to stderr
+// first: their last anomalous events point at the stack at fault.
 func observeLeaks(p *runtime.Perf, c *ebs.Cluster) {
 	n := c.Leaked()
-	if n > 0 {
+	if failed, _ := c.Eng.Failed(); n > 0 || failed > 0 {
 		c.DumpFlightRecorders(os.Stderr)
 	}
 	p.ObserveLeaked(n)

@@ -7,11 +7,8 @@ import (
 	"lunasolar/ebs"
 	"lunasolar/internal/sim"
 	"lunasolar/internal/stats"
+	"lunasolar/internal/workload"
 )
-
-// hangThreshold is the Table 2 criterion: an I/O with no response for one
-// second or longer.
-const hangThreshold = time.Second
 
 // table2Scenario is one failure row.
 type table2Scenario struct {
@@ -47,78 +44,24 @@ func table2Scenarios() []table2Scenario {
 	}
 }
 
-// hangCounter drives Table 2 traffic (queue depth 4 per server, 4–32 KiB
-// blocks, R:W 1:4) and counts I/Os that exceed the hang threshold,
-// including those still unanswered when the window closes.
-type hangCounter struct {
-	c       *ebs.Cluster
-	r       *sim.Rand
-	pending map[int]sim.Time
-	nextID  int
-	slow    int
-	stopped bool
-}
-
-func newHangCounter(c *ebs.Cluster) *hangCounter {
-	return &hangCounter{c: c, r: sim.NewRand(c.Config().Seed + 555), pending: map[int]sim.Time{}}
-}
-
-// start launches depth slots per disk with the given think time.
-func (hc *hangCounter) start(vds []*ebs.VDisk, depth int, think time.Duration) {
+// table2Cell runs one Table 2 cell on c: traffic on vds (depth 4 per disk,
+// 2 ms think, 4–32 KiB blocks, R:W 1:4), a healthy warmup, the failure, then
+// window. It returns the I/Os that hung, unanswered ones included.
+func table2Cell(c *ebs.Cluster, vds []*ebs.VDisk, sc table2Scenario, window time.Duration) int {
+	drv := workload.NewDriver(c.Eng)
+	r := sim.NewRand(c.Config().Seed + 555)
 	sizes := []int{4 << 10, 8 << 10, 16 << 10, 32 << 10}
 	for _, vd := range vds {
-		vd := vd
-		for s := 0; s < depth; s++ {
-			var issue func()
-			issue = func() {
-				if hc.stopped {
-					return
-				}
-				id := hc.nextID
-				hc.nextID++
-				start := hc.c.Eng.Now()
-				hc.pending[id] = start
-				size := sizes[hc.r.Intn(len(sizes))]
-				lba := uint64(hc.r.Int63n(int64(vd.Size()-uint64(size)))) &^ 4095
-				done := func(ebs.IOResult) {
-					delete(hc.pending, id)
-					if hc.c.Eng.Now().Sub(start) >= hangThreshold {
-						hc.slow++
-					}
-					hc.c.Eng.Schedule(think, issue)
-				}
-				if hc.r.Bernoulli(0.2) { // R:W = 1:4
-					vd.Read(lba, size, done)
-				} else {
-					vd.Write(lba, make([]byte, size), done)
-				}
-			}
-			issue()
-		}
+		drv.Closed(vd.ID, vd, 4, 2*time.Millisecond, func(int, int) (bool, uint64, int, bool) {
+			size := sizes[r.Intn(len(sizes))]
+			lba := uint64(r.Int63n(int64(vd.Size()-uint64(size)))) &^ 4095
+			return !r.Bernoulli(0.2), lba, size, true
+		}, nil)
 	}
-}
-
-// finish counts still-pending I/Os older than the threshold.
-func (hc *hangCounter) finish() int {
-	hc.stopped = true
-	now := hc.c.Eng.Now()
-	for _, started := range hc.pending {
-		if now.Sub(started) >= hangThreshold {
-			hc.slow++
-		}
-	}
-	return hc.slow
-}
-
-// table2Cell runs one Table 2 cell on c: traffic on vds, a healthy warmup,
-// the failure, then window; it returns the I/Os that hung.
-func table2Cell(c *ebs.Cluster, vds []*ebs.VDisk, sc table2Scenario, window time.Duration) int {
-	hc := newHangCounter(c)
-	hc.start(vds, 4, 2*time.Millisecond)
 	c.RunFor(200 * time.Millisecond) // healthy warmup
 	sc.inject(c)
 	c.RunFor(window)
-	return hc.finish()
+	return drv.Hangs()
 }
 
 // Table2 regenerates the failure-scenario table: I/Os with no response for
@@ -254,44 +197,27 @@ func Fig8(opts Options) *Table {
 		cfg.Fabric.PodsPerDC = 1
 		cfg.CrossDC = true
 		c := ebs.New(cfg)
-		var vds []*ebs.VDisk
-		for ci := 0; ci < c.Computes(); ci++ {
-			vds = append(vds, c.MustProvision(ci, 64<<20, ebs.DefaultQoS()))
-		}
-
-		// Per-client hang detection: a client is affected if an I/O
-		// completed over the threshold or is still unanswered past it.
-		hangs := make([]bool, len(vds))
-		inflightSince := make([]sim.Time, len(vds))
-		for ci, vd := range vds {
-			ci, vd := ci, vd
-			var issue func()
-			issue = func() {
-				start := c.Eng.Now()
-				inflightSince[ci] = start
-				lba := uint64(rr.Int63n(int64(vd.Size()-4096))) &^ 4095
-				vd.Write(lba, make([]byte, 4096), func(ebs.IOResult) {
-					if c.Eng.Now().Sub(start) >= hangThreshold {
-						hangs[ci] = true
-					}
-					inflightSince[ci] = 0
-					c.Eng.Schedule(2*time.Millisecond, issue)
-				})
-			}
-			issue()
+		// One 4 KiB writer per compute server; a client is affected if one of
+		// its writes hung (completed, or still unanswered, past the threshold).
+		clients := make([]*workload.Driver, c.Computes())
+		for ci := range clients {
+			vd := c.MustProvision(ci, 64<<20, ebs.DefaultQoS())
+			clients[ci] = workload.NewDriver(c.Eng)
+			clients[ci].Closed(vd.ID, vd, 1, 2*time.Millisecond, func(int, int) (bool, uint64, int, bool) {
+				return true, uint64(rr.Int63n(int64(vd.Size()-4096))) &^ 4095, 4096, true
+			}, nil)
 		}
 
 		c.RunFor(100 * time.Millisecond)
 		tier.inject(c, rr)
 		c.RunFor(time.Duration(opts.scale(2000, 1400)) * time.Millisecond)
 		affectedClients := 0
-		for ci, h := range hangs {
-			stuck := inflightSince[ci] != 0 && c.Eng.Now().Sub(inflightSince[ci]) >= hangThreshold
-			if h || stuck {
+		for _, cl := range clients {
+			if cl.Hangs() > 0 {
 				affectedClients++
 			}
 		}
-		frac := float64(affectedClients) / float64(len(vds))
+		frac := float64(affectedClients) / float64(len(clients))
 		affectedVMs := int(frac * float64(tier.domain) * 8) // ~8 VMs/host
 		return []string{
 			fmt.Sprintf("%d", inc+1), tier.name,

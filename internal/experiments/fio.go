@@ -19,8 +19,7 @@ func Fig14(opts Options) *Table {
 		Title:   "Figure 14: fio read, 32 I/O depth, by DPU cores",
 		Columns: []string{"stack", "cores", "64K MB/s", "4K IOPS"},
 	}
-	card := ebsDefaultDPU()
-	pcieCeiling := card.PCIeBps / 2 / 8 / 1e6 // crossed twice, in MB/s
+	pcieCeiling := ebs.DefaultConfig(ebs.Solar).DPU.PCIeBps / 2 / 8 / 1e6 // crossed twice, in MB/s
 	lineRate := 2 * 25e9 / 8 / 1e6
 
 	// One shard per (stack, cores, blocksize) cell — 24 independent
@@ -55,12 +54,6 @@ func Fig14(opts Options) *Table {
 	return t
 }
 
-func ebsDefaultDPU() (c struct{ PCIeBps float64 }) {
-	cfg := ebs.DefaultConfig(ebs.Solar)
-	c.PCIeBps = cfg.DPU.PCIeBps
-	return c
-}
-
 // runFio measures goodput in MB/s for one (stack, cores, blocksize) cell.
 func runFio(opts Options, fn ebs.StackKind, cores int, blockSize int) (float64, *ebs.Cluster) {
 	cfg := clusterConfig(opts, fn)
@@ -74,30 +67,20 @@ func runFio(opts Options, fn ebs.StackKind, cores int, blockSize int) (float64, 
 	// throttling service level (the paper's testbed disks are unthrottled).
 	vd := c.MustProvision(0, 512<<20, ebs.QoS(10e6, 400e9))
 
-	// Prepopulate the read span so reads hit real data.
-	span := uint64(16 << 20)
-	chunk := 512 << 10
-	for off := uint64(0); off < span; off += uint64(chunk) {
-		vd.Write(off, make([]byte, chunk), nil)
-	}
+	// Prepopulate the read span so reads hit stamped data, then read it
+	// back sequentially at queue depth 32.
+	const span = 16 << 20
+	drv := workload.NewDriver(c.Eng)
+	drv.Fill(vd.ID, vd, span)
 	c.Run()
+	c.Eng.Rand.Fork() // the fio job's own stream: the draw keeps the engine's stream in step
+	st := drv.Closed(vd.ID, vd, 32, 0, func(_, n int) (bool, uint64, int, bool) {
+		return false, uint64(n) * uint64(blockSize) % span, blockSize, true
+	}, nil)
 
-	fio := workload.NewFio(c.Eng, workload.FioConfig{
-		Depth:     32,
-		BlockSize: blockSize,
-		ReadFrac:  1.0,
-		SpanBytes: span,
-	}, func(write bool, lba uint64, size int, done func()) {
-		vd.Read(lba, size, func(ebs.IOResult) { done() })
-	})
-
-	warmup := 5 * time.Millisecond
 	window := time.Duration(opts.scale(60, 15)) * time.Millisecond
-	fio.Start()
-	c.RunFor(warmup)
-	startBytes := fio.Bytes
+	c.RunFor(5 * time.Millisecond) // warmup
+	start := st.Completed
 	c.RunFor(window)
-	gotBytes := fio.Bytes - startBytes
-	fio.Stop()
-	return float64(gotBytes) / window.Seconds() / 1e6, c
+	return float64((st.Completed-start)*blockSize) / window.Seconds() / 1e6, c
 }

@@ -8,6 +8,7 @@ import (
 	"lunasolar/internal/sim"
 	"lunasolar/internal/stats"
 	"lunasolar/internal/trace"
+	"lunasolar/internal/workload"
 )
 
 // clusterConfig returns the shared evaluation cluster: 8 compute servers in
@@ -24,32 +25,32 @@ func clusterConfig(opts Options, fn ebs.StackKind) ebs.Config {
 	return cfg
 }
 
-// driveMixed issues n I/Os per disk, open-loop with exponential
-// inter-arrival times, alternating reads and writes with the given read
-// fraction and 4 KiB size. Returns after the run drains.
-func driveMixed(c *ebs.Cluster, vds []*ebs.VDisk, nPerDisk int, readFrac float64, meanGap time.Duration, size int) {
+// driveMixed provisions a disk of diskBytes on every compute server and
+// issues nPerDisk 4 KiB I/Os to each, half reads and half writes, open-loop
+// with exponential inter-arrival times. Returns after the run drains.
+func driveMixed(c *ebs.Cluster, diskBytes uint64, nPerDisk int, meanGap time.Duration) {
+	var vds []*ebs.VDisk
+	for i := 0; i < c.Computes(); i++ {
+		vds = append(vds, c.MustProvision(i, diskBytes, ebs.DefaultQoS()))
+	}
+	const size = 4096
 	r := sim.NewRand(c.Config().Seed * 7731)
+	drv := workload.NewDriver(c.Eng)
+	gap := func() time.Duration { return r.Exp(meanGap) }
+	var entropy [16]byte
 	for _, vd := range vds {
-		vd := vd
-		issued := 0
 		span := vd.Size() - uint64(size)
-		var tick func()
-		tick = func() {
-			if issued >= nPerDisk {
-				return
+		drv.Open(vd.ID, vd, gap, func(_, n int) (bool, uint64, int, bool) {
+			if n >= nPerDisk {
+				return false, 0, 0, false
 			}
-			issued++
-			lba := (uint64(r.Int63n(int64(span)))) &^ 4095
-			if r.Bernoulli(readFrac) {
-				vd.Read(lba, size, nil)
-			} else {
-				data := make([]byte, size)
-				r.Read(data[:16]) // header-ish entropy; full fill unnecessary
-				vd.Write(lba, data, nil)
+			lba := uint64(r.Int63n(int64(span))) &^ 4095
+			if r.Bernoulli(0.5) {
+				return false, lba, size, true
 			}
-			c.Eng.Schedule(r.Exp(meanGap), tick)
-		}
-		tick()
+			r.Read(entropy[:]) // a write's 16 bytes of entropy: the draw fixes the run's stream
+			return true, lba, size, true
+		}, nil)
 	}
 	c.Run()
 }
@@ -76,11 +77,7 @@ func Fig6(opts Options) *Table {
 	perStack := runCells(fleet, len(stacks), func(shard int) (shardOut, *ebs.Cluster) {
 		fn := stacks[shard]
 		c := ebs.New(clusterConfig(opts, fn))
-		var vds []*ebs.VDisk
-		for i := 0; i < c.Computes(); i++ {
-			vds = append(vds, c.MustProvision(i, 256<<20, ebs.DefaultQoS()))
-		}
-		driveMixed(c, vds, n, 0.5, 100*time.Microsecond, 4096)
+		driveMixed(c, 256<<20, n, 100*time.Microsecond)
 		out := shardOut{parts: map[key][]time.Duration{}, e2e: map[key]time.Duration{}}
 		for _, op := range []string{"read", "write"} {
 			for _, q := range []float64{0.5, 0.95} {
@@ -172,33 +169,28 @@ func Fig15(opts Options) *Table {
 		cfg := clusterConfig(opts, cl.fn)
 		cfg.BareMetal = true // the Fig. 14/15 testbed is the bare-metal DPU era
 		c := ebs.New(cfg)
+		drv := workload.NewDriver(c.Eng)
 		probe := c.MustProvision(0, 256<<20, ebs.DefaultQoS())
 
 		if cl.heavy {
-			// Saturating background writers on three other computes.
+			// Saturating background writers on three other computes: an
+			// endless closed loop of 8 outstanding 16 KiB writes each.
 			for i := 1; i <= 3; i++ {
 				bg := c.MustProvision(i, 256<<20, ebs.DefaultQoS())
-				startBackground(c, bg, 8, 16<<10)
+				r := sim.NewRand(int64(bg.ID) * 31)
+				drv.Closed(bg.ID, bg, 8, 0, func(int, int) (bool, uint64, int, bool) {
+					return true, uint64(r.Int63n(int64(bg.Size()-16<<10))) &^ 4095, 16 << 10, true
+				}, nil)
 			}
 			c.RunFor(10 * time.Millisecond) // reach steady state
 		}
 
+		// The probe: one 4 KiB write at a time, 200 µs after the last.
 		h := stats.NewHistogram()
-		issued := 0
-		var tick func()
 		r := sim.NewRand(opts.Seed + 99)
-		tick = func() {
-			if issued >= probes {
-				return
-			}
-			issued++
-			lba := uint64(r.Int63n(int64(probe.Size()-4096))) &^ 4095
-			probe.Write(lba, make([]byte, 4096), func(res ebs.IOResult) {
-				h.Record(res.Latency)
-				c.Eng.Schedule(200*time.Microsecond, tick)
-			})
-		}
-		tick()
+		drv.Closed(probe.ID, probe, 1, 200*time.Microsecond, func(_, n int) (bool, uint64, int, bool) {
+			return true, uint64(r.Int63n(int64(probe.Size()-4096))) &^ 4095, 4096, n < probes
+		}, func(io *workload.IO) { h.Record(io.Res.Latency) })
 		c.RunFor(time.Duration(probes)*200*time.Microsecond + 20*time.Millisecond)
 		return []string{label, cl.fn.String(), us(h.Median()), us(h.P99())}, c
 	})
@@ -212,18 +204,4 @@ func Fig15(opts Options) *Table {
 		"paper: Solar close to RDMA under light load; under heavy load Solar keeps the lowest tail")
 	t.Perf = &fleet.Perf
 	return t
-}
-
-// startBackground runs an endless closed loop of `depth` outstanding writes
-// of the given size on vd.
-func startBackground(c *ebs.Cluster, vd *ebs.VDisk, depth, size int) {
-	r := sim.NewRand(int64(vd.ID) * 31)
-	var issue func()
-	issue = func() {
-		lba := uint64(r.Int63n(int64(vd.Size()-uint64(size)))) &^ 4095
-		vd.Write(lba, make([]byte, size), func(ebs.IOResult) { issue() })
-	}
-	for i := 0; i < depth; i++ {
-		issue()
-	}
 }

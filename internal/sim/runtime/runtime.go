@@ -18,6 +18,7 @@
 package runtime
 
 import (
+	"cmp"
 	gort "runtime"
 	"sync"
 	"sync/atomic"
@@ -100,12 +101,14 @@ func Map[T any](r Runner, n int, job func(shard int) T) []T {
 // how much wall time the shards consumed (summed across workers, so it
 // reads like CPU time). It is safe for concurrent Observe calls.
 type Perf struct {
-	mu     sync.Mutex
-	shards int
-	events uint64
-	simd   time.Duration
-	wall   time.Duration
-	leaked int
+	mu      sync.Mutex
+	shards  int
+	events  uint64
+	simd    time.Duration
+	wall    time.Duration
+	leaked  int
+	failed  int
+	failErr error // the first failed check's
 }
 
 // Observe folds one finished shard's engine counters and wall time in.
@@ -114,6 +117,8 @@ func (p *Perf) Observe(eng *sim.Engine, wall time.Duration) {
 		return
 	}
 	p.mu.Lock()
+	n, err := eng.Failed()
+	p.failed, p.failErr = p.failed+n, cmp.Or(p.failErr, err)
 	p.shards++
 	p.events += eng.Processed()
 	p.simd += eng.Now().Duration()
@@ -135,6 +140,10 @@ func (p *Perf) ObserveLeaked(n int) {
 
 // Leaked returns the total leaked-packet count across observed shards.
 func (p *Perf) Leaked() int { p.mu.Lock(); defer p.mu.Unlock(); return p.leaked }
+
+// Failed returns the failed checks (sim.Engine.Failed) across observed
+// shards and the first one's error; cmd/ebsbench asserts it is zero.
+func (p *Perf) Failed() (int, error) { p.mu.Lock(); defer p.mu.Unlock(); return p.failed, p.failErr }
 
 // Shards returns how many shards have been observed.
 func (p *Perf) Shards() int { p.mu.Lock(); defer p.mu.Unlock(); return p.shards }

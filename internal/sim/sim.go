@@ -27,6 +27,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -119,6 +120,8 @@ type Engine struct {
 	// the clock at the last departure.
 	cur      uint64
 	backlogs []*Backlog
+	failed   int // Fail calls; failErr is the first one's error
+	failErr  error
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -131,6 +134,13 @@ func (e *Engine) Now() Time { return e.now }
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
+
+// Fail records a broken invariant a checker on the engine found (a read of
+// the wrong block): the run goes on, and fails at its end like a leak.
+func (e *Engine) Fail(err error) { e.failErr, e.failed = cmp.Or(e.failErr, err), e.failed+1 }
+
+// Failed returns how many times Fail was called, and the first error.
+func (e *Engine) Failed() (int, error) { return e.failed, e.failErr }
 
 // Pending returns the number of events still queued. Backlog departures
 // are not events and are not counted.

@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"lunasolar/internal/sim"
 )
 
 // TraceRecord is one I/O in a workload trace: issue time relative to trace
@@ -84,57 +82,4 @@ func ReadTrace(r io.Reader) ([]TraceRecord, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out, nil
-}
-
-// GenerateTrace synthesizes a trace with Poisson arrivals at the target
-// IOPS, Fig. 5 size mixtures, and uniformly random aligned addresses within
-// span.
-func GenerateTrace(r *sim.Rand, duration time.Duration, iops float64, readFrac float64, span uint64) []TraceRecord {
-	reads := NewReadSizes(r)
-	writes := NewWriteSizes(r)
-	mean := time.Duration(float64(time.Second) / iops)
-	var out []TraceRecord
-	for at := r.Exp(mean); at < duration; at += r.Exp(mean) {
-		write := !r.Bernoulli(readFrac)
-		var size int
-		if write {
-			size = writes.Sample()
-		} else {
-			size = reads.Sample()
-		}
-		maxLBA := int64(span) - int64(size)
-		if maxLBA <= 0 {
-			continue
-		}
-		lba := uint64(r.Int63n(maxLBA)) &^ 4095
-		out = append(out, TraceRecord{At: at, Write: write, LBA: lba, Size: size})
-	}
-	return out
-}
-
-// Replayer issues a trace's records at their recorded virtual times —
-// open-loop, preserving the trace's arrival process exactly.
-type Replayer struct {
-	eng  *sim.Engine
-	io   IOFunc
-	recs []TraceRecord
-
-	Issued    int
-	Completed int
-}
-
-// NewReplayer builds a replayer over the engine.
-func NewReplayer(eng *sim.Engine, recs []TraceRecord, io IOFunc) *Replayer {
-	return &Replayer{eng: eng, io: io, recs: recs}
-}
-
-// Start schedules every record.
-func (rp *Replayer) Start() {
-	for _, rec := range rp.recs {
-		rec := rec
-		rp.eng.Schedule(rec.At, func() {
-			rp.Issued++
-			rp.io(rec.Write, rec.LBA, rec.Size, func() { rp.Completed++ })
-		})
-	}
 }

@@ -3,8 +3,9 @@
 // the I/O-size mixture of Fig. 5 (40% of requests ≤4 KiB, everything
 // ≤128 KiB, spikes at 4/16/64 KiB), the diurnal per-server IOPS pattern of
 // Fig. 4 (~200 K peaks), the weekly EBS-vs-VPC traffic shares of Fig. 3
-// (EBS ≈ 63% of TX, writes 3–4× reads), and a fio-like closed-loop driver
-// (queue depth, block size, R/W mix) used by Figs. 14–15 and Table 2.
+// (EBS ≈ 63% of TX, writes 3–4× reads), and the one guest-I/O driver
+// (Driver) every experiment issues its I/O through: closed- and open-loop
+// streams whose writes are stamped and whose reads are checked.
 package workload
 
 import (
@@ -144,89 +145,4 @@ func (w *Weekly) At(h int) HourSample {
 		AllTxGBs: allTx, AllRxGBs: allRx,
 		WriteIOPS: writes, ReadIOPS: reads,
 	}
-}
-
-// FioConfig is a fio-like closed-loop job: Depth outstanding I/Os per
-// worker, fixed BlockSize, ReadFrac reads (by count), running until
-// stopped.
-type FioConfig struct {
-	Depth     int
-	BlockSize int
-	ReadFrac  float64
-	// SpanBytes is the LBA range the job touches (wraps around).
-	SpanBytes uint64
-}
-
-// IOFunc issues one I/O of the given kind and size at the given offset;
-// done must be invoked at completion.
-type IOFunc func(write bool, lba uint64, size int, done func())
-
-// Fio drives a closed loop of Depth outstanding I/Os against an issue
-// function, counting completions and bytes.
-type Fio struct {
-	cfg  FioConfig
-	eng  *sim.Engine
-	rand *sim.Rand
-	io   IOFunc
-
-	next    uint64
-	stopped bool
-
-	Completed uint64
-	Bytes     uint64
-}
-
-// NewFio creates a driver.
-func NewFio(eng *sim.Engine, cfg FioConfig, io IOFunc) *Fio {
-	if cfg.Depth <= 0 {
-		cfg.Depth = 1
-	}
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = 4096
-	}
-	if cfg.SpanBytes == 0 {
-		cfg.SpanBytes = 64 << 20
-	}
-	return &Fio{cfg: cfg, eng: eng, rand: eng.Rand.Fork(), io: io}
-}
-
-// Start primes the queue to its depth.
-func (f *Fio) Start() {
-	for i := 0; i < f.cfg.Depth; i++ {
-		f.issue()
-	}
-}
-
-// Stop ends the loop: outstanding I/Os drain, no new ones are issued.
-func (f *Fio) Stop() { f.stopped = true }
-
-func (f *Fio) issue() {
-	if f.stopped {
-		return
-	}
-	write := !f.rand.Bernoulli(f.cfg.ReadFrac)
-	lba := f.next % f.cfg.SpanBytes
-	f.next += uint64(f.cfg.BlockSize)
-	size := f.cfg.BlockSize
-	f.io(write, lba, size, func() {
-		f.Completed++
-		f.Bytes += uint64(size)
-		f.issue()
-	})
-}
-
-// ThroughputMBs returns goodput in MB/s over elapsed virtual time.
-func (f *Fio) ThroughputMBs(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(f.Bytes) / elapsed.Seconds() / 1e6
-}
-
-// IOPS returns completions per second over elapsed virtual time.
-func (f *Fio) IOPS(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(f.Completed) / elapsed.Seconds()
 }

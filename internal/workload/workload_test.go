@@ -94,75 +94,11 @@ func TestWeeklyShares(t *testing.T) {
 	}
 }
 
-func TestFioClosedLoop(t *testing.T) {
-	eng := sim.NewEngine(5)
-	inflight, maxInflight := 0, 0
-	fio := NewFio(eng, FioConfig{Depth: 8, BlockSize: 4096, ReadFrac: 0.5}, func(write bool, lba uint64, size int, done func()) {
-		inflight++
-		if inflight > maxInflight {
-			maxInflight = inflight
-		}
-		eng.Schedule(10*time.Microsecond, func() {
-			inflight--
-			done()
-		})
-	})
-	fio.Start()
-	eng.RunFor(10 * time.Millisecond)
-	fio.Stop()
-	eng.Run()
-	if maxInflight != 8 {
-		t.Fatalf("max inflight = %d, want depth 8", maxInflight)
-	}
-	// 8 outstanding at 10µs service → ~800K IOPS → ~8000 in 10ms.
-	if fio.Completed < 7000 || fio.Completed > 9000 {
-		t.Fatalf("completed = %d", fio.Completed)
-	}
-	if got := fio.IOPS(10 * time.Millisecond); got < 700_000 {
-		t.Fatalf("IOPS = %v", got)
-	}
-	if got := fio.ThroughputMBs(10 * time.Millisecond); got < 2800 {
-		t.Fatalf("throughput = %v MB/s", got)
-	}
-}
-
-func TestFioStops(t *testing.T) {
-	eng := sim.NewEngine(6)
-	fio := NewFio(eng, FioConfig{Depth: 2, BlockSize: 4096}, func(write bool, lba uint64, size int, done func()) {
-		eng.Schedule(time.Microsecond, done)
-	})
-	fio.Start()
-	eng.RunFor(time.Millisecond)
-	fio.Stop()
-	eng.Run() // must terminate
-	if fio.Completed == 0 {
-		t.Fatal("nothing completed")
-	}
-}
-
-func TestFioWrapsSpan(t *testing.T) {
-	eng := sim.NewEngine(7)
-	var maxLBA uint64
-	fio := NewFio(eng, FioConfig{Depth: 1, BlockSize: 4096, SpanBytes: 1 << 20}, func(write bool, lba uint64, size int, done func()) {
-		if lba > maxLBA {
-			maxLBA = lba
-		}
-		eng.Schedule(time.Microsecond, done)
-	})
-	fio.Start()
-	eng.RunFor(5 * time.Millisecond)
-	fio.Stop()
-	eng.Run()
-	if maxLBA >= 1<<20 {
-		t.Fatalf("lba %#x outside span", maxLBA)
-	}
-}
-
 func TestTraceRoundTrip(t *testing.T) {
 	r := sim.NewRand(11)
-	recs := GenerateTrace(r, 100*time.Millisecond, 10000, 0.3, 64<<20)
-	if len(recs) < 800 || len(recs) > 1200 {
-		t.Fatalf("generated %d records, want ~1000", len(recs))
+	var recs []TraceRecord
+	for at := time.Duration(0); at < 100*time.Millisecond; at += r.Exp(100 * time.Microsecond) {
+		recs = append(recs, TraceRecord{At: at, Write: !r.Bernoulli(0.3), LBA: uint64(r.Intn(1<<14)) << 12, Size: 4096 << r.Intn(6)})
 	}
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, recs); err != nil {
@@ -202,44 +138,5 @@ func TestTraceParsing(t *testing.T) {
 		if _, err := ReadTrace(strings.NewReader(bad)); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}
-	}
-}
-
-func TestReplayerTiming(t *testing.T) {
-	eng := sim.NewEngine(12)
-	recs := []TraceRecord{
-		{At: time.Millisecond, Write: true, LBA: 0, Size: 4096},
-		{At: 3 * time.Millisecond, Write: false, LBA: 4096, Size: 4096},
-	}
-	var issuedAt []time.Duration
-	rp := NewReplayer(eng, recs, func(write bool, lba uint64, size int, done func()) {
-		issuedAt = append(issuedAt, eng.Now().Duration())
-		eng.Schedule(10*time.Microsecond, done)
-	})
-	rp.Start()
-	eng.Run()
-	if rp.Issued != 2 || rp.Completed != 2 {
-		t.Fatalf("issued=%d completed=%d", rp.Issued, rp.Completed)
-	}
-	if issuedAt[0] != time.Millisecond || issuedAt[1] != 3*time.Millisecond {
-		t.Fatalf("issue times %v", issuedAt)
-	}
-}
-
-func TestGenerateTraceRates(t *testing.T) {
-	r := sim.NewRand(13)
-	recs := GenerateTrace(r, time.Second, 5000, 0.25, 1<<30)
-	writes := 0
-	for _, rec := range recs {
-		if rec.Write {
-			writes++
-		}
-		if rec.LBA%4096 != 0 {
-			t.Fatal("unaligned lba")
-		}
-	}
-	frac := float64(writes) / float64(len(recs))
-	if frac < 0.70 || frac > 0.80 {
-		t.Fatalf("write fraction %v, want ~0.75", frac)
 	}
 }
