@@ -78,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFeedback$$' -fuzztime 10s ./internal/cc
 	$(GO) test -run '^$$' -fuzz '^FuzzControlPlaneOps$$' -fuzztime 10s ./ebs
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordReader$$' -fuzztime 10s ./internal/tcpstack
+	$(GO) test -run '^$$' -fuzz '^FuzzRDMAMessages$$' -fuzztime 10s ./internal/rdma
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDriverShadow$$' -fuzztime 10s ./internal/workload
 

@@ -148,7 +148,7 @@ func BenchmarkBNWrite4K(b *testing.B) {
 
 // BenchmarkBNRead4K is the read twin of BenchmarkBNWrite4K: one 4 KiB read
 // of a written block, the chunk server answering from a pooled read buffer
-// and the client reassembling the one its Data is handed over in.
+// and the client receiving it by reference to the frame's slab.
 func BenchmarkBNRead4K(b *testing.B) {
 	r := writebench.NewBNRig(1)
 	benchRig(b, r, r.ReadOne)

@@ -182,14 +182,13 @@ func TestReadBackSurvivesRetransmission(t *testing.T) {
 				if scribble {
 					name = "buffer overwritten in done"
 				}
-				t.Run(name, func(t *testing.T) { readBackUnderLoss(t, fn, scribble) })
+				t.Run(name, func(t *testing.T) { readBackUnderLoss(t, testCluster(t, fn), scribble) })
 			}
 		})
 	}
 }
 
-func readBackUnderLoss(t *testing.T, fn StackKind, scribble bool) {
-	c := testCluster(t, fn)
+func readBackUnderLoss(t *testing.T, c *Cluster, scribble bool) {
 	c.Fabric.Spine(0, 0, 0).SetDropRate(0.3)
 	c.Fabric.Spine(0, 0, 1).SetDropRate(0.3)
 	vd := c.MustProvision(0, 16<<20, DefaultQoS())

@@ -3,7 +3,9 @@ package ebs
 import (
 	"bytes"
 	"testing"
+	"time"
 
+	"lunasolar/internal/sa"
 	"lunasolar/internal/sim"
 )
 
@@ -119,5 +121,106 @@ func fillBlock(b []byte, p byte) {
 		} else {
 			b[i] = p ^ byte(i*31) ^ byte(i>>8)
 		}
+	}
+}
+
+// TestPoisonedPoolsReadBack runs the reuse checks with the fabric's pool
+// under Poison: every buffer released to it — a frame's, a reassembly's, a
+// chunk server's read buffer — is filled with 0xDB and never handed out
+// again, so a holder that reads it after its release reads garbage
+// instead of, by luck, the same bytes. Each FN stack runs the
+// lossy read-back, with each write's buffer overwritten in its done, and
+// then keeps a one-piece read's and a segment-crossing read's Data across
+// 200 later mixed 4–128 KiB I/Os: a guest's Result.Data outlives done,
+// and on the RDMA FN a read's response arrives in pooled memory.
+func TestPoisonedPoolsReadBack(t *testing.T) {
+	for _, fn := range []StackKind{KernelTCP, Luna, RDMA, Solar} {
+		t.Run(fn.String(), func(t *testing.T) {
+			poisoned := func() *Cluster {
+				c := testCluster(t, fn)
+				c.Fabric.Pool().Poison = true
+				return c
+			}
+			t.Run("read-back under loss", func(t *testing.T) { readBackUnderLoss(t, poisoned(), true) })
+			t.Run("read data kept", func(t *testing.T) { keptReadsSurvive(t, poisoned()) })
+		})
+	}
+}
+
+// keptReadsSurvive reads back a one-piece and a segment-crossing write,
+// keeps both reads' Data, runs 200 more mixed I/Os elsewhere on the disk,
+// and then compares what it kept. Each phase gets a bounded stretch of
+// simulated time, ample for a healthy run, so a read that can never
+// succeed — a stack retrying poisoned bytes — fails the test instead of
+// hanging it.
+func keptReadsSurvive(t *testing.T, c *Cluster) {
+	const phase = 50 * time.Millisecond
+	vd := c.MustProvision(0, 16<<20, DefaultQoS())
+	lbas := [2]uint64{1 << 20, sa.SegmentBytes - 16<<10}
+	want := [2][]byte{fill(64<<10, 3), fill(32<<10, 5)}
+	var kept [2][]byte
+	done := 0
+	for i := range lbas {
+		vd.Write(lbas[i], want[i], func(r IOResult) {
+			if r.Err != nil {
+				t.Errorf("write %d: %v", i, r.Err)
+			}
+			done++
+		})
+	}
+	c.RunFor(phase)
+	for i := range lbas {
+		vd.Read(lbas[i], len(want[i]), func(r IOResult) {
+			if r.Err != nil {
+				t.Errorf("read %d: %v", i, r.Err)
+			}
+			kept[i] = r.Data
+			done++
+		})
+	}
+	c.RunFor(phase)
+	if done != 4 {
+		t.Fatalf("%d of 2 writes and 2 reads completed", done)
+	}
+
+	// Four chains of 50 I/Os, 70 % reads, in the disk's third and fourth
+	// segments: every pool class the kept reads drew on changes hands.
+	rng := sim.NewRand(3)
+	done = 0
+	var chain func(left int)
+	chain = func(left int) {
+		if left == 0 {
+			return
+		}
+		size := (1 + rng.Intn(32)) << 12
+		lba := 2*sa.SegmentBytes + uint64(rng.Intn(int(2*sa.SegmentBytes)-size))&^0xfff
+		next := func(r IOResult) {
+			if r.Err != nil {
+				t.Errorf("mixed I/O: %v", r.Err)
+			}
+			done++
+			chain(left - 1)
+		}
+		if rng.Intn(10) < 7 {
+			vd.Read(lba, size, next)
+		} else {
+			vd.Write(lba, fill(size, byte(left)), next)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		chain(50)
+	}
+	c.RunFor(phase)
+	if done != 200 {
+		t.Fatalf("%d of 200 mixed I/Os completed", done)
+	}
+	for i := range want {
+		if !bytes.Equal(kept[i], want[i]) {
+			t.Fatalf("kept read %d at %#x changed after later I/O", i, lbas[i])
+		}
+	}
+	c.Run()
+	if n := c.Leaked(); n != 0 {
+		t.Fatalf("%d pooled packets, slab references or records leaked", n)
 	}
 }

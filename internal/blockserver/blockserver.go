@@ -231,8 +231,10 @@ func (r *request) reject() {
 }
 
 // complete folds one leg's response into its request. The last leg answers
-// the request: a read with the primary's data and stored CRCs, which the
-// reply reads before this leg's response goes back to its stack.
+// the request: a read with the primary's data, the slab behind it and its
+// stored CRCs, forwarded by reference. The FN reply runs here, before this
+// leg's response goes back to its stack, and the FN stack retains the slab
+// for as long as its frames carry the bytes.
 //
 //lint:hotpath
 func (l *leg) complete(resp *transport.Response) {
@@ -249,7 +251,7 @@ func (l *leg) complete(resp *transport.Response) {
 	}
 	r.resp.ServerWall = r.s.eng.Now().Sub(r.t0)
 	if r.req.Op == wire.RPCReadReq {
-		r.resp.Data, r.resp.BlockCRCs = resp.Data, resp.BlockCRCs
+		r.resp.Data, r.resp.Payload, r.resp.BlockCRCs = resp.Data, resp.Payload, resp.BlockCRCs
 	}
 	r.finish()
 }

@@ -8,6 +8,7 @@ import (
 
 	"lunasolar/internal/chunkserver"
 	"lunasolar/internal/crc"
+	"lunasolar/internal/simnet"
 	"lunasolar/internal/transport"
 	"lunasolar/internal/wire"
 )
@@ -79,18 +80,19 @@ func TestRequestByReferenceLeavesNoReference(t *testing.T) {
 	}
 }
 
-// TestResponsesSurviveLaterTraffic: a response's Data is handed over to
-// done's caller for good — the block server passes a read's Data on to the
-// FN, which holds it until its own frames are acknowledged — while the
-// envelope and its CRC list are the stack's until done returns, so done
-// copies them. Data that aliased the frame, or anything a pooled record
-// reuses, would read back as some later message's bytes.
+// TestResponsesSurviveLaterTraffic: a response — envelope, CRC list and
+// the pooled Data its Payload backs — is the stack's until done returns,
+// so done copies what it keeps. A copy taken inside done must read back
+// intact however much traffic follows: a Data a stack recycled before done
+// returned would not.
 func TestResponsesSurviveLaterTraffic(t *testing.T) {
 	p := newBNPair(t)
 	dst := p.server.LocalAddr()
 	keep := func(into *transport.Response) func(*transport.Response) {
 		return func(r *transport.Response) {
 			*into = *r
+			into.Data = slices.Clone(r.Data)
+			into.Payload = nil
 			into.BlockCRCs = slices.Clone(r.BlockCRCs)
 		}
 	}
@@ -130,6 +132,71 @@ func TestResponsesSurviveLaterTraffic(t *testing.T) {
 			len(r.BlockCRCs) != 1 || r.BlockCRCs[0] != folds[i] {
 			t.Fatalf("read %d: response's data changed under later traffic, or its CRC was wrong", i)
 		}
+	}
+}
+
+// TestRelayRetainsPooledResponse: a read response reaches done in pooled
+// memory — a one-packet one as its frame's slab, a 16-packet one
+// reassembled — with that slab as its Payload, which the stack recycles
+// once done returns. A relay that retains the Payload inside done, as the
+// block server's FN reply does, still reads the original bytes after more
+// traffic of every size has drawn on the pool in both directions, and its
+// Release returns the last reference without a pool miss.
+func TestRelayRetainsPooledResponse(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		size int
+	}{
+		{"1-packet", 4 << 10},
+		{"16-packet", 64 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newBNPair(t)
+			dst, pool := p.server.LocalAddr(), p.fab.Pool()
+			traffic := func() {
+				for i := 0; i < 64; i++ {
+					data, crcs := pattern(4096<<(i%5), byte(0x80+i))
+					p.client.Call(dst, &transport.Message{Op: wire.RPCWriteReq, SegmentID: 2, LBA: uint64(i) << 16, Gen: 1,
+						Data: data, BlockCRCs: crcs}, func(*transport.Response) {})
+					p.eng.Run()
+					p.client.Call(dst, &transport.Message{Op: wire.RPCReadReq, SegmentID: 2, LBA: uint64(i) << 16, ReadLen: len(data)},
+						func(*transport.Response) {})
+					p.eng.Run()
+				}
+			}
+			block, crcs := pattern(tc.size, 1)
+			p.client.Call(dst, &transport.Message{Op: wire.RPCWriteReq, SegmentID: 1, Gen: 1, Data: block, BlockCRCs: crcs},
+				func(*transport.Response) {})
+			// relayed reads the block back, retains the response inside done
+			// and checks the bytes after the traffic, then releases.
+			relayed := func() {
+				var relay *simnet.Slab
+				var held []byte
+				p.client.Call(dst, &transport.Message{Op: wire.RPCReadReq, SegmentID: 1, ReadLen: tc.size},
+					func(r *transport.Response) {
+						if r.Err != nil || r.Payload == nil || len(r.Data) != tc.size {
+							t.Fatalf("read: err %v, Payload %v, %d bytes; want a pooled %d-byte response", r.Err, r.Payload, len(r.Data), tc.size)
+						}
+						relay, held = r.Payload.Retain(), r.Data
+					})
+				p.eng.Run()
+				traffic()
+				if !bytes.Equal(held, block) {
+					t.Fatal("the retained response's bytes changed under later traffic")
+				}
+				relay.Release()
+				if out := pool.Outstanding(); out != 0 {
+					t.Fatalf("%d packets/slab references outstanding after the relay's Release", out)
+				}
+			}
+			traffic()
+			relayed() // warms every pool the measured round draws on
+			misses := pool.News()
+			relayed()
+			if n := pool.News() - misses; n != 0 {
+				t.Fatalf("%d pool misses once warm", n)
+			}
+		})
 	}
 }
 
@@ -191,7 +258,7 @@ func TestReplyCopiesTheResponse(t *testing.T) {
 	})
 	var got []byte
 	p.client.Call(p.server.LocalAddr(), &transport.Message{Op: wire.RPCReadReq, ReadLen: 8},
-		func(r *transport.Response) { got = r.Data })
+		func(r *transport.Response) { got = slices.Clone(r.Data) })
 	p.eng.Run()
 	if string(got) != "replied" {
 		t.Fatalf("client saw %q: the stack read the Response after reply returned", got)

@@ -7,7 +7,7 @@ import (
 
 // rpcJob is the pooled record that carries one message across its
 // per-message CPU charge in either direction: an outbound request from Call
-// to the send queue, an inbound message from reassembly to the handler or
+// to the send queue, an inbound message from its arrival to the handler or
 // the pending callback, and — in the same record — the handler's response
 // back to the send queue. It replaces a closure per hop and the heap
 // envelopes, as core's serve does for Solar.
@@ -20,7 +20,8 @@ type rpcJob struct {
 	req  *transport.Message
 	resp transport.Response
 
-	// Inbound reassembly state; ebs is the first packet's header.
+	// Inbound message state; ebs is the first packet's header, payload the
+	// message's bytes: a one-packet message's fragment, or the reassembly.
 	ebs      wire.EBS
 	msgType  uint8
 	numPkts  int
@@ -28,10 +29,11 @@ type rpcJob struct {
 	payload  []byte
 	crcs     []uint32 // block CRCs, carried in PSN order or copied by reply
 
-	// msg is the request envelope handed to the handler, valid — like the
-	// slab behind msg.Data, held in msg.Payload from the first chunk on —
-	// until reply returns; crc1 backs the CRC list of a one-packet request.
-	// replyFn is bound once per record.
+	// msg.Payload holds the slab behind payload from arrival on. A request
+	// keeps it there: msg is the envelope handed to the handler, valid —
+	// like the slab — until reply returns. A response's moves to
+	// resp.Payload, valid until done returns. crc1 backs the CRC list of a
+	// one-packet message. replyFn is bound once per record.
 	msg     transport.Message
 	crc1    [1]uint32
 	replyFn func(*transport.Response)
@@ -47,8 +49,8 @@ func (s *Stack) getJob(q *qp, id uint64) *rpcJob {
 	return j
 }
 
-// putJob recycles a job, dropping the request slab if reply never ran and
-// the response slab reply retained.
+// putJob recycles a job, dropping the request slab if reply never ran, and
+// the response slab reply retained or done was handed.
 func (s *Stack) putJob(j *rpcJob) {
 	j.msg.Payload.Release()
 	j.resp.Payload.Release()
@@ -56,19 +58,25 @@ func (s *Stack) putJob(j *rpcJob) {
 	s.freeJobs.Put(j)
 }
 
-// fillRequest builds the handler's envelope around data, keeping the slab
-// reference msg.Payload already holds.
-func (j *rpcJob) fillRequest(ebs *wire.EBS, data []byte, crcs []uint32) {
-	slab := j.msg.Payload
-	j.msg = transport.MessageFromHeader(j.msgType, *ebs, data)
-	j.msg.Payload = slab
-	j.msg.Flags &^= wire.EBSFlagHasCRC // per-packet carriage, not the request's
-	j.msg.BlockCRCs = crcs
+// carried returns the message's carried block CRCs: a one-packet message's
+// from its header, a reassembled one's as collected (empty unless every
+// packet carried one).
+func (j *rpcJob) carried() []uint32 {
+	if j.numPkts > 1 {
+		return j.crcs
+	}
+	if j.ebs.Flags&wire.EBSFlagHasCRC == 0 {
+		return nil
+	}
+	j.crc1[0] = j.ebs.BlockCRC
+	return j.crc1[:]
 }
 
 // rpcDeliver hands a complete message up once its CPU charge has elapsed:
-// a request to the handler, a response, built in the job, to its pending
-// callback.
+// a request, in the job's envelope around the slab msg.Payload holds, to
+// the handler; a response, built in the job with that slab as its Payload,
+// to its pending callback, and the job — slab included — is recycled once
+// done returns.
 //
 //lint:hotpath
 func rpcDeliver(a any) {
@@ -79,13 +87,19 @@ func rpcDeliver(a any) {
 			s.putJob(j)
 			return
 		}
+		slab := j.msg.Payload
+		j.msg = transport.MessageFromHeader(j.msgType, j.ebs, j.payload)
+		j.msg.Payload = slab
+		j.msg.Flags &^= wire.EBSFlagHasCRC // per-packet carriage, not the request's
+		j.msg.BlockCRCs = j.carried()
 		s.handler(j.q.key.peer, &j.msg, j.replyFn)
 		return
 	}
 	if done, ok := s.pending[j.id]; ok {
 		delete(s.pending, j.id)
 		j.resp = transport.ResponseFromHeader(j.ebs, j.payload)
-		j.resp.BlockCRCs = j.crcs
+		j.resp.Payload, j.msg.Payload = j.msg.Payload, nil
+		j.resp.BlockCRCs = j.carried()
 		done(&j.resp)
 	}
 	s.putJob(j)

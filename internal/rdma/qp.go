@@ -406,8 +406,8 @@ func (q *qp) packetArrived(bth wire.TCPSeg, pkt *simnet.Packet) {
 	// Zero-copy frames carry the chunk as a fragment; a flat frame has it
 	// inline after the headers.
 	inline := rest[wire.RPCSize+wire.EBSSize:]
-	if wire.IsRequest(rpc.MsgType) && rpc.NumPkts == 1 && len(inline) == 0 {
-		q.requestArrived(&rpc, &ebs, pkt)
+	if rpc.NumPkts == 1 && len(inline) == 0 {
+		q.arrived(&rpc, &ebs, pkt)
 		return
 	}
 	chunk := pkt.Frag
@@ -417,29 +417,27 @@ func (q *qp) packetArrived(bth wire.TCPSeg, pkt *simnet.Packet) {
 	q.reassemble(&rpc, &ebs, chunk)
 }
 
-// requestArrived delivers a one-packet request by reference: Data is the
-// frame's fragment and Payload the slab behind it, retained until the
-// handler's reply returns. Nothing is copied and nothing allocated.
+// arrived delivers a one-packet message by reference, a request and a
+// response alike: its Data is the frame's fragment (none for a header-only
+// message) and its Payload the slab behind it, retained here and released
+// when the job is recycled — after the handler's reply returns, or after
+// done. Nothing is copied and nothing allocated.
 //
 //lint:hotpath
-func (q *qp) requestArrived(rpc *wire.RPC, ebs *wire.EBS, pkt *simnet.Packet) {
+func (q *qp) arrived(rpc *wire.RPC, ebs *wire.EBS, pkt *simnet.Packet) {
 	j := q.s.getJob(q, rpc.RPCID)
-	j.msgType = rpc.MsgType
+	j.ebs, j.msgType, j.numPkts = *ebs, rpc.MsgType, 1
+	j.payload = pkt.Frag
 	j.msg.Payload = pkt.FragSlab().Retain()
-	j.fillRequest(ebs, pkt.Frag, nil)
-	if ebs.Flags&wire.EBSFlagHasCRC != 0 {
-		j.crc1[0] = ebs.BlockCRC
-		j.msg.BlockCRCs = j.crc1[:]
-	}
 	q.s.cores.SubmitArg(q.s.params.PerRPCCPU, rpcDeliver, j)
 }
 
-// reassemble lands one chunk of a response or a multi-packet request. This
-// is the receive side's one materialisation — the chunks must be contiguous
-// for the handler — so the payload is sized once from the packet count and
-// each chunk is counted as a copy. A request's payload is a pooled slab in
-// msg.Payload, the handler's until reply returns it; a response's Data is
-// handed over to its receiver, so it is fresh. The CRC list is the job's.
+// reassemble lands one chunk of a multi-packet message, or the inline chunk
+// of a flat one-packet frame. This is the receive side's one
+// materialisation — the chunks must be contiguous for the receiver — so
+// the first chunk draws one pooled slab sized from the packet count, held
+// in msg.Payload like a one-packet message's, and each chunk is counted as
+// a copy. The carried CRCs collect in the job's own list.
 func (q *qp) reassemble(rpc *wire.RPC, ebs *wire.EBS, chunk []byte) {
 	j := q.assembler[rpc.RPCID]
 	if j == nil {
@@ -455,12 +453,8 @@ func (q *qp) reassemble(rpc *wire.RPC, ebs *wire.EBS, chunk []byte) {
 			if j.numPkts > 1 {
 				size = j.numPkts * q.s.params.MTU
 			}
-			if wire.IsRequest(j.msgType) {
-				j.msg.Payload = q.s.pool.GetSlab(size)
-				j.payload = j.msg.Payload.Bytes()[:0]
-			} else {
-				j.payload = make([]byte, 0, size)
-			}
+			j.msg.Payload = q.s.pool.GetSlab(size)
+			j.payload = j.msg.Payload.Bytes()[:0]
 		}
 		j.payload = append(j.payload, chunk...)
 		q.s.pool.CountCopy(len(chunk))
@@ -479,9 +473,6 @@ func (q *qp) reassemble(rpc *wire.RPC, ebs *wire.EBS, chunk []byte) {
 	}
 	if len(j.crcs) != j.numPkts {
 		j.crcs = j.crcs[:0]
-	}
-	if wire.IsRequest(j.msgType) {
-		j.fillRequest(&j.ebs, j.payload, j.crcs)
 	}
 	q.s.cores.SubmitArg(q.s.params.PerRPCCPU, rpcDeliver, j)
 }

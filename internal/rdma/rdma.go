@@ -181,8 +181,8 @@ func (s *Stack) Call(dst uint32, req *transport.Message, done func(*transport.Re
 
 // ReceivePacket feeds one inbound frame into the stack. The stack takes
 // ownership: the frame is released once packetArrived returns, which keeps
-// a reference on the frame's slab for a request it delivers by reference
-// and copies everything else it needs.
+// a reference on the frame's slab for a one-packet message it delivers by
+// reference and copies everything else it needs.
 func (s *Stack) ReceivePacket(pkt *simnet.Packet) {
 	var bth wire.TCPSeg
 	if err := bth.Decode(pkt.Payload); err != nil {

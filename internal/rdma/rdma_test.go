@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -51,7 +52,7 @@ func TestRPCRoundTrip(t *testing.T) {
 	var got []byte
 	var at sim.Time
 	p.client.Call(p.server.LocalAddr(), &transport.Message{Op: wire.RPCWriteReq, Data: data},
-		func(r *transport.Response) { got = r.Data; at = p.eng.Now() })
+		func(r *transport.Response) { got = slices.Clone(r.Data); at = p.eng.Now() })
 	p.eng.Run()
 	if !bytes.Equal(got, data) {
 		t.Fatal("payload corrupted")
@@ -71,7 +72,7 @@ func TestLargeMessageSegmentation(t *testing.T) {
 	}
 	var got []byte
 	p.client.Call(p.server.LocalAddr(), &transport.Message{Op: wire.RPCWriteReq, Data: data},
-		func(r *transport.Response) { got = r.Data })
+		func(r *transport.Response) { got = slices.Clone(r.Data) })
 	p.eng.Run()
 	if !bytes.Equal(got, data) {
 		t.Fatal("128K payload corrupted")
@@ -300,7 +301,7 @@ func TestFixedWindowBoundsInflight(t *testing.T) {
 	var got []byte
 	dst := p.server.LocalAddr()
 	p.client.Call(dst, &transport.Message{Op: wire.RPCWriteReq, Data: data},
-		func(r *transport.Response) { got = r.Data })
+		func(r *transport.Response) { got = slices.Clone(r.Data) })
 	q := p.client.qpTo(dst)
 	peak := 0
 	for p.eng.Step() {

@@ -466,9 +466,10 @@ func (a *Agent) saDelay() time.Duration {
 type Result struct {
 	// Data is a read's bytes (nil for a write, or a read that failed
 	// before any piece answered). A read within one segment — nearly every
-	// read — gets the buffer its response arrived in, handed over by the
-	// FN stack; a segment-crossing read gets a buffer the agent assembles
-	// its pieces in.
+	// read — gets the buffer its response arrived in, unless the FN stack
+	// recycles that buffer (the response carries a Payload), in which case
+	// it gets a copy of its own; a segment-crossing read gets a buffer the
+	// agent assembles its pieces in.
 	Data []byte
 	Err  error
 	// Latency is Span.Total(): measured on the agent's own engine, QoS
@@ -501,7 +502,7 @@ type ioReq struct {
 	span      trace.Span
 
 	// Assembly of the pieces' responses.
-	buf             []byte // read buffer: the response's, or assembled across segments
+	buf             []byte // read buffer: the response's or a copy of it, or assembled across segments
 	remaining       int    // pieces not yet finished
 	maxWall, maxSSD time.Duration
 	err             error // first piece error
@@ -674,7 +675,7 @@ func ioCPUDone(x any) {
 
 // ioIssue closes the SA stage and sends one RPC per piece, in LBA order. A
 // segment-crossing read gets the buffer its pieces are assembled in; a
-// one-piece read keeps the one its response brings.
+// one-piece read's comes with its response (see land).
 func ioIssue(x any) {
 	r := x.(*ioReq)
 	now := r.a.eng.Now()
@@ -741,7 +742,7 @@ func (p *piece) response(resp *transport.Response) {
 		r.err = resp.Err
 	}
 	if r.op == wire.RPCReadReq && resp.Err == nil {
-		p.land(resp.Data)
+		p.land(resp)
 	}
 	r.maxWall = max(r.maxWall, resp.ServerWall)
 	r.maxSSD = max(r.maxSSD, resp.SSDTime)
@@ -759,22 +760,27 @@ func (p *piece) response(resp *transport.Response) {
 	r.finish()
 }
 
-// land places a read piece's response Data, which the FN stack handed
-// over: a one-piece read keeps it as the guest's buffer, a segment-crossing
-// one copies it into its piece's range.
-// Data that is not exactly the piece's length fails the I/O.
-func (p *piece) land(data []byte) {
-	r := p.r
+// land places a read piece's response Data, which is valid until the
+// response callback returns and, when the response carries a Payload, is
+// pooled memory the FN stack recycles then. A segment-crossing read copies
+// it into its piece's range. A one-piece read copies a pooled response into
+// a buffer of its own and keeps any other as the guest's buffer: Result.Data
+// outlives done. Data that is not exactly the piece's length fails the I/O.
+func (p *piece) land(resp *transport.Response) {
+	r, data := p.r, resp.Data
 	if len(data) != p.n {
 		if r.err == nil {
 			r.err = fmt.Errorf("sa: vdisk %d read at %#x: %d-byte response for a %d-byte piece", r.vdisk, p.msg.LBA, len(data), p.n)
 		}
 		return
 	}
-	if r.buf == nil {
-		r.buf = data
-	} else {
+	switch {
+	case r.buf != nil:
 		copy(r.buf[p.off:p.off+p.n], data)
+	case resp.Payload != nil:
+		r.buf = slices.Clone(data)
+	default:
+		r.buf = data
 	}
 }
 

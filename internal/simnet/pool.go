@@ -48,6 +48,12 @@ type PacketPool struct {
 
 	copies      uint64
 	copiedBytes uint64
+
+	// Poison is a check mode for tests: PutBuf — and with it the last
+	// Release of a pool-owned slab and of a packet's payload — fills the
+	// buffer with 0xDB and drops it instead of reusing it, so a holder
+	// that reads after release sees garbage. The counters move as usual.
+	Poison bool
 }
 
 // Get returns a packet with a zeroed envelope and a pool-owned payload
@@ -94,6 +100,13 @@ func (pp *PacketPool) GetBuf(n int) []byte {
 // capacity's class. Buffers whose capacity is not a class size are dropped
 // for the garbage collector.
 func (pp *PacketPool) PutBuf(b []byte) {
+	if pp.Poison {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xDB
+		}
+		return
+	}
 	if list, size := pp.class(cap(b)); list != nil && size == cap(b) {
 		*list = append(*list, b)
 	}

@@ -3,12 +3,14 @@ package simnet
 // Slab is a reference-counted payload buffer. One slab backs every copy a
 // payload would otherwise need: the sender's record, each in-flight frame
 // (including retransmits), and each replica of a fan-out. Receive buffers
-// are slabs too — a request reassembled at its server, a chunk server's
-// read buffer — held by the handler's envelope (Message.Payload,
-// Response.Payload) until reply returns and by every stack that keeps the
-// bytes in flight after it. The last Release returns pool-owned buffers to
-// the pool's size-class free lists, which run from frame-sized classes up
-// to one 2 MiB segment.
+// are slabs too — an RDMA message, request or response (one packet by
+// reference to its frame's slab, more reassembled), a tcpstack request
+// record, a chunk server's read buffer — held by the envelope
+// (Message.Payload, Response.Payload) until the function it was passed to
+// returns (reply; done for an inbound response), and by every stack or
+// relay that keeps the bytes after it. The last Release returns pool-owned
+// buffers to the pool's size-class free lists, which run from frame-sized
+// classes up to one 2 MiB segment.
 //
 // Ownership rules (see DESIGN.md "Payload ownership"):
 //   - GetSlab/WrapSlab hand back one reference; the caller owns it.

@@ -51,11 +51,15 @@ type Response struct {
 	Err  error
 
 	// Payload, when non-nil, is the refcounted slab whose bytes Data
-	// aliases, as Message.Payload is for a request. It is set only by a
-	// replier that drew Data from its stack's pool (the chunk server's read
-	// buffer); the reference is the replier's, which releases it once reply
-	// returns, so a stack that keeps Data in flight past reply Retains the
-	// slab. An inbound response never carries one: its Data is handed over.
+	// aliases, as Message.Payload is for a request. The reference belongs
+	// to whoever set the field and is released once the function the
+	// response was passed to returns: a replier that drew Data from its
+	// stack's pool (the chunk server's read buffer) releases it after
+	// reply, a stack that delivers an inbound response in pooled memory
+	// (rdma) after done. So a stack that keeps Data in flight past reply,
+	// or a receiver that keeps it past done, Retains the slab (a relay,
+	// such as the block server's FN reply) or copies the bytes (the
+	// storage agent handing them to a guest).
 	Payload *simnet.Slab
 
 	// BlockCRCs returns the stored raw CRC-32C per 4 KiB block of Data on
@@ -71,13 +75,14 @@ type Response struct {
 // eventually invoke reply exactly once. Both envelopes are valid until the
 // function they were passed to returns — req until reply, the response until
 // reply (at the client, done) — and whoever needs one or its BlockCRCs later
-// copies them. req.Data, when req.Payload is set, is pooled memory the
-// stack recycles after reply. A response's Data is handed over to the
-// receiver, which may keep it, and never aliases a frame. A replier that
-// answers from its stack's pool sets the response's Payload and releases
-// that reference after reply returns: the stack retains the slab for as
-// long as it keeps the bytes in flight, and the receiver still gets Data of
-// its own.
+// copies them. The same holds for Data whenever the envelope's Payload is
+// set: req.Data is pooled memory the stack recycles after reply, and an
+// inbound response's Data pooled memory its stack recycles after done. A
+// receiver that keeps such Data longer retains Payload or copies the
+// bytes. A response without Payload hands its Data over: the receiver may
+// keep it. A replier that answers from its stack's pool sets the response's
+// Payload and releases that reference after reply returns: the stack
+// retains the slab for as long as it keeps the bytes in flight.
 type Handler func(src uint32, req *Message, reply func(*Response))
 
 // Client issues RPCs to remote hosts.
@@ -86,7 +91,9 @@ type Client interface {
 	// when the response arrives. Stacks retry internally — like production
 	// storage stacks they never give up, so a network that heals late
 	// yields a late (not failed) response. Callers measure hang time. The
-	// response is valid until done returns; done may keep its Data.
+	// response is valid until done returns. done may keep its Data only
+	// when Payload is nil; otherwise it retains Payload or copies the
+	// bytes.
 	Call(dst uint32, req *Message, done func(*Response))
 }
 
@@ -209,8 +216,9 @@ func NewLoopback(schedule func(time.Duration, func()), latency time.Duration, lo
 
 // Call implements Client: deliver to the local handler after the handover
 // latency, and its response, copied at reply, after another. A pooled
-// response's Data is copied too — the replier recycles the slab once reply
-// returns — so the receiver gets Data of its own, as from every stack.
+// response's Data is not copied: its Payload is retained across the
+// handover and released once done returns, the rule every stack's inbound
+// response follows.
 func (l *Loopback) Call(dst uint32, req *Message, done func(*Response)) {
 	l.schedule(l.latency, func() {
 		if l.handler == nil {
@@ -220,10 +228,11 @@ func (l *Loopback) Call(dst uint32, req *Message, done func(*Response)) {
 		l.handler(l.local, req, func(resp *Response) {
 			out := *resp
 			out.BlockCRCs = slices.Clone(resp.BlockCRCs)
-			if out.Payload != nil {
-				out.Data, out.Payload = slices.Clone(resp.Data), nil
-			}
-			l.schedule(l.latency, func() { done(&out) })
+			out.Payload = resp.Payload.Retain()
+			l.schedule(l.latency, func() {
+				done(&out)
+				out.Payload.Release()
+			})
 		})
 	})
 }

@@ -51,20 +51,22 @@ var gates = []gate{
 	{test: "TestReadPath4KSteadyState", rig: writebench.NewRig, read: true, allocs: 1, events: 54},
 	// The BN hop every I/O makes three times under every FN stack: an RDMA
 	// client into a chunk-server service. The store recycles the block each
-	// overwrite replaces and a multi-packet request lands in a pooled slab,
-	// so a write allocates nothing; the chunk server reads into a pooled
-	// slab too, so a read allocates only the client's reassembly, the buffer
-	// its Data is handed over in.
+	// overwrite replaces, the chunk server reads into a pooled slab, and
+	// every inbound message lands in pooled memory — a one-packet one by
+	// reference to its frame's slab, a multi-packet one reassembled into a
+	// pooled slab — so nothing allocates, and only a multi-packet message
+	// is copied.
 	{test: "TestBNWritePath4KSteadyState", rig: writebench.NewBNRig, allocs: 0, events: 50},
-	{test: "TestBNReadPath4KSteadyState", rig: writebench.NewBNRig, read: true, allocs: 1, events: 50, copied: wire.BlockSize},
+	{test: "TestBNReadPath4KSteadyState", rig: writebench.NewBNRig, read: true, allocs: 0, events: 50},
 	{test: "TestBNWrite64KSteadyState", rig: writebench.NewBNRig, size: 64 << 10, allocs: 0, events: 410, copied: 64 << 10},
-	{test: "TestBNRead64KSteadyState", rig: writebench.NewBNRig, size: 64 << 10, read: true, allocs: 1, events: 410, copied: 64 << 10},
+	{test: "TestBNRead64KSteadyState", rig: writebench.NewBNRig, size: 64 << 10, read: true, allocs: 0, events: 410, copied: 64 << 10},
 	// The whole storage-server side: RDMA FN into a block server, its
 	// three-replica (or primary) fan-out over the RDMA BN into chunk
-	// servers. A write allocates nothing; a read allocates the two
-	// reassemblies, BN and FN.
+	// servers. A write allocates nothing. A read's block travels from the
+	// chunk server's slab through the BN frame and the block server's FN
+	// reply to the FN client by reference: no allocation, no copy.
 	{test: "TestBlockServerWrite4KSteadyState", rig: writebench.NewBlockServerRig, allocs: 0, events: 151},
-	{test: "TestBlockServerRead4KSteadyState", rig: writebench.NewBlockServerRig, read: true, allocs: 2, events: 83, copied: 2 * wire.BlockSize},
+	{test: "TestBlockServerRead4KSteadyState", rig: writebench.NewBlockServerRig, read: true, allocs: 0, events: 83},
 	// The host-side FN stack, tcpstack, under Luna's and the kernel's
 	// presets. A write's request record lands in a pooled slab, so it
 	// allocates nothing; a read allocates the response record's payload,
