@@ -193,7 +193,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(&b, "[%s perf: %s]\n", id, perf)
 		}
 		if leaked > 0 {
-			fmt.Fprintf(&b, "[%s LEAK: %d pooled packets or records never returned]\n", id, leaked)
+			fmt.Fprintf(&b, "[%s LEAK: %d pooled packets, records or store pages never returned]\n", id, leaked)
 		}
 		if failed > 0 {
 			fmt.Fprintf(&b, "[%s MISMATCH: %d reads returned the wrong block; first: %v]\n", id, failed, failErr)
@@ -218,7 +218,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if n := leakedTotal.Load(); n > 0 {
-		fmt.Fprintf(stderr, "ebsbench: %d leaked packets or records and mismatched reads across experiments\n", n)
+		fmt.Fprintf(stderr, "ebsbench: %d leaked packets, records or pages and mismatched reads across experiments\n", n)
 		return 1
 	}
 	return 0

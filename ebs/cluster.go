@@ -240,16 +240,21 @@ func (c *Cluster) Engines() []*sim.Engine { return []*sim.Engine{c.Eng} }
 func (c *Cluster) Run() { c.Eng.Run() }
 
 // Leaked reports pooled packets, slab references and records (every
-// sim.Pool bound to the engine) checked out with no event left that could
-// return them — a leak in some stack's packet or job handling. A cluster
-// stopped mid-run (RunFor with I/O still in flight) legitimately holds
-// them, so the check only applies once the engine has fully drained;
+// sim.Pool bound to the engine), and chunk-store pages taken for a write
+// and neither stored nor returned, checked out with no event left that
+// could return them — a leak in some stack's packet or job handling. A
+// cluster stopped mid-run (RunFor with I/O still in flight) legitimately
+// holds them, so the check only applies once the engine has fully drained;
 // Leaked returns 0 otherwise.
 func (c *Cluster) Leaked() int {
 	if c.Eng.Pending() != 0 {
 		return 0
 	}
-	return int(c.Fabric.Pool().Outstanding()) + c.Eng.PoolOutstanding()
+	n := int(c.Fabric.Pool().Outstanding()) + c.Eng.PoolOutstanding()
+	for _, cs := range c.chunks {
+		n += cs.Chunk.InFlightPages()
+	}
+	return n
 }
 
 // RunFor advances virtual time by d.

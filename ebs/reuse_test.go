@@ -224,3 +224,30 @@ func keptReadsSurvive(t *testing.T, c *Cluster) {
 		t.Fatalf("%d pooled packets, slab references or records leaked", n)
 	}
 }
+
+// TestLeakGateCountsStorePages: Leaked counts chunk-store pages a write took
+// and the store neither kept nor gave back. Solar writes under a CRC engine
+// that flips one result in five reach the chunk servers with wrong CRCs,
+// which they reject; every rejected copy's page must come back, so the
+// drained cluster reads 0 while its chunk servers hold the stored blocks.
+func TestLeakGateCountsStorePages(t *testing.T) {
+	cfg := smallConfig(Solar)
+	cfg.DPU.Faults.CRCBitFlip = 0.2
+	c := New(cfg)
+	vd := c.MustProvision(0, 64<<20, DefaultQoS())
+	for i := 0; i < 64; i++ {
+		vd.Write(uint64(i)<<16, fill(16<<10, byte(i)), func(IOResult) {})
+	}
+	c.Run()
+	var rejected, stored uint64
+	for _, cs := range c.Chunks() {
+		w, _, crcErrs, _ := cs.Chunk.Stats()
+		rejected, stored = rejected+crcErrs, stored+w-crcErrs
+	}
+	if rejected == 0 || stored == 0 {
+		t.Fatalf("%d rejected and %d stored block writes: the test exercises nothing", rejected, stored)
+	}
+	if n := c.Leaked(); n != 0 {
+		t.Fatalf("%d pages, pooled packets, slab references or records leaked after the drain", n)
+	}
+}

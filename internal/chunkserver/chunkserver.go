@@ -45,11 +45,17 @@ func DefaultSSD() SSDConfig {
 	}
 }
 
-type blockRec struct {
-	data []byte
-	crc  uint32
-	gen  uint32
-}
+const (
+	pagesPerChunk = 32         // wire.BlockSize pages per arena allocation
+	noPage        = ^uint32(0) // a write too big for a page: it stores nothing
+)
+
+// A blockKey addresses a stored block by its exact LBA, aligned or not; a
+// blockRec is the block: the arena page holding its n bytes, its raw CRC and
+// its generation. Neither holds a pointer, so the collector never scans the
+// index.
+type blockKey struct{ segment, lba uint64 }
+type blockRec struct{ page, n, crc, gen uint32 }
 
 // Server is one chunk server: an SSD plus an in-memory block store keyed by
 // (segment, LBA). Stored blocks carry their raw CRC so integrity is
@@ -62,17 +68,20 @@ type Server struct {
 
 	disk     *sim.Server
 	nextSlot sim.Time // IOPS pacer: next admission slot
-	blocks   map[uint64]map[uint64]blockRec
+	blocks   map[blockKey]blockRec
 	// zero is what unwritten space reads as. Read-only and shared by every
 	// miss, like the stored slices hits hand out uncopied.
 	zero []byte
 
-	// freeBlocks recycles the store's block buffers: an overwrite returns
-	// the block it replaces, a CRC-rejected or stale-generation write the
-	// copy it never stored. A LIFO slice, like every pool in the tree, so
-	// reuse is deterministic. freeOps recycles the per-operation records.
-	freeBlocks [][]byte
-	freeOps    *sim.Pool[blockOp]
+	// chunks is the page arena: every stored or in-flight block lives in a
+	// page, numbered in carving order. freePages is a LIFO of page numbers,
+	// so reuse is deterministic: an overwrite returns the page it replaces, a
+	// CRC-rejected or stale write the copy it never stored, DropSegment its
+	// segment's pages. freeOps recycles the per-operation records.
+	chunks    []*[pagesPerChunk][wire.BlockSize]byte
+	carved    uint32
+	freePages []uint32
+	freeOps   *sim.Pool[blockOp]
 
 	writes, reads, crcErrors, misses uint64
 
@@ -87,14 +96,13 @@ func New(eng *sim.Engine, name string, cfg SSDConfig) *Server {
 		cfg.Parallelism = 8
 	}
 	return &Server{
-		eng:    eng,
-		name:   name,
-		cfg:    cfg,
-		rand:   eng.Rand.Fork(),
-		disk:   sim.NewServer(eng, name+"-ssd", cfg.Parallelism),
-		blocks: map[uint64]map[uint64]blockRec{},
-		zero:   make([]byte, wire.BlockSize),
-
+		eng:     eng,
+		name:    name,
+		cfg:     cfg,
+		rand:    eng.Rand.Fork(),
+		disk:    sim.NewServer(eng, name+"-ssd", cfg.Parallelism),
+		blocks:  map[blockKey]blockRec{},
+		zero:    make([]byte, wire.BlockSize),
 		freeOps: sim.NewPool[blockOp](eng),
 	}
 }
@@ -134,7 +142,7 @@ type blockOp struct {
 	kind         uint8
 	segment, lba uint64
 	gen, crc     uint32
-	data         []byte // write: the device copy, taken at the call
+	page, n      uint32 // write: the device copy's page and length
 
 	req       *request
 	idx       int
@@ -150,9 +158,11 @@ func (s *Server) submit(o *blockOp) {
 
 // write takes the operation's device copy of data and submits it.
 func (s *Server) write(o *blockOp, gen uint32, data []byte, expectCRC uint32) {
-	o.gen, o.crc = gen, expectCRC
-	o.data = s.getBlock(len(data))
-	copy(o.data, data)
+	o.gen, o.crc, o.page, o.n = gen, expectCRC, noPage, uint32(len(data))
+	if len(data) <= wire.BlockSize {
+		o.page = s.getPage()
+		copy(s.page(o.page), data)
+	}
 	s.submit(o)
 }
 
@@ -170,25 +180,29 @@ func (s *Server) putOp(o *blockOp) {
 	s.freeOps.Put(o)
 }
 
-// getBlock returns a buffer of length n for a stored block, recycled when
-// one is free. Only whole-block-capacity buffers circulate.
-func (s *Server) getBlock(n int) []byte {
-	if n > wire.BlockSize {
-		return make([]byte, n)
+// page returns arena page p, one whole block.
+func (s *Server) page(p uint32) []byte { return s.chunks[p/pagesPerChunk][p%pagesPerChunk][:] }
+
+// getPage takes a free page, or else carves the next one, chunk by chunk.
+func (s *Server) getPage() uint32 {
+	if k := len(s.freePages); k > 0 {
+		p := s.freePages[k-1]
+		s.freePages = s.freePages[:k-1]
+		return p
 	}
-	if k := len(s.freeBlocks); k > 0 {
-		b := s.freeBlocks[k-1]
-		s.freeBlocks[k-1] = nil
-		s.freeBlocks = s.freeBlocks[:k-1]
-		return b[:n]
+	if s.carved%pagesPerChunk == 0 {
+		s.chunks = append(s.chunks, new([pagesPerChunk][wire.BlockSize]byte))
 	}
-	return make([]byte, n, wire.BlockSize)
+	s.carved++
+	return s.carved - 1
 }
 
-func (s *Server) putBlock(b []byte) {
-	if cap(b) == wire.BlockSize {
-		s.freeBlocks = append(s.freeBlocks, b)
-	}
+func (s *Server) putPage(p uint32) { s.freePages = append(s.freePages, p) }
+
+// InFlightPages returns the pages WriteBlock has taken and the store has
+// neither kept nor returned. Once the engine has drained, each is a leak.
+func (s *Server) InFlightPages() int {
+	return int(s.carved) - len(s.freePages) - len(s.blocks)
 }
 
 // opAdmit runs when the operation's IOPS slot comes up: it draws the media
@@ -214,77 +228,77 @@ func opAdmit(a any) {
 func opCommit(a any) {
 	o := a.(*blockOp)
 	s := o.s
+	var data []byte
 	var rec blockRec
 	var err error
 	if o.kind == opWrite {
 		err = s.commitWrite(o)
 	} else {
-		rec, err = s.lookup(o)
+		data, rec, err = s.lookup(o)
 	}
 	c := *o
 	s.putOp(o)
 	switch {
 	case c.req != nil:
-		c.req.blockDone(c.idx, rec.data, rec.crc, err)
+		c.req.blockDone(c.idx, data, rec.crc, err)
 	case c.kind == opWrite:
 		c.onWrite(err)
 	case c.kind == opRead:
-		c.onRead(rec.data, rec.crc, err)
+		c.onRead(data, rec.crc, err)
 	default:
-		c.onMigrate(rec.data, rec.crc, rec.gen, err)
+		c.onMigrate(data, rec.crc, rec.gen, err)
 	}
 }
 
 // lookup serves a read from the store. To a client, unwritten space reads
 // as zeros, like a fresh virtual disk (the raw CRC is linear, so the CRC of
 // zeros is 0); to a rebuild it is an error.
-func (s *Server) lookup(o *blockOp) (blockRec, error) {
+func (s *Server) lookup(o *blockOp) ([]byte, blockRec, error) {
 	s.reads++
-	if rec, ok := s.blocks[o.segment][o.lba]; ok {
-		return rec, nil
+	if rec, ok := s.blocks[blockKey{o.segment, o.lba}]; ok {
+		return s.page(rec.page)[:rec.n], rec, nil
 	}
 	s.misses++
 	if o.kind == opMigrate {
-		return blockRec{}, s.migrateMiss(o.segment, o.lba)
+		return nil, blockRec{}, s.migrateMiss(o.segment, o.lba)
 	}
-	return blockRec{data: s.zero}, nil
+	return s.zero, blockRec{}, nil
 }
 
-// commitWrite verifies and stores a write's device copy. Whatever buffer
-// the store does not keep — the rejected or stale copy, or the block an
+// commitWrite verifies and stores a write's device copy. Whatever page the
+// store does not keep — the rejected or stale copy, or the block an
 // overwrite replaces — goes back to the free list.
 //
 //lint:hotpath
 func (s *Server) commitWrite(o *blockOp) error {
 	s.writes++
-	if got := crc.Raw(o.data); got != o.crc {
+	if o.page == noPage {
+		return s.oversize(o)
+	}
+	if got := crc.Raw(s.page(o.page)[:o.n]); got != o.crc {
 		s.crcErrors++
 		s.rec.Record(s.eng.Now().Duration(), trace.EvCRCError, o.segment, o.lba)
-		s.putBlock(o.data)
+		s.putPage(o.page)
 		return s.crcMismatch(o, got)
 	}
-	seg := s.blocks[o.segment]
-	if seg == nil {
-		seg = s.newSegment(o.segment)
-	}
-	prev, exists := seg[o.lba]
+	k := blockKey{o.segment, o.lba}
+	prev, exists := s.blocks[k]
 	if exists && prev.gen > o.gen {
 		// Stale retransmitted generation: keep the newer data but
 		// still acknowledge (idempotent write).
-		s.putBlock(o.data)
+		s.putPage(o.page)
 		return nil
 	}
 	if exists {
-		s.putBlock(prev.data)
+		s.putPage(prev.page)
 	}
-	seg[o.lba] = blockRec{data: o.data, crc: o.crc, gen: o.gen}
+	s.blocks[k] = blockRec{page: o.page, n: o.n, crc: o.crc, gen: o.gen}
 	return nil
 }
 
-func (s *Server) newSegment(segment uint64) map[uint64]blockRec {
-	seg := map[uint64]blockRec{}
-	s.blocks[segment] = seg
-	return seg
+func (s *Server) oversize(o *blockOp) error {
+	return fmt.Errorf("chunkserver %s: write of %d bytes at seg=%d lba=%#x exceeds a %d-byte block",
+		s.name, o.n, o.segment, o.lba, wire.BlockSize)
 }
 
 func (s *Server) crcMismatch(o *blockOp, got uint32) error {
@@ -303,11 +317,12 @@ func (s *Server) migrateMiss(segment, lba uint64) error {
 // write cache.
 //
 // data is copied before WriteBlock returns — the device boundary, the one
-// copy a block must make — into a buffer recycled from the store, so the
-// caller may reuse or release data at once. The copy cannot wait for the
-// commit: a drain hands MigrateRead's stored slice straight to the
-// destination's WriteBlock, and the source may overwrite (and recycle)
-// that block before the destination's disk gets to it.
+// copy a block must make — into a page of the store's arena, so the caller
+// may reuse or release data at once. The copy cannot wait for the commit:
+// a drain hands MigrateRead's stored slice straight to the destination's
+// WriteBlock, and the source may overwrite (and recycle) that block before
+// the destination's disk gets to it. Data longer than wire.BlockSize fits
+// no page: done gets an error and nothing is stored.
 func (s *Server) WriteBlock(segment, lba uint64, gen uint32, data []byte, expectCRC uint32, done func(err error)) {
 	o := s.getOp(opWrite, segment, lba)
 	o.onWrite = done
@@ -316,8 +331,8 @@ func (s *Server) WriteBlock(segment, lba uint64, gen uint32, data []byte, expect
 
 // ReadBlock fetches one block. done receives the payload, its stored raw
 // CRC, and an error for missing blocks. The payload is the store's own
-// slice, handed out uncopied: it is valid only inside done, because a later
-// overwrite recycles the buffer.
+// page, handed out uncopied: it is valid until done returns, because a
+// later overwrite recycles the page.
 func (s *Server) ReadBlock(segment, lba uint64, done func(data []byte, rawCRC uint32, err error)) {
 	o := s.getOp(opRead, segment, lba)
 	o.onRead = done
@@ -327,14 +342,13 @@ func (s *Server) ReadBlock(segment, lba uint64, done func(data []byte, rawCRC ui
 // SegmentLBAs returns the sorted LBAs of every block stored for a segment
 // — the manifest a replica rebuild copies. Sorting makes the copy order
 // (and therefore the whole migration) independent of map iteration order.
+// It scans the whole index; only a drain calls it.
 func (s *Server) SegmentLBAs(segment uint64) []uint64 {
-	seg := s.blocks[segment]
-	if len(seg) == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, len(seg))
-	for lba := range seg {
-		out = append(out, lba)
+	var out []uint64
+	for k := range s.blocks {
+		if k.segment == segment {
+			out = append(out, k.lba)
+		}
 	}
 	slices.Sort(out)
 	return out
@@ -345,7 +359,7 @@ func (s *Server) SegmentLBAs(segment uint64) []uint64 {
 // read — migration traffic contends with foreground I/O on the source —
 // but returns the stored generation so the destination commit preserves
 // write-idempotency ordering. Like ReadBlock's, the slice is the store's
-// own and valid only inside done.
+// own and valid until done returns.
 func (s *Server) MigrateRead(segment, lba uint64, done func(data []byte, rawCRC uint32, gen uint32, err error)) {
 	o := s.getOp(opMigrate, segment, lba)
 	o.onMigrate = done
@@ -353,11 +367,16 @@ func (s *Server) MigrateRead(segment, lba uint64, done func(data []byte, rawCRC 
 }
 
 // DropSegment discards a segment's blocks (the final step of draining
-// this replica) and returns how many blocks were freed.
+// this replica), returning their pages to the arena in LBA order, and
+// returns how many blocks were freed.
 func (s *Server) DropSegment(segment uint64) int {
-	n := len(s.blocks[segment])
-	delete(s.blocks, segment)
-	return n
+	lbas := s.SegmentLBAs(segment)
+	for _, lba := range lbas {
+		k := blockKey{segment, lba}
+		s.putPage(s.blocks[k].page)
+		delete(s.blocks, k)
+	}
+	return len(lbas)
 }
 
 // Utilization returns the SSD's busy-unit average (diagnostics).

@@ -84,9 +84,9 @@ func TestWriteCopiesAtTheCall(t *testing.T) {
 	eng.Run()
 }
 
-// TestOverwritesRecycleBlocks: the store owns one buffer per stored block
-// plus whatever is in flight — 1 000 overwrites of one LBA must not grow the
-// free list past that, and the block read back is the last one written.
+// TestOverwritesRecycleBlocks: the store owns one page per stored block
+// plus whatever is in flight — 1 000 overwrites of one LBA must not carve
+// more pages than that, and the block read back is the last one written.
 func TestOverwritesRecycleBlocks(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := New(eng, "cs0", DefaultSSD())
@@ -105,9 +105,7 @@ func TestOverwritesRecycleBlocks(t *testing.T) {
 		}
 	}
 	eng.Run()
-	if n := len(s.freeBlocks); n > 8 {
-		t.Fatalf("free list holds %d blocks after 1000 overwrites of one LBA, want <= 8 (the in-flight depth)", n)
-	}
+	checkArena(t, s, "after 1000 overwrites of one LBA", 1+8) // one stored, up to eight in flight
 	s.ReadBlock(1, 0x4000, func(d []byte, c uint32, err error) {
 		if !bytes.Equal(d, buf) || c != crc.Raw(buf) {
 			t.Error("read does not return the last block written")
@@ -117,17 +115,15 @@ func TestOverwritesRecycleBlocks(t *testing.T) {
 }
 
 // TestRejectedAndStaleWritesReturnTheirBuffer: a write the store does not
-// keep must give its device copy back, or every CRC reject and every stale
-// retransmission leaks a block.
+// keep must give its device copy's page back, or every CRC reject and every
+// stale retransmission leaks a page.
 func TestRejectedAndStaleWritesReturnTheirBuffer(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := New(eng, "cs0", DefaultSSD())
 	cur := bytes.Repeat([]byte{2}, 4096)
 	s.WriteBlock(1, 0, 5, cur, crc.Raw(cur), func(error) {})
 	eng.Run()
-	if n := len(s.freeBlocks); n != 0 {
-		t.Fatalf("free list = %d after a first write, want 0", n)
-	}
+	checkArena(t, s, "after a first write", 1)
 
 	s.WriteBlock(1, 0, 6, cur, 0xdeadbeef, func(err error) {
 		if err == nil {
@@ -135,9 +131,7 @@ func TestRejectedAndStaleWritesReturnTheirBuffer(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if n := len(s.freeBlocks); n != 1 {
-		t.Fatalf("free list = %d after a CRC-rejected write, want 1", n)
-	}
+	checkArena(t, s, "after a CRC-rejected write", 1+1)
 
 	old := bytes.Repeat([]byte{1}, 4096)
 	s.WriteBlock(1, 0, 3, old, crc.Raw(old), func(err error) {
@@ -146,15 +140,27 @@ func TestRejectedAndStaleWritesReturnTheirBuffer(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if n := len(s.freeBlocks); n != 1 {
-		t.Fatalf("free list = %d after a stale-generation write, want 1 (taken and returned)", n)
-	}
+	checkArena(t, s, "after a stale-generation write", 1+1) // reuses the rejected copy's page
 	s.ReadBlock(1, 0, func(d []byte, c uint32, err error) {
 		if !bytes.Equal(d, cur) {
 			t.Error("a rejected or stale write changed the stored block")
 		}
 	})
 	eng.Run()
+}
+
+// checkArena fails unless the arena has carved at most maxCarved pages —
+// the blocks stored plus the most writes ever in flight at once — and,
+// with the engine drained, holds none in flight: every page is stored or
+// back on the free list.
+func checkArena(t *testing.T, s *Server, what string, maxCarved int) {
+	t.Helper()
+	if n := int(s.carved); n > maxCarved {
+		t.Fatalf("%s: arena carved %d pages, want <= %d (blocks stored + writes in flight)", what, n, maxCarved)
+	}
+	if n := s.InFlightPages(); n != 0 {
+		t.Fatalf("%s: %d pages neither stored nor returned", what, n)
+	}
 }
 
 // TestReadDataOutlivesTheReply: a response is valid until reply returns,
