@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"lunasolar/internal/cc"
 	"lunasolar/internal/dpu"
+	"lunasolar/internal/trace"
 	"lunasolar/internal/transport"
 	"lunasolar/internal/wire"
 )
@@ -43,5 +46,109 @@ func TestWritePathAllocsPerPacketBounded(t *testing.T) {
 	}
 	if n := r.fab.Pool().Outstanding(); n != 0 {
 		t.Fatalf("pool reports %d leaked packets", n)
+	}
+}
+
+// TestFailoverRekeysPathInPlace: a failover allocates nothing. The path
+// keeps its slot, its send queue and its in-flight bytes, and takes a new
+// source port; every other field is a new path's.
+func TestFailoverRekeysPathInPlace(t *testing.T) {
+	r := newRig(t, dpu.FaultRates{}, Offloaded)
+	r.client.Call(r.server.LocalAddr(),
+		&transport.Message{Op: wire.RPCWriteReq, VDisk: 1, SegmentID: 1, Gen: 1, Data: fill(64<<10, 5)},
+		func(*transport.Response) {})
+	r.eng.Run()
+	pe := r.client.peers[r.server.LocalAddr()]
+	p := pe.paths[0]
+	p.consecTO = r.client.params.PathFailThreshold
+	p.inflightBytes = 3 * maxPktSize
+	p.outstanding = append(p.outstanding, outRef{e: &outPkt{}, gen: 1})
+	p.ctrl.OnTimeout()
+
+	params := r.client.params
+	fresh := path{
+		rtt:  *transport.NewRTT(params.MinRTO, params.MaxRTO),
+		ctrl: *cc.NewHPCC(maxPktSize, params.InitCwnd, params.MaxCwnd, params.BaseRTT),
+	}
+	// Warm-up must have moved every field a failover resets, or the
+	// comparison below could not tell a reset from a field left alone.
+	if p.rtt == fresh.rtt || p.ctrl == fresh.ctrl || p.ewma == 0 || p.seq == 0 ||
+		p.maxAckedSeq == 0 || p.sent == 0 || p.acked == 0 || p.tele == (pathTelemetry{}) {
+		t.Fatalf("warm-up left path %d partly fresh: %+v", p.id, *p)
+	}
+
+	queue, inflight := p.outstanding, p.inflightBytes
+	allocs := testing.AllocsPerRun(100, func() { r.client.failover(p) })
+	if allocs != 0 {
+		t.Fatalf("failover allocates %.1f objects, want 0", allocs)
+	}
+	if pe.paths[0] != p {
+		t.Fatal("failover replaced the path record instead of re-keying it")
+	}
+	want := fresh
+	want.id, want.outstanding, want.inflightBytes = p.id, queue, inflight
+	if !reflect.DeepEqual(*p, want) {
+		t.Fatalf("re-keyed path\n%+v\nwant a new path's state\n%+v", *p, want)
+	}
+	if r.client.PathFailovers != 101 {
+		t.Fatalf("%d failovers counted, want 101", r.client.PathFailovers)
+	}
+	evs := r.client.Recorder().Events()
+	last := evs[len(evs)-1]
+	if last.Kind != trace.EvFailover || last.Arg1 != uint64(p.id)-1 || last.Arg2 != uint64(p.id) {
+		t.Fatalf("last recorded event %+v, want a failover from port %d to %d", last, p.id-1, p.id)
+	}
+}
+
+// TestBacklogDrainsInOrderWithoutAllocating: on one path whose window holds
+// two blocks, most of a 16-block write waits in the peer's backlog. The
+// blocks still reach the server in the order they were queued, and once
+// warm a write allocates nothing: the backlog keeps its array.
+func TestBacklogDrainsInOrderWithoutAllocating(t *testing.T) {
+	r := newRig(t, dpu.FaultRates{}, Offloaded)
+	r.client.params.NumPaths = 1
+	r.client.params.InitCwnd, r.client.params.MaxCwnd = 2*maxPktSize, 2*maxPktSize
+	dst := r.server.LocalAddr()
+	pe := r.client.peerFor(dst)
+
+	const blocks = 16
+	order := make([]uint64, 0, blocks)
+	queued := 0
+	r.server.SetHandler(func(src uint32, req *transport.Message, reply func(*transport.Response)) {
+		order = append(order, req.LBA)
+		queued = max(queued, len(pe.backlog))
+		reply(&emptyResp)
+	})
+	msg := &transport.Message{Op: wire.RPCWriteReq, VDisk: 1, SegmentID: 1, Gen: 1, Data: fill(blocks*wire.BlockSize, 7)}
+	onDone := func(*transport.Response) {}
+	write := func() {
+		order = order[:0]
+		r.client.Call(dst, msg, onDone)
+		r.eng.Run()
+	}
+	for i := 0; i < 16; i++ {
+		write()
+	}
+	allocs := testing.AllocsPerRun(50, write)
+
+	if queued < blocks-2 {
+		t.Fatalf("at most %d blocks waited in the backlog, want %d", queued, blocks-2)
+	}
+	if r.client.Retransmits != 0 {
+		t.Fatalf("%d retransmits: a resent block may overtake the queue", r.client.Retransmits)
+	}
+	if len(order) != blocks {
+		t.Fatalf("the server saw %d blocks of the last write, want %d", len(order), blocks)
+	}
+	for i, lba := range order {
+		if lba != uint64(i*wire.BlockSize) {
+			t.Fatalf("arrival %d is the block at LBA %#x, want %#x: the backlog is not FIFO", i, lba, i*wire.BlockSize)
+		}
+	}
+	if len(pe.backlog) != 0 {
+		t.Fatalf("%d packets left in the backlog", len(pe.backlog))
+	}
+	if allocs != 0 {
+		t.Fatalf("a window-blocked write allocates %.1f objects, want 0", allocs)
 	}
 }

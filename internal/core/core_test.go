@@ -253,6 +253,9 @@ func TestPathFailoverOnHungToR(t *testing.T) {
 	if done != n {
 		t.Fatalf("done %d/%d with hung ToR", done, n)
 	}
+	if r.client.PathFailovers == 0 {
+		t.Fatal("every I/O completed without a path failover")
+	}
 	if worst >= time.Second {
 		t.Fatalf("worst completion %v ≥ 1s with hung ToR", worst)
 	}
@@ -282,6 +285,9 @@ func TestPathFailoverOnBlackhole(t *testing.T) {
 	r.eng.RunFor(10 * time.Second)
 	if done != n {
 		t.Fatalf("done %d/%d under blackhole", done, n)
+	}
+	if r.client.PathFailovers == 0 {
+		t.Fatal("every I/O completed without a path failover")
 	}
 	if worst >= time.Second {
 		t.Fatalf("worst completion %v ≥ 1s under blackhole", worst)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"lunasolar/internal/crc"
@@ -18,9 +19,9 @@ const readReqPktID = 0xffff
 // is a function of this record: the issue charge (rpcIssue), Addr-table
 // admission (admitRead), per-block progress (runAck, commitReadBlock), the
 // done charge (complete, rpcDone) and the read integrity re-issue. The
-// first block's entries are inline, so a one-block RPC allocates nothing
-// beyond a read's guest buffer. done receives &r.resp, valid until it
-// returns; the record then goes back to the pool.
+// per-block slices keep their arrays across reuse (see putRPC), so an RPC
+// allocates nothing beyond a read's guest buffer. done receives &r.resp,
+// valid until it returns; the record then goes back to the pool.
 type rpc struct {
 	s    *Stack
 	id   uint64
@@ -48,19 +49,6 @@ type rpc struct {
 	// READ: the expected response blocks (Fig. 13's Addr table entries).
 	received []bool
 	buf      []byte
-
-	block1 [1][]byte
-	pkt1   [1]*outPkt
-	recv1  [1]bool
-}
-
-// inline returns the record's one-entry array as an empty slice when n
-// blocks fit it, and a fresh slice of capacity n otherwise.
-func inline[T any](one *[1]T, n int) []T {
-	if n <= 1 {
-		return one[:0]
-	}
-	return make([]T, 0, n)
 }
 
 // Call implements transport.Client. A write takes its RPC ID at once; a
@@ -80,7 +68,7 @@ func (s *Stack) Call(dst uint32, req *transport.Message, done func(*transport.Re
 	case r.n <= 0:
 		r.finish()
 	default:
-		r.received = inline(&r.recv1, r.n)[:r.n]
+		r.received = slices.Grow(r.received, r.n)[:r.n]
 		r.buf = make([]byte, req.ReadLen)
 		s.admitRead(r)
 	}
@@ -115,7 +103,7 @@ func rpcIssue(a any) {
 		s.sendPkt(pe, e)
 		return
 	}
-	r.blocks, r.pkts = inline(&r.block1, n), inline(&r.pkt1, n)
+	r.blocks, r.pkts = slices.Grow(r.blocks, n), slices.Grow(r.pkts, n)
 	// One-touch CRC metadata from SA ingress: valid only when it covers
 	// exactly the blocks we transmit. The values feed both the trusted
 	// aggregate and the engine's cached input.
@@ -298,17 +286,23 @@ func (s *Stack) admitRead(r *rpc) {
 	s.addrQueue = append(s.addrQueue, addrWaiter{r: r, since: s.eng.Now()})
 }
 
+// releaseAddr frees n Addr entries and admits the reads at the head of the
+// queue that now fit, oldest first.
 func (s *Stack) releaseAddr(n int) {
 	s.addrInUse -= n
-	for len(s.addrQueue) > 0 && s.addrInUse+s.addrQueue[0].r.n <= s.addrCap {
-		w := s.addrQueue[0]
-		s.addrQueue = s.addrQueue[1:]
+	admitted := 0
+	for _, w := range s.addrQueue {
+		if s.addrInUse+w.r.n > s.addrCap {
+			break
+		}
+		admitted++
 		s.addrInUse += w.r.n
 		wait := s.eng.Now().Sub(w.since)
 		s.AdmissionWait += wait
 		s.issue(w.r)
 		s.rec.Record(s.eng.Now().Duration(), trace.EvAdmissionWait, w.r.id, uint64(wait))
 	}
+	s.addrQueue = slices.Delete(s.addrQueue, 0, admitted)
 }
 
 // --- packet transmission ----------------------------------------------------
@@ -324,17 +318,22 @@ func (s *Stack) sendPkt(pe *peer, e *outPkt) {
 	s.transmitOn(pe, p, e)
 }
 
-// drainBacklog moves window-blocked packets onto paths freed by acks.
+// drainBacklog moves window-blocked packets, oldest first, onto paths freed
+// by acks. The sent ones leave the front of the queue in place, so the
+// queue keeps its array.
+//
+//lint:hotpath
 func (s *Stack) drainBacklog(pe *peer) {
-	for len(pe.backlog) > 0 {
-		e := pe.backlog[0]
+	sent := 0
+	for _, e := range pe.backlog {
 		p := pe.pickPath(e.size)
 		if p == nil {
-			return
+			break
 		}
-		pe.backlog = pe.backlog[1:]
 		s.transmitOn(pe, p, e)
+		sent++
 	}
+	pe.backlog = slices.Delete(pe.backlog, 0, sent)
 }
 
 func (s *Stack) transmitOn(pe *peer, p *path, e *outPkt) {
@@ -369,7 +368,7 @@ func (s *Stack) transmitOn(pe *peer, p *path, e *outPkt) {
 	// Backoff is capped low (maxExp 3, set at Init): retransmissions are
 	// idempotent and the SLA punishes hangs, not duplicates. The estimator
 	// is the chosen path's, so the RTO tracks the route actually in use.
-	e.retx.ArmOn(p.rtt)
+	e.retx.ArmOn(&p.rtt)
 }
 
 // buildWire encodes e into a pooled frame addressed down the given path.
@@ -419,7 +418,7 @@ func (s *Stack) onTimeout(pe *peer, e *outPkt) {
 	p.consecTO++
 	p.ctrl.OnTimeout()
 	if p.consecTO >= s.params.PathFailThreshold {
-		p = s.failover(pe, p)
+		s.failover(p)
 	}
 	s.retransmit(pe, e)
 }

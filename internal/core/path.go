@@ -24,8 +24,8 @@ type peer struct {
 // per-path RTT and telemetry are meaningful.
 type path struct {
 	id   uint16
-	rtt  *transport.RTT
-	ctrl *cc.HPCC
+	rtt  transport.RTT
+	ctrl cc.HPCC
 	ewma time.Duration // EWMA RTT for the "favour the low-RTT path" rule
 
 	inflightBytes int
@@ -34,7 +34,7 @@ type path struct {
 	maxAckedSeq   uint64   // highest pathSeq acknowledged
 	outstanding   []outRef // send order; stale/acked entries skipped lazily
 
-	sent, acked, failed uint64
+	sent, acked uint64
 
 	tele pathTelemetry // INT summary folded from echoed acks
 }
@@ -102,9 +102,10 @@ func (s *Stack) peerFor(addr uint32) *peer {
 	if p != nil {
 		return p
 	}
-	p = &peer{addr: addr}
-	for i := 0; i < s.params.NumPaths; i++ {
-		p.paths = append(p.paths, s.newPath())
+	p = &peer{addr: addr, paths: make([]*path, s.params.NumPaths)}
+	for i := range p.paths {
+		p.paths[i] = new(path)
+		s.resetPath(p.paths[i])
 	}
 	s.peers[addr] = p
 	return p
@@ -115,11 +116,18 @@ func (s *Stack) peerFor(addr uint32) *peer {
 // the path permanently.
 const maxPktSize = wire.RPCSize + wire.EBSSize + wire.BlockSize
 
-func (s *Stack) newPath() *path {
-	return &path{
-		id:   s.allocPort(),
-		rtt:  transport.NewRTT(s.params.MinRTO, s.params.MaxRTO),
-		ctrl: cc.NewHPCC(maxPktSize, s.params.InitCwnd, s.params.MaxCwnd, s.params.BaseRTT),
+// resetPath makes p a fresh path on a new source port: a new RTT estimator,
+// a new HPCC window and zeroed counters. Its send queue and in-flight bytes
+// stay, because the packets on them are still outstanding.
+//
+//lint:hotpath
+func (s *Stack) resetPath(p *path) {
+	*p = path{
+		id:            s.allocPort(),
+		rtt:           *transport.NewRTT(s.params.MinRTO, s.params.MaxRTO),
+		ctrl:          *cc.NewHPCC(maxPktSize, s.params.InitCwnd, s.params.MaxCwnd, s.params.BaseRTT),
+		inflightBytes: p.inflightBytes,
+		outstanding:   p.outstanding,
 	}
 }
 
@@ -168,27 +176,16 @@ func (p *path) observe(rtt time.Duration, fb cc.Feedback) {
 	p.ctrl.OnAck(fb)
 }
 
-// failover replaces a failed path with a fresh source port — ECMP re-hashes
-// the new 5-tuple onto a (very likely) different fabric route, routing
-// around blackholes and hung switches within milliseconds (§4.5).
-func (s *Stack) failover(pe *peer, old *path) *path {
-	old.failed++
+// failover moves a failed path to a fresh source port — ECMP re-hashes the
+// new 5-tuple onto a (very likely) different fabric route, routing around
+// blackholes and hung switches within milliseconds (§4.5). The path is
+// re-keyed in place: its outstanding packets already point at it, so they
+// are re-homed with it.
+//
+//lint:hotpath
+func (s *Stack) failover(p *path) {
 	s.PathFailovers++
-	np := s.newPath()
-	s.rec.Record(s.eng.Now().Duration(), trace.EvFailover, uint64(old.id), uint64(np.id))
-	for i, p := range pe.paths {
-		if p == old {
-			pe.paths[i] = np
-			break
-		}
-	}
-	// Re-home the old path's outstanding packets.
-	for _, r := range old.outstanding {
-		if r.live() && !r.e.acked && r.e.path == old {
-			r.e.path = np
-		}
-	}
-	np.outstanding = append(np.outstanding, old.outstanding...)
-	np.inflightBytes = old.inflightBytes
-	return np
+	old := p.id
+	s.resetPath(p)
+	s.rec.Record(s.eng.Now().Duration(), trace.EvFailover, uint64(old), uint64(p.id))
 }

@@ -84,10 +84,14 @@ func (s *Stack) getRPC() *rpc {
 }
 
 // putRPC recycles a client RPC once done has returned. The wipe drops the
-// caller's req, done and guest buffer and any adopted slabs; the one-block
-// arrays stay in the record.
+// caller's req, done and guest buffer and any adopted slabs. The per-block
+// slices keep their arrays, cleared over their full capacity: no guest
+// block or packet record stays reachable, and no received flag stays set.
 func (s *Stack) putRPC(r *rpc) {
-	*r = rpc{s: s}
+	clear(r.blocks[:cap(r.blocks)])
+	clear(r.pkts[:cap(r.pkts)])
+	clear(r.received[:cap(r.received)])
+	*r = rpc{s: s, blocks: r.blocks[:0], pkts: r.pkts[:0], received: r.received[:0]}
 	s.freeRPCs.Put(r)
 }
 

@@ -42,14 +42,14 @@ func foldINT(t *pathTelemetry, hops []wire.INTHop, ecnMarked bool) {
 
 // PathStat is one path's telemetry snapshot.
 type PathStat struct {
-	Peer                uint32
-	PathID              uint16 // UDP source port = path identity
-	Sent, Acked, Failed uint64
-	EwmaRTT             time.Duration
-	AcksWithINT         uint64
-	EcnAcks             uint64
-	MaxQLenB            uint32
-	MaxHops             int
+	Peer        uint32
+	PathID      uint16 // UDP source port = path identity
+	Sent, Acked uint64
+	EwmaRTT     time.Duration
+	AcksWithINT uint64
+	EcnAcks     uint64
+	MaxQLenB    uint32
+	MaxHops     int
 }
 
 // PathTelemetry snapshots every live path's INT summary, ordered by peer
@@ -66,7 +66,7 @@ func (s *Stack) PathTelemetry() []PathStat {
 		for _, p := range pe.paths {
 			out = append(out, PathStat{
 				Peer: a, PathID: p.id,
-				Sent: p.sent, Acked: p.acked, Failed: p.failed,
+				Sent: p.sent, Acked: p.acked,
 				EwmaRTT:     p.ewma,
 				AcksWithINT: p.tele.acksWithINT,
 				EcnAcks:     p.tele.ecnAcks,

@@ -49,6 +49,11 @@ var gates = []gate{
 	// handed over in — the server serves it from one pooled record.
 	{test: "TestWritePath4KZeroCopySteadyState", rig: writebench.NewRig, allocs: 0, events: 29},
 	{test: "TestReadPath4KSteadyState", rig: writebench.NewRig, read: true, allocs: 1, events: 54},
+	// At 64 KiB the RPC record's per-block slices keep their arrays across
+	// reuse, and a window-blocked packet leaves its peer's backlog in place,
+	// so sixteen blocks cost what one does.
+	{test: "TestSolarWrite64KSteadyState", rig: writebench.NewRig, size: 64 << 10, allocs: 0, events: 419},
+	{test: "TestSolarRead64KSteadyState", rig: writebench.NewRig, size: 64 << 10, read: true, allocs: 1, events: 459},
 	// The BN hop every I/O makes three times under every FN stack: an RDMA
 	// client into a chunk-server service. The store recycles the block each
 	// overwrite replaces, the chunk server reads into a pooled slab, and
@@ -141,6 +146,8 @@ func (g gate) check(t *testing.T) {
 
 func TestWritePath4KZeroCopySteadyState(t *testing.T) { runGates(t) }
 func TestReadPath4KSteadyState(t *testing.T)          { runGates(t) }
+func TestSolarWrite64KSteadyState(t *testing.T)       { runGates(t) }
+func TestSolarRead64KSteadyState(t *testing.T)        { runGates(t) }
 func TestBNWritePath4KSteadyState(t *testing.T)       { runGates(t) }
 func TestBNReadPath4KSteadyState(t *testing.T)        { runGates(t) }
 func TestBlockServerWrite4KSteadyState(t *testing.T)  { runGates(t) }
