@@ -81,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRDMAMessages$$' -fuzztime 10s ./internal/rdma
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDriverShadow$$' -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzRoute$$' -fuzztime 10s ./internal/simnet
 
 # One quick experiment benchmark, the raw event-loop benchmark, the
 # 4 KiB write path (the Solar FN half, its RDMA-into-chunk-server BN

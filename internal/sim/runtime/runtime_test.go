@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -81,4 +82,29 @@ func TestEachPanicPropagates(t *testing.T) {
 
 func TestEachZeroShards(t *testing.T) {
 	Runner{}.Each(0, func(int) { t.Fatal("job called for n=0") })
+}
+
+// TestPerfFailedFoldsShardChecks: a shard whose engine recorded a failed
+// check (sim.Engine.Fail) shows in Perf.Failed with its error, which is
+// how a read-check mismatch fails an ebsbench run; clean shards read
+// (0, nil).
+func TestPerfFailedFoldsShardChecks(t *testing.T) {
+	errMismatch := errors.New("read returned a superseded block")
+	run := func(failShard int) (int, error) {
+		f := &Fleet{Runner: Runner{Workers: 2}}
+		Run(f, 4, func(shard int) (struct{}, *sim.Engine) {
+			_, eng := shardHistogram(shard)
+			if shard == failShard {
+				eng.Fail(errMismatch)
+			}
+			return struct{}{}, eng
+		})
+		return f.Perf.Failed()
+	}
+	if n, err := run(2); n != 1 || !errors.Is(err, errMismatch) {
+		t.Fatalf("one failing shard: Failed() = (%d, %v), want (1, %v)", n, err, errMismatch)
+	}
+	if n, err := run(-1); n != 0 || err != nil {
+		t.Fatalf("clean shards: Failed() = (%d, %v), want (0, nil)", n, err)
+	}
 }

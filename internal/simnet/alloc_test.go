@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"testing"
+	"time"
 
 	"lunasolar/internal/sim"
 )
@@ -47,6 +48,62 @@ func TestForwardingAllocFree(t *testing.T) {
 	}
 	if n := fab.Pool().Outstanding(); n != 0 {
 		t.Fatalf("pool reports %d leaked packets", n)
+	}
+}
+
+// TestBulkTransferAllocFree: a warm bulk service allocates nothing per
+// transfer (the sender record comes back to its pool after the last
+// packet), a drained engine holds no record, and the returned record is
+// wiped, so a recycled one carries nothing of its last transfer: a long
+// transfer at another pace after a short one still lands on the closed
+// form.
+func TestBulkTransferAllocFree(t *testing.T) {
+	eng, fab := smallFabric(t)
+	bulk := NewBulkService(fab)
+	src, dst := fab.Host(0, 0, 0, 0), fab.Host(0, 1, 0, 0)
+	transfer := func() {
+		bulk.Transfer(src, dst, 4*4096, 4096, 20e9, eng.Now())
+		eng.Run()
+	}
+	// Warm the pools; the first completion opens the only completion block
+	// this test fills (8 + 201 records of complBlock).
+	for i := 0; i < 8; i++ {
+		transfer()
+	}
+	if allocs := testing.AllocsPerRun(200, transfer); allocs != 0 {
+		t.Fatalf("a warm bulk transfer allocates %.1f objects, want 0", allocs)
+	}
+	if n := len(bulk.Completions()); n != 209 {
+		t.Fatalf("completions = %d, want 209", n)
+	}
+	if n := eng.PoolOutstanding(); n != 0 {
+		t.Fatalf("drained engine holds %d pooled records", n)
+	}
+	if n := fab.Pool().Outstanding(); n != 0 {
+		t.Fatalf("drained fabric holds %d pooled packets", n)
+	}
+	f := bulk.flows.Get()
+	if f == nil || *f != (bulkFlow{}) {
+		t.Fatalf("the returned sender record is not wiped: %+v", f)
+	}
+	bulk.flows.Put(f)
+
+	// Recycled-record check, on a fresh service: the 128-chunk transfer
+	// reuses the 4-chunk transfer's record.
+	eng, fab = smallFabric(t)
+	bulk = NewBulkService(fab)
+	src, dst = fab.Host(0, 0, 0, 0), fab.Host(0, 1, 0, 0)
+	bulk.Transfer(src, dst, 4*4096, 4096, 20e9, 0)
+	eng.Run()
+	bulk.Transfer(src, dst, 512<<10, 4096, 5e9, eng.Now().Add(time.Millisecond))
+	eng.Run()
+	c := bulk.Completions()
+	if misses := bulk.flows.Misses(); misses != 1 {
+		t.Fatalf("two sequential transfers built %d sender records, want 1", misses)
+	}
+	want := BulkCompletion{ID: 1, Lat: closedFormLat(fab.Config(), 128, 4096, 5e9), Bytes: 512 << 10}
+	if len(c) != 2 || c[1] != want {
+		t.Fatalf("completions %+v, want the second to be %+v", c, want)
 	}
 }
 

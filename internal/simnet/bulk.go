@@ -18,6 +18,9 @@ import (
 // scenarios (no protocol stacks attached), like the diurnal campaign.
 type BulkService struct {
 	nextID uint64
+	// flows recycles the sender records: a transfer takes one and its last
+	// packet's send returns it.
+	flows *sim.Pool[bulkFlow]
 	// compl holds the completions in arrival order, in blocks of
 	// complBlock records. A full block is never grown: a record, once
 	// written, does not move, so a long run frees no large arrays behind
@@ -57,6 +60,7 @@ type BulkCompletion struct {
 // bulkFlow is one transfer's sender state: packet next of n goes out at
 // t0 + next·iv.
 type bulkFlow struct {
+	svc      *BulkService
 	id       uint64
 	src, dst *Host
 	chunk    int // modeled payload bytes per packet
@@ -70,7 +74,7 @@ type bulkFlow struct {
 
 // NewBulkService attaches a bulk sender/receiver to every host of fab.
 func NewBulkService(fab *Fabric) *BulkService {
-	b := &BulkService{}
+	b := &BulkService{flows: sim.NewPool[bulkFlow](fab.Eng)}
 	for _, h := range fab.hostList {
 		h := h
 		h.Handler = func(pkt *Packet) { b.recv(h, pkt) }
@@ -91,7 +95,12 @@ func (b *BulkService) Transfer(src, dst *Host, bytes int64, chunk int, paceBps f
 	b.nextID++
 	n := int((bytes + int64(chunk) - 1) / int64(chunk))
 	wire := DefaultOverheadUDP + chunk + bulkHdrSize
-	f := &bulkFlow{
+	f := b.flows.Get()
+	if f == nil {
+		f = &bulkFlow{}
+	}
+	*f = bulkFlow{
+		svc:   b,
 		id:    id,
 		src:   src,
 		dst:   dst,
@@ -104,6 +113,8 @@ func (b *BulkService) Transfer(src, dst *Host, bytes int64, chunk int, paceBps f
 }
 
 // bulkStart fires at the transfer's t0 and sends its first packet.
+//
+//lint:hotpath
 func bulkStart(a any) {
 	f := a.(*bulkFlow)
 	f.t0 = f.src.fab.Eng.Now()
@@ -111,7 +122,10 @@ func bulkStart(a any) {
 }
 
 // bulkSend transmits the flow's next packet and chains the following one
-// on the pacing grid.
+// on the pacing grid. Every packet is sent, reachable or not, so the last
+// send always comes and returns the record to the pool, wiped.
+//
+//lint:hotpath
 func bulkSend(a any) {
 	f := a.(*bulkFlow)
 	eng := f.src.fab.Eng
@@ -139,7 +153,11 @@ func bulkSend(a any) {
 			at = now
 		}
 		eng.AtArg(at, bulkSend, f)
+		return
 	}
+	b := f.svc
+	*f = bulkFlow{}
+	b.flows.Put(f)
 }
 
 // recv terminates bulk frames at the receiving host, recording a

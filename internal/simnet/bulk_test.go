@@ -43,15 +43,18 @@ func TestBulkCompletesOnClosedForm(t *testing.T) {
 	if len(c) != 1 {
 		t.Fatalf("completions = %d, want 1", len(c))
 	}
-	const chunk, n, pace = 4096, 128, 5e9
+	if want := closedFormLat(cfg, 128, 4096, 5e9); c[0] != (BulkCompletion{ID: 0, Lat: want, Bytes: 512 << 10}) {
+		t.Fatalf("completion %+v, want latency %v", c[0], want)
+	}
+}
+
+// closedFormLat is the latency of an n-chunk cross-pod transfer on an idle
+// path: the fin's grid slot (n−1)·iv plus its flight time.
+func closedFormLat(cfg Config, n, chunk int, pace float64) time.Duration {
 	wire := DefaultOverheadUDP + chunk + bulkHdrSize
 	ser := func(bps float64) time.Duration { return time.Duration(float64(wire*8) / bps * float64(time.Second)) }
-	iv := ser(pace)
 	flight := 2*(ser(cfg.HostLinkBps)+cfg.PropDelay) + 4*(ser(cfg.FabricLinkBps)+cfg.PropDelay) + 5*cfg.SwitchLatency
-	want := BulkCompletion{ID: 0, Lat: (n-1)*iv + flight, Bytes: 512 << 10}
-	if c[0] != want {
-		t.Fatalf("completion %+v, want %+v (grid %v + flight %v)", c[0], want, (n-1)*iv, flight)
-	}
+	return time.Duration(n-1)*ser(pace) + flight
 }
 
 // flapOffPath schedules a link flap at 1.3 ms — mid-flight for the

@@ -128,8 +128,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 				s.ports = append(s.ports, pc)
 				dcr.ports = append(dcr.ports, pd)
 				s.defaultUp = addPort(s.defaultUp, pc)
-				key := dcKey(Addr(dc, 0, 0, 0))
-				dcr.dcRoutes[key] = addPort(dcr.dcRoutes[key], pd)
+				dcr.addDown(Addr(dc, 0, 0, 0), pd)
 			}
 		}
 
@@ -147,8 +146,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 					s.ports = append(s.ports, ps)
 					core.ports = append(core.ports, pc)
 					s.defaultUp = addPort(s.defaultUp, ps)
-					key := podKey(Addr(dc, pod, 0, 0))
-					core.podRoutes[key] = addPort(core.podRoutes[key], pc)
+					core.addDown(Addr(dc, pod, 0, 0), pc)
 				}
 			}
 
@@ -166,8 +164,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 						s.ports = append(s.ports, pt)
 						spine.ports = append(spine.ports, ps)
 						s.defaultUp = addPort(s.defaultUp, pt)
-						key := rackKey(Addr(dc, pod, rack, 0))
-						spine.rackRoutes[key] = addPort(spine.rackRoutes[key], ps)
+						spine.addDown(Addr(dc, pod, rack, 0), ps)
 					}
 				}
 
@@ -183,7 +180,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 						ph, pt := connect(f, h, tor, cfg.HostLinkBps, cfg.PropDelay, buf, ecn)
 						h.ports = append(h.ports, ph)
 						tor.ports = append(tor.ports, pt)
-						tor.hostRoutes[addr] = addPort(tor.hostRoutes[addr], pt)
+						tor.addDown(addr, pt)
 					}
 					f.hosts[addr] = h
 					f.hostList = append(f.hostList, h)

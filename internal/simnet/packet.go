@@ -146,8 +146,3 @@ func AddrRack(a uint32) int { return int(a>>8&0xff) - 1 }
 
 // AddrHost extracts the host component.
 func AddrHost(a uint32) int { return int(a&0xff) - 1 }
-
-// Prefix keys for the routing tables.
-func dcKey(a uint32) uint32   { return a & 0xff000000 }
-func podKey(a uint32) uint32  { return a & 0xffff0000 }
-func rackKey(a uint32) uint32 { return a & 0xffffff00 }

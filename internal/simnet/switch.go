@@ -57,11 +57,15 @@ type Switch struct {
 	latency time.Duration
 	ports   []*Port
 
-	hostRoutes map[uint32]*ecmpGroup // /32, ToR only
-	rackRoutes map[uint32]*ecmpGroup // dc|pod|rack
-	podRoutes  map[uint32]*ecmpGroup // dc|pod
-	dcRoutes   map[uint32]*ecmpGroup // dc, DCR only
-	defaultUp  *ecmpGroup            // toward the higher tier
+	// Every tier routes down at exactly one level: a ToR to the hosts of
+	// its rack, a spine to the racks of its pod, a core to the pods of its
+	// DC and a DCR to the DCs. So the down routes are one table, indexed
+	// by the address byte below the switch's scope (at shift), for the
+	// addresses whose scopeMask bits equal scope; everything else goes up.
+	scope, scopeMask uint32
+	shift            uint
+	down             []*ecmpGroup
+	defaultUp        *ecmpGroup // toward the higher tier
 
 	alive  bool
 	downAt sim.Time
@@ -78,16 +82,15 @@ type Switch struct {
 }
 
 func newSwitch(f *Fabric, name string, tier Tier, latency time.Duration, salt uint32) *Switch {
+	shift := 8 * uint(tier)
 	return &Switch{
 		fab:         f,
 		name:        name,
 		tier:        tier,
 		salt:        salt,
 		latency:     latency,
-		hostRoutes:  map[uint32]*ecmpGroup{},
-		rackRoutes:  map[uint32]*ecmpGroup{},
-		podRoutes:   map[uint32]*ecmpGroup{},
-		dcRoutes:    map[uint32]*ecmpGroup{},
+		scopeMask:   ^uint32(0) << (shift + 8),
+		shift:       shift,
 		alive:       true,
 		dropHang:    "hang:" + name,
 		dropRand:    "rand:" + name,
@@ -178,22 +181,29 @@ func (s *Switch) pick(g *ecmpGroup, pkt *Packet) *Port {
 	return nil
 }
 
-// route resolves the egress ECMP group for dst via longest-prefix order:
-// host (/32), rack, pod, dc, then the default up-group.
+// route resolves the egress ECMP group for dst: the down route of the
+// address byte below the switch's scope when dst is inside that scope and
+// the byte has one, the default up-group otherwise.
+//
+//lint:hotpath
 func (s *Switch) route(dst uint32) *ecmpGroup {
-	if g, ok := s.hostRoutes[dst]; ok {
-		return g
-	}
-	if g, ok := s.rackRoutes[rackKey(dst)]; ok {
-		return g
-	}
-	if g, ok := s.podRoutes[podKey(dst)]; ok {
-		return g
-	}
-	if g, ok := s.dcRoutes[dcKey(dst)]; ok {
-		return g
+	if dst&s.scopeMask == s.scope {
+		if i := dst >> s.shift & 0xff; i < uint32(len(s.down)) && s.down[i] != nil {
+			return s.down[i]
+		}
 	}
 	return s.defaultUp
+}
+
+// addDown adds p to the down route toward dst's byte below the switch's
+// scope, which every down route of a switch shares.
+func (s *Switch) addDown(dst uint32, p *Port) {
+	s.scope = dst & s.scopeMask
+	i := int(dst >> s.shift & 0xff)
+	if i >= len(s.down) {
+		s.down = append(s.down, make([]*ecmpGroup, i+1-len(s.down))...)
+	}
+	s.down[i] = addPort(s.down[i], p)
 }
 
 // Receive forwards a packet after the switch pipeline latency. The switch
