@@ -82,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDriverShadow$$' -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzRoute$$' -fuzztime 10s ./internal/simnet
+	$(GO) test -run '^$$' -fuzz '^FuzzTenantCap$$' -fuzztime 10s ./internal/sa
 
 # One quick experiment benchmark, the raw event-loop benchmark, the
 # 4 KiB write path (the Solar FN half, its RDMA-into-chunk-server BN

@@ -264,9 +264,9 @@ func (cp *ControlPlane) DeleteVolume(reqID string, id uint32) error {
 }
 
 // SetTenantQoS registers a tenant's aggregate service level and applies it
-// on every compute agent, live-retuning buckets that already have parked
-// I/Os. Enforcement is per hypervisor, like production SA-level QoS: each
-// compute's disks bound to the tenant share that agent's buckets.
+// on every compute agent, live-retuning pacers that already have I/Os
+// booked. Enforcement is per hypervisor, like production SA-level QoS: each
+// compute's disks bound to the tenant share that agent's pacer.
 func (cp *ControlPlane) SetTenantQoS(tenant string, spec sa.QoSSpec) {
 	cp.tenants[tenant] = spec
 	for _, cs := range cp.c.computes {

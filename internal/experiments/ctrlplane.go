@@ -14,9 +14,9 @@ import (
 // way production exercises it: a provisioning storm (create / resize /
 // snapshot / clone / delete with duplicated request IDs), a planned
 // chunk-server drain riding under a foreground write storm, and a noisy
-// tenant held off a victim by the per-tenant token buckets. The control
-// plane is serial-only, so every cell owns its cluster and cells shard
-// across workers — output is byte-identical for every -workers value.
+// tenant held off a victim by its tenant cap at the storage agent. The
+// control plane is serial-only, so every cell owns its cluster and cells
+// shard across workers — output is byte-identical for every -workers value.
 
 // ctrlStacks is the stack column of the control-plane scenarios: the two
 // storage-network generations the paper's evolution spans.
@@ -363,7 +363,7 @@ func noisyNeighborCells(opts Options) ([]NoisyCell, *Table) {
 		Columns: []string{"mode", "victim ops", "victim p50 (µs)", "victim p99 (µs)", "aggressor ops"},
 		Notes: []string{
 			"victim: open-loop 4 KiB writes; aggressor: closed-loop depth-16 64 KiB writes, same hypervisor",
-			"capped = aggressor tenant limited to 2000 IOPS by the SA-level token buckets; gate: victim p99 <= 2x baseline",
+			"capped = aggressor tenant limited to 2000 IOPS by the SA's tenant pacer; gate: victim p99 <= 2x baseline",
 		},
 		Perf: &fleet.Perf,
 	}

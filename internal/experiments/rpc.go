@@ -98,9 +98,13 @@ func runRPC(opts Options, era table1Era, stack string, stress bool) (avgLat time
 	return runRPCSingle(opts, era, params)
 }
 
-// runRPCSingle measures sequential single-RPC latency.
-func runRPCSingle(opts Options, era table1Era, params tcpstack.Params) (avgLat time.Duration, gbps, cores float64, _ *sim.Engine, _ *simnet.Fabric) {
-	eng := sim.NewEngine(opts.Seed)
+// table1Rig builds Table 1's testbed: a small two-pod Clos with the
+// era's links and deep buffers, a client on host (0,0,0,0) with nCores
+// cores, and eight echo servers in the other pod. Several server peers
+// because production SAs hold one connection per block server, and a
+// single 5-tuple can use only one bonded NIC port.
+func table1Rig(opts Options, era table1Era, params tcpstack.Params, nCores int) (eng *sim.Engine, fab *simnet.Fabric, client *tcpstack.Stack, clientCores *sim.Server, serverAddrs []uint32) {
+	eng = sim.NewEngine(opts.Seed)
 	fcfg := simnet.DefaultConfig()
 	fcfg.RacksPerPod = 2
 	fcfg.HostsPerRack = 4
@@ -111,13 +115,10 @@ func runRPCSingle(opts Options, era table1Era, params tcpstack.Params) (avgLat t
 	// deep buffers as on the testbed's dedicated path.
 	fcfg.BufferBytes = 8 << 20
 	fcfg.ECNThresholdBytes = 100 << 10
-	fab := simnet.New(eng, fcfg)
+	fab = simnet.New(eng, fcfg)
 
-	clientCores := sim.NewServer(eng, "client", 1)
-	client := tcpstack.New(eng, fab.Host(0, 0, 0, 0), clientCores, nil, params)
-	// Several server peers: production SAs hold one connection per block
-	// server, and a single 5-tuple can use only one bonded NIC port.
-	var serverAddrs []uint32
+	clientCores = sim.NewServer(eng, "client", nCores)
+	client = tcpstack.New(eng, fab.Host(0, 0, 0, 0), clientCores, nil, params)
 	for i := 0; i < 8; i++ {
 		serverCores := sim.NewServer(eng, fmt.Sprintf("server%d", i), 16)
 		server := tcpstack.New(eng, fab.Host(0, 1, i/4, i%4), serverCores, nil, params)
@@ -126,7 +127,12 @@ func runRPCSingle(opts Options, era table1Era, params tcpstack.Params) (avgLat t
 		})
 		serverAddrs = append(serverAddrs, server.LocalAddr())
 	}
+	return eng, fab, client, clientCores, serverAddrs
+}
 
+// runRPCSingle measures sequential single-RPC latency.
+func runRPCSingle(opts Options, era table1Era, params tcpstack.Params) (avgLat time.Duration, gbps, cores float64, _ *sim.Engine, _ *simnet.Fabric) {
+	eng, fab, client, _, serverAddrs := table1Rig(opts, era, params, 1)
 	payload := make([]byte, 4096)
 	h := stats.NewHistogram()
 	n := opts.scale(400, 100)
@@ -151,28 +157,7 @@ func runRPCSingle(opts Options, era table1Era, params tcpstack.Params) (avgLat t
 // runRPCWith runs the stress cell with explicit stack parameters and core
 // count (shared with the share-nothing ablation).
 func runRPCWith(opts Options, era table1Era, params tcpstack.Params, nCores int) (avgLat time.Duration, gbps, cores float64, _ *sim.Engine, _ *simnet.Fabric) {
-	eng := sim.NewEngine(opts.Seed)
-	fcfg := simnet.DefaultConfig()
-	fcfg.RacksPerPod = 2
-	fcfg.HostsPerRack = 4
-	fcfg.SpinesPerPod = 2
-	fcfg.CoresPerDC = 2
-	fcfg.HostLinkBps = era.linkBps
-	fcfg.BufferBytes = 8 << 20
-	fcfg.ECNThresholdBytes = 100 << 10
-	fab := simnet.New(eng, fcfg)
-
-	clientCores := sim.NewServer(eng, "client", nCores)
-	client := tcpstack.New(eng, fab.Host(0, 0, 0, 0), clientCores, nil, params)
-	var serverAddrs []uint32
-	for i := 0; i < 8; i++ {
-		serverCores := sim.NewServer(eng, fmt.Sprintf("server%d", i), 16)
-		server := tcpstack.New(eng, fab.Host(0, 1, i/4, i%4), serverCores, nil, params)
-		server.SetHandler(func(src uint32, req *transport.Message, reply func(*transport.Response)) {
-			reply(&transport.Response{Data: make([]byte, 64)})
-		})
-		serverAddrs = append(serverAddrs, server.LocalAddr())
-	}
+	eng, fab, client, clientCores, serverAddrs := table1Rig(opts, era, params, nCores)
 	payload := make([]byte, 4096)
 	h := stats.NewHistogram()
 

@@ -17,6 +17,7 @@ package sa
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -185,19 +186,72 @@ func (t *SegmentTable) Delete(vdisk uint32) error {
 	return nil
 }
 
-// QoSSpec is a virtual disk's purchased service level.
+// QoSSpec is a purchased service level: a virtual disk's (SetQoS) or a
+// tenant's across its disks on one agent (SetTenantQoS). A rate <= 0 leaves
+// that dimension uncapped.
 type QoSSpec struct {
 	IOPS         float64
 	BandwidthBps float64
 	BurstWindow  time.Duration // how much rate credit may accumulate
 }
 
-// qosState is the admission pacer for one disk: slot-based reservation for
-// both IOPS and bytes, with a bounded credit window.
+// tenantBurstBytes is the least byte credit a tenant holds, whatever its
+// rate and window: one large I/O's worth.
+const tenantBurstBytes = 4 << 20
+
+// never is where a pacer slot saturates. A rate so small that one I/O's
+// step overflows a Duration books the I/O here and holds it for good,
+// instead of wrapping to a slot in the past that admits it at once. Half of
+// sim.Time's range, so a slot a window behind the clock, or a delay up to
+// never added to it, cannot overflow.
+const never = sim.Time(math.MaxInt64 / 2)
+
+// qosState is the admission pacer of the QoS table, one per disk and one
+// per tenant: a slot reservation for IOPS and for bytes, each slot allowed
+// to fall at most its credit window behind the clock.
 type qosState struct {
-	spec     QoSSpec
-	ioSlot   sim.Time
-	byteSlot sim.Time
+	spec                 QoSSpec
+	ioWindow, byteWindow time.Duration
+	ioSlot, byteSlot     sim.Time
+}
+
+// reserve books an I/O of the given bytes arriving at now into each capped
+// dimension's next slot and returns when the last of them comes due (now if
+// none is in the future).
+func (q *qosState) reserve(now sim.Time, bytes int) sim.Time {
+	q.ioSlot = max(q.ioSlot, now.Add(-q.ioWindow))
+	q.byteSlot = max(q.byteSlot, now.Add(-q.byteWindow))
+	at := now
+	if q.spec.IOPS > 0 {
+		q.ioSlot = advance(q.ioSlot, float64(time.Second)/q.spec.IOPS)
+		at = max(at, q.ioSlot)
+	}
+	if q.spec.BandwidthBps > 0 {
+		q.byteSlot = advance(q.byteSlot, float64(bytes*8)/q.spec.BandwidthBps*float64(time.Second))
+		at = max(at, q.byteSlot)
+	}
+	return at
+}
+
+// settle records that the I/O reserve booked was admitted at at: a capped
+// slot left more than its window behind at is pulled up to it. The I/O
+// waited through that credit on another dimension or in the other pacer,
+// and the I/Os queued behind it must not spend it again.
+func (q *qosState) settle(at sim.Time) {
+	if q.spec.IOPS > 0 {
+		q.ioSlot = max(q.ioSlot, at.Add(-q.ioWindow))
+	}
+	if q.spec.BandwidthBps > 0 {
+		q.byteSlot = max(q.byteSlot, at.Add(-q.byteWindow))
+	}
+}
+
+// advance moves slot on by step nanoseconds, saturating at never.
+func advance(slot sim.Time, step float64) sim.Time {
+	if step >= float64(never-slot) {
+		return never
+	}
+	return slot.Add(time.Duration(step))
 }
 
 // Params is the SA cost model.
@@ -237,17 +291,6 @@ func OffloadedParams() Params {
 	}
 }
 
-// tenantBucket is one tenant's aggregate admission state on this agent:
-// token buckets for IOPS and bytes riding the engine's coarse timer class,
-// layered above the per-disk slot pacing. A nil bucket means that
-// dimension is uncapped. byteBurst is the capacity bytes was created with
-// (the most one Wait may ask of it).
-type tenantBucket struct {
-	iops      *sim.TokenBucket
-	bytes     *sim.TokenBucket
-	byteBurst float64
-}
-
 // Agent is one compute server's storage agent.
 type Agent struct {
 	eng    *sim.Engine
@@ -266,10 +309,10 @@ type Agent struct {
 	reqs   *sim.Pool[ioReq]
 	pieces *sim.Pool[piece]
 
-	// Tenant QoS: vdisk → tenant name → shared buckets. Lookup-only maps
-	// (never iterated), so ordering cannot leak into the simulation.
+	// Tenant QoS: vdisk → tenant name → the tenant's pacer. Lookup-only
+	// maps (never iterated), so ordering cannot leak into the simulation.
 	tenantOf map[uint32]string
-	tenants  map[string]*tenantBucket
+	tenants  map[string]*qosState
 
 	// Stats.
 	IOs         uint64
@@ -289,7 +332,7 @@ func New(eng *sim.Engine, cores *sim.Server, fn transport.Client, segs *SegmentT
 		segs:     segs,
 		qos:      map[uint32]*qosState{},
 		tenantOf: map[uint32]string{},
-		tenants:  map[string]*tenantBucket{},
+		tenants:  map[string]*qosState{},
 		params:   params,
 		rand:     eng.Rand.Fork(),
 		reqs:     sim.NewPool[ioReq](eng),
@@ -309,12 +352,13 @@ func blockCRCs(dst []uint32, data []byte) {
 	}
 }
 
-// SetQoS installs or updates a disk's service level.
+// SetQoS installs or updates a disk's service level. Both of its credit
+// windows are BurstWindow.
 func (a *Agent) SetQoS(vdisk uint32, spec QoSSpec) {
 	if spec.BurstWindow <= 0 {
 		spec.BurstWindow = 10 * time.Millisecond
 	}
-	a.qos[vdisk] = &qosState{spec: spec}
+	a.qos[vdisk] = &qosState{spec: spec, ioWindow: spec.BurstWindow, byteWindow: spec.BurstWindow}
 }
 
 // ClearQoS removes a disk's service level (volume deletion).
@@ -323,9 +367,9 @@ func (a *Agent) ClearQoS(vdisk uint32) {
 	delete(a.tenantOf, vdisk)
 }
 
-// SetTenant binds a vdisk to a tenant: its I/Os draw from the tenant's
-// aggregate buckets (SetTenantQoS) before the per-disk pacing. An empty
-// tenant unbinds.
+// SetTenant binds a vdisk to a tenant: its I/Os are paced by the tenant's
+// service level (SetTenantQoS) as well as the disk's own. An empty tenant
+// unbinds.
 func (a *Agent) SetTenant(vdisk uint32, tenant string) {
 	if tenant == "" {
 		delete(a.tenantOf, vdisk)
@@ -335,114 +379,58 @@ func (a *Agent) SetTenant(vdisk uint32, tenant string) {
 }
 
 // SetTenantQoS installs or live-updates a tenant's aggregate service level
-// on this agent: token buckets refilled on the coarse timer class, layered
-// above the per-disk slot pacing. A dimension that has never been given a
-// positive rate stays uncapped; once capped, an update to <= 0 pauses the
-// bucket — parked I/Os stay parked until a later update raises the rate
-// again (SetRate re-arms their wake timers). Burst capacity is sized at
-// install time from BurstWindow, with floors of one I/O and 4 MiB; an I/O
-// larger than the byte burst draws it in instalments (tenantBytes).
+// on this agent, paced like a disk's but over every disk bound to the
+// tenant. Its credit windows are BurstWindow with floors of one I/O and
+// tenantBurstBytes. A new tenant starts with full credit; an update keeps
+// the slots already booked, so I/Os admitted under the old rate keep their
+// instants.
 func (a *Agent) SetTenantQoS(tenant string, spec QoSSpec) {
 	if spec.BurstWindow <= 0 {
 		spec.BurstWindow = 10 * time.Millisecond
 	}
-	window := spec.BurstWindow.Seconds()
-	byteRate := spec.BandwidthBps / 8
-	tb := a.tenants[tenant]
-	if tb == nil {
-		tb = &tenantBucket{}
-		a.tenants[tenant] = tb
-	}
-	iopsBurst := spec.IOPS * window
-	if iopsBurst < 1 {
-		iopsBurst = 1
-	}
-	byteBurst := byteRate * window
-	if byteBurst < 4<<20 {
-		byteBurst = 4 << 20
-	}
-	tb.iops = retuneBucket(a.eng, tb.iops, spec.IOPS, iopsBurst)
-	if tb.bytes == nil {
-		tb.byteBurst = byteBurst
-	}
-	tb.bytes = retuneBucket(a.eng, tb.bytes, byteRate, byteBurst)
-}
-
-// retuneBucket applies one QoS dimension to an optional bucket: nil stays
-// nil (uncapped) unless the rate is positive, and an existing bucket is
-// retuned in place so its parked waiters survive the update.
-func retuneBucket(eng *sim.Engine, b *sim.TokenBucket, rate, burst float64) *sim.TokenBucket {
-	if b == nil {
-		if rate <= 0 {
-			return nil
-		}
-		return sim.NewTokenBucket(eng, rate, burst)
-	}
-	b.SetRate(rate)
-	return b
-}
-
-// TenantBucketWaiting reports how many I/Os a tenant has parked in this
-// agent's buckets (diagnostics).
-func (a *Agent) TenantBucketWaiting(tenant string) int {
-	tb := a.tenants[tenant]
-	if tb == nil {
-		return 0
-	}
-	n := 0
-	if tb.iops != nil {
-		n += tb.iops.Waiting()
-	}
-	if tb.bytes != nil {
-		n += tb.bytes.Waiting()
-	}
-	return n
-}
-
-// tenantBucketFor resolves the tenant buckets a vdisk draws from (nil when
-// the disk has no tenant binding or the tenant has no service level).
-func (a *Agent) tenantBucketFor(vdisk uint32) *tenantBucket {
-	name := a.tenantOf[vdisk]
-	if name == "" {
-		return nil
-	}
-	return a.tenants[name]
-}
-
-// admit reserves QoS capacity for an I/O, returning the queueing delay
-// (zero when within the service level). Per Fig. 6's methodology, this
-// policy delay is excluded from the latency components.
-func (a *Agent) admit(vdisk uint32, bytes int) time.Duration {
-	q := a.qos[vdisk]
+	q := a.tenants[tenant]
 	if q == nil {
-		return 0
+		q = &qosState{ioSlot: -never, byteSlot: -never}
+		a.tenants[tenant] = q
 	}
+	q.spec, q.ioWindow, q.byteWindow = spec, spec.BurstWindow, spec.BurstWindow
+	if spec.IOPS > 0 {
+		q.ioWindow = max(q.ioWindow, window(float64(time.Second)/spec.IOPS))
+	}
+	if spec.BandwidthBps > 0 {
+		q.byteWindow = max(q.byteWindow, window(tenantBurstBytes*8/spec.BandwidthBps*float64(time.Second)))
+	}
+}
+
+// window converts a credit window of ns nanoseconds, saturating at never.
+func window(ns float64) time.Duration {
+	return time.Duration(min(ns, float64(never)))
+}
+
+// admit books an I/O with its disk's pacer and, for a disk bound to a
+// tenant with a service level, with the tenant's, and returns how long it
+// waits: until both have credit for it. Both are settled at that instant,
+// so each cap holds over the I/Os as admitted. Per Fig. 6's methodology,
+// this policy delay is excluded from the latency components.
+func (a *Agent) admit(vdisk uint32, bytes int) time.Duration {
 	now := a.eng.Now()
-	floor := now.Add(-q.spec.BurstWindow)
-	if q.ioSlot < floor {
-		q.ioSlot = floor
+	at := now
+	disk := a.qos[vdisk]
+	if disk != nil {
+		at = disk.reserve(now, bytes)
 	}
-	if q.byteSlot < floor {
-		q.byteSlot = floor
+	a.QoSDelay += at.Sub(now)
+	if name := a.tenantOf[vdisk]; name != "" && a.tenants[name] != nil {
+		q := a.tenants[name]
+		due := max(at, q.reserve(now, bytes))
+		a.TenantDelay += due.Sub(at)
+		at = due
+		q.settle(at)
 	}
-	var d time.Duration
-	if q.spec.IOPS > 0 {
-		q.ioSlot = q.ioSlot.Add(time.Duration(float64(time.Second) / q.spec.IOPS))
-		if wait := q.ioSlot.Sub(now); wait > d {
-			d = wait
-		}
+	if disk != nil {
+		disk.settle(at)
 	}
-	if q.spec.BandwidthBps > 0 {
-		q.byteSlot = q.byteSlot.Add(time.Duration(float64(bytes*8) / q.spec.BandwidthBps * float64(time.Second)))
-		if wait := q.byteSlot.Sub(now); wait > d {
-			d = wait
-		}
-	}
-	if d < 0 {
-		d = 0
-	}
-	a.QoSDelay += d
-	return d
+	return at.Sub(now)
 }
 
 // saBusy returns the CPU busy time for an I/O of n bytes.
@@ -495,11 +483,8 @@ type ioReq struct {
 	data  []byte       // write payload
 	done  func(Result) // may be nil
 
-	tb        *tenantBucket // nil: no tenant binding
-	left      float64       // bytes still to draw from tb.bytes
-	admission time.Duration // per-disk pacing wait, reserved at arrival
-	mark      sim.Time      // start of the stage in progress: tenant wait, SA, FN
-	span      trace.Span
+	mark sim.Time // start of the stage in progress: SA, FN
+	span trace.Span
 
 	// Assembly of the pieces' responses.
 	buf             []byte // read buffer: the response's or a copy of it, or assembled across segments
@@ -509,8 +494,6 @@ type ioReq struct {
 
 	first piece
 	more  []*piece // the 2nd.. pieces of a segment-crossing I/O, in LBA order
-
-	tenantBytesFn func() // bound once per record
 }
 
 // piece is the part of an I/O that falls in one segment: one RPC, re-sent
@@ -541,7 +524,7 @@ func (a *Agent) Read(vdisk uint32, lba uint64, size int, done func(Result)) {
 func (a *Agent) io(op uint8, vdisk uint32, lba uint64, size int, data []byte, done func(Result)) {
 	r := a.getReq()
 	r.op, r.vdisk, r.size, r.data, r.done = op, vdisk, size, data, done
-	r.left, r.span.Op, r.span.Size = float64(size), "read", size
+	r.span.Op, r.span.Size = "read", size
 	if op == wire.RPCWriteReq {
 		r.span.Op = "write"
 	}
@@ -567,23 +550,7 @@ func (a *Agent) io(op uint8, vdisk uint32, lba uint64, size int, data []byte, do
 	r.gen = a.gen
 	r.split(e, lba)
 
-	r.admission = a.admit(vdisk, size)
-	r.tb = a.tenantBucketFor(vdisk)
-	if r.tb == nil {
-		// No tenant binding: identical event sequence to a tenant-free
-		// build, so existing scenarios stay byte-for-byte unchanged.
-		r.proceed()
-		return
-	}
-	// Tenant admission layers above the per-disk pacing: one IOPS token,
-	// then the I/O's bytes. A paused tenant (rate <= 0) parks here until
-	// SetTenantQoS raises it.
-	r.mark = a.eng.Now()
-	if r.tb.iops == nil {
-		r.tenantBytes()
-		return
-	}
-	r.tb.iops.Wait(1, r.tenantBytesFn)
+	a.eng.ScheduleArg(a.admit(vdisk, size), ioAdmitted, r)
 }
 
 // getReq hands out a record finish wiped, or builds one on a pool miss:
@@ -592,7 +559,6 @@ func (a *Agent) getReq() *ioReq {
 	r := a.reqs.Get()
 	if r == nil {
 		r = &ioReq{a: a}
-		r.tenantBytesFn = r.tenantBytes
 		r.first.responseFn = r.first.response
 	}
 	return r
@@ -625,29 +591,6 @@ func (r *ioReq) split(e *diskEntry, lba uint64) {
 	if r.remaining > 1 {
 		r.a.Splits++
 	}
-}
-
-// tenantBytes draws the I/O's bytes from the tenant's byte bucket, then
-// moves on to the disk's own pacing. A bucket refuses a Wait above its
-// burst, and a multi-segment I/O may be larger than that: such an I/O draws
-// burst-sized instalments, re-entering here after each, so the long-run cap
-// still holds. An I/O within burst makes exactly one Wait.
-func (r *ioReq) tenantBytes() {
-	if r.tb.bytes != nil && r.left > 0 {
-		n := min(r.left, r.tb.byteBurst)
-		r.left -= n
-		r.tb.bytes.Wait(n, r.tenantBytesFn)
-		return
-	}
-	r.a.TenantDelay += r.a.eng.Now().Sub(r.mark)
-	r.proceed()
-}
-
-// proceed waits out the disk's pacing delay.
-//
-//lint:hotpath
-func (r *ioReq) proceed() {
-	r.a.eng.ScheduleArg(r.admission, ioAdmitted, r)
 }
 
 // ioAdmitted starts the SA stage.
@@ -799,7 +742,7 @@ func (r *ioReq) finish() {
 		a.pieces.Put(p)
 		r.more[i] = nil
 	}
-	*r = ioReq{a: a, more: r.more[:0], tenantBytesFn: r.tenantBytesFn,
+	*r = ioReq{a: a, more: r.more[:0],
 		first: piece{crcs: r.first.crcs, responseFn: r.first.responseFn}}
 	a.reqs.Put(r)
 	if done != nil {

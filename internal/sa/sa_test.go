@@ -363,30 +363,51 @@ func TestTenantPacingAggregate(t *testing.T) {
 	}
 }
 
-// Setting a tenant's rate to zero parks its I/Os; raising it again re-arms
-// the parked waiters (the SetRate re-arm path) and they complete.
-func TestTenantPauseResume(t *testing.T) {
-	eng, a, _, _ := newAgent(t, OffloadedParams())
-	a.SetTenant(1, "acme")
-	a.SetTenantQoS("acme", QoSSpec{IOPS: 1000, BurstWindow: time.Millisecond})
-	a.SetTenantQoS("acme", QoSSpec{IOPS: 0}) // pause
-	done := 0
-	for i := 0; i < 3; i++ {
-		a.Write(1, uint64(i)<<12, make([]byte, 4096), func(Result) { done++ })
-	}
-	eng.Run()
-	if done != 1 {
-		// The burst floor holds one token, so exactly one I/O slips
-		// through before the pause bites.
-		t.Fatalf("done = %d with tenant paused, want 1", done)
-	}
-	if w := a.TenantBucketWaiting("acme"); w != 2 {
-		t.Fatalf("parked waiters = %d, want 2", w)
-	}
-	a.SetTenantQoS("acme", QoSSpec{IOPS: 1000}) // resume
-	eng.Run()
-	if done != 3 {
-		t.Fatalf("done = %d after resume, want 3", done)
+// TestPacerEdgeRates: a rate so small that one I/O's step overflows a
+// Duration holds the I/O instead of wrapping to a slot in the past that
+// admits it at once, and a rate <= 0 leaves its dimension uncapped, for a
+// disk and a tenant alike. A tenant row installs a cap that would hold the
+// I/Os first and then the row's spec: an update to rate <= 0 uncaps.
+func TestPacerEdgeRates(t *testing.T) {
+	hold := QoSSpec{IOPS: 1e-3, BandwidthBps: 1e-3}
+	for _, tc := range []struct {
+		name         string
+		disk, tenant *QoSSpec
+		size         int
+		uncapped     bool
+	}{
+		{"disk IOPS 1e-18 holds", &QoSSpec{IOPS: 1e-18}, nil, 4096, false},
+		{"disk bandwidth 1e-9 holds", &QoSSpec{BandwidthBps: 1e-9}, nil, 4096, false},
+		{"tenant IOPS 1e-18 holds", nil, &QoSSpec{IOPS: 1e-18}, 4096, false},
+		{"tenant bandwidth 1e-9 holds an I/O above its burst", nil, &QoSSpec{BandwidthBps: 1e-9}, 5 << 20, false},
+		{"disk rates 0 uncapped", &QoSSpec{}, nil, 4096, true},
+		{"disk rates < 0 uncapped", &QoSSpec{IOPS: -1, BandwidthBps: -1}, nil, 4096, true},
+		{"tenant rates 0 uncapped", nil, &QoSSpec{}, 4096, true},
+		{"tenant rates < 0 uncapped", nil, &QoSSpec{IOPS: -1, BandwidthBps: -1}, 4096, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, a, _, _ := newAgent(t, OffloadedParams())
+			if tc.disk != nil {
+				a.SetQoS(1, *tc.disk)
+			}
+			if tc.tenant != nil {
+				a.SetTenant(1, "acme")
+				a.SetTenantQoS("acme", hold)
+				a.SetTenantQoS("acme", *tc.tenant)
+			}
+			const ios = 4
+			done := 0
+			for i := 0; i < ios; i++ {
+				a.Write(1, uint64(i)*(8<<20), make([]byte, tc.size), func(Result) { done++ })
+			}
+			eng.RunUntil(sim.Time(time.Second))
+			switch {
+			case tc.uncapped && done != ios:
+				t.Fatalf("%d of %d I/Os done within 1 s, want all", done, ios)
+			case !tc.uncapped && done > 1:
+				t.Fatalf("%d of %d I/Os done within 1 s, want at most one", done, ios)
+			}
+		})
 	}
 }
 
@@ -708,9 +729,8 @@ func TestNilDoneDoesNotPanic(t *testing.T) {
 }
 
 // TestTenantBytesAboveBurst: an I/O larger than its tenant's byte burst (a
-// legal multi-segment write; this used to panic in TokenBucket.Wait) draws
-// its bytes in burst-sized instalments, and the tenant's long-run
-// bandwidth cap still holds.
+// legal multi-segment write) is admitted, and the tenant's long-run
+// bandwidth cap still holds over it and the I/O behind it.
 func TestTenantBytesAboveBurst(t *testing.T) {
 	eng, a, fn, _ := newAgent(t, OffloadedParams())
 	a.SetTenant(1, "t")

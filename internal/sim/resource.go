@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // Server models a pool of identical FIFO servers — CPU cores, DMA engines,
 // accelerator lanes. Jobs submitted to a Server queue until a unit is free,
@@ -221,168 +218,4 @@ func (c *Channel) ResetStats() {
 	c.xferred = 0
 	c.busyNS = 0
 	c.resetAt2 = c.eng.Now()
-}
-
-// Forever is the Delay sentinel for "never at the current rate": a paused
-// (rate <= 0) bucket, or a refill so slow the wait would overflow a
-// Duration. Waiters facing it park without a timer and are re-armed by
-// SetRate.
-const Forever = time.Duration(math.MaxInt64)
-
-// TokenBucket is a virtual-time token bucket used by the QoS table to
-// enforce per-virtual-disk IOPS and bandwidth service levels.
-type TokenBucket struct {
-	eng     *Engine
-	rate    float64 // tokens per second; <= 0 means paused (no refill)
-	burst   float64
-	tokens  float64
-	lastFil Time
-	waiters []*tokenWaiter // parked Waits, in arrival order
-}
-
-// NewTokenBucket creates a bucket that refills at rate tokens/second up to
-// burst, starting full. rate <= 0 creates a paused bucket (no refill until
-// SetRate raises it); burst <= 0 defaults to rate, clamped at zero — a
-// paused bucket with no explicit burst holds no tokens and admits nothing.
-func NewTokenBucket(eng *Engine, rate, burst float64) *TokenBucket {
-	if burst <= 0 {
-		burst = rate
-	}
-	if burst < 0 {
-		burst = 0
-	}
-	return &TokenBucket{eng: eng, rate: rate, burst: burst, tokens: burst, lastFil: eng.Now()}
-}
-
-func (b *TokenBucket) refill() {
-	now := b.eng.Now()
-	dt := now.Sub(b.lastFil).Seconds()
-	if dt > 0 {
-		if b.rate > 0 {
-			b.tokens += dt * b.rate
-			if b.tokens > b.burst {
-				b.tokens = b.burst
-			}
-		}
-		b.lastFil = now
-	}
-}
-
-// TryTake consumes n tokens if available, reporting success.
-func (b *TokenBucket) TryTake(n float64) bool {
-	b.refill()
-	if b.tokens >= n {
-		b.tokens -= n
-		return true
-	}
-	return false
-}
-
-// Available returns the current token count.
-func (b *TokenBucket) Available() float64 {
-	b.refill()
-	return b.tokens
-}
-
-// Delay returns how long until n tokens will be available (zero if they
-// already are). It does not consume. A paused bucket (rate <= 0), or one
-// whose refill is so slow the wait would overflow a time.Duration, returns
-// Forever.
-func (b *TokenBucket) Delay(n float64) time.Duration {
-	b.refill()
-	if b.tokens >= n {
-		return 0
-	}
-	if b.rate <= 0 {
-		return Forever
-	}
-	need := n - b.tokens
-	sec := need / b.rate
-	// Clamp before the float→Duration conversion: for tiny rates sec*1e9
-	// exceeds MaxInt64 and the conversion is undefined (wraps negative on
-	// most targets, which would schedule the waiter in the past).
-	if sec >= float64(math.MaxInt64)/float64(time.Second) {
-		return Forever
-	}
-	// Round up: a positive need must never truncate to a zero delay, or a
-	// waiter would re-arm at the same virtual instant forever (refill sees
-	// dt == 0 and adds nothing — a virtual-time livelock).
-	return time.Duration(math.Ceil(sec * float64(time.Second)))
-}
-
-// tokenWaiter carries one parked Wait through the engine's arg-based event
-// path so re-arms do not allocate a fresh closure.
-type tokenWaiter struct {
-	b     *TokenBucket
-	n     float64
-	fn    func()
-	timer Timer // pending wake, if any; zero (inactive) while parked Forever
-}
-
-// Wait runs fn as soon as n tokens can be consumed, taking them. If the
-// bucket already holds them, fn runs synchronously; otherwise the wait is
-// parked until the computed refill instant. Competing waiters re-check on
-// wake and re-arm, so a token claimed by another consumer never admits two
-// I/Os. A paused (rate <= 0) bucket parks the wait with no timer at all;
-// SetRate re-arms it.
-func (b *TokenBucket) Wait(n float64, fn func()) {
-	if n > b.burst {
-		panic("sim: token bucket wait exceeds burst capacity")
-	}
-	if b.TryTake(n) {
-		fn()
-		return
-	}
-	w := &tokenWaiter{b: b, n: n, fn: fn}
-	b.waiters = append(b.waiters, w)
-	b.arm(w)
-}
-
-// arm schedules w's wake at the current refill estimate; a Forever delay
-// leaves it parked without a timer (SetRate is the only way forward).
-func (b *TokenBucket) arm(w *tokenWaiter) {
-	if d := b.Delay(w.n); d < Forever {
-		w.timer = b.eng.ScheduleArg(d, tokenBucketWake, w)
-	} else {
-		w.timer = Timer{}
-	}
-}
-
-func tokenBucketWake(x any) {
-	w := x.(*tokenWaiter)
-	if w.b.TryTake(w.n) {
-		w.b.unpark(w)
-		w.fn()
-		return
-	}
-	w.b.arm(w)
-}
-
-// unpark removes w from the parked-waiter list, preserving arrival order.
-func (b *TokenBucket) unpark(w *tokenWaiter) {
-	for i, cand := range b.waiters {
-		if cand == w {
-			copy(b.waiters[i:], b.waiters[i+1:])
-			b.waiters[len(b.waiters)-1] = nil
-			b.waiters = b.waiters[:len(b.waiters)-1]
-			return
-		}
-	}
-}
-
-// Waiting returns the number of parked Wait calls (diagnostics).
-func (b *TokenBucket) Waiting() int { return len(b.waiters) }
-
-// SetRate changes the refill rate (management-plane updates to the QoS
-// table) and re-arms every parked waiter at the instant the new rate
-// implies: a waiter scheduled under the old rate would otherwise wake at a
-// stale time — late after a raise, or in a busy re-check loop after a cut.
-// Waiters are re-armed in arrival order, so admission order is preserved.
-func (b *TokenBucket) SetRate(rate float64) {
-	b.refill() // credit accrued tokens at the old rate first
-	b.rate = rate
-	for _, w := range b.waiters {
-		w.timer.Cancel()
-		b.arm(w)
-	}
 }

@@ -1,7 +1,7 @@
 // Package sim provides the discrete-event simulation kernel used by every
 // other subsystem in this repository: a virtual clock, a cancellable event
 // heap, FIFO service resources (used to model CPU cores and PCIe channels),
-// token buckets (used by QoS admission), and seeded random distributions.
+// and seeded random distributions.
 //
 // All simulated latencies in the repository are measured in virtual time
 // produced by this package, so results are exactly reproducible for a fixed

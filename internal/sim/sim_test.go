@@ -378,43 +378,6 @@ func TestChannelBacklog(t *testing.T) {
 	}
 }
 
-func TestTokenBucket(t *testing.T) {
-	eng := NewEngine(1)
-	b := NewTokenBucket(eng, 1000, 10) // 1000/s, burst 10
-	for i := 0; i < 10; i++ {
-		if !b.TryTake(1) {
-			t.Fatalf("take %d failed within burst", i)
-		}
-	}
-	if b.TryTake(1) {
-		t.Fatal("take succeeded on empty bucket")
-	}
-	if d := b.Delay(1); d != time.Millisecond {
-		t.Fatalf("delay = %v, want 1ms", d)
-	}
-	// Advance 5ms → 5 tokens.
-	eng.Schedule(5*time.Millisecond, func() {})
-	eng.Run()
-	for i := 0; i < 5; i++ {
-		if !b.TryTake(1) {
-			t.Fatalf("take %d failed after refill", i)
-		}
-	}
-	if b.TryTake(1) {
-		t.Fatal("bucket over-refilled")
-	}
-}
-
-func TestTokenBucketNeverExceedsBurst(t *testing.T) {
-	eng := NewEngine(7)
-	b := NewTokenBucket(eng, 100, 5)
-	eng.Schedule(time.Hour, func() {})
-	eng.Run()
-	if got := b.Available(); got != 5 {
-		t.Fatalf("available = %v, want burst cap 5", got)
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 100; i++ {
@@ -486,26 +449,6 @@ func TestServerFIFOProperty(t *testing.T) {
 		return eng.Now() == Time(total)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: token bucket never goes negative and never exceeds burst.
-func TestTokenBucketInvariant(t *testing.T) {
-	f := func(ops []uint8) bool {
-		eng := NewEngine(5)
-		b := NewTokenBucket(eng, 500, 20)
-		for _, op := range ops {
-			eng.Schedule(time.Duration(op)*time.Microsecond, func() {})
-			eng.Run()
-			b.TryTake(float64(op % 7))
-			if a := b.Available(); a < 0 || a > 20 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -170,11 +170,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 
 				for hi := 0; hi < cfg.HostsPerRack; hi++ {
 					addr := Addr(dc, pod, rack, hi)
-					h := &Host{
-						fab:  f,
-						addr: addr,
-						name: fmt.Sprintf("host-d%dp%dr%dh%d", dc, pod, rack, hi),
-					}
+					h := &Host{fab: f, addr: addr}
 					// Dual-homed: one port to each ToR of the pair.
 					for _, tor := range pair {
 						ph, pt := connect(f, h, tor, cfg.HostLinkBps, cfg.PropDelay, buf, ecn)

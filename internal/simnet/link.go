@@ -13,8 +13,6 @@ type Node interface {
 	Receive(pkt *Packet, ingress *Port)
 	// Alive reports whether the node is currently functioning.
 	Alive() bool
-	// nodeName is a diagnostic label.
-	nodeName() string
 }
 
 // Port is one end of a link. Each port owns the egress direction: a
@@ -143,7 +141,6 @@ type Host struct {
 	addr    uint32
 	ports   []*Port
 	Handler func(pkt *Packet)
-	name    string
 
 	txPackets uint64
 }
@@ -151,13 +148,8 @@ type Host struct {
 // Addr returns the host's fabric address.
 func (h *Host) Addr() uint32 { return h.addr }
 
-// Name returns the host's diagnostic name.
-func (h *Host) Name() string { return h.name }
-
 // Alive always reports true: the experiments fail the network, not hosts.
 func (h *Host) Alive() bool { return true }
-
-func (h *Host) nodeName() string { return h.name }
 
 // Receive delivers a frame to the registered handler.
 func (h *Host) Receive(pkt *Packet, _ *Port) {

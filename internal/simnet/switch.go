@@ -102,8 +102,6 @@ func newSwitch(f *Fabric, name string, tier Tier, latency time.Duration, salt ui
 // Name returns the switch's diagnostic name.
 func (s *Switch) Name() string { return s.name }
 
-func (s *Switch) nodeName() string { return s.name }
-
 // Tier returns the switch's fabric tier.
 func (s *Switch) Tier() Tier { return s.tier }
 
