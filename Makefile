@@ -14,7 +14,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build fmt vet lint staticcheck govulncheck test race cover fuzz-smoke golden bench bench-compare ledger-gate bench-smoke check
+.PHONY: build fmt vet lint staticcheck govulncheck test race cover fuzz-smoke golden full-golden bench bench-compare ledger-gate bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -87,14 +87,13 @@ fuzz-smoke:
 # One quick experiment benchmark, the raw event-loop benchmark, the
 # 4 KiB write path (the Solar FN half, its RDMA-into-chunk-server BN
 # twin and the Luna tcpstack FN half), the 4 KiB read paths (Solar, the
-# BN and the whole block-server side), the 64 KiB BN write, the diurnal
-# bulk campaign, and the CDF lookup benchmark guarding the sort.Search
-# fix: enough to verify the events/sec, sim-µs/wall-ms, copies/op and
+# BN and the whole block-server side), the 64 KiB BN write, and the CDF
+# lookup benchmark guarding the sort.Search fix: enough to verify the events/sec, sim-µs/wall-ms, copies/op and
 # allocs/op metrics still report. The quick fig6 run exports the merged
 # observability registry (CI publishes METRICS.json) and doubles as its
 # schema smoke test.
 bench-smoke:
-	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K|ReadPath4K|BNWrite4K|BNRead4K|BNWrite64K|BlockServerWrite4K|BlockServerRead4K|LunaWrite4K|DiurnalPacket' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K|ReadPath4K|BNWrite4K|BNRead4K|BNWrite64K|BlockServerWrite4K|BlockServerRead4K|LunaWrite4K' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'CDFAt' -benchtime 1x -benchmem ./internal/stats
 	$(GO) run ./cmd/ebsbench -exp fig6 -quick -workers 1 -metrics-out METRICS.json > /dev/null
 	grep -q '"schema": "lunasolar.metrics/v1"' METRICS.json
@@ -109,10 +108,29 @@ golden:
 	@test -n "$(OUT)" || { echo "usage: make golden OUT=<dir>"; exit 2; }
 	@mkdir -p "$(OUT)"
 	$(GO) run ./cmd/ebsbench -exp all -quick -seed 1 -metrics-out "$(OUT)/METRICS.json" > "$(OUT)/tables.raw"
-	grep -v '^\[[^ ]* completed in ' "$(OUT)/tables.raw" \
-		| sed -E 's/^(\[[^ ]* perf: [0-9]+ shards, [0-9.]+M events).*/\1]/' > "$(OUT)/tables.txt"
+	$(call strip_wall,$(OUT)/tables.raw) > "$(OUT)/tables.txt"
 	@rm -f "$(OUT)/tables.raw"
 	$(GO) run ./cmd/ebsbench -exp all -quick -seed 1 -json > "$(OUT)/rows.jsonl"
+
+# The committed full-scale results: make full-golden reruns `-exp all
+# -workers 2 -seed 1` at full scale, strips it as `golden` strips
+# tables.txt, and diffs it against experiments_full.txt (about 80 s on two
+# vCPUs; CI runs it). On a difference the fresh run stays in
+# experiments_full.new; a change that moves a full-scale table on purpose
+# moves that file over experiments_full.txt and lists the moved rows in
+# CHANGES.md.
+full-golden:
+	$(GO) run ./cmd/ebsbench -exp all -workers 2 -seed 1 > experiments_full.raw
+	$(call strip_wall,experiments_full.raw) > experiments_full.new
+	@rm -f experiments_full.raw
+	diff -u experiments_full.txt experiments_full.new
+	@rm -f experiments_full.new
+
+# strip_wall prints ebsbench's table output $(1) without its wall clock: the
+# `completed in` lines go and each `perf:` line keeps its shard and event
+# counts.
+strip_wall = grep -v '^\[[^ ]* completed in ' "$(1)" \
+	| sed -E 's/^(\[[^ ]* perf: [0-9]+ shards, [0-9.]+M events).*/\1]/'
 
 # The wall-cost ledger: every workload of the repository benchmark, once,
 # in the benchmark's own report schema (see benchmark/README.md).

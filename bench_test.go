@@ -60,7 +60,6 @@ func BenchmarkTable2Failures(b *testing.B)    { runExperiment(b, "table2", exper
 func BenchmarkTable3Resources(b *testing.B)   { runExperiment(b, "table3", experiments.Table3) }
 func BenchmarkAblations(b *testing.B)         { runExperiment(b, "ablate", experiments.Ablations) }
 func BenchmarkRDMACliff(b *testing.B)         { runExperiment(b, "rdmacliff", experiments.RDMACliff) }
-func BenchmarkDiurnalPacket(b *testing.B)     { runExperiment(b, "diurnal", experiments.Diurnal) }
 
 // benchIO measures simulated 4 KiB write performance per stack: b.N I/Os
 // through a full cluster. Reported metrics: simulated microseconds per I/O

@@ -47,12 +47,6 @@ var registry = map[string]struct {
 	"table3":    {experiments.Table3, "FPGA resource consumption"},
 	"ablate":    {experiments.Ablations, "Solar design-choice ablations (paths, CRC, Addr table)"},
 	"rdmacliff": {experiments.RDMACliff, "RDMA connection-scalability cliff (the §3.1 FN rejection)"},
-
-	"diurnal": {experiments.Diurnal, "bulk campaign (ramp→plateau→incast→spine reboot→ramp-down)"},
-
-	"provision-storm": {experiments.ProvisionStorm, "volume-lifecycle storm with duplicated request IDs, per stack"},
-	"drain":           {experiments.Drain, "planned chunk-server drain (copy-then-cutover) under a write storm"},
-	"noisyneighbor":   {experiments.NoisyNeighbor, "aggressor tenant vs victim on one hypervisor, with/without tenant QoS cap"},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -71,6 +74,31 @@ func TestRun(t *testing.T) {
 		}
 		if tc.stdout != nil {
 			tc.stdout(t, stdout.String())
+		}
+	}
+}
+
+// TestDocsNameRegisteredExperiments: every `-exp` id the docs tell a reader
+// to run is in the registry, so a deleted or renamed experiment cannot
+// linger in a usage line.
+func TestDocsNameRegisteredExperiments(t *testing.T) {
+	expArg := regexp.MustCompile(`-exp[ =]+([a-z0-9][a-z0-9,_-]*)`)
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"} {
+		text, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		named := 0
+		for _, m := range expArg.FindAllStringSubmatch(string(text), -1) {
+			for _, id := range strings.Split(m[1], ",") {
+				if _, ok := registry[id]; id != "all" && !ok {
+					t.Errorf("%s names -exp %s, which is not a registered experiment", doc, id)
+				}
+				named++
+			}
+		}
+		if named == 0 {
+			t.Errorf("%s names no -exp id; the pattern no longer matches its usage lines", doc)
 		}
 	}
 }

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -19,14 +21,36 @@ import (
 	"lunasolar/internal/wire"
 )
 
-func main() {
-	racks := flag.Int("racks", 2, "racks per pod")
-	hosts := flag.Int("hosts", 4, "hosts per rack")
-	spines := flag.Int("spines", 2, "spines per pod")
-	cores := flag.Int("cores", 2, "core switches per DC")
-	drill := flag.String("drill", "", "failure drill: tor|spine|core|blackhole")
-	seed := flag.Int64("seed", 1, "seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit status. Each dimension
+// flag must lie in [1, simnet.MaxDim], or run exits 2 before it builds
+// anything: an address holds a rack or a host index in one byte, and the
+// spine and core counts keep the same bound.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebstopo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	racks := fs.Int("racks", 2, "racks per pod")
+	hosts := fs.Int("hosts", 4, "hosts per rack")
+	spines := fs.Int("spines", 2, "spines per pod")
+	cores := fs.Int("cores", 2, "core switches per DC")
+	drill := fs.String("drill", "", "failure drill: tor|spine|core|blackhole")
+	seed := fs.Int64("seed", 1, "seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	for _, d := range []struct {
+		flag string
+		v    int
+	}{{"racks", *racks}, {"hosts", *hosts}, {"spines", *spines}, {"cores", *cores}} {
+		if d.v < 1 || d.v > simnet.MaxDim {
+			fmt.Fprintf(stderr, "ebstopo: -%s %d is outside [1, %d]\n", d.flag, d.v, simnet.MaxDim)
+			return 2
+		}
+	}
 
 	cfg := simnet.DefaultConfig()
 	cfg.RacksPerPod = *racks
@@ -39,9 +63,9 @@ func main() {
 
 	nHosts := len(fab.Hosts())
 	nSwitches := len(fab.Switches())
-	fmt.Printf("fabric: %d pods x %d racks x %d hosts = %d hosts, %d switches\n",
+	fmt.Fprintf(stdout, "fabric: %d pods x %d racks x %d hosts = %d hosts, %d switches\n",
 		cfg.PodsPerDC, cfg.RacksPerPod, cfg.HostsPerRack, nHosts, nSwitches)
-	fmt.Printf("links: host %s, fabric %s, buffers %dKB/port, ECN @ %dKB\n",
+	fmt.Fprintf(stdout, "links: host %s, fabric %s, buffers %dKB/port, ECN @ %dKB\n",
 		gbps(cfg.HostLinkBps), gbps(cfg.FabricLinkBps), cfg.BufferBytes>>10, cfg.ECNThresholdBytes>>10)
 
 	// ECMP spread: one flow per source port from a compute host to a
@@ -56,14 +80,14 @@ func main() {
 		})
 		eng.RunFor(100 * time.Microsecond)
 	}
-	fmt.Println("\nECMP spread over 64 source ports (data path via pod-0 spines):")
+	fmt.Fprintln(stdout, "\nECMP spread over 64 source ports (data path via pod-0 spines):")
 	for i := 0; i < cfg.SpinesPerPod; i++ {
 		sp := fab.Spine(0, 0, i)
-		fmt.Printf("  %-14s forwarded %d\n", sp.Name(), sp.Forwarded())
+		fmt.Fprintf(stdout, "  %-14s forwarded %d\n", sp.Name(), sp.Forwarded())
 	}
 
 	if *drill == "" {
-		return
+		return 0
 	}
 
 	var target *simnet.Switch
@@ -81,10 +105,10 @@ func main() {
 		target = fab.ToR(0, 0, 0, 0)
 		target.SetBlackhole(0.25, 99)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown drill %q\n", *drill)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "unknown drill %q\n", *drill)
+		return 1
 	}
-	fmt.Printf("\ndrill: %s on %s (detect delay %v)\n", *drill, target.Name(), cfg.DetectDelay)
+	fmt.Fprintf(stdout, "\ndrill: %s on %s (detect delay %v)\n", *drill, target.Name(), cfg.DetectDelay)
 
 	// Probe 64 flows immediately, after half the detection delay, and after
 	// reconvergence.
@@ -101,11 +125,12 @@ func main() {
 		}
 		eng.RunFor(5 * time.Millisecond)
 		delivered = got
-		fmt.Printf("  %-22s %2d/64 flows delivered\n", label, delivered)
+		fmt.Fprintf(stdout, "  %-22s %2d/64 flows delivered\n", label, delivered)
 	}
 	probe("right after failure:")
 	eng.RunFor(cfg.DetectDelay)
 	probe("after detect delay:")
+	return 0
 }
 
 func gbps(bps float64) string { return fmt.Sprintf("%.0fG", bps/1e9) }

@@ -219,10 +219,6 @@ func (c *Cluster) BlockServerAddrs() []uint32 {
 	return out
 }
 
-// SegmentRefs returns a copy of a vdisk's current segment placements in
-// stripe order (empty when the vdisk is unknown or segmentless).
-func (c *Cluster) SegmentRefs(vdisk uint32) []sa.SegmentRef { return c.segs.Refs(vdisk) }
-
 // Chunks returns the chunk-server nodes (for SSD stats).
 func (c *Cluster) Chunks() []*StorageServer { return c.chunks }
 

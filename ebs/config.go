@@ -139,20 +139,15 @@ func (cfg Config) Validate() error {
 		return errors.New("ebs: cluster needs computes, block servers, and >=3 chunk servers")
 	}
 	// A zero here builds a server with no units, a channel or link with no
-	// rate, a fabric with no host or no path between pods, or an unpaced
-	// SSD. The stack runs on the DPU (Solar kinds always do; New forces
-	// BareMetal) or on host cores, never both, so only one of the last two
-	// counts.
+	// rate, a fabric with no path between pods, or an unpaced SSD. The
+	// stack runs on the DPU (Solar kinds always do; New forces BareMetal)
+	// or on host cores, never both, so only one of the last two counts.
 	dpuResident := cfg.BareMetal || cfg.FN == Solar || cfg.FN == SolarStar
 	for _, k := range []struct {
 		name string
 		v    float64
 		used bool
 	}{
-		{"Fabric.DCs", float64(cfg.Fabric.DCs), true},
-		{"Fabric.PodsPerDC", float64(cfg.Fabric.PodsPerDC), true},
-		{"Fabric.RacksPerPod", float64(cfg.Fabric.RacksPerPod), true},
-		{"Fabric.HostsPerRack", float64(cfg.Fabric.HostsPerRack), true},
 		{"StorageCores", float64(cfg.StorageCores), true},
 		{"SSD.IOPSCap", cfg.SSD.IOPSCap, true},
 		{"Fabric.SpinesPerPod", float64(cfg.Fabric.SpinesPerPod), true},
@@ -165,6 +160,11 @@ func (cfg Config) Validate() error {
 		if k.used && !(k.v > 0) {
 			return fmt.Errorf("ebs: %s must be positive, got %v", k.name, k.v)
 		}
+	}
+	// An address dimension below 1 builds no host; one above 255 gives
+	// two hosts one address.
+	if err := cfg.Fabric.CheckDims(); err != nil {
+		return fmt.Errorf("ebs: Fabric.%v", err)
 	}
 	if cfg.Fabric.PropDelay < 0 || cfg.Fabric.InterDCDelay < 0 { // an arrival before its send
 		return fmt.Errorf("ebs: Fabric.PropDelay %v and Fabric.InterDCDelay %v must not be negative", cfg.Fabric.PropDelay, cfg.Fabric.InterDCDelay)

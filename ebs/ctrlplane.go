@@ -24,7 +24,7 @@ import (
 //
 // The control plane runs on the cluster's single engine and is therefore
 // serial-only: management traffic interleaves deterministically with
-// foreground I/O, and scenarios shard whole clusters per worker instead.
+// foreground I/O, and a parallel run shards whole clusters per worker instead.
 type ControlPlane struct {
 	c      *Cluster
 	placer *ctrl.Placer // block-server placement, rack = failure domain
@@ -40,12 +40,6 @@ type ControlPlane struct {
 	chunkByAddr map[uint32]*chunkserver.Server
 	chunkAddrs  []uint32 // construction order
 	draining    map[uint32]bool
-
-	// Migration stats.
-	SegmentsMigrated int
-	BlocksCopied     int
-	BytesCopied      uint64
-	CopyErrors       int
 }
 
 // volume is one managed virtual disk. A deleted volume stays as a
@@ -320,7 +314,6 @@ func (cp *ControlPlane) migrateSegmentRef(volID uint32, segIdx int, toAddr uint3
 	}
 	from.ReleaseSegment(ref.SegmentID, toAddr)
 	cp.placer.Release([]uint32{ref.Server})
-	cp.SegmentsMigrated++
 	cp.rec.Record(cp.c.Eng.Now().Duration(), trace.EvCutover, ref.SegmentID, uint64(toAddr))
 	return true, nil
 }
@@ -489,9 +482,6 @@ func (cp *ControlPlane) DrainChunkServer(chunkIdx int, done func(DrainReport)) e
 			report.BlocksCopied += ds.blocks
 			report.BytesCopied += ds.bytes
 			report.Cutovers = append(report.Cutovers, took)
-			cp.SegmentsMigrated++
-			cp.BlocksCopied += ds.blocks
-			cp.BytesCopied += ds.bytes
 			cp.rec.Record(cp.c.Eng.Now().Duration(), trace.EvCutover, ds.segID, uint64(ds.replace))
 			runSeg(i + 1)
 		}
@@ -503,14 +493,12 @@ func (cp *ControlPlane) DrainChunkServer(chunkIdx int, done func(DrainReport)) e
 			src.MigrateRead(ds.segID, lbas[j], func(data []byte, rawCRC uint32, gen uint32, err error) {
 				if err != nil {
 					report.CopyErrors++
-					cp.CopyErrors++
 					step(j + 1)
 					return
 				}
 				dst.WriteBlock(ds.segID, lbas[j], gen, data, rawCRC, func(err error) {
 					if err != nil {
 						report.CopyErrors++
-						cp.CopyErrors++
 					} else {
 						ds.blocks++
 						ds.bytes += uint64(len(data))

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"lunasolar/internal/sa"
+	"lunasolar/internal/stats"
+	"lunasolar/internal/workload"
 )
 
 // controlPlane returns c's control plane, failing the test on an error.
@@ -182,69 +184,80 @@ func TestMigrateSegmentUnderLoad(t *testing.T) {
 	}
 }
 
+// TestDrainChunkServerUnderLoad drains chunk server 0 under a 4 KiB write
+// storm on both generations the paper's evolution spans: no foreground
+// I/O fails, every drained replica is copied and cut over, and the seeded
+// data reads back.
 func TestDrainChunkServerUnderLoad(t *testing.T) {
-	c := testCluster(t, Solar)
-	cp := controlPlane(t, c)
-	vd, err := cp.CreateVolume("c", 0, "", 8<<20, DefaultQoS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed every segment so the drained replicas have blocks to copy.
-	seed := fill(16<<10, 9)
-	var werr error
-	for off := uint64(0); off < vd.Size(); off += sa.SegmentBytes {
-		vd.Write(off, seed, func(r IOResult) {
-			if r.Err != nil {
-				werr = r.Err
+	for _, fn := range []StackKind{Luna, Solar} {
+		t.Run(fn.String(), func(t *testing.T) {
+			c := testCluster(t, fn)
+			cp := controlPlane(t, c)
+			vd, err := cp.CreateVolume("c", 0, "", 8<<20, DefaultQoS())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Seed every segment so the drained replicas have blocks to copy.
+			seed := fill(16<<10, 9)
+			var werr error
+			for off := uint64(0); off < vd.Size(); off += sa.SegmentBytes {
+				vd.Write(off, seed, func(r IOResult) {
+					if r.Err != nil {
+						werr = r.Err
+					}
+				})
+			}
+			c.Run()
+			if werr != nil {
+				t.Fatal(werr)
+			}
+
+			errs, done := 0, 0
+			driveWrites(c, vd, 300, 20*time.Microsecond, &errs, &done)
+			var report DrainReport
+			drained := false
+			c.Eng.Schedule(time.Millisecond, func() {
+				if err := cp.DrainChunkServer(0, func(r DrainReport) { report = r; drained = true }); err != nil {
+					t.Error(err)
+				}
+			})
+			c.Run()
+			if done != 300 || errs != 0 {
+				t.Fatalf("done=%d errs=%d", done, errs)
+			}
+			if !drained {
+				t.Fatal("drain never completed")
+			}
+			if report.Segments == 0 || report.BlocksCopied == 0 || report.CopyErrors != 0 {
+				t.Fatalf("report: %+v", report)
+			}
+			if len(report.Cutovers) != report.Segments {
+				t.Fatalf("cutovers %d != segments %d", len(report.Cutovers), report.Segments)
+			}
+			// The drained server holds no replica of this volume's segments now.
+			drainAddr := c.chunks[0].Host.Addr()
+			for _, ref := range c.segs.Refs(vd.ID) {
+				for _, a := range cp.blockByAddr[ref.Server].ReplicaSet(ref.SegmentID) {
+					if a == drainAddr {
+						t.Fatalf("segment %d still replicated on drained server", ref.SegmentID)
+					}
+				}
+			}
+			// Seeded data survives the drain. LBA 4 MiB sits in a drained segment
+			// and outside the write storm's range, so the bytes must be the seed's.
+			var rres IOResult
+			vd.Read(4<<20, len(seed), func(r IOResult) { rres = r })
+			c.Run()
+			if rres.Err != nil {
+				t.Fatal(rres.Err)
+			}
+			if !bytes.Equal(rres.Data[:4096], seed[:4096]) {
+				t.Fatal("post-drain read-back mismatch")
+			}
+			if n := c.Leaked(); n != 0 {
+				t.Fatalf("%d pooled records leaked", n)
 			}
 		})
-	}
-	c.Run()
-	if werr != nil {
-		t.Fatal(werr)
-	}
-
-	errs, done := 0, 0
-	driveWrites(c, vd, 300, 20*time.Microsecond, &errs, &done)
-	var report DrainReport
-	drained := false
-	c.Eng.Schedule(time.Millisecond, func() {
-		if err := cp.DrainChunkServer(0, func(r DrainReport) { report = r; drained = true }); err != nil {
-			t.Error(err)
-		}
-	})
-	c.Run()
-	if done != 300 || errs != 0 {
-		t.Fatalf("done=%d errs=%d", done, errs)
-	}
-	if !drained {
-		t.Fatal("drain never completed")
-	}
-	if report.Segments == 0 || report.BlocksCopied == 0 || report.CopyErrors != 0 {
-		t.Fatalf("report: %+v", report)
-	}
-	if len(report.Cutovers) != report.Segments {
-		t.Fatalf("cutovers %d != segments %d", len(report.Cutovers), report.Segments)
-	}
-	// The drained server holds no replica of this volume's segments now.
-	drainAddr := c.chunks[0].Host.Addr()
-	for _, ref := range c.segs.Refs(vd.ID) {
-		for _, a := range cp.blockByAddr[ref.Server].ReplicaSet(ref.SegmentID) {
-			if a == drainAddr {
-				t.Fatalf("segment %d still replicated on drained server", ref.SegmentID)
-			}
-		}
-	}
-	// Seeded data survives the drain. LBA 4 MiB sits in a drained segment
-	// and outside the write storm's range, so the bytes must be the seed's.
-	var rres IOResult
-	vd.Read(4<<20, len(seed), func(r IOResult) { rres = r })
-	c.Run()
-	if rres.Err != nil {
-		t.Fatal(rres.Err)
-	}
-	if !bytes.Equal(rres.Data[:4096], seed[:4096]) {
-		t.Fatal("post-drain read-back mismatch")
 	}
 }
 
@@ -377,6 +390,77 @@ func TestTenantQoSIsolation(t *testing.T) {
 	}
 }
 
+// TestTenantCapShieldsVictim runs a victim tenant's open-loop 4 KiB writes
+// next to a depth-16 64 KiB aggressor on the same compute server, on the
+// eight-compute, three-block, five-chunk Solar cluster of the experiments.
+// Both disks get a generous per-disk spec, so only the aggressor tenant's
+// 2000 IOPS cap stands between it and the fabric: capped, the victim's p99
+// stays within 2x of its p99 with no aggressor at all; uncapped, it does
+// not stay as low as capped.
+func TestTenantCapShieldsVictim(t *testing.T) {
+	victimP99 := func(mode string) float64 {
+		cfg := DefaultConfig(Solar)
+		cfg.Fabric.RacksPerPod = 2
+		cfg.Fabric.HostsPerRack = 4
+		cfg.Fabric.SpinesPerPod = 2
+		cfg.Fabric.CoresPerDC = 2
+		cfg.ComputeServers = 8
+		cfg.BlockServers = 3
+		cfg.ChunkServers = 5
+		c := New(cfg)
+		cp := controlPlane(t, c)
+		diskQoS := QoS(1e6, 100e9)
+		if mode == "capped" {
+			cp.SetTenantQoS("noisy", sa.QoSSpec{IOPS: 2000, BurstWindow: time.Millisecond})
+		}
+		victim, err := cp.CreateVolume("victim", 0, "quiet", 16<<20, diskQoS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drv := workload.NewDriver(c.Eng)
+		if mode != "baseline" {
+			agg, err := cp.CreateVolume("aggressor", 0, "noisy", 64<<20, diskQoS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Slot k writes 64 KiB pieces k, k+16, k+32, ... until 15 ms.
+			const aggDepth = 16
+			aggSpan := agg.Size() - (64 << 10)
+			for k := uint64(0); k < aggDepth; k++ {
+				drv.Closed(agg.ID, agg, 1, 0, func(_, i int) (bool, uint64, int, bool) {
+					lba := (k*(64<<10) + uint64(i)*aggDepth*(64<<10)) % aggSpan &^ 4095
+					return true, lba, 64 << 10, i == 0 || c.Now() < 15*time.Millisecond
+				}, nil)
+			}
+		}
+		h := stats.NewHistogram()
+		drv.Open(victim.ID, victim, func() time.Duration { return 100 * time.Microsecond },
+			func(_, n int) (bool, uint64, int, bool) {
+				return true, (uint64(n) * 4096) % victim.Size(), 4096, n < 100
+			}, func(io *workload.IO) {
+				if io.Res.Err == nil {
+					h.Record(io.Res.Latency)
+				}
+			})
+		c.Run()
+		if n := c.Leaked(); n != 0 {
+			t.Errorf("%s: %d pooled records leaked", mode, n)
+		}
+		return float64(h.P99().Nanoseconds()) / 1e3
+	}
+	base, capped, uncapped := victimP99("baseline"), victimP99("capped"), victimP99("uncapped")
+	t.Logf("victim p99: baseline %.1f µs, capped %.1f µs, uncapped %.1f µs", base, capped, uncapped)
+	if base <= 0 {
+		t.Fatalf("baseline victim p99 is %v µs — no victim I/Os completed", base)
+	}
+	if capped > 2*base {
+		t.Errorf("capped victim p99 %.1f µs is %.2fx the isolated baseline %.1f µs, gate is 2x", capped, capped/base, base)
+	}
+	if uncapped <= capped {
+		t.Errorf("uncapped victim p99 %.1f µs <= capped %.1f µs: the cap is not what isolates", uncapped, capped)
+	}
+}
+
 // TestIOPastEndOfDiskRejected: the segment table maps whole 2 MiB segments,
 // so a 1 MiB disk used to accept I/O up to the 2 MiB boundary. The guest's
 // range is checked against the provisioned size, and a resize moves the
@@ -486,8 +570,8 @@ func TestControlPlaneRequestIDs(t *testing.T) {
 			if err := cp.ResizeVolume("r1", vd.ID, 64<<20); err != nil {
 				t.Fatalf("replayed resize: %v", err)
 			}
-			if vd.Size() != 8<<20 || len(c.SegmentRefs(vd.ID)) != 4 {
-				t.Fatalf("replayed resize grew the volume: size %d, %d segments", vd.Size(), len(c.SegmentRefs(vd.ID)))
+			if vd.Size() != 8<<20 || len(c.segs.Refs(vd.ID)) != 4 {
+				t.Fatalf("replayed resize grew the volume: size %d, %d segments", vd.Size(), len(c.segs.Refs(vd.ID)))
 			}
 		}},
 		{"clone of unknown snapshot", func(t *testing.T, c *Cluster, cp *ControlPlane) {
@@ -575,7 +659,7 @@ func TestMigrateSegmentRefusesUnmanagedVolume(t *testing.T) {
 	if got := loads(); got != "2 2" {
 		t.Fatalf("placer loads %s, want 2 2 for the managed volume's four segments", got)
 	}
-	from := c.SegmentRefs(direct.ID)[0].Server
+	from := c.segs.Refs(direct.ID)[0].Server
 	to := addrs[0]
 	if to == from {
 		to = addrs[1]
@@ -589,7 +673,7 @@ func TestMigrateSegmentRefusesUnmanagedVolume(t *testing.T) {
 	if got := loads(); got != "2 2" {
 		t.Fatalf("refused migrations moved placer load to %s", got)
 	}
-	if got := c.SegmentRefs(direct.ID)[0].Server; got != from {
+	if got := c.segs.Refs(direct.ID)[0].Server; got != from {
 		t.Fatalf("unmanaged segment moved to %d", got)
 	}
 	if err := cp.MigrateSegment(managed.ID, 0, to); err != nil {

@@ -30,10 +30,12 @@ func TestValidateRejects(t *testing.T) {
 		{"no spines", Solar, func(c *Config) { c.Fabric.SpinesPerPod = 0 }, "Fabric.SpinesPerPod must be positive"},
 		{"no cores", Solar, func(c *Config) { c.Fabric.CoresPerDC = 0 }, "Fabric.CoresPerDC must be positive"},
 		{"no SSD IOPS", Luna, func(c *Config) { c.SSD.IOPSCap = 0 }, "SSD.IOPSCap must be positive"},
-		{"no DCs", Solar, func(c *Config) { c.Fabric.DCs = 0 }, "Fabric.DCs must be positive"},
-		{"no pods", Luna, func(c *Config) { c.Fabric.PodsPerDC = 0 }, "Fabric.PodsPerDC must be positive"},
-		{"no racks", Solar, func(c *Config) { c.Fabric.RacksPerPod = 0 }, "Fabric.RacksPerPod must be positive"},
-		{"no hosts per rack", RDMA, func(c *Config) { c.Fabric.HostsPerRack = 0 }, "Fabric.HostsPerRack must be positive"},
+		{"no DCs", Solar, func(c *Config) { c.Fabric.DCs = 0 }, "Fabric.DCs must be in [1, 255], got 0"},
+		{"no pods", Luna, func(c *Config) { c.Fabric.PodsPerDC = 0 }, "Fabric.PodsPerDC must be in [1, 255], got 0"},
+		{"no racks", Solar, func(c *Config) { c.Fabric.RacksPerPod = 0 }, "Fabric.RacksPerPod must be in [1, 255], got 0"},
+		{"no hosts per rack", RDMA, func(c *Config) { c.Fabric.HostsPerRack = 0 }, "Fabric.HostsPerRack must be in [1, 255], got 0"},
+		{"hosts per rack overflow an address byte", Solar, func(c *Config) { c.Fabric.HostsPerRack = 256 }, "Fabric.HostsPerRack must be in [1, 255], got 256"},
+		{"racks overflow an address byte", Luna, func(c *Config) { c.Fabric.RacksPerPod = 256 }, "Fabric.RacksPerPod must be in [1, 255], got 256"},
 		{"one pod without CrossDC", Solar, func(c *Config) { c.Fabric.PodsPerDC = 1 }, "storage needs a second pod: Fabric.PodsPerDC is 1 without CrossDC"},
 		{"no port buffer", Solar, func(c *Config) { c.Fabric.BufferBytes = 0 }, "Fabric.BufferBytes 0 is below one 9000 B frame"},
 		{"port buffer below a frame", Luna, func(c *Config) { c.Fabric.BufferBytes = 1000 }, "Fabric.BufferBytes 1000 is below one 9000 B frame"},

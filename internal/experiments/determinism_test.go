@@ -20,13 +20,6 @@ func TestParallelRunDeterminism(t *testing.T) {
 		// The raw-stack cliff: per-connection QPs contending for one
 		// NIC's context cache and fetch engine.
 		{"rdmacliff", RDMACliff},
-		// The control-plane scenarios shard serial clusters per cell; the
-		// management traffic must interleave with foreground I/O
-		// identically however many workers simulate the cells.
-		{"provision-storm", ProvisionStorm},
-		{"drain", Drain},
-		{"noisyneighbor", NoisyNeighbor},
-		{"diurnal", Diurnal},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,15 +7,15 @@ import (
 	"lunasolar/internal/sim"
 )
 
-// BulkService models open-loop paced host-to-host bulk transfers — the
-// steady-state background traffic of a diurnal campaign. A transfer of B
+// BulkService models open-loop paced host-to-host bulk transfers, such as
+// steady-state background traffic between pods. A transfer of B
 // bytes is n = ceil(B/chunk) packets sent on the exact grid t0 + k·iv,
 // where iv is the wire size serialized at the pace rate; there is no
 // acking or retransmission, and the receiver records a completion when
 // the final packet (the fin) arrives.
 //
 // The service claims every host's Handler, so it is for raw-fabric
-// scenarios (no protocol stacks attached), like the diurnal campaign.
+// scenarios (no protocol stacks attached).
 type BulkService struct {
 	nextID uint64
 	// flows recycles the sender records: a transfer takes one and its last

@@ -58,6 +58,24 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxDim is the largest topology dimension Addr can tell apart: it packs
+// each 1-based component into one byte.
+const MaxDim = 255
+
+// CheckDims reports, by field name, the first address dimension (DCs,
+// PodsPerDC, RacksPerPod, HostsPerRack) outside [1, MaxDim].
+func (c Config) CheckDims() error {
+	for _, d := range []struct {
+		name string
+		v    int
+	}{{"DCs", c.DCs}, {"PodsPerDC", c.PodsPerDC}, {"RacksPerPod", c.RacksPerPod}, {"HostsPerRack", c.HostsPerRack}} {
+		if d.v < 1 || d.v > MaxDim {
+			return fmt.Errorf("%s must be in [1, %d], got %d", d.name, MaxDim, d.v)
+		}
+	}
+	return nil
+}
+
 // Fabric is a built topology: hosts, switches, links, routing, and the
 // failure-injection surface. Everything a packet's hot path touches — the
 // packet pool, the transit free lists, the drop counters and the drop
@@ -91,8 +109,8 @@ func (f *Fabric) countDrop(reason string) { f.drops[reason]++ }
 
 // New builds the fabric described by cfg on eng.
 func New(eng *sim.Engine, cfg Config) *Fabric {
-	if cfg.DCs < 1 || cfg.PodsPerDC < 1 || cfg.RacksPerPod < 1 || cfg.HostsPerRack < 1 {
-		panic("simnet: topology dimensions must be >= 1")
+	if err := cfg.CheckDims(); err != nil {
+		panic("simnet: " + err.Error())
 	}
 	f := &Fabric{
 		Eng:      eng,

@@ -40,6 +40,36 @@ func TestAddrRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnaddressableDims: a dimension past one address byte would
+// give two hosts one address, so New panics on it as on a zero, before it
+// builds anything.
+func TestNewRejectsUnaddressableDims(t *testing.T) {
+	for _, tc := range []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.HostsPerRack = 256 }, "simnet: HostsPerRack must be in [1, 255], got 256"},
+		{func(c *Config) { c.RacksPerPod = 0 }, "simnet: RacksPerPod must be in [1, 255], got 0"},
+		{func(c *Config) { c.DCs = 300 }, "simnet: DCs must be in [1, 255], got 300"},
+	} {
+		cfg := DefaultConfig()
+		tc.mutate(&cfg)
+		func() {
+			defer func() {
+				if r := recover(); r != tc.want {
+					t.Errorf("New panicked with %v, want %q", r, tc.want)
+				}
+			}()
+			New(sim.NewEngine(1), cfg)
+		}()
+	}
+	cfg := DefaultConfig()
+	cfg.HostsPerRack = MaxDim
+	if err := cfg.CheckDims(); err != nil {
+		t.Fatalf("%d hosts per rack rejected: %v", MaxDim, err)
+	}
+}
+
 func TestCrossPodDelivery(t *testing.T) {
 	eng, f := smallFabric(t)
 	src := f.Host(0, 0, 0, 0)
