@@ -58,7 +58,6 @@ func BenchmarkFig15WriteLatency(b *testing.B) { runExperiment(b, "fig15", experi
 func BenchmarkTable1RPC(b *testing.B)         { runExperiment(b, "table1", experiments.Table1) }
 func BenchmarkTable2Failures(b *testing.B)    { runExperiment(b, "table2", experiments.Table2) }
 func BenchmarkTable3Resources(b *testing.B)   { runExperiment(b, "table3", experiments.Table3) }
-func BenchmarkAblations(b *testing.B)         { runExperiment(b, "ablate", experiments.Ablations) }
 func BenchmarkRDMACliff(b *testing.B)         { runExperiment(b, "rdmacliff", experiments.RDMACliff) }
 
 // benchIO measures simulated 4 KiB write performance per stack: b.N I/Os

@@ -45,7 +45,6 @@ var registry = map[string]struct {
 	"table1":    {experiments.Table1, "RPC latency and cores, kernel vs luna"},
 	"table2":    {experiments.Table2, "I/O hangs under failure scenarios"},
 	"table3":    {experiments.Table3, "FPGA resource consumption"},
-	"ablate":    {experiments.Ablations, "Solar design-choice ablations (paths, CRC, Addr table)"},
 	"rdmacliff": {experiments.RDMACliff, "RDMA connection-scalability cliff (the §3.1 FN rejection)"},
 }
 
@@ -97,8 +96,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, id := range strings.Split(*exp, ",") {
 			id = strings.TrimSpace(id)
 			if _, ok := registry[id]; !ok {
-				fmt.Fprintf(stderr, "unknown experiment %q (try -list)\n", id)
-				return 1
+				fmt.Fprintf(stderr, "ebsbench: unknown experiment %q in -exp (try -list)\n", id)
+				return 2
 			}
 			if slices.Contains(sel, id) {
 				fmt.Fprintf(stderr, "ebsbench: experiment %q given twice in -exp\n", id)

@@ -56,7 +56,7 @@ func TestRun(t *testing.T) {
 		stderr        string
 		stdout        func(*testing.T, string)
 	}{
-		{"-exp fig3,typo", 1, 0, `unknown experiment "typo" (try -list)`, nil},
+		{"-exp fig3,typo", 2, 0, `ebsbench: unknown experiment "typo" in -exp (try -list)`, nil},
 		{"-exp fig3 -cc dcqcn", 2, 0, "flag provided but not defined: -cc", nil},
 		{"-exp fig3,fig3", 2, 0, `experiment "fig3" given twice`, nil},
 		{"-exp fig3 -workers -3", 2, 0, "-workers -3 is negative", nil},

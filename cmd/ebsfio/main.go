@@ -5,8 +5,6 @@
 //
 //	ebsfio -stack solar -bs 4096 -depth 32 -read 1.0 -runtime 100ms
 //	ebsfio -stack luna -bs 65536 -depth 16 -read 0.0 -cores 2
-//	ebsfio -record /tmp/run.trace ...      # save the issued I/Os as a trace
-//	ebsfio -replay /tmp/run.trace ...      # replay a trace open-loop
 package main
 
 import (
@@ -57,15 +55,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	runtime := fs.Duration("runtime", 100*time.Millisecond, "measurement window (virtual time)")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	bareMetal := fs.Bool("baremetal", true, "run the compute stack on a DPU")
-	record := fs.String("record", "", "write the issued I/Os to this trace file")
-	replay := fs.String("replay", "", "replay a trace file instead of the closed loop")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
 	}
+	fn, known := parseStack(*stackName)
 	switch {
+	case !known:
+		fmt.Fprintf(stderr, "ebsfio: -stack %s: unknown stack (kernel|luna|rdma|solar|solar*)\n", *stackName)
+		return 2
 	case *bs <= 0:
 		fmt.Fprintf(stderr, "ebsfio: -bs %d: block size must be positive\n", *bs)
 		return 2
@@ -75,18 +75,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *depth <= 0:
 		fmt.Fprintf(stderr, "ebsfio: -depth %d: queue depth must be positive\n", *depth)
 		return 2
+	case *cores < 0:
+		fmt.Fprintf(stderr, "ebsfio: -cores %d: core count must not be negative (0 = stack default)\n", *cores)
+		return 2
 	case !(*readFrac >= 0 && *readFrac <= 1):
 		fmt.Fprintf(stderr, "ebsfio: -read %v: read fraction must be in [0,1]\n", *readFrac)
 		return 2
 	case *runtime <= 0:
 		fmt.Fprintf(stderr, "ebsfio: -runtime %v: measurement window must be positive\n", *runtime)
 		return 2
-	}
-
-	fn, ok := parseStack(*stackName)
-	if !ok {
-		fmt.Fprintf(stderr, "unknown stack %q\n", *stackName)
-		return 1
 	}
 
 	cfg := ebs.DefaultConfig(fn)
@@ -109,101 +106,59 @@ func run(args []string, stdout, stderr io.Writer) int {
 		c.Run()
 	}
 
-	// Only successful I/Os count toward latency, IOPS and bandwidth.
-	h := stats.NewHistogram()
-	var n, bytes, failed uint64
-	var firstErr error
-	var recorded []workload.TraceRecord
-	startAt := c.Now()
-	lastDone := startAt
-	done := func(io *workload.IO) {
-		lastDone = c.Now()
-		if io.Res.Err != nil {
-			failed++
-			firstErr = cmp.Or(firstErr, io.Res.Err)
-			return
-		}
-		h.Record(c.Eng.Now().Sub(io.Issued))
-		n++
-		bytes += uint64(io.Size)
-	}
-	// issue is every picker's last step: it logs the I/O for -record.
-	issue := func(write bool, lba uint64, size int) (bool, uint64, int, bool) {
-		if *record != "" {
-			recorded = append(recorded, workload.TraceRecord{At: c.Now() - startAt, Write: write, LBA: lba, Size: size})
-		}
-		return write, lba, size, true
-	}
+	t := tally{h: stats.NewHistogram()}
+	rr := c.Eng.Rand.Fork()
+	drv.Closed(vd.ID, vd, *depth, 0, func(_, i int) (bool, uint64, int, bool) {
+		return !rr.Bernoulli(*readFrac), uint64(i) * uint64(*bs) % span, *bs, true
+	}, func(io *workload.IO) { t.add(io, c.Eng.Now().Sub(io.Issued)) })
+	c.RunFor(5 * time.Millisecond) // warmup
+	t.h.Reset()
+	t = tally{h: t.h}
+	c.RunFor(*runtime)
 
-	if *replay != "" {
-		f, err := os.Open(*replay)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		recs, err := workload.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		// Open-loop at the recorded times, gap by gap.
-		k := 0
-		gap := func() time.Duration { return recs[min(k+1, len(recs)-1)].At - recs[k].At }
-		pick := func(_, i int) (bool, uint64, int, bool) {
-			if k = i; i == len(recs) {
-				return false, 0, 0, false
-			}
-			return issue(recs[i].Write, recs[i].LBA, recs[i].Size)
-		}
-		if len(recs) > 0 {
-			c.Eng.Schedule(recs[0].At, func() { drv.Open(vd.ID, vd, gap, pick, done) })
-		}
-		c.Run()
-		// The window runs from the start of the replay to the last
-		// completion, so it includes the last I/O's service time.
-		*runtime = lastDone - startAt
-		fmt.Fprintf(stdout, "replayed %d I/Os from %s\n", n+failed, *replay)
-	} else {
-		rr := c.Eng.Rand.Fork()
-		drv.Closed(vd.ID, vd, *depth, 0, func(_, i int) (bool, uint64, int, bool) {
-			return issue(!rr.Bernoulli(*readFrac), uint64(i)*uint64(*bs)%span, *bs)
-		}, done)
-		c.RunFor(5 * time.Millisecond) // warmup
-		h.Reset()
-		n, bytes, failed, firstErr = 0, 0, 0, nil
-		c.RunFor(*runtime)
-	}
-
-	if *record != "" {
-		f, err := os.Create(*record)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := workload.WriteTrace(f, recorded); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		f.Close()
-		fmt.Fprintf(stdout, "recorded %d I/Os to %s\n", len(recorded), *record)
-	}
-
-	var iops, mbs float64
-	if secs := runtime.Seconds(); secs > 0 {
-		iops, mbs = float64(n)/secs, float64(bytes)/secs/1e6
-	}
 	fmt.Fprintf(stdout, "stack=%s bs=%d depth=%d read=%.2f window=%v\n", fn, *bs, *depth, *readFrac, *runtime)
-	fmt.Fprintf(stdout, "  iops=%.0f  bw=%.1f MB/s  completed=%d  failed=%d\n", iops, mbs, n, failed)
-	fmt.Fprintf(stdout, "  lat p50=%v p95=%v p99=%v max=%v\n",
-		h.Median().Round(100*time.Nanosecond), h.P95().Round(100*time.Nanosecond),
-		h.P99().Round(100*time.Nanosecond), h.Max().Round(100*time.Nanosecond))
-	if failed > 0 {
-		fmt.Fprintf(stderr, "ebsfio: %d I/Os failed; first: %v\n", failed, firstErr)
-		return 1
+	if code := t.report(stdout, stderr, *runtime); code != 0 {
+		return code
 	}
 	if bad, err := c.Eng.Failed(); bad > 0 {
 		fmt.Fprintf(stderr, "ebsfio: %d reads returned the wrong block; first: %v\n", bad, err)
+		return 1
+	}
+	return 0
+}
+
+// tally is a run's result. Only successful I/Os count toward latency, IOPS
+// and bandwidth; failed ones are counted apart, and the first failure is
+// kept for the exit message.
+type tally struct {
+	h                *stats.Histogram
+	n, bytes, failed uint64
+	firstErr         error
+}
+
+// add counts one completed I/O that took lat.
+func (t *tally) add(io *workload.IO, lat time.Duration) {
+	if io.Res.Err != nil {
+		t.failed++
+		t.firstErr = cmp.Or(t.firstErr, io.Res.Err)
+		return
+	}
+	t.h.Record(lat)
+	t.n++
+	t.bytes += uint64(io.Size)
+}
+
+// report prints the rates over window and the latency percentiles, and
+// returns the exit status: 1 when any I/O failed.
+func (t *tally) report(stdout, stderr io.Writer, window time.Duration) int {
+	secs := window.Seconds()
+	fmt.Fprintf(stdout, "  iops=%.0f  bw=%.1f MB/s  completed=%d  failed=%d\n",
+		float64(t.n)/secs, float64(t.bytes)/secs/1e6, t.n, t.failed)
+	fmt.Fprintf(stdout, "  lat p50=%v p95=%v p99=%v max=%v\n",
+		t.h.Median().Round(100*time.Nanosecond), t.h.P95().Round(100*time.Nanosecond),
+		t.h.P99().Round(100*time.Nanosecond), t.h.Max().Round(100*time.Nanosecond))
+	if t.failed > 0 {
+		fmt.Fprintf(stderr, "ebsfio: %d I/Os failed; first: %v\n", t.failed, t.firstErr)
 		return 1
 	}
 	return 0

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -9,12 +10,14 @@ import (
 	"testing"
 	"time"
 
+	"lunasolar/internal/sa"
+	"lunasolar/internal/stats"
 	"lunasolar/internal/workload"
 )
 
-// Out-of-range flags must be refused up front: workload.NewFio would
-// otherwise substitute its defaults and the header would print values the
-// run did not use.
+// Out-of-range flags and unknown stacks are refused with exit 2 before a
+// cluster is built, so the header never prints a value the run did not
+// use.
 func TestRunRejectsOutOfRangeFlags(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -29,6 +32,8 @@ func TestRunRejectsOutOfRangeFlags(t *testing.T) {
 		{[]string{"-read", "NaN"}, "-read NaN"},
 		{[]string{"-runtime", "-1ms"}, "-runtime -1ms"},
 		{[]string{"-runtime", "0"}, "-runtime 0s"},
+		{[]string{"-stack", "nosuch"}, "-stack nosuch"},
+		{[]string{"-cores", "-1"}, "-cores -1"},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer
@@ -56,81 +61,64 @@ func TestRunPrintsEffectiveFlags(t *testing.T) {
 	}
 }
 
-// replay writes recs as a trace file and runs ebsfio over it.
-func replay(t *testing.T, recs []workload.TraceRecord) (code int, stdout, stderr string) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "run.trace")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := workload.WriteTrace(f, recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut bytes.Buffer
-	code = run([]string{"-replay", path, "-read", "0"}, &out, &errOut)
-	return code, out.String(), errOut.String()
-}
-
 // Failed I/Os are counted apart from completed ones, stay out of IOPS,
 // bandwidth and latency, and make the run exit 1.
-func TestReplayCountsFailedIOs(t *testing.T) {
-	const pastEnd = 1 << 40 // 1 TiB on a 512 MiB disk
-	code, stdout, stderr := replay(t, []workload.TraceRecord{
-		{At: 0, Write: true, LBA: 0, Size: 4096},
-		{At: 10 * time.Microsecond, Write: true, LBA: pastEnd, Size: 4096},
-		{At: 20 * time.Microsecond, Write: false, LBA: pastEnd, Size: 4096},
-	})
-	if code != 1 {
+func TestTallyCountsFailedIOs(t *testing.T) {
+	tl := tally{h: stats.NewHistogram()}
+	tl.add(&workload.IO{Write: true, Size: 4096}, 100*time.Microsecond)
+	pastEnd := errors.New("sa: vdisk 0 range [0x10000000000,+4096) not provisioned")
+	tl.add(&workload.IO{Write: true, LBA: 1 << 40, Size: 4096, Res: sa.Result{Err: pastEnd}}, 5*time.Millisecond)
+	tl.add(&workload.IO{LBA: 1 << 40, Size: 4096, Res: sa.Result{Err: errors.New("second")}}, 5*time.Millisecond)
+
+	var stdout, stderr bytes.Buffer
+	if code := tl.report(&stdout, &stderr, time.Millisecond); code != 1 {
 		t.Errorf("exit %d, want 1", code)
 	}
-	if !strings.Contains(stdout, "completed=1  failed=2") {
-		t.Errorf("stdout = %q, want completed=1 failed=2", stdout)
+	if want := "iops=1000  bw=4.1 MB/s  completed=1  failed=2\n"; !strings.Contains(stdout.String(), want) {
+		t.Errorf("stdout = %q, want %q", stdout.String(), want)
 	}
-	if !strings.Contains(stderr, "2 I/Os failed") {
-		t.Errorf("stderr = %q, want the failure count", stderr)
+	if want := "max=100µs\n"; !strings.Contains(stdout.String(), want) {
+		t.Errorf("stdout = %q, want the failed I/Os out of the latencies (%q)", stdout.String(), want)
+	}
+	if want := "ebsfio: 2 I/Os failed; first: " + pastEnd.Error() + "\n"; stderr.String() != want {
+		t.Errorf("stderr = %q, want %q", stderr.String(), want)
 	}
 }
 
-// windowRE captures the replay window and the reported IOPS.
-var windowRE = regexp.MustCompile(`window=(\S+)\n\s+iops=(\S+)`)
-
-// The replay window runs to the last completion: a one-record trace has a
-// finite rate, and the last I/O's service time is inside the window.
-func TestReplayWindowEndsAtLastCompletion(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		last time.Duration // issue time of the last record
-	}{
-		{"one record", 0},
-		{"two records", time.Millisecond},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			recs := []workload.TraceRecord{{At: 0, Write: true, LBA: 0, Size: 4096}}
-			if tc.last > 0 {
-				recs = append(recs, workload.TraceRecord{At: tc.last, Write: true, LBA: 8192, Size: 4096})
+// TestDocsNameDefinedFlags: every flag the docs pass to ebsfio is one run
+// defines, so a deleted or renamed flag cannot linger in a usage line.
+func TestDocsNameDefinedFlags(t *testing.T) {
+	var usage bytes.Buffer
+	if code := run([]string{"-h"}, &usage, &usage); code != 0 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	defined := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\s+-(\w+)`).FindAllStringSubmatch(usage.String(), -1) {
+		defined[m[1]] = true
+	}
+	if len(defined) == 0 {
+		t.Fatalf("-h printed no flags: %q", usage.String())
+	}
+	// The text after "ebsfio" up to a code span's end, a table cell's end
+	// or a shell comment, and the flags in it.
+	invocation := regexp.MustCompile("ebsfio([^`|#\n]*)")
+	flagArg := regexp.MustCompile(`(?:^|[\s/])-([a-z]+)`)
+	named := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, inv := range invocation.FindAllStringSubmatch(string(text), -1) {
+			for _, m := range flagArg.FindAllStringSubmatch(inv[1], -1) {
+				if !defined[m[1]] {
+					t.Errorf("%s passes ebsfio -%s, which run does not define", doc, m[1])
+				}
+				named++
 			}
-			code, stdout, stderr := replay(t, recs)
-			if code != 0 {
-				t.Fatalf("exit %d, stderr %q", code, stderr)
-			}
-			m := windowRE.FindStringSubmatch(stdout)
-			if m == nil {
-				t.Fatalf("stdout = %q, want a window and an iops figure", stdout)
-			}
-			window, err := time.ParseDuration(m[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if window <= tc.last {
-				t.Errorf("window %v ends at or before the last issue (%v)", window, tc.last)
-			}
-			if strings.Contains(m[2], "Inf") {
-				t.Errorf("iops=%s", m[2])
-			}
-		})
+		}
+	}
+	if named == 0 {
+		t.Error("the docs pass ebsfio no flags; the pattern no longer matches their usage lines")
 	}
 }

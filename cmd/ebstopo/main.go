@@ -24,9 +24,9 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command; it returns the exit status. Each dimension
-// flag must lie in [1, simnet.MaxDim], or run exits 2 before it builds
-// anything: an address holds a rack or a host index in one byte, and the
-// spine and core counts keep the same bound.
+// flag must lie in [1, simnet.MaxDim], and -drill must name a drill, or
+// run exits 2 before it builds anything: an address holds a rack or a host
+// index in one byte, and the spine and core counts keep the same bound.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ebstopo", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -50,6 +50,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "ebstopo: -%s %d is outside [1, %d]\n", d.flag, d.v, simnet.MaxDim)
 			return 2
 		}
+	}
+	switch *drill {
+	case "", "tor", "spine", "core", "blackhole":
+	default:
+		fmt.Fprintf(stderr, "ebstopo: -drill %s is not one of tor|spine|core|blackhole\n", *drill)
+		return 2
 	}
 
 	cfg := simnet.DefaultConfig()
@@ -104,9 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "blackhole":
 		target = fab.ToR(0, 0, 0, 0)
 		target.SetBlackhole(0.25, 99)
-	default:
-		fmt.Fprintf(stderr, "unknown drill %q\n", *drill)
-		return 1
 	}
 	fmt.Fprintf(stdout, "\ndrill: %s on %s (detect delay %v)\n", *drill, target.Name(), cfg.DetectDelay)
 

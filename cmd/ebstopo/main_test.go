@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// TestRun: a dimension flag outside [1, 255] exits 2 with a message and
-// prints no fabric; an in-range run prints the fabric it built.
+// TestRun: a dimension flag outside [1, 255] or an unknown drill exits 2
+// with a message and prints no fabric; an in-range run prints the fabric it
+// built.
 func TestRun(t *testing.T) {
 	for _, tc := range []struct {
 		args   string
@@ -20,7 +21,7 @@ func TestRun(t *testing.T) {
 		{"-spines 256", 2, "", "ebstopo: -spines 256 is outside [1, 255]"},
 		{"-cores -1", 2, "", "ebstopo: -cores -1 is outside [1, 255]"},
 		{"-nosuchflag", 2, "", "flag provided but not defined"},
-		{"-drill nosuch", 1, "= 16 hosts", `unknown drill "nosuch"`},
+		{"-drill nosuch", 2, "", "ebstopo: -drill nosuch is not one of tor|spine|core|blackhole"},
 		{"-racks 1 -hosts 255", 0, "2 pods x 1 racks x 255 hosts = 510 hosts", ""},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -174,13 +174,7 @@ func (c *Cluster) newStack(kind StackKind, host *simnet.Host, cores *sim.Server,
 		return rdma.New(eng, host, cores, pcie, RDMAStackParams())
 	case Solar, SolarStar:
 		if card != nil {
-			p := SolarStackParams(kind, false)
-			if c.cfg.SolarOverride != nil {
-				mode := p.Mode
-				p = *c.cfg.SolarOverride
-				p.Mode = mode
-			}
-			return core.New(eng, host, cores, card, p)
+			return core.New(eng, host, cores, card, SolarStackParams(kind, false))
 		}
 		return core.New(eng, host, cores, nil, core.ServerParams())
 	}

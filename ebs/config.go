@@ -95,11 +95,6 @@ type Config struct {
 	// Requires Fabric.DCs >= 2 and Fabric.DCRouters >= 1.
 	CrossDC bool
 
-	// SolarOverride, when non-nil, replaces the Solar client parameters
-	// (ablation studies: path counts, CRC strategy, window sizes). Mode is
-	// still derived from FN.
-	SolarOverride *core.Params
-
 	Seed int64
 }
 

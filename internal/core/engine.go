@@ -176,8 +176,7 @@ func rpcIssue(a any) {
 	}
 	ioSlab.Release()
 
-	// Software integrity pass: one XOR-accumulate per block (or a full CRC
-	// per block when so configured — the ablation knob).
+	// Software integrity pass: one XOR-accumulate per block.
 	s.cores.Submit(s.aggCost(n), nil)
 
 	// Aggregation check before the blocks hit the wire: a mismatch means

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"lunasolar/ebs"
+	"lunasolar/internal/sim"
+	"lunasolar/internal/simnet"
 )
 
 func quickOpts() Options { return Options{Seed: 1, Quick: true} }
@@ -25,6 +27,28 @@ func cellF(t *testing.T, tab *Table, row, col int) float64 {
 		t.Fatalf("cell (%d,%d) = %q not numeric", row, col, cell(t, tab, row, col))
 	}
 	return v
+}
+
+// A drained shard that still holds a pooled packet is a leak:
+// runFabricCells counts it into the fleet's Perf, whose total is how
+// ebsbench fails the run.
+func TestRunFabricCellsCountsLeaks(t *testing.T) {
+	fleet := Options{Seed: 1, Workers: 2}.fleet()
+	runFabricCells(fleet, 2, func(shard int) (struct{}, *sim.Engine, *simnet.Fabric) {
+		eng := sim.NewEngine(1)
+		cfg := simnet.DefaultConfig()
+		cfg.RacksPerPod, cfg.HostsPerRack = 1, 1
+		fab := simnet.New(eng, cfg)
+		pkt := fab.Pool().Get(64)
+		if shard == 1 {
+			pkt.Release()
+		}
+		eng.Run()
+		return struct{}{}, eng, fab
+	})
+	if got := fleet.Perf.Leaked(); got != 1 {
+		t.Errorf("Leaked() = %d, want 1: one of two drained shards kept its packet", got)
+	}
 }
 
 func TestTableFormat(t *testing.T) {

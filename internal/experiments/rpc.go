@@ -79,23 +79,51 @@ func scaleTCP(p tcpstack.Params, f float64) tcpstack.Params {
 
 // runRPC runs one Table 1 cell: a pure RPC echo test between two hosts in
 // different pods (no storage involvement — Table 1 measures the stack).
-func runRPC(opts Options, era table1Era, stack string, stress bool) (avgLat time.Duration, gbps, cores float64, eng *sim.Engine, fab *simnet.Fabric) {
-	var params tcpstack.Params
+func runRPC(opts Options, era table1Era, stack string, stress bool) (avgLat time.Duration, gbps, cores float64, _ *sim.Engine, _ *simnet.Fabric) {
+	params, nCores := scaleTCP(ebs.LunaStackParams(), era.cpuScale), era.lunaCores
 	if stack == "kernel" {
-		params = scaleTCP(ebs.KernelStackParams(), era.cpuScale)
-	} else {
-		params = scaleTCP(ebs.LunaStackParams(), era.cpuScale)
+		params, nCores = scaleTCP(ebs.KernelStackParams(), era.cpuScale), era.kernelCores
 	}
-	nCores := 1
-	if stress {
-		if stack == "kernel" {
-			nCores = era.kernelCores
-		} else {
-			nCores = era.lunaCores
-		}
-		return runRPCWith(opts, era, params, nCores)
+	if !stress {
+		return runRPCSingle(opts, era, params)
 	}
-	return runRPCSingle(opts, era, params)
+	eng, fab, client, clientCores, serverAddrs := table1Rig(opts, era, params, nCores)
+	payload := make([]byte, 4096)
+	h := stats.NewHistogram()
+
+	// Stress: a closed loop whose concurrency corresponds to the offered
+	// line-rate load with generous socket buffering.
+	concurrency := opts.scale(1280, 160)
+	window := time.Duration(opts.scale(80, 8)) * time.Millisecond
+	warmup := 10 * time.Millisecond
+
+	var bytesDone uint64
+	measuring := false
+	nextSrv := 0
+	var issue func()
+	issue = func() {
+		start := eng.Now()
+		dst := serverAddrs[nextSrv%len(serverAddrs)]
+		nextSrv++
+		client.Call(dst, &transport.Message{Op: wire.RPCWriteReq, Data: payload},
+			func(*transport.Response) {
+				if measuring {
+					h.Record(eng.Now().Sub(start))
+					bytesDone += 4096
+				}
+				issue()
+			})
+	}
+	for i := 0; i < concurrency; i++ {
+		issue()
+	}
+	eng.RunFor(warmup)
+	measuring = true
+	clientCores.ResetStats()
+	eng.RunFor(window)
+	util := clientCores.Utilization()
+	gbps = float64(bytesDone) * 8 / window.Seconds() / 1e9
+	return h.Mean(), gbps, util, eng, fab
 }
 
 // table1Rig builds Table 1's testbed: a small two-pod Clos with the
@@ -152,46 +180,4 @@ func runRPCSingle(opts Options, era table1Era, params tcpstack.Params) (avgLat t
 	next()
 	eng.Run()
 	return h.Mean(), 0, 1, eng, fab
-}
-
-// runRPCWith runs the stress cell with explicit stack parameters and core
-// count (shared with the share-nothing ablation).
-func runRPCWith(opts Options, era table1Era, params tcpstack.Params, nCores int) (avgLat time.Duration, gbps, cores float64, _ *sim.Engine, _ *simnet.Fabric) {
-	eng, fab, client, clientCores, serverAddrs := table1Rig(opts, era, params, nCores)
-	payload := make([]byte, 4096)
-	h := stats.NewHistogram()
-
-	// Stress: a closed loop whose concurrency corresponds to the offered
-	// line-rate load with generous socket buffering.
-	concurrency := opts.scale(1280, 160)
-	window := time.Duration(opts.scale(80, 8)) * time.Millisecond
-	warmup := 10 * time.Millisecond
-
-	var bytesDone uint64
-	measuring := false
-	nextSrv := 0
-	var issue func()
-	issue = func() {
-		start := eng.Now()
-		dst := serverAddrs[nextSrv%len(serverAddrs)]
-		nextSrv++
-		client.Call(dst, &transport.Message{Op: wire.RPCWriteReq, Data: payload},
-			func(*transport.Response) {
-				if measuring {
-					h.Record(eng.Now().Sub(start))
-					bytesDone += 4096
-				}
-				issue()
-			})
-	}
-	for i := 0; i < concurrency; i++ {
-		issue()
-	}
-	eng.RunFor(warmup)
-	measuring = true
-	clientCores.ResetStats()
-	eng.RunFor(window)
-	util := clientCores.Utilization()
-	gbps = float64(bytesDone) * 8 / window.Seconds() / 1e9
-	return h.Mean(), gbps, util, eng, fab
 }

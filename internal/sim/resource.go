@@ -47,9 +47,6 @@ func NewServer(eng *Engine, name string, units int) *Server {
 // Name returns the server's diagnostic name.
 func (s *Server) Name() string { return s.name }
 
-// Units returns the pool size.
-func (s *Server) Units() int { return s.units }
-
 // Served returns the number of completed jobs.
 func (s *Server) Served() uint64 { return s.served }
 

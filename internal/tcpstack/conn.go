@@ -137,7 +137,6 @@ func (c *conn) transmit(seq uint32, n int, isRetx bool) {
 	if p.TSOBatch > 1 {
 		cost = time.Duration(int64(cost) / int64(p.TSOBatch))
 	}
-	cost += c.s.contention()
 	c.txSegs++
 	if isRetx {
 		c.s.Retransmits++

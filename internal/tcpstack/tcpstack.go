@@ -48,13 +48,6 @@ type Params struct {
 	// (TSO/GSO offload).
 	TSOBatch int
 
-	// LockPenalty models a stack WITHOUT Luna's "lock-free and
-	// share-nothing" thread arrangement: every packet pays this extra CPU
-	// per additional core in the pool (cache-line bouncing and lock
-	// contention grow with parallelism). Zero for Luna; used by the
-	// share-nothing ablation.
-	LockPenalty time.Duration
-
 	// RxBufferSegs bounds the out-of-order reassembly buffer per
 	// connection; segments beyond it are dropped (receiver memory
 	// pressure).
@@ -189,14 +182,6 @@ func (s *Stack) copyCost(payload int) time.Duration {
 // multiple stacks route frames here through a simnet.Mux.
 func (s *Stack) ReceivePacket(pkt *simnet.Packet) { s.receive(pkt) }
 
-// contention returns the per-packet lock/contention surcharge.
-func (s *Stack) contention() time.Duration {
-	if s.params.LockPenalty == 0 {
-		return 0
-	}
-	return time.Duration(int64(s.params.LockPenalty) * int64(s.cores.Units()-1))
-}
-
 // receive demultiplexes an arriving frame to its connection. The stack
 // takes ownership of the frame; it is released once the segment has been
 // processed, so whatever the connection keeps it copies: in-order bytes into
@@ -229,7 +214,7 @@ func (s *Stack) receive(pkt *simnet.Packet) {
 
 	// Per-packet receive CPU (pure ACKs cost half), then protocol
 	// processing. PCIe crossing for payload-bearing segments.
-	r.cost = s.params.PerPktRxCPU + s.contention()
+	r.cost = s.params.PerPktRxCPU
 	if n == 0 {
 		r.cost /= 2
 	}

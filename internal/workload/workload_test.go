@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -91,52 +89,5 @@ func TestWeeklyShares(t *testing.T) {
 	ratio := writes / reads
 	if ratio < 3 || ratio > 4 {
 		t.Fatalf("write/read ratio = %v, want 3–4x", ratio)
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	r := sim.NewRand(11)
-	var recs []TraceRecord
-	for at := time.Duration(0); at < 100*time.Millisecond; at += r.Exp(100 * time.Microsecond) {
-		recs = append(recs, TraceRecord{At: at, Write: !r.Bernoulli(0.3), LBA: uint64(r.Intn(1<<14)) << 12, Size: 4096 << r.Intn(6)})
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("read %d/%d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestTraceParsing(t *testing.T) {
-	in := "# comment\n\n1000,W,4096,8192\n500,r,0,4096\n"
-	recs, err := ReadTrace(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("len=%d", len(recs))
-	}
-	// Sorted by time.
-	if recs[0].At != 500 || recs[0].Write {
-		t.Fatalf("rec0 = %+v", recs[0])
-	}
-	if recs[1].At != 1000 || !recs[1].Write || recs[1].Size != 8192 {
-		t.Fatalf("rec1 = %+v", recs[1])
-	}
-	for _, bad := range []string{"x,W,0,4096", "1,Q,0,4096", "1,W,z,4096", "1,W,0,-1", "1,W,0"} {
-		if _, err := ReadTrace(strings.NewReader(bad)); err == nil {
-			t.Fatalf("accepted %q", bad)
-		}
 	}
 }
