@@ -14,7 +14,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build fmt vet lint staticcheck govulncheck test race cover fuzz-smoke golden full-golden bench bench-compare ledger-gate bench-smoke check
+.PHONY: build fmt vet lint staticcheck govulncheck test race cover progcover fuzz-smoke golden full-golden bench bench-compare ledger-gate bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,31 @@ cover:
 	  grep -E '[[:space:]]0\.0%$$' cover.func | grep -vE '^lunasolar/(benchmark|cmd|internal/lint)/' || true; } > cover.txt
 	@rm -f cover.func
 	@head -1 cover.txt; echo "$$(($$(wc -l < cover.txt) - 1)) functions at 0.0% (cover.txt)"
+
+# The other half of `cover`: which code no program run reaches, so only
+# tests do. Builds ebsbench, ebsfio, ebstopo and the benchmark with -cover,
+# runs the quick `-exp all`, three ebsfio loads, the four ebstopo drills and
+# `benchmark -all -seconds 1`, merges their counters with `go tool covdata`
+# and writes progcover.txt: the total and every function at 0.0 %.
+# Informational, like `cover`; about 2.5 min on two vCPUs.
+PROGCOVER = .progcover
+
+progcover:
+	@rm -rf $(PROGCOVER) && mkdir -p $(PROGCOVER)/bin $(PROGCOVER)/data
+	$(GO) build -cover -coverpkg=./... -o $(PROGCOVER)/bin/ ./cmd/ebsbench ./cmd/ebsfio ./cmd/ebstopo ./benchmark
+	GOCOVERDIR=$(PROGCOVER)/data $(PROGCOVER)/bin/ebsbench -exp all -quick > /dev/null
+	GOCOVERDIR=$(PROGCOVER)/data $(PROGCOVER)/bin/ebsfio > /dev/null
+	GOCOVERDIR=$(PROGCOVER)/data $(PROGCOVER)/bin/ebsfio -stack kernel -read 0.7 > /dev/null
+	GOCOVERDIR=$(PROGCOVER)/data $(PROGCOVER)/bin/ebsfio -stack luna -bs 65536 -read 0 -cores 2 > /dev/null
+	for d in tor spine core blackhole; do \
+		GOCOVERDIR=$(PROGCOVER)/data $(PROGCOVER)/bin/ebstopo -drill $$d > /dev/null || exit 1; \
+	done
+	GOCOVERDIR=$(PROGCOVER)/data $(PROGCOVER)/bin/benchmark -all -seconds 1 > /dev/null
+	$(GO) tool covdata textfmt -i=$(PROGCOVER)/data -o $(PROGCOVER)/cover.out
+	@$(GO) tool cover -func=$(PROGCOVER)/cover.out > $(PROGCOVER)/cover.func
+	@{ grep '^total:' $(PROGCOVER)/cover.func; \
+	  grep -E '[[:space:]]0\.0%$$' $(PROGCOVER)/cover.func || true; } > progcover.txt
+	@head -1 progcover.txt; echo "$$(($$(wc -l < progcover.txt) - 1)) functions no program run reaches (progcover.txt)"
 
 # Ten seconds of real fuzzing per target (`go test` alone only replays the
 # seed corpora). CI runs it; it stays out of `check` so the pre-commit gate

@@ -84,6 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *runtime <= 0:
 		fmt.Fprintf(stderr, "ebsfio: -runtime %v: measurement window must be positive\n", *runtime)
 		return 2
+	case !*bareMetal && (fn == ebs.Solar || fn == ebs.SolarStar):
+		fmt.Fprintf(stderr, "ebsfio: -baremetal=false: stack %s runs only on a DPU\n", fn)
+		return 2
 	}
 
 	cfg := ebs.DefaultConfig(fn)

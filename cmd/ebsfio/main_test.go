@@ -34,6 +34,8 @@ func TestRunRejectsOutOfRangeFlags(t *testing.T) {
 		{[]string{"-runtime", "0"}, "-runtime 0s"},
 		{[]string{"-stack", "nosuch"}, "-stack nosuch"},
 		{[]string{"-cores", "-1"}, "-cores -1"},
+		{[]string{"-baremetal=false", "-stack", "solar"}, "-baremetal=false"},
+		{[]string{"-baremetal=false", "-stack", "solar*"}, "-baremetal=false"},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer

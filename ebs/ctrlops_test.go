@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
+
+	"lunasolar/internal/sa"
 )
 
 // ctrlOpsConfig is a small Solar cluster whose three block servers span
@@ -16,132 +18,90 @@ func ctrlOpsConfig() Config {
 	return cfg
 }
 
-// opsRun drives one control plane through a decoded op sequence.
-type opsRun struct {
-	t    testing.TB
-	c    *Cluster
-	cp   *ControlPlane
-	vols []uint32 // volume IDs ops pick from: managed, unmanaged, unknown
-	reqs []request
-}
-
-// request is one issued op and its first outcome.
-type request struct {
-	run func() (uint32, error)
-	id  uint32
-	err error
-}
-
-// runCtrlOps decodes data two bytes per op (kind, argument) into the five
-// lifecycle ops, request-ID replays, MigrateSegment and
-// EvacuateBlockServer. After every op, each block server's placer load
-// must equal the live managed segment refs on it, and a replayed request
-// ID must return its original outcome.
+// runCtrlOps decodes data two bytes per op (kind, argument) into
+// CreateVolume, a direct Provision, MigrateSegment, EvacuateBlockServer
+// and SetTenantQoS, and runs each op on two fresh clusters in lockstep.
+// After every op no segment lives on an evacuated block server, every LBA
+// below a volume's Size resolves, and the two clusters agree on the op's
+// outcome and on every volume's segment refs.
 func runCtrlOps(t testing.TB, data []byte) {
-	c := New(ctrlOpsConfig())
-	cp, err := c.ControlPlane()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Volumes the control plane never created: one provisioned directly,
-	// one that does not exist.
-	direct := c.MustProvision(0, 4<<20, DefaultQoS())
-	r := &opsRun{t: t, c: c, cp: cp, vols: []uint32{direct.ID, 999}}
-	addrs := c.BlockServerAddrs()
+	pair := [2]*Cluster{New(ctrlOpsConfig()), New(ctrlOpsConfig())}
+	addrs := pair[0].BlockServerAddrs()
+	evacuated := map[uint32]bool{}
 	for i := 0; i+1 < len(data); i += 2 {
-		kind, arg := data[i]%8, data[i+1]
-		vol := r.vols[int(arg)%len(r.vols)]
+		kind, arg := data[i]%5, data[i+1]
 		size := uint64(arg%8) << 20
-		compute := int(arg % 3) // 2 is out of range
+		compute := int(arg % 3)                   // 2 is out of range
+		vol := uint32(arg) % (pair[0].nextVD + 2) // 0 and nextVD+1 are unknown
+		block := int(arg>>2) % len(addrs)
 		var desc string
+		var op func(c *Cluster) error
 		switch kind {
 		case 0:
 			desc = fmt.Sprintf("create %d MiB on compute %d", size>>20, compute)
-			r.issue(func(reqID string) (uint32, error) {
-				return r.created(cp.CreateVolume(reqID, compute, fmt.Sprintf("t%d", arg%2), size, DefaultQoS()))
-			})
+			op = func(c *Cluster) error {
+				_, err := c.ControlPlane().CreateVolume(compute, fmt.Sprintf("t%d", arg%2), size, DefaultQoS())
+				return err
+			}
 		case 1:
-			desc = fmt.Sprintf("resize %d to %d MiB", vol, size>>20)
-			r.issue(func(reqID string) (uint32, error) { return 0, cp.ResizeVolume(reqID, vol, size) })
+			desc = fmt.Sprintf("provision %d MiB on compute %d", size>>20, compute)
+			op = func(c *Cluster) error {
+				_, err := c.Provision(compute, size, DefaultQoS())
+				return err
+			}
 		case 2:
-			desc = fmt.Sprintf("snapshot %d", vol)
-			r.issue(func(reqID string) (uint32, error) { return cp.SnapshotVolume(reqID, vol) })
+			desc = fmt.Sprintf("migrate %d segment %d to block server %d", vol, arg%3, block)
+			op = func(c *Cluster) error { return c.ControlPlane().MigrateSegment(vol, int(arg%3), addrs[block]) }
 		case 3:
-			snap := uint32(arg) % uint32(len(cp.snaps)+2) // 0 and len+1 are unknown
-			desc = fmt.Sprintf("clone snapshot %d on compute %d", snap, compute)
-			r.issue(func(reqID string) (uint32, error) {
-				return r.created(cp.CloneVolume(reqID, snap, compute, "t0", DefaultQoS()))
-			})
+			desc = fmt.Sprintf("evacuate block server %d", block)
+			op = func(c *Cluster) error { return c.ControlPlane().EvacuateBlockServer(block) }
 		case 4:
-			desc = fmt.Sprintf("delete %d", vol)
-			r.issue(func(reqID string) (uint32, error) { return 0, cp.DeleteVolume(reqID, vol) })
-		case 5:
-			if len(r.reqs) == 0 {
-				continue
+			desc = fmt.Sprintf("set tenant t%d to %d IOPS", arg%2, int(arg)*100)
+			op = func(c *Cluster) error {
+				c.ControlPlane().SetTenantQoS(fmt.Sprintf("t%d", arg%2), sa.QoSSpec{IOPS: float64(arg) * 100})
+				return nil
 			}
-			k := int(arg) % len(r.reqs)
-			desc = fmt.Sprintf("replay request %d", k)
-			q := r.reqs[k]
-			if id, err := q.run(); id != q.id || err != q.err {
-				t.Fatalf("op %d (%s) = (%d, %v), first outcome (%d, %v)", i/2, desc, id, err, q.id, q.err)
+		}
+		errA, errB := op(pair[0]), op(pair[1])
+		if fmt.Sprint(errA) != fmt.Sprint(errB) {
+			t.Fatalf("op %d (%s): outcomes differ: %v vs %v", i/2, desc, errA, errB)
+		}
+		if kind == 3 && errA == nil {
+			evacuated[addrs[block]] = true
+		}
+		checkVolumes(t, pair, evacuated, fmt.Sprintf("op %d (%s)", i/2, desc))
+	}
+}
+
+// checkVolumes asserts runCtrlOps' invariants on every volume of a pair
+// of clusters driven in lockstep.
+func checkVolumes(t testing.TB, pair [2]*Cluster, evacuated map[uint32]bool, after string) {
+	a, b := pair[0], pair[1]
+	if a.nextVD != b.nextVD {
+		t.Fatalf("after %s: %d volumes vs %d", after, a.nextVD, b.nextVD)
+	}
+	for id := uint32(1); id <= a.nextVD; id++ {
+		refs := a.segs.Refs(id)
+		if got, want := fmt.Sprint(b.segs.Refs(id)), fmt.Sprint(refs); got != want {
+			t.Fatalf("after %s: volume %d refs %s on the second cluster, %s on the first", after, id, got, want)
+		}
+		for k, ref := range refs {
+			if evacuated[ref.Server] {
+				t.Fatalf("after %s: volume %d segment %d lives on evacuated block server %d", after, id, k, ref.Server)
 			}
-		case 6:
-			to := addrs[int(arg>>2)%len(addrs)]
-			desc = fmt.Sprintf("migrate %d segment %d to %d", vol, arg%3, to)
-			_ = cp.MigrateSegment(vol, int(arg%3), to)
-		case 7:
-			desc = fmt.Sprintf("evacuate block server %d", int(arg)%len(addrs))
-			_ = cp.EvacuateBlockServer(int(arg) % len(addrs))
 		}
-		r.checkLoad(i/2, desc)
-	}
-}
-
-// issue runs a new request under a fresh ID and records its first
-// outcome for replays.
-func (r *opsRun) issue(op func(reqID string) (uint32, error)) {
-	reqID := fmt.Sprintf("req-%d", len(r.reqs))
-	run := func() (uint32, error) { return op(reqID) }
-	id, err := run()
-	r.reqs = append(r.reqs, request{run: run, id: id, err: err})
-}
-
-// created reduces a create or clone outcome to (volume ID, error), adding
-// a new volume to the pick list.
-func (r *opsRun) created(vd *VDisk, err error) (uint32, error) {
-	if err != nil {
-		return 0, err
-	}
-	for _, id := range r.vols {
-		if id == vd.ID {
-			return vd.ID, nil
-		}
-	}
-	r.vols = append(r.vols, vd.ID)
-	return vd.ID, nil
-}
-
-// checkLoad asserts the placer's load on every block server equals the
-// segment refs of live managed volumes there.
-func (r *opsRun) checkLoad(op int, desc string) {
-	want := map[uint32]int{}
-	for _, id := range r.cp.order {
-		if r.cp.vols[id].deleted {
-			continue
-		}
-		for _, ref := range r.c.segs.Refs(id) {
-			want[ref.Server]++
-		}
-	}
-	for _, addr := range r.c.BlockServerAddrs() {
-		if got := r.cp.placer.Load(addr); got != want[addr] {
-			r.t.Fatalf("after op %d (%s): placer load on %d = %d, live managed segments there = %d",
-				op, desc, addr, got, want[addr])
+		size := a.segs.Size(id)
+		for lba := uint64(0); lba < size; lba += sa.SegmentBytes {
+			for _, l := range []uint64{lba, min(lba+sa.SegmentBytes, size) - 1} {
+				if _, ok := a.segs.Lookup(id, l); !ok {
+					t.Fatalf("after %s: volume %d of %d bytes: LBA %d does not resolve", after, id, size, l)
+				}
+			}
 		}
 	}
 }
 
-func TestPlacerLoadTracksManagedSegments(t *testing.T) {
+func TestControlPlaneOpsInvariants(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, 0))
@@ -155,8 +115,8 @@ func TestPlacerLoadTracksManagedSegments(t *testing.T) {
 }
 
 func FuzzControlPlaneOps(f *testing.F) {
-	// create, resize, snapshot, clone, replay, migrate, delete, evacuate.
-	f.Add([]byte{0, 4, 1, 7, 2, 3, 3, 2, 5, 0, 6, 3, 4, 3, 7, 0})
+	// create, provision, migrate, evacuate, set tenant QoS, create.
+	f.Add([]byte{0, 4, 1, 7, 2, 1, 3, 0, 4, 9, 0, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			data = data[:256]

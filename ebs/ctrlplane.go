@@ -6,342 +6,214 @@ import (
 
 	"lunasolar/internal/blockserver"
 	"lunasolar/internal/chunkserver"
-	"lunasolar/internal/ctrl"
 	"lunasolar/internal/sa"
+	"lunasolar/internal/simnet"
 	"lunasolar/internal/trace"
 )
 
-// ControlPlane is the cluster's management service: volume lifecycle
-// (create / resize / snapshot / clone / delete) with idempotent request
-// IDs, failure-domain-aware segment placement (internal/ctrl's Placer),
-// live segment migration for unplanned degradations and planned drains,
-// and per-tenant QoS layered above the per-disk pacing.
+// ControlPlane is the cluster's management service: volume creation with
+// failure-domain-aware segment placement, live segment migration for
+// unplanned degradations and planned drains, and per-tenant QoS layered
+// above the per-disk pacing.
 //
 // Each volume fact has one owner: the segment table holds a volume's size
-// and placement, its VDisk the compute binding, and the control plane only
-// which volumes it manages. Every call is synchronous, so between calls a
-// managed volume is live or deleted and nothing else.
+// and placement, and with them the load placement balances, which is
+// counted from it; its VDisk holds the compute binding. The control plane
+// keeps only which block servers are evacuated and which chunk servers are
+// draining. A volume made with Cluster.Provision is a volume like any
+// other: migrations, evacuations and drains walk every volume in the
+// segment table, in ID order.
 //
 // The control plane runs on the cluster's single engine and is therefore
 // serial-only: management traffic interleaves deterministically with
 // foreground I/O, and a parallel run shards whole clusters per worker instead.
 type ControlPlane struct {
-	c      *Cluster
-	placer *ctrl.Placer // block-server placement, rack = failure domain
-	rec    trace.Recorder
-
-	replies map[string]reply // request-ID cache, see once
-	vols    map[uint32]*volume
-	order   []uint32 // creation order, which drains and evacuations walk
-	snaps   []uint64 // snapshot i+1's size: a snapshot is metadata only
-	tenants map[string]sa.QoSSpec
+	c   *Cluster
+	rec trace.Recorder
 
 	blockByAddr map[uint32]*blockserver.Server
 	chunkByAddr map[uint32]*chunkserver.Server
-	chunkAddrs  []uint32 // construction order
+	chunkAddrs  []uint32        // construction order
+	evacuated   map[uint32]bool // block servers out of placement
 	draining    map[uint32]bool
-}
-
-// volume is one managed virtual disk. A deleted volume stays as a
-// tombstone so replayed or racing requests get a coherent answer.
-type volume struct {
-	vd      *VDisk
-	deleted bool
-}
-
-// reply is a recorded request outcome: the volume or snapshot ID the
-// request produced, and its error.
-type reply struct {
-	id  uint32
-	err error
 }
 
 // ControlPlane returns the cluster's management service, creating it on
 // first use.
-func (c *Cluster) ControlPlane() (*ControlPlane, error) {
+func (c *Cluster) ControlPlane() *ControlPlane {
 	if c.ctrlPlane != nil {
-		return c.ctrlPlane, nil
+		return c.ctrlPlane
 	}
 	cp := &ControlPlane{
 		c:           c,
-		replies:     map[string]reply{},
-		vols:        map[uint32]*volume{},
-		tenants:     map[string]sa.QoSSpec{},
 		blockByAddr: map[uint32]*blockserver.Server{},
 		chunkByAddr: map[uint32]*chunkserver.Server{},
+		evacuated:   map[uint32]bool{},
 		draining:    map[uint32]bool{},
 	}
-	nodes := make([]ctrl.Node, 0, len(c.blocks))
-	for i, b := range c.blocks {
-		addr := b.Host.Addr()
-		cp.blockByAddr[addr] = b.Block
-		nodes = append(nodes, ctrl.Node{
-			Addr:   addr,
-			Domain: fmt.Sprintf("rack%d", i/c.cfg.Fabric.HostsPerRack),
-		})
+	for _, b := range c.blocks {
+		cp.blockByAddr[b.Host.Addr()] = b.Block
 	}
-	placer, err := ctrl.NewPlacer(nodes)
-	if err != nil {
-		return nil, err
-	}
-	cp.placer = placer
 	for _, s := range c.chunks {
 		addr := s.Host.Addr()
 		cp.chunkByAddr[addr] = s.Chunk
 		cp.chunkAddrs = append(cp.chunkAddrs, addr)
 	}
 	c.ctrlPlane = cp
-	return cp, nil
+	return cp
 }
 
-// once runs op under a caller-chosen request ID: the first call records
-// op's outcome, success or error, and a replay returns it without running
-// op again. The cache is keyed by the ID alone, one namespace across
-// operation kinds; an empty reqID opts out of it.
-func (cp *ControlPlane) once(reqID string, op func() (uint32, error)) (uint32, error) {
-	if r, ok := cp.replies[reqID]; ok && reqID != "" {
-		return r.id, r.err
+// volumes returns every volume's ID in ID order. IDs run from 1 to nextVD
+// with none missing: a failed provision gives its ID back.
+func (cp *ControlPlane) volumes() []uint32 {
+	ids := make([]uint32, cp.c.nextVD)
+	for i := range ids {
+		ids[i] = uint32(i + 1)
 	}
-	id, err := op()
-	if reqID != "" {
-		cp.replies[reqID] = reply{id, err}
-	}
-	return id, err
+	return ids
 }
 
-// live fetches a managed volume that has not been deleted.
-func (cp *ControlPlane) live(id uint32) (*volume, error) {
-	v, ok := cp.vols[id]
-	if !ok {
-		return nil, fmt.Errorf("ebs: unknown volume %d", id)
-	}
-	if v.deleted {
-		return nil, fmt.Errorf("ebs: volume %d is deleted", id)
-	}
-	return v, nil
-}
-
-// place charges n new segments to the placer and returns their servers.
-// With n <= 0 nothing is charged and every block server comes back: the
-// segment table wants a non-empty stripe set even when it maps nothing.
+// place picks the block servers for n new segments. Each pick minimizes,
+// in order: how many of this call's picks its rack (the failure domain)
+// already holds, how many segments the segment table maps to it (this
+// call's picks included), then its place in the cluster's block servers,
+// which are in (rack, addr) order. Evacuated servers are skipped. With
+// n <= 0 the stripe set comes back: the segment table wants a non-empty
+// one even when it maps nothing.
 func (cp *ControlPlane) place(n int) ([]uint32, error) {
 	if n <= 0 {
-		return cp.c.BlockServerAddrs(), nil
+		return cp.c.stripeSet(), nil
 	}
-	return cp.placer.Place(n)
+	load := map[uint32]int{}
+	for _, id := range cp.volumes() {
+		for _, ref := range cp.c.segs.Refs(id) {
+			load[ref.Server]++
+		}
+	}
+	rackUsed := map[int]int{}
+	out := make([]uint32, 0, n)
+	for len(out) < n {
+		var best uint32
+		for _, b := range cp.c.blocks {
+			addr := b.Host.Addr()
+			if cp.evacuated[addr] {
+				continue
+			}
+			if best != 0 {
+				used, bestUsed := rackUsed[simnet.AddrRack(addr)], rackUsed[simnet.AddrRack(best)]
+				if used > bestUsed || used == bestUsed && load[addr] >= load[best] {
+					continue
+				}
+			}
+			best = addr
+		}
+		if best == 0 {
+			return nil, fmt.Errorf("every block server is evacuated (%d segments to place)", n)
+		}
+		rackUsed[simnet.AddrRack(best)]++
+		load[best]++
+		out = append(out, best)
+	}
+	return out, nil
 }
 
-// segments is how many segments sizeBytes maps to.
-func segments(sizeBytes uint64) int {
-	return int((sizeBytes + sa.SegmentBytes - 1) / sa.SegmentBytes)
-}
-
-// create places a new volume's segments, provisions it on compute
-// computeIdx, binds its tenant and records it. sizeBytes 0 is legal (a
-// segmentless volume).
-func (cp *ControlPlane) create(computeIdx int, tenant string, sizeBytes uint64, qos sa.QoSSpec) (uint32, error) {
+// CreateVolume provisions a volume of sizeBytes for tenant on compute
+// computeIdx, its segments spread across block-server failure domains.
+// sizeBytes 0 is legal (a segmentless volume); an empty tenant binds none.
+func (cp *ControlPlane) CreateVolume(computeIdx int, tenant string, sizeBytes uint64, qos sa.QoSSpec) (*VDisk, error) {
 	if computeIdx < 0 || computeIdx >= len(cp.c.computes) {
-		return 0, fmt.Errorf("ebs: create volume on compute %d of %d", computeIdx, len(cp.c.computes))
+		return nil, fmt.Errorf("ebs: create volume on compute %d of %d", computeIdx, len(cp.c.computes))
 	}
-	n := segments(sizeBytes)
-	servers, err := cp.place(n)
+	servers, err := cp.place(int((sizeBytes + sa.SegmentBytes - 1) / sa.SegmentBytes))
 	if err != nil {
-		return 0, fmt.Errorf("ebs: create volume: %w", err)
+		return nil, fmt.Errorf("ebs: create volume: %w", err)
 	}
 	vd, err := cp.c.provisionOn(computeIdx, sizeBytes, qos, servers)
 	if err != nil {
-		if n > 0 {
-			cp.placer.Release(servers)
-		}
-		return 0, err
+		return nil, err
 	}
 	if tenant != "" {
 		vd.agent.SetTenant(vd.ID, tenant)
-		if spec, ok := cp.tenants[tenant]; ok {
-			vd.agent.SetTenantQoS(tenant, spec)
-		}
 	}
-	cp.vols[vd.ID] = &volume{vd: vd}
-	cp.order = append(cp.order, vd.ID)
-	return vd.ID, nil
+	return vd, nil
 }
 
-// vdisk resolves a create or clone outcome to its disk.
-func (cp *ControlPlane) vdisk(id uint32, err error) (*VDisk, error) {
-	if err != nil {
-		return nil, err
-	}
-	return cp.vols[id].vd, nil
-}
-
-// CreateVolume provisions a volume for tenant on compute computeIdx, its
-// segments spread across block-server failure domains. Replays (same
-// reqID) return the original volume without re-provisioning.
-func (cp *ControlPlane) CreateVolume(reqID string, computeIdx int, tenant string, sizeBytes uint64, qos sa.QoSSpec) (*VDisk, error) {
-	return cp.vdisk(cp.once(reqID, func() (uint32, error) {
-		return cp.create(computeIdx, tenant, sizeBytes, qos)
-	}))
-}
-
-// ResizeVolume grows a volume; the added segments are placed like a
-// create's. Shrinking is refused (segments under live I/O cannot be
-// unmapped safely).
-func (cp *ControlPlane) ResizeVolume(reqID string, id uint32, newSizeBytes uint64) error {
-	_, err := cp.once(reqID, func() (uint32, error) {
-		v, err := cp.live(id)
-		if err != nil {
-			return 0, err
-		}
-		if size := v.vd.Size(); newSizeBytes < size {
-			return 0, fmt.Errorf("ebs: volume %d shrink %d -> %d refused", id, size, newSizeBytes)
-		}
-		n := segments(newSizeBytes) - len(cp.c.segs.Refs(id))
-		servers, err := cp.place(n)
-		if err != nil {
-			return 0, fmt.Errorf("ebs: resize volume %d: %w", id, err)
-		}
-		if _, err := cp.c.segs.Grow(id, newSizeBytes, servers); err != nil {
-			if n > 0 {
-				cp.placer.Release(servers)
-			}
-			return 0, fmt.Errorf("ebs: resize volume %d: %w", id, err)
-		}
-		return id, nil
-	})
-	return err
-}
-
-// SnapshotVolume captures a volume's size (block data is shared copy-on-
-// write in production; the model keeps snapshots metadata-only) and
-// returns the snapshot ID.
-func (cp *ControlPlane) SnapshotVolume(reqID string, id uint32) (uint32, error) {
-	return cp.once(reqID, func() (uint32, error) {
-		v, err := cp.live(id)
-		if err != nil {
-			return 0, err
-		}
-		cp.snaps = append(cp.snaps, v.vd.Size())
-		return uint32(len(cp.snaps)), nil
-	})
-}
-
-// CloneVolume provisions a new volume of a snapshot's size on computeIdx.
-func (cp *ControlPlane) CloneVolume(reqID string, snapID uint32, computeIdx int, tenant string, qos sa.QoSSpec) (*VDisk, error) {
-	return cp.vdisk(cp.once(reqID, func() (uint32, error) {
-		if snapID == 0 || int(snapID) > len(cp.snaps) {
-			return 0, fmt.Errorf("ebs: unknown snapshot %d", snapID)
-		}
-		return cp.create(computeIdx, tenant, cp.snaps[snapID-1], qos)
-	}))
-}
-
-// DeleteVolume releases a volume's segments, QoS state, and tenant
-// binding. The record stays as a tombstone.
-func (cp *ControlPlane) DeleteVolume(reqID string, id uint32) error {
-	_, err := cp.once(reqID, func() (uint32, error) {
-		v, err := cp.live(id)
-		if err != nil {
-			return 0, err
-		}
-		refs := cp.c.segs.Refs(id)
-		if err := cp.c.segs.Delete(id); err != nil {
-			return 0, fmt.Errorf("ebs: delete volume %d: %w", id, err)
-		}
-		for _, r := range refs {
-			cp.placer.Release([]uint32{r.Server})
-		}
-		v.vd.agent.ClearQoS(id)
-		v.deleted = true
-		return id, nil
-	})
-	return err
-}
-
-// SetTenantQoS registers a tenant's aggregate service level and applies it
-// on every compute agent, live-retuning pacers that already have I/Os
-// booked. Enforcement is per hypervisor, like production SA-level QoS: each
-// compute's disks bound to the tenant share that agent's pacer.
+// SetTenantQoS applies a tenant's aggregate service level on every compute
+// agent, live-retuning pacers that already have I/Os booked. Enforcement is
+// per hypervisor, like production SA-level QoS: each compute's disks bound
+// to the tenant share that agent's pacer.
 func (cp *ControlPlane) SetTenantQoS(tenant string, spec sa.QoSSpec) {
-	cp.tenants[tenant] = spec
 	for _, cs := range cp.c.computes {
 		cs.Agent.SetTenantQoS(tenant, spec)
 	}
 }
 
-// MigrateSegment moves one segment of a managed volume to a caller-chosen
+// MigrateSegment moves segment segIdx of volume volID to a caller-chosen
 // block server — the unplanned-degradation path, metadata-only since chunk
-// replicas stay put. Like drains and evacuations it refuses volumes the
-// control plane does not manage: their segments were never charged to the
-// placer, so moving one would skew its load.
+// replicas stay put. An evacuated target is refused: the move would undo
+// the evacuation.
 func (cp *ControlPlane) MigrateSegment(volID uint32, segIdx int, toAddr uint32) error {
-	if _, err := cp.live(volID); err != nil {
-		return err
+	if cp.evacuated[toAddr] {
+		return fmt.Errorf("ebs: migrate segment %d of vdisk %d: block server %d is evacuated", segIdx, volID, toAddr)
 	}
-	moved, err := cp.migrateSegmentRef(volID, segIdx, toAddr)
-	if err == nil && moved {
-		cp.placer.Charge(toAddr)
-	}
-	return err
+	return cp.migrate(volID, segIdx, toAddr)
 }
 
-// migrateSegmentRef performs the cutover without touching placement load
-// (callers account for that). Order matters: the new owner adopts, then the
-// segment table remaps (generation bump), then the old owner releases; an
-// I/O rejected by the old owner therefore always finds the new mapping
-// when it re-resolves. Reports whether a move actually happened.
-func (cp *ControlPlane) migrateSegmentRef(volID uint32, segIdx int, toAddr uint32) (bool, error) {
+// migrate performs the cutover. Order matters: the new owner adopts, then
+// the segment table remaps (generation bump), then the old owner releases;
+// an I/O rejected by the old owner therefore always finds the new mapping
+// when it re-resolves. A segment already on toAddr stays put.
+func (cp *ControlPlane) migrate(volID uint32, segIdx int, toAddr uint32) error {
 	refs := cp.c.segs.Refs(volID)
 	if segIdx < 0 || segIdx >= len(refs) {
-		return false, fmt.Errorf("ebs: migrate segment %d of vdisk %d: out of range [0,%d)", segIdx, volID, len(refs))
+		return fmt.Errorf("ebs: migrate segment %d of vdisk %d: out of range [0,%d)", segIdx, volID, len(refs))
 	}
 	ref := refs[segIdx]
 	if ref.Server == toAddr {
-		return false, nil
+		return nil
 	}
 	from, ok := cp.blockByAddr[ref.Server]
 	if !ok {
-		return false, fmt.Errorf("ebs: migrate segment %d: unknown source %d", ref.SegmentID, ref.Server)
+		return fmt.Errorf("ebs: migrate segment %d: unknown source %d", ref.SegmentID, ref.Server)
 	}
 	to, ok := cp.blockByAddr[toAddr]
 	if !ok {
-		return false, fmt.Errorf("ebs: migrate segment %d: unknown target %d", ref.SegmentID, toAddr)
+		return fmt.Errorf("ebs: migrate segment %d: unknown target %d", ref.SegmentID, toAddr)
 	}
 	if err := to.AdoptSegment(ref.SegmentID, from.ReplicaSet(ref.SegmentID)); err != nil {
-		return false, err
+		return err
 	}
 	if err := cp.c.segs.Remap(volID, segIdx, toAddr); err != nil {
-		return false, err
+		return err
 	}
 	from.ReleaseSegment(ref.SegmentID, toAddr)
-	cp.placer.Release([]uint32{ref.Server})
 	cp.rec.Record(cp.c.Eng.Now().Duration(), trace.EvCutover, ref.SegmentID, uint64(toAddr))
-	return true, nil
+	return nil
 }
 
-// EvacuateBlockServer live-migrates every control-plane-managed segment
-// off block server blockIdx (a planned drain of the segment-owning layer)
-// and excludes it from future placement. Foreground I/O rides through on
-// the not-owner retry path.
+// EvacuateBlockServer live-migrates every segment off block server
+// blockIdx (a planned drain of the segment-owning layer), each to where
+// placement would put a new one, and excludes the server from future
+// placement and migration. Foreground I/O rides through on the not-owner
+// retry path.
 func (cp *ControlPlane) EvacuateBlockServer(blockIdx int) error {
 	if blockIdx < 0 || blockIdx >= len(cp.c.blocks) {
 		return fmt.Errorf("ebs: evacuate block server %d of %d", blockIdx, len(cp.c.blocks))
 	}
 	addr := cp.c.blocks[blockIdx].Host.Addr()
-	cp.placer.SetDown(addr, true)
-	for _, id := range cp.order {
-		if cp.vols[id].deleted {
-			continue
-		}
+	cp.evacuated[addr] = true
+	for _, id := range cp.volumes() {
 		for i, ref := range cp.c.segs.Refs(id) {
 			if ref.Server != addr {
 				continue
 			}
-			target, err := cp.placer.Place(1)
+			target, err := cp.place(1)
 			if err != nil {
+				// Only the first place can fail, so nothing has moved.
+				delete(cp.evacuated, addr)
 				return fmt.Errorf("ebs: evacuating block server %d: %w", blockIdx, err)
 			}
-			// Place charged the target; the cutover releases the source.
-			if _, err := cp.migrateSegmentRef(id, i, target[0]); err != nil {
+			if err := cp.migrate(id, i, target[0]); err != nil {
 				return err
 			}
 		}
@@ -373,11 +245,10 @@ type DrainReport struct {
 }
 
 // DrainChunkServer performs a planned drain of chunk server chunkIdx: for
-// every control-plane-managed segment with a replica there, the replica is
-// rebuilt block by block on a replacement chunk server (copy traffic pays
-// real admission and media costs on the source, contending with foreground
-// I/O), then the owning block server's replica set cuts over with a
-// survivor as primary. The drained replica is dropped after cutover.
+// every segment with a replica there, the replica is rebuilt block by
+// block on a replacement chunk server (copy traffic pays real admission
+// and media costs on the source, contending with foreground I/O), then the
+// owning block server's replica set cuts over with a survivor as primary. The drained replica is dropped after cutover.
 // Writes that land mid-copy reach the old set — including the survivor
 // that stays primary — so reads never miss; the replacement backfills the
 // gap in production, which the model elides. done fires with the report
@@ -394,13 +265,10 @@ func (cp *ControlPlane) DrainChunkServer(chunkIdx int, done func(DrainReport)) e
 	cp.draining[drainAddr] = true
 
 	// Plan: every (owner, segment) whose replica set includes the drained
-	// server, in volume-creation then LBA order — deterministic.
+	// server, in volume-ID then LBA order — deterministic.
 	var plan []*drainSeg
 	adopted := map[uint32]int{}
-	for _, id := range cp.order {
-		if cp.vols[id].deleted {
-			continue
-		}
+	for _, id := range cp.volumes() {
 		for _, ref := range cp.c.segs.Refs(id) {
 			owner := cp.blockByAddr[ref.Server]
 			if owner == nil {

@@ -2,111 +2,26 @@ package ebs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"lunasolar/internal/sa"
+	"lunasolar/internal/simnet"
 	"lunasolar/internal/stats"
+	"lunasolar/internal/transport"
 	"lunasolar/internal/workload"
 )
-
-// controlPlane returns c's control plane, failing the test on an error.
-func controlPlane(t *testing.T, c *Cluster) *ControlPlane {
-	t.Helper()
-	cp, err := c.ControlPlane()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cp
-}
-
-func TestControlPlaneLifecycle(t *testing.T) {
-	c := testCluster(t, Solar)
-	cp := controlPlane(t, c)
-
-	vd, err := cp.CreateVolume("create-1", 0, "acme", 8<<20, DefaultQoS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replay returns the same volume without re-provisioning.
-	vd2, err := cp.CreateVolume("create-1", 0, "acme", 8<<20, DefaultQoS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vd2 != vd {
-		t.Fatal("replayed create returned a different vdisk")
-	}
-
-	data := fill(8<<10, 3)
-	var wres IOResult
-	vd.Write(0, data, func(r IOResult) { wres = r })
-	c.Run()
-	if wres.Err != nil {
-		t.Fatal(wres.Err)
-	}
-
-	// Resize grows the mapping; the new range becomes writable.
-	if err := cp.ResizeVolume("resize-1", vd.ID, 16<<20); err != nil {
-		t.Fatal(err)
-	}
-	if vd.Size() != 16<<20 {
-		t.Fatalf("size after resize = %d", vd.Size())
-	}
-	var wres2 IOResult
-	vd.Write(12<<20, data, func(r IOResult) { wres2 = r })
-	c.Run()
-	if wres2.Err != nil {
-		t.Fatal(wres2.Err)
-	}
-
-	// Snapshot + clone: the clone is a distinct, writable volume of the
-	// snapshot's size.
-	snap, err := cp.SnapshotVolume("snap-1", vd.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone, err := cp.CloneVolume("clone-1", snap, 1, "acme", DefaultQoS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clone.ID == vd.ID || clone.Size() != 16<<20 {
-		t.Fatalf("clone: id=%d size=%d", clone.ID, clone.Size())
-	}
-	var wres3 IOResult
-	clone.Write(0, data, func(r IOResult) { wres3 = r })
-	c.Run()
-	if wres3.Err != nil {
-		t.Fatal(wres3.Err)
-	}
-
-	// Delete: later I/O fails with a provisioning error, and the record
-	// becomes a tombstone.
-	if err := cp.DeleteVolume("del-1", vd.ID); err != nil {
-		t.Fatal(err)
-	}
-	var rres IOResult
-	vd.Read(0, 4096, func(r IOResult) { rres = r })
-	c.Run()
-	if rres.Err == nil {
-		t.Fatal("read from deleted volume succeeded")
-	}
-	if vol := cp.vols[vd.ID]; vol == nil || !vol.deleted {
-		t.Fatalf("deleted record: %+v", vol)
-	}
-	// Replayed delete still reports success.
-	if err := cp.DeleteVolume("del-1", vd.ID); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestControlPlanePlacementSpreadsRacks(t *testing.T) {
 	cfg := smallConfig(Solar)
 	cfg.Fabric.HostsPerRack = 2 // 2 block servers land in 2 racks
 	cfg.Fabric.RacksPerPod = 3  // room for 2 block + 4 chunk servers
 	c := New(cfg)
-	cp := controlPlane(t, c)
-	vd, err := cp.CreateVolume("c", 0, "", 8<<20, DefaultQoS())
+	cp := c.ControlPlane()
+	vd, err := cp.CreateVolume(0, "", 8<<20, DefaultQoS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +58,8 @@ func driveWrites(c *Cluster, vd *VDisk, count int, interval time.Duration, errs 
 
 func TestMigrateSegmentUnderLoad(t *testing.T) {
 	c := testCluster(t, Solar)
-	cp := controlPlane(t, c)
-	vd, err := cp.CreateVolume("c", 0, "", 8<<20, DefaultQoS())
+	cp := c.ControlPlane()
+	vd, err := cp.CreateVolume(0, "", 8<<20, DefaultQoS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +107,8 @@ func TestDrainChunkServerUnderLoad(t *testing.T) {
 	for _, fn := range []StackKind{Luna, Solar} {
 		t.Run(fn.String(), func(t *testing.T) {
 			c := testCluster(t, fn)
-			cp := controlPlane(t, c)
-			vd, err := cp.CreateVolume("c", 0, "", 8<<20, DefaultQoS())
+			cp := c.ControlPlane()
+			vd, err := cp.CreateVolume(0, "", 8<<20, DefaultQoS())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,8 +184,8 @@ func TestDrainChunkServerUnderLoad(t *testing.T) {
 // whatever the recycled buffer holds by then and fails its CRC.
 func TestDrainUnderOverwriteStorm(t *testing.T) {
 	c := testCluster(t, Solar)
-	cp := controlPlane(t, c)
-	vd, err := cp.CreateVolume("c", 0, "", 8<<20, DefaultQoS())
+	cp := c.ControlPlane()
+	vd, err := cp.CreateVolume(0, "", 8<<20, DefaultQoS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +245,8 @@ func TestDrainUnderOverwriteStorm(t *testing.T) {
 
 func TestEvacuateBlockServer(t *testing.T) {
 	c := testCluster(t, Solar)
-	cp := controlPlane(t, c)
-	vd, err := cp.CreateVolume("c", 0, "", 8<<20, DefaultQoS())
+	cp := c.ControlPlane()
+	vd, err := cp.CreateVolume(0, "", 8<<20, DefaultQoS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +268,7 @@ func TestEvacuateBlockServer(t *testing.T) {
 		}
 	}
 	// New placements avoid the evacuated server.
-	vd2, err := cp.CreateVolume("c2", 0, "", 8<<20, DefaultQoS())
+	vd2, err := cp.CreateVolume(0, "", 8<<20, DefaultQoS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,9 +281,9 @@ func TestEvacuateBlockServer(t *testing.T) {
 
 func TestTenantQoSIsolation(t *testing.T) {
 	c := testCluster(t, Solar)
-	cp := controlPlane(t, c)
+	cp := c.ControlPlane()
 	cp.SetTenantQoS("noisy", sa.QoSSpec{IOPS: 2000, BurstWindow: time.Millisecond})
-	agg, err := cp.CreateVolume("agg", 0, "noisy", 16<<20, QoS(1e6, 100e9))
+	agg, err := cp.CreateVolume(0, "noisy", 16<<20, QoS(1e6, 100e9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,18 +323,18 @@ func TestTenantCapShieldsVictim(t *testing.T) {
 		cfg.BlockServers = 3
 		cfg.ChunkServers = 5
 		c := New(cfg)
-		cp := controlPlane(t, c)
+		cp := c.ControlPlane()
 		diskQoS := QoS(1e6, 100e9)
 		if mode == "capped" {
 			cp.SetTenantQoS("noisy", sa.QoSSpec{IOPS: 2000, BurstWindow: time.Millisecond})
 		}
-		victim, err := cp.CreateVolume("victim", 0, "quiet", 16<<20, diskQoS)
+		victim, err := cp.CreateVolume(0, "quiet", 16<<20, diskQoS)
 		if err != nil {
 			t.Fatal(err)
 		}
 		drv := workload.NewDriver(c.Eng)
 		if mode != "baseline" {
-			agg, err := cp.CreateVolume("aggressor", 0, "noisy", 64<<20, diskQoS)
+			agg, err := cp.CreateVolume(0, "noisy", 64<<20, diskQoS)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -463,220 +378,252 @@ func TestTenantCapShieldsVictim(t *testing.T) {
 
 // TestIOPastEndOfDiskRejected: the segment table maps whole 2 MiB segments,
 // so a 1 MiB disk used to accept I/O up to the 2 MiB boundary. The guest's
-// range is checked against the provisioned size, and a resize moves the
-// limit.
+// range is checked against the provisioned size.
 func TestIOPastEndOfDiskRejected(t *testing.T) {
 	c := testCluster(t, Solar)
-	cp := controlPlane(t, c)
-	vd, err := cp.CreateVolume("create-1", 0, "acme", 1<<20, DefaultQoS())
+	cp := c.ControlPlane()
+	vd, err := cp.CreateVolume(0, "acme", 1<<20, DefaultQoS())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
 		lba  uint64
 		size int
 		read bool
-		ok   bool // before the resize; all succeed after it
+		ok   bool
 	}{
 		{"last-block", 1<<20 - 4096, 4096, false, true},
 		{"first-past-end", 1 << 20, 4096, false, false},
 		{"straddling", 1<<20 - 4096, 8192, false, false},
 		{"read-past-end", 1<<20 + 4096, 4096, true, false},
-	}
-	run := func(stage string, wantOK func(ok bool) bool) {
-		for _, tc := range cases {
-			fired := 0
-			var res IOResult
-			done := func(r IOResult) { fired++; res = r }
-			if tc.read {
-				vd.Read(tc.lba, tc.size, done)
-			} else {
-				vd.Write(tc.lba, fill(tc.size, 5), done)
-			}
-			c.Run()
-			if fired != 1 || (res.Err == nil) != wantOK(tc.ok) {
-				t.Errorf("%s %s: done fired %d times, err = %v", stage, tc.name, fired, res.Err)
-			}
+	} {
+		fired := 0
+		var res IOResult
+		done := func(r IOResult) { fired++; res = r }
+		if tc.read {
+			vd.Read(tc.lba, tc.size, done)
+		} else {
+			vd.Write(tc.lba, fill(tc.size, 5), done)
+		}
+		c.Run()
+		if fired != 1 || (res.Err == nil) != tc.ok {
+			t.Errorf("1 MiB %s: done fired %d times, err = %v", tc.name, fired, res.Err)
 		}
 	}
-	run("1 MiB", func(ok bool) bool { return ok })
-	if err := cp.ResizeVolume("resize-1", vd.ID, 3<<20); err != nil {
+}
+
+// TestPlacementSpreadsDomains: six segments over six block servers in
+// three racks use every server once, and the first three picks cover all
+// three racks.
+func TestPlacementSpreadsDomains(t *testing.T) {
+	cfg := smallConfig(Solar)
+	cfg.Fabric.HostsPerRack = 2
+	cfg.Fabric.RacksPerPod = 5 // room for 6 block + 4 chunk servers
+	cfg.BlockServers = 6
+	c := New(cfg)
+	vd, err := c.ControlPlane().CreateVolume(0, "", 6*sa.SegmentBytes, DefaultQoS())
+	if err != nil {
 		t.Fatal(err)
 	}
-	run("3 MiB", func(bool) bool { return true })
-	// The new limit is the new size, not the mapping's 4 MiB.
-	var res IOResult
-	vd.Write(3<<20, fill(4096, 5), func(r IOResult) { res = r })
-	c.Run()
-	if res.Err == nil {
-		t.Fatal("write past the resized end succeeded")
+	refs := c.segs.Refs(vd.ID)
+	used := map[uint32]int{}
+	for _, r := range refs {
+		used[r.Server]++
+	}
+	for _, addr := range c.BlockServerAddrs() {
+		if used[addr] != 1 {
+			t.Fatalf("block server %d holds %d segments: %+v", addr, used[addr], refs)
+		}
+	}
+	racks := map[int]bool{}
+	for _, r := range refs[:3] {
+		racks[simnet.AddrRack(r.Server)] = true
+	}
+	if len(racks) != 3 {
+		t.Fatalf("first three picks cover %d racks: %+v", len(racks), refs)
 	}
 }
 
-// TestControlPlaneRequestIDs: a replayed request ID returns the original
-// outcome, success or error, without executing again, and lifecycle ops
-// refuse what the lifecycle does not allow.
-func TestControlPlaneRequestIDs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		run  func(t *testing.T, c *Cluster, cp *ControlPlane)
-	}{
-		{"replayed create", func(t *testing.T, c *Cluster, cp *ControlPlane) {
-			vd, err := cp.CreateVolume("c1", 0, "acme", 8<<20, DefaultQoS())
-			if err != nil {
-				t.Fatal(err)
+// TestPlacementIsDeterministicAndSkipsEvacuated: clusters given the same
+// calls place alike, never on an evacuated block server, and refuse to
+// place once every block server is evacuated.
+func TestPlacementIsDeterministicAndSkipsEvacuated(t *testing.T) {
+	place := func() (*Cluster, []sa.SegmentRef) {
+		c := New(ctrlOpsConfig())
+		cp := c.ControlPlane()
+		if err := cp.EvacuateBlockServer(2); err != nil {
+			t.Fatal(err)
+		}
+		vd, err := cp.CreateVolume(0, "", 8<<20, DefaultQoS())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, c.segs.Refs(vd.ID)
+	}
+	c, refs := place()
+	if _, again := place(); fmt.Sprint(again) != fmt.Sprint(refs) {
+		t.Fatalf("placement not deterministic: %+v vs %+v", again, refs)
+	}
+	evacuated := c.blocks[2].Host.Addr()
+	for _, r := range refs {
+		if r.Server == evacuated {
+			t.Fatalf("placed on an evacuated block server: %+v", refs)
+		}
+	}
+
+	empty := New(ctrlOpsConfig())
+	cp := empty.ControlPlane()
+	for i := range empty.blocks {
+		if err := cp.EvacuateBlockServer(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cp.CreateVolume(0, "", 4<<20, DefaultQoS()); err == nil {
+		t.Fatal("placement with every block server evacuated succeeded")
+	}
+}
+
+// seedSegments writes a distinct 16 KiB pattern at the start of each of
+// vd's segments and returns the patterns.
+func seedSegments(t *testing.T, c *Cluster, vd *VDisk) [][]byte {
+	t.Helper()
+	var seeds [][]byte
+	var werr error
+	for off := uint64(0); off < vd.Size(); off += sa.SegmentBytes {
+		seed := fill(16<<10, byte(len(seeds)+1))
+		seeds = append(seeds, seed)
+		vd.Write(off, seed, func(r IOResult) {
+			if r.Err != nil {
+				werr = r.Err
 			}
-			// The replay's arguments are ignored: the ID alone names the request.
-			again, err := cp.CreateVolume("c1", 1, "other", 16<<20, DefaultQoS())
-			if err != nil || again != vd {
-				t.Fatalf("replayed create = (%p, %v), want (%p, nil)", again, err, vd)
-			}
-			if c.nextVD != 1 || len(cp.order) != 1 || vd.Size() != 8<<20 {
-				t.Fatalf("replay provisioned again: %d vdisks, %d managed, size %d", c.nextVD, len(cp.order), vd.Size())
-			}
-			if other, err := cp.CreateVolume("c2", 0, "acme", 8<<20, DefaultQoS()); err != nil || other == vd {
-				t.Fatalf("distinct request = (%p, %v), want a new volume", other, err)
-			}
-		}},
-		{"failed create", func(t *testing.T, c *Cluster, cp *ControlPlane) {
-			_, err := cp.CreateVolume("c1", 2, "acme", 8<<20, DefaultQoS())
-			if err == nil {
-				t.Fatal("create on compute 2 of 2 succeeded")
-			}
-			if _, again := cp.CreateVolume("c1", 0, "acme", 8<<20, DefaultQoS()); again != err {
-				t.Fatalf("replayed failed create = %v, want the recorded %v", again, err)
-			}
-			for _, addr := range c.BlockServerAddrs() {
-				if cp.placer.Load(addr) != 0 {
-					t.Fatalf("failed create left load %d on %d", cp.placer.Load(addr), addr)
-				}
-			}
-			if c.nextVD != 0 || len(cp.vols) != 0 {
-				t.Fatalf("failed create left a record: %d vdisks, %d managed", c.nextVD, len(cp.vols))
-			}
-		}},
-		{"resize", func(t *testing.T, c *Cluster, cp *ControlPlane) {
-			vd, err := cp.CreateVolume("c1", 0, "acme", 4<<20, DefaultQoS())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cp.ResizeVolume("r1", vd.ID, 8<<20); err != nil {
-				t.Fatal(err)
-			}
-			if err := cp.ResizeVolume("r2", vd.ID, 1<<20); err == nil {
-				t.Fatal("shrink allowed")
-			}
-			if err := cp.ResizeVolume("r1", vd.ID, 64<<20); err != nil {
-				t.Fatalf("replayed resize: %v", err)
-			}
-			if vd.Size() != 8<<20 || len(c.segs.Refs(vd.ID)) != 4 {
-				t.Fatalf("replayed resize grew the volume: size %d, %d segments", vd.Size(), len(c.segs.Refs(vd.ID)))
-			}
-		}},
-		{"clone of unknown snapshot", func(t *testing.T, c *Cluster, cp *ControlPlane) {
-			vd, err := cp.CreateVolume("c1", 0, "acme", 6<<20, DefaultQoS())
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap, err := cp.SnapshotVolume("s1", vd.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if clone, err := cp.CloneVolume("cl1", snap, 1, "other", DefaultQoS()); err != nil || clone.Size() != 6<<20 {
-				t.Fatalf("clone = (%v, %v), want a 6 MiB volume", clone, err)
-			}
-			for _, unknown := range []uint32{0, snap + 1} {
-				if _, err := cp.CloneVolume(fmt.Sprintf("cl-%d", unknown), unknown, 1, "other", DefaultQoS()); err == nil {
-					t.Fatalf("clone of unknown snapshot %d allowed", unknown)
-				}
-			}
-		}},
-		{"double delete", func(t *testing.T, c *Cluster, cp *ControlPlane) {
-			vd, err := cp.CreateVolume("c1", 0, "acme", 6<<20, DefaultQoS())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cp.DeleteVolume("d1", vd.ID); err != nil {
-				t.Fatal(err)
-			}
-			if err := cp.DeleteVolume("d2", vd.ID); err == nil {
-				t.Fatal("double delete allowed")
-			}
-			if err := cp.DeleteVolume("d1", vd.ID); err != nil {
-				t.Fatalf("replayed delete: %v", err)
-			}
-		}},
-		{"unknown or deleted volume", func(t *testing.T, c *Cluster, cp *ControlPlane) {
-			vd, err := cp.CreateVolume("c1", 0, "acme", 6<<20, DefaultQoS())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cp.DeleteVolume("d1", vd.ID); err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range []uint32{vd.ID, 999} {
-				if err := cp.ResizeVolume(fmt.Sprintf("r-%d", id), id, 8<<20); err == nil {
-					t.Errorf("resize of volume %d allowed", id)
-				}
-				if _, err := cp.SnapshotVolume(fmt.Sprintf("s-%d", id), id); err == nil {
-					t.Errorf("snapshot of volume %d allowed", id)
-				}
-				if err := cp.DeleteVolume(fmt.Sprintf("d-%d", id), id); err == nil {
-					t.Errorf("delete of volume %d allowed", id)
-				}
-			}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := testCluster(t, Solar)
-			tc.run(t, c, controlPlane(t, c))
 		})
 	}
+	c.Run()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	return seeds
 }
 
-// TestMigrateSegmentRefusesUnmanagedVolume: a volume the control plane did
-// not create (or has deleted) never charged the placer, so migrating one
-// of its segments used to release load it never held and charge the
-// target, biasing every later placement.
-func TestMigrateSegmentRefusesUnmanagedVolume(t *testing.T) {
+// readSegments reads back seedSegments' patterns, skipping nil ones.
+func readSegments(t *testing.T, c *Cluster, vd *VDisk, seeds [][]byte) {
+	t.Helper()
+	for i, seed := range seeds {
+		if seed == nil {
+			continue
+		}
+		var res IOResult
+		vd.Read(uint64(i)*sa.SegmentBytes, len(seed), func(r IOResult) { res = r })
+		c.Run()
+		if res.Err != nil || !bytes.Equal(res.Data, seed) {
+			t.Fatalf("segment %d reads back err=%v, equal=%v", i, res.Err, bytes.Equal(res.Data, seed))
+		}
+	}
+}
+
+// TestEvacuateCoversProvisionedVolume: evacuation moves the segments of a
+// volume made with Provision too, under a write storm, and its data reads
+// back.
+func TestEvacuateCoversProvisionedVolume(t *testing.T) {
 	c := testCluster(t, Solar)
-	cp := controlPlane(t, c)
-	managed, err := cp.CreateVolume("c1", 0, "", 8<<20, DefaultQoS())
+	vd := c.MustProvision(0, 8<<20, DefaultQoS())
+	seeds := seedSegments(t, c, vd)
+	errs, done := 0, 0
+	driveWrites(c, vd, 100, 10*time.Microsecond, &errs, &done)
+	c.Eng.Schedule(300*time.Microsecond, func() {
+		if err := c.ControlPlane().EvacuateBlockServer(0); err != nil {
+			t.Error(err)
+		}
+	})
+	c.Run()
+	if done != 100 || errs != 0 {
+		t.Fatalf("done=%d errs=%d", done, errs)
+	}
+	evacuated := c.blocks[0].Host.Addr()
+	for i, ref := range c.segs.Refs(vd.ID) {
+		if ref.Server == evacuated {
+			t.Fatalf("segment %d still on the evacuated block server", i)
+		}
+	}
+	seeds[0] = nil // the storm rewrote the first 400 KiB
+	readSegments(t, c, vd, seeds)
+}
+
+// TestDrainCoversProvisionedVolume: a chunk-server drain rebuilds the
+// replicas of a volume made with Provision too, and its data reads back.
+func TestDrainCoversProvisionedVolume(t *testing.T) {
+	c := testCluster(t, Solar)
+	vd := c.MustProvision(0, 8<<20, DefaultQoS())
+	seeds := seedSegments(t, c, vd)
+	var report DrainReport
+	if err := c.ControlPlane().DrainChunkServer(0, func(r DrainReport) { report = r }); err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	if report.Segments == 0 || report.BlocksCopied == 0 || report.CopyErrors != 0 {
+		t.Fatalf("report: %+v", report)
+	}
+	drained := c.chunks[0].Host.Addr()
+	for _, ref := range c.segs.Refs(vd.ID) {
+		if slices.Contains(c.ControlPlane().blockByAddr[ref.Server].ReplicaSet(ref.SegmentID), drained) {
+			t.Fatalf("segment %d still replicated on the drained chunk server", ref.SegmentID)
+		}
+	}
+	readSegments(t, c, vd, seeds)
+	if n := c.Leaked(); n != 0 {
+		t.Fatalf("%d pooled records leaked", n)
+	}
+}
+
+// TestMigrateSegmentRefusesEvacuatedTarget: a migration onto an evacuated
+// block server would undo the evacuation, so it fails and moves nothing.
+func TestMigrateSegmentRefusesEvacuatedTarget(t *testing.T) {
+	c := testCluster(t, Solar)
+	cp := c.ControlPlane()
+	vd, err := cp.CreateVolume(0, "", 8<<20, DefaultQoS())
 	if err != nil {
 		t.Fatal(err)
 	}
-	deleted, err := cp.CreateVolume("c2", 0, "", 8<<20, DefaultQoS())
-	if err != nil {
+	if err := cp.EvacuateBlockServer(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.DeleteVolume("d2", deleted.ID); err != nil {
-		t.Fatal(err)
+	before := fmt.Sprint(c.segs.Refs(vd.ID))
+	if err := cp.MigrateSegment(vd.ID, 0, c.blocks[0].Host.Addr()); err == nil {
+		t.Fatal("migrating onto an evacuated block server succeeded")
 	}
-	direct := c.MustProvision(0, 8<<20, DefaultQoS())
-	addrs := c.BlockServerAddrs()
-	loads := func() string { return fmt.Sprint(cp.placer.Load(addrs[0]), cp.placer.Load(addrs[1])) }
-	if got := loads(); got != "2 2" {
-		t.Fatalf("placer loads %s, want 2 2 for the managed volume's four segments", got)
+	if after := fmt.Sprint(c.segs.Refs(vd.ID)); after != before {
+		t.Fatalf("refused migration moved segments: %s -> %s", before, after)
 	}
-	from := c.segs.Refs(direct.ID)[0].Server
-	to := addrs[0]
-	if to == from {
-		to = addrs[1]
+}
+
+// TestReadBitFlipEndsWithIntegrityError: on a Solar card that corrupts
+// every block, a write still lands (the software aggregate repairs it from
+// the trusted buffer), but a read cannot get clean data. It ends exactly
+// once with transport.ErrIntegrity, within 2 s of simulated time, and
+// leaves nothing behind.
+func TestReadBitFlipEndsWithIntegrityError(t *testing.T) {
+	cfg := smallConfig(Solar)
+	cfg.DPU.Faults.DataBitFlip = 1
+	c := New(cfg)
+	vd := c.MustProvision(0, 4<<20, DefaultQoS())
+	var wres IOResult
+	vd.Write(0, fill(4096, 7), func(r IOResult) { wres = r })
+	c.Run()
+	if wres.Err != nil {
+		t.Fatal(wres.Err)
 	}
-	if err := cp.MigrateSegment(direct.ID, 0, to); err == nil {
-		t.Fatal("migrating an unmanaged volume's segment succeeded")
+	fired := 0
+	var res IOResult
+	vd.Read(0, 4096, func(r IOResult) { fired++; res = r })
+	c.RunFor(2 * time.Second)
+	if fired != 1 || !errors.Is(res.Err, transport.ErrIntegrity) {
+		t.Fatalf("read done fired %d times, err = %v; want once with %v", fired, res.Err, transport.ErrIntegrity)
 	}
-	if err := cp.MigrateSegment(deleted.ID, 0, to); err == nil {
-		t.Fatal("migrating a deleted volume's segment succeeded")
+	if p := c.Eng.Pending(); p != 0 {
+		t.Fatalf("%d events still pending", p)
 	}
-	if got := loads(); got != "2 2" {
-		t.Fatalf("refused migrations moved placer load to %s", got)
-	}
-	if got := c.segs.Refs(direct.ID)[0].Server; got != from {
-		t.Fatalf("unmanaged segment moved to %d", got)
-	}
-	if err := cp.MigrateSegment(managed.ID, 0, to); err != nil {
-		t.Fatalf("migrating a managed segment: %v", err)
+	if n := c.Leaked(); n != 0 {
+		t.Fatalf("%d pooled records leaked", n)
 	}
 }

@@ -2,6 +2,7 @@ package ebs
 
 import (
 	"fmt"
+	"slices"
 
 	"lunasolar/internal/sa"
 )
@@ -18,21 +19,31 @@ type VDisk struct {
 type IOResult = sa.Result
 
 // Provision creates a virtual disk of sizeBytes on compute server idx,
-// striping its segments across every block server, and installs its QoS
-// service level. Failed provisions leave no trace: the segment table is
-// rolled back, so a caller can retry.
+// striping its segments across every block server the control plane has
+// not evacuated, and installs its QoS service level. Failed provisions
+// leave no trace: the segment table is rolled back, so a caller can retry.
 func (c *Cluster) Provision(computeIdx int, sizeBytes uint64, qos sa.QoSSpec) (*VDisk, error) {
 	if computeIdx < 0 || computeIdx >= len(c.computes) {
 		return nil, fmt.Errorf("ebs: provision on compute %d of %d", computeIdx, len(c.computes))
 	}
-	return c.provisionOn(computeIdx, sizeBytes, qos, c.BlockServerAddrs())
+	return c.provisionOn(computeIdx, sizeBytes, qos, c.stripeSet())
+}
+
+// stripeSet is the block servers new segments may go to: every one the
+// control plane has not evacuated.
+func (c *Cluster) stripeSet() []uint32 {
+	addrs := c.BlockServerAddrs()
+	if c.ctrlPlane == nil {
+		return addrs
+	}
+	return slices.DeleteFunc(addrs, func(a uint32) bool { return c.ctrlPlane.evacuated[a] })
 }
 
 // provisionOn creates a disk with an explicit segment placement: servers
-// is either the stripe set (legacy round-robin) or, from the control
-// plane, one address per segment chosen by the failure-domain placer.
-// Managed and directly provisioned disks draw IDs from the one cluster
-// counter, and a failed provision gives its ID back.
+// is either the stripe set (round-robin) or, from the control plane, one
+// address per segment chosen by its failure-domain placement. Every disk
+// draws its ID from the one cluster counter, and a failed provision gives
+// its ID back.
 func (c *Cluster) provisionOn(computeIdx int, sizeBytes uint64, qos sa.QoSSpec, servers []uint32) (*VDisk, error) {
 	id := c.nextVD + 1
 	if err := c.segs.Provision(id, sizeBytes, servers); err != nil {
@@ -56,7 +67,7 @@ func (c *Cluster) MustProvision(computeIdx int, sizeBytes uint64, qos sa.QoSSpec
 }
 
 // Size returns the disk's provisioned size in bytes, as the segment table
-// records it (0 once the disk is deleted).
+// records it.
 func (v *VDisk) Size() uint64 { return v.cluster.segs.Size(v.ID) }
 
 // Write issues a write I/O; done runs at completion with the measured

@@ -329,10 +329,11 @@ func (s *Server) WriteBlock(segment, lba uint64, gen uint32, data []byte, expect
 	s.write(o, gen, data, expectCRC)
 }
 
-// ReadBlock fetches one block. done receives the payload, its stored raw
-// CRC, and an error for missing blocks. The payload is the store's own
-// page, handed out uncopied: it is valid until done returns, because a
-// later overwrite recycles the page.
+// ReadBlock fetches one block. done receives the payload and its stored
+// raw CRC; a block never written reads as zeros with CRC 0 and a nil
+// error, like a fresh virtual disk (only MigrateRead fails on one). The
+// payload is the store's own page, handed out uncopied: it is valid until
+// done returns, because a later overwrite recycles the page.
 func (s *Server) ReadBlock(segment, lba uint64, done func(data []byte, rawCRC uint32, err error)) {
 	o := s.getOp(opRead, segment, lba)
 	o.onRead = done

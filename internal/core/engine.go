@@ -15,6 +15,13 @@ import (
 // (response blocks use 0..n-1).
 const readReqPktID = 0xffff
 
+// maxReadReissues bounds how often one read is re-issued after its
+// aggregate check fails, so a card that corrupts every block ends the read
+// with transport.ErrIntegrity. A card that corrupts most blocks still gets
+// its reads through well inside it: Example_integrity's, at a third of
+// blocks corrupted and a third of sums flipped, take up to 28.
+const maxReadReissues = 64
+
 // rpc is one client RPC, from Call to its one completion. Every step of it
 // is a function of this record: the issue charge (rpcIssue), Addr-table
 // admission (admitRead), per-block progress (runAck, commitReadBlock), the
@@ -49,6 +56,7 @@ type rpc struct {
 	// READ: the expected response blocks (Fig. 13's Addr table entries).
 	received []bool
 	buf      []byte
+	reissues int // integrity re-issues so far, see maxReadReissues
 }
 
 // Call implements transport.Client. A write takes its RPC ID at once; a
@@ -224,8 +232,9 @@ func (s *Stack) complete(r *rpc, err error) {
 
 // rpcDone verifies a received read's aggregate — a mismatch means the FPGA
 // corrupted at least one block on its way to guest memory, so the read is
-// re-issued with fresh Addr entries and a fresh RPC ID — and otherwise calls
-// done.
+// re-issued with fresh Addr entries and a fresh RPC ID, up to
+// maxReadReissues times, and then fails with transport.ErrIntegrity — and
+// otherwise calls done.
 //
 //lint:hotpath
 func rpcDone(a any) {
@@ -235,6 +244,12 @@ func rpcDone(a any) {
 			s := r.s
 			s.IntegrityHits++
 			s.rec.Record(s.eng.Now().Duration(), trace.EvIntegrityHit, r.id, 0)
+			if r.reissues == maxReadReissues {
+				r.resp = transport.Response{Err: transport.ErrIntegrity}
+				r.finish()
+				return
+			}
+			r.reissues++
 			r.agg, r.resp, r.got = crc.Aggregator{}, transport.Response{}, 0
 			clear(r.received)
 			s.admitRead(r)

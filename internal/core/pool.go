@@ -84,9 +84,10 @@ func (s *Stack) getRPC() *rpc {
 }
 
 // putRPC recycles a client RPC once done has returned. The wipe drops the
-// caller's req, done and guest buffer and any adopted slabs. The per-block
-// slices keep their arrays, cleared over their full capacity: no guest
-// block or packet record stays reachable, and no received flag stays set.
+// caller's req, done and guest buffer and any adopted slabs, and zeroes the
+// re-issue count. The per-block slices keep their arrays, cleared over
+// their full capacity: no guest block or packet record stays reachable, and
+// no received flag stays set.
 func (s *Stack) putRPC(r *rpc) {
 	clear(r.blocks[:cap(r.blocks)])
 	clear(r.pkts[:cap(r.pkts)])

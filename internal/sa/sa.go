@@ -44,7 +44,7 @@ type SegmentRef struct {
 }
 
 // diskEntry is one vdisk's mapping plus its generation number. The
-// generation is bumped by every remap/resize, so clients holding a stale
+// generation is bumped by every remap, so clients holding a stale
 // routing decision can tell whether a retry against a fresh lookup can
 // make progress. bytes is the size the guest was sold and the one record
 // of it: the mapping rounds it up to whole segments, and guest I/O must
@@ -69,7 +69,7 @@ func NewSegmentTable() *SegmentTable {
 
 // Provision creates a virtual disk of the given size, striping its segments
 // round-robin across the block servers. sizeBytes 0 is legal and yields a
-// segmentless disk: every Lookup misses until a Grow maps space.
+// segmentless disk: every Lookup misses.
 func (t *SegmentTable) Provision(vdisk uint32, sizeBytes uint64, servers []uint32) error {
 	if len(servers) == 0 {
 		return fmt.Errorf("sa: provisioning vdisk %d with no block servers", vdisk)
@@ -111,7 +111,7 @@ func (t *SegmentTable) Size(vdisk uint32) uint64 {
 }
 
 // Generation returns the vdisk's mapping generation: 0 for a never-remapped
-// (or unknown) disk, bumped by every Remap and Grow. Clients snapshot it at
+// (or unknown) disk, bumped by every Remap. Clients snapshot it at
 // issue time; a not-owner rejection is only worth retrying if the
 // generation has moved since.
 func (t *SegmentTable) Generation(vdisk uint32) uint32 {
@@ -144,45 +144,6 @@ func (t *SegmentTable) Remap(vdisk uint32, segIdx int, server uint32) error {
 	}
 	e.refs[segIdx].Server = server
 	e.gen++
-	return nil
-}
-
-// Grow extends a vdisk to newSizeBytes, striping the added segments
-// round-robin across the given servers, and returns the new references.
-// Shrinking is refused: segments under live I/O cannot be unmapped safely.
-func (t *SegmentTable) Grow(vdisk uint32, newSizeBytes uint64, servers []uint32) ([]SegmentRef, error) {
-	e, ok := t.disks[vdisk]
-	if !ok {
-		return nil, fmt.Errorf("sa: grow of unknown vdisk %d", vdisk)
-	}
-	if len(servers) == 0 {
-		return nil, fmt.Errorf("sa: growing vdisk %d with no block servers", vdisk)
-	}
-	want := int((newSizeBytes + SegmentBytes - 1) / SegmentBytes)
-	if want < len(e.refs) {
-		return nil, fmt.Errorf("sa: vdisk %d shrink %d -> %d segments refused", vdisk, len(e.refs), want)
-	}
-	var added []SegmentRef
-	for i := len(e.refs); i < want; i++ {
-		t.nextSegID++
-		ref := SegmentRef{Server: servers[(i-len(e.refs))%len(servers)], SegmentID: t.nextSegID}
-		added = append(added, ref)
-	}
-	e.refs = append(e.refs, added...)
-	if len(added) > 0 {
-		e.gen++
-	}
-	e.bytes = max(e.bytes, newSizeBytes)
-	return added, nil
-}
-
-// Delete unmaps a vdisk entirely; later Lookups miss, so racing I/O fails
-// with a provisioning error rather than touching freed segments.
-func (t *SegmentTable) Delete(vdisk uint32) error {
-	if _, ok := t.disks[vdisk]; !ok {
-		return fmt.Errorf("sa: delete of unknown vdisk %d", vdisk)
-	}
-	delete(t.disks, vdisk)
 	return nil
 }
 
@@ -359,12 +320,6 @@ func (a *Agent) SetQoS(vdisk uint32, spec QoSSpec) {
 		spec.BurstWindow = 10 * time.Millisecond
 	}
 	a.qos[vdisk] = &qosState{spec: spec, ioWindow: spec.BurstWindow, byteWindow: spec.BurstWindow}
-}
-
-// ClearQoS removes a disk's service level (volume deletion).
-func (a *Agent) ClearQoS(vdisk uint32) {
-	delete(a.qos, vdisk)
-	delete(a.tenantOf, vdisk)
 }
 
 // SetTenant binds a vdisk to a tenant: its I/Os are paced by the tenant's

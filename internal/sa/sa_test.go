@@ -270,20 +270,6 @@ func TestSegmentTableProvisionZeroSize(t *testing.T) {
 	if st.Generation(5) != 0 {
 		t.Fatalf("Generation = %d, want 0", st.Generation(5))
 	}
-	// A later Grow maps space and bumps the generation.
-	added, err := st.Grow(5, 4<<20, []uint32{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(added) != 2 {
-		t.Fatalf("Grow added %d segments, want 2", len(added))
-	}
-	if st.Generation(5) != 1 {
-		t.Fatalf("Generation after grow = %d, want 1", st.Generation(5))
-	}
-	if _, ok := st.Lookup(5, 3<<20); !ok {
-		t.Fatal("lookup after grow missed")
-	}
 }
 
 func TestSegmentTableRemapBumpsGeneration(t *testing.T) {
@@ -306,33 +292,6 @@ func TestSegmentTableRemapBumpsGeneration(t *testing.T) {
 	}
 	if err := st.Remap(77, 0, 99); err == nil {
 		t.Fatal("unknown-disk remap allowed")
-	}
-}
-
-func TestSegmentTableGrowRefusesShrinkAndDelete(t *testing.T) {
-	st := NewSegmentTable()
-	if err := st.Provision(9, 8<<20, []uint32{1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Grow(9, 2<<20, []uint32{1}); err == nil {
-		t.Fatal("shrink allowed")
-	}
-	// Growing to the same size is a no-op, not an error.
-	added, err := st.Grow(9, 8<<20, []uint32{1})
-	if err != nil || len(added) != 0 {
-		t.Fatalf("no-op grow: added=%d err=%v", len(added), err)
-	}
-	if st.Generation(9) != 0 {
-		t.Fatal("no-op grow bumped generation")
-	}
-	if err := st.Delete(9); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Lookup(9, 0); ok {
-		t.Fatal("deleted disk lookup succeeded")
-	}
-	if err := st.Delete(9); err == nil {
-		t.Fatal("double delete allowed")
 	}
 }
 

@@ -124,6 +124,10 @@ var ErrNotOwner = errors.New("transport: segment not owned by this server")
 // carries that the request failed, not why.
 var ErrRemote = errors.New("transport: request failed at the server")
 
+// ErrIntegrity ends a read whose data kept failing the client's end-to-end
+// integrity check: every re-issue arrived corrupted.
+var ErrIntegrity = errors.New("transport: read failed its integrity check on every re-issue")
+
 // RTT tracks smoothed RTT and variance per Jacobson/Karels and derives the
 // retransmission timeout.
 type RTT struct {
