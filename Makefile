@@ -71,16 +71,17 @@ cover:
 
 # The other half of `cover`: which code no program run reaches, so only
 # tests do. Builds ebsbench, ebsfio, ebstopo and the benchmark with -cover,
-# runs the quick `-exp all`, three ebsfio loads, the four ebstopo drills and
-# `benchmark -all -seconds 1`, merges their counters with `go tool covdata`
-# and writes progcover.txt: the total and every function at 0.0 %.
+# runs the quick `-exp all` (writing its METRICS.json), three ebsfio loads,
+# the four ebstopo drills and `benchmark -all -seconds 1`, merges their
+# counters with `go tool covdata` and writes progcover.txt: the total and
+# every function at 0.0 %.
 # Informational, like `cover`; about 2.5 min on two vCPUs.
 PROGCOVER = .progcover
 
 progcover:
 	@rm -rf $(PROGCOVER) && mkdir -p $(PROGCOVER)/bin $(PROGCOVER)/data
 	$(GO) build -cover -coverpkg=./... -o $(PROGCOVER)/bin/ ./cmd/ebsbench ./cmd/ebsfio ./cmd/ebstopo ./benchmark
-	GOCOVERDIR=$(PROGCOVER)/data $(PROGCOVER)/bin/ebsbench -exp all -quick > /dev/null
+	GOCOVERDIR=$(PROGCOVER)/data $(PROGCOVER)/bin/ebsbench -exp all -quick -metrics-out $(PROGCOVER)/METRICS.json > /dev/null
 	GOCOVERDIR=$(PROGCOVER)/data $(PROGCOVER)/bin/ebsfio > /dev/null
 	GOCOVERDIR=$(PROGCOVER)/data $(PROGCOVER)/bin/ebsfio -stack kernel -read 0.7 > /dev/null
 	GOCOVERDIR=$(PROGCOVER)/data $(PROGCOVER)/bin/ebsfio -stack luna -bs 65536 -read 0 -cores 2 > /dev/null
@@ -126,16 +127,15 @@ bench-smoke:
 # The identity artifacts of a behaviour-preserving change: make golden
 # OUT=<dir> writes the quick `-exp all -seed 1` tables (tables.txt, with the
 # wall-clock `completed in` lines dropped and each `perf:` line cut to its
-# shard and event counts), the `-json` rows (rows.jsonl) and the merged
-# registry (METRICS.json). Run it at the parent and at the change, then
-# `diff -r` the two directories. About a minute; not part of `check`.
+# shard and event counts) and the merged registry (METRICS.json). Run it at
+# the parent and at the change, then `diff -r` the two directories. About
+# half a minute; not part of `check`.
 golden:
 	@test -n "$(OUT)" || { echo "usage: make golden OUT=<dir>"; exit 2; }
 	@mkdir -p "$(OUT)"
 	$(GO) run ./cmd/ebsbench -exp all -quick -seed 1 -metrics-out "$(OUT)/METRICS.json" > "$(OUT)/tables.raw"
 	$(call strip_wall,$(OUT)/tables.raw) > "$(OUT)/tables.txt"
 	@rm -f "$(OUT)/tables.raw"
-	$(GO) run ./cmd/ebsbench -exp all -quick -seed 1 -json > "$(OUT)/rows.jsonl"
 
 # The committed full-scale results: make full-golden reruns `-exp all
 # -workers 2 -seed 1` at full scale, strips it as `golden` strips

@@ -4,7 +4,7 @@
 //	ebsbench -exp fig6            # 4KB latency breakdown, kernel/luna/solar
 //	ebsbench -exp table2 -quick   # failure scenarios at reduced scale
 //	ebsbench -exp all             # everything, experiments running in parallel
-//	ebsbench -exp fig14 -json     # machine-readable metric rows
+//	ebsbench -exp fig6 -metrics-out METRICS.json  # plus the §4.5 telemetry as JSON
 //
 // Independent experiments (and the independent cells inside each one) run as
 // share-nothing simulation shards on a worker pool; -workers 1 forces a fully
@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -60,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "reduced scale for a fast run")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	workers := fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	jsonOut := fs.Bool("json", false, "emit one JSON metric row per line instead of tables")
 	metricsOut := fs.String("metrics-out", "", "write the merged observability registry of all experiments here (e.g. METRICS.json)")
 	profileDir := fs.String("profile", "", "write cpu.pprof (whole run) and heap.pprof (at exit) into this directory")
 	list := fs.Bool("list", false, "list experiments")
@@ -71,8 +69,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *exp == "" && (*jsonOut || *metricsOut != "") {
-		fmt.Fprintln(stderr, "ebsbench: -json and -metrics-out need -exp (try -list)")
+	if *exp == "" && *metricsOut != "" {
+		fmt.Fprintln(stderr, "ebsbench: -metrics-out needs -exp (try -list)")
 		return 2
 	}
 	if *workers < 0 {
@@ -132,8 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer prof.Stop()
 	}
 
-	opts := experiments.Options{Seed: *seed, Quick: *quick, Workers: *workers,
-		Telemetry: *metricsOut != ""}
+	opts := experiments.Options{Seed: *seed, Quick: *quick, Workers: *workers}
 
 	// Every experiment shard asserts that its cluster returned all pooled
 	// packets and that every read passed workload.Driver's consistency
@@ -142,23 +139,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var leakedTotal atomic.Int64
 
 	// Telemetry registries are collected per experiment slot (race-free under
-	// runtime.Map) and merged in run order after the fan-out.
+	// runtime.Map) and merged in run order after the fan-out; -metrics-out
+	// decides only whether they are written.
 	expRegs := make([]*stats.Registry, len(sel))
 
 	// render runs one experiment and returns its full text block, so
 	// concurrent experiments never interleave on stdout.
-	type block struct {
-		out string
-		err error
-	}
-	render := func(slot int) block {
+	render := func(slot int) string {
 		id := sel[slot]
 		start := time.Now()
 		tab := registry[id].fn(opts)
 		elapsed := time.Since(start).Round(time.Millisecond)
-		if tab.Telemetry != nil {
-			expRegs[slot] = tab.Telemetry
-		}
+		expRegs[slot] = tab.Telemetry
 		leaked, failed, failErr := 0, 0, error(nil)
 		if tab.Perf != nil {
 			leaked = tab.Perf.Leaked()
@@ -166,21 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			leakedTotal.Add(int64(leaked + failed))
 		}
 		var b strings.Builder
-		if *jsonOut {
-			rows := tab.Metrics(id, *seed)
-			if leaked > 0 {
-				rows = append(rows, experiments.Metric{
-					Exp: id, Metric: "leaked_packets", Value: float64(leaked), Unit: "packets", Seed: *seed,
-				})
-			}
-			enc := json.NewEncoder(&b)
-			for _, m := range rows {
-				if err := enc.Encode(m); err != nil {
-					return block{err: fmt.Errorf("%s: json encode: %w", id, err)}
-				}
-			}
-			return block{out: b.String()}
-		}
 		b.WriteString(tab.Format())
 		if perf := tab.PerfSummary(); perf != "" {
 			fmt.Fprintf(&b, "[%s perf: %s]\n", id, perf)
@@ -192,17 +169,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(&b, "[%s MISMATCH: %d reads returned the wrong block; first: %v]\n", id, failed, failErr)
 		}
 		fmt.Fprintf(&b, "[%s completed in %v]\n\n", id, elapsed)
-		return block{out: b.String()}
+		return b.String()
 	}
 
 	// Experiments are independent of each other: fan them out on the same
 	// worker pool and print the buffered blocks in id order.
-	for _, b := range runtime.Map(runtime.Runner{Workers: *workers}, len(sel), render) {
-		if b.err != nil {
-			fmt.Fprintf(stderr, "ebsbench: %v\n", b.err)
-			return 1
-		}
-		fmt.Fprint(stdout, b.out)
+	for _, out := range runtime.Map(runtime.Runner{Workers: *workers}, len(sel), render) {
+		fmt.Fprint(stdout, out)
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, expRegs); err != nil {

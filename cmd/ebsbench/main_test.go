@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -14,7 +13,7 @@ import (
 )
 
 // TestRun drives the whole command: a bad selection exits before any
-// experiment function is entered; -list and -json keep their shape.
+// experiment function is entered; -list keeps its shape.
 func TestRun(t *testing.T) {
 	entered := 0
 	fig3 := registry["fig3"]
@@ -36,17 +35,15 @@ func TestRun(t *testing.T) {
 			t.Errorf("-list names %v, want the sorted registry keys %v", got, want)
 		}
 	}
-	metricRows := func(t *testing.T, out string) {
-		seen := map[string]bool{}
-		for n, line := range strings.Split(strings.TrimSpace(out), "\n") {
-			var m experiments.Metric
-			if err := json.Unmarshal([]byte(line), &m); err != nil || m.Exp != "fig3" || m.Metric == "" {
-				t.Errorf("-json line %d %q does not decode as a fig3 experiments.Metric (%v)", n, line, err)
-			}
-			if seen[m.Metric] {
-				t.Errorf("-json line %d repeats metric name %q", n, m.Metric)
-			}
-			seen[m.Metric] = true
+	// Fig 3 exports no telemetry, so its -metrics-out file holds no rows.
+	metricsOut := filepath.Join(t.TempDir(), "METRICS.json")
+	tabled := func(t *testing.T, out string) {
+		if !strings.HasPrefix(out, "=== Figure 3:") {
+			t.Errorf("-exp fig3 printed %q, want the Figure 3 table", out)
+		}
+		text, err := os.ReadFile(metricsOut)
+		if err != nil || !strings.Contains(string(text), `"metrics": []`) {
+			t.Errorf("-metrics-out wrote %q (%v), want an export with no rows", text, err)
 		}
 	}
 
@@ -60,10 +57,10 @@ func TestRun(t *testing.T) {
 		{"-exp fig3 -cc dcqcn", 2, 0, "flag provided but not defined: -cc", nil},
 		{"-exp fig3,fig3", 2, 0, `experiment "fig3" given twice`, nil},
 		{"-exp fig3 -workers -3", 2, 0, "-workers -3 is negative", nil},
-		{"-json", 2, 0, "need -exp", nil},
-		{"-metrics-out unwritten.json", 2, 0, "need -exp", nil},
+		{"-exp fig3 -json", 2, 0, "flag provided but not defined: -json", nil},
+		{"-metrics-out unwritten.json", 2, 0, "-metrics-out needs -exp", nil},
 		{"-list", 0, 0, "", listed},
-		{"-exp fig3 -json", 0, 1, "", metricRows},
+		{"-exp fig3 -metrics-out " + metricsOut, 0, 1, "", tabled},
 	} {
 		var stdout, stderr bytes.Buffer
 		entered = 0

@@ -145,12 +145,14 @@ func (cfg Config) Validate() error {
 	}{
 		{"StorageCores", float64(cfg.StorageCores), true},
 		{"SSD.IOPSCap", cfg.SSD.IOPSCap, true},
+		{"SSD.Parallelism", float64(cfg.SSD.Parallelism), true},
 		{"Fabric.SpinesPerPod", float64(cfg.Fabric.SpinesPerPod), true},
 		{"Fabric.CoresPerDC", float64(cfg.Fabric.CoresPerDC), true},
 		{"Fabric.HostLinkBps", cfg.Fabric.HostLinkBps, true},
 		{"Fabric.FabricLinkBps", cfg.Fabric.FabricLinkBps, true},
 		{"StackCores", float64(cfg.StackCores), !dpuResident},
 		{"DPU.PCIeBps", cfg.DPU.PCIeBps, dpuResident},
+		{"DPU.CPUCores", float64(cfg.DPU.CPUCores), dpuResident},
 	} {
 		if k.used && !(k.v > 0) {
 			return fmt.Errorf("ebs: %s must be positive, got %v", k.name, k.v)

@@ -22,21 +22,25 @@ func TestClusterExportMetrics(t *testing.T) {
 
 	reg := stats.NewRegistry()
 	c.ExportMetrics(reg, "")
+	snap := reg.Snapshot()
+	byName := map[string]stats.Metric{}
+	for _, m := range snap.Metrics {
+		byName[m.Name] = m
+	}
 	for _, name := range []string{
 		"lat/write/sa", "lat/write/fn", "lat/write/bn", "lat/write/ssd", "lat/write/e2e",
 		"lat/read/e2e",
 	} {
-		if h := reg.Histogram(name); h == nil || h.Count() == 0 {
+		if m := byName[name]; m.Type != "histogram" || m.Count == 0 {
 			t.Fatalf("missing latency histogram %q", name)
 		}
 	}
-	if reg.Counter("chunk0/writes")+reg.Counter("chunk1/writes")+
-		reg.Counter("chunk2/writes")+reg.Counter("chunk3/writes") == 0 {
+	if byName["chunk0/writes"].Value+byName["chunk1/writes"].Value+
+		byName["chunk2/writes"].Value+byName["chunk3/writes"].Value == 0 {
 		t.Fatal("no chunk-server writes exported")
 	}
 	// Per-path INT summaries: the compute stacks are Solar, telemetry is
 	// on, and acks echo INT — at least one path must have folded hops.
-	snap := reg.Snapshot()
 	var intAcks float64
 	var sawPath bool
 	for _, m := range snap.Metrics {

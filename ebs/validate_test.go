@@ -30,6 +30,8 @@ func TestValidateRejects(t *testing.T) {
 		{"no spines", Solar, func(c *Config) { c.Fabric.SpinesPerPod = 0 }, "Fabric.SpinesPerPod must be positive"},
 		{"no cores", Solar, func(c *Config) { c.Fabric.CoresPerDC = 0 }, "Fabric.CoresPerDC must be positive"},
 		{"no SSD IOPS", Luna, func(c *Config) { c.SSD.IOPSCap = 0 }, "SSD.IOPSCap must be positive"},
+		{"no SSD queue", Solar, func(c *Config) { c.SSD.Parallelism = 0 }, "SSD.Parallelism must be positive"},
+		{"no DPU cores on solar", Solar, func(c *Config) { c.DPU.CPUCores = 0 }, "DPU.CPUCores must be positive"},
 		{"no DCs", Solar, func(c *Config) { c.Fabric.DCs = 0 }, "Fabric.DCs must be in [1, 255], got 0"},
 		{"no pods", Luna, func(c *Config) { c.Fabric.PodsPerDC = 0 }, "Fabric.PodsPerDC must be in [1, 255], got 0"},
 		{"no racks", Solar, func(c *Config) { c.Fabric.RacksPerPod = 0 }, "Fabric.RacksPerPod must be in [1, 255], got 0"},
@@ -73,6 +75,7 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"solar without stack cores", Solar, func(c *Config) { c.BareMetal, c.StackCores = false, 0 }},
 		{"luna without PCIe", Luna, func(c *Config) { c.DPU.PCIeBps = 0 }},
+		{"luna without DPU cores", Luna, func(c *Config) { c.DPU.CPUCores = 0 }},
 		// Only Solar's data path keeps an Addr table.
 		{"luna on a DPU without an Addr table", Luna, func(c *Config) { c.BareMetal, c.DPU.MaxAddrEntries = true, 0 }},
 		// Fig 8's cross-DC cell: storage in DC 1's only pod.

@@ -92,9 +92,6 @@ type Server struct {
 
 // New creates a chunk server.
 func New(eng *sim.Engine, name string, cfg SSDConfig) *Server {
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 8
-	}
 	return &Server{
 		eng:     eng,
 		name:    name,

@@ -72,7 +72,7 @@ func TestFailoverRekeysPathInPlace(t *testing.T) {
 	}
 	// Warm-up must have moved every field a failover resets, or the
 	// comparison below could not tell a reset from a field left alone.
-	if p.rtt == fresh.rtt || p.ctrl == fresh.ctrl || p.ewma == 0 || p.seq == 0 ||
+	if p.rtt == fresh.rtt || p.ctrl == fresh.ctrl || p.seq == 0 ||
 		p.maxAckedSeq == 0 || p.sent == 0 || p.acked == 0 || p.tele == (pathTelemetry{}) {
 		t.Fatalf("warm-up left path %d partly fresh: %+v", p.id, *p)
 	}

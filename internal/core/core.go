@@ -169,9 +169,6 @@ type Stack struct {
 // for control-path work; card supplies the FPGA pipeline, PCIe channel and
 // fault model (nil for StorageServer mode).
 func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, card *dpu.DPU, params Params) *Stack {
-	if params.NumPaths <= 0 {
-		params.NumPaths = 4
-	}
 	addrCap := 1 << 20
 	if card != nil {
 		addrCap = card.Cfg.MaxAddrEntries

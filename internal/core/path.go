@@ -26,7 +26,6 @@ type path struct {
 	id   uint16
 	rtt  transport.RTT
 	ctrl cc.HPCC
-	ewma time.Duration // EWMA RTT for the "favour the low-RTT path" rule
 
 	inflightBytes int
 	consecTO      int
@@ -131,8 +130,9 @@ func (s *Stack) resetPath(p *path) {
 	}
 }
 
-// pickPath selects the lowest-EWMA-RTT path with window headroom for size
-// bytes. Unprobed paths (ewma 0) are tried eagerly so all paths stay warm.
+// pickPath selects the lowest-smoothed-RTT path with window headroom for
+// size bytes. Unmeasured paths (SRTT 0) are tried eagerly so all paths stay
+// warm.
 // When every window is full but some path is completely idle, the idle one
 // is returned: a sender must always be able to keep one packet in flight,
 // or a collapsed window would deadlock the backlog.
@@ -149,11 +149,12 @@ func (pe *peer) pickPath(size int) *path {
 			best = p
 			continue
 		}
-		// Prefer unmeasured paths, then lower EWMA RTT.
+		// Prefer unmeasured paths, then lower smoothed RTT.
+		rtt, bestRTT := p.rtt.SRTT(), best.rtt.SRTT()
 		switch {
-		case p.ewma == 0 && best.ewma != 0:
+		case rtt == 0 && bestRTT != 0:
 			best = p
-		case p.ewma != 0 && best.ewma != 0 && p.ewma < best.ewma:
+		case rtt != 0 && bestRTT != 0 && rtt < bestRTT:
 			best = p
 		}
 	}
@@ -166,11 +167,6 @@ func (pe *peer) pickPath(size int) *path {
 // observe updates path condition from an acknowledgment.
 func (p *path) observe(rtt time.Duration, fb cc.Feedback) {
 	p.rtt.Observe(rtt)
-	if p.ewma == 0 {
-		p.ewma = rtt
-	} else {
-		p.ewma = (7*p.ewma + rtt) / 8
-	}
 	p.consecTO = 0
 	p.acked++
 	p.ctrl.OnAck(fb)

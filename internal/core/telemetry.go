@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"lunasolar/internal/stats"
 	"lunasolar/internal/trace"
@@ -40,68 +39,30 @@ func foldINT(t *pathTelemetry, hops []wire.INTHop, ecnMarked bool) {
 	}
 }
 
-// PathStat is one path's telemetry snapshot.
-type PathStat struct {
-	Peer        uint32
-	PathID      uint16 // UDP source port = path identity
-	Sent, Acked uint64
-	EwmaRTT     time.Duration
-	AcksWithINT uint64
-	EcnAcks     uint64
-	MaxQLenB    uint32
-	MaxHops     int
-}
-
-// PathTelemetry snapshots every live path's INT summary, ordered by peer
-// address then path slot, so repeat calls on the same state are identical.
-func (s *Stack) PathTelemetry() []PathStat {
-	addrs := make([]uint32, 0, len(s.peers))
-	for a := range s.peers {
-		addrs = append(addrs, a)
-	}
-	slices.Sort(addrs)
-	var out []PathStat
-	for _, a := range addrs {
-		pe := s.peers[a]
-		for _, p := range pe.paths {
-			out = append(out, PathStat{
-				Peer: a, PathID: p.id,
-				Sent: p.sent, Acked: p.acked,
-				EwmaRTT:     p.ewma,
-				AcksWithINT: p.tele.acksWithINT,
-				EcnAcks:     p.tele.ecnAcks,
-				MaxQLenB:    p.tele.maxQLenB,
-				MaxHops:     p.tele.maxHops,
-			})
-		}
-	}
-	return out
-}
-
 // RegisterInto exports the stack's counters and per-path INT summaries into
-// reg. Path entries are named "<prefix>peer<addr>/path<slot>/..." in the
-// same deterministic order PathTelemetry uses.
+// reg. Path entries are named "<prefix>peer<addr>/path<slot>/...", walked
+// by peer address then path slot, so the export is deterministic.
 func (s *Stack) RegisterInto(reg *stats.Registry, prefix string) {
 	reg.AddCounter(prefix+"retransmits", s.Retransmits)
 	reg.AddCounter(prefix+"path_failovers", s.PathFailovers)
 	reg.AddCounter(prefix+"integrity_hits", s.IntegrityHits)
 	reg.SetGauge(prefix+"admission_wait_ns", float64(s.AdmissionWait.Nanoseconds()))
-	slot := 0
-	lastPeer := uint32(0)
-	for i, ps := range s.PathTelemetry() {
-		if i == 0 || ps.Peer != lastPeer {
-			slot = 0
-			lastPeer = ps.Peer
+	addrs := make([]uint32, 0, len(s.peers))
+	for a := range s.peers {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	for _, a := range addrs {
+		for slot, p := range s.peers[a].paths {
+			base := fmt.Sprintf("%speer%d/path%d/", prefix, a, slot)
+			reg.AddCounter(base+"sent", p.sent)
+			reg.AddCounter(base+"acked", p.acked)
+			reg.AddCounter(base+"acks_with_int", p.tele.acksWithINT)
+			reg.AddCounter(base+"ecn_acks", p.tele.ecnAcks)
+			reg.SetGauge(base+"ewma_rtt_ns", float64(p.rtt.SRTT().Nanoseconds()))
+			reg.SetGauge(base+"max_qlen_bytes", float64(p.tele.maxQLenB))
+			reg.SetGauge(base+"max_hops", float64(p.tele.maxHops))
 		}
-		base := fmt.Sprintf("%speer%d/path%d/", prefix, ps.Peer, slot)
-		slot++
-		reg.AddCounter(base+"sent", ps.Sent)
-		reg.AddCounter(base+"acked", ps.Acked)
-		reg.AddCounter(base+"acks_with_int", ps.AcksWithINT)
-		reg.AddCounter(base+"ecn_acks", ps.EcnAcks)
-		reg.SetGauge(base+"ewma_rtt_ns", float64(ps.EwmaRTT.Nanoseconds()))
-		reg.SetGauge(base+"max_qlen_bytes", float64(ps.MaxQLenB))
-		reg.SetGauge(base+"max_hops", float64(ps.MaxHops))
 	}
 }
 

@@ -70,9 +70,6 @@ type DPU struct {
 
 // New builds a DPU attached to the engine.
 func New(eng *sim.Engine, cfg Config) *DPU {
-	if cfg.CPUCores <= 0 {
-		cfg.CPUCores = 6
-	}
 	return &DPU{
 		Eng:  eng,
 		Cfg:  cfg,

@@ -13,7 +13,6 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -35,13 +34,6 @@ type Options struct {
 	// determinism regression tests). Results are merged in shard order, so
 	// the output is identical for every Workers value.
 	Workers int
-	// Telemetry, when set, has experiments that support it export each
-	// cluster's observability state (per-component latency histograms,
-	// per-switch counters, per-path INT summaries) into Table.Telemetry,
-	// merged in shard order under per-cell prefixes. The counters behind
-	// the export are always counted; the formatted table is identical
-	// either way.
-	Telemetry bool
 }
 
 // config returns ebs.DefaultConfig(fn) carrying the run's seed — the one
@@ -116,11 +108,12 @@ type Table struct {
 	// the runs behind this table (events/sec, simulated time per wall time).
 	Perf *runtime.Perf
 
-	// Telemetry, when the experiment ran with Options.Telemetry, holds the
-	// merged observability registry of every cluster the experiment drove,
-	// with per-cell prefixes (e.g. "fig6/solar/lat/write/e2e"). Nil
-	// otherwise. It is deliberately not part of Format: the formatted table
-	// is byte-identical with telemetry on or off.
+	// Telemetry, for the experiments that export it (Fig 6 and Table 2),
+	// holds the merged observability registry of every cluster the
+	// experiment drove, with per-cell prefixes (e.g.
+	// "fig6/solar/lat/write/e2e"): per-component latency histograms,
+	// per-switch counters and per-path INT summaries. Nil for the others.
+	// It is not part of Format.
 	Telemetry *stats.Registry
 }
 
@@ -175,105 +168,6 @@ func (t *Table) Format() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
-}
-
-// Metric is one machine-readable result row, emitted by the CLI's -json
-// mode: the experiment id, a metric path built from the row's label cells,
-// the numeric value, the column header as its unit, and the seed that
-// produced it.
-type Metric struct {
-	Exp    string  `json:"exp"`
-	Metric string  `json:"metric"`
-	Value  float64 `json:"value"`
-	Unit   string  `json:"unit"`
-	Seed   int64   `json:"seed"`
-}
-
-// Metrics flattens the table into metric rows: every numeric cell becomes
-// one row, named by the row's non-numeric label cells plus the column
-// header. Non-numeric cells (labels, "-", compound values) are skipped.
-// When the label cells do not tell the rows apart (fig3's hours, fig14's
-// core counts), the leftmost all-numeric column that does joins the
-// label as "<column>=<cell>" and is not emitted as a value.
-func (t *Table) Metrics(exp string, seed int64) []Metric {
-	key := -1
-	if !t.uniqueNames(key) {
-		for i := range t.Columns {
-			if t.numericColumn(i) && t.uniqueNames(i) {
-				key = i
-				break
-			}
-		}
-	}
-	var out []Metric
-	for _, row := range t.Rows {
-		name := t.rowName(row, key)
-		for i, cell := range row {
-			if i >= len(t.Columns) || i == key {
-				continue
-			}
-			v, ok := numeric(cell)
-			if !ok {
-				continue
-			}
-			metric := t.Columns[i]
-			if name != "" {
-				metric = name + "/" + t.Columns[i]
-			}
-			out = append(out, Metric{Exp: exp, Metric: metric, Value: v, Unit: t.Columns[i], Seed: seed})
-		}
-	}
-	return out
-}
-
-func numeric(cell string) (float64, bool) {
-	v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
-	return v, err == nil
-}
-
-// rowName joins the row's non-numeric cells and, unless key is -1, the
-// key column as "<column>=<cell>", in column order.
-func (t *Table) rowName(row []string, key int) string {
-	var labels []string
-	for i, cell := range row {
-		if i >= len(t.Columns) {
-			break
-		}
-		cell = strings.TrimSpace(cell)
-		if i == key {
-			labels = append(labels, t.Columns[i]+"="+cell)
-		} else if _, ok := numeric(cell); !ok {
-			labels = append(labels, cell)
-		}
-	}
-	return strings.Join(labels, "/")
-}
-
-// uniqueNames reports whether rowName with this key names every row
-// differently.
-func (t *Table) uniqueNames(key int) bool {
-	seen := make(map[string]bool, len(t.Rows))
-	for _, row := range t.Rows {
-		name := t.rowName(row, key)
-		if seen[name] {
-			return false
-		}
-		seen[name] = true
-	}
-	return true
-}
-
-// numericColumn reports whether column i holds a number in every row.
-func (t *Table) numericColumn(i int) bool {
-	for _, row := range t.Rows {
-		if i >= len(row) {
-			return false
-		}
-		if _, ok := numeric(row[i]); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 func us(d time.Duration) string {

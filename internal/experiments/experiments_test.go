@@ -66,39 +66,6 @@ func TestTableFormat(t *testing.T) {
 	}
 }
 
-// TestTableMetricsNames: a numeric key column joins the metric name when
-// the label cells alone would give rows the same name, and is then not
-// emitted as a value; a table whose labels already tell rows apart keeps
-// its names.
-func TestTableMetricsNames(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		tab  *Table
-		want []string
-	}{
-		{"fig3-shaped", &Table{
-			Columns: []string{"hour", "EBS TX GB/s"},
-			Rows:    [][]string{{"00", "1.5"}, {"01", "2.5"}},
-		}, []string{"hour=00/EBS TX GB/s", "hour=01/EBS TX GB/s"}},
-		{"fig14-shaped", &Table{
-			Columns: []string{"stack", "cores", "4K IOPS"},
-			Rows:    [][]string{{"luna", "1", "100"}, {"luna", "2", "180"}, {"solar", "1", "300"}},
-		}, []string{"luna/cores=1/4K IOPS", "luna/cores=2/4K IOPS", "solar/cores=1/4K IOPS"}},
-		{"already unique", &Table{
-			Columns: []string{"stack", "cores", "4K IOPS"},
-			Rows:    [][]string{{"luna", "1", "100"}, {"solar", "1", "300"}},
-		}, []string{"luna/cores", "luna/4K IOPS", "solar/cores", "solar/4K IOPS"}},
-	} {
-		var got []string
-		for _, m := range tc.tab.Metrics("x", 1) {
-			got = append(got, m.Metric)
-		}
-		if strings.Join(got, "|") != strings.Join(tc.want, "|") {
-			t.Errorf("%s: metric names %q, want %q", tc.name, got, tc.want)
-		}
-	}
-}
-
 func TestFig3Shares(t *testing.T) {
 	tab := Fig3(quickOpts())
 	if len(tab.Rows) == 0 {

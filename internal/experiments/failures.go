@@ -92,11 +92,8 @@ func Table2(opts Options) *Table {
 		for ci := 0; ci < c.Computes(); ci++ {
 			vds = append(vds, c.MustProvision(ci, 128<<20, ebs.DefaultQoS()))
 		}
-		out := cellOut{slow: fmt.Sprintf("%d", table2Cell(c, vds, sc, window))}
-		if opts.Telemetry {
-			out.reg = stats.NewRegistry()
-			c.ExportMetrics(out.reg, "")
-		}
+		out := cellOut{slow: fmt.Sprintf("%d", table2Cell(c, vds, sc, window)), reg: stats.NewRegistry()}
+		c.ExportMetrics(out.reg, "")
 		return out, c
 	})
 	for i, sc := range scenarios {
@@ -105,12 +102,10 @@ func Table2(opts Options) *Table {
 			cells[i*len(stacks)].slow, cells[i*len(stacks)+1].slow,
 		})
 	}
-	if opts.Telemetry {
-		t.Telemetry = stats.NewRegistry()
-		for shard, cell := range cells {
-			t.Telemetry.Merge(cell.reg,
-				fmt.Sprintf("table2/s%d/%s/", shard/len(stacks), stacks[shard%len(stacks)]))
-		}
+	t.Telemetry = stats.NewRegistry()
+	for shard, cell := range cells {
+		t.Telemetry.Merge(cell.reg,
+			fmt.Sprintf("table2/s%d/%s/", shard/len(stacks), stacks[shard%len(stacks)]))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("testbed: 8 compute + 8 storage servers, depth 4, 4-32K blocks, R:W 1:4, %v failure window (paper: 90+82 servers)", window))

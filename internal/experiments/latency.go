@@ -78,7 +78,7 @@ func Fig6(opts Options) *Table {
 		fn := stacks[shard]
 		c := ebs.New(clusterConfig(opts, fn))
 		driveMixed(c, 256<<20, n, 100*time.Microsecond)
-		out := shardOut{parts: map[key][]time.Duration{}, e2e: map[key]time.Duration{}}
+		out := shardOut{parts: map[key][]time.Duration{}, e2e: map[key]time.Duration{}, reg: stats.NewRegistry()}
 		for _, op := range []string{"read", "write"} {
 			for _, q := range []float64{0.5, 0.95} {
 				parts, e2e := c.Collector().Breakdown(op, q)
@@ -86,10 +86,7 @@ func Fig6(opts Options) *Table {
 				out.e2e[key{op, q}] = e2e
 			}
 		}
-		if opts.Telemetry {
-			out.reg = stats.NewRegistry()
-			c.ExportMetrics(out.reg, "")
-		}
+		c.ExportMetrics(out.reg, "")
 		return out, c
 	})
 	results := map[ebs.StackKind]map[key][]time.Duration{}
@@ -124,11 +121,9 @@ func Fig6(opts Options) *Table {
 			})
 		}
 	}
-	if opts.Telemetry {
-		t.Telemetry = stats.NewRegistry()
-		for i, fn := range stacks {
-			t.Telemetry.Merge(perStack[i].reg, fmt.Sprintf("fig6/%s/", fn))
-		}
+	t.Telemetry = stats.NewRegistry()
+	for i, fn := range stacks {
+		t.Telemetry.Merge(perStack[i].reg, fmt.Sprintf("fig6/%s/", fn))
 	}
 	kw := e2es[ebs.KernelTCP][key{"write", 0.5}]
 	lw := e2es[ebs.Luna][key{"write", 0.5}]

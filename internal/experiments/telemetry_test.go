@@ -8,16 +8,25 @@ import (
 	"lunasolar/internal/stats"
 )
 
-// TestExperimentTelemetryExport drives Fig6 with Options.Telemetry and
-// checks the merged registry: per-stack latency histograms, per-path INT
-// summaries for the Solar cell, and a schema-valid JSON export.
+// TestExperimentTelemetryExport drives Fig6 with plain Options and checks
+// the merged registry: one row per name (nothing in it would sum),
+// per-stack latency histograms, per-path INT summaries for the Solar cell,
+// and a schema-valid JSON export.
 func TestExperimentTelemetryExport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster experiment")
 	}
-	tb := Fig6(Options{Seed: 3, Quick: true, Workers: 4, Telemetry: true})
+	tb := Fig6(Options{Seed: 3, Quick: true, Workers: 4})
 	if tb.Telemetry == nil {
-		t.Fatal("Options.Telemetry set but Table.Telemetry is nil")
+		t.Fatal("Fig6 left Table.Telemetry nil")
+	}
+	rows := tb.Telemetry.Snapshot().Metrics
+	byName := map[string]stats.Metric{}
+	for i, m := range rows {
+		if i > 0 && rows[i-1].Name >= m.Name {
+			t.Fatalf("snapshot names not strictly increasing: %q then %q", rows[i-1].Name, m.Name)
+		}
+		byName[m.Name] = m
 	}
 	for _, name := range []string{
 		"fig6/kernel/lat/write/e2e",
@@ -28,12 +37,12 @@ func TestExperimentTelemetryExport(t *testing.T) {
 		"fig6/solar/lat/write/ssd",
 		"fig6/solar/lat/write/e2e",
 	} {
-		if h := tb.Telemetry.Histogram(name); h == nil || h.Count() == 0 {
+		if m := byName[name]; m.Type != "histogram" || m.Count == 0 {
 			t.Fatalf("missing per-component histogram %q", name)
 		}
 	}
 	var solarINT float64
-	for _, m := range tb.Telemetry.Snapshot().Metrics {
+	for _, m := range rows {
 		if strings.HasPrefix(m.Name, "fig6/solar/") && strings.HasSuffix(m.Name, "/acks_with_int") {
 			solarINT += m.Value
 		}

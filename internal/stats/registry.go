@@ -3,7 +3,8 @@ package stats
 import (
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // SchemaVersion identifies the structured-export format. Consumers (CI
@@ -11,104 +12,57 @@ import (
 // field change.
 const SchemaVersion = "lunasolar.metrics/v1"
 
-// Registry names and aggregates metrics for structured export. Every
-// counter, gauge and histogram an experiment wants published is folded in
-// under a slash-separated name ("fig6/solar/write/fn"); the registry then
-// renders the whole set as schema-versioned JSON with fully deterministic
-// ordering (names sorted, field order fixed by struct layout) so exports
-// diff cleanly across runs.
+// Registry is a list of named metric rows for structured export. Every
+// counter, gauge and histogram an experiment wants published is appended
+// as one row under a slash-separated name ("fig6/solar/write/fn"); the
+// registry then renders the rows as schema-versioned JSON, sorted by name
+// (field order fixed by struct layout), so exports diff cleanly across
+// runs. Names are expected to be unique: nothing is summed or merged.
 //
 // Registries are single-goroutine objects, like the rest of this package:
 // the share-nothing harness gives each shard its own registry and merges
 // them in shard order.
 type Registry struct {
-	counters map[string]uint64
-	gauges   map[string]float64
-	hists    map[string]*Histogram
+	rows []Metric
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]uint64),
-		gauges:   make(map[string]float64),
-		hists:    make(map[string]*Histogram),
-	}
+func NewRegistry() *Registry { return &Registry{} }
+
+// AddCounter appends the named counter with value v.
+func (r *Registry) AddCounter(name string, v uint64) {
+	r.rows = append(r.rows, Metric{Name: name, Type: "counter", Value: float64(v)})
 }
 
-// AddCounter accumulates delta into the named counter, creating it at zero.
-func (r *Registry) AddCounter(name string, delta uint64) {
-	r.counters[name] += delta
-}
-
-// SetGauge sets the named gauge to v (last write wins).
+// SetGauge appends the named gauge with value v.
 func (r *Registry) SetGauge(name string, v float64) {
-	r.gauges[name] = v
+	r.rows = append(r.rows, Metric{Name: name, Type: "gauge", Value: v})
 }
 
-// ObserveHistogram merges h into the named histogram, creating it if
-// needed. The source histogram is not retained, so callers may keep
-// mutating it.
+// ObserveHistogram appends h's summary under name. The summary is taken
+// now, so callers may keep mutating h.
 func (r *Registry) ObserveHistogram(name string, h *Histogram) {
-	dst, ok := r.hists[name]
-	if !ok {
-		dst = NewHistogram()
-		r.hists[name] = dst
-	}
-	dst.Merge(h)
+	r.rows = append(r.rows, Metric{
+		Name:   name,
+		Type:   "histogram",
+		Count:  h.Count(),
+		SumNs:  h.sum,
+		MinNs:  int64(h.Min()),
+		MaxNs:  int64(h.Max()),
+		MeanNs: int64(h.Mean()),
+		P50Ns:  int64(h.Median()),
+		P95Ns:  int64(h.P95()),
+		P99Ns:  int64(h.P99()),
+	})
 }
 
-// Counter returns the named counter's value (0 if absent).
-func (r *Registry) Counter(name string) uint64 { return r.counters[name] }
-
-// Histogram returns the named histogram, or nil.
-func (r *Registry) Histogram(name string) *Histogram { return r.hists[name] }
-
-// Len returns the total number of registered metrics.
-func (r *Registry) Len() int {
-	return len(r.counters) + len(r.gauges) + len(r.hists)
-}
-
-// Merge folds every metric of src into r with prefix prepended to its name.
-// The harness uses it to combine per-shard registries in shard order, which
-// keeps the merged result deterministic for a fixed seed.
+// Merge appends every row of src to r with prefix prepended to its name.
+// The harness uses it to combine per-shard registries in shard order.
 func (r *Registry) Merge(src *Registry, prefix string) {
-	for _, name := range sortedKeysU64(src.counters) {
-		r.AddCounter(prefix+name, src.counters[name])
+	for _, m := range src.rows {
+		m.Name = prefix + m.Name
+		r.rows = append(r.rows, m)
 	}
-	for _, name := range sortedKeysF64(src.gauges) {
-		r.SetGauge(prefix+name, src.gauges[name])
-	}
-	for _, name := range sortedKeysHist(src.hists) {
-		r.ObserveHistogram(prefix+name, src.hists[name])
-	}
-}
-
-func sortedKeysU64(m map[string]uint64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func sortedKeysF64(m map[string]float64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func sortedKeysHist(m map[string]*Histogram) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }
 
 // Metric is one exported entry. Exactly the fields for its Type are set:
@@ -136,33 +90,11 @@ type Export struct {
 	Metrics []Metric `json:"metrics"`
 }
 
-// Snapshot renders every metric, names sorted within each type and types
-// interleaved into one global name order, so the export is a deterministic
-// function of the registry's contents.
+// Snapshot returns a copy of the rows sorted by name (stably, so rows that
+// share a name keep their append order); an empty registry exports [].
 func (r *Registry) Snapshot() Export {
-	ms := make([]Metric, 0, r.Len())
-	for _, name := range sortedKeysU64(r.counters) {
-		ms = append(ms, Metric{Name: name, Type: "counter", Value: float64(r.counters[name])})
-	}
-	for _, name := range sortedKeysF64(r.gauges) {
-		ms = append(ms, Metric{Name: name, Type: "gauge", Value: r.gauges[name]})
-	}
-	for _, name := range sortedKeysHist(r.hists) {
-		h := r.hists[name]
-		ms = append(ms, Metric{
-			Name:   name,
-			Type:   "histogram",
-			Count:  h.Count(),
-			SumNs:  h.sum,
-			MinNs:  int64(h.Min()),
-			MaxNs:  int64(h.Max()),
-			MeanNs: int64(h.Mean()),
-			P50Ns:  int64(h.Median()),
-			P95Ns:  int64(h.P95()),
-			P99Ns:  int64(h.P99()),
-		})
-	}
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
+	ms := append(make([]Metric, 0, len(r.rows)), r.rows...)
+	slices.SortStableFunc(ms, func(a, b Metric) int { return strings.Compare(a.Name, b.Name) })
 	return Export{Schema: SchemaVersion, Metrics: ms}
 }
 

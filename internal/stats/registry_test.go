@@ -77,26 +77,29 @@ func TestRegistryJSONSchema(t *testing.T) {
 	}
 }
 
+// Merge appends each shard's rows under its prefix, in merge order, and
+// leaves the source registries as they were.
 func TestRegistryMergeWithPrefix(t *testing.T) {
 	shard0 := buildRegistry([]int{0, 1, 2})
 	shard1 := buildRegistry([]int{0, 2})
 	merged := NewRegistry()
-	merged.Merge(shard0, "")
-	merged.Merge(shard1, "")
-	if got := merged.Counter("fig6/solar/retransmits"); got != 6 {
-		t.Fatalf("merged counter = %d, want 6", got)
+	merged.Merge(shard0, "shard0/")
+	merged.Merge(shard1, "shard1/")
+	var got []string
+	for _, m := range merged.Snapshot().Metrics {
+		got = append(got, m.Type+" "+m.Name)
 	}
-	if h := merged.Histogram("fig6/solar/write/fn"); h == nil || h.Count() != 4 {
-		t.Fatalf("merged histogram count = %v", h)
+	want := []string{
+		"gauge shard0/fig6/solar/goodput_gbps",
+		"counter shard0/fig6/solar/retransmits",
+		"histogram shard0/fig6/solar/write/fn",
+		"counter shard1/fig6/solar/retransmits",
+		"histogram shard1/fig6/solar/write/fn",
 	}
-	// Prefixed merge keeps shards distinct.
-	pref := NewRegistry()
-	pref.Merge(shard0, "shard0/")
-	pref.Merge(shard1, "shard1/")
-	if got := pref.Counter("shard0/fig6/solar/retransmits"); got != 3 {
-		t.Fatalf("prefixed counter = %d", got)
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("merged rows %q, want %q", got, want)
 	}
-	if pref.Counter("fig6/solar/retransmits") != 0 {
-		t.Fatal("unprefixed name leaked into prefixed merge")
+	if n := len(shard0.Snapshot().Metrics); n != 3 {
+		t.Fatalf("merge changed its source: %d rows, want 3", n)
 	}
 }
