@@ -108,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDriverShadow$$' -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzRoute$$' -fuzztime 10s ./internal/simnet
+	$(GO) test -run '^$$' -fuzz '^FuzzECMPPick$$' -fuzztime 10s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz '^FuzzTenantCap$$' -fuzztime 10s ./internal/sa
 
 # One quick experiment benchmark, the raw event-loop benchmark, the

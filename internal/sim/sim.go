@@ -310,16 +310,35 @@ func (e *Engine) push(ev *Event) {
 	e.siftUp(len(e.heap) - 1)
 }
 
+// pop removes the root bottom-up: the hole it leaves walks to a leaf along
+// the lesser child, one comparison per level instead of siftDown's two, and
+// the last element fills it and sifts up, which from a leaf is rarely far.
+// Keys are unique, so the heap pops in the same order either way.
 func (e *Engine) pop() *Event {
-	root := e.heap[0]
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap[n] = nil
-	e.heap = e.heap[:n]
+	h := e.heap
+	root := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	e.heap = h
 	if n > 0 {
-		e.heap[0] = last
-		last.index = 0
-		e.siftDown(0)
+		i := 0
+		for {
+			m := 2*i + 1
+			if m >= n {
+				break
+			}
+			if r := m + 1; r < n && eventLess(h[r], h[m]) {
+				m = r
+			}
+			h[i] = h[m]
+			h[i].index = int32(i)
+			i = m
+		}
+		h[i] = last
+		last.index = int32(i)
+		e.siftUp(i)
 	}
 	root.index = -1
 	return root
@@ -341,46 +360,46 @@ func (e *Engine) remove(ev *Event) {
 	ev.index = -1
 }
 
-func (e *Engine) swap(i, j int) {
-	h := e.heap
-	h[i], h[j] = h[j], h[i]
-	h[i].index = int32(i)
-	h[j].index = int32(j)
-}
-
 func (e *Engine) siftUp(i int) {
 	h := e.heap
+	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(h[i], h[parent]) {
+		p := h[parent]
+		if !eventLess(ev, p) {
 			break
 		}
-		e.swap(i, parent)
+		h[i] = p
+		p.index = int32(i)
 		i = parent
 	}
+	h[i] = ev
+	ev.index = int32(i)
 }
 
 func (e *Engine) siftDown(i int) bool {
 	h := e.heap
 	n := len(h)
-	moved := false
+	ev := h[i]
+	top := i
 	for {
-		l := 2*i + 1
-		if l >= n {
+		m := 2*i + 1
+		if m >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && eventLess(h[r], h[l]) {
+		if r := m + 1; r < n && eventLess(h[r], h[m]) {
 			m = r
 		}
-		if !eventLess(h[m], h[i]) {
+		if !eventLess(h[m], ev) {
 			break
 		}
-		e.swap(i, m)
+		h[i] = h[m]
+		h[i].index = int32(i)
 		i = m
-		moved = true
 	}
-	return moved
+	h[i] = ev
+	ev.index = int32(i)
+	return i > top
 }
 
 // Rand wraps math/rand with the distributions the models need. Each

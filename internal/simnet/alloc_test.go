@@ -11,43 +11,77 @@ import (
 // (host → ToR → spine → ToR → host) and asserts the steady-state forwarding
 // path performs zero heap allocations: packets, link transfers, switch
 // forwarding nodes and timer events all come from engine-owned free lists.
+// Two rows change the fabric around each packet, so every pick rebuilds
+// its group's cached members: a link flap, and a hung spine whose
+// detection deadline the clock crosses. The cache is sized when the
+// fabric is built, so neither allocates.
 func TestForwardingAllocFree(t *testing.T) {
-	eng := sim.NewEngine(7)
-	cfg := DefaultConfig()
-	cfg.RacksPerPod = 2
-	cfg.HostsPerRack = 2
-	cfg.SpinesPerPod = 2
-	cfg.CoresPerDC = 2
-	fab := New(eng, cfg)
+	for _, tc := range []struct {
+		name string
+		op   func(fab *Fabric, send func()) func() // one op: a send and what surrounds it
+	}{
+		{"steady", func(_ *Fabric, send func()) func() { return send }},
+		{"link flap", func(fab *Fabric, send func()) func() {
+			uplink := fab.ToR(0, 0, 0, 0).ports[0]
+			return func() {
+				fab.FailLink(uplink)
+				send()
+				fab.RepairLink(uplink)
+				send()
+			}
+		}},
+		{"hung spine's deadline", func(fab *Fabric, send func()) func() {
+			spine := fab.Spine(0, 0, 0)
+			return func() {
+				spine.Fail()
+				send()
+				fab.Eng.RunFor(fab.Config().DetectDelay)
+				send()
+				spine.Repair()
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(7)
+			cfg := DefaultConfig()
+			cfg.RacksPerPod = 2
+			cfg.HostsPerRack = 2
+			cfg.SpinesPerPod = 2
+			cfg.CoresPerDC = 2
+			fab := New(eng, cfg)
 
-	a := fab.Host(0, 0, 0, 0)
-	b := fab.Host(0, 1, 0, 0)
-	a.Handler = func(pkt *Packet) { pkt.Release() }
-	b.Handler = func(pkt *Packet) { pkt.Release() }
+			a := fab.Host(0, 0, 0, 0)
+			b := fab.Host(0, 1, 0, 0)
+			a.Handler = func(pkt *Packet) { pkt.Release() }
+			b.Handler = func(pkt *Packet) { pkt.Release() }
 
-	send := func() {
-		pkt := a.PacketPool().Get(4096)
-		pkt.Dst = b.Addr()
-		pkt.Proto = 17
-		pkt.SrcPort = 30001
-		pkt.DstPort = 7010
-		pkt.Overhead = EthOverhead
-		pkt.SentAt = eng.Now()
-		if !a.Send(pkt) {
-			pkt.Release()
-		}
-		eng.Run()
-	}
+			send := func() {
+				pkt := a.PacketPool().Get(4096)
+				pkt.Dst = b.Addr()
+				pkt.Proto = 17
+				pkt.SrcPort = 30001
+				pkt.DstPort = 7010
+				pkt.Overhead = EthOverhead
+				pkt.SentAt = eng.Now()
+				if !a.Send(pkt) {
+					pkt.Release()
+				}
+				eng.Run()
+			}
+			op := tc.op(fab, send)
 
-	// Warm the pools (packet buffers, xfer/fwd nodes, event free list).
-	for i := 0; i < 64; i++ {
-		send()
-	}
-	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
-		t.Fatalf("steady-state fabric forwarding allocates %.1f objects per packet, want 0", allocs)
-	}
-	if n := fab.Pool().Outstanding(); n != 0 {
-		t.Fatalf("pool reports %d leaked packets", n)
+			// Warm the pools (packet buffers, xfer/fwd nodes, event free
+			// list) and the drop counters' keys.
+			for i := 0; i < 64; i++ {
+				op()
+			}
+			if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+				t.Fatalf("fabric forwarding allocates %.1f objects per op, want 0", allocs)
+			}
+			if n := fab.Pool().Outstanding(); n != 0 {
+				t.Fatalf("pool reports %d leaked packets", n)
+			}
+		})
 	}
 }
 

@@ -100,6 +100,11 @@ type Fabric struct {
 	byName   map[string]*Switch
 
 	hopSeq uint16
+
+	// epoch counts link and switch state changes (Port.SetUp, Switch.Fail,
+	// Switch.Repair); an ECMP group whose cached members were built at
+	// another epoch rebuilds them. It starts at 1, so a new group is stale.
+	epoch uint64
 }
 
 // Pool returns the fabric's engine-owned packet pool.
@@ -121,6 +126,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 		freeFwd:  sim.NewPool[swFwd](eng),
 		hosts:    map[uint32]*Host{},
 		byName:   map[string]*Switch{},
+		epoch:    1,
 	}
 	// Switch salts draw from the fabric's forked stream, in build order.
 	buf, ecn := cfg.BufferBytes, cfg.ECNThresholdBytes

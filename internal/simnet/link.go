@@ -46,7 +46,10 @@ type Port struct {
 
 // SetUp changes the port's link state (both directions of a link fail
 // independently; FailLink takes both down).
-func (p *Port) SetUp(up bool) { p.up = up }
+func (p *Port) SetUp(up bool) {
+	p.up = up
+	p.fab.epoch++
+}
 
 // serialization returns how long a frame of n bytes occupies the wire.
 func (p *Port) serialization(n int) time.Duration {
@@ -166,6 +169,7 @@ func (h *Host) TxPackets() uint64 { return h.txPackets }
 func (h *Host) Send(pkt *Packet) bool {
 	h.txPackets++
 	pkt.Src = h.addr
+	pkt.flow, pkt.hasFlow = flowState(pkt), true
 	if pkt.TTL == 0 {
 		pkt.TTL = 64
 	}
@@ -184,7 +188,7 @@ func (h *Host) Send(pkt *Packet) bool {
 		h.fab.countDrop("hostdark")
 		return false
 	}
-	k := int(FlowHash(pkt, 0x9e3779b9) % uint32(up))
+	k := int(pkt.flowHash(0x9e3779b9) % uint32(up))
 	for _, p := range h.ports {
 		if p.up && p.peer.up {
 			if k == 0 {

@@ -39,11 +39,16 @@ type Packet struct {
 
 	SentAt sim.Time // stamped by the sender for RTT accounting
 
+	// flow is the FNV-1a state of the 5-tuple, stored by Host.Send once it
+	// has stamped Src (hasFlow); see flowHash.
+	flow    uint32
+	hasFlow bool
+
 	// Pool bookkeeping; zero for packets built with struct literals.
-	pool        *PacketPool
-	ownsPayload bool  // Payload came from the pool and returns with the packet
-	frag        *Slab // reference held for Frag's lifetime
+	ownsPayload bool // Payload came from the pool and returns with the packet
 	free        bool
+	pool        *PacketPool
+	frag        *Slab         // reference held for Frag's lifetime
 	intStore    wire.INTStack // backing storage for INT when pooled
 }
 
@@ -104,29 +109,46 @@ const DefaultOverheadUDP = EthOverhead + wire.IPv4Size + wire.UDPSize
 // DefaultOverheadTCP is the envelope size for TCP-borne packets.
 const DefaultOverheadTCP = EthOverhead + wire.IPv4Size + wire.TCPSegSize
 
+// FNV-1a, 32 bits.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+// fnvMix folds v's four bytes, low first, into the FNV-1a state h.
+func fnvMix(h, v uint32) uint32 {
+	for i := 0; i < 4; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime32
+		v >>= 8
+	}
+	return h
+}
+
+// flowState is the FNV-1a state after the packet's 5-tuple: FlowHash
+// before its salt.
+func flowState(p *Packet) uint32 {
+	h := fnvMix(fnvOffset32, p.Src)
+	h = fnvMix(h, p.Dst)
+	h = fnvMix(h, uint32(p.SrcPort)<<16|uint32(p.DstPort))
+	return fnvMix(h, uint32(p.Proto))
+}
+
 // FlowHash computes the consistent ECMP hash of the packet's 5-tuple mixed
 // with a per-switch salt (FNV-1a). The same flow always hashes identically
 // at a given switch, so a flow's path is stable until its source port — the
 // path ID — changes.
-func FlowHash(p *Packet, salt uint32) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	mix := func(v uint32) {
-		for i := 0; i < 4; i++ {
-			h ^= v & 0xff
-			h *= prime32
-			v >>= 8
-		}
+func FlowHash(p *Packet, salt uint32) uint32 { return fnvMix(flowState(p), salt) }
+
+// flowHash is FlowHash(p, salt) for the forwarding path. The salt is mixed
+// last, so it starts from the state Host.Send stored and mixes only the
+// salt; a packet that never passed through Host.Send hashes in full.
+func (p *Packet) flowHash(salt uint32) uint32 {
+	h := p.flow
+	if !p.hasFlow {
+		h = flowState(p)
 	}
-	mix(p.Src)
-	mix(p.Dst)
-	mix(uint32(p.SrcPort)<<16 | uint32(p.DstPort))
-	mix(uint32(p.Proto))
-	mix(salt)
-	return h
+	return fnvMix(h, salt)
 }
 
 // Addr packs (dc, pod, rack, host) into a 32-bit host address. Components

@@ -394,6 +394,78 @@ func TestFlowHashDeterministic(t *testing.T) {
 	}
 }
 
+// TestFlowHashPinned: FlowHash's values for three 5-tuple/salt pairs are
+// fixed, so no rework of the hash can move an ECMP, bonding or blackhole
+// choice; the forwarding path's flowHash, from Host.Send's stored state or
+// without it, agrees.
+func TestFlowHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		p    Packet
+		salt uint32
+		want uint32
+	}{
+		{Packet{Src: Addr(0, 0, 0, 0), Dst: Addr(0, 1, 0, 0), Proto: 17, SrcPort: 30001, DstPort: 7010}, 0x9e3779b9, 0x779a01b9},
+		{Packet{Src: Addr(0, 1, 3, 2), Dst: Addr(0, 0, 1, 1), Proto: 6, SrcPort: 49152, DstPort: 3260}, 0, 0xd07f948b},
+		{Packet{Src: 0xdeadbeef, Dst: 0x01020304, Proto: 17, SrcPort: 0xffff, DstPort: 1}, 0x12345678, 0xd953c771},
+	} {
+		p := c.p
+		if got := FlowHash(&p, c.salt); got != c.want {
+			t.Errorf("FlowHash(%+v, %#x) = %#08x, want %#08x", c.p, c.salt, got, c.want)
+		}
+		if got := p.flowHash(c.salt); got != c.want {
+			t.Errorf("flowHash without stored state = %#08x, want %#08x", got, c.want)
+		}
+		p.flow, p.hasFlow = flowState(&p), true
+		if got := p.flowHash(c.salt); got != c.want {
+			t.Errorf("flowHash from stored state = %#08x, want %#08x", got, c.want)
+		}
+	}
+}
+
+// TestSendRekeysFlowHash: a packet sent again through Host.Send with a new
+// source port (Solar's path re-key) hashes with the new port: a pooled
+// packet that came back to the pool, and a literal one that never does.
+func TestSendRekeysFlowHash(t *testing.T) {
+	eng, f := smallFabric(t)
+	src, dst := f.Host(0, 0, 0, 0), f.Host(0, 1, 0, 0)
+	var got []uint32
+	dst.Handler = func(p *Packet) {
+		got = append(got, p.flowHash(42))
+		p.Release()
+	}
+	want := func(port uint16) uint32 {
+		return FlowHash(&Packet{Src: src.Addr(), Dst: dst.Addr(), Proto: wire.ProtoUDP, SrcPort: port, DstPort: 9000}, 42)
+	}
+
+	var first *Packet
+	for _, port := range []uint16{30001, 30002} {
+		pkt := f.Pool().Get(64)
+		if first == nil {
+			first = pkt
+		} else if pkt != first {
+			t.Fatal("the pool did not hand the released packet out again")
+		}
+		pkt.Dst, pkt.Proto, pkt.SrcPort, pkt.DstPort, pkt.Overhead = dst.Addr(), wire.ProtoUDP, port, 9000, DefaultOverheadUDP
+		if !src.Send(pkt) {
+			t.Fatal("send failed")
+		}
+		eng.Run()
+	}
+	lit := mkPkt(src, dst, 30003, 64)
+	for _, port := range []uint16{30003, 30004} {
+		lit.SrcPort = port
+		if !src.Send(lit) {
+			t.Fatal("send failed")
+		}
+		eng.Run()
+	}
+	for i, port := range []uint16{30001, 30002, 30003, 30004} {
+		if i >= len(got) || got[i] != want(port) {
+			t.Fatalf("delivered hashes %#x, want packet %d to hash with source port %d (%#x)", got, i, port, want(port))
+		}
+	}
+}
+
 func TestRebootSwitchRepairs(t *testing.T) {
 	eng, f := smallFabric(t)
 	sw := f.Spine(0, 0, 0)

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"time"
 
 	"lunasolar/internal/sim"
@@ -32,8 +33,16 @@ func (t Tier) String() string {
 }
 
 // ecmpGroup is a set of candidate egress ports for a destination prefix.
+// live caches its usable members in port order. It is rebuilt when the
+// fabric's epoch moves (a link or switch changed state) or when the clock
+// reaches until, the earliest detection deadline of a hung peer switch
+// that is still a member. live shares nothing with ports and is sized
+// with it in addPort, so a rebuild never allocates.
 type ecmpGroup struct {
 	ports []*Port
+	live  []*Port
+	epoch uint64
+	until sim.Time
 }
 
 // Switch is a store-and-forward fabric switch with prefix routing and
@@ -114,11 +123,13 @@ func (s *Switch) Fail() {
 		s.alive = false
 		s.downAt = s.fab.Eng.Now()
 	}
+	s.fab.epoch++
 }
 
 // Repair brings a failed switch back and clears its injected loss.
 func (s *Switch) Repair() {
 	s.alive = true
+	s.fab.epoch++
 	s.dropRate = 0
 	s.blackholeFrac = 0
 }
@@ -136,47 +147,43 @@ func (s *Switch) SetBlackhole(frac float64, salt uint32) {
 // Forwarded returns packets successfully enqueued toward a next hop.
 func (s *Switch) Forwarded() uint64 { return s.forwarded }
 
-// usable reports whether an ECMP member port should be considered: the
-// link must be up, and a hung peer switch is excluded only once the
-// detection delay has elapsed since it failed.
-func (s *Switch) usable(p *Port) bool {
-	if !p.up || p.peer == nil || !p.peer.up {
-		return false
+// pick selects a member of g for pkt by consistent hash over the usable
+// ports, or nil if no port is usable.
+//
+//lint:hotpath
+func (s *Switch) pick(g *ecmpGroup, pkt *Packet) *Port {
+	if g == nil {
+		return nil
 	}
-	if peer, ok := p.peer.owner.(*Switch); ok && !peer.alive {
-		if s.fab.Eng.Now() >= peer.downAt.Add(s.fab.cfg.DetectDelay) {
-			return false
-		}
+	if g.epoch != s.fab.epoch || s.fab.Eng.Now() >= g.until {
+		s.refresh(g)
 	}
-	return true
+	if len(g.live) == 0 {
+		return nil
+	}
+	return g.live[pkt.flowHash(s.salt)%uint32(len(g.live))]
 }
 
-// pick selects a member of g for pkt by consistent hash over the usable
-// ports. Returns nil if no port is usable. Count-then-index keeps this
-// per-packet path allocation-free.
-func (s *Switch) pick(g *ecmpGroup, pkt *Packet) *Port {
-	if g == nil || len(g.ports) == 0 {
-		return nil
-	}
-	usable := 0
+// refresh rebuilds g.live from g.ports. A member is usable when its link
+// is up at both ends and its peer, if a hung switch, has not yet been
+// hung for the detection delay; the earliest such deadline still ahead is
+// g.until.
+func (s *Switch) refresh(g *ecmpGroup) {
+	now := s.fab.Eng.Now()
+	g.live, g.epoch, g.until = g.live[:0], s.fab.epoch, math.MaxInt64
 	for _, p := range g.ports {
-		if s.usable(p) {
-			usable++
+		if !p.up || p.peer == nil || !p.peer.up {
+			continue
 		}
-	}
-	if usable == 0 {
-		return nil
-	}
-	k := int(FlowHash(pkt, s.salt) % uint32(usable))
-	for _, p := range g.ports {
-		if s.usable(p) {
-			if k == 0 {
-				return p
+		if peer, ok := p.peer.owner.(*Switch); ok && !peer.alive {
+			at := peer.downAt.Add(s.fab.cfg.DetectDelay)
+			if now >= at {
+				continue
 			}
-			k--
+			g.until = min(g.until, at)
 		}
+		g.live = append(g.live, p)
 	}
-	return nil
 }
 
 // route resolves the egress ECMP group for dst: the down route of the
@@ -224,7 +231,7 @@ func (s *Switch) Receive(pkt *Packet, _ *Port) {
 		return
 	}
 	if s.blackholeFrac > 0 {
-		h := FlowHash(pkt, s.blackholeSalt)
+		h := pkt.flowHash(s.blackholeSalt)
 		if float64(h%10000) < s.blackholeFrac*10000 {
 			s.dropped++
 			s.fab.countDrop(s.dropBH)
@@ -275,5 +282,6 @@ func addPort(g *ecmpGroup, p *Port) *ecmpGroup {
 		g = &ecmpGroup{}
 	}
 	g.ports = append(g.ports, p)
+	g.live = append(g.live, p)
 	return g
 }

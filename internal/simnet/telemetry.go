@@ -12,9 +12,6 @@ import (
 // the simulation; RegisterInto folds them into a metrics registry at export
 // time.
 
-// MaxQueuedBytes returns the output queue's high-water mark in bytes.
-func (p *Port) MaxQueuedBytes() int { return p.maxQueued }
-
 // RegisterInto exports the fabric's per-hop telemetry into reg:
 // drops-by-reason counters under "<prefix>drops/<reason>", and per-switch
 // forwarding counters, ECN marks (summed over the switch's ports) and queue

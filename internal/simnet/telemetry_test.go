@@ -38,8 +38,8 @@ func TestPortTelemetryCounters(t *testing.T) {
 	burst(32) // back-to-back sends pile up in the NIC queues
 	var maxq int
 	for _, p := range a.Ports() {
-		if p.MaxQueuedBytes() > maxq {
-			maxq = p.MaxQueuedBytes()
+		if p.maxQueued > maxq {
+			maxq = p.maxQueued
 		}
 	}
 	if maxq < 2*8192 {
@@ -51,8 +51,8 @@ func TestPortTelemetryCounters(t *testing.T) {
 	burst(64)
 	maxq = 0
 	for _, p := range a.Ports() {
-		if p.MaxQueuedBytes() > maxq {
-			maxq = p.MaxQueuedBytes()
+		if p.maxQueued > maxq {
+			maxq = p.maxQueued
 		}
 	}
 	if maxq < before {
