@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "fabric: %d pods x %d racks x %d hosts = %d hosts, %d switches\n",
 		cfg.PodsPerDC, cfg.RacksPerPod, cfg.HostsPerRack, nHosts, nSwitches)
 	fmt.Fprintf(stdout, "links: host %s, fabric %s, buffers %dKB/port, ECN @ %dKB\n",
-		gbps(cfg.HostLinkBps), gbps(cfg.FabricLinkBps), cfg.BufferBytes>>10, cfg.ECNThresholdBytes>>10)
+		gbps(cfg.HostLinkBps), gbps(simnet.FabricLinkBps), cfg.BufferBytes>>10, cfg.ECNThresholdBytes>>10)
 
 	// ECMP spread: one flow per source port from a compute host to a
 	// storage host; report how many distinct spines carry traffic.
@@ -111,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		target = fab.ToR(0, 0, 0, 0)
 		target.SetBlackhole(0.25, 99)
 	}
-	fmt.Fprintf(stdout, "\ndrill: %s on %s (detect delay %v)\n", *drill, target.Name(), cfg.DetectDelay)
+	fmt.Fprintf(stdout, "\ndrill: %s on %s (detect delay %v)\n", *drill, target.Name(), simnet.DetectDelay)
 
 	// Probe 64 flows immediately, after half the detection delay, and after
 	// reconvergence.
@@ -131,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  %-22s %2d/64 flows delivered\n", label, delivered)
 	}
 	probe("right after failure:")
-	eng.RunFor(cfg.DetectDelay)
+	eng.RunFor(simnet.DetectDelay)
 	probe("after detect delay:")
 	return 0
 }

@@ -90,7 +90,7 @@ func New(cfg Config) *Cluster {
 	var chunkAddrs []uint32
 	for i := 0; i < cfg.ChunkServers; i++ {
 		host := storageHost(cfg.BlockServers + i)
-		cores := sim.NewServer(eng, fmt.Sprintf("chunk%d-cpu", i), cfg.StorageCores)
+		cores := sim.NewServer(eng, fmt.Sprintf("chunk%d-cpu", i), storageCores)
 		cs := chunkserver.New(eng, fmt.Sprintf("chunk%d", i), cfg.SSD)
 		bn := c.newStack(c.bnKind(), host, cores, nil)
 		chunkserver.NewService(eng, cs, bn)
@@ -100,7 +100,7 @@ func New(cfg Config) *Cluster {
 
 	for i := 0; i < cfg.BlockServers; i++ {
 		host := storageHost(i)
-		cores := sim.NewServer(eng, fmt.Sprintf("block%d-cpu", i), cfg.StorageCores)
+		cores := sim.NewServer(eng, fmt.Sprintf("block%d-cpu", i), storageCores)
 		var fnStack transport.Stack
 		var bnClient transport.Client
 		if c.bnKind() == cfg.FN {
@@ -111,8 +111,8 @@ func New(cfg Config) *Cluster {
 			mux := simnet.NewMux(host)
 			fn := c.newStack(cfg.FN, host, cores, nil)
 			bn := c.newStack(c.bnKind(), host, cores, nil)
-			c.routeMux(mux, cfg.FN, fn)
-			c.routeMux(mux, c.bnKind(), bn)
+			c.routeMux(mux, fn)
+			c.routeMux(mux, bn)
 			fnStack, bnClient = fn, bn
 		}
 		bs, err := blockserver.New(eng, fmt.Sprintf("block%d", i), fnStack, bnClient,
@@ -182,7 +182,7 @@ func (c *Cluster) newStack(kind StackKind, host *simnet.Host, cores *sim.Server,
 }
 
 // routeMux registers a stack's receiver under its wire protocol.
-func (c *Cluster) routeMux(mux *simnet.Mux, kind StackKind, st transport.Stack) {
+func (c *Cluster) routeMux(mux *simnet.Mux, st transport.Stack) {
 	switch s := st.(type) {
 	case *tcpstack.Stack:
 		mux.Handle(6, s.ReceivePacket) // wire.ProtoTCP

@@ -87,8 +87,7 @@ type Config struct {
 	BareMetal bool
 	DPU       dpu.Config
 
-	StorageCores int // per storage server
-	SSD          chunkserver.SSDConfig
+	SSD chunkserver.SSDConfig
 
 	// CrossDC places the storage pod in a second datacenter so frontend
 	// traffic crosses the DC-router tier (the Fig. 8 fleet topology).
@@ -97,6 +96,9 @@ type Config struct {
 
 	Seed int64
 }
+
+// storageCores is the core count of every storage server.
+const storageCores int = 16
 
 // DefaultConfig returns a cluster sized like the Table 2 testbed scaled
 // down: one compute pod and one storage pod in a single DC. Each stack runs
@@ -112,7 +114,6 @@ func DefaultConfig(fn StackKind) Config {
 		BlockServers:   4,
 		ChunkServers:   8,
 		StackCores:     4,
-		StorageCores:   16,
 		DPU:            dpu.DefaultConfig(),
 		SSD:            chunkserver.DefaultSSD(),
 		Seed:           1,
@@ -133,25 +134,21 @@ func (cfg Config) Validate() error {
 	if cfg.ComputeServers <= 0 || cfg.BlockServers <= 0 || cfg.ChunkServers < blockserver.Replicas {
 		return errors.New("ebs: cluster needs computes, block servers, and >=3 chunk servers")
 	}
-	// A zero here builds a server with no units, a channel or link with no
-	// rate, a fabric with no path between pods, or an unpaced SSD. The
-	// stack runs on the DPU (Solar kinds always do; New forces BareMetal)
-	// or on host cores, never both, so only one of the last two counts.
+	// A zero here builds a server with no units, a link with no rate or a
+	// fabric with no path between pods. The stack runs on the DPU (Solar
+	// kinds always do; New forces BareMetal) or on host cores, never both,
+	// so only one of the last two counts.
 	dpuResident := cfg.BareMetal || cfg.FN == Solar || cfg.FN == SolarStar
 	for _, k := range []struct {
 		name string
 		v    float64
 		used bool
 	}{
-		{"StorageCores", float64(cfg.StorageCores), true},
-		{"SSD.IOPSCap", cfg.SSD.IOPSCap, true},
 		{"SSD.Parallelism", float64(cfg.SSD.Parallelism), true},
 		{"Fabric.SpinesPerPod", float64(cfg.Fabric.SpinesPerPod), true},
 		{"Fabric.CoresPerDC", float64(cfg.Fabric.CoresPerDC), true},
 		{"Fabric.HostLinkBps", cfg.Fabric.HostLinkBps, true},
-		{"Fabric.FabricLinkBps", cfg.Fabric.FabricLinkBps, true},
 		{"StackCores", float64(cfg.StackCores), !dpuResident},
-		{"DPU.PCIeBps", cfg.DPU.PCIeBps, dpuResident},
 		{"DPU.CPUCores", float64(cfg.DPU.CPUCores), dpuResident},
 	} {
 		if k.used && !(k.v > 0) {
@@ -162,9 +159,6 @@ func (cfg Config) Validate() error {
 	// two hosts one address.
 	if err := cfg.Fabric.CheckDims(); err != nil {
 		return fmt.Errorf("ebs: Fabric.%v", err)
-	}
-	if cfg.Fabric.PropDelay < 0 || cfg.Fabric.InterDCDelay < 0 { // an arrival before its send
-		return fmt.Errorf("ebs: Fabric.PropDelay %v and Fabric.InterDCDelay %v must not be negative", cfg.Fabric.PropDelay, cfg.Fabric.InterDCDelay)
 	}
 	// Solar admits no read without a free Addr-table entry.
 	if (cfg.FN == Solar || cfg.FN == SolarStar) && cfg.DPU.MaxAddrEntries < 1 {

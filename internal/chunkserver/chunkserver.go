@@ -19,31 +19,29 @@ import (
 	"lunasolar/internal/wire"
 )
 
-// SSDConfig models one physical SSD.
+// SSDConfig models one physical SSD. The latency model and the IOPS
+// ceiling below are the same on every disk.
 type SSDConfig struct {
-	WriteCacheMedian time.Duration // write-cache commit latency
-	WriteSigma       float64       // log-normal shape for the write tail
-	NANDReadMedian   time.Duration // media read latency
-	ReadSigma        float64
-	CacheHitRate     float64 // server memory cache hit ratio for reads
-	CacheHitMedian   time.Duration
-	Parallelism      int // concurrent internal operations (channels × planes)
-	IOPSCap          float64
+	Parallelism int // concurrent internal operations (channels × planes)
 }
 
 // DefaultSSD returns the ESSD-class device model.
 func DefaultSSD() SSDConfig {
 	return SSDConfig{
-		WriteCacheMedian: 12 * time.Microsecond,
-		WriteSigma:       0.35,
-		NANDReadMedian:   65 * time.Microsecond,
-		ReadSigma:        0.30,
-		CacheHitRate:     0.55,
-		CacheHitMedian:   6 * time.Microsecond,
-		Parallelism:      64, // NVMe internal queue depth
-		IOPSCap:          800_000,
+		Parallelism: 64, // NVMe internal queue depth
 	}
 }
+
+// The ESSD-class device's latency model and IOPS ceiling.
+const (
+	writeCacheMedian time.Duration = 12 * time.Microsecond // write-cache commit latency
+	writeSigma       float64       = 0.35                  // log-normal shape for the write tail
+	nandReadMedian   time.Duration = 65 * time.Microsecond // media read latency
+	readSigma        float64       = 0.30
+	cacheHitRate     float64       = 0.55 // server memory cache hit ratio for reads
+	cacheHitMedian   time.Duration = 6 * time.Microsecond
+	iopsCap          float64       = 800_000
+)
 
 const (
 	pagesPerChunk = 32         // wire.BlockSize pages per arena allocation
@@ -63,7 +61,6 @@ type blockRec struct{ page, n, crc, gen uint32 }
 type Server struct {
 	eng  *sim.Engine
 	name string
-	cfg  SSDConfig
 	rand *sim.Rand
 
 	disk     *sim.Server
@@ -95,7 +92,6 @@ func New(eng *sim.Engine, name string, cfg SSDConfig) *Server {
 	return &Server{
 		eng:     eng,
 		name:    name,
-		cfg:     cfg,
 		rand:    eng.Rand.Fork(),
 		disk:    sim.NewServer(eng, name+"-ssd", cfg.Parallelism),
 		blocks:  map[blockKey]blockRec{},
@@ -113,7 +109,7 @@ func (s *Server) Stats() (writes, reads, crcErrors, misses uint64) {
 // admissionDelay reserves the next IOPS slot and returns how long the
 // caller must wait for it, so overload shows up as queueing delay.
 func (s *Server) admissionDelay() time.Duration {
-	interval := time.Duration(float64(time.Second) / s.cfg.IOPSCap)
+	interval := time.Duration(float64(time.Second) / iopsCap)
 	now := s.eng.Now()
 	if s.nextSlot < now {
 		s.nextSlot = now
@@ -209,11 +205,11 @@ func (s *Server) InFlightPages() int {
 func opAdmit(a any) {
 	o := a.(*blockOp)
 	s := o.s
-	median, sigma := s.cfg.NANDReadMedian, s.cfg.ReadSigma
+	median, sigma := nandReadMedian, readSigma
 	if o.kind == opWrite {
-		median, sigma = s.cfg.WriteCacheMedian, s.cfg.WriteSigma
-	} else if o.kind == opRead && s.rand.Bernoulli(s.cfg.CacheHitRate) {
-		median = s.cfg.CacheHitMedian
+		median, sigma = writeCacheMedian, writeSigma
+	} else if o.kind == opRead && s.rand.Bernoulli(cacheHitRate) {
+		median = cacheHitMedian
 	}
 	s.disk.SubmitArg(s.rand.LogNormal(median, sigma), opCommit, o)
 }

@@ -60,15 +60,14 @@ func TestFailoverRekeysPathInPlace(t *testing.T) {
 	r.eng.Run()
 	pe := r.client.peers[r.server.LocalAddr()]
 	p := pe.paths[0]
-	p.consecTO = r.client.params.PathFailThreshold
+	p.consecTO = pathFailThreshold
 	p.inflightBytes = 3 * maxPktSize
 	p.outstanding = append(p.outstanding, outRef{e: &outPkt{}, gen: 1})
 	p.ctrl.OnTimeout()
 
-	params := r.client.params
 	fresh := path{
-		rtt:  *transport.NewRTT(params.MinRTO, params.MaxRTO),
-		ctrl: *cc.NewHPCC(maxPktSize, params.InitCwnd, params.MaxCwnd, params.BaseRTT),
+		rtt:  *transport.NewRTT(minRTO, maxRTO),
+		ctrl: *cc.NewHPCC(maxPktSize, initCwnd, maxCwnd, baseRTT),
 	}
 	// Warm-up must have moved every field a failover resets, or the
 	// comparison below could not tell a reset from a field left alone.
@@ -100,16 +99,18 @@ func TestFailoverRekeysPathInPlace(t *testing.T) {
 	}
 }
 
-// TestBacklogDrainsInOrderWithoutAllocating: on one path whose window holds
-// two blocks, most of a 16-block write waits in the peer's backlog. The
-// blocks still reach the server in the order they were queued, and once
-// warm a write allocates nothing: the backlog keeps its array.
+// TestBacklogDrainsInOrderWithoutAllocating: on paths whose windows hold
+// one block each, most of a 16-block write waits in the peer's backlog.
+// The blocks still reach the server in the order they were queued, and
+// once warm a write allocates nothing: the backlog keeps its array.
 func TestBacklogDrainsInOrderWithoutAllocating(t *testing.T) {
 	r := newRig(t, dpu.FaultRates{}, Offloaded)
-	r.client.params.NumPaths = 1
-	r.client.params.InitCwnd, r.client.params.MaxCwnd = 2*maxPktSize, 2*maxPktSize
 	dst := r.server.LocalAddr()
 	pe := r.client.peerFor(dst)
+	for _, p := range pe.paths {
+		p.ctrl = *cc.NewHPCC(maxPktSize, maxPktSize, maxPktSize, baseRTT)
+	}
+	inflight := len(pe.paths) // one block per path
 
 	const blocks = 16
 	order := make([]uint64, 0, blocks)
@@ -131,8 +132,8 @@ func TestBacklogDrainsInOrderWithoutAllocating(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(50, write)
 
-	if queued < blocks-2 {
-		t.Fatalf("at most %d blocks waited in the backlog, want %d", queued, blocks-2)
+	if queued < blocks-inflight {
+		t.Fatalf("at most %d blocks waited in the backlog, want %d", queued, blocks-inflight)
 	}
 	if r.client.Retransmits != 0 {
 		t.Fatalf("%d retransmits: a resent block may overtake the queue", r.client.Retransmits)

@@ -60,58 +60,66 @@ const (
 	AckFlagReject = 1 << 2
 )
 
-// Params is the Solar cost and protocol model.
+// Params is the Solar client or server model. Mode is its one setting: the
+// protocol constants below are the same at every placement, and the
+// control-path CPU costs follow from where the stack runs (Mode.costs).
 type Params struct {
-	Mode     Mode
-	NumPaths int // persistent paths per peer ("e.g., 4", §4.5)
-
-	MinRTO, MaxRTO    time.Duration
-	PathFailThreshold int // consecutive timeouts that fail a path
-
-	InitCwnd, MaxCwnd int           // per-path HPCC window bounds, bytes
-	BaseRTT           time.Duration // uncongested fabric RTT for HPCC
-
-	// CPU costs (charged to the DPU CPU in Offloaded/CPUPath modes, or the
-	// storage host's cores in StorageServer mode).
-	PerRPCIssueCPU time.Duration // QoS poll + RPC issue + path selection
-	PerAckCPU      time.Duration // Path&CC update + bookkeeping per ACK
-	PerRPCDoneCPU  time.Duration // completion, doorbell to guest
-	PerBlockCPU    time.Duration // per-block header work (CPUPath/server)
-	SoftCRCPer4K   time.Duration // full software CRC (CPUPath, fallbacks)
-	AggXORPer4K    time.Duration // XOR-accumulate per block (the cheap
-	// software side of CRC aggregation)
+	Mode Mode
 }
 
-// DefaultParams returns the Solar client model (Offloaded).
-func DefaultParams() Params {
-	return Params{
-		Mode:              Offloaded,
-		NumPaths:          4,
-		MinRTO:            500 * time.Microsecond,
-		MaxRTO:            20 * time.Millisecond, // aggressive: duplicates are idempotent, hangs are the enemy
-		PathFailThreshold: 3,
-		InitCwnd:          128 << 10,
-		MaxCwnd:           1 << 20,
-		BaseRTT:           12 * time.Microsecond,
-		PerRPCIssueCPU:    1200 * time.Nanosecond,
-		PerAckCPU:         1400 * time.Nanosecond,
-		PerRPCDoneCPU:     1000 * time.Nanosecond,
-		PerBlockCPU:       300 * time.Nanosecond,
-		SoftCRCPer4K:      1600 * time.Nanosecond,
-		AggXORPer4K:       250 * time.Nanosecond,
+// The Solar protocol and software-CRC model.
+const (
+	numPaths int = 4 // persistent paths per peer ("e.g., 4", §4.5)
+
+	minRTO            time.Duration = 500 * time.Microsecond
+	maxRTO            time.Duration = 20 * time.Millisecond // aggressive: duplicates are idempotent, hangs are the enemy
+	pathFailThreshold int           = 3                     // consecutive timeouts that fail a path
+
+	// Per-path HPCC window bounds, bytes, and the uncongested fabric RTT.
+	initCwnd int           = 128 << 10
+	maxCwnd  int           = 1 << 20
+	baseRTT  time.Duration = 12 * time.Microsecond
+
+	softCRCPer4K time.Duration = 1600 * time.Nanosecond // full software CRC (CPUPath, fallbacks)
+	// aggXORPer4K is the XOR-accumulate per block: the cheap software side
+	// of CRC aggregation.
+	aggXORPer4K time.Duration = 250 * time.Nanosecond
+)
+
+// cpuCosts are the control-path CPU costs of one placement, charged to the
+// DPU CPU in Offloaded/CPUPath modes or to the storage host's cores in
+// StorageServer mode.
+type cpuCosts struct {
+	rpcIssue time.Duration // QoS poll + RPC issue + path selection
+	ack      time.Duration // Path&CC update + bookkeeping per ACK
+	rpcDone  time.Duration // completion, doorbell to guest
+	block    time.Duration // per-block header work (CPUPath/server)
+}
+
+// costs returns the CPU costs of placement m: the storage server's plain
+// host software, or the DPU CPU both client modes share.
+func (m Mode) costs() cpuCosts {
+	if m == StorageServer {
+		return cpuCosts{
+			rpcIssue: 800 * time.Nanosecond,
+			ack:      600 * time.Nanosecond,
+			rpcDone:  500 * time.Nanosecond,
+			block:    700 * time.Nanosecond,
+		}
+	}
+	return cpuCosts{
+		rpcIssue: 1200 * time.Nanosecond,
+		ack:      1400 * time.Nanosecond,
+		rpcDone:  1000 * time.Nanosecond,
+		block:    300 * time.Nanosecond,
 	}
 }
 
+// DefaultParams returns the Solar client model (Offloaded).
+func DefaultParams() Params { return Params{Mode: Offloaded} }
+
 // ServerParams returns the storage-server-side model.
-func ServerParams() Params {
-	p := DefaultParams()
-	p.Mode = StorageServer
-	p.PerRPCIssueCPU = 800 * time.Nanosecond
-	p.PerAckCPU = 600 * time.Nanosecond
-	p.PerRPCDoneCPU = 500 * time.Nanosecond
-	p.PerBlockCPU = 700 * time.Nanosecond
-	return p
-}
+func ServerParams() Params { return Params{Mode: StorageServer} }
 
 // Stack is one Solar endpoint. It implements transport.Stack.
 type Stack struct {
@@ -120,6 +128,7 @@ type Stack struct {
 	cores  *sim.Server
 	card   *dpu.DPU // nil in StorageServer mode
 	params Params
+	cpu    cpuCosts // params.Mode.costs()
 
 	handler transport.Handler
 	peers   map[uint32]*peer
@@ -179,6 +188,7 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, card *dpu.DPU, p
 		cores:      cores,
 		card:       card,
 		params:     params,
+		cpu:        params.Mode.costs(),
 		peers:      map[uint32]*peer{},
 		rpcs:       map[uint64]*rpc{},
 		serves:     map[serveKey]*serve{},

@@ -87,7 +87,7 @@ func (s *Stack) Call(dst uint32, req *transport.Message, done func(*transport.Re
 func (s *Stack) issue(r *rpc) {
 	r.id = s.ids.Next()
 	s.rpcs[r.id] = r
-	s.cores.SubmitArg(s.params.PerRPCIssueCPU, rpcIssue, r)
+	s.cores.SubmitArg(s.cpu.rpcIssue, rpcIssue, r)
 }
 
 // rpcIssue runs after the issue charge: a READ sends its request packet; a
@@ -199,7 +199,7 @@ func rpcIssue(a any) {
 			if crc.Raw(e.payload) != trusted || e.ebs.BlockCRC != trusted {
 				copy(e.payload, r.blocks[i]) // same length: tx was copied from this block
 				e.ebs.BlockCRC = trusted
-				fixCPU += s.params.SoftCRCPer4K
+				fixCPU += softCRCPer4K
 			}
 		}
 		s.cores.Submit(fixCPU, nil)
@@ -221,7 +221,7 @@ func (s *Stack) complete(r *rpc, err error) {
 		sl.Release()
 	}
 	r.slabs = nil
-	cost := s.params.PerRPCDoneCPU
+	cost := s.cpu.rpcDone
 	if err != nil {
 		r.resp = transport.Response{Err: err}
 	} else if r.op == wire.RPCReadReq {
@@ -280,7 +280,7 @@ func (s *Stack) txCRC(tx []byte, carried uint32, haveCarried bool) (uint32, []by
 		return s.card.ComputeCRCShared(tx, carried, haveCarried, s.crcScratchFn)
 	}
 	// CPUPath/StorageServer: software CRC (trusted), charged to the CPU.
-	s.cores.Submit(s.params.SoftCRCPer4K, nil)
+	s.cores.Submit(softCRCPer4K, nil)
 	if haveCarried {
 		return carried, nil
 	}
@@ -372,9 +372,9 @@ func (s *Stack) transmitOn(pe *peer, p *path, e *outPkt) {
 	case s.params.Mode == Offloaded && s.card != nil && dataLen > 0:
 		s.eng.ScheduleArg(s.card.PipelineWriteLatency(), wireTxSend, x)
 	case s.params.Mode == CPUPath && s.card != nil && dataLen > 0:
-		s.cores.SubmitArg(s.params.PerBlockCPU, wireTxPCIe, x)
+		s.cores.SubmitArg(s.cpu.block, wireTxPCIe, x)
 	case dataLen > 0:
-		s.cores.SubmitArg(s.params.PerBlockCPU, wireTxSend, x)
+		s.cores.SubmitArg(s.cpu.block, wireTxSend, x)
 	default:
 		wireTxSend(x)
 	}
@@ -431,7 +431,7 @@ func (s *Stack) onTimeout(pe *peer, e *outPkt) {
 	p := e.path
 	p.consecTO++
 	p.ctrl.OnTimeout()
-	if p.consecTO >= s.params.PathFailThreshold {
+	if p.consecTO >= pathFailThreshold {
 		s.failover(p)
 	}
 	s.retransmit(pe, e)

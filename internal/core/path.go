@@ -101,7 +101,7 @@ func (s *Stack) peerFor(addr uint32) *peer {
 	if p != nil {
 		return p
 	}
-	p = &peer{addr: addr, paths: make([]*path, s.params.NumPaths)}
+	p = &peer{addr: addr, paths: make([]*path, numPaths)}
 	for i := range p.paths {
 		p.paths[i] = new(path)
 		s.resetPath(p.paths[i])
@@ -123,8 +123,8 @@ const maxPktSize = wire.RPCSize + wire.EBSSize + wire.BlockSize
 func (s *Stack) resetPath(p *path) {
 	*p = path{
 		id:            s.allocPort(),
-		rtt:           *transport.NewRTT(s.params.MinRTO, s.params.MaxRTO),
-		ctrl:          *cc.NewHPCC(maxPktSize, s.params.InitCwnd, s.params.MaxCwnd, s.params.BaseRTT),
+		rtt:           *transport.NewRTT(minRTO, maxRTO),
+		ctrl:          *cc.NewHPCC(maxPktSize, initCwnd, maxCwnd, baseRTT),
 		inflightBytes: p.inflightBytes,
 		outstanding:   p.outstanding,
 	}

@@ -6,6 +6,7 @@ import (
 
 	"lunasolar/internal/cc"
 	"lunasolar/internal/crc"
+	"lunasolar/internal/dpu"
 	"lunasolar/internal/simnet"
 	"lunasolar/internal/trace"
 	"lunasolar/internal/transport"
@@ -93,10 +94,10 @@ func (s *Stack) sendAckTimes(pkt *simnet.Packet, rpcID uint64, pktID uint16, fla
 	if s.params.Mode == Offloaded && s.card != nil {
 		// Fig. 13: the pipeline's packet generator emits acknowledgments
 		// "without interrupting the CPU".
-		s.eng.ScheduleArg(s.card.Cfg.PktGen, wireTxSend, x)
+		s.eng.ScheduleArg(dpu.PktGen, wireTxSend, x)
 		return
 	}
-	s.cores.SubmitArg(s.params.PerAckCPU/2, wireTxSend, x)
+	s.cores.SubmitArg(s.cpu.ack/2, wireTxSend, x)
 }
 
 // handleWriteBlock is the server side of a WRITE: each packet is one
@@ -140,7 +141,7 @@ func (s *Stack) handleWriteBlock(pkt *simnet.Packet, rpc wire.RPC, rest []byte) 
 	// Per-block server CPU, then hand to the block service; the durable
 	// ACK (Fig. 12's WRITE response) is sent when it replies. The packet
 	// rides along until then: the ack echoes its INT and timestamps.
-	s.cores.SubmitArg(s.params.PerBlockCPU, serveStart, v)
+	s.cores.SubmitArg(s.cpu.block, serveStart, v)
 }
 
 // handleReadReq is the server side of a READ: acknowledge the request
@@ -166,7 +167,7 @@ func (s *Stack) handleReadReq(pkt *simnet.Packet, rpc wire.RPC, rest []byte) {
 		LBA: ebs.LBA, Gen: ebs.Gen, Flags: ebs.Flags, ReadLen: int(ebs.BlockLen),
 	}
 	s.serves[key] = v
-	s.cores.SubmitArg(s.params.PerRPCIssueCPU, serveStart, v)
+	s.cores.SubmitArg(s.cpu.rpcIssue, serveStart, v)
 }
 
 // serveReadBlocks sends each block of a read response as an independent
@@ -291,9 +292,9 @@ func (s *Stack) handleReadBlock(pkt *simnet.Packet, rpc wire.RPC, rest []byte) {
 	case s.params.Mode == Offloaded && s.card != nil:
 		s.eng.ScheduleArg(s.card.PipelineReadLatency(), commitRun, j)
 	case s.params.Mode == CPUPath && s.card != nil:
-		s.cores.SubmitArg(s.params.PerBlockCPU+s.params.SoftCRCPer4K, commitPCIe, j)
+		s.cores.SubmitArg(s.cpu.block+softCRCPer4K, commitPCIe, j)
 	default:
-		s.cores.SubmitArg(s.params.PerBlockCPU, commitRun, j)
+		s.cores.SubmitArg(s.cpu.block, commitRun, j)
 	}
 }
 
@@ -340,7 +341,7 @@ func (s *Stack) commitReadBlock(pkt *simnet.Packet, rpc wire.RPC, ebs wire.EBS, 
 
 	// The block's headers and metadata go to the CPU for the integrity
 	// aggregation and congestion update (Fig. 13); the payload does not.
-	s.cores.Submit(s.params.PerBlockCPU, nil)
+	s.cores.Submit(s.cpu.block, nil)
 
 	off := int(rpc.PktID) * wire.BlockSize
 	copy(r.buf[off:], payload) // DMA into guest memory
@@ -359,7 +360,7 @@ func (s *Stack) commitReadBlock(pkt *simnet.Packet, rpc wire.RPC, ebs wire.EBS, 
 
 // aggCost is the software aggregation cost: one cheap XOR fold per block.
 func (s *Stack) aggCost(blocks int) time.Duration {
-	return time.Duration(int64(s.params.AggXORPer4K) * int64(blocks))
+	return time.Duration(int64(aggXORPer4K) * int64(blocks))
 }
 
 // handleAck decodes a per-packet acknowledgment into a pooled job and
@@ -377,7 +378,7 @@ func (s *Stack) handleAck(pkt *simnet.Packet, rpc wire.RPC, rest []byte) {
 	j.src = pkt.Src
 	j.rpcFlags = rpc.Flags
 	pkt.Release()
-	s.cores.SubmitArg(s.params.PerAckCPU, ackJobRun, j)
+	s.cores.SubmitArg(s.cpu.ack, ackJobRun, j)
 }
 
 // runAck processes one acknowledgment after its CPU charge: path condition
@@ -486,7 +487,7 @@ func (s *Stack) repairAndResend(key outKey, e *outPkt) {
 	e.ebs.BlockCRC = trusted
 	s.IntegrityHits++
 	s.rec.Record(s.eng.Now().Duration(), trace.EvIntegrityHit, e.key.rpcID, 0)
-	s.cores.SubmitArg(s.params.SoftCRCPer4K, resendRepaired, outRef{e: e, gen: e.gen})
+	s.cores.SubmitArg(softCRCPer4K, resendRepaired, outRef{e: e, gen: e.gen})
 }
 
 // resendRepaired retransmits a repaired block after its software CRC

@@ -15,24 +15,36 @@ import (
 	"lunasolar/internal/sim"
 )
 
-// Config parameterizes one ALI-DPU.
+// Config is what the evaluation varies on one ALI-DPU: its core count
+// (Fig. 14), the Addr table's capacity, and the FPGA fault rates (Fig. 11).
 type Config struct {
-	CPUCores int     // infrastructure CPU ("only has six cores", §4.2)
-	PCIeBps  float64 // internal PCIe effective bandwidth ("far less than 100Gbps")
+	CPUCores int // infrastructure CPU ("only has six cores", §4.2)
 
-	// FPGA stage latencies, per operation.
-	TableLookup time.Duration // QoS/Block/Addr match-action stage
-	CRCPer4K    time.Duration // CRC engine, per block
-	DMAPer4K    time.Duration // DMA guest memory <-> FPGA, per block
-	PktGen      time.Duration // header assembly / parse
-
-	// Capacity knobs drive the BRAM accounting of Table 3.
-	MaxAddrEntries int // outstanding one-block packets (Addr table)
-	MaxSegments    int // Block table entries
-	MaxVDisks      int // QoS table entries
+	// MaxAddrEntries bounds outstanding one-block packets (the Addr table);
+	// with the constant capacities below it drives Table 3's BRAM
+	// accounting.
+	MaxAddrEntries int
 
 	Faults FaultRates
 }
+
+// PCIeBps is the internal PCIe channel's effective bandwidth ("far less
+// than 100Gbps").
+const PCIeBps float64 = 70e9
+
+// FPGA stage latencies, per operation.
+const (
+	tableLookup time.Duration = 150 * time.Nanosecond // QoS/Block/Addr match-action stage
+	crcPer4K    time.Duration = 300 * time.Nanosecond // CRC engine, per block
+	dmaPer4K    time.Duration = 800 * time.Nanosecond // DMA guest memory <-> FPGA, per block
+	PktGen      time.Duration = 200 * time.Nanosecond // header assembly / parse
+)
+
+// Table capacities for Table 3's BRAM accounting.
+const (
+	MaxSegments int = 19456 // Block table entries: 19456 × 2 MiB ≈ 38 GiB of hot segments
+	MaxVDisks   int = 512   // QoS table entries: virtual disks on one server
+)
 
 // FaultRates are per-operation probabilities of hardware error, the §4.4
 // observation that "FPGA is error-prone due to random hardware failures".
@@ -45,14 +57,7 @@ type FaultRates struct {
 func DefaultConfig() Config {
 	return Config{
 		CPUCores:       6,
-		PCIeBps:        70e9,
-		TableLookup:    150 * time.Nanosecond,
-		CRCPer4K:       300 * time.Nanosecond,
-		DMAPer4K:       800 * time.Nanosecond,
-		PktGen:         200 * time.Nanosecond,
 		MaxAddrEntries: 20000, // outstanding one-block packets
-		MaxSegments:    19456, // 19456 × 2 MiB ≈ 38 GiB of hot segments
-		MaxVDisks:      512,   // virtual disks on one server
 	}
 }
 
@@ -74,7 +79,7 @@ func New(eng *sim.Engine, cfg Config) *DPU {
 		Eng:  eng,
 		Cfg:  cfg,
 		CPU:  sim.NewServer(eng, "dpu-cpu", cfg.CPUCores),
-		PCIe: sim.NewChannel(eng, "dpu-pcie", cfg.PCIeBps),
+		PCIe: sim.NewChannel(eng, "dpu-pcie", PCIeBps),
 		rand: eng.Rand.Fork(),
 	}
 }
@@ -90,15 +95,13 @@ func (d *DPU) InjectedFaults() (crcFlips, dataFlips uint64) {
 // fully pipelined — latency is charged per block, but throughput is bounded
 // only by the NIC (line rate), which is the point of the offload.
 func (d *DPU) PipelineWriteLatency() time.Duration {
-	c := d.Cfg
-	return 2*c.TableLookup + c.DMAPer4K + c.CRCPer4K + c.PktGen
+	return 2*tableLookup + dmaPer4K + crcPer4K + PktGen
 }
 
 // PipelineReadLatency returns the FPGA latency for one inbound data block:
 // parse, Addr lookup, CRC check, DMA to guest memory.
 func (d *DPU) PipelineReadLatency() time.Duration {
-	c := d.Cfg
-	return c.PktGen + c.TableLookup + c.CRCPer4K + c.DMAPer4K
+	return PktGen + tableLookup + crcPer4K + dmaPer4K
 }
 
 // ComputeCRC runs the FPGA CRC engine over a block, applying fault
@@ -205,8 +208,8 @@ func (d *DPU) Resources() []ModuleUsage {
 		// Logic sizes are fixed properties of each engine's implementation;
 		// BRAM scales with the configured capacities.
 		{Name: "Addr", LUTs: 60_000, BRAMBlocks: bramFor(c.MaxAddrEntries, 161)},
-		{Name: "Block", LUTs: 2_400, BRAMBlocks: bramFor(c.MaxSegments, 176)},
-		{Name: "QoS", LUTs: 1_200, BRAMBlocks: bramFor(c.MaxVDisks, 320)},
+		{Name: "Block", LUTs: 2_400, BRAMBlocks: bramFor(MaxSegments, 176)},
+		{Name: "QoS", LUTs: 1_200, BRAMBlocks: bramFor(MaxVDisks, 320)},
 		{Name: "SEC", LUTs: 33_000, BRAMBlocks: 20}, // AES round pipeline + S-boxes
 		{Name: "CRC", LUTs: 3_500, BRAMBlocks: 0},   // pure logic
 	}

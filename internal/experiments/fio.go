@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lunasolar/ebs"
+	"lunasolar/internal/dpu"
 	"lunasolar/internal/workload"
 )
 
@@ -19,7 +20,7 @@ func Fig14(opts Options) *Table {
 		Title:   "Figure 14: fio read, 32 I/O depth, by DPU cores",
 		Columns: []string{"stack", "cores", "64K MB/s", "4K IOPS"},
 	}
-	pcieCeiling := ebs.DefaultConfig(ebs.Solar).DPU.PCIeBps / 2 / 8 / 1e6 // crossed twice, in MB/s
+	pcieCeiling := dpu.PCIeBps / 2 / 8 / 1e6 // crossed twice, in MB/s
 	lineRate := 2 * 25e9 / 8 / 1e6
 
 	// One shard per (stack, cores, blocksize) cell — 24 independent

@@ -23,7 +23,7 @@ func Table3(opts Options) *Table {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("derived from capacities: %d Addr entries, %d segments, %d vdisks on a %d-LUT / %d-BRAM36 device",
-			card.Cfg.MaxAddrEntries, card.Cfg.MaxSegments, card.Cfg.MaxVDisks,
+			card.Cfg.MaxAddrEntries, dpu.MaxSegments, dpu.MaxVDisks,
 			dpu.DeviceLUTs, dpu.DeviceBRAMBlocks),
 		"paper: Addr 5.1/8.1, Block 0.2/8.6, QoS 0.1/0.4, SEC 2.8/0.9, CRC 0.3/0.0, total 8.5/18.2")
 	return t

@@ -121,7 +121,7 @@ func (j *rpcJob) reply(resp *transport.Response) {
 	}
 	j.msg.Payload.Release()
 	j.msg = transport.Message{}
-	j.s.cores.SubmitArg(j.s.params.PerRPCCPU, rpcSend, j)
+	j.s.cores.SubmitArg(perRPCCPU, rpcSend, j)
 }
 
 // keepCRCs copies crcs into the job's own backing array.

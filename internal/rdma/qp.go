@@ -26,7 +26,7 @@ type outPkt struct {
 }
 
 // qp is one reliable-connection queue pair: go-back-N over PSNs, with at
-// most params.WindowPkts packets in flight (the RC hardware window).
+// most windowPkts packets in flight (the RC hardware window).
 type qp struct {
 	s   *Stack
 	key qpKey
@@ -59,7 +59,7 @@ func newQP(s *Stack, k qpKey) *qp {
 	q := &qp{
 		s:         s,
 		key:       k,
-		rtt:       transport.NewRTT(s.params.MinRTO, s.params.MaxRTO),
+		rtt:       transport.NewRTT(minRTO, maxRTO),
 		assembler: map[uint64]*rpcJob{},
 	}
 	q.retx.Init(s.eng, q.rtt, -1, qpRTOExpired, q)
@@ -71,9 +71,10 @@ func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
 // sendMessage segments one RPC message into MTU packets and queues them.
 // Each packet's RPC+EBS header image is encoded once into a pooled prefix;
 // the chunk is attached by reference. When the caller supplied per-block
-// one-touch CRCs and the chunking aligns with them — MTU == BlockSize for
-// data, or a single header-only packet carrying a fold — each packet's EBS
-// header carries its block's CRC, flagged with EBSFlagHasCRC.
+// one-touch CRCs and the chunking aligns with them — one entry per packet,
+// a packet being one block of data (mtu is wire.BlockSize) or a single
+// header-only packet carrying a fold — each packet's EBS header carries its
+// block's CRC, flagged with EBSFlagHasCRC.
 func (q *qp) sendMessage(id uint64, op uint8, req *transport.Message, resp *transport.Response) {
 	var payload []byte
 	var crcs []uint32
@@ -91,12 +92,11 @@ func (q *qp) sendMessage(id uint64, op uint8, req *transport.Message, resp *tran
 		paySlab = resp.Payload
 		ebs = transport.ResponseHeader(resp)
 	}
-	mtu := q.s.params.MTU
 	numPkts := (len(payload) + mtu - 1) / mtu
 	if numPkts == 0 {
 		numPkts = 1
 	}
-	if len(crcs) != numPkts || (len(payload) > 0 && mtu != wire.BlockSize) {
+	if len(crcs) != numPkts {
 		crcs = nil // carriage only when packets and CRC entries correspond 1:1
 	}
 	// Chunks reference the message payload through one shared slab (the
@@ -162,9 +162,9 @@ func (q *qp) retire(n int) {
 	}
 }
 
-// pump transmits packets while fewer than WindowPkts are in flight.
+// pump transmits packets while fewer than windowPkts are in flight.
 func (q *qp) pump() {
-	for q.inflight() < q.s.params.WindowPkts {
+	for q.inflight() < windowPkts {
 		idx := int(q.sndNxt - q.sndUna)
 		sq := q.unacked()
 		if idx >= len(sq) {
@@ -311,7 +311,7 @@ func (q *qp) goBackN() {
 	now := q.s.eng.Now()
 	srtt := q.rtt.SRTT()
 	if srtt <= 0 {
-		srtt = q.s.params.MinRTO
+		srtt = minRTO
 	}
 	if q.lastRewind != 0 && now.Sub(q.lastRewind) < srtt {
 		return
@@ -429,7 +429,7 @@ func (q *qp) arrived(rpc *wire.RPC, ebs *wire.EBS, pkt *simnet.Packet) {
 	j.ebs, j.msgType, j.numPkts = *ebs, rpc.MsgType, 1
 	j.payload = pkt.Frag
 	j.msg.Payload = pkt.FragSlab().Retain()
-	q.s.cores.SubmitArg(q.s.params.PerRPCCPU, rpcDeliver, j)
+	q.s.cores.SubmitArg(perRPCCPU, rpcDeliver, j)
 }
 
 // reassemble lands one chunk of a multi-packet message, or the inline chunk
@@ -451,7 +451,7 @@ func (q *qp) reassemble(rpc *wire.RPC, ebs *wire.EBS, chunk []byte) {
 		if j.payload == nil {
 			size := len(chunk)
 			if j.numPkts > 1 {
-				size = j.numPkts * q.s.params.MTU
+				size = j.numPkts * mtu
 			}
 			j.msg.Payload = q.s.pool.GetSlab(size)
 			j.payload = j.msg.Payload.Bytes()[:0]
@@ -474,5 +474,5 @@ func (q *qp) reassemble(rpc *wire.RPC, ebs *wire.EBS, chunk []byte) {
 	if len(j.crcs) != j.numPkts {
 		j.crcs = j.crcs[:0]
 	}
-	q.s.cores.SubmitArg(q.s.params.PerRPCCPU, rpcDeliver, j)
+	q.s.cores.SubmitArg(perRPCCPU, rpcDeliver, j)
 }

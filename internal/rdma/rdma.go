@@ -28,30 +28,27 @@ const Proto = 254
 // ListenPort is the well-known service QP number.
 const ListenPort = 6010
 
-// Params is the RC model.
+// The RC model.
+const (
+	mtu        int = wire.BlockSize // packet payload
+	windowPkts int = 32             // send window per QP: the RC hardware's fixed inflight bound
+
+	minRTO time.Duration = time.Millisecond
+	maxRTO time.Duration = 100 * time.Millisecond
+
+	perRPCCPU        time.Duration = 700 * time.Nanosecond  // post WQE + poll CQE per message
+	cacheMissPenalty time.Duration = 1500 * time.Nanosecond // per packet on context miss
+)
+
+// Params is the RC model's one setting: the size of the RNIC's
+// connection-context cache, the §3.1 cliff's x-axis.
 type Params struct {
-	MTU        int // packet payload (4096)
-	WindowPkts int // send window per QP: the RC hardware's fixed inflight bound
-	MinRTO     time.Duration
-	MaxRTO     time.Duration
-
-	PerRPCCPU time.Duration // post WQE + poll CQE per message
-
-	QPCacheSize      int           // NIC connection-context cache
-	CacheMissPenalty time.Duration // per packet on context miss
+	QPCacheSize int // NIC connection-context cache
 }
 
 // DefaultParams returns the RC model used in the comparisons.
 func DefaultParams() Params {
-	return Params{
-		MTU:              4096,
-		WindowPkts:       32,
-		MinRTO:           time.Millisecond,
-		MaxRTO:           100 * time.Millisecond,
-		PerRPCCPU:        700 * time.Nanosecond,
-		QPCacheSize:      5000,
-		CacheMissPenalty: 1500 * time.Nanosecond,
-	}
+	return Params{QPCacheSize: 5000}
 }
 
 // Stack is one RDMA endpoint. It implements transport.Stack.
@@ -72,6 +69,9 @@ type Stack struct {
 	nextQPN  uint16
 	cacheLRU []qpKey     // front = coldest
 	ctxFetch *sim.Server // serialized context-fetch engine (miss bandwidth)
+	// missPenalty is cacheMissPenalty; a test exaggerates it to show the
+	// fetch engine serializing.
+	missPenalty time.Duration
 
 	CacheMisses uint64
 	Retransmits uint64
@@ -87,25 +87,20 @@ type qpKey struct {
 // mux.Handle(rdma.Proto, s.ReceivePacket) instead of letting New own the
 // host handler.
 func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, pcie *sim.Channel, params Params) *Stack {
-	if params.MTU <= 0 {
-		params.MTU = 4096
-	}
-	if params.WindowPkts <= 0 {
-		params.WindowPkts = 32
-	}
 	s := &Stack{
-		eng:      eng,
-		host:     host,
-		cores:    cores,
-		pcie:     pcie,
-		params:   params,
-		qps:      map[qpKey]*qp{},
-		clientQP: map[uint32]*qp{},
-		pending:  map[uint64]func(*transport.Response){},
-		freeJobs: sim.NewPool[rpcJob](eng),
-		nextQPN:  40000,
-		ctxFetch: sim.NewServer(eng, "rnic-ctx", 1),
-		pool:     host.PacketPool(),
+		eng:         eng,
+		host:        host,
+		cores:       cores,
+		pcie:        pcie,
+		params:      params,
+		qps:         map[qpKey]*qp{},
+		clientQP:    map[uint32]*qp{},
+		pending:     map[uint64]func(*transport.Response){},
+		freeJobs:    sim.NewPool[rpcJob](eng),
+		nextQPN:     40000,
+		ctxFetch:    sim.NewServer(eng, "rnic-ctx", 1),
+		missPenalty: cacheMissPenalty,
+		pool:        host.PacketPool(),
 	}
 	if host.Handler == nil {
 		host.Handler = s.ReceivePacket
@@ -147,7 +142,7 @@ func (s *Stack) cacheMiss(k qpKey, then func()) {
 	// The context becomes resident only once the fetch completes: packets
 	// arriving for this QP in the meantime miss too and queue behind the
 	// engine — the thrash regime past the cache size.
-	s.ctxFetch.Submit(s.params.CacheMissPenalty, func() {
+	s.ctxFetch.Submit(s.missPenalty, func() {
 		if lru := s.cacheLRU; len(lru) < s.params.QPCacheSize {
 			s.cacheLRU = append(lru, k)
 		} else if len(lru) > 0 {
@@ -176,7 +171,7 @@ func (s *Stack) Call(dst uint32, req *transport.Message, done func(*transport.Re
 	s.pending[id] = done
 	j := s.getJob(s.qpTo(dst), id)
 	j.req = req
-	s.cores.SubmitArg(s.params.PerRPCCPU, rpcSend, j)
+	s.cores.SubmitArg(perRPCCPU, rpcSend, j)
 }
 
 // ReceivePacket feeds one inbound frame into the stack. The stack takes

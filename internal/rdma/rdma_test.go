@@ -188,14 +188,19 @@ func TestContextFetchSerializes(t *testing.T) {
 
 	params := DefaultParams()
 	params.QPCacheSize = 1
-	params.CacheMissPenalty = 10 * time.Microsecond // exaggerated for clarity
+	// Exaggerated for clarity: at the real penalty the thrash costs too
+	// little next to the wire to tell serialized fetches apart.
+	const penalty = 10 * time.Microsecond
 
 	server := New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "s", 8), nil, params)
+	server.missPenalty = penalty
 	server.SetHandler(echo)
 
 	done := 0
+	var last sim.Time
 	for i := 0; i < 2; i++ {
 		client := New(eng, fab.Host(0, 0, 0, i), sim.NewServer(eng, "c", 2), nil, params)
+		client.missPenalty = penalty
 		var issue func()
 		n := 0
 		issue = func() {
@@ -204,7 +209,7 @@ func TestContextFetchSerializes(t *testing.T) {
 			}
 			n++
 			client.Call(server.LocalAddr(), &transport.Message{Op: wire.RPCWriteReq, Data: make([]byte, 4096)},
-				func(*transport.Response) { done++; issue() })
+				func(*transport.Response) { done++; last = eng.Now(); issue() })
 		}
 		issue()
 	}
@@ -216,8 +221,8 @@ func TestContextFetchSerializes(t *testing.T) {
 		t.Fatalf("misses = %d; 1-entry cache should thrash", server.CacheMisses)
 	}
 	// 100 RPCs × ≥2 server fetches × 10µs serialized ≥ 2ms of virtual time.
-	if eng.Now().Duration() < 2*time.Millisecond {
-		t.Fatalf("completed in %v; fetch engine not serializing", eng.Now().Duration())
+	if last.Duration() < 2*time.Millisecond {
+		t.Fatalf("last RPC completed at %v; fetch engine not serializing", last.Duration())
 	}
 }
 
@@ -289,15 +294,13 @@ func TestRewindRateLimitedPerRTT(t *testing.T) {
 	}
 }
 
-// TestFixedWindowBoundsInflight pins the RC hardware window: with
-// WindowPkts 4, a 64 KiB (16-packet) message never has more than 4 packets
-// in flight, and does reach 4.
+// TestFixedWindowBoundsInflight pins the RC hardware window: a 256 KiB
+// (64-packet) message never has more than windowPkts (32) packets in
+// flight, and does reach 32.
 func TestFixedWindowBoundsInflight(t *testing.T) {
-	params := DefaultParams()
-	params.WindowPkts = 4
-	p := newPair(t, params)
+	p := newPair(t, DefaultParams())
 	p.server.SetHandler(echo)
-	data := make([]byte, 64<<10)
+	data := make([]byte, 256<<10)
 	var got []byte
 	dst := p.server.LocalAddr()
 	p.client.Call(dst, &transport.Message{Op: wire.RPCWriteReq, Data: data},
@@ -310,9 +313,9 @@ func TestFixedWindowBoundsInflight(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("64K write did not complete intact")
+		t.Fatal("256K write did not complete intact")
 	}
-	if peak != params.WindowPkts {
-		t.Fatalf("peak inflight = %d packets, want exactly WindowPkts = %d", peak, params.WindowPkts)
+	if peak != 32 {
+		t.Fatalf("peak inflight = %d packets, want exactly the 32-packet window", peak)
 	}
 }

@@ -35,7 +35,7 @@ func TestForwardingAllocFree(t *testing.T) {
 			return func() {
 				spine.Fail()
 				send()
-				fab.Eng.RunFor(fab.Config().DetectDelay)
+				fab.Eng.RunFor(DetectDelay)
 				send()
 				spine.Repair()
 			}

@@ -53,7 +53,7 @@ func TestBulkCompletesOnClosedForm(t *testing.T) {
 func closedFormLat(cfg Config, n, chunk int, pace float64) time.Duration {
 	wire := DefaultOverheadUDP + chunk + bulkHdrSize
 	ser := func(bps float64) time.Duration { return time.Duration(float64(wire*8) / bps * float64(time.Second)) }
-	flight := 2*(ser(cfg.HostLinkBps)+cfg.PropDelay) + 4*(ser(cfg.FabricLinkBps)+cfg.PropDelay) + 5*cfg.SwitchLatency
+	flight := 2*(ser(cfg.HostLinkBps)+propDelay) + 4*(ser(FabricLinkBps)+propDelay) + 5*switchLatency
 	return time.Duration(n-1)*ser(pace) + flight
 }
 

@@ -16,7 +16,7 @@ func refUsable(s *Switch, p *Port) bool {
 		return false
 	}
 	if peer, ok := p.peer.owner.(*Switch); ok && !peer.alive {
-		if s.fab.Eng.Now() >= peer.downAt.Add(s.fab.cfg.DetectDelay) {
+		if s.fab.Eng.Now() >= peer.downAt.Add(DetectDelay) {
 			return false
 		}
 	}
@@ -101,7 +101,7 @@ func FuzzECMPPick(f *testing.F) {
 			ports = append(ports, s.ports...)
 		}
 		hosts := fab.Hosts()
-		step := cfg.DetectDelay / 16
+		step := DetectDelay / 16
 
 		check := func(op int, tuple byte) {
 			for _, s := range switches {

@@ -22,20 +22,25 @@ type Config struct {
 	CoresPerDC   int
 	DCRouters    int // 0 disables the region tier
 
-	HostLinkBps   float64 // per host NIC port
-	FabricLinkBps float64 // switch-to-switch
-
-	PropDelay     time.Duration // per intra-DC link
-	InterDCDelay  time.Duration // core↔DCR links
-	SwitchLatency time.Duration // pipeline latency per switch
+	HostLinkBps float64 // per host NIC port
 
 	BufferBytes       int // per egress port (shallow)
 	ECNThresholdBytes int
-
-	// DetectDelay is how long routing neighbours take to exclude a hung
-	// switch from ECMP groups. Hosts never detect hangs (no link signal).
-	DetectDelay time.Duration
 }
+
+// FabricLinkBps is the switch-to-switch link rate.
+const FabricLinkBps float64 = 100e9
+
+// Link and switch latencies.
+const (
+	propDelay     time.Duration = 200 * time.Nanosecond // per intra-DC link
+	interDCDelay  time.Duration = 5 * time.Microsecond  // core↔DCR links
+	switchLatency time.Duration = 400 * time.Nanosecond // pipeline latency per switch
+)
+
+// DetectDelay is how long routing neighbours take to exclude a hung switch
+// from ECMP groups. Hosts never detect hangs (no link signal).
+const DetectDelay time.Duration = 200 * time.Millisecond
 
 // DefaultConfig returns the baseline fabric used across the experiments.
 func DefaultConfig() Config {
@@ -48,13 +53,8 @@ func DefaultConfig() Config {
 		CoresPerDC:        4,
 		DCRouters:         0,
 		HostLinkBps:       25e9,
-		FabricLinkBps:     100e9,
-		PropDelay:         200 * time.Nanosecond,
-		InterDCDelay:      5 * time.Microsecond,
-		SwitchLatency:     400 * time.Nanosecond,
 		BufferBytes:       400 << 10, // shallow: 400 KiB per port
 		ECNThresholdBytes: 100 << 10,
-		DetectDelay:       200 * time.Millisecond,
 	}
 }
 
@@ -133,7 +133,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 
 	// DC routers (region tier).
 	for i := 0; i < cfg.DCRouters; i++ {
-		s := newSwitch(f, fmt.Sprintf("dcr%d", i), TierDCR, cfg.SwitchLatency, f.rand.Uint32())
+		s := newSwitch(f, fmt.Sprintf("dcr%d", i), TierDCR, switchLatency, f.rand.Uint32())
 		f.dcrs = append(f.dcrs, s)
 		f.byName[s.name] = s
 	}
@@ -142,13 +142,13 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 		// Cores of this DC.
 		var dcCores []*Switch
 		for c := 0; c < cfg.CoresPerDC; c++ {
-			s := newSwitch(f, fmt.Sprintf("core-d%d-%d", dc, c), TierCore, cfg.SwitchLatency, f.rand.Uint32())
+			s := newSwitch(f, fmt.Sprintf("core-d%d-%d", dc, c), TierCore, switchLatency, f.rand.Uint32())
 			f.cores = append(f.cores, s)
 			f.byName[s.name] = s
 			dcCores = append(dcCores, s)
 			// Core ↔ every DCR.
 			for _, dcr := range f.dcrs {
-				pc, pd := connect(f, s, dcr, cfg.FabricLinkBps, cfg.InterDCDelay, buf, ecn)
+				pc, pd := connect(f, s, dcr, FabricLinkBps, interDCDelay, buf, ecn)
 				s.ports = append(s.ports, pc)
 				dcr.ports = append(dcr.ports, pd)
 				s.defaultUp = addPort(s.defaultUp, pc)
@@ -160,13 +160,13 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 			// Spines of this pod.
 			var podSpines []*Switch
 			for sp := 0; sp < cfg.SpinesPerPod; sp++ {
-				s := newSwitch(f, fmt.Sprintf("spine-d%dp%d-%d", dc, pod, sp), TierSpine, cfg.SwitchLatency, f.rand.Uint32())
+				s := newSwitch(f, fmt.Sprintf("spine-d%dp%d-%d", dc, pod, sp), TierSpine, switchLatency, f.rand.Uint32())
 				f.spines = append(f.spines, s)
 				f.byName[s.name] = s
 				podSpines = append(podSpines, s)
 				// Spine ↔ every core in the DC.
 				for _, core := range dcCores {
-					ps, pc := connect(f, s, core, cfg.FabricLinkBps, cfg.PropDelay, buf, ecn)
+					ps, pc := connect(f, s, core, FabricLinkBps, propDelay, buf, ecn)
 					s.ports = append(s.ports, ps)
 					core.ports = append(core.ports, pc)
 					s.defaultUp = addPort(s.defaultUp, ps)
@@ -178,13 +178,13 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 				// The ToR pair.
 				pair := make([]*Switch, 2)
 				for t := 0; t < 2; t++ {
-					s := newSwitch(f, fmt.Sprintf("tor-d%dp%dr%d-%c", dc, pod, rack, 'a'+t), TierToR, cfg.SwitchLatency, f.rand.Uint32())
+					s := newSwitch(f, fmt.Sprintf("tor-d%dp%dr%d-%c", dc, pod, rack, 'a'+t), TierToR, switchLatency, f.rand.Uint32())
 					f.tors = append(f.tors, s)
 					f.byName[s.name] = s
 					pair[t] = s
 					// ToR ↔ every spine in the pod.
 					for _, spine := range podSpines {
-						pt, ps := connect(f, s, spine, cfg.FabricLinkBps, cfg.PropDelay, buf, ecn)
+						pt, ps := connect(f, s, spine, FabricLinkBps, propDelay, buf, ecn)
 						s.ports = append(s.ports, pt)
 						spine.ports = append(spine.ports, ps)
 						s.defaultUp = addPort(s.defaultUp, pt)
@@ -197,7 +197,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 					h := &Host{fab: f, addr: addr}
 					// Dual-homed: one port to each ToR of the pair.
 					for _, tor := range pair {
-						ph, pt := connect(f, h, tor, cfg.HostLinkBps, cfg.PropDelay, buf, ecn)
+						ph, pt := connect(f, h, tor, cfg.HostLinkBps, propDelay, buf, ecn)
 						h.ports = append(h.ports, ph)
 						tor.ports = append(tor.ports, pt)
 						tor.addDown(addr, pt)

@@ -231,7 +231,7 @@ func TestSpineHangExcludedAfterDetection(t *testing.T) {
 		t.Fatal("hung spine dropped nothing before detection")
 	}
 	// After detection delay all flows re-converge.
-	eng.RunFor(f.Config().DetectDelay + time.Millisecond)
+	eng.RunFor(DetectDelay + time.Millisecond)
 	for port := uint16(1); port <= 50; port++ {
 		src.Send(mkPkt(src, dst, port, 100))
 	}

@@ -176,7 +176,7 @@ func (s *Switch) refresh(g *ecmpGroup) {
 			continue
 		}
 		if peer, ok := p.peer.owner.(*Switch); ok && !peer.alive {
-			at := peer.downAt.Add(s.fab.cfg.DetectDelay)
+			at := peer.downAt.Add(DetectDelay)
 			if now >= at {
 				continue
 			}

@@ -54,30 +54,6 @@ type Params struct {
 	RxBufferSegs int
 }
 
-func (p *Params) norm() {
-	if p.MSS <= 0 {
-		p.MSS = 1448
-	}
-	if p.InitCwnd <= 0 {
-		p.InitCwnd = 10 * p.MSS
-	}
-	if p.MaxCwnd <= 0 {
-		p.MaxCwnd = 1 << 20
-	}
-	if p.MinRTO <= 0 {
-		p.MinRTO = 2 * time.Millisecond
-	}
-	if p.MaxRTO <= 0 {
-		p.MaxRTO = time.Second
-	}
-	if p.TSOBatch <= 0 {
-		p.TSOBatch = 1
-	}
-	if p.RxBufferSegs <= 0 {
-		p.RxBufferSegs = 256
-	}
-}
-
 // Stack is one host endpoint. It implements transport.Stack.
 type Stack struct {
 	eng    *sim.Engine
@@ -113,7 +89,6 @@ type connKey struct {
 // stack processing; pcie, when non-nil, is the bare-metal DPU's internal
 // channel every payload byte must cross twice (Fig. 10a).
 func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, pcie *sim.Channel, params Params) *Stack {
-	params.norm()
 	s := &Stack{
 		eng:      eng,
 		host:     host,

@@ -16,11 +16,11 @@ import (
 // lunaParams is a fast, ECN-enabled configuration for tests.
 func lunaParams() Params {
 	return Params{
-		MSS: 4096, UseECN: true,
+		MSS: 4096, InitCwnd: 10 * 4096, MaxCwnd: 1 << 20, UseECN: true,
 		MinRTO: 2 * time.Millisecond, MaxRTO: 500 * time.Millisecond,
 		PerRPCTxCPU: time.Microsecond, PerRPCRxCPU: time.Microsecond,
 		PerPktTxCPU: 300 * time.Nanosecond, PerPktRxCPU: 300 * time.Nanosecond,
-		TSOBatch: 4,
+		TSOBatch: 4, RxBufferSegs: 256,
 	}
 }
 
@@ -227,12 +227,13 @@ func TestPinnedFlowStallsOnHungToR(t *testing.T) {
 
 func TestKernelParamsSlower(t *testing.T) {
 	kernel := Params{
-		MSS:    1448,
+		MSS: 1448, InitCwnd: 10 * 1448, MaxCwnd: 1 << 20,
 		MinRTO: 200 * time.Millisecond, MaxRTO: 2 * time.Second,
 		PerRPCTxCPU: 2 * time.Microsecond, PerRPCRxCPU: 2 * time.Microsecond,
 		PerPktTxCPU: time.Microsecond, PerPktRxCPU: time.Microsecond,
 		CopyPer4K:     500 * time.Nanosecond,
 		PerRPCTxDelay: 15 * time.Microsecond, PerRPCRxDelay: 10 * time.Microsecond,
+		RxBufferSegs: 256,
 	}
 	kp := newPair(t, kernel)
 	kp.server.SetHandler(echoHandler)

@@ -78,9 +78,7 @@ func NewRig(seed int64) *Rig {
 	dcfg.Faults = dpu.FaultRates{}
 	card := dpu.New(eng, dcfg)
 
-	cp := core.DefaultParams()
-	cp.Mode = core.Offloaded
-	client := core.New(eng, fab.Host(0, 0, 0, 0), card.CPU, card, cp)
+	client := core.New(eng, fab.Host(0, 0, 0, 0), card.CPU, card, core.DefaultParams())
 	server := core.New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "storage-cpu", 16), nil, core.ServerParams())
 	r := newRig(eng, fab, client, server.LocalAddr(), 4096, false)
 	server.SetHandler(r.serve)
