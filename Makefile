@@ -75,7 +75,16 @@ cover:
 # the four ebstopo drills and `benchmark -all -seconds 1`, merges their
 # counters with `go tool covdata` and writes progcover.txt: the total and
 # every function at 0.0 %.
-# Informational, like `cover`; about 2.5 min on two vCPUs.
+# Then it checks the functions outside benchmark/ against the reviewed list
+# progcover.list, keyed by file and function name (one line per function,
+# so a name a file holds twice is listed twice), and fails naming each
+# function that no program reaches and the list lacks, and each listed
+# function that a program now reaches or that no longer exists. Every list
+# line carries one reason: fault (an error or fault path tests reach), ctrl
+# (the control plane and its hooks), contract (what benchmark/ needs, a
+# transport.Stack method, or the code behind a flag the run does not pass)
+# or gate (read by a test or Example in another package, named on the
+# line). CI runs it; about 3 min on two vCPUs.
 PROGCOVER = .progcover
 
 progcover:
@@ -94,6 +103,18 @@ progcover:
 	@{ grep '^total:' $(PROGCOVER)/cover.func; \
 	  grep -E '[[:space:]]0\.0%$$' $(PROGCOVER)/cover.func || true; } > progcover.txt
 	@head -1 progcover.txt; echo "$$(($$(wc -l < progcover.txt) - 1)) functions no program run reaches (progcover.txt)"
+	@sed -n 's|^lunasolar/\([^:]*\):[0-9]*:[[:space:]]*\([^[:space:]]*\).*|\1 \2|p' progcover.txt \
+		| grep -v '^benchmark/' | LC_ALL=C sort > $(PROGCOVER)/found
+	@awk '/^#/ || !NF { next } \
+		$$3 !~ /^(fault|ctrl|contract|gate)$$/ || ($$3 == "gate" && NF < 4) { \
+			print "progcover.list:" NR ": want <file> <function> fault|ctrl|contract|gate <test>: " $$0 > "/dev/stderr"; bad = 1 } \
+		{ print $$1, $$2 } END { exit bad }' progcover.list > $(PROGCOVER)/listed.raw
+	@LC_ALL=C sort $(PROGCOVER)/listed.raw > $(PROGCOVER)/listed
+	@{ LC_ALL=C comm -23 $(PROGCOVER)/found $(PROGCOVER)/listed | sed 's/^/progcover: no program reaches, progcover.list lacks: /'; \
+	  LC_ALL=C comm -13 $(PROGCOVER)/found $(PROGCOVER)/listed | sed 's/^/progcover: progcover.list lists, but a program reaches or it is gone: /'; \
+	} > $(PROGCOVER)/diff
+	@if [ -s $(PROGCOVER)/diff ]; then cat $(PROGCOVER)/diff; exit 1; fi
+	@echo "progcover.list names all $$(wc -l < $(PROGCOVER)/found) of them"
 
 # Ten seconds of real fuzzing per target (`go test` alone only replays the
 # seed corpora). CI runs it; it stays out of `check` so the pre-commit gate

@@ -34,10 +34,14 @@ func runExperiment(b *testing.B, name string, fn func(experiments.Options) *expe
 		if i == 0 {
 			fmt.Printf("\n%s", t.Format())
 		}
-		if t.Perf != nil {
-			events += float64(t.Perf.Events())
-			simMicros += float64(t.Perf.SimTime().Microseconds())
-			wallMs += float64(t.Perf.WallTime().Nanoseconds()) / 1e6
+		// The shard wall time is what the table's own rates divide by:
+		// events over events/sec, and sim-µs over sim-µs per wall-ms.
+		if t.Perf != nil && t.Perf.EventsPerSec() > 0 {
+			ev := float64(t.Perf.Events())
+			ms := ev / t.Perf.EventsPerSec() * 1e3
+			events += ev
+			wallMs += ms
+			simMicros += t.Perf.SimMicrosPerWallMs() * ms
 		}
 	}
 	if wallMs > 0 {
@@ -94,13 +98,13 @@ func benchIO(b *testing.B, fn ebs.StackKind, write bool) {
 			vd.Read(lba, 4096, func(ebs.IOResult) { issue() })
 		}
 	}
-	start := c.Now()
+	start := c.Eng.Now()
 	startEvents := c.Eng.Processed()
 	issue()
 	c.Run()
 	b.StopTimer()
 
-	elapsed := c.Now() - start
+	elapsed := c.Eng.Now().Sub(start)
 	if b.N > 0 && elapsed > 0 {
 		b.ReportMetric(float64(elapsed.Microseconds())/float64(b.N), "sim-µs/io")
 		b.ReportMetric(float64(c.Eng.Processed()-startEvents)/float64(b.N), "events/io")
@@ -121,7 +125,7 @@ func BenchmarkLunaRead4K(b *testing.B)    { benchIO(b, ebs.Luna, false) }
 // pool's copy accounting, gated at <= 1 copy per op.
 func BenchmarkWritePath4K(b *testing.B) {
 	r := writebench.NewRig(1)
-	if d := benchRig(b, r, r.WriteOne); d.Copies > uint64(b.N) {
+	if d := benchRig(b, r, 4096, r.WriteOne); d.Copies > uint64(b.N) {
 		b.Fatalf("write path made %d payload copies over %d ops, want <= 1 per op", d.Copies, b.N)
 	}
 }
@@ -130,7 +134,7 @@ func BenchmarkWritePath4K(b *testing.B) {
 // Solar read from a server that answers at once.
 func BenchmarkReadPath4K(b *testing.B) {
 	r := writebench.NewRig(1)
-	benchRig(b, r, r.ReadOne)
+	benchRig(b, r, 4096, r.ReadOne)
 }
 
 // BenchmarkBNWrite4K is the backend twin of BenchmarkWritePath4K: one 4 KiB
@@ -139,7 +143,7 @@ func BenchmarkReadPath4K(b *testing.B) {
 // stay 0.
 func BenchmarkBNWrite4K(b *testing.B) {
 	r := writebench.NewBNRig(1)
-	if d := benchRig(b, r, r.WriteOne); d.Copies != 0 {
+	if d := benchRig(b, r, 4096, r.WriteOne); d.Copies != 0 {
 		b.Fatalf("BN write path made %d payload copies over %d ops, want 0", d.Copies, b.N)
 	}
 }
@@ -149,7 +153,7 @@ func BenchmarkBNWrite4K(b *testing.B) {
 // and the client receiving it by reference to the frame's slab.
 func BenchmarkBNRead4K(b *testing.B) {
 	r := writebench.NewBNRig(1)
-	benchRig(b, r, r.ReadOne)
+	benchRig(b, r, 4096, r.ReadOne)
 }
 
 // BenchmarkBNWrite64K is BenchmarkBNWrite4K at 64 KiB: a sixteen-packet
@@ -157,7 +161,7 @@ func BenchmarkBNRead4K(b *testing.B) {
 func BenchmarkBNWrite64K(b *testing.B) {
 	r := writebench.NewBNRig(1)
 	r.SetSize(64 << 10)
-	benchRig(b, r, r.WriteOne)
+	benchRig(b, r, 64<<10, r.WriteOne)
 }
 
 // BenchmarkBlockServerWrite4K is one 4 KiB write through the whole storage
@@ -165,7 +169,7 @@ func BenchmarkBNWrite64K(b *testing.B) {
 // servers.
 func BenchmarkBlockServerWrite4K(b *testing.B) {
 	r := writebench.NewBlockServerRig(1)
-	benchRig(b, r, r.WriteOne)
+	benchRig(b, r, 4096, r.WriteOne)
 }
 
 // BenchmarkBlockServerRead4K is the read twin of
@@ -173,7 +177,7 @@ func BenchmarkBlockServerWrite4K(b *testing.B) {
 // chunk server over the BN and forwards the data over the FN.
 func BenchmarkBlockServerRead4K(b *testing.B) {
 	r := writebench.NewBlockServerRig(1)
-	benchRig(b, r, r.ReadOne)
+	benchRig(b, r, 4096, r.ReadOne)
 }
 
 // BenchmarkLunaWrite4K is the FN twin for the host-side stack: one 4 KiB
@@ -182,13 +186,13 @@ func BenchmarkBlockServerRead4K(b *testing.B) {
 // headers).
 func BenchmarkLunaWrite4K(b *testing.B) {
 	r := writebench.NewLunaRig(1, ebs.LunaStackParams())
-	benchRig(b, r, r.WriteOne)
+	benchRig(b, r, 4096, r.WriteOne)
 }
 
-// benchRig warms r, times op, and reports the rig's data-path counters per
-// op; allocs/op is what the matching steady-state gate in zerocopy_test.go
-// holds.
-func benchRig(b *testing.B, r *writebench.Rig, op func()) writebench.Stats {
+// benchRig warms r, times op (an I/O of size bytes), and reports the rig's
+// data-path counters per op; allocs/op is what the matching steady-state
+// gate in zerocopy_test.go holds.
+func benchRig(b *testing.B, r *writebench.Rig, size int, op func()) writebench.Stats {
 	r.Warm()
 	for i := 0; i < 64; i++ {
 		op() // reach pool/path steady state before measuring
@@ -204,7 +208,7 @@ func benchRig(b *testing.B, r *writebench.Rig, op func()) writebench.Stats {
 	b.ReportMetric(float64(d.Copies)/float64(b.N), "copies/op")
 	b.ReportMetric(float64(d.CopiedBytes)/float64(b.N), "copied-B/op")
 	b.ReportMetric(float64(d.Events)/float64(b.N), "events/op")
-	b.SetBytes(int64(r.Size()))
+	b.SetBytes(int64(size))
 	if err := r.Check(); err != nil {
 		b.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "fabric: %d pods x %d racks x %d hosts = %d hosts, %d switches\n",
 		cfg.PodsPerDC, cfg.RacksPerPod, cfg.HostsPerRack, nHosts, nSwitches)
 	fmt.Fprintf(stdout, "links: host %s, fabric %s, buffers %dKB/port, ECN @ %dKB\n",
-		gbps(cfg.HostLinkBps), gbps(simnet.FabricLinkBps), cfg.BufferBytes>>10, cfg.ECNThresholdBytes>>10)
+		gbps(cfg.HostLinkBps), gbps(simnet.FabricLinkBps), cfg.BufferBytes>>10, simnet.ECNThresholdBytes>>10)
 
 	// ECMP spread: one flow per source port from a compute host to a
 	// storage host; report how many distinct spines carry traffic.

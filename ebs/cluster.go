@@ -90,7 +90,7 @@ func New(cfg Config) *Cluster {
 	var chunkAddrs []uint32
 	for i := 0; i < cfg.ChunkServers; i++ {
 		host := storageHost(cfg.BlockServers + i)
-		cores := sim.NewServer(eng, fmt.Sprintf("chunk%d-cpu", i), storageCores)
+		cores := sim.NewServer(eng, "chunk-cpu", storageCores)
 		cs := chunkserver.New(eng, fmt.Sprintf("chunk%d", i), cfg.SSD)
 		bn := c.newStack(c.bnKind(), host, cores, nil)
 		chunkserver.NewService(eng, cs, bn)
@@ -100,7 +100,7 @@ func New(cfg Config) *Cluster {
 
 	for i := 0; i < cfg.BlockServers; i++ {
 		host := storageHost(i)
-		cores := sim.NewServer(eng, fmt.Sprintf("block%d-cpu", i), storageCores)
+		cores := sim.NewServer(eng, "block-cpu", storageCores)
 		var fnStack transport.Stack
 		var bnClient transport.Client
 		if c.bnKind() == cfg.FN {
@@ -133,7 +133,7 @@ func New(cfg Config) *Cluster {
 			card = dpu.New(eng, cfg.DPU)
 			cores = card.CPU
 		} else {
-			cores = sim.NewServer(eng, fmt.Sprintf("compute%d-stack", i), cfg.StackCores)
+			cores = sim.NewServer(eng, "compute-stack", cfg.StackCores)
 		}
 
 		stack := c.newStack(cfg.FN, host, cores, card)
@@ -249,6 +249,3 @@ func (c *Cluster) Leaked() int {
 
 // RunFor advances virtual time by d.
 func (c *Cluster) RunFor(d time.Duration) { c.Eng.RunFor(d) }
-
-// Now returns the current virtual time.
-func (c *Cluster) Now() time.Duration { return c.Eng.Now().Duration() }

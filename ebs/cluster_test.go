@@ -318,8 +318,8 @@ func TestQoSThrottling(t *testing.T) {
 		t.Fatalf("done %d/100", done)
 	}
 	// 100 I/Os at 1000 IOPS with a 10ms burst window: ≥ ~80ms of pacing.
-	if c.Now() < 80*time.Millisecond {
-		t.Fatalf("QoS pacing absent: finished in %v", c.Now())
+	if c.Eng.Now().Duration() < 80*time.Millisecond {
+		t.Fatalf("QoS pacing absent: finished in %v", c.Eng.Now().Duration())
 	}
 }
 

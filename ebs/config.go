@@ -176,6 +176,19 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("ebs: %d storage servers exceed pod capacity %d",
 			cfg.BlockServers+cfg.ChunkServers, podCap)
 	}
+	// A negative router count builds no router, as 0 does.
+	if cfg.Fabric.DCRouters < 0 {
+		return fmt.Errorf("ebs: Fabric.DCRouters must not be negative, got %d", cfg.Fabric.DCRouters)
+	}
+	// A fault rate is a probability; the negated form rejects NaN too.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"CRCBitFlip", cfg.DPU.Faults.CRCBitFlip}, {"DataBitFlip", cfg.DPU.Faults.DataBitFlip}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("ebs: DPU.Faults.%s must be in [0, 1], got %v", f.name, f.v)
+		}
+	}
 	if cfg.CrossDC && (cfg.Fabric.DCs < 2 || cfg.Fabric.DCRouters < 1) {
 		return errors.New("ebs: CrossDC requires >=2 DCs and >=1 DC router in the fabric")
 	}

@@ -160,7 +160,7 @@ func (cp *ControlPlane) MigrateSegment(volID uint32, segIdx int, toAddr uint32) 
 }
 
 // migrate performs the cutover. Order matters: the new owner adopts, then
-// the segment table remaps (generation bump), then the old owner releases;
+// the segment table remaps, then the old owner releases;
 // an I/O rejected by the old owner therefore always finds the new mapping
 // when it re-resolves. A segment already on toAddr stays put.
 func (cp *ControlPlane) migrate(volID uint32, segIdx int, toAddr uint32) error {

@@ -87,9 +87,6 @@ func TestMigrateSegmentUnderLoad(t *testing.T) {
 	if got := c.segs.Refs(vd.ID)[0].Server; got != to {
 		t.Fatalf("segment still at %d", got)
 	}
-	if c.segs.Generation(vd.ID) == 0 {
-		t.Fatal("generation not bumped")
-	}
 	// Data written before and after the cutover reads back intact.
 	var rres IOResult
 	vd.Read(0, 4096, func(r IOResult) { rres = r })
@@ -297,8 +294,8 @@ func TestTenantQoSIsolation(t *testing.T) {
 	}
 	// 100 I/Os against a 2000 IOPS tenant cap → at least ~45ms of pacing,
 	// even though the per-disk spec allowed 1M IOPS.
-	if c.Now() < 40*time.Millisecond {
-		t.Fatalf("tenant cap absent: finished at %v", c.Now())
+	if c.Eng.Now().Duration() < 40*time.Millisecond {
+		t.Fatalf("tenant cap absent: finished at %v", c.Eng.Now().Duration())
 	}
 	if c.computes[0].Agent.TenantDelay == 0 {
 		t.Fatal("no tenant delay recorded")
@@ -344,7 +341,7 @@ func TestTenantCapShieldsVictim(t *testing.T) {
 			for k := uint64(0); k < aggDepth; k++ {
 				drv.Closed(agg.ID, agg, 1, 0, func(_, i int) (bool, uint64, int, bool) {
 					lba := (k*(64<<10) + uint64(i)*aggDepth*(64<<10)) % aggSpan &^ 4095
-					return true, lba, 64 << 10, i == 0 || c.Now() < 15*time.Millisecond
+					return true, lba, 64 << 10, i == 0 || c.Eng.Now().Duration() < 15*time.Millisecond
 				}, nil)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"lunasolar/internal/simnet"
 	"lunasolar/internal/stats"
 	"lunasolar/internal/trace"
 )
@@ -78,7 +77,7 @@ func TestClusterFlightRecorder(t *testing.T) {
 
 	// Inject loss so Solar retransmits, then let the run drain.
 	for _, sw := range c.Fabric.Switches() {
-		if sw.Tier() == simnet.TierSpine {
+		if strings.HasPrefix(sw.Name(), "spine") {
 			sw.SetDropRate(0.05)
 		}
 	}

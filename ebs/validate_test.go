@@ -2,6 +2,7 @@ package ebs
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -43,6 +44,10 @@ func TestValidateRejects(t *testing.T) {
 		{"no port buffer", Solar, func(c *Config) { c.Fabric.BufferBytes = 0 }, "Fabric.BufferBytes 0 is below one 9000 B frame"},
 		{"port buffer below a frame", Luna, func(c *Config) { c.Fabric.BufferBytes = 1000 }, "Fabric.BufferBytes 1000 is below one 9000 B frame"},
 		{"no Addr table on solar", Solar, func(c *Config) { c.DPU.MaxAddrEntries = 0 }, "DPU.MaxAddrEntries must be at least 1, got 0"},
+		{"negative DC routers", Luna, func(c *Config) { c.Fabric.DCRouters = -1 }, "Fabric.DCRouters must not be negative, got -1"},
+		{"negative CRC flip rate", Solar, func(c *Config) { c.DPU.Faults.CRCBitFlip = -1 }, "DPU.Faults.CRCBitFlip must be in [0, 1], got -1"},
+		{"data flip rate above 1", Solar, func(c *Config) { c.DPU.Faults.DataBitFlip = 1.5 }, "DPU.Faults.DataBitFlip must be in [0, 1], got 1.5"},
+		{"NaN data flip rate", Solar, func(c *Config) { c.DPU.Faults.DataBitFlip = math.NaN() }, "DPU.Faults.DataBitFlip must be in [0, 1], got NaN"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig(tc.fn)
@@ -127,7 +132,7 @@ func TestConfigLeaves(t *testing.T) {
 	want := []string{
 		"Fabric.DCs", "Fabric.PodsPerDC", "Fabric.RacksPerPod", "Fabric.HostsPerRack",
 		"Fabric.SpinesPerPod", "Fabric.CoresPerDC", "Fabric.DCRouters",
-		"Fabric.HostLinkBps", "Fabric.BufferBytes", "Fabric.ECNThresholdBytes",
+		"Fabric.HostLinkBps", "Fabric.BufferBytes",
 		"FN", "ComputeServers", "BlockServers", "ChunkServers", "StackCores", "BareMetal",
 		"DPU.CPUCores", "DPU.MaxAddrEntries", "DPU.Faults.CRCBitFlip", "DPU.Faults.DataBitFlip",
 		"SSD.Parallelism", "CrossDC", "Seed",

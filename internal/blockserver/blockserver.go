@@ -44,7 +44,7 @@ type Server struct {
 	replicaOverride map[uint64][]uint32 // pinned replica sets; see SetReplicaSet
 	free            *sim.Pool[request]
 
-	writes, reads, crcFoldMismatches uint64
+	writes, reads uint64
 }
 
 // New creates a block server serving requests from fn, replicating over bn
@@ -70,10 +70,6 @@ func New(eng *sim.Engine, name string, fn transport.Stack, bn transport.Client, 
 
 // Stats returns served write and read RPC counts.
 func (s *Server) Stats() (writes, reads uint64) { return s.writes, s.reads }
-
-// CRCFoldMismatches returns how many replica commits reported a CRC fold
-// that disagreed with the request's one-touch metadata.
-func (s *Server) CRCFoldMismatches() uint64 { return s.crcFoldMismatches }
 
 // replicaSet returns the chunk servers for a segment (deterministic by
 // segment ID so all writers agree), unless the control plane pinned an
@@ -256,11 +252,10 @@ func (l *leg) complete(resp *transport.Response) {
 	r.finish()
 }
 
-// foldMismatch counts a replica commit whose CRC fold disagrees with the
-// request's one-touch metadata, and fails the request with it.
+// foldMismatch fails the request with a replica commit whose CRC fold
+// disagrees with the request's one-touch metadata.
 func (l *leg) foldMismatch(got uint32) {
 	r, s := l.r, l.r.s
-	s.crcFoldMismatches++
 	if r.resp.Err == nil {
 		r.resp.Err = fmt.Errorf("blockserver %s: replica %d commit CRC fold mismatch: got %08x want %08x",
 			s.name, l.chunk, got, r.wantFold)

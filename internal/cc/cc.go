@@ -46,9 +46,6 @@ func NewDCTCP(mss, initCwnd, maxCwnd int) *DCTCP {
 // Window returns the congestion window in bytes.
 func (d *DCTCP) Window() int { return d.cwnd }
 
-// Alpha returns the smoothed marked fraction (for tests and telemetry).
-func (d *DCTCP) Alpha() float64 { return d.alpha }
-
 // OnAck processes one acknowledgment.
 //
 //lint:hotpath

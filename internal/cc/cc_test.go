@@ -30,7 +30,7 @@ func TestDCTCPReducesProportionally(t *testing.T) {
 	if d.Window() >= before {
 		t.Fatalf("window %d not reduced from %d on full marking", d.Window(), before)
 	}
-	if d.Alpha() == 0 {
+	if d.alpha == 0 {
 		t.Fatal("alpha not updated")
 	}
 	// Light marking cuts less than heavy marking.

@@ -234,9 +234,6 @@ func (s *Stack) SetHandler(h transport.Handler) { s.handler = h }
 // Pool returns the host packet pool the stack draws its buffers from.
 func (s *Stack) Pool() *simnet.PacketPool { return s.pool }
 
-// AddrTableInUse returns current Addr-table occupancy (tests).
-func (s *Stack) AddrTableInUse() int { return s.addrInUse }
-
 // allocPort hands out a fresh ephemeral source port for a path.
 func (s *Stack) allocPort() uint16 {
 	s.nextEphem++

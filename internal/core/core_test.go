@@ -158,8 +158,8 @@ func TestMultiBlockRead(t *testing.T) {
 	if !wdone || !bytes.Equal(got, data) {
 		t.Fatal("32K read mismatch")
 	}
-	if r.client.AddrTableInUse() != 0 {
-		t.Fatalf("addr table leaked: %d entries", r.client.AddrTableInUse())
+	if r.client.addrInUse != 0 {
+		t.Fatalf("addr table leaked: %d entries", r.client.addrInUse)
 	}
 }
 
@@ -471,8 +471,8 @@ func TestAddrTableBackpressure(t *testing.T) {
 	if r.client.AdmissionWait == 0 {
 		t.Fatal("no admission queueing despite Addr-table pressure")
 	}
-	if r.client.AddrTableInUse() != 0 {
-		t.Fatalf("addr table leaked: %d", r.client.AddrTableInUse())
+	if r.client.addrInUse != 0 {
+		t.Fatalf("addr table leaked: %d", r.client.addrInUse)
 	}
 }
 
@@ -496,8 +496,8 @@ func TestOversizedReadFailsAtOnce(t *testing.T) {
 	if len(small) != 1 || small[0].Err != nil || len(small[0].Data) != 4096 {
 		t.Fatalf("1-block read behind it: %d completions, want 1 with data", len(small))
 	}
-	if len(r.client.addrQueue) != 0 || r.client.AddrTableInUse() != 0 {
-		t.Fatalf("addr table: %d queued, %d in use", len(r.client.addrQueue), r.client.AddrTableInUse())
+	if len(r.client.addrQueue) != 0 || r.client.addrInUse != 0 {
+		t.Fatalf("addr table: %d queued, %d in use", len(r.client.addrQueue), r.client.addrInUse)
 	}
 }
 

@@ -135,16 +135,17 @@ func CombineBlocks(crcs []uint32, blockLen int64) uint32 {
 // periodically compares against an expected aggregate computed over the
 // XOR of the block payloads. One 4-byte XOR per block replaces a full
 // 4 KiB CRC per block on the CPU.
+//
+// The zero Aggregator is empty; assigning Aggregator{} clears one for the
+// next segment.
 type Aggregator struct {
 	agg      uint32
 	expected uint32
-	blocks   int
 }
 
 // AddBlockCRC folds one FPGA-reported raw block CRC into the aggregate.
 func (a *Aggregator) AddBlockCRC(raw uint32) {
 	a.agg ^= raw
-	a.blocks++
 }
 
 // AddExpected folds the trusted raw CRC of the block's true payload into
@@ -154,18 +155,8 @@ func (a *Aggregator) AddExpected(raw uint32) {
 	a.expected ^= raw
 }
 
-// Blocks returns how many block CRCs were folded in.
-func (a *Aggregator) Blocks() int { return a.blocks }
-
 // Verify reports whether the FPGA-reported aggregate matches the expected
 // aggregate. A false result means at least one block was corrupted by the
 // hardware (or an odd number of identical corruptions occurred — the same
 // residual risk the paper accepts).
 func (a *Aggregator) Verify() bool { return a.agg == a.expected }
-
-// Reset clears the aggregator for the next segment.
-func (a *Aggregator) Reset() {
-	a.agg = 0
-	a.expected = 0
-	a.blocks = 0
-}

@@ -142,13 +142,12 @@ func table1Rig(opts Options, era table1Era, params tcpstack.Params, nCores int) 
 	// Table 1 is a controlled two-endpoint test, not a production incast:
 	// deep buffers as on the testbed's dedicated path.
 	fcfg.BufferBytes = 8 << 20
-	fcfg.ECNThresholdBytes = 100 << 10
 	fab = simnet.New(eng, fcfg)
 
 	clientCores = sim.NewServer(eng, "client", nCores)
 	client = tcpstack.New(eng, fab.Host(0, 0, 0, 0), clientCores, nil, params)
 	for i := 0; i < 8; i++ {
-		serverCores := sim.NewServer(eng, fmt.Sprintf("server%d", i), 16)
+		serverCores := sim.NewServer(eng, "server", 16)
 		server := tcpstack.New(eng, fab.Host(0, 1, i/4, i%4), serverCores, nil, params)
 		server.SetHandler(func(src uint32, req *transport.Message, reply func(*transport.Response)) {
 			reply(&transport.Response{Data: make([]byte, 64)})

@@ -43,15 +43,11 @@ type SegmentRef struct {
 	SegmentID uint64
 }
 
-// diskEntry is one vdisk's mapping plus its generation number. The
-// generation is bumped by every remap, so clients holding a stale
-// routing decision can tell whether a retry against a fresh lookup can
-// make progress. bytes is the size the guest was sold and the one record
-// of it: the mapping rounds it up to whole segments, and guest I/O must
-// stay below bytes, not below the mapping's end.
+// diskEntry is one vdisk's mapping. bytes is the size the guest was sold
+// and the one record of it: the mapping rounds it up to whole segments, and
+// guest I/O must stay below bytes, not below the mapping's end.
 type diskEntry struct {
 	refs  []SegmentRef
-	gen   uint32
 	bytes uint64
 }
 
@@ -110,18 +106,6 @@ func (t *SegmentTable) Size(vdisk uint32) uint64 {
 	return e.bytes
 }
 
-// Generation returns the vdisk's mapping generation: 0 for a never-remapped
-// (or unknown) disk, bumped by every Remap. Clients snapshot it at
-// issue time; a not-owner rejection is only worth retrying if the
-// generation has moved since.
-func (t *SegmentTable) Generation(vdisk uint32) uint32 {
-	e, ok := t.disks[vdisk]
-	if !ok {
-		return 0
-	}
-	return e.gen
-}
-
 // Refs returns a copy of the vdisk's segment references in LBA order (nil
 // if unknown). The control plane walks this to plan drains.
 func (t *SegmentTable) Refs(vdisk uint32) []SegmentRef {
@@ -132,8 +116,8 @@ func (t *SegmentTable) Refs(vdisk uint32) []SegmentRef {
 	return append([]SegmentRef(nil), e.refs...)
 }
 
-// Remap moves segment segIdx of a vdisk to a new block server and bumps
-// the disk's generation — the cutover step of a live segment migration.
+// Remap moves segment segIdx of a vdisk to a new block server — the
+// cutover step of a live segment migration.
 func (t *SegmentTable) Remap(vdisk uint32, segIdx int, server uint32) error {
 	e, ok := t.disks[vdisk]
 	if !ok {
@@ -143,7 +127,6 @@ func (t *SegmentTable) Remap(vdisk uint32, segIdx int, server uint32) error {
 		return fmt.Errorf("sa: remap of vdisk %d segment %d out of range [0,%d)", vdisk, segIdx, len(e.refs))
 	}
 	e.refs[segIdx].Server = server
-	e.gen++
 	return nil
 }
 
@@ -625,8 +608,8 @@ func (p *piece) send() {
 func (p *piece) response(resp *transport.Response) {
 	r, a := p.r, p.r.a
 	// A not-owner rejection means a live migration cut the segment over
-	// while this RPC was in flight. Re-resolve the (generation-bumped)
-	// segment table; if it now points at a different server, retry there.
+	// while this RPC was in flight. Re-resolve the (remapped) segment
+	// table; if it now points at a different server, retry there.
 	if resp.Err != nil && errors.Is(resp.Err, transport.ErrNotOwner) && p.attempt < notOwnerRetries {
 		if ref, ok := a.segs.Lookup(r.vdisk, p.msg.LBA); ok && ref.Server != p.server {
 			a.Retries++

@@ -267,21 +267,15 @@ func TestSegmentTableProvisionZeroSize(t *testing.T) {
 	if st.Size(5) != 0 {
 		t.Fatalf("Size = %d, want 0", st.Size(5))
 	}
-	if st.Generation(5) != 0 {
-		t.Fatalf("Generation = %d, want 0", st.Generation(5))
-	}
 }
 
-func TestSegmentTableRemapBumpsGeneration(t *testing.T) {
+func TestSegmentTableRemap(t *testing.T) {
 	st := NewSegmentTable()
 	if err := st.Provision(3, 4<<20, []uint32{10, 11}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Remap(3, 1, 99); err != nil {
 		t.Fatal(err)
-	}
-	if st.Generation(3) != 1 {
-		t.Fatalf("Generation = %d, want 1", st.Generation(3))
 	}
 	ref, ok := st.Lookup(3, SegmentBytes)
 	if !ok || ref.Server != 99 {

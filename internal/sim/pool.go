@@ -46,16 +46,14 @@ func (p *Pool[T]) Put(x *T) {
 	p.free = append(p.free, x)
 }
 
-// Outstanding returns how many records are held by callers: Gets minus Puts.
-func (p *Pool[T]) Outstanding() int { return p.out }
-
 // Misses returns how many Gets found the list empty, each one a fresh
 // allocation by the caller.
 func (p *Pool[T]) Misses() uint64 { return p.misses }
 
-// PoolOutstanding sums Outstanding over every pool bound to e. On a drained
-// engine nothing is left to return a record, so anything but zero is a leak:
-// a record that was got and never put.
+// PoolOutstanding sums, over every pool bound to e, the records held by
+// callers: Gets minus Puts. On a drained engine nothing is left to return a
+// record, so anything but zero is a leak: a record that was got and never
+// put.
 func (e *Engine) PoolOutstanding() int {
 	n := 0
 	for _, out := range e.pools {

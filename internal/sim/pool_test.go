@@ -9,14 +9,14 @@ func TestPoolLIFOAndCounters(t *testing.T) {
 	if p.Get() != nil || p.Get() != nil {
 		t.Fatal("empty pool must miss with nil")
 	}
-	if p.Misses() != 2 || p.Outstanding() != 2 {
-		t.Fatalf("after two misses: misses=%d outstanding=%d, want 2 and 2", p.Misses(), p.Outstanding())
+	if p.Misses() != 2 || p.out != 2 {
+		t.Fatalf("after two misses: misses=%d outstanding=%d, want 2 and 2", p.Misses(), p.out)
 	}
 	a, b := &poolRec{1}, &poolRec{2}
 	p.Put(a)
 	p.Put(b)
-	if p.Outstanding() != 0 {
-		t.Fatalf("outstanding=%d after both records came back", p.Outstanding())
+	if p.out != 0 {
+		t.Fatalf("outstanding=%d after both records came back", p.out)
 	}
 	if got := p.Get(); got != b {
 		t.Fatalf("first Get = %v, want the last Put (b)", got)
@@ -27,8 +27,8 @@ func TestPoolLIFOAndCounters(t *testing.T) {
 	if p.Get() != nil {
 		t.Fatal("drained pool must miss with nil")
 	}
-	if p.Misses() != 3 || p.Outstanding() != 3 {
-		t.Fatalf("misses=%d outstanding=%d, want 3 and 3", p.Misses(), p.Outstanding())
+	if p.Misses() != 3 || p.out != 3 {
+		t.Fatalf("misses=%d outstanding=%d, want 3 and 3", p.Misses(), p.out)
 	}
 }
 

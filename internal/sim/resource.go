@@ -9,7 +9,6 @@ import "time"
 // behaviour arise in the stack models rather than being hard-coded.
 type Server struct {
 	eng   *Engine
-	name  string
 	units int
 
 	busy     int
@@ -17,7 +16,6 @@ type Server struct {
 	busyNS   int64 // integral of busy units over time, for utilization
 	lastUpd  Time
 	resetAt  Time
-	served   uint64
 	freeDone *Pool[svcDone]
 }
 
@@ -36,19 +34,14 @@ type svcDone struct {
 	arg any
 }
 
-// NewServer creates a pool with the given number of service units.
-func NewServer(eng *Engine, name string, units int) *Server {
+// NewServer creates a pool with the given number of service units. The
+// name only labels the call site; the server does not keep it.
+func NewServer(eng *Engine, _ string, units int) *Server {
 	if units <= 0 {
 		panic("sim: server needs at least one unit")
 	}
-	return &Server{eng: eng, name: name, units: units, lastUpd: eng.Now(), freeDone: NewPool[svcDone](eng)}
+	return &Server{eng: eng, units: units, lastUpd: eng.Now(), freeDone: NewPool[svcDone](eng)}
 }
-
-// Name returns the server's diagnostic name.
-func (s *Server) Name() string { return s.name }
-
-// Served returns the number of completed jobs.
-func (s *Server) Served() uint64 { return s.served }
 
 func (s *Server) account() {
 	now := s.eng.Now()
@@ -108,7 +101,6 @@ func serverFinish(x any) {
 	s := d.s
 	s.account()
 	s.busy--
-	s.served++
 	if len(s.queue) > 0 {
 		next := s.queue[0]
 		copy(s.queue, s.queue[1:])
@@ -121,12 +113,10 @@ func serverFinish(x any) {
 	fn(arg)
 }
 
-// ResetStats restarts utilization and counter accounting from the current
-// virtual time.
+// ResetStats restarts utilization accounting from the current virtual time.
 func (s *Server) ResetStats() {
 	s.account()
 	s.busyNS = 0
-	s.served = 0
 	s.resetAt = s.eng.Now()
 	s.lastUpd = s.eng.Now()
 }
@@ -137,25 +127,20 @@ func (s *Server) ResetStats() {
 // when the last byte has passed.
 type Channel struct {
 	eng      *Engine
-	name     string
 	bitsPerS float64
 
-	free     Time // when the pipe next becomes idle
-	xferred  uint64
-	busyNS   int64
-	resetAt2 Time
+	free    Time // when the pipe next becomes idle
+	xferred uint64
 }
 
-// NewChannel creates a pipe with the given rate in bits per second.
-func NewChannel(eng *Engine, name string, bitsPerSecond float64) *Channel {
+// NewChannel creates a pipe with the given rate in bits per second. The
+// name only labels the call site; the channel does not keep it.
+func NewChannel(eng *Engine, _ string, bitsPerSecond float64) *Channel {
 	if bitsPerSecond <= 0 {
 		panic("sim: channel needs positive rate")
 	}
-	return &Channel{eng: eng, name: name, bitsPerS: bitsPerSecond}
+	return &Channel{eng: eng, bitsPerS: bitsPerSecond}
 }
-
-// Name returns the channel's diagnostic name.
-func (c *Channel) Name() string { return c.name }
 
 // SerializationDelay returns how long n bytes occupy the pipe.
 func (c *Channel) SerializationDelay(n int) time.Duration {
@@ -176,43 +161,11 @@ func (c *Channel) TransferArg(n int, fn func(any), arg any) {
 	if start < now {
 		start = now
 	}
-	ser := c.SerializationDelay(n)
-	end := start.Add(ser)
-	c.busyNS += int64(ser)
+	end := start.Add(c.SerializationDelay(n))
 	c.free = end
 	c.xferred += uint64(n)
 	c.eng.AtArg(end, fn, arg)
 }
 
-// Backlog returns how far in the future the pipe is already committed.
-func (c *Channel) Backlog() time.Duration {
-	now := c.eng.Now()
-	if c.free <= now {
-		return 0
-	}
-	return c.free.Sub(now)
-}
-
-// Transferred returns total bytes moved since the last ResetStats.
+// Transferred returns the total bytes moved through the pipe.
 func (c *Channel) Transferred() uint64 { return c.xferred }
-
-// Utilization returns the fraction of time the pipe was busy since the last
-// ResetStats.
-func (c *Channel) Utilization() float64 {
-	elapsed := int64(c.eng.Now() - c.resetAt2)
-	if elapsed <= 0 {
-		return 0
-	}
-	u := float64(c.busyNS) / float64(elapsed)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// ResetStats restarts throughput accounting.
-func (c *Channel) ResetStats() {
-	c.xferred = 0
-	c.busyNS = 0
-	c.resetAt2 = c.eng.Now()
-}

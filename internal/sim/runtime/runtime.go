@@ -151,13 +151,6 @@ func (p *Perf) Shards() int { p.mu.Lock(); defer p.mu.Unlock(); return p.shards 
 // Events returns the total engine events executed.
 func (p *Perf) Events() uint64 { p.mu.Lock(); defer p.mu.Unlock(); return p.events }
 
-// SimTime returns the total virtual time simulated across shards.
-func (p *Perf) SimTime() time.Duration { p.mu.Lock(); defer p.mu.Unlock(); return p.simd }
-
-// WallTime returns the total wall time consumed across shards (summed over
-// workers; with W busy workers this advances ~W× faster than the clock).
-func (p *Perf) WallTime() time.Duration { p.mu.Lock(); defer p.mu.Unlock(); return p.wall }
-
 // EventsPerSec returns engine events executed per second of shard wall
 // time — the simulator's core throughput metric.
 func (p *Perf) EventsPerSec() float64 {

@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,11 +39,17 @@ func TestMapPreservesShardOrder(t *testing.T) {
 func TestSerialParallelIdenticalMerge(t *testing.T) {
 	run := func(workers int) string {
 		f := &Fleet{Runner: Runner{Workers: workers}}
-		merged := stats.NewHistogram()
-		for _, h := range Run(f, 8, shardHistogram) {
-			merged.Merge(h)
+		merged := stats.NewRegistry()
+		for i, h := range Run(f, 8, shardHistogram) {
+			shard := stats.NewRegistry()
+			shard.ObserveHistogram("lat", h)
+			merged.Merge(shard, fmt.Sprintf("shard%d/", i))
 		}
-		return merged.Summary()
+		var b strings.Builder
+		if err := merged.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
 	serial := run(1)
 	parallel := run(4)
@@ -59,7 +67,7 @@ func TestFleetPerfAccounting(t *testing.T) {
 	if f.Perf.Events() != 4*200 {
 		t.Fatalf("events = %d, want 800", f.Perf.Events())
 	}
-	if f.Perf.SimTime() <= 0 {
+	if f.Perf.simd <= 0 {
 		t.Fatal("no simulated time recorded")
 	}
 	if f.Perf.EventsPerSec() <= 0 || f.Perf.SimMicrosPerWallMs() <= 0 {

@@ -78,15 +78,6 @@ func (t Timer) Active() bool {
 	return t.e != nil && t.e.gen == t.gen && t.e.index != -1
 }
 
-// At returns the virtual time the event is scheduled for, or 0 if the
-// event already fired or was cancelled.
-func (t Timer) At() Time {
-	if !t.Active() {
-		return 0
-	}
-	return t.e.at
-}
-
 // Cancel removes the event from the queue and releases it (and its callback
 // references) back to the engine pool. Cancelling an already-fired or
 // already-cancelled timer is a no-op.

@@ -135,7 +135,7 @@ func TestBulkTransferAllocFree(t *testing.T) {
 	if misses := bulk.flows.Misses(); misses != 1 {
 		t.Fatalf("two sequential transfers built %d sender records, want 1", misses)
 	}
-	want := BulkCompletion{ID: 1, Lat: closedFormLat(fab.Config(), 128, 4096, 5e9), Bytes: 512 << 10}
+	want := BulkCompletion{ID: 1, Lat: closedFormLat(fab.cfg, 128, 4096, 5e9), Bytes: 512 << 10}
 	if len(c) != 2 || c[1] != want {
 		t.Fatalf("completions %+v, want the second to be %+v", c, want)
 	}

@@ -30,7 +30,7 @@ func runBulkOnce(t *testing.T, step time.Duration, disturb func(eng *sim.Engine,
 	if n := fab.Pool().Outstanding(); n != 0 {
 		t.Fatalf("step %v: leaked %d pooled packets", step, n)
 	}
-	return bulk.Completions(), eng.Processed(), fab.Config()
+	return bulk.Completions(), eng.Processed(), fab.cfg
 }
 
 // TestBulkCompletesOnClosedForm: on an idle path nothing queues, so the

@@ -36,7 +36,7 @@ func refPick(s *Switch, g *ecmpGroup, pkt *Packet) *Port {
 	if usable == 0 {
 		return nil
 	}
-	k := int(FlowHash(pkt, s.salt) % uint32(usable))
+	k := int(fnvMix(flowState(pkt), s.salt) % uint32(usable))
 	for _, p := range g.ports {
 		if refUsable(s, p) {
 			if k == 0 {

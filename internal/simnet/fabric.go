@@ -24,9 +24,12 @@ type Config struct {
 
 	HostLinkBps float64 // per host NIC port
 
-	BufferBytes       int // per egress port (shallow)
-	ECNThresholdBytes int
+	BufferBytes int // per egress port (shallow)
 }
+
+// ECNThresholdBytes is the egress queue depth above which a port CE-marks
+// an ECN-capable packet at enqueue.
+const ECNThresholdBytes = 100 << 10
 
 // FabricLinkBps is the switch-to-switch link rate.
 const FabricLinkBps float64 = 100e9
@@ -45,16 +48,15 @@ const DetectDelay time.Duration = 200 * time.Millisecond
 // DefaultConfig returns the baseline fabric used across the experiments.
 func DefaultConfig() Config {
 	return Config{
-		DCs:               1,
-		PodsPerDC:         2, // compute pod + storage pod
-		RacksPerPod:       4,
-		HostsPerRack:      4,
-		SpinesPerPod:      4,
-		CoresPerDC:        4,
-		DCRouters:         0,
-		HostLinkBps:       25e9,
-		BufferBytes:       400 << 10, // shallow: 400 KiB per port
-		ECNThresholdBytes: 100 << 10,
+		DCs:          1,
+		PodsPerDC:    2, // compute pod + storage pod
+		RacksPerPod:  4,
+		HostsPerRack: 4,
+		SpinesPerPod: 4,
+		CoresPerDC:   4,
+		DCRouters:    0,
+		HostLinkBps:  25e9,
+		BufferBytes:  400 << 10, // shallow: 400 KiB per port
 	}
 }
 
@@ -129,7 +131,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 		epoch:    1,
 	}
 	// Switch salts draw from the fabric's forked stream, in build order.
-	buf, ecn := cfg.BufferBytes, cfg.ECNThresholdBytes
+	buf := cfg.BufferBytes
 
 	// DC routers (region tier).
 	for i := 0; i < cfg.DCRouters; i++ {
@@ -148,7 +150,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 			dcCores = append(dcCores, s)
 			// Core ↔ every DCR.
 			for _, dcr := range f.dcrs {
-				pc, pd := connect(f, s, dcr, FabricLinkBps, interDCDelay, buf, ecn)
+				pc, pd := connect(f, s, dcr, FabricLinkBps, interDCDelay, buf)
 				s.ports = append(s.ports, pc)
 				dcr.ports = append(dcr.ports, pd)
 				s.defaultUp = addPort(s.defaultUp, pc)
@@ -166,7 +168,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 				podSpines = append(podSpines, s)
 				// Spine ↔ every core in the DC.
 				for _, core := range dcCores {
-					ps, pc := connect(f, s, core, FabricLinkBps, propDelay, buf, ecn)
+					ps, pc := connect(f, s, core, FabricLinkBps, propDelay, buf)
 					s.ports = append(s.ports, ps)
 					core.ports = append(core.ports, pc)
 					s.defaultUp = addPort(s.defaultUp, ps)
@@ -184,7 +186,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 					pair[t] = s
 					// ToR ↔ every spine in the pod.
 					for _, spine := range podSpines {
-						pt, ps := connect(f, s, spine, FabricLinkBps, propDelay, buf, ecn)
+						pt, ps := connect(f, s, spine, FabricLinkBps, propDelay, buf)
 						s.ports = append(s.ports, pt)
 						spine.ports = append(spine.ports, ps)
 						s.defaultUp = addPort(s.defaultUp, pt)
@@ -197,7 +199,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 					h := &Host{fab: f, addr: addr}
 					// Dual-homed: one port to each ToR of the pair.
 					for _, tor := range pair {
-						ph, pt := connect(f, h, tor, cfg.HostLinkBps, propDelay, buf, ecn)
+						ph, pt := connect(f, h, tor, cfg.HostLinkBps, propDelay, buf)
 						h.ports = append(h.ports, ph)
 						tor.ports = append(tor.ports, pt)
 						tor.addDown(addr, pt)
@@ -210,9 +212,6 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 	}
 	return f
 }
-
-// Config returns the fabric's configuration.
-func (f *Fabric) Config() Config { return f.cfg }
 
 // Host returns the host at the given coordinates.
 func (f *Fabric) Host(dc, pod, rack, host int) *Host {

@@ -29,7 +29,6 @@ type Port struct {
 	rateBps   float64
 	propDelay time.Duration
 	bufBytes  int
-	ecnThresh int
 
 	up bool
 
@@ -75,7 +74,7 @@ func (p *Port) Send(pkt *Packet) bool {
 	}
 	// ECN: mark at enqueue if the queue already exceeds the threshold and
 	// the flow is ECN-capable.
-	if queued > p.ecnThresh && pkt.ECN == wire.ECNECT0 {
+	if queued > ECNThresholdBytes && pkt.ECN == wire.ECNECT0 {
 		pkt.ECN = wire.ECNCE
 		p.ecnMarks++
 	}
@@ -127,11 +126,11 @@ func linkDeliver(a any) {
 }
 
 // connect wires two ports as a full-duplex link.
-func connect(f *Fabric, a, b Node, rateBps float64, prop time.Duration, buf, ecn int) (*Port, *Port) {
+func connect(f *Fabric, a, b Node, rateBps float64, prop time.Duration, buf int) (*Port, *Port) {
 	f.hopSeq++
-	pa := &Port{owner: a, fab: f, q: sim.NewBacklog(f.Eng), rateBps: rateBps, propDelay: prop, bufBytes: buf, ecnThresh: ecn, up: true, hopID: f.hopSeq}
+	pa := &Port{owner: a, fab: f, q: sim.NewBacklog(f.Eng), rateBps: rateBps, propDelay: prop, bufBytes: buf, up: true, hopID: f.hopSeq}
 	f.hopSeq++
-	pb := &Port{owner: b, fab: f, q: sim.NewBacklog(f.Eng), rateBps: rateBps, propDelay: prop, bufBytes: buf, ecnThresh: ecn, up: true, hopID: f.hopSeq}
+	pb := &Port{owner: b, fab: f, q: sim.NewBacklog(f.Eng), rateBps: rateBps, propDelay: prop, bufBytes: buf, up: true, hopID: f.hopSeq}
 	pa.peer, pb.peer = pb, pa
 	return pa, pb
 }

@@ -125,7 +125,7 @@ func fnvMix(h, v uint32) uint32 {
 	return h
 }
 
-// flowState is the FNV-1a state after the packet's 5-tuple: FlowHash
+// flowState is the FNV-1a state after the packet's 5-tuple: the flow hash
 // before its salt.
 func flowState(p *Packet) uint32 {
 	h := fnvMix(fnvOffset32, p.Src)
@@ -134,15 +134,12 @@ func flowState(p *Packet) uint32 {
 	return fnvMix(h, uint32(p.Proto))
 }
 
-// FlowHash computes the consistent ECMP hash of the packet's 5-tuple mixed
-// with a per-switch salt (FNV-1a). The same flow always hashes identically
-// at a given switch, so a flow's path is stable until its source port — the
-// path ID — changes.
-func FlowHash(p *Packet, salt uint32) uint32 { return fnvMix(flowState(p), salt) }
-
-// flowHash is FlowHash(p, salt) for the forwarding path. The salt is mixed
-// last, so it starts from the state Host.Send stored and mixes only the
-// salt; a packet that never passed through Host.Send hashes in full.
+// flowHash is the consistent ECMP hash of the packet's 5-tuple mixed with
+// a per-switch salt (FNV-1a). The same flow always hashes identically at a
+// given switch, so a flow's path is stable until its source port — the
+// path ID — changes. The salt is mixed last, so the hash starts from the
+// state Host.Send stored and mixes only the salt; a packet that never
+// passed through Host.Send hashes in full.
 func (p *Packet) flowHash(salt uint32) uint32 {
 	h := p.flow
 	if !p.hasFlow {
@@ -157,14 +154,5 @@ func Addr(dc, pod, rack, host int) uint32 {
 	return uint32(dc+1)<<24 | uint32(pod+1)<<16 | uint32(rack+1)<<8 | uint32(host+1)
 }
 
-// AddrDC extracts the datacenter component of an address.
-func AddrDC(a uint32) int { return int(a>>24) - 1 }
-
-// AddrPod extracts the pod component.
-func AddrPod(a uint32) int { return int(a>>16&0xff) - 1 }
-
-// AddrRack extracts the rack component.
+// AddrRack extracts the rack component of an address.
 func AddrRack(a uint32) int { return int(a>>8&0xff) - 1 }
-
-// AddrHost extracts the host component.
-func AddrHost(a uint32) int { return int(a&0xff) - 1 }

@@ -30,7 +30,7 @@ type refRoutes struct {
 
 // refTables builds refRoutes for every switch of fab.
 func refTables(fab *Fabric) map[*Switch]refRoutes {
-	cfg := fab.Config()
+	cfg := fab.cfg
 	serves := map[*Switch]refPrefix{}
 	for dc := 0; dc < cfg.DCs; dc++ {
 		for c := 0; c < cfg.CoresPerDC; c++ {
@@ -56,7 +56,7 @@ func refTables(fab *Fabric) map[*Switch]refRoutes {
 				k := refPrefix{o.addr, 32}
 				r.down[k] = append(r.down[k], p)
 			case *Switch:
-				if o.tier > s.tier {
+				if serves[o].bits < serves[s].bits { // a DCR serves nothing: bits 0
 					r.up = append(r.up, p)
 					continue
 				}

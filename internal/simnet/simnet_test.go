@@ -29,11 +29,13 @@ func mkPkt(src, dst *Host, srcPort uint16, payload int) *Packet {
 	}
 }
 
+// TestAddrRoundTrip: Addr packs each 1-based component into its own byte,
+// DC highest, and AddrRack reads the rack back.
 func TestAddrRoundTrip(t *testing.T) {
 	f := func(dc, pod, rack, host uint8) bool {
 		d, p, r, h := int(dc%4), int(pod%8), int(rack%16), int(host%32)
 		a := Addr(d, p, r, h)
-		return AddrDC(a) == d && AddrPod(a) == p && AddrRack(a) == r && AddrHost(a) == h
+		return a == uint32(d+1)<<24|uint32(p+1)<<16|uint32(r+1)<<8|uint32(h+1) && AddrRack(a) == r
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -379,25 +381,29 @@ func TestINTStamping(t *testing.T) {
 	}
 }
 
+// fullFlowHash is the flow hash computed from the 5-tuple alone, as a
+// packet that never passed through Host.Send hashes.
+func fullFlowHash(p *Packet, salt uint32) uint32 { return fnvMix(flowState(p), salt) }
+
 func TestFlowHashDeterministic(t *testing.T) {
 	p := &Packet{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: 17}
-	if FlowHash(p, 42) != FlowHash(p, 42) {
+	if fullFlowHash(p, 42) != fullFlowHash(p, 42) {
 		t.Fatal("hash not deterministic")
 	}
 	q := *p
 	q.SrcPort = 5
-	if FlowHash(p, 42) == FlowHash(&q, 42) {
+	if fullFlowHash(p, 42) == fullFlowHash(&q, 42) {
 		t.Fatal("source port does not perturb hash")
 	}
-	if FlowHash(p, 42) == FlowHash(p, 43) {
+	if fullFlowHash(p, 42) == fullFlowHash(p, 43) {
 		t.Fatal("salt does not perturb hash")
 	}
 }
 
-// TestFlowHashPinned: FlowHash's values for three 5-tuple/salt pairs are
-// fixed, so no rework of the hash can move an ECMP, bonding or blackhole
-// choice; the forwarding path's flowHash, from Host.Send's stored state or
-// without it, agrees.
+// TestFlowHashPinned: the flow hash's values for three 5-tuple/salt pairs
+// are fixed, so no rework of the hash can move an ECMP, bonding or
+// blackhole choice; the forwarding path's flowHash, from Host.Send's stored
+// state or without it, agrees.
 func TestFlowHashPinned(t *testing.T) {
 	for _, c := range []struct {
 		p    Packet
@@ -409,8 +415,8 @@ func TestFlowHashPinned(t *testing.T) {
 		{Packet{Src: 0xdeadbeef, Dst: 0x01020304, Proto: 17, SrcPort: 0xffff, DstPort: 1}, 0x12345678, 0xd953c771},
 	} {
 		p := c.p
-		if got := FlowHash(&p, c.salt); got != c.want {
-			t.Errorf("FlowHash(%+v, %#x) = %#08x, want %#08x", c.p, c.salt, got, c.want)
+		if got := fullFlowHash(&p, c.salt); got != c.want {
+			t.Errorf("flow hash of (%+v, %#x) = %#08x, want %#08x", c.p, c.salt, got, c.want)
 		}
 		if got := p.flowHash(c.salt); got != c.want {
 			t.Errorf("flowHash without stored state = %#08x, want %#08x", got, c.want)
@@ -434,7 +440,7 @@ func TestSendRekeysFlowHash(t *testing.T) {
 		p.Release()
 	}
 	want := func(port uint16) uint32 {
-		return FlowHash(&Packet{Src: src.Addr(), Dst: dst.Addr(), Proto: wire.ProtoUDP, SrcPort: port, DstPort: 9000}, 42)
+		return fullFlowHash(&Packet{Src: src.Addr(), Dst: dst.Addr(), Proto: wire.ProtoUDP, SrcPort: port, DstPort: 9000}, 42)
 	}
 
 	var first *Packet

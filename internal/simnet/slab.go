@@ -32,9 +32,6 @@ type Slab struct {
 // caller's reference is released.
 func (s *Slab) Bytes() []byte { return s.buf }
 
-// Len returns the payload length.
-func (s *Slab) Len() int { return len(s.buf) }
-
 // Retain takes an additional reference and returns s for chaining. Retain
 // on nil returns nil so call sites need not branch on optional payloads.
 func (s *Slab) Retain() *Slab {

@@ -18,20 +18,6 @@ const (
 	TierDCR
 )
 
-func (t Tier) String() string {
-	switch t {
-	case TierToR:
-		return "tor"
-	case TierSpine:
-		return "spine"
-	case TierCore:
-		return "core"
-	case TierDCR:
-		return "dcr"
-	}
-	return "?"
-}
-
 // ecmpGroup is a set of candidate egress ports for a destination prefix.
 // live caches its usable members in port order. It is rebuilt when the
 // fabric's epoch moves (a link or switch changed state) or when the clock
@@ -60,7 +46,6 @@ type ecmpGroup struct {
 type Switch struct {
 	fab  *Fabric
 	name string
-	tier Tier
 	salt uint32
 
 	latency time.Duration
@@ -95,7 +80,6 @@ func newSwitch(f *Fabric, name string, tier Tier, latency time.Duration, salt ui
 	return &Switch{
 		fab:         f,
 		name:        name,
-		tier:        tier,
 		salt:        salt,
 		latency:     latency,
 		scopeMask:   ^uint32(0) << (shift + 8),
@@ -110,9 +94,6 @@ func newSwitch(f *Fabric, name string, tier Tier, latency time.Duration, salt ui
 
 // Name returns the switch's diagnostic name.
 func (s *Switch) Name() string { return s.name }
-
-// Tier returns the switch's fabric tier.
-func (s *Switch) Tier() Tier { return s.tier }
 
 // Alive reports whether the switch is forwarding.
 func (s *Switch) Alive() bool { return s.alive }

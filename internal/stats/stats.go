@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -160,23 +159,6 @@ func (h *Histogram) P95() time.Duration { return h.Quantile(0.95) }
 // P99 is Quantile(0.99).
 func (h *Histogram) P99() time.Duration { return h.Quantile(0.99) }
 
-// Merge adds all observations from o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.buckets {
-		h.buckets[i] += c
-	}
-	h.count += o.count
-	h.sum += o.sum
-	if o.count > 0 {
-		if o.min < h.min {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
-}
-
 // Reset clears the histogram.
 func (h *Histogram) Reset() {
 	for i := range h.buckets {
@@ -186,17 +168,6 @@ func (h *Histogram) Reset() {
 	h.sum = 0
 	h.min = math.MaxInt64
 	h.max = 0
-}
-
-// Summary renders "p50=… p95=… p99=… mean=… n=…" for logs.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("p50=%v p95=%v p99=%v mean=%v max=%v n=%d",
-		h.Median().Round(100*time.Nanosecond),
-		h.P95().Round(100*time.Nanosecond),
-		h.P99().Round(100*time.Nanosecond),
-		h.Mean().Round(100*time.Nanosecond),
-		h.Max().Round(100*time.Nanosecond),
-		h.count)
 }
 
 // CDF is an empirical cumulative distribution over float64 samples, used
@@ -233,23 +204,4 @@ func (c *CDF) At(v float64) float64 {
 	c.sort()
 	i := sort.Search(len(c.samples), func(i int) bool { return c.samples[i] > v })
 	return float64(i) / float64(len(c.samples))
-}
-
-// Quantile returns the q-quantile of the samples.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.sort()
-	if q <= 0 {
-		return c.samples[0]
-	}
-	if q >= 1 {
-		return c.samples[len(c.samples)-1]
-	}
-	i := int(q * float64(len(c.samples)))
-	if i >= len(c.samples) {
-		i = len(c.samples) - 1
-	}
-	return c.samples[i]
 }

@@ -15,7 +15,7 @@ func TestHistogramBasics(t *testing.T) {
 	}
 	h.Record(100 * time.Microsecond)
 	if h.Count() != 1 || h.Min() != 100*time.Microsecond || h.Max() != 100*time.Microsecond {
-		t.Fatalf("single-sample stats wrong: %s", h.Summary())
+		t.Fatalf("single-sample stats wrong: n=%d min=%v max=%v", h.Count(), h.Min(), h.Max())
 	}
 }
 
@@ -47,21 +47,6 @@ func TestHistogramMean(t *testing.T) {
 	h.Record(30 * time.Microsecond)
 	if got := h.Mean(); got != 20*time.Microsecond {
 		t.Fatalf("mean = %v", got)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 0; i < 100; i++ {
-		a.Record(time.Duration(i+1) * time.Microsecond)
-		b.Record(time.Duration(i+101) * time.Microsecond)
-	}
-	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Min() != time.Microsecond || a.Max() != 200*time.Microsecond {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
 	}
 }
 
@@ -147,9 +132,6 @@ func TestCDF(t *testing.T) {
 	}
 	if got := c.At(1000); got != 1 {
 		t.Fatalf("At(1000) = %v", got)
-	}
-	if got := c.Quantile(0.5); got != 51 {
-		t.Fatalf("Quantile(0.5) = %v", got)
 	}
 }
 
@@ -266,40 +248,5 @@ func TestHistogramQuantileNearestRank(t *testing.T) {
 					trial, n, q, got, exact, relErr)
 			}
 		}
-	}
-}
-
-// Merge must fold counts, sums and extremes for every combination of empty
-// and populated operands.
-func TestHistogramMergeEdgeCases(t *testing.T) {
-	full := func() *Histogram {
-		h := NewHistogram()
-		h.Record(10 * time.Microsecond)
-		h.Record(2 * time.Millisecond)
-		return h
-	}
-	// empty.Merge(full): adopts o's extremes.
-	a := NewHistogram()
-	a.Merge(full())
-	if a.Count() != 2 || a.Min() != 10*time.Microsecond || a.Max() != 2*time.Millisecond {
-		t.Fatalf("empty.Merge(full): n=%d min=%v max=%v", a.Count(), a.Min(), a.Max())
-	}
-	// full.Merge(empty): unchanged (an empty histogram's MaxInt64 min must
-	// not poison the target).
-	b := full()
-	b.Merge(NewHistogram())
-	if b.Count() != 2 || b.Min() != 10*time.Microsecond || b.Max() != 2*time.Millisecond {
-		t.Fatalf("full.Merge(empty): n=%d min=%v max=%v", b.Count(), b.Min(), b.Max())
-	}
-	if b.Mean() != full().Mean() {
-		t.Fatalf("merge with empty changed mean: %v", b.Mean())
-	}
-	// Quantiles of a merged histogram cover both sources.
-	c := full()
-	d := NewHistogram()
-	d.Record(50 * time.Millisecond)
-	c.Merge(d)
-	if got := c.Quantile(1); got < 49*time.Millisecond {
-		t.Fatalf("merged max quantile = %v", got)
 	}
 }

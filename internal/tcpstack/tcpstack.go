@@ -210,9 +210,6 @@ func (s *Stack) dispatchRecord(c *conn, rec record) {
 	s.cores.SubmitArg(s.params.PerRPCRxCPU+s.copyCost(len(rec.payload)), rpcRxCharged, j)
 }
 
-// Conns returns the number of live connections (tests).
-func (s *Stack) Conns() int { return len(s.conns) }
-
 // --- stream records -------------------------------------------------------
 
 // record is one framed RPC on the stream:

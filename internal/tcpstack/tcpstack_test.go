@@ -103,8 +103,8 @@ func TestManyConcurrentRPCs(t *testing.T) {
 		t.Fatalf("completed %d/%d", done, n)
 	}
 	// One persistent connection per peer, both sides.
-	if p.client.Conns() != 1 || p.server.Conns() != 1 {
-		t.Fatalf("conns: client=%d server=%d", p.client.Conns(), p.server.Conns())
+	if len(p.client.conns) != 1 || len(p.server.conns) != 1 {
+		t.Fatalf("conns: client=%d server=%d", len(p.client.conns), len(p.server.conns))
 	}
 }
 
@@ -612,8 +612,8 @@ func TestOneClientConnPerPeer(t *testing.T) {
 	a.Call(b.LocalAddr(), read, count)
 	a.Call(b.LocalAddr(), read, count)
 	p.eng.Run()
-	if a.Conns() != 1 || b.Conns() != 1 {
-		t.Fatalf("two Calls to one peer: %d client-side and %d server-side conns, want 1 and 1", a.Conns(), b.Conns())
+	if len(a.conns) != 1 || len(b.conns) != 1 {
+		t.Fatalf("two Calls to one peer: %d client-side and %d server-side conns, want 1 and 1", len(a.conns), len(b.conns))
 	}
 	inbound := b.conns[connKey{peer: a.LocalAddr(), localPort: ListenPort, remotePort: a.clients[b.LocalAddr()].key.localPort}]
 	if inbound == nil {
@@ -628,7 +628,7 @@ func TestOneClientConnPerPeer(t *testing.T) {
 	if out == inbound || out.key.remotePort != ListenPort {
 		t.Fatalf("client conn to the peer is %+v; the inbound conn from it is %+v", out.key, inbound.key)
 	}
-	if a.Conns() != 2 || b.Conns() != 2 {
-		t.Fatalf("after the reverse Call: %d and %d conns, want 2 and 2", a.Conns(), b.Conns())
+	if len(a.conns) != 2 || len(b.conns) != 2 {
+		t.Fatalf("after the reverse Call: %d and %d conns, want 2 and 2", len(a.conns), len(b.conns))
 	}
 }

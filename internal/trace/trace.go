@@ -6,7 +6,6 @@
 package trace
 
 import (
-	"fmt"
 	"time"
 
 	"lunasolar/internal/stats"
@@ -23,20 +22,6 @@ const (
 	SSD
 	numComponents
 )
-
-func (c Component) String() string {
-	switch c {
-	case SA:
-		return "SA"
-	case FN:
-		return "FN"
-	case BN:
-		return "BN"
-	case SSD:
-		return "SSD"
-	}
-	return "?"
-}
 
 // Components lists all components in display order.
 var Components = []Component{SA, FN, BN, SSD}
@@ -163,21 +148,4 @@ func lowerComponent(c Component) string {
 		return "ssd"
 	}
 	return "unknown"
-}
-
-// String renders a compact summary for logs.
-func (c *Collector) String() string {
-	out := ""
-	for _, op := range []string{"read", "write"} {
-		if c.E2E(op).Count() == 0 {
-			continue
-		}
-		parts, e2e := c.Breakdown(op, 0.5)
-		out += fmt.Sprintf("%s p50: e2e=%v", op, e2e.Round(100*time.Nanosecond))
-		for i, comp := range Components {
-			out += fmt.Sprintf(" %s=%v", comp, parts[i].Round(100*time.Nanosecond))
-		}
-		out += "\n"
-	}
-	return out
 }

@@ -224,9 +224,6 @@ func (r *Rig) WithAgent(params sa.Params) *Rig {
 	return r
 }
 
-// Size returns the rig's I/O size in bytes.
-func (r *Rig) Size() int { return len(r.payload) }
-
 // WriteOne issues a single write and runs the engine until the cluster is
 // idle (the write acknowledged, every timer drained).
 func (r *Rig) WriteOne() {
