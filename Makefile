@@ -84,7 +84,12 @@ cover:
 # (the control plane and its hooks), contract (what benchmark/ needs, a
 # transport.Stack method, or the code behind a flag the run does not pass)
 # or gate (read by a test or Example in another package, named on the
-# line). CI runs it; about 3 min on two vCPUs.
+# line). A package outside benchmark/ that none of the four programs links
+# leaves no coverage data at all, so `go list -deps` finds those instead:
+# each needs a `package <dir>` line whose reason is tool (a program CI runs
+# by another target) or gate (a harness or fixture only tests import), and
+# a listed package that a program now links, or that is gone, fails too.
+# CI runs it; about 3 min on two vCPUs.
 PROGCOVER = .progcover
 
 progcover:
@@ -103,10 +108,15 @@ progcover:
 	@{ grep '^total:' $(PROGCOVER)/cover.func; \
 	  grep -E '[[:space:]]0\.0%$$' $(PROGCOVER)/cover.func || true; } > progcover.txt
 	@head -1 progcover.txt; echo "$$(($$(wc -l < progcover.txt) - 1)) functions no program run reaches (progcover.txt)"
-	@sed -n 's|^lunasolar/\([^:]*\):[0-9]*:[[:space:]]*\([^[:space:]]*\).*|\1 \2|p' progcover.txt \
-		| grep -v '^benchmark/' | LC_ALL=C sort > $(PROGCOVER)/found
+	@$(GO) list -deps ./cmd/ebsbench ./cmd/ebsfio ./cmd/ebstopo ./benchmark | LC_ALL=C sort > $(PROGCOVER)/linked
+	@{ sed -n 's|^lunasolar/\([^:]*\):[0-9]*:[[:space:]]*\([^[:space:]]*\).*|\1 \2|p' progcover.txt; \
+	  $(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | LC_ALL=C sort \
+		| LC_ALL=C comm -23 - $(PROGCOVER)/linked | sed -n 's|^lunasolar/|package |p'; \
+	} | grep -v '^\(package \)\{0,1\}benchmark/' | LC_ALL=C sort > $(PROGCOVER)/found
 	@awk '/^#/ || !NF { next } \
-		$$3 !~ /^(fault|ctrl|contract|gate)$$/ || ($$3 == "gate" && NF < 4) { \
+		$$1 == "package" && ($$3 !~ /^(tool|gate)$$/ || NF < 4) { \
+			print "progcover.list:" NR ": want package <dir> tool|gate <note>: " $$0 > "/dev/stderr"; bad = 1 } \
+		$$1 != "package" && ($$3 !~ /^(fault|ctrl|contract|gate)$$/ || ($$3 == "gate" && NF < 4)) { \
 			print "progcover.list:" NR ": want <file> <function> fault|ctrl|contract|gate <test>: " $$0 > "/dev/stderr"; bad = 1 } \
 		{ print $$1, $$2 } END { exit bad }' progcover.list > $(PROGCOVER)/listed.raw
 	@LC_ALL=C sort $(PROGCOVER)/listed.raw > $(PROGCOVER)/listed

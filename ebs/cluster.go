@@ -61,7 +61,7 @@ type StorageServer struct {
 // impossible configurations (construction errors are programming errors in
 // experiment setup).
 func New(cfg Config) *Cluster {
-	if cfg.FN == Solar || cfg.FN == SolarStar {
+	if cfg.FN.IsSolar() {
 		cfg.BareMetal = true
 	}
 	if err := cfg.Validate(); err != nil {
@@ -101,19 +101,22 @@ func New(cfg Config) *Cluster {
 	for i := 0; i < cfg.BlockServers; i++ {
 		host := storageHost(i)
 		cores := sim.NewServer(eng, "block-cpu", storageCores)
-		var fnStack transport.Stack
-		var bnClient transport.Client
-		if c.bnKind() == cfg.FN {
-			// Same stack serves FN and speaks BN (the kernel era).
-			st := c.newStack(cfg.FN, host, cores, nil)
-			fnStack, bnClient = st, st
-		} else {
-			mux := simnet.NewMux(host)
-			fn := c.newStack(cfg.FN, host, cores, nil)
-			bn := c.newStack(c.bnKind(), host, cores, nil)
-			c.routeMux(mux, fn)
-			c.routeMux(mux, bn)
-			fnStack, bnClient = fn, bn
+		// The FN stack is built first and claims the host's handler. In the
+		// kernel and RDMA eras it also speaks BN; otherwise an RDMA stack
+		// joins it and one closure splits the host's frames between them.
+		fnStack := c.newStack(cfg.FN, host, cores, nil)
+		var bnClient transport.Client = fnStack
+		if c.bnKind() != cfg.FN {
+			bn := rdma.New(eng, host, cores, nil, RDMAStackParams())
+			fnRecv := host.Handler
+			host.Handler = func(pkt *simnet.Packet) {
+				if pkt.Proto == rdma.Proto {
+					bn.ReceivePacket(pkt)
+					return
+				}
+				fnRecv(pkt)
+			}
+			bnClient = bn
 		}
 		bs, err := blockserver.New(eng, fmt.Sprintf("block%d", i), fnStack, bnClient,
 			chunkAddrs, cores, blockserver.DefaultParams())
@@ -138,7 +141,7 @@ func New(cfg Config) *Cluster {
 
 		stack := c.newStack(cfg.FN, host, cores, card)
 		saParams := sa.SoftwareParams()
-		if cfg.FN == Solar || cfg.FN == SolarStar {
+		if cfg.FN.IsSolar() {
 			saParams = sa.OffloadedParams()
 		}
 		agent := sa.New(eng, cores, stack, c.segs, saParams)
@@ -179,20 +182,6 @@ func (c *Cluster) newStack(kind StackKind, host *simnet.Host, cores *sim.Server,
 		return core.New(eng, host, cores, nil, core.ServerParams())
 	}
 	panic("ebs: unknown stack kind")
-}
-
-// routeMux registers a stack's receiver under its wire protocol.
-func (c *Cluster) routeMux(mux *simnet.Mux, st transport.Stack) {
-	switch s := st.(type) {
-	case *tcpstack.Stack:
-		mux.Handle(6, s.ReceivePacket) // wire.ProtoTCP
-	case *rdma.Stack:
-		mux.Handle(rdma.Proto, s.ReceivePacket)
-	case *core.Stack:
-		mux.Handle(17, s.ReceivePacket) // wire.ProtoUDP
-	default:
-		panic("ebs: unroutable stack")
-	}
 }
 
 // Config returns the cluster's configuration.

@@ -65,6 +65,10 @@ func (k StackKind) String() string {
 	return "?"
 }
 
+// IsSolar reports whether k is a Solar kind (Solar or SolarStar): a stack
+// that runs only on a DPU.
+func (k StackKind) IsSolar() bool { return k == Solar || k == SolarStar }
+
 // Config describes one cluster.
 type Config struct {
 	Fabric simnet.Config
@@ -118,7 +122,7 @@ func DefaultConfig(fn StackKind) Config {
 		SSD:            chunkserver.DefaultSSD(),
 		Seed:           1,
 	}
-	if fn == Solar || fn == SolarStar {
+	if fn.IsSolar() {
 		cfg.BareMetal = true
 	}
 	return cfg
@@ -138,7 +142,7 @@ func (cfg Config) Validate() error {
 	// fabric with no path between pods. The stack runs on the DPU (Solar
 	// kinds always do; New forces BareMetal) or on host cores, never both,
 	// so only one of the last two counts.
-	dpuResident := cfg.BareMetal || cfg.FN == Solar || cfg.FN == SolarStar
+	dpuResident := cfg.BareMetal || cfg.FN.IsSolar()
 	for _, k := range []struct {
 		name string
 		v    float64
@@ -161,7 +165,7 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("ebs: Fabric.%v", err)
 	}
 	// Solar admits no read without a free Addr-table entry.
-	if (cfg.FN == Solar || cfg.FN == SolarStar) && cfg.DPU.MaxAddrEntries < 1 {
+	if cfg.FN.IsSolar() && cfg.DPU.MaxAddrEntries < 1 {
 		return fmt.Errorf("ebs: DPU.MaxAddrEntries must be at least 1, got %d", cfg.DPU.MaxAddrEntries)
 	}
 	// Every frame tail-drops at a port whose buffer cannot hold one.

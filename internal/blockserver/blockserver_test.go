@@ -52,13 +52,8 @@ func newRig(t *testing.T) *rig {
 
 	bsHost := fab.Host(0, 1, 0, 0)
 	bsCores := sim.NewServer(eng, "bs-cpu", 8)
-	mux := simnet.NewMux(bsHost)
+	// FN and BN share the RDMA protocol here; one stack handles both roles.
 	fn := rdma.New(eng, bsHost, bsCores, nil, rdma.DefaultParams())
-	bn := rdma.New(eng, bsHost, bsCores, nil, rdma.DefaultParams())
-	// FN and BN share the RDMA protocol here; a single stack handles both
-	// roles (the mux keeps this test honest about packet delivery).
-	mux.Handle(rdma.Proto, fn.ReceivePacket)
-	_ = bn
 	bs, err := New(eng, "bs0", fn, fn, chunkAddrs, bsCores, DefaultParams())
 	if err != nil {
 		t.Fatal(err)

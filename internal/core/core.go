@@ -176,8 +176,13 @@ type Stack struct {
 
 // New attaches a Solar endpoint to a host. cores is the CPU pool charged
 // for control-path work; card supplies the FPGA pipeline, PCIe channel and
-// fault model (nil for StorageServer mode).
+// fault model. A card goes with Offloaded and CPUPath and nil with
+// StorageServer; New panics on any other pairing, so the data path reads its
+// placement from Mode alone.
 func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, card *dpu.DPU, params Params) *Stack {
+	if (card == nil) != (params.Mode == StorageServer) {
+		panic("core: a DPU card goes with Offloaded or CPUPath mode, nil with StorageServer")
+	}
 	addrCap := 1 << 20
 	if card != nil {
 		addrCap = card.Cfg.MaxAddrEntries
@@ -207,7 +212,7 @@ func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, card *dpu.DPU, p
 	}
 	s.crcScratchFn = s.crcScratch
 	if host.Handler == nil {
-		host.Handler = s.ReceivePacket
+		host.Handler = s.receivePacket
 	}
 	return s
 }

@@ -447,6 +447,37 @@ func TestOffloadedBypassesPCIe(t *testing.T) {
 	}
 }
 
+// TestNewRejectsMismatchedPlacement holds New to its pairing: a card with
+// Offloaded or CPUPath, nil with StorageServer. The data path tests Mode
+// alone, so a card with server params or a DPU mode without a card panics.
+func TestNewRejectsMismatchedPlacement(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := simnet.DefaultConfig()
+	cfg.RacksPerPod = 1
+	cfg.HostsPerRack = 2
+	cfg.SpinesPerPod = 1
+	cfg.CoresPerDC = 1
+	fab := simnet.New(eng, cfg)
+	card := dpu.New(eng, dpu.DefaultConfig())
+	for _, tc := range []struct {
+		name   string
+		card   *dpu.DPU
+		params Params
+	}{
+		{"card with ServerParams", card, ServerParams()},
+		{"nil with DefaultParams", nil, DefaultParams()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("New built a stack on a mismatched (card, Mode) pair")
+				}
+			}()
+			New(eng, fab.Host(0, 0, 0, 0), card.CPU, tc.card, tc.params)
+		})
+	}
+}
+
 func TestAddrTableBackpressure(t *testing.T) {
 	r := newRig(t, dpu.FaultRates{}, Offloaded)
 	// Shrink the Addr table so concurrent reads exceed it.

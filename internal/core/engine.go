@@ -275,9 +275,9 @@ func (r *rpc) finish() {
 // in s.crcScratchSlab, corrupted bytes returned — instead of being flipped
 // in place.
 func (s *Stack) txCRC(tx []byte, carried uint32, haveCarried bool) (uint32, []byte) {
-	if s.params.Mode == Offloaded && s.card != nil {
+	if s.params.Mode == Offloaded {
 		// FPGA engine: fault-injectable.
-		return s.card.ComputeCRCShared(tx, carried, haveCarried, s.crcScratchFn)
+		return s.card.ComputeCRC(tx, carried, haveCarried, s.crcScratchFn)
 	}
 	// CPUPath/StorageServer: software CRC (trusted), charged to the CPU.
 	s.cores.Submit(softCRCPer4K, nil)
@@ -369,9 +369,9 @@ func (s *Stack) transmitOn(pe *peer, p *path, e *outPkt) {
 	// Data-path placement: Offloaded blocks ride the FPGA pipeline;
 	// CPUPath pays PCIe (×2) and per-block CPU; servers pay per-block CPU.
 	switch {
-	case s.params.Mode == Offloaded && s.card != nil && dataLen > 0:
+	case s.params.Mode == Offloaded && dataLen > 0:
 		s.eng.ScheduleArg(s.card.PipelineWriteLatency(), wireTxSend, x)
-	case s.params.Mode == CPUPath && s.card != nil && dataLen > 0:
+	case s.params.Mode == CPUPath && dataLen > 0:
 		s.cores.SubmitArg(s.cpu.block, wireTxPCIe, x)
 	case dataLen > 0:
 		s.cores.SubmitArg(s.cpu.block, wireTxSend, x)

@@ -13,11 +13,11 @@ import (
 	"lunasolar/internal/wire"
 )
 
-// ReceivePacket feeds one inbound frame into the stack; hosts running
-// multiple stacks route frames here through a simnet.Mux. The stack takes
-// ownership of the packet: every path through the handlers ends in a
-// Release, either directly or via the acknowledgment it triggers.
-func (s *Stack) ReceivePacket(pkt *simnet.Packet) {
+// receivePacket is the host's frame handler: New installs it when the
+// stack is the first on its host. The stack takes ownership of the
+// packet: every path through the handlers ends in a Release, either
+// directly or via the acknowledgment it triggers.
+func (s *Stack) receivePacket(pkt *simnet.Packet) {
 	var rpc wire.RPC
 	if err := rpc.Decode(pkt.Payload); err != nil {
 		pkt.Release()
@@ -91,7 +91,7 @@ func (s *Stack) sendAckTimes(pkt *simnet.Packet, rpcID uint64, pktID uint16, fla
 	pkt.Release() // everything echoed is now in the ack frame
 
 	x := s.getTx(out, 0)
-	if s.params.Mode == Offloaded && s.card != nil {
+	if s.params.Mode == Offloaded {
 		// Fig. 13: the pipeline's packet generator emits acknowledgments
 		// "without interrupting the CPU".
 		s.eng.ScheduleArg(dpu.PktGen, wireTxSend, x)
@@ -289,9 +289,9 @@ func (s *Stack) handleReadBlock(pkt *simnet.Packet, rpc wire.RPC, rest []byte) {
 	j := s.getCommit()
 	j.pkt, j.rpc, j.ebs, j.payload = pkt, rpc, ebs, payload
 	switch {
-	case s.params.Mode == Offloaded && s.card != nil:
+	case s.params.Mode == Offloaded:
 		s.eng.ScheduleArg(s.card.PipelineReadLatency(), commitRun, j)
-	case s.params.Mode == CPUPath && s.card != nil:
+	case s.params.Mode == CPUPath:
 		s.cores.SubmitArg(s.cpu.block+softCRCPer4K, commitPCIe, j)
 	default:
 		s.cores.SubmitArg(s.cpu.block, commitRun, j)
@@ -319,13 +319,13 @@ func (s *Stack) commitReadBlock(pkt *simnet.Packet, rpc wire.RPC, ebs wire.EBS, 
 	// aggregate and verifies once per RPC.
 	var engineSum uint32
 	var scratch *simnet.Slab
-	if s.params.Mode == Offloaded && s.card != nil {
+	if s.params.Mode == Offloaded {
 		// The payload fragment aliases the server's slab (shared with its
 		// retransmit queue), so a datapath fault is materialised into
 		// private scratch instead of flipped in place; the corrupt bytes
 		// reach guest memory below.
 		var corrupted []byte
-		engineSum, corrupted = s.card.ComputeCRCShared(payload, 0, false, s.crcScratchFn)
+		engineSum, corrupted = s.card.ComputeCRC(payload, 0, false, s.crcScratchFn)
 		if corrupted != nil {
 			payload = corrupted
 			scratch = s.crcScratchSlab

@@ -106,32 +106,17 @@ func (d *DPU) PipelineReadLatency() time.Duration {
 
 // ComputeCRC runs the FPGA CRC engine over a block, applying fault
 // injection: with the configured probabilities the engine's output is
-// flipped, or the datapath corrupts the data itself (in which case the
-// caller's buffer is modified — the corruption will reach storage unless
-// software catches it).
-func (d *DPU) ComputeCRC(data []byte) uint32 {
-	sum, _ := d.ComputeCRCShared(data, 0, false, corruptInPlace)
-	return sum
-}
-
-// corruptInPlace is ComputeCRC's scratch policy: the caller's buffer is
-// private, so the datapath fault may land directly in it.
-func corruptInPlace(b []byte) []byte { return b }
-
-// ComputeCRCShared is the CRC engine for callers whose buffer aliases
-// trusted memory (the zero-copy data path) or who already know the block's
-// raw CRC (one-touch metadata computed at SA ingress).
+// flipped, or the datapath corrupts the data itself.
 //
-// A datapath-corruption fault is materialised into scratch(data) — a
-// private copy the caller provides — instead of being flipped in place;
-// the corrupted copy is returned (nil when the block came through clean).
-// With haveCached set, cached must be the raw CRC-32C of data and the
-// fault-free path reports it without re-walking the bytes.
-//
-// The fault lottery and flip positions draw from exactly the same random
-// sequence as ComputeCRC, so a given seed corrupts the same blocks the
-// same way regardless of which entry point the caller uses.
-func (d *DPU) ComputeCRCShared(data []byte, cached uint32, haveCached bool, scratch func([]byte) []byte) (uint32, []byte) {
+// The engine never writes the caller's buffer, which may alias trusted
+// memory (the zero-copy data path): a datapath-corruption fault is
+// materialised into scratch(data), a private copy the caller provides, and
+// that corrupted copy is returned (nil when the block came through clean).
+// The corruption reaches storage unless software catches it. With
+// haveCached set, cached must be the raw CRC-32C of data (one-touch
+// metadata computed at SA ingress) and the fault-free path reports it
+// without re-walking the bytes.
+func (d *DPU) ComputeCRC(data []byte, cached uint32, haveCached bool, scratch func([]byte) []byte) (uint32, []byte) {
 	if d.Cfg.Faults.DataBitFlip > 0 && d.rand.Bernoulli(d.Cfg.Faults.DataBitFlip) {
 		d.dataFlips++
 		buf := scratch(data)
@@ -139,9 +124,6 @@ func (d *DPU) ComputeCRCShared(data []byte, cached uint32, haveCached bool, scra
 		buf[i] ^= 1 << uint(d.rand.Intn(8))
 		// The engine checksums the already-corrupted data: CRC matches the
 		// corrupt payload, so only an end-to-end expected value catches it.
-		if len(buf) > 0 && len(data) > 0 && &buf[0] == &data[0] {
-			return crc.Raw(buf), nil // flipped in place: nothing materialised
-		}
 		return crc.Raw(buf), buf
 	}
 	sum := cached

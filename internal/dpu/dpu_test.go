@@ -2,6 +2,7 @@ package dpu
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -27,11 +28,15 @@ func TestPipelineLatencies(t *testing.T) {
 	}
 }
 
+// copyScratch is a caller's scratch policy: a fault lands in a fresh copy.
+func copyScratch(b []byte) []byte { return append([]byte(nil), b...) }
+
 func TestComputeCRCClean(t *testing.T) {
 	d := newDPU(FaultRates{})
 	data := []byte("a clean block of data for the crc engine")
-	if got, want := d.ComputeCRC(data), crc.Raw(data); got != want {
-		t.Fatalf("clean CRC %08x != %08x", got, want)
+	got, corrupted := d.ComputeCRC(data, 0, false, copyScratch)
+	if want := crc.Raw(data); got != want || corrupted != nil {
+		t.Fatalf("clean CRC %08x (copy %v), want %08x and no copy", got, corrupted != nil, want)
 	}
 	c, dd := d.InjectedFaults()
 	if c+dd != 0 {
@@ -42,9 +47,12 @@ func TestComputeCRCClean(t *testing.T) {
 func TestComputeCRCBitFlip(t *testing.T) {
 	d := newDPU(FaultRates{CRCBitFlip: 1.0})
 	data := make([]byte, 4096)
-	got := d.ComputeCRC(data)
+	got, corrupted := d.ComputeCRC(data, 0, false, copyScratch)
 	if got == crc.Raw(data) {
 		t.Fatal("CRC flip rate 1.0 produced a correct CRC")
+	}
+	if corrupted != nil {
+		t.Fatal("a CRC flip materialised a data copy")
 	}
 	flips, _ := d.InjectedFaults()
 	if flips != 1 {
@@ -56,13 +64,23 @@ func TestComputeCRCDataCorruption(t *testing.T) {
 	d := newDPU(FaultRates{DataBitFlip: 1.0})
 	data := make([]byte, 4096)
 	orig := append([]byte{}, data...)
-	got := d.ComputeCRC(data)
-	if bytes.Equal(data, orig) {
-		t.Fatal("datapath corruption did not modify the buffer")
+	got, corrupted := d.ComputeCRC(data, 0, false, copyScratch)
+	if !bytes.Equal(data, orig) {
+		t.Fatal("datapath corruption modified the caller's buffer")
+	}
+	if len(corrupted) != len(data) {
+		t.Fatalf("corrupted copy is %d bytes, want %d", len(corrupted), len(data))
+	}
+	flipped := 0
+	for i := range data {
+		flipped += bits.OnesCount8(data[i] ^ corrupted[i])
+	}
+	if flipped != 1 {
+		t.Fatalf("corrupted copy differs in %d bits, want 1", flipped)
 	}
 	// The engine checksums the corrupted data — consistent with it, so the
 	// per-block check alone cannot catch it...
-	if got != crc.Raw(data) {
+	if got != crc.Raw(corrupted) {
 		t.Fatal("engine CRC should match the corrupted data")
 	}
 	// ...but the expected aggregate (from trusted metadata) does.
@@ -80,7 +98,7 @@ func TestFaultRatesStatistical(t *testing.T) {
 	miss := 0
 	const n = 5000
 	for i := 0; i < n; i++ {
-		if d.ComputeCRC(data) != crc.Raw(data) {
+		if sum, _ := d.ComputeCRC(data, 0, false, copyScratch); sum != crc.Raw(data) {
 			miss++
 		}
 	}

@@ -86,15 +86,14 @@ func Fig11(opts Options) *Table {
 				card = cardData
 			}
 			fpgaTurn++
-			tx := append([]byte(nil), block...)
-			reported := card.ComputeCRC(tx)
+			reported, corrupted := card.ComputeCRC(block, 0, false, copyBlock)
 			var agg crc.Aggregator
 			agg.AddExpected(trusted)
 			agg.AddBlockCRC(reported)
 			// The datapath may also have corrupted the payload without
 			// the reported CRC matching the trusted one — both cases are
 			// a Verify failure.
-			if !agg.Verify() || crc.Raw(tx) != trusted {
+			if !agg.Verify() || (corrupted != nil && crc.Raw(corrupted) != trusted) {
 				detected[cause]++
 			}
 		case causeSoftware:
@@ -179,3 +178,7 @@ func pickCause(r *sim.Rand) int {
 	}
 	return numCauses - 1
 }
+
+// copyBlock is Fig 11's scratch for the FPGA CRC engine: a datapath fault
+// lands in a fresh copy, so the campaign's block stays clean.
+func copyBlock(b []byte) []byte { return append([]byte(nil), b...) }

@@ -20,9 +20,9 @@ import (
 	"lunasolar/internal/wire"
 )
 
-// Proto is the IP protocol number the fabric demultiplexes RDMA frames on
-// (RoCEv2 in production rides UDP/4791; a dedicated protocol number keeps
-// host-side demux trivial here).
+// Proto is the IP protocol number that marks RDMA frames (RoCEv2 in
+// production rides UDP/4791; a dedicated protocol number lets a block
+// server tell its BN frames from its FN frames with one comparison).
 const Proto = 254
 
 // ListenPort is the well-known service QP number.
@@ -83,9 +83,9 @@ type qpKey struct {
 	remoteQPN uint16
 }
 
-// New attaches an RDMA stack to a host. Pass a mux-managed host by calling
-// mux.Handle(rdma.Proto, s.ReceivePacket) instead of letting New own the
-// host handler.
+// New attaches an RDMA stack to a host. It claims the host's Handler only
+// when no stack has; on a host whose handler is taken, the owner of that
+// handler passes Proto frames to ReceivePacket.
 func New(eng *sim.Engine, host *simnet.Host, cores *sim.Server, pcie *sim.Channel, params Params) *Stack {
 	s := &Stack{
 		eng:         eng,

@@ -136,8 +136,10 @@ func connect(f *Fabric, a, b Node, rateBps float64, prop time.Duration, buf int)
 }
 
 // Host is a server attached to the fabric via two ports (one to each ToR of
-// its rack's pair). The attached network stack registers a Handler to
-// receive frames.
+// its rack's pair). Handler receives its frames: the first network stack
+// built on the host claims it and later ones leave it alone, so a block
+// server whose FN and BN stacks differ installs one closure that hands
+// RDMA frames to its BN stack and the rest to the FN stack's handler.
 type Host struct {
 	fab     *Fabric
 	addr    uint32

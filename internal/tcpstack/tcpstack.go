@@ -153,10 +153,6 @@ func (s *Stack) copyCost(payload int) time.Duration {
 	return time.Duration(float64(s.params.CopyPer4K) * float64(payload) / 4096)
 }
 
-// ReceivePacket feeds one inbound frame into the stack; hosts running
-// multiple stacks route frames here through a simnet.Mux.
-func (s *Stack) ReceivePacket(pkt *simnet.Packet) { s.receive(pkt) }
-
 // receive demultiplexes an arriving frame to its connection. The stack
 // takes ownership of the frame; it is released once the segment has been
 // processed, so whatever the connection keeps it copies: in-order bytes into

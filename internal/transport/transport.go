@@ -116,8 +116,8 @@ var ErrAdmission = errors.New("transport: rejected by QoS admission")
 
 // ErrNotOwner is returned by a block server for a segment it has released
 // to another owner (live segment migration cutover). The storage agent
-// treats it as a routing miss: re-resolve the segment table — whose
-// generation the cutover bumped — and retry against the new location.
+// treats it as a routing miss: re-resolve the segment in the segment
+// table, which the cutover remapped, and retry against the new location.
 var ErrNotOwner = errors.New("transport: segment not owned by this server")
 
 // ErrRemote is what a client sees for any other server error: the wire

@@ -201,7 +201,7 @@ type EBS struct {
 	LBA       uint64 // logical block address within the virtual disk
 	BlockLen  uint32 // payload bytes (4096 for a full block)
 	BlockCRC  uint32 // raw CRC-32C of the payload, computed by the FPGA
-	Gen       uint32 // segment generation, guards stale retransmits
+	Gen       uint32 // the agent's per-I/O write sequence; a chunk server keeps the higher
 
 	// Distributed-trace annotations, meaningful on responses only: total
 	// block-server residence time and the media portion (Fig. 6's BN and

@@ -1,6 +1,5 @@
-// Package writebench is the shared harness behind BenchmarkWritePath4K, the
-// zero-copy tests and the benchmark's core layer rig: a minimal two-host
-// Solar write path (DPU
+// Package writebench is the shared harness behind BenchmarkWritePath4K and
+// the zero-copy tests: a minimal two-host Solar write path (DPU
 // client on one host, storage-server stack on the other, a no-op block
 // service) that isolates the per-block data path the zero-copy work targets
 // — SA ingress, one-touch CRC, scatter-gather framing, fabric transit, and
