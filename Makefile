@@ -1,8 +1,8 @@
 # Repo-wide checks. `make check` is the pre-commit gate: build, gofmt, vet, the
 # lunavet analysis suite, the full test suite under the race detector (the
 # parallel runner is the main customer; every differential and scenario
-# gate is a test), and a short benchmark smoke to catch perf-metric
-# regressions. `make bench` runs the repository benchmark (benchmark/) once.
+# gate is a test), and a metrics smoke that exports the quick Fig 6 run's
+# registry. `make bench` runs the repository benchmark (benchmark/) once.
 
 GO ?= go
 
@@ -14,7 +14,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build fmt vet lint staticcheck govulncheck test race cover progcover fuzz-smoke golden full-golden bench bench-compare ledger-gate bench-smoke check
+.PHONY: build fmt vet lint staticcheck govulncheck test race cover progcover fuzz-smoke golden full-golden bench bench-compare ledger-gate metrics-smoke check
 
 build:
 	$(GO) build ./...
@@ -142,17 +142,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzECMPPick$$' -fuzztime 10s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz '^FuzzTenantCap$$' -fuzztime 10s ./internal/sa
 
-# One quick experiment benchmark, the raw event-loop benchmark, the
-# 4 KiB write path (the Solar FN half, its RDMA-into-chunk-server BN
-# twin and the Luna tcpstack FN half), the 4 KiB read paths (Solar, the
-# BN and the whole block-server side), the 64 KiB BN write, and the CDF
-# lookup benchmark guarding the sort.Search fix: enough to verify the events/sec, sim-µs/wall-ms, copies/op and
-# allocs/op metrics still report. The quick fig6 run exports the merged
-# observability registry (CI publishes METRICS.json) and doubles as its
-# schema smoke test.
-bench-smoke:
-	$(GO) test -run xxx -bench 'Fig6|SimulatorEventRate|WritePath4K|ReadPath4K|BNWrite4K|BNRead4K|BNWrite64K|BlockServerWrite4K|BlockServerRead4K|LunaWrite4K' -benchtime 1x -benchmem .
-	$(GO) test -run xxx -bench 'CDFAt' -benchtime 1x -benchmem ./internal/stats
+# The quick fig6 run exports the merged observability registry (CI
+# publishes METRICS.json), and the grep is its schema smoke test.
+metrics-smoke:
 	$(GO) run ./cmd/ebsbench -exp fig6 -quick -workers 1 -metrics-out METRICS.json > /dev/null
 	grep -q '"schema": "lunasolar.metrics/v1"' METRICS.json
 
@@ -213,4 +205,4 @@ ledger-gate:
 	@test -n "$(NEW)" || { echo "usage: make ledger-gate NEW=<report> [BASE=<report>]"; exit 2; }
 	jq -n -r --slurpfile base $(BASE) --slurpfile new $(NEW) -f ledger/gate.jq
 
-check: build fmt vet lint staticcheck govulncheck race bench-smoke
+check: build fmt vet lint staticcheck govulncheck race metrics-smoke

@@ -6,13 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"lunasolar/ebs"
-	"lunasolar/internal/core"
-	"lunasolar/internal/dpu"
-	"lunasolar/internal/rdma"
-	"lunasolar/internal/sim"
-	"lunasolar/internal/simnet"
-	"lunasolar/internal/tcpstack"
 	"lunasolar/internal/transport"
 	"lunasolar/internal/wire"
 )
@@ -25,34 +18,7 @@ import (
 func TestServerErrorsCrossEveryStack(t *testing.T) {
 	boom := errors.New("boom")
 	moved := fmt.Errorf("segment moved: %w", transport.ErrNotOwner)
-	for _, tc := range []struct {
-		name   string
-		stacks func(eng *sim.Engine, fab *simnet.Fabric) (transport.Client, transport.Stack)
-	}{
-		{"rdma", func(eng *sim.Engine, fab *simnet.Fabric) (transport.Client, transport.Stack) {
-			stack := func(i int) *rdma.Stack {
-				return rdma.New(eng, fab.Host(0, i, 0, 0), sim.NewServer(eng, "cpu", 4), nil, rdma.DefaultParams())
-			}
-			return stack(0), stack(1)
-		}},
-		{"tcpstack", func(eng *sim.Engine, fab *simnet.Fabric) (transport.Client, transport.Stack) {
-			stack := func(i int) *tcpstack.Stack {
-				return tcpstack.New(eng, fab.Host(0, i, 0, 0), sim.NewServer(eng, "cpu", 4), nil, ebs.LunaStackParams())
-			}
-			return stack(0), stack(1)
-		}},
-		{"core", func(eng *sim.Engine, fab *simnet.Fabric) (transport.Client, transport.Stack) {
-			dcfg := dpu.DefaultConfig()
-			dcfg.Faults = dpu.FaultRates{}
-			card := dpu.New(eng, dcfg)
-			client := core.New(eng, fab.Host(0, 0, 0, 0), card.CPU, card, core.DefaultParams())
-			return client, core.New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "cpu", 4), nil, core.ServerParams())
-		}},
-		{"loopback", func(eng *sim.Engine, _ *simnet.Fabric) (transport.Client, transport.Stack) {
-			l := transport.NewLoopback(func(d time.Duration, fn func()) { eng.Schedule(d, fn) }, time.Microsecond, 7)
-			return l, l
-		}},
-	} {
+	for _, tc := range stackPairs {
 		for _, op := range []uint8{wire.RPCWriteReq, wire.RPCReadReq} {
 			for _, replied := range []error{boom, moved} {
 				name := "write"
@@ -63,10 +29,8 @@ func TestServerErrorsCrossEveryStack(t *testing.T) {
 					name += "/not-owner"
 				}
 				t.Run(tc.name+"/"+name, func(t *testing.T) {
-					eng := sim.NewEngine(1)
-					cfg := simnet.DefaultConfig()
-					cfg.RacksPerPod, cfg.HostsPerRack, cfg.SpinesPerPod, cfg.CoresPerDC = 2, 1, 2, 2
-					client, server := tc.stacks(eng, simnet.New(eng, cfg))
+					eng, fab := newFabric(1)
+					client, server := tc.build(eng, fab)
 
 					server.SetHandler(func(src uint32, req *transport.Message, reply func(*transport.Response)) {
 						resp := transport.Response{Err: replied}

@@ -112,19 +112,9 @@ func TestCombineBlocksMatchesConcatenation(t *testing.T) {
 	}
 }
 
-// BenchmarkCombine4K measures the memoized fast path the data path hits on
-// every per-block fold at the blockserver boundary.
-func BenchmarkCombine4K(b *testing.B) {
-	crcA, crcB := Raw([]byte("a")), Raw([]byte("b"))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		crcA = Combine(crcA, crcB, blockLen4K)
-	}
-	sinkU32 = crcA
-}
-
-// BenchmarkCombineCold measures the unmemoized squaring-chain path for
-// comparison (what every fold cost before the operator cache).
+// BenchmarkCombineCold measures the unmemoized squaring-chain path, what
+// every fold cost before the operator cache. The memoized 4 KiB fold the
+// data path takes is `benchmark -layers`'s crc.combine_ns.
 func BenchmarkCombineCold(b *testing.B) {
 	crcA, crcB := Raw([]byte("a")), Raw([]byte("b"))
 	b.ReportAllocs()

@@ -211,13 +211,3 @@ func TestAggregatorEveryBitPosition(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkRaw4K(b *testing.B) {
-	data := make([]byte, 4096)
-	rand.New(rand.NewSource(6)).Read(data)
-	b.SetBytes(4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkU32 = Raw(data)
-	}
-}

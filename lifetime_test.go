@@ -5,13 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"lunasolar/ebs"
-	"lunasolar/internal/core"
-	"lunasolar/internal/dpu"
-	"lunasolar/internal/rdma"
-	"lunasolar/internal/sim"
-	"lunasolar/internal/simnet"
-	"lunasolar/internal/tcpstack"
 	"lunasolar/internal/transport"
 	"lunasolar/internal/wire"
 )
@@ -28,41 +21,12 @@ func TestResponseValidUntilReplyReturns(t *testing.T) {
 		wall, ssd = 40 * time.Microsecond, 25 * time.Microsecond
 		sum       = 0xc0ffee
 	)
-	for _, tc := range []struct {
-		name string
-		crcs bool // the stack carries a response's CRC list back
-		// stacks builds the client and the server it calls.
-		stacks func(eng *sim.Engine, fab *simnet.Fabric) (transport.Client, transport.Stack)
-	}{
-		{"rdma", true, func(eng *sim.Engine, fab *simnet.Fabric) (transport.Client, transport.Stack) {
-			stack := func(i int) *rdma.Stack {
-				return rdma.New(eng, fab.Host(0, i, 0, 0), sim.NewServer(eng, "cpu", 4), nil, rdma.DefaultParams())
-			}
-			return stack(0), stack(1)
-		}},
-		{"tcpstack", false, func(eng *sim.Engine, fab *simnet.Fabric) (transport.Client, transport.Stack) {
-			stack := func(i int) *tcpstack.Stack {
-				return tcpstack.New(eng, fab.Host(0, i, 0, 0), sim.NewServer(eng, "cpu", 4), nil, ebs.LunaStackParams())
-			}
-			return stack(0), stack(1)
-		}},
-		{"core", false, func(eng *sim.Engine, fab *simnet.Fabric) (transport.Client, transport.Stack) {
-			dcfg := dpu.DefaultConfig()
-			dcfg.Faults = dpu.FaultRates{}
-			card := dpu.New(eng, dcfg)
-			client := core.New(eng, fab.Host(0, 0, 0, 0), card.CPU, card, core.DefaultParams())
-			return client, core.New(eng, fab.Host(0, 1, 0, 0), sim.NewServer(eng, "cpu", 4), nil, core.ServerParams())
-		}},
-		{"loopback", true, func(eng *sim.Engine, _ *simnet.Fabric) (transport.Client, transport.Stack) {
-			l := transport.NewLoopback(func(d time.Duration, fn func()) { eng.Schedule(d, fn) }, time.Microsecond, 7)
-			return l, l
-		}},
-	} {
+	// The stacks that carry a response's CRC list back.
+	carriesCRCs := map[string]bool{"rdma": true, "loopback": true}
+	for _, tc := range stackPairs {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := sim.NewEngine(1)
-			cfg := simnet.DefaultConfig()
-			cfg.RacksPerPod, cfg.HostsPerRack, cfg.SpinesPerPod, cfg.CoresPerDC = 2, 1, 2, 2
-			client, server := tc.stacks(eng, simnet.New(eng, cfg))
+			eng, fab := newFabric(1)
+			client, server := tc.build(eng, fab)
 
 			crcs := []uint32{sum}
 			shared := &transport.Response{ServerWall: wall, SSDTime: ssd, BlockCRCs: crcs}
@@ -90,7 +54,7 @@ func TestResponseValidUntilReplyReturns(t *testing.T) {
 				t.Fatalf("client saw Err %v, ServerWall %v, SSDTime %v; the handler replied nil, %v, %v",
 					got.Err, got.ServerWall, got.SSDTime, wall, ssd)
 			}
-			if tc.crcs && (len(gotCRCs) != 1 || gotCRCs[0] != sum) {
+			if carriesCRCs[tc.name] && (len(gotCRCs) != 1 || gotCRCs[0] != sum) {
 				t.Fatalf("client saw BlockCRCs %x, the handler replied [%x]", gotCRCs, sum)
 			}
 		})
